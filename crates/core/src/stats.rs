@@ -1,36 +1,54 @@
 //! Operation counters for observability and benchmark sanity checks.
 //!
-//! Every native store carries an [`OpCounters`] block updated with relaxed
-//! atomics (negligible overhead next to the operations themselves);
-//! [`crate::VersionedStore::op_stats`] returns a consistent-enough snapshot
-//! for dashboards, tests and the benchmark harnesses' sanity assertions.
+//! Every native store carries an [`OpCounters`] block that its operations
+//! bump on the hot path — `find` twice per hit. The block is **sharded per
+//! thread** with the workspace's one thread-to-shard mapping
+//! ([`mvkv_sync::shard`]): a shard is one 64-byte cache line holding all
+//! eight counters, written only by the thread that owns it, so a bump is a
+//! plain load and a `Release` store on a line no other thread writes — no
+//! `lock` prefix, no line bouncing between cores. Threads beyond the owned
+//! shards share the overflow shard and pay for an atomic add there.
+//! [`crate::VersionedStore::op_stats`] sums the shards into a snapshot that
+//! is consistent enough for dashboards, tests and the benchmark harnesses'
+//! sanity assertions: the cross-counter invariants hold in every snapshot
+//! (see [`OpCounters::snapshot`]).
 
-use serde::Serialize;
+use mvkv_sync::shard::{shard_id, OVERFLOW_SHARD, SHARDS};
 use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
+use serde::Serialize;
+
+/// Counter indices within a shard: base counters first, then the counters
+/// derived from them (bumped after their base by the same operation).
+const INSERTS: usize = 0;
+const REMOVES: usize = 1;
+const FINDS: usize = 2;
+const HISTORY_QUERIES: usize = 3;
+const SNAPSHOT_EXTRACTIONS: usize = 4;
+const FIND_HITS: usize = 5;
+const NEW_KEYS: usize = 6;
+const LOST_KEY_RACES: usize = 7;
+const COUNTERS: usize = 8;
+
+/// One thread's counters: exactly one cache line, so writers on different
+/// shards never share a line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Shard {
+    counters: [AtomicU64; COUNTERS],
+}
 
 /// Internal counter block (one per store).
 #[derive(Debug, Default)]
 pub struct OpCounters {
-    inserts: AtomicU64,
-    removes: AtomicU64,
-    finds: AtomicU64,
-    find_hits: AtomicU64,
-    history_queries: AtomicU64,
-    snapshot_extractions: AtomicU64,
-    new_keys: AtomicU64,
-    lost_key_races: AtomicU64,
+    shards: [Shard; SHARDS],
 }
 
 macro_rules! bump {
-    ($($name:ident => $field:ident),* $(,)?) => {
+    ($($name:ident => $counter:ident),* $(,)?) => {
         $(
             #[inline]
             pub(crate) fn $name(&self) {
-                // Release pairs with the Acquire loads in `snapshot`: a
-                // snapshot that observes a derived counter (e.g. find_hits)
-                // also observes every bump the same operation issued before
-                // it (e.g. finds) — see the ordering argument there.
-                self.$field.fetch_add(1, Ordering::Release);
+                self.bump($counter);
             }
         )*
     };
@@ -41,43 +59,61 @@ impl OpCounters {
         Self::default()
     }
 
-    bump! {
-        insert => inserts,
-        remove => removes,
-        find => finds,
-        find_hit => find_hits,
-        history_query => history_queries,
-        snapshot_extraction => snapshot_extractions,
-        new_key => new_keys,
-        lost_key_race => lost_key_races,
+    #[inline]
+    fn bump(&self, counter: usize) {
+        let id = shard_id();
+        let cell = &self.shards[id].counters[counter];
+        if id < OVERFLOW_SHARD {
+            // ordering: this thread is the shard's only writer (shard ids
+            // are never reused), so the Relaxed load reads its own last
+            // store and the increment cannot lose an update. The Release
+            // store pairs with the Acquire loads in `snapshot`.
+            cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Release);
+        } else {
+            cell.fetch_add(1, Ordering::Release);
+        }
     }
 
-    /// A point-in-time copy of all counters.
+    bump! {
+        insert => INSERTS,
+        remove => REMOVES,
+        find => FINDS,
+        find_hit => FIND_HITS,
+        history_query => HISTORY_QUERIES,
+        snapshot_extraction => SNAPSHOT_EXTRACTIONS,
+        new_key => NEW_KEYS,
+        lost_key_race => LOST_KEY_RACES,
+    }
+
+    /// A point-in-time copy of all counters, summed over the shards.
     ///
-    /// The copy is taken **in reverse bump order**: operations bump their
-    /// base counter before the derived one (`find` bumps `finds` before
-    /// `find_hits`; an insert/remove bumps its mutation counter before
-    /// `new_keys`/`lost_key_races`), so loading the derived counter first
-    /// (Acquire, pairing with the Release bumps) guarantees the invariants
-    /// `find_hits <= finds` and `new_keys + lost_key_races <= mutations()`
-    /// hold in every snapshot, even mid-update. The old same-order Relaxed
-    /// copy could transiently report more hits than finds.
+    /// **Every derived counter of every shard is read before any base
+    /// counter.** An operation bumps its base counter before the derived one
+    /// (`find` bumps `finds` before `find_hits`; an insert/remove bumps its
+    /// mutation counter before `new_keys`/`lost_key_races`), and both bumps
+    /// land in the bumping thread's shard. Each bump is a `Release` write, so
+    /// an `Acquire` load that observes `n` derived bumps in a shard also
+    /// makes the `n` base bumps that preceded them visible, and the base
+    /// load — sequenced after it — returns at least `n`. That holds shard by
+    /// shard, hence for the sums: `find_hits <= finds` and
+    /// `new_keys + lost_key_races <= mutations()` in every snapshot, even
+    /// mid-update. (Reading shard by shard, base and derived together, would
+    /// not do: nothing orders one shard's counters against another's, but the
+    /// argument never needs that.)
     pub fn snapshot(&self) -> OpStats {
-        let lost_key_races = self.lost_key_races.load(Ordering::Acquire);
-        let new_keys = self.new_keys.load(Ordering::Acquire);
-        let find_hits = self.find_hits.load(Ordering::Acquire);
-        let history_queries = self.history_queries.load(Ordering::Acquire);
-        let snapshot_extractions = self.snapshot_extractions.load(Ordering::Acquire);
-        let finds = self.finds.load(Ordering::Acquire);
-        let inserts = self.inserts.load(Ordering::Acquire);
-        let removes = self.removes.load(Ordering::Acquire);
+        let sum = |counter: usize| -> u64 {
+            self.shards.iter().map(|s| s.counters[counter].load(Ordering::Acquire)).sum()
+        };
+        let lost_key_races = sum(LOST_KEY_RACES);
+        let new_keys = sum(NEW_KEYS);
+        let find_hits = sum(FIND_HITS);
         OpStats {
-            inserts,
-            removes,
-            finds,
+            inserts: sum(INSERTS),
+            removes: sum(REMOVES),
+            finds: sum(FINDS),
             find_hits,
-            history_queries,
-            snapshot_extractions,
+            history_queries: sum(HISTORY_QUERIES),
+            snapshot_extractions: sum(SNAPSHOT_EXTRACTIONS),
             new_keys,
             lost_key_races,
         }
@@ -128,18 +164,18 @@ mod tests {
         assert_eq!(s.mutations(), 3);
     }
 
-    /// Regression test for the read-during-update snapshot race: writers
-    /// bump `finds` then `find_hits` (and a mutation counter then
-    /// `new_keys`); the old snapshot loaded the fields in declaration order
-    /// with Relaxed, so it could observe a hit whose find was still
-    /// missing — reporting `find_hits > finds`. The reordered
-    /// Acquire/Release snapshot makes both invariants hold at all times.
+    /// The read-during-update snapshot race: writers bump `finds` then
+    /// `find_hits` (and a mutation counter then `new_keys`); a snapshot that
+    /// read a base counter before its derived one, or either with Relaxed,
+    /// could observe a hit whose find was still missing — reporting
+    /// `find_hits > finds`. Derived-before-base with Acquire/Release makes
+    /// both invariants hold at all times.
     #[test]
     #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
     fn snapshot_invariants_hold_mid_update() {
         let c = std::sync::Arc::new(OpCounters::new());
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        std::thread::scope(|scope| {
+        let violation = std::thread::scope(|scope| {
             for _ in 0..3 {
                 let c = c.clone();
                 let stop = stop.clone();
@@ -155,26 +191,24 @@ mod tests {
                     }
                 });
             }
-            for _ in 0..200_000 {
-                let s = c.snapshot();
-                assert!(
-                    s.find_hits <= s.finds,
-                    "snapshot saw hits without their finds: {s:?}"
-                );
-                assert!(
-                    s.new_keys + s.lost_key_races <= s.mutations(),
-                    "snapshot saw key outcomes without their mutations: {s:?}"
-                );
-            }
+            // Collected, not asserted in place: the writers only stop once
+            // the flag is set, and the scope would wait for them forever.
+            let violation = (0..200_000).map(|_| c.snapshot()).find(|s| {
+                s.find_hits > s.finds || s.new_keys + s.lost_key_races > s.mutations()
+            });
             stop.store(true, Ordering::Relaxed);
+            violation
         });
+        assert_eq!(violation, None, "snapshot saw a derived counter ahead of its base");
     }
 
+    /// More threads than shards: the late ones share the overflow shard and
+    /// must not lose each other's bumps.
     #[test]
     fn concurrent_bumps_do_not_lose_counts() {
         let c = std::sync::Arc::new(OpCounters::new());
         std::thread::scope(|scope| {
-            for _ in 0..8 {
+            for _ in 0..SHARDS + 8 {
                 let c = c.clone();
                 scope.spawn(move || {
                     for _ in 0..10_000 {
@@ -183,6 +217,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(c.snapshot().inserts, 80_000);
+        assert_eq!(c.snapshot().inserts, (SHARDS as u64 + 8) * 10_000);
     }
 }

@@ -5,21 +5,13 @@
 //! (`&'static`), so hot-path handles are plain references with no
 //! refcounting.
 
-use mvkv_sync::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use mvkv_sync::shard::{shard_id, OVERFLOW_SHARD, SHARDS};
+use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
 use mvkv_sync::sync::Mutex;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Writer shards per counter/histogram. More than the allocator's 8: obs
-/// counters are hit from every thread in the process, not just allocating
-/// ones.
-const SHARDS: usize = 16;
-
-/// The last shard is shared by every thread beyond the first `SHARDS - 1`;
-/// only it needs read-modify-write atomics.
-const OVERFLOW_SHARD: usize = SHARDS - 1;
 
 /// Span timings are sampled one-in-`SPAN_SAMPLE` per thread: a clock read
 /// costs ~40 ns on this class of hardware, which alone would blow the 5 %
@@ -35,29 +27,6 @@ pub const BUCKETS: usize = 64;
 #[inline(always)]
 pub fn is_enabled() -> bool {
     true
-}
-
-/// This thread's shard index. The first `SHARDS - 1` threads each *own* a
-/// shard for life — ids are never reused, so the owner is the only writer
-/// and can update its cells with plain relaxed load/store instead of a
-/// `lock`-prefixed RMW (~10x cheaper on x86). Every later thread shares
-/// [`OVERFLOW_SHARD`] and must use `fetch_add`.
-#[inline]
-fn shard_id() -> usize {
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    SHARD.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            v
-        } else {
-            static NEXT: AtomicUsize = AtomicUsize::new(0);
-            let v = NEXT.fetch_add(1, Ordering::Relaxed).min(OVERFLOW_SHARD);
-            s.set(v);
-            v
-        }
-    })
 }
 
 /// True when this thread should time the current span (one in

@@ -13,8 +13,15 @@
 //! hazard pointers, no epochs. Nodes live until the list is dropped.
 //!
 //! Concurrency protocol (paper §IV-B):
+//! * A node is one allocation: a header (`key`, payload, height) with its
+//!   tower of link cells inline behind it, immutable after publication
+//!   except for the links.
 //! * The internal `find` routine implements Algorithm 2: a top-down scan collecting
-//!   the predecessor cell and successor node per level.
+//!   the predecessor cell and successor node per level. Only inserts use it;
+//!   reads (`get`, `range_from`) run a descent with no bookkeeping that
+//!   returns at the first level where it meets the key — sound because
+//!   towers are linked bottom-up, so a node visible at any level is already
+//!   in the level-0 list.
 //! * Insertion CASes the level-0 predecessor cell (the linearization
 //!   point), then links upper levels with per-level retries.
 //! * If two threads race to insert the same key, the loser detects the

@@ -1,22 +1,129 @@
 //! The skip-list implementation. See crate docs for the protocol overview.
 
 use mvkv_sync::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::alloc::Layout;
+use std::cmp::Ordering as KeyOrder;
+use std::marker::PhantomData;
+use std::ptr;
 
 /// Maximum tower height. With p = 1/2 this comfortably indexes 2^20+ keys
 /// at the paper's scale (10^6–2·10^6 keys per node).
 pub const MAX_HEIGHT: usize = 24;
 
+/// A node: this header, and behind it **in the same allocation** its tower —
+/// `height` link cells starting at `tower`, one per level, each the next node
+/// at that level (null = end of list). A hop touches one heap object, and the
+/// key and the low levels share a cache line.
+///
+/// `key`, `value` and `height` are written while the node is private to the
+/// inserting thread and never again; after publication only the tower cells
+/// change. Nodes are handled exclusively through raw pointers carrying the
+/// provenance of the whole block: a `&Node` would cover the header alone,
+/// and a tower pointer derived from it would be out of bounds for the borrow
+/// models. The list head is a `MAX_HEIGHT` node whose `key` and `value` stay
+/// uninitialized and are never read.
+#[repr(C)]
 struct Node<K> {
     key: K,
-    value: AtomicU64,
-    next: Box<[AtomicPtr<Node<K>>]>,
+    value: u64,
+    height: usize,
+    /// Where the tower starts; the cells themselves lie past the header.
+    tower: [AtomicPtr<Node<K>>; 0],
 }
 
 impl<K> Node<K> {
-    fn alloc(key: K, value: u64, height: usize) -> *mut Node<K> {
-        let next: Box<[AtomicPtr<Node<K>>]> =
-            (0..height).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect();
-        Box::into_raw(Box::new(Node { key, value: AtomicU64::new(value), next }))
+    fn layout(height: usize) -> Layout {
+        let tower = height * std::mem::size_of::<AtomicPtr<Node<K>>>();
+        Layout::from_size_align(std::mem::offset_of!(Self, tower) + tower, std::mem::align_of::<Self>())
+            .expect("tower of at most MAX_HEIGHT links")
+    }
+
+    /// Allocates a block for `height` levels: `height` set, every link
+    /// null, `key` and `value` uninitialized.
+    fn alloc(height: usize) -> *mut Node<K> {
+        debug_assert!((1..=MAX_HEIGHT).contains(&height));
+        let layout = Self::layout(height);
+        // SAFETY: the layout holds at least the header, so its size is not 0.
+        let node = unsafe { std::alloc::alloc(layout) }.cast::<Node<K>>();
+        if node.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        // SAFETY: the block is fresh, private, and large enough for the
+        // header and `height` links; `write` does not read the old bytes.
+        unsafe {
+            (&raw mut (*node).height).write(height);
+            for level in 0..height {
+                Self::tower(node).add(level).write(AtomicPtr::new(ptr::null_mut()));
+            }
+        }
+        node
+    }
+
+    /// A fully initialized, unpublished node.
+    fn new(key: K, value: u64, height: usize) -> *mut Node<K> {
+        let node = Self::alloc(height);
+        // SAFETY: `alloc` returned a private block with room for the header.
+        unsafe {
+            (&raw mut (*node).key).write(key);
+            (&raw mut (*node).value).write(value);
+        }
+        node
+    }
+
+    /// First cell of the tower.
+    ///
+    /// # Safety
+    /// `node` must come from [`Node::alloc`] and not have been freed.
+    #[inline]
+    unsafe fn tower(node: *mut Node<K>) -> *mut AtomicPtr<Node<K>> {
+        // SAFETY: the field projection stays inside the live block, and the
+        // result keeps `node`'s provenance over the whole of it — no
+        // reference is formed on the way.
+        unsafe { (&raw mut (*node).tower).cast() }
+    }
+
+    /// The level-`level` link out of `node` — the one accessor every reader,
+    /// writer, iterator and destructor goes through.
+    ///
+    /// # Safety
+    /// `node` must come from [`Node::alloc`], outlive `'a`, and have a
+    /// tower taller than `level`.
+    #[inline]
+    unsafe fn next<'a>(node: *mut Node<K>, level: usize) -> &'a AtomicPtr<Node<K>> {
+        // SAFETY: per the contract the cell is inside the live block; it was
+        // initialized by `alloc` and is only ever accessed atomically.
+        unsafe {
+            debug_assert!(level < (*node).height);
+            &*Self::tower(node).add(level)
+        }
+    }
+
+    /// Returns the block to the allocator **without** dropping the key.
+    ///
+    /// # Safety
+    /// `node` must come from [`Node::alloc`], be unreachable by any other
+    /// thread, and not be used again.
+    unsafe fn free_block(node: *mut Node<K>) {
+        // SAFETY: exclusive access per the contract; `height` is what
+        // `alloc` built the layout from. The cells are dropped in place
+        // because under `--cfg loom` they are model-checker objects.
+        unsafe {
+            let height = (*node).height;
+            ptr::drop_in_place(ptr::slice_from_raw_parts_mut(Self::tower(node), height));
+            std::alloc::dealloc(node.cast(), Self::layout(height));
+        }
+    }
+
+    /// Drops the key and frees the block.
+    ///
+    /// # Safety
+    /// As [`Node::free_block`], and `node` must come from [`Node::new`].
+    unsafe fn free(node: *mut Node<K>) {
+        // SAFETY: `new` initialized the key; nobody else can observe it.
+        unsafe {
+            ptr::drop_in_place(&raw mut (*node).key);
+            Self::free_block(node);
+        }
     }
 }
 
@@ -100,22 +207,26 @@ impl InsertOutcome {
 /// assert_eq!(keys, vec![1, 5]); // always in key order
 /// ```
 pub struct SkipList<K> {
-    head: Box<[AtomicPtr<Node<K>>]>,
+    /// The head tower: a keyless `MAX_HEIGHT` node, so a predecessor is
+    /// always a node and every link is reached through [`Node::next`].
+    head: *mut Node<K>,
     max_level: AtomicUsize,
     len: AtomicU64,
     height_seed: AtomicU64,
 }
 
-// SAFETY: nodes are immutable after publication except their atomic fields;
-// all links are atomic pointers.
+// SAFETY: the list owns its nodes (and their keys) through `head`; moving it
+// to another thread moves the keys, hence `K: Send`. The counters are atomics.
 unsafe impl<K: Send> Send for SkipList<K> {}
-// SAFETY: same reasoning as Send — shared mutation is atomics-only.
+// SAFETY: a shared list hands out `&K` and accepts `K` from any thread, and
+// frees on one thread keys inserted by another; node headers are immutable
+// after publication and all links are atomic pointers.
 unsafe impl<K: Send + Sync> Sync for SkipList<K> {}
 
 impl<K: Ord> SkipList<K> {
     pub fn new() -> Self {
         SkipList {
-            head: (0..MAX_HEIGHT).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),
+            head: Node::alloc(MAX_HEIGHT),
             max_level: AtomicUsize::new(1),
             len: AtomicU64::new(0),
             height_seed: AtomicU64::new(0x5EED_1234_5678_9ABC),
@@ -180,45 +291,64 @@ impl<K: Ord> SkipList<K> {
         ((z.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
     }
 
-    /// The cell holding the level-`level` link out of `pred`
-    /// (null `pred` = the head tower).
-    #[inline]
-    fn cell(&self, pred: *mut Node<K>, level: usize) -> &AtomicPtr<Node<K>> {
-        if pred.is_null() {
-            &self.head[level]
-        } else {
-            // SAFETY: pred was observed via an Acquire load and is never freed
-            // while the list lives (insert-only).
-            unsafe { &(*pred).next[level] }
-        }
-    }
-
-    /// Algorithm 2 (`FindSkip`): per level, the predecessor node (null =
-    /// head) and the successor (first node with key ≥ `key`, null = end).
-    /// Returns the level-0 match if the key is present.
-    fn find(
-        &self,
-        key: &K,
-        preds: &mut [*mut Node<K>; MAX_HEIGHT],
-        succs: &mut [*mut Node<K>; MAX_HEIGHT],
-    ) -> *mut Node<K> {
-        let top = self.max_level.load(Ordering::Acquire);
-        let mut pred: *mut Node<K> = std::ptr::null_mut();
-        let mut level = top - 1;
+    /// The read-only descent: the first node with key ≥ `key` (null = none)
+    /// and whether its key equals `key`. No per-level bookkeeping, one
+    /// `Ord::cmp` per distinct node visited.
+    ///
+    /// **Early exit.** The descent returns at the first level where it
+    /// meets an equal key instead of walking down to level 0. This is
+    /// linearizable because towers are linked bottom-up: the inserter
+    /// links level L only after its level-0 CAS — the linearization point
+    /// of the insert — succeeded, and nodes are never unlinked. A node
+    /// reached through any level-L link is therefore already a member of
+    /// the level-0 list, and stays one. The Acquire load that returned the
+    /// node pairs with the inserter's AcqRel CAS on that cell, which is
+    /// sequenced after the writes of `key`, `value`, the node's level-0
+    /// link and the level-0 CAS, so the header and the level-0 successor
+    /// read through the node are the published ones.
+    ///
+    /// Keys are unique, so on a match the equal node is also the lower
+    /// bound; on a miss the descent ends at level 0 with `curr` the first
+    /// node with a larger key. When a level's successor is the node the
+    /// level above just found larger, its key is not compared again.
+    fn lower_bound(&self, key: &K) -> (*mut Node<K>, bool) {
+        let mut level = self.max_level.load(Ordering::Acquire) - 1;
+        let mut pred = self.head;
+        let mut larger: *mut Node<K> = ptr::null_mut();
         loop {
-            let mut curr = self.cell(pred, level).load(Ordering::Acquire);
-            // SAFETY: nodes are never freed while the list lives.
-            while !curr.is_null() && unsafe { &(*curr).key } < key {
-                pred = curr;
-                curr = self.cell(pred, level).load(Ordering::Acquire);
+            // SAFETY: `pred` is the head or a node reached through a link at
+            // `level` or above, so its tower is taller than `level`; nodes
+            // are never freed while the list lives (insert-only).
+            let curr = unsafe { Node::next(pred, level) }.load(Ordering::Acquire);
+            if !curr.is_null() && curr != larger {
+                #[cfg(all(target_arch = "x86_64", not(any(loom, miri))))]
+                if level > 0 {
+                    // While `curr`'s key is on its way from memory, start
+                    // fetching the node the descent visits if `curr` turns
+                    // out larger: its address sits in `pred`'s tower, which
+                    // is already in cache.
+                    // SAFETY: `level - 1` is inside `pred`'s tower; a
+                    // prefetch is a hint and never faults.
+                    unsafe {
+                        // ordering: the pointer is never dereferenced.
+                        let below = Node::next(pred, level - 1).load(Ordering::Relaxed);
+                        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                        _mm_prefetch::<_MM_HINT_T0>(below.cast());
+                    }
+                }
+                // SAFETY: `curr` was read from a live link with Acquire, so
+                // its header is published and immutable.
+                match unsafe { &(*curr).key }.cmp(key) {
+                    KeyOrder::Less => {
+                        pred = curr;
+                        continue;
+                    }
+                    KeyOrder::Equal => return (curr, true),
+                    KeyOrder::Greater => larger = curr,
+                }
             }
-            preds[level] = pred;
-            succs[level] = curr;
             if level == 0 {
-                // SAFETY: curr is non-null and was read from a live link;
-                // nodes are never freed while the list is alive.
-                let found = !curr.is_null() && unsafe { &(*curr).key } == key;
-                return if found { curr } else { std::ptr::null_mut() };
+                return (curr, false);
             }
             level -= 1;
         }
@@ -226,14 +356,47 @@ impl<K: Ord> SkipList<K> {
 
     /// Looks up the payload for `key`.
     pub fn get(&self, key: &K) -> Option<u64> {
-        let mut preds = [std::ptr::null_mut(); MAX_HEIGHT];
-        let mut succs = [std::ptr::null_mut(); MAX_HEIGHT];
-        let node = self.find(key, &mut preds, &mut succs);
-        if node.is_null() {
-            None
-        } else {
-            // SAFETY: found nodes stay alive with the list.
-            Some(unsafe { (*node).value.load(Ordering::Acquire) })
+        let (node, found) = self.lower_bound(key);
+        // SAFETY: a found node is non-null and published (see `lower_bound`).
+        found.then(|| unsafe { (*node).value })
+    }
+
+    /// In-order iterator starting at the first key ≥ `key`.
+    pub fn range_from(&self, key: &K) -> Iter<'_, K> {
+        Iter { curr: self.lower_bound(key).0, _list: PhantomData }
+    }
+
+    /// Algorithm 2 (`FindSkip`), the write descent: per level, the
+    /// predecessor node and the successor (first node with key ≥ `key`,
+    /// null = end). Returns the level-0 match if the key is present.
+    /// Levels at or above the list's current height are left untouched:
+    /// callers initialize `preds` to the head and `succs` to null.
+    fn find(
+        &self,
+        key: &K,
+        preds: &mut [*mut Node<K>; MAX_HEIGHT],
+        succs: &mut [*mut Node<K>; MAX_HEIGHT],
+    ) -> *mut Node<K> {
+        let mut level = self.max_level.load(Ordering::Acquire) - 1;
+        let mut pred = self.head;
+        loop {
+            // SAFETY: as in `lower_bound` — `pred` was reached at `level` or
+            // above, and nodes are never freed while the list lives.
+            let mut curr = unsafe { Node::next(pred, level) }.load(Ordering::Acquire);
+            // SAFETY: non-null nodes read from a live link are published.
+            while !curr.is_null() && unsafe { &(*curr).key } < key {
+                pred = curr;
+                // SAFETY: `pred` was just reached at `level`.
+                curr = unsafe { Node::next(pred, level) }.load(Ordering::Acquire);
+            }
+            preds[level] = pred;
+            succs[level] = curr;
+            if level == 0 {
+                // SAFETY: `curr` is non-null and was read from a live link.
+                let found = !curr.is_null() && unsafe { &(*curr).key } == key;
+                return if found { curr } else { ptr::null_mut() };
+            }
+            level -= 1;
         }
     }
 
@@ -242,19 +405,29 @@ impl<K: Ord> SkipList<K> {
     /// loser's node is freed here; any payload the factory produced is
     /// handed back via [`InsertOutcome::Lost::yours`] for caller cleanup.
     pub fn insert_with<F: FnOnce() -> u64>(&self, key: K, factory: F) -> InsertOutcome {
-        let mut preds = [std::ptr::null_mut(); MAX_HEIGHT];
-        let mut succs = [std::ptr::null_mut(); MAX_HEIGHT];
+        self.insert_tower(key, Self::random_height, factory)
+    }
+
+    /// [`SkipList::insert_with`] with the tower height drawn by `height`
+    /// (only when the key appears absent).
+    fn insert_tower<H, F>(&self, key: K, height: H, factory: F) -> InsertOutcome
+    where
+        H: FnOnce(&Self) -> usize,
+        F: FnOnce() -> u64,
+    {
+        let mut preds = [self.head; MAX_HEIGHT];
+        let mut succs = [ptr::null_mut(); MAX_HEIGHT];
 
         let existing = self.find(&key, &mut preds, &mut succs);
         if !existing.is_null() {
-            // SAFETY: node outlives the call.
-            let value = unsafe { (*existing).value.load(Ordering::Acquire) };
+            // SAFETY: `find` returned a published node; its header is immutable.
+            let value = unsafe { (*existing).value };
             return InsertOutcome::Lost { existing: value, yours: None };
         }
 
-        let height = self.random_height();
+        let height = height(self);
         let value = factory();
-        let node = Node::alloc(key, value, height);
+        let node = Node::new(key, value, height);
 
         // Raise the list's active level first so finds can see tall towers.
         let mut top = self.max_level.load(Ordering::Acquire);
@@ -276,9 +449,10 @@ impl<K: Ord> SkipList<K> {
             for (level, succ) in succs.iter().enumerate().take(height) {
                 // SAFETY: node is still private to this thread.
                 // ordering: the level-0 AcqRel CAS below publishes these.
-                unsafe { (*node).next[level].store(*succ, Ordering::Relaxed) };
+                unsafe { Node::next(node, level) }.store(*succ, Ordering::Relaxed);
             }
-            let cell0 = self.cell(preds[0], 0);
+            // SAFETY: every node (and the head) has a level-0 link.
+            let cell0 = unsafe { Node::next(preds[0], 0) };
             match cell0.compare_exchange(succs[0], node, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => break,
                 Err(_) => {
@@ -294,9 +468,10 @@ impl<K: Ord> SkipList<K> {
                         // Duplicate-key race lost: free our unpublished node,
                         // surface our payload for cleanup, adopt the winner's.
                         // SAFETY: winner is a published, never-freed node.
-                        let existing = unsafe { (*winner).value.load(Ordering::Acquire) };
-                        // SAFETY: node never became reachable.
-                        drop(unsafe { Box::from_raw(node) });
+                        let existing = unsafe { (*winner).value };
+                        // SAFETY: node came from `Node::new` and never
+                        // became reachable.
+                        unsafe { Node::free(node) };
                         return InsertOutcome::Lost { existing, yours: Some(value) };
                     }
                 }
@@ -321,8 +496,10 @@ impl<K: Ord> SkipList<K> {
                 // SAFETY: node is published; next updates are atomic.
                 // ordering: made visible by the AcqRel CAS on the pred cell
                 // right below; on CAS failure the store is redone.
-                unsafe { (*node).next[level].store(succ, Ordering::Relaxed) };
-                let cell = self.cell(preds[level], level);
+                unsafe { Node::next(node, level) }.store(succ, Ordering::Relaxed);
+                // SAFETY: `find` recorded `preds[level]` at `level` (or it is
+                // the head), so its tower is taller than `level`.
+                let cell = unsafe { Node::next(preds[level], level) };
                 if cell
                     .compare_exchange(succ, node, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
@@ -342,34 +519,15 @@ impl<K: Ord> SkipList<K> {
         self.len.fetch_add(1, Ordering::AcqRel);
         InsertOutcome::Inserted(value)
     }
-
-    /// Overwrites the payload of an existing key. Returns false if absent.
-    pub fn update(&self, key: &K, value: u64) -> bool {
-        let mut preds = [std::ptr::null_mut(); MAX_HEIGHT];
-        let mut succs = [std::ptr::null_mut(); MAX_HEIGHT];
-        let node = self.find(key, &mut preds, &mut succs);
-        if node.is_null() {
-            return false;
-        }
-        // SAFETY: node outlives the call.
-        unsafe { (*node).value.store(value, Ordering::Release) };
-        true
-    }
-
-    /// In-order iterator starting at the first key ≥ `key`.
-    pub fn range_from(&self, key: &K) -> Iter<'_, K> {
-        let mut preds = [std::ptr::null_mut(); MAX_HEIGHT];
-        let mut succs = [std::ptr::null_mut(); MAX_HEIGHT];
-        let _ = self.find(key, &mut preds, &mut succs);
-        Iter { list: self, curr: succs[0] }
-    }
 }
 
 impl<K> SkipList<K> {
     /// In-order iterator over `(key, payload)` from the smallest key.
     /// (No `Ord` bound: iteration just walks level 0.)
     pub fn iter(&self) -> Iter<'_, K> {
-        Iter { list: self, curr: self.head[0].load(Ordering::Acquire) }
+        // SAFETY: the head lives as long as the list and has every level.
+        let first = unsafe { Node::next(self.head, 0) }.load(Ordering::Acquire);
+        Iter { curr: first, _list: PhantomData }
     }
 }
 
@@ -381,34 +539,56 @@ impl<K: Ord> Default for SkipList<K> {
 
 impl<K> Drop for SkipList<K> {
     fn drop(&mut self) {
-        let mut curr = self.head[0].load(Ordering::Acquire);
-        while !curr.is_null() {
-            // SAFETY: exclusive access in drop; every published node is
-            // reachable at level 0 exactly once.
-            let node = unsafe { Box::from_raw(curr) };
-            curr = node.next[0].load(Ordering::Acquire);
+        // SAFETY: exclusive access in drop. Every published node is
+        // reachable at level 0 exactly once — whatever became of its upper
+        // levels — and came from `Node::new`; the head came from
+        // `Node::alloc` and its key was never initialized.
+        unsafe {
+            let mut curr = Node::next(self.head, 0).load(Ordering::Acquire);
+            while !curr.is_null() {
+                let next = Node::next(curr, 0).load(Ordering::Acquire);
+                Node::free(curr);
+                curr = next;
+            }
+            Node::free_block(self.head);
         }
     }
 }
 
 /// Iterator over skip-list entries in key order.
 pub struct Iter<'a, K> {
-    list: &'a SkipList<K>,
     curr: *mut Node<K>,
+    _list: PhantomData<&'a SkipList<K>>,
 }
 
 impl<'a, K> Iterator for Iter<'a, K> {
     type Item = (&'a K, u64);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.curr.is_null() {
+        let node = self.curr;
+        if node.is_null() {
             return None;
         }
-        // SAFETY: nodes live as long as the list borrow `'a`.
-        let node = unsafe { &*self.curr };
-        self.curr = node.next[0].load(Ordering::Acquire);
-        let _ = self.list;
-        Some((&node.key, node.value.load(Ordering::Acquire)))
+        // SAFETY: `node` was read from a live link with Acquire, so its
+        // header is published and immutable; nodes live as long as the list
+        // borrow `'a`.
+        unsafe {
+            self.curr = Node::next(node, 0).load(Ordering::Acquire);
+            Some((&(*node).key, (*node).value))
+        }
+    }
+}
+
+#[cfg(test)]
+impl<K: Ord> SkipList<K> {
+    /// A list holding `entries` — `(key, payload, tower height)` — inserted
+    /// in the given order with exactly the given heights.
+    fn with_towers(entries: impl IntoIterator<Item = (K, u64, usize)>) -> Self {
+        let list = Self::new();
+        for (key, value, height) in entries {
+            assert!(list.insert_tower(key, |_| height, || value).inserted());
+        }
+        list
     }
 }
 
@@ -416,7 +596,43 @@ impl<'a, K> Iterator for Iter<'a, K> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicUsize as Drops;
     use std::sync::Arc;
+
+    /// A key that counts its drops; ordered by `id` alone.
+    struct Counted {
+        id: u64,
+        drops: Arc<Drops>,
+    }
+
+    impl Counted {
+        fn new(id: u64, drops: &Arc<Drops>) -> Self {
+            Counted { id, drops: drops.clone() }
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    impl PartialEq for Counted {
+        fn eq(&self, other: &Self) -> bool {
+            self.id == other.id
+        }
+    }
+    impl Eq for Counted {}
+    impl PartialOrd for Counted {
+        fn partial_cmp(&self, other: &Self) -> Option<KeyOrder> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Counted {
+        fn cmp(&self, other: &Self) -> KeyOrder {
+            self.id.cmp(&other.id)
+        }
+    }
 
     #[test]
     fn empty_list() {
@@ -425,6 +641,7 @@ mod tests {
         assert!(l.is_empty());
         assert_eq!(l.get(&1), None);
         assert_eq!(l.iter().count(), 0);
+        assert_eq!(l.range_from(&0).count(), 0);
     }
 
     #[test]
@@ -478,13 +695,39 @@ mod tests {
         assert_eq!(l.range_from(&1000).count(), 0);
     }
 
+    /// `get`, `range_from(..).next()` and `iter()` against `BTreeMap` on a
+    /// list whose towers are forced, so that a present key is met by the
+    /// descent at every level 0..MAX_HEIGHT (a node is first on the search
+    /// path at its own top level), and absent probes fall below, between
+    /// and above all keys.
     #[test]
-    fn update_existing_payload() {
-        let l = SkipList::new();
-        l.insert_with(7u64, || 70);
-        assert!(l.update(&7, 700));
-        assert_eq!(l.get(&7), Some(700));
-        assert!(!l.update(&8, 800));
+    fn reads_agree_with_btreemap_at_every_level() {
+        // Keys 10, 20, ..: three nodes of every height, inserted in a
+        // scattered order so tall towers are linked both before and after
+        // their short neighbours.
+        let n = 3 * MAX_HEIGHT as u64;
+        let mut entries: Vec<(u64, u64, usize)> =
+            (0..n).map(|i| (10 * (i + 1), 1000 + i, (i as usize * 7) % MAX_HEIGHT + 1)).collect();
+        let mut heights: Vec<usize> = entries.iter().map(|e| e.2).collect();
+        heights.sort_unstable();
+        heights.dedup();
+        assert_eq!(heights, (1..=MAX_HEIGHT).collect::<Vec<_>>());
+        let model: BTreeMap<u64, u64> = entries.iter().map(|&(k, v, _)| (k, v)).collect();
+        entries.sort_by_key(|&(k, ..)| k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let l = SkipList::with_towers(entries);
+
+        assert_eq!(l.len() as usize, model.len());
+        assert!(l.iter().map(|(&k, v)| (k, v)).eq(model.iter().map(|(&k, &v)| (k, v))));
+        for probe in 0..=10 * n + 15 {
+            assert_eq!(l.get(&probe), model.get(&probe).copied(), "get({probe})");
+            assert_eq!(
+                l.range_from(&probe).next().map(|(&k, v)| (k, v)),
+                model.range(probe..).next().map(|(&k, &v)| (k, v)),
+                "range_from({probe})"
+            );
+        }
+        // A seek that exits early at an upper level still walks level 0.
+        assert!(l.range_from(&10).map(|(&k, _)| k).eq(model.keys().copied()));
     }
 
     #[test]
@@ -510,6 +753,85 @@ mod tests {
         let list_pairs: Vec<(u64, u64)> = l.iter().map(|(&k, v)| (k, v)).collect();
         let model_pairs: Vec<(u64, u64)> = model.into_iter().collect();
         assert_eq!(list_pairs, model_pairs);
+    }
+
+    /// Every key handed to the list is dropped exactly once, whichever way
+    /// its node goes: freed with the list, never allocated (pre-check
+    /// duplicate), freed by the loser of a duplicate-key race, or published
+    /// at level 0 with the rest of its tower abandoned.
+    #[test]
+    fn every_key_is_dropped_exactly_once() {
+        let drops = Arc::new(Drops::new(0));
+        let mut created = 0usize;
+        let mut key = |id: u64| {
+            created += 1;
+            Counted::new(id, &drops)
+        };
+        let l = SkipList::with_towers((0..40u64).map(|i| (key(i * 10), i, (i as usize % 6) + 1)));
+
+        // Pre-check duplicate: no node is allocated, the key dies in the call.
+        assert_eq!(l.insert_with(key(50), || 0), InsertOutcome::Lost { existing: 5, yours: None });
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+
+        // Lost duplicate-key race, forced: the factory runs between the
+        // loser's descent and its level-0 CAS and inserts the same key.
+        let (loser, winner) = (key(55), key(55));
+        let outcome = l.insert_tower(loser, |_| 4, || {
+            assert!(l.insert_tower(winner, |_| 2, || 7).inserted());
+            8
+        });
+        assert_eq!(outcome, InsertOutcome::Lost { existing: 7, yours: Some(8) });
+        assert_eq!(drops.load(Ordering::SeqCst), 2, "the loser's node must drop its key");
+
+        // Abandoned tower: a height-5 node linked at level 0 only, with a
+        // stale successor left in a level it never reached — the state
+        // `insert_with` leaves behind after UPPER_LINK_RETRIES lost races.
+        let (mut preds, mut succs) = ([l.head; MAX_HEIGHT], [ptr::null_mut(); MAX_HEIGHT]);
+        let short = key(57);
+        assert!(l.find(&short, &mut preds, &mut succs).is_null());
+        let node = Node::new(short, 9, 5);
+        // SAFETY: `node` is private until the CAS; `preds`/`succs` come from
+        // `find` on this list, which no other thread is using.
+        unsafe {
+            Node::next(node, 0).store(succs[0], Ordering::Relaxed);
+            Node::next(node, 3).store(succs[0], Ordering::Relaxed);
+            Node::next(preds[0], 0)
+                .compare_exchange(succs[0], node, Ordering::AcqRel, Ordering::Acquire)
+                .unwrap();
+        }
+        let probe = Counted::new(57, &Arc::new(Drops::new(0))); // counts apart
+        assert_eq!(l.get(&probe), Some(9));
+
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+        assert_eq!(l.iter().count(), created - 2);
+        drop(l);
+        assert_eq!(drops.load(Ordering::SeqCst), created);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
+    fn concurrent_races_drop_every_key_exactly_once() {
+        let drops = Arc::new(Drops::new(0));
+        let l = Arc::new(SkipList::new());
+        let barrier = Arc::new(std::sync::Barrier::new(8));
+        let handles: Vec<_> = (0..8u64)
+            .map(|t| {
+                let (l, drops, barrier) = (l.clone(), drops.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for id in 0..200u64 {
+                        l.insert_with(Counted::new(id, &drops), || t);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(l.len(), 200);
+        assert_eq!(drops.load(Ordering::SeqCst), 8 * 200 - 200, "losers drop, winners live");
+        drop(Arc::into_inner(l).expect("all threads joined"));
+        assert_eq!(drops.load(Ordering::SeqCst), 8 * 200);
     }
 
     #[test]
@@ -596,13 +918,18 @@ mod tests {
         assert_eq!(l.len(), 50_000);
     }
 
+    /// Heap-owning keys: order, lookups, and (under Miri's leak check) every
+    /// `String` buffer freed — including the pre-check duplicate's.
     #[test]
     fn string_keys_work() {
         let l: SkipList<String> = SkipList::new();
-        for name in ["delta", "alpha", "charlie", "bravo"] {
+        for name in ["delta", "alpha", "charlie", "bravo", "alpha"] {
             l.insert_with(name.to_string(), || name.len() as u64);
         }
         let order: Vec<&str> = l.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(order, vec!["alpha", "bravo", "charlie", "delta"]);
+        assert_eq!(l.get(&"charlie".to_string()), Some(7));
+        assert_eq!(l.get(&"bz".to_string()), None);
+        assert_eq!(l.range_from(&"bz".to_string()).next().map(|(k, _)| k.as_str()), Some("charlie"));
     }
 }

@@ -86,3 +86,60 @@ fn reader_never_sees_partially_initialized_node() {
         assert_eq!(list.get(&5), Some(50));
     });
 }
+
+/// A reader racing two inserters whose towers reach the upper levels.
+///
+/// The read descent returns at the first level where it meets the key, so a
+/// node may be found through a level-1+ link without level 0 ever being
+/// walked. That is only sound if a node visible at an upper level is already
+/// published at level 0 with its payload: whenever `get` reports a key, the
+/// payload must be the inserter's, a level-0 walk started afterwards must
+/// contain the key, and a seek to it must land on it and continue in order.
+///
+/// Heights in the model build are drawn from one shared counter whose first
+/// three draws are 1 and whose next two are 2 and 5: the three keys inserted
+/// up front (above the contended range, so the descents stay short) use up
+/// the short towers and leave the tall ones to the racing inserters.
+#[test]
+fn reader_never_finds_a_node_at_an_upper_level_before_level_zero() {
+    model(|| {
+        let list = Arc::new(SkipList::new());
+        for k in [101u64, 102, 103] {
+            list.insert_with(k, || k * 10);
+        }
+        let inserters: Vec<_> = [1u64, 2]
+            .into_iter()
+            .map(|k| {
+                let list = list.clone();
+                thread::spawn(move || {
+                    list.insert_with(k, || k * 10);
+                })
+            })
+            .collect();
+
+        for k in [2u64, 1] {
+            if let Some(v) = list.get(&k) {
+                assert_eq!(v, k * 10, "published node must carry its payload");
+                let walked: Vec<u64> = list.iter().map(|(&key, _)| key).collect();
+                assert!(walked.contains(&k), "key {k} found by get but not at level 0: {walked:?}");
+                assert!(walked.windows(2).all(|w| w[0] < w[1]), "level-0 order broken: {walked:?}");
+                let mut from = list.range_from(&k);
+                assert_eq!(from.next(), Some((&k, k * 10)), "seek must land on the found key");
+                let after = from.next().map(|(&key, _)| key);
+                assert!(
+                    after == Some(101) || (k == 1 && after == Some(2)),
+                    "unpublished level-0 link after {k}: {after:?}"
+                );
+            }
+        }
+
+        for t in inserters {
+            t.join().unwrap();
+        }
+        let keys: Vec<u64> = list.iter().map(|(&k, _)| k).collect();
+        assert_eq!(keys, vec![1, 2, 101, 102, 103]);
+        for k in keys {
+            assert_eq!(list.get(&k), Some(k * 10));
+        }
+    });
+}

@@ -5,8 +5,8 @@
 mod common;
 
 use mvkv::core::{ESkipList, PSkipList, StoreSession, VersionedStore};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 /// Writers insert `(tid, i)`-coded pairs on disjoint keys while readers
 /// repeatedly take a consistent tag and verify *every* invariant a
@@ -71,6 +71,77 @@ fn eskiplist_snapshot_immutability_under_writers() {
 #[test]
 fn pskiplist_snapshot_immutability_under_writers() {
     writers_vs_snapshot_readers(Arc::new(PSkipList::create_volatile(512 << 20).unwrap()));
+}
+
+/// `workers` threads hammer `insert`/`find` while one more thread asserts
+/// both `op_stats()` invariants on every snapshot it can take. Every find
+/// hits a preloaded key and every insert creates a fresh key, so at rest
+/// `find_hits == finds` and `new_keys == mutations()`: the invariants have no
+/// slack to hide a derived counter read ahead of its base. With `contended`
+/// keys, the workers first race each other to create the same keys — the
+/// lost-race counter's only source. After the join every total must be
+/// exact, whichever counter shard each bumping thread landed on.
+fn op_stats_under_load<S: VersionedStore + Sync>(store: &S, workers: u64, ops: u64, contended: u64) {
+    const PRELOADED: u64 = 256;
+    for k in 0..PRELOADED {
+        store.session().insert(k, k);
+    }
+    store.wait_writes_complete();
+    let preloaded_at = store.tag();
+
+    let running = AtomicU64::new(workers);
+    let start = Barrier::new(workers as usize + 1);
+    let snapshots = std::thread::scope(|scope| {
+        for t in 0..workers {
+            let (running, start) = (&running, &start);
+            scope.spawn(move || {
+                let s = store.session();
+                start.wait();
+                for k in 0..contended {
+                    s.insert(1 << 20 | k, t);
+                }
+                for i in 0..ops {
+                    s.insert(((t + 1) << 32) | i, i);
+                    assert_eq!(s.find((t + i) % PRELOADED, preloaded_at), Some((t + i) % PRELOADED));
+                }
+                running.fetch_sub(1, Ordering::Release);
+            });
+        }
+        start.wait();
+        let mut snapshots = 0u64;
+        while running.load(Ordering::Acquire) > 0 {
+            let st = store.op_stats();
+            assert!(st.find_hits <= st.finds, "hits without their finds: {st:?}");
+            assert!(
+                st.new_keys + st.lost_key_races <= st.mutations(),
+                "key outcomes without their mutations: {st:?}"
+            );
+            snapshots += 1;
+        }
+        snapshots
+    });
+    assert!(snapshots > 0);
+    let st = store.op_stats();
+    assert_eq!(st.inserts, PRELOADED + workers * (contended + ops));
+    assert_eq!((st.finds, st.find_hits), (workers * ops, workers * ops));
+    assert_eq!(st.new_keys, PRELOADED + contended + workers * ops);
+    assert_eq!(st.new_keys, store.key_count());
+    assert!(st.lost_key_races <= (workers - 1) * contended);
+    assert_eq!(st.removes, 0);
+}
+
+#[test]
+fn op_stats_invariants_hold_in_every_snapshot_under_eight_threads() {
+    op_stats_under_load(&ESkipList::new(), 8, 20_000, 0);
+    op_stats_under_load(&PSkipList::create_volatile(512 << 20).unwrap(), 8, 20_000, 0);
+}
+
+/// More worker threads than counter shards (and the test harness's own
+/// threads hold shards too): the late ones share the overflow shard, whose
+/// bumps are read-modify-writes, and nothing may be lost there either.
+#[test]
+fn op_stats_totals_are_exact_past_the_owned_shards() {
+    op_stats_under_load(&ESkipList::new(), 2 * mvkv_sync::shard::SHARDS as u64 + 4, 500, 64);
 }
 
 #[test]
