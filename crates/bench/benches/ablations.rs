@@ -127,11 +127,9 @@ fn ablate_changelog(cfg: &BenchConfig, rows: &mut Vec<Row>) {
     use mvkv_core::{DeltaExtract, PSkipList, StoreOptions, StoreSession, VersionedStore};
     let n = cfg.n.max(10_000);
     for (label, changelog) in [("changelog-off", false), ("changelog-on", true)] {
-        let store = PSkipList::create_volatile_with(
-            n * 900 + (64 << 20),
-            StoreOptions { changelog, ..Default::default() },
-        )
-        .expect("pool");
+        let pool = PmemPool::create_volatile(n * 900 + (64 << 20)).expect("pool");
+        let store = PSkipList::create(pool, StoreOptions { changelog, ..Default::default() })
+            .expect("store");
         let session = store.session();
         let t0 = Instant::now();
         for i in 0..n as u64 {

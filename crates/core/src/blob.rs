@@ -14,10 +14,10 @@
 //!   so a crash can orphan a blob (auditable leak) but never publish a
 //!   dangling reference;
 //! * compaction deep-copies surviving blobs into the new pool via
-//!   [`PSkipList::compact_into_file_mapped`].
+//!   [`PSkipList::compact_into`]'s value rewriter.
 
 use crate::api::{StoreSession, VersionedStore};
-use crate::pskiplist::{CompactStats, PSkipList, StoreOptions};
+use crate::pskiplist::{CompactStats, PSkipList};
 use mvkv_pmem::{CrashOptions, PmemPool};
 use std::path::Path;
 
@@ -67,14 +67,6 @@ fn read_blob(pool: &PmemPool, off: u64) -> Vec<u8> {
 impl BlobStore {
     pub fn create_file<P: AsRef<Path>>(path: P, size: usize) -> std::io::Result<Self> {
         Ok(BlobStore { inner: PSkipList::create_file(path, size)? })
-    }
-
-    pub fn create_file_with<P: AsRef<Path>>(
-        path: P,
-        size: usize,
-        options: StoreOptions,
-    ) -> std::io::Result<Self> {
-        Ok(BlobStore { inner: PSkipList::create_file_with(path, size, options)? })
     }
 
     pub fn create_volatile(size: usize) -> std::io::Result<Self> {
@@ -163,33 +155,19 @@ impl BlobStore {
         self.inner.crash_image()
     }
 
-    /// Horizon compaction with blob deep-copy (see
-    /// [`PSkipList::compact_into_file_mapped`]). Unreferenced old blobs are
-    /// left behind in the source pool — reclaiming them is exactly what the
-    /// new pool achieves.
-    pub fn compact_into_file<P: AsRef<Path>>(
+    /// Horizon compaction into `pool` with blob deep-copy (see
+    /// [`PSkipList::compact_into`]). Unreferenced old blobs are left behind
+    /// in the source pool — reclaiming them is exactly what the new pool
+    /// achieves.
+    pub fn compact_into(
         &self,
-        path: P,
-        size: usize,
+        pool: PmemPool,
         horizon: u64,
     ) -> std::io::Result<(BlobStore, CompactStats)> {
         let src = self.inner.pool();
-        let (inner, stats) = self.inner.compact_into_file_mapped(path, size, horizon, |off, dst| {
-            write_blob(dst, &read_blob(src, off))
-        })?;
-        Ok((BlobStore { inner }, stats))
-    }
-
-    /// [`BlobStore::compact_into_file`] onto heap memory (tests).
-    pub fn compact_into_volatile(
-        &self,
-        size: usize,
-        horizon: u64,
-    ) -> std::io::Result<(BlobStore, CompactStats)> {
-        let src = self.inner.pool();
-        let (inner, stats) = self.inner.compact_into_volatile_mapped(size, horizon, |off, dst| {
-            write_blob(dst, &read_blob(src, off))
-        })?;
+        let (inner, stats) = self
+            .inner
+            .compact_into(pool, horizon, |off, dst| write_blob(dst, &read_blob(src, off)))?;
         Ok((BlobStore { inner }, stats))
     }
 }
@@ -276,7 +254,8 @@ mod tests {
         store.remove(2);
         let horizon = store.tag();
         store.insert(3, b"post-horizon");
-        let (compacted, stats) = store.compact_into_volatile(32 << 20, horizon).unwrap();
+        let fresh = PmemPool::create_volatile(32 << 20).unwrap();
+        let (compacted, stats) = store.compact_into(fresh, horizon).unwrap();
         assert_eq!(stats.keys_dropped, 1, "key 2 dead at the horizon");
         assert_eq!(compacted.find(1, horizon).as_deref(), Some(b"new-1".as_slice()));
         assert_eq!(

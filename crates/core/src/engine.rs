@@ -1,0 +1,420 @@
+//! The store engine: skip-list index + per-key [`History`] + [`VersionClock`],
+//! written once.
+//!
+//! The paper's ESkipList is "identical algorithms, all state on the heap"
+//! (§V-B); it exists to price persistence. So the algorithms live here, and
+//! a store is an instantiation: [`Engine`] is generic over the key type and
+//! over a [`Home`] — *where a key's history lives*. [`crate::PSkipList`] is
+//! `Engine<u64, PmHome>` (pool + key chain + changelog),
+//! [`crate::ESkipList`] is `Engine<u64, HeapHome>`, and
+//! [`crate::VersionedMap`] wraps `Engine<K, HeapHome>`. Whatever the two
+//! stores' figures differ by is the cost of the home, not of drifted copies.
+//!
+//! Crash-consistency ordering on the first mutation of a key (PM home): the
+//! history header is allocated and persisted, the key is linked into the
+//! chain, and only then is the operation's version appended and completed.
+//! A crash between any two steps leaks at most an unreferenced allocation
+//! (auditable via [`mvkv_pmem::recovery::audit`]) and never produces a
+//! visible half-operation: visibility requires the completion watermark to
+//! cover the version, and the watermark only advances over fully persisted
+//! operations.
+
+use crate::api::{StoreSession, VersionedStore};
+use crate::stats::{OpCounters, OpStats};
+use crate::Pair;
+use mvkv_skiplist::{InsertOutcome, SkipList};
+use mvkv_vhistory::{History, HistoryRecord, Slots, VersionClock, TOMBSTONE};
+
+/// Where a key's history lives. The index maps a key to a `u64` payload; the
+/// home turns payloads into histories and is told about the events a durable
+/// home must record.
+pub trait Home<K> {
+    /// History storage, borrowed from the home.
+    type Slots<'a>: Slots
+    where
+        Self: 'a;
+    /// What the home records about a key, captured before the index takes
+    /// ownership of it (PM: the key word; heap: nothing).
+    type Logged: Copy;
+    /// Benchmark-table name of the word-keyed store over this home.
+    const NAME: &'static str;
+
+    fn logged(key: &K) -> Self::Logged;
+    /// Allocates an empty history; returns its payload.
+    fn create(&self) -> u64;
+    /// The history behind `payload`.
+    fn history(&self, payload: u64) -> History<Self::Slots<'_>>;
+    /// Reclaims a history created by a writer that then lost the
+    /// duplicate-key race (paper §IV-B); it never became reachable.
+    fn discard(&self, payload: u64);
+    /// The index now maps the key to `payload`. Runs before any of the key's
+    /// operations can complete.
+    fn key_linked(&self, key: Self::Logged, payload: u64);
+    /// `version` mutated the key. Runs after the history append and before
+    /// the version completes, so what a home logs here always covers the
+    /// watermark.
+    fn mutated(&self, key: Self::Logged, version: u64);
+    /// The one ordering fence between a batch chunk's entry persists and its
+    /// `done` publishes.
+    fn batch_fence(&self);
+    /// The store is being dropped; `payloads` are those of every indexed key.
+    fn close(&mut self, payloads: impl Iterator<Item = u64>);
+}
+
+/// A multi-version ordered store over any `K: Ord`: values are words, the
+/// top one reserved for [`TOMBSTONE`].
+pub struct Engine<K, H: Home<K>> {
+    pub(crate) index: SkipList<K>,
+    pub(crate) clock: VersionClock,
+    pub(crate) home: H,
+    counters: OpCounters,
+}
+
+/// Below this many keys a snapshot extraction stays serial: thread spawn and
+/// the redundant index walks would cost more than they save.
+const PARALLEL_EXTRACT_MIN: usize = 4096;
+
+/// Pairs per [`Engine::put_batch`] chunk, so a huge batch cannot exhaust
+/// the version clock's completion window while holding every version
+/// incomplete.
+const BATCH_CHUNK: usize = 1024;
+
+impl<K: Ord, H: Home<K>> Engine<K, H> {
+    pub(crate) fn assemble(index: SkipList<K>, clock: VersionClock, home: H) -> Self {
+        Engine { index, clock, home, counters: OpCounters::new() }
+    }
+
+    pub(crate) fn get_or_create_history(&self, key: K) -> u64 {
+        if let Some(payload) = self.index.get(&key) {
+            return payload;
+        }
+        let logged = H::logged(&key);
+        match self.index.insert_with(key, || self.home.create()) {
+            InsertOutcome::Inserted(payload) => {
+                self.counters.new_key();
+                self.home.key_linked(logged, payload);
+                payload
+            }
+            InsertOutcome::Lost { existing, yours } => {
+                if let Some(mine) = yours {
+                    self.counters.lost_key_race();
+                    self.home.discard(mine);
+                }
+                existing
+            }
+        }
+    }
+
+    /// Inserts `key → value`, tagging a new snapshot; returns its version.
+    /// (The generic operations are named apart from [`StoreSession`]'s: an
+    /// inherent method would shadow the trait's on `&Engine`.)
+    pub(crate) fn put(&self, key: K, value: u64) -> u64 {
+        mvkv_obs::span!("mvkv_core_insert_ns");
+        debug_assert_ne!(value, TOMBSTONE, "value reserved for removal marker");
+        self.counters.insert();
+        self.mutate(key, value)
+    }
+
+    /// Removes `key`, tagging a new snapshot; returns its version.
+    pub(crate) fn delete(&self, key: K) -> u64 {
+        mvkv_obs::span!("mvkv_core_remove_ns");
+        self.counters.remove();
+        self.mutate(key, TOMBSTONE)
+    }
+
+    fn mutate(&self, key: K, value: u64) -> u64 {
+        let logged = H::logged(&key);
+        let hist = self.get_or_create_history(key);
+        let version = self.clock.issue();
+        self.home.history(hist).append(version, value);
+        self.home.mutated(logged, version);
+        self.clock.complete(version);
+        version
+    }
+
+    /// Batched insert with the coalesced persist schedule: every pair of a
+    /// chunk is *prepared* (slot claimed, entry written and flushed — no
+    /// fence), then a single ordering fence covers the whole chunk, then
+    /// every `done` stamp is published and reported to the clock. One fence
+    /// per chunk instead of one per operation.
+    ///
+    /// A crash anywhere in the middle leaves a mix of published and
+    /// prepared-only slots; recovery's watermark rule (§IV-B) prunes every
+    /// version at or beyond the first unpublished one, so the recovered
+    /// state is always a consistent prefix of the batch.
+    pub(crate) fn put_batch(&self, pairs: &[(K, u64)]) -> Vec<u64>
+    where
+        K: Copy,
+    {
+        mvkv_obs::span!("mvkv_core_insert_batch_ns");
+        mvkv_obs::counter_add!("mvkv_core_insert_batch_pairs_total", pairs.len() as u64);
+        let mut versions = Vec::with_capacity(pairs.len());
+        let mut staged = Vec::with_capacity(pairs.len().min(BATCH_CHUNK));
+        for chunk in pairs.chunks(BATCH_CHUNK) {
+            staged.clear();
+            for &(key, value) in chunk {
+                debug_assert_ne!(value, TOMBSTONE, "value reserved for removal marker");
+                self.counters.insert();
+                let hist = self.get_or_create_history(key);
+                let version = self.clock.issue();
+                let idx = self.home.history(hist).append_prepare(version, value);
+                staged.push((H::logged(&key), hist, version, idx));
+            }
+            self.home.batch_fence();
+            for &(logged, hist, version, idx) in &staged {
+                self.home.history(hist).append_publish(idx, version);
+                self.home.mutated(logged, version);
+                self.clock.complete(version);
+                versions.push(version);
+            }
+        }
+        versions
+    }
+
+    /// Value of `key` in snapshot `version` (`None` if absent or removed).
+    pub(crate) fn get(&self, key: &K, version: u64) -> Option<u64> {
+        mvkv_obs::span!("mvkv_core_find_ns");
+        self.counters.find();
+        let hist = self.index.get(key)?;
+        let result = self.home.history(hist).find(version, self.clock.watermark());
+        if result.is_some() {
+            self.counters.find_hit();
+        }
+        result
+    }
+
+    pub(crate) fn records(&self, key: &K) -> Vec<HistoryRecord> {
+        self.counters.history_query();
+        match self.index.get(key) {
+            Some(hist) => self.home.history(hist).records(self.clock.watermark()),
+            None => Vec::new(),
+        }
+    }
+
+    /// The value behind payload `hist` in snapshot `version`, if the key is
+    /// live there (born and not tombstoned).
+    pub(crate) fn live_value(&self, hist: u64, version: u64, fc: u64) -> Option<u64> {
+        self.home.history(hist).find_raw(version, fc).filter(|&value| value != TOMBSTONE)
+    }
+
+    /// One pass over the index from `lo` (`None` = the first key) to `hi`
+    /// (exclusive; `None` = unbounded): the pairs of snapshot `version` that
+    /// are live and that `mine` claims, in key order. `fc` is the watermark
+    /// the caller froze, so every share of one extraction resolves against
+    /// the same consistency frontier.
+    pub(crate) fn live_pairs<'a: 'b, 'b>(
+        &'a self,
+        version: u64,
+        fc: u64,
+        lo: Option<&K>,
+        hi: Option<&'b K>,
+        mine: impl Fn(&K) -> bool + 'b,
+    ) -> impl Iterator<Item = (&'a K, u64)> + 'b {
+        lo.map_or_else(|| self.index.iter(), |lo| self.index.range_from(lo))
+            .take_while(move |&(key, _)| hi.is_none_or(|hi| key < hi))
+            .filter(move |&(key, _)| mine(key))
+            .filter_map(move |(key, hist)| Some((key, self.live_value(hist, version, fc)?)))
+    }
+}
+
+impl<K, H: Home<K>> Drop for Engine<K, H> {
+    fn drop(&mut self) {
+        self.home.close(self.index.iter().map(|(_, payload)| payload));
+    }
+}
+
+/// SplitMix64 finalizer — spreads adjacent keys across extraction workers.
+/// Public (doc-hidden, re-exported as `splitmix_for_tests`) so the
+/// extraction edge-case tests can construct worker-skewed key sets.
+#[doc(hidden)]
+#[inline]
+pub fn splitmix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// Merges key-sorted, key-disjoint chunks into one sorted vector.
+fn merge_sorted_chunks(chunks: Vec<Vec<Pair>>, capacity: usize) -> Vec<Pair> {
+    let mut out = Vec::with_capacity(capacity);
+    let mut iters: Vec<std::vec::IntoIter<Pair>> =
+        chunks.into_iter().map(|c| c.into_iter()).collect();
+    let mut heads: Vec<Option<Pair>> = iters.iter_mut().map(|it| it.next()).collect();
+    loop {
+        let mut best: Option<usize> = None;
+        for (i, head) in heads.iter().enumerate() {
+            if let Some(&(key, _)) = head.as_ref() {
+                if best.is_none_or(|b| key < heads[b].expect("best head is Some").0) {
+                    best = Some(i);
+                }
+            }
+        }
+        let Some(i) = best else { break };
+        out.push(heads[i].take().expect("best head is Some"));
+        heads[i] = iters[i].next();
+    }
+    out
+}
+
+/// The word-keyed stores: partitioned extraction (worker shares are chosen by
+/// a hash of the key word) and the paper's Table 1 API.
+impl<H: Home<u64> + Sync> Engine<u64, H> {
+    /// Live pairs of snapshot `version` with keys in `[lo, hi)` (`hi = None`
+    /// means unbounded), sorted by key. Large extractions are partitioned
+    /// across worker threads: each worker walks its own index iterator and
+    /// claims the keys hashing to its slot, so the partition stays stable
+    /// even while concurrent inserts reshape the skip list. The per-worker
+    /// chunks are key-sorted and disjoint, so a k-way merge restores the
+    /// global order.
+    fn extract_filtered(&self, version: u64, lo: u64, hi: Option<u64>) -> Vec<Pair> {
+        mvkv_obs::span!("mvkv_core_extract_ns");
+        let fc = self.clock.watermark();
+        let approx = self.index.len() as usize;
+        let workers = mvkv_sync::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
+        // One worker's share: the keys with `hash(key) % workers == tid`.
+        let share = |workers: usize, tid: usize| {
+            let mut out = Vec::with_capacity(approx / workers + 1);
+            let mine = move |&key: &u64| workers == 1 || splitmix(key) as usize % workers == tid;
+            out.extend(
+                self.live_pairs(version, fc, Some(&lo), hi.as_ref(), mine).map(|(&k, v)| (k, v)),
+            );
+            out
+        };
+        if workers <= 1 || approx < PARALLEL_EXTRACT_MIN {
+            return share(1, 0);
+        }
+        let share = &share;
+        let chunks: Vec<Vec<Pair>> = mvkv_sync::thread::scope(|s| {
+            let handles: Vec<_> =
+                (0..workers).map(|tid| s.spawn(move || share(workers, tid))).collect();
+            handles.into_iter().map(|h| h.join().expect("extract worker panicked")).collect()
+        });
+        merge_sorted_chunks(chunks, approx)
+    }
+}
+
+impl<H: Home<u64> + Send + Sync> VersionedStore for Engine<u64, H> {
+    type Session<'a>
+        = &'a Self
+    where
+        Self: 'a;
+
+    fn session(&self) -> &Self {
+        self
+    }
+
+    fn tag(&self) -> u64 {
+        self.clock.watermark()
+    }
+
+    fn latest_version(&self) -> u64 {
+        self.clock.issued()
+    }
+
+    fn key_count(&self) -> u64 {
+        self.index.len()
+    }
+
+    fn wait_writes_complete(&self) {
+        self.clock.wait_all_complete();
+    }
+
+    fn name(&self) -> &'static str {
+        H::NAME
+    }
+
+    fn op_stats(&self) -> OpStats {
+        self.counters.snapshot()
+    }
+}
+
+impl<H: Home<u64> + Sync> StoreSession for &Engine<u64, H> {
+    fn insert(&self, key: u64, value: u64) -> u64 {
+        self.put(key, value)
+    }
+
+    fn remove(&self, key: u64) -> u64 {
+        self.delete(key)
+    }
+
+    fn insert_batch(&self, pairs: &[Pair]) -> Vec<u64> {
+        self.put_batch(pairs)
+    }
+
+    fn find(&self, key: u64, version: u64) -> Option<u64> {
+        self.get(&key, version)
+    }
+
+    fn extract_history(&self, key: u64) -> Vec<HistoryRecord> {
+        self.records(&key)
+    }
+
+    fn extract_snapshot(&self, version: u64) -> Vec<Pair> {
+        self.counters.snapshot_extraction();
+        self.extract_filtered(version, 0, None)
+    }
+
+    fn extract_range(&self, version: u64, lo: u64, hi: u64) -> Vec<Pair> {
+        self.extract_filtered(version, lo, Some(hi))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ESkipList, PSkipList};
+
+    // The engine paths both word-keyed instantiations run. The semantics
+    // shared with `VersionedMap` too are in `tests/equivalence.rs`.
+
+    fn insert_batch_matches_per_pair_inserts<S: VersionedStore>(store: S) {
+        let s = store.session();
+        s.insert(5, 50);
+        let pairs: Vec<Pair> = (1..=40u64).map(|k| (k * 3, k * 7)).collect();
+        let versions = s.insert_batch(&pairs);
+        assert_eq!(versions, (2..=41).collect::<Vec<u64>>());
+        store.wait_writes_complete();
+        let tag = store.tag();
+        for &(k, v) in &pairs {
+            assert_eq!(s.find(k, tag), Some(v));
+        }
+        // Mid-batch snapshots behave exactly like per-pair inserts.
+        assert_eq!(s.find(pairs[10].0, versions[10]), Some(pairs[10].1));
+        assert_eq!(s.find(pairs[11].0, versions[10]), None);
+    }
+
+    #[test]
+    fn insert_batch_matches_per_pair_inserts_on_both_stores() {
+        insert_batch_matches_per_pair_inserts(PSkipList::create_volatile(1 << 24).unwrap());
+        insert_batch_matches_per_pair_inserts(ESkipList::new());
+    }
+
+    fn parallel_snapshot_extraction_is_sorted_and_complete<S: VersionedStore>(store: S) {
+        let s = store.session();
+        // Enough keys to cross PARALLEL_EXTRACT_MIN; shuffled insert order.
+        let n = 6000u64;
+        for i in 0..n {
+            let key = (i * 2_654_435_761) % 100_000_000;
+            s.insert(key, i + 1);
+        }
+        store.wait_writes_complete();
+        let tag = store.tag();
+        let snap = s.extract_snapshot(tag);
+        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "snapshot must be strictly sorted");
+        assert_eq!(snap.len() as u64, store.key_count());
+        // Range extraction agrees with the filtered snapshot.
+        let (lo, hi) = (1_000_000, 60_000_000);
+        let range = s.extract_range(tag, lo, hi);
+        let expect: Vec<Pair> = snap.iter().copied().filter(|&(k, _)| lo <= k && k < hi).collect();
+        assert_eq!(range, expect);
+    }
+
+    #[test]
+    fn parallel_snapshot_extraction_on_both_stores() {
+        parallel_snapshot_extraction_is_sorted_and_complete(
+            PSkipList::create_volatile(1 << 24).unwrap(),
+        );
+        parallel_snapshot_extraction_is_sorted_and_complete(ESkipList::new());
+    }
+}

@@ -1,191 +1,96 @@
 //! ESkipList — the fully ephemeral variant (paper §V-B).
 //!
-//! Identical algorithms to [`crate::PSkipList`] — lock-free skip-list index,
-//! lazy-tail version histories, completion watermark — but all state lives
-//! on the heap. The paper uses it as the upper bound to measure how much
-//! performance the persistence support costs.
+//! Identical algorithms to [`crate::PSkipList`] — both are the one
+//! [`Engine`] — but every history lives on the heap ([`HeapHome`]). The
+//! paper uses it as the upper bound to measure how much performance the
+//! persistence support costs.
 
-use crate::api::{StoreSession, VersionedStore};
-use crate::Pair;
-use mvkv_skiplist::{InsertOutcome, SkipList};
-use mvkv_vhistory::{EHistory, History, HistoryRecord, VersionClock, TOMBSTONE};
-
-type EHist = History<EHistory>;
+use crate::api::VersionedStore;
+use crate::engine::{Engine, Home};
+use mvkv_skiplist::SkipList;
+use mvkv_vhistory::{EHistory, History, VersionClock};
 
 /// Ephemeral lock-free multi-version store.
-pub struct ESkipList {
-    /// key → `Box<EHist>` leaked to a raw pointer (freed in `Drop`).
-    index: SkipList<u64>,
-    clock: VersionClock,
-    /// `(label, version)` bindings for [`crate::LabeledTags`].
+pub type ESkipList = Engine<u64, HeapHome>;
+
+/// The heap home: a key's payload is a leaked `Box<EHistory>`, freed when
+/// the store drops. Nothing is logged and nothing is fenced.
+#[derive(Default)]
+pub struct HeapHome {
+    /// `(label, version)` bindings for [`crate::LabeledTags`] on
+    /// [`ESkipList`].
     tags: parking_lot::Mutex<Vec<(u64, u64)>>,
-    counters: crate::stats::OpCounters,
 }
 
-impl ESkipList {
+impl<K> Home<K> for HeapHome {
+    type Slots<'a> = &'a EHistory;
+    type Logged = ();
+    const NAME: &'static str = "ESkipList";
+
+    #[inline]
+    fn logged(_: &K) {}
+
+    #[inline]
+    fn create(&self) -> u64 {
+        Box::into_raw(Box::new(EHistory::new())) as u64
+    }
+
+    #[inline]
+    fn history(&self, payload: u64) -> History<&EHistory> {
+        // SAFETY: payloads are exclusively `Box<EHistory>` raw pointers made
+        // by `create`, and the only frees are `discard` of a payload that
+        // never became reachable and `close`, which has the store by `&mut`.
+        History::new(unsafe { &*(payload as *const EHistory) })
+    }
+
+    #[inline]
+    fn discard(&self, payload: u64) {
+        // SAFETY: `payload` came from `create` and no reader can reach it
+        // (never indexed, or the store is being dropped): sole owner.
+        drop(unsafe { Box::from_raw(payload as *mut EHistory) });
+    }
+
+    #[inline]
+    fn key_linked(&self, (): (), _: u64) {}
+
+    #[inline]
+    fn mutated(&self, (): (), _: u64) {}
+
+    #[inline]
+    fn batch_fence(&self) {}
+
+    fn close(&mut self, payloads: impl Iterator<Item = u64>) {
+        // Exclusive access in drop, and each indexed payload is a distinct
+        // Box from `create`: every one meets `discard`'s condition.
+        payloads.for_each(|payload| Home::<K>::discard(self, payload));
+    }
+}
+
+impl<K: Ord> Engine<K, HeapHome> {
     pub fn new() -> Self {
-        ESkipList {
-            index: SkipList::new(),
-            clock: VersionClock::new(),
-            tags: parking_lot::Mutex::new(Vec::new()),
-            counters: crate::stats::OpCounters::new(),
-        }
-    }
-
-    fn history(&self, payload: u64) -> &EHist {
-        // SAFETY: payloads are exclusively `Box<EHist>` raw pointers that
-        // live until the store is dropped.
-        unsafe { &*(payload as *const EHist) }
-    }
-
-    fn get_or_create_history(&self, key: u64) -> &EHist {
-        if let Some(p) = self.index.get(&key) {
-            return self.history(p);
-        }
-        let outcome =
-            self.index.insert_with(key, || Box::into_raw(Box::new(History::new(EHistory::new()))) as u64);
-        match &outcome {
-            InsertOutcome::Inserted(_) => self.counters.new_key(),
-            InsertOutcome::Lost { yours: Some(mine), .. } => {
-                // Lost the duplicate-key race: reclaim our unused history.
-                self.counters.lost_key_race();
-                // SAFETY: `mine` was produced by the factory above and never
-                // became reachable.
-                drop(unsafe { Box::from_raw(*mine as *mut EHist) });
-            }
-            InsertOutcome::Lost { .. } => {}
-        }
-        self.history(outcome.payload())
+        Engine::assemble(SkipList::new(), VersionClock::new(), HeapHome::default())
     }
 }
 
-impl Default for ESkipList {
+impl<K: Ord> Default for Engine<K, HeapHome> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Drop for ESkipList {
-    fn drop(&mut self) {
-        for (_, payload) in self.index.iter() {
-            // SAFETY: exclusive access in drop; each payload is a distinct Box.
-            drop(unsafe { Box::from_raw(payload as *mut EHist) });
-        }
-    }
-}
-
-impl VersionedStore for ESkipList {
-    type Session<'a> = &'a ESkipList;
-
-    fn session(&self) -> &ESkipList {
-        self
-    }
-
-    fn tag(&self) -> u64 {
-        self.clock.watermark()
-    }
-
-    fn latest_version(&self) -> u64 {
-        self.clock.issued()
-    }
-
-    fn key_count(&self) -> u64 {
-        self.index.len()
-    }
-
-    fn wait_writes_complete(&self) {
-        self.clock.wait_all_complete();
-    }
-
-    fn name(&self) -> &'static str {
-        "ESkipList"
-    }
-
-    fn op_stats(&self) -> crate::stats::OpStats {
-        self.counters.snapshot()
-    }
-}
-
-impl StoreSession for &ESkipList {
-    fn insert(&self, key: u64, value: u64) -> u64 {
-        debug_assert_ne!(value, TOMBSTONE, "value reserved for removal marker");
-        self.counters.insert();
-        let hist = self.get_or_create_history(key);
-        let version = self.clock.issue();
-        hist.append(version, value);
-        self.clock.complete(version);
-        version
-    }
-
-    fn remove(&self, key: u64) -> u64 {
-        self.counters.remove();
-        let hist = self.get_or_create_history(key);
-        let version = self.clock.issue();
-        hist.append_tombstone(version);
-        self.clock.complete(version);
-        version
-    }
-
-    fn find(&self, key: u64, version: u64) -> Option<u64> {
-        self.counters.find();
-        let payload = self.index.get(&key)?;
-        let result = self.history(payload).find(version, self.clock.watermark());
-        if result.is_some() {
-            self.counters.find_hit();
-        }
-        result
-    }
-
-    fn extract_history(&self, key: u64) -> Vec<HistoryRecord> {
-        self.counters.history_query();
-        match self.index.get(&key) {
-            Some(p) => self.history(p).records(self.clock.watermark()),
-            None => Vec::new(),
-        }
-    }
-
-    fn extract_snapshot(&self, version: u64) -> Vec<Pair> {
-        self.counters.snapshot_extraction();
-        let fc = self.clock.watermark();
-        let mut out = Vec::with_capacity(self.index.len() as usize);
-        for (&key, payload) in self.index.iter() {
-            match self.history(payload).find_raw(version, fc) {
-                Some(TOMBSTONE) | None => {}
-                Some(value) => out.push((key, value)),
-            }
-        }
-        out
-    }
-
-    fn extract_range(&self, version: u64, lo: u64, hi: u64) -> Vec<Pair> {
-        let fc = self.clock.watermark();
-        let mut out = Vec::new();
-        for (&key, payload) in self.index.range_from(&lo) {
-            if key >= hi {
-                break;
-            }
-            match self.history(payload).find_raw(version, fc) {
-                Some(TOMBSTONE) | None => {}
-                Some(value) => out.push((key, value)),
-            }
-        }
-        out
-    }
-}
-
 impl crate::api::LabeledTags for ESkipList {
     fn tag_labeled(&self, label: u64) -> u64 {
-        let version = self.clock.watermark();
-        self.tags.lock().push((label, version));
+        let version = self.tag();
+        self.home.tags.lock().push((label, version));
         version
     }
 
     fn resolve_label(&self, label: u64) -> Option<u64> {
-        self.tags.lock().iter().rev().find(|&&(l, _)| l == label).map(|&(_, v)| v)
+        self.home.tags.lock().iter().rev().find(|&&(l, _)| l == label).map(|&(_, v)| v)
     }
 
     fn labels(&self) -> Vec<(u64, u64)> {
-        self.tags.lock().clone()
+        self.home.tags.lock().clone()
     }
 }
 
@@ -199,36 +104,7 @@ impl crate::api::DeltaExtract for ESkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn basic_versioned_semantics() {
-        let store = ESkipList::new();
-        let s = store.session();
-        let v1 = s.insert(10, 100);
-        let v2 = s.insert(20, 200);
-        let v3 = s.remove(10);
-        assert_eq!((v1, v2, v3), (1, 2, 3));
-        assert_eq!(store.tag(), 3);
-        assert_eq!(s.find(10, v1), Some(100));
-        assert_eq!(s.find(10, v2), Some(100));
-        assert_eq!(s.find(10, v3), None);
-        assert_eq!(s.find(20, v3), Some(200));
-        assert_eq!(s.find(20, 1), None);
-        assert_eq!(store.key_count(), 2);
-    }
-
-    #[test]
-    fn snapshots_are_sorted_and_versioned() {
-        let store = ESkipList::new();
-        let s = store.session();
-        s.insert(5, 55);
-        s.insert(1, 11);
-        let v = s.insert(9, 99);
-        s.remove(5);
-        assert_eq!(s.extract_snapshot(v), vec![(1, 11), (5, 55), (9, 99)]);
-        assert_eq!(s.extract_snapshot(store.tag()), vec![(1, 11), (9, 99)]);
-        assert_eq!(s.extract_snapshot(0), vec![]);
-    }
+    use crate::{HistoryRecord, StoreSession};
 
     #[test]
     fn history_records() {
@@ -247,31 +123,6 @@ mod tests {
             ]
         );
         assert!(s.extract_history(1234).is_empty());
-    }
-
-    #[test]
-    fn concurrent_disjoint_writers_make_consistent_snapshots() {
-        let store = std::sync::Arc::new(ESkipList::new());
-        let handles: Vec<_> = (0..8u64)
-            .map(|t| {
-                let store = store.clone();
-                std::thread::spawn(move || {
-                    let s = store.session();
-                    for i in 0..1000u64 {
-                        s.insert(t * 10_000 + i, i);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        store.wait_writes_complete();
-        assert_eq!(store.tag(), 8000);
-        assert_eq!(store.key_count(), 8000);
-        let snap = store.session().extract_snapshot(store.tag());
-        assert_eq!(snap.len(), 8000);
-        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "snapshot must be key-sorted");
     }
 
     #[test]

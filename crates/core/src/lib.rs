@@ -31,6 +31,7 @@
 pub mod api;
 pub mod blob;
 pub mod dbstore;
+pub mod engine;
 pub mod eskiplist;
 pub mod export;
 pub mod lockedmap;
@@ -43,16 +44,17 @@ pub mod vmap;
 pub use api::{delta_by_snapshots, DeltaExtract, LabeledTags, StoreSession, VersionedStore};
 pub use blob::{BlobRecord, BlobStore};
 pub use dbstore::{DbSession, DbStore};
-pub use eskiplist::ESkipList;
+pub use engine::{Engine, Home};
+pub use eskiplist::{ESkipList, HeapHome};
 pub use export::{export_snapshot, import_snapshot, read_snapshot, write_snapshot, ExportError};
 pub use lockedmap::LockedMap;
-pub use pskiplist::{CompactStats, PSkipList, RestartStats, SalvageOpen, StoreOptions};
+pub use pskiplist::{CompactStats, PSkipList, PmHome, RestartStats, SalvageOpen, StoreOptions};
 pub use recovery::{
     CorruptionClass, KeyQuarantine, QuarantineReport, RecoveryError, RecoveryStatus, ScrubReport,
 };
 pub use scan::SnapshotScan;
 #[doc(hidden)]
-pub use pskiplist::splitmix as splitmix_for_tests;
+pub use engine::splitmix as splitmix_for_tests;
 pub use stats::OpStats;
 pub use vmap::VersionedMap;
 

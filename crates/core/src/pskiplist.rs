@@ -9,32 +9,30 @@
 //!   ([`mvkv_skiplist`]) over the same keys, holding history offsets as
 //!   payloads, plus the version clock.
 //!
+//! The operations are the one store [`Engine`]'s; this module is what is
+//! genuinely PM: the [`PmHome`] that puts histories, key links and the
+//! changelog in a pool, construction, recovery, scrub, compaction and the
+//! persistent tag chain.
+//!
 //! On restart, [`PSkipList::open_file`] reconstructs the index in parallel
 //! from the block chain (paper Fig 5a), recovers the completion watermark
 //! from the histories' `done` stamps, and prunes torn suffixes — the
 //! paper's §IV-B recovery rule.
-//!
-//! Crash-consistency ordering on first insert of a key: history header is
-//! allocated and persisted, the key is linked into the chain, and only then
-//! is the operation's version appended and completed. A crash between any
-//! two steps leaks at most an unreferenced allocation (auditable via
-//! [`mvkv_pmem::recovery::audit`]) and never produces a visible
-//! half-operation: visibility requires the completion watermark to cover
-//! the version, and the watermark only advances over fully persisted
-//! operations.
 
-use crate::api::{StoreSession, VersionedStore};
+use crate::api::VersionedStore;
+use crate::engine::{Engine, Home};
 use crate::recovery::{
     CorruptionClass, KeyQuarantine, QuarantineReport, RecoveryError, RecoveryStatus, ScrubReport,
 };
-use crate::Pair;
-use mvkv_keychain::{try_rebuild_into, ChainHdr, KeyChain, RepairStats, DEFAULT_BLOCK_CAP};
+use mvkv_keychain::{
+    try_fold_claimed, try_rebuild_into, ChainHdr, KeyChain, RepairStats, DEFAULT_BLOCK_CAP,
+};
 use mvkv_pmem::{CrashOptions, PPtr, PmemError, PmemPool};
-use mvkv_skiplist::{InsertOutcome, SkipList};
+use mvkv_skiplist::SkipList;
 use mvkv_vhistory::recovery::{
     compute_watermark, prune_to_watermark, scan_published_prefix_checked, PrefixScan, ScanStop,
 };
-use mvkv_vhistory::{History, HistoryRecord, PHistory, VersionClock, TOMBSTONE};
+use mvkv_vhistory::{History, PHistory, Slots, VersionClock, TOMBSTONE};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,7 +42,7 @@ use std::time::{Duration, Instant};
 pub struct RestartStats {
     /// Keys re-inserted into the ephemeral index.
     pub rebuilt_keys: u64,
-    /// Worker threads used for the parallel reconstruction.
+    /// Worker threads every parallel phase ran (at least one).
     pub rebuild_threads: usize,
     /// Recovered completion watermark.
     pub watermark: u64,
@@ -100,7 +98,7 @@ const ROOT_OPTIONS: u64 = 24;
 const ROOT_WMBASE: u64 = 32;
 const OPT_CHANGELOG_BIT: u64 = 1;
 
-/// Outcome of a [`PSkipList::compact_into_file`] run.
+/// Outcome of a [`PSkipList::compact_into`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactStats {
     /// Effective horizon (clamped to the watermark).
@@ -116,7 +114,8 @@ pub struct CompactStats {
     pub entries_after: u64,
 }
 
-/// The persistent multi-version ordered key-value store.
+/// The persistent multi-version ordered key-value store: the store
+/// [`Engine`] over histories that live in a pool.
 ///
 /// # Examples
 ///
@@ -132,37 +131,98 @@ pub struct CompactStats {
 /// assert_eq!(s.extract_history(7).len(), 2);
 /// # Ok::<(), std::io::Error>(())
 /// ```
-pub struct PSkipList {
+pub type PSkipList = Engine<u64, PmHome>;
+
+/// The PM home: a key's payload is the pool offset of its [`PHistory`]; new
+/// keys are linked into the key chain and, when enabled, every mutation is
+/// appended to the changelog — durably, before the operation completes.
+pub struct PmHome {
     pool: Arc<PmemPool>,
-    index: SkipList<u64>,
     chain: PPtr<ChainHdr>,
+    /// Optional mutation log: `(key, version)` pairs.
+    changelog: Option<PPtr<ChainHdr>>,
     /// Labeled tags: `(label, version)` pairs (paper Table 1's
     /// `tag(version)` argument).
     tagchain: PPtr<ChainHdr>,
-    /// Optional mutation log: `(version, key)` pairs.
-    changelog: Option<PPtr<ChainHdr>>,
     /// Memoized decode of the tag chain, already un-biased. The chain is
     /// append-only, so the cached list stays a valid prefix forever; label
     /// lookups extend it with only the pairs appended since the last scan
     /// instead of re-reading the whole chain every call.
     tag_cache: parking_lot::Mutex<Vec<(u64, u64)>>,
-    clock: VersionClock,
-    counters: crate::stats::OpCounters,
+}
+
+impl PmHome {
+    fn new(
+        pool: PmemPool,
+        chain: PPtr<ChainHdr>,
+        tagchain: PPtr<ChainHdr>,
+        changelog: Option<PPtr<ChainHdr>>,
+    ) -> Self {
+        let tag_cache = parking_lot::Mutex::new(Vec::new());
+        PmHome { pool: Arc::new(pool), chain, changelog, tagchain, tag_cache }
+    }
+}
+
+impl Home<u64> for PmHome {
+    type Slots<'a> = PHistory<'a>;
+    type Logged = u64;
+    const NAME: &'static str = "PSkipList";
+
+    #[inline]
+    fn logged(key: &u64) -> u64 {
+        *key
+    }
+
+    #[inline]
+    fn create(&self) -> u64 {
+        PHistory::create(&self.pool).expect("pmem pool exhausted").pptr().off()
+    }
+
+    #[inline]
+    fn history(&self, off: u64) -> History<PHistory<'_>> {
+        History::new(PHistory::open(&self.pool, PPtr::from_off(off)))
+    }
+
+    #[inline]
+    fn discard(&self, off: u64) {
+        self.pool.dealloc(off);
+    }
+
+    #[inline]
+    fn key_linked(&self, key: u64, off: u64) {
+        KeyChain::open(&self.pool, self.chain).append(key, off).expect("pmem pool exhausted");
+    }
+
+    #[inline]
+    fn mutated(&self, key: u64, version: u64) {
+        if let Some(cl) = self.changelog {
+            KeyChain::open(&self.pool, cl).append(key, version).expect("pmem pool exhausted");
+        }
+    }
+
+    #[inline]
+    fn batch_fence(&self) {
+        self.pool.fence();
+    }
+
+    fn close(&mut self, _: impl Iterator<Item = u64>) {
+        self.pool.mark_clean_shutdown();
+    }
 }
 
 impl PSkipList {
     // -- construction --------------------------------------------------------
 
-    fn init(pool: PmemPool, options: StoreOptions) -> std::io::Result<Self> {
-        let io = |e: mvkv_pmem::PmemError| std::io::Error::other(e.to_string());
-        let chain = KeyChain::create(&pool, options.block_cap).map_err(io)?.pptr();
-        let tagchain = KeyChain::create(&pool, 64).map_err(io)?.pptr();
+    /// Creates a fresh store in `pool` (any backend).
+    pub fn create(pool: PmemPool, options: StoreOptions) -> std::io::Result<Self> {
+        let chain = KeyChain::create(&pool, options.block_cap)?.pptr();
+        let tagchain = KeyChain::create(&pool, 64)?.pptr();
         let changelog = if options.changelog {
-            Some(KeyChain::create(&pool, options.block_cap).map_err(io)?.pptr())
+            Some(KeyChain::create(&pool, options.block_cap)?.pptr())
         } else {
             None
         };
-        let root = pool.alloc(ROOT_SIZE).map_err(io)?;
+        let root = pool.alloc(ROOT_SIZE)?;
         pool.write_u64(root + ROOT_KEYCHAIN, chain.off());
         pool.write_u64(root + ROOT_TAGCHAIN, tagchain.off());
         pool.write_u64(root + ROOT_CHANGELOG, changelog.map_or(0, PPtr::off));
@@ -171,64 +231,25 @@ impl PSkipList {
         pool.persist(root, ROOT_SIZE);
         pool.fence();
         pool.set_root(root);
-        Ok(PSkipList {
-            pool: Arc::new(pool),
-            index: SkipList::new(),
-            chain,
-            tagchain,
-            changelog,
-            tag_cache: parking_lot::Mutex::new(Vec::new()),
-            clock: VersionClock::new(),
-            counters: crate::stats::OpCounters::new(),
-        })
+        let home = PmHome::new(pool, chain, tagchain, changelog);
+        Ok(Engine::assemble(SkipList::new(), VersionClock::new(), home))
     }
 
     /// Creates a fresh store in a pool file of `size` bytes. Place the file
     /// under `/dev/shm` to reproduce the paper's PM emulation.
     pub fn create_file<P: AsRef<Path>>(path: P, size: usize) -> std::io::Result<Self> {
-        Self::create_file_with(path, size, StoreOptions::default())
-    }
-
-    /// [`PSkipList::create_file`] with explicit [`StoreOptions`].
-    pub fn create_file_with<P: AsRef<Path>>(
-        path: P,
-        size: usize,
-        options: StoreOptions,
-    ) -> std::io::Result<Self> {
-        let pool =
-            PmemPool::create_file(path, size).map_err(|e| std::io::Error::other(e.to_string()))?;
-        Self::init(pool, options)
+        Self::create(PmemPool::create_file(path, size)?, StoreOptions::default())
     }
 
     /// Creates a fresh store on heap memory (tests; no durability).
     pub fn create_volatile(size: usize) -> std::io::Result<Self> {
-        Self::create_volatile_with(size, StoreOptions::default())
-    }
-
-    /// [`PSkipList::create_volatile`] with explicit [`StoreOptions`].
-    pub fn create_volatile_with(size: usize, options: StoreOptions) -> std::io::Result<Self> {
-        let pool =
-            PmemPool::create_volatile(size).map_err(|e| std::io::Error::other(e.to_string()))?;
-        Self::init(pool, options)
+        Self::create(PmemPool::create_volatile(size)?, StoreOptions::default())
     }
 
     /// Creates a fresh store on a crash-simulation pool; pair with
     /// [`PSkipList::crash_image`] and [`PSkipList::open_image`].
-    pub fn create_crash_sim(size: usize, options: CrashOptions) -> std::io::Result<Self> {
-        let pool = PmemPool::create_crash_sim(size, options)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        Self::init(pool, StoreOptions::default())
-    }
-
-    /// [`PSkipList::create_crash_sim`] with explicit [`StoreOptions`].
-    pub fn create_crash_sim_with(
-        size: usize,
-        crash: CrashOptions,
-        options: StoreOptions,
-    ) -> std::io::Result<Self> {
-        let pool = PmemPool::create_crash_sim(size, crash)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        Self::init(pool, options)
+    pub fn create_crash_sim(size: usize, crash: CrashOptions) -> std::io::Result<Self> {
+        Self::create(PmemPool::create_crash_sim(size, crash)?, StoreOptions::default())
     }
 
     /// Reopens a persisted store: validates the pool, repairs the chain,
@@ -236,21 +257,18 @@ impl PSkipList {
     /// watermark and prunes torn suffixes. Any detected corruption is
     /// quarantined silently; use [`PSkipList::open_file_salvage`] to get
     /// the itemized report.
-    pub fn open_file<P: AsRef<Path>>(path: P, threads: usize) -> std::io::Result<(Self, RestartStats)> {
-        let pool =
-            PmemPool::open_file(path).map_err(|e| std::io::Error::other(e.to_string()))?;
-        Self::try_attach(pool, threads)
-            .map(|(store, stats, _)| (store, stats))
-            .map_err(|e| std::io::Error::other(e.to_string()))
+    pub fn open_file<P: AsRef<Path>>(
+        path: P,
+        threads: usize,
+    ) -> std::io::Result<(Self, RestartStats)> {
+        let (store, stats, _) = Self::try_attach(PmemPool::open_file(path)?, threads)?;
+        Ok((store, stats))
     }
 
     /// Reopens from a crash image (or any serialized pool bytes).
     pub fn open_image(bytes: &[u8], threads: usize) -> std::io::Result<(Self, RestartStats)> {
-        let pool =
-            PmemPool::open_image(bytes).map_err(|e| std::io::Error::other(e.to_string()))?;
-        Self::try_attach(pool, threads)
-            .map(|(store, stats, _)| (store, stats))
-            .map_err(|e| std::io::Error::other(e.to_string()))
+        let (store, stats, _) = Self::try_attach(PmemPool::open_image(bytes)?, threads)?;
+        Ok((store, stats))
     }
 
     /// Salvage open from a pool file: tolerates localized media corruption
@@ -304,7 +322,6 @@ impl PSkipList {
         pool: PmemPool,
         threads: usize,
     ) -> Result<(Self, RestartStats, QuarantineReport), RecoveryError> {
-        use mvkv_vhistory::Slots;
         let mut report = QuarantineReport::default();
         let root = pool.root();
         if root == 0 {
@@ -325,7 +342,7 @@ impl PSkipList {
             return Err(RecoveryError::NoKeyChain);
         }
         let index = SkipList::new();
-        let mut stats = RestartStats { rebuild_threads: threads, ..Default::default() };
+        let mut stats = RestartStats::default();
         let mut key_quarantine: Vec<KeyQuarantine> = Vec::new();
         {
             // Chain capacity words are self-checksummed; a failure here is
@@ -346,6 +363,8 @@ impl PSkipList {
                     .ok_or(RecoveryError::CorruptChainHeader { chain: "changelog" })?;
                 absorb(&mut report, cl.repair());
             }
+            // A history a phase cannot open was quarantined by phase 1.
+            let checked_history = |hist: u64| PHistory::open_checked(&pool, PPtr::from_off(hist));
 
             // Phase 1: parallel index reconstruction (paper Fig 5a). A pair
             // whose history offset cannot hold a header in-bounds is
@@ -354,7 +373,7 @@ impl PSkipList {
             let t0 = Instant::now();
             let unreachable = parking_lot::Mutex::new(Vec::new());
             let rebuilt = try_rebuild_into(&chain, threads, |key, hist| {
-                if PHistory::open_checked(&pool, PPtr::from_off(hist)).is_some() {
+                if checked_history(hist).is_some() {
                     index.insert_with(key, || hist);
                 } else {
                     unreachable.lock().push(KeyQuarantine {
@@ -366,110 +385,54 @@ impl PSkipList {
             })
             .map_err(|_| RecoveryError::WorkerPanicked { phase: "rebuild" })?;
             stats.rebuild_time = t0.elapsed();
+            stats.rebuild_threads = rebuilt.threads;
             let unreachable = unreachable.into_inner();
             stats.rebuilt_keys = rebuilt.pairs - unreachable.len() as u64;
             key_quarantine.extend(unreachable);
 
-            // Phase 2: recover the completion watermark from done stamps —
-            // parallelized with the same modulo block claiming as the
-            // index rebuild. The checked scan classifies why each prefix
-            // ended; corruption classes feed the quarantine report.
+            // Phase 2: recover the completion watermark from done stamps,
+            // on the same claiming walk as the index rebuild. The checked
+            // scan classifies why each prefix ended; corruption classes
+            // feed the quarantine report.
             let t1 = Instant::now();
-            type ScanOut = (Vec<PrefixScan>, Vec<KeyQuarantine>);
-            let scan_results: Vec<mvkv_sync::thread::Result<ScanOut>> =
-                mvkv_sync::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads.max(1))
-                        .map(|tid| {
-                            let pool = &pool;
-                            let chain = &chain;
-                            scope.spawn(move || {
-                                let mut scans =
-                                    Vec::with_capacity(chain.len() as usize / threads.max(1) + 1);
-                                let mut quarantined = Vec::new();
-                                for (off, idx) in chain.blocks() {
-                                    if idx as usize % threads.max(1) != tid {
-                                        continue;
-                                    }
-                                    for (key, hist) in chain.block_pairs(off) {
-                                        let Some(h) =
-                                            PHistory::open_checked(pool, PPtr::from_off(hist))
-                                        else {
-                                            continue; // quarantined in phase 1
-                                        };
-                                        let (scan, stop) = scan_published_prefix_checked(&h);
-                                        let class = match stop {
-                                            ScanStop::Exhausted | ScanStop::Unpublished => None,
-                                            ScanStop::ChecksumInvalid => {
-                                                Some(CorruptionClass::ChecksumInvalid)
-                                            }
-                                            ScanStop::TornStamp => Some(CorruptionClass::TornStamp),
-                                            ScanStop::Unlinked => {
-                                                Some(CorruptionClass::UnlinkedSegment)
-                                            }
-                                        };
-                                        if let Some(class) = class {
-                                            quarantined.push(KeyQuarantine {
-                                                key,
-                                                class,
-                                                dropped_records: h
-                                                    .pending()
-                                                    .saturating_sub(scan.len),
-                                            });
-                                        }
-                                        scans.push(scan);
-                                    }
-                                }
-                                (scans, quarantined)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join()).collect()
-                });
-            let mut scans = Vec::new();
-            for result in scan_results {
-                let (s, q) =
-                    result.map_err(|_| RecoveryError::WorkerPanicked { phase: "scan" })?;
-                scans.extend(s);
-                key_quarantine.extend(q);
-            }
-            stats.watermark = compute_watermark(scans.iter(), wm_base);
+            type Scanned = (Vec<PrefixScan>, Vec<KeyQuarantine>);
+            let (_, scanned) = try_fold_claimed(&chain, threads, |acc: &mut Scanned, key, hist| {
+                let Some(h) = checked_history(hist) else { return };
+                let (scan, stop) = scan_published_prefix_checked(&h);
+                let class = match stop {
+                    ScanStop::Exhausted | ScanStop::Unpublished => None,
+                    ScanStop::ChecksumInvalid => Some(CorruptionClass::ChecksumInvalid),
+                    ScanStop::TornStamp => Some(CorruptionClass::TornStamp),
+                    ScanStop::Unlinked => Some(CorruptionClass::UnlinkedSegment),
+                };
+                if let Some(class) = class {
+                    let dropped_records = h.pending().saturating_sub(scan.len);
+                    acc.1.push(KeyQuarantine { key, class, dropped_records });
+                }
+                acc.0.push(scan);
+            })
+            .map_err(|_| RecoveryError::WorkerPanicked { phase: "scan" })?;
+            stats.watermark =
+                compute_watermark(scanned.iter().flat_map(|(scans, _)| scans), wm_base);
+            // `scanned` is borrowed, not consumed: its version lists (8 B per
+            // history entry) are freed when recovery is done. Freeing them
+            // here costs a deep store 8 % of its restart, the allocator
+            // returning pages that phase 3 then faults in again.
+            key_quarantine.extend(scanned.iter().flat_map(|(_, quarantined)| quarantined));
             stats.scan_time = t1.elapsed();
 
-            // Phase 3: prune everything beyond the watermark (§IV-B),
-            // in parallel the same way. prune_to_watermark also drops
-            // checksum-invalid slots below the watermark.
+            // Phase 3: prune everything beyond the watermark (§IV-B), the
+            // same way. prune_to_watermark also drops checksum-invalid
+            // slots below the watermark.
             let t2 = Instant::now();
-            let prune_results: Vec<mvkv_sync::thread::Result<u64>> = mvkv_sync::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads.max(1))
-                    .map(|tid| {
-                        let pool = &pool;
-                        let chain = &chain;
-                        let watermark = stats.watermark;
-                        scope.spawn(move || {
-                            let mut pruned = 0u64;
-                            for (off, idx) in chain.blocks() {
-                                if idx as usize % threads.max(1) != tid {
-                                    continue;
-                                }
-                                for (_, hist) in chain.block_pairs(off) {
-                                    let Some(h) =
-                                        PHistory::open_checked(pool, PPtr::from_off(hist))
-                                    else {
-                                        continue;
-                                    };
-                                    pruned += prune_to_watermark(&h, watermark).pruned;
-                                }
-                            }
-                            pruned
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-            for result in prune_results {
-                stats.pruned_entries +=
-                    result.map_err(|_| RecoveryError::WorkerPanicked { phase: "prune" })?;
-            }
+            let watermark = stats.watermark;
+            let (_, pruned) = try_fold_claimed(&chain, threads, |pruned: &mut u64, _, hist| {
+                if let Some(h) = checked_history(hist) {
+                    *pruned += prune_to_watermark(&h, watermark).pruned;
+                }
+            })
+            .map_err(|_| RecoveryError::WorkerPanicked { phase: "prune" })?;
+            stats.pruned_entries = pruned.iter().sum();
             stats.prune_time = t2.elapsed();
 
             report.indeterminate_alloc_blocks =
@@ -485,16 +448,8 @@ impl PSkipList {
             "mvkv_recovery_chain_quarantined_blocks",
             report.chain_quarantined_blocks
         );
-        let store = PSkipList {
-            pool: Arc::new(pool),
-            index,
-            chain: chain_ptr,
-            tagchain: tagchain_ptr,
-            changelog: changelog_ptr,
-            tag_cache: parking_lot::Mutex::new(Vec::new()),
-            clock: VersionClock::resume(stats.watermark, 1 << 16),
-            counters: crate::stats::OpCounters::new(),
-        };
+        let home = PmHome::new(pool, chain_ptr, tagchain_ptr, changelog_ptr);
+        let store = Engine::assemble(index, VersionClock::resume(stats.watermark, 1 << 16), home);
         Ok((store, stats, report))
     }
 
@@ -502,11 +457,10 @@ impl PSkipList {
     /// claimed slots and verifies the CRC of each published record.
     /// Mutates nothing; updates the scrub gauges.
     pub fn scrub(&self) -> ScrubReport {
-        use mvkv_vhistory::Slots;
         let mut report = ScrubReport::default();
         for (&_key, hist) in self.index.iter() {
             report.keys += 1;
-            let h = PHistory::open(&self.pool, PPtr::from_off(hist));
+            let h = PHistory::open(&self.home.pool, PPtr::from_off(hist));
             let mut key_corrupt = false;
             for idx in 0..h.pending() {
                 match h.try_entry(idx) {
@@ -540,104 +494,52 @@ impl PSkipList {
 
     /// The underlying pool (for audits and tests).
     pub fn pool(&self) -> &PmemPool {
-        &self.pool
+        &self.home.pool
     }
 
     // -- compaction -----------------------------------------------------------
 
-    /// Compacts the store into a fresh pool file: for every key, history
-    /// entries with versions ≤ `horizon` collapse into at most one entry
-    /// (the key's state at the horizon; dead keys are garbage-collected
-    /// entirely), while all newer entries are preserved verbatim.
+    /// Compacts the store into `pool` (a fresh pool of any backend): for
+    /// every key, history entries with versions ≤ `horizon` collapse into at
+    /// most one entry (the key's state at the horizon; dead keys are
+    /// garbage-collected entirely), while all newer entries are preserved
+    /// verbatim.
     ///
     /// Snapshots at versions ≥ `horizon` stay byte-for-byte addressable in
     /// the compacted store; queries below the horizon answer as of the
     /// horizon. This addresses the growth limitation the paper notes in
     /// §IV-B ("we can imagine garbage collection and/or aging mechanisms").
-    pub fn compact_into_file<P: AsRef<Path>>(
-        &self,
-        path: P,
-        size: usize,
-        horizon: u64,
-    ) -> std::io::Result<(PSkipList, CompactStats)> {
-        let pool =
-            PmemPool::create_file(path, size).map_err(|e| std::io::Error::other(e.to_string()))?;
-        self.compact_to_pool(pool, horizon)
-    }
-
-    /// [`PSkipList::compact_into_file`] onto heap memory (tests).
-    pub fn compact_into_volatile(
-        &self,
-        size: usize,
-        horizon: u64,
-    ) -> std::io::Result<(PSkipList, CompactStats)> {
-        let pool =
-            PmemPool::create_volatile(size).map_err(|e| std::io::Error::other(e.to_string()))?;
-        self.compact_to_pool(pool, horizon)
-    }
-
-    /// Compaction with a value rewriter: `map_value(old_value, new_pool)`
-    /// is called for every surviving non-tombstone entry and its return
-    /// value is stored instead. Layers that store pool offsets as values
-    /// (e.g. [`crate::BlobStore`]) use this to deep-copy their referents
-    /// into the new pool.
-    pub fn compact_into_file_mapped<P: AsRef<Path>>(
-        &self,
-        path: P,
-        size: usize,
-        horizon: u64,
-        map_value: impl FnMut(u64, &PmemPool) -> u64,
-    ) -> std::io::Result<(PSkipList, CompactStats)> {
-        let pool =
-            PmemPool::create_file(path, size).map_err(|e| std::io::Error::other(e.to_string()))?;
-        self.compact_to_pool_mapped(pool, horizon, map_value)
-    }
-
-    /// [`PSkipList::compact_into_file_mapped`] onto heap memory (tests).
-    pub fn compact_into_volatile_mapped(
-        &self,
-        size: usize,
-        horizon: u64,
-        map_value: impl FnMut(u64, &PmemPool) -> u64,
-    ) -> std::io::Result<(PSkipList, CompactStats)> {
-        let pool =
-            PmemPool::create_volatile(size).map_err(|e| std::io::Error::other(e.to_string()))?;
-        self.compact_to_pool_mapped(pool, horizon, map_value)
-    }
-
-    fn compact_to_pool(
-        &self,
-        pool: PmemPool,
-        horizon: u64,
-    ) -> std::io::Result<(PSkipList, CompactStats)> {
-        self.compact_to_pool_mapped(pool, horizon, |value, _| value)
-    }
-
-    fn compact_to_pool_mapped(
+    ///
+    /// `map_value(old_value, new_pool)` is called for every surviving
+    /// non-tombstone entry and its return value is stored instead: pass
+    /// `|value, _| value` for plain words; layers that store pool offsets as
+    /// values (e.g. [`crate::BlobStore`]) deep-copy their referents into the
+    /// new pool here.
+    pub fn compact_into(
         &self,
         pool: PmemPool,
         horizon: u64,
         mut map_value: impl FnMut(u64, &PmemPool) -> u64,
     ) -> std::io::Result<(PSkipList, CompactStats)> {
-        use mvkv_vhistory::Slots;
-        let fc = self.clock.watermark();
+        let fc = self.tag();
         let horizon = horizon.min(fc);
         let options = StoreOptions {
-            block_cap: KeyChain::open(&self.pool, self.chain).block_cap(),
-            changelog: self.changelog.is_some(),
+            block_cap: KeyChain::open(&self.home.pool, self.home.chain).block_cap(),
+            changelog: self.home.changelog.is_some(),
         };
-        let mut new = Self::init(pool, options)?;
+        let mut new = Self::create(pool, options)?;
+        let new_pool = &new.home.pool;
         {
-            let root = new.pool.root();
-            new.pool.write_u64(root + ROOT_WMBASE, horizon);
-            new.pool.persist(root + ROOT_WMBASE, 8);
-            new.pool.fence();
+            let root = new_pool.root();
+            new_pool.write_u64(root + ROOT_WMBASE, horizon);
+            new_pool.persist(root + ROOT_WMBASE, 8);
+            new_pool.fence();
         }
 
         let mut stats = CompactStats { horizon, ..Default::default() };
-        let new_chain = KeyChain::open(&new.pool, new.chain);
+        let new_chain = KeyChain::open(new_pool, new.home.chain);
         for (&key, hist) in self.index.iter() {
-            let h = self.history(hist);
+            let h = self.home.history(hist);
             let visible = h.extend_tail(fc);
             stats.entries_before += visible;
             let mut collapsed: Option<(u64, u64)> = None;
@@ -670,15 +572,14 @@ impl PSkipList {
             }
             stats.keys_kept += 1;
             stats.entries_after += kept.len() as u64;
-            let ph = PHistory::create(&new.pool).map_err(|e| std::io::Error::other(e.to_string()))?;
+            let ph = PHistory::create(new_pool)?;
             let off = ph.pptr().off();
             let outcome = new.index.insert_with(key, || off);
             debug_assert!(outcome.inserted(), "source index keys are unique");
-            new_chain.append(key, off).map_err(|e| std::io::Error::other(e.to_string()))?;
+            new_chain.append(key, off)?;
             let nh = History::new(ph);
             for (v, value) in kept {
-                let value =
-                    if value == TOMBSTONE { value } else { map_value(value, &new.pool) };
+                let value = if value == TOMBSTONE { value } else { map_value(value, new_pool) };
                 nh.append(v, value);
             }
         }
@@ -686,318 +587,39 @@ impl PSkipList {
         // Tags survive compaction (tags below the horizon now resolve to
         // horizon-collapsed state); the changelog keeps post-horizon range.
         {
-            let src_tags = KeyChain::open(&self.pool, self.tagchain);
-            let dst_tags = KeyChain::open(&new.pool, new.tagchain);
+            let src_tags = KeyChain::open(&self.home.pool, self.home.tagchain);
+            let dst_tags = KeyChain::open(new_pool, new.home.tagchain);
             for (label, biased) in src_tags.iter() {
-                dst_tags.append(label, biased).map_err(|e| std::io::Error::other(e.to_string()))?;
+                dst_tags.append(label, biased)?;
             }
         }
-        if let (Some(src), Some(dst)) = (self.changelog, new.changelog) {
-            let src = KeyChain::open(&self.pool, src);
-            let dst = KeyChain::open(&new.pool, dst);
+        if let (Some(src), Some(dst)) = (self.home.changelog, new.home.changelog) {
+            let src = KeyChain::open(&self.home.pool, src);
+            let dst = KeyChain::open(new_pool, dst);
             for (key, version) in src.iter() {
                 if version > horizon && version <= fc {
-                    dst.append(key, version).map_err(|e| std::io::Error::other(e.to_string()))?;
+                    dst.append(key, version)?;
                 }
             }
         }
 
         new.clock = VersionClock::resume(fc, 1 << 16);
-        new.pool.sync_all();
+        new_pool.sync_all();
         Ok((new, stats))
     }
 
     /// On a crash-sim store, the bytes that survive a power failure now.
     pub fn crash_image(&self) -> Option<Vec<u8>> {
-        self.pool.crash_image()
+        self.home.pool.crash_image()
     }
 
-    pub(crate) fn history(&self, hist_off: u64) -> History<PHistory<'_>> {
-        History::new(PHistory::open(&self.pool, PPtr::from_off(hist_off)))
-    }
-
-    /// Index cursor positioned at the first key `>= lo` (the seek half of
-    /// [`crate::scan::SnapshotScan`]).
-    pub(crate) fn index_range_from(&self, lo: u64) -> mvkv_skiplist::Iter<'_, u64> {
-        self.index.range_from(&lo)
-    }
-
-    /// Records `(key, version)` in the changelog (if enabled) — durably,
-    /// *before* the operation completes, so a recovered changelog always
-    /// covers the recovered watermark.
-    fn log_mutation(&self, key: u64, version: u64) {
-        if let Some(cl) = self.changelog {
-            KeyChain::open(&self.pool, cl).append(key, version).expect("pmem pool exhausted");
-        }
-    }
-
-    fn get_or_create_history(&self, key: u64) -> u64 {
-        if let Some(h) = self.index.get(&key) {
-            return h;
-        }
-        let outcome = self.index.insert_with(key, || {
-            PHistory::create(&self.pool).expect("pmem pool exhausted").pptr().off()
-        });
-        match outcome {
-            InsertOutcome::Inserted(off) => {
-                self.counters.new_key();
-                // Durably link the new key before any of its operations can
-                // complete (see module docs for the crash argument).
-                KeyChain::open(&self.pool, self.chain)
-                    .append(key, off)
-                    .expect("pmem pool exhausted");
-                off
-            }
-            InsertOutcome::Lost { existing, yours } => {
-                if let Some(mine) = yours {
-                    // Lost the duplicate-key race (paper §IV-B): free our
-                    // history allocation, adopt the winner's.
-                    self.counters.lost_key_race();
-                    self.pool.dealloc(mine);
-                }
-                existing
-            }
-        }
-    }
-
-    /// Live pairs of snapshot `version` with keys in `[lo, hi)` (`hi = None`
-    /// means unbounded), sorted by key. Large extractions are partitioned
-    /// across worker threads: each worker walks its own index iterator and
-    /// claims the keys hashing to its slot, so the partition stays stable
-    /// even while concurrent inserts reshape the skip list. The per-worker
-    /// chunks are key-sorted and disjoint, so a k-way merge restores the
-    /// global order.
-    fn extract_filtered(&self, version: u64, lo: u64, hi: Option<u64>) -> Vec<Pair> {
-        mvkv_obs::span!("mvkv_core_extract_ns");
-        let fc = self.clock.watermark();
-        let approx = self.index.len() as usize;
-        let workers = mvkv_sync::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
-        if workers <= 1 || approx < PARALLEL_EXTRACT_MIN {
-            let mut out = Vec::with_capacity(approx);
-            self.extract_into(&mut out, version, fc, lo, hi, 1, 0);
-            return out;
-        }
-        let chunks: Vec<Vec<Pair>> = mvkv_sync::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|tid| {
-                    s.spawn(move || {
-                        let mut out = Vec::with_capacity(approx / workers + 1);
-                        self.extract_into(&mut out, version, fc, lo, hi, workers, tid);
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("extract worker panicked")).collect()
-        });
-        merge_sorted_chunks(chunks, approx)
-    }
-
-    /// One worker's share of an extraction: walks `[lo, hi)` and keeps the
-    /// keys with `hash(key) % workers == tid`.
-    #[allow(clippy::too_many_arguments)]
-    fn extract_into(
-        &self,
-        out: &mut Vec<Pair>,
-        version: u64,
-        fc: u64,
-        lo: u64,
-        hi: Option<u64>,
-        workers: usize,
-        tid: usize,
-    ) {
-        for (&key, hist) in self.index.range_from(&lo) {
-            if hi.is_some_and(|h| key >= h) {
-                break;
-            }
-            if workers > 1 && splitmix(key) as usize % workers != tid {
-                continue;
-            }
-            match self.history(hist).find_raw(version, fc) {
-                Some(TOMBSTONE) | None => {}
-                Some(value) => out.push((key, value)),
-            }
-        }
-    }
-}
-
-/// Below this many keys a snapshot extraction stays serial: thread spawn and
-/// the redundant index walks would cost more than they save.
-const PARALLEL_EXTRACT_MIN: usize = 4096;
-
-/// SplitMix64 finalizer — spreads adjacent keys across extraction workers.
-/// Public (doc-hidden, re-exported as `splitmix_for_tests`) so the
-/// extraction edge-case tests can construct worker-skewed key sets.
-#[doc(hidden)]
-#[inline]
-pub fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Merges key-sorted, key-disjoint chunks into one sorted vector.
-fn merge_sorted_chunks(chunks: Vec<Vec<Pair>>, capacity: usize) -> Vec<Pair> {
-    let mut out = Vec::with_capacity(capacity);
-    let mut iters: Vec<std::vec::IntoIter<Pair>> =
-        chunks.into_iter().map(|c| c.into_iter()).collect();
-    let mut heads: Vec<Option<Pair>> = iters.iter_mut().map(|it| it.next()).collect();
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, head) in heads.iter().enumerate() {
-            if let Some(&(key, _)) = head.as_ref() {
-                if best.is_none_or(|b| key < heads[b].expect("best head is Some").0) {
-                    best = Some(i);
-                }
-            }
-        }
-        let Some(i) = best else { break };
-        out.push(heads[i].take().expect("best head is Some"));
-        heads[i] = iters[i].next();
-    }
-    out
-}
-
-impl Drop for PSkipList {
-    fn drop(&mut self) {
-        self.pool.mark_clean_shutdown();
-    }
-}
-
-impl VersionedStore for PSkipList {
-    type Session<'a> = &'a PSkipList;
-
-    fn session(&self) -> &PSkipList {
-        self
-    }
-
-    fn tag(&self) -> u64 {
-        self.clock.watermark()
-    }
-
-    fn latest_version(&self) -> u64 {
-        self.clock.issued()
-    }
-
-    fn key_count(&self) -> u64 {
-        self.index.len()
-    }
-
-    fn wait_writes_complete(&self) {
-        self.clock.wait_all_complete();
-    }
-
-    fn name(&self) -> &'static str {
-        "PSkipList"
-    }
-
-    fn op_stats(&self) -> crate::stats::OpStats {
-        self.counters.snapshot()
-    }
-}
-
-impl StoreSession for &PSkipList {
-    fn insert(&self, key: u64, value: u64) -> u64 {
-        mvkv_obs::span!("mvkv_core_insert_ns");
-        debug_assert_ne!(value, TOMBSTONE, "value reserved for removal marker");
-        self.counters.insert();
-        let hist = self.get_or_create_history(key);
-        let version = self.clock.issue();
-        self.history(hist).append(version, value);
-        self.log_mutation(key, version);
-        self.clock.complete(version);
-        version
-    }
-
-    fn remove(&self, key: u64) -> u64 {
-        mvkv_obs::span!("mvkv_core_remove_ns");
-        self.counters.remove();
-        let hist = self.get_or_create_history(key);
-        let version = self.clock.issue();
-        self.history(hist).append_tombstone(version);
-        self.log_mutation(key, version);
-        self.clock.complete(version);
-        version
-    }
-
-    /// Batched insert with the coalesced persist schedule: every pair is
-    /// *prepared* (slot claimed, entry written and flushed — no fence),
-    /// then a single ordering fence covers the whole chunk, then every
-    /// `done` stamp is published and reported to the clock. One fence per
-    /// chunk instead of one per operation.
-    ///
-    /// A crash anywhere in the middle leaves a mix of published and
-    /// prepared-only slots; recovery's watermark rule (§IV-B) prunes every
-    /// version at or beyond the first unpublished one, so the recovered
-    /// state is always a consistent prefix of the batch.
-    fn insert_batch(&self, pairs: &[Pair]) -> Vec<u64> {
-        mvkv_obs::span!("mvkv_core_insert_batch_ns");
-        mvkv_obs::counter_add!("mvkv_core_insert_batch_pairs_total", pairs.len() as u64);
-        // Chunked so a huge batch cannot exhaust the version clock's
-        // completion window while holding every version incomplete.
-        const CHUNK: usize = 1024;
-        let mut versions = Vec::with_capacity(pairs.len());
-        let mut staged = Vec::with_capacity(pairs.len().min(CHUNK));
-        for chunk in pairs.chunks(CHUNK) {
-            staged.clear();
-            for &(key, value) in chunk {
-                debug_assert_ne!(value, TOMBSTONE, "value reserved for removal marker");
-                self.counters.insert();
-                let hist = self.get_or_create_history(key);
-                let version = self.clock.issue();
-                let idx = self.history(hist).append_prepare(version, value);
-                staged.push((key, hist, version, idx));
-            }
-            // The single fence separating this chunk's entry persists from
-            // its `done` publishes.
-            self.pool.fence();
-            for &(key, hist, version, idx) in &staged {
-                self.history(hist).append_publish(idx, version);
-                self.log_mutation(key, version);
-                self.clock.complete(version);
-                versions.push(version);
-            }
-        }
-        versions
-    }
-
-    fn find(&self, key: u64, version: u64) -> Option<u64> {
-        mvkv_obs::span!("mvkv_core_find_ns");
-        self.counters.find();
-        let hist = self.index.get(&key)?;
-        let result = self.history(hist).find(version, self.clock.watermark());
-        if result.is_some() {
-            self.counters.find_hit();
-        }
-        result
-    }
-
-    fn extract_history(&self, key: u64) -> Vec<HistoryRecord> {
-        self.counters.history_query();
-        match self.index.get(&key) {
-            Some(h) => self.history(h).records(self.clock.watermark()),
-            None => Vec::new(),
-        }
-    }
-
-    fn extract_snapshot(&self, version: u64) -> Vec<Pair> {
-        self.counters.snapshot_extraction();
-        self.extract_filtered(version, 0, None)
-    }
-
-    fn extract_range(&self, version: u64, lo: u64, hi: u64) -> Vec<Pair> {
-        self.extract_filtered(version, lo, Some(hi))
-    }
-}
-
-impl PSkipList {
     /// Runs `f` over the up-to-date tag bindings. The cache is extended
     /// (never rescanned from the start) while the lock is held, so a lookup
     /// after `n` unchanged calls costs one chain-length read, not a full
     /// chain walk per call.
     fn with_tag_cache<R>(&self, f: impl FnOnce(&[(u64, u64)]) -> R) -> R {
-        let chain = KeyChain::open(&self.pool, self.tagchain);
-        let mut cache = self.tag_cache.lock();
+        let chain = KeyChain::open(&self.home.pool, self.home.tagchain);
+        let mut cache = self.home.tag_cache.lock();
         if (cache.len() as u64) < chain.len() {
             let skip = cache.len();
             cache.extend(chain.iter().skip(skip).map(|(label, biased)| (label, biased - 1)));
@@ -1012,7 +634,7 @@ impl crate::api::LabeledTags for PSkipList {
         let version = self.clock.watermark();
         // Chain pair payloads must be non-zero, so versions are stored
         // biased by one (version 0 = "empty store" is a valid tag target).
-        KeyChain::open(&self.pool, self.tagchain)
+        KeyChain::open(&self.home.pool, self.home.tagchain)
             .append(label, version + 1)
             .expect("pmem pool exhausted");
         version
@@ -1033,12 +655,12 @@ impl crate::api::DeltaExtract for PSkipList {
     fn extract_delta(&self, v1: u64, v2: u64) -> Vec<(u64, Option<u64>)> {
         assert!(v1 <= v2, "delta requires v1 <= v2");
         let fc = self.clock.watermark();
-        let Some(cl) = self.changelog else {
+        let Some(cl) = self.home.changelog else {
             return crate::api::delta_by_snapshots(&self.session(), v1, v2);
         };
         // O(changes): collect the keys touched in (v1, v2], then compare
         // their visible state at the two snapshots.
-        let chain = KeyChain::open(&self.pool, cl);
+        let chain = KeyChain::open(&self.home.pool, cl);
         let mut keys: Vec<u64> = chain
             .iter()
             .filter(|&(_, version)| version > v1 && version <= v2 && version <= fc)
@@ -1046,16 +668,10 @@ impl crate::api::DeltaExtract for PSkipList {
             .collect();
         keys.sort_unstable();
         keys.dedup();
-        let decode = |raw: Option<u64>| match raw {
-            Some(TOMBSTONE) | None => None,
-            some => some,
-        };
         let mut out = Vec::with_capacity(keys.len());
         for key in keys {
             let Some(hist) = self.index.get(&key) else { continue };
-            let h = self.history(hist);
-            let a = decode(h.find_raw(v1, fc));
-            let b = decode(h.find_raw(v2, fc));
+            let (a, b) = (self.live_value(hist, v1, fc), self.live_value(hist, v2, fc));
             if a != b {
                 out.push((key, b));
             }
@@ -1067,52 +683,9 @@ impl crate::api::DeltaExtract for PSkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Pair, StoreSession};
 
     const POOL: usize = 1 << 24;
-
-    #[test]
-    fn versioned_semantics() {
-        let store = PSkipList::create_volatile(POOL).unwrap();
-        let s = store.session();
-        let v1 = s.insert(10, 100);
-        let v2 = s.remove(10);
-        let v3 = s.insert(10, 101);
-        assert_eq!(s.find(10, v1), Some(100));
-        assert_eq!(s.find(10, v2), None);
-        assert_eq!(s.find(10, v3), Some(101));
-        assert_eq!(store.tag(), 3);
-        assert_eq!(store.key_count(), 1);
-    }
-
-    #[test]
-    fn snapshot_sorted_and_tombstone_free() {
-        let store = PSkipList::create_volatile(POOL).unwrap();
-        let s = store.session();
-        s.insert(30, 3);
-        s.insert(10, 1);
-        let v = s.insert(20, 2);
-        s.remove(10);
-        assert_eq!(s.extract_snapshot(v), vec![(10, 1), (20, 2), (30, 3)]);
-        assert_eq!(s.extract_snapshot(store.tag()), vec![(20, 2), (30, 3)]);
-    }
-
-    #[test]
-    fn insert_batch_matches_per_pair_inserts() {
-        let store = PSkipList::create_volatile(POOL).unwrap();
-        let s = store.session();
-        s.insert(5, 50);
-        let pairs: Vec<Pair> = (1..=40u64).map(|k| (k * 3, k * 7)).collect();
-        let versions = s.insert_batch(&pairs);
-        assert_eq!(versions, (2..=41).collect::<Vec<u64>>());
-        store.wait_writes_complete();
-        let tag = store.tag();
-        for &(k, v) in &pairs {
-            assert_eq!(s.find(k, tag), Some(v));
-        }
-        // Mid-batch snapshots behave exactly like per-pair inserts.
-        assert_eq!(s.find(pairs[10].0, versions[10]), Some(pairs[10].1));
-        assert_eq!(s.find(pairs[11].0, versions[10]), None);
-    }
 
     #[test]
     fn insert_batch_costs_one_fence_per_chunk() {
@@ -1128,29 +701,6 @@ mod tests {
         s.insert_batch(&pairs);
         let after = store.pool().fence_count().unwrap();
         assert_eq!(after - before, 1, "16-pair batch must publish with a single fence");
-    }
-
-    #[test]
-    fn parallel_snapshot_extraction_is_sorted_and_complete() {
-        let store = PSkipList::create_volatile(1 << 24).unwrap();
-        let s = store.session();
-        // Enough keys to cross PARALLEL_EXTRACT_MIN; shuffled insert order.
-        let n = 6000u64;
-        for i in 0..n {
-            let key = (i * 2_654_435_761) % 100_000_000;
-            s.insert(key, i + 1);
-        }
-        store.wait_writes_complete();
-        let tag = store.tag();
-        let snap = s.extract_snapshot(tag);
-        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "snapshot must be strictly sorted");
-        assert_eq!(snap.len() as u64, store.key_count());
-        // Range extraction agrees with the filtered snapshot.
-        let (lo, hi) = (1_000_000, 60_000_000);
-        let range = s.extract_range(tag, lo, hi);
-        let expect: Vec<Pair> =
-            snap.iter().copied().filter(|&(k, _)| lo <= k && k < hi).collect();
-        assert_eq!(range, expect);
     }
 
     #[test]
@@ -1171,6 +721,7 @@ mod tests {
         }
         {
             let (store, stats) = PSkipList::open_file(&path, 4).unwrap();
+            assert_eq!(stats.rebuild_threads, 4);
             assert_eq!(stats.rebuilt_keys, 500);
             assert_eq!(stats.watermark, tag);
             assert_eq!(stats.pruned_entries, 0, "clean shutdown prunes nothing");
@@ -1184,6 +735,12 @@ mod tests {
             // Writes continue seamlessly.
             let v = s.insert(10_000, 1);
             assert_eq!(v, tag + 1);
+        }
+        {
+            // Zero workers is clamped: the rebuild ran on one, and says so.
+            let (store, stats) = PSkipList::open_file(&path, 0).unwrap();
+            assert_eq!(stats.rebuild_threads, 1);
+            assert_eq!(store.key_count(), 501);
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -1220,7 +777,6 @@ mod tests {
         // Torn op on key 21: manually create the key but skip publication.
         let hist_off = store.get_or_create_history(21);
         let h = PHistory::open(store.pool(), PPtr::from_off(hist_off));
-        use mvkv_vhistory::Slots;
         let idx = h.claim();
         h.persist_pending();
         let e = h.entry(idx);
@@ -1262,31 +818,6 @@ mod tests {
         assert_eq!(snapshots[0], snapshots[1]);
         assert_eq!(snapshots[1], snapshots[2]);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn concurrent_writers_distinct_keys() {
-        let store = std::sync::Arc::new(PSkipList::create_volatile(1 << 26).unwrap());
-        let handles: Vec<_> = (0..8u64)
-            .map(|t| {
-                let store = store.clone();
-                std::thread::spawn(move || {
-                    let s = store.session();
-                    for i in 0..1000u64 {
-                        s.insert(t * 100_000 + i, i + 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        store.wait_writes_complete();
-        assert_eq!(store.tag(), 8000);
-        assert_eq!(store.key_count(), 8000);
-        let snap = store.session().extract_snapshot(store.tag());
-        assert_eq!(snap.len(), 8000);
-        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

@@ -78,6 +78,12 @@ impl From<PmemError> for RecoveryError {
     }
 }
 
+impl From<RecoveryError> for std::io::Error {
+    fn from(e: RecoveryError) -> Self {
+        std::io::Error::other(e)
+    }
+}
+
 /// What kind of damage quarantined a key's history suffix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionClass {

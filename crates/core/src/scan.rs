@@ -1,6 +1,6 @@
 //! Lazy snapshot range scans over the live index.
 //!
-//! [`PSkipList::extract_range`] materializes the whole window into a `Vec`
+//! [`extract_range`](crate::StoreSession::extract_range) materializes the whole window into a `Vec`
 //! before the caller sees the first pair — the right shape for bulk
 //! extraction (it parallelizes), the wrong one for YCSB-E-style short scans
 //! ("seek, read the next ~50 live pairs, stop"), which would pay allocation
@@ -19,14 +19,13 @@
 //! values are always resolved at the frozen snapshot, so a scan never sees
 //! a half-published version.
 
-use crate::pskiplist::PSkipList;
-use crate::{Pair, VersionedStore};
-use mvkv_vhistory::TOMBSTONE;
+use crate::engine::{Engine, Home};
+use crate::Pair;
 
 /// A lazy ordered scan of the live pairs of one snapshot. Created by
-/// [`PSkipList::scan`] / [`PSkipList::scan_range`].
-pub struct SnapshotScan<'a> {
-    store: &'a PSkipList,
+/// [`Engine::scan`] / [`Engine::scan_range`] of any word-keyed store.
+pub struct SnapshotScan<'a, H: Home<u64>> {
+    store: &'a Engine<u64, H>,
     iter: mvkv_skiplist::Iter<'a, u64>,
     version: u64,
     /// Watermark frozen at construction: the consistency frontier every
@@ -37,18 +36,13 @@ pub struct SnapshotScan<'a> {
     done: bool,
 }
 
-impl<'a> SnapshotScan<'a> {
-    pub(crate) fn new(
-        store: &'a PSkipList,
-        version: u64,
-        lo: u64,
-        hi: Option<u64>,
-    ) -> SnapshotScan<'a> {
+impl<'a, H: Home<u64>> SnapshotScan<'a, H> {
+    fn new(store: &'a Engine<u64, H>, version: u64, lo: u64, hi: Option<u64>) -> Self {
         mvkv_obs::counter_inc!("mvkv_core_scan_total");
         // The guard times the O(log n) index seek below (dropped on return).
         mvkv_obs::span!("mvkv_core_scan_seek_ns");
-        let fc = store.tag();
-        SnapshotScan { store, iter: store.index_range_from(lo), version, fc, hi, done: false }
+        let fc = store.clock.watermark();
+        SnapshotScan { store, iter: store.index.range_from(&lo), version, fc, hi, done: false }
     }
 
     /// The snapshot version this scan resolves against (clamped to the
@@ -58,7 +52,7 @@ impl<'a> SnapshotScan<'a> {
     }
 }
 
-impl Iterator for SnapshotScan<'_> {
+impl<H: Home<u64>> Iterator for SnapshotScan<'_, H> {
     type Item = Pair;
 
     fn next(&mut self) -> Option<Pair> {
@@ -74,28 +68,27 @@ impl Iterator for SnapshotScan<'_> {
                 self.done = true;
                 return None;
             }
-            match self.store.history(hist).find_raw(self.version, self.fc) {
-                // Key unborn at this version, or tombstoned: not live.
-                Some(TOMBSTONE) | None => continue,
-                Some(value) => return Some((key, value)),
+            // Keys unborn at this version, or tombstoned, are not live.
+            if let Some(value) = self.store.live_value(hist, self.version, self.fc) {
+                return Some((key, value));
             }
         }
     }
 }
 
-impl std::iter::FusedIterator for SnapshotScan<'_> {}
+impl<H: Home<u64>> std::iter::FusedIterator for SnapshotScan<'_, H> {}
 
-impl PSkipList {
+impl<H: Home<u64>> Engine<u64, H> {
     /// Lazily scans the live pairs of snapshot `version` with keys `>= lo`,
     /// in key order. Stop by dropping the iterator (e.g. `.take(n)`); each
     /// yielded pair costs one history resolution.
-    pub fn scan(&self, version: u64, lo: u64) -> SnapshotScan<'_> {
+    pub fn scan(&self, version: u64, lo: u64) -> SnapshotScan<'_, H> {
         SnapshotScan::new(self, version, lo, None)
     }
 
     /// [`scan`](Self::scan) bounded to keys in `[lo, hi)` — the lazy
     /// equivalent of [`extract_range`](crate::StoreSession::extract_range).
-    pub fn scan_range(&self, version: u64, lo: u64, hi: u64) -> SnapshotScan<'_> {
+    pub fn scan_range(&self, version: u64, lo: u64, hi: u64) -> SnapshotScan<'_, H> {
         SnapshotScan::new(self, version, lo, Some(hi))
     }
 }

@@ -3,27 +3,19 @@
 //!
 //! The paper's store is specialized to 64-bit integers (its evaluation
 //! workloads, §V-C); a drop-in `std::map` replacement — the paper's §II
-//! framing — needs generic keys and values. This ephemeral container runs
-//! the exact same machinery (lock-free skip-list index, lazy-tail
-//! histories, completion watermark) over any `K: Ord` and any `V`, with
-//! values handed out by reference (they are immutable once published and
-//! live as long as the map).
+//! framing — needs generic keys and values. This ephemeral container is the
+//! heap instantiation of the one store [`Engine`] (lock-free skip-list
+//! index, lazy-tail histories, completion watermark) over any `K: Ord`; all
+//! it adds is the value encoding: a value is boxed and the engine stores
+//! the box's address as its word. Values are handed out by reference (they
+//! are immutable once published and live as long as the map).
 //!
 //! Same concurrency contract as the word stores: mutations of distinct
 //! keys are lock-free from any number of threads; mutations of one key
 //! must be externally ordered; queries are always safe.
 
-use mvkv_skiplist::{InsertOutcome, SkipList};
-use mvkv_vhistory::{EHistory, History, VersionClock, TOMBSTONE};
-
-type EHist = History<EHistory>;
-
-/// Per-key state: the history holds word-sized handles that are either
-/// [`TOMBSTONE`] or leaked `Box<V>` pointers (reclaimed in `Drop`).
-struct KeyState<V> {
-    history: EHist,
-    _values: std::marker::PhantomData<V>,
-}
+use crate::engine::{Engine, Home};
+use crate::eskiplist::HeapHome;
 
 /// A multi-versioning ordered map from `K` to `V`.
 ///
@@ -39,134 +31,74 @@ struct KeyState<V> {
 /// assert_eq!(map.find(&"conv1".into(), map.tag()), Some(&vec![0.3, 0.4]));
 /// ```
 pub struct VersionedMap<K, V> {
-    index: SkipList<K>,
-    clock: VersionClock,
-    _marker: std::marker::PhantomData<V>,
+    /// Stored words are leaked `Box<V>` pointers (reclaimed in `Drop`).
+    engine: Engine<K, HeapHome>,
+    _values: std::marker::PhantomData<V>,
 }
 
 impl<K: Ord, V> VersionedMap<K, V> {
     pub fn new() -> Self {
-        VersionedMap {
-            index: SkipList::new(),
-            clock: VersionClock::new(),
-            _marker: std::marker::PhantomData,
-        }
+        VersionedMap { engine: Engine::new(), _values: std::marker::PhantomData }
     }
 
-    fn state(&self, payload: u64) -> &KeyState<V> {
-        // SAFETY: payloads are exclusively leaked `Box<KeyState<V>>`
-        // pointers owned by this map until drop.
-        unsafe { &*(payload as *const KeyState<V>) }
-    }
-
-    fn get_or_create_state(&self, key: K) -> &KeyState<V> {
-        if let Some(p) = self.index.get(&key) {
-            return self.state(p);
-        }
-        let outcome = self.index.insert_with(key, || {
-            Box::into_raw(Box::new(KeyState::<V> {
-                history: History::new(EHistory::new()),
-                _values: std::marker::PhantomData,
-            })) as u64
-        });
-        if let InsertOutcome::Lost { yours: Some(mine), .. } = outcome {
-            // SAFETY: our state never became reachable.
-            drop(unsafe { Box::from_raw(mine as *mut KeyState<V>) });
-        }
-        self.state(outcome.payload())
-    }
-
-    fn decode(&self, raw: u64) -> Option<&V> {
-        if raw == TOMBSTONE {
-            return None;
-        }
-        // SAFETY: non-tombstone handles are leaked `Box<V>` pointers that
-        // live until the map drops; published via Release in the history.
-        Some(unsafe { &*(raw as *const V) })
+    fn decode(&self, handle: u64) -> &V {
+        // SAFETY: the engine only surfaces non-tombstone words, and those
+        // are leaked `Box<V>` pointers that live until the map drops;
+        // published via Release in the history.
+        unsafe { &*(handle as *const V) }
     }
 
     /// Inserts `key → value`, tagging a new snapshot; returns its version.
     pub fn insert(&self, key: K, value: V) -> u64 {
-        let handle = Box::into_raw(Box::new(value)) as u64;
-        debug_assert_ne!(handle, TOMBSTONE);
-        let state = self.get_or_create_state(key);
-        let version = self.clock.issue();
-        state.history.append(version, handle);
-        self.clock.complete(version);
-        version
+        self.engine.put(key, Box::into_raw(Box::new(value)) as u64)
     }
 
     /// Removes `key`, tagging a new snapshot; returns its version.
     pub fn remove(&self, key: K) -> u64 {
-        let state = self.get_or_create_state(key);
-        let version = self.clock.issue();
-        state.history.append_tombstone(version);
-        self.clock.complete(version);
-        version
+        self.engine.delete(key)
     }
 
     /// The value of `key` in snapshot `version`.
     pub fn find(&self, key: &K, version: u64) -> Option<&V> {
-        let payload = self.index.get(key)?;
-        let raw = self.state(payload).history.find_raw(version, self.clock.watermark())?;
-        self.decode(raw)
+        self.engine.get(key, version).map(|handle| self.decode(handle))
     }
 
     /// All live `(key, value)` pairs of snapshot `version`, in key order.
     pub fn extract_snapshot(&self, version: u64) -> Vec<(&K, &V)> {
-        let fc = self.clock.watermark();
-        let mut out = Vec::new();
-        for (key, payload) in self.index.iter() {
-            if let Some(raw) = self.state(payload).history.find_raw(version, fc) {
-                if let Some(value) = self.decode(raw) {
-                    out.push((key, value));
-                }
-            }
-        }
-        out
+        self.extract(version, None, None)
     }
 
     /// Live pairs of snapshot `version` with keys in `[lo, hi)`.
     pub fn extract_range(&self, version: u64, lo: &K, hi: &K) -> Vec<(&K, &V)> {
-        let fc = self.clock.watermark();
-        let mut out = Vec::new();
-        for (key, payload) in self.index.range_from(lo) {
-            if key >= hi {
-                break;
-            }
-            if let Some(raw) = self.state(payload).history.find_raw(version, fc) {
-                if let Some(value) = self.decode(raw) {
-                    out.push((key, value));
-                }
-            }
-        }
-        out
+        self.extract(version, Some(lo), Some(hi))
+    }
+
+    fn extract(&self, version: u64, lo: Option<&K>, hi: Option<&K>) -> Vec<(&K, &V)> {
+        self.engine
+            .live_pairs(version, self.tag(), lo, hi, |_| true)
+            .map(|(key, handle)| (key, self.decode(handle)))
+            .collect()
     }
 
     /// The change history of `key`: `(version, Some(&value) | None)`.
     pub fn extract_history(&self, key: &K) -> Vec<(u64, Option<&V>)> {
-        let Some(payload) = self.index.get(key) else { return Vec::new() };
-        self.state(payload)
-            .history
-            .records(self.clock.watermark())
-            .into_iter()
-            .map(|r| (r.version, r.value.and_then(|raw| self.decode(raw))))
-            .collect()
+        let records = self.engine.records(key).into_iter();
+        records.map(|r| (r.version, r.value.map(|handle| self.decode(handle)))).collect()
     }
 
     /// Newest consistent snapshot id.
     pub fn tag(&self) -> u64 {
-        self.clock.watermark()
+        self.engine.clock.watermark()
     }
 
     /// Number of distinct keys ever inserted.
     pub fn key_count(&self) -> u64 {
-        self.index.len()
+        self.engine.index.len()
     }
 
     /// Blocks until all issued mutations are visible.
     pub fn wait_writes_complete(&self) {
-        self.clock.wait_all_complete();
+        self.engine.clock.wait_all_complete();
     }
 }
 
@@ -178,23 +110,14 @@ impl<K: Ord, V> Default for VersionedMap<K, V> {
 
 impl<K, V> Drop for VersionedMap<K, V> {
     fn drop(&mut self) {
-        for (_, payload) in self.index.iter() {
-            // SAFETY: exclusive access in drop. Reclaim every published
-            // value handle, then the key state itself.
-            let state = unsafe { Box::from_raw(payload as *mut KeyState<V>) };
-            let visible = state.history.extend_tail(u64::MAX);
-            for i in 0..visible {
-                use mvkv_vhistory::Slots;
-                let raw = state
-                    .history
-                    .slots()
-                    .entry(i)
-                    .value
-                    .load(mvkv_sync::sync::atomic::Ordering::Acquire);
-                if raw != TOMBSTONE {
-                    // SAFETY: a non-tombstone payload is a Box leaked by
-                    // insert; drop has exclusive access, so no double-free.
-                    drop(unsafe { Box::from_raw(raw as *mut V) });
+        // Reclaim every value handle; the engine then frees the histories.
+        for (_, hist) in self.engine.index.iter() {
+            for record in Home::<K>::history(&self.engine.home, hist).records(u64::MAX) {
+                if let Some(handle) = record.value {
+                    // SAFETY: a non-tombstone word is a Box leaked by
+                    // `insert`; drop has exclusive access and visits each
+                    // slot once, so no double-free.
+                    drop(unsafe { Box::from_raw(handle as *mut V) });
                 }
             }
         }
@@ -256,29 +179,6 @@ mod tests {
         let mid = map.extract_range(v, &"b".into(), &"d".into());
         let names: Vec<&str> = mid.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(names, vec!["banana", "cherry"]);
-    }
-
-    #[test]
-    fn concurrent_writers_distinct_keys() {
-        let map: std::sync::Arc<VersionedMap<u64, Vec<u64>>> =
-            std::sync::Arc::new(VersionedMap::new());
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                let map = map.clone();
-                scope.spawn(move || {
-                    for i in 0..500u64 {
-                        map.insert(t * 1000 + i, vec![t, i]);
-                    }
-                });
-            }
-        });
-        map.wait_writes_complete();
-        assert_eq!(map.tag(), 4000);
-        let snap = map.extract_snapshot(map.tag());
-        assert_eq!(snap.len(), 4000);
-        for (&k, v) in &snap {
-            assert_eq!(v[0] * 1000 + v[1], k);
-        }
     }
 
     #[test]

@@ -58,46 +58,57 @@ where
     F: Fn(u64, u64) + Sync,
 {
     mvkv_obs::span!("mvkv_keychain_rebuild_ns");
+    let (stats, _) = try_fold_claimed(chain, threads, |_: &mut (), key, hist| sink(key, hist))?;
+    mvkv_obs::counter_add!("mvkv_keychain_rebuild_pairs_total", stats.pairs);
+    mvkv_obs::counter_inc!("mvkv_keychain_rebuilds_total");
+    Ok(stats)
+}
+
+/// The claiming walk itself: `threads` workers (at least one) each walk the
+/// chain, claim the blocks with `index % threads == tid`, and fold every
+/// valid pair of a claimed block into their own accumulator. Returns the
+/// accumulators in worker order. The recovery passes that are not an index
+/// rebuild (watermark scan, prune) run on this directly.
+pub fn try_fold_claimed<A, F>(
+    chain: &KeyChain<'_>,
+    threads: usize,
+    fold: F,
+) -> Result<(RebuildStats, Vec<A>), RebuildPanicked>
+where
+    A: Default + Send,
+    F: Fn(&mut A, u64, u64) + Sync,
+{
     let threads = threads.max(1);
-    let sink = &sink;
-    let counts: Vec<std::thread::Result<(u64, u64)>> = std::thread::scope(|scope| {
+    let fold = &fold;
+    let results: Vec<std::thread::Result<(u64, u64, A)>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         handles.extend((0..threads).map(|tid| {
             scope.spawn(move || {
-                let mut blocks = 0u64;
-                let mut pairs = 0u64;
+                let (mut blocks, mut pairs, mut acc) = (0u64, 0u64, A::default());
                 for (off, index) in chain.blocks() {
                     if index as usize % threads != tid {
                         continue; // claimed by another thread
                     }
                     blocks += 1;
                     for (key, hist) in chain.block_pairs(off) {
-                        sink(key, hist);
+                        fold(&mut acc, key, hist);
                         pairs += 1;
                     }
                 }
-                (blocks, pairs)
+                (blocks, pairs, acc)
             })
         }));
         handles.into_iter().map(|h| h.join()).collect()
     });
     let mut stats = RebuildStats { blocks: 0, pairs: 0, threads };
-    let mut panicked = false;
-    for count in counts {
-        match count {
-            Ok((blocks, pairs)) => {
-                stats.blocks += blocks;
-                stats.pairs += pairs;
-            }
-            Err(_) => panicked = true,
-        }
+    let mut accs = Vec::with_capacity(threads);
+    for result in results {
+        let (blocks, pairs, acc) = result.map_err(|_| RebuildPanicked)?;
+        stats.blocks += blocks;
+        stats.pairs += pairs;
+        accs.push(acc);
     }
-    if panicked {
-        return Err(RebuildPanicked);
-    }
-    mvkv_obs::counter_add!("mvkv_keychain_rebuild_pairs_total", stats.pairs);
-    mvkv_obs::counter_inc!("mvkv_keychain_rebuilds_total");
-    Ok(stats)
+    Ok((stats, accs))
 }
 
 #[cfg(test)]
@@ -160,6 +171,21 @@ mod tests {
             assert_eq!(k, expected as u64);
             assert_eq!(h, k + 1);
         }
+    }
+
+    #[test]
+    fn fold_returns_one_accumulator_per_worker() {
+        let p = PmemPool::create_volatile(1 << 24).unwrap();
+        let c = chain_with(&p, 100, 4); // 25 blocks
+        let (stats, sums) = try_fold_claimed(&c, 4, |sum: &mut u64, _, hist| *sum += hist).unwrap();
+        assert_eq!(stats, RebuildStats { blocks: 25, pairs: 100, threads: 4 });
+        assert_eq!(sums.len(), 4, "one accumulator per worker, in worker order");
+        assert_eq!(sums.iter().sum::<u64>(), (1..=100).sum::<u64>(), "every pair folded once");
+        // Zero workers are clamped to one; a panicking fold is an error.
+        let (stats, counts) = try_fold_claimed(&c, 0, |n: &mut u64, _, _| *n += 1).unwrap();
+        assert_eq!((stats.threads, counts), (1, vec![100]));
+        let panicked = try_fold_claimed(&c, 2, |_: &mut (), key, _| assert_ne!(key, 7));
+        assert_eq!(panicked.unwrap_err(), RebuildPanicked);
     }
 
     #[test]

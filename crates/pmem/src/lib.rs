@@ -126,6 +126,14 @@ impl std::error::Error for PmemError {
     }
 }
 
+/// Lets `?` carry a pool error out of functions that return
+/// `std::io::Result` (kind `Other`, same message).
+impl From<PmemError> for std::io::Error {
+    fn from(e: PmemError) -> Self {
+        std::io::Error::other(e)
+    }
+}
+
 impl From<std::io::Error> for PmemError {
     fn from(e: std::io::Error) -> Self {
         PmemError::Io(e)

@@ -119,6 +119,27 @@ impl Slots for EHistory {
     }
 }
 
+/// A borrowed history is a provider too, so `History<&EHistory>` can run
+/// over storage something else owns (the heap stores' boxed histories). The
+/// persist hooks keep their no-op defaults, like [`EHistory`]'s own.
+impl Slots for &EHistory {
+    fn claim(&self) -> u64 {
+        (**self).claim()
+    }
+
+    fn pending(&self) -> u64 {
+        (**self).pending()
+    }
+
+    fn entry(&self, idx: u64) -> &Entry {
+        (**self).entry(idx)
+    }
+
+    fn tail_ref(&self) -> &AtomicU64 {
+        (**self).tail_ref()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

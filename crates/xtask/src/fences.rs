@@ -71,22 +71,22 @@ pub const ENTRIES: &[EntrySpec] = &[
     },
     EntrySpec {
         id: "core::insert",
-        file: "crates/core/src/pskiplist.rs",
-        owner: Some("PSkipList"),
+        file: "crates/core/src/engine.rs",
+        owner: Some("Engine"),
         func: "insert",
         note: "single-op insert",
     },
     EntrySpec {
         id: "core::remove",
-        file: "crates/core/src/pskiplist.rs",
-        owner: Some("PSkipList"),
+        file: "crates/core/src/engine.rs",
+        owner: Some("Engine"),
         func: "remove",
         note: "tombstone append",
     },
     EntrySpec {
         id: "core::insert_batch",
-        file: "crates/core/src/pskiplist.rs",
-        owner: Some("PSkipList"),
+        file: "crates/core/src/engine.rs",
+        owner: Some("Engine"),
         func: "insert_batch",
         note: "one fence per chunk (iter), none outside the loop",
     },
@@ -363,8 +363,8 @@ mod tests {
 
     const SPECS: &[EntrySpec] = &[EntrySpec {
         id: "core::insert",
-        file: "crates/core/src/pskiplist.rs",
-        owner: Some("PSkipList"),
+        file: "crates/core/src/engine.rs",
+        owner: Some("Engine"),
         func: "insert",
         note: "fixture",
     }];
@@ -373,9 +373,9 @@ mod tests {
 
     fn fixture_ws(helper_body: &str) -> Workspace {
         Workspace::build(&[WsFile {
-            rel: "crates/core/src/pskiplist.rs".into(),
+            rel: "crates/core/src/engine.rs".into(),
             src: format!(
-                "impl PSkipList {{
+                "impl Engine {{
                     fn insert(&self, p: &Pool) {{ p.write_u64(0, 1); p.persist(0, 8); self.publish(p); }}
                     fn publish(&self, p: &Pool) {{ {helper_body} }}
                 }}"
@@ -409,10 +409,10 @@ mod tests {
         let findings = check(&budgets2, WL, Some(&lock));
         assert_eq!(findings.len(), 1, "{findings:?}");
         let (file, line, msg) = &findings[0];
-        assert_eq!(file, "crates/core/src/pskiplist.rs");
+        assert_eq!(file, "crates/core/src/engine.rs");
         assert_eq!(*line, 2, "finding points at the entry fn, not the helper");
         assert!(msg.contains("`core::insert`"), "names the entry id: {msg}");
-        assert!(msg.contains("PSkipList::insert"), "names the entry fn: {msg}");
+        assert!(msg.contains("Engine::insert"), "names the entry fn: {msg}");
         assert!(msg.contains("steady 2/0"), "shows the drifted budget: {msg}");
         assert!(msg.contains("--bless") || msg.contains("bless"), "points at the workflow");
     }
@@ -487,8 +487,8 @@ mod tests {
     #[test]
     fn renamed_entry_point_is_a_finding() {
         let ws = Workspace::build(&[WsFile {
-            rel: "crates/core/src/pskiplist.rs".into(),
-            src: "impl PSkipList { fn insert_renamed(&self) {} }".into(),
+            rel: "crates/core/src/engine.rs".into(),
+            src: "impl Engine { fn insert_renamed(&self) {} }".into(),
         }]);
         let (budgets, errs) = compute(&ws, SPECS);
         assert!(budgets.is_empty());

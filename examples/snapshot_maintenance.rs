@@ -13,6 +13,7 @@
 use mvkv::core::{
     DeltaExtract, LabeledTags, PSkipList, StoreOptions, StoreSession, VersionedStore,
 };
+use mvkv::pmem::PmemPool;
 
 const SENSORS: u64 = 500;
 const HOURS: u64 = 6;
@@ -22,8 +23,8 @@ fn reading(sensor: u64, hour: u64) -> u64 {
 }
 
 fn main() -> std::io::Result<()> {
-    let store = PSkipList::create_volatile_with(
-        256 << 20,
+    let store = PSkipList::create(
+        PmemPool::create_volatile(256 << 20)?,
         StoreOptions { changelog: true, ..Default::default() },
     )?;
     let session = store.session();
@@ -55,7 +56,8 @@ fn main() -> std::io::Result<()> {
 
     // Retention: collapse everything before hour 4, dropping dead sensors.
     let horizon = store.resolve_label(4).expect("hour 4 tagged");
-    let (compacted, stats) = store.compact_into_volatile(256 << 20, horizon)?;
+    let fresh = PmemPool::create_volatile(256 << 20)?;
+    let (compacted, stats) = store.compact_into(fresh, horizon, |value, _| value)?;
     println!(
         "compaction @v{horizon}: kept {} keys (+{} GC'd), {} → {} history entries",
         stats.keys_kept, stats.keys_dropped, stats.entries_before, stats.entries_after

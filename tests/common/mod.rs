@@ -120,3 +120,69 @@ pub fn random_script(len: usize, key_space: u64, seed: u64) -> Vec<Op> {
         })
         .collect()
 }
+
+/// `VersionedMap<u64, u64>` behind the store API, so the suites that are
+/// generic over [`VersionedStore`] take the map as one more store. The map
+/// is the third instantiation of the store engine (heap home, boxed
+/// values); the adapter only copies values out of the references it returns.
+#[derive(Default)]
+pub struct MapStore(mvkv::core::VersionedMap<u64, u64>);
+
+impl VersionedStore for MapStore {
+    type Session<'a> = &'a MapStore;
+
+    fn session(&self) -> &MapStore {
+        self
+    }
+
+    fn tag(&self) -> u64 {
+        self.0.tag()
+    }
+
+    /// The map does not expose its issue counter; the suites read this only
+    /// after `wait_writes_complete`, when it equals the tag.
+    fn latest_version(&self) -> u64 {
+        self.0.tag()
+    }
+
+    fn key_count(&self) -> u64 {
+        self.0.key_count()
+    }
+
+    fn wait_writes_complete(&self) {
+        self.0.wait_writes_complete();
+    }
+
+    fn name(&self) -> &'static str {
+        "VersionedMap"
+    }
+}
+
+impl StoreSession for &MapStore {
+    fn insert(&self, key: u64, value: u64) -> u64 {
+        self.0.insert(key, value)
+    }
+
+    fn remove(&self, key: u64) -> u64 {
+        self.0.remove(key)
+    }
+
+    fn find(&self, key: u64, version: u64) -> Option<u64> {
+        self.0.find(&key, version).copied()
+    }
+
+    fn extract_history(&self, key: u64) -> Vec<mvkv::core::HistoryRecord> {
+        let records = self.0.extract_history(&key).into_iter();
+        records
+            .map(|(version, value)| mvkv::core::HistoryRecord { version, value: value.copied() })
+            .collect()
+    }
+
+    fn extract_snapshot(&self, version: u64) -> Vec<(u64, u64)> {
+        self.0.extract_snapshot(version).into_iter().map(|(&k, &v)| (k, v)).collect()
+    }
+
+    fn extract_range(&self, version: u64, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        self.0.extract_range(version, &lo, &hi).into_iter().map(|(&k, &v)| (k, v)).collect()
+    }
+}

@@ -11,7 +11,8 @@ use mvkv::pmem::CrashOptions;
 
 fn run_sweep(crash: CrashOptions, options: StoreOptions, ops: usize, every: usize, seed: u64) {
     let script = random_script(ops, 40, seed);
-    let store = PSkipList::create_crash_sim_with(64 << 20, crash, options).unwrap();
+    let pool = mvkv::pmem::PmemPool::create_crash_sim(64 << 20, crash).unwrap();
+    let store = PSkipList::create(pool, options).unwrap();
     let session = store.session();
     let mut oracle = Oracle::new();
     let mut images: Vec<(u64, Vec<u8>)> = Vec::new();

@@ -1,10 +1,12 @@
 //! Five-approach equivalence: the same operation script must produce
 //! identical versioned behaviour on every store and match the oracle.
+//! `VersionedMap<u64, u64>`, the third instantiation of the skip-list store
+//! engine, runs behind an adapter as a sixth.
 
 mod common;
 
-use common::{apply_script, assert_agrees, random_script, Oracle, Op};
-use mvkv::core::{DbStore, ESkipList, LockedMap, PSkipList, StoreSession};
+use common::{apply_script, assert_agrees, random_script, MapStore, Oracle, Op};
+use mvkv::core::{DbStore, ESkipList, LockedMap, PSkipList, StoreSession, VersionedStore};
 
 fn probe_versions(max: u64) -> Vec<u64> {
     let mut v: Vec<u64> = vec![0, 1, max / 3, max / 2, max, max + 10];
@@ -39,6 +41,7 @@ fn all_five_stores_agree_with_oracle() {
     let script = random_script(1500, 120, 0xE9);
     check_store(&PSkipList::create_volatile(64 << 20).unwrap(), &script);
     check_store(&ESkipList::new(), &script);
+    check_store(&MapStore::default(), &script);
     check_store(&LockedMap::new(), &script);
     check_store(&DbStore::mem(), &script);
     let path = std::env::temp_dir().join(format!("mvkv-equiv-{}.db", std::process::id()));
@@ -65,6 +68,7 @@ fn remove_heavy_scripts_agree() {
         .collect();
     check_store(&PSkipList::create_volatile(64 << 20).unwrap(), &script);
     check_store(&ESkipList::new(), &script);
+    check_store(&MapStore::default(), &script);
     check_store(&LockedMap::new(), &script);
     check_store(&DbStore::mem(), &script);
 }
@@ -74,6 +78,7 @@ fn insert_only_monotone_keys() {
     let script: Vec<Op> = (0..1000).map(|i| Op::Insert(i, i * 7)).collect();
     check_store(&PSkipList::create_volatile(64 << 20).unwrap(), &script);
     check_store(&ESkipList::new(), &script);
+    check_store(&MapStore::default(), &script);
 }
 
 #[test]
@@ -89,8 +94,84 @@ fn edge_key_values() {
     ];
     check_store(&PSkipList::create_volatile(16 << 20).unwrap(), &script);
     check_store(&ESkipList::new(), &script);
+    check_store(&MapStore::default(), &script);
     check_store(&LockedMap::new(), &script);
     check_store(&DbStore::mem(), &script);
+}
+
+// ---------------------------------------------------------------------------
+// The hand-written semantics checks every engine instantiation used to carry
+// a copy of, written once and run over each.
+// ---------------------------------------------------------------------------
+
+/// Runs `check` on a fresh store of each skip-list engine instantiation.
+macro_rules! on_each_instantiation {
+    ($check:ident) => {{
+        $check(PSkipList::create_volatile(64 << 20).unwrap());
+        $check(ESkipList::new());
+        $check(MapStore::default());
+    }};
+}
+
+#[test]
+fn versioned_semantics() {
+    fn check<S: VersionedStore>(store: S) {
+        let s = store.session();
+        let v1 = s.insert(10, 100);
+        let v2 = s.insert(20, 200);
+        let v3 = s.remove(10);
+        let v4 = s.insert(10, 101);
+        assert_eq!((v1, v2, v3, v4), (1, 2, 3, 4), "{}", store.name());
+        assert_eq!(store.tag(), 4);
+        assert_eq!(s.find(10, v1), Some(100));
+        assert_eq!(s.find(10, v2), Some(100), "unchanged between snapshots");
+        assert_eq!(s.find(10, v3), None, "removed");
+        assert_eq!(s.find(10, v4), Some(101), "re-inserted");
+        assert_eq!(s.find(20, v3), Some(200));
+        assert_eq!(s.find(20, 1), None, "not born yet");
+        assert_eq!(store.key_count(), 2);
+    }
+    on_each_instantiation!(check);
+}
+
+#[test]
+fn snapshots_are_sorted_and_tombstone_free() {
+    fn check<S: VersionedStore>(store: S) {
+        let s = store.session();
+        s.insert(30, 3);
+        s.insert(10, 1);
+        let v = s.insert(20, 2);
+        s.remove(10);
+        assert_eq!(s.extract_snapshot(v), vec![(10, 1), (20, 2), (30, 3)], "{}", store.name());
+        assert_eq!(s.extract_snapshot(store.tag()), vec![(20, 2), (30, 3)]);
+        assert_eq!(s.extract_snapshot(0), vec![]);
+    }
+    on_each_instantiation!(check);
+}
+
+#[test]
+fn concurrent_writers_distinct_keys() {
+    fn check<S: VersionedStore>(store: S) {
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                let store = &store;
+                scope.spawn(move || {
+                    let s = store.session();
+                    for i in 0..1000u64 {
+                        s.insert(t * 100_000 + i, i + 1);
+                    }
+                });
+            }
+        });
+        store.wait_writes_complete();
+        assert_eq!(store.tag(), 8000, "{}", store.name());
+        assert_eq!(store.key_count(), 8000);
+        let snap = store.session().extract_snapshot(store.tag());
+        assert_eq!(snap.len(), 8000);
+        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "snapshot must be key-sorted");
+        assert!(snap.iter().all(|&(k, v)| v == k % 100_000 + 1), "every pair is one writer's");
+    }
+    on_each_instantiation!(check);
 }
 
 #[test]

@@ -8,9 +8,19 @@ use mvkv::core::{
     DeltaExtract, ESkipList, LabeledTags, LockedMap, PSkipList, StoreOptions, StoreSession,
     VersionedStore,
 };
+use mvkv::pmem::PmemPool;
+
+fn volatile_pool(size: usize) -> PmemPool {
+    PmemPool::create_volatile(size).unwrap()
+}
+
+/// Plain-word compaction into a fresh heap pool.
+fn compact(store: &PSkipList, size: usize, horizon: u64) -> (PSkipList, mvkv::core::CompactStats) {
+    store.compact_into(volatile_pool(size), horizon, |value, _| value).unwrap()
+}
 
 fn volatile_with_changelog() -> PSkipList {
-    PSkipList::create_volatile_with(64 << 20, StoreOptions { changelog: true, ..Default::default() })
+    PSkipList::create(volatile_pool(64 << 20), StoreOptions { changelog: true, ..Default::default() })
         .unwrap()
 }
 
@@ -143,9 +153,8 @@ fn delta_identity_and_full_range() {
 
 #[test]
 fn changelog_survives_restart_and_crash() {
-    let store = PSkipList::create_crash_sim_with(
-        64 << 20,
-        mvkv::pmem::CrashOptions::default(),
+    let store = PSkipList::create(
+        PmemPool::create_crash_sim(64 << 20, mvkv::pmem::CrashOptions::default()).unwrap(),
         StoreOptions { changelog: true, ..Default::default() },
     )
     .unwrap();
@@ -190,7 +199,7 @@ fn compaction_preserves_post_horizon_snapshots() {
     let max = oracle.version();
     let horizon = max / 2;
 
-    let (compacted, stats) = store.compact_into_volatile(64 << 20, horizon).unwrap();
+    let (compacted, stats) = compact(&store, 64 << 20, horizon);
     assert_eq!(stats.horizon, horizon);
     assert!(stats.entries_after <= stats.entries_before);
     assert_eq!(compacted.tag(), max, "watermark carries over");
@@ -226,7 +235,7 @@ fn compaction_garbage_collects_dead_keys() {
     }
     s.insert(200, 1); // alive
     let horizon = store.tag();
-    let (compacted, stats) = store.compact_into_volatile(32 << 20, horizon).unwrap();
+    let (compacted, stats) = compact(&store, 32 << 20, horizon);
     assert_eq!(stats.keys_dropped, 50);
     assert_eq!(stats.keys_kept, 51);
     assert_eq!(compacted.key_count(), 51);
@@ -250,7 +259,8 @@ fn compacted_store_reopens_and_continues() {
         store.wait_writes_complete();
         horizon = store.tag() - 100;
         max = store.tag();
-        let (compacted, _) = store.compact_into_file(&dst_path, 32 << 20, horizon).unwrap();
+        let dst = PmemPool::create_file(&dst_path, 32 << 20).unwrap();
+        let (compacted, _) = store.compact_into(dst, horizon, |value, _| value).unwrap();
         assert_eq!(compacted.tag(), max);
     }
     {
@@ -278,7 +288,7 @@ fn compaction_with_tags_keeps_bindings() {
     s.insert(1, 11);
     s.insert(2, 20);
     let late = store.tag_labeled(0x1A);
-    let (compacted, _) = store.compact_into_volatile(32 << 20, late).unwrap();
+    let (compacted, _) = compact(&store, 32 << 20, late);
     assert_eq!(compacted.resolve_label(0xEA), Some(early));
     assert_eq!(compacted.resolve_label(0x1A), Some(late));
     // The early tag now resolves to horizon-collapsed state.

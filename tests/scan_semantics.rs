@@ -1,5 +1,6 @@
 //! Model-based tests for the lazy snapshot range-scan iterator
-//! (`PSkipList::scan` / `scan_range`, `crates/core/src/scan.rs`).
+//! (`Engine::scan` / `scan_range`, `crates/core/src/scan.rs`), run over both
+//! word-keyed instantiations of the store engine: `PSkipList` and `ESkipList`.
 //!
 //! The model is the brute-force truth: one `BTreeMap` per version, built by
 //! replaying the script. Every store scan — at *every* version, over
@@ -13,7 +14,7 @@ mod common;
 
 use common::Oracle;
 use mvkv::core::api::LabeledTags;
-use mvkv::core::{PSkipList, StoreSession, VersionedStore};
+use mvkv::core::{ESkipList, Engine, Home, PSkipList, StoreSession, VersionedStore};
 use mvkv::workload::Mt19937_64;
 use std::collections::BTreeMap;
 
@@ -24,8 +25,11 @@ type Models = Vec<BTreeMap<u64, u64>>;
 /// Replays a deterministic mixed script and records the model after every
 /// version. Also returns the labeled tags taken along the way as
 /// `(label, version)` pairs.
-fn build() -> (PSkipList, Models, Vec<(u64, u64)>) {
-    let store = PSkipList::create_volatile(32 << 20).unwrap();
+fn build<H>(store: Engine<u64, H>) -> (Engine<u64, H>, Models, Vec<(u64, u64)>)
+where
+    H: Home<u64> + Send + Sync,
+    Engine<u64, H>: LabeledTags,
+{
     let session = store.session();
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     let mut models = vec![model.clone()];
@@ -35,7 +39,7 @@ fn build() -> (PSkipList, Models, Vec<(u64, u64)>) {
     // Keys on a stride so window bounds can fall *between* keys.
     let keys: Vec<u64> = (0..60u64).map(|k| 10 + k * 7).collect();
 
-    let mutate = |session: &&PSkipList,
+    let mutate = |session: &&Engine<u64, H>,
                       model: &mut BTreeMap<u64, u64>,
                       models: &mut Vec<BTreeMap<u64, u64>>,
                       key: u64,
@@ -88,6 +92,14 @@ fn build() -> (PSkipList, Models, Vec<(u64, u64)>) {
     (store, models, labels)
 }
 
+/// Runs a check that is generic over the home on both instantiations.
+macro_rules! on_both_stores {
+    ($check:ident) => {{
+        $check(PSkipList::create_volatile(32 << 20).unwrap());
+        $check(ESkipList::new());
+    }};
+}
+
 fn model_range(model: &BTreeMap<u64, u64>, lo: u64, hi: Option<u64>) -> Vec<(u64, u64)> {
     match hi {
         Some(hi) => model.range(lo..hi).map(|(&k, &v)| (k, v)).collect(),
@@ -97,7 +109,15 @@ fn model_range(model: &BTreeMap<u64, u64>, lo: u64, hi: Option<u64>) -> Vec<(u64
 
 #[test]
 fn scans_match_the_per_version_model_at_every_version() {
-    let (store, models, _) = build();
+    on_both_stores!(check_scans_match_the_per_version_model_at_every_version);
+}
+
+fn check_scans_match_the_per_version_model_at_every_version<H>(fresh: Engine<u64, H>)
+where
+    H: Home<u64> + Send + Sync,
+    Engine<u64, H>: LabeledTags,
+{
+    let (store, models, _) = build(fresh);
     let max = models.len() as u64 - 1;
     assert_eq!(store.tag(), max, "watermark covers the whole script");
 
@@ -129,7 +149,15 @@ fn scans_match_the_per_version_model_at_every_version() {
 
 #[test]
 fn scan_agrees_with_extract_range_and_snapshot() {
-    let (store, models, _) = build();
+    on_both_stores!(check_scan_agrees_with_extract_range_and_snapshot);
+}
+
+fn check_scan_agrees_with_extract_range_and_snapshot<H>(fresh: Engine<u64, H>)
+where
+    H: Home<u64> + Send + Sync,
+    Engine<u64, H>: LabeledTags,
+{
+    let (store, models, _) = build(fresh);
     let session = store.session();
     let max = models.len() as u64 - 1;
     for v in [0, 1, max / 3, max / 2, max] {
@@ -142,7 +170,15 @@ fn scan_agrees_with_extract_range_and_snapshot() {
 
 #[test]
 fn label_resolved_snapshots_scan_to_their_tagged_state() {
-    let (store, models, labels) = build();
+    on_both_stores!(check_label_resolved_snapshots_scan_to_their_tagged_state);
+}
+
+fn check_label_resolved_snapshots_scan_to_their_tagged_state<H>(fresh: Engine<u64, H>)
+where
+    H: Home<u64> + Send + Sync,
+    Engine<u64, H>: LabeledTags,
+{
+    let (store, models, labels) = build(fresh);
     assert_eq!(labels.len(), 4);
     for &(label, version) in &labels {
         let resolved = store.resolve_label(label).expect("label durable");
@@ -158,7 +194,15 @@ fn label_resolved_snapshots_scan_to_their_tagged_state() {
 
 #[test]
 fn scans_beyond_the_watermark_answer_as_of_the_watermark() {
-    let (store, models, _) = build();
+    on_both_stores!(check_scans_beyond_the_watermark_answer_as_of_the_watermark);
+}
+
+fn check_scans_beyond_the_watermark_answer_as_of_the_watermark<H>(fresh: Engine<u64, H>)
+where
+    H: Home<u64> + Send + Sync,
+    Engine<u64, H>: LabeledTags,
+{
+    let (store, models, _) = build(fresh);
     let max = models.len() as u64 - 1;
     let beyond: Vec<_> = store.scan(max + 1000, 0).collect();
     assert_eq!(beyond, model_range(models.last().unwrap(), 0, None));
@@ -168,7 +212,15 @@ fn scans_beyond_the_watermark_answer_as_of_the_watermark() {
 
 #[test]
 fn early_stop_is_a_prefix_and_iterator_fuses() {
-    let (store, models, _) = build();
+    on_both_stores!(check_early_stop_is_a_prefix_and_iterator_fuses);
+}
+
+fn check_early_stop_is_a_prefix_and_iterator_fuses<H>(fresh: Engine<u64, H>)
+where
+    H: Home<u64> + Send + Sync,
+    Engine<u64, H>: LabeledTags,
+{
+    let (store, models, _) = build(fresh);
     let max = models.len() as u64 - 1;
     let full: Vec<_> = store.scan(max, 0).collect();
     for n in [0, 1, 7, full.len(), full.len() + 10] {
