@@ -46,7 +46,7 @@ pub use blob::{BlobRecord, BlobStore};
 pub use dbstore::{DbSession, DbStore};
 pub use engine::{Engine, Home};
 pub use eskiplist::{ESkipList, HeapHome};
-pub use export::{export_snapshot, import_snapshot, read_snapshot, write_snapshot, ExportError};
+pub use export::{export_snapshot, read_snapshot, write_snapshot, ExportError};
 pub use lockedmap::LockedMap;
 pub use pskiplist::{CompactStats, PSkipList, PmHome, RestartStats, SalvageOpen, StoreOptions};
 pub use recovery::{

@@ -3,7 +3,7 @@
 //! Every concurrency-critical crate (`mvkv-skiplist`, `mvkv-vhistory`,
 //! `mvkv-pmem`) imports its atomics, mutexes and thread primitives from this
 //! crate instead of `std::sync` — a rule enforced by `cargo run -p xtask --
-//! lint`. The facade has two personalities:
+//! analyze`. The facade has two personalities:
 //!
 //! * **Normal builds** re-export `std::sync::atomic`, `std::sync::Arc` and
 //!   `std::thread` wholesale (zero-cost: the types *are* the std types), plus

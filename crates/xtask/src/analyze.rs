@@ -1,13 +1,14 @@
 //! The multi-pass analyzer driver: `cargo run -p xtask -- analyze`.
 //!
-//! Eight passes share one parsed-file cache and one interprocedural
-//! workspace (each source file is read, stripped and token-tree-parsed at
-//! most once, no matter how many passes look at it):
+//! Eight passes read one parsed workspace ([`crate::source::Source`]: each
+//! source file is read once and lexed once per run, no matter how many
+//! passes look at it — a unit test counts the `lex` calls) and one
+//! interprocedural function index over it ([`crate::summary::Workspace`]):
 //!
 //! 1. `facade`          — no direct `std::sync::atomic` / `std::thread` in
-//!    concurrency-critical crates ([`crate::text::check_facade`]).
+//!    concurrency-critical crates ([`crate::sites::check_facade`]).
 //! 2. `safety-comment`  — `unsafe` blocks/impls need `// SAFETY:`
-//!    ([`crate::text::check_safety_comments`]).
+//!    ([`crate::sites::check_safety_comments`]).
 //! 3. `persist-ordering`— branch-aware dataflow: every dirty PM write must
 //!    be flushed on every path to every function exit — now run through the
 //!    interprocedural call oracle, so a helper that persists the caller's
@@ -16,7 +17,7 @@
 //!    contain no ephemeral field types, and match the checked-in
 //!    fingerprints in `pm_layout.lock` ([`crate::layout`]).
 //! 5. `atomic-ordering` — every `Ordering::Relaxed` in audited crates
-//!    carries an `// ordering:` justification ([`crate::ordering`]).
+//!    carries an `// ordering:` justification ([`crate::sites::check_relaxed`]).
 //! 6. `fence-budget`    — worst-case sfence counts per durable entry point,
 //!    checked against `fence_budget.lock` ([`crate::fences`]).
 //! 7. `lock-order`      — acquisition-graph cycles and locks held across
@@ -34,20 +35,16 @@
 //! `--baseline <json>` subtracts a committed report (CI fails only on *new*
 //! findings); `--bless` rewrites the lock files and the baseline.
 
-use std::cell::OnceCell;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::lexer::{self, Tree};
-use crate::summary::{Workspace, WsFile};
-use crate::text;
-use crate::{cfg, fences, layout, locks, ordering, races};
+use crate::source::Source;
+use crate::summary::Workspace;
+use crate::{cfg, fences, layout, locks, races, sites};
 
 /// Crates whose `src/` must go through the `mvkv-sync` facade (loom-swapped
-/// atomics). Mirrors the original lint's FACADE_CRATES, plus `crates/core`
-/// since PR 10 routed its stats counters and scoped-thread uses through the
-/// facade.
+/// atomics).
 const FACADE_DIRS: &[&str] = &[
     "crates/skiplist/src",
     "crates/vhistory/src",
@@ -190,72 +187,6 @@ pub fn explain(id: &str) -> Option<String> {
 
 pub fn check_ids() -> Vec<&'static str> {
     CHECKS.iter().map(|c| c.id).collect()
-}
-
-// ---------------------------------------------------------------------------
-// Shared file cache
-// ---------------------------------------------------------------------------
-
-/// One source file, with lazily computed derived forms. Every pass pulls
-/// from here, so stripping and token-tree parsing happen at most once per
-/// file per run.
-pub struct SourceFile {
-    /// Repo-relative path with `/` separators (stable across OSes, used in
-    /// findings, the lock file and suppressions).
-    pub rel: String,
-    pub src: String,
-    stripped: OnceCell<String>,
-    spans: OnceCell<Vec<(usize, usize)>>,
-    trees: OnceCell<Vec<Tree>>,
-}
-
-impl SourceFile {
-    pub fn stripped(&self) -> &str {
-        self.stripped.get_or_init(|| text::strip(&self.src))
-    }
-
-    pub fn test_spans(&self) -> &[(usize, usize)] {
-        self.spans.get_or_init(|| text::test_spans(self.stripped()))
-    }
-
-    pub fn trees(&self) -> &[Tree] {
-        self.trees.get_or_init(|| lexer::parse(&self.src))
-    }
-}
-
-/// Loads every analyzable `.rs` file under `crates/` and `src/` once.
-/// `crates/xtask` itself is excluded: the analyzer's sources are full of the
-/// very patterns it searches for (fixture snippets, marker constants) and
-/// are covered by its own unit tests instead.
-pub fn load_files(root: &Path) -> Vec<SourceFile> {
-    let mut out = Vec::new();
-    for dir in ["crates", "src"] {
-        for path in text::rust_files(&root.join(dir)) {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            if rel.starts_with("crates/xtask/") {
-                continue;
-            }
-            let Ok(src) = std::fs::read_to_string(&path) else { continue };
-            out.push(SourceFile {
-                rel,
-                src,
-                stripped: OnceCell::new(),
-                spans: OnceCell::new(),
-                trees: OnceCell::new(),
-            });
-        }
-    }
-    out
-}
-
-fn in_dirs(rel: &str, dirs: &[&str]) -> bool {
-    dirs.iter().any(|d| rel.starts_with(d))
 }
 
 // ---------------------------------------------------------------------------
@@ -462,19 +393,23 @@ fn finding_key(f: &Finding) -> (String, String, String) {
 // ---------------------------------------------------------------------------
 
 pub fn run(root: &Path, opts: &Options) -> Report {
-    let files = load_files(root);
+    run_on(root, &Source::load(root), opts)
+}
+
+/// Runs the passes over an already parsed workspace.
+pub fn run_on(root: &Path, src: &Source, opts: &Options) -> Report {
     let mut findings = Vec::new();
     let mut passes = Vec::new();
     let enabled = |name: &str| opts.only.as_deref().is_none_or(|o| o == name);
 
     // The interprocedural workspace: function index + call graph + effect
-    // summaries, shared by the persist-ordering, fence-budget and
-    // lock-order passes.
-    let ws_inputs: Vec<WsFile> =
-        files.iter().map(|f| WsFile { rel: f.rel.clone(), src: f.src.clone() }).collect();
+    // summaries, shared by the persist-ordering, fence-budget, lock-order
+    // and race-audit passes. Its row also carries the front end's parse
+    // time, so the rows sum to the whole analysis.
     let t0 = Instant::now();
-    let ws = Workspace::build(&ws_inputs);
-    passes.push(PassStat { name: "summaries", millis: t0.elapsed().as_millis(), findings: 0 });
+    let ws = Workspace::build(src);
+    let millis = (src.parse_time + t0.elapsed()).as_millis();
+    passes.push(PassStat { name: "summaries", millis, findings: 0 });
 
     let mut timed = |name: &'static str,
                      findings: &mut Vec<Finding>,
@@ -492,8 +427,8 @@ pub fn run(root: &Path, opts: &Options) -> Report {
     // Pass 1: facade discipline.
     if enabled("facade") {
         timed("facade", &mut findings, &mut |findings| {
-            for sf in files.iter().filter(|f| in_dirs(&f.rel, FACADE_DIRS)) {
-                for (line, msg) in text::check_facade(&sf.src, sf.stripped(), sf.test_spans()) {
+            for sf in src.in_dirs(FACADE_DIRS) {
+                for (line, msg) in sites::check_facade(sf) {
                     findings.push(Finding {
                         check: "facade",
                         file: sf.rel.clone(),
@@ -509,8 +444,8 @@ pub fn run(root: &Path, opts: &Options) -> Report {
     // Pass 2: SAFETY comments (whole workspace).
     if enabled("safety-comment") {
         timed("safety-comment", &mut findings, &mut |findings| {
-            for sf in &files {
-                for (line, msg) in text::check_safety_comments(&sf.src, sf.stripped()) {
+            for sf in &src.files {
+                for (line, msg) in sites::check_safety_comments(sf) {
                     findings.push(Finding {
                         check: "safety-comment",
                         file: sf.rel.clone(),
@@ -535,7 +470,7 @@ pub fn run(root: &Path, opts: &Options) -> Report {
                         file: ws.fn_rel(i).to_string(),
                         line: exit.write_line,
                         symbol: String::new(),
-                        msg: exit.describe(&info.name),
+                        msg: exit.describe(info.item.name),
                     });
                 }
             }
@@ -546,11 +481,7 @@ pub fn run(root: &Path, opts: &Options) -> Report {
     let mut blessed = Vec::new();
     if enabled("pm-layout") {
         timed("pm-layout", &mut findings, &mut |findings| {
-            let mut all = Vec::new();
-            for sf in &files {
-                all.extend(layout::structs(&sf.rel, sf.trees()));
-            }
-            let (pm, layout_findings) = layout::audit(&all);
+            let (pm, layout_findings) = layout::audit(src);
             for f in layout_findings {
                 findings.push(Finding {
                     check: "pm-layout",
@@ -591,14 +522,14 @@ pub fn run(root: &Path, opts: &Options) -> Report {
     // Pass 5: atomic-ordering audit.
     if enabled("atomic-ordering") {
         timed("atomic-ordering", &mut findings, &mut |findings| {
-            for sf in files.iter().filter(|f| in_dirs(&f.rel, ORDERING_DIRS)) {
-                for f in ordering::check_relaxed(&sf.src, sf.stripped(), sf.test_spans()) {
+            for sf in src.in_dirs(ORDERING_DIRS) {
+                for (line, msg) in sites::check_relaxed(sf) {
                     findings.push(Finding {
                         check: "atomic-ordering",
                         file: sf.rel.clone(),
-                        line: f.line,
+                        line,
                         symbol: String::new(),
-                        msg: f.msg,
+                        msg,
                     });
                 }
             }
@@ -741,7 +672,7 @@ pub fn run(root: &Path, opts: &Options) -> Report {
     }
 
     let mut report =
-        Report { findings, passes, suppressed, baselined, files: files.len(), blessed };
+        Report { findings, passes, suppressed, baselined, files: src.files.len(), blessed };
 
     // Bless the baseline last: it records the post-suppression report, with
     // timings zeroed so re-blessing an unchanged workspace is a no-op diff.
@@ -857,6 +788,7 @@ pub fn render_json(r: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{read_workspace, SrcFile};
 
     #[test]
     fn civil_dates_map_to_epoch_days() {
@@ -927,5 +859,99 @@ mod tests {
         let keys = baseline_keys(&json);
         assert_eq!(keys.len(), 1);
         assert_eq!(keys[0], finding_key(&r.findings[0]));
+    }
+
+    /// One known-bad edit of a real workspace file.
+    struct Seed {
+        check: &'static str,
+        file: &'static str,
+        /// Text occurring once in `file` …
+        find: &'static str,
+        /// … replaced by this, with the same number of lines.
+        replace: &'static str,
+        /// Text (after the edit) occurring first on the line the finding must name.
+        at: &'static str,
+    }
+
+    const SEEDS: &[Seed] = &[
+        Seed {
+            check: "safety-comment",
+            file: "crates/pmem/src/txn.rs",
+            find: "// SAFETY: targets were valid when logged",
+            replace: "// targets were valid when logged",
+            at: "unsafe {\n            let old = pool.bytes(rec + 16, len).to_vec();",
+        },
+        Seed {
+            check: "facade",
+            file: "crates/pmem/src/txn.rs",
+            find: "fn rollback(&mut self) {",
+            replace: "fn rollback(&mut self) { let _ = std::thread::current();",
+            at: "std::thread::current()",
+        },
+        Seed {
+            check: "persist-ordering",
+            file: "crates/pmem/src/txn.rs",
+            find: "self.pool.write_u64(off, val);\n        self.pool.persist(off, 8);",
+            replace: "self.pool.write_u64(off, val);\n",
+            at: "self.pool.write_u64(off, val);",
+        },
+        Seed {
+            check: "pm-layout",
+            file: "crates/vhistory/src/slots.rs",
+            find: "    pub crc: AtomicU64,\n    pub done: AtomicU64,\n",
+            replace: "    pub done: AtomicU64,\n    pub crc: AtomicU64,\n",
+            at: "pub struct Entry {",
+        },
+        Seed {
+            check: "atomic-ordering",
+            file: "crates/pmem/src/txn.rs",
+            find: "fn rollback(&mut self) {",
+            replace: "fn rollback(&mut self) { let _ = Ordering::Relaxed;",
+            at: "fn rollback(&mut self) {",
+        },
+        Seed {
+            check: "fence-budget",
+            file: "crates/pmem/src/txn.rs",
+            find: "self.committed = true;",
+            replace: "self.pool.fence(); self.committed = true;",
+            at: "pub fn commit(mut self) {",
+        },
+        Seed {
+            check: "lock-order",
+            file: "crates/obs/src/imp.rs",
+            find: "let gauges = self.gauges.lock();",
+            replace: "let gauges = self.gauges.lock(); fence();",
+            at: "let gauges = self.gauges.lock();",
+        },
+        Seed {
+            check: "race-audit",
+            file: "crates/pmem/src/alloc.rs",
+            find: "fn mark_allocated(&self, pool: &PmemPool, payload_off: u64) {",
+            replace: "fn mark_allocated(&self, pool: &PmemPool, payload_off: u64) { self.shards = Box::new([]);",
+            at: "fn mark_allocated(",
+        },
+    ];
+
+    /// The equivalence oracle for analyzer refactors: the workspace itself
+    /// has zero findings, so each pass is shown one in-memory defect in a
+    /// real file and must be the only pass to report it, at that line.
+    #[test]
+    fn each_seeded_defect_is_reported_by_exactly_its_pass() {
+        let root = crate::repo_root();
+        let files = read_workspace(&root);
+        let mut src = Source::parse(files.clone());
+        for seed in SEEDS {
+            let i = files.iter().position(|(rel, _)| rel == seed.file).expect(seed.file);
+            let clean = &files[i].1;
+            assert_eq!(clean.matches(seed.find).count(), 1, "{}: `{}`", seed.file, seed.find);
+            let bad = clean.replace(seed.find, seed.replace);
+            let line = 1 + bad[..bad.find(seed.at).expect(seed.at)].matches('\n').count() as u32;
+            src.files[i] = SrcFile::parse(seed.file.to_string(), bad);
+            let report = run_on(&root, &src, &Options::default());
+            let got: Vec<_> =
+                report.findings.iter().map(|f| (f.check, f.file.as_str(), f.line)).collect();
+            assert_eq!(got, [(seed.check, seed.file, line)], "{:#?}", report.findings);
+            src.files[i] = SrcFile::parse(seed.file.to_string(), clean.clone());
+        }
     }
 }

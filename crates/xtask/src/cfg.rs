@@ -33,7 +33,8 @@
 //! obligation — a panic is equivalent to a crash, which recovery already
 //! handles.
 
-use crate::lexer::{Tree, TokKind};
+use crate::lexer::{until_brace, Tree, TokKind};
+use crate::source::{FnItem, SrcFile};
 
 /// Names treated as dirtying persistent memory when called.
 const DIRTY_CALLS: &[&str] = &["write_u64", "write_bytes"];
@@ -160,139 +161,29 @@ pub enum Node {
     Continue,
 }
 
-/// One analyzed function.
-pub struct FnInfo {
-    pub name: String,
-    /// The `impl`/`trait` type this fn is defined on, when any.
-    pub owner: Option<String>,
+/// One analyzed function: the front end's item plus what this layer derives
+/// from its signature and body.
+pub struct FnInfo<'a> {
+    pub item: FnItem<'a>,
     /// Uppercase type idents appearing in the return type (`Self` mapped to
     /// the owner). Used to resolve `recv.method(…)` through getter returns.
     pub ret_idents: Vec<String>,
-    /// Byte offset of the `fn` keyword (for `#[cfg(test)]` span filtering).
-    pub off: usize,
-    /// Source line of the `fn` keyword.
-    pub line: u32,
     /// Last source line of the body (for implicit-exit reporting).
     pub end_line: u32,
     pub body: Node,
 }
 
-// ---------------------------------------------------------------------------
-// Function discovery
-// ---------------------------------------------------------------------------
-
-/// Finds every `fn` with a body, at any nesting depth (impls, mods, nested
-/// fns), threading the `impl`/`trait` owner type down to each function.
-pub fn functions(trees: &[Tree]) -> Vec<FnInfo> {
-    let mut out = Vec::new();
-    collect_fns(trees, None, &mut out);
-    out
-}
-
-fn collect_fns(trees: &[Tree], owner: Option<&str>, out: &mut Vec<FnInfo>) {
-    let mut i = 0;
-    while i < trees.len() {
-        match trees[i].ident() {
-            Some("impl") => {
-                let (body_at, body) = until_brace(trees, i + 1);
-                if let Some(g) = body {
-                    let ty = impl_header(&trees[i + 1..body_at]);
-                    collect_fns(&g.trees, ty.as_deref(), out);
-                    i = body_at + 1;
-                    continue;
-                }
-                i = body_at;
-                continue;
-            }
-            Some("trait") => {
-                let name = trees.get(i + 1).and_then(Tree::ident).map(str::to_string);
-                let (body_at, body) = until_brace(trees, i + 1);
-                if let Some(g) = body {
-                    // Default method bodies resolve `Self` to the trait name.
-                    collect_fns(&g.trees, name.as_deref(), out);
-                    i = body_at + 1;
-                    continue;
-                }
-                i = body_at;
-                continue;
-            }
-            Some("fn") => {
-                if let Some(name) = trees.get(i + 1).and_then(Tree::ident) {
-                    let name = name.to_string();
-                    let off = trees[i].off();
-                    let line = trees[i].line();
-                    // Body: first `{` group before a `;` at this level.
-                    let mut j = i + 2;
-                    let mut body = None;
-                    while j < trees.len() {
-                        match &trees[j] {
-                            Tree::Group(g) if g.delim == '{' => {
-                                body = Some(g);
-                                break;
-                            }
-                            Tree::Leaf(t) if t.kind == TokKind::Punct && t.text == ";" => break,
-                            _ => j += 1,
-                        }
-                    }
-                    if let Some(g) = body {
-                        out.push(FnInfo {
-                            ret_idents: ret_idents(&trees[i + 2..j], owner),
-                            name,
-                            owner: owner.map(str::to_string),
-                            off,
-                            line,
-                            end_line: body_end_line(&g.trees).max(g.line),
-                            body: parse_seq(&g.trees),
-                        });
-                        // Nested fns inside the body carry no owner.
-                        collect_fns(&g.trees, None, out);
-                        i = j + 1;
-                        continue;
-                    }
-                    i = j;
-                    continue;
-                }
-            }
-            _ => {}
-        }
-        if let Tree::Group(g) = &trees[i] {
-            collect_fns(&g.trees, None, out);
-        }
-        i += 1;
-    }
-}
-
-/// Extracts the implemented type from an `impl` header (the tokens between
-/// `impl` and the body brace): the first uppercase ident at angle-bracket
-/// depth 0, taking the one after `for` when the impl is a trait impl.
-fn impl_header(trees: &[Tree]) -> Option<String> {
-    let mut depth = 0i32;
-    let mut ty: Option<String> = None;
-    for t in trees {
-        if let Some(p) = t.punct() {
-            match p {
-                "<" => depth += 1,
-                "<<" => depth += 2,
-                ">" => depth -= 1,
-                ">>" => depth -= 2,
-                _ => {}
-            }
-            continue;
-        }
-        if depth != 0 {
-            continue;
-        }
-        if let Some(id) = t.ident() {
-            if id == "for" {
-                ty = None; // trait impl: the implemented type follows
-            } else if id == "where" {
-                break;
-            } else if ty.is_none() && id.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                ty = Some(id.to_string());
-            }
-        }
-    }
-    ty
+/// Lowers every non-test `fn` of `file` to its CFG.
+pub fn functions(file: &SrcFile) -> Vec<FnInfo<'_>> {
+    file.fns()
+        .into_iter()
+        .map(|item| FnInfo {
+            ret_idents: ret_idents(item.sig, item.owner),
+            end_line: body_end_line(&item.body.trees).max(item.body.line),
+            body: parse_seq(&item.body.trees),
+            item,
+        })
+        .collect()
 }
 
 /// Collects the uppercase type idents in a fn signature's return type
@@ -430,7 +321,7 @@ fn parse_one(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
             }
             _ if ITEM_KEYWORDS.contains(&kw) => {
                 // Skip the whole nested item: through its body group or `;`.
-                // (Nested fns are still discovered by collect_fns.)
+                // (Nested fns are still discovered by `SrcFile::fns`.)
                 let mut j = i + 1;
                 while j < trees.len() {
                     match &trees[j] {
@@ -748,21 +639,6 @@ fn parse_closure(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
     }
     nodes.push(Node::Loop(Box::new(Node::Seq(body))));
     j
-}
-
-/// Returns (index of the body group, the group) scanning from `from`: the
-/// first `{` group at this level. Everything before it is the header.
-fn until_brace(trees: &[Tree], from: usize) -> (usize, Option<&crate::lexer::Group>) {
-    let mut j = from;
-    while j < trees.len() {
-        if let Tree::Group(g) = &trees[j] {
-            if g.delim == '{' {
-                return (j, Some(g));
-            }
-        }
-        j += 1;
-    }
-    (j, None)
 }
 
 fn parse_if(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
@@ -1097,7 +973,7 @@ fn exit_state(body: &Node, entry: St, oracle: &dyn CallOracle) -> St {
 
 /// Last line of a function body (for implicit-exit reporting): the max line
 /// of any token in it.
-pub fn body_end_line(trees: &[Tree]) -> u32 {
+fn body_end_line(trees: &[Tree]) -> u32 {
     fn walk(trees: &[Tree], max: &mut u32) {
         for t in trees {
             match t {
@@ -1117,7 +993,10 @@ pub fn body_end_line(trees: &[Tree]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::parse;
+
+    fn parse(src: &str) -> SrcFile {
+        SrcFile::parse("crates/demo/src/lib.rs".into(), src.into())
+    }
 
     fn analyze(src: &str) -> Vec<(String, Vec<DirtyExit>)> {
         let trees = parse(src);
@@ -1125,7 +1004,7 @@ mod tests {
             .into_iter()
             .map(|f| {
                 let exits = dirty_exits(&f.body, 9999);
-                (f.name, exits)
+                (f.item.name.to_string(), exits)
             })
             .collect()
     }
@@ -1538,14 +1417,14 @@ mod tests {
             fn free() -> Result<Vec<Entry>> { make() }",
         );
         let fns = functions(&trees);
-        let f = |n: &str| fns.iter().find(|f| f.name == n).unwrap();
-        assert_eq!(f("history").owner.as_deref(), Some("PSkipList"));
+        let f = |n: &str| fns.iter().find(|f| f.item.name == n).unwrap();
+        assert_eq!(f("history").item.owner, Some("PSkipList"));
         assert_eq!(f("history").ret_idents, vec!["History", "PHistory"]);
-        assert_eq!(f("plain").owner.as_deref(), Some("PSkipList"));
-        assert_eq!(f("fmt").owner.as_deref(), Some("Pool"), "trait impl owner is after `for`");
-        assert_eq!(f("ping").owner.as_deref(), Some("Service"));
+        assert_eq!(f("plain").item.owner, Some("PSkipList"));
+        assert_eq!(f("fmt").item.owner, Some("Pool"), "trait impl owner is after `for`");
+        assert_eq!(f("ping").item.owner, Some("Service"));
         assert_eq!(f("ping").ret_idents, vec!["Service"], "Self maps to the owner");
-        assert_eq!(f("free").owner, None);
+        assert_eq!(f("free").item.owner, None);
         assert_eq!(f("free").ret_idents, vec!["Result", "Vec", "Entry"]);
     }
 
@@ -1600,7 +1479,7 @@ mod tests {
         let trees = parse(src);
         let fns = functions(&trees);
         let t = |n: &str| {
-            transfer_of(&fns.iter().find(|f| f.name == n).unwrap().body, &NoOracle)
+            transfer_of(&fns.iter().find(|f| f.item.name == n).unwrap().body, &NoOracle)
         };
         assert_eq!(t("writes"), Transfer { dirty_when_clean: true, clean_when_dirty: false });
         assert_eq!(t("flushes"), Transfer { dirty_when_clean: false, clean_when_dirty: true });

@@ -175,7 +175,7 @@ pub fn compute(ws: &Workspace, specs: &[EntrySpec]) -> (Vec<EntryBudget>, Vec<Fe
             qual,
             note: spec.note,
             file: ws.fn_rel(i).to_string(),
-            line: ws.fn_info(i).line,
+            line: ws.fn_info(i).item.line,
             steady: s.steady,
             amortized: s.amortized,
         });
@@ -359,7 +359,8 @@ pub fn check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::{Count, WsFile, Workspace};
+    use crate::source::Source;
+    use crate::summary::{Count, Workspace};
 
     const SPECS: &[EntrySpec] = &[EntrySpec {
         id: "core::insert",
@@ -371,16 +372,14 @@ mod tests {
 
     const WL: &[WorkloadSpec] = &[WorkloadSpec { id: "crash_matrix_fences", fences: 251 }];
 
-    fn fixture_ws(helper_body: &str) -> Workspace {
-        Workspace::build(&[WsFile {
-            rel: "crates/core/src/engine.rs".into(),
-            src: format!(
-                "impl Engine {{
+    fn fixture_ws(helper_body: &str) -> Workspace<'static> {
+        let src = format!(
+            "impl Engine {{
                     fn insert(&self, p: &Pool) {{ p.write_u64(0, 1); p.persist(0, 8); self.publish(p); }}
                     fn publish(&self, p: &Pool) {{ {helper_body} }}
                 }}"
-            ),
-        }])
+        );
+        Workspace::build(Source::fixture(&[("crates/core/src/engine.rs", &src)]))
     }
 
     #[test]
@@ -486,10 +485,10 @@ mod tests {
 
     #[test]
     fn renamed_entry_point_is_a_finding() {
-        let ws = Workspace::build(&[WsFile {
-            rel: "crates/core/src/engine.rs".into(),
-            src: "impl Engine { fn insert_renamed(&self) {} }".into(),
-        }]);
+        let ws = Workspace::build(Source::fixture(&[(
+            "crates/core/src/engine.rs",
+            "impl Engine { fn insert_renamed(&self) {} }",
+        )]));
         let (budgets, errs) = compute(&ws, SPECS);
         assert!(budgets.is_empty());
         assert_eq!(errs.len(), 1);

@@ -22,7 +22,7 @@
 //! with `cargo run -p xtask -- analyze --bless`, which is the ritual that
 //! forces the "does this break `reopen()` compatibility?" conversation.
 
-use crate::lexer::{render_type, Tok, TokKind, Tree};
+use crate::source::{Source, StructItem};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -53,60 +53,41 @@ const FORBIDDEN_TYPES: &[&str] = &[
     "impl",
 ];
 
-#[derive(Debug, Clone)]
-pub struct StructDef {
-    pub name: String,
-    /// Repo-relative path of the defining file.
-    pub file: String,
-    /// Crate directory name (e.g. `vhistory`), parsed from the path.
-    pub krate: String,
-    pub line: u32,
-    /// Raw contents of `repr(…)` attributes, e.g. `["C"]`, `["transparent"]`.
-    pub reprs: Vec<String>,
-    /// Generic parameter names (lifetimes excluded), e.g. `["T"]`.
-    pub generics: Vec<String>,
-    /// `(field name, canonical type string)` in declaration order. Tuple
-    /// struct fields are named `0`, `1`, ….
-    pub fields: Vec<(String, String)>,
-    /// Uppercase-initial identifiers appearing in field types (candidate
-    /// workspace type references for transitive discovery).
-    pub referenced: Vec<String>,
-    pub marked_resident: bool,
-    /// True if the docs carry `expects-crc` — the struct must then declare
-    /// a `crc`-named field.
-    pub expects_crc: bool,
-    /// `Some(reason)` if the docs carry `pm-layout-exempt(reason)`.
-    pub exempt: Option<String>,
+/// `Some(reason)` if the struct's docs carry `pm-layout-exempt(reason)`.
+fn exempt(d: &StructItem) -> Option<&str> {
+    let rest = &d.docs[d.docs.find(EXEMPT_MARKER)? + EXEMPT_MARKER.len()..];
+    Some(rest.split(')').next().unwrap_or(""))
 }
 
-impl StructDef {
-    /// The canonical shape string that gets hashed. Field order, types,
-    /// repr and generics all participate; file/line do not (moving a struct
-    /// is not a layout change).
-    pub fn shape(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(s, "struct {}", self.name);
-        if !self.generics.is_empty() {
-            let _ = write!(s, "<{}>", self.generics.join(","));
-        }
-        let repr = if self.reprs.is_empty() { "Rust".to_string() } else { self.reprs.join(",") };
-        let _ = write!(s, " repr({repr})");
-        for (n, t) in &self.fields {
-            let _ = write!(s, " {n}:{t}");
-        }
-        s
-    }
+fn repr(d: &StructItem) -> String {
+    if d.reprs.is_empty() { "Rust".to_string() } else { d.reprs.join(",") }
+}
 
-    pub fn fingerprint(&self) -> String {
-        format!("{:016x}", fnv1a(self.shape().as_bytes()))
+/// The canonical shape string that gets hashed. Field order, types, repr
+/// and generics all participate; file/line do not (moving a struct is not a
+/// layout change).
+fn shape(d: &StructItem) -> String {
+    let mut s = String::new();
+    let _ = write!(s, "struct {}", d.name);
+    if !d.generics.is_empty() {
+        let _ = write!(s, "<{}>", d.generics.join(","));
     }
+    let _ = write!(s, " repr({})", repr(d));
+    for (n, t) in &d.fields {
+        let _ = write!(s, " {n}:{t}");
+    }
+    s
+}
 
-    fn has_stable_repr(&self) -> bool {
-        self.reprs.iter().any(|r| {
-            let head = r.split(',').next().unwrap_or("").trim();
-            head == "C" || head == "transparent" || head.starts_with("u") || head.starts_with("i")
-        })
-    }
+fn fingerprint(d: &StructItem) -> String {
+    format!("{:016x}", fnv1a(shape(d).as_bytes()))
+}
+
+fn has_stable_repr(d: &StructItem) -> bool {
+    d.reprs.iter().any(|r| {
+        let head = r.split(',').next().unwrap_or("").trim();
+        head == "C" || head == "transparent" || head.starts_with("u") || head.starts_with("i")
+    })
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -116,278 +97,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-// ---------------------------------------------------------------------------
-// Struct discovery
-// ---------------------------------------------------------------------------
-
-/// Extracts every struct definition from a parsed file.
-pub fn structs(file: &str, trees: &[Tree]) -> Vec<StructDef> {
-    let krate = file
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("root")
-        .to_string();
-    let mut out = Vec::new();
-    walk(trees, file, &krate, &mut out);
-    out
-}
-
-fn walk(trees: &[Tree], file: &str, krate: &str, out: &mut Vec<StructDef>) {
-    let mut docs: Vec<String> = Vec::new();
-    let mut attrs: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < trees.len() {
-        match &trees[i] {
-            Tree::Leaf(Tok { kind: TokKind::Doc, text, .. }) => {
-                docs.push(text.clone());
-                i += 1;
-            }
-            Tree::Leaf(t) if t.kind == TokKind::Punct && t.text == "#" => {
-                // #[…] outer attribute (or #![…] inner — skipped the same way).
-                let mut j = i + 1;
-                if trees.get(j).and_then(Tree::punct) == Some("!") {
-                    j += 1;
-                }
-                if let Some(Tree::Group(g)) = trees.get(j) {
-                    if g.delim == '[' {
-                        attrs.push(render_type(&g.trees));
-                        i = j + 1;
-                        continue;
-                    }
-                }
-                i += 1;
-            }
-            Tree::Leaf(t) if t.kind == TokKind::Ident && t.text == "pub" => {
-                // May be followed by a (crate)/(super) qualifier group.
-                if trees.get(i + 1).and_then(Tree::group).is_some_and(|g| g.delim == '(') {
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-            }
-            Tree::Leaf(t) if t.kind == TokKind::Ident && t.text == "struct" => {
-                let (def, next) = parse_struct(trees, i, file, krate, &docs, &attrs);
-                if let Some(d) = def {
-                    out.push(d);
-                }
-                docs.clear();
-                attrs.clear();
-                i = next;
-            }
-            Tree::Group(g) => {
-                docs.clear();
-                attrs.clear();
-                if g.delim == '{' {
-                    walk(&g.trees, file, krate, out);
-                }
-                i += 1;
-            }
-            _ => {
-                docs.clear();
-                attrs.clear();
-                i += 1;
-            }
-        }
-    }
-}
-
-fn parse_struct(
-    trees: &[Tree],
-    i: usize,
-    file: &str,
-    krate: &str,
-    docs: &[String],
-    attrs: &[String],
-) -> (Option<StructDef>, usize) {
-    let Some(Tree::Leaf(name_tok)) = trees.get(i + 1) else { return (None, i + 1) };
-    if name_tok.kind != TokKind::Ident {
-        return (None, i + 1);
-    }
-    let mut j = i + 2;
-    // Generics: `<` … matching `>` at angle-depth 0. `>>` closes two.
-    let mut generics = Vec::new();
-    if trees.get(j).and_then(Tree::punct) == Some("<") {
-        let mut depth = 1i32;
-        j += 1;
-        while j < trees.len() && depth > 0 {
-            match &trees[j] {
-                Tree::Leaf(t) if t.kind == TokKind::Punct => match t.text.as_str() {
-                    "<" => depth += 1,
-                    ">" => depth -= 1,
-                    ">>" => depth -= 2,
-                    _ => {}
-                },
-                Tree::Leaf(t)
-                    if t.kind == TokKind::Ident
-                        && depth == 1
-                        && t.text.chars().next().is_some_and(char::is_uppercase) =>
-                {
-                    // Parameter names at the top level (bounds are deeper
-                    // only syntactically after `:`, but collecting extra
-                    // names is harmless — they only widen the "not a
-                    // workspace reference" set).
-                    generics.push(t.text.clone());
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    // Skip a `where` clause if present (fields group follows it).
-    // Body: `{…}` named, `(…)` tuple, or `;` unit.
-    let mut fields = Vec::new();
-    let mut referenced = Vec::new();
-    loop {
-        match trees.get(j) {
-            Some(Tree::Group(g)) if g.delim == '{' => {
-                parse_named_fields(&g.trees, &mut fields, &mut referenced);
-                j += 1;
-                break;
-            }
-            Some(Tree::Group(g)) if g.delim == '(' => {
-                parse_tuple_fields(&g.trees, &mut fields, &mut referenced);
-                j += 1;
-                break;
-            }
-            Some(Tree::Leaf(t)) if t.kind == TokKind::Punct && t.text == ";" => {
-                j += 1;
-                break;
-            }
-            Some(_) => j += 1,
-            None => break,
-        }
-    }
-    let doc_all = docs.join("\n");
-    let reprs = attrs
-        .iter()
-        .filter_map(|a| {
-            let a = a.trim();
-            a.strip_prefix("repr(").and_then(|r| r.strip_suffix(')')).map(str::to_string)
-        })
-        .collect();
-    let exempt = doc_all.find(EXEMPT_MARKER).map(|p| {
-        let rest = &doc_all[p + EXEMPT_MARKER.len()..];
-        rest.split(')').next().unwrap_or("").to_string()
-    });
-    (
-        Some(StructDef {
-            name: name_tok.text.clone(),
-            file: file.to_string(),
-            krate: krate.to_string(),
-            line: name_tok.line,
-            reprs,
-            generics,
-            fields,
-            referenced,
-            marked_resident: doc_all.contains(RESIDENT_MARKER),
-            expects_crc: doc_all.contains(EXPECTS_CRC_MARKER),
-            exempt,
-        }),
-        j,
-    )
-}
-
-fn parse_named_fields(
-    trees: &[Tree],
-    fields: &mut Vec<(String, String)>,
-    referenced: &mut Vec<String>,
-) {
-    for chunk in split_top_commas(trees) {
-        let chunk = strip_field_prefix(chunk);
-        // name : type…
-        let Some(colon) = chunk.iter().position(|t| t.punct() == Some(":")) else { continue };
-        if colon == 0 {
-            continue;
-        }
-        let Some(name) = chunk[colon - 1].ident() else { continue };
-        let ty = &chunk[colon + 1..];
-        fields.push((name.to_string(), render_type(ty)));
-        collect_refs(ty, referenced);
-    }
-}
-
-fn parse_tuple_fields(
-    trees: &[Tree],
-    fields: &mut Vec<(String, String)>,
-    referenced: &mut Vec<String>,
-) {
-    for (idx, chunk) in split_top_commas(trees).into_iter().enumerate() {
-        let ty = strip_field_prefix(chunk);
-        if ty.is_empty() {
-            continue;
-        }
-        fields.push((idx.to_string(), render_type(ty)));
-        collect_refs(ty, referenced);
-    }
-}
-
-/// Drops leading docs/attributes/visibility from a field chunk.
-fn strip_field_prefix(mut chunk: &[Tree]) -> &[Tree] {
-    loop {
-        match chunk.first() {
-            Some(Tree::Leaf(t)) if t.kind == TokKind::Doc => chunk = &chunk[1..],
-            Some(Tree::Leaf(t)) if t.kind == TokKind::Punct && t.text == "#" => {
-                if chunk.get(1).and_then(Tree::group).is_some_and(|g| g.delim == '[') {
-                    chunk = &chunk[2..];
-                } else {
-                    chunk = &chunk[1..];
-                }
-            }
-            Some(Tree::Leaf(t)) if t.kind == TokKind::Ident && t.text == "pub" => {
-                if chunk.get(1).and_then(Tree::group).is_some_and(|g| g.delim == '(') {
-                    chunk = &chunk[2..];
-                } else {
-                    chunk = &chunk[1..];
-                }
-            }
-            _ => return chunk,
-        }
-    }
-}
-
-fn split_top_commas(trees: &[Tree]) -> Vec<&[Tree]> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    // Angle-bracket depth: commas inside `Foo<A, B>` are not field
-    // separators.
-    let mut angle = 0i32;
-    for (i, t) in trees.iter().enumerate() {
-        if let Some(p) = t.punct() {
-            match p {
-                "<" => angle += 1,
-                ">" => angle = (angle - 1).max(0),
-                ">>" => angle = (angle - 2).max(0),
-                "," if angle == 0 => {
-                    out.push(&trees[start..i]);
-                    start = i + 1;
-                }
-                _ => {}
-            }
-        }
-    }
-    if start < trees.len() {
-        out.push(&trees[start..]);
-    }
-    out
-}
-
-/// Collects uppercase-initial identifiers in a type position (possible
-/// workspace struct references).
-fn collect_refs(trees: &[Tree], out: &mut Vec<String>) {
-    for t in trees {
-        match t {
-            Tree::Leaf(tok)
-                if tok.kind == TokKind::Ident
-                    && tok.text.chars().next().is_some_and(char::is_uppercase) =>
-            {
-                out.push(tok.text.clone());
-            }
-            Tree::Group(g) => collect_refs(&g.trees, out),
-            _ => {}
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -402,21 +111,23 @@ pub struct LayoutFinding {
 }
 
 /// Computes the PM-resident set (marker seeds + transitive field
-/// references) and checks the layout rules. Returns `(pm set sorted by
-/// name, rule findings)`.
-pub fn audit(all: &[StructDef]) -> (Vec<StructDef>, Vec<LayoutFinding>) {
-    let mut by_name: BTreeMap<&str, Vec<&StructDef>> = BTreeMap::new();
-    for d in all {
+/// references) over every struct of the workspace and checks the layout
+/// rules. Returns `(pm set sorted by name, rule findings)`.
+pub fn audit(src: &Source) -> (Vec<&StructItem>, Vec<LayoutFinding>) {
+    let all: Vec<&StructItem> = src.files.iter().flat_map(|f| &f.structs).collect();
+    let mut by_name: BTreeMap<&str, Vec<&StructItem>> = BTreeMap::new();
+    for d in &all {
         by_name.entry(&d.name).or_default().push(d);
     }
-    let mut pm: BTreeMap<String, &StructDef> = BTreeMap::new();
-    let mut queue: Vec<&StructDef> = all.iter().filter(|d| d.marked_resident).collect();
+    let mut pm: BTreeMap<&str, &StructItem> = BTreeMap::new();
+    let mut queue: Vec<&StructItem> =
+        all.iter().copied().filter(|d| d.docs.contains(RESIDENT_MARKER)).collect();
     let mut findings = Vec::new();
     while let Some(d) = queue.pop() {
-        if pm.contains_key(&d.name) {
+        if pm.contains_key(d.name.as_str()) {
             continue;
         }
-        pm.insert(d.name.clone(), d);
+        pm.insert(&d.name, d);
         for r in &d.referenced {
             if KNOWN_LEAF.contains(&r.as_str()) || d.generics.iter().any(|g| g == r) {
                 continue;
@@ -445,7 +156,7 @@ pub fn audit(all: &[StructDef]) -> (Vec<StructDef>, Vec<LayoutFinding>) {
         }
     }
     for d in pm.values() {
-        if let Some(reason) = &d.exempt {
+        if let Some(reason) = exempt(d) {
             if reason.trim().is_empty() {
                 findings.push(LayoutFinding {
                     file: d.file.clone(),
@@ -459,7 +170,7 @@ pub fn audit(all: &[StructDef]) -> (Vec<StructDef>, Vec<LayoutFinding>) {
             }
             continue; // exempt from repr/field rules, still fingerprinted
         }
-        if !d.has_stable_repr() {
+        if !has_stable_repr(d) {
             findings.push(LayoutFinding {
                 file: d.file.clone(),
                 line: d.line,
@@ -472,7 +183,7 @@ pub fn audit(all: &[StructDef]) -> (Vec<StructDef>, Vec<LayoutFinding>) {
                 ),
             });
         }
-        if d.expects_crc && !d.fields.iter().any(|(n, _)| n.to_lowercase().contains("crc")) {
+        if d.docs.contains(EXPECTS_CRC_MARKER) && !d.fields.iter().any(|(n, _)| n.to_lowercase().contains("crc")) {
             findings.push(LayoutFinding {
                 file: d.file.clone(),
                 line: d.line,
@@ -501,8 +212,7 @@ pub fn audit(all: &[StructDef]) -> (Vec<StructDef>, Vec<LayoutFinding>) {
             }
         }
     }
-    let pm_sorted: Vec<StructDef> = pm.into_values().cloned().collect();
-    (pm_sorted, findings)
+    (pm.into_values().collect(), findings)
 }
 
 /// Returns the first forbidden construct appearing in a canonical type
@@ -547,7 +257,7 @@ fn type_idents(ty: &str) -> Vec<&str> {
 // ---------------------------------------------------------------------------
 
 /// Renders the golden file for the given PM set.
-pub fn render_lock(pm: &[StructDef]) -> String {
+pub fn render_lock(pm: &[&StructItem]) -> String {
     let mut s = String::new();
     s.push_str(
         "# pm_layout.lock — golden fingerprints of every PM-resident struct.\n\
@@ -560,18 +270,14 @@ pub fn render_lock(pm: &[StructDef]) -> String {
     for d in pm {
         let _ = writeln!(s, "type {}", d.name);
         let _ = writeln!(s, "  file {}", d.file);
-        let _ = writeln!(
-            s,
-            "  repr {}",
-            if d.reprs.is_empty() { "Rust".to_string() } else { d.reprs.join(",") }
-        );
+        let _ = writeln!(s, "  repr {}", repr(d));
         for (n, t) in &d.fields {
             let _ = writeln!(s, "  field {n}: {t}");
         }
-        if let Some(r) = &d.exempt {
+        if let Some(r) = exempt(d) {
             let _ = writeln!(s, "  exempt {r}");
         }
-        let _ = writeln!(s, "  fingerprint {}", d.fingerprint());
+        let _ = writeln!(s, "  fingerprint {}", fingerprint(d));
         s.push('\n');
     }
     s
@@ -601,7 +307,7 @@ pub fn parse_lock(text: &str) -> BTreeMap<String, (String, String)> {
 
 /// Compares the current PM set against the lock text. `lock` of `None`
 /// means the file does not exist yet.
-pub fn diff_lock(pm: &[StructDef], lock: Option<&str>) -> Vec<LayoutFinding> {
+pub fn diff_lock(pm: &[&StructItem], lock: Option<&str>) -> Vec<LayoutFinding> {
     let mut findings = Vec::new();
     let Some(lock) = lock else {
         if !pm.is_empty() {
@@ -632,7 +338,7 @@ pub fn diff_lock(pm: &[StructDef], lock: Option<&str>) -> Vec<LayoutFinding> {
                     d.name
                 ),
             }),
-            Some((fp, _)) if *fp != d.fingerprint() => findings.push(LayoutFinding {
+            Some((fp, _)) if *fp != fingerprint(d) => findings.push(LayoutFinding {
                 file: d.file.clone(),
                 line: d.line,
                 symbol: format!("type:{}", d.name),
@@ -641,9 +347,9 @@ pub fn diff_lock(pm: &[StructDef], lock: Option<&str>) -> Vec<LayoutFinding> {
                      (current shape: {}) — a reopened pool would misread this type; revert, \
                      or bump LAYOUT_VERSION and re-bless",
                     d.name,
-                    d.fingerprint(),
+                    fingerprint(d),
                     fp,
-                    d.shape()
+                    shape(d)
                 ),
             }),
             Some(_) => {}
@@ -668,10 +374,13 @@ pub fn diff_lock(pm: &[StructDef], lock: Option<&str>) -> Vec<LayoutFinding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::parse;
 
-    fn defs(src: &str) -> Vec<StructDef> {
-        structs("crates/demo/src/lib.rs", &parse(src))
+    fn defs(src: &str) -> &'static Source {
+        Source::fixture(&[("crates/demo/src/lib.rs", src)])
+    }
+
+    fn structs(src: &str) -> &'static [StructItem] {
+        &defs(src).files[0].structs
     }
 
     const GOOD: &str = "
@@ -682,9 +391,9 @@ mod tests {
 
     #[test]
     fn discovery_finds_marker_and_fields() {
-        let d = defs(GOOD);
+        let d = structs(GOOD);
         assert_eq!(d.len(), 1);
-        assert!(d[0].marked_resident);
+        assert!(d[0].docs.contains(RESIDENT_MARKER));
         assert_eq!(d[0].reprs, vec!["C"]);
         assert_eq!(
             d[0].fields,
@@ -699,8 +408,7 @@ mod tests {
     #[test]
     fn missing_repr_is_flagged() {
         let src = "/// pm-resident\npub struct Hdr { next: u64 }";
-        let all = defs(src);
-        let (pm, findings) = audit(&all);
+        let (pm, findings) = audit(defs(src));
         assert_eq!(pm.len(), 1);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].msg.contains("no stable repr"), "{}", findings[0].msg);
@@ -717,8 +425,7 @@ mod tests {
             ("usize", "usize"),
         ] {
             let src = format!("/// pm-resident\n#[repr(C)]\nstruct H {{ f: {ty} }}");
-            let all = defs(&src);
-            let (_, findings) = audit(&all);
+            let (_, findings) = audit(defs(&src));
             assert!(
                 findings.iter().any(|f| f.msg.contains(&format!("`{bad}`"))),
                 "{ty} should flag {bad}: {:?}",
@@ -734,7 +441,7 @@ mod tests {
             #[repr(C)]
             struct Rec { version: u64, value: u64, done: u64 }
         ";
-        let (_, findings) = audit(&defs(src));
+        let (_, findings) = audit(defs(src));
         assert_eq!(findings.len(), 1);
         assert!(findings[0].msg.contains("expects-crc"), "{}", findings[0].msg);
 
@@ -743,14 +450,14 @@ mod tests {
             #[repr(C)]
             struct Rec { version: u64, value: u64, crc: u64, done: u64 }
         ";
-        let (_, findings) = audit(&defs(src));
+        let (_, findings) = audit(defs(src));
         assert!(findings.is_empty(), "{:?}", findings.iter().map(|f| &f.msg).collect::<Vec<_>>());
     }
 
     #[test]
     fn u64_does_not_false_positive_as_usize() {
         let src = "/// pm-resident\n#[repr(C)]\nstruct H { a: u64, b: [u8;16] }";
-        let (_, findings) = audit(&defs(src));
+        let (_, findings) = audit(defs(src));
         assert!(findings.is_empty(), "{:?}", findings.iter().map(|f| &f.msg).collect::<Vec<_>>());
     }
 
@@ -762,8 +469,7 @@ mod tests {
             struct Root { head: Seg }
             struct Seg { cap: u64, data: Vec<u8> }
         ";
-        let all = defs(src);
-        let (pm, findings) = audit(&all);
+        let (pm, findings) = audit(defs(src));
         assert_eq!(pm.len(), 2, "Seg reached through Root's field");
         // Seg has no repr AND a Vec field.
         assert!(findings.iter().any(|f| f.msg.contains("no stable repr") && f.msg.contains("`Seg`")));
@@ -777,8 +483,7 @@ mod tests {
             #[repr(transparent)]
             pub struct PPtr<T> { off: u64, _marker: PhantomData<fn() -> T> }
         ";
-        let all = defs(src);
-        let (pm, findings) = audit(&all);
+        let (pm, findings) = audit(defs(src));
         assert_eq!(pm.len(), 1);
         assert!(findings.is_empty(), "{:?}", findings.iter().map(|f| &f.msg).collect::<Vec<_>>());
     }
@@ -786,27 +491,27 @@ mod tests {
     #[test]
     fn exempt_marker_skips_rules_but_requires_reason() {
         let src = "/// pm-resident pm-layout-exempt(recovery-only scratch, never reopened)\nstruct Scratch { v: Vec<u8> }";
-        let (_, findings) = audit(&defs(src));
+        let (_, findings) = audit(defs(src));
         assert!(findings.is_empty());
         let src2 = "/// pm-resident pm-layout-exempt()\nstruct Scratch { v: Vec<u8> }";
-        let (_, findings2) = audit(&defs(src2));
+        let (_, findings2) = audit(defs(src2));
         assert_eq!(findings2.len(), 1);
         assert!(findings2[0].msg.contains("empty rationale"));
     }
 
     #[test]
     fn lock_roundtrip_is_stable() {
-        let (pm, _) = audit(&defs(GOOD));
+        let (pm, _) = audit(defs(GOOD));
         let lock = render_lock(&pm);
         assert!(diff_lock(&pm, Some(&lock)).is_empty());
         // And parseable back to the same fingerprint.
         let parsed = parse_lock(&lock);
-        assert_eq!(parsed["Slot"].0, pm[0].fingerprint());
+        assert_eq!(parsed["Slot"].0, fingerprint(pm[0]));
     }
 
     #[test]
     fn field_reorder_changes_fingerprint_and_fails_lock() {
-        let (pm, _) = audit(&defs(GOOD));
+        let (pm, _) = audit(defs(GOOD));
         let lock = render_lock(&pm);
         // The same struct with `value` and `done` swapped — silent layout
         // drift that would misread every reopened pool image.
@@ -815,8 +520,8 @@ mod tests {
             #[repr(C)]
             pub struct Slot { pub version: AtomicU64, pub done: AtomicU64, pub value: AtomicU64 }
         ";
-        let (pm2, _) = audit(&defs(reordered));
-        assert_ne!(pm[0].fingerprint(), pm2[0].fingerprint());
+        let (pm2, _) = audit(defs(reordered));
+        assert_ne!(fingerprint(pm[0]), fingerprint(pm2[0]));
         let findings = diff_lock(&pm2, Some(&lock));
         assert_eq!(findings.len(), 1);
         assert!(findings[0].msg.contains("layout drift"), "{}", findings[0].msg);
@@ -824,19 +529,19 @@ mod tests {
 
     #[test]
     fn repr_removal_and_type_change_fail_lock() {
-        let (pm, _) = audit(&defs(GOOD));
+        let (pm, _) = audit(defs(GOOD));
         let lock = render_lock(&pm);
         let no_repr = "/// pm-resident\npub struct Slot { pub version: AtomicU64, pub value: AtomicU64, pub done: AtomicU64 }";
-        let (pm2, _) = audit(&defs(no_repr));
+        let (pm2, _) = audit(defs(no_repr));
         assert!(diff_lock(&pm2, Some(&lock)).iter().any(|f| f.msg.contains("layout drift")));
         let retyped = "/// pm-resident\n#[repr(C)]\npub struct Slot { pub version: u32, pub value: AtomicU64, pub done: AtomicU64 }";
-        let (pm3, _) = audit(&defs(retyped));
+        let (pm3, _) = audit(defs(retyped));
         assert!(diff_lock(&pm3, Some(&lock)).iter().any(|f| f.msg.contains("layout drift")));
     }
 
     #[test]
     fn missing_lock_and_new_type_are_reported() {
-        let (pm, _) = audit(&defs(GOOD));
+        let (pm, _) = audit(defs(GOOD));
         assert!(diff_lock(&pm, None)[0].msg.contains("missing"));
         let findings = diff_lock(&pm, Some("# empty\n"));
         assert!(findings[0].msg.contains("not in pm_layout.lock"));
@@ -849,7 +554,7 @@ mod tests {
     #[test]
     fn tuple_and_unit_structs_parse() {
         let src = "/// pm-resident opaque marker\n#[repr(C)]\npub struct Marker(());\nstruct Unit;";
-        let d = defs(src);
+        let d = structs(src);
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].fields, vec![("0".to_string(), "()".to_string())]);
         assert!(d[1].fields.is_empty());
@@ -859,9 +564,9 @@ mod tests {
     fn structs_inside_fn_bodies_and_mods_are_found() {
         let src = "mod inner { /// pm-resident\n #[repr(C)] struct Deep { x: u64 } }
                    fn f() { struct Local { v: Vec<u8> } }";
-        let d = defs(src);
+        let d = structs(src);
         assert_eq!(d.len(), 2);
-        assert!(d.iter().any(|s| s.name == "Deep" && s.marked_resident));
-        assert!(d.iter().any(|s| s.name == "Local" && !s.marked_resident));
+        assert!(d.iter().any(|s| s.name == "Deep" && s.docs.contains(RESIDENT_MARKER)));
+        assert!(d.iter().any(|s| s.name == "Local" && !s.docs.contains(RESIDENT_MARKER)));
     }
 }

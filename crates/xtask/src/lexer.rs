@@ -16,7 +16,9 @@
 //!
 //! Doc comments (`///`) are kept as [`TokKind::Doc`] tokens because the
 //! layout pass discovers PM-resident types through doc markers; all other
-//! comments are skipped.
+//! comments are skipped. The position of every `//` comment (doc or not) is
+//! reported beside the tokens, so the front end can answer "which comment
+//! sits on this line" without a second scan of the text.
 
 /// Token classification. `Ident` covers keywords too — the passes match on
 /// text where it matters.
@@ -58,6 +60,9 @@ pub struct Group {
     pub trees: Vec<Tree>,
     pub off: usize,
     pub line: u32,
+    /// Byte offset of the closing delimiter (`usize::MAX` when the group
+    /// runs to the end of the input unclosed).
+    pub end: usize,
 }
 
 impl Tree {
@@ -120,12 +125,20 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// What [`lex`] returns: the token stream, and `(line, byte offset)` of the
+/// `//` that opens each line comment.
+pub struct Lexed {
+    pub toks: Vec<Tok>,
+    pub comments: Vec<(u32, usize)>,
+}
+
 /// Lexes `src` into a flat token stream. Unterminated literals are tolerated
 /// (consumed to end of input) — the analyzer must never panic on weird but
 /// compiling source, and plain never panic on non-compiling source either.
-pub fn lex(src: &str) -> Vec<Tok> {
+pub fn lex(src: &str) -> Lexed {
     let mut lx = Lexer { b: src.as_bytes(), pos: 0, line: 1 };
     let mut out = Vec::new();
+    let mut comments = Vec::new();
     while lx.pos < lx.b.len() {
         let c = lx.b[lx.pos];
         let start = lx.pos;
@@ -139,6 +152,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
             b'/' if lx.peek(1) == b'/' => {
                 let is_doc = lx.peek(2) == b'/' && lx.peek(3) != b'/';
                 let end = memchr_newline(lx.b, lx.pos);
+                comments.push((line, start));
                 if is_doc {
                     let text = String::from_utf8_lossy(&lx.b[lx.pos + 3..end]).into_owned();
                     out.push(Tok { kind: TokKind::Doc, text, off: start, line });
@@ -314,7 +328,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
             }
         }
     }
-    out
+    Lexed { toks: out, comments }
 }
 
 fn memchr_newline(b: &[u8], from: usize) -> usize {
@@ -377,7 +391,14 @@ fn eat_raw_string(b: &[u8], mut i: usize) -> usize {
 /// are dropped; unclosed groups close at end of input (never panic on
 /// malformed source).
 pub fn build_trees(toks: Vec<Tok>) -> Vec<Tree> {
-    let mut stack: Vec<(char, usize, u32, Vec<Tree>)> = Vec::new();
+    /// An open group: delimiter, offset, line, and the siblings before it.
+    type Open = (char, usize, u32, Vec<Tree>);
+    fn close(stack: &mut Vec<Open>, cur: &mut Vec<Tree>, end: usize) {
+        let (delim, off, line, parent) = stack.pop().expect("caller checked the stack");
+        let trees = std::mem::replace(cur, parent);
+        cur.push(Tree::Group(Group { delim, trees, off, line, end }));
+    }
+    let mut stack: Vec<Open> = Vec::new();
     let mut cur: Vec<Tree> = Vec::new();
     for t in toks {
         if t.kind == TokKind::Punct {
@@ -396,9 +417,7 @@ pub fn build_trees(toks: Vec<Tok>) -> Vec<Tree> {
                     if let Some(pos) = stack.iter().rposition(|(d, ..)| *d == want) {
                         // Close any unclosed inner groups implicitly.
                         while stack.len() > pos {
-                            let (delim, off, line, parent) = stack.pop().unwrap();
-                            let trees = std::mem::replace(&mut cur, parent);
-                            cur.push(Tree::Group(Group { delim, trees, off, line }));
+                            close(&mut stack, &mut cur, t.off);
                         }
                     }
                     continue;
@@ -408,16 +427,25 @@ pub fn build_trees(toks: Vec<Tok>) -> Vec<Tree> {
         }
         cur.push(Tree::Leaf(t));
     }
-    while let Some((delim, off, line, parent)) = stack.pop() {
-        let trees = std::mem::replace(&mut cur, parent);
-        cur.push(Tree::Group(Group { delim, trees, off, line }));
+    while !stack.is_empty() {
+        close(&mut stack, &mut cur, usize::MAX);
     }
     cur
 }
 
-/// Convenience: lex + tree-build in one call.
-pub fn parse(src: &str) -> Vec<Tree> {
-    build_trees(lex(src))
+/// Returns (index of the body group, the group) scanning from `from`: the
+/// first `{` group at this level. Everything before it is the header.
+pub fn until_brace(trees: &[Tree], from: usize) -> (usize, Option<&Group>) {
+    let mut j = from;
+    while j < trees.len() {
+        if let Tree::Group(g) = &trees[j] {
+            if g.delim == '{' {
+                return (j, Some(g));
+            }
+        }
+        j += 1;
+    }
+    (j, None)
 }
 
 /// Renders a type-position token sequence to a canonical string: no spaces
@@ -462,8 +490,12 @@ fn render_into(trees: &[Tree], out: &mut String) {
 mod tests {
     use super::*;
 
+    fn parse(src: &str) -> Vec<Tree> {
+        build_trees(lex(src).toks)
+    }
+
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
+        lex(src).toks.into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
@@ -567,7 +599,7 @@ mod tests {
     #[test]
     fn offsets_and_lines_track_source() {
         let src = "let a = 1;\nlet b = \"x\ny\";\nlet c = 2;";
-        let toks = lex(src);
+        let toks = lex(src).toks;
         let c = toks.iter().find(|t| t.text == "c").unwrap();
         assert_eq!(c.line, 4, "multi-line string must advance the line counter");
         assert_eq!(&src[c.off..c.off + 1], "c");

@@ -16,7 +16,7 @@
 //!   callees) contains a cycle, i.e. a potential deadlock. A self-edge is
 //!   the degenerate case: re-acquiring a lock already held.
 //!
-//! Known blind spots, kept deliberately (documented in DESIGN.md §14):
+//! Known blind spots, kept deliberately (documented in DESIGN.md §11.7):
 //! guards stored into struct fields outlive the acquiring function and are
 //! only tracked inside it; locks taken by denylisted std methods or
 //! unresolvable trait/closure calls are invisible.
@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cfg::{Call, Node};
-use crate::ordering;
+use crate::sites::CLUSTER_LINES;
 use crate::summary::Workspace;
 
 /// Directories audited for lock discipline. `crates/sync` is excluded: it
@@ -57,9 +57,8 @@ struct Held {
 type Edges = BTreeMap<(String, String), (String, u32)>;
 
 struct Walker<'a> {
-    ws: &'a Workspace,
+    ws: &'a Workspace<'a>,
     f: usize,
-    lines: Vec<&'a str>,
     held: Vec<Held>,
     findings: Vec<LockFinding>,
     edges: Edges,
@@ -73,7 +72,6 @@ pub fn check(ws: &Workspace) -> Vec<LockFinding> {
         let mut w = Walker {
             ws,
             f,
-            lines: ws.fn_src(f).lines().collect(),
             held: Vec::new(),
             findings: Vec::new(),
             edges: Edges::new(),
@@ -178,26 +176,20 @@ impl Walker<'_> {
     }
 
     fn fence_event(&mut self) {
-        let file = self.ws.fn_rel(self.f).to_string();
-        let mut found = Vec::new();
-        for h in &mut self.held {
-            if h.flagged {
-                continue;
-            }
+        let file = self.ws.fn_file(self.f);
+        for h in self.held.iter_mut().filter(|h| !h.flagged) {
             h.flagged = true;
-            if !ordering::justified_by(&self.lines, h.line as usize - 1, "lock-order:") {
-                found.push((h.id.clone(), h.line));
+            if file.justification(h.line, "lock-order:", CLUSTER_LINES).is_none() {
+                self.findings.push((
+                    file.rel.clone(),
+                    h.line,
+                    format!(
+                        "lock '{}' held across an sfence; release the guard before fencing \
+                         or justify the acquisition with a `// lock-order:` comment",
+                        h.id
+                    ),
+                ));
             }
-        }
-        for (id, line) in found {
-            self.findings.push((
-                file.clone(),
-                line,
-                format!(
-                    "lock '{id}' held across an sfence; release the guard before fencing \
-                     or justify the acquisition with a `// lock-order:` comment"
-                ),
-            ));
         }
     }
 }
@@ -284,14 +276,10 @@ fn canon(cyc: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::WsFile;
+    use crate::source::Source;
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        let inputs: Vec<WsFile> = files
-            .iter()
-            .map(|(rel, src)| WsFile { rel: rel.to_string(), src: src.to_string() })
-            .collect();
-        Workspace::build(&inputs)
+    fn ws(files: &[(&str, &str)]) -> Workspace<'static> {
+        Workspace::build(Source::fixture(files))
     }
 
     #[test]

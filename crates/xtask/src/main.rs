@@ -3,7 +3,8 @@
 //! The main task is `analyze`: a multi-pass static analyzer built on a small
 //! hand-rolled Rust lexer and token-tree parser (no rustc plumbing, no
 //! dependencies — the workspace builds offline). See DESIGN.md §11 for the
-//! pass descriptions and `crates/xtask/src/analyze.rs` for the driver.
+//! front end and the pass descriptions, and `crates/xtask/src/analyze.rs`
+//! for the driver.
 //!
 //!   cargo run -p xtask -- analyze              # human-readable report
 //!   cargo run -p xtask -- analyze --json       # machine-readable (CI artifact)
@@ -13,10 +14,6 @@
 //!                                              # fail only on NEW findings (CI)
 //!   cargo run -p xtask -- explain <check-id>   # rule, rationale, escape hatch
 //!   cargo run -p xtask -- bench-diff OLD NEW   # jsonl-vs-jsonl perf delta table
-//!
-//! `lint` is kept as an alias for `analyze` so existing CI configs and
-//! muscle memory keep working during the transition from the PR 3
-//! line-scanner this analyzer replaced.
 
 mod analyze;
 mod benchdiff;
@@ -24,12 +21,11 @@ mod cfg;
 mod fences;
 mod layout;
 mod lexer;
-
 mod locks;
-mod ordering;
 mod races;
+mod sites;
+mod source;
 mod summary;
-mod text;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -46,7 +42,7 @@ const USAGE: &str = "usage: cargo run -p xtask -- analyze [--json] [--bless] [--
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("analyze") | Some("lint") => {
+        Some("analyze") => {
             let mut json = false;
             let mut opts = analyze::Options::default();
             let mut it = args[1..].iter();
@@ -162,7 +158,7 @@ fn main() -> ExitCode {
         }
         Some(other) => {
             eprintln!(
-                "xtask: unknown task `{other}` (available: analyze, lint, explain, bench-diff)\n{USAGE}"
+                "xtask: unknown task `{other}` (available: analyze, explain, bench-diff)\n{USAGE}"
             );
             ExitCode::FAILURE
         }

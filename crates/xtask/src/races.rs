@@ -32,7 +32,7 @@
 //! justifications that no longer silence anything are themselves findings,
 //! like stale suppressions.
 //!
-//! Known blind spots (documented in DESIGN.md §16): accesses through local
+//! Known blind spots (documented in DESIGN.md §11.7): accesses through local
 //! rebindings (`let e = self.entry(i); e.field`), cross-crate field
 //! attribution (fields resolve by name within their defining crate only),
 //! writes through raw-pointer arithmetic chains (`ptr.add(n).write(v)` —
@@ -43,11 +43,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cfg::{Call, Hint};
+use crate::layout::RESIDENT_MARKER;
 use crate::lexer::{self, Group, TokKind, Tree};
 use crate::locks::LOCK_DIRS;
-use crate::ordering;
+use crate::sites::CLUSTER_LINES;
+use crate::source::SrcFile;
 use crate::summary::Workspace;
-use crate::text;
 
 /// Crates audited for data races — the same set the lock-order pass walks.
 pub const RACE_DIRS: &[&str] = LOCK_DIRS;
@@ -147,7 +148,7 @@ struct Field {
 }
 
 #[derive(Default)]
-struct Inventory {
+struct Inventory<'a> {
     /// Fields of *shared* structs only.
     fields: Vec<Field>,
     /// Shared-struct field indices by (crate, field name) — the
@@ -161,67 +162,23 @@ struct Inventory {
     /// `thread_local!` statics per crate — the thread-confined domain.
     tls: BTreeSet<(String, String)>,
     /// `static mut` sites: (file, line, name). Always findings.
-    static_muts: Vec<(usize, u32, String)>,
+    static_muts: Vec<(&'a SrcFile, u32, String)>,
 }
 
-/// One audited file with its derived forms.
-struct FileCtx<'a> {
-    rel: &'a str,
-    krate: String,
-    lines: Vec<&'a str>,
-    /// Byte offset of each line start (test-span checks for comment lines).
-    line_off: Vec<usize>,
-    spans: Vec<(usize, usize)>,
-    trees: Vec<Tree>,
-}
-
-fn crate_of(rel: &str) -> String {
-    rel.strip_prefix("crates/").and_then(|r| r.split('/').next()).unwrap_or("root").to_string()
-}
-
-fn build_ctx<'a>(rel: &'a str, src: &'a str) -> FileCtx<'a> {
-    let stripped = text::strip(src);
-    let spans = text::test_spans(&stripped);
-    let mut line_off = vec![0usize];
-    for (i, b) in src.bytes().enumerate() {
-        if b == b'\n' {
-            line_off.push(i + 1);
-        }
-    }
-    FileCtx {
-        rel,
-        krate: crate_of(rel),
-        lines: src.lines().collect(),
-        line_off,
-        spans,
-        trees: lexer::parse(src),
-    }
-}
-
-/// Raw struct def gathered in the first inventory sweep.
-struct StructDef {
-    krate: String,
-    name: String,
-    pm_resident: bool,
-    /// (name, rendered type, line)
-    fields: Vec<(String, String, u32)>,
-}
-
-fn build_inventory(files: &[FileCtx]) -> Inventory {
+fn build_inventory<'a>(files: &[&'a SrcFile]) -> Inventory<'a> {
     let mut inv = Inventory::default();
-    let mut defs: Vec<StructDef> = Vec::new();
-    let mut unsafe_sync: BTreeSet<(String, String)> = BTreeSet::new();
-    for (fi, f) in files.iter().enumerate() {
-        sweep(&f.trees, fi, f, &mut defs, &mut unsafe_sync, &mut inv);
+    let mut unsafe_sync: BTreeSet<(&str, String)> = BTreeSet::new();
+    for f in files {
+        sweep(&f.trees, f, &mut unsafe_sync, &mut inv);
     }
-    for d in defs {
-        let shared = unsafe_sync.contains(&(d.krate.clone(), d.name.clone()))
-            || d.pm_resident
+    for d in files.iter().flat_map(|f| &f.structs).filter(|d| !d.test_only) {
+        let shared = unsafe_sync.contains(&(d.krate.as_str(), d.name.clone()))
+            || d.docs.contains(RESIDENT_MARKER)
             || d.fields
                 .iter()
-                .any(|(_, ty, _)| matches!(classify(ty), Kind::Atomic | Kind::Lock | Kind::Cell));
-        for (name, ty, _line) in d.fields {
-            let kind = classify(&ty);
+                .any(|(_, ty)| matches!(classify(ty), Kind::Atomic | Kind::Lock | Kind::Cell));
+        for (name, ty) in &d.fields {
+            let kind = classify(ty);
             if kind == Kind::Lock && ty.contains("RwLock<") {
                 inv.rwlocks.insert((d.krate.clone(), name.clone()));
             }
@@ -231,58 +188,28 @@ fn build_inventory(files: &[FileCtx]) -> Inventory {
             let idx = inv.fields.len();
             inv.fields.push(Field { owner: d.name.clone(), name: name.clone(), kind });
             inv.by_name.entry((d.krate.clone(), name.clone())).or_default().push(idx);
-            inv.by_owner.insert((d.krate.clone(), d.name.clone(), name), idx);
+            inv.by_owner.insert((d.krate.clone(), d.name.clone(), name.clone()), idx);
         }
     }
     inv
 }
 
-/// Recursive item sweep: struct defs, `unsafe impl Send/Sync`, statics,
-/// `thread_local!` blocks. Test spans are skipped by token offset.
-fn sweep(
+/// Recursive item sweep: `unsafe impl Send/Sync`, statics, `thread_local!`
+/// blocks (struct definitions come from the front end's item index). Test
+/// spans are skipped by token offset.
+fn sweep<'a>(
     trees: &[Tree],
-    fi: usize,
-    f: &FileCtx,
-    defs: &mut Vec<StructDef>,
-    unsafe_sync: &mut BTreeSet<(String, String)>,
-    inv: &mut Inventory,
+    f: &'a SrcFile,
+    unsafe_sync: &mut BTreeSet<(&'a str, String)>,
+    inv: &mut Inventory<'a>,
 ) {
     let mut i = 0;
     while i < trees.len() {
-        let in_test = text::in_spans(&f.spans, trees[i].off());
+        let in_test = f.in_test(trees[i].off());
         match trees[i].ident() {
-            Some("struct") if !in_test => {
-                if let Some(name) = trees.get(i + 1).and_then(Tree::ident) {
-                    let pm_resident = doc_marker(trees, i);
-                    let mut j = i + 2;
-                    let mut fields = Vec::new();
-                    while j < trees.len() {
-                        match &trees[j] {
-                            Tree::Group(g) if g.delim == '{' => {
-                                fields = struct_fields(&g.trees, false);
-                                break;
-                            }
-                            Tree::Group(g) if g.delim == '(' => {
-                                fields = struct_fields(&g.trees, true);
-                                break;
-                            }
-                            Tree::Leaf(t) if t.text == ";" => break,
-                            _ => j += 1,
-                        }
-                    }
-                    defs.push(StructDef {
-                        krate: f.krate.clone(),
-                        name: name.to_string(),
-                        pm_resident,
-                        fields,
-                    });
-                    i = j + 1;
-                    continue;
-                }
-            }
             Some("unsafe") if !in_test && trees.get(i + 1).and_then(Tree::ident) == Some("impl") => {
                 if let Some(ty) = unsafe_impl_target(&trees[i + 2..]) {
-                    unsafe_sync.insert((f.krate.clone(), ty));
+                    unsafe_sync.insert((&f.krate, ty));
                 }
             }
             Some("thread_local") if trees.get(i + 1).and_then(|t| t.punct()) == Some("!") => {
@@ -301,7 +228,7 @@ fn sweep(
             Some("static") if !in_test => {
                 if trees.get(i + 1).and_then(Tree::ident) == Some("mut") {
                     if let Some(n) = trees.get(i + 2).and_then(Tree::ident) {
-                        inv.static_muts.push((fi, trees[i].line(), n.to_string()));
+                        inv.static_muts.push((f, trees[i].line(), n.to_string()));
                     }
                 } else if let Some(n) = trees.get(i + 1).and_then(Tree::ident) {
                     // RwLock statics feed `.read()`/`.write()` detection.
@@ -320,73 +247,11 @@ fn sweep(
         }
         if let Tree::Group(g) = &trees[i] {
             if g.delim == '{' {
-                sweep(&g.trees, fi, f, defs, unsafe_sync, inv);
+                sweep(&g.trees, f, unsafe_sync, inv);
             }
         }
         i += 1;
     }
-}
-
-/// True when a `/// … pm-resident …` doc block introduces the item at `i`
-/// (the same marker the pm-layout pass keys on).
-fn doc_marker(trees: &[Tree], i: usize) -> bool {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        match &trees[j] {
-            Tree::Leaf(t) if t.kind == TokKind::Doc => {
-                if t.text.contains("pm-resident") {
-                    return true;
-                }
-            }
-            Tree::Leaf(t) if t.kind == TokKind::Ident => continue, // pub, etc.
-            Tree::Leaf(t) if t.text == "#" => continue,
-            Tree::Group(g) if g.delim == '[' || g.delim == '(' => continue, // attrs, pub(crate)
-            _ => return false,
-        }
-    }
-    false
-}
-
-/// `(name, rendered type, line)` for each field of a struct body. Tuple
-/// structs name their fields by index.
-fn struct_fields(trees: &[Tree], tuple: bool) -> Vec<(String, String, u32)> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    let mut idx = 0usize;
-    for end in 0..=trees.len() {
-        let at_comma = end < trees.len() && trees[end].punct() == Some(",");
-        if !at_comma && end < trees.len() {
-            continue;
-        }
-        let mut part = &trees[start..end];
-        start = end + 1;
-        // Strip attributes, docs and visibility.
-        while let Some(first) = part.first() {
-            match first {
-                Tree::Leaf(t) if t.kind == TokKind::Doc => part = &part[1..],
-                Tree::Leaf(t) if t.text == "#" => part = &part[1..],
-                Tree::Group(g) if g.delim == '[' => part = &part[1..],
-                Tree::Leaf(t) if t.text == "pub" => part = &part[1..],
-                Tree::Group(g) if g.delim == '(' && part.len() > 1 => part = &part[1..],
-                _ => break,
-            }
-        }
-        if part.is_empty() {
-            continue;
-        }
-        if tuple {
-            out.push((idx.to_string(), lexer::render_type(part), part[0].line()));
-            idx += 1;
-            continue;
-        }
-        let Some(name) = part[0].ident() else { continue };
-        if part.get(1).and_then(|t| t.punct()) != Some(":") {
-            continue;
-        }
-        out.push((name.to_string(), lexer::render_type(&part[2..]), part[0].line()));
-    }
-    out
 }
 
 /// Target type of `unsafe impl … Send/Sync for X` (tokens after `impl`).
@@ -426,158 +291,16 @@ fn unsafe_impl_target(trees: &[Tree]) -> Option<String> {
     None
 }
 
-// ---------------------------------------------------------------------------
-// Function discovery (own walk: needs receiver kind + visibility, which the
-// cfg layer does not record)
-// ---------------------------------------------------------------------------
-
-struct RFn<'a> {
-    file: usize,
-    line: u32,
-    owner: Option<String>,
-    is_pub: bool,
-    /// `&mut self` or by-value `self` — the borrow checker serializes
-    /// every access through it (thread-confined domain).
-    exclusive_self: bool,
-    has_self: bool,
-    params: Vec<String>,
-    body: &'a Group,
-}
-
-fn collect_rfns<'a>(trees: &'a [Tree], owner: Option<&str>, fi: usize, f: &FileCtx, out: &mut Vec<RFn<'a>>) {
-    let mut i = 0;
-    while i < trees.len() {
-        match trees[i].ident() {
-            Some("impl") | Some("trait") => {
-                let kw = trees[i].ident();
-                let mut j = i + 1;
-                let mut body = None;
-                while j < trees.len() {
-                    match &trees[j] {
-                        Tree::Group(g) if g.delim == '{' => {
-                            body = Some(g);
-                            break;
-                        }
-                        Tree::Leaf(t) if t.text == ";" => break,
-                        _ => j += 1,
-                    }
-                }
-                if let Some(g) = body {
-                    let ty = if kw == Some("trait") {
-                        trees.get(i + 1).and_then(Tree::ident).map(str::to_string)
-                    } else {
-                        impl_target(&trees[i + 1..j])
-                    };
-                    collect_rfns(&g.trees, ty.as_deref(), fi, f, out);
-                }
-                i = j + 1;
-                continue;
-            }
-            Some("fn") => {
-                let off = trees[i].off();
-                let line = trees[i].line();
-                let mut j = i + 1;
-                let mut params: Option<&Group> = None;
-                let mut body = None;
-                while j < trees.len() {
-                    match &trees[j] {
-                        Tree::Group(g) if g.delim == '(' && params.is_none() => params = Some(g),
-                        Tree::Group(g) if g.delim == '{' => {
-                            body = Some(g);
-                            break;
-                        }
-                        Tree::Leaf(t) if t.text == ";" => break,
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if let (Some(p), Some(b)) = (params, body) {
-                    if !text::in_spans(&f.spans, off) {
-                        let (exclusive_self, has_self, names) = parse_params(p);
-                        out.push(RFn {
-                            file: fi,
-                            line,
-                            owner: owner.map(str::to_string),
-                            is_pub: is_pub(trees, i),
-                            exclusive_self,
-                            has_self,
-                            params: names,
-                            body: b,
-                        });
-                    }
-                    // Nested fns inside the body carry no owner.
-                    collect_rfns(&b.trees, None, fi, f, out);
-                }
-                i = j + 1;
-                continue;
-            }
-            Some("mod") => {
-                if let Some(Tree::Group(g)) = trees.get(i + 2) {
-                    if g.delim == '{' {
-                        collect_rfns(&g.trees, None, fi, f, out);
-                        i += 3;
-                        continue;
-                    }
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
-/// The implemented type: first uppercase ident at angle-depth 0, taking
-/// the one after `for` for trait impls (mirrors the cfg layer).
-fn impl_target(trees: &[Tree]) -> Option<String> {
-    let mut depth = 0i32;
-    let mut ty: Option<String> = None;
-    for t in trees {
-        if let Some(p) = t.punct() {
-            match p {
-                "<" => depth += 1,
-                "<<" => depth += 2,
-                ">" => depth -= 1,
-                ">>" => depth -= 2,
-                _ => {}
-            }
-            continue;
-        }
-        if depth != 0 {
-            continue;
-        }
-        match t.ident() {
-            Some("for") => ty = None,
-            Some("where") => break,
-            Some(id) if ty.is_none() && id.chars().next().is_some_and(|c| c.is_ascii_uppercase()) => {
-                ty = Some(id.to_string());
-            }
-            _ => {}
-        }
-    }
-    ty
-}
-
-fn is_pub(trees: &[Tree], fn_at: usize) -> bool {
-    let mut j = fn_at;
-    while j > 0 {
-        j -= 1;
-        match &trees[j] {
-            Tree::Leaf(t) if t.text == "pub" => return true,
-            Tree::Leaf(t) if matches!(t.text.as_str(), "const" | "unsafe" | "async" | "extern") => {}
-            Tree::Leaf(t) if t.kind == TokKind::Str || t.kind == TokKind::Doc => {}
-            Tree::Leaf(t) if t.text == "#" => {}
-            Tree::Group(g) if g.delim == '[' || g.delim == '(' => {}
-            _ => return false,
-        }
-    }
-    false
-}
-
-/// (exclusive receiver, has receiver, parameter names).
-fn parse_params(g: &Group) -> (bool, bool, Vec<String>) {
+/// Reads a fn signature's parameter list: (exclusive receiver — `&mut self`
+/// or by-value `self`, which the borrow checker serializes — and the
+/// parameter names).
+fn parse_params(sig: &[Tree]) -> (bool, Vec<String>) {
     let mut exclusive = false;
     let mut has_self = false;
     let mut names = Vec::new();
+    let Some(g) = sig.iter().filter_map(Tree::group).find(|g| g.delim == '(') else {
+        return (exclusive, names);
+    };
     let mut start = 0;
     for end in 0..=g.trees.len() {
         if end < g.trees.len() && g.trees[end].punct() != Some(",") {
@@ -608,7 +331,7 @@ fn parse_params(g: &Group) -> (bool, bool, Vec<String>) {
             }
         }
     }
-    (exclusive, has_self, names)
+    (exclusive, names)
 }
 
 // ---------------------------------------------------------------------------
@@ -623,9 +346,9 @@ enum Op {
     Method(String),
 }
 
-struct Access {
+struct Access<'a> {
     field: usize,
-    file: usize,
+    file: &'a SrcFile,
     line: u32,
     op: Op,
     exclusive: bool,
@@ -652,25 +375,24 @@ enum Head {
 }
 
 struct Walker<'a, 'b> {
-    fctx: &'a [FileCtx<'a>],
-    file: usize,
+    file: &'a SrcFile,
     fn_id: usize,
     owner: Option<&'a str>,
     exclusive_self: bool,
-    params: &'a [String],
-    inv: &'a Inventory,
+    params: &'b [String],
+    inv: &'b Inventory<'a>,
     locals: BTreeSet<String>,
     guards: BTreeMap<String, String>,
     held: Vec<(String, Option<String>)>,
     stmt_binding: Option<String>,
     stmt_bound: bool,
-    accesses: &'b mut Vec<Access>,
+    accesses: &'b mut Vec<Access<'a>>,
     calls: &'b mut Vec<CallRec>,
 }
 
-impl<'a, 'b> Walker<'a, 'b> {
+impl Walker<'_, '_> {
     fn krate(&self) -> &str {
-        &self.fctx[self.file].krate
+        &self.file.krate
     }
 
     fn held_ids(&self) -> BTreeSet<String> {
@@ -1119,46 +841,21 @@ fn skip_turbofish(trees: &[Tree], j: usize) -> usize {
 // The pass
 // ---------------------------------------------------------------------------
 
-pub fn check(ws: &Workspace) -> Vec<RaceFinding> {
-    let audited: Vec<(&str, &str)> = ws
-        .files()
-        .filter(|(rel, _)| RACE_DIRS.iter().any(|d| rel.starts_with(d)))
-        .collect();
-    let fctx: Vec<FileCtx> = audited.iter().map(|(rel, src)| build_ctx(rel, src)).collect();
-    let inv = build_inventory(&fctx);
-
-    let mut fns: Vec<RFn> = Vec::new();
-    for (fi, f) in fctx.iter().enumerate() {
-        collect_rfns(&f.trees, None, fi, f, &mut fns);
-    }
-
-    // Map our functions onto workspace indices by (file, fn-keyword line)
-    // so call sites resolve through the interprocedural call graph.
-    let mut ws_by: BTreeMap<(String, u32), usize> = BTreeMap::new();
-    for i in ws.fns_in(&[""]) {
-        ws_by.insert((ws.fn_rel(i).to_string(), ws.fn_info(i).line), i);
-    }
-    let fn_ws: Vec<Option<usize>> = fns
-        .iter()
-        .map(|f| ws_by.get(&(fctx[f.file].rel.to_string(), f.line)).copied())
-        .collect();
-    let mut my_by_ws: BTreeMap<usize, usize> = BTreeMap::new();
-    for (m, w) in fn_ws.iter().enumerate() {
-        if let Some(w) = w {
-            my_by_ws.insert(*w, m);
-        }
-    }
+pub fn check<'a>(ws: &Workspace<'a>) -> Vec<RaceFinding> {
+    let files: Vec<&'a SrcFile> = ws.source().in_dirs(RACE_DIRS).collect();
+    let inv = build_inventory(&files);
 
     let mut accesses: Vec<Access> = Vec::new();
     let mut calls: Vec<CallRec> = Vec::new();
-    for (id, f) in fns.iter().enumerate() {
+    for id in ws.fns_in(RACE_DIRS) {
+        let item = &ws.fn_info(id).item;
+        let (exclusive_self, params) = parse_params(item.sig);
         let mut w = Walker {
-            fctx: &fctx,
-            file: f.file,
+            file: ws.fn_file(id),
             fn_id: id,
-            owner: f.owner.as_deref(),
-            exclusive_self: f.exclusive_self && f.has_self,
-            params: &f.params,
+            owner: item.owner,
+            exclusive_self,
+            params: &params,
             inv: &inv,
             locals: BTreeSet::new(),
             guards: BTreeMap::new(),
@@ -1168,30 +865,29 @@ pub fn check(ws: &Workspace) -> Vec<RaceFinding> {
             accesses: &mut accesses,
             calls: &mut calls,
         };
-        w.walk_block(f.body);
+        w.walk_block(item.body);
     }
 
     // Inherited locksets: roots (public fns, or fns with no resolved
     // callers) start at ∅; every other fn gets the intersection over its
     // call sites of (locks held at the site ∪ the caller's inherited set).
-    let mut incoming: Vec<Vec<(usize, BTreeSet<String>)>> = vec![Vec::new(); fns.len()];
+    // Only audited fns record call sites, so only their callees inherit.
+    let n = ws.fn_count();
+    let mut incoming: Vec<Vec<(usize, BTreeSet<String>)>> = vec![Vec::new(); n];
     for c in &calls {
-        let Some(wc) = fn_ws[c.caller] else { continue };
-        for t in ws.resolve(wc, &c.call) {
-            if let Some(&m) = my_by_ws.get(&t) {
-                if m != c.caller {
-                    incoming[m].push((c.caller, c.held.clone()));
-                }
+        for t in ws.resolve(c.caller, &c.call) {
+            if t != c.caller {
+                incoming[t].push((c.caller, c.held.clone()));
             }
         }
     }
     let fixed: Vec<bool> =
-        fns.iter().enumerate().map(|(i, f)| f.is_pub || incoming[i].is_empty()).collect();
+        (0..n).map(|i| ws.fn_info(i).item.is_pub || incoming[i].is_empty()).collect();
     let mut inherited: Vec<Option<BTreeSet<String>>> =
         fixed.iter().map(|&r| r.then(BTreeSet::new)).collect();
-    for _round in 0..fns.len() + 2 {
+    for _round in 0..n + 2 {
         let mut changed = false;
-        for i in 0..fns.len() {
+        for i in 0..n {
             if fixed[i] {
                 continue;
             }
@@ -1224,15 +920,11 @@ pub fn check(ws: &Workspace) -> Vec<RaceFinding> {
 
     // Findings.
     let mut out: Vec<RaceFinding> = Vec::new();
-    let mut used_justs: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let justified = |file: usize, line: u32, used: &mut BTreeSet<(usize, usize)>| -> bool {
-        match ordering::justification_site(&fctx[file].lines, line as usize - 1, MARKER) {
-            Some(l) => {
-                used.insert((file, l));
-                true
-            }
-            None => false,
-        }
+    let mut used_justs: BTreeSet<(&str, u32)> = BTreeSet::new();
+    let mut justified = |file: &'a SrcFile, line: u32| -> bool {
+        file.justification(line, MARKER, CLUSTER_LINES)
+            .map(|l| used_justs.insert((file.rel.as_str(), l)))
+            .is_some()
     };
 
     let is_write = |kind: Kind, op: &Op| -> bool {
@@ -1270,9 +962,9 @@ pub fn check(ws: &Workspace) -> Vec<RaceFinding> {
         let lw = lw.unwrap_or_default();
         if lw.is_empty() {
             for w in &writes {
-                if !justified(w.file, w.line, &mut used_justs) {
+                if !justified(w.file, w.line) {
                     out.push((
-                        fctx[w.file].rel.to_string(),
+                        w.file.rel.clone(),
                         w.line,
                         format!(
                             "unprotected write to shared `{}.{}` ({} domain): no lock is \
@@ -1288,9 +980,9 @@ pub fn check(ws: &Workspace) -> Vec<RaceFinding> {
         } else {
             let guards: Vec<&str> = lw.iter().map(String::as_str).collect();
             for s in &shared {
-                if effective(s).is_disjoint(&lw) && !justified(s.file, s.line, &mut used_justs) {
+                if effective(s).is_disjoint(&lw) && !justified(s.file, s.line) {
                     out.push((
-                        fctx[s.file].rel.to_string(),
+                        s.file.rel.clone(),
                         s.line,
                         format!(
                             "`{}.{}` is written under `{}` but this access holds none of its \
@@ -1306,9 +998,9 @@ pub fn check(ws: &Workspace) -> Vec<RaceFinding> {
     }
 
     for (file, line, name) in &inv.static_muts {
-        if !justified(*file, *line, &mut used_justs) {
+        if !justified(file, *line) {
             out.push((
-                fctx[*file].rel.to_string(),
+                file.rel.clone(),
                 *line,
                 format!(
                     "`static mut {name}` is unsynchronized global state — replace it with a \
@@ -1319,23 +1011,12 @@ pub fn check(ws: &Workspace) -> Vec<RaceFinding> {
     }
 
     // Justifications that silenced nothing rot like stale suppressions.
-    for (fi, f) in fctx.iter().enumerate() {
-        for (ln0, raw) in f.lines.iter().enumerate() {
-            let Some(p) = raw.find("//") else { continue };
-            // Same anchoring as `ordering::justification_site`: the comment
-            // text must START with the marker; prose mentioning "race:" is
-            // neither a justification nor stale.
-            if !raw[p..].trim_start_matches('/').trim_start_matches('!').trim_start().starts_with(MARKER)
-            {
-                continue;
-            }
-            if text::in_spans(&f.spans, *f.line_off.get(ln0).unwrap_or(&0)) {
-                continue;
-            }
-            if !used_justs.contains(&(fi, ln0)) {
+    for f in &files {
+        for line in f.marked(MARKER) {
+            if !f.line_in_test(line) && !used_justs.contains(&(f.rel.as_str(), line)) {
                 out.push((
-                    f.rel.to_string(),
-                    ln0 as u32 + 1,
+                    f.rel.clone(),
+                    line,
                     "unused `// race:` justification — it no longer covers any unguarded \
                      shared access; delete it or move it next to the site it argues for"
                         .to_string(),
@@ -1352,14 +1033,10 @@ pub fn check(ws: &Workspace) -> Vec<RaceFinding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::WsFile;
+    use crate::source::Source;
 
-    fn ws(files: &[(&str, &str)]) -> Workspace {
-        let inputs: Vec<WsFile> = files
-            .iter()
-            .map(|(rel, src)| WsFile { rel: rel.to_string(), src: src.to_string() })
-            .collect();
-        Workspace::build(&inputs)
+    fn ws(files: &[(&str, &str)]) -> Workspace<'static> {
+        Workspace::build(Source::fixture(files))
     }
 
     fn run(src: &str) -> Vec<(String, u32, String)> {

@@ -26,12 +26,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cfg::{self, Call, CallOracle, FnInfo, Hint, Node, Transfer};
-use crate::lexer;
-use crate::text;
+use crate::source::{Source, SrcFile};
 
-/// Marker comment classifying the next sfence as a one-time (amortized)
+/// Comment marker classifying the next sfence as a one-time (amortized)
 /// cost rather than a steady-state per-op fence.
-pub const AMORTIZED_MARKER: &str = "// fence: amortized(";
+const AMORTIZED_MARKER: &str = "fence: amortized(";
 
 /// Method names never resolved against the workspace index: std library and
 /// collection methods that would otherwise collide with store functions of
@@ -169,124 +168,68 @@ impl Summary {
 // Workspace
 // ---------------------------------------------------------------------------
 
-/// One input file: repo-relative path + raw source. Decoupled from the
-/// analyzer's file cache so fixtures can be built from string literals.
-pub struct WsFile {
-    pub rel: String,
-    pub src: String,
-}
-
-struct FileData {
-    rel: String,
-    krate: String,
-    /// Raw source (the lock-order pass reads justification comments).
-    src: String,
-    /// Lines whose sfences are classified as amortized.
-    amortized: BTreeSet<u32>,
-}
-
-struct FnData {
-    info: FnInfo,
+struct FnData<'a> {
+    info: FnInfo<'a>,
     file: usize,
 }
 
-/// The workspace function index with computed summaries.
-pub struct Workspace {
-    files: Vec<FileData>,
-    fns: Vec<FnData>,
-    by_name: BTreeMap<String, Vec<usize>>,
+/// The workspace function index with computed summaries, over a parsed
+/// [`Source`].
+pub struct Workspace<'a> {
+    src: &'a Source,
+    /// Per file: the lines whose sfences are classified as amortized.
+    amortized: Vec<BTreeSet<u32>>,
+    fns: Vec<FnData<'a>>,
+    by_name: BTreeMap<&'a str, Vec<usize>>,
     summaries: Vec<Summary>,
 }
 
-fn crate_of(rel: &str) -> String {
-    rel.strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("root")
-        .to_string()
-}
-
-/// Marks the annotation line itself and the next non-comment line, so both
+/// Marks the annotation line itself and the next code line, so both
 /// `p.fence(); // fence: amortized(x)` and the marker-above-statement style
 /// classify the fence.
-fn amortized_lines(src: &str) -> BTreeSet<u32> {
-    let lines: Vec<&str> = src.lines().collect();
-    let mut out = BTreeSet::new();
-    for (idx, text) in lines.iter().enumerate() {
-        if !text.contains(AMORTIZED_MARKER) {
-            continue;
-        }
-        out.insert(idx as u32 + 1);
-        let mut j = idx + 1;
-        while j < lines.len() {
-            let t = lines[j].trim();
-            if !t.is_empty() && !t.starts_with("//") {
-                out.insert(j as u32 + 1);
-                break;
-            }
-            j += 1;
-        }
-    }
-    out
+fn amortized_lines(f: &SrcFile) -> BTreeSet<u32> {
+    f.marked(AMORTIZED_MARKER).flat_map(|l| [Some(l), f.next_code_line(l)]).flatten().collect()
 }
 
-impl Workspace {
-    pub fn build(inputs: &[WsFile]) -> Workspace {
-        let mut files = Vec::new();
+impl<'a> Workspace<'a> {
+    pub fn build(src: &'a Source) -> Workspace<'a> {
         let mut fns = Vec::new();
-        for (fi, wf) in inputs.iter().enumerate() {
-            let stripped = text::strip(&wf.src);
-            let spans = text::test_spans(&stripped);
-            let trees = lexer::parse(&wf.src);
-            files.push(FileData {
-                rel: wf.rel.clone(),
-                krate: crate_of(&wf.rel),
-                src: wf.src.clone(),
-                amortized: amortized_lines(&wf.src),
-            });
-            for info in cfg::functions(&trees) {
-                // Test-only functions are not part of the effect universe:
-                // they may fence freely and would pollute name resolution.
-                if text::in_spans(&spans, info.off) {
-                    continue;
-                }
-                fns.push(FnData { info, file: fi });
-            }
+        for (fi, f) in src.files.iter().enumerate() {
+            fns.extend(cfg::functions(f).into_iter().map(|info| FnData { info, file: fi }));
         }
-        let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
-            by_name.entry(f.info.name.clone()).or_default().push(i);
+            by_name.entry(f.info.item.name).or_default().push(i);
         }
-        let mut ws = Workspace { files, fns, by_name, summaries: Vec::new() };
+        let amortized = src.files.iter().map(amortized_lines).collect();
+        let mut ws = Workspace { src, amortized, fns, by_name, summaries: Vec::new() };
         ws.summaries = summarize(&ws);
         ws
     }
 
-    #[cfg(test)]
+    pub fn source(&self) -> &'a Source {
+        self.src
+    }
+
     pub fn fn_count(&self) -> usize {
         self.fns.len()
     }
 
-    pub fn fn_info(&self, i: usize) -> &FnInfo {
+    pub fn fn_info(&self, i: usize) -> &FnInfo<'a> {
         &self.fns[i].info
     }
 
-    pub fn fn_rel(&self, i: usize) -> &str {
-        &self.files[self.fns[i].file].rel
+    /// The file the function lives in.
+    pub fn fn_file(&self, i: usize) -> &'a SrcFile {
+        &self.src.files[self.fns[i].file]
     }
 
-    /// `(rel, src)` of every input file — the race pass scans whole files
-    /// (struct definitions, statics) rather than only function bodies.
-    pub fn files(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.files.iter().map(|f| (f.rel.as_str(), f.src.as_str()))
+    pub fn fn_rel(&self, i: usize) -> &'a str {
+        &self.fn_file(i).rel
     }
 
-    pub fn fn_crate(&self, i: usize) -> &str {
-        &self.files[self.fns[i].file].krate
-    }
-
-    /// Raw source of the file the function lives in.
-    pub fn fn_src(&self, i: usize) -> &str {
-        &self.files[self.fns[i].file].src
+    pub fn fn_crate(&self, i: usize) -> &'a str {
+        &self.fn_file(i).krate
     }
 
     pub fn summary(&self, i: usize) -> &Summary {
@@ -304,12 +247,12 @@ impl Workspace {
     /// fence-budget entry table).
     pub fn find_fn(&self, rel_suffix: &str, owner: Option<&str>, name: &str) -> Option<usize> {
         self.by_name.get(name)?.iter().copied().find(|&i| {
-            self.fn_rel(i).ends_with(rel_suffix) && self.fns[i].info.owner.as_deref() == owner
+            self.fn_rel(i).ends_with(rel_suffix) && self.fns[i].info.item.owner == owner
         })
     }
 
     /// The call oracle for running [`cfg::dirty_exits_with`] over `caller`.
-    pub fn oracle(&self, caller: usize) -> TableOracle<'_> {
+    pub fn oracle(&self, caller: usize) -> TableOracle<'_, 'a> {
         TableOracle { ws: self, caller, summaries: &self.summaries }
     }
 
@@ -322,36 +265,26 @@ impl Workspace {
         if call.name == "fence" {
             return Vec::new();
         }
-        let Some(cands) = self.by_name.get(&call.name) else { return Vec::new() };
+        let Some(cands) = self.by_name.get(call.name.as_str()) else { return Vec::new() };
+        let owner_of = |c: usize| self.fns[c].info.item.owner;
         match &call.hint {
             Hint::SelfTy => {
-                let Some(owner) = self.fns[caller].info.owner.as_deref() else {
-                    return Vec::new();
-                };
-                cands
-                    .iter()
-                    .copied()
-                    .filter(|&c| self.fns[c].info.owner.as_deref() == Some(owner))
-                    .collect()
+                let Some(owner) = owner_of(caller) else { return Vec::new() };
+                cands.iter().copied().filter(|&c| owner_of(c) == Some(owner)).collect()
             }
-            Hint::Ty(t) => cands
-                .iter()
-                .copied()
-                .filter(|&c| self.fns[c].info.owner.as_deref() == Some(t.as_str()))
-                .collect(),
+            Hint::Ty(t) => {
+                cands.iter().copied().filter(|&c| owner_of(c) == Some(t.as_str())).collect()
+            }
             Hint::Ret { func, owner } => {
                 // The receiver's type is whatever functions named `func`
                 // return (restricted to `owner` when the shape was
                 // `Type::func(…).method(…)`).
                 let mut rets: BTreeSet<&str> = BTreeSet::new();
-                for &g in self.by_name.get(func).map(Vec::as_slice).unwrap_or(&[]) {
-                    let gf = &self.fns[g].info;
-                    if let Some(o) = owner {
-                        if gf.owner.as_deref() != Some(o.as_str()) {
-                            continue;
-                        }
+                for &g in self.by_name.get(func.as_str()).map(Vec::as_slice).unwrap_or(&[]) {
+                    if owner.as_deref().is_some_and(|o| owner_of(g) != Some(o)) {
+                        continue;
                     }
-                    for r in &gf.ret_idents {
+                    for r in &self.fns[g].info.ret_idents {
                         if r.len() > 1 && !WRAPPER_IDENTS.contains(&r.as_str()) {
                             rets.insert(r);
                         }
@@ -370,9 +303,7 @@ impl Workspace {
                         .iter()
                         .copied()
                         .filter(|&c| {
-                            self.fns[c].info.owner.as_deref().is_some_and(|o| {
-                                o.to_lowercase().ends_with(func.as_str())
-                            })
+                            owner_of(c).is_some_and(|o| o.to_lowercase().ends_with(func.as_str()))
                         })
                         .collect();
                     if !by_field.is_empty() {
@@ -383,9 +314,7 @@ impl Workspace {
                 cands
                     .iter()
                     .copied()
-                    .filter(|&c| {
-                        self.fns[c].info.owner.as_deref().is_some_and(|o| rets.contains(o))
-                    })
+                    .filter(|&c| owner_of(c).is_some_and(|o| rets.contains(o)))
                     .collect()
             }
             Hint::None => self.resolve_unhinted(caller, call),
@@ -396,15 +325,15 @@ impl Workspace {
         if STD_METHODS.contains(&call.name.as_str()) {
             return Vec::new();
         }
-        let Some(cands) = self.by_name.get(&call.name) else { return Vec::new() };
+        let Some(cands) = self.by_name.get(call.name.as_str()) else { return Vec::new() };
         let mut v: Vec<usize> = cands
             .iter()
             .copied()
-            .filter(|&c| self.fns[c].info.owner.is_some() == call.dotted)
+            .filter(|&c| self.fns[c].info.item.owner.is_some() == call.dotted)
             .collect();
         // Same-crate candidates win over cross-crate name collisions
         // (`wal.commit` in minidb must not join pmem's `Txn::commit`).
-        let ck = self.fn_crate(caller).to_string();
+        let ck = self.fn_crate(caller);
         if v.iter().any(|&c| self.fn_crate(c) == ck) {
             v.retain(|&c| self.fn_crate(c) == ck);
         }
@@ -431,13 +360,13 @@ impl Workspace {
 
 /// [`CallOracle`] over the computed summaries, fixed to one caller (the
 /// caller's impl owner and crate drive resolution).
-pub struct TableOracle<'a> {
-    ws: &'a Workspace,
+pub struct TableOracle<'w, 'a> {
+    ws: &'w Workspace<'a>,
     caller: usize,
-    summaries: &'a [Summary],
+    summaries: &'w [Summary],
 }
 
-impl CallOracle for TableOracle<'_> {
+impl CallOracle for TableOracle<'_, '_> {
     fn transfer(&self, call: &Call) -> Transfer {
         let cands = self.ws.resolve(self.caller, call);
         if cands.is_empty() {
@@ -564,7 +493,7 @@ fn effects(ws: &Workspace, f: usize, node: &Node, summaries: &[Summary]) -> Eff 
         Node::Flush(call) => {
             if call.sfence {
                 let one = Budget { flat: Count::Fin(1), iter: Count::ZERO };
-                let amortized = ws.files[ws.fns[f].file].amortized.contains(&call.line);
+                let amortized = ws.amortized[ws.fns[f].file].contains(&call.line);
                 Eff {
                     steady: if amortized { Budget::ZERO } else { one },
                     amortized: if amortized { one } else { Budget::ZERO },
@@ -651,12 +580,12 @@ mod tests {
     use super::*;
     use crate::cfg::dirty_exits_with;
 
-    fn ws(src: &str) -> Workspace {
-        Workspace::build(&[WsFile { rel: "crates/core/src/lib.rs".into(), src: src.into() }])
+    fn ws(src: &str) -> Workspace<'static> {
+        Workspace::build(Source::fixture(&[("crates/core/src/lib.rs", src)]))
     }
 
     fn idx(ws: &Workspace, name: &str) -> usize {
-        (0..ws.fn_count()).find(|&i| ws.fn_info(i).name == name).unwrap()
+        (0..ws.fn_count()).find(|&i| ws.fn_info(i).item.name == name).unwrap()
     }
 
     fn violations_of(ws: &Workspace, name: &str) -> usize {
@@ -831,18 +760,17 @@ mod tests {
 
     #[test]
     fn same_crate_candidates_win_name_collisions() {
-        let w = Workspace::build(&[
-            WsFile {
-                rel: "crates/pmem/src/txn.rs".into(),
-                src: "impl Txn { fn commit(&self, p: &Pool) { p.fence(); p.fence(); } }".into(),
-            },
-            WsFile {
-                rel: "crates/minidb/src/wal.rs".into(),
-                src: "impl Wal { fn commit(&self) { } }
-                      impl Engine { fn put(&self, wal: &Wal) { wal.commit(); } }"
-                    .into(),
-            },
-        ]);
+        let w = Workspace::build(Source::fixture(&[
+            (
+                "crates/pmem/src/txn.rs",
+                "impl Txn { fn commit(&self, p: &Pool) { p.fence(); p.fence(); } }",
+            ),
+            (
+                "crates/minidb/src/wal.rs",
+                "impl Wal { fn commit(&self) { } }
+                 impl Engine { fn put(&self, wal: &Wal) { wal.commit(); } }",
+            ),
+        ]));
         let put = idx(&w, "put");
         assert_eq!(
             w.summary(put).steady.flat,
