@@ -81,10 +81,6 @@ impl<S: VersionedStore> DistStore<S> {
         DistStore { ranks, net: VirtualNet::new(k, model) }
     }
 
-    pub fn num_ranks(&self) -> usize {
-        self.ranks.len()
-    }
-
     pub fn rank(&self, i: usize) -> &S {
         &self.ranks[i]
     }

@@ -212,11 +212,6 @@ impl LinkFaults {
         }
     }
 
-    /// An injector that never injects (the default for `run_cluster`).
-    pub fn inactive() -> Self {
-        Self::new(&FaultPlan::none(), 0)
-    }
-
     /// Counts one communication op; returns `true` when the rank's crash
     /// point has been reached (the caller then simulates the death).
     pub(crate) fn note_op(&mut self) -> bool {

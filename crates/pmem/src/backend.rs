@@ -93,14 +93,13 @@ impl Drop for AlignedRegion {
 
 /// Memory-mapped file backend — the production persistence path.
 ///
-/// By default `persist` is a no-op beyond a compiler fence: on tmpfs
-/// (`/dev/shm`, the paper's emulation) and on DAX mounts the store is durable
-/// once it leaves the store buffer, exactly like the paper's setup. Setting
-/// `durable_flush` issues a real `msync` per persist for regular file
-/// systems.
+/// File pools assume tmpfs (`/dev/shm`, the paper's emulation) or a DAX
+/// mount: `persist` is a no-op beyond a release fence, because there a store
+/// is durable once it leaves the store buffer, exactly like the paper's
+/// setup. On a regular file system only `sync_all` (an `msync` of the whole
+/// map) reaches the disk.
 pub struct FileBacked {
     map: memmap2::MmapMut,
-    durable_flush: bool,
 }
 
 impl FileBacked {
@@ -115,7 +114,7 @@ impl FileBacked {
         file.set_len(len as u64)?;
         // SAFETY: we own the file; len matches set_len.
         let map = unsafe { memmap2::MmapMut::map_mut(&file)? };
-        Ok(FileBacked { map, durable_flush: false })
+        Ok(FileBacked { map })
     }
 
     /// Maps an existing pool file read-write.
@@ -127,13 +126,7 @@ impl FileBacked {
         }
         // SAFETY: mapping length tracks the file length.
         let map = unsafe { memmap2::MmapMut::map_mut(&file)? };
-        Ok(FileBacked { map, durable_flush: false })
-    }
-
-    /// Enables a real `msync` on every persist (for non-tmpfs files).
-    pub fn with_durable_flush(mut self, enabled: bool) -> Self {
-        self.durable_flush = enabled;
-        self
+        Ok(FileBacked { map })
     }
 }
 
@@ -146,16 +139,9 @@ impl Backend for FileBacked {
         self.map.len()
     }
 
-    fn persist(&self, offset: usize, len: usize) {
-        if self.durable_flush {
-            let start = offset & !(CACHE_LINE - 1);
-            let end = (offset + len + CACHE_LINE - 1) & !(CACHE_LINE - 1);
-            let end = end.min(self.map.len());
-            let _ = self.map.flush_async_range(start, end - start);
-        } else {
-            // tmpfs / DAX: stores are durable once globally visible.
-            fence(Ordering::Release);
-        }
+    fn persist(&self, _offset: usize, _len: usize) {
+        // tmpfs / DAX: stores are durable once globally visible.
+        fence(Ordering::Release);
     }
 
     fn sync_all(&self) {
@@ -318,11 +304,6 @@ impl CrashSim {
             out[off..off + 8].copy_from_slice(&word.to_le_bytes());
         }
         out
-    }
-
-    /// Number of bytes in the region.
-    pub fn region_len(&self) -> usize {
-        self.front.len
     }
 }
 

@@ -61,13 +61,6 @@ impl<T> PPtr<T> {
         pool.base_ptr(self.off) as *mut T
     }
 
-    /// Byte-offset arithmetic within an allocation, preserving the type tag
-    /// of the target element.
-    #[inline]
-    pub fn byte_add(self, delta: u64) -> PPtr<T> {
-        PPtr::from_off(self.off + delta)
-    }
-
     /// Reinterprets the pointee type (offset unchanged).
     #[inline]
     pub fn cast<U>(self) -> PPtr<U> {
@@ -129,9 +122,8 @@ mod tests {
     }
 
     #[test]
-    fn byte_add_and_cast() {
+    fn cast_keeps_the_offset() {
         let p: PPtr<u64> = PPtr::from_off(100);
-        assert_eq!(p.byte_add(16).off(), 116);
         let q: PPtr<u32> = p.cast();
         assert_eq!(q.off(), 100);
     }

@@ -138,8 +138,12 @@ const CHECKS: &[CheckDoc] = &[
     },
     CheckDoc {
         id: "lock-order",
-        rule: "the lock-acquisition graph must be acyclic, and no mvkv_sync guard may be \
-               held across an sfence.",
+        rule: "the lock-acquisition graph must be acyclic, and no guard may be held across an \
+               sfence. A guard is a zero-argument `.lock()` / `.try_lock()`, or `.read()` / \
+               `.write()` on an RwLock-typed field — one lock-site rule, shared with the \
+               summaries and the race audit. A `let` guard is live to the end of its block \
+               or its `drop(g)`; a temporary to the end of its statement (through the body \
+               of `match` / `for` / `if let` / `while let` when taken in the header).",
         rationale: "cycles are deadlocks waiting for the right interleaving; a fence under a \
                     shard or chain lock serializes unrelated writers on the slowest PM \
                     operation.",
@@ -152,7 +156,9 @@ const CHECKS: &[CheckDoc] = &[
                or pm-resident state reachable from a Sync context) must have a consistent \
                protection domain: facade-atomic, guarded-by a named lock at every access, or \
                thread-confined (TLS / &mut self). Unguarded writes, accesses outside a field's \
-               inferred guard and `static mut` are findings.",
+               inferred guard and `static mut` are findings. The guards held at an access are \
+               the ones the lock-order pass sees there (same lowered body, same tracker, \
+               Mutex and RwLock guards alike).",
         rationale: "loom covers four hand-modeled interleavings; this RacerD-style lockset \
                     inference audits every shared access in the 8 concurrency-critical crates \
                     compositionally, so a helper is checked under the locks its callers \
@@ -928,6 +934,24 @@ mod tests {
             file: "crates/pmem/src/alloc.rs",
             find: "fn mark_allocated(&self, pool: &PmemPool, payload_off: u64) {",
             replace: "fn mark_allocated(&self, pool: &PmemPool, payload_off: u64) { self.shards = Box::new([]);",
+            at: "fn mark_allocated(",
+        },
+        // An `RwLock` guard is a guard: one lock-site rule for every pass.
+        Seed {
+            check: "lock-order",
+            file: "crates/minidb/src/wal.rs",
+            find: "let mut index = self.index.write();\n        let mut hdr",
+            replace: "let mut index = self.index.write(); fence();\n        let mut hdr",
+            at: "let mut index = self.index.write(); fence();",
+        },
+        // `Branch` scoping: the guard taken in the first arm is gone in the
+        // second, so its write is unguarded (and the only finding — were the
+        // guard still held, every unguarded read of `shards` would be one).
+        Seed {
+            check: "race-audit",
+            file: "crates/pmem/src/alloc.rs",
+            find: "fn mark_allocated(&self, pool: &PmemPool, payload_off: u64) {",
+            replace: "fn mark_allocated(&self, pool: &PmemPool, payload_off: u64) { match payload_off { 0 => self.large_free.lock().clear(), _ => self.shards = Box::new([]) }",
             at: "fn mark_allocated(",
         },
     ];

@@ -18,11 +18,17 @@
 //! violation while per-arm flushes, early returns before the first write and
 //! loops that persist each iteration all check precisely.
 //!
-//! Since ISSUE 8 the AST also records **calls** (with enough receiver context
-//! to resolve them against the workspace function index), **lock
-//! acquisitions** (`.lock()` / `.try_lock()` with the dotted chain and the
-//! `let` binding the guard lands in) and **explicit `drop(guard)`** releases.
-//! The dataflow is parameterized over a [`CallOracle`] so the interprocedural
+//! The AST is the one lowering of a function body, read by every
+//! flow-sensitive pass. Besides writes and flushes it records **calls**
+//! (with enough receiver context to resolve them against the workspace
+//! function index), **lock sites** (zero-argument `.lock()` / `.try_lock()`,
+//! and `.read()` / `.write()` as candidates the consumer confirms against
+//! the `RwLock` inventory, each with its dotted chain and the `let` binding
+//! the guard lands in), explicit **`drop(guard)`** releases, **field
+//! accesses** (head, path, operation), **`let` bindings** and **statement
+//! ends** — what the lock-order pass and the race audit need to keep a
+//! stack of live guards (`locks::walk_held`) and to attribute accesses. The
+//! dataflow is parameterized over a [`CallOracle`] so the interprocedural
 //! summary layer (`summary.rs`) can plug per-function transfer functions into
 //! the same evaluator; [`NoOracle`] keeps the original intraprocedural
 //! semantics where calls are effect-free.
@@ -33,11 +39,13 @@
 //! obligation — a panic is equivalent to a crash, which recovery already
 //! handles.
 
-use crate::lexer::{until_brace, Tree, TokKind};
+use crate::lexer::{until_brace, Group, TokKind, Tree};
 use crate::source::{FnItem, SrcFile};
 
 /// Names treated as dirtying persistent memory when called.
 const DIRTY_CALLS: &[&str] = &["write_u64", "write_bytes"];
+
+const ASSIGN_OPS: &[&str] = &["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="];
 
 /// Macros whose invocation ends the path with no persist obligation.
 const ABORT_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -59,13 +67,15 @@ fn is_dirty_name(name: &str) -> bool {
     DIRTY_CALLS.contains(&name)
 }
 
-/// Keywords that can be directly followed by a `(` group without being a
-/// call (`in (0..n)`, `let (a, b) = …`). Prevents spurious [`Node::Call`]s.
-fn is_expr_keyword(name: &str) -> bool {
+/// Reserved words that are never an operand: not a callee when a `(` group
+/// follows (`in (0..n)`, `let (a, b) = …`) and not a segment of a receiver
+/// chain (`return x.lock()`). The one keyword table of the analyzer.
+fn is_keyword(name: &str) -> bool {
     matches!(
         name,
-        "let" | "else" | "in" | "as" | "mut" | "ref" | "pub" | "crate" | "super" | "dyn"
-            | "static" | "const" | "async" | "await" | "where" | "self" | "Self"
+        "let" | "else" | "in" | "as" | "mut" | "ref" | "pub" | "dyn" | "static" | "const"
+            | "async" | "await" | "where" | "match" | "if" | "while" | "return" | "move" | "for"
+            | "loop" | "break" | "continue"
     )
 }
 
@@ -123,7 +133,7 @@ pub struct Call {
     pub sfence: bool,
 }
 
-/// One `.lock()` / `.try_lock()` acquisition site.
+/// One zero-argument `.lock()` / `.try_lock()` / `.read()` / `.write()` site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockSite {
     pub line: u32,
@@ -133,6 +143,36 @@ pub struct LockSite {
     /// The `let` binding the guard lands in, when the statement has one.
     /// `None` means the guard is a temporary dropped at end of statement.
     pub binding: Option<String>,
+    /// `.read()` / `.write()`: an acquisition only when the consumer finds
+    /// the receiver in the `RwLock` inventory (`Workspace::lock_id`). The
+    /// site is preceded by its ordinary [`Node::Call`], which is all that is
+    /// left of it when it is `sock.read()`.
+    pub rw: bool,
+}
+
+/// What an access does to the field it ends at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Op {
+    Read,
+    /// Left side of `=` / `+=` / ….
+    Assign,
+    /// `&mut head.….field`.
+    MutRef,
+    /// `head.….field.method(…)`.
+    Method(String),
+}
+
+/// One field segment of a dotted chain. `self.a.b.push(x)` is two accesses:
+/// `[self, a]` read, `[self, a, b]` `Method("push")`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Access {
+    pub line: u32,
+    /// Head ident (`self`, a local, a parameter, a static — the consumer
+    /// classifies it; `*` for a `(*ptr).field` deref), the segments between,
+    /// and the field last. Chains that start anywhere else — a path, a call
+    /// result, a literal — are not emitted.
+    pub chain: Vec<String>,
+    pub op: Op,
 }
 
 #[derive(Debug)]
@@ -145,10 +185,17 @@ pub enum Node {
     Flush(Call),
     /// Any other call with an argument list. Effect depends on the oracle.
     Call(Call),
-    /// A mutex acquisition.
+    /// A lock acquisition (for `rw` sites, a candidate).
     Lock(LockSite),
     /// An explicit `drop(binding)`.
     Unlock { binding: String },
+    /// A field access.
+    Access(Access),
+    /// `let binding = …` / `if let Some(binding) = …`, emitted after the
+    /// initializer: from here on the name is a local.
+    Let { binding: String },
+    /// A `;` directly in a block: temporaries of the statement die here.
+    StmtEnd,
     /// Mutually exclusive alternatives (if/else, match arms). An absent
     /// `else` contributes an empty alternative.
     Branch(Vec<Node>),
@@ -159,6 +206,17 @@ pub enum Node {
     Abort,
     Break,
     Continue,
+}
+
+impl Node {
+    /// Calls `f` on every leaf event of the tree, in source order.
+    pub fn each<'n>(&'n self, f: &mut impl FnMut(&'n Node)) {
+        match self {
+            Node::Seq(cs) | Node::Branch(cs) => cs.iter().for_each(|c| c.each(f)),
+            Node::Loop(b) => b.each(f),
+            leaf => f(leaf),
+        }
+    }
 }
 
 /// One analyzed function: the front end's item plus what this layer derives
@@ -262,24 +320,45 @@ fn parse_seq(trees: &[Tree]) -> Node {
 /// index.
 fn parse_one(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
     let t = &trees[i];
+    if let Some(a) = field_access(trees, i) {
+        nodes.push(Node::Access(a));
+        return i + 1;
+    }
     if let Some(kw) = t.ident() {
         match kw {
+            "let" => {
+                // The initializer runs before the name exists (`let n = n.next;`
+                // reads the parameter); `if let` / `while let` end at the body.
+                let cond = i > 0 && matches!(trees[i - 1].ident(), Some("if" | "while"));
+                let mut j = i + 1;
+                let mut pat_end = None;
+                while j < trees.len() {
+                    let end = match &trees[j] {
+                        Tree::Group(g) => cond && g.delim == '{',
+                        t => !cond && t.punct() == Some(";"),
+                    };
+                    if end {
+                        break;
+                    }
+                    if pat_end.is_none() && matches!(trees[j].punct(), Some("=" | ":")) {
+                        pat_end = Some(j);
+                    }
+                    j = parse_one(trees, j, nodes);
+                }
+                if let Some(binding) = pat_end.and_then(|e| pattern_binding(trees, e)) {
+                    nodes.push(Node::Let { binding });
+                }
+                return j;
+            }
             "if" => return parse_if(trees, i, nodes),
             "match" => return parse_match(trees, i, nodes),
             "while" | "for" => {
                 // Header (condition / iterator expr) executes at least once.
-                let (hdr_end, body) = until_brace(trees, i + 1);
-                let mut hdr = Vec::new();
-                let mut k = i + 1;
-                while k < hdr_end {
-                    k = parse_one(trees, k, &mut hdr);
-                }
-                nodes.push(Node::Seq(hdr));
-                if let Some(g) = body {
-                    nodes.push(Node::Loop(Box::new(parse_seq(&g.trees))));
-                    return hdr_end + 1;
-                }
-                return hdr_end;
+                let (hdr, hdr_end, body) = parse_header(trees, i);
+                let body = body.map(|g| Node::Loop(Box::new(parse_seq(&g.trees))));
+                let next = hdr_end + body.is_some() as usize;
+                push_headed(nodes, hdr, body, kw == "for" || is_let(trees, i));
+                return next;
             }
             "loop" => {
                 if let Some(Tree::Group(g)) = trees.get(i + 1) {
@@ -348,7 +427,7 @@ fn parse_one(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
             }
             name => {
                 let Some(Tree::Group(g)) = trees.get(i + 1) else { return i + 1 };
-                if g.delim != '(' || is_expr_keyword(name) {
+                if g.delim != '(' || is_keyword(name) {
                     return i + 1;
                 }
                 if is_dirty_name(name) {
@@ -376,12 +455,10 @@ fn parse_one(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
                         }
                     }
                 }
-                if (name == "lock" || name == "try_lock")
-                    && g.trees.is_empty()
-                    && i > 0
-                    && trees[i - 1].punct() == Some(".")
-                {
-                    nodes.push(Node::Lock(lock_site(trees, i)));
+                // A lock site is a zero-argument method call by one of four names.
+                let bare_method = g.trees.is_empty() && i > 0 && trees[i - 1].punct() == Some(".");
+                if bare_method && matches!(name, "lock" | "try_lock") {
+                    nodes.push(Node::Lock(lock_site(trees, i, false)));
                     return i + 2;
                 }
                 if name.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
@@ -399,12 +476,19 @@ fn parse_one(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
                     hint,
                     sfence: false,
                 }));
+                if bare_method && matches!(name, "read" | "write") {
+                    nodes.push(Node::Lock(lock_site(trees, i, true)));
+                }
                 return i + 2;
             }
         }
     }
     if let Some(p) = t.punct() {
         match p {
+            ";" => {
+                nodes.push(Node::StmtEnd);
+                return i + 1;
+            }
             "?" => {
                 nodes.push(Node::Exit { kind: ExitKind::Try, line: t.line() });
                 return i + 1;
@@ -488,79 +572,59 @@ fn call_hint(trees: &[Tree], i: usize) -> (bool, Hint) {
     }
 }
 
-/// Idents that cannot be part of a receiver chain.
-fn chain_keyword(name: &str) -> bool {
-    matches!(
-        name,
-        "match" | "if" | "while" | "let" | "in" | "return" | "else" | "mut" | "move" | "ref"
-            | "as" | "for" | "loop" | "break" | "continue"
-    )
-}
-
-/// Reconstructs the dotted chain and `let` binding for the `.lock()` at `i`
-/// (the `lock`/`try_lock` ident; `trees[i-1]` is the dot).
-fn lock_site(trees: &[Tree], i: usize) -> LockSite {
-    let line = trees[i].line();
-    let mut chain: Vec<String> = Vec::new();
-    let mut stop: Option<usize> = None;
-    let mut idx = i - 1; // the separator dot
-    'walk: loop {
-        if idx == 0 {
-            break;
-        }
-        idx -= 1;
-        // Skip postfix `?` and `(…)`/`[…]` groups within the segment.
-        loop {
-            let postfix = match &trees[idx] {
+/// Walks back from the `.` at `dot` over the postfix chain it continues —
+/// `a.b(x)?.c[i]`, `A::b` — and returns the chain's idents in source order
+/// with the index of its first token. A chain that starts at a group
+/// (`(*p).f`) has the group as its first token.
+fn chain_back(trees: &[Tree], dot: usize) -> (Vec<String>, usize) {
+    let mut chain = Vec::new();
+    let mut start = dot;
+    loop {
+        // One operand, right to left: postfix `?` / `(…)` / `[…]`, then a name.
+        while start > 0
+            && match &trees[start - 1] {
                 Tree::Leaf(t) => t.kind == TokKind::Punct && t.text == "?",
                 Tree::Group(g) => g.delim == '(' || g.delim == '[',
-            };
-            if !postfix {
-                break;
             }
-            if idx == 0 {
-                break 'walk;
-            }
-            idx -= 1;
+        {
+            start -= 1;
         }
-        match &trees[idx] {
-            Tree::Leaf(t) if t.kind == TokKind::Ident && !chain_keyword(&t.text) => {
+        match start.checked_sub(1).map(|k| &trees[k]) {
+            Some(Tree::Leaf(t)) if t.kind == TokKind::Ident && !is_keyword(&t.text) => {
                 chain.push(t.text.clone());
+                start -= 1;
             }
-            _ => {
-                stop = Some(idx);
-                break;
-            }
+            _ => break,
         }
-        if idx == 0 {
-            break;
-        }
-        match trees[idx - 1].punct() {
-            Some(".") | Some("::") => idx -= 1, // another separator
-            _ => {
-                stop = Some(idx - 1);
-                break;
-            }
+        match start.checked_sub(1).and_then(|k| trees[k].punct()) {
+            Some(".") | Some("::") => start -= 1,
+            _ => break,
         }
     }
     chain.reverse();
-    let binding = stop.and_then(|s| binding_at(trees, s));
-    LockSite { line, chain, binding }
+    (chain, start)
 }
 
-/// When the token at `s` is the `=` of a `let`/`if let`, extracts the guard
-/// binding: `let [mut] name =`, `Ok(name)`/`Some(name)` patterns included.
-fn binding_at(trees: &[Tree], s: usize) -> Option<String> {
-    if trees[s].punct() != Some("=") {
-        return None;
-    }
-    let prev = s.checked_sub(1)?;
+/// The chain and `let` binding of the guard method at `i` (`trees[i-1]` is
+/// the dot).
+fn lock_site(trees: &[Tree], i: usize, rw: bool) -> LockSite {
+    let (chain, start) = chain_back(trees, i - 1);
+    let binding = start
+        .checked_sub(1)
+        .filter(|&eq| trees[eq].punct() == Some("="))
+        .and_then(|eq| pattern_binding(trees, eq));
+    LockSite { line: trees[i].line(), chain, binding, rw }
+}
+
+/// The name bound by the `let` / `if let` pattern that ends just before
+/// `end`: `[mut] name`, or the ident inside `Ok(…)` / `Some(…)`.
+fn pattern_binding(trees: &[Tree], end: usize) -> Option<String> {
+    let prev = end.checked_sub(1)?;
     match &trees[prev] {
-        Tree::Leaf(t) if t.kind == TokKind::Ident && !chain_keyword(&t.text) => {
+        Tree::Leaf(t) if t.kind == TokKind::Ident && !is_keyword(&t.text) => {
             Some(t.text.clone())
         }
         Tree::Group(g) if g.delim == '(' => {
-            // `Ok(mut name)` / `Some(name)` destructuring.
             let ctor = prev.checked_sub(1).and_then(|j| trees[j].ident())?;
             if !matches!(ctor, "Ok" | "Some") {
                 return None;
@@ -574,6 +638,58 @@ fn binding_at(trees: &[Tree], s: usize) -> Option<String> {
         }
         _ => None,
     }
+}
+
+/// Does a method's argument list start at `k` (possibly after a turbofish)?
+fn args_at(trees: &[Tree], k: usize) -> bool {
+    match trees.get(k) {
+        Some(Tree::Group(g)) => g.delim == '(',
+        Some(t) => t.punct() == Some("::"),
+        None => false,
+    }
+}
+
+/// The access made by the leaf at `i` when it is a field segment: `.name`
+/// or `.0` with no argument list (that is a method: [`Node::Call`]).
+fn field_access(trees: &[Tree], i: usize) -> Option<Access> {
+    let Tree::Leaf(t) = &trees[i] else { return None };
+    if i == 0
+        || trees[i - 1].punct() != Some(".")
+        || !matches!(t.kind, TokKind::Ident | TokKind::Num)
+        || t.text == "await"
+        || args_at(trees, i + 1)
+    {
+        return None;
+    }
+    let (mut chain, start) = chain_back(trees, i - 1);
+    match &trees[start] {
+        Tree::Group(g) if g.trees.first().and_then(Tree::punct) == Some("*") => {
+            chain.insert(0, "*".to_string());
+        }
+        // A plain name: not a call result, not a path.
+        Tree::Leaf(h) if h.kind == TokKind::Ident && !args_at(trees, start + 1) => {}
+        _ => return None,
+    }
+    chain.push(t.text.clone());
+    // What happens to the field is what follows it, past `?` and `[…]`.
+    let postfix = |t: &Tree| t.punct() == Some("?") || t.group().is_some_and(|g| g.delim == '[');
+    let mut j = i + 1;
+    while trees.get(j).is_some_and(postfix) {
+        j += 1;
+    }
+    let op = match (trees.get(j).and_then(Tree::punct), trees.get(j + 1)) {
+        (Some("."), Some(Tree::Leaf(m))) if args_at(trees, j + 2) => Op::Method(m.text.clone()),
+        (Some(p), _) if ASSIGN_OPS.contains(&p) => Op::Assign,
+        (Some("."), _) => Op::Read,
+        _ if start >= 2
+            && trees[start - 2].punct() == Some("&")
+            && trees[start - 1].ident() == Some("mut") =>
+        {
+            Op::MutRef
+        }
+        _ => Op::Read,
+    };
+    Some(Access { line: t.line, chain, op })
 }
 
 /// Heuristic: a `|` token opens a closure when it starts an expression —
@@ -641,16 +757,44 @@ fn parse_closure(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
     j
 }
 
-fn parse_if(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
-    // Condition effects run unconditionally.
+/// `if let` / `while let` at `i`?
+fn is_let(trees: &[Tree], i: usize) -> bool {
+    trees.get(i + 1).and_then(Tree::ident) == Some("let")
+}
+
+/// Lowers the header of the `if` / `match` / `while` / `for` at `i` — the
+/// tokens up to the body brace — and returns it with the brace's index and
+/// the body group.
+fn parse_header(trees: &[Tree], i: usize) -> (Vec<Node>, usize, Option<&Group>) {
     let (body_at, body) = until_brace(trees, i + 1);
-    let mut cond = Vec::new();
+    let mut hdr = Vec::new();
     let mut k = i + 1;
     while k < body_at {
-        k = parse_one(trees, k, &mut cond);
+        k = parse_one(trees, k, &mut hdr);
     }
-    nodes.push(Node::Seq(cond));
-    let Some(g) = body else { return body_at };
+    (hdr, body_at, body)
+}
+
+/// Pushes a header and its body. Header effects run unconditionally. Its
+/// temporaries (a guard taken in the scrutinee or the iterator expression)
+/// live `through` the body of `match` / `for` / `if let` / `while let` — one
+/// `Seq` — and die before the body of a plain `if` / `while`.
+fn push_headed(nodes: &mut Vec<Node>, mut hdr: Vec<Node>, body: Option<Node>, through: bool) {
+    if through {
+        hdr.extend(body);
+        nodes.push(Node::Seq(hdr));
+    } else {
+        nodes.push(Node::Seq(hdr));
+        nodes.extend(body);
+    }
+}
+
+fn parse_if(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
+    let (cond, body_at, body) = parse_header(trees, i);
+    let Some(g) = body else {
+        nodes.push(Node::Seq(cond));
+        return body_at;
+    };
     let then_node = parse_seq(&g.trees);
     let mut j = body_at + 1;
     let mut alts = vec![then_node];
@@ -674,24 +818,16 @@ fn parse_if(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
     } else {
         alts.push(Node::Seq(Vec::new())); // if without else: fall-through arm
     }
-    nodes.push(Node::Branch(alts));
+    push_headed(nodes, cond, Some(Node::Branch(alts)), is_let(trees, i));
     j
 }
 
 fn parse_match(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
-    let (body_at, body) = until_brace(trees, i + 1);
-    let mut scrutinee = Vec::new();
-    let mut k = i + 1;
-    while k < body_at {
-        k = parse_one(trees, k, &mut scrutinee);
-    }
-    nodes.push(Node::Seq(scrutinee));
-    let Some(g) = body else { return body_at };
-    let arms = parse_match_arms(&g.trees);
-    if !arms.is_empty() {
-        nodes.push(Node::Branch(arms));
-    }
-    body_at + 1
+    let (scrutinee, body_at, body) = parse_header(trees, i);
+    let arms = body.map(|g| parse_match_arms(&g.trees)).filter(|arms| !arms.is_empty());
+    let next = body_at + body.is_some() as usize;
+    push_headed(nodes, scrutinee, arms.map(Node::Branch), true);
+    next
 }
 
 fn parse_match_arms(trees: &[Tree]) -> Vec<Node> {
@@ -705,6 +841,11 @@ fn parse_match_arms(trees: &[Tree]) -> Vec<Node> {
             i = parse_one(trees, i, &mut pre);
         }
         if i >= trees.len() {
+            // No `=>` at all: the brace was a block in the scrutinee (`match
+            // unsafe { … }.cmp(k) { … }`), whose events still happen.
+            if arms.is_empty() {
+                arms.push(Node::Seq(pre));
+            }
             break;
         }
         i += 1; // past =>
@@ -826,7 +967,12 @@ fn eval(n: &Node, st: St, oracle: &dyn CallOracle) -> Flow {
             };
             Flow { out: Some(out), ..Default::default() }
         }
-        Node::Lock(_) | Node::Unlock { .. } => Flow { out: Some(st), ..Default::default() },
+        // Events of the guard tracker and the race audit: no effect on dirtiness.
+        Node::Lock(_)
+        | Node::Unlock { .. }
+        | Node::Access(_)
+        | Node::Let { .. }
+        | Node::StmtEnd => Flow { out: Some(st), ..Default::default() },
         Node::Branch(alts) => {
             let mut flow = Flow::default();
             let mut out: Option<St> = None;
@@ -1270,32 +1416,16 @@ mod tests {
 
     // -- ISSUE 8: interprocedural plumbing ---------------------------------
 
-    fn collect_calls(n: &Node, out: &mut Vec<Call>) {
-        match n {
-            Node::Seq(cs) => cs.iter().for_each(|c| collect_calls(c, out)),
-            Node::Branch(alts) => alts.iter().for_each(|a| collect_calls(a, out)),
-            Node::Loop(b) => collect_calls(b, out),
-            Node::Call(c) | Node::Flush(c) => out.push(c.clone()),
-            _ => {}
-        }
-    }
-
-    fn collect_locks(n: &Node, out: &mut Vec<LockSite>) {
-        match n {
-            Node::Seq(cs) => cs.iter().for_each(|c| collect_locks(c, out)),
-            Node::Branch(alts) => alts.iter().for_each(|a| collect_locks(a, out)),
-            Node::Loop(b) => collect_locks(b, out),
-            Node::Lock(s) => out.push(s.clone()),
-            _ => {}
-        }
-    }
-
     fn calls_of(src: &str) -> Vec<Call> {
         let trees = parse(src);
         let fns = functions(&trees);
         let mut out = Vec::new();
         for f in &fns {
-            collect_calls(&f.body, &mut out);
+            f.body.each(&mut |n| {
+                if let Node::Call(c) | Node::Flush(c) = n {
+                    out.push(c.clone());
+                }
+            });
         }
         out
     }
@@ -1376,7 +1506,12 @@ mod tests {
         );
         let fns = functions(&trees);
         let mut locks = Vec::new();
-        collect_locks(&fns[0].body, &mut locks);
+        let mut unlocked = Vec::new();
+        fns[0].body.each(&mut |n| match n {
+            Node::Lock(s) => locks.push(s.clone()),
+            Node::Unlock { binding } => unlocked.push(binding.as_str()),
+            _ => {}
+        });
         assert_eq!(locks.len(), 5);
         assert_eq!(locks[0].chain, vec!["self", "large_free"]);
         assert_eq!(locks[0].binding.as_deref(), Some("large"));
@@ -1388,17 +1523,135 @@ mod tests {
         assert_eq!(locks[3].binding.as_deref(), Some("guard"));
         assert_eq!(locks[4].chain, vec!["self", "shards"]);
         assert_eq!(locks[4].binding.as_deref(), Some("shard"));
-        // And the drop produced an Unlock.
-        fn has_unlock(n: &Node, b: &str) -> bool {
-            match n {
-                Node::Seq(cs) => cs.iter().any(|c| has_unlock(c, b)),
-                Node::Branch(a) => a.iter().any(|c| has_unlock(c, b)),
-                Node::Loop(x) => has_unlock(x, b),
-                Node::Unlock { binding } => binding == b,
-                _ => false,
-            }
-        }
-        assert!(has_unlock(&fns[0].body, "large"));
+        assert_eq!(unlocked, ["large"], "the drop produced an Unlock");
+    }
+
+    /// Every leaf event of `fn f`'s body, rendered one per entry.
+    fn events(body: &str) -> Vec<String> {
+        let file = parse(&format!("fn f(&self, p: *mut N) {{ {body} }}"));
+        let mut out = Vec::new();
+        functions(&file)[0].body.each(&mut |n| {
+            out.push(match n {
+                Node::Access(a) => format!("{} {:?}", a.chain.join("."), a.op),
+                Node::Lock(s) => format!(
+                    "{} {}{}",
+                    if s.rw { "rw?" } else { "lock" },
+                    s.chain.join("."),
+                    s.binding.as_ref().map(|b| format!(" -> {b}")).unwrap_or_default()
+                ),
+                Node::Let { binding } => format!("let {binding}"),
+                Node::Call(c) | Node::Flush(c) => format!("call {}", c.name),
+                Node::Unlock { binding } => format!("drop {binding}"),
+                Node::StmtEnd => ";".to_string(),
+                other => format!("{other:?}"),
+            })
+        });
+        out
+    }
+
+    #[test]
+    fn field_accesses_carry_head_path_and_operation() {
+        assert_eq!(events("self.a.b.push(self.c);"), [
+            "self.a Read",
+            "self.a.b Method(\"push\")",
+            "self.c Read",
+            "call push",
+            ";"
+        ]);
+        assert_eq!(events("self.len += 1; self.slots[i] = 0; let r = &mut self.map;"), [
+            "self.len Assign",
+            ";",
+            "self.slots Assign",
+            ";",
+            "self.map MutRef",
+            "let r",
+            ";"
+        ]);
+        assert_eq!(events("unsafe { (*p).key = 5; } let k = (*p).next.0;"), [
+            "*.key Assign",
+            ";",
+            "*.next Read",
+            "*.next.0 Read",
+            "let k",
+            ";"
+        ]);
+        // A method call is a call, not a field; the chain runs through it.
+        assert_eq!(events("self.list().head.store(1, SeqCst);"), [
+            "call list",
+            "self.list.head Method(\"store\")",
+            "call store",
+            ";"
+        ]);
+        // Paths, call results and literals are not heads.
+        assert_eq!(events("Self::DEFAULT.x; mk().x; a::B.x; \"s\".len; x.get::<u8>().y;"), [
+            ";", "call mk", ";", ";", ";", ";"
+        ]);
+    }
+
+    #[test]
+    fn let_events_follow_their_initializer() {
+        // `n.next` is read before `n` is rebound.
+        assert_eq!(events("let n = n.next;"), ["n.next Read", "let n", ";"]);
+        assert_eq!(events("let mut x: u64 = 0; let (a, b) = t;"), ["let x", ";", ";"]);
+        assert_eq!(events("if let Some(e) = self.head { e.go(); }"), [
+            "self.head Read",
+            "let e",
+            "call go",
+            ";"
+        ]);
+    }
+
+    #[test]
+    fn read_and_write_are_lock_candidates_after_their_call() {
+        assert_eq!(events("let g = self.idx.write(); sock.read(); file.write(buf);"), [
+            "self.idx Method(\"write\")",
+            "call write",
+            "rw? self.idx -> g",
+            "let g",
+            ";",
+            "call read",
+            "rw? sock",
+            ";",
+            "call write",
+            ";"
+        ]);
+        assert_eq!(events("let g = self.m.lock(); drop(g);"), [
+            "self.m Method(\"lock\")",
+            "lock self.m -> g",
+            "let g",
+            ";",
+            "drop g",
+            ";"
+        ]);
+    }
+
+    /// Where a header's temporaries end: before the body of a plain `if` /
+    /// `while`, after the body of `match` / `for` / `if let` / `while let`.
+    #[test]
+    fn header_scopes() {
+        let shape = |src: &str| {
+            let file = parse(&format!("fn f(&self) {{ {src} }}"));
+            let Node::Seq(top) = &functions(&file)[0].body else { unreachable!() };
+            top.iter()
+                .map(|n| match n {
+                    Node::Seq(cs) => format!("Seq{}", cs.len()),
+                    Node::Branch(_) => "Branch".to_string(),
+                    Node::Loop(_) => "Loop".to_string(),
+                    other => format!("{other:?}"),
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(shape("if self.c { a(); }"), ["Seq1", "Branch"]);
+        assert_eq!(shape("while self.c { a(); }"), ["Seq1", "Loop"]);
+        assert_eq!(shape("match self.c { _ => a() }"), ["Seq2"]);
+        assert_eq!(shape("for x in self.c { a(); }"), ["Seq2"]);
+        assert_eq!(shape("if let x = self.c { a(); }"), ["Seq3"], "access, let, branch");
+        assert_eq!(shape("while let x = self.c { a(); }"), ["Seq3"]);
+        // A block in the scrutinee is not the match body, and is not lost.
+        assert_eq!(
+            events("match unsafe { &(*p).key }.cmp(k) { _ => a() }"),
+            ["*.key Read", "call cmp", "call a"]
+        );
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Lock-order audit (ISSUE 8 tentpole, pass 2).
 //!
-//! Walks every runtime function's CFG with a stack of held `mvkv_sync`
-//! guards and reports two classes of findings on top of the
-//! [`crate::summary`] effect summaries:
+//! Walks every runtime function's lowered body with the stack of live
+//! guards — [`walk_held`], the one tracker, which the race audit shares —
+//! and reports two classes of findings on top of the [`crate::summary`]
+//! effect summaries. A guard is a zero-argument `.lock()` / `.try_lock()`,
+//! or `.read()` / `.write()` on an `RwLock`-typed field (one lock-site
+//! rule: [`Workspace::lock_id`]):
 //!
 //! * **lock-held-across-fence** — an sfence (direct, or inside a resolved
 //!   callee with a non-zero budget) executes while a guard is live. Fences
@@ -19,7 +22,10 @@
 //! Known blind spots, kept deliberately (documented in DESIGN.md §11.7):
 //! guards stored into struct fields outlive the acquiring function and are
 //! only tracked inside it; locks taken by denylisted std methods or
-//! unresolvable trait/closure calls are invisible.
+//! unresolvable trait/closure calls are invisible; events are in source
+//! order, so the temporary in `*m.lock() = f()` counts as held while `f`
+//! runs (Rust evaluates the right side first); `let n = m.lock().len()`
+//! binds the guard to `n` (held to the end of the block, not the statement).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -44,154 +50,132 @@ pub const LOCK_DIRS: &[&str] = &[
 /// (file, line, message) — anchored at the offending acquisition site.
 pub type LockFinding = (String, u32, String);
 
-struct Held {
-    id: String,
+/// One live guard on the stack [`walk_held`] keeps.
+pub struct Held {
+    pub id: String,
     line: u32,
-    binding: Option<String>,
+    pub binding: Option<String>,
     /// One finding per acquisition, however many fences run under it.
     flagged: bool,
+}
+
+/// The held-guard tracker, shared with the race audit. Walks `node` in
+/// source order and hands every leaf event to `visit` with the guards live
+/// at it. A `Lock` the workspace confirms is pushed first (the new guard is
+/// `held.last()`); `drop(binding)` pops it; a guard bound by `let` lives to
+/// the end of its block, a temporary to the end of its statement, and
+/// nothing outlives the `Seq` it was acquired in: a block, an argument list,
+/// the condition of a plain `if` / `while`, a branch arm, a loop or closure
+/// body (`cfg::push_headed` decides which headers share a `Seq` with their
+/// body).
+pub fn walk_held<'n>(
+    ws: &Workspace,
+    f: usize,
+    node: &'n Node,
+    held: &mut Vec<Held>,
+    visit: &mut impl FnMut(&'n Node, &mut Vec<Held>),
+) {
+    match node {
+        Node::Seq(cs) => {
+            let depth = held.len();
+            for c in cs {
+                walk_held(ws, f, c, held, visit);
+                if matches!(c, Node::StmtEnd) {
+                    let mut i = 0;
+                    held.retain(|h| {
+                        i += 1;
+                        i <= depth || h.binding.is_some()
+                    });
+                }
+            }
+            held.truncate(depth);
+        }
+        Node::Branch(alts) => alts.iter().for_each(|a| walk_held(ws, f, a, held, visit)),
+        Node::Loop(b) => walk_held(ws, f, b, held, visit),
+        Node::Lock(site) => {
+            if let Some(id) = ws.lock_id(f, site) {
+                let binding = site.binding.clone();
+                held.push(Held { id, line: site.line, binding, flagged: false });
+                visit(node, held);
+            }
+        }
+        Node::Unlock { binding } => {
+            if let Some(p) = held.iter().rposition(|h| h.binding.as_deref() == Some(binding)) {
+                held.remove(p);
+            }
+        }
+        leaf => visit(leaf, held),
+    }
 }
 
 /// Acquisition-order edges: (held lock, lock acquired while held) → one
 /// sample site for the report.
 type Edges = BTreeMap<(String, String), (String, u32)>;
 
-struct Walker<'a> {
-    ws: &'a Workspace<'a>,
-    f: usize,
-    held: Vec<Held>,
-    findings: Vec<LockFinding>,
-    edges: Edges,
-}
-
 /// Runs the audit over every non-test function under [`LOCK_DIRS`].
 pub fn check(ws: &Workspace) -> Vec<LockFinding> {
     let mut findings = Vec::new();
     let mut edges = Edges::new();
     for f in ws.fns_in(LOCK_DIRS) {
-        let mut w = Walker {
-            ws,
-            f,
-            held: Vec::new(),
-            findings: Vec::new(),
-            edges: Edges::new(),
+        let file = ws.fn_file(f);
+        let mut edge = |held: &[Held], to: &str, line: u32| {
+            for h in held {
+                edges.entry((h.id.clone(), to.to_string())).or_insert((file.rel.clone(), line));
+            }
         };
-        w.walk(&ws.fn_info(f).body);
-        findings.extend(w.findings);
-        for (k, v) in w.edges {
-            edges.entry(k).or_insert(v);
-        }
+        walk_held(ws, f, &ws.fn_info(f).body, &mut Vec::new(), &mut |node, held| match node {
+            Node::Lock(site) => {
+                let (new, outer) = held.split_last().expect("pushed by the tracker");
+                edge(outer, &new.id, site.line);
+            }
+            Node::Flush(call) | Node::Call(call) => {
+                if call_fences(ws, f, call) {
+                    for h in held.iter_mut().filter(|h| !h.flagged) {
+                        h.flagged = true;
+                        if file.justification(h.line, "lock-order:", CLUSTER_LINES).is_none() {
+                            findings.push((
+                                file.rel.clone(),
+                                h.line,
+                                format!(
+                                    "lock '{}' held across an sfence; release the guard before \
+                                     fencing or justify the acquisition with a `// lock-order:` \
+                                     comment",
+                                    h.id
+                                ),
+                            ));
+                        }
+                    }
+                }
+                // Locks the callee takes (transitively) while ours are held
+                // are ordering edges too.
+                for c in ws.resolve(f, call) {
+                    for lid in &ws.summary(c).locks {
+                        edge(held, lid, call.line);
+                    }
+                }
+            }
+            _ => {}
+        });
     }
     findings.extend(cycle_findings(&edges));
     findings.sort();
     findings
 }
 
-impl Walker<'_> {
-    fn walk(&mut self, node: &Node) {
-        match node {
-            Node::Seq(cs) => {
-                // Guards acquired inside a block drop at its end.
-                let depth = self.held.len();
-                cs.iter().for_each(|c| self.walk(c));
-                self.held.truncate(depth);
-            }
-            Node::Branch(alts) => {
-                for a in alts {
-                    let depth = self.held.len();
-                    self.walk(a);
-                    self.held.truncate(depth);
-                }
-            }
-            Node::Loop(b) => {
-                let depth = self.held.len();
-                self.walk(b);
-                self.held.truncate(depth);
-            }
-            Node::Lock(site) => {
-                let id = self.ws.lock_id(self.f, site);
-                let file = self.ws.fn_rel(self.f).to_string();
-                for h in &self.held {
-                    self.edges
-                        .entry((h.id.clone(), id.clone()))
-                        .or_insert((file.clone(), site.line));
-                }
-                if site.binding.is_some() {
-                    self.held.push(Held {
-                        id,
-                        line: site.line,
-                        binding: site.binding.clone(),
-                        flagged: false,
-                    });
-                }
-                // Binding-less `m.lock().foo()` temporaries drop at the end
-                // of the statement: ordering edges only, never "held".
-            }
-            Node::Unlock { binding } => {
-                if let Some(p) =
-                    self.held.iter().rposition(|h| h.binding.as_deref() == Some(binding))
-                {
-                    self.held.remove(p);
-                }
-            }
-            Node::Flush(call) | Node::Call(call) => {
-                if self.call_fences(call) {
-                    self.fence_event();
-                }
-                // Locks the callee takes (transitively) while ours are held
-                // are ordering edges too.
-                let callee_locks: BTreeSet<String> = self
-                    .ws
-                    .resolve(self.f, call)
-                    .into_iter()
-                    .flat_map(|c| self.ws.summary(c).locks.iter().cloned())
-                    .collect();
-                let file = self.ws.fn_rel(self.f).to_string();
-                for lid in callee_locks {
-                    for h in &self.held {
-                        self.edges
-                            .entry((h.id.clone(), lid.clone()))
-                            .or_insert((file.clone(), call.line));
-                    }
-                }
-            }
-            _ => {}
-        }
+/// Does this call execute at least one sfence — directly, or through any
+/// resolved candidate with a non-zero budget (steady *or* amortized: a
+/// one-time fence under a lock still stalls that acquisition)?
+fn call_fences(ws: &Workspace, f: usize, call: &Call) -> bool {
+    if call.sfence {
+        return true;
     }
-
-    /// Does this call execute at least one sfence — directly, or through any
-    /// resolved candidate with a non-zero budget (steady *or* amortized: a
-    /// one-time fence under a lock still stalls that acquisition)?
-    fn call_fences(&self, call: &Call) -> bool {
-        if call.sfence {
-            return true;
-        }
-        if call.name == "fence" {
-            return false; // atomic fence(Ordering) — CPU order, no sfence
-        }
-        self.ws.resolve(self.f, call).iter().any(|&c| {
-            let s = self.ws.summary(c);
-            !s.steady.is_zero() || !s.amortized.is_zero()
-        })
+    if call.name == "fence" {
+        return false; // atomic fence(Ordering) — CPU order, no sfence
     }
-
-    fn fence_event(&mut self) {
-        let file = self.ws.fn_file(self.f);
-        for h in self.held.iter_mut().filter(|h| !h.flagged) {
-            h.flagged = true;
-            if file.justification(h.line, "lock-order:", CLUSTER_LINES).is_none() {
-                self.findings.push((
-                    file.rel.clone(),
-                    h.line,
-                    format!(
-                        "lock '{}' held across an sfence; release the guard before fencing \
-                         or justify the acquisition with a `// lock-order:` comment",
-                        h.id
-                    ),
-                ));
-            }
-        }
-    }
+    ws.resolve(f, call).iter().any(|&c| {
+        let s = ws.summary(c);
+        !s.steady.is_zero() || !s.amortized.is_zero()
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -357,6 +341,89 @@ mod tests {
              }\n",
         )]);
         assert!(check(&w).is_empty());
+    }
+
+    /// The one lock-site rule: the duplicate lowering recognised only
+    /// `.lock()` / `.try_lock()`, so this reported nothing before PR 15.
+    #[test]
+    fn rwlock_write_guard_held_across_a_fence_is_flagged() {
+        let w = ws(&[(
+            "crates/minidb/src/a.rs",
+            "struct Wal { idx: RwLock<u64>, pool: Pool }\n\
+             impl Wal {\n\
+             \x20   fn publish(&self) {\n\
+             \x20       let g = self.idx.write();\n\
+             \x20       self.pool.fence();\n\
+             \x20   }\n\
+             \x20   fn peek(&self) -> u64 {\n\
+             \x20       let g = self.idx.read();\n\
+             \x20       *g\n\
+             \x20   }\n\
+             }\n",
+        )]);
+        let f = check(&w);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].1, 4);
+        assert!(f[0].2.contains("minidb:idx"), "{}", f[0].2);
+        let peek = (0..w.fn_count()).find(|&i| w.fn_info(i).item.name == "peek").unwrap();
+        assert!(w.summary(peek).locks.contains("minidb:idx"), "{:?}", w.summary(peek).locks);
+    }
+
+    #[test]
+    fn read_and_write_on_a_non_lock_receiver_stay_ordinary_calls() {
+        // `sock` is no `RwLock` field, so `sock.read()` is not a guard; and
+        // the std denylist keeps `read` / `write` from resolving to the
+        // workspace's own fencing `Log::read` / `Log::write`.
+        let w = ws(&[(
+            "crates/minidb/src/a.rs",
+            "struct Wal { idx: RwLock<u64> }\n\
+             impl Log {\n\
+             \x20   fn read(&self) { fence(); }\n\
+             \x20   fn write(&self, b: &[u8]) { fence(); }\n\
+             }\n\
+             impl Net {\n\
+             \x20   fn pump(&self, file: &File, sock: &Sock, buf: &[u8]) {\n\
+             \x20       let n = file.write(buf);\n\
+             \x20       let m = sock.read();\n\
+             \x20       let g = self.m.lock();\n\
+             \x20       sock.read();\n\
+             \x20   }\n\
+             }\n",
+        )]);
+        assert!(check(&w).is_empty(), "{:?}", check(&w));
+        let pump = (0..w.fn_count()).find(|&i| w.fn_info(i).item.name == "pump").unwrap();
+        assert_eq!(w.summary(pump).locks.iter().collect::<Vec<_>>(), ["minidb:m"]);
+        assert!(w.summary(pump).steady.is_zero());
+    }
+
+    /// What the shared tracker adds to this pass: a temporary guard is held
+    /// to the end of its statement, a guard in a `match` scrutinee through
+    /// the arms, and neither any longer.
+    #[test]
+    fn temporaries_live_for_their_statement_and_match_scrutinees_through_the_arms() {
+        let w = ws(&[(
+            "crates/pmem/src/a.rs",
+            "impl Pool {\n\
+             \x20   fn append(&self, rec: u64) {\n\
+             \x20       self.log.lock().push(self.sealed(rec));\n\
+             \x20       fence();\n\
+             \x20   }\n\
+             \x20   fn sealed(&self, rec: u64) -> u64 { fence(); rec }\n\
+             \x20   fn route(&self, k: u64) {\n\
+             \x20       match self.map.lock().get(&k) {\n\
+             \x20           Some(_) => fence(),\n\
+             \x20           None => {}\n\
+             \x20       }\n\
+             \x20       fence();\n\
+             \x20   }\n\
+             \x20   fn poll(&self) {\n\
+             \x20       if self.queue.lock().is_empty() { fence(); }\n\
+             \x20   }\n\
+             }\n",
+        )]);
+        let f = check(&w);
+        let at: Vec<(u32, bool)> = f.iter().map(|x| (x.1, x.2.contains("held across"))).collect();
+        assert_eq!(at, [(3, true), (8, true)], "{f:?}");
     }
 
     #[test]

@@ -13,17 +13,20 @@
 //!    field, or is pm-resident (doc marker). Only shared structs' fields
 //!    are audited; everything else is protected by the borrow checker.
 //!
-//! 2. **Compositional lockset inference.** A token-level walk of every
-//!    non-test function records each access to an audited field together
-//!    with the set of `mvkv_sync` guards held at the site (tracking `let`
-//!    bindings, `drop(guard)`, scope ends — the same model as the
-//!    lock-order pass). Call sites are resolved through the
-//!    [`Workspace`] call graph, and each *private* function inherits the
-//!    intersection of the locks held at its call sites (public functions
-//!    are roots: callable with nothing held). For each field the write-site
-//!    locksets are intersected; an empty intersection flags every write as
-//!    unprotected, and a non-empty one flags any access (read or write)
-//!    that holds none of the inferred guards.
+//! 2. **Compositional lockset inference.** Every non-test function's
+//!    lowered body ([`crate::cfg::Node`], the same tree the persist-ordering,
+//!    fence-budget and lock-order passes read) is walked by the held-guard
+//!    tracker the lock-order pass uses ([`crate::locks::walk_held`]); this
+//!    pass consumes the field-access, `let` and call events with the guards
+//!    live at each. An access is attributed to an inventory field through
+//!    its head: `self`, a `(*ptr)` deref, a parameter or a static. Call
+//!    sites are resolved through the [`Workspace`] call graph, and each
+//!    *private* function inherits the intersection of the locks held at its
+//!    call sites (public functions are roots: callable with nothing held).
+//!    For each field the write-site locksets are intersected; an empty
+//!    intersection flags every write as unprotected, and a non-empty one
+//!    flags any access (read or write) that holds none of the inferred
+//!    guards.
 //!
 //! Thread-confined state is exempt: `thread_local!` statics, and accesses
 //! through an exclusive receiver (`&mut self` / `self`), which the borrow
@@ -42,10 +45,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::cfg::{Call, Hint};
+use crate::cfg::{Node, Op};
 use crate::layout::RESIDENT_MARKER;
-use crate::lexer::{self, Group, TokKind, Tree};
-use crate::locks::LOCK_DIRS;
+use crate::lexer::Tree;
+use crate::locks::{walk_held, LOCK_DIRS};
 use crate::sites::CLUSTER_LINES;
 use crate::source::SrcFile;
 use crate::summary::Workspace;
@@ -81,15 +84,6 @@ const WRITE_METHODS: &[&str] = &[
     "get_mut",
     "write",
     "write_volatile",
-];
-
-const ASSIGN_OPS: &[&str] = &["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="];
-
-const KEYWORDS: &[&str] = &[
-    "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "in", "as",
-    "move", "mut", "ref", "let", "unsafe", "where", "impl", "dyn", "box", "use", "pub", "const",
-    "static", "type", "enum", "struct", "trait", "mod", "crate", "super", "async", "await",
-    "extern", "true", "false", "_",
 ];
 
 // ---------------------------------------------------------------------------
@@ -156,9 +150,6 @@ struct Inventory<'a> {
     by_name: BTreeMap<(String, String), Vec<usize>>,
     /// (crate, owner, field) → index — the `self.field` attribution rule.
     by_owner: BTreeMap<(String, String, String), usize>,
-    /// `RwLock`-typed field/static names per crate (so `.read()` /
-    /// `.write()` register as acquisitions only on actual rwlocks).
-    rwlocks: BTreeSet<(String, String)>,
     /// `thread_local!` statics per crate — the thread-confined domain.
     tls: BTreeSet<(String, String)>,
     /// `static mut` sites: (file, line, name). Always findings.
@@ -178,13 +169,10 @@ fn build_inventory<'a>(files: &[&'a SrcFile]) -> Inventory<'a> {
                 .iter()
                 .any(|(_, ty)| matches!(classify(ty), Kind::Atomic | Kind::Lock | Kind::Cell));
         for (name, ty) in &d.fields {
-            let kind = classify(ty);
-            if kind == Kind::Lock && ty.contains("RwLock<") {
-                inv.rwlocks.insert((d.krate.clone(), name.clone()));
-            }
             if !shared {
                 continue;
             }
+            let kind = classify(ty);
             let idx = inv.fields.len();
             inv.fields.push(Field { owner: d.name.clone(), name: name.clone(), kind });
             inv.by_name.entry((d.krate.clone(), name.clone())).or_default().push(idx);
@@ -194,9 +182,9 @@ fn build_inventory<'a>(files: &[&'a SrcFile]) -> Inventory<'a> {
     inv
 }
 
-/// Recursive item sweep: `unsafe impl Send/Sync`, statics, `thread_local!`
-/// blocks (struct definitions come from the front end's item index). Test
-/// spans are skipped by token offset.
+/// Recursive item sweep: `unsafe impl Send/Sync`, `static mut`,
+/// `thread_local!` blocks (struct definitions come from the front end's item
+/// index). Test spans are skipped by token offset.
 fn sweep<'a>(
     trees: &[Tree],
     f: &'a SrcFile,
@@ -225,22 +213,11 @@ fn sweep<'a>(
                     continue;
                 }
             }
-            Some("static") if !in_test => {
-                if trees.get(i + 1).and_then(Tree::ident) == Some("mut") {
-                    if let Some(n) = trees.get(i + 2).and_then(Tree::ident) {
-                        inv.static_muts.push((f, trees[i].line(), n.to_string()));
-                    }
-                } else if let Some(n) = trees.get(i + 1).and_then(Tree::ident) {
-                    // RwLock statics feed `.read()`/`.write()` detection.
-                    let ty_end = trees[i..]
-                        .iter()
-                        .position(|t| t.punct() == Some("=") || t.punct() == Some(";"))
-                        .map(|p| i + p)
-                        .unwrap_or(trees.len());
-                    let ty = lexer::render_type(&trees[i + 2..ty_end.max(i + 2)]);
-                    if ty.contains("RwLock<") {
-                        inv.rwlocks.insert((f.krate.clone(), n.to_string()));
-                    }
+            Some("static")
+                if !in_test && trees.get(i + 1).and_then(Tree::ident) == Some("mut") =>
+            {
+                if let Some(n) = trees.get(i + 2).and_then(Tree::ident) {
+                    inv.static_muts.push((f, trees[i].line(), n.to_string()));
                 }
             }
             _ => {}
@@ -335,17 +312,10 @@ fn parse_params(sig: &[Tree]) -> (bool, Vec<String>) {
 }
 
 // ---------------------------------------------------------------------------
-// Access walk
+// The pass
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum Op {
-    Assign,
-    MutRef,
-    Read,
-    Method(String),
-}
-
+/// One attributed field access with the guards held at it.
 struct Access<'a> {
     field: usize,
     file: &'a SrcFile,
@@ -356,531 +326,79 @@ struct Access<'a> {
     locks: BTreeSet<String>,
 }
 
-struct CallRec {
-    caller: usize,
-    call: Call,
-    held: BTreeSet<String>,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Head {
-    SelfH,
-    Deref,
-    Param,
-    Static,
-    Local,
-    Guard,
-    Tls,
-    Other,
-}
-
-struct Walker<'a, 'b> {
-    file: &'a SrcFile,
-    fn_id: usize,
-    owner: Option<&'a str>,
-    exclusive_self: bool,
-    params: &'b [String],
-    inv: &'b Inventory<'a>,
-    locals: BTreeSet<String>,
-    guards: BTreeMap<String, String>,
-    held: Vec<(String, Option<String>)>,
-    stmt_binding: Option<String>,
-    stmt_bound: bool,
-    accesses: &'b mut Vec<Access<'a>>,
-    calls: &'b mut Vec<CallRec>,
-}
-
-impl Walker<'_, '_> {
-    fn krate(&self) -> &str {
-        &self.file.krate
-    }
-
-    fn held_ids(&self) -> BTreeSet<String> {
-        self.held.iter().map(|(id, _)| id.clone()).collect()
-    }
-
-    fn walk_block(&mut self, g: &Group) {
-        let depth = self.held.len();
-        let guard_snapshot = self.guards.clone();
-        let locals_snapshot = self.locals.clone();
-        let mut start = 0;
-        for i in 0..=g.trees.len() {
-            let at_semi = i < g.trees.len() && g.trees[i].punct() == Some(";");
-            if at_semi || i == g.trees.len() {
-                if i > start {
-                    self.statement(&g.trees[start..i]);
-                }
-                start = i + 1;
-            }
-        }
-        self.held.truncate(depth);
-        self.guards = guard_snapshot;
-        self.locals = locals_snapshot;
-    }
-
-    fn statement(&mut self, stmt: &[Tree]) {
-        let saved = (self.stmt_binding.take(), self.stmt_bound);
-        self.stmt_binding = stmt_binding(stmt);
-        self.stmt_bound = false;
-        let depth = self.held.len();
-        self.scan(stmt);
-        // Binding-less guards (`self.m.lock().push(x)`) die with the
-        // statement; bound guards live to scope end or `drop`.
-        let mut i = depth;
-        while i < self.held.len() {
-            if self.held[i].1.is_none() {
-                self.held.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        if let Some(b) = self.stmt_binding.take() {
-            self.locals.insert(b);
-        }
-        (self.stmt_binding, self.stmt_bound) = saved;
-    }
-
-    fn scan(&mut self, trees: &[Tree]) {
-        let mut i = 0;
-        let mut mut_ref = false;
-        while i < trees.len() {
-            if trees[i].punct() == Some("&")
-                && trees.get(i + 1).and_then(Tree::ident) == Some("mut")
-            {
-                mut_ref = true;
-                i += 2;
-                continue;
-            }
-            match &trees[i] {
-                Tree::Leaf(t) if t.kind == TokKind::Ident => {
-                    let id = t.text.as_str();
-                    if id == "fn" {
-                        // Nested fn: walked as its own function.
-                        i = skip_fn(trees, i);
-                        mut_ref = false;
-                        continue;
-                    }
-                    if KEYWORDS.contains(&id) {
-                        i += 1;
-                        mut_ref = false;
-                        continue;
-                    }
-                    if id == "drop" {
-                        if let Some(Tree::Group(g)) = trees.get(i + 1) {
-                            if g.delim == '(' && g.trees.len() == 1 {
-                                if let Some(b) = g.trees[0].ident() {
-                                    self.release(b);
-                                    i += 2;
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    if trees.get(i + 1).and_then(|t| t.punct()) == Some("!") {
-                        // Macro: scan its arguments for nested chains.
-                        if let Some(Tree::Group(g)) = trees.get(i + 2) {
-                            self.scan(&g.trees);
-                            i += 3;
-                        } else {
-                            i += 2;
-                        }
-                        mut_ref = false;
-                        continue;
-                    }
-                    let chains = matches!(
-                        trees.get(i + 1),
-                        Some(Tree::Leaf(p)) if p.text == "." || p.text == "::"
-                    ) || matches!(trees.get(i + 1), Some(Tree::Group(g)) if g.delim == '(');
-                    if chains {
-                        i = self.chain(trees, i, mut_ref);
-                    } else {
-                        i += 1;
-                    }
-                    mut_ref = false;
-                }
-                Tree::Group(g) if g.delim == '{' => {
-                    self.walk_block(g);
-                    i += 1;
-                    mut_ref = false;
-                }
-                Tree::Group(g)
-                    if g.delim == '('
-                        && g.trees.first().and_then(|t| t.punct()) == Some("*")
-                        && trees.get(i + 1).and_then(|t| t.punct()) == Some(".") =>
-                {
-                    // `(*p).field` — deref head.
-                    i = self.chain(trees, i, mut_ref);
-                    mut_ref = false;
-                }
-                Tree::Group(g) => {
-                    self.scan(&g.trees);
-                    i += 1;
-                    mut_ref = false;
-                }
-                _ => {
-                    i += 1;
-                    mut_ref = false;
-                }
-            }
-        }
-    }
-
-    /// Parses one postfix chain starting at `start`; returns the index of
-    /// the first token past it (past the assignment operator if any).
-    fn chain(&mut self, trees: &[Tree], start: usize, mut_ref: bool) -> usize {
-        let mut j = start;
-        let head;
-        let mut head_name: Option<String> = None;
-        // `prev_name` feeds `Ret { func }` hints for method resolution;
-        // `prev_owner` is set after a `Type::assoc(…)` path call.
-        let mut prev_name: Option<String> = None;
-        let mut prev_owner: Option<String> = None;
-        match &trees[j] {
-            Tree::Group(g) => {
-                self.scan(&g.trees);
-                head = Head::Deref;
-                j += 1;
-            }
-            Tree::Leaf(t) => {
-                let id = t.text.clone();
-                j += 1;
-                let path_first = id.clone();
-                let mut path_last = id.clone();
-                let mut is_path = false;
-                while trees.get(j).and_then(|t| t.punct()) == Some("::") {
-                    let k = skip_turbofish(trees, j);
-                    if k != j {
-                        j = k;
-                        continue;
-                    }
-                    let Some(seg) = trees.get(j + 1).and_then(Tree::ident) else { break };
-                    is_path = true;
-                    path_last = seg.to_string();
-                    j += 2;
-                }
-                if is_path {
-                    // `Type::assoc(args)` or a path expression.
-                    if let Some(Tree::Group(g)) = trees.get(j) {
-                        if g.delim == '(' {
-                            let hint = if path_first == "Self" {
-                                Hint::SelfTy
-                            } else if path_first.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                                Hint::Ty(path_first.clone())
-                            } else {
-                                Hint::None
-                            };
-                            self.calls.push(CallRec {
-                                caller: self.fn_id,
-                                call: Call {
-                                    name: path_last.clone(),
-                                    line: g.line,
-                                    dotted: false,
-                                    hint,
-                                    sfence: false,
-                                },
-                                held: self.held_ids(),
-                            });
-                            self.scan(&g.trees);
-                            j += 1;
-                            prev_name = Some(path_last);
-                            prev_owner = Some(path_first);
-                        }
-                    }
-                    head = Head::Other;
-                } else if id == "self" {
-                    head = Head::SelfH;
-                } else if self.guards.contains_key(&id) {
-                    head = Head::Guard;
-                } else if self.locals.contains(&id) {
-                    head = Head::Local;
-                    head_name = Some(id);
-                } else if self.params.iter().any(|p| p == &id) {
-                    head = Head::Param;
-                    head_name = Some(id);
-                } else if self.inv.tls.contains(&(self.krate().to_string(), id.clone())) {
-                    head = Head::Tls;
-                } else if id.chars().all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit())
-                {
-                    head = Head::Static;
-                    head_name = Some(id);
-                } else {
-                    head = Head::Other;
-                    head_name = Some(id);
-                }
-            }
-        }
-
-        let mut pending: Option<(String, u32)> = None;
-        let mut seg_index = 0usize;
-        loop {
-            if trees.get(j).and_then(|t| t.punct()) == Some("?") {
-                j += 1;
-                continue;
-            }
-            if let Some(Tree::Group(g)) = trees.get(j) {
-                if g.delim == '[' {
-                    // Indexing: `self.free[c].lock()` keeps `free` pending.
-                    self.scan(&g.trees);
-                    j += 1;
-                    continue;
-                }
-            }
-            if trees.get(j).and_then(|t| t.punct()) != Some(".") {
-                break;
-            }
-            let Some(Tree::Leaf(seg)) = trees.get(j + 1) else { break };
-            if seg.kind != TokKind::Ident && seg.kind != TokKind::Num {
-                break;
-            }
-            let nm = seg.text.clone();
-            let line = seg.line;
-            if nm == "await" {
-                j += 2;
-                continue;
-            }
-            let k = skip_turbofish(trees, j + 2);
-            let args = match trees.get(k) {
-                Some(Tree::Group(g)) if g.delim == '(' => Some(g),
-                _ => None,
-            };
-            if let Some(g) = args {
-                // Method segment.
-                let lockable = pending
-                    .as_ref()
-                    .map(|(n, _)| n.clone())
-                    .or_else(|| if seg_index == 0 { head_name.clone() } else { None });
-                let is_lock = matches!(nm.as_str(), "lock" | "try_lock")
-                    || (matches!(nm.as_str(), "read" | "write")
-                        && lockable.as_ref().is_some_and(|n| {
-                            self.inv.rwlocks.contains(&(self.krate().to_string(), n.clone()))
-                        }));
-                if let (true, Some(name)) = (is_lock, &lockable) {
-                    self.acquire(name.clone(), head == Head::Guard);
-                    pending = None;
-                } else {
-                    if let Some((fname, fline)) = pending.take() {
-                        self.record(head, &fname, fline, Op::Method(nm.clone()), seg_index);
-                    }
-                    let hint = if head == Head::SelfH && seg_index == 0 && prev_name.is_none() {
-                        Hint::SelfTy
-                    } else if let Some(func) = prev_name.clone() {
-                        Hint::Ret { func, owner: prev_owner.clone() }
-                    } else if let Some(h) = head_name.clone() {
-                        if h.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-                            && head != Head::Local
-                            && head != Head::Param
-                        {
-                            Hint::Ty(h)
-                        } else {
-                            Hint::Ret { func: h, owner: None }
-                        }
-                    } else {
-                        Hint::None
-                    };
-                    self.calls.push(CallRec {
-                        caller: self.fn_id,
-                        call: Call { name: nm.clone(), line, dotted: true, hint, sfence: false },
-                        held: self.held_ids(),
-                    });
-                }
-                self.scan(&g.trees);
-                prev_name = Some(nm);
-                prev_owner = None;
-                seg_index += 1;
-                j = k + 1;
-            } else {
-                // Field segment: an earlier pending field was read through.
-                if let Some((fname, fline)) = pending.take() {
-                    self.record(head, &fname, fline, Op::Read, seg_index);
-                }
-                pending = Some((nm, line));
-                seg_index += 1;
-                j += 2;
-            }
-        }
-        let assigned =
-            trees.get(j).and_then(|t| t.punct()).is_some_and(|p| ASSIGN_OPS.contains(&p));
-        if let Some((fname, fline)) = pending.take() {
-            let op = if assigned {
-                Op::Assign
-            } else if mut_ref {
-                Op::MutRef
-            } else {
-                Op::Read
-            };
-            self.record(head, &fname, fline, op, seg_index);
-        }
-        if assigned {
-            j + 1
-        } else {
-            j.max(start + 1)
-        }
-    }
-
-    /// Attributes one field access to an inventory entry, if possible.
-    fn record(&mut self, head: Head, name: &str, line: u32, op: Op, seg_index: usize) {
-        let idx = match head {
-            Head::Guard | Head::Tls | Head::Local | Head::Other => return,
-            Head::SelfH if seg_index == 1 => {
-                // First field off `self`: the enclosing impl type's field.
-                let Some(owner) = self.owner else { return };
-                let key = (self.krate().to_string(), owner.to_string(), name.to_string());
-                match self.inv.by_owner.get(&key) {
-                    Some(&i) => i,
-                    None => return,
-                }
-            }
-            _ => {
-                // Deref / parameter / deeper chains: attribute when the
-                // field name is unique among this crate's shared structs.
-                let key = (self.krate().to_string(), name.to_string());
-                match self.inv.by_name.get(&key) {
-                    Some(v) if v.len() == 1 => v[0],
-                    _ => return,
-                }
-            }
-        };
-        self.accesses.push(Access {
-            field: idx,
-            file: self.file,
-            line,
-            op,
-            exclusive: head == Head::SelfH && self.exclusive_self,
-            fn_id: self.fn_id,
-            locks: self.held_ids(),
-        });
-    }
-
-    fn acquire(&mut self, name: String, via_guard: bool) {
-        if via_guard {
-            return; // `guard.inner.lock()` — already counted names only
-        }
-        let id = format!("{}:{}", self.krate(), name);
-        if let (Some(b), false) = (self.stmt_binding.clone(), self.stmt_bound) {
-            self.guards.insert(b.clone(), id.clone());
-            self.held.push((id, Some(b)));
-            self.stmt_bound = true;
-        } else {
-            self.held.push((id, None));
-        }
-    }
-
-    fn release(&mut self, binding: &str) {
-        self.held.retain(|(_, b)| b.as_deref() != Some(binding));
-        self.guards.remove(binding);
-    }
-}
-
-/// `let [mut] x = …` / `if let Pat(x) = …` / `while let Pat(x) = …`.
-fn stmt_binding(stmt: &[Tree]) -> Option<String> {
-    let mut k = 0;
-    if matches!(stmt.first().and_then(Tree::ident), Some("if" | "while")) {
-        k = 1;
-    }
-    if stmt.get(k).and_then(Tree::ident) != Some("let") {
-        return None;
-    }
-    let eq = stmt[k..].iter().position(|t| t.punct() == Some("="))? + k;
-    let pat = &stmt[k + 1..eq];
-    // `let mut g` / `let g`.
-    let mut p = pat;
-    if p.first().and_then(Tree::ident) == Some("mut") {
-        p = &p[1..];
-    }
-    if p.len() == 1 {
-        return p[0].ident().map(str::to_string);
-    }
-    // `Some(g)` / `Ok(g)` — the ident inside the last paren group.
-    if let Some(Tree::Group(g)) = pat.last() {
-        if g.delim == '(' && g.trees.len() == 1 {
-            return g.trees[0].ident().map(str::to_string);
-        }
-    }
-    None
-}
-
-fn skip_fn(trees: &[Tree], i: usize) -> usize {
-    let mut j = i + 1;
-    while j < trees.len() {
-        match &trees[j] {
-            Tree::Group(g) if g.delim == '{' => return j + 1,
-            Tree::Leaf(t) if t.text == ";" => return j + 1,
-            _ => j += 1,
-        }
-    }
-    j
-}
-
-/// Skips `::<…>` turbofish generics; returns the index after them (or `j`
-/// unchanged when there are none).
-fn skip_turbofish(trees: &[Tree], j: usize) -> usize {
-    if trees.get(j).and_then(|t| t.punct()) != Some("::")
-        || !matches!(trees.get(j + 1).and_then(|t| t.punct()), Some("<") | Some("<<"))
-    {
-        return j;
-    }
-    let mut depth = 0i32;
-    let mut k = j + 1;
-    while k < trees.len() {
-        match trees[k].punct() {
-            Some("<") => depth += 1,
-            Some("<<") => depth += 2,
-            Some(">") => depth -= 1,
-            Some(">>") => depth -= 2,
-            _ => {}
-        }
-        k += 1;
-        if depth <= 0 {
-            break;
-        }
-    }
-    k
-}
-
-// ---------------------------------------------------------------------------
-// The pass
-// ---------------------------------------------------------------------------
-
 pub fn check<'a>(ws: &Workspace<'a>) -> Vec<RaceFinding> {
     let files: Vec<&'a SrcFile> = ws.source().in_dirs(RACE_DIRS).collect();
     let inv = build_inventory(&files);
 
+    // One walk per audited fn, by the tracker the lock-order pass uses:
+    // field accesses and call sites, each with the guards live at it.
+    let n = ws.fn_count();
     let mut accesses: Vec<Access> = Vec::new();
-    let mut calls: Vec<CallRec> = Vec::new();
+    let mut incoming: Vec<Vec<(usize, BTreeSet<String>)>> = vec![Vec::new(); n];
     for id in ws.fns_in(RACE_DIRS) {
-        let item = &ws.fn_info(id).item;
-        let (exclusive_self, params) = parse_params(item.sig);
-        let mut w = Walker {
-            file: ws.fn_file(id),
-            fn_id: id,
-            owner: item.owner,
-            exclusive_self,
-            params: &params,
-            inv: &inv,
-            locals: BTreeSet::new(),
-            guards: BTreeMap::new(),
-            held: Vec::new(),
-            stmt_binding: None,
-            stmt_bound: false,
-            accesses: &mut accesses,
-            calls: &mut calls,
-        };
-        w.walk_block(item.body);
+        let (info, file) = (ws.fn_info(id), ws.fn_file(id));
+        let krate = &file.krate;
+        let (exclusive_self, params) = parse_params(info.item.sig);
+        let mut locals: BTreeSet<&str> = BTreeSet::new();
+        walk_held(ws, id, &info.body, &mut Vec::new(), &mut |node, held| {
+            let locks = || held.iter().map(|h| h.id.clone()).collect::<BTreeSet<_>>();
+            match node {
+                Node::Let { binding } => {
+                    locals.insert(binding);
+                }
+                Node::Access(ev) => {
+                    // Which field, by the chain's head: the first segment
+                    // off `self` is the impl type's own field; deeper
+                    // segments and the other heads that reach shared state —
+                    // a `(*ptr)` deref, a parameter, a static — name a field
+                    // when the name is unique among the crate's shared
+                    // structs. Locals, guards and TLS statics are
+                    // thread-confined; any other head is out of reach.
+                    let (head, name) = (ev.chain[0].as_str(), &ev.chain[ev.chain.len() - 1]);
+                    let field = if head == "self" && ev.chain.len() == 2 {
+                        info.item.owner.and_then(|o| {
+                            inv.by_owner.get(&(krate.clone(), o.to_string(), name.clone())).copied()
+                        })
+                    } else {
+                        let confined = locals.contains(head)
+                            || held.iter().any(|g| g.binding.as_deref() == Some(head))
+                            || inv.tls.contains(&(krate.clone(), head.to_string()));
+                        let is_static = head
+                            .chars()
+                            .all(|c| c.is_ascii_uppercase() || c == '_' || c.is_ascii_digit());
+                        let reaches = matches!(head, "self" | "*")
+                            || !confined && (is_static || params.iter().any(|p| p == head));
+                        match inv.by_name.get(&(krate.clone(), name.clone())) {
+                            Some(v) if reaches && v.len() == 1 => Some(v[0]),
+                            _ => None,
+                        }
+                    };
+                    if let Some(field) = field {
+                        accesses.push(Access {
+                            field,
+                            file,
+                            line: ev.line,
+                            op: ev.op.clone(),
+                            exclusive: head == "self" && exclusive_self,
+                            fn_id: id,
+                            locks: locks(),
+                        });
+                    }
+                }
+                Node::Call(call) | Node::Flush(call) => {
+                    for t in ws.resolve(id, call).into_iter().filter(|&t| t != id) {
+                        incoming[t].push((id, locks()));
+                    }
+                }
+                _ => {}
+            }
+        });
     }
 
     // Inherited locksets: roots (public fns, or fns with no resolved
     // callers) start at ∅; every other fn gets the intersection over its
     // call sites of (locks held at the site ∪ the caller's inherited set).
     // Only audited fns record call sites, so only their callees inherit.
-    let n = ws.fn_count();
-    let mut incoming: Vec<Vec<(usize, BTreeSet<String>)>> = vec![Vec::new(); n];
-    for c in &calls {
-        for t in ws.resolve(c.caller, &c.call) {
-            if t != c.caller {
-                incoming[t].push((c.caller, c.held.clone()));
-            }
-        }
-    }
     let fixed: Vec<bool> =
         (0..n).map(|i| ws.fn_info(i).item.is_pub || incoming[i].is_empty()).collect();
     let mut inherited: Vec<Option<BTreeSet<String>>> =
@@ -1311,6 +829,105 @@ mod tests {
             }
         ";
         assert!(run(src).is_empty(), "{:?}", run(src));
+    }
+
+    // -- what reading the lowered bodies changed (PR 15) ----------------------
+
+    #[test]
+    fn a_let_guard_after_a_brace_terminated_statement_is_bound() {
+        // The token walker split statements at `;` only, so the `let` was
+        // the tail of the `if` statement and its guard a temporary.
+        let src = "
+            struct S { m: Mutex<u64>, hint: u64 }
+            impl S {
+                pub fn pop(&self, skip: bool) {
+                    if skip { return; }
+                    let g = self.m.lock();
+                    self.hint += 1;
+                }
+                pub fn peek(&self) -> u64 {
+                    self.hint
+                }
+            }
+        ";
+        let f = run(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].1, 10, "the write is guarded; the unguarded read is the finding: {f:?}");
+        assert!(f[0].2.contains("written under `core:m`"), "{}", f[0].2);
+    }
+
+    #[test]
+    fn a_guard_taken_in_one_match_arm_is_not_held_in_the_next() {
+        let src = "
+            struct S { m: Mutex<Vec<u64>>, count: u64 }
+            impl S {
+                pub fn step(&self, k: u64) {
+                    match k {
+                        0 => self.m.lock().clear(),
+                        _ => self.count += 1,
+                    }
+                }
+            }
+        ";
+        let f = run(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].1, 7);
+        assert!(f[0].2.contains("unprotected write"), "{}", f[0].2);
+    }
+
+    #[test]
+    fn header_temporaries_follow_rust_drop_scopes() {
+        // `for` keeps the iterator expression's guard through the body; a
+        // plain `if` drops its condition's temporaries before the block.
+        let src = "
+            struct S { m: Mutex<Vec<u64>>, seen: u64, idle: u64 }
+            impl S {
+                pub fn sweep(&self) {
+                    for x in self.m.lock().iter() {
+                        self.seen += 1;
+                    }
+                    if self.m.lock().is_empty() {
+                        self.idle += 1;
+                    }
+                }
+            }
+        ";
+        let f = run(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].1, 9);
+        assert!(f[0].2.contains("`S.idle`"), "{}", f[0].2);
+    }
+
+    #[test]
+    fn a_private_free_fn_inherits_its_callers_lockset() {
+        // Free calls are call sites like any other in the lowered body.
+        let src = "
+            struct S { m: Mutex<u64>, count: u64 }
+            pub fn locked(s: &S) {
+                let g = s.m.lock();
+                bump(s);
+            }
+            fn bump(s: &S) {
+                s.count += 1;
+            }
+        ";
+        assert!(run(src).is_empty(), "{:?}", run(src));
+    }
+
+    #[test]
+    fn a_closure_with_a_fn_pointer_parameter_is_still_walked() {
+        // `|f: fn(&S) -> u64|` is not a nested `fn` item.
+        let src = "
+            struct S { m: Mutex<u64>, count: u64 }
+            impl S {
+                pub fn each(&self) {
+                    let col = |f: fn(&S) -> u64| { self.count += 1; };
+                }
+            }
+        ";
+        let f = run(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].1, 5);
     }
 
     #[test]

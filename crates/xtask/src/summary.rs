@@ -181,6 +181,9 @@ pub struct Workspace<'a> {
     amortized: Vec<BTreeSet<u32>>,
     fns: Vec<FnData<'a>>,
     by_name: BTreeMap<&'a str, Vec<usize>>,
+    /// (crate, name) of every `RwLock`-typed struct field: the receivers on
+    /// which `.read()` / `.write()` acquire a guard.
+    rwlocks: BTreeSet<(&'a str, &'a str)>,
     summaries: Vec<Summary>,
 }
 
@@ -202,7 +205,12 @@ impl<'a> Workspace<'a> {
             by_name.entry(f.info.item.name).or_default().push(i);
         }
         let amortized = src.files.iter().map(amortized_lines).collect();
-        let mut ws = Workspace { src, amortized, fns, by_name, summaries: Vec::new() };
+        let mut rwlocks = BTreeSet::new();
+        for d in src.files.iter().flat_map(|f| &f.structs).filter(|d| !d.test_only) {
+            let rw = d.fields.iter().filter(|(_, ty)| ty.contains("RwLock<"));
+            rwlocks.extend(rw.map(|(name, _)| (d.krate.as_str(), name.as_str())));
+        }
+        let mut ws = Workspace { src, amortized, fns, by_name, rwlocks, summaries: Vec::new() };
         ws.summaries = summarize(&ws);
         ws
     }
@@ -352,9 +360,13 @@ impl<'a> Workspace<'a> {
         eff
     }
 
-    pub(crate) fn lock_id(&self, caller: usize, site: &cfg::LockSite) -> String {
+    /// The `crate:field` id of the lock acquired at `site` — the one
+    /// lock-site rule. `None` when a `.read()` / `.write()` receiver is not
+    /// an `RwLock`: the site is only the ordinary call recorded before it.
+    pub(crate) fn lock_id(&self, caller: usize, site: &cfg::LockSite) -> Option<String> {
+        let krate = self.fn_crate(caller);
         let mutex = site.chain.last().map(String::as_str).unwrap_or("<lock>");
-        format!("{}:{}", self.fn_crate(caller), mutex)
+        (!site.rw || self.rwlocks.contains(&(krate, mutex))).then(|| format!("{krate}:{mutex}"))
     }
 }
 
@@ -384,26 +396,16 @@ impl CallOracle for TableOracle<'_, '_> {
 // Summary computation (SCC fixpoint)
 // ---------------------------------------------------------------------------
 
-pub(crate) fn collect_calls(n: &Node, out: &mut Vec<Call>) {
-    match n {
-        Node::Seq(cs) => cs.iter().for_each(|c| collect_calls(c, out)),
-        Node::Branch(alts) => alts.iter().for_each(|a| collect_calls(a, out)),
-        Node::Loop(b) => collect_calls(b, out),
-        Node::Call(c) | Node::Flush(c) => out.push(c.clone()),
-        _ => {}
-    }
-}
-
 fn summarize(ws: &Workspace) -> Vec<Summary> {
     let n = ws.fns.len();
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, slot) in edges.iter_mut().enumerate() {
-        let mut calls = Vec::new();
-        collect_calls(&ws.fns[i].info.body, &mut calls);
         let mut targets = BTreeSet::new();
-        for c in &calls {
-            targets.extend(ws.resolve(i, c));
-        }
+        ws.fns[i].info.body.each(&mut |n| {
+            if let Node::Call(c) | Node::Flush(c) = n {
+                targets.extend(ws.resolve(i, c));
+            }
+        });
         *slot = targets.into_iter().collect();
     }
     let mut summaries = vec![Summary::bottom(); n];
@@ -509,7 +511,7 @@ fn effects(ws: &Workspace, f: usize, node: &Node, summaries: &[Summary]) -> Eff 
         }
         Node::Call(call) => ws.call_effect(f, call, summaries),
         Node::Lock(site) => Eff {
-            locks: std::iter::once(ws.lock_id(f, site)).collect(),
+            locks: ws.lock_id(f, site).into_iter().collect(),
             ..Default::default()
         },
         _ => Eff::default(),
