@@ -73,8 +73,7 @@ fn ablate_txn_vs_lazy(cfg: &BenchConfig, rows: &mut Vec<Row>) {
                     for h in &histories {
                         scope.spawn(move || {
                             for v in 1..=per_thread as u64 {
-                                let idx = h.slots().claim();
-                                let e = h.slots().entry(idx);
+                                let (_, e) = h.slots().claim();
                                 let mut txn = p.begin_txn().expect("txn");
                                 // Entry offset via the atomic cell address.
                                 let base = e as *const _ as usize - p.base_ptr(0) as usize;
@@ -179,8 +178,8 @@ fn ablate_lazy_tail(cfg: &BenchConfig, rows: &mut Vec<Row>) {
     // not penalized by first-touch page faults.
     {
         let clock = VersionClock::new();
-        let histories: Vec<History<EHistory>> =
-            (0..keys).map(|_| History::new(EHistory::new())).collect();
+        let storage: Vec<EHistory> = (0..keys).map(|_| EHistory::new()).collect();
+        let histories: Vec<History<&EHistory>> = storage.iter().map(History::new).collect();
         for _ in 0..appends_per_key {
             for h in &histories {
                 let v = clock.issue();
@@ -191,8 +190,8 @@ fn ablate_lazy_tail(cfg: &BenchConfig, rows: &mut Vec<Row>) {
     }
     for (label, eager) in [("lazy-tail", false), ("eager-tail", true)] {
         let clock = VersionClock::new();
-        let histories: Vec<History<EHistory>> =
-            (0..keys).map(|_| History::new(EHistory::new())).collect();
+        let storage: Vec<EHistory> = (0..keys).map(|_| EHistory::new()).collect();
+        let histories: Vec<History<&EHistory>> = storage.iter().map(History::new).collect();
         let t0 = Instant::now();
         for e in 0..appends_per_key {
             for h in &histories {

@@ -22,12 +22,13 @@ fn history_ops(c: &mut Criterion) {
 
     group.bench_function("append_ephemeral", |b| {
         b.iter_batched(
-            || History::new(EHistory::new()),
-            |h| {
+            EHistory::new,
+            |storage| {
+                let h = History::new(&storage);
                 for v in 1..=64u64 {
                     h.append(v, v * 2);
                 }
-                h
+                storage
             },
             BatchSize::SmallInput,
         );
@@ -46,7 +47,8 @@ fn history_ops(c: &mut Criterion) {
         );
     });
 
-    let filled = History::new(EHistory::new());
+    let storage = EHistory::new();
+    let filled = History::new(&storage);
     for v in 1..=1024u64 {
         filled.append(v, v);
     }

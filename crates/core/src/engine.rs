@@ -136,7 +136,8 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
     /// chunk is *prepared* (slot claimed, entry written and flushed — no
     /// fence), then a single ordering fence covers the whole chunk, then
     /// every `done` stamp is published and reported to the clock. One fence
-    /// per chunk instead of one per operation.
+    /// per chunk instead of one per operation, and one segment-chain walk
+    /// per pair: the slot the prepare resolved is what the publish stamps.
     ///
     /// A crash anywhere in the middle leaves a mix of published and
     /// prepared-only slots; recovery's watermark rule (§IV-B) prunes every
@@ -157,12 +158,12 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
                 self.counters.insert();
                 let hist = self.get_or_create_history(key);
                 let version = self.clock.issue();
-                let idx = self.home.history(hist).append_prepare(version, value);
-                staged.push((H::logged(&key), hist, version, idx));
+                let slot = self.home.history(hist).append_prepare(version, value);
+                staged.push((H::logged(&key), hist, version, slot));
             }
             self.home.batch_fence();
-            for &(logged, hist, version, idx) in &staged {
-                self.home.history(hist).append_publish(idx, version);
+            for &(logged, hist, version, slot) in &staged {
+                self.home.history(hist).append_publish(slot, version);
                 self.home.mutated(logged, version);
                 self.clock.complete(version);
                 versions.push(version);

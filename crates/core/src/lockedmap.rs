@@ -14,11 +14,9 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-type EHist = History<EHistory>;
-
 /// Lock-based ordered multi-version store.
 pub struct LockedMap {
-    map: Mutex<BTreeMap<u64, Arc<EHist>>>,
+    map: Mutex<BTreeMap<u64, Arc<EHistory>>>,
     clock: VersionClock,
     tags: Mutex<Vec<(u64, u64)>>,
 }
@@ -32,9 +30,9 @@ impl LockedMap {
         }
     }
 
-    fn get_or_create_history(&self, key: u64) -> Arc<EHist> {
+    fn get_or_create_history(&self, key: u64) -> Arc<EHistory> {
         let mut map = self.map.lock();
-        map.entry(key).or_insert_with(|| Arc::new(History::new(EHistory::new()))).clone()
+        map.entry(key).or_default().clone()
     }
 }
 
@@ -77,7 +75,7 @@ impl StoreSession for &LockedMap {
         debug_assert_ne!(value, TOMBSTONE);
         let hist = self.get_or_create_history(key);
         let version = self.clock.issue();
-        hist.append(version, value);
+        History::new(&*hist).append(version, value);
         self.clock.complete(version);
         version
     }
@@ -85,19 +83,19 @@ impl StoreSession for &LockedMap {
     fn remove(&self, key: u64) -> u64 {
         let hist = self.get_or_create_history(key);
         let version = self.clock.issue();
-        hist.append_tombstone(version);
+        History::new(&*hist).append_tombstone(version);
         self.clock.complete(version);
         version
     }
 
     fn find(&self, key: u64, version: u64) -> Option<u64> {
         let hist = self.map.lock().get(&key).cloned()?;
-        hist.find(version, self.clock.watermark())
+        History::new(&*hist).find(version, self.clock.watermark())
     }
 
     fn extract_history(&self, key: u64) -> Vec<HistoryRecord> {
         match self.map.lock().get(&key).cloned() {
-            Some(h) => h.records(self.clock.watermark()),
+            Some(h) => History::new(&*h).records(self.clock.watermark()),
             None => Vec::new(),
         }
     }
@@ -109,7 +107,7 @@ impl StoreSession for &LockedMap {
         let map = self.map.lock();
         let mut out = Vec::with_capacity(map.len());
         for (&key, hist) in map.iter() {
-            match hist.find_raw(version, fc) {
+            match History::new(&**hist).find_raw(version, fc) {
                 Some(TOMBSTONE) | None => {}
                 Some(value) => out.push((key, value)),
             }
@@ -122,7 +120,7 @@ impl StoreSession for &LockedMap {
         let map = self.map.lock();
         let mut out = Vec::new();
         for (&key, hist) in map.range(lo..hi) {
-            match hist.find_raw(version, fc) {
+            match History::new(&**hist).find_raw(version, fc) {
                 Some(TOMBSTONE) | None => {}
                 Some(value) => out.push((key, value)),
             }

@@ -32,7 +32,7 @@ use mvkv_skiplist::SkipList;
 use mvkv_vhistory::recovery::{
     compute_watermark, prune_to_watermark, scan_published_prefix_checked, PrefixScan, ScanStop,
 };
-use mvkv_vhistory::{History, PHistory, Slots, VersionClock, TOMBSTONE};
+use mvkv_vhistory::{Cursor, History, PHistory, Slots, VersionClock, TOMBSTONE};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -461,24 +461,22 @@ impl PSkipList {
         for (&_key, hist) in self.index.iter() {
             report.keys += 1;
             let h = PHistory::open(&self.home.pool, PPtr::from_off(hist));
-            let mut key_corrupt = false;
-            for idx in 0..h.pending() {
-                match h.try_entry(idx) {
-                    None => {
-                        key_corrupt = true;
-                        break;
-                    }
-                    Some(e) => {
-                        if e.done.load(mvkv_sync::sync::atomic::Ordering::Acquire) == 0 {
-                            continue; // unpublished claim: nothing to verify
-                        }
-                        if e.crc_valid() {
-                            report.valid_records += 1;
-                        } else {
-                            report.corrupt_records += 1;
-                            key_corrupt = true;
-                        }
-                    }
+            let pending = h.pending();
+            let mut cur = Cursor::new();
+            let backed = h.fill_checked(&mut cur, pending);
+            // A claimed slot without valid backing: an unlinked or damaged
+            // segment.
+            let mut key_corrupt = backed < pending;
+            for idx in 0..backed {
+                let e = cur.entry(idx);
+                if e.done.load(mvkv_sync::sync::atomic::Ordering::Acquire) == 0 {
+                    continue; // unpublished claim: nothing to verify
+                }
+                if e.crc_valid() {
+                    report.valid_records += 1;
+                } else {
+                    report.corrupt_records += 1;
+                    key_corrupt = true;
                 }
             }
             if key_corrupt {
@@ -540,12 +538,13 @@ impl PSkipList {
         let new_chain = KeyChain::open(new_pool, new.home.chain);
         for (&key, hist) in self.index.iter() {
             let h = self.home.history(hist);
-            let visible = h.extend_tail(fc);
+            let mut cur = Cursor::new();
+            let visible = h.extend_tail_in(&mut cur, fc);
             stats.entries_before += visible;
             let mut collapsed: Option<(u64, u64)> = None;
             let mut kept: Vec<(u64, u64)> = Vec::new();
             for i in 0..visible {
-                let e = h.slots().entry(i);
+                let e = cur.entry(i);
                 let v = e.version.load(mvkv_sync::sync::atomic::Ordering::Relaxed);
                 let value = e.value.load(mvkv_sync::sync::atomic::Ordering::Relaxed);
                 if v <= horizon {
@@ -777,12 +776,11 @@ mod tests {
         // Torn op on key 21: manually create the key but skip publication.
         let hist_off = store.get_or_create_history(21);
         let h = PHistory::open(store.pool(), PPtr::from_off(hist_off));
-        let idx = h.claim();
+        let (_, e) = h.claim();
         h.persist_pending();
-        let e = h.entry(idx);
         e.version.store(21, std::sync::atomic::Ordering::Relaxed);
         e.value.store(2100, std::sync::atomic::Ordering::Relaxed);
-        h.persist_entry(idx);
+        h.persist_entry(e);
         // done stamp never persisted → must not survive.
 
         let image = store.crash_image().unwrap();

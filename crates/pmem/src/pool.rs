@@ -265,6 +265,21 @@ impl PmemPool {
         };
     }
 
+    /// Zero-fills `[off, off+len)` in place (not persisted).
+    ///
+    /// # Safety
+    /// Caller must ensure exclusive access to the range.
+    pub unsafe fn zero_bytes(&self, off: u64, len: usize) {
+        assert!(
+            (off as usize).checked_add(len).is_some_and(|end| end <= self.backend.len()),
+            "zero_bytes({off}, {len}) out of bounds"
+        );
+        // SAFETY: range bounds-checked above; exclusive access is the
+        // caller's contract (see # Safety).
+        unsafe { std::slice::from_raw_parts_mut(self.backend.base().add(off as usize), len) }
+            .fill(0);
+    }
+
     /// Typed reference to a `T` at `off`.
     ///
     /// # Safety

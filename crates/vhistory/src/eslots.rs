@@ -1,7 +1,7 @@
 //! Heap-backed history storage for the ephemeral store variants
 //! (ESkipList, LockedMap).
 
-use crate::slots::{locate, seg_capacity, Entry, Slots};
+use crate::slots::{locate, seg_capacity, Cursor, Entry, Slots};
 use mvkv_sync::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 struct ESeg {
@@ -25,6 +25,9 @@ impl ESeg {
 
 /// An ephemeral per-key version history: lock-free appends via slot claims,
 /// segment chain of doubling capacity (see [`crate::slots`] geometry).
+///
+/// This is the storage; `&EHistory` is the [`Slots`] handle onto it, the way
+/// [`crate::PHistory`] is a handle onto a pool.
 pub struct EHistory {
     pending: AtomicU64,
     tail: AtomicU64,
@@ -40,10 +43,10 @@ impl EHistory {
         }
     }
 
-    /// Walks to segment `k`, allocating any missing links along the way.
-    /// Losing allocators in the CAS race free their segment and adopt the
-    /// winner's — the same resolution the paper applies to racing key
-    /// allocations (§IV-B).
+    /// Walks to segment `k`, allocating any missing links along the way —
+    /// the allocate-and-link path of `claim`. Losing allocators in the CAS
+    /// race free their segment and adopt the winner's — the same resolution
+    /// the paper applies to racing key allocations (§IV-B).
     fn segment(&self, k: u32) -> &ESeg {
         let mut link: &AtomicPtr<ESeg> = &self.head;
         for level in 0..=k {
@@ -97,46 +100,51 @@ unsafe impl Send for EHistory {}
 // SAFETY: same reasoning as Send — segments are append-only and atomic.
 unsafe impl Sync for EHistory {}
 
-impl Slots for EHistory {
-    fn claim(&self) -> u64 {
-        let idx = self.pending.fetch_add(1, Ordering::AcqRel);
-        let (k, _) = locate(idx);
-        self.segment(k); // ensure storage exists before the slot is used
-        idx
+/// A borrowed history is the provider, so `History<&EHistory>` runs over
+/// storage something else owns (a local, an `Arc`, the heap stores' boxed
+/// histories) and a resolved slot can outlive the `History` wrapper. The
+/// persist hooks keep their no-op defaults.
+impl<'e> Slots for &'e EHistory {
+    type Slot = &'e Entry;
+
+    fn claim(&self) -> (u64, &'e Entry) {
+        let this: &'e EHistory = self;
+        let idx = this.pending.fetch_add(1, Ordering::AcqRel);
+        let (k, pos) = locate(idx);
+        (idx, &this.segment(k).entries[pos as usize])
     }
 
     fn pending(&self) -> u64 {
         self.pending.load(Ordering::Acquire)
     }
 
-    fn entry(&self, idx: u64) -> &Entry {
-        let (k, pos) = locate(idx);
-        &self.segment(k).entries[pos as usize]
+    fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
+        let mut link: &AtomicPtr<ESeg> = match cur.levels() {
+            0 => &self.head,
+            // SAFETY: the token of a non-empty cursor is the address of the
+            // `next` cell of the last segment this function pushed, and
+            // segments live as long as the history.
+            _ => unsafe { &*(cur.resume() as *const AtomicPtr<ESeg>) },
+        };
+        while cur.covered() < n && !cur.is_full() {
+            let ptr = link.load(Ordering::Acquire);
+            if ptr.is_null() {
+                break;
+            }
+            // SAFETY: segments are never freed while the history lives.
+            let seg = unsafe { &*ptr };
+            debug_assert_eq!(seg.entries.len() as u64, seg_capacity(cur.levels()));
+            link = &seg.next;
+            // SAFETY: `segment` links level `k` with exactly
+            // `seg_capacity(k)` entries, boxed for the history's lifetime,
+            // and the loop condition left room in the cursor.
+            unsafe { cur.push(seg.entries.as_ptr(), link as *const AtomicPtr<ESeg> as usize) };
+        }
+        n.min(cur.covered())
     }
 
     fn tail_ref(&self) -> &AtomicU64 {
         &self.tail
-    }
-}
-
-/// A borrowed history is a provider too, so `History<&EHistory>` can run
-/// over storage something else owns (the heap stores' boxed histories). The
-/// persist hooks keep their no-op defaults, like [`EHistory`]'s own.
-impl Slots for &EHistory {
-    fn claim(&self) -> u64 {
-        (**self).claim()
-    }
-
-    fn pending(&self) -> u64 {
-        (**self).pending()
-    }
-
-    fn entry(&self, idx: u64) -> &Entry {
-        (**self).entry(idx)
-    }
-
-    fn tail_ref(&self) -> &AtomicU64 {
-        (**self).tail_ref()
     }
 }
 
@@ -147,26 +155,47 @@ mod tests {
 
     #[test]
     fn claim_returns_sequential_indices() {
-        let h = EHistory::new();
+        let storage = EHistory::new();
+        let h = &storage;
         for expected in 0..100 {
-            assert_eq!(h.claim(), expected);
+            assert_eq!(h.claim().0, expected);
         }
         assert_eq!(h.pending(), 100);
     }
 
     #[test]
     fn entries_are_independent() {
-        let h = EHistory::new();
+        let storage = EHistory::new();
+        let h = &storage;
         for i in 0..50u64 {
-            let idx = h.claim();
-            let e = h.entry(idx);
+            let (_, e) = h.claim();
             e.version.store(i, Ordering::Relaxed);
             e.value.store(i * 10, Ordering::Relaxed);
             e.done.store(i + 1, Ordering::Release);
         }
+        let mut cur = Cursor::new();
+        h.fill(&mut cur, 50);
         for i in 0..50u64 {
-            assert_eq!(h.entry(i).load_if_done(), Some((i, i * 10)));
+            assert_eq!(cur.entry(i).load_if_done(), Some((i, i * 10)));
         }
+    }
+
+    #[test]
+    fn fill_resolves_only_what_is_asked_and_linked() {
+        let storage = EHistory::new();
+        let h = &storage;
+        let mut cur = Cursor::new();
+        h.fill(&mut cur, 10);
+        assert_eq!((cur.levels(), cur.covered()), (0, 0), "empty chain resolves nothing");
+        for _ in 0..20 {
+            h.claim(); // links segments 0..=3 (2 + 4 + 8 + 16 slots)
+        }
+        h.fill(&mut cur, 1);
+        assert_eq!(cur.levels(), 1, "one slot needs one link");
+        h.fill(&mut cur, 7);
+        assert_eq!((cur.levels(), cur.covered()), (3, 14), "resumes, stops once covered");
+        h.fill(&mut cur, u64::MAX);
+        assert_eq!((cur.levels(), cur.covered()), (4, 30), "stops at the end of the chain");
     }
 
     #[test]
@@ -179,8 +208,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut mine = Vec::new();
                     for i in 0..500u64 {
-                        let idx = h.claim();
-                        let e = h.entry(idx);
+                        let (idx, e) = (&*h).claim();
                         e.value.store(t * 1_000_000 + i, Ordering::Relaxed);
                         e.done.store(idx + 1, Ordering::Release);
                         mine.push(idx);
@@ -193,7 +221,7 @@ mod tests {
         all.sort_unstable();
         let expected: Vec<u64> = (0..4000).collect();
         assert_eq!(all, expected, "slot claims must be unique and gapless");
-        assert_eq!(h.pending(), 4000);
+        assert_eq!((&*h).pending(), 4000);
     }
 
     #[test]
@@ -201,7 +229,7 @@ mod tests {
     fn drop_frees_long_chains_without_leak_or_crash() {
         let h = EHistory::new();
         for _ in 0..100_000 {
-            h.claim();
+            (&h).claim();
         }
         drop(h); // exercised under the test allocator; crash = failure
     }

@@ -1,6 +1,6 @@
 //! The version-history algorithm (paper Algorithm 1), generic over storage.
 
-use crate::slots::Slots;
+use crate::slots::{locate, seg_base, Cursor, Entry, Slots};
 use crate::HistoryRecord;
 use mvkv_sync::sync::atomic::Ordering;
 
@@ -11,12 +11,16 @@ use mvkv_sync::sync::atomic::Ordering;
 /// [`crate::VersionClock`]; entries with versions beyond it are invisible to
 /// queries (the paper's consistency rule).
 ///
+/// Every operation resolves the segment chain once, into a [`Cursor`] on
+/// its stack, and addresses all the slots it touches through it.
+///
 /// # Examples
 ///
 /// ```
 /// use mvkv_vhistory::{EHistory, History};
 ///
-/// let h = History::new(EHistory::new());
+/// let storage = EHistory::new();
+/// let h = History::new(&storage);
 /// h.append(1, 10);
 /// h.append_tombstone(3);
 /// assert_eq!(h.find(1, 3), Some(10));
@@ -39,7 +43,7 @@ impl<S: Slots> History<S> {
 
     /// Appends `(version, value)` — the paper's `insert` (Algorithm 1,
     /// lines 1–6). Claims a slot, writes the pair, persists it, then
-    /// publishes the non-zero `done` stamp. Returns the slot index.
+    /// publishes the non-zero `done` stamp.
     ///
     /// The persist schedule is **coalesced**: the pending-counter and entry
     /// flushes are issued unordered, a single fence separates them from the
@@ -50,15 +54,16 @@ impl<S: Slots> History<S> {
     ///
     /// The caller is responsible for reporting completion to the store's
     /// `VersionClock` *after* this returns.
-    pub fn append(&self, version: u64, value: u64) -> u64 {
-        let idx = self.append_prepare(version, value);
+    pub fn append(&self, version: u64, value: u64) {
+        let slot = self.append_prepare(version, value);
         self.publish_fence();
-        self.append_publish(idx, version);
-        idx
+        self.append_publish(slot, version);
     }
 
     /// First half of the coalesced append: claims a slot, writes the entry,
     /// and issues the pending/entry flushes with **no** ordering fence.
+    /// Returns the resolved slot — the one address every later step of this
+    /// append uses, so the chain is walked once per append (by the claim).
     ///
     /// Callers batching several appends invoke this per pair, then one
     /// [`History::publish_fence`], then [`History::append_publish`] per
@@ -66,11 +71,11 @@ impl<S: Slots> History<S> {
     /// publish, the slot is claimed-but-unpublished: readers and recovery
     /// both stop at it, so a crash between prepare and publish loses only
     /// the tail, never consistency.
-    pub fn append_prepare(&self, version: u64, value: u64) -> u64 {
+    pub fn append_prepare(&self, version: u64, value: u64) -> S::Slot {
         mvkv_obs::counter_inc_hot!("mvkv_vhistory_appends_total");
-        let idx = self.slots.claim();
+        let (_, slot) = self.slots.claim();
         self.slots.persist_pending();
-        let e = self.slots.entry(idx);
+        let e: &Entry = &slot;
         debug_assert_eq!(e.done.load(Ordering::Acquire), 0, "slot reuse without recovery");
         // ordering: the payload is published by the
         // Release store of `done` in append_publish; readers only touch
@@ -80,9 +85,9 @@ impl<S: Slots> History<S> {
         e.value.store(value, Ordering::Relaxed);
         // The integrity code rides the same persist_entry flush as the
         // payload, so checksumming adds no fence to the append schedule.
-        e.crc.store(crate::slots::Entry::expected_crc(version, value), Ordering::Relaxed);
-        self.slots.persist_entry(idx);
-        idx
+        e.crc.store(Entry::expected_crc(version, value), Ordering::Relaxed);
+        self.slots.persist_entry(e);
+        slot
     }
 
     /// The single ordering fence between prepared entries and their `done`
@@ -93,17 +98,16 @@ impl<S: Slots> History<S> {
         self.slots.publish_fence();
     }
 
-    /// Second half of the coalesced append: publishes the `done` stamp of a
-    /// prepared slot. Must be ordered after the entry persists by a
-    /// [`History::publish_fence`] in between.
-    pub fn append_publish(&self, idx: u64, version: u64) {
-        let e = self.slots.entry(idx);
-        e.done.store(version + 1, Ordering::Release);
-        self.slots.persist_done(idx);
+    /// Second half of the coalesced append: publishes the `done` stamp of
+    /// the slot [`History::append_prepare`] returned. Must be ordered after
+    /// the entry persists by a [`History::publish_fence`] in between.
+    pub fn append_publish(&self, slot: S::Slot, version: u64) {
+        slot.done.store(version + 1, Ordering::Release);
+        self.slots.persist_done(&slot);
     }
 
     /// Appends a tombstone — the paper's `remove` (Algorithm 1, line 7).
-    pub fn append_tombstone(&self, version: u64) -> u64 {
+    pub fn append_tombstone(&self, version: u64) {
         self.append(version, crate::TOMBSTONE)
     }
 
@@ -112,13 +116,22 @@ impl<S: Slots> History<S> {
     /// length. Called by queries, never by appends (the "lazy" in lazy
     /// tail). Uses a CAS-max so concurrent extenders cooperate.
     pub fn extend_tail(&self, fc: u64) -> u64 {
+        self.extend_tail_in(&mut Cursor::new(), fc)
+    }
+
+    /// [`History::extend_tail`] through the caller's cursor, which covers
+    /// the returned length afterwards — for callers that go on to read the
+    /// visible slots.
+    pub fn extend_tail_in<'a>(&'a self, cur: &mut Cursor<'a>, fc: u64) -> u64 {
         let tail = self.slots.tail_ref();
         let start = tail.load(Ordering::Acquire);
-        let pending = self.slots.pending();
+        // A claim bumps `pending` before it links the slot's segment, so the
+        // walk stops at the resolved backing: a slot without a linked
+        // segment cannot have been published.
+        let limit = self.slots.fill(cur, self.slots.pending());
         let mut next = start;
-        while next < pending {
-            let e = self.slots.entry(next);
-            let done = e.done.load(Ordering::Acquire);
+        while next < limit {
+            let done = cur.entry(next).done.load(Ordering::Acquire);
             // done stores version + 1; 0 means the write is not published.
             if done == 0 || done - 1 > fc {
                 break;
@@ -138,7 +151,11 @@ impl<S: Slots> History<S> {
                 }
                 Err(current) => {
                     if current >= next {
-                        return current; // someone advanced at least as far
+                        // Someone advanced at least as far — possibly into
+                        // a segment linked after our fill; every slot below
+                        // the tail is published, so its segment resolves.
+                        self.slots.fill(cur, current);
+                        return current;
                     }
                     observed = current;
                 }
@@ -165,52 +182,62 @@ impl<S: Slots> History<S> {
     /// beyond it — i.e. the last visible entry's version is below the
     /// requested version (the paper's lazy rule).
     pub fn find_raw(&self, version: u64, fc: u64) -> Option<u64> {
+        let mut cur = Cursor::new();
         let mut t = self.tail();
-        let needs_extension = match t {
-            0 => true,
-            // ordering: slot t-1 is covered by the Acquire tail load in
-            // tail(); a stale version only costs a redundant extension.
-            _ => self.slots.entry(t - 1).version.load(Ordering::Relaxed) < version,
-        };
-        if needs_extension {
-            t = self.extend_tail(fc);
+        // Every slot below the tail is published, so the fill covers `t`.
+        self.slots.fill(&mut cur, t);
+        // ordering: slot t-1 is covered by the Acquire tail load in
+        // tail(); a stale version only costs a redundant extension.
+        if t == 0 || cur.entry(t - 1).version.load(Ordering::Relaxed) < version {
+            t = self.extend_tail_in(&mut cur, fc);
+            if t == 0 {
+                return None;
+            }
         }
-        if t == 0 {
-            return None;
-        }
-        // Binary search for the highest version <= requested in [0, t).
+        // Invariant of the search: slot `left - 1` (if any) was *observed*
+        // at or below `version`, every slot from `right` on above it — so
+        // the slot returned is one whose version word was actually read,
+        // and a checksum-valid one cannot be from the future even when
+        // damaged neighbours misled the search.
         // ordering: Relaxed entry loads are sound for every slot < t: the
         // Acquire load of `tail` synchronizes with the extender's AcqRel
         // CAS, which itself Acquire-loaded each slot's Release-stored
         // `done` — a transitive happens-before edge to the payload stores.
-        let (mut left, mut right) = (0i64, t as i64 - 1);
-        while left <= right {
-            let mid = (left + right) / 2;
-            let e = self.slots.entry(mid as u64);
-            let v = e.version.load(Ordering::Relaxed); // ordering: see above
-            match v.cmp(&version) {
-                std::cmp::Ordering::Less => left = mid + 1,
-                std::cmp::Ordering::Greater => right = mid - 1,
-                std::cmp::Ordering::Equal => {
-                    // Verify-on-read: never surface a checksum-invalid
-                    // payload; fall back to a verified linear scan.
-                    if !e.crc_valid() {
-                        return self.find_raw_verified(version, t);
-                    }
-                    return Some(e.value.load(Ordering::Relaxed)); // ordering: see above
-                }
+        let (mut left, mut right) = (0, t);
+        // The segment first: the walk just read every segment's header and
+        // a segment's first entry sits right behind it, so comparing first
+        // versions from the newest segment down touches no new cache line.
+        for k in (1..=locate(t - 1).0).rev() {
+            let base = seg_base(k);
+            // ordering: base <= t - 1, see the block comment above.
+            if cur.entry(base).version.load(Ordering::Relaxed) <= version {
+                left = base + 1;
+                break;
+            }
+            right = base;
+        }
+        // Then the entries: binary search for the highest version <=
+        // requested within that segment's visible part.
+        while left < right {
+            let mid = left + (right - left) / 2;
+            // ordering: mid < t, see the block comment above.
+            if cur.entry(mid).version.load(Ordering::Relaxed) <= version {
+                left = mid + 1;
+            } else {
+                right = mid;
             }
         }
-        if right < 0 {
-            None
-        } else {
-            let e = self.slots.entry(right as u64);
-            if !e.crc_valid() {
-                return self.find_raw_verified(version, t);
-            }
-            // ordering: same argument as the block comment above.
-            Some(e.value.load(Ordering::Relaxed))
+        if left == 0 {
+            return None; // even slot 0 is newer than `version`
         }
+        let e = cur.entry(left - 1);
+        // Verify-on-read: never surface a checksum-invalid payload; fall
+        // back to a verified linear scan.
+        if !e.crc_valid() {
+            return Self::find_raw_verified(&cur, version, t);
+        }
+        // ordering: left - 1 < t, same argument as the block comment above.
+        Some(e.value.load(Ordering::Relaxed))
     }
 
     /// Fallback for [`History::find_raw`] when the binary search lands on a
@@ -219,10 +246,10 @@ impl<S: Slots> History<S> {
     /// slots may also carry a corrupt *version* word, which breaks the
     /// sortedness the binary search relies on — the linear scan does not.
     #[cold]
-    fn find_raw_verified(&self, version: u64, t: u64) -> Option<u64> {
+    fn find_raw_verified(cur: &Cursor<'_>, version: u64, t: u64) -> Option<u64> {
         let mut best: Option<(u64, u64)> = None;
         for idx in 0..t {
-            let e = self.slots.entry(idx);
+            let e = cur.entry(idx);
             if !e.crc_valid() {
                 mvkv_obs::counter_inc!("mvkv_vhistory_read_crc_rejects_total");
                 continue;
@@ -246,45 +273,45 @@ impl<S: Slots> History<S> {
         }
     }
 
+    /// The visible, checksum-valid records, oldest first, over a cursor
+    /// resolved to the extended tail. Checksum-invalid records (latent
+    /// media damage) are counted and skipped, never surfaced.
+    fn valid_records<'a>(
+        cur: &'a Cursor<'a>,
+        slots: impl Iterator<Item = u64> + 'a,
+    ) -> impl Iterator<Item = HistoryRecord> + 'a {
+        slots.filter_map(move |i| {
+            let e = cur.entry(i);
+            if !e.crc_valid() {
+                mvkv_obs::counter_inc!("mvkv_vhistory_read_crc_rejects_total");
+                return None;
+            }
+            // ordering: i < t, covered by the Acquire tail load in
+            // extend_tail (transitive happens-before via `done`).
+            Some(HistoryRecord::from_raw(
+                e.version.load(Ordering::Relaxed),
+                e.value.load(Ordering::Relaxed),
+            ))
+        })
+    }
+
     /// The paper's `extract_history`: every visible record in version
-    /// order. Checksum-invalid records (latent media damage) are skipped,
-    /// never surfaced.
+    /// order. Checksum-invalid records are skipped.
     pub fn records(&self, fc: u64) -> Vec<HistoryRecord> {
-        let t = self.extend_tail(fc);
-        (0..t)
-            .filter_map(|i| {
-                let e = self.slots.entry(i);
-                if !e.crc_valid() {
-                    mvkv_obs::counter_inc!("mvkv_vhistory_read_crc_rejects_total");
-                    return None;
-                }
-                // ordering: i < t, covered by the Acquire tail load in
-                // extend_tail (transitive happens-before via `done`).
-                Some(HistoryRecord::from_raw(
-                    e.version.load(Ordering::Relaxed),
-                    e.value.load(Ordering::Relaxed),
-                ))
-            })
-            .collect()
+        let mut cur = Cursor::new();
+        let t = self.extend_tail_in(&mut cur, fc);
+        let mut records = Vec::with_capacity(t as usize);
+        records.extend(Self::valid_records(&cur, 0..t));
+        records
     }
 
     /// The newest visible checksum-valid record, if any.
     pub fn latest(&self, fc: u64) -> Option<HistoryRecord> {
-        let t = self.extend_tail(fc);
-        for i in (0..t).rev() {
-            let e = self.slots.entry(i);
-            if !e.crc_valid() {
-                mvkv_obs::counter_inc!("mvkv_vhistory_read_crc_rejects_total");
-                continue;
-            }
-            // ordering: i < t, covered by the Acquire tail load in
-            // extend_tail (transitive happens-before via `done`).
-            return Some(HistoryRecord::from_raw(
-                e.version.load(Ordering::Relaxed),
-                e.value.load(Ordering::Relaxed),
-            ));
-        }
-        None
+        let mut cur = Cursor::new();
+        let t = self.extend_tail_in(&mut cur, fc);
+        // Bound first: as a tail expression the iterator would outlive `cur`.
+        let newest = Self::valid_records(&cur, (0..t).rev()).next();
+        newest
     }
 }
 
@@ -294,13 +321,10 @@ mod tests {
     use crate::eslots::EHistory;
     use crate::TOMBSTONE;
 
-    fn h() -> History<EHistory> {
-        History::new(EHistory::new())
-    }
-
     #[test]
     fn find_on_empty_history() {
-        let h = h();
+        let storage = EHistory::new();
+        let h = History::new(&storage);
         assert_eq!(h.find_raw(0, 0), None);
         assert_eq!(h.find_raw(u64::MAX, u64::MAX), None);
     }
@@ -309,7 +333,8 @@ mod tests {
     fn paper_figure1_example() {
         // Key 7 in Figure 1: inserted at v0... we use 1-based versions:
         // inserted at v1, removed at v3, re-inserted at v4.
-        let h = h();
+        let storage = EHistory::new();
+        let h = History::new(&storage);
         h.append(1, 70);
         h.append_tombstone(3);
         h.append(4, 71);
@@ -324,7 +349,8 @@ mod tests {
 
     #[test]
     fn watermark_gates_visibility() {
-        let h = h();
+        let storage = EHistory::new();
+        let h = History::new(&storage);
         h.append(1, 10);
         h.append(5, 50);
         // Watermark only reached 3: version-5 entry must stay invisible.
@@ -336,11 +362,12 @@ mod tests {
 
     #[test]
     fn unpublished_slot_blocks_tail() {
-        let h = h();
+        let storage = EHistory::new();
+        let h = History::new(&storage);
         h.append(1, 10);
         // Claim a slot manually but never publish it (simulates an in-flight
         // concurrent append).
-        let idx = h.slots().claim();
+        let (idx, _) = h.slots().claim();
         assert_eq!(idx, 1);
         assert_eq!(h.extend_tail(u64::MAX), 1, "tail must stop at the unpublished slot");
         assert_eq!(h.find(1, u64::MAX), Some(10));
@@ -348,7 +375,8 @@ mod tests {
 
     #[test]
     fn tail_is_lazy() {
-        let h = h();
+        let storage = EHistory::new();
+        let h = History::new(&storage);
         h.append(1, 10);
         h.append(2, 20);
         assert_eq!(h.tail(), 0, "appends never advance the tail");
@@ -367,7 +395,8 @@ mod tests {
 
     #[test]
     fn records_returns_full_visible_history() {
-        let h = h();
+        let storage = EHistory::new();
+        let h = History::new(&storage);
         h.append(2, 20);
         h.append_tombstone(4);
         h.append(7, 70);
@@ -381,7 +410,8 @@ mod tests {
             ]
         );
         // With a lower watermark the newest record is hidden.
-        let h2 = History::new(EHistory::new());
+        let storage2 = EHistory::new();
+        let h2 = History::new(&storage2);
         h2.append(2, 20);
         h2.append(9, 90);
         assert_eq!(h2.records(5).len(), 1);
@@ -389,7 +419,8 @@ mod tests {
 
     #[test]
     fn latest_tracks_watermark() {
-        let h = h();
+        let storage = EHistory::new();
+        let h = History::new(&storage);
         assert_eq!(h.latest(0), None);
         h.append(3, 30);
         assert_eq!(h.latest(3), Some(HistoryRecord { version: 3, value: Some(30) }));
@@ -400,7 +431,8 @@ mod tests {
     #[test]
     fn binary_search_agrees_with_linear_scan() {
         // Deterministic pseudo-random history, exhaustive probe check.
-        let h = h();
+        let storage = EHistory::new();
+        let h = History::new(&storage);
         let mut versions = Vec::new();
         let mut v = 0u64;
         let mut state = 0x1234_5678u64;
@@ -451,12 +483,12 @@ mod tests {
         let after = p.fence_count().unwrap();
         assert_eq!(after - before, 3, "steady-state append must cost exactly one fence");
         // Batched form: N prepares share a single fence.
-        let idx7 = h.append_prepare(7, 70);
-        let idx8 = h.append_prepare(8, 80);
+        let slot7 = h.append_prepare(7, 70);
+        let slot8 = h.append_prepare(8, 80);
         let before = p.fence_count().unwrap();
         h.publish_fence();
-        h.append_publish(idx7, 7);
-        h.append_publish(idx8, 8);
+        h.append_publish(slot7, 7);
+        h.append_publish(slot8, 8);
         assert_eq!(p.fence_count().unwrap() - before, 1, "batch publish shares one fence");
         assert_eq!(h.find(8, 8), Some(80));
     }
@@ -492,12 +524,13 @@ mod tests {
     fn concurrent_readers_during_appends_see_consistent_prefixes() {
         use std::sync::atomic::{AtomicBool, Ordering as O};
         use std::sync::Arc;
-        let h = Arc::new(h());
+        let storage = Arc::new(EHistory::new());
         let stop = Arc::new(AtomicBool::new(false));
         let writer = {
-            let h = h.clone();
+            let storage = storage.clone();
             let stop = stop.clone();
             std::thread::spawn(move || {
+                let h = History::new(&*storage);
                 let mut v = 0;
                 while !stop.load(O::Relaxed) {
                     v += 1;
@@ -508,9 +541,10 @@ mod tests {
         };
         let readers: Vec<_> = (0..3)
             .map(|_| {
-                let h = h.clone();
+                let storage = storage.clone();
                 let stop = stop.clone();
                 std::thread::spawn(move || {
+                    let h = History::new(&*storage);
                     while !stop.load(O::Relaxed) {
                         // A snapshot of the watermark: everything <= fc must
                         // be found exactly.
@@ -528,6 +562,6 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        assert_eq!(h.find(total, total), Some(total * 2));
+        assert_eq!(History::new(&*storage).find(total, total), Some(total * 2));
     }
 }

@@ -21,8 +21,10 @@
 //!
 //! The history algorithm is written once, generically over a [`Slots`]
 //! storage provider; [`eslots::EHistory`] stores slots on the heap (used by
-//! the ephemeral stores) and [`pslots::PHistory`] stores them in a
-//! [`mvkv_pmem::PmemPool`] (used by PSkipList).
+//! the ephemeral stores, through `&EHistory`) and [`pslots::PHistory`]
+//! stores them in a [`mvkv_pmem::PmemPool`] (used by PSkipList). Both keep
+//! the slots in a chain of doubling segments; an operation resolves that
+//! chain once into an on-stack [`Cursor`] and indexes it per slot.
 //!
 //! ## Ordering contract
 //!
@@ -43,7 +45,7 @@ pub use clock::VersionClock;
 pub use eslots::EHistory;
 pub use history::History;
 pub use pslots::{PHistory, HISTORY_HDR_SIZE};
-pub use slots::{Entry, Slots, ENTRY_SIZE};
+pub use slots::{Cursor, Entry, Slots, ENTRY_SIZE};
 
 /// Removal marker stored as the value of a "remove" entry (the paper's `M`).
 /// Outside the valid value range produced by workloads (< 2^62).

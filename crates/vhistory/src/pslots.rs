@@ -14,12 +14,12 @@
 //! Segment geometry is deterministic (see [`crate::slots`]), so `capacity`
 //! and `base` are redundant — they are stored anyway, checksummed in the
 //! header word at +24, and verified by recovery walks ([`PHistory::
-//! try_entry`]): a segment whose recorded geometry disagrees with the
+//! fill_checked`]): a segment whose recorded geometry disagrees with the
 //! deterministic expectation or whose header CRC fails is treated as
 //! unlinked, so a scrambled `next` pointer can never send recovery through
 //! out-of-bounds memory.
 
-use crate::slots::{locate, seg_base, seg_capacity, Entry, Slots, ENTRY_SIZE};
+use crate::slots::{locate, seg_base, seg_capacity, Cursor, Entry, Slots, ENTRY_SIZE};
 use mvkv_pmem::{PPtr, PmemPool, Result};
 use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
 
@@ -111,7 +111,8 @@ impl<'p> PHistory<'p> {
         self.pool.atomic_u64(self.hdr + 16)
     }
 
-    /// Walks to segment `k`, allocating missing links (CAS; losers dealloc).
+    /// Walks to segment `k`, allocating missing links (CAS; losers dealloc)
+    /// — the allocate-and-link path of `claim`.
     fn segment_off(&self, k: u32) -> u64 {
         let mut link_off = self.hdr + 16; // head cell
         for level in 0..=k {
@@ -137,7 +138,7 @@ impl<'p> PHistory<'p> {
         // Recycled blocks may hold stale data; `done` words MUST read 0
         // before the segment is linked, so clear everything.
         // SAFETY: `off` is a fresh allocation of exactly `bytes` bytes.
-        unsafe { self.pool.write_bytes(off, &vec![0u8; bytes as usize]) };
+        unsafe { self.pool.zero_bytes(off, bytes as usize) };
         self.pool.write_u64(off + 8, cap);
         self.pool.write_u64(off + 16, seg_base(k));
         self.pool.write_u64(off + 24, mvkv_pmem::crc32c_u64s(&[cap, seg_base(k)]) as u64);
@@ -160,10 +161,10 @@ impl<'p> PHistory<'p> {
         }
     }
 
+    /// Pool offset of a resolved slot.
     #[inline]
-    fn entry_off(&self, idx: u64) -> u64 {
-        let (k, pos) = locate(idx);
-        self.segment_off(k) + SEG_HDR_SIZE + pos * ENTRY_SIZE as u64
+    fn off_of(&self, slot: &Entry) -> u64 {
+        (slot as *const Entry as usize).wrapping_sub(self.pool.base_ptr(0) as usize) as u64
     }
 
     /// True if `seg` is a plausible, uncorrupted segment for `level`:
@@ -182,26 +183,46 @@ impl<'p> PHistory<'p> {
                 == mvkv_pmem::crc32c_u64s(&[cap, seg_base(level)]) as u64
     }
 
-    /// Like [`Slots::entry`] but returns `None` instead of allocating when
-    /// the backing segment was never linked **or** fails its header
-    /// validation (out-of-bounds link, torn or corrupt header) — recovery
-    /// walks use this to avoid materializing segments for torn claims and
-    /// to stay memory-safe on media-corrupted chains.
-    pub fn try_entry(&self, idx: u64) -> Option<&Entry> {
-        let (k, pos) = locate(idx);
-        let mut link_off = self.hdr + 16;
-        let mut seg = 0u64;
-        for level in 0..=k {
-            seg = self.pool.atomic_u64(link_off).load(Ordering::Acquire);
-            if seg == 0 || !self.segment_header_ok(level, seg) {
-                return None;
+    /// The one chain walk behind both fills: follows links from where `cur`
+    /// stopped until it covers `n` slots, the chain ends, or (`CHECKED`) a
+    /// segment header fails validation.
+    #[inline(always)]
+    fn fill_from<'a, const CHECKED: bool>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
+        // The next link is the first word of the last resolved segment.
+        let mut link_off = if cur.levels() == 0 { self.hdr + 16 } else { cur.resume() as u64 };
+        let base = self.pool.base_ptr(0);
+        while cur.covered() < n && !cur.is_full() {
+            let seg = self.pool.atomic_u64(link_off).load(Ordering::Acquire);
+            if seg == 0 || (CHECKED && !self.segment_header_ok(cur.levels(), seg)) {
+                break;
             }
+            // SAFETY: segment `levels()` holds `seg_capacity(levels())`
+            // zero-initialized, all-atomic entries after its 32-byte header
+            // for as long as the pool is mapped. CHECKED: segment_header_ok
+            // just proved `[seg, seg + 32 + cap·32)` in-pool and 8-aligned,
+            // before any dereference. Unchecked: `seg` is a link word that
+            // `alloc_segment` CAS-published after sizing and zeroing exactly
+            // that block (live stores trust their own links; anything read
+            // from media after a crash goes through the checked fill first).
+            unsafe {
+                cur.push(
+                    base.wrapping_add((seg + SEG_HDR_SIZE) as usize) as *const Entry,
+                    seg as usize,
+                )
+            };
             link_off = seg;
         }
-        let off = seg + SEG_HDR_SIZE + pos * ENTRY_SIZE as u64;
-        // SAFETY: segment_header_ok bounds-checked the whole entry array;
-        // the offset is 8-aligned and Entry is all-atomic words.
-        Some(unsafe { self.pool.typed::<Entry>(off) })
+        n.min(cur.covered())
+    }
+
+    /// [`Slots::fill`] for media that may be damaged: validates each segment
+    /// header exactly once (bounds, geometry, CRC) before resolving it, and
+    /// stops at the first that fails or was never linked. Returns how many
+    /// of the `n` slots have valid backing — recovery walks bound their
+    /// loops by it, never by a `pending` word they cannot trust, so no torn
+    /// claim is materialized and no scrambled link is dereferenced.
+    pub fn fill_checked<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
+        self.fill_from::<true>(cur, n)
     }
 
     /// Recovery-only: force `pending` and `tail` to recovered values
@@ -224,21 +245,24 @@ impl<'p> PHistory<'p> {
 }
 
 impl<'p> Slots for PHistory<'p> {
-    fn claim(&self) -> u64 {
+    type Slot = &'p Entry;
+
+    fn claim(&self) -> (u64, &'p Entry) {
         let idx = self.pending_cell().fetch_add(1, Ordering::AcqRel);
-        let (k, _) = locate(idx);
-        self.segment_off(k); // ensure storage before use
-        idx
+        let (k, pos) = locate(idx);
+        let off = self.segment_off(k) + SEG_HDR_SIZE + pos * ENTRY_SIZE as u64;
+        // SAFETY: segment `k` was sized for `seg_capacity(k) > pos` entries
+        // by `alloc_segment`, so `off` is in-bounds and 8-aligned; Entry is
+        // all-atomic words with no invalid bit patterns.
+        (idx, unsafe { self.pool.typed::<Entry>(off) })
     }
 
     fn pending(&self) -> u64 {
         self.pending_cell().load(Ordering::Acquire)
     }
 
-    fn entry(&self, idx: u64) -> &Entry {
-        // SAFETY: entry_off is in-bounds, 8-aligned, and Entry is all-atomic
-        // words with no invalid bit patterns.
-        unsafe { self.pool.typed::<Entry>(self.entry_off(idx)) }
+    fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
+        self.fill_from::<false>(cur, n)
     }
 
     fn tail_ref(&self) -> &AtomicU64 {
@@ -249,12 +273,12 @@ impl<'p> Slots for PHistory<'p> {
     // single `publish_fence` of the coalesced append schedule (History::
     // append / append_prepare + append_publish).
 
-    fn persist_entry(&self, idx: u64) {
-        self.pool.persist(self.entry_off(idx), 24);
+    fn persist_entry(&self, slot: &Entry) {
+        self.pool.persist(self.off_of(slot), 24);
     }
 
-    fn persist_done(&self, idx: u64) {
-        self.pool.persist(self.entry_off(idx) + 24, 8);
+    fn persist_done(&self, slot: &Entry) {
+        self.pool.persist(self.off_of(slot) + 24, 8);
     }
 
     fn persist_tail(&self) {
@@ -297,15 +321,39 @@ mod tests {
         let p = pool();
         let h = PHistory::create(&p).unwrap();
         for i in 0..100u64 {
-            let idx = h.claim();
+            let (idx, e) = h.claim();
             assert_eq!(idx, i);
-            let e = h.entry(idx);
             e.version.store(i + 1, Ordering::Relaxed);
             e.value.store(i * 7, Ordering::Relaxed);
             e.done.store(i + 2, Ordering::Release);
         }
+        let mut cur = Cursor::new();
+        h.fill(&mut cur, 100);
         for i in 0..100u64 {
-            assert_eq!(h.entry(i).load_if_done(), Some((i + 1, i * 7)));
+            assert_eq!(cur.entry(i).load_if_done(), Some((i + 1, i * 7)));
+        }
+    }
+
+    #[test]
+    fn fresh_segment_is_zeroed_even_after_recycling() {
+        let p = pool();
+        // Dirty a block of segment 0's size (32 B header + 2 entries), free
+        // it, then claim: the recycled block must come back all-zero apart
+        // from the geometry words, or a stale `done` would read published.
+        let bytes = (SEG_HDR_SIZE + 2 * ENTRY_SIZE as u64) as usize;
+        let dirty = p.alloc(bytes).unwrap();
+        for word in 0..bytes as u64 / 8 {
+            p.write_u64(dirty + word * 8, u64::MAX);
+        }
+        p.dealloc(dirty);
+        let h = PHistory::create(&p).unwrap();
+        let (_, e) = h.claim();
+        let (_, _, seg0) = h.raw_header();
+        assert_eq!(seg0, dirty, "block should be recycled");
+        assert_eq!(p.read_u64(seg0), 0, "next link");
+        assert_eq!(e.load_if_done(), None);
+        for word in 4..bytes as u64 / 8 {
+            assert_eq!(p.read_u64(seg0 + word * 8), 0, "entry word {word}");
         }
     }
 
@@ -317,14 +365,13 @@ mod tests {
             let h = PHistory::create(&p).unwrap();
             hdr = h.pptr();
             for i in 0..20u64 {
-                let idx = h.claim();
+                let (_, e) = h.claim();
                 h.persist_pending();
-                let e = h.entry(idx);
                 e.version.store(i + 1, Ordering::Relaxed);
                 e.value.store(i, Ordering::Relaxed);
-                h.persist_entry(idx);
+                h.persist_entry(e);
                 e.done.store(i + 2, Ordering::Release);
-                h.persist_done(idx);
+                h.persist_done(e);
             }
         }
         // SAFETY: [0, len) is in bounds; no writer races the snapshot.
@@ -332,8 +379,10 @@ mod tests {
         let reopened = PmemPool::open_image(&image).unwrap();
         let h = PHistory::open(&reopened, hdr);
         assert_eq!(h.pending(), 20);
+        let mut cur = Cursor::new();
+        h.fill(&mut cur, 20);
         for i in 0..20u64 {
-            assert_eq!(h.entry(i).load_if_done(), Some((i + 1, i)));
+            assert_eq!(cur.entry(i).load_if_done(), Some((i + 1, i)));
         }
     }
 
@@ -348,7 +397,7 @@ mod tests {
                 let p = p.clone();
                 std::thread::spawn(move || {
                     let h = PHistory::open(&p, hdr);
-                    (0..300).map(|_| h.claim()).collect::<Vec<u64>>()
+                    (0..300).map(|_| h.claim().0).collect::<Vec<u64>>()
                 })
             })
             .collect();
@@ -381,30 +430,61 @@ mod tests {
         assert!(k >= 3, "20 slots need segments of 2+4+8+...");
     }
 
+    /// How many of `n` slots a checked fill finds valid backing for.
+    fn backed(h: &PHistory<'_>, n: u64) -> u64 {
+        h.fill_checked(&mut Cursor::new(), n)
+    }
+
     #[test]
-    fn try_entry_rejects_corrupt_segment_links() {
+    fn checked_fill_rejects_corrupt_segment_links() {
         let p = pool();
         let h = PHistory::create(&p).unwrap();
         for i in 0..6u64 {
-            let idx = h.claim();
-            let e = h.entry(idx);
+            let (_, e) = h.claim();
             e.version.store(i + 1, Ordering::Relaxed);
             e.done.store(i + 2, Ordering::Release);
         }
-        assert!(h.try_entry(3).is_some());
+        assert_eq!(backed(&h, 6), 6);
         // Scramble segment 1's header crc: its slots become unreachable to
-        // recovery, segment 0's stay fine.
+        // recovery, segment 0's stay fine — the backing ends exactly at
+        // segment 1's first slot.
         let (_, _, seg0) = h.raw_header();
         let seg1 = p.read_u64(seg0);
         let good_crc = p.read_u64(seg1 + 24);
         p.write_u64(seg1 + 24, good_crc ^ 0xFF);
-        assert!(h.try_entry(1).is_some(), "segment 0 unaffected");
-        assert!(h.try_entry(3).is_none(), "corrupt header must fence off the segment");
+        assert_eq!(backed(&h, 2), 2, "segment 0 unaffected");
+        assert_eq!(backed(&h, 6), seg_base(1), "corrupt header must fence off the segment");
         p.write_u64(seg1 + 24, good_crc);
         // An out-of-bounds next pointer must be rejected before any deref.
         p.write_u64(seg0, p.len() as u64 + 8);
-        assert!(h.try_entry(3).is_none(), "out-of-bounds link must be rejected");
+        assert_eq!(backed(&h, 6), seg_base(1), "out-of-bounds link must be rejected");
         p.write_u64(seg0, 0xDEAD_BEEF_0000); // garbage beyond the pool
-        assert!(h.try_entry(3).is_none());
+        assert_eq!(backed(&h, 6), seg_base(1));
+        // A link whose entry array would straddle the end of the pool.
+        p.write_u64(seg0, p.len() as u64 - 64);
+        assert_eq!(backed(&h, 6), seg_base(1));
+    }
+
+    #[test]
+    fn garbage_pending_cannot_drive_the_checked_fill_past_the_chain() {
+        let p = pool();
+        let h = PHistory::create(&p).unwrap();
+        for _ in 0..20 {
+            h.claim(); // segments 0..=3: 30 slots of backing
+        }
+        // A torn or scrambled `pending` word claims slots that never
+        // existed; the fill stops where the links do.
+        for garbage in [31, 1 << 40, u64::MAX - 1, u64::MAX] {
+            assert_eq!(backed(&h, garbage), seg_base(4), "pending = {garbage}");
+        }
+        // A chain bent into a cycle cannot be walked forever either: the
+        // level-3 segment re-linked as its own successor fails level 4's
+        // geometry check.
+        let (_, _, mut seg) = h.raw_header();
+        for _ in 0..3 {
+            seg = p.read_u64(seg);
+        }
+        p.write_u64(seg, seg);
+        assert_eq!(backed(&h, u64::MAX), seg_base(4));
     }
 }

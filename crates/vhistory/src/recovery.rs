@@ -15,7 +15,7 @@
 //!    reused safely.
 
 use crate::pslots::PHistory;
-use crate::slots::Slots;
+use crate::slots::{Cursor, Slots};
 use mvkv_sync::sync::atomic::Ordering;
 
 /// Result of scanning one history's durable prefix.
@@ -38,7 +38,8 @@ pub enum ScanStop {
     /// A slot had no `done` stamp — a torn append, the normal crash case.
     Unpublished,
     /// The backing segment was never linked, or its header failed
-    /// validation (out-of-bounds link / torn or corrupt header).
+    /// validation (out-of-bounds link / torn or corrupt header). The
+    /// prefix then ends exactly at that segment's first slot.
     Unlinked,
     /// A `done` stamp disagreed with its version, or versions broke
     /// monotonicity — torn metadata.
@@ -60,14 +61,15 @@ pub fn scan_published_prefix(h: &PHistory<'_>) -> PrefixScan {
 /// recovery uses the classification to build its quarantine report.
 pub fn scan_published_prefix_checked(h: &PHistory<'_>) -> (PrefixScan, ScanStop) {
     let pending = h.pending();
+    let mut cur = Cursor::new();
+    // `pending` is a word read from media: only the slots the checked fill
+    // finds valid backing for exist.
+    let backed = h.fill_checked(&mut cur, pending);
     let mut versions = Vec::new();
     let mut last = 0u64;
-    let mut stop = ScanStop::Exhausted;
-    for idx in 0..pending {
-        let Some(e) = h.try_entry(idx) else {
-            stop = ScanStop::Unlinked;
-            break;
-        };
+    let mut stop = if backed < pending { ScanStop::Unlinked } else { ScanStop::Exhausted };
+    for idx in 0..backed {
+        let e = cur.entry(idx);
         let done = e.done.load(Ordering::Acquire);
         if done == 0 {
             stop = ScanStop::Unpublished;
@@ -105,10 +107,16 @@ pub struct PruneOutcome {
 /// resetting `pending`/`tail` and clearing any `done` stamps beyond the keep
 /// point (so future appends can't mistake stale slots for published ones).
 pub fn prune_to_watermark(h: &PHistory<'_>, watermark: u64) -> PruneOutcome {
-    let old_pending = h.pending();
+    let (old_pending, old_tail, _) = h.raw_header();
+    // Stop at the first unlinked slot: segments are reached by walking the
+    // chain, so nothing beyond a missing link has storage — and a corrupt
+    // `pending` counter can be astronomically large, so no loop below may
+    // trust it as a real slot count.
+    let mut cur = Cursor::new();
+    let backed = h.fill_checked(&mut cur, old_pending);
     let mut keep = 0u64;
-    for idx in 0..old_pending {
-        let Some(e) = h.try_entry(idx) else { break };
+    for idx in 0..backed {
+        let e = cur.entry(idx);
         let done = e.done.load(Ordering::Acquire);
         // A checksum-invalid slot is never kept, even below the watermark —
         // its version can't have contributed to the watermark (the checked
@@ -121,29 +129,28 @@ pub fn prune_to_watermark(h: &PHistory<'_>, watermark: u64) -> PruneOutcome {
     // Clear orphaned done stamps on slots that still have backing storage.
     // persist_done is flush-only under the coalesced schedule, so close the
     // batch with one explicit fence before the slots can be reused.
-    // Stop at the first unlinked slot: segments are reached by walking the
-    // chain, so nothing beyond a missing link has storage — and a corrupt
-    // `pending` counter can be astronomically large, so the loop must not
-    // trust it as a real slot count.
     let mut cleared = false;
-    let mut end = keep;
-    for idx in keep..old_pending {
-        let Some(e) = h.try_entry(idx) else { break };
-        end = idx + 1;
+    for idx in keep..backed {
+        let e = cur.entry(idx);
         if e.done.load(Ordering::Acquire) != 0 {
             e.done.store(0, Ordering::Release);
-            h.persist_done(idx);
+            h.persist_done(e);
             cleared = true;
         }
     }
     if cleared {
         h.publish_fence();
     }
-    h.force_counters(keep, keep);
+    // A cleanly closed history already reads `pending == tail == keep`:
+    // rewriting the same words would cost every key a persist and a fence
+    // on every open.
+    if (old_pending, old_tail) != (keep, keep) {
+        h.force_counters(keep, keep);
+    }
     // `pruned` counts slots that actually had backing storage: a corrupt
     // `pending` counter claims slots that never existed, and reporting
     // those would overflow downstream accumulators.
-    PruneOutcome { kept: keep, pruned: end - keep }
+    PruneOutcome { kept: keep, pruned: backed - keep }
 }
 
 /// Computes the global watermark from per-history scans: the largest `v`
@@ -268,12 +275,11 @@ mod tests {
             h.append(2, 22);
             // Version 3 claims a slot and writes data but "crashes" before
             // publishing: emulate by claiming without the done stamp.
-            let idx = h.slots().claim();
+            let (_, e) = h.slots().claim();
             h.slots().persist_pending();
-            let e = h.slots().entry(idx);
             e.version.store(3, std::sync::atomic::Ordering::Relaxed);
             e.value.store(33, std::sync::atomic::Ordering::Relaxed);
-            h.slots().persist_entry(idx);
+            h.slots().persist_entry(e);
             // no persist of done → lost in the crash image
         }
         let image = p.crash_image().unwrap();
@@ -287,5 +293,101 @@ mod tests {
         assert_eq!(out.kept, 2);
         assert_eq!(h.find(2, wm), Some(22));
         assert_eq!(h.find(3, wm), Some(22), "the torn version-3 write is gone");
+    }
+
+    #[test]
+    fn damaged_segment_classifies_unlinked_at_its_first_slot() {
+        use crate::slots::seg_base;
+        // 40 published slots span segments 0..=4. Damage segment j in each
+        // of the three ways a link can go bad; the prefix must end at
+        // exactly seg_base(j), classified Unlinked, and prune must keep the
+        // same prefix without touching anything beyond it.
+        for j in 1..=4u32 {
+            for damage in 0..3 {
+                let p = pool();
+                let h = History::new(PHistory::create(&p).unwrap());
+                for v in 1..=40u64 {
+                    h.append(v, v * 10);
+                }
+                let (_, _, mut prev) = h.slots().raw_header();
+                for _ in 1..j {
+                    prev = p.read_u64(prev);
+                }
+                let seg = p.read_u64(prev);
+                match damage {
+                    0 => p.write_u64(seg + 24, p.read_u64(seg + 24) ^ 0x5A5A), // header crc
+                    1 => p.write_u64(prev, p.len() as u64 + 64),               // link out of bounds
+                    _ => p.write_u64(prev, 0),                                 // link torn away
+                }
+                let (scan, stop) = scan_published_prefix_checked(h.slots());
+                assert_eq!(stop, ScanStop::Unlinked, "segment {j}, damage {damage}");
+                assert_eq!(scan.len, seg_base(j), "segment {j}, damage {damage}");
+                let out = prune_to_watermark(h.slots(), 40);
+                assert_eq!(out, PruneOutcome { kept: seg_base(j), pruned: 0 });
+                assert_eq!(h.pending(), seg_base(j));
+            }
+        }
+    }
+
+    #[test]
+    fn garbage_pending_is_bounded_by_the_backing() {
+        let p = pool();
+        let h = History::new(PHistory::create(&p).unwrap());
+        for v in 1..=5u64 {
+            h.append(v, v);
+        }
+        // Slot 5 is the last of segment 1 and was never claimed: a `pending`
+        // word of u64::MAX claims it and 2^64 more.
+        h.slots().force_counters(u64::MAX, 0);
+        let (scan, stop) = scan_published_prefix_checked(h.slots());
+        assert_eq!((scan.versions, stop), (vec![1, 2, 3, 4, 5], ScanStop::Unpublished));
+        let out = prune_to_watermark(h.slots(), 5);
+        assert_eq!(out, PruneOutcome { kept: 5, pruned: 1 }, "only backed slots are counted");
+        assert_eq!((h.pending(), h.tail()), (5, 5));
+    }
+
+    #[test]
+    fn pruning_a_cleanly_closed_history_writes_nothing() {
+        // Histories of several depths, every lazy tail moved (a store that
+        // was read before it was closed), everything flushed: the state a
+        // clean shutdown leaves. Reopening it must not fence or dirty the
+        // media once per key.
+        let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
+        let mut hdrs = Vec::new();
+        let mut version = 0u64;
+        for depth in [1u64, 2, 3, 7, 40, 256] {
+            let h = History::new(PHistory::create(&p).unwrap());
+            for _ in 0..depth {
+                version += 1;
+                h.append(version, version * 3);
+            }
+            hdrs.push((h.slots().pptr(), depth));
+        }
+        for &(hdr, depth) in &hdrs {
+            assert_eq!(History::new(PHistory::open(&p, hdr)).extend_tail(version), depth);
+        }
+        p.sync_all();
+        let image = p.crash_image().unwrap();
+        let fences = p.fence_count().unwrap();
+
+        let scans: Vec<PrefixScan> =
+            hdrs.iter().map(|&(hdr, _)| scan_published_prefix(&PHistory::open(&p, hdr))).collect();
+        let watermark = compute_watermark(scans.iter(), 0);
+        assert_eq!(watermark, version);
+        for &(hdr, depth) in &hdrs {
+            let out = prune_to_watermark(&PHistory::open(&p, hdr), watermark);
+            assert_eq!(out, PruneOutcome { kept: depth, pruned: 0 });
+        }
+        assert_eq!(p.fence_count().unwrap(), fences, "clean reopen must not fence per key");
+        p.sync_all();
+        assert!(p.crash_image().unwrap() == image, "clean reopen must leave the image untouched");
+
+        // A lagging lazy tail is still repaired (and that does cost a fence).
+        let late = History::new(PHistory::create(&p).unwrap());
+        late.append(version + 1, 1);
+        let fences = p.fence_count().unwrap();
+        prune_to_watermark(late.slots(), version + 1);
+        assert_eq!(late.tail(), 1);
+        assert_eq!(p.fence_count().unwrap(), fences + 1);
     }
 }

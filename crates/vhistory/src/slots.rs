@@ -1,12 +1,20 @@
 //! The [`Slots`] storage abstraction shared by ephemeral and persistent
-//! histories, plus the deterministic segment geometry.
+//! histories, the deterministic segment geometry, and the [`Cursor`] that
+//! turns the geometry into addresses.
 //!
 //! A history's slots live in a chain of segments of doubling capacity
 //! (2, 4, 8, …). Because the geometry is deterministic, the segment index
-//! and in-segment position of any slot follow from the slot index alone —
-//! random access never needs per-segment bookkeeping.
+//! and in-segment position of any slot follow from the slot index alone.
+//! The segment's *address* does not: segment `k` is only reachable through
+//! the `k` links before it, so addressing a slot costs a walk of the chain.
+//! An operation therefore walks once — [`Slots::fill`] records the address
+//! of every segment it passes in an on-stack [`Cursor`] — and indexes the
+//! cursor for every slot it touches afterwards.
 
 use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
+use std::marker::PhantomData;
+use std::mem::MaybeUninit;
+use std::ops::Deref;
 
 /// Size of one slot entry in bytes (four u64 words).
 pub const ENTRY_SIZE: usize = 32;
@@ -67,24 +75,33 @@ impl Entry {
     }
 }
 
-/// Storage provider for one key's history slots.
+/// Storage provider for one key's history slots: a handle onto storage that
+/// outlives it (a pool, a borrowed heap history).
 ///
-/// Implementations must make `entry(i)` valid for every `i < pending()`;
-/// `claim` performs any segment extension needed. The `persist_*` hooks are
-/// no-ops for ephemeral storage.
+/// `claim` performs any segment extension its slot needs, so every slot a
+/// writer publishes has backing storage a later [`Slots::fill`] resolves.
+/// The `persist_*` hooks are no-ops for ephemeral storage.
 pub trait Slots {
-    /// Atomically claims the next slot index, growing storage as needed.
-    fn claim(&self) -> u64;
+    /// A resolved slot: a reference to its entry that lives as long as the
+    /// storage, not the handle, so one address serves every step of an
+    /// append — including a publish issued from a later handle.
+    type Slot: Copy + Deref<Target = Entry>;
+    /// Atomically claims the next slot index, growing storage as needed,
+    /// and resolves it (the one chain walk of an append).
+    fn claim(&self) -> (u64, Self::Slot);
     /// Number of claimed slots.
     fn pending(&self) -> u64;
-    /// The entry at `idx` (must satisfy `idx < pending()`).
-    fn entry(&self, idx: u64) -> &Entry;
+    /// Extends `cur` along the segment chain until it covers `n` slots or
+    /// the chain ends; never allocates. Resumes where `cur` stopped, so
+    /// growing a cursor follows each link once. Returns how many of the `n`
+    /// slots are resolved (`n` unless the chain ended first).
+    fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64;
     /// The lazily advanced tail counter (first not-yet-visible slot index).
     fn tail_ref(&self) -> &AtomicU64;
-    /// Flushes entry `idx`'s `(version, value, crc)` words.
-    fn persist_entry(&self, _idx: u64) {}
-    /// Flushes entry `idx`'s `done` stamp.
-    fn persist_done(&self, _idx: u64) {}
+    /// Flushes a resolved slot's `(version, value, crc)` words.
+    fn persist_entry(&self, _slot: &Entry) {}
+    /// Flushes a resolved slot's `done` stamp.
+    fn persist_done(&self, _slot: &Entry) {}
     /// Flushes the tail counter.
     fn persist_tail(&self) {}
     /// Flushes the pending counter.
@@ -93,6 +110,95 @@ pub trait Slots {
     /// the *single* fence of the coalesced append schedule. One call may
     /// cover any number of prepared appends. No-op for ephemeral storage.
     fn publish_fence(&self) {}
+}
+
+/// Segments a [`Cursor`] can resolve: 40 doubling segments hold 2^41 − 2
+/// slots (64 TiB of entries), more than any pool or heap.
+pub const MAX_SEGMENTS: usize = 40;
+
+/// The addresses of a history's leading segments, resolved by one walk of
+/// the chain ([`Slots::fill`]) and kept on the stack for the duration of
+/// one operation. Nothing is cached across operations: PM (or the heap
+/// chain) stays the only copy of the links.
+///
+/// Only the levels a fill reaches are written; a cursor over a one-entry
+/// history costs one link load and one store.
+pub struct Cursor<'a> {
+    levels: u32,
+    /// Where the provider's walk continues (meaningful once `levels > 0`).
+    resume: usize,
+    segs: [MaybeUninit<*const Entry>; MAX_SEGMENTS],
+    _storage: PhantomData<&'a Entry>,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor that has resolved nothing yet.
+    #[inline]
+    pub fn new() -> Self {
+        Cursor {
+            levels: 0,
+            resume: 0,
+            segs: [MaybeUninit::uninit(); MAX_SEGMENTS],
+            _storage: PhantomData,
+        }
+    }
+
+    /// Number of resolved segments (= chain links followed so far).
+    #[inline]
+    pub fn levels(&self) -> u32 {
+        self.levels
+    }
+
+    /// Number of slots with resolved backing: `[0, covered())`.
+    #[inline]
+    pub fn covered(&self) -> u64 {
+        seg_base(self.levels)
+    }
+
+    /// True once no further segment can be recorded.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.levels as usize == MAX_SEGMENTS
+    }
+
+    /// The provider's resume token of the last [`Cursor::push`].
+    #[inline]
+    pub fn resume(&self) -> usize {
+        self.resume
+    }
+
+    /// Records the next segment: `entries` is the first entry of segment
+    /// `levels()`, `resume` whatever the provider needs to continue.
+    ///
+    /// # Safety
+    /// `entries` must point at `seg_capacity(self.levels())` initialized
+    /// [`Entry`] records that stay valid and are never moved for `'a`, and
+    /// the cursor must not be full.
+    #[inline]
+    pub unsafe fn push(&mut self, entries: *const Entry, resume: usize) {
+        self.segs[self.levels as usize] = MaybeUninit::new(entries);
+        self.levels += 1;
+        self.resume = resume;
+    }
+
+    /// The entry at `idx`; panics unless `idx < covered()`.
+    #[inline]
+    pub fn entry(&self, idx: u64) -> &'a Entry {
+        let (k, pos) = locate(idx);
+        assert!(k < self.levels, "slot {idx} is beyond the {} resolved segments", self.levels);
+        // SAFETY: `k < levels`, so `segs[k]` was written by `push`, whose
+        // contract is a live array of `seg_capacity(k)` entries for `'a`;
+        // `locate` yields `pos < seg_capacity(k)`. Persistent providers
+        // establish the array's bounds before pushing (`PHistory::
+        // fill_checked` proves the whole array in-pool on untrusted media).
+        unsafe { &*self.segs[k as usize].assume_init().add(pos as usize) }
+    }
+}
+
+impl Default for Cursor<'_> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Capacity of segment `k`: 2, 4, 8, … .

@@ -5,21 +5,24 @@
 //!
 //! Three groups of models:
 //!
-//! 1. Lazy-tail: the REAL `History<EHistory>` with a writer appending while
+//! 1. Lazy-tail: the REAL `History<&EHistory>` with a writer appending while
 //!    a reader extends the tail — the watermark rule must hold on every
 //!    interleaving.
-//! 2. Segment chain: concurrent `claim`s racing the segment-allocation CAS.
+//! 2. Segment chain: concurrent `claim`s racing the segment-allocation CAS,
+//!    and a reader's cursor racing the link of the next segment.
 //! 3. Persist-schedule regression (PR-2's one-fence-per-append coalescing):
-//!    a `TrackedSlots` wrapper checks, on the reader side, that no published
-//!    (`done != 0`) entry is ever observed whose payload flush was skipped
-//!    or not fence-ordered before the publish.
+//!    the `TrackedSlots` wrapper checks, on the reader side, that no
+//!    published (`done != 0`) entry is ever observed whose payload flush was
+//!    skipped or not fence-ordered before the publish.
 
 #![cfg(loom)]
 
+mod tracked;
+
 use mvkv_sync::sync::Arc;
 use mvkv_sync::{model, thread};
-use mvkv_vhistory::{EHistory, Entry, History, Slots};
-use std::sync::atomic::{AtomicU8, Ordering as StdOrdering};
+use mvkv_vhistory::{Cursor, EHistory, History, Slots};
+use tracked::{TrackedSlots, FENCED};
 
 // ---------------------------------------------------------------------------
 // 1. Lazy tail vs. versioned reads
@@ -31,9 +34,11 @@ use std::sync::atomic::{AtomicU8, Ordering as StdOrdering};
 #[test]
 fn lazy_tail_respects_the_watermark() {
     model(|| {
-        let h = Arc::new(History::new(EHistory::new()));
-        let h2 = h.clone();
+        let storage = Arc::new(EHistory::new());
+        let h = History::new(&*storage);
+        let s2 = storage.clone();
         let w = thread::spawn(move || {
+            let h2 = History::new(&*s2);
             h2.append(1, 10);
             h2.append(2, 20);
         });
@@ -54,11 +59,12 @@ fn lazy_tail_respects_the_watermark() {
 #[test]
 fn concurrent_extenders_keep_tail_monotone() {
     model(|| {
-        let h = Arc::new(History::new(EHistory::new()));
+        let storage = Arc::new(EHistory::new());
+        let h = History::new(&*storage);
         h.append(1, 11);
         h.append(2, 22);
-        let h2 = h.clone();
-        let t = thread::spawn(move || h2.extend_tail(2));
+        let s2 = storage.clone();
+        let t = thread::spawn(move || History::new(&*s2).extend_tail(2));
         let a = h.extend_tail(2);
         let b = t.join().unwrap();
         assert!(a <= 2 && b <= 2);
@@ -77,26 +83,27 @@ fn concurrent_extenders_keep_tail_monotone() {
 fn concurrent_claims_race_segment_allocation_safely() {
     use mvkv_sync::sync::atomic::Ordering;
     model(|| {
-        let h = Arc::new(EHistory::new());
-        let h2 = h.clone();
+        let storage = Arc::new(EHistory::new());
+        let s2 = storage.clone();
         let t = thread::spawn(move || {
-            let idx = h2.claim();
-            let e = h2.entry(idx);
+            let (idx, e) = (&*s2).claim();
             e.value.store(100 + idx, Ordering::Relaxed);
             e.done.store(idx + 1, Ordering::Release);
             idx
         });
-        let mine = h.claim();
-        let e = h.entry(mine);
+        let h = &*storage;
+        let (mine, e) = h.claim();
         e.value.store(100 + mine, Ordering::Relaxed);
         e.done.store(mine + 1, Ordering::Release);
         let theirs = t.join().unwrap();
 
         assert_ne!(mine, theirs, "slot claims must be unique");
         assert_eq!(h.pending(), 2);
+        let mut cur = Cursor::new();
+        h.fill(&mut cur, 2);
         for idx in [mine, theirs] {
             assert_eq!(
-                h.entry(idx).value.load(Ordering::Relaxed),
+                cur.entry(idx).value.load(Ordering::Relaxed),
                 100 + idx,
                 "entry written through a raced segment must survive"
             );
@@ -104,76 +111,48 @@ fn concurrent_claims_race_segment_allocation_safely() {
     });
 }
 
+/// Segment 0 is full, its second slot published but not yet under the
+/// tail; a writer claims slot 2 — bumping `pending`, *then* linking segment
+/// 1, then publishing into it — while a second extender and a reader each
+/// resolve their cursor somewhere in between. A cursor filled before the
+/// link covers two slots; when the reader's own tail CAS then loses to an
+/// extender that advanced into segment 1, the length it adopts lies beyond
+/// that cursor. On every interleaving the reader must re-resolve before
+/// indexing (`Cursor::entry` panics on an unresolved level), and what it
+/// returns must be a published value.
+#[test]
+fn reader_cursor_never_indexes_a_segment_linked_after_its_fill() {
+    model(|| {
+        let storage = Arc::new(EHistory::new());
+        let h = History::new(&*storage);
+        h.append(1, 10);
+        assert_eq!(h.extend_tail(1), 1);
+        h.append(2, 20);
+        let s2 = storage.clone();
+        let writer = thread::spawn(move || History::new(&*s2).append(3, 30));
+        let s3 = storage.clone();
+        let extender = thread::spawn(move || History::new(&*s3).extend_tail(3));
+
+        match h.find_raw(3, 3) {
+            Some(20) | Some(30) => {}
+            other => panic!("find must see version 2 or 3, got {other:?}"),
+        }
+        let records = h.records(3);
+        assert!(records.len() == 2 || records.len() == 3, "a published prefix: {records:?}");
+
+        writer.join().unwrap();
+        assert!(extender.join().unwrap() <= 3);
+        assert_eq!(h.find_raw(3, 3), Some(30));
+        assert_eq!(h.tail(), 3);
+    });
+}
+
 // ---------------------------------------------------------------------------
 // 3. Persist-schedule regression for the coalesced (one-fence) append
 // ---------------------------------------------------------------------------
 
+/// Slots the persist-schedule models claim at most.
 const TRACKED_SLOTS: usize = 4;
-
-/// Durability state of one slot's payload words.
-const DIRTY: u8 = 0;
-/// `persist_entry` issued, not yet ordered by a fence.
-const FLUSHED: u8 = 1;
-/// A `publish_fence` ordered the flush: durable before any later store.
-const FENCED: u8 = 2;
-
-/// Wraps [`EHistory`] and tracks the persist schedule per slot, asserting
-/// the PR-2 coalescing invariant: a `done` publish may only happen once the
-/// slot's payload flush has been ordered by the single publish fence.
-struct TrackedSlots {
-    inner: EHistory,
-    state: [AtomicU8; TRACKED_SLOTS],
-}
-
-impl TrackedSlots {
-    fn new() -> Self {
-        TrackedSlots { inner: EHistory::new(), state: std::array::from_fn(|_| AtomicU8::new(DIRTY)) }
-    }
-
-    fn slot_state(&self, idx: u64) -> u8 {
-        self.state[idx as usize].load(StdOrdering::SeqCst)
-    }
-}
-
-impl Slots for TrackedSlots {
-    fn claim(&self) -> u64 {
-        let idx = self.inner.claim();
-        assert!((idx as usize) < TRACKED_SLOTS, "model uses at most {TRACKED_SLOTS} slots");
-        idx
-    }
-
-    fn pending(&self) -> u64 {
-        self.inner.pending()
-    }
-
-    fn entry(&self, idx: u64) -> &Entry {
-        self.inner.entry(idx)
-    }
-
-    fn tail_ref(&self) -> &mvkv_sync::sync::atomic::AtomicU64 {
-        self.inner.tail_ref()
-    }
-
-    fn persist_entry(&self, idx: u64) {
-        self.state[idx as usize].store(FLUSHED, StdOrdering::SeqCst);
-    }
-
-    fn publish_fence(&self) {
-        // The fence orders every previously issued flush; an entry that is
-        // still DIRTY stays dirty (fences don't flush).
-        for s in &self.state {
-            let _ = s.compare_exchange(FLUSHED, FENCED, StdOrdering::SeqCst, StdOrdering::SeqCst);
-        }
-    }
-
-    fn persist_done(&self, idx: u64) {
-        assert_eq!(
-            self.state[idx as usize].load(StdOrdering::SeqCst),
-            FENCED,
-            "done stamp persisted for slot {idx} before its payload flush was fence-ordered"
-        );
-    }
-}
 
 /// The coalesced batch schedule (prepare, prepare, ONE fence, publish,
 /// publish) racing a reader: on every interleaving, any entry the reader
@@ -183,7 +162,10 @@ impl Slots for TrackedSlots {
 fn one_fence_batch_never_publishes_unflushed_payload() {
     use mvkv_sync::sync::atomic::Ordering;
     model(|| {
-        let h = Arc::new(History::new(TrackedSlots::new()));
+        // Leaked per schedule: the wrapper borrows the storage, and a
+        // spawned thread needs both for 'static.
+        let storage: &'static EHistory = Box::leak(Box::new(EHistory::new()));
+        let h = Arc::new(History::new(TrackedSlots::new(storage, TRACKED_SLOTS)));
         let h2 = h.clone();
         let w = thread::spawn(move || {
             let a = h2.append_prepare(1, 10);
@@ -194,8 +176,10 @@ fn one_fence_batch_never_publishes_unflushed_payload() {
         });
         // Reader: every slot visible through the lazy tail must be durable.
         let t = h.extend_tail(2);
+        let mut cur = Cursor::new();
+        h.slots().fill(&mut cur, t);
         for idx in 0..t {
-            let e = h.slots().entry(idx);
+            let e = cur.entry(idx);
             assert_ne!(e.done.load(Ordering::Acquire), 0, "tail covers published slots only");
             assert_eq!(
                 h.slots().slot_state(idx),
@@ -215,9 +199,10 @@ fn one_fence_batch_never_publishes_unflushed_payload() {
 #[should_panic(expected = "before its payload flush was fence-ordered")]
 fn skipping_the_publish_fence_is_detected() {
     model(|| {
-        let h = History::new(TrackedSlots::new());
-        let idx = h.append_prepare(1, 10);
+        let storage = EHistory::new();
+        let h = History::new(TrackedSlots::new(&storage, TRACKED_SLOTS));
+        let slot = h.append_prepare(1, 10);
         // BUG under test: no publish_fence() between prepare and publish.
-        h.append_publish(idx, 1);
+        h.append_publish(slot, 1);
     });
 }

@@ -2,10 +2,11 @@
 //! pass.
 //!
 //! The invariant being checked (paper §IV-A / Algorithm 1): a function that
-//! dirties persistent memory through [`write_u64`]/[`write_bytes`] must reach
-//! a `persist`/`flush`/`fence` call after its last dirty write **on every
-//! control-flow path** before returning. The retired line-scanning lint
-//! compared the positions of the *textually last* write and flush tokens, so
+//! dirties persistent memory through [`write_u64`]/[`write_bytes`]/
+//! [`zero_bytes`] must reach a `persist`/`flush`/`fence` call after its last
+//! dirty write **on every control-flow path** before returning. The retired
+//! line-scanning lint compared the positions of the *textually last* write
+//! and flush tokens, so
 //!
 //! ```text
 //! pool.write_u64(off, v);
@@ -43,7 +44,7 @@ use crate::lexer::{until_brace, Group, TokKind, Tree};
 use crate::source::{FnItem, SrcFile};
 
 /// Names treated as dirtying persistent memory when called.
-const DIRTY_CALLS: &[&str] = &["write_u64", "write_bytes"];
+const DIRTY_CALLS: &[&str] = &["write_u64", "write_bytes", "zero_bytes"];
 
 const ASSIGN_OPS: &[&str] = &["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="];
 

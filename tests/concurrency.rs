@@ -81,7 +81,12 @@ fn pskiplist_snapshot_immutability_under_writers() {
 /// keys, the workers first race each other to create the same keys — the
 /// lost-race counter's only source. After the join every total must be
 /// exact, whichever counter shard each bumping thread landed on.
-fn op_stats_under_load<S: VersionedStore + Sync>(store: &S, workers: u64, ops: u64, contended: u64) {
+fn op_stats_under_load<S: VersionedStore + Sync>(
+    store: &S,
+    workers: u64,
+    ops: u64,
+    contended: u64,
+) {
     const PRELOADED: u64 = 256;
     for k in 0..PRELOADED {
         store.session().insert(k, k);
@@ -102,7 +107,10 @@ fn op_stats_under_load<S: VersionedStore + Sync>(store: &S, workers: u64, ops: u
                 }
                 for i in 0..ops {
                     s.insert(((t + 1) << 32) | i, i);
-                    assert_eq!(s.find((t + i) % PRELOADED, preloaded_at), Some((t + i) % PRELOADED));
+                    assert_eq!(
+                        s.find((t + i) % PRELOADED, preloaded_at),
+                        Some((t + i) % PRELOADED)
+                    );
                 }
                 running.fetch_sub(1, Ordering::Release);
             });
@@ -216,7 +224,8 @@ fn version_numbers_are_unique_and_gapless_across_threads() {
 #[test]
 fn lazy_tail_monotone_under_concurrent_queries() {
     use mvkv::vhistory::{EHistory, History};
-    let hist = Arc::new(History::new(EHistory::new()));
+    let storage = EHistory::new();
+    let hist = History::new(&storage);
     for v in 1..=10_000u64 {
         hist.append(v, v);
     }
@@ -225,7 +234,7 @@ fn lazy_tail_monotone_under_concurrent_queries() {
     // version.
     std::thread::scope(|scope| {
         for t in 0..8u64 {
-            let hist = hist.clone();
+            let hist = &hist;
             scope.spawn(move || {
                 let mut last = 0u64;
                 for i in 0..2_000u64 {

@@ -2,7 +2,7 @@
 
 mod common;
 
-use common::{Oracle, Op};
+use common::{Op, Oracle};
 use mvkv::cluster::{kway_merge, merge_two, merge_two_parallel};
 use mvkv::core::{ESkipList, PSkipList, StoreSession, VersionedStore};
 use mvkv::skiplist::SkipList;
@@ -138,7 +138,8 @@ proptest! {
         gaps in proptest::collection::vec(1u64..20, 1..120),
         probes in proptest::collection::vec(0u64..3000, 1..50),
     ) {
-        let hist = mvkv::vhistory::History::new(mvkv::vhistory::EHistory::new());
+        let storage = mvkv::vhistory::EHistory::new();
+        let hist = mvkv::vhistory::History::new(&storage);
         let mut versions = Vec::new();
         let mut v = 0u64;
         for (i, g) in gaps.iter().enumerate() {
@@ -277,7 +278,7 @@ proptest! {
             0..20,
         ),
     ) {
-        use mvkv::vhistory::{History, PHistory, Slots};
+        use mvkv::vhistory::{Cursor, History, PHistory, Slots};
         use std::sync::atomic::Ordering;
 
         let pool = mvkv::pmem::PmemPool::create_volatile(1 << 22).unwrap();
@@ -292,9 +293,11 @@ proptest! {
         prop_assert_eq!(h.records(n).len() as u64, n);
 
         let mut corrupted = std::collections::BTreeSet::new();
+        let mut cur = Cursor::new();
+        h.slots().fill(&mut cur, n);
         for &(slot, field, mask) in &corruptions {
             let idx = slot % n;
-            let e = h.slots().entry(idx);
+            let e = cur.entry(idx);
             let word = [&e.version, &e.value, &e.crc][field];
             word.store(word.load(Ordering::Relaxed) ^ mask, Ordering::Relaxed);
             corrupted.insert(idx);
