@@ -8,7 +8,7 @@
 //!   <9% penalty vs warm even at 64 threads.
 
 use mvkv_bench::{
-    bench_dir, build_canonical_state, pool_bytes_for, report, secs, timed_phase, BenchConfig, Row,
+    build_canonical_state, pool_bytes_for, report, secs, timed_phase, BenchConfig, Row,
     TempArtifacts,
 };
 use mvkv_core::{DbStore, PSkipList, StoreSession, VersionedStore};
@@ -20,10 +20,8 @@ fn main() {
     let mut arts = TempArtifacts::new();
 
     // Build and persist the canonical P = 2N state for both stores.
-    let pool_path = bench_dir().join("fig5-pskiplist.pool");
-    arts_track(&mut arts, &pool_path);
-    let db_path = bench_dir().join("fig5-dbreg.db");
-    arts_track(&mut arts, &db_path);
+    let pool_path = arts.path("fig5-pskiplist.pool");
+    let db_path = arts.path("fig5-dbreg.db");
 
     let workload = {
         let store = PSkipList::create_file(&pool_path, pool_bytes_for(2 * cfg.n))
@@ -109,12 +107,4 @@ fn main() {
         &format!("restart: parallel rebuild + cold finds over P={} keys", 2 * cfg.n),
         &rows,
     );
-}
-
-fn arts_track(arts: &mut TempArtifacts, path: &std::path::Path) {
-    // TempArtifacts::path both registers and returns; we only need the
-    // registration side effect for a caller-chosen path.
-    let name = path.file_name().and_then(|n| n.to_str()).expect("utf8 name");
-    let registered = arts.path(name);
-    debug_assert_eq!(&registered, path);
 }

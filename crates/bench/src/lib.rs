@@ -15,12 +15,13 @@
 //!   horizontal experiments (default `2,4,8,16,32`) [8..512]
 //! * `MVKV_BENCH_DIST_N` — pairs per node in horizontal experiments
 //!   (default 5 000) [10^5]
-//! * `MVKV_OUT` — JSON lines output path (optional)
+//! * `MVKV_OUT` — JSON lines output path (optional; a path that cannot be
+//!   appended to fails the run)
 
 use mvkv_core::{DbStore, PSkipList, StoreSession, VersionedStore};
-use serde::Serialize;
+use std::fmt;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Benchmark parameters (see crate docs for the env knobs).
@@ -56,7 +57,7 @@ fn env_list(name: &str, default: &[usize]) -> Vec<usize> {
 }
 
 /// One reported measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     pub figure: &'static str,
     pub approach: String,
@@ -67,8 +68,26 @@ pub struct Row {
     pub unit: &'static str,
 }
 
+/// The row's `MVKV_OUT` line: one flat JSON object. No field value needs
+/// escaping (figure, metric and unit are literals, approach is a store name
+/// plus ASCII suffixes), which `mvkv-report`'s field extractor relies on.
+impl fmt::Display for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Row { figure, approach, x, metric, value, unit } = self;
+        // JSON has no NaN/Inf.
+        let value: &dyn fmt::Display = if value.is_finite() { value } else { &"null" };
+        write!(f, r#"{{"figure":"{figure}","approach":"{approach}","x":{x},"#)?;
+        write!(f, r#""metric":"{metric}","value":{value},"unit":"{unit}"}}"#)
+    }
+}
+
+fn append_rows(path: &Path, rows: &[Row]) -> std::io::Result<()> {
+    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+    rows.iter().try_for_each(|r| writeln!(f, "{r}"))
+}
+
 /// Prints the rows as an aligned table and appends JSON lines to
-/// `MVKV_OUT` if set.
+/// `MVKV_OUT` if set; a run that asked for rows and cannot write them fails.
 pub fn report(figure: &'static str, title: &str, rows: &[Row]) {
     println!("\n=== {figure}: {title} ===");
     println!("{:<12} {:>8} {:<22} {:>14} {:<10}", "approach", "x", "metric", "value", "unit");
@@ -78,11 +97,10 @@ pub fn report(figure: &'static str, title: &str, rows: &[Row]) {
             r.approach, r.x, r.metric, r.value, r.unit
         );
     }
-    if let Ok(path) = std::env::var("MVKV_OUT") {
-        if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
-            for r in rows {
-                let _ = writeln!(f, "{}", serde_json::to_string(r).expect("row serializes"));
-            }
+    if let Some(path) = std::env::var_os("MVKV_OUT") {
+        if let Err(e) = append_rows(Path::new(&path), rows) {
+            eprintln!("{figure}: cannot append rows to MVKV_OUT={}: {e}", path.to_string_lossy());
+            std::process::exit(1);
         }
     }
     maybe_emit_metrics(figure);
@@ -150,15 +168,14 @@ impl StoreKind {
 
 /// Directory for persistent artifacts: `/dev/shm` when available (the
 /// paper's PM emulation mount), the system temp dir otherwise.
-pub fn bench_dir() -> PathBuf {
+fn bench_dir() -> PathBuf {
     let shm = PathBuf::from("/dev/shm");
     let base = if shm.is_dir() { shm } else { std::env::temp_dir() };
-    let dir = base.join(format!("mvkv-bench-{}", std::process::id()));
-    let _ = std::fs::create_dir_all(&dir);
-    dir
+    base.join(format!("mvkv-bench-{}", std::process::id()))
 }
 
-/// A file path removed on drop (pool and database files).
+/// File paths removed on drop (pool and database files), and `bench_dir`
+/// with them once it is empty.
 pub struct TempArtifacts {
     paths: Vec<PathBuf>,
 }
@@ -169,7 +186,9 @@ impl TempArtifacts {
     }
 
     pub fn path(&mut self, name: &str) -> PathBuf {
-        let p = bench_dir().join(name);
+        let dir = bench_dir();
+        let _ = std::fs::create_dir_all(&dir);
+        let p = dir.join(name);
         // Register the companion WAL too, in case the caller creates one.
         let mut wal = p.clone().into_os_string();
         wal.push(".wal");
@@ -190,6 +209,8 @@ impl Drop for TempArtifacts {
         for p in &self.paths {
             let _ = std::fs::remove_file(p);
         }
+        // Fails, as it should, while another `TempArtifacts` still has files.
+        let _ = std::fs::remove_dir(bench_dir());
     }
 }
 
@@ -199,13 +220,13 @@ pub fn pool_bytes_for(keys: usize) -> usize {
     keys * 640 + (64 << 20)
 }
 
-/// Builds a PSkipList backed by a file under [`bench_dir`].
+/// Builds a PSkipList backed by a file under `bench_dir`.
 pub fn make_pskiplist(keys: usize, arts: &mut TempArtifacts, tag: &str) -> PSkipList {
     let path = arts.path(&format!("pskiplist-{tag}.pool"));
     PSkipList::create_file(path, pool_bytes_for(keys)).expect("pool creation failed")
 }
 
-/// Builds a DbReg store backed by files under [`bench_dir`].
+/// Builds a DbReg store backed by files under `bench_dir`.
 pub fn make_dbreg(arts: &mut TempArtifacts, tag: &str) -> DbStore {
     let path = arts.path(&format!("dbreg-{tag}.db"));
     DbStore::reg(path).expect("db creation failed")
@@ -361,4 +382,35 @@ fn populate_rank<S: VersionedStore>(store: &S, rank: usize, n: usize) {
         session.insert(base + i, base + i + 1);
     }
     store.wait_writes_complete();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(value: f64) -> Row {
+        Row { figure: "figX", approach: "A".into(), x: 1, metric: "time", value, unit: "s" }
+    }
+
+    #[test]
+    fn row_line_is_the_flat_object_mvkv_report_reads() {
+        // The literal `tests/cli_smoke.rs` feeds to `mvkv-report`.
+        assert_eq!(
+            row(0.5).to_string(),
+            r#"{"figure":"figX","approach":"A","x":1,"metric":"time","value":0.5,"unit":"s"}"#
+        );
+        assert!(row(f64::NAN).to_string().contains(r#""value":null,"#));
+    }
+
+    #[test]
+    fn unwritable_out_path_is_an_error_and_temp_dir_goes_with_its_last_file() {
+        let mut arts = TempArtifacts::new();
+        let out = arts.path("rows.jsonl");
+        let dir = out.parent().unwrap().to_path_buf();
+        append_rows(&out, &[row(1.0), row(2.0)]).unwrap();
+        assert_eq!(std::fs::read_to_string(&out).unwrap().lines().count(), 2);
+        assert!(append_rows(&dir, &[row(1.0)]).is_err(), "a directory is not appendable");
+        drop(arts);
+        assert!(!dir.exists(), "{} left behind", dir.display());
+    }
 }

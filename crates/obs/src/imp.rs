@@ -139,68 +139,9 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An all-zero snapshot: the identity element of [`merge`](Self::merge).
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot { buckets: [0; BUCKETS], sum: 0 }
-    }
-
     /// Total number of recorded values.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
-    }
-
-    /// Value at quantile `q` (clamped to `0..=1`), linearly interpolated
-    /// inside the matching log2 bucket — bucket `i` spans `[2^i, 2^(i+1))`,
-    /// bucket 0 spans `[0, 2)`. Resolution is therefore one part in the
-    /// bucket width (a factor-of-two band), which is plenty for p50/p99/p999
-    /// latency gates. Returns 0 for an empty snapshot.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c >= target {
-                let (lo, width) = if i == 0 { (0u64, 2u64) } else { (1u64 << i, 1u64 << i) };
-                let frac = (target - seen) as f64 / c as f64;
-                return lo.saturating_add((width as f64 * frac) as u64);
-            }
-            seen += c;
-        }
-        u64::MAX
-    }
-
-    /// Bucket-wise difference against an `earlier` snapshot of the same
-    /// histogram: the distribution of values recorded in between. Buckets
-    /// saturate at 0 (cells are monotone, but a racing `record` can land
-    /// between the two scrapes' shard reads).
-    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot { buckets: [0; BUCKETS], sum: 0 };
-        for (o, (&now, &then)) in
-            out.buckets.iter_mut().zip(self.buckets.iter().zip(earlier.buckets.iter()))
-        {
-            *o = now.saturating_sub(then);
-        }
-        out.sum = self.sum.wrapping_sub(earlier.sum);
-        out
-    }
-
-    /// Bucket-wise sum: the combined distribution of two snapshots (e.g.
-    /// the per-op-type histograms of one scenario merged into one overall
-    /// latency distribution).
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot { buckets: [0; BUCKETS], sum: 0 };
-        for (o, (&a, &b)) in out.buckets.iter_mut().zip(self.buckets.iter().zip(other.buckets.iter()))
-        {
-            *o = a + b;
-        }
-        out.sum = self.sum.wrapping_add(other.sum);
-        out
     }
 }
 
@@ -553,57 +494,6 @@ mod tests {
         assert_eq!(s.buckets[63], 1);
         assert_eq!(s.count(), 6);
         assert_eq!(s.sum, 1030u64.wrapping_add(u64::MAX));
-    }
-
-    #[test]
-    fn quantiles_interpolate_within_buckets() {
-        let h = Histogram::new();
-        // 100 values in bucket 6 ([64,128)), 10 in bucket 10 ([1024,2048)).
-        for _ in 0..100 {
-            h.record(64);
-        }
-        for _ in 0..10 {
-            h.record(1024);
-        }
-        let s = h.snapshot();
-        let p50 = s.quantile(0.50);
-        assert!((64..128).contains(&p50), "p50 in the dense bucket: {p50}");
-        let p99 = s.quantile(0.99);
-        assert!((1024..2048).contains(&p99), "p99 in the tail bucket: {p99}");
-        // q=1.0 interpolates to the top bucket's exclusive upper edge — a
-        // conservative (never underestimating) tail figure.
-        assert!(s.quantile(0.0) >= 64 && s.quantile(1.0) <= 2048);
-        // Monotone in q.
-        assert!(s.quantile(0.25) <= s.quantile(0.75));
-        // Empty snapshot.
-        assert_eq!(HistogramSnapshot { buckets: [0; BUCKETS], sum: 0 }.quantile(0.5), 0);
-    }
-
-    #[test]
-    fn since_isolates_the_delta_distribution() {
-        let h = Histogram::new();
-        h.record(10);
-        let before = h.snapshot();
-        h.record(1000);
-        h.record(1000);
-        let delta = h.snapshot().since(&before);
-        assert_eq!(delta.count(), 2);
-        assert_eq!(delta.buckets[9], 2); // 1000 lands in [512,1024)
-        assert_eq!(delta.buckets[3], 0); // the pre-existing 10 subtracted out
-        assert_eq!(delta.sum, 2000);
-    }
-
-    #[test]
-    fn merge_adds_distributions() {
-        let a = Histogram::new();
-        a.record(5);
-        let b = Histogram::new();
-        b.record(5);
-        b.record(100);
-        let m = a.snapshot().merge(&b.snapshot());
-        assert_eq!(m.count(), 3);
-        assert_eq!(m.buckets[2], 2);
-        assert_eq!(m.sum, 110);
     }
 
     #[test]

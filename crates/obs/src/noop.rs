@@ -66,31 +66,14 @@ impl LazyHistogram {
 }
 
 /// Zero-sized stand-in for the enabled build's merged histogram view:
-/// always empty, so quantile consumers (the scenario-matrix harness) compile
-/// unchanged with the layer off and read zeros — they are expected to skip
-/// latency gates when [`is_enabled`] is false.
+/// always empty, so `snapshot()` callers compile unchanged with the layer off
+/// and read zeros.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot;
 
 impl HistogramSnapshot {
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot
-    }
-
     pub fn count(&self) -> u64 {
         0
-    }
-
-    pub fn quantile(&self, _q: f64) -> u64 {
-        0
-    }
-
-    pub fn since(&self, _earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot
-    }
-
-    pub fn merge(&self, _other: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot
     }
 }
 

@@ -61,7 +61,7 @@ pub fn derive_seed(master: u64, lane: u64) -> u64 {
 
 /// Order-sensitive fingerprint of a word stream (FNV-style fold through the
 /// SplitMix64 finalizer). Used to hash-pin generated op streams: the golden
-/// regression tests and the scenario-matrix determinism gate both compare
+/// regression tests and the benchmark's `fingerprints.lock` both compare
 /// these 64-bit digests instead of whole streams.
 pub fn stream_fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis

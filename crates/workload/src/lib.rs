@@ -13,18 +13,15 @@
 //! * [`zipf`] — rejection-free Gray-style zipfian rank sampling.
 //! * [`mix`] — YCSB A–F analogue op mixes, hot-key skew and the churn/GC
 //!   scenario: deterministic lane-partitioned op streams from one seed.
-//! * [`slo`] — the per-scenario SLO threshold table (`slo.toml` subset).
 
 pub mod keys;
 pub mod mix;
 pub mod mt19937;
 pub mod scenario;
-pub mod slo;
 pub mod zipf;
 
 pub use keys::{derive_seed, mix64, partition_even, stream_fingerprint, unique_pairs, KeyValue};
 pub use mix::{MixConfig, MixKind, MixOp, MixPlan, LANES};
 pub use mt19937::Mt19937_64;
 pub use scenario::{Scenario, ScenarioPhase};
-pub use slo::{SloMeasurement, SloSpec, SloTable};
 pub use zipf::Zipfian;

@@ -125,8 +125,7 @@ impl MixKind {
         ]
     }
 
-    /// Stable scenario name: the `approach` column of bench rows, the
-    /// section name in `slo.toml` and the fingerprint line tag.
+    /// Stable scenario name (also [`MixPlan::name`]).
     pub fn name(&self) -> &'static str {
         match self {
             MixKind::YcsbA => "ycsb_a",

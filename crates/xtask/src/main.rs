@@ -13,10 +13,8 @@
 //!   cargo run -p xtask -- analyze --baseline crates/xtask/analysis_baseline.json
 //!                                              # fail only on NEW findings (CI)
 //!   cargo run -p xtask -- explain <check-id>   # rule, rationale, escape hatch
-//!   cargo run -p xtask -- bench-diff OLD NEW   # jsonl-vs-jsonl perf delta table
 
 mod analyze;
-mod benchdiff;
 mod cfg;
 mod fences;
 mod layout;
@@ -36,8 +34,7 @@ fn repo_root() -> PathBuf {
 }
 
 const USAGE: &str = "usage: cargo run -p xtask -- analyze [--json] [--bless] [--only PASS] \
-                    [--baseline FILE.json]\n       cargo run -p xtask -- explain [CHECK-ID]\n       \
-                    cargo run -p xtask -- bench-diff OLD.jsonl NEW.jsonl [--threshold PCT]";
+                    [--baseline FILE.json]\n       cargo run -p xtask -- explain [CHECK-ID]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -92,12 +89,6 @@ fn main() -> ExitCode {
             }
         }
         Some("explain") => match args.get(1) {
-            Some(id) if id == "bench-diff" => {
-                // Not an analyzer pass (no suppressions/--only), but it has
-                // an explain entry like every other xtask behavior.
-                print!("{}", benchdiff::explain());
-                ExitCode::SUCCESS
-            }
             Some(id) => match analyze::explain(id) {
                 Some(text) => {
                     print!("{text}");
@@ -105,61 +96,20 @@ fn main() -> ExitCode {
                 }
                 None => {
                     eprintln!(
-                        "xtask explain: unknown check `{id}` (available: {}, bench-diff)",
+                        "xtask explain: unknown check `{id}` (available: {})",
                         analyze::check_ids().join(", ")
                     );
                     ExitCode::FAILURE
                 }
             },
             None => {
-                println!("checks: {}, bench-diff", analyze::check_ids().join(", "));
+                println!("checks: {}", analyze::check_ids().join(", "));
                 println!("run `cargo run -p xtask -- explain <check-id>` for details");
                 ExitCode::SUCCESS
             }
         },
-        Some("bench-diff") => {
-            let mut paths: Vec<&String> = Vec::new();
-            let mut threshold = 5.0f64;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--threshold" => match it.next().and_then(|v| v.parse().ok()) {
-                        Some(t) => threshold = t,
-                        None => {
-                            eprintln!("xtask bench-diff: --threshold needs a percentage\n{USAGE}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    _ => paths.push(a),
-                }
-            }
-            let [old, new] = paths[..] else {
-                eprintln!("xtask bench-diff: need exactly two jsonl files\n{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            match benchdiff::run(&PathBuf::from(old), &PathBuf::from(new), threshold) {
-                Ok(diff) => {
-                    print!("{}", diff.table);
-                    if diff.regressions > 0 {
-                        eprintln!(
-                            "xtask bench-diff: {} regression(s) beyond {threshold}%",
-                            diff.regressions
-                        );
-                        ExitCode::FAILURE
-                    } else {
-                        ExitCode::SUCCESS
-                    }
-                }
-                Err(e) => {
-                    eprintln!("xtask bench-diff: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
         Some(other) => {
-            eprintln!(
-                "xtask: unknown task `{other}` (available: analyze, explain, bench-diff)\n{USAGE}"
-            );
+            eprintln!("xtask: unknown task `{other}` (available: analyze, explain)\n{USAGE}");
             ExitCode::FAILURE
         }
         None => {
