@@ -11,7 +11,7 @@
 
 use mvkv_bench::{report, secs, BenchConfig, Row};
 use mvkv_cluster::{merge_two, merge_two_parallel};
-use mvkv_keychain::{rebuild_into, KeyChain};
+use mvkv_keychain::{rebuild_into, try_fold_claimed, try_workers, KeyChain};
 use mvkv_pmem::PmemPool;
 use mvkv_skiplist::SkipList;
 use mvkv_vhistory::{EHistory, History, VersionClock};
@@ -234,7 +234,12 @@ fn ablate_lazy_tail(cfg: &BenchConfig, rows: &mut Vec<Row>) {
     }
 }
 
-/// A2: reconstruction thread sweep over a chain of 2N keys.
+/// A2: reconstruction thread sweep over a chain of 2N keys, two ways: the
+/// paper's original reconstruction — N workers `insert_with` the pairs of
+/// the blocks they claim into the shared list — and a bulk build as the
+/// store's restart does it: the same claiming walk only collects the pairs,
+/// then each worker sorts one key range and builds its fragment with plain
+/// stores, and the fragments are stitched.
 fn ablate_rebuild(cfg: &BenchConfig, rows: &mut Vec<Row>) {
     let keys = 2 * cfg.n as u64;
     let pool = PmemPool::create_volatile(keys as usize * 64 + (16 << 20)).expect("pool");
@@ -248,17 +253,43 @@ fn ablate_rebuild(cfg: &BenchConfig, rows: &mut Vec<Row>) {
         let stats = rebuild_into(&chain, t, |key, hist| {
             index.insert_with(key, || hist);
         });
-        let took = t0.elapsed();
-        assert_eq!(stats.pairs, keys);
-        rows.push(Row {
-            figure: "ablation-a2",
-            approach: "modulo-claiming".into(),
-            x: t as u64,
-            metric: "rebuild_time",
-            value: secs(took),
-            unit: "s",
-        });
-        eprintln!("[a2] rebuild T={t}: {:.4}s", secs(took));
+        let inserted = t0.elapsed();
+        assert_eq!((stats.pairs, index.len()), (keys, keys));
+
+        let mut bulk: SkipList<u64> = SkipList::new();
+        let t1 = Instant::now();
+        let collect = |run: &mut Vec<(u64, u64)>, _, key, hist| run.push((key, hist));
+        let (_, runs) = try_fold_claimed(&chain, t, collect).expect("walk");
+        let (runs, list, parts) = (&runs, &bulk, runs.len() as u64);
+        let fragments = try_workers((0..parts).map(|part| {
+            move || {
+                let range = keys * part / parts..keys * (part + 1) / parts;
+                let in_range = runs.iter().flatten().filter(|(key, _)| range.contains(key));
+                let mut pairs: Vec<(u64, u64)> = in_range.copied().collect();
+                pairs.sort_unstable();
+                list.fragment(pairs)
+            }
+        }))
+        .expect("build");
+        bulk.adopt(fragments);
+        let built = t1.elapsed();
+        assert_eq!(bulk.len(), keys);
+
+        for (approach, took) in [("modulo-claiming", inserted), ("bulk-build", built)] {
+            rows.push(Row {
+                figure: "ablation-a2",
+                approach: approach.into(),
+                x: t as u64,
+                metric: "rebuild_time",
+                value: secs(took),
+                unit: "s",
+            });
+        }
+        eprintln!(
+            "[a2] rebuild T={t}: {t} concurrent insert_with {:.4}s, bulk build {:.4}s",
+            secs(inserted),
+            secs(built)
+        );
     }
 }
 

@@ -2,7 +2,10 @@
 //!
 //! * **Fig 5a**: time to reconstruct PSkipList's ephemeral skip-list index
 //!   from the persistent key block chain, for increasing thread counts
-//!   (paper: 17 s at T=1 down to ~2 s at T=64 for P = 2·10^6 keys).
+//!   (paper: 17 s at T=1 down to ~2 s at T=64 for P = 2·10^6 keys). One
+//!   row per restart phase — `scan_time` (the claiming walk + watermark),
+//!   `rebuild_time` (sort + bulk build), `prune_time` (flagged histories
+//!   only) — and one for the workers the walk really ran.
 //! * **Fig 5b**: find throughput right after restart (cold persistent
 //!   state) for PSkipList vs DbReg, plus the warm-cache baseline. Paper:
 //!   <9% penalty vs warm even at 64 threads.
@@ -40,14 +43,21 @@ fn main() {
         let (store, stats) = PSkipList::open_file(&pool_path, t).expect("reopen");
         assert_eq!(stats.rebuilt_keys, 2 * cfg.n as u64);
         assert_eq!(stats.watermark, max_version);
-        rows.push(Row {
-            figure: "fig5a",
-            approach: "PSkipList".into(),
-            x: t as u64,
-            metric: "rebuild_time",
-            value: secs(stats.rebuild_time),
-            unit: "s",
-        });
+        for (metric, value, unit) in [
+            ("scan_time", secs(stats.scan_time), "s"),
+            ("rebuild_time", secs(stats.rebuild_time), "s"),
+            ("prune_time", secs(stats.prune_time), "s"),
+            ("rebuild_threads", stats.rebuild_threads as f64, "threads"),
+        ] {
+            rows.push(Row {
+                figure: "fig5a",
+                approach: "PSkipList".into(),
+                x: t as u64,
+                metric,
+                value,
+                unit,
+            });
+        }
 
         // Fig 5b: cold find right after the rebuild.
         let queries = workload.clone_with_threads(t).query_mix(
@@ -95,8 +105,13 @@ fn main() {
             unit: "s",
         });
         eprintln!(
-            "[fig5] T={t}: rebuild {:.3}s, find cold {:.3}s warm {:.3}s dbreg {:.3}s",
+            "[fig5] T={t} ({} workers): scan {:.3}s rebuild {:.3}s prune {:.3}s ({} histories), \
+             find cold {:.3}s warm {:.3}s dbreg {:.3}s",
+            stats.rebuild_threads,
+            secs(stats.scan_time),
             secs(stats.rebuild_time),
+            secs(stats.prune_time),
+            stats.pruned_histories,
             secs(t_cold),
             secs(t_warm),
             secs(t_db)

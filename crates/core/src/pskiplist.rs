@@ -14,10 +14,12 @@
 //! changelog in a pool, construction, recovery, scrub, compaction and the
 //! persistent tag chain.
 //!
-//! On restart, [`PSkipList::open_file`] reconstructs the index in parallel
-//! from the block chain (paper Fig 5a), recovers the completion watermark
-//! from the histories' `done` stamps, and prunes torn suffixes — the
-//! paper's §IV-B recovery rule.
+//! On restart, [`PSkipList::open_file`] walks the block chain once, in
+//! parallel (paper Fig 5a): every worker validates and scans the histories
+//! of the blocks it claims and keeps their `(key, history)` pairs as a run.
+//! The completion watermark comes from the scanned `done` stamps, the index
+//! is bulk-built from the sorted runs, and only the histories the scan
+//! flagged are pruned — the paper's §IV-B recovery rule, one visit per key.
 
 use crate::api::VersionedStore;
 use crate::engine::{Engine, Home};
@@ -25,35 +27,100 @@ use crate::recovery::{
     CorruptionClass, KeyQuarantine, QuarantineReport, RecoveryError, RecoveryStatus, ScrubReport,
 };
 use mvkv_keychain::{
-    try_fold_claimed, try_rebuild_into, ChainHdr, KeyChain, RepairStats, DEFAULT_BLOCK_CAP,
+    try_fold_claimed, try_workers, ChainHdr, KeyChain, RepairStats, DEFAULT_BLOCK_CAP,
 };
 use mvkv_pmem::{CrashOptions, PPtr, PmemError, PmemPool};
-use mvkv_skiplist::SkipList;
+use mvkv_skiplist::{Fragment, SkipList};
 use mvkv_vhistory::recovery::{
-    compute_watermark, prune_to_watermark, scan_published_prefix_checked, PrefixScan, ScanStop,
+    compute_watermark, prune_to_watermark, scan_published_prefix, ScanStop,
 };
 use mvkv_vhistory::{Cursor, History, PHistory, Slots, VersionClock, TOMBSTONE};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Timings and counters of one restart (paper Fig 5).
+/// Timings and counters of one restart (paper Fig 5). The three times are
+/// consecutive and cover everything after the chain repair; opening the
+/// pool (with its heap walk) and repairing the chains come before them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RestartStats {
-    /// Keys re-inserted into the ephemeral index.
+    /// Keys in the rebuilt index (distinct keys with a reachable history).
     pub rebuilt_keys: u64,
-    /// Worker threads every parallel phase ran (at least one).
+    /// Worker threads the chain walk ran (at least one); the index build
+    /// and the prune run at most as many.
     pub rebuild_threads: usize,
     /// Recovered completion watermark.
     pub watermark: u64,
     /// History entries pruned beyond the watermark.
     pub pruned_entries: u64,
-    /// Parallel skip-list reconstruction time (the Fig 5a metric).
+    /// Histories the prune visited: the ones the scan found torn, damaged
+    /// or with a lagging lazy tail, and the ones ending above the
+    /// watermark. 0 for a store that was read and then closed cleanly.
+    pub pruned_histories: u64,
+    /// Index construction: sorting the workers' runs, bulk-building the
+    /// skip list from them and stitching it (the Fig 5a metric).
     pub rebuild_time: Duration,
-    /// Watermark scan time.
+    /// The one claiming walk over the chain — history header validation
+    /// and the published-prefix scan of every key — plus the watermark.
     pub scan_time: Duration,
-    /// Prune pass time.
+    /// Pruning the flagged histories (see `pruned_histories`).
     pub prune_time: Duration,
+}
+
+/// `(key, chain position, history)`: a key-chain pair as the restart sorts
+/// it. Of two pairs with one key the position puts the earliest first.
+type ChainPair = (u64, u64, u64);
+
+/// What one worker of the restart walk keeps from the blocks it claimed.
+#[derive(Default)]
+struct Claimed {
+    /// Every reachable history: in chain order while the walk runs, sorted
+    /// for the index build.
+    pairs: Vec<ChainPair>,
+    /// The versions of every published prefix, as one flat run.
+    versions: Vec<u64>,
+    /// `(history, largest version)` with `u64::MAX` for a history the scan
+    /// did not find settled: the prune has work exactly where the second
+    /// word exceeds the watermark.
+    prune_above: Vec<(u64, u64)>,
+    quarantined: Vec<KeyQuarantine>,
+}
+
+/// The keys that cut the sorted `runs` into `runs.len()` key ranges of
+/// about equal size (fewer when there is nothing to cut): range `i` holds
+/// the keys from cut `i - 1` up to, not including, cut `i`, so equal keys
+/// always share a range.
+fn splitters(runs: &[&[ChainPair]]) -> Vec<u64> {
+    let parts = runs.len();
+    let mut samples: Vec<u64> = runs
+        .iter()
+        .flat_map(|run| (1..parts).filter_map(move |j| run.get(j * run.len() / parts)))
+        .map(|&(key, ..)| key)
+        .collect();
+    samples.sort_unstable();
+    (1..parts).filter_map(|j| samples.get(j * samples.len() / parts).copied()).collect()
+}
+
+/// The part of a sorted run with keys in `[from, to)`; `None` is no bound.
+fn key_range(run: &[ChainPair], from: Option<u64>, to: Option<u64>) -> &[ChainPair] {
+    let at = |cut| run.partition_point(|&(key, ..)| key < cut);
+    &run[from.map_or(0, at)..to.map_or(run.len(), at)]
+}
+
+/// Sorted runs merged into one sorted stream of `(key, history)`. Picking
+/// the smallest head is linear in the number of runs: a handful of
+/// compares per key, next to the node allocation that follows.
+struct Merged<'a>(Vec<&'a [ChainPair]>);
+
+impl Iterator for Merged<'_> {
+    type Item = (u64, u64);
+
+    fn next(&mut self) -> Option<(u64, u64)> {
+        let run = self.0.iter_mut().filter(|run| !run.is_empty()).min_by_key(|run| run[0])?;
+        let (&(key, _, hist), rest) = run.split_first()?;
+        *run = rest;
+        Some((key, hist))
+    }
 }
 
 /// Everything a salvage open produces: the recovered store, restart
@@ -341,9 +408,9 @@ impl PSkipList {
         if chain_ptr.is_null() {
             return Err(RecoveryError::NoKeyChain);
         }
-        let index = SkipList::new();
+        let mut index = SkipList::new();
         let mut stats = RestartStats::default();
-        let mut key_quarantine: Vec<KeyQuarantine> = Vec::new();
+        let panicked = |phase| move |_| RecoveryError::WorkerPanicked { phase };
         {
             // Chain capacity words are self-checksummed; a failure here is
             // unrecoverable (every bounds computation depends on them).
@@ -363,43 +430,23 @@ impl PSkipList {
                     .ok_or(RecoveryError::CorruptChainHeader { chain: "changelog" })?;
                 absorb(&mut report, cl.repair());
             }
-            // A history a phase cannot open was quarantined by phase 1.
-            let checked_history = |hist: u64| PHistory::open_checked(&pool, PPtr::from_off(hist));
 
-            // Phase 1: parallel index reconstruction (paper Fig 5a). A pair
+            // The one walk over the chain (paper Fig 5a's claiming walk):
+            // each worker visits the histories of its blocks once. A pair
             // whose history offset cannot hold a header in-bounds is
             // quarantined — a bit-flipped offset must not poison the index
             // with a pointer every later read would chase out of bounds.
+            // The checked scan classifies why each prefix ended; corruption
+            // classes feed the quarantine report.
             let t0 = Instant::now();
-            let unreachable = parking_lot::Mutex::new(Vec::new());
-            let rebuilt = try_rebuild_into(&chain, threads, |key, hist| {
-                if checked_history(hist).is_some() {
-                    index.insert_with(key, || hist);
-                } else {
-                    unreachable.lock().push(KeyQuarantine {
-                        key,
-                        class: CorruptionClass::UnreachableHistory,
-                        dropped_records: 0,
-                    });
-                }
-            })
-            .map_err(|_| RecoveryError::WorkerPanicked { phase: "rebuild" })?;
-            stats.rebuild_time = t0.elapsed();
-            stats.rebuild_threads = rebuilt.threads;
-            let unreachable = unreachable.into_inner();
-            stats.rebuilt_keys = rebuilt.pairs - unreachable.len() as u64;
-            key_quarantine.extend(unreachable);
-
-            // Phase 2: recover the completion watermark from done stamps,
-            // on the same claiming walk as the index rebuild. The checked
-            // scan classifies why each prefix ended; corruption classes
-            // feed the quarantine report.
-            let t1 = Instant::now();
-            type Scanned = (Vec<PrefixScan>, Vec<KeyQuarantine>);
-            let (_, scanned) = try_fold_claimed(&chain, threads, |acc: &mut Scanned, key, hist| {
-                let Some(h) = checked_history(hist) else { return };
-                let (scan, stop) = scan_published_prefix_checked(&h);
-                let class = match stop {
+            let visit = |acc: &mut Claimed, seq, key, hist| {
+                let Some(h) = PHistory::open_checked(&pool, PPtr::from_off(hist)) else {
+                    let class = CorruptionClass::UnreachableHistory;
+                    acc.quarantined.push(KeyQuarantine { key, class, dropped_records: 0 });
+                    return;
+                };
+                let scan = scan_published_prefix(&h, &mut acc.versions);
+                let class = match scan.stop {
                     ScanStop::Exhausted | ScanStop::Unpublished => None,
                     ScanStop::ChecksumInvalid => Some(CorruptionClass::ChecksumInvalid),
                     ScanStop::TornStamp => Some(CorruptionClass::TornStamp),
@@ -407,38 +454,66 @@ impl PSkipList {
                 };
                 if let Some(class) = class {
                     let dropped_records = h.pending().saturating_sub(scan.len);
-                    acc.1.push(KeyQuarantine { key, class, dropped_records });
+                    acc.quarantined.push(KeyQuarantine { key, class, dropped_records });
                 }
-                acc.0.push(scan);
-            })
-            .map_err(|_| RecoveryError::WorkerPanicked { phase: "scan" })?;
-            stats.watermark =
-                compute_watermark(scanned.iter().flat_map(|(scans, _)| scans), wm_base);
-            // `scanned` is borrowed, not consumed: its version lists (8 B per
-            // history entry) are freed when recovery is done. Freeing them
-            // here costs a deep store 8 % of its restart, the allocator
-            // returning pages that phase 3 then faults in again.
-            key_quarantine.extend(scanned.iter().flat_map(|(_, quarantined)| quarantined));
-            stats.scan_time = t1.elapsed();
+                acc.pairs.push((key, seq, hist));
+                acc.prune_above.push((hist, if scan.settled { scan.last } else { u64::MAX }));
+            };
+            let (walked, mut claimed) =
+                try_fold_claimed(&chain, threads, visit).map_err(panicked("scan"))?;
+            stats.rebuild_threads = walked.threads;
+            stats.watermark = compute_watermark(claimed.iter().map(|c| &c.versions[..]), wm_base);
+            stats.scan_time = t0.elapsed();
 
-            // Phase 3: prune everything beyond the watermark (§IV-B), the
-            // same way. prune_to_watermark also drops checksum-invalid
-            // slots below the watermark.
+            // The index: every worker sorts its own run, then builds the
+            // skip-list fragment of one key range out of all the runs; the
+            // fragments are stitched in order. Nothing is inserted, and
+            // nobody else sees the list before this function returns it.
+            let t1 = Instant::now();
+            try_workers(claimed.iter_mut().map(|c| || c.pairs.sort_unstable()))
+                .map_err(panicked("rebuild"))?;
+            let runs: Vec<&[ChainPair]> = claimed.iter().map(|c| &c.pairs[..]).collect();
+            let cuts = splitters(&runs);
+            let (runs, cuts, list) = (&runs, &cuts, &index);
+            let fragments: Vec<Fragment<u64>> = try_workers((0..=cuts.len()).map(|part| {
+                let (from, to) = (part.checked_sub(1).map(|p| cuts[p]), cuts.get(part).copied());
+                move || {
+                    list.fragment(Merged(runs.iter().map(|run| key_range(run, from, to)).collect()))
+                }
+            }))
+            .map_err(panicked("rebuild"))?;
+            report.chain_duplicate_keys = fragments.iter().map(Fragment::dropped).sum();
+            index.adopt(fragments);
+            stats.rebuilt_keys = index.len();
+            stats.rebuild_time = t1.elapsed();
+
+            // Prune beyond the watermark (§IV-B), which also drops
+            // checksum-invalid slots below it — but only where the scan
+            // left something to do. For a settled history ending at or
+            // below the watermark the prune keeps every slot and finds the
+            // counters already right: it is not visited.
             let t2 = Instant::now();
             let watermark = stats.watermark;
-            let (_, pruned) = try_fold_claimed(&chain, threads, |pruned: &mut u64, _, hist| {
-                if let Some(h) = checked_history(hist) {
-                    *pruned += prune_to_watermark(&h, watermark).pruned;
-                }
-            })
-            .map_err(|_| RecoveryError::WorkerPanicked { phase: "prune" })?;
+            let flagged: Vec<u64> = claimed
+                .iter()
+                .flat_map(|c| &c.prune_above)
+                .filter(|&&(_, above)| above > watermark)
+                .map(|&(hist, _)| hist)
+                .collect();
+            let pool = &pool;
+            let share = flagged.len().div_ceil(walked.threads).max(1);
+            let prune = |&hist: &u64| {
+                prune_to_watermark(&PHistory::open(pool, PPtr::from_off(hist)), watermark).pruned
+            };
+            let jobs = flagged.chunks(share).map(|part| move || part.iter().map(prune).sum());
+            let pruned: Vec<u64> = try_workers(jobs).map_err(panicked("prune"))?;
+            stats.pruned_histories = flagged.len() as u64;
             stats.pruned_entries = pruned.iter().sum();
             stats.prune_time = t2.elapsed();
 
-            report.indeterminate_alloc_blocks =
-                mvkv_pmem::recovery::audit(&pool).indeterminate_blocks;
+            report.keys = claimed.into_iter().flat_map(|c| c.quarantined).collect();
+            report.indeterminate_alloc_blocks = pool.indeterminate_blocks_at_open();
         }
-        report.keys = key_quarantine;
         mvkv_obs::counter_add!(
             "mvkv_recovery_corrupt_records_total",
             report.keys.len() as u64
@@ -794,6 +869,167 @@ mod tests {
         let v = rs.insert(21, 2101);
         assert_eq!(v, 21, "version numbering resumes at the watermark");
         assert_eq!(rs.find(21, v), Some(2101));
+    }
+
+    /// The key ranges the build workers take, merged and laid end to end,
+    /// are all the pairs in `(key, chain position)` order — however the
+    /// keys are spread over the runs, with equal keys inside one range.
+    #[test]
+    fn key_ranges_of_the_runs_merge_into_one_sorted_stream() {
+        let spread = |pair: &ChainPair| pair.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 3;
+        let by_worker = |pair: &ChainPair| pair.1 % 3;
+        let all_in_one = |_: &ChainPair| 0;
+        let pairs: Vec<ChainPair> =
+            (0..600u64).map(|seq| (seq * 7 % 150, seq, 1000 + seq)).collect(); // 4 pairs per key
+        for place in [spread, by_worker, all_in_one] {
+            let mut runs = vec![Vec::new(); 3];
+            pairs.iter().for_each(|pair| runs[place(pair) as usize].push(*pair));
+            runs.iter_mut().for_each(|run| run.sort_unstable());
+            let runs: Vec<&[ChainPair]> = runs.iter().map(|run| &run[..]).collect();
+            let cuts = splitters(&runs);
+            assert!(cuts.len() <= 2 && cuts.is_sorted());
+            let mut stream = Vec::new();
+            for part in 0..=cuts.len() {
+                let (from, to) = (part.checked_sub(1).map(|p| cuts[p]), cuts.get(part).copied());
+                stream.extend(Merged(runs.iter().map(|run| key_range(run, from, to)).collect()));
+            }
+            let mut sorted = pairs.clone();
+            sorted.sort_unstable();
+            assert!(stream.into_iter().eq(sorted.into_iter().map(|(key, _, hist)| (key, hist))));
+        }
+        assert_eq!(splitters(&[&[], &[]]), [0u64; 0], "nothing to cut");
+    }
+
+    /// `(pending, tail)` of every indexed history.
+    fn counters(store: &PSkipList) -> Vec<(u64, u64)> {
+        let header = |(_, hist)| PHistory::open(store.pool(), PPtr::from_off(hist)).raw_header();
+        store.index.iter().map(header).map(|(pending, tail, _)| (pending, tail)).collect()
+    }
+
+    #[test]
+    fn store_closed_unread_has_every_lazy_tail_repaired_once() {
+        let path = std::env::temp_dir().join(format!("pskip-unread-{}.pool", std::process::id()));
+        {
+            let store = PSkipList::create_file(&path, POOL).unwrap();
+            let s = store.session();
+            for round in 0..3u64 {
+                for key in 1..=300u64 {
+                    s.insert(key, key + round);
+                }
+            }
+            store.wait_writes_complete();
+            assert!(counters(&store).iter().all(|&(pending, tail)| (pending, tail) == (3, 0)));
+        } // closed without a single read: every lazy tail lags
+        {
+            let (store, stats) = PSkipList::open_file(&path, 3).unwrap();
+            assert_eq!((stats.rebuilt_keys, stats.watermark), (300, 900));
+            assert_eq!(stats.pruned_histories, 300, "every history needed its counters repaired");
+            assert_eq!(stats.pruned_entries, 0, "and none lost an entry");
+            assert!(counters(&store).iter().all(|&(pending, tail)| (pending, tail) == (3, 3)));
+            assert_eq!(store.session().find(7, 900), Some(9));
+        }
+        // The repair was durable: the next open finds nothing to do.
+        let (_, stats) = PSkipList::open_file(&path, 3).unwrap();
+        assert_eq!((stats.pruned_histories, stats.pruned_entries), (0, 0));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn fully_read_clean_store_reopens_without_touching_a_history() {
+        let store = PSkipList::create_crash_sim(POOL, CrashOptions::default()).unwrap();
+        let s = store.session();
+        for i in 0..2000u64 {
+            s.insert(i % 700, i);
+        }
+        for key in (0..700u64).step_by(3) {
+            s.remove(key);
+        }
+        store.wait_writes_complete();
+        let tag = store.tag();
+        assert_eq!(s.extract_snapshot(tag).len(), 700 - 234); // moves every lazy tail
+        store.pool().sync_all();
+        let image = store.crash_image().unwrap();
+        for threads in [1, 4] {
+            let (reopened, stats) = PSkipList::open_image(&image, threads).unwrap();
+            assert_eq!((stats.rebuilt_keys, stats.watermark), (700, tag));
+            assert_eq!((stats.pruned_histories, stats.pruned_entries), (0, 0));
+            // No history was repaired, so none was written: the heap is the
+            // image's, byte for byte — but for the claim counters of full
+            // chain blocks, which the chain repair clamps back to capacity
+            // (an append that found its block full had bumped them past it).
+            let pool = reopened.pool();
+            let chain = KeyChain::open(pool, reopened.home.chain);
+            let clamped: Vec<u64> = chain.blocks().map(|(block, _)| block + 8).collect();
+            let heap = mvkv_pmem::layout::HEAP_START;
+            let written: Vec<u64> = (heap..image.len() as u64)
+                .step_by(8)
+                .filter(|&off| pool.read_u64(off).to_le_bytes() != image[off as usize..][..8])
+                .filter(|off| !clamped.contains(off))
+                .collect();
+            assert_eq!(written, [0u64; 0], "a clean reopen at {threads} thread(s) wrote");
+        }
+    }
+
+    #[test]
+    fn settled_history_ending_above_the_watermark_is_still_pruned() {
+        let store = PSkipList::create_crash_sim(POOL, CrashOptions::default()).unwrap();
+        let s = store.session();
+        for i in 1..=20u64 {
+            s.insert(i, i);
+        }
+        store.wait_writes_complete();
+        s.extract_snapshot(20);
+        // Version 21 never reached the media; version 22 did, completely:
+        // published, CRC-valid, the lazy tail moved over it. Key 5's history
+        // is in perfect order — only the watermark says its end must go.
+        let h = store.home.history(store.get_or_create_history(5));
+        h.append(22, 2200);
+        assert_eq!(h.extend_tail(22), 2);
+        store.pool().sync_all();
+        let image = store.crash_image().unwrap();
+        let hist = PHistory::open(store.pool(), PPtr::from_off(store.get_or_create_history(5)));
+        assert!(scan_published_prefix(&hist, &mut Vec::new()).settled);
+
+        let (recovered, stats) = PSkipList::open_image(&image, 2).unwrap();
+        assert_eq!(stats.watermark, 20);
+        assert_eq!((stats.pruned_histories, stats.pruned_entries), (1, 1));
+        let rs = recovered.session();
+        assert_eq!(rs.find(5, u64::MAX), Some(5), "the entry beyond the gap must be gone");
+        assert_eq!(rs.insert(5, 55), 21, "version numbering resumes at the watermark");
+    }
+
+    #[test]
+    fn chain_pair_with_a_key_already_chained_is_dropped_and_reported() {
+        let pool = PmemPool::create_crash_sim(POOL, CrashOptions::default()).unwrap();
+        let options = StoreOptions { block_cap: 4, changelog: false };
+        let store = PSkipList::create(pool, options).unwrap();
+        let s = store.session();
+        for key in 1..=40u64 {
+            s.insert(key, key * 10);
+        }
+        store.wait_writes_complete();
+        // Two more pairs for keys that are chained already, each with a
+        // valid (empty) history of its own: key 2's first pair sits many
+        // blocks back, key 40's in the block the duplicate lands in or the
+        // one before.
+        let chain = KeyChain::open(store.pool(), store.home.chain);
+        for key in [2u64, 40] {
+            chain.append(key, PHistory::create(store.pool()).unwrap().pptr().off()).unwrap();
+        }
+        store.pool().sync_all();
+        let image = store.crash_image().unwrap();
+        for threads in [1, 4] {
+            let out = PSkipList::open_image_salvage(&image, threads).unwrap();
+            assert_eq!(out.stats.rebuilt_keys, 40, "threads={threads}");
+            assert_eq!(out.store.key_count(), 40);
+            assert_eq!(out.report.chain_duplicate_keys, 2);
+            assert_eq!(out.report.total(), 2);
+            assert_eq!(out.status, RecoveryStatus::Degraded { recovered: 40, quarantined: 2 });
+            // The earliest pair is the key's: its history, not the empty one.
+            let rs = out.store.session();
+            assert_eq!(rs.find(2, 40), Some(20), "threads={threads}");
+            assert_eq!(rs.find(40, 40), Some(400), "threads={threads}");
+        }
     }
 
     #[test]

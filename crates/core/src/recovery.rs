@@ -119,6 +119,9 @@ pub struct QuarantineReport {
     pub chain_quarantined_pairs: u64,
     /// Chain links cut because they pointed outside the pool.
     pub chain_truncated_links: u64,
+    /// Valid chain pairs left out of the index because an earlier pair of
+    /// the chain carries the same key (the earliest pair is the key's).
+    pub chain_duplicate_keys: u64,
     /// Allocator blocks whose state word decoded as neither free nor
     /// allocated (conservatively treated as live; leak, not data loss).
     pub indeterminate_alloc_blocks: u64,
@@ -131,11 +134,13 @@ pub struct QuarantineReport {
 }
 
 impl QuarantineReport {
-    /// Total quarantined items (blocks + pairs + cut links + keys).
+    /// Total quarantined items (blocks + pairs + cut links + duplicate
+    /// pairs + keys).
     pub fn total(&self) -> u64 {
         self.chain_quarantined_blocks
             + self.chain_quarantined_pairs
             + self.chain_truncated_links
+            + self.chain_duplicate_keys
             + self.keys.len() as u64
     }
 
@@ -154,6 +159,7 @@ impl QuarantineReport {
         let _ = writeln!(out, "  chain blocks quarantined: {}", self.chain_quarantined_blocks);
         let _ = writeln!(out, "  chain pairs dropped:      {}", self.chain_quarantined_pairs);
         let _ = writeln!(out, "  chain links truncated:    {}", self.chain_truncated_links);
+        let _ = writeln!(out, "  chain duplicate keys:     {}", self.chain_duplicate_keys);
         let _ = writeln!(out, "  alloc blocks indeterminate: {}", self.indeterminate_alloc_blocks);
         let _ = writeln!(out, "  image bytes re-padded:    {}", self.padded_bytes);
         for k in &self.keys {
@@ -211,7 +217,8 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.total(), 0);
         r.chain_quarantined_blocks = 1;
-        r.chain_quarantined_pairs = 4;
+        r.chain_quarantined_pairs = 3;
+        r.chain_duplicate_keys = 1;
         r.keys.push(KeyQuarantine {
             key: 7,
             class: CorruptionClass::ChecksumInvalid,

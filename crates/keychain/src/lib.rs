@@ -24,6 +24,4 @@ mod chain;
 mod rebuild;
 
 pub use chain::{ChainHdr, KeyChain, RepairStats, DEFAULT_BLOCK_CAP};
-pub use rebuild::{
-    rebuild_into, try_fold_claimed, try_rebuild_into, RebuildPanicked, RebuildStats,
-};
+pub use rebuild::{rebuild_into, try_fold_claimed, try_workers, RebuildPanicked, RebuildStats};

@@ -31,44 +31,46 @@ impl std::fmt::Display for RebuildPanicked {
 impl std::error::Error for RebuildPanicked {}
 
 /// Feeds every valid `(key, history)` pair of `chain` to `sink` using
-/// `threads` workers with modulo block claiming. `sink` must be safe for
-/// concurrent calls (e.g. a lock-free skip-list insert).
+/// `threads` workers with modulo block claiming — the paper's original
+/// reconstruction: `sink` is a concurrent insert into the target structure
+/// and must be safe for concurrent calls. (The store's own restart takes
+/// the pairs as per-worker runs instead, see [`try_fold_claimed`].)
 ///
-/// Panics if a worker panics; recovery paths use [`try_rebuild_into`],
-/// which reports that as an error instead.
+/// Panics if a worker panics.
 pub fn rebuild_into<F>(chain: &KeyChain<'_>, threads: usize, sink: F) -> RebuildStats
 where
     F: Fn(u64, u64) + Sync,
 {
-    match try_rebuild_into(chain, threads, sink) {
-        Ok(stats) => stats,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`rebuild_into`]: a panicking worker yields
-/// `Err(RebuildPanicked)` after every other worker has been joined,
-/// rather than unwinding the caller.
-pub fn try_rebuild_into<F>(
-    chain: &KeyChain<'_>,
-    threads: usize,
-    sink: F,
-) -> Result<RebuildStats, RebuildPanicked>
-where
-    F: Fn(u64, u64) + Sync,
-{
     mvkv_obs::span!("mvkv_keychain_rebuild_ns");
-    let (stats, _) = try_fold_claimed(chain, threads, |_: &mut (), key, hist| sink(key, hist))?;
+    let fold = |_: &mut (), _, key, hist| sink(key, hist);
+    let (stats, _) = try_fold_claimed(chain, threads, fold).unwrap_or_else(|e| panic!("{e}"));
     mvkv_obs::counter_add!("mvkv_keychain_rebuild_pairs_total", stats.pairs);
     mvkv_obs::counter_inc!("mvkv_keychain_rebuilds_total");
-    Ok(stats)
+    stats
+}
+
+/// Runs every job on a thread of its own and returns their results in job
+/// order; a panicking job yields `Err(RebuildPanicked)` after every other
+/// one has been joined, rather than unwinding the caller.
+pub fn try_workers<R, J>(jobs: impl IntoIterator<Item = J>) -> Result<Vec<R>, RebuildPanicked>
+where
+    R: Send,
+    J: FnOnce() -> R + Send,
+{
+    let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    results.into_iter().map(|r| r.map_err(|_| RebuildPanicked)).collect()
 }
 
 /// The claiming walk itself: `threads` workers (at least one) each walk the
 /// chain, claim the blocks with `index % threads == tid`, and fold every
-/// valid pair of a claimed block into their own accumulator. Returns the
-/// accumulators in worker order. The recovery passes that are not an index
-/// rebuild (watermark scan, prune) run on this directly.
+/// valid pair of a claimed block into their own accumulator, as
+/// `fold(acc, seq, key, history)`. `seq` is the pair's position in the
+/// chain — it grows along the chain, within a worker and across workers —
+/// so `(key, seq)` orders two pairs that carry the same key. Returns the
+/// accumulators in worker order.
 pub fn try_fold_claimed<A, F>(
     chain: &KeyChain<'_>,
     threads: usize,
@@ -76,34 +78,30 @@ pub fn try_fold_claimed<A, F>(
 ) -> Result<(RebuildStats, Vec<A>), RebuildPanicked>
 where
     A: Default + Send,
-    F: Fn(&mut A, u64, u64) + Sync,
+    F: Fn(&mut A, u64, u64, u64) + Sync,
 {
     let threads = threads.max(1);
-    let fold = &fold;
-    let results: Vec<std::thread::Result<(u64, u64, A)>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        handles.extend((0..threads).map(|tid| {
-            scope.spawn(move || {
-                let (mut blocks, mut pairs, mut acc) = (0u64, 0u64, A::default());
-                for (off, index) in chain.blocks() {
-                    if index as usize % threads != tid {
-                        continue; // claimed by another thread
-                    }
-                    blocks += 1;
-                    for (key, hist) in chain.block_pairs(off) {
-                        fold(&mut acc, key, hist);
-                        pairs += 1;
-                    }
+    let (fold, cap) = (&fold, chain.block_cap());
+    let results = try_workers((0..threads).map(|tid| {
+        move || {
+            let (mut blocks, mut pairs, mut acc) = (0u64, 0u64, A::default());
+            for (position, (off, index)) in chain.blocks().enumerate() {
+                if index as usize % threads != tid {
+                    continue; // claimed by another thread
                 }
-                (blocks, pairs, acc)
-            })
-        }));
-        handles.into_iter().map(|h| h.join()).collect()
-    });
+                blocks += 1;
+                let base = position as u64 * cap;
+                for (slot, (key, hist)) in chain.block_pairs(off).enumerate() {
+                    fold(&mut acc, base + slot as u64, key, hist);
+                    pairs += 1;
+                }
+            }
+            (blocks, pairs, acc)
+        }
+    }))?;
     let mut stats = RebuildStats { blocks: 0, pairs: 0, threads };
     let mut accs = Vec::with_capacity(threads);
-    for result in results {
-        let (blocks, pairs, acc) = result.map_err(|_| RebuildPanicked)?;
+    for (blocks, pairs, acc) in results {
         stats.blocks += blocks;
         stats.pairs += pairs;
         accs.push(acc);
@@ -177,15 +175,41 @@ mod tests {
     fn fold_returns_one_accumulator_per_worker() {
         let p = PmemPool::create_volatile(1 << 24).unwrap();
         let c = chain_with(&p, 100, 4); // 25 blocks
-        let (stats, sums) = try_fold_claimed(&c, 4, |sum: &mut u64, _, hist| *sum += hist).unwrap();
+        let (stats, sums) =
+            try_fold_claimed(&c, 4, |sum: &mut u64, _, _, hist| *sum += hist).unwrap();
         assert_eq!(stats, RebuildStats { blocks: 25, pairs: 100, threads: 4 });
         assert_eq!(sums.len(), 4, "one accumulator per worker, in worker order");
         assert_eq!(sums.iter().sum::<u64>(), (1..=100).sum::<u64>(), "every pair folded once");
         // Zero workers are clamped to one; a panicking fold is an error.
-        let (stats, counts) = try_fold_claimed(&c, 0, |n: &mut u64, _, _| *n += 1).unwrap();
+        let (stats, counts) = try_fold_claimed(&c, 0, |n: &mut u64, _, _, _| *n += 1).unwrap();
         assert_eq!((stats.threads, counts), (1, vec![100]));
-        let panicked = try_fold_claimed(&c, 2, |_: &mut (), key, _| assert_ne!(key, 7));
+        let panicked = try_fold_claimed(&c, 2, |_: &mut (), _, key, _| assert_ne!(key, 7));
         assert_eq!(panicked.unwrap_err(), RebuildPanicked);
+    }
+
+    #[test]
+    fn seq_orders_the_pairs_as_the_chain_does() {
+        let p = PmemPool::create_volatile(1 << 24).unwrap();
+        let c = chain_with(&p, 100, 8); // 13 blocks, the last one half full
+        for threads in [1usize, 3, 4] {
+            type Seen = Vec<(u64, (u64, u64))>;
+            let fold = |seen: &mut Seen, seq, key, hist| seen.push((seq, (key, hist)));
+            let (_, per_worker) = try_fold_claimed(&c, threads, fold).unwrap();
+            assert!(per_worker.iter().all(|seen| seen.windows(2).all(|w| w[0].0 < w[1].0)));
+            let mut all: Seen = per_worker.into_iter().flatten().collect();
+            all.sort_unstable();
+            assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "a seq was handed out twice");
+            assert!(all.into_iter().map(|(_, pair)| pair).eq(c.iter()), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn workers_return_in_job_order_and_report_panics() {
+        let squares = try_workers((0..5u64).map(|i| move || i * i)).unwrap();
+        assert_eq!(squares, vec![0, 1, 4, 9, 16]);
+        assert_eq!(try_workers(Vec::<fn() -> u64>::new()).unwrap(), Vec::<u64>::new());
+        let jobs = (0..3u64).map(|i| move || assert_ne!(i, 1));
+        assert_eq!(try_workers(jobs).unwrap_err(), RebuildPanicked);
     }
 
     #[test]

@@ -293,6 +293,9 @@ pub struct Allocator {
     /// Allocations served by the large path (best-fit reuse or exact bump).
     large_allocs: AtomicU64,
     total_frees: AtomicU64,
+    /// Blocks whose state word decoded as neither free nor allocated when
+    /// [`Allocator::rebuild_from_heap`] walked the heap (0 for a new pool).
+    indeterminate_at_open: AtomicU64,
 }
 
 /// Counters describing allocator health.
@@ -341,6 +344,7 @@ impl Allocator {
             live_blocks: AtomicU64::new(0),
             large_allocs: AtomicU64::new(0),
             total_frees: AtomicU64::new(0),
+            indeterminate_at_open: AtomicU64::new(0),
         }
     }
 
@@ -610,11 +614,16 @@ impl Allocator {
     /// Walks the heap after reopen, repopulating free lists and fixing a
     /// torn bump cursor (crash between reserve and header persist). Freed
     /// class blocks are redistributed round-robin across shards so every
-    /// arena restarts warm.
+    /// arena restarts warm. The walk decodes every block's state word, so it
+    /// also counts the ones that decode as nothing
+    /// ([`Allocator::indeterminate_at_open`]) — what
+    /// [`crate::recovery::audit`] would report for the pool as opened,
+    /// without a second walk.
     pub fn rebuild_from_heap(&self, pool: &PmemPool) {
         let bump = pool.read_u64(OFF_BUMP).clamp(HEAP_START, pool.len() as u64);
         let mut cursor = HEAP_START;
         let mut live = 0u64;
+        let mut indeterminate = 0u64;
         let mut next_shard = 0usize;
         while cursor < bump {
             let size = pool.read_u64(cursor);
@@ -624,10 +633,10 @@ impl Allocator {
             if !valid {
                 break; // torn tail: re-base the cursor here
             }
-            let state = pool.read_u64(cursor + 8);
+            let state = decode_state(size, pool.read_u64(cursor + 8));
             let payload_off = cursor + BLOCK_HEADER;
             let payload = size - BLOCK_HEADER;
-            if decode_state(size, state) == Some(BlockState::Free) {
+            if state == Some(BlockState::Free) {
                 match SIZE_CLASSES.iter().position(|&c| c as u64 == payload) {
                     Some(class) => {
                         self.shards[next_shard].push(class, [payload_off]);
@@ -641,6 +650,7 @@ impl Allocator {
                 // (leak-at-most semantics) — a corrupt block must never
                 // reach a free list.
                 live += 1;
+                indeterminate += u64::from(state.is_none());
             }
             cursor += size;
         }
@@ -651,6 +661,15 @@ impl Allocator {
         }
         // ordering: open-time rebuild; the pool is not shared yet.
         self.live_blocks.store(live, Ordering::Relaxed);
+        // ordering: as above.
+        self.indeterminate_at_open.store(indeterminate, Ordering::Relaxed);
+    }
+
+    /// Blocks the open-time heap walk could classify as neither free nor
+    /// allocated (kept live: a leak at most, never data loss).
+    pub fn indeterminate_at_open(&self) -> u64 {
+        // ordering: written once before the pool is shared; a plain count.
+        self.indeterminate_at_open.load(Ordering::Relaxed)
     }
 
     pub fn stats(&self, pool: &PmemPool) -> AllocStats {

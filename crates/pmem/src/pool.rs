@@ -163,6 +163,13 @@ impl PmemPool {
         self.allocator.stats(self)
     }
 
+    /// Heap blocks whose state word was torn or corrupt when this pool was
+    /// opened — [`crate::recovery::audit`]'s `indeterminate_blocks` for the
+    /// pool as opened, counted by the heap walk every open does anyway.
+    pub fn indeterminate_blocks_at_open(&self) -> u64 {
+        self.allocator.indeterminate_at_open()
+    }
+
     // -- persistence primitives ----------------------------------------------
 
     /// Flushes `[off, off+len)` to the durable media.

@@ -110,6 +110,46 @@ mod tests {
         assert_eq!(audit.allocated_blocks, 0);
     }
 
+    /// The open-time heap walk and the audit classify the same blocks the
+    /// same way: state words flipped one block at a time, then whatever the
+    /// seeded corruption plans hit (state words, size words, payloads).
+    #[test]
+    fn open_counts_the_indeterminate_blocks_the_audit_finds() {
+        use crate::corrupt::{inject, CorruptOptions};
+        let pool = PmemPool::create_crash_sim(1 << 20, crate::CrashOptions::default()).unwrap();
+        let sizes = [24usize, 64, 200, 64, 5000, 1024, 64, 300];
+        let blocks: Vec<u64> = sizes.iter().map(|&len| pool.alloc(len).unwrap()).collect();
+        pool.dealloc(blocks[1]);
+        pool.dealloc(blocks[4]);
+        pool.sync_all();
+        let clean = pool.crash_image().unwrap();
+        let check = |image: &[u8], label: &str| {
+            let Ok(reopened) = PmemPool::open_image(image) else { return None };
+            let found = audit(&reopened).indeterminate_blocks;
+            assert_eq!(reopened.indeterminate_blocks_at_open(), found, "{label}");
+            Some(found)
+        };
+        assert_eq!(check(&clean, "clean"), Some(0));
+        assert_eq!(pool.indeterminate_blocks_at_open(), 0, "a new pool opened nothing");
+
+        let mut flipped = clean.clone();
+        for (n, &block) in blocks.iter().enumerate() {
+            // One more state word damaged per round: bit 3 is in the
+            // integrity code, bit 43 in the tag.
+            let state = (block - BLOCK_HEADER + 8) as usize;
+            flipped[state + (n % 2) * 5] ^= 1 << 3;
+            assert_eq!(check(&flipped, "state flip"), Some(n as u64 + 1), "{n} flips");
+        }
+        let mut damaged = 0;
+        for seed in 0..64u64 {
+            let mut image = clean.clone();
+            let plan = CorruptOptions::seeded(seed).bit_flips(40).torn_lines(2).scrambled_blocks(1);
+            inject(&mut image, &plan);
+            damaged += check(&image, "seeded plan").unwrap_or(0);
+        }
+        assert!(damaged > 0, "no plan reached a state word: the test checks nothing");
+    }
+
     fn temp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("mvkv-audit-{}-{name}.pool", std::process::id()))
     }

@@ -28,7 +28,12 @@
 //!   winner at the level-0 CAS, frees its own node and *"reuses the pointer
 //!   of the faster thread"* — surfaced to callers as
 //!   [`InsertOutcome::Lost`] so they can reclaim the payload they created.
+//! * A list whose keys are all known up front (a restart) is not inserted
+//!   into at all: [`SkipList::fragment`] turns a sorted run of pairs into a
+//!   private chain of nodes with plain stores — any number of threads, one
+//!   key range each — and [`SkipList::adopt`] stitches the chains into an
+//!   empty list through `&mut self`, one link per fragment and level.
 
 mod list;
 
-pub use list::{InsertOutcome, Iter, SkipList, MAX_HEIGHT};
+pub use list::{Fragment, InsertOutcome, Iter, SkipList, MAX_HEIGHT};

@@ -521,6 +521,154 @@ impl<K: Ord> SkipList<K> {
     }
 }
 
+/// A run of nodes in strictly increasing key order, linked to each other at
+/// every level and not yet part of any list: what [`SkipList::fragment`]
+/// builds and [`SkipList::adopt`] stitches. Dropping a fragment that was
+/// never adopted frees its nodes.
+pub struct Fragment<K> {
+    /// First and last node per level; null at the levels no tower reaches.
+    first: [*mut Node<K>; MAX_HEIGHT],
+    last: [*mut Node<K>; MAX_HEIGHT],
+    len: u64,
+    dropped: u64,
+}
+
+// SAFETY: a fragment owns its nodes (and their keys) through `first[0]` and
+// shares them with nobody; sending it sends the keys, hence `K: Send`.
+unsafe impl<K: Send> Send for Fragment<K> {}
+
+impl<K> Fragment<K> {
+    /// Number of nodes.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Input pairs left out because their key was not greater than the
+    /// key before them.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+}
+
+impl<K> Drop for Fragment<K> {
+    fn drop(&mut self) {
+        // SAFETY: an unadopted fragment is the only owner of its nodes,
+        // all from `Node::new`, each reachable at level 0 exactly once
+        // (`adopt` forgets the fragments it links instead of dropping them).
+        unsafe { free_chain(self.first[0]) }
+    }
+}
+
+/// Frees the level-0 chain starting at `curr` (null = nothing).
+///
+/// # Safety
+/// Every node of the chain must come from [`Node::new`], be unreachable by
+/// any other thread, and not be used again.
+unsafe fn free_chain<K>(mut curr: *mut Node<K>) {
+    while !curr.is_null() {
+        // SAFETY: per the contract `curr` is a live node owned by the caller.
+        unsafe {
+            let next = Node::next(curr, 0).load(Ordering::Acquire);
+            Node::free(curr);
+            curr = next;
+        }
+    }
+}
+
+impl<K: Ord> SkipList<K> {
+    /// Bulk construction, step one: builds a [`Fragment`] from `pairs`,
+    /// which must come in strictly increasing key order — a pair whose key
+    /// is not greater than the last key kept is dropped (and counted, see
+    /// [`Fragment::dropped`]), so of equal keys the first wins. One node per
+    /// key, heights drawn as [`SkipList::insert_with`] draws them, every
+    /// link written through a per-level tail: no descent and no CAS. Safe to
+    /// call from several threads at once, one key range each.
+    pub fn fragment(&self, pairs: impl IntoIterator<Item = (K, u64)>) -> Fragment<K> {
+        self.fragment_towers(pairs, Self::random_height)
+    }
+
+    /// [`SkipList::fragment`] with every tower height drawn by `height`.
+    fn fragment_towers(
+        &self,
+        pairs: impl IntoIterator<Item = (K, u64)>,
+        mut height: impl FnMut(&Self) -> usize,
+    ) -> Fragment<K> {
+        let null = ptr::null_mut();
+        let mut frag =
+            Fragment { first: [null; MAX_HEIGHT], last: [null; MAX_HEIGHT], len: 0, dropped: 0 };
+        for (key, value) in pairs {
+            let tail = frag.last[0];
+            // SAFETY: `tail` is a node this call built; its key is initialized.
+            if !tail.is_null() && unsafe { &(*tail).key } >= &key {
+                frag.dropped += 1;
+                continue;
+            }
+            let height = height(self);
+            let node = Node::new(key, value, height);
+            for level in 0..height {
+                let prev = std::mem::replace(&mut frag.last[level], node);
+                if prev.is_null() {
+                    frag.first[level] = node;
+                } else {
+                    // SAFETY: `prev` was built by this call with a tower
+                    // taller than `level`, and no other thread can see it.
+                    // ordering: the fragment is private to this thread; it
+                    // reaches others only through `adopt`'s `&mut self`.
+                    unsafe { Node::next(prev, level) }.store(node, Ordering::Relaxed);
+                }
+            }
+            frag.len += 1;
+        }
+        frag
+    }
+
+    /// Bulk construction, step two: makes `fragments` — in key order, every
+    /// key of one smaller than every key of the next; empty ones are fine —
+    /// the contents of this list, which must be empty. Costs one link per
+    /// fragment and level, whatever the fragments hold. `&mut self` is the
+    /// publication: nobody else can be reading the list, and whoever it is
+    /// shared with afterwards synchronizes with this thread to get it.
+    ///
+    /// # Panics
+    /// If the list is not empty or two fragments are out of order.
+    pub fn adopt(&mut self, fragments: impl IntoIterator<Item = Fragment<K>>) {
+        assert!(self.is_empty(), "adopt needs an empty list");
+        let mut tails = [self.head; MAX_HEIGHT];
+        let (mut len, mut top) = (0u64, 1usize);
+        for frag in fragments {
+            if frag.is_empty() {
+                continue;
+            }
+            let (tail, first) = (tails[0], frag.first[0]);
+            // SAFETY: past the head check `tail` is the last node of an
+            // adopted fragment, `first` the first node of a non-empty one.
+            let ordered = tail == self.head || unsafe { (*tail).key < (*first).key };
+            assert!(ordered, "fragments must be in key order");
+            for (level, tail) in tails.iter_mut().enumerate() {
+                if frag.first[level].is_null() {
+                    break; // towers are contiguous: no node reaches higher
+                }
+                // SAFETY: `tail` is the head or a fragment's last node at
+                // `level`, so its tower is taller than `level`.
+                // ordering: `&mut self` — the list is not shared.
+                unsafe { Node::next(*tail, level) }.store(frag.first[level], Ordering::Relaxed);
+                *tail = frag.last[level];
+                top = top.max(level + 1);
+            }
+            len += frag.len;
+            std::mem::forget(frag); // its nodes are the list's now
+        }
+        // ordering: `&mut self` — the list is not shared.
+        self.max_level.store(top, Ordering::Relaxed);
+        // ordering: as above.
+        self.len.store(len, Ordering::Relaxed);
+    }
+}
+
 impl<K> SkipList<K> {
     /// In-order iterator over `(key, payload)` from the smallest key.
     /// (No `Ord` bound: iteration just walks level 0.)
@@ -544,12 +692,7 @@ impl<K> Drop for SkipList<K> {
         // levels — and came from `Node::new`; the head came from
         // `Node::alloc` and its key was never initialized.
         unsafe {
-            let mut curr = Node::next(self.head, 0).load(Ordering::Acquire);
-            while !curr.is_null() {
-                let next = Node::next(curr, 0).load(Ordering::Acquire);
-                Node::free(curr);
-                curr = next;
-            }
+            free_chain(Node::next(self.head, 0).load(Ordering::Acquire));
             Node::free_block(self.head);
         }
     }
@@ -588,6 +731,28 @@ impl<K: Ord> SkipList<K> {
         for (key, value, height) in entries {
             assert!(list.insert_tower(key, |_| height, || value).inserted());
         }
+        list
+    }
+
+    /// The same list bulk-built: `entries` in strictly increasing key order,
+    /// cut into `parts` fragments (the last ones empty if there are fewer
+    /// entries) that are stitched together.
+    fn bulk_with_towers(entries: Vec<(K, u64, usize)>, parts: usize) -> Self {
+        let mut list = Self::new();
+        let per = entries.len().div_ceil(parts).max(1);
+        let mut entries = entries.into_iter();
+        let fragments: Vec<Fragment<K>> = (0..parts)
+            .map(|_| {
+                let (mut pairs, mut heights) = (Vec::new(), Vec::new());
+                for (key, value, height) in entries.by_ref().take(per) {
+                    pairs.push((key, value));
+                    heights.push(height);
+                }
+                let mut heights = heights.into_iter();
+                list.fragment_towers(pairs, |_| heights.next().expect("one height per key"))
+            })
+            .collect();
+        list.adopt(fragments);
         list
     }
 }
@@ -713,21 +878,22 @@ mod tests {
         heights.dedup();
         assert_eq!(heights, (1..=MAX_HEIGHT).collect::<Vec<_>>());
         let model: BTreeMap<u64, u64> = entries.iter().map(|&(k, v, _)| (k, v)).collect();
+        let bulk = SkipList::bulk_with_towers(entries.clone(), 5);
         entries.sort_by_key(|&(k, ..)| k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let l = SkipList::with_towers(entries);
-
-        assert_eq!(l.len() as usize, model.len());
-        assert!(l.iter().map(|(&k, v)| (k, v)).eq(model.iter().map(|(&k, &v)| (k, v))));
-        for probe in 0..=10 * n + 15 {
-            assert_eq!(l.get(&probe), model.get(&probe).copied(), "get({probe})");
-            assert_eq!(
-                l.range_from(&probe).next().map(|(&k, v)| (k, v)),
-                model.range(probe..).next().map(|(&k, &v)| (k, v)),
-                "range_from({probe})"
-            );
+        for l in [SkipList::with_towers(entries), bulk] {
+            assert_eq!(l.len() as usize, model.len());
+            assert!(l.iter().map(|(&k, v)| (k, v)).eq(model.iter().map(|(&k, &v)| (k, v))));
+            for probe in 0..=10 * n + 15 {
+                assert_eq!(l.get(&probe), model.get(&probe).copied(), "get({probe})");
+                assert_eq!(
+                    l.range_from(&probe).next().map(|(&k, v)| (k, v)),
+                    model.range(probe..).next().map(|(&k, &v)| (k, v)),
+                    "range_from({probe})"
+                );
+            }
+            // A seek that exits early at an upper level still walks level 0.
+            assert!(l.range_from(&10).map(|(&k, _)| k).eq(model.keys().copied()));
         }
-        // A seek that exits early at an upper level still walks level 0.
-        assert!(l.range_from(&10).map(|(&k, _)| k).eq(model.keys().copied()));
     }
 
     #[test]
@@ -761,13 +927,20 @@ mod tests {
     /// at level 0 with the rest of its tower abandoned.
     #[test]
     fn every_key_is_dropped_exactly_once() {
+        every_key_is_dropped_exactly_once_in(SkipList::with_towers);
+        every_key_is_dropped_exactly_once_in(|entries| SkipList::bulk_with_towers(entries, 3));
+    }
+
+    fn every_key_is_dropped_exactly_once_in(
+        build: impl FnOnce(Vec<(Counted, u64, usize)>) -> SkipList<Counted>,
+    ) {
         let drops = Arc::new(Drops::new(0));
         let mut created = 0usize;
         let mut key = |id: u64| {
             created += 1;
             Counted::new(id, &drops)
         };
-        let l = SkipList::with_towers((0..40u64).map(|i| (key(i * 10), i, (i as usize % 6) + 1)));
+        let l = build((0..40u64).map(|i| (key(i * 10), i, (i as usize % 6) + 1)).collect());
 
         // Pre-check duplicate: no node is allocated, the key dies in the call.
         assert_eq!(l.insert_with(key(50), || 0), InsertOutcome::Lost { existing: 5, yours: None });
@@ -806,6 +979,42 @@ mod tests {
         assert_eq!(l.iter().count(), created - 2);
         drop(l);
         assert_eq!(drops.load(Ordering::SeqCst), created);
+    }
+
+    /// What only a bulk build can do with a key: refuse it at the door
+    /// (not greater than its predecessor — dropped there and then, counted,
+    /// the first of equal keys kept), or build it into a fragment that is
+    /// never adopted.
+    #[test]
+    fn bulk_build_drops_refused_and_orphaned_keys_exactly_once() {
+        let drops = Arc::new(Drops::new(0));
+        let key = |id: u64| Counted::new(id, &drops);
+        let mut l = SkipList::new();
+        let ids = [10, 20, 20, 30, 25, 30, 40];
+        let low = l.fragment(ids.into_iter().enumerate().map(|(i, id)| (key(id), i as u64)));
+        assert_eq!((low.len(), low.dropped()), (4, 3));
+        assert_eq!(drops.load(Ordering::SeqCst), 3, "a refused key dies in the call");
+        let high = l.fragment((5..8u64).map(|id| (key(id * 10), id)));
+        let orphan = l.fragment((100..110u64).map(|id| (key(id), id)));
+        assert_eq!(orphan.len(), 10);
+        drop(orphan);
+        assert_eq!(drops.load(Ordering::SeqCst), 13, "an unadopted fragment frees its nodes");
+
+        l.adopt([l.fragment(None), low, l.fragment(None), high]);
+        let pairs: Vec<(u64, u64)> = l.iter().map(|(k, v)| (k.id, v)).collect();
+        assert_eq!(pairs, vec![(10, 0), (20, 1), (30, 3), (40, 6), (50, 5), (60, 6), (70, 7)]);
+        assert_eq!(l.len(), 7);
+        assert_eq!(drops.load(Ordering::SeqCst), 13);
+        drop(l);
+        assert_eq!(drops.load(Ordering::SeqCst), 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "fragments must be in key order")]
+    fn adopt_refuses_overlapping_fragments() {
+        let mut l = SkipList::new();
+        let (a, b) = (l.fragment([(1u64, 1), (5, 5)]), l.fragment([(5u64, 50), (9, 9)]));
+        l.adopt([a, b]);
     }
 
     #[test]
@@ -922,14 +1131,24 @@ mod tests {
     /// `String` buffer freed — including the pre-check duplicate's.
     #[test]
     fn string_keys_work() {
-        let l: SkipList<String> = SkipList::new();
+        let inserted: SkipList<String> = SkipList::new();
         for name in ["delta", "alpha", "charlie", "bravo", "alpha"] {
-            l.insert_with(name.to_string(), || name.len() as u64);
+            inserted.insert_with(name.to_string(), || name.len() as u64);
         }
-        let order: Vec<&str> = l.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(order, vec!["alpha", "bravo", "charlie", "delta"]);
-        assert_eq!(l.get(&"charlie".to_string()), Some(7));
-        assert_eq!(l.get(&"bz".to_string()), None);
-        assert_eq!(l.range_from(&"bz".to_string()).next().map(|(k, _)| k.as_str()), Some("charlie"));
+        let mut bulk: SkipList<String> = SkipList::new();
+        let sorted = ["alpha", "alpha", "bravo", "charlie", "delta"];
+        let fragment = bulk.fragment(sorted.map(|name| (name.to_string(), name.len() as u64)));
+        assert_eq!(fragment.dropped(), 1);
+        bulk.adopt([fragment]);
+        for l in [inserted, bulk] {
+            let order: Vec<&str> = l.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(order, vec!["alpha", "bravo", "charlie", "delta"]);
+            assert_eq!(l.get(&"charlie".to_string()), Some(7));
+            assert_eq!(l.get(&"bz".to_string()), None);
+            let bz = "bz".to_string();
+            assert_eq!(l.range_from(&bz).next().map(|(k, _)| k.as_str()), Some("charlie"));
+            assert!(l.insert_with("echo".to_string(), || 4).inserted());
+            assert!(!l.insert_with("bravo".to_string(), || 0).inserted());
+        }
     }
 }

@@ -143,3 +143,40 @@ fn reader_never_finds_a_node_at_an_upper_level_before_level_zero() {
         }
     });
 }
+
+/// An inserter and a reader on a bulk-built list.
+///
+/// `fragment` and `adopt` link nodes with plain stores and no CAS, which is
+/// sound only because nobody else can reach the list until `adopt` has
+/// returned and the list has been handed over (here: `Arc` + `spawn`). From
+/// then on the bulk-built nodes must behave like inserted ones: the reader
+/// finds every one of them at whatever level the descent meets it, and the
+/// inserter's CASes land between them. The five draws of the model build's
+/// height counter (1, 1, 1, 2, 5) give the last two bulk-built keys towers,
+/// and the racing insert goes between those two.
+#[test]
+fn inserter_and_reader_on_a_bulk_built_list() {
+    model(|| {
+        let mut list = SkipList::new();
+        let low = list.fragment([(10u64, 100), (20, 200)]);
+        let high = list.fragment([(30u64, 300), (40, 400), (50, 500)]);
+        list.adopt([low, high]);
+        let list = Arc::new(list);
+        let l2 = list.clone();
+        let inserter = thread::spawn(move || l2.insert_with(45u64, || 450));
+
+        for k in [50u64, 40, 10] {
+            assert_eq!(list.get(&k), Some(k * 10), "bulk-built key {k} must be visible");
+        }
+        if let Some(v) = list.get(&45) {
+            assert_eq!(v, 450, "published node must carry its payload");
+        }
+        let walked: Vec<u64> = list.range_from(&35).map(|(&k, _)| k).collect();
+        assert!(walked == [40, 50] || walked == [40, 45, 50], "level-0 order broken: {walked:?}");
+
+        assert!(inserter.join().unwrap().inserted());
+        assert_eq!(list.len(), 6);
+        let pairs: Vec<(u64, u64)> = list.iter().map(|(&k, v)| (k, v)).collect();
+        assert_eq!(pairs, [(10, 100), (20, 200), (30, 300), (40, 400), (45, 450), (50, 500)]);
+    });
+}

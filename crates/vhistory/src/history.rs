@@ -511,9 +511,11 @@ mod tests {
         let image = p.crash_image().unwrap();
         let rp = mvkv_pmem::PmemPool::open_image(&image).unwrap();
         let h = History::new(PHistory::open(&rp, hdr));
-        let scan = scan_published_prefix(h.slots());
-        assert_eq!(scan.versions, vec![1, 2], "prepared-only slot must not be recovered");
-        let wm = compute_watermark([&scan].into_iter(), 0);
+        let mut versions = Vec::new();
+        let scan = scan_published_prefix(h.slots(), &mut versions);
+        assert_eq!(versions, vec![1, 2], "prepared-only slot must not be recovered");
+        assert!(!scan.settled, "a claimed, unpublished slot needs the prune");
+        let wm = compute_watermark([&versions[..]].into_iter(), 0);
         let out = prune_to_watermark(h.slots(), wm);
         assert_eq!(out.kept, 2);
         assert_eq!(h.find(3, wm), Some(22), "torn version 3 is invisible");

@@ -5,32 +5,39 @@
 //! prune all finished entries larger than `fc` and adjust `tail` and
 //! `pending` accordingly for each key."*
 //!
-//! Recovery therefore runs in two passes driven by the owning store:
+//! Recovery therefore has two steps, driven by the owning store:
 //!
 //! 1. [`scan_published_prefix`] on every history collects the versions in
-//!    its durable contiguous prefix; the store combines them into the global
-//!    watermark (largest `v` with all of `1..=v` present).
-//! 2. [`prune_to_watermark`] truncates each history to the prefix covered by
+//!    its durable contiguous prefix; [`compute_watermark`] combines them
+//!    into the global watermark (largest `v` with all of `1..=v` present).
+//! 2. [`prune_to_watermark`] truncates a history to the prefix covered by
 //!    that watermark, clearing orphaned `done` stamps so the slots can be
-//!    reused safely.
+//!    reused safely. The scan says which histories need it
+//!    ([`PrefixScan::settled`]): for a cleanly closed store, none.
 
 use crate::pslots::PHistory;
 use crate::slots::{Cursor, Slots};
 use mvkv_sync::sync::atomic::Ordering;
 
 /// Result of scanning one history's durable prefix.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixScan {
     /// Length of the contiguous published prefix.
     pub len: u64,
-    /// Versions of the prefix entries, in slot order (strictly increasing).
-    pub versions: Vec<u64>,
+    /// Version of the prefix's last entry — its largest, versions being
+    /// strictly increasing in slot order (0 for an empty prefix).
+    pub last: u64,
+    /// Why the prefix ended where it did.
+    pub stop: ScanStop,
+    /// Every claimed slot is published and valid and the header counters
+    /// already equal the prefix length: [`prune_to_watermark`] at any
+    /// watermark ≥ `last` keeps everything and writes nothing.
+    pub settled: bool,
 }
 
-/// Why a prefix scan stopped where it did — the checked scan's
-/// classification, used by salvage recovery to distinguish ordinary torn
-/// appends (expected after any crash) from media corruption (quarantined
-/// and reported).
+/// Why a prefix scan stopped where it did — used by salvage recovery to
+/// distinguish ordinary torn appends (expected after any crash) from media
+/// corruption (quarantined and reported).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanStop {
     /// Every claimed slot was published and valid.
@@ -49,24 +56,18 @@ pub enum ScanStop {
     ChecksumInvalid,
 }
 
-/// Walks slots from 0 and returns the contiguous published prefix. Stops at
-/// the first slot whose `done` stamp is missing, whose backing segment was
-/// never linked, whose version breaks monotonicity (torn metadata), or
-/// whose payload fails its CRC (media corruption).
-pub fn scan_published_prefix(h: &PHistory<'_>) -> PrefixScan {
-    scan_published_prefix_checked(h).0
-}
-
-/// [`scan_published_prefix`] plus the reason the walk stopped — salvage
-/// recovery uses the classification to build its quarantine report.
-pub fn scan_published_prefix_checked(h: &PHistory<'_>) -> (PrefixScan, ScanStop) {
-    let pending = h.pending();
+/// Walks slots from 0 and appends the versions of the contiguous published
+/// prefix to `versions`, in slot order. Stops at the first slot whose `done`
+/// stamp is missing, whose backing segment was never linked, whose version
+/// breaks monotonicity (torn metadata), or whose payload fails its CRC
+/// (media corruption).
+pub fn scan_published_prefix(h: &PHistory<'_>, versions: &mut Vec<u64>) -> PrefixScan {
+    let (pending, tail, _) = h.raw_header();
     let mut cur = Cursor::new();
     // `pending` is a word read from media: only the slots the checked fill
     // finds valid backing for exist.
     let backed = h.fill_checked(&mut cur, pending);
-    let mut versions = Vec::new();
-    let mut last = 0u64;
+    let (mut len, mut last) = (0u64, 0u64);
     let mut stop = if backed < pending { ScanStop::Unlinked } else { ScanStop::Exhausted };
     for idx in 0..backed {
         let e = cur.entry(idx);
@@ -90,8 +91,10 @@ pub fn scan_published_prefix_checked(h: &PHistory<'_>) -> (PrefixScan, ScanStop)
         }
         versions.push(version);
         last = version;
+        len += 1;
     }
-    (PrefixScan { len: versions.len() as u64, versions }, stop)
+    let settled = stop == ScanStop::Exhausted && (pending, tail) == (len, len);
+    PrefixScan { len, last, stop, settled }
 }
 
 /// Outcome of pruning one history.
@@ -153,28 +156,30 @@ pub fn prune_to_watermark(h: &PHistory<'_>, watermark: u64) -> PruneOutcome {
     PruneOutcome { kept: keep, pruned: backed - keep }
 }
 
-/// Computes the global watermark from per-history scans: the largest `v`
-/// such that every version in `base+1..=v` appears in some scan. Versions
-/// at or below `base` are deemed complete a priori — `base` is 0 for a
-/// normal store and the compaction horizon for a compacted one (whose
-/// collapsed entries keep their original, gappy version numbers).
-pub fn compute_watermark<'a>(scans: impl Iterator<Item = &'a PrefixScan>, base: u64) -> u64 {
-    let mut versions: Vec<u64> = scans
-        .flat_map(|s| s.versions.iter().copied())
-        .filter(|&v| v > base)
-        .collect();
-    versions.sort_unstable();
-    let mut watermark = base;
-    for v in versions {
-        if v == watermark + 1 {
-            watermark = v;
-        } else if v > watermark + 1 {
-            break;
+/// Computes the global watermark from the scanned versions, handed over as
+/// any number of runs in any order: the largest `v` such that every version
+/// in `base+1..=v` appears in some run. Versions at or below `base` are
+/// deemed complete a priori — `base` is 0 for a normal store and the
+/// compaction horizon for a compacted one (whose collapsed entries keep
+/// their original, gappy version numbers).
+///
+/// `n` versions cannot make a gap-free range longer than `n`, so one bit
+/// per version of `(base, base + n]` holds every version that can matter;
+/// the watermark is the run of leading ones.
+pub fn compute_watermark<'a>(runs: impl Iterator<Item = &'a [u64]> + Clone, base: u64) -> u64 {
+    let n: u64 = runs.clone().map(|run| run.len() as u64).sum();
+    let mut seen = vec![0u64; n.div_ceil(64) as usize];
+    for &v in runs.flatten() {
+        if v > base && v - base <= n {
+            let bit = v - base - 1;
+            seen[(bit / 64) as usize] |= 1 << (bit % 64);
         }
-        // v <= watermark would be a duplicate version: impossible by
-        // construction (each version tags exactly one operation).
     }
-    watermark
+    // Bits at and beyond `n` are never set, so a word of ones is a whole
+    // word of versions.
+    let full = seen.iter().take_while(|&&word| word == u64::MAX).count();
+    let partial = seen.get(full).map_or(0, |word| word.trailing_ones());
+    base + full as u64 * 64 + u64::from(partial)
 }
 
 #[cfg(test)]
@@ -187,14 +192,79 @@ mod tests {
         PmemPool::create_volatile(1 << 22).unwrap()
     }
 
+    /// One history's scan with the versions it found.
+    fn scan(h: &PHistory<'_>) -> (PrefixScan, Vec<u64>) {
+        let mut versions = Vec::new();
+        let scan = scan_published_prefix(h, &mut versions);
+        assert_eq!(scan.len, versions.len() as u64);
+        assert_eq!(scan.last, versions.last().copied().unwrap_or(0));
+        (scan, versions)
+    }
+
+    fn watermark(runs: &[&[u64]], base: u64) -> u64 {
+        compute_watermark(runs.iter().copied(), base)
+    }
+
+    /// The sort-based watermark the bitmap replaced, kept as the oracle.
+    fn sorted_watermark(runs: &[&[u64]], base: u64) -> u64 {
+        let mut versions: Vec<u64> = runs.concat().into_iter().filter(|&v| v > base).collect();
+        versions.sort_unstable();
+        let mut watermark = base;
+        for v in versions {
+            if v == watermark + 1 {
+                watermark = v;
+            } else if v > watermark + 1 {
+                break;
+            }
+        }
+        watermark
+    }
+
     #[test]
     fn scan_of_clean_history() {
         let p = pool();
         let h = History::new(PHistory::create(&p).unwrap());
         h.append(2, 20);
         h.append(5, 50);
-        let scan = scan_published_prefix(h.slots());
-        assert_eq!(scan, PrefixScan { len: 2, versions: vec![2, 5] });
+        h.extend_tail(5);
+        let (found, versions) = scan(h.slots());
+        let clean = PrefixScan { len: 2, last: 5, stop: ScanStop::Exhausted, settled: true };
+        assert_eq!((found, versions), (clean, vec![2, 5]));
+        // Scans append: the caller's vector is one flat run of many histories.
+        let mut flat = vec![9];
+        scan_published_prefix(h.slots(), &mut flat);
+        assert_eq!(flat, vec![9, 2, 5]);
+    }
+
+    #[test]
+    fn only_a_history_the_prune_would_not_touch_is_settled() {
+        let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
+        let h = History::new(PHistory::create(&p).unwrap());
+        assert!(scan(h.slots()).0.settled, "an empty history has nothing to repair");
+        h.append(3, 30);
+        h.append(7, 70);
+        // The lazy tail has not moved yet: the counters disagree.
+        let (lagging, _) = scan(h.slots());
+        assert_eq!((lagging.stop, lagging.settled), (ScanStop::Exhausted, false));
+        h.extend_tail(7);
+        let (settled, _) = scan(h.slots());
+        assert!(settled.settled);
+        // Settled means: pruning at any watermark >= last writes nothing.
+        p.sync_all();
+        let (image, fences) = (p.crash_image().unwrap(), p.fence_count().unwrap());
+        for watermark in [settled.last, settled.last + 1, u64::MAX] {
+            let kept = PruneOutcome { kept: 2, pruned: 0 };
+            assert_eq!(prune_to_watermark(h.slots(), watermark), kept);
+        }
+        p.sync_all();
+        assert_eq!(p.fence_count().unwrap(), fences);
+        assert!(p.crash_image().unwrap() == image);
+        // ...and below `last` it is the caller's job to notice.
+        assert_eq!(prune_to_watermark(h.slots(), 6), PruneOutcome { kept: 1, pruned: 1 });
+        // A claimed slot that was never published unsettles it again.
+        let _ = h.slots().claim();
+        let (torn, _) = scan(h.slots());
+        assert_eq!((torn.stop, torn.settled), (ScanStop::Unpublished, false));
     }
 
     #[test]
@@ -204,8 +274,7 @@ mod tests {
         h.append(1, 10);
         let _ = h.slots().claim(); // claimed, never published
         h.append(3, 30); // published after the gap
-        let scan = scan_published_prefix(h.slots());
-        assert_eq!(scan.versions, vec![1], "prefix must stop at the gap");
+        assert_eq!(scan(h.slots()).1, vec![1], "prefix must stop at the gap");
     }
 
     #[test]
@@ -235,32 +304,31 @@ mod tests {
         let out = prune_to_watermark(h.slots(), 100);
         assert_eq!(out.kept, 1);
         // Slot 2's done stamp must have been cleared.
-        let scan = scan_published_prefix(h.slots());
-        assert_eq!(scan.versions, vec![1]);
+        assert_eq!(scan(h.slots()).1, vec![1]);
     }
 
     #[test]
     fn watermark_from_scans() {
-        let a = PrefixScan { len: 3, versions: vec![1, 4, 5] };
-        let b = PrefixScan { len: 2, versions: vec![2, 3] };
-        let c = PrefixScan { len: 1, versions: vec![8] };
-        assert_eq!(compute_watermark([&a, &b, &c].into_iter(), 0), 5, "8 is beyond the gap at 6/7");
-        assert_eq!(compute_watermark([&c].into_iter(), 0), 0);
-        assert_eq!(compute_watermark(std::iter::empty(), 0), 0);
+        let (a, b, c) = ([1, 4, 5], [2, 3], [8]);
+        assert_eq!(watermark(&[&a, &b, &c], 0), 5, "8 is beyond the gap at 6/7");
+        assert_eq!(watermark(&[&c], 0), 0);
+        assert_eq!(watermark(&[], 0), 0);
+        // Exactly one full bitmap word, and one bit more.
+        let word: Vec<u64> = (1..=64).rev().collect();
+        assert_eq!(watermark(&[&word], 0), 64);
+        assert_eq!(watermark(&[&word, &[65]], 0), 65);
     }
 
     #[test]
     fn watermark_with_base_ignores_collapsed_versions() {
         // A compacted store: collapsed entries keep gappy old versions
         // (2, 9); live range is contiguous from the base (horizon 10).
-        let a = PrefixScan { len: 3, versions: vec![2, 11, 12] };
-        let b = PrefixScan { len: 2, versions: vec![9, 13] };
-        assert_eq!(compute_watermark([&a, &b].into_iter(), 10), 13);
+        let (a, b) = ([2, 11, 12], [9, 13]);
+        assert_eq!(watermark(&[&a, &b], 10), 13);
         // With a gap above the base, the watermark stops before it.
-        let c = PrefixScan { len: 1, versions: vec![15] };
-        assert_eq!(compute_watermark([&a, &b, &c].into_iter(), 10), 13);
+        assert_eq!(watermark(&[&a, &b, &[15]], 10), 13);
         // No versions above the base at all → watermark is the base.
-        assert_eq!(compute_watermark([&PrefixScan { len: 1, versions: vec![4] }].into_iter(), 10), 10);
+        assert_eq!(watermark(&[&[4]], 10), 10);
     }
 
     #[test]
@@ -285,9 +353,9 @@ mod tests {
         let image = p.crash_image().unwrap();
         let rp = PmemPool::open_image(&image).unwrap();
         let h = History::new(PHistory::open(&rp, hdr));
-        let scan = scan_published_prefix(h.slots());
-        assert_eq!(scan.versions, vec![1, 2]);
-        let wm = compute_watermark([&scan].into_iter(), 0);
+        let (_, versions) = scan(h.slots());
+        assert_eq!(versions, vec![1, 2]);
+        let wm = watermark(&[&versions], 0);
         assert_eq!(wm, 2);
         let out = prune_to_watermark(h.slots(), wm);
         assert_eq!(out.kept, 2);
@@ -319,9 +387,9 @@ mod tests {
                     1 => p.write_u64(prev, p.len() as u64 + 64),               // link out of bounds
                     _ => p.write_u64(prev, 0),                                 // link torn away
                 }
-                let (scan, stop) = scan_published_prefix_checked(h.slots());
-                assert_eq!(stop, ScanStop::Unlinked, "segment {j}, damage {damage}");
-                assert_eq!(scan.len, seg_base(j), "segment {j}, damage {damage}");
+                let (found, _) = scan(h.slots());
+                assert_eq!(found.stop, ScanStop::Unlinked, "segment {j}, damage {damage}");
+                assert_eq!(found.len, seg_base(j), "segment {j}, damage {damage}");
                 let out = prune_to_watermark(h.slots(), 40);
                 assert_eq!(out, PruneOutcome { kept: seg_base(j), pruned: 0 });
                 assert_eq!(h.pending(), seg_base(j));
@@ -339,8 +407,8 @@ mod tests {
         // Slot 5 is the last of segment 1 and was never claimed: a `pending`
         // word of u64::MAX claims it and 2^64 more.
         h.slots().force_counters(u64::MAX, 0);
-        let (scan, stop) = scan_published_prefix_checked(h.slots());
-        assert_eq!((scan.versions, stop), (vec![1, 2, 3, 4, 5], ScanStop::Unpublished));
+        let (found, versions) = scan(h.slots());
+        assert_eq!((versions, found.stop), (vec![1, 2, 3, 4, 5], ScanStop::Unpublished));
         let out = prune_to_watermark(h.slots(), 5);
         assert_eq!(out, PruneOutcome { kept: 5, pruned: 1 }, "only backed slots are counted");
         assert_eq!((h.pending(), h.tail()), (5, 5));
@@ -370,9 +438,11 @@ mod tests {
         let image = p.crash_image().unwrap();
         let fences = p.fence_count().unwrap();
 
-        let scans: Vec<PrefixScan> =
-            hdrs.iter().map(|&(hdr, _)| scan_published_prefix(&PHistory::open(&p, hdr))).collect();
-        let watermark = compute_watermark(scans.iter(), 0);
+        let mut versions = Vec::new();
+        for &(hdr, _) in &hdrs {
+            assert!(scan_published_prefix(&PHistory::open(&p, hdr), &mut versions).settled);
+        }
+        let watermark = watermark(&[&versions], 0);
         assert_eq!(watermark, version);
         for &(hdr, depth) in &hdrs {
             let out = prune_to_watermark(&PHistory::open(&p, hdr), watermark);
@@ -389,5 +459,42 @@ mod tests {
         prune_to_watermark(late.slots(), version + 1);
         assert_eq!(late.tail(), 1);
         assert_eq!(p.fence_count().unwrap(), fences + 1);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The bitmap watermark is the sorted one: on dense ranges with a
+        /// few versions knocked out, duplicates, a non-zero base, versions
+        /// at and below the base, and versions far beyond `base + n`.
+        #[test]
+        fn bitmap_watermark_equals_the_sorted_one(
+            base in (0u64..3, 1u64..1000)
+                .prop_map(|(kind, low)| [0, low, u64::MAX - 500][kind as usize]),
+            dense in 0u64..400,
+            gaps in proptest::collection::vec(1u64..400, 0..4),
+            extra in proptest::collection::vec(
+                (0u64..3, 0u64..450, 440u64..100_000)
+                    .prop_map(|(kind, near, far)| [near, far, u64::MAX - near][kind as usize]),
+                0..40,
+            ),
+            cut in 0usize..500,
+        ) {
+            // `base + 1 ..= base + dense` minus the gaps, plus strays given
+            // relative to the base (wrapping: some land at or below it).
+            let mut versions: Vec<u64> = (1..=dense)
+                .filter(|offset| !gaps.contains(offset))
+                .map(|offset| base.saturating_add(offset))
+                .chain(extra.iter().map(|&offset| base.wrapping_add(offset)))
+                .chain((base > 0).then_some(base))
+                .collect();
+            // Scatter (scans arrive in chain order, not version order) and
+            // split into two runs.
+            versions.sort_by_key(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let (a, b) = versions.split_at(cut.min(versions.len()));
+            prop_assert_eq!(watermark(&[a, b], base), sorted_watermark(&[a, b], base));
+        }
     }
 }
