@@ -70,11 +70,15 @@ pub trait StoreSession {
     fn extract_history(&self, key: u64) -> Vec<HistoryRecord>;
 
     /// All live `(key, value)` pairs of snapshot `version`, sorted by key.
+    /// One walk on the calling thread (paper §V-F: concurrency comes from
+    /// concurrent callers, which share nothing).
     fn extract_snapshot(&self, version: u64) -> Vec<Pair>;
 
     /// Live pairs of snapshot `version` with keys in `[lo, hi)`, sorted.
     /// Implementations with an ordered index override this with a seek;
-    /// the default filters a full snapshot.
+    /// the default filters a full snapshot. A caller who wants one
+    /// extraction spread over cores calls this once per key sub-range, each
+    /// from a thread of its own, and concatenates (DESIGN.md §4.9).
     fn extract_range(&self, version: u64, lo: u64, hi: u64) -> Vec<Pair> {
         self.extract_snapshot(version).into_iter().filter(|&(k, _)| lo <= k && k < hi).collect()
     }

@@ -22,7 +22,7 @@
 use crate::api::{StoreSession, VersionedStore};
 use crate::stats::{OpCounters, OpStats};
 use crate::Pair;
-use mvkv_skiplist::{InsertOutcome, SkipList};
+use mvkv_skiplist::{InsertOutcome, Iter, SkipList};
 use mvkv_vhistory::{History, HistoryRecord, Slots, VersionClock, TOMBSTONE};
 
 /// Where a key's history lives. The index maps a key to a `u64` payload; the
@@ -70,9 +70,12 @@ pub struct Engine<K, H: Home<K>> {
     counters: OpCounters,
 }
 
-/// Below this many keys a snapshot extraction stays serial: thread spawn and
-/// the redundant index walks would cost more than they save.
-const PARALLEL_EXTRACT_MIN: usize = 4096;
+/// The value `hist` holds in snapshot `version` if its key is live there
+/// (born and not tombstoned) — the one liveness filter of every extraction,
+/// scan and delta. `fc` is the watermark the caller froze.
+pub(crate) fn live_at<S: Slots>(hist: History<S>, version: u64, fc: u64) -> Option<u64> {
+    hist.find_raw(version, fc).filter(|&value| value != TOMBSTONE)
+}
 
 /// Pairs per [`Engine::put_batch`] chunk, so a huge batch cannot exhaust
 /// the version clock's completion window while holding every version
@@ -192,106 +195,51 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
         }
     }
 
-    /// The value behind payload `hist` in snapshot `version`, if the key is
-    /// live there (born and not tombstoned).
-    pub(crate) fn live_value(&self, hist: u64, version: u64, fc: u64) -> Option<u64> {
-        self.home.history(hist).find_raw(version, fc).filter(|&value| value != TOMBSTONE)
-    }
-
-    /// One pass over the index from `lo` (`None` = the first key) to `hi`
-    /// (exclusive; `None` = unbounded): the pairs of snapshot `version` that
-    /// are live and that `mine` claims, in key order. `fc` is the watermark
-    /// the caller froze, so every share of one extraction resolves against
-    /// the same consistency frontier.
-    pub(crate) fn live_pairs<'a: 'b, 'b>(
+    /// The snapshot walk, one step: advances `cursor` along level 0 to the
+    /// next key below `hi` (exclusive; `None` = unbounded) that is live in
+    /// snapshot `version`, resolving each history it passes once. `fc` is
+    /// the watermark the caller froze when it took the cursor, so a whole
+    /// walk resolves against one consistency frontier. The index is
+    /// key-ordered: once a step returns `None`, every later one does.
+    pub(crate) fn next_live<'a>(
         &'a self,
+        cursor: &mut Iter<'a, K>,
+        hi: Option<&K>,
         version: u64,
         fc: u64,
+    ) -> Option<(&'a K, u64)> {
+        cursor
+            .take_while(|&(key, _)| hi.is_none_or(|hi| key < hi))
+            .find_map(|(key, hist)| Some((key, live_at(self.home.history(hist), version, fc)?)))
+    }
+
+    /// The paper's `extract_snapshot`, on the caller's thread: freezes the
+    /// watermark, seeks `lo` (`None` = the first key), walks level 0 with
+    /// [`next_live`](Self::next_live) and pushes `pair(key, value)` of every
+    /// live key below `hi` (`None` = unbounded) into one vector, in key
+    /// order. Only the unbounded snapshot is pre-sized (to the key count): a
+    /// window's size is unknown until it has been walked.
+    pub(crate) fn extract<'a, T>(
+        &'a self,
+        version: u64,
         lo: Option<&K>,
-        hi: Option<&'b K>,
-        mine: impl Fn(&K) -> bool + 'b,
-    ) -> impl Iterator<Item = (&'a K, u64)> + 'b {
-        lo.map_or_else(|| self.index.iter(), |lo| self.index.range_from(lo))
-            .take_while(move |&(key, _)| hi.is_none_or(|hi| key < hi))
-            .filter(move |&(key, _)| mine(key))
-            .filter_map(move |(key, hist)| Some((key, self.live_value(hist, version, fc)?)))
+        hi: Option<&K>,
+        pair: impl Fn(&'a K, u64) -> T,
+    ) -> Vec<T> {
+        mvkv_obs::span!("mvkv_core_extract_ns");
+        let fc = self.clock.watermark();
+        let mut cursor = lo.map_or_else(|| self.index.iter(), |lo| self.index.range_from(lo));
+        let mut out = Vec::with_capacity(if hi.is_none() { self.index.len() as usize } else { 0 });
+        while let Some((key, value)) = self.next_live(&mut cursor, hi, version, fc) {
+            out.push(pair(key, value));
+        }
+        out
     }
 }
 
 impl<K, H: Home<K>> Drop for Engine<K, H> {
     fn drop(&mut self) {
         self.home.close(self.index.iter().map(|(_, payload)| payload));
-    }
-}
-
-/// SplitMix64 finalizer — spreads adjacent keys across extraction workers.
-/// Public (doc-hidden, re-exported as `splitmix_for_tests`) so the
-/// extraction edge-case tests can construct worker-skewed key sets.
-#[doc(hidden)]
-#[inline]
-pub fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Merges key-sorted, key-disjoint chunks into one sorted vector.
-fn merge_sorted_chunks(chunks: Vec<Vec<Pair>>, capacity: usize) -> Vec<Pair> {
-    let mut out = Vec::with_capacity(capacity);
-    let mut iters: Vec<std::vec::IntoIter<Pair>> =
-        chunks.into_iter().map(|c| c.into_iter()).collect();
-    let mut heads: Vec<Option<Pair>> = iters.iter_mut().map(|it| it.next()).collect();
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, head) in heads.iter().enumerate() {
-            if let Some(&(key, _)) = head.as_ref() {
-                if best.is_none_or(|b| key < heads[b].expect("best head is Some").0) {
-                    best = Some(i);
-                }
-            }
-        }
-        let Some(i) = best else { break };
-        out.push(heads[i].take().expect("best head is Some"));
-        heads[i] = iters[i].next();
-    }
-    out
-}
-
-/// The word-keyed stores: partitioned extraction (worker shares are chosen by
-/// a hash of the key word) and the paper's Table 1 API.
-impl<H: Home<u64> + Sync> Engine<u64, H> {
-    /// Live pairs of snapshot `version` with keys in `[lo, hi)` (`hi = None`
-    /// means unbounded), sorted by key. Large extractions are partitioned
-    /// across worker threads: each worker walks its own index iterator and
-    /// claims the keys hashing to its slot, so the partition stays stable
-    /// even while concurrent inserts reshape the skip list. The per-worker
-    /// chunks are key-sorted and disjoint, so a k-way merge restores the
-    /// global order.
-    fn extract_filtered(&self, version: u64, lo: u64, hi: Option<u64>) -> Vec<Pair> {
-        mvkv_obs::span!("mvkv_core_extract_ns");
-        let fc = self.clock.watermark();
-        let approx = self.index.len() as usize;
-        let workers = mvkv_sync::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
-        // One worker's share: the keys with `hash(key) % workers == tid`.
-        let share = |workers: usize, tid: usize| {
-            let mut out = Vec::with_capacity(approx / workers + 1);
-            let mine = move |&key: &u64| workers == 1 || splitmix(key) as usize % workers == tid;
-            out.extend(
-                self.live_pairs(version, fc, Some(&lo), hi.as_ref(), mine).map(|(&k, v)| (k, v)),
-            );
-            out
-        };
-        if workers <= 1 || approx < PARALLEL_EXTRACT_MIN {
-            return share(1, 0);
-        }
-        let share = &share;
-        let chunks: Vec<Vec<Pair>> = mvkv_sync::thread::scope(|s| {
-            let handles: Vec<_> =
-                (0..workers).map(|tid| s.spawn(move || share(workers, tid))).collect();
-            handles.into_iter().map(|h| h.join().expect("extract worker panicked")).collect()
-        });
-        merge_sorted_chunks(chunks, approx)
     }
 }
 
@@ -330,7 +278,7 @@ impl<H: Home<u64> + Send + Sync> VersionedStore for Engine<u64, H> {
     }
 }
 
-impl<H: Home<u64> + Sync> StoreSession for &Engine<u64, H> {
+impl<H: Home<u64>> StoreSession for &Engine<u64, H> {
     fn insert(&self, key: u64, value: u64) -> u64 {
         self.put(key, value)
     }
@@ -353,11 +301,11 @@ impl<H: Home<u64> + Sync> StoreSession for &Engine<u64, H> {
 
     fn extract_snapshot(&self, version: u64) -> Vec<Pair> {
         self.counters.snapshot_extraction();
-        self.extract_filtered(version, 0, None)
+        self.extract(version, None, None, |&key, value| (key, value))
     }
 
     fn extract_range(&self, version: u64, lo: u64, hi: u64) -> Vec<Pair> {
-        self.extract_filtered(version, lo, Some(hi))
+        self.extract(version, Some(&lo), Some(&hi), |&key, value| (key, value))
     }
 }
 
@@ -391,9 +339,9 @@ mod tests {
         insert_batch_matches_per_pair_inserts(ESkipList::new());
     }
 
-    fn parallel_snapshot_extraction_is_sorted_and_complete<S: VersionedStore>(store: S) {
+    fn snapshot_extraction_is_sorted_and_complete<S: VersionedStore>(store: S) {
         let s = store.session();
-        // Enough keys to cross PARALLEL_EXTRACT_MIN; shuffled insert order.
+        // Shuffled insert order.
         let n = 6000u64;
         for i in 0..n {
             let key = (i * 2_654_435_761) % 100_000_000;
@@ -412,10 +360,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_snapshot_extraction_on_both_stores() {
-        parallel_snapshot_extraction_is_sorted_and_complete(
-            PSkipList::create_volatile(1 << 24).unwrap(),
-        );
-        parallel_snapshot_extraction_is_sorted_and_complete(ESkipList::new());
+    fn snapshot_extraction_is_sorted_and_complete_on_both_stores() {
+        snapshot_extraction_is_sorted_and_complete(PSkipList::create_volatile(1 << 24).unwrap());
+        snapshot_extraction_is_sorted_and_complete(ESkipList::new());
     }
 }

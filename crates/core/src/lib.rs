@@ -53,8 +53,6 @@ pub use recovery::{
     CorruptionClass, KeyQuarantine, QuarantineReport, RecoveryError, RecoveryStatus, ScrubReport,
 };
 pub use scan::SnapshotScan;
-#[doc(hidden)]
-pub use engine::splitmix as splitmix_for_tests;
 pub use stats::OpStats;
 pub use vmap::VersionedMap;
 

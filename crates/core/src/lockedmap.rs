@@ -8,10 +8,12 @@
 //! concurrency the lock serializes everything.
 
 use crate::api::{StoreSession, VersionedStore};
+use crate::engine::live_at;
 use crate::Pair;
 use mvkv_vhistory::{EHistory, History, HistoryRecord, VersionClock, TOMBSTONE};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
 /// Lock-based ordered multi-version store.
@@ -33,6 +35,23 @@ impl LockedMap {
     fn get_or_create_history(&self, key: u64) -> Arc<EHistory> {
         let mut map = self.map.lock();
         map.entry(key).or_default().clone()
+    }
+
+    /// Live pairs of snapshot `version` with keys in `keys`, pre-sized like
+    /// the skip-list stores' (only the unbounded snapshot). The lock is held
+    /// for the whole tree walk — the naive approach the paper contrasts
+    /// against (its §V-F degradation).
+    fn live_pairs(&self, version: u64, keys: impl RangeBounds<u64>) -> Vec<Pair> {
+        let fc = self.clock.watermark();
+        let map = self.map.lock();
+        let whole = matches!(keys.end_bound(), Bound::Unbounded);
+        let mut out = Vec::with_capacity(if whole { map.len() } else { 0 });
+        for (&key, hist) in map.range(keys) {
+            if let Some(value) = live_at(History::new(&**hist), version, fc) {
+                out.push((key, value));
+            }
+        }
+        out
     }
 }
 
@@ -101,31 +120,11 @@ impl StoreSession for &LockedMap {
     }
 
     fn extract_snapshot(&self, version: u64) -> Vec<Pair> {
-        let fc = self.clock.watermark();
-        // The lock is held for the whole tree walk — the naive approach the
-        // paper contrasts against (its §V-F degradation).
-        let map = self.map.lock();
-        let mut out = Vec::with_capacity(map.len());
-        for (&key, hist) in map.iter() {
-            match History::new(&**hist).find_raw(version, fc) {
-                Some(TOMBSTONE) | None => {}
-                Some(value) => out.push((key, value)),
-            }
-        }
-        out
+        self.live_pairs(version, ..)
     }
 
     fn extract_range(&self, version: u64, lo: u64, hi: u64) -> Vec<Pair> {
-        let fc = self.clock.watermark();
-        let map = self.map.lock();
-        let mut out = Vec::new();
-        for (&key, hist) in map.range(lo..hi) {
-            match History::new(&**hist).find_raw(version, fc) {
-                Some(TOMBSTONE) | None => {}
-                Some(value) => out.push((key, value)),
-            }
-        }
-        out
+        self.live_pairs(version, lo..hi)
     }
 }
 

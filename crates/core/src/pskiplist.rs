@@ -22,7 +22,7 @@
 //! flagged are pruned — the paper's §IV-B recovery rule, one visit per key.
 
 use crate::api::VersionedStore;
-use crate::engine::{Engine, Home};
+use crate::engine::{live_at, Engine, Home};
 use crate::recovery::{
     CorruptionClass, KeyQuarantine, QuarantineReport, RecoveryError, RecoveryStatus, ScrubReport,
 };
@@ -46,8 +46,8 @@ use std::time::{Duration, Instant};
 pub struct RestartStats {
     /// Keys in the rebuilt index (distinct keys with a reachable history).
     pub rebuilt_keys: u64,
-    /// Worker threads the chain walk ran (at least one); the index build
-    /// and the prune run at most as many.
+    /// Workers the chain walk ran, the opening thread among them (at least
+    /// one); the index build and the prune run at most as many.
     pub rebuild_threads: usize,
     /// Recovered completion watermark.
     pub watermark: u64,
@@ -745,7 +745,8 @@ impl crate::api::DeltaExtract for PSkipList {
         let mut out = Vec::with_capacity(keys.len());
         for key in keys {
             let Some(hist) = self.index.get(&key) else { continue };
-            let (a, b) = (self.live_value(hist, v1, fc), self.live_value(hist, v2, fc));
+            let live = |version| live_at(self.home.history(hist), version, fc);
+            let (a, b) = (live(v1), live(v2));
             if a != b {
                 out.push((key, b));
             }

@@ -2,13 +2,14 @@
 //!
 //! [`extract_range`](crate::StoreSession::extract_range) materializes the whole window into a `Vec`
 //! before the caller sees the first pair — the right shape for bulk
-//! extraction (it parallelizes), the wrong one for YCSB-E-style short scans
-//! ("seek, read the next ~50 live pairs, stop"), which would pay allocation
-//! and full-window history resolution for a handful of results.
+//! extraction, the wrong one for YCSB-E-style short scans ("seek, read the
+//! next ~50 live pairs, stop"), which would pay allocation and full-window
+//! history resolution for a handful of results.
 //!
-//! [`SnapshotScan`] is the iterator form: one O(log n) skip-list seek at
-//! construction, then one version-history resolution per yielded pair,
-//! stopping as soon as the caller does. It holds no locks and allocates
+//! [`SnapshotScan`] is the same walk (`Engine::next_live`) handed out one
+//! step at a time: one O(log n) skip-list seek at construction, then one
+//! version-history resolution per key passed, stopping as soon as the
+//! caller does. It holds no locks and allocates
 //! nothing; the watermark is captured once at construction, so one scan
 //! observes one consistent snapshot (the same freeze rule as `find` and
 //! `extract_range` — a version beyond the watermark answers as of the
@@ -33,18 +34,9 @@ pub struct SnapshotScan<'a, H: Home<u64>> {
     fc: u64,
     /// Exclusive upper key bound (`None` = unbounded).
     hi: Option<u64>,
-    done: bool,
 }
 
-impl<'a, H: Home<u64>> SnapshotScan<'a, H> {
-    fn new(store: &'a Engine<u64, H>, version: u64, lo: u64, hi: Option<u64>) -> Self {
-        mvkv_obs::counter_inc!("mvkv_core_scan_total");
-        // The guard times the O(log n) index seek below (dropped on return).
-        mvkv_obs::span!("mvkv_core_scan_seek_ns");
-        let fc = store.clock.watermark();
-        SnapshotScan { store, iter: store.index.range_from(&lo), version, fc, hi, done: false }
-    }
-
+impl<H: Home<u64>> SnapshotScan<'_, H> {
     /// The snapshot version this scan resolves against (clamped to the
     /// watermark captured at construction).
     pub fn version(&self) -> u64 {
@@ -56,23 +48,8 @@ impl<H: Home<u64>> Iterator for SnapshotScan<'_, H> {
     type Item = Pair;
 
     fn next(&mut self) -> Option<Pair> {
-        if self.done {
-            return None;
-        }
-        loop {
-            let Some((&key, hist)) = self.iter.next() else {
-                self.done = true;
-                return None;
-            };
-            if self.hi.is_some_and(|h| key >= h) {
-                self.done = true;
-                return None;
-            }
-            // Keys unborn at this version, or tombstoned, are not live.
-            if let Some(value) = self.store.live_value(hist, self.version, self.fc) {
-                return Some((key, value));
-            }
-        }
+        let live = self.store.next_live(&mut self.iter, self.hi.as_ref(), self.version, self.fc);
+        live.map(|(&key, value)| (key, value))
     }
 }
 
@@ -83,12 +60,16 @@ impl<H: Home<u64>> Engine<u64, H> {
     /// in key order. Stop by dropping the iterator (e.g. `.take(n)`); each
     /// yielded pair costs one history resolution.
     pub fn scan(&self, version: u64, lo: u64) -> SnapshotScan<'_, H> {
-        SnapshotScan::new(self, version, lo, None)
+        mvkv_obs::counter_inc!("mvkv_core_scan_total");
+        // The guard times the O(log n) index seek below (dropped on return).
+        mvkv_obs::span!("mvkv_core_scan_seek_ns");
+        let fc = self.clock.watermark();
+        SnapshotScan { store: self, iter: self.index.range_from(&lo), version, fc, hi: None }
     }
 
     /// [`scan`](Self::scan) bounded to keys in `[lo, hi)` — the lazy
     /// equivalent of [`extract_range`](crate::StoreSession::extract_range).
     pub fn scan_range(&self, version: u64, lo: u64, hi: u64) -> SnapshotScan<'_, H> {
-        SnapshotScan::new(self, version, lo, Some(hi))
+        SnapshotScan { hi: Some(hi), ..self.scan(version, lo) }
     }
 }

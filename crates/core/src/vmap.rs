@@ -65,19 +65,12 @@ impl<K: Ord, V> VersionedMap<K, V> {
 
     /// All live `(key, value)` pairs of snapshot `version`, in key order.
     pub fn extract_snapshot(&self, version: u64) -> Vec<(&K, &V)> {
-        self.extract(version, None, None)
+        self.engine.extract(version, None, None, |key, handle| (key, self.decode(handle)))
     }
 
     /// Live pairs of snapshot `version` with keys in `[lo, hi)`.
     pub fn extract_range(&self, version: u64, lo: &K, hi: &K) -> Vec<(&K, &V)> {
-        self.extract(version, Some(lo), Some(hi))
-    }
-
-    fn extract(&self, version: u64, lo: Option<&K>, hi: Option<&K>) -> Vec<(&K, &V)> {
-        self.engine
-            .live_pairs(version, self.tag(), lo, hi, |_| true)
-            .map(|(key, handle)| (key, self.decode(handle)))
-            .collect()
+        self.engine.extract(version, Some(lo), Some(hi), |key, handle| (key, self.decode(handle)))
     }
 
     /// The change history of `key`: `(version, Some(&value) | None)`.

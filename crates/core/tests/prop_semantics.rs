@@ -115,9 +115,12 @@ proptest! {
         }
 
         // Final full-state agreement at every version (cheap: scripts are
-        // short), including the empty pre-insert version 0.
+        // short), including the empty pre-insert version 0 — of the eager
+        // extraction and of the lazy scan over the same walk.
         for (v, state) in model.states.iter().enumerate() {
             let want: Vec<(u64, u64)> = state.iter().map(|(&k, &val)| (k, val)).collect();
+            let scanned: Vec<(u64, u64)> = store.scan(v as u64, 0).collect();
+            prop_assert_eq!(&scanned, &want, "final sweep scan v={}", v);
             prop_assert_eq!(session.extract_snapshot(v as u64), want, "final sweep v={}", v);
         }
     }

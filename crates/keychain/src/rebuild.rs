@@ -49,17 +49,21 @@ where
     stats
 }
 
-/// Runs every job on a thread of its own and returns their results in job
-/// order; a panicking job yields `Err(RebuildPanicked)` after every other
-/// one has been joined, rather than unwinding the caller.
+/// Runs the jobs side by side — the last one on the calling thread, every
+/// other on a thread of its own — and returns their results in job order; a
+/// panicking job (the caller's own included) yields `Err(RebuildPanicked)`
+/// after every spawned one has been joined, rather than unwinding the caller.
 pub fn try_workers<R, J>(jobs: impl IntoIterator<Item = J>) -> Result<Vec<R>, RebuildPanicked>
 where
     R: Send,
     J: FnOnce() -> R + Send,
 {
+    let mut jobs: Vec<J> = jobs.into_iter().collect();
+    let own = jobs.pop();
     let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
         let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
-        handles.into_iter().map(|h| h.join()).collect()
+        let own = own.map(|job| std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)));
+        handles.into_iter().map(|h| h.join()).chain(own).collect()
     });
     results.into_iter().map(|r| r.map_err(|_| RebuildPanicked)).collect()
 }
@@ -208,8 +212,20 @@ mod tests {
         let squares = try_workers((0..5u64).map(|i| move || i * i)).unwrap();
         assert_eq!(squares, vec![0, 1, 4, 9, 16]);
         assert_eq!(try_workers(Vec::<fn() -> u64>::new()).unwrap(), Vec::<u64>::new());
-        let jobs = (0..3u64).map(|i| move || assert_ne!(i, 1));
-        assert_eq!(try_workers(jobs).unwrap_err(), RebuildPanicked);
+        // A spawned job (1 of 0..3) and the caller's own (2 of 0..3) panicking.
+        for bad in [1u64, 2] {
+            let jobs = (0..3u64).map(|i| move || assert_ne!(i, bad));
+            assert_eq!(try_workers(jobs).unwrap_err(), RebuildPanicked, "job {bad}");
+        }
+    }
+
+    #[test]
+    fn the_last_job_runs_on_the_calling_thread() {
+        let ran_on = try_workers((0..3).map(|_| || std::thread::current().id())).unwrap();
+        let me = std::thread::current().id();
+        assert_eq!(ran_on[2], me);
+        assert!(ran_on[0] != me && ran_on[1] != me && ran_on[0] != ran_on[1]);
+        assert_eq!(try_workers([|| std::thread::current().id()]).unwrap(), vec![me]);
     }
 
     #[test]

@@ -80,19 +80,13 @@ pub mod sync {
     }
 }
 
-/// Thread primitives: `spawn`, `yield_now`, `scope`, `JoinHandle`.
+/// Thread primitives: `spawn`, `yield_now`, `JoinHandle`.
 pub mod thread {
     #[cfg(not(loom))]
-    pub use std::thread::{available_parallelism, scope, spawn, yield_now, JoinHandle, Result, Scope};
+    pub use std::thread::{available_parallelism, spawn, yield_now, JoinHandle};
 
     #[cfg(loom)]
     pub use crate::loom_thread::{spawn, yield_now, JoinHandle};
-    /// Scoped threads pass through to std even under `--cfg loom`: the
-    /// model scheduler has no scoped-spawn wrapper, so code using `scope`
-    /// (the parallel-extraction paths) is exercised by the stress tests and
-    /// TSan instead of the model checker.
-    #[cfg(loom)]
-    pub use std::thread::{scope, Result, Scope};
 
     /// Under the model checker the machine's core count must not leak into
     /// schedules: models are replayed on arbitrary hosts, so anything

@@ -7,16 +7,17 @@
 //! windows chosen to straddle removed keys, key gaps and the extremes — must
 //! equal the model's ordered range. Label-resolved snapshots go through
 //! `LabeledTags::resolve_label` and must land on the exact version the tag
-//! named. The scan is also held equal to `extract_range`, which ties the
-//! lazy path to the eagerly-tested extraction semantics.
+//! named. The scan is also held equal to `extract_range` — of the word
+//! stores and of a `VersionedMap<String, _>` replaying the same script —
+//! which ties every entry point of the one snapshot walk to the model.
 
 mod common;
 
 use common::Oracle;
 use mvkv::core::api::LabeledTags;
-use mvkv::core::{ESkipList, Engine, Home, PSkipList, StoreSession, VersionedStore};
+use mvkv::core::{ESkipList, Engine, Home, PSkipList, StoreSession, VersionedMap, VersionedStore};
 use mvkv::workload::Mt19937_64;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One model per version: `models[v]` is the live map of snapshot `v`
 /// (index 0 = the empty store).
@@ -160,11 +161,36 @@ where
     let (store, models, _) = build(fresh);
     let session = store.session();
     let max = models.len() as u64 - 1;
-    for v in [0, 1, max / 3, max / 2, max] {
+
+    // The same script in a string-keyed map: read back from the store's own
+    // histories, keys zero-padded so that string order is numeric order.
+    let name = |key: u64| format!("{key:020}");
+    let keys = models.iter().flat_map(|m| m.keys().copied()).collect::<BTreeSet<u64>>();
+    let mut script: Vec<_> = keys
+        .into_iter()
+        .flat_map(|k| session.extract_history(k).into_iter().map(move |r| (r.version, k, r.value)))
+        .collect();
+    script.sort_unstable();
+    let map: VersionedMap<String, u64> = VersionedMap::new();
+    for &(version, key, value) in &script {
+        let got = match value {
+            Some(value) => map.insert(name(key), value),
+            None => map.remove(name(key)),
+        };
+        assert_eq!(got, version, "the replay issues the script's versions");
+    }
+    let words = |pairs: Vec<(&String, &u64)>| -> Vec<(u64, u64)> {
+        pairs.into_iter().map(|(k, &v)| (k.parse().unwrap(), v)).collect()
+    };
+
+    for v in 0..=max {
         let scanned: Vec<_> = store.scan(v, 0).collect();
         assert_eq!(scanned, session.extract_snapshot(v), "full scan vs snapshot at {v}");
+        assert_eq!(scanned, words(map.extract_snapshot(v)), "full scan vs string map at {v}");
         let windowed: Vec<_> = store.scan_range(v, 50, 300).collect();
         assert_eq!(windowed, session.extract_range(v, 50, 300), "window vs extract_range at {v}");
+        let in_map = map.extract_range(v, &name(50), &name(300));
+        assert_eq!(windowed, words(in_map), "window vs string map at {v}");
     }
 }
 
