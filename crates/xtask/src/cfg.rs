@@ -40,8 +40,29 @@
 //! obligation — a panic is equivalent to a crash, which recovery already
 //! handles.
 
+use crate::analyze::Finding;
 use crate::lexer::{until_brace, Group, TokKind, Tree};
 use crate::source::{FnItem, SrcFile};
+use crate::summary::Workspace;
+
+/// Crates whose functions the persist-ordering dataflow analyzes: everything
+/// that issues dirty PM writes directly or through a pool handle.
+const PERSIST_DIRS: &[&str] =
+    &["crates/pmem/src", "crates/vhistory/src", "crates/keychain/src", "crates/core/src"];
+
+/// The persist-ordering pass: the dataflow over every audited fn, with call
+/// effects resolved through the workspace summaries.
+pub fn check(ws: &Workspace) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for i in ws.fns_in(PERSIST_DIRS) {
+        let (info, file) = (ws.fn_info(i), ws.fn_rel(i));
+        for exit in dirty_exits_with(&info.body, info.end_line, &ws.oracle(i)) {
+            let msg = exit.describe(info.item.name);
+            out.push(Finding::new("persist-ordering", file, exit.write_line, msg));
+        }
+    }
+    out
+}
 
 /// Names treated as dirtying persistent memory when called.
 const DIRTY_CALLS: &[&str] = &["write_u64", "write_bytes", "zero_bytes"];
@@ -245,32 +266,20 @@ pub fn functions(file: &SrcFile) -> Vec<FnInfo<'_>> {
         .collect()
 }
 
+fn is_upper(name: &str) -> bool {
+    name.starts_with(|c: char| c.is_ascii_uppercase())
+}
+
 /// Collects the uppercase type idents in a fn signature's return type
 /// (tokens between `fn name` and the body). `Self` maps to the owner.
 fn ret_idents(sig: &[Tree], owner: Option<&str>) -> Vec<String> {
-    let mut i = 0;
-    while i < sig.len() && sig[i].punct() != Some("->") {
-        i += 1;
-    }
-    let mut out = Vec::new();
-    if i >= sig.len() {
-        return out;
-    }
-    fn push(out: &mut Vec<String>, s: &str) {
-        if !out.iter().any(|x| x == s) {
-            out.push(s.to_string());
-        }
-    }
     fn walk_groups(trees: &[Tree], owner: Option<&str>, out: &mut Vec<String>) {
         for t in trees {
             match t {
                 Tree::Leaf(tok) if tok.kind == TokKind::Ident => {
-                    if tok.text == "Self" {
-                        if let Some(o) = owner {
-                            push(out, o);
-                        }
-                    } else if tok.text.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                        push(out, &tok.text);
+                    let name = if tok.text == "Self" { owner } else { Some(tok.text.as_str()) };
+                    if let Some(n) = name.filter(|n| is_upper(n) && !out.iter().any(|x| x == n)) {
+                        out.push(n.to_string());
                     }
                 }
                 Tree::Group(g) => walk_groups(&g.trees, owner, out),
@@ -278,23 +287,12 @@ fn ret_idents(sig: &[Tree], owner: Option<&str>) -> Vec<String> {
             }
         }
     }
-    for t in &sig[i + 1..] {
-        match t {
-            Tree::Leaf(tok) if tok.kind == TokKind::Ident => {
-                if tok.text == "where" {
-                    break; // bound types are not return types
-                }
-                if tok.text == "Self" {
-                    if let Some(o) = owner {
-                        push(&mut out, o);
-                    }
-                } else if tok.text.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                    push(&mut out, &tok.text);
-                }
-            }
-            Tree::Group(g) => walk_groups(&g.trees, owner, &mut out),
-            _ => {}
-        }
+    let mut out = Vec::new();
+    if let Some(arrow) = sig.iter().position(|t| t.punct() == Some("->")) {
+        // Bound types of a `where` clause are not return types.
+        let ret = &sig[arrow + 1..];
+        let end = ret.iter().position(|t| t.ident() == Some("where")).unwrap_or(ret.len());
+        walk_groups(&ret[..end], owner, &mut out);
     }
     out
 }
@@ -462,7 +460,7 @@ fn parse_one(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
                     nodes.push(Node::Lock(lock_site(trees, i, false)));
                     return i + 2;
                 }
-                if name.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
+                if is_upper(name) {
                     // Tuple-struct / enum-variant constructor (Some, Ok,
                     // Err, custom variants): args only, no call effect.
                     nodes.push(parse_seq(&g.trees));
@@ -508,78 +506,48 @@ fn parse_one(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
 /// Computes the receiver context for the callee ident at `i` (which is
 /// followed by its argument group).
 fn call_hint(trees: &[Tree], i: usize) -> (bool, Hint) {
-    if i == 0 {
-        return (false, Hint::None);
-    }
-    match trees[i - 1].punct() {
-        Some("::") => {
-            if let Some(q) = i.checked_sub(2).and_then(|k| trees[k].ident()) {
-                if q == "Self" {
-                    return (false, Hint::SelfTy);
-                }
-                if q.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                    return (false, Hint::Ty(q.to_string()));
-                }
-            }
-            (false, Hint::None) // module path — a free call
-        }
+    // The type `Q` of a `Q::` directly before `at`.
+    let qualifier = |at: usize| {
+        let q = at.checked_sub(2).filter(|&k| trees[k + 1].punct() == Some("::"));
+        q.and_then(|k| trees[k].ident()).filter(|q| is_upper(q))
+    };
+    match i.checked_sub(1).and_then(|k| trees[k].punct()) {
+        Some("::") => match qualifier(i) {
+            Some("Self") => (false, Hint::SelfTy),
+            Some(q) => (false, Hint::Ty(q.to_string())),
+            None => (false, Hint::None), // module path — a free call
+        },
         Some(".") => {
-            if i < 2 {
-                return (true, Hint::None);
-            }
-            // Skip postfix `?` and index groups back to the receiver head.
-            let mut k = i - 2;
-            loop {
-                let postfix = match &trees[k] {
-                    Tree::Leaf(t) => t.kind == TokKind::Punct && t.text == "?",
-                    Tree::Group(g) => g.delim == '[',
-                };
-                if !postfix {
-                    break;
-                }
-                let Some(prev) = k.checked_sub(1) else { return (true, Hint::None) };
-                k = prev;
-            }
-            match &trees[k] {
-                Tree::Leaf(t) if t.kind == TokKind::Ident => {
-                    if t.text == "self" {
-                        (true, Hint::SelfTy)
-                    } else if t.text.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                        (true, Hint::Ty(t.text.clone()))
-                    } else {
-                        // Field or local: resolve through getters named the
-                        // same (empty getter set falls back to Hint::None).
-                        (true, Hint::Ret { func: t.text.clone(), owner: None })
-                    }
-                }
-                Tree::Group(g) if g.delim == '(' => {
-                    // Call-result receiver: `f(…).method(…)`.
-                    let Some(func) = k.checked_sub(1).and_then(|j| trees[j].ident()) else {
-                        return (true, Hint::None);
-                    };
-                    let owner = k
-                        .checked_sub(2)
-                        .filter(|&j| trees[j].punct() == Some("::"))
-                        .and_then(|j| j.checked_sub(1))
-                        .and_then(|j| trees[j].ident())
-                        .filter(|q| q.chars().next().is_some_and(|c| c.is_ascii_uppercase()))
-                        .map(str::to_string);
-                    (true, Hint::Ret { func: func.to_string(), owner })
-                }
-                _ => (true, Hint::None),
-            }
+            // The receiver is the last operand of the chain the dot continues.
+            let Some(at) = chain_back(trees, i - 1).2 else { return (true, Hint::None) };
+            let recv = trees[at].ident().unwrap_or_default();
+            let hint = if args_at(trees, at + 1) {
+                // Call-result receiver: `f(…).method(…)`, `Type::f(…).method(…)`.
+                Hint::Ret { func: recv.to_string(), owner: qualifier(at).map(str::to_string) }
+            } else if recv == "self" {
+                Hint::SelfTy
+            } else if is_upper(recv) {
+                Hint::Ty(recv.to_string())
+            } else {
+                // Field or local: resolve through getters named the same
+                // (empty getter set falls back to Hint::None).
+                Hint::Ret { func: recv.to_string(), owner: None }
+            };
+            (true, hint)
         }
         _ => (false, Hint::None),
     }
 }
 
 /// Walks back from the `.` at `dot` over the postfix chain it continues —
-/// `a.b(x)?.c[i]`, `A::b` — and returns the chain's idents in source order
-/// with the index of its first token. A chain that starts at a group
+/// `a.b(x)?.c[i]`, `A::b` — and returns the chain's idents in source order,
+/// the index of its first token, and the index of its last name (the
+/// receiver of what follows the dot). A chain that starts at a group
 /// (`(*p).f`) has the group as its first token.
-fn chain_back(trees: &[Tree], dot: usize) -> (Vec<String>, usize) {
+fn chain_back(trees: &[Tree], dot: usize) -> (Vec<String>, usize, Option<usize>) {
     let mut chain = Vec::new();
     let mut start = dot;
+    let mut recv = None;
     loop {
         // One operand, right to left: postfix `?` / `(…)` / `[…]`, then a name.
         while start > 0
@@ -594,6 +562,7 @@ fn chain_back(trees: &[Tree], dot: usize) -> (Vec<String>, usize) {
             Some(Tree::Leaf(t)) if t.kind == TokKind::Ident && !is_keyword(&t.text) => {
                 chain.push(t.text.clone());
                 start -= 1;
+                recv = recv.or(Some(start));
             }
             _ => break,
         }
@@ -603,16 +572,32 @@ fn chain_back(trees: &[Tree], dot: usize) -> (Vec<String>, usize) {
         }
     }
     chain.reverse();
-    (chain, start)
+    (chain, start, recv)
 }
 
 /// The chain and `let` binding of the guard method at `i` (`trees[i-1]` is
-/// the dot).
+/// the dot). The guard lands in the binding only when its call ends the
+/// initializer, through `?` / `.unwrap()` / `.expect(…)`: the guard of
+/// `let n = m.lock().len();` is a temporary.
 fn lock_site(trees: &[Tree], i: usize, rw: bool) -> LockSite {
-    let (chain, start) = chain_back(trees, i - 1);
+    let (chain, start, _) = chain_back(trees, i - 1);
+    let mut end = i + 2;
+    loop {
+        let unwrap = matches!(trees.get(end + 1).and_then(Tree::ident), Some("unwrap" | "expect"));
+        match trees.get(end).and_then(Tree::punct) {
+            Some("?") => end += 1,
+            Some(".") if unwrap => end += 3,
+            _ => break,
+        }
+    }
+    let ends_init = match trees.get(end) {
+        Some(Tree::Group(g)) => g.delim == '{',
+        Some(t) => t.punct() == Some(";") || t.ident() == Some("else"),
+        None => true,
+    };
     let binding = start
         .checked_sub(1)
-        .filter(|&eq| trees[eq].punct() == Some("="))
+        .filter(|&eq| ends_init && trees[eq].punct() == Some("="))
         .and_then(|eq| pattern_binding(trees, eq));
     LockSite { line: trees[i].line(), chain, binding, rw }
 }
@@ -662,7 +647,7 @@ fn field_access(trees: &[Tree], i: usize) -> Option<Access> {
     {
         return None;
     }
-    let (mut chain, start) = chain_back(trees, i - 1);
+    let (mut chain, start, _) = chain_back(trees, i - 1);
     match &trees[start] {
         Tree::Group(g) if g.trees.first().and_then(Tree::punct) == Some("*") => {
             chain.insert(0, "*".to_string());
@@ -1053,7 +1038,7 @@ impl DirtyExit {
         format!(
             "fn `{fn_name}`: {source} can reach the {} at line {} \
              without a persist/flush/fence on that path; flush on every path before \
-             publication (or suppress with rationale + expiry in the suppression file)",
+             publication",
             self.kind.describe(),
             self.exit_line
         )

@@ -12,6 +12,7 @@
 //!
 //! `--bless` regenerates the lock after a consciously re-argued change.
 
+use crate::analyze::{Ctx, Finding};
 use crate::summary::{Budget, Workspace};
 
 /// Repo-relative path of the golden budget file.
@@ -140,19 +141,31 @@ pub struct EntryBudget {
     pub amortized: Budget,
 }
 
-/// A (file, line, msg) finding from this pass.
-pub type FenceFinding = (String, u32, String);
+fn finding(file: &str, line: u32, msg: String) -> Finding {
+    Finding::new("fence-budget", file, line, msg)
+}
+
+/// The pass: the budgets of [`ENTRIES`] against the golden file, or into it
+/// under `--bless`.
+pub fn check(cx: &Ctx) -> Vec<Finding> {
+    let (budgets, mut findings) = compute(cx.ws, ENTRIES);
+    let rendered = render_lock(&budgets, WORKLOADS);
+    findings.extend(cx.golden("fence-budget", FENCE_BUDGET_PATH, rendered, |lock| {
+        diff_lock(&budgets, WORKLOADS, lock)
+    }));
+    findings
+}
 
 /// Derives the budget for each entry spec from the workspace summaries.
 /// Specs that no longer match a function become findings — a renamed entry
 /// point must update the table consciously.
-pub fn compute(ws: &Workspace, specs: &[EntrySpec]) -> (Vec<EntryBudget>, Vec<FenceFinding>) {
+pub fn compute(ws: &Workspace, specs: &[EntrySpec]) -> (Vec<EntryBudget>, Vec<Finding>) {
     let mut budgets = Vec::new();
     let mut findings = Vec::new();
     for spec in specs {
         let Some(i) = ws.find_fn(spec.file, spec.owner, spec.func) else {
-            findings.push((
-                spec.file.to_string(),
+            findings.push(finding(
+                spec.file,
                 0,
                 format!(
                     "fence-budget entry `{}` no longer resolves: fn `{}`{} not found in {} — \
@@ -214,74 +227,49 @@ pub fn render_lock(budgets: &[EntryBudget], workloads: &[WorkloadSpec]) -> Strin
 
 /// Diffs the computed budgets against the lock text. Every drift names the
 /// entry point and points at the bless workflow.
-pub fn check(
+pub fn diff_lock(
     budgets: &[EntryBudget],
     workloads: &[WorkloadSpec],
     lock: Option<&str>,
-) -> Vec<FenceFinding> {
+) -> Vec<Finding> {
+    // A finding about the lock file itself.
+    let in_lock = |line: usize, msg: String| finding(FENCE_BUDGET_PATH, line as u32, msg);
     let mut findings = Vec::new();
     let Some(lock) = lock else {
-        findings.push((
-            FENCE_BUDGET_PATH.to_string(),
+        return vec![in_lock(
             0,
             format!(
                 "{FENCE_BUDGET_PATH} is missing — run `cargo run -p xtask -- analyze --bless` \
                  to record the fence budgets"
             ),
-        ));
-        return findings;
+        )];
     };
-    let mut locked: Vec<(String, String, String, String)> = Vec::new(); // id, qual, steady, amortized
-    let mut locked_workloads: Vec<(String, String)> = Vec::new(); // id, fences
+    let mut locked: Vec<(&str, &str, &str)> = Vec::new(); // id, steady, amortized
+    let mut locked_workloads: Vec<(&str, &str)> = Vec::new(); // id, fences
     for (idx, raw) in lock.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("entry") => {
-                let fields: Vec<&str> = parts.collect();
-                // id qual@file steady S amortized A
-                if fields.len() == 6 && fields[2] == "steady" && fields[4] == "amortized" {
-                    let qual = fields[1].split('@').next().unwrap_or("").to_string();
-                    locked.push((
-                        fields[0].to_string(),
-                        qual,
-                        fields[3].to_string(),
-                        fields[5].to_string(),
-                    ));
-                } else {
-                    findings.push((
-                        FENCE_BUDGET_PATH.to_string(),
-                        idx as u32 + 1,
-                        format!("malformed entry line in {FENCE_BUDGET_PATH}: `{line}`"),
-                    ));
-                }
+        match line.split_whitespace().collect::<Vec<_>>()[..] {
+            ["entry", id, _qual_at_file, "steady", steady, "amortized", amortized] => {
+                locked.push((id, steady, amortized));
             }
-            Some("workload") => {
-                let fields: Vec<&str> = parts.collect();
-                if fields.len() == 2 {
-                    locked_workloads.push((fields[0].to_string(), fields[1].to_string()));
-                } else {
-                    findings.push((
-                        FENCE_BUDGET_PATH.to_string(),
-                        idx as u32 + 1,
-                        format!("malformed workload line in {FENCE_BUDGET_PATH}: `{line}`"),
-                    ));
-                }
-            }
-            _ => findings.push((
-                FENCE_BUDGET_PATH.to_string(),
-                idx as u32 + 1,
+            ["workload", id, fences] => locked_workloads.push((id, fences)),
+            [kind @ ("entry" | "workload"), ..] => findings.push(in_lock(
+                idx + 1,
+                format!("malformed {kind} line in {FENCE_BUDGET_PATH}: `{line}`"),
+            )),
+            _ => findings.push(in_lock(
+                idx + 1,
                 format!("unrecognized line in {FENCE_BUDGET_PATH}: `{line}`"),
             )),
         }
     }
     for b in budgets {
         let Some(l) = locked.iter().find(|l| l.0 == b.id) else {
-            findings.push((
-                b.file.clone(),
+            findings.push(finding(
+                &b.file,
                 b.line,
                 format!(
                     "fence-budget entry `{}` ({}) is not in {FENCE_BUDGET_PATH} — bless to \
@@ -293,9 +281,9 @@ pub fn check(
         };
         let steady = b.steady.render();
         let amortized = b.amortized.render();
-        if l.2 != steady || l.3 != amortized {
-            findings.push((
-                b.file.clone(),
+        if l.1 != steady || l.2 != amortized {
+            findings.push(finding(
+                &b.file,
                 b.line,
                 format!(
                     "fence budget drift at entry point `{}` ({}; {}): lock says steady {} \
@@ -303,15 +291,14 @@ pub fn check(
                      added or removed somewhere on this entry's call path; re-argue the \
                      audit tables in DESIGN.md \u{a7}13, then \
                      `cargo run -p xtask -- analyze --bless`",
-                    b.id, b.qual, b.note, l.2, l.3, steady, amortized
+                    b.id, b.qual, b.note, l.1, l.2, steady, amortized
                 ),
             ));
         }
     }
     for l in &locked {
         if !budgets.iter().any(|b| b.id == l.0) {
-            findings.push((
-                FENCE_BUDGET_PATH.to_string(),
+            findings.push(in_lock(
                 0,
                 format!(
                     "lock entry `{}` matches no audited entry point — remove it or restore \
@@ -322,14 +309,12 @@ pub fn check(
         }
     }
     for spec in workloads {
-        match locked_workloads.iter().find(|(id, _)| id == spec.id) {
-            None => findings.push((
-                FENCE_BUDGET_PATH.to_string(),
+        match locked_workloads.iter().find(|(id, _)| *id == spec.id) {
+            None => findings.push(in_lock(
                 0,
                 format!("{FENCE_BUDGET_PATH} is missing the `workload {}` line", spec.id),
             )),
-            Some((_, w)) if *w != spec.fences.to_string() => findings.push((
-                FENCE_BUDGET_PATH.to_string(),
+            Some((_, w)) if *w != spec.fences.to_string() => findings.push(in_lock(
                 0,
                 format!(
                     "crash-matrix workload drift (`{}`): lock records {w} fence boundaries, \
@@ -342,9 +327,8 @@ pub fn check(
         }
     }
     for (id, _) in &locked_workloads {
-        if !workloads.iter().any(|w| w.id == id) {
-            findings.push((
-                FENCE_BUDGET_PATH.to_string(),
+        if !workloads.iter().any(|w| w.id == *id) {
+            findings.push(in_lock(
                 0,
                 format!(
                     "lock workload `{id}` matches no pinned crash-matrix workload — remove it \
@@ -390,7 +374,7 @@ mod tests {
         assert_eq!(budgets.len(), 1);
         assert_eq!(budgets[0].steady.flat, Count::Fin(1));
         let lock = render_lock(&budgets, WL);
-        assert!(check(&budgets, WL, Some(&lock)).is_empty());
+        assert!(diff_lock(&budgets, WL, Some(&lock)).is_empty());
     }
 
     /// The seeded regression from the issue: a helper on the entry's call
@@ -405,9 +389,9 @@ mod tests {
         let drifted = fixture_ws("p.fence(); p.fence();");
         let (budgets2, _) = compute(&drifted, SPECS);
         assert_eq!(budgets2[0].steady.flat, Count::Fin(2), "helper fence counted through");
-        let findings = check(&budgets2, WL, Some(&lock));
+        let findings = diff_lock(&budgets2, WL, Some(&lock));
         assert_eq!(findings.len(), 1, "{findings:?}");
-        let (file, line, msg) = &findings[0];
+        let Finding { file, line, msg, .. } = &findings[0];
         assert_eq!(file, "crates/core/src/engine.rs");
         assert_eq!(*line, 2, "finding points at the entry fn, not the helper");
         assert!(msg.contains("`core::insert`"), "names the entry id: {msg}");
@@ -423,7 +407,7 @@ mod tests {
         let lock = render_lock(&budgets, WL);
         let drifted = fixture_ws("let _ = p;"); // fence dropped behind the call
         let (budgets2, _) = compute(&drifted, SPECS);
-        let findings = check(&budgets2, WL, Some(&lock));
+        let findings = diff_lock(&budgets2, WL, Some(&lock));
         assert_eq!(findings.len(), 1, "losing a load-bearing fence is drift too: {findings:?}");
     }
 
@@ -431,12 +415,32 @@ mod tests {
     fn workload_and_missing_lock_are_findings() {
         let ws = fixture_ws("p.fence();");
         let (budgets, _) = compute(&ws, SPECS);
-        assert_eq!(check(&budgets, WL, None).len(), 1);
+        assert_eq!(diff_lock(&budgets, WL, None).len(), 1);
         let lock = render_lock(&budgets, &[WorkloadSpec { id: "crash_matrix_fences", fences: 250 }]);
-        let findings = check(&budgets, WL, Some(&lock));
+        let findings = diff_lock(&budgets, WL, Some(&lock));
         assert_eq!(findings.len(), 1);
-        assert!(findings[0].2.contains("workload drift"), "{findings:?}");
-        assert!(findings[0].2.contains("`crash_matrix_fences`"), "names the workload: {findings:?}");
+        assert!(findings[0].msg.contains("workload drift"), "{findings:?}");
+        assert!(
+            findings[0].msg.contains("`crash_matrix_fences`"),
+            "names the workload: {findings:?}"
+        );
+    }
+
+    #[test]
+    fn malformed_lock_lines_are_findings_at_their_line() {
+        let ws = fixture_ws("p.fence();");
+        let (budgets, _) = compute(&ws, SPECS);
+        let lock =
+            render_lock(&budgets, WL) + "entry core::insert steady 1/0\nworkload x\nbudget 3\n";
+        let findings = diff_lock(&budgets, WL, Some(&lock));
+        let n = lock.lines().count() as u32;
+        let got: Vec<_> =
+            findings.iter().map(|f| (f.line, &f.msg[..f.msg.find(" line").unwrap()])).collect();
+        assert_eq!(
+            got,
+            [(n - 2, "malformed entry"), (n - 1, "malformed workload"), (n, "unrecognized")],
+            "{findings:?}"
+        );
     }
 
     #[test]
@@ -449,14 +453,14 @@ mod tests {
             WorkloadSpec { id: "crash_matrix_mixed_fences", fences: 84 },
         ];
         let lock = render_lock(&budgets, WL);
-        let findings = check(&budgets, two, Some(&lock));
+        let findings = diff_lock(&budgets, two, Some(&lock));
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].2.contains("missing the `workload crash_matrix_mixed_fences`"));
+        assert!(findings[0].msg.contains("missing the `workload crash_matrix_mixed_fences`"));
         // Lock pins a workload the analyzer no longer knows: stale line.
         let lock2 = render_lock(&budgets, two);
-        let findings2 = check(&budgets, WL, Some(&lock2));
+        let findings2 = diff_lock(&budgets, WL, Some(&lock2));
         assert_eq!(findings2.len(), 1, "{findings2:?}");
-        assert!(findings2[0].2.contains("matches no pinned crash-matrix workload"));
+        assert!(findings2[0].msg.contains("matches no pinned crash-matrix workload"));
     }
 
     #[test]
@@ -492,6 +496,6 @@ mod tests {
         let (budgets, errs) = compute(&ws, SPECS);
         assert!(budgets.is_empty());
         assert_eq!(errs.len(), 1);
-        assert!(errs[0].2.contains("no longer resolves"), "{errs:?}");
+        assert!(errs[0].msg.contains("no longer resolves"), "{errs:?}");
     }
 }

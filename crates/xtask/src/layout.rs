@@ -22,9 +22,13 @@
 //! with `cargo run -p xtask -- analyze --bless`, which is the ritual that
 //! forces the "does this break `reopen()` compatibility?" conversation.
 
+use crate::analyze::{Ctx, Finding};
 use crate::source::{Source, StructItem};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+
+/// Golden layout-fingerprint file, repo-relative.
+pub const LOCK_PATH: &str = "crates/xtask/pm_layout.lock";
 
 /// Marker in a struct's docs that seeds the PM set.
 pub const RESIDENT_MARKER: &str = "pm-resident";
@@ -103,17 +107,32 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 // PM-set closure + rule checks
 // ---------------------------------------------------------------------------
 
-pub struct LayoutFinding {
-    pub file: String,
-    pub line: u32,
-    pub symbol: String,
-    pub msg: String,
+/// A finding about PM type `d`, at its definition.
+fn finding(d: &StructItem, msg: String) -> Finding {
+    Finding {
+        symbol: format!("type:{}", d.name),
+        ..Finding::new("pm-layout", &d.file, d.line, msg)
+    }
+}
+
+/// A finding about the lock file itself.
+fn lock_finding(symbol: String, msg: String) -> Finding {
+    Finding { symbol, ..Finding::new("pm-layout", "pm_layout.lock", 0, msg) }
+}
+
+/// The pass: the layout rules, then the fingerprints against the golden
+/// file, or into it under `--bless`.
+pub fn check(cx: &Ctx) -> Vec<Finding> {
+    let (pm, mut findings) = audit(cx.ws.source());
+    let rendered = render_lock(&pm);
+    findings.extend(cx.golden("pm-layout", LOCK_PATH, rendered, |lock| diff_lock(&pm, lock)));
+    findings
 }
 
 /// Computes the PM-resident set (marker seeds + transitive field
 /// references) over every struct of the workspace and checks the layout
 /// rules. Returns `(pm set sorted by name, rule findings)`.
-pub fn audit(src: &Source) -> (Vec<&StructItem>, Vec<LayoutFinding>) {
+pub fn audit(src: &Source) -> (Vec<&StructItem>, Vec<Finding>) {
     let all: Vec<&StructItem> = src.files.iter().flat_map(|f| &f.structs).collect();
     let mut by_name: BTreeMap<&str, Vec<&StructItem>> = BTreeMap::new();
     for d in &all {
@@ -141,74 +160,64 @@ pub fn audit(src: &Source) -> (Vec<&StructItem>, Vec<LayoutFinding>) {
                 .or(if cands.len() == 1 { Some(cands[0]) } else { None });
             match resolved {
                 Some(c) => queue.push(c),
-                None => findings.push(LayoutFinding {
-                    file: d.file.clone(),
-                    line: d.line,
-                    symbol: format!("type:{}", d.name),
-                    msg: format!(
+                None => findings.push(finding(
+                    d,
+                    format!(
                         "PM-resident `{}` references `{r}`, which has {} definitions in the \
                          workspace — cannot resolve for layout audit; disambiguate or rename",
                         d.name,
                         cands.len()
                     ),
-                }),
+                )),
             }
         }
     }
     for d in pm.values() {
         if let Some(reason) = exempt(d) {
             if reason.trim().is_empty() {
-                findings.push(LayoutFinding {
-                    file: d.file.clone(),
-                    line: d.line,
-                    symbol: format!("type:{}", d.name),
-                    msg: format!(
+                findings.push(finding(
+                    d,
+                    format!(
                         "`{}` carries pm-layout-exempt with an empty rationale — say why",
                         d.name
                     ),
-                });
+                ));
             }
             continue; // exempt from repr/field rules, still fingerprinted
         }
         if !has_stable_repr(d) {
-            findings.push(LayoutFinding {
-                file: d.file.clone(),
-                line: d.line,
-                symbol: format!("type:{}", d.name),
-                msg: format!(
+            findings.push(finding(
+                d,
+                format!(
                     "PM-resident `{}` has no stable repr — add #[repr(C)] or \
                      #[repr(transparent)] so its layout survives pool reopen across \
                      compilers, or mark it `pm-layout-exempt(<why>)`",
                     d.name
                 ),
-            });
+            ));
         }
         if d.docs.contains(EXPECTS_CRC_MARKER) && !d.fields.iter().any(|(n, _)| n.to_lowercase().contains("crc")) {
-            findings.push(LayoutFinding {
-                file: d.file.clone(),
-                line: d.line,
-                symbol: format!("type:{}", d.name),
-                msg: format!(
+            findings.push(finding(
+                d,
+                format!(
                     "`{}` is marked expects-crc but declares no `crc` field — its records \
                      would persist without an integrity code; restore the field or remove \
                      the marker (and the corruption protection claim) deliberately",
                     d.name
                 ),
-            });
+            ));
         }
         for (fname, fty) in &d.fields {
             if let Some(bad) = forbidden_in(fty) {
-                findings.push(LayoutFinding {
-                    file: d.file.clone(),
-                    line: d.line,
-                    symbol: format!("type:{}", d.name),
-                    msg: format!(
+                findings.push(finding(
+                    d,
+                    format!(
                         "PM-resident `{}` field `{fname}: {fty}` contains `{bad}` — ephemeral \
                          or platform-dependent state must not live in persistent memory \
                          (store offsets via PPtr, fixed-width ints, or atomics instead)",
                         d.name
                     ),
-                });
+                ));
             }
         }
     }
@@ -307,20 +316,18 @@ pub fn parse_lock(text: &str) -> BTreeMap<String, (String, String)> {
 
 /// Compares the current PM set against the lock text. `lock` of `None`
 /// means the file does not exist yet.
-pub fn diff_lock(pm: &[&StructItem], lock: Option<&str>) -> Vec<LayoutFinding> {
+pub fn diff_lock(pm: &[&StructItem], lock: Option<&str>) -> Vec<Finding> {
     let mut findings = Vec::new();
     let Some(lock) = lock else {
         if !pm.is_empty() {
-            findings.push(LayoutFinding {
-                file: "pm_layout.lock".into(),
-                line: 0,
-                symbol: "lock:missing".into(),
-                msg: format!(
+            findings.push(lock_finding(
+                "lock:missing".into(),
+                format!(
                     "pm_layout.lock is missing but {} PM-resident type(s) were discovered — \
                      run `cargo run -p xtask -- analyze --bless` and commit the file",
                     pm.len()
                 ),
-            });
+            ));
         }
         return findings;
     };
@@ -328,21 +335,17 @@ pub fn diff_lock(pm: &[&StructItem], lock: Option<&str>) -> Vec<LayoutFinding> {
     let current: BTreeSet<&str> = pm.iter().map(|d| d.name.as_str()).collect();
     for d in pm {
         match locked.get(&d.name) {
-            None => findings.push(LayoutFinding {
-                file: d.file.clone(),
-                line: d.line,
-                symbol: format!("type:{}", d.name),
-                msg: format!(
+            None => findings.push(finding(
+                d,
+                format!(
                     "new PM-resident type `{}` is not in pm_layout.lock — review its layout \
                      and re-bless",
                     d.name
                 ),
-            }),
-            Some((fp, _)) if *fp != fingerprint(d) => findings.push(LayoutFinding {
-                file: d.file.clone(),
-                line: d.line,
-                symbol: format!("type:{}", d.name),
-                msg: format!(
+            )),
+            Some((fp, _)) if *fp != fingerprint(d) => findings.push(finding(
+                d,
+                format!(
                     "layout drift in PM-resident `{}`: fingerprint {} != locked {} \
                      (current shape: {}) — a reopened pool would misread this type; revert, \
                      or bump LAYOUT_VERSION and re-bless",
@@ -351,21 +354,19 @@ pub fn diff_lock(pm: &[&StructItem], lock: Option<&str>) -> Vec<LayoutFinding> {
                     fp,
                     shape(d)
                 ),
-            }),
+            )),
             Some(_) => {}
         }
     }
     for name in locked.keys() {
         if !current.contains(name.as_str()) {
-            findings.push(LayoutFinding {
-                file: "pm_layout.lock".into(),
-                line: 0,
-                symbol: format!("type:{name}"),
-                msg: format!(
+            findings.push(lock_finding(
+                format!("type:{name}"),
+                format!(
                     "locked type `{name}` is no longer discovered as PM-resident — if it was \
                      removed deliberately, re-bless; if not, its marker was lost"
                 ),
-            });
+            ));
         }
     }
     findings

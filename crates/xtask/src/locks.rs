@@ -4,7 +4,7 @@
 //! guards — [`walk_held`], the one tracker, which the race audit shares —
 //! and reports two classes of findings on top of the [`crate::summary`]
 //! effect summaries. A guard is a zero-argument `.lock()` / `.try_lock()`,
-//! or `.read()` / `.write()` on an `RwLock`-typed field (one lock-site
+//! or `.read()` / `.write()` on an `RwLock`-typed field or static (one lock-site
 //! rule: [`Workspace::lock_id`]):
 //!
 //! * **lock-held-across-fence** — an sfence (direct, or inside a resolved
@@ -24,11 +24,11 @@
 //! only tracked inside it; locks taken by denylisted std methods or
 //! unresolvable trait/closure calls are invisible; events are in source
 //! order, so the temporary in `*m.lock() = f()` counts as held while `f`
-//! runs (Rust evaluates the right side first); `let n = m.lock().len()`
-//! binds the guard to `n` (held to the end of the block, not the statement).
+//! runs (Rust evaluates the right side first).
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::analyze::Finding;
 use crate::cfg::{Call, Node};
 use crate::sites::CLUSTER_LINES;
 use crate::summary::Workspace;
@@ -46,9 +46,6 @@ pub const LOCK_DIRS: &[&str] = &[
     "crates/obs/src",
     "crates/cluster/src",
 ];
-
-/// (file, line, message) — anchored at the offending acquisition site.
-pub type LockFinding = (String, u32, String);
 
 /// One live guard on the stack [`walk_held`] keeps.
 pub struct Held {
@@ -112,8 +109,9 @@ pub fn walk_held<'n>(
 /// sample site for the report.
 type Edges = BTreeMap<(String, String), (String, u32)>;
 
-/// Runs the audit over every non-test function under [`LOCK_DIRS`].
-pub fn check(ws: &Workspace) -> Vec<LockFinding> {
+/// Runs the audit over every non-test function under [`LOCK_DIRS`]. Findings
+/// are anchored at the offending acquisition site.
+pub fn check(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut edges = Edges::new();
     for f in ws.fns_in(LOCK_DIRS) {
@@ -133,8 +131,9 @@ pub fn check(ws: &Workspace) -> Vec<LockFinding> {
                     for h in held.iter_mut().filter(|h| !h.flagged) {
                         h.flagged = true;
                         if file.justification(h.line, "lock-order:", CLUSTER_LINES).is_none() {
-                            findings.push((
-                                file.rel.clone(),
+                            findings.push(Finding::new(
+                                "lock-order",
+                                &file.rel,
                                 h.line,
                                 format!(
                                     "lock '{}' held across an sfence; release the guard before \
@@ -182,7 +181,7 @@ fn call_fences(ws: &Workspace, f: usize, call: &Call) -> bool {
 // Cycle detection
 // ---------------------------------------------------------------------------
 
-fn cycle_findings(edges: &Edges) -> Vec<LockFinding> {
+fn cycle_findings(edges: &Edges) -> Vec<Finding> {
     // Index the lock ids.
     let mut ids: BTreeSet<&String> = BTreeSet::new();
     for (from, to) in edges.keys() {
@@ -207,10 +206,8 @@ fn cycle_findings(edges: &Edges) -> Vec<LockFinding> {
     let mut out = Vec::new();
     for cyc in cycles {
         let ring: Vec<&str> = cyc.iter().map(|&i| names[i].as_str()).collect();
-        let (file, line) = edges
-            .get(&(ring[0].to_string(), ring[1 % ring.len()].to_string()))
-            .cloned()
-            .unwrap_or_default();
+        // The sample site of the ring's first edge (a cycle is made of edges).
+        let (file, line) = &edges[&(ring[0].to_string(), ring[1 % ring.len()].to_string())];
         let msg = if ring.len() == 1 {
             format!("lock '{}' re-acquired while already held (self-deadlock)", ring[0])
         } else {
@@ -221,7 +218,7 @@ fn cycle_findings(edges: &Edges) -> Vec<LockFinding> {
                 ring[0]
             )
         };
-        out.push((file, line, msg));
+        out.push(Finding::new("lock-order", file, *line, msg));
     }
     out
 }
@@ -279,8 +276,49 @@ mod tests {
         )]);
         let f = check(&w);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].1, 3);
-        assert!(f[0].2.contains("pmem:shard"), "{}", f[0].2);
+        assert_eq!(f[0].line, 3);
+        assert!(f[0].msg.contains("pmem:shard"), "{}", f[0].msg);
+    }
+
+    /// A guard is bound only when its call ends the initializer: `n` holds a
+    /// length, not the guard, which died at the `;`.
+    #[test]
+    fn a_guard_consumed_by_its_let_initializer_is_a_temporary() {
+        let w = ws(&[(
+            "crates/pmem/src/a.rs",
+            "impl Pool {\n\
+             \x20   fn count(&self, pool: &Pool) {\n\
+             \x20       let n = self.m.lock().len();\n\
+             \x20       pool.fence();\n\
+             \x20   }\n\
+             \x20   fn hold(&self, pool: &Pool) -> Result<()> {\n\
+             \x20       let g = self.m.lock();\n\
+             \x20       pool.fence();\n\
+             \x20       let h = self.n.try_lock().expect(\"uncontended\");\n\
+             \x20       pool.fence();\n\
+             \x20   }\n\
+             }\n",
+        )]);
+        let f = check(&w);
+        let at: Vec<u32> = f.iter().map(|x| x.line).collect();
+        assert_eq!(at, [7, 9], "{f:?}");
+    }
+
+    /// The lock inventory is the front end's struct fields *and* statics.
+    #[test]
+    fn a_static_rwlock_write_guard_held_across_a_fence_is_flagged() {
+        let w = ws(&[(
+            "crates/minidb/src/a.rs",
+            "static L: RwLock<u64> = RwLock::new(0);\n\
+             fn publish(pool: &Pool) {\n\
+             \x20   let g = L.write();\n\
+             \x20   pool.fence();\n\
+             }\n",
+        )]);
+        let f = check(&w);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 3);
+        assert!(f[0].msg.contains("minidb:L"), "{}", f[0].msg);
     }
 
     #[test]
@@ -363,8 +401,8 @@ mod tests {
         )]);
         let f = check(&w);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].1, 4);
-        assert!(f[0].2.contains("minidb:idx"), "{}", f[0].2);
+        assert_eq!(f[0].line, 4);
+        assert!(f[0].msg.contains("minidb:idx"), "{}", f[0].msg);
         let peek = (0..w.fn_count()).find(|&i| w.fn_info(i).item.name == "peek").unwrap();
         assert!(w.summary(peek).locks.contains("minidb:idx"), "{:?}", w.summary(peek).locks);
     }
@@ -422,7 +460,8 @@ mod tests {
              }\n",
         )]);
         let f = check(&w);
-        let at: Vec<(u32, bool)> = f.iter().map(|x| (x.1, x.2.contains("held across"))).collect();
+        let at: Vec<(u32, bool)> =
+            f.iter().map(|x| (x.line, x.msg.contains("held across"))).collect();
         assert_eq!(at, [(3, true), (8, true)], "{f:?}");
     }
 
@@ -442,7 +481,7 @@ mod tests {
         )]);
         let f = check(&w);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].1, 3);
+        assert_eq!(f[0].line, 3);
     }
 
     #[test]
@@ -462,8 +501,8 @@ mod tests {
         )]);
         let f = check(&w);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].2.contains("cycle"), "{}", f[0].2);
-        assert!(f[0].2.contains("core:m1") && f[0].2.contains("core:m2"), "{}", f[0].2);
+        assert!(f[0].msg.contains("cycle"), "{}", f[0].msg);
+        assert!(f[0].msg.contains("core:m1") && f[0].msg.contains("core:m2"), "{}", f[0].msg);
     }
 
     #[test]
@@ -479,7 +518,7 @@ mod tests {
         )]);
         let f = check(&w);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].2.contains("re-acquired"), "{}", f[0].2);
+        assert!(f[0].msg.contains("re-acquired"), "{}", f[0].msg);
     }
 
     #[test]
@@ -502,7 +541,7 @@ mod tests {
         )]);
         let f = check(&w);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].2.contains("cycle"), "{}", f[0].2);
+        assert!(f[0].msg.contains("cycle"), "{}", f[0].msg);
     }
 
     #[test]

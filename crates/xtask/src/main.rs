@@ -8,11 +8,10 @@
 //!
 //!   cargo run -p xtask -- analyze              # human-readable report
 //!   cargo run -p xtask -- analyze --json       # machine-readable (CI artifact)
-//!   cargo run -p xtask -- analyze --bless      # regenerate lock files + baseline
-//!   cargo run -p xtask -- analyze --only PASS  # one pass (e.g. fence-budget)
-//!   cargo run -p xtask -- analyze --baseline crates/xtask/analysis_baseline.json
-//!                                              # fail only on NEW findings (CI)
+//!   cargo run -p xtask -- analyze --bless      # regenerate the two lock files
 //!   cargo run -p xtask -- explain <check-id>   # rule, rationale, escape hatch
+//!
+//! Any finding is exit 1. Anything else on the command line is a usage error.
 
 mod analyze;
 mod cfg;
@@ -33,51 +32,16 @@ fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).unwrap().to_path_buf()
 }
 
-const USAGE: &str = "usage: cargo run -p xtask -- analyze [--json] [--bless] [--only PASS] \
-                    [--baseline FILE.json]\n       cargo run -p xtask -- explain [CHECK-ID]";
+const USAGE: &str = "usage: cargo run -p xtask -- analyze [--json] [--bless]\n       \
+                     cargo run -p xtask -- explain [CHECK-ID]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("analyze") => {
-            let mut json = false;
-            let mut opts = analyze::Options::default();
-            let mut it = args[1..].iter();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--json" => json = true,
-                    "--bless" => opts.bless = true,
-                    "--only" => match it.next() {
-                        Some(pass) => opts.only = Some(pass.clone()),
-                        None => {
-                            eprintln!("xtask analyze: --only needs a pass name\n{USAGE}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    "--baseline" => match it.next() {
-                        Some(path) => opts.baseline = Some(PathBuf::from(path)),
-                        None => {
-                            eprintln!("xtask analyze: --baseline needs a file path\n{USAGE}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    other => {
-                        eprintln!("xtask analyze: unknown flag `{other}`\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            if let Some(only) = &opts.only {
-                if !analyze::check_ids().contains(&only.as_str()) {
-                    eprintln!(
-                        "xtask analyze: unknown pass `{only}` (available: {})",
-                        analyze::check_ids().join(", ")
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-            let report = analyze::run(&repo_root(), &opts);
-            if json {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        ["analyze", flags @ ..] if flags.iter().all(|f| matches!(*f, "--json" | "--bless")) => {
+            let report = analyze::run(&repo_root(), flags.contains(&"--bless"));
+            if flags.contains(&"--json") {
                 print!("{}", analyze::render_json(&report));
             } else {
                 eprint!("{}", analyze::render_human(&report));
@@ -88,32 +52,26 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        Some("explain") => match args.get(1) {
-            Some(id) => match analyze::explain(id) {
-                Some(text) => {
-                    print!("{text}");
-                    ExitCode::SUCCESS
-                }
-                None => {
-                    eprintln!(
-                        "xtask explain: unknown check `{id}` (available: {})",
-                        analyze::check_ids().join(", ")
-                    );
-                    ExitCode::FAILURE
-                }
-            },
-            None => {
-                println!("checks: {}", analyze::check_ids().join(", "));
-                println!("run `cargo run -p xtask -- explain <check-id>` for details");
+        ["explain"] => {
+            println!("checks: {}", analyze::check_ids().join(", "));
+            println!("run `cargo run -p xtask -- explain <check-id>` for details");
+            ExitCode::SUCCESS
+        }
+        ["explain", id] => match analyze::explain(id) {
+            Some(text) => {
+                print!("{text}");
                 ExitCode::SUCCESS
             }
+            None => {
+                eprintln!(
+                    "xtask explain: unknown check `{id}` (available: {})",
+                    analyze::check_ids().join(", ")
+                );
+                ExitCode::FAILURE
+            }
         },
-        Some(other) => {
-            eprintln!("xtask: unknown task `{other}` (available: analyze, explain)\n{USAGE}");
-            ExitCode::FAILURE
-        }
-        None => {
-            eprintln!("{USAGE}");
+        _ => {
+            eprintln!("xtask: cannot run `{}`\n{USAGE}", args.join(" "));
             ExitCode::FAILURE
         }
     }

@@ -32,8 +32,7 @@
 //! through an exclusive receiver (`&mut self` / `self`), which the borrow
 //! checker already serializes. Deliberately unguarded sites carry a
 //! `// race: <why>` justification (same contract as `// ordering:`);
-//! justifications that no longer silence anything are themselves findings,
-//! like stale suppressions.
+//! a justification that no longer silences anything is itself a finding.
 //!
 //! Known blind spots (documented in DESIGN.md §11.7): accesses through local
 //! rebindings (`let e = self.entry(i); e.field`), cross-crate field
@@ -45,6 +44,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::analyze::Finding;
 use crate::cfg::{Node, Op};
 use crate::layout::RESIDENT_MARKER;
 use crate::lexer::Tree;
@@ -55,9 +55,6 @@ use crate::summary::Workspace;
 
 /// Crates audited for data races — the same set the lock-order pass walks.
 pub const RACE_DIRS: &[&str] = LOCK_DIRS;
-
-/// (file, line, message) — anchored at the unguarded access site.
-pub type RaceFinding = (String, u32, String);
 
 const MARKER: &str = "race:";
 
@@ -158,12 +155,19 @@ struct Inventory<'a> {
 
 fn build_inventory<'a>(files: &[&'a SrcFile]) -> Inventory<'a> {
     let mut inv = Inventory::default();
-    let mut unsafe_sync: BTreeSet<(&str, String)> = BTreeSet::new();
+    // The front end's item index has the statics and the `unsafe impl
+    // Send/Sync` targets, as it has the structs.
     for f in files {
-        sweep(&f.trees, f, &mut unsafe_sync, &mut inv);
+        for s in &f.statics {
+            if s.tls {
+                inv.tls.insert((f.krate.clone(), s.name.clone()));
+            } else if s.is_mut {
+                inv.static_muts.push((f, s.line, s.name.clone()));
+            }
+        }
     }
     for d in files.iter().flat_map(|f| &f.structs).filter(|d| !d.test_only) {
-        let shared = unsafe_sync.contains(&(d.krate.as_str(), d.name.clone()))
+        let shared = files.iter().any(|f| f.krate == d.krate && f.unsafe_sync.contains(&d.name))
             || d.docs.contains(RESIDENT_MARKER)
             || d.fields
                 .iter()
@@ -180,92 +184,6 @@ fn build_inventory<'a>(files: &[&'a SrcFile]) -> Inventory<'a> {
         }
     }
     inv
-}
-
-/// Recursive item sweep: `unsafe impl Send/Sync`, `static mut`,
-/// `thread_local!` blocks (struct definitions come from the front end's item
-/// index). Test spans are skipped by token offset.
-fn sweep<'a>(
-    trees: &[Tree],
-    f: &'a SrcFile,
-    unsafe_sync: &mut BTreeSet<(&'a str, String)>,
-    inv: &mut Inventory<'a>,
-) {
-    let mut i = 0;
-    while i < trees.len() {
-        let in_test = f.in_test(trees[i].off());
-        match trees[i].ident() {
-            Some("unsafe") if !in_test && trees.get(i + 1).and_then(Tree::ident) == Some("impl") => {
-                if let Some(ty) = unsafe_impl_target(&trees[i + 2..]) {
-                    unsafe_sync.insert((&f.krate, ty));
-                }
-            }
-            Some("thread_local") if trees.get(i + 1).and_then(|t| t.punct()) == Some("!") => {
-                if let Some(Tree::Group(g)) = trees.get(i + 2) {
-                    for k in 0..g.trees.len() {
-                        if g.trees[k].ident() == Some("static") {
-                            if let Some(n) = g.trees.get(k + 1).and_then(Tree::ident) {
-                                inv.tls.insert((f.krate.clone(), n.to_string()));
-                            }
-                        }
-                    }
-                    i += 3;
-                    continue;
-                }
-            }
-            Some("static")
-                if !in_test && trees.get(i + 1).and_then(Tree::ident) == Some("mut") =>
-            {
-                if let Some(n) = trees.get(i + 2).and_then(Tree::ident) {
-                    inv.static_muts.push((f, trees[i].line(), n.to_string()));
-                }
-            }
-            _ => {}
-        }
-        if let Tree::Group(g) = &trees[i] {
-            if g.delim == '{' {
-                sweep(&g.trees, f, unsafe_sync, inv);
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Target type of `unsafe impl … Send/Sync for X` (tokens after `impl`).
-fn unsafe_impl_target(trees: &[Tree]) -> Option<String> {
-    let mut depth = 0i32;
-    let mut marker = false;
-    let mut after_for = false;
-    for t in trees {
-        if let Some(p) = t.punct() {
-            match p {
-                "<" => depth += 1,
-                "<<" => depth += 2,
-                ">" => depth -= 1,
-                ">>" => depth -= 2,
-                _ => {}
-            }
-            continue;
-        }
-        if let Tree::Group(g) = t {
-            if g.delim == '{' {
-                return None;
-            }
-            continue;
-        }
-        if depth != 0 {
-            continue;
-        }
-        match t.ident() {
-            Some("Send") | Some("Sync") => marker = true,
-            Some("for") => after_for = true,
-            Some(id) if after_for && id.chars().next().is_some_and(|c| c.is_ascii_uppercase()) => {
-                return marker.then(|| id.to_string());
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// Reads a fn signature's parameter list: (exclusive receiver — `&mut self`
@@ -326,7 +244,8 @@ struct Access<'a> {
     locks: BTreeSet<String>,
 }
 
-pub fn check<'a>(ws: &Workspace<'a>) -> Vec<RaceFinding> {
+/// Findings are anchored at the unguarded access site.
+pub fn check<'a>(ws: &Workspace<'a>) -> Vec<Finding> {
     let files: Vec<&'a SrcFile> = ws.source().in_dirs(RACE_DIRS).collect();
     let inv = build_inventory(&files);
 
@@ -437,7 +356,7 @@ pub fn check<'a>(ws: &Workspace<'a>) -> Vec<RaceFinding> {
     };
 
     // Findings.
-    let mut out: Vec<RaceFinding> = Vec::new();
+    let mut out: Vec<Finding> = Vec::new();
     let mut used_justs: BTreeSet<(&str, u32)> = BTreeSet::new();
     let mut justified = |file: &'a SrcFile, line: u32| -> bool {
         file.justification(line, MARKER, CLUSTER_LINES)
@@ -481,8 +400,9 @@ pub fn check<'a>(ws: &Workspace<'a>) -> Vec<RaceFinding> {
         if lw.is_empty() {
             for w in &writes {
                 if !justified(w.file, w.line) {
-                    out.push((
-                        w.file.rel.clone(),
+                    out.push(Finding::new(
+                        "race-audit",
+                        &w.file.rel,
                         w.line,
                         format!(
                             "unprotected write to shared `{}.{}` ({} domain): no lock is \
@@ -499,8 +419,9 @@ pub fn check<'a>(ws: &Workspace<'a>) -> Vec<RaceFinding> {
             let guards: Vec<&str> = lw.iter().map(String::as_str).collect();
             for s in &shared {
                 if effective(s).is_disjoint(&lw) && !justified(s.file, s.line) {
-                    out.push((
-                        s.file.rel.clone(),
+                    out.push(Finding::new(
+                        "race-audit",
+                        &s.file.rel,
                         s.line,
                         format!(
                             "`{}.{}` is written under `{}` but this access holds none of its \
@@ -517,8 +438,9 @@ pub fn check<'a>(ws: &Workspace<'a>) -> Vec<RaceFinding> {
 
     for (file, line, name) in &inv.static_muts {
         if !justified(file, *line) {
-            out.push((
-                file.rel.clone(),
+            out.push(Finding::new(
+                "race-audit",
+                &file.rel,
                 *line,
                 format!(
                     "`static mut {name}` is unsynchronized global state — replace it with a \
@@ -528,12 +450,14 @@ pub fn check<'a>(ws: &Workspace<'a>) -> Vec<RaceFinding> {
         }
     }
 
-    // Justifications that silenced nothing rot like stale suppressions.
+    // A justification that silenced nothing has rotted: it argues for an
+    // access that is gone, or guarded now.
     for f in &files {
         for line in f.marked(MARKER) {
             if !f.line_in_test(line) && !used_justs.contains(&(f.rel.as_str(), line)) {
-                out.push((
-                    f.rel.clone(),
+                out.push(Finding::new(
+                    "race-audit",
+                    &f.rel,
                     line,
                     "unused `// race:` justification — it no longer covers any unguarded \
                      shared access; delete it or move it next to the site it argues for"
@@ -557,7 +481,7 @@ mod tests {
         Workspace::build(Source::fixture(files))
     }
 
-    fn run(src: &str) -> Vec<(String, u32, String)> {
+    fn run(src: &str) -> Vec<Finding> {
         check(&ws(&[("crates/core/src/fix.rs", src)]))
     }
 
@@ -575,9 +499,9 @@ mod tests {
         ";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].1, 5);
-        assert!(f[0].2.contains("unprotected write to shared `S.count`"), "{}", f[0].2);
-        assert!(f[0].2.contains("plain domain"), "{}", f[0].2);
+        assert_eq!(f[0].line, 5);
+        assert!(f[0].msg.contains("unprotected write to shared `S.count`"), "{}", f[0].msg);
+        assert!(f[0].msg.contains("plain domain"), "{}", f[0].msg);
     }
 
     #[test]
@@ -614,7 +538,7 @@ mod tests {
         // The write-site intersection {core:a} ∩ {core:b} is empty: both
         // writes are unprotected.
         assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|x| x.2.contains("unprotected write")), "{f:?}");
+        assert!(f.iter().all(|x| x.msg.contains("unprotected write")), "{f:?}");
     }
 
     #[test]
@@ -633,8 +557,8 @@ mod tests {
         ";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].1, 9, "the unguarded read, not the guarded write: {f:?}");
-        assert!(f[0].2.contains("written under `core:m`"), "{}", f[0].2);
+        assert_eq!(f[0].line, 9, "the unguarded read, not the guarded write: {f:?}");
+        assert!(f[0].msg.contains("written under `core:m`"), "{}", f[0].msg);
     }
 
     #[test]
@@ -647,7 +571,7 @@ mod tests {
         ";
         let f = run(bad);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].2.contains("`Node.key`"), "{}", f[0].2);
+        assert!(f[0].msg.contains("`Node.key`"), "{}", f[0].msg);
         let ok = "
             struct Node { next: AtomicU64, key: u64 }
             fn link(node: *mut Node) {
@@ -664,7 +588,23 @@ mod tests {
         let src = "static mut COUNTER: u64 = 0;\n";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].2.contains("static mut COUNTER"), "{}", f[0].2);
+        assert!(f[0].msg.contains("static mut COUNTER"), "{}", f[0].msg);
+    }
+
+    #[test]
+    fn an_unsafe_impl_sync_makes_a_plain_struct_shared() {
+        // No atomic, lock or cell field: only the `unsafe impl` (read off the
+        // front end's item index) puts `Arena` in the inventory.
+        let arena = "
+            struct Arena { base: *mut u8, used: u64 }
+            impl Arena {
+                fn bump(&self) { self.used += 1; }
+            }
+        ";
+        assert!(run(arena).is_empty(), "{:?}", run(arena));
+        let f = run(&format!("{arena}\nunsafe impl<'a> Sync for Arena {{}}\n"));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].msg.contains("unprotected write to shared `Arena.used`"), "{}", f[0].msg);
     }
 
     // -- compositional lockset inference ------------------------------------
@@ -705,7 +645,7 @@ mod tests {
         ";
         let f = run(src);
         assert_eq!(f.len(), 1, "one unlocked call site poisons the helper: {f:?}");
-        assert_eq!(f[0].1, 12, "flagged at the write inside the helper: {f:?}");
+        assert_eq!(f[0].line, 12, "flagged at the write inside the helper: {f:?}");
     }
 
     // -- false-positive guards ----------------------------------------------
@@ -813,8 +753,8 @@ mod tests {
         ";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].1, 5);
-        assert!(f[0].2.contains("unused `// race:`"), "{}", f[0].2);
+        assert_eq!(f[0].line, 5);
+        assert!(f[0].msg.contains("unused `// race:`"), "{}", f[0].msg);
     }
 
     #[test]
@@ -852,8 +792,8 @@ mod tests {
         ";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].1, 10, "the write is guarded; the unguarded read is the finding: {f:?}");
-        assert!(f[0].2.contains("written under `core:m`"), "{}", f[0].2);
+        assert_eq!(f[0].line, 10, "the write is guarded; the unguarded read is the finding: {f:?}");
+        assert!(f[0].msg.contains("written under `core:m`"), "{}", f[0].msg);
     }
 
     #[test]
@@ -871,8 +811,8 @@ mod tests {
         ";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].1, 7);
-        assert!(f[0].2.contains("unprotected write"), "{}", f[0].2);
+        assert_eq!(f[0].line, 7);
+        assert!(f[0].msg.contains("unprotected write"), "{}", f[0].msg);
     }
 
     #[test]
@@ -894,8 +834,8 @@ mod tests {
         ";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].1, 9);
-        assert!(f[0].2.contains("`S.idle`"), "{}", f[0].2);
+        assert_eq!(f[0].line, 9);
+        assert!(f[0].msg.contains("`S.idle`"), "{}", f[0].msg);
     }
 
     #[test]
@@ -927,7 +867,7 @@ mod tests {
         ";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].1, 5);
+        assert_eq!(f[0].line, 5);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! Comments and literals cannot match: the patterns are tokens, and the
 //! front end ([`crate::source`]) decides what a token is.
 
+use crate::analyze::Finding;
 use crate::lexer::Tree;
 use crate::source::SrcFile;
 
@@ -33,9 +34,6 @@ const FORBIDDEN: &[&[&str]] =
 /// The lock-order and race passes use the same reach for their markers.
 pub const CLUSTER_LINES: usize = 3;
 
-/// (line, message).
-pub type SiteFinding = (u32, String);
-
 /// True when the `::`-separated path `segs` starts at `sibs[i]`.
 fn path_at(sibs: &[Tree], i: usize, segs: &[&str]) -> bool {
     segs.iter().enumerate().all(|(k, seg)| {
@@ -45,18 +43,16 @@ fn path_at(sibs: &[Tree], i: usize, segs: &[&str]) -> bool {
 }
 
 /// Direct `std::sync::atomic` / `std::thread` paths in non-test code.
-pub fn check_facade(f: &SrcFile) -> Vec<SiteFinding> {
+pub fn check_facade(f: &SrcFile) -> Vec<Finding> {
     let mut out = Vec::new();
     f.each_pos(&mut |sibs, i| {
         for segs in FORBIDDEN.iter().filter(|segs| path_at(sibs, i, segs)) {
             if !f.in_test(sibs[i].off()) {
-                out.push((
-                    sibs[i].line(),
-                    format!(
-                        "direct `{}` use; import through `mvkv_sync` so loom models cover this code",
-                        segs.join("::")
-                    ),
-                ));
+                let msg = format!(
+                    "direct `{}` use; import through `mvkv_sync` so loom models cover this code",
+                    segs.join("::")
+                );
+                out.push(Finding::new("facade", &f.rel, sibs[i].line(), msg));
             }
         }
     });
@@ -67,7 +63,7 @@ pub fn check_facade(f: &SrcFile) -> Vec<SiteFinding> {
 /// `// SAFETY:` comment on their line or in the comment block immediately
 /// above (attributes skipped). `unsafe fn` / `trait` / `extern` are
 /// declarations and need none.
-pub fn check_safety_comments(f: &SrcFile) -> Vec<SiteFinding> {
+pub fn check_safety_comments(f: &SrcFile) -> Vec<Finding> {
     let mut out = Vec::new();
     f.each_pos(&mut |sibs, i| {
         if sibs[i].ident() != Some("unsafe") {
@@ -80,7 +76,8 @@ pub fn check_safety_comments(f: &SrcFile) -> Vec<SiteFinding> {
         };
         let line = sibs[i].line();
         if f.justification(line, "SAFETY:", 0).is_none() {
-            out.push((line, format!("{kind} without a preceding `// SAFETY:` comment")));
+            let msg = format!("{kind} without a preceding `// SAFETY:` comment");
+            out.push(Finding::new("safety-comment", &f.rel, line, msg));
         }
     });
     out
@@ -89,22 +86,20 @@ pub fn check_safety_comments(f: &SrcFile) -> Vec<SiteFinding> {
 /// `Ordering::Relaxed` in non-test code with no `// ordering:` comment on
 /// the line or at the head of its statement cluster. One finding per line
 /// even with two sites on it.
-pub fn check_relaxed(f: &SrcFile) -> Vec<SiteFinding> {
-    let mut out: Vec<SiteFinding> = Vec::new();
+pub fn check_relaxed(f: &SrcFile) -> Vec<Finding> {
+    let mut out: Vec<Finding> = Vec::new();
     f.each_pos(&mut |sibs, i| {
         let line = sibs[i].line();
         if path_at(sibs, i, &["Ordering", "Relaxed"])
             && !f.in_test(sibs[i].off())
-            && out.last().is_none_or(|last| last.0 != line)
+            && out.last().is_none_or(|last| last.line != line)
             && f.justification(line, "ordering:", CLUSTER_LINES).is_none()
         {
-            out.push((
-                line,
-                "`Ordering::Relaxed` without an `// ordering:` justification — say why this \
-                 access cannot race with publication (e.g. covered by a later Acquire/Release \
-                 pair, single-writer counter, value validated by CAS), or promote the ordering"
-                    .to_string(),
-            ));
+            let msg = "`Ordering::Relaxed` without an `// ordering:` justification — say why this \
+                       access cannot race with publication (e.g. covered by a later \
+                       Acquire/Release pair, single-writer counter, value validated by CAS), or \
+                       promote the ordering";
+            out.push(Finding::new("atomic-ordering", &f.rel, line, msg.to_string()));
         }
     });
     out
@@ -118,23 +113,23 @@ mod tests {
         SrcFile::parse("crates/pmem/src/lib.rs".into(), src.into())
     }
 
-    fn facade(src: &str) -> Vec<SiteFinding> {
+    fn facade(src: &str) -> Vec<Finding> {
         check_facade(&file(src))
     }
 
-    fn safety(src: &str) -> Vec<SiteFinding> {
+    fn safety(src: &str) -> Vec<Finding> {
         check_safety_comments(&file(src))
     }
 
     fn relaxed(src: &str) -> Vec<u32> {
-        check_relaxed(&file(src)).into_iter().map(|f| f.0).collect()
+        check_relaxed(&file(src)).into_iter().map(|f| f.line).collect()
     }
 
     #[test]
     fn facade_flags_direct_std_atomics() {
         let v = facade("use std::sync::atomic::AtomicU64;\nfn f() {}\n");
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].0, 1);
+        assert_eq!(v[0].line, 1);
     }
 
     #[test]
@@ -150,7 +145,7 @@ mod tests {
         let src = "#[cfg(not(any(test, miri)))]\nfn prod() { std::thread::yield_now(); }\n";
         let v = facade(src);
         assert_eq!(v.len(), 1, "not(any(test, ..)) is compiled into production builds: {v:?}");
-        assert_eq!(v[0].0, 2);
+        assert_eq!(v[0].line, 2);
     }
 
     #[test]
@@ -162,7 +157,7 @@ mod tests {
     fn safety_flags_bare_unsafe_block() {
         let v = safety("fn f() {\n    let x = unsafe { *p };\n}\n");
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].0, 2);
+        assert_eq!(v[0].line, 2);
     }
 
     #[test]

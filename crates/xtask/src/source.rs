@@ -13,7 +13,9 @@
 //!   an item is test-only when its predicate names `test` outside every
 //!   `not(..)`, so `#[cfg(not(any(test, miri)))]` is production code;
 //! * the **item index**: every struct with its attributes, doc text and
-//!   fields ([`SrcFile::structs`]), and every non-test fn with its owner,
+//!   fields ([`SrcFile::structs`]), every non-test `static`
+//!   ([`SrcFile::statics`]) and `unsafe impl Send/Sync` target
+//!   ([`SrcFile::unsafe_sync`]), and every non-test fn with its owner,
 //!   visibility, signature and body trees ([`SrcFile::fns`]).
 
 use std::path::{Path, PathBuf};
@@ -30,7 +32,7 @@ pub struct Source {
 /// One parsed source file.
 pub struct SrcFile {
     /// Repo-relative path with `/` separators (stable across OSes, used in
-    /// findings, the lock files and suppressions).
+    /// findings and the lock files).
     pub rel: String,
     /// Crate directory name (`vhistory` for `crates/vhistory/…`, else `root`).
     pub krate: String,
@@ -43,6 +45,21 @@ pub struct SrcFile {
     /// Byte spans of test-only items, attribute through closing brace.
     test_spans: Vec<(usize, usize)>,
     pub structs: Vec<StructItem>,
+    /// Non-test `static` items, `thread_local!` ones included.
+    pub statics: Vec<StaticItem>,
+    /// Target types of non-test `unsafe impl Send/Sync for X`.
+    pub unsafe_sync: Vec<String>,
+}
+
+/// One `static [mut] NAME: Type`.
+pub struct StaticItem {
+    pub name: String,
+    pub line: u32,
+    /// Canonical type string, like a struct field's.
+    pub ty: String,
+    pub is_mut: bool,
+    /// Declared inside `thread_local! { … }`.
+    pub tls: bool,
 }
 
 /// One struct definition.
@@ -175,8 +192,10 @@ impl SrcFile {
             comments: lexed.comments,
             test_spans: Vec::new(),
             structs: Vec::new(),
+            statics: Vec::new(),
+            unsafe_sync: Vec::new(),
         };
-        f.index(&trees);
+        f.index(&trees, false);
         f.trees = trees;
         f
     }
@@ -296,13 +315,15 @@ impl SrcFile {
     }
 
     // -----------------------------------------------------------------------
-    // Item index: test-only spans and structs (one walk), fns (on demand,
-    // because they borrow their body trees)
+    // Item index: test-only spans, structs, statics and `unsafe impl` targets
+    // (one walk), fns (on demand, because they borrow their body trees)
     // -----------------------------------------------------------------------
 
-    /// Finds every `#[cfg(<test-only>)]` item span and every struct
-    /// definition, at any nesting depth of `{}` (mods, fn bodies).
-    fn index(&mut self, trees: &[Tree]) {
+    /// Finds every `#[cfg(<test-only>)]` item span, every struct definition,
+    /// every non-test static (`tls`: we are inside `thread_local! { … }`) and
+    /// every non-test `unsafe impl Send/Sync`, at any nesting depth of `{}`
+    /// (mods, fn bodies).
+    fn index(&mut self, trees: &[Tree], tls: bool) {
         let mut docs: Vec<&str> = Vec::new();
         let mut attrs: Vec<String> = Vec::new();
         let mut i = 0;
@@ -348,17 +369,60 @@ impl SrcFile {
                 Tree::Group(g) => {
                     docs.clear();
                     attrs.clear();
-                    if g.delim == '{' {
-                        self.index(&g.trees);
+                    let bang = i >= 2 && trees[i - 1].punct() == Some("!");
+                    let tls = bang && trees[i - 2].ident() == Some("thread_local");
+                    if g.delim == '{' || tls {
+                        self.index(&g.trees, tls);
                     }
                     i += 1;
                 }
-                _ => {
+                t => {
+                    if matches!(t.ident(), Some("static" | "unsafe")) && !self.in_test(t.off()) {
+                        self.index_static_or_unsafe_impl(trees, i, tls);
+                    }
                     docs.clear();
                     attrs.clear();
                     i += 1;
                 }
             }
+        }
+    }
+
+    /// `(name, type)` of every place a lock can live: the non-test struct
+    /// fields and statics of the file.
+    pub fn places(&self) -> impl Iterator<Item = (&str, &str)> {
+        let fields = self.structs.iter().filter(|d| !d.test_only).flat_map(|d| &d.fields);
+        let statics = self.statics.iter().map(|s| (s.name.as_str(), s.ty.as_str()));
+        fields.map(|(n, ty)| (n.as_str(), ty.as_str())).chain(statics)
+    }
+
+    /// `static [mut] NAME: Type …` or `unsafe impl … Send/Sync for X` at `i`.
+    fn index_static_or_unsafe_impl(&mut self, trees: &[Tree], i: usize, tls: bool) {
+        let ident = |k: usize| trees.get(k).and_then(Tree::ident);
+        match (ident(i), ident(i + 1)) {
+            (Some("static"), next) => {
+                let is_mut = next == Some("mut");
+                let at = i + 1 + is_mut as usize;
+                let colon = trees.get(at + 1).and_then(Tree::punct) == Some(":");
+                if let Some(name) = ident(at).filter(|_| colon) {
+                    let ty = &trees[at + 2..];
+                    let end = ty.iter().position(|t| matches!(t.punct(), Some("=" | ";")));
+                    self.statics.push(StaticItem {
+                        name: name.to_string(),
+                        line: trees[i].line(),
+                        ty: render_type(&ty[..end.unwrap_or(ty.len())]),
+                        is_mut,
+                        tls,
+                    });
+                }
+            }
+            (Some("unsafe"), Some("impl")) => {
+                let header = &trees[i + 2..until_brace(trees, i + 2).0];
+                if let (Some("Send" | "Sync"), Some(ty)) = impl_header(header) {
+                    self.unsafe_sync.push(ty.to_string());
+                }
+            }
+            _ => {}
         }
     }
 
@@ -466,7 +530,7 @@ impl SrcFile {
                         let ty = if kw == "trait" {
                             trees.get(i + 1).and_then(Tree::ident)
                         } else {
-                            impl_header(&trees[i + 1..body_at])
+                            impl_header(&trees[i + 1..body_at]).1
                         };
                         self.collect_fns(&g.trees, ty, out);
                     }
@@ -647,12 +711,13 @@ fn collect_refs(trees: &[Tree], out: &mut Vec<String>) {
     }
 }
 
-/// Extracts the implemented type from an `impl` header (the tokens between
-/// `impl` and the body brace): the first uppercase ident at angle-bracket
-/// depth 0, taking the one after `for` when the impl is a trait impl.
-fn impl_header(trees: &[Tree]) -> Option<&str> {
+/// Reads an `impl` header (the tokens between `impl` and the body brace):
+/// the implemented trait, when it is a trait impl, and the implemented type —
+/// each the first uppercase ident at angle-bracket depth 0 on its side of
+/// `for`.
+fn impl_header(trees: &[Tree]) -> (Option<&str>, Option<&str>) {
     let mut depth = 0i32;
-    let mut ty = None;
+    let (mut tr, mut ty) = (None, None);
     for t in trees {
         if let Some(p) = t.punct() {
             match p {
@@ -669,7 +734,7 @@ fn impl_header(trees: &[Tree]) -> Option<&str> {
         }
         if let Some(id) = t.ident() {
             if id == "for" {
-                ty = None; // trait impl: the implemented type follows
+                tr = ty.take(); // trait impl: the implemented type follows
             } else if id == "where" {
                 break;
             } else if ty.is_none() && id.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
@@ -677,7 +742,7 @@ fn impl_header(trees: &[Tree]) -> Option<&str> {
             }
         }
     }
-    ty
+    (tr, ty)
 }
 
 /// Walks back from the `fn` keyword over qualifiers, attributes and docs
@@ -711,7 +776,7 @@ mod tests {
     #[test]
     fn a_run_lexes_each_file_once() {
         LEX_CALLS.with(|c| c.set(0));
-        let report = crate::analyze::run(&crate::repo_root(), &Default::default());
+        let report = crate::analyze::run(&crate::repo_root(), false);
         assert!(report.files > 50, "the workspace was found: {}", report.files);
         assert_eq!(LEX_CALLS.with(|c| c.get()), report.files);
     }
@@ -839,6 +904,34 @@ mod tests {
         assert_eq!(by("nested").owner, None);
         assert!(!fns.iter().any(|f| f.name == "decl"), "no body, no item");
         assert_eq!(by("free").body.trees.len(), 4);
+    }
+
+    #[test]
+    fn statics_and_unsafe_send_sync_impls_are_indexed_outside_tests() {
+        let f = file(
+            "pub static INDEX: RwLock<BTreeMap<u64, u64>> = RwLock::new(BTreeMap::new());
+             static mut COUNTER: u64 = 0;
+             thread_local! { static JITTER: Cell<u64> = const { Cell::new(0) }; }
+             fn f(x: &'static str) { static LOCAL: AtomicU64 = AtomicU64::new(0); }
+             unsafe impl<T: Send> Sync for Shard<T> {}
+             unsafe impl Send for Pool {}
+             unsafe impl GlobalAlloc for Counting {}
+             #[cfg(test)]
+             mod t { static mut T: u8 = 0; unsafe impl Send for Fake {} }",
+        );
+        let got: Vec<_> =
+            f.statics.iter().map(|s| (s.name.as_str(), s.ty.as_str(), s.is_mut, s.tls)).collect();
+        assert_eq!(
+            got,
+            [
+                ("INDEX", "RwLock<BTreeMap<u64,u64>>", false, false),
+                ("COUNTER", "u64", true, false),
+                ("JITTER", "Cell<u64>", false, true),
+                ("LOCAL", "AtomicU64", false, false),
+            ]
+        );
+        assert_eq!(f.statics[1].line, 2);
+        assert_eq!(f.unsafe_sync, ["Shard", "Pool"]);
     }
 
     #[test]

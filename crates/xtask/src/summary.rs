@@ -181,8 +181,8 @@ pub struct Workspace<'a> {
     amortized: Vec<BTreeSet<u32>>,
     fns: Vec<FnData<'a>>,
     by_name: BTreeMap<&'a str, Vec<usize>>,
-    /// (crate, name) of every `RwLock`-typed struct field: the receivers on
-    /// which `.read()` / `.write()` acquire a guard.
+    /// (crate, name) of every `RwLock`-typed struct field and static: the
+    /// receivers on which `.read()` / `.write()` acquire a guard.
     rwlocks: BTreeSet<(&'a str, &'a str)>,
     summaries: Vec<Summary>,
 }
@@ -206,9 +206,9 @@ impl<'a> Workspace<'a> {
         }
         let amortized = src.files.iter().map(amortized_lines).collect();
         let mut rwlocks = BTreeSet::new();
-        for d in src.files.iter().flat_map(|f| &f.structs).filter(|d| !d.test_only) {
-            let rw = d.fields.iter().filter(|(_, ty)| ty.contains("RwLock<"));
-            rwlocks.extend(rw.map(|(name, _)| (d.krate.as_str(), name.as_str())));
+        for f in &src.files {
+            let rw = f.places().filter(|(_, ty)| ty.contains("RwLock<"));
+            rwlocks.extend(rw.map(|(name, _)| (f.krate.as_str(), name)));
         }
         let mut ws = Workspace { src, amortized, fns, by_name, rwlocks, summaries: Vec::new() };
         ws.summaries = summarize(&ws);
