@@ -214,8 +214,8 @@ impl Drop for TempArtifacts {
     }
 }
 
-/// Pool size heuristic: per-key persistent footprint (history header +
-/// first segment + chain pair + slack) times expected keys, plus headroom.
+/// Pool size heuristic: per-key persistent footprint (history block, one
+/// later segment, chain pair, slack) times expected keys, plus headroom.
 pub fn pool_bytes_for(keys: usize) -> usize {
     keys * 640 + (64 << 20)
 }

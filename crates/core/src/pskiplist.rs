@@ -433,7 +433,7 @@ impl PSkipList {
 
             // The one walk over the chain (paper Fig 5a's claiming walk):
             // each worker visits the histories of its blocks once. A pair
-            // whose history offset cannot hold a header in-bounds is
+            // whose history offset cannot hold the history block in-bounds is
             // quarantined — a bit-flipped offset must not poison the index
             // with a pointer every later read would chase out of bounds.
             // The checked scan classifies why each prefix ended; corruption
@@ -536,12 +536,14 @@ impl PSkipList {
         for (&_key, hist) in self.index.iter() {
             report.keys += 1;
             let h = PHistory::open(&self.home.pool, PPtr::from_off(hist));
-            let pending = h.pending();
+            // At least slot 0, which every history has: a block wiped on the
+            // media reads `pending == 0` and fails its check word.
+            let claimed = h.pending().max(1);
             let mut cur = Cursor::new();
-            let backed = h.fill_checked(&mut cur, pending);
+            let backed = h.fill_checked(&mut cur, claimed);
             // A claimed slot without valid backing: an unlinked or damaged
             // segment.
-            let mut key_corrupt = backed < pending;
+            let mut key_corrupt = backed < claimed;
             for idx in 0..backed {
                 let e = cur.entry(idx);
                 if e.done.load(mvkv_sync::sync::atomic::Ordering::Acquire) == 0 {
@@ -766,16 +768,52 @@ mod tests {
     fn insert_batch_costs_one_fence_per_chunk() {
         let store = PSkipList::create_crash_sim(POOL, CrashOptions::default()).unwrap();
         let s = store.session();
-        // Warm up: create every key and its history segments so the
+        // Warm up: create every key and run its history past the inline
+        // slots — the fourth round's slot 3 allocates segment 1 — so the
         // measured batch triggers no allocations (which fence on their own).
         let pairs: Vec<Pair> = (1..=16u64).map(|k| (k, k)).collect();
-        for _ in 0..3 {
+        for _ in 0..4 {
             s.insert_batch(&pairs);
         }
         let before = store.pool().fence_count().unwrap();
         s.insert_batch(&pairs);
         let after = store.pool().fence_count().unwrap();
         assert_eq!(after - before, 1, "16-pair batch must publish with a single fence");
+    }
+
+    #[test]
+    fn fresh_key_insert_costs_one_fence() {
+        let store = PSkipList::create_crash_sim(POOL, CrashOptions::default()).unwrap();
+        let s = store.session();
+        let fences = || store.pool().fence_count().unwrap();
+        // Warm up: the first key allocates the first chain block and refills
+        // the allocator's class-128 list, both amortized and both fencing on
+        // their own; the refill parks at least seven more blocks.
+        s.insert(1, 10);
+        let refills = store.pool().alloc_stats().shard_refills;
+        // A fresh key is one block (history and first entries), one chain
+        // pair in a block that has room and one entry: nothing is ordered
+        // before the publish fence, and nothing after it needs one.
+        for key in 2..=4u64 {
+            let before = fences();
+            s.insert(key, key * 10);
+            assert_eq!(fences() - before, 1, "fresh key {key}");
+        }
+        // ...and the next two versions of a key stay in that block.
+        for round in 1..=2u64 {
+            let before = fences();
+            s.insert(2, round);
+            s.remove(3);
+            assert_eq!(fences() - before, 2, "inline append, round {round}");
+        }
+        // A chunk of fresh keys shares the one fence too.
+        let fresh: Vec<Pair> = (5..=8u64).map(|k| (k, k * 10)).collect();
+        let before = fences();
+        s.insert_batch(&fresh);
+        assert_eq!(fences() - before, 1, "four fresh keys, one chunk");
+        assert_eq!(store.pool().alloc_stats().shard_refills, refills, "served from the list");
+        store.wait_writes_complete();
+        assert_eq!(s.extract_snapshot(store.tag()).len(), 7);
     }
 
     #[test]
@@ -870,6 +908,25 @@ mod tests {
         let v = rs.insert(21, 2101);
         assert_eq!(v, 21, "version numbering resumes at the watermark");
         assert_eq!(rs.find(21, v), Some(2101));
+    }
+
+    #[test]
+    fn scrub_sees_a_wiped_history_block() {
+        let store = PSkipList::create_volatile(POOL).unwrap();
+        let s = store.session();
+        for key in 1..=10u64 {
+            s.insert(key, key);
+        }
+        store.wait_writes_complete();
+        assert!(store.scrub().is_clean());
+        // Zeroed, the block reads as a key nobody wrote — but for its check
+        // word, which the scrub asks for even where nothing is claimed.
+        let hist = store.get_or_create_history(4);
+        for word in 0..16 {
+            store.pool().write_u64(hist + word * 8, 0);
+        }
+        let report = store.scrub();
+        assert_eq!((report.keys, report.corrupt_keys, report.corrupt_records), (10, 1, 0));
     }
 
     /// The key ranges the build workers take, merged and laid end to end,

@@ -191,14 +191,14 @@ impl<'p> KeyChain<'p> {
         let bytes = self.block_bytes();
         let off = self.pool.alloc(bytes as usize)?;
         // SAFETY: `off` is a fresh allocation of exactly `bytes` bytes.
-        unsafe { self.pool.write_bytes(off, &vec![0u8; bytes as usize]) };
+        unsafe { self.pool.zero_bytes(off, bytes as usize) };
         self.pool.write_u64(off + 16, index);
         // Header integrity code: CRC32C of the sequence index. A torn or
         // media-corrupted header fails this check and repair() quarantines
         // the block instead of trusting its pairs.
         self.pool.write_u64(off + 24, crc32c_u64s(&[index]) as u64);
         self.pool.persist(off, bytes as usize);
-        // fence: amortized(new tag block: once per block_cap appends)
+        // fence: amortized(new chain block: once per block_cap appends)
         self.pool.fence();
         match self.pool.atomic_u64(link_off).compare_exchange(
             0,
@@ -208,7 +208,7 @@ impl<'p> KeyChain<'p> {
         ) {
             Ok(_) => {
                 self.pool.persist(link_off, 8);
-                // fence: amortized(block link publish: once per new block)
+                // fence: amortized(chain block link publish: once per new block)
                 self.pool.fence();
                 Ok(off)
             }

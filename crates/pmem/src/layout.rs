@@ -21,7 +21,9 @@ pub const MAGIC: u64 = 0x4D45_4D50_564B_564D;
 
 /// Bumped whenever the on-media layout changes incompatibly.
 /// v2: block state words and history entries carry CRC32C integrity codes.
-pub const LAYOUT_VERSION: u64 = 2;
+/// v3: a history is one 128-byte block holding its first three entries;
+/// segment `k` is `128 << k` bytes.
+pub const LAYOUT_VERSION: u64 = 3;
 
 /// Superblock field offsets.
 pub const OFF_MAGIC: u64 = 0;

@@ -452,6 +452,20 @@ mod tests {
     }
 
     #[test]
+    fn v2_superblock_is_refused() {
+        // A v2 pool's histories are 32-byte headers with segment 0 in a
+        // block of its own: read as v3 they would run off their end.
+        let pool = PmemPool::create_volatile(MIN_POOL_LEN).unwrap();
+        pool.write_u64(OFF_VERSION, 2);
+        // SAFETY: [0, len) is in bounds; no writer races the snapshot.
+        let bytes = unsafe { pool.bytes(0, pool.len()).to_vec() };
+        match PmemPool::open_image(&bytes) {
+            Err(PmemError::BadLayoutVersion { found: 2, expected: 3 }) => {}
+            other => panic!("expected BadLayoutVersion {{ found: 2, expected: 3 }}, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn root_roundtrip() {
         let pool = PmemPool::create_volatile(1 << 20).unwrap();
         pool.set_root(4096);

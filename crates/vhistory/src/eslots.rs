@@ -11,27 +11,24 @@ struct ESeg {
 
 impl ESeg {
     fn new(cap: u64) -> *mut ESeg {
-        let entries: Box<[Entry]> = (0..cap)
-            .map(|_| Entry {
-                version: AtomicU64::new(0),
-                value: AtomicU64::new(0),
-                crc: AtomicU64::new(0),
-                done: AtomicU64::new(0),
-            })
-            .collect();
+        let entries: Box<[Entry]> = (0..cap).map(|_| Entry::zeroed()).collect();
         Box::into_raw(Box::new(ESeg { entries, next: AtomicPtr::new(std::ptr::null_mut()) }))
     }
 }
 
 /// An ephemeral per-key version history: lock-free appends via slot claims,
-/// segment chain of doubling capacity (see [`crate::slots`] geometry).
+/// segment chain of doubling capacity (see [`crate::slots`] geometry). Like
+/// the persistent history it is its own segment 0: a key's first three
+/// versions cost the one allocation that holds the history.
 ///
 /// This is the storage; `&EHistory` is the [`Slots`] handle onto it, the way
 /// [`crate::PHistory`] is a handle onto a pool.
 pub struct EHistory {
     pending: AtomicU64,
     tail: AtomicU64,
-    head: AtomicPtr<ESeg>,
+    /// Segment 1.
+    next: AtomicPtr<ESeg>,
+    inline: [Entry; seg_capacity(0) as usize],
 }
 
 impl EHistory {
@@ -39,17 +36,18 @@ impl EHistory {
         EHistory {
             pending: AtomicU64::new(0),
             tail: AtomicU64::new(0),
-            head: AtomicPtr::new(std::ptr::null_mut()),
+            next: AtomicPtr::new(std::ptr::null_mut()),
+            inline: std::array::from_fn(|_| Entry::zeroed()),
         }
     }
 
-    /// Walks to segment `k`, allocating any missing links along the way —
-    /// the allocate-and-link path of `claim`. Losing allocators in the CAS
+    /// Walks to segment `k ≥ 1`, allocating any missing links along the way
+    /// — the allocate-and-link path of `claim`. Losing allocators in the CAS
     /// race free their segment and adopt the winner's — the same resolution
     /// the paper applies to racing key allocations (§IV-B).
     fn segment(&self, k: u32) -> &ESeg {
-        let mut link: &AtomicPtr<ESeg> = &self.head;
-        for level in 0..=k {
+        let mut link: &AtomicPtr<ESeg> = &self.next;
+        for level in 1..=k {
             let mut ptr = link.load(Ordering::Acquire);
             if ptr.is_null() {
                 let fresh = ESeg::new(seg_capacity(level));
@@ -74,7 +72,7 @@ impl EHistory {
             }
             link = &seg.next;
         }
-        unreachable!("loop returns at level == k")
+        unreachable!("loop returns at level == k >= 1")
     }
 }
 
@@ -86,7 +84,7 @@ impl Default for EHistory {
 
 impl Drop for EHistory {
     fn drop(&mut self) {
-        let mut ptr = self.head.load(Ordering::Acquire);
+        let mut ptr = self.next.load(Ordering::Acquire);
         while !ptr.is_null() {
             // SAFETY: exclusive access in drop; chain nodes are uniquely owned.
             let seg = unsafe { Box::from_raw(ptr) };
@@ -111,7 +109,8 @@ impl<'e> Slots for &'e EHistory {
         let this: &'e EHistory = self;
         let idx = this.pending.fetch_add(1, Ordering::AcqRel);
         let (k, pos) = locate(idx);
-        (idx, &this.segment(k).entries[pos as usize])
+        let entries = if k == 0 { &this.inline[..] } else { &this.segment(k).entries };
+        (idx, &entries[pos as usize])
     }
 
     fn pending(&self) -> u64 {
@@ -119,13 +118,20 @@ impl<'e> Slots for &'e EHistory {
     }
 
     fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
-        let mut link: &AtomicPtr<ESeg> = match cur.levels() {
-            0 => &self.head,
-            // SAFETY: the token of a non-empty cursor is the address of the
-            // `next` cell of the last segment this function pushed, and
-            // segments live as long as the history.
-            _ => unsafe { &*(cur.resume() as *const AtomicPtr<ESeg>) },
-        };
+        if n == 0 {
+            return 0;
+        }
+        if cur.levels() == 0 {
+            // SAFETY: segment 0 is the history's own array of
+            // `seg_capacity(0)` entries, alive and unmoved while borrowed.
+            unsafe {
+                cur.push(self.inline.as_ptr(), &self.next as *const AtomicPtr<ESeg> as usize)
+            };
+        }
+        // SAFETY: the token of a non-empty cursor is the address of the
+        // `next` cell behind the last segment this function pushed, and
+        // segments live as long as the history.
+        let mut link: &AtomicPtr<ESeg> = unsafe { &*(cur.resume() as *const AtomicPtr<ESeg>) };
         while cur.covered() < n && !cur.is_full() {
             let ptr = link.load(Ordering::Acquire);
             if ptr.is_null() {
@@ -185,17 +191,19 @@ mod tests {
         let storage = EHistory::new();
         let h = &storage;
         let mut cur = Cursor::new();
+        h.fill(&mut cur, 0);
+        assert_eq!((cur.levels(), cur.covered()), (0, 0), "nothing asked, nothing resolved");
         h.fill(&mut cur, 10);
-        assert_eq!((cur.levels(), cur.covered()), (0, 0), "empty chain resolves nothing");
-        for _ in 0..20 {
-            h.claim(); // links segments 0..=3 (2 + 4 + 8 + 16 slots)
+        assert_eq!((cur.levels(), cur.covered()), (1, 3), "empty chain: the inline slots only");
+        for _ in 0..30 {
+            h.claim(); // segments 0..=3 (3 + 7 + 15 + 31 slots)
         }
         h.fill(&mut cur, 1);
-        assert_eq!(cur.levels(), 1, "one slot needs one link");
-        h.fill(&mut cur, 7);
-        assert_eq!((cur.levels(), cur.covered()), (3, 14), "resumes, stops once covered");
+        assert_eq!(cur.levels(), 1, "one slot is the history itself");
+        h.fill(&mut cur, 11);
+        assert_eq!((cur.levels(), cur.covered()), (3, 25), "resumes, stops once covered");
         h.fill(&mut cur, u64::MAX);
-        assert_eq!((cur.levels(), cur.covered()), (4, 30), "stops at the end of the chain");
+        assert_eq!((cur.levels(), cur.covered()), (4, 56), "stops at the end of the chain");
     }
 
     #[test]

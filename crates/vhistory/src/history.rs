@@ -204,9 +204,10 @@ impl<S: Slots> History<S> {
         // CAS, which itself Acquire-loaded each slot's Release-stored
         // `done` — a transitive happens-before edge to the payload stores.
         let (mut left, mut right) = (0, t);
-        // The segment first: the walk just read every segment's header and
-        // a segment's first entry sits right behind it, so comparing first
-        // versions from the newest segment down touches no new cache line.
+        // The segment first: the walk just read every linked segment's header
+        // and a segment's first entry sits right behind it, so comparing
+        // first versions from the newest segment down touches no new cache
+        // line (segment 0 is what is left when none of them qualifies).
         for k in (1..=locate(t - 1).0).rev() {
             let base = seg_base(k);
             // ordering: base <= t - 1, see the block comment above.
@@ -470,27 +471,31 @@ mod tests {
         let p = mvkv_pmem::PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default())
             .unwrap();
         let h = History::new(PHistory::create(&p).unwrap());
-        // Warm up past both segment allocations (segment 0 covers slots
-        // 0-1, segment 1 covers 2-5), so the measured appends hit the
-        // steady-state path with no allocator or segment-link fences.
+        // The inline slots 0-2 need no warm-up: a fresh history's first
+        // appends are already the steady-state path, one fence each.
+        let before = p.fence_count().expect("crash-sim backend");
         for v in 1..=3u64 {
             h.append(v, v);
         }
-        let before = p.fence_count().expect("crash-sim backend");
-        for v in 4..=6u64 {
+        assert_eq!(p.fence_count().unwrap() - before, 3, "inline append must cost one fence");
+        // Slot 3 allocates and links segment 1 (slots 3-9); past it the
+        // appends are steady again.
+        h.append(4, 40);
+        let before = p.fence_count().unwrap();
+        for v in 5..=7u64 {
             h.append(v, v * 10);
         }
         let after = p.fence_count().unwrap();
         assert_eq!(after - before, 3, "steady-state append must cost exactly one fence");
         // Batched form: N prepares share a single fence.
-        let slot7 = h.append_prepare(7, 70);
         let slot8 = h.append_prepare(8, 80);
+        let slot9 = h.append_prepare(9, 90);
         let before = p.fence_count().unwrap();
         h.publish_fence();
-        h.append_publish(slot7, 7);
         h.append_publish(slot8, 8);
+        h.append_publish(slot9, 9);
         assert_eq!(p.fence_count().unwrap() - before, 1, "batch publish shares one fence");
-        assert_eq!(h.find(8, 8), Some(80));
+        assert_eq!(h.find(9, 9), Some(90));
     }
 
     #[test]

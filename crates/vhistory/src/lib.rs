@@ -23,8 +23,9 @@
 //! storage provider; [`eslots::EHistory`] stores slots on the heap (used by
 //! the ephemeral stores, through `&EHistory`) and [`pslots::PHistory`]
 //! stores them in a [`mvkv_pmem::PmemPool`] (used by PSkipList). Both keep
-//! the slots in a chain of doubling segments; an operation resolves that
-//! chain once into an on-stack [`Cursor`] and indexes it per slot.
+//! the slots in a chain of doubling segments whose first — three entries —
+//! is the history object itself; an operation resolves that chain once into
+//! an on-stack [`Cursor`] and indexes it per slot.
 //!
 //! ## Ordering contract
 //!
@@ -44,7 +45,7 @@ pub mod slots;
 pub use clock::VersionClock;
 pub use eslots::EHistory;
 pub use history::History;
-pub use pslots::{PHistory, HISTORY_HDR_SIZE};
+pub use pslots::PHistory;
 pub use slots::{Cursor, Entry, Slots, ENTRY_SIZE};
 
 /// Removal marker stored as the value of a "remove" entry (the paper's `M`).

@@ -1,15 +1,21 @@
 //! Persistent-memory history storage for PSkipList.
 //!
-//! On-media layout (all fields 8-byte words, offsets pool-relative):
+//! On-media layout (all fields 8-byte words, offsets pool-relative). Every
+//! block is `128 << k` bytes — exactly an allocator size class up to 4 KiB,
+//! an exact large block beyond — of which the first 32 are a header:
 //!
 //! ```text
-//! HistoryHdr (32 B):      Segment (32 B + cap·32 B):
-//!   +0  pending             +0  next segment offset (0 = none)
-//!   +8  tail                +8  capacity (entries)
-//!   +16 head segment        +16 base slot index
-//!   +24 reserved            +24 CRC32C of (capacity, base)
-//!                           +32 entries [version, value, crc, done] × cap
+//! History = segment 0 (128 B):   Segment k ≥ 1 (128 << k B):
+//!   +0  pending                    +0  next segment offset (0 = none)
+//!   +8  tail                       +8  capacity (entries)
+//!   +16 segment 1 offset (0=none)  +16 base slot index
+//!   +24 CRC32C of (3, 0)           +24 CRC32C of (capacity, base)
+//!   +32 entries × 3                +32 entries × ((4 << k) − 1)
 //! ```
+//!
+//! An entry is `[version, value, crc, done]`. A key's first three versions
+//! live in the history block itself: creating a key is one allocation and one
+//! flush, and reading it follows no link.
 //!
 //! Segment geometry is deterministic (see [`crate::slots`]), so `capacity`
 //! and `base` are redundant — they are stored anyway, checksummed in the
@@ -17,27 +23,51 @@
 //! fill_checked`]): a segment whose recorded geometry disagrees with the
 //! deterministic expectation or whose header CRC fails is treated as
 //! unlinked, so a scrambled `next` pointer can never send recovery through
-//! out-of-bounds memory.
+//! out-of-bounds memory. The history block has no room for the two geometry
+//! words but carries the same check word over segment 0's `(3, 0)`: it is
+//! bounds-checked as a whole ([`PHistory::open_checked`]), and a block that
+//! was zeroed or overwritten on the media fails the word and backs no slot,
+//! instead of reading as a key that was never written.
 
-use crate::slots::{locate, seg_base, seg_capacity, Cursor, Entry, Slots, ENTRY_SIZE};
+use crate::slots::{
+    locate, seg_base, seg_capacity, Cursor, Entry, Slots, ENTRY_SIZE, SEG_HDR_SIZE,
+};
 use mvkv_pmem::{PPtr, PmemPool, Result};
 use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
+use std::mem::{offset_of, size_of};
 
-/// Size of the persistent history header.
-pub const HISTORY_HDR_SIZE: usize = 32;
-
-const SEG_HDR_SIZE: u64 = 32;
-
-/// Opaque marker type for history header offsets. Zero-sized: the actual
-/// header words are accessed via explicit offsets, never through fields.
+/// The persistent history block: the counters, the link to segment 1 and
+/// segment 0's entries.
 ///
 /// pm-resident: typed target of `PPtr<HistoryHdr>`; audited by
 /// `xtask analyze` against `pm_layout.lock`.
 #[repr(C)]
-pub struct HistoryHdr(());
+pub struct HistoryHdr {
+    pending: AtomicU64,
+    tail: AtomicU64,
+    /// Offset of segment 1 (0 = none).
+    next: AtomicU64,
+    /// [`geometry_crc`] of segment 0, the word every segment has here.
+    check: AtomicU64,
+    inline: [Entry; 3],
+}
+
+const _: () = assert!(offset_of!(HistoryHdr, inline) == SEG_HDR_SIZE);
+const _: () = assert!(size_of::<HistoryHdr>() as u64 == seg_bytes(0));
+
+/// Bytes of segment `k`'s block, header included: `128 << k`.
+const fn seg_bytes(k: u32) -> u64 {
+    SEG_HDR_SIZE as u64 + seg_capacity(k) * ENTRY_SIZE as u64
+}
+
+/// The check word of segment `k`'s header: CRC32C of `(capacity, base)`,
+/// never zero.
+fn geometry_crc(k: u32) -> u64 {
+    mvkv_pmem::crc32c_u64s(&[seg_capacity(k), seg_base(k)]) as u64
+}
 
 /// A handle to one key's persistent history. Cheap to construct (two words);
-/// the skip-list index stores just the header offset.
+/// the skip-list index stores just the block offset.
 #[derive(Clone, Copy)]
 pub struct PHistory<'p> {
     pool: &'p PmemPool,
@@ -47,20 +77,39 @@ pub struct PHistory<'p> {
 impl<'p> PHistory<'p> {
     /// Allocates and zero-initializes a fresh history in `pool`.
     pub fn create(pool: &'p PmemPool) -> Result<Self> {
-        let hdr = pool.alloc(HISTORY_HDR_SIZE)?;
-        // Freed blocks are recycled, so explicitly clear all fields.
-        for field in 0..4 {
-            pool.write_u64(hdr + field * 8, 0);
-        }
-        pool.persist(hdr, HISTORY_HDR_SIZE);
+        let h = PHistory { pool, hdr: pool.alloc(size_of::<HistoryHdr>())? };
+        h.format();
         // Deliberately NO fence (MOD minimal-ordering audit, DESIGN.md
         // §13): a fresh history is unreachable until the creating thread
         // publishes it (key-chain append + version stamp), and that
         // publish's fence — same thread — orders this zeroing flush first.
-        // A crash before the publish leaves the header unreferenced; the
+        // A crash before the publish leaves the block unreferenced; the
         // allocator's leak-at-most scan reclaims nothing but also
-        // resurrects nothing, so stale field bytes can never be observed.
-        Ok(PHistory { pool, hdr })
+        // resurrects nothing, so stale bytes can never be observed. (Live
+        // threads reach the history through the index before that publish;
+        // what a writer among them leaves open is DESIGN.md §13.3, "Inline
+        // slots and other threads".)
+        Ok(h)
+    }
+
+    /// Makes the block an empty history: flushed, not fenced. Freed blocks
+    /// are recycled, so the counters, the link and — so that no stale `done`
+    /// reads published — the inline entries are all cleared.
+    fn format(&self) {
+        // SAFETY: the block is `size_of::<HistoryHdr>()` bytes (`block`),
+        // and nobody else reaches it: fresh from the allocator, or under
+        // recovery's exclusive access.
+        unsafe { self.pool.zero_bytes(self.hdr, size_of::<HistoryHdr>()) };
+        self.pool.write_u64(self.hdr + offset_of!(HistoryHdr, check) as u64, geometry_crc(0));
+        self.pool.persist(self.hdr, size_of::<HistoryHdr>());
+    }
+
+    /// Recovery-only: a block whose check word failed ([`PHistory::
+    /// fill_checked`] backs no slot) holds nothing that can be trusted;
+    /// make it an empty history again so the key can be written to.
+    pub fn reformat(&self) {
+        self.format();
+        self.pool.fence();
     }
 
     /// Wraps an existing history at `hdr` (e.g. found via the key chain).
@@ -70,16 +119,17 @@ impl<'p> PHistory<'p> {
 
     /// [`PHistory::open`] with bounds validation: a history offset read
     /// from corrupt media (e.g. a bit-flipped key-chain pair) must not
-    /// cause an out-of-bounds header access. Returns `None` when `hdr`
-    /// cannot hold a whole header inside the pool; deeper damage (garbage
-    /// counters, unlinked segments) is tolerated by the checked accessors
-    /// and classified by the recovery scan instead.
+    /// cause an out-of-bounds access to the counters or the inline entries.
+    /// Returns `None` when `hdr` cannot hold the whole history block inside
+    /// the pool; deeper damage (garbage counters, unlinked segments) is
+    /// tolerated by the checked accessors and classified by the recovery
+    /// scan instead.
     pub fn open_checked(pool: &'p PmemPool, hdr: PPtr<HistoryHdr>) -> Option<Self> {
         let off = hdr.off();
         if off == 0
             || !off.is_multiple_of(8)
             || off
-                .checked_add(HISTORY_HDR_SIZE as u64)
+                .checked_add(size_of::<HistoryHdr>() as u64)
                 .is_none_or(|end| end > pool.len() as u64)
         {
             return None;
@@ -87,7 +137,7 @@ impl<'p> PHistory<'p> {
         Some(PHistory { pool, hdr: off })
     }
 
-    /// The persistent pointer to this history's header.
+    /// The persistent pointer to this history's block.
     pub fn pptr(&self) -> PPtr<HistoryHdr> {
         PPtr::from_off(self.hdr)
     }
@@ -97,25 +147,25 @@ impl<'p> PHistory<'p> {
     }
 
     #[inline]
-    fn pending_cell(&self) -> &AtomicU64 {
-        self.pool.atomic_u64(self.hdr)
+    fn block(&self) -> &'p HistoryHdr {
+        // SAFETY: `hdr` is a block `create` sized for a `HistoryHdr` or one
+        // `open_checked` proved in-pool and 8-aligned (`open` trusts offsets
+        // the store published itself); every field is an atomic word with no
+        // invalid bit pattern, valid for as long as the pool is mapped.
+        unsafe { self.pool.typed(self.hdr) }
     }
 
+    /// Pool offset of the word linking segment 1.
     #[inline]
-    fn tail_cell(&self) -> &AtomicU64 {
-        self.pool.atomic_u64(self.hdr + 8)
+    fn next_off(&self) -> u64 {
+        self.hdr + offset_of!(HistoryHdr, next) as u64
     }
 
-    #[inline]
-    fn head_cell(&self) -> &AtomicU64 {
-        self.pool.atomic_u64(self.hdr + 16)
-    }
-
-    /// Walks to segment `k`, allocating missing links (CAS; losers dealloc)
-    /// — the allocate-and-link path of `claim`.
+    /// Walks to segment `k ≥ 1`, allocating missing links (CAS; losers
+    /// dealloc) — the allocate-and-link path of `claim`.
     fn segment_off(&self, k: u32) -> u64 {
-        let mut link_off = self.hdr + 16; // head cell
-        for level in 0..=k {
+        let mut link_off = self.next_off();
+        for level in 1..=k {
             let mut seg = self.pool.atomic_u64(link_off).load(Ordering::Acquire);
             if seg == 0 {
                 seg = match self.alloc_segment(level, link_off) {
@@ -123,26 +173,25 @@ impl<'p> PHistory<'p> {
                     Err(e) => panic!("pmem exhausted while extending history: {e}"),
                 };
             }
-            if level == k {
-                return seg;
-            }
             link_off = seg; // next pointer is the segment's first word
         }
-        unreachable!()
+        link_off
     }
 
     fn alloc_segment(&self, k: u32, link_off: u64) -> Result<u64> {
         let cap = seg_capacity(k);
-        let bytes = SEG_HDR_SIZE + cap * ENTRY_SIZE as u64;
-        let off = self.pool.alloc(bytes as usize)?;
+        let bytes = seg_bytes(k) as usize;
+        let off = self.pool.alloc(bytes)?;
         // Recycled blocks may hold stale data; `done` words MUST read 0
         // before the segment is linked, so clear everything.
         // SAFETY: `off` is a fresh allocation of exactly `bytes` bytes.
-        unsafe { self.pool.zero_bytes(off, bytes as usize) };
+        unsafe { self.pool.zero_bytes(off, bytes) };
         self.pool.write_u64(off + 8, cap);
         self.pool.write_u64(off + 16, seg_base(k));
-        self.pool.write_u64(off + 24, mvkv_pmem::crc32c_u64s(&[cap, seg_base(k)]) as u64);
-        self.pool.persist(off, bytes as usize);
+        self.pool.write_u64(off + 24, geometry_crc(k));
+        self.pool.persist(off, bytes);
+        // Unlike the history block, a segment is linked into a history other
+        // threads already reach: both fences stay.
         // fence: amortized(new slot segment: once per segment capacity)
         self.pool.fence();
         let link = self.pool.atomic_u64(link_off);
@@ -167,29 +216,36 @@ impl<'p> PHistory<'p> {
         (slot as *const Entry as usize).wrapping_sub(self.pool.base_ptr(0) as usize) as u64
     }
 
-    /// True if `seg` is a plausible, uncorrupted segment for `level`:
+    /// True if `seg` is a plausible, uncorrupted segment for `level ≥ 1`:
     /// in bounds for the level's full entry array, 8-aligned, recorded
     /// geometry matching the deterministic expectation, and header CRC
     /// valid. Recovery relies on this to survive scrambled link words —
     /// every check runs *before* any dereference of the candidate offset.
     fn segment_header_ok(&self, level: u32, seg: u64) -> bool {
         let cap = seg_capacity(level);
-        let bytes = SEG_HDR_SIZE + cap * ENTRY_SIZE as u64;
         seg.is_multiple_of(8)
-            && seg.checked_add(bytes).is_some_and(|end| end <= self.pool.len() as u64)
+            && seg.checked_add(seg_bytes(level)).is_some_and(|end| end <= self.pool.len() as u64)
             && self.pool.read_u64(seg + 8) == cap
             && self.pool.read_u64(seg + 16) == seg_base(level)
-            && self.pool.read_u64(seg + 24)
-                == mvkv_pmem::crc32c_u64s(&[cap, seg_base(level)]) as u64
+            && self.pool.read_u64(seg + 24) == geometry_crc(level)
     }
 
-    /// The one chain walk behind both fills: follows links from where `cur`
-    /// stopped until it covers `n` slots, the chain ends, or (`CHECKED`) a
-    /// segment header fails validation.
+    /// The one chain walk behind both fills: segment 0 is this block, then
+    /// follows links from where `cur` stopped until it covers `n` slots, the
+    /// chain ends, or (`CHECKED`) a header fails validation.
     #[inline(always)]
     fn fill_from<'a, const CHECKED: bool>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
-        // The next link is the first word of the last resolved segment.
-        let mut link_off = if cur.levels() == 0 { self.hdr + 16 } else { cur.resume() as u64 };
+        if cur.levels() == 0 && n > 0 {
+            if CHECKED && self.block().check.load(Ordering::Acquire) != geometry_crc(0) {
+                return 0; // zeroed or overwritten: not a history block any more
+            }
+            // SAFETY: the history block holds `seg_capacity(0)` all-atomic
+            // entries for as long as the pool is mapped (see `block`).
+            unsafe { cur.push(self.block().inline.as_ptr(), self.next_off() as usize) };
+        }
+        // The next link: the history's `next` word behind segment 0, the
+        // first word of the last resolved segment after that.
+        let mut link_off = cur.resume() as u64;
         let base = self.pool.base_ptr(0);
         while cur.covered() < n && !cur.is_full() {
             let seg = self.pool.atomic_u64(link_off).load(Ordering::Acquire);
@@ -199,14 +255,15 @@ impl<'p> PHistory<'p> {
             // SAFETY: segment `levels()` holds `seg_capacity(levels())`
             // zero-initialized, all-atomic entries after its 32-byte header
             // for as long as the pool is mapped. CHECKED: segment_header_ok
-            // just proved `[seg, seg + 32 + cap·32)` in-pool and 8-aligned,
-            // before any dereference. Unchecked: `seg` is a link word that
-            // `alloc_segment` CAS-published after sizing and zeroing exactly
-            // that block (live stores trust their own links; anything read
-            // from media after a crash goes through the checked fill first).
+            // just proved `[seg, seg + (128 << levels))` in-pool and
+            // 8-aligned, before any dereference. Unchecked: `seg` is a link
+            // word that `alloc_segment` CAS-published after sizing and
+            // zeroing exactly that block (live stores trust their own links;
+            // anything read from media after a crash goes through the
+            // checked fill first).
             unsafe {
                 cur.push(
-                    base.wrapping_add((seg + SEG_HDR_SIZE) as usize) as *const Entry,
+                    base.wrapping_add(seg as usize + SEG_HDR_SIZE) as *const Entry,
                     seg as usize,
                 )
             };
@@ -215,12 +272,13 @@ impl<'p> PHistory<'p> {
         n.min(cur.covered())
     }
 
-    /// [`Slots::fill`] for media that may be damaged: validates each segment
-    /// header exactly once (bounds, geometry, CRC) before resolving it, and
-    /// stops at the first that fails or was never linked. Returns how many
-    /// of the `n` slots have valid backing — recovery walks bound their
-    /// loops by it, never by a `pending` word they cannot trust, so no torn
-    /// claim is materialized and no scrambled link is dereferenced.
+    /// [`Slots::fill`] for media that may be damaged: validates each header
+    /// exactly once (the history block's check word; a linked segment's
+    /// bounds, geometry and CRC) before resolving it, and stops at the first
+    /// that fails or was never linked. Returns how many of the `n` slots have
+    /// valid backing — recovery walks bound their loops by it, never by a
+    /// `pending` word they cannot trust, so no torn claim is materialized
+    /// and no scrambled link is dereferenced.
     pub fn fill_checked<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
         self.fill_from::<true>(cur, n)
     }
@@ -228,18 +286,20 @@ impl<'p> PHistory<'p> {
     /// Recovery-only: force `pending` and `tail` to recovered values
     /// (persisted).
     pub fn force_counters(&self, pending: u64, tail: u64) {
-        self.pending_cell().store(pending, Ordering::Release);
-        self.tail_cell().store(tail, Ordering::Release);
+        let block = self.block();
+        block.pending.store(pending, Ordering::Release);
+        block.tail.store(tail, Ordering::Release);
         self.pool.persist(self.hdr, 16);
         self.pool.fence();
     }
 
-    /// Raw header fields for recovery audits: `(pending, tail, head_off)`.
+    /// Raw header fields for recovery audits: `(pending, tail, segment 1)`.
     pub fn raw_header(&self) -> (u64, u64, u64) {
+        let block = self.block();
         (
-            self.pending_cell().load(Ordering::Acquire),
-            self.tail_cell().load(Ordering::Acquire),
-            self.head_cell().load(Ordering::Acquire),
+            block.pending.load(Ordering::Acquire),
+            block.tail.load(Ordering::Acquire),
+            block.next.load(Ordering::Acquire),
         )
     }
 }
@@ -248,9 +308,14 @@ impl<'p> Slots for PHistory<'p> {
     type Slot = &'p Entry;
 
     fn claim(&self) -> (u64, &'p Entry) {
-        let idx = self.pending_cell().fetch_add(1, Ordering::AcqRel);
+        let block = self.block();
+        let idx = block.pending.fetch_add(1, Ordering::AcqRel);
         let (k, pos) = locate(idx);
-        let off = self.segment_off(k) + SEG_HDR_SIZE + pos * ENTRY_SIZE as u64;
+        if k == 0 {
+            // The first three slots are this block: no allocation, no link.
+            return (idx, &block.inline[pos as usize]);
+        }
+        let off = self.segment_off(k) + (SEG_HDR_SIZE as u64 + pos * ENTRY_SIZE as u64);
         // SAFETY: segment `k` was sized for `seg_capacity(k) > pos` entries
         // by `alloc_segment`, so `off` is in-bounds and 8-aligned; Entry is
         // all-atomic words with no invalid bit patterns.
@@ -258,7 +323,7 @@ impl<'p> Slots for PHistory<'p> {
     }
 
     fn pending(&self) -> u64 {
-        self.pending_cell().load(Ordering::Acquire)
+        self.block().pending.load(Ordering::Acquire)
     }
 
     fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
@@ -266,7 +331,7 @@ impl<'p> Slots for PHistory<'p> {
     }
 
     fn tail_ref(&self) -> &AtomicU64 {
-        self.tail_cell()
+        &self.block().tail
     }
 
     // The persist_* hooks issue flushes only; ordering is provided by the
@@ -282,7 +347,7 @@ impl<'p> Slots for PHistory<'p> {
     }
 
     fn persist_tail(&self) {
-        self.pool.persist(self.hdr + 8, 8);
+        self.pool.persist(self.hdr + offset_of!(HistoryHdr, tail) as u64, 8);
     }
 
     fn persist_pending(&self) {
@@ -302,18 +367,55 @@ mod tests {
         PmemPool::create_volatile(1 << 22).unwrap()
     }
 
+    /// Allocates `bytes`, fills them with ones and frees them: the next
+    /// allocation of that size class gets the dirty block back.
+    fn dirty_block(p: &PmemPool, bytes: u64) -> u64 {
+        let dirty = p.alloc(bytes as usize).unwrap();
+        for word in 0..bytes / 8 {
+            p.write_u64(dirty + word * 8, u64::MAX);
+        }
+        p.dealloc(dirty);
+        dirty
+    }
+
     #[test]
     fn create_is_zeroed_even_after_recycling() {
         let p = pool();
-        // Dirty a block, free it, then create a history that reuses it.
-        let dirty = p.alloc(HISTORY_HDR_SIZE).unwrap();
-        for field in 0..4 {
-            p.write_u64(dirty + field * 8, u64::MAX);
-        }
-        p.dealloc(dirty);
+        // A recycled history block must come back all-zero — counters, link
+        // and the three inline entries — or a stale `done` would read
+        // published and a stale link would be followed.
+        let dirty = dirty_block(&p, seg_bytes(0));
         let h = PHistory::create(&p).unwrap();
         assert_eq!(h.pptr().off(), dirty, "block should be recycled");
         assert_eq!(h.raw_header(), (0, 0, 0));
+        for word in (0..seg_bytes(0) / 8).filter(|&word| word != 3) {
+            assert_eq!(p.read_u64(dirty + word * 8), 0, "word {word}");
+        }
+        assert_eq!(p.read_u64(dirty + 24), geometry_crc(0), "check word");
+        for want in 0..seg_capacity(0) {
+            let (idx, e) = h.claim();
+            assert_eq!((idx, e.load_if_done()), (want, None));
+        }
+        assert_eq!(h.raw_header(), (3, 0, 0), "three claims allocate and link nothing");
+    }
+
+    #[test]
+    fn a_history_block_is_one_class_128_allocation() {
+        let p = pool();
+        let before = p.alloc_stats();
+        let h = PHistory::create(&p).unwrap();
+        assert_eq!(p.block_capacity(h.pptr().off()), 128, "no padding behind the entries");
+        for _ in 0..seg_capacity(0) {
+            h.claim();
+        }
+        let after = p.alloc_stats();
+        assert_eq!(after.live_blocks - before.live_blocks, 1);
+        // The fourth claim is the first to allocate: segment 1, a class-256
+        // block filled exactly.
+        h.claim();
+        let (_, _, seg1) = h.raw_header();
+        assert_eq!(p.block_capacity(seg1) as u64, seg_bytes(1));
+        assert_eq!(p.alloc_stats().live_blocks - before.live_blocks, 2);
     }
 
     #[test]
@@ -337,23 +439,22 @@ mod tests {
     #[test]
     fn fresh_segment_is_zeroed_even_after_recycling() {
         let p = pool();
-        // Dirty a block of segment 0's size (32 B header + 2 entries), free
-        // it, then claim: the recycled block must come back all-zero apart
-        // from the geometry words, or a stale `done` would read published.
-        let bytes = (SEG_HDR_SIZE + 2 * ENTRY_SIZE as u64) as usize;
-        let dirty = p.alloc(bytes).unwrap();
-        for word in 0..bytes as u64 / 8 {
-            p.write_u64(dirty + word * 8, u64::MAX);
-        }
-        p.dealloc(dirty);
+        // Dirty a block of segment 1's size, free it, then claim into it:
+        // the recycled block must come back all-zero apart from the geometry
+        // words, or a stale `done` would read published.
+        let bytes = seg_bytes(1);
+        let dirty = dirty_block(&p, bytes);
         let h = PHistory::create(&p).unwrap();
+        for _ in 0..seg_capacity(0) {
+            h.claim();
+        }
         let (_, e) = h.claim();
-        let (_, _, seg0) = h.raw_header();
-        assert_eq!(seg0, dirty, "block should be recycled");
-        assert_eq!(p.read_u64(seg0), 0, "next link");
+        let (_, _, seg1) = h.raw_header();
+        assert_eq!(seg1, dirty, "block should be recycled");
+        assert_eq!(p.read_u64(seg1), 0, "next link");
         assert_eq!(e.load_if_done(), None);
-        for word in 4..bytes as u64 / 8 {
-            assert_eq!(p.read_u64(seg0 + word * 8), 0, "entry word {word}");
+        for word in 4..bytes / 8 {
+            assert_eq!(p.read_u64(seg1 + word * 8), 0, "entry word {word}");
         }
     }
 
@@ -407,27 +508,36 @@ mod tests {
     }
 
     #[test]
+    fn open_checked_bounds_the_whole_block() {
+        let p = pool();
+        let len = p.len() as u64;
+        let open = |off| PHistory::open_checked(&p, PPtr::from_off(off)).is_some();
+        assert!(open(len - seg_bytes(0)), "the last block that fits");
+        // Room for the counters and the link but not for the inline entries.
+        assert!(!open(len - seg_bytes(0) + 8));
+        assert!(!open(len - SEG_HDR_SIZE as u64));
+        assert!(!open(0) && !open(len) && !open(u64::MAX - 7) && !open(4097));
+    }
+
+    #[test]
     fn segment_headers_record_geometry() {
         let p = pool();
         let h = PHistory::create(&p).unwrap();
-        for _ in 0..20 {
+        for _ in 0..30 {
             h.claim();
         }
         // Walk the chain manually and verify the recorded cap/base.
         let (_, _, mut seg) = h.raw_header();
-        let mut k = 0u32;
+        let mut k = 1u32;
         while seg != 0 {
             assert_eq!(p.read_u64(seg + 8), seg_capacity(k));
             assert_eq!(p.read_u64(seg + 16), seg_base(k));
-            assert_eq!(
-                p.read_u64(seg + 24),
-                mvkv_pmem::crc32c_u64s(&[seg_capacity(k), seg_base(k)]) as u64,
-                "segment {k} header crc"
-            );
+            assert_eq!(p.read_u64(seg + 24), geometry_crc(k), "segment {k} header crc");
+            assert_eq!(p.block_capacity(seg) as u64, seg_bytes(k), "segment {k} fills its block");
             seg = p.read_u64(seg);
             k += 1;
         }
-        assert!(k >= 3, "20 slots need segments of 2+4+8+...");
+        assert_eq!(k, 4, "30 slots are 3 inline + segments of 7 + 15 + 31");
     }
 
     /// How many of `n` slots a checked fill finds valid backing for.
@@ -439,52 +549,80 @@ mod tests {
     fn checked_fill_rejects_corrupt_segment_links() {
         let p = pool();
         let h = PHistory::create(&p).unwrap();
-        for i in 0..6u64 {
+        for i in 0..12u64 {
             let (_, e) = h.claim();
             e.version.store(i + 1, Ordering::Relaxed);
             e.done.store(i + 2, Ordering::Release);
         }
-        assert_eq!(backed(&h, 6), 6);
-        // Scramble segment 1's header crc: its slots become unreachable to
-        // recovery, segment 0's stay fine — the backing ends exactly at
-        // segment 1's first slot.
-        let (_, _, seg0) = h.raw_header();
-        let seg1 = p.read_u64(seg0);
-        let good_crc = p.read_u64(seg1 + 24);
-        p.write_u64(seg1 + 24, good_crc ^ 0xFF);
-        assert_eq!(backed(&h, 2), 2, "segment 0 unaffected");
-        assert_eq!(backed(&h, 6), seg_base(1), "corrupt header must fence off the segment");
-        p.write_u64(seg1 + 24, good_crc);
+        assert_eq!(backed(&h, 12), 12);
+        // Scramble segment 2's header crc: its slots become unreachable to
+        // recovery, the inline slots and segment 1's stay fine — the backing
+        // ends exactly at segment 2's first slot.
+        let (_, _, seg1) = h.raw_header();
+        let seg2 = p.read_u64(seg1);
+        let good_crc = p.read_u64(seg2 + 24);
+        p.write_u64(seg2 + 24, good_crc ^ 0xFF);
+        assert_eq!(backed(&h, 10), 10, "segments 0 and 1 unaffected");
+        assert_eq!(backed(&h, 12), seg_base(2), "corrupt header must fence off the segment");
+        p.write_u64(seg2 + 24, good_crc);
         // An out-of-bounds next pointer must be rejected before any deref.
-        p.write_u64(seg0, p.len() as u64 + 8);
-        assert_eq!(backed(&h, 6), seg_base(1), "out-of-bounds link must be rejected");
-        p.write_u64(seg0, 0xDEAD_BEEF_0000); // garbage beyond the pool
-        assert_eq!(backed(&h, 6), seg_base(1));
+        p.write_u64(seg1, p.len() as u64 + 8);
+        assert_eq!(backed(&h, 12), seg_base(2), "out-of-bounds link must be rejected");
+        p.write_u64(seg1, 0xDEAD_BEEF_0000); // garbage beyond the pool
+        assert_eq!(backed(&h, 12), seg_base(2));
         // A link whose entry array would straddle the end of the pool.
-        p.write_u64(seg0, p.len() as u64 - 64);
-        assert_eq!(backed(&h, 6), seg_base(1));
+        p.write_u64(seg1, p.len() as u64 - 64);
+        assert_eq!(backed(&h, 12), seg_base(2));
+        // The same three on the history's own link: the inline slots are
+        // all that is left, and they need no link at all.
+        let next = h.hdr + offset_of!(HistoryHdr, next) as u64;
+        for bad in [p.len() as u64 + 8, 0xDEAD_BEEF_0000, p.len() as u64 - 64, 0] {
+            p.write_u64(next, bad);
+            assert_eq!(backed(&h, 12), seg_base(1), "link {bad:#x}");
+        }
     }
 
     #[test]
     fn garbage_pending_cannot_drive_the_checked_fill_past_the_chain() {
         let p = pool();
         let h = PHistory::create(&p).unwrap();
-        for _ in 0..20 {
-            h.claim(); // segments 0..=3: 30 slots of backing
+        for _ in 0..30 {
+            h.claim(); // segments 0..=3: 56 slots of backing
         }
         // A torn or scrambled `pending` word claims slots that never
         // existed; the fill stops where the links do.
-        for garbage in [31, 1 << 40, u64::MAX - 1, u64::MAX] {
+        for garbage in [57, 1 << 40, u64::MAX - 1, u64::MAX] {
             assert_eq!(backed(&h, garbage), seg_base(4), "pending = {garbage}");
         }
         // A chain bent into a cycle cannot be walked forever either: the
         // level-3 segment re-linked as its own successor fails level 4's
         // geometry check.
         let (_, _, mut seg) = h.raw_header();
-        for _ in 0..3 {
+        for _ in 0..2 {
             seg = p.read_u64(seg);
         }
         p.write_u64(seg, seg);
         assert_eq!(backed(&h, u64::MAX), seg_base(4));
+        // An empty history has no backing to offer a garbage counter either.
+        let empty = PHistory::create(&p).unwrap();
+        assert_eq!(backed(&empty, u64::MAX), seg_base(1));
+    }
+
+    #[test]
+    fn checked_fill_backs_nothing_in_a_wiped_history_block() {
+        let p = pool();
+        let h = PHistory::create(&p).unwrap();
+        for _ in 0..5 {
+            h.claim();
+        }
+        assert_eq!(backed(&h, 5), 5);
+        let check = h.hdr + offset_of!(HistoryHdr, check) as u64;
+        // A zeroed block reads as "no key was ever written here" word for
+        // word — but for the check word, which is never zero.
+        for wiped in [0, geometry_crc(0) ^ 1, geometry_crc(1), u64::MAX] {
+            p.write_u64(check, wiped);
+            assert_eq!(backed(&h, 5), 0, "check word {wiped:#x}");
+            assert_eq!(h.fill(&mut Cursor::new(), 5), 5, "a live store trusts its own blocks");
+        }
     }
 }

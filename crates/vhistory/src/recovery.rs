@@ -46,7 +46,9 @@ pub enum ScanStop {
     Unpublished,
     /// The backing segment was never linked, or its header failed
     /// validation (out-of-bounds link / torn or corrupt header). The
-    /// prefix then ends exactly at that segment's first slot.
+    /// prefix then ends exactly at that segment's first slot. Segment 0 is
+    /// the history block and needs no link: the prefix ends at slot 0 only
+    /// when the block's own check word fails (a zeroed or overwritten block).
     Unlinked,
     /// A `done` stamp disagreed with its version, or versions broke
     /// monotonicity — torn metadata.
@@ -57,23 +59,28 @@ pub enum ScanStop {
 }
 
 /// Walks slots from 0 and appends the versions of the contiguous published
-/// prefix to `versions`, in slot order. Stops at the first slot whose `done`
-/// stamp is missing, whose backing segment was never linked, whose version
-/// breaks monotonicity (torn metadata), or whose payload fails its CRC
-/// (media corruption).
+/// prefix to `versions`, in slot order — the paper's rule: the prefix is what
+/// the `done` stamps say, not what a counter says. Stops at the first slot
+/// whose `done` stamp is missing, whose backing segment was never linked,
+/// whose version breaks monotonicity (torn metadata), or whose payload fails
+/// its CRC (media corruption).
 pub fn scan_published_prefix(h: &PHistory<'_>, versions: &mut Vec<u64>) -> PrefixScan {
     let (pending, tail, _) = h.raw_header();
     let mut cur = Cursor::new();
-    // `pending` is a word read from media: only the slots the checked fill
-    // finds valid backing for exist.
-    let backed = h.fill_checked(&mut cur, pending);
+    // `pending` is a word read from media: too large it would claim slots
+    // that never existed, too small (a zeroed or flipped word) it would hide
+    // published ones. The slots are the ones the checked fill finds valid
+    // backing for; `pending` only says which of them were claimed.
+    let backed = h.fill_checked(&mut cur, u64::MAX);
     let (mut len, mut last) = (0u64, 0u64);
-    let mut stop = if backed < pending { ScanStop::Unlinked } else { ScanStop::Exhausted };
+    // No backing at all is a history block that failed its own check word.
+    let unlinked = backed == 0 || backed < pending;
+    let mut stop = if unlinked { ScanStop::Unlinked } else { ScanStop::Exhausted };
     for idx in 0..backed {
         let e = cur.entry(idx);
         let done = e.done.load(Ordering::Acquire);
         if done == 0 {
-            stop = ScanStop::Unpublished;
+            stop = if idx < pending { ScanStop::Unpublished } else { ScanStop::Exhausted };
             break;
         }
         // ordering: `done` was Acquire-loaded above; the stamp check
@@ -111,12 +118,18 @@ pub struct PruneOutcome {
 /// point (so future appends can't mistake stale slots for published ones).
 pub fn prune_to_watermark(h: &PHistory<'_>, watermark: u64) -> PruneOutcome {
     let (old_pending, old_tail, _) = h.raw_header();
-    // Stop at the first unlinked slot: segments are reached by walking the
-    // chain, so nothing beyond a missing link has storage — and a corrupt
-    // `pending` counter can be astronomically large, so no loop below may
-    // trust it as a real slot count.
+    // Every slot with valid backing, as in the scan: segments are reached by
+    // walking the chain, so nothing beyond a missing link has storage — and
+    // a corrupt `pending` counter can be astronomically large or hide
+    // published slots, so no loop below may trust it as a slot count.
     let mut cur = Cursor::new();
-    let backed = h.fill_checked(&mut cur, old_pending);
+    let backed = h.fill_checked(&mut cur, u64::MAX);
+    if backed == 0 {
+        // The block failed its own check word: zeroed or overwritten on the
+        // media, counters and stamps included.
+        h.reformat();
+        return PruneOutcome { kept: 0, pruned: 0 };
+    }
     let mut keep = 0u64;
     for idx in 0..backed {
         let e = cur.entry(idx);
@@ -132,6 +145,8 @@ pub fn prune_to_watermark(h: &PHistory<'_>, watermark: u64) -> PruneOutcome {
     // Clear orphaned done stamps on slots that still have backing storage.
     // persist_done is flush-only under the coalesced schedule, so close the
     // batch with one explicit fence before the slots can be reused.
+    // `end` runs behind the last discarded slot: claimed, or stamped.
+    let mut end = old_pending.min(backed).max(keep);
     let mut cleared = false;
     for idx in keep..backed {
         let e = cur.entry(idx);
@@ -139,6 +154,7 @@ pub fn prune_to_watermark(h: &PHistory<'_>, watermark: u64) -> PruneOutcome {
             e.done.store(0, Ordering::Release);
             h.persist_done(e);
             cleared = true;
+            end = end.max(idx + 1);
         }
     }
     if cleared {
@@ -153,7 +169,7 @@ pub fn prune_to_watermark(h: &PHistory<'_>, watermark: u64) -> PruneOutcome {
     // `pruned` counts slots that actually had backing storage: a corrupt
     // `pending` counter claims slots that never existed, and reporting
     // those would overflow downstream accumulators.
-    PruneOutcome { kept: keep, pruned: backed - keep }
+    PruneOutcome { kept: keep, pruned: end - keep }
 }
 
 /// Computes the global watermark from the scanned versions, handed over as
@@ -366,18 +382,21 @@ mod tests {
     #[test]
     fn damaged_segment_classifies_unlinked_at_its_first_slot() {
         use crate::slots::seg_base;
-        // 40 published slots span segments 0..=4. Damage segment j in each
+        // 60 published slots span segments 0..=4. Damage segment j in each
         // of the three ways a link can go bad; the prefix must end at
-        // exactly seg_base(j), classified Unlinked, and prune must keep the
-        // same prefix without touching anything beyond it.
+        // exactly seg_base(j) — slot 3 when the link in the history block
+        // itself goes — classified Unlinked, and prune must keep the same
+        // prefix without touching anything beyond it.
         for j in 1..=4u32 {
             for damage in 0..3 {
                 let p = pool();
                 let h = History::new(PHistory::create(&p).unwrap());
-                for v in 1..=40u64 {
+                for v in 1..=60u64 {
                     h.append(v, v * 10);
                 }
-                let (_, _, mut prev) = h.slots().raw_header();
+                // The word linking segment j: the history's third for j = 1,
+                // the first word of segment j − 1 after that.
+                let mut prev = h.slots().pptr().off() + 16;
                 for _ in 1..j {
                     prev = p.read_u64(prev);
                 }
@@ -390,7 +409,7 @@ mod tests {
                 let (found, _) = scan(h.slots());
                 assert_eq!(found.stop, ScanStop::Unlinked, "segment {j}, damage {damage}");
                 assert_eq!(found.len, seg_base(j), "segment {j}, damage {damage}");
-                let out = prune_to_watermark(h.slots(), 40);
+                let out = prune_to_watermark(h.slots(), 60);
                 assert_eq!(out, PruneOutcome { kept: seg_base(j), pruned: 0 });
                 assert_eq!(h.pending(), seg_base(j));
             }
@@ -401,17 +420,73 @@ mod tests {
     fn garbage_pending_is_bounded_by_the_backing() {
         let p = pool();
         let h = History::new(PHistory::create(&p).unwrap());
-        for v in 1..=5u64 {
+        for v in 1..=9u64 {
             h.append(v, v);
         }
-        // Slot 5 is the last of segment 1 and was never claimed: a `pending`
+        // Slot 9 is the last of segment 1 and was never claimed: a `pending`
         // word of u64::MAX claims it and 2^64 more.
         h.slots().force_counters(u64::MAX, 0);
         let (found, versions) = scan(h.slots());
-        assert_eq!((versions, found.stop), (vec![1, 2, 3, 4, 5], ScanStop::Unpublished));
-        let out = prune_to_watermark(h.slots(), 5);
-        assert_eq!(out, PruneOutcome { kept: 5, pruned: 1 }, "only backed slots are counted");
+        assert_eq!((versions, found.stop), ((1..=9).collect(), ScanStop::Unpublished));
+        let out = prune_to_watermark(h.slots(), 9);
+        assert_eq!(out, PruneOutcome { kept: 9, pruned: 1 }, "only backed slots are counted");
+        assert_eq!((h.pending(), h.tail()), (9, 9));
+        // On a history that never left its block the same word stops at the
+        // inline slots: nothing was linked, so nothing more is backed.
+        let small = History::new(PHistory::create(&p).unwrap());
+        small.append(10, 10);
+        small.slots().force_counters(u64::MAX, 0);
+        let (found, versions) = scan(small.slots());
+        assert_eq!((versions, found.stop), (vec![10], ScanStop::Unpublished));
+        let out = prune_to_watermark(small.slots(), 10);
+        assert_eq!(out, PruneOutcome { kept: 1, pruned: 2 });
+    }
+
+    #[test]
+    fn zeroed_counters_hide_no_published_slot() {
+        // `pending` and `tail` share a cache line that the entries may not:
+        // a torn line (or a flipped bit) can zero the counters under
+        // published entries. The stamps say what the prefix is.
+        let p = pool();
+        let h = History::new(PHistory::create(&p).unwrap());
+        for v in 1..=5u64 {
+            h.append(v, v * 10);
+        }
+        h.extend_tail(5);
+        h.slots().force_counters(0, 0);
+        let (found, versions) = scan(h.slots());
+        assert_eq!(versions, [1, 2, 3, 4, 5]);
+        assert_eq!((found.stop, found.settled), (ScanStop::Exhausted, false));
+        assert_eq!(prune_to_watermark(h.slots(), 5), PruneOutcome { kept: 5, pruned: 0 });
         assert_eq!((h.pending(), h.tail()), (5, 5));
+        assert!(scan(h.slots()).0.settled);
+        // A counter that is merely short: the slots behind it were stamped,
+        // so they are discarded as claimed ones would be.
+        h.slots().force_counters(2, 2);
+        assert_eq!(prune_to_watermark(h.slots(), 3), PruneOutcome { kept: 3, pruned: 2 });
+        assert_eq!(scan(h.slots()).1, [1, 2, 3]);
+    }
+
+    #[test]
+    fn wiped_history_block_is_unlinked_at_slot_zero() {
+        // A block zeroed on the media reads, word for word, as a key that
+        // was chained and never written — but for the check word.
+        let p = pool();
+        let h = History::new(PHistory::create(&p).unwrap());
+        h.append(1, 10);
+        let off = h.slots().pptr().off();
+        for word in 0..16 {
+            p.write_u64(off + word * 8, 0);
+        }
+        let (found, versions) = scan(h.slots());
+        assert_eq!((versions, found.len, found.stop), (vec![], 0, ScanStop::Unlinked));
+        assert!(!found.settled, "nothing claimed, nothing found — and nothing trusted");
+        // The prune makes it an empty history again: the key is writable,
+        // and what is written survives the next scan.
+        assert_eq!(prune_to_watermark(h.slots(), 1), PruneOutcome { kept: 0, pruned: 0 });
+        assert!(scan(h.slots()).0.settled);
+        h.append(2, 20);
+        assert_eq!(scan(h.slots()).1, [2]);
     }
 
     #[test]

@@ -2,14 +2,19 @@
 //! histories, the deterministic segment geometry, and the [`Cursor`] that
 //! turns the geometry into addresses.
 //!
-//! A history's slots live in a chain of segments of doubling capacity
-//! (2, 4, 8, …). Because the geometry is deterministic, the segment index
-//! and in-segment position of any slot follow from the slot index alone.
-//! The segment's *address* does not: segment `k` is only reachable through
-//! the `k` links before it, so addressing a slot costs a walk of the chain.
-//! An operation therefore walks once — [`Slots::fill`] records the address
-//! of every segment it passes in an on-stack [`Cursor`] — and indexes the
-//! cursor for every slot it touches afterwards.
+//! A history's slots live in a chain of segments: segment `k` is a 32-byte
+//! header and `(4 << k) − 1` entries — 3, 7, 15, … — so that a segment is
+//! exactly `128 << k` bytes, a power of two an allocator size class holds
+//! with nothing to spare. Segment 0 is the history itself: its three entries
+//! sit behind the history's own header, so a key that is inserted, removed
+//! and inserted again is one block and follows no link. Because the geometry
+//! is deterministic, the segment index and in-segment position of any slot
+//! follow from the slot index alone. The segment's *address* does not:
+//! segment `k ≥ 1` is only reachable through the `k` links before it, so
+//! addressing a slot costs a walk of the chain. An operation therefore walks
+//! once — [`Slots::fill`] records the address of every segment it passes in
+//! an on-stack [`Cursor`] — and indexes the cursor for every slot it touches
+//! afterwards.
 
 use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
 use std::marker::PhantomData;
@@ -42,6 +47,16 @@ pub struct Entry {
 const _: () = assert!(std::mem::size_of::<Entry>() == ENTRY_SIZE);
 
 impl Entry {
+    /// An unclaimed slot: all four words zero, as freshly zeroed PM reads.
+    pub const fn zeroed() -> Self {
+        Entry {
+            version: AtomicU64::new(0),
+            value: AtomicU64::new(0),
+            crc: AtomicU64::new(0),
+            done: AtomicU64::new(0),
+        }
+    }
+
     /// The integrity code for a `(version, value)` payload: CRC32C,
     /// widened to the slot's u64 word (high half zero).
     #[inline]
@@ -112,8 +127,8 @@ pub trait Slots {
     fn publish_fence(&self) {}
 }
 
-/// Segments a [`Cursor`] can resolve: 40 doubling segments hold 2^41 − 2
-/// slots (64 TiB of entries), more than any pool or heap.
+/// Segments a [`Cursor`] can resolve: 40 doubling segments hold 2^42 − 44
+/// slots (128 TiB of entries), more than any pool or heap.
 pub const MAX_SEGMENTS: usize = 40;
 
 /// The addresses of a history's leading segments, resolved by one walk of
@@ -121,8 +136,8 @@ pub const MAX_SEGMENTS: usize = 40;
 /// one operation. Nothing is cached across operations: PM (or the heap
 /// chain) stays the only copy of the links.
 ///
-/// Only the levels a fill reaches are written; a cursor over a one-entry
-/// history costs one link load and one store.
+/// Only the levels a fill reaches are written; a cursor over a history of
+/// up to three entries is one store and no link load.
 pub struct Cursor<'a> {
     levels: u32,
     /// Where the provider's walk continues (meaningful once `levels > 0`).
@@ -143,7 +158,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Number of resolved segments (= chain links followed so far).
+    /// Number of resolved segments (one more than the chain links followed).
     #[inline]
     pub fn levels(&self) -> u32 {
         self.levels
@@ -201,23 +216,41 @@ impl Default for Cursor<'_> {
     }
 }
 
-/// Capacity of segment `k`: 2, 4, 8, … .
+/// Bytes of a segment header: the history's own counters and link for
+/// segment 0, `next / capacity / base / CRC` for every later one.
+pub const SEG_HDR_SIZE: usize = 32;
+
+/// Capacity of segment `k`: 3, 7, 15, … — what is left of `128 << k` bytes
+/// behind the header.
 #[inline]
 pub const fn seg_capacity(k: u32) -> u64 {
-    2u64 << k
+    (4u64 << k) - 1
 }
 
-/// Global slot index of segment `k`'s first entry: 0, 2, 6, 14, … .
+/// Global slot index of segment `k`'s first entry: 0, 3, 10, 25, 56, … .
 #[inline]
 pub const fn seg_base(k: u32) -> u64 {
-    (2u64 << k) - 2
+    (4u64 << k) - 4 - k as u64
 }
+
+// A segment fills a power-of-two block exactly, and the bases are the running
+// sum of the capacities.
+const _: () = {
+    let mut k = 0;
+    while k < MAX_SEGMENTS as u32 {
+        assert!(SEG_HDR_SIZE as u64 + seg_capacity(k) * ENTRY_SIZE as u64 == 128 << k);
+        assert!(seg_base(k) + seg_capacity(k) == seg_base(k + 1));
+        k += 1;
+    }
+};
 
 /// Maps a slot index to `(segment, position within segment)`.
 #[inline]
 pub fn locate(idx: u64) -> (u32, u64) {
-    // Segment k covers [2^(k+1) - 2, 2^(k+2) - 2).
-    let k = 63 - (idx + 2).leading_zeros() - 1;
+    // 4·2^k − 4 − k ≤ idx puts k at ⌊log2(idx + 4)⌋ − 2 or, for the last
+    // few slots below the next power of two, one segment further.
+    let low = 61 - (idx + 4).leading_zeros();
+    let k = low + (idx >= seg_base(low + 1)) as u32;
     (k, idx - seg_base(k))
 }
 
@@ -245,22 +278,37 @@ mod tests {
     #[test]
     fn first_slots_land_in_segment_zero() {
         assert_eq!(locate(0), (0, 0));
-        assert_eq!(locate(1), (0, 1));
-        assert_eq!(locate(2), (1, 0));
-        assert_eq!(locate(5), (1, 3));
-        assert_eq!(locate(6), (2, 0));
-        assert_eq!(locate(13), (2, 7));
-        assert_eq!(locate(14), (3, 0));
+        assert_eq!(locate(2), (0, 2));
+        assert_eq!(locate(3), (1, 0));
+        assert_eq!(locate(9), (1, 6));
+        assert_eq!(locate(10), (2, 0));
+        assert_eq!(locate(24), (2, 14));
+        assert_eq!(locate(25), (3, 0));
+        let boundaries: Vec<u64> = (1..=6).map(seg_base).collect();
+        assert_eq!(boundaries, [3, 10, 25, 56, 119, 246]);
+    }
+
+    #[test]
+    fn locate_is_one_compare_past_the_log() {
+        // Around every boundary, and at the far end of the index range the
+        // cursor can hold.
+        for k in 1..MAX_SEGMENTS as u32 {
+            let base = seg_base(k);
+            assert_eq!(locate(base - 1), (k - 1, seg_capacity(k - 1) - 1), "last slot of {k}−1");
+            assert_eq!(locate(base), (k, 0), "first slot of segment {k}");
+            // The slots between the boundary and the power of two behind it
+            // are the ones the log alone puts a segment too low.
+            let pow = (4u64 << k) - 4;
+            assert_eq!(locate(pow), (k, k as u64));
+            assert_eq!(63 - (base + 4).leading_zeros() - 2, k - 1);
+        }
+        let last = seg_base(MAX_SEGMENTS as u32) - 1;
+        assert_eq!(locate(last).0, MAX_SEGMENTS as u32 - 1);
     }
 
     #[test]
     fn entry_publish_protocol() {
-        let e = Entry {
-            version: AtomicU64::new(0),
-            value: AtomicU64::new(0),
-            crc: AtomicU64::new(0),
-            done: AtomicU64::new(0),
-        };
+        let e = Entry::zeroed();
         assert_eq!(e.load_if_done(), None);
         e.version.store(7, Ordering::Relaxed);
         e.value.store(99, Ordering::Relaxed);
@@ -291,12 +339,6 @@ mod tests {
         assert!(!e.crc_valid());
         // A fully zeroed record (zeroed-block fault) never validates:
         // crc32c(0, 0) != 0.
-        let z = Entry {
-            version: AtomicU64::new(0),
-            value: AtomicU64::new(0),
-            crc: AtomicU64::new(0),
-            done: AtomicU64::new(0),
-        };
-        assert!(!z.crc_valid());
+        assert!(!Entry::zeroed().crc_valid());
     }
 }

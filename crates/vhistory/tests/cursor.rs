@@ -8,7 +8,7 @@ use mvkv_vhistory::slots::{locate, seg_base, seg_capacity};
 use mvkv_vhistory::{Cursor, EHistory, Entry, History, PHistory, Slots};
 use tracked::TrackedSlots;
 
-/// Depth of the `read_deep` histories: slots 0..=255 span segments 0..=7.
+/// Depth of the `read_deep` histories: slots 0..=255 span segments 0..=6.
 const DEPTH: u64 = 256;
 
 #[test]
@@ -18,8 +18,9 @@ fn each_operation_follows_the_chain_at_most_once() {
     for v in 1..=DEPTH {
         h.append(v, v * 2);
     }
-    let (k, _) = locate(DEPTH - 1);
-    let budget = k as u64 + 1;
+    // Segment k is k links from the history block.
+    let budget = locate(DEPTH - 1).0 as u64;
+    assert_eq!(budget, 6);
     h.slots().take_links();
 
     // Nothing is visible yet: this find fills for tail = 0, extends the
@@ -41,19 +42,21 @@ fn each_operation_follows_the_chain_at_most_once() {
     assert_eq!(h.latest(DEPTH).map(|r| r.version), Some(DEPTH));
     assert_eq!(h.slots().take_links(), budget, "latest");
 
-    // Slot 256 is segment 7's third: claim → write → persist → publish →
+    // Slot 256 is segment 6's eleventh: claim → write → persist → publish →
     // persist all use the address the claim's single walk resolved.
     h.append(DEPTH + 1, 0);
-    assert_eq!(h.slots().take_links(), locate(DEPTH).0 as u64 + 1, "append");
+    assert_eq!(h.slots().take_links(), locate(DEPTH).0 as u64, "append");
 
-    // A one-entry history pays for one link, not for the cursor's capacity.
+    // A history of up to three entries — the paper's insert / remove /
+    // insert — pays no link load at all: not to append, not to find.
     let small = EHistory::new();
-    let one = History::new(TrackedSlots::new(&small, 1));
-    one.append(1, 10);
-    one.slots().take_links();
-    assert_eq!(one.find(1, 1), Some(10));
-    assert_eq!(one.find(1, 1), Some(10));
-    assert_eq!(one.slots().take_links(), 2, "one link per find");
+    let three = History::new(TrackedSlots::new(&small, 3));
+    for v in 1..=3 {
+        three.append(v, v * 10);
+        assert_eq!(three.find(v, v), Some(v * 10));
+    }
+    assert_eq!(three.records(3).len(), 3);
+    assert_eq!(three.slots().take_links(), 0, "the inline slots are the history block");
 }
 
 /// Claims `n` slots, then checks that a cursor — filled in one go, and
@@ -80,10 +83,7 @@ fn cursor_agrees_with_claims<'s, S: Slots<Slot = &'s Entry>>(slots: &S, n: u64) 
         step = step * 3 + 1;
         slots.fill(&mut stepped, asked);
         assert!(stepped.covered() >= asked, "a fill covers what it was asked for");
-        assert!(
-            stepped.levels() == 0 || seg_base(stepped.levels() - 1) < asked,
-            "and resolves no segment beyond it"
-        );
+        assert!(seg_base(stepped.levels() - 1) < asked, "and resolves no segment beyond it");
     }
 
     for (idx, &slot) in claimed.iter().enumerate() {
@@ -130,11 +130,11 @@ fn cursor_addressing_agrees_with_locate_in_a_pool() {
 fn indexing_past_the_resolved_segments_panics() {
     let storage = EHistory::new();
     let h = &storage;
-    for _ in 0..6 {
+    for _ in 0..10 {
         h.claim();
     }
     let mut cur = Cursor::new();
-    h.fill(&mut cur, 6);
-    let _ = cur.entry(5);
-    let _ = cur.entry(6); // segment 2 was never linked, let alone resolved
+    h.fill(&mut cur, 10);
+    let _ = cur.entry(9);
+    let _ = cur.entry(10); // segment 2 was never linked, let alone resolved
 }

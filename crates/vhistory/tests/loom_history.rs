@@ -76,14 +76,18 @@ fn concurrent_extenders_keep_tail_monotone() {
 // 2. Segment-chain allocation race
 // ---------------------------------------------------------------------------
 
-/// Two threads claim the first two slots concurrently: both land in segment
-/// 0, so both may race the head-segment CAS; the loser must free its
-/// segment and adopt the winner's, and both entries must be usable.
+/// The inline slots are taken; two threads claim slots 3 and 4
+/// concurrently: both land in segment 1, so both may race the CAS that links
+/// it; the loser must free its segment and adopt the winner's, and both
+/// entries must be usable.
 #[test]
 fn concurrent_claims_race_segment_allocation_safely() {
     use mvkv_sync::sync::atomic::Ordering;
     model(|| {
         let storage = Arc::new(EHistory::new());
+        for inline in 0..3 {
+            assert_eq!((&*storage).claim().0, inline);
+        }
         let s2 = storage.clone();
         let t = thread::spawn(move || {
             let (idx, e) = (&*s2).claim();
@@ -98,9 +102,9 @@ fn concurrent_claims_race_segment_allocation_safely() {
         let theirs = t.join().unwrap();
 
         assert_ne!(mine, theirs, "slot claims must be unique");
-        assert_eq!(h.pending(), 2);
+        assert_eq!(h.pending(), 5);
         let mut cur = Cursor::new();
-        h.fill(&mut cur, 2);
+        h.fill(&mut cur, 5);
         for idx in [mine, theirs] {
             assert_eq!(
                 cur.entry(idx).value.load(Ordering::Relaxed),
@@ -111,11 +115,11 @@ fn concurrent_claims_race_segment_allocation_safely() {
     });
 }
 
-/// Segment 0 is full, its second slot published but not yet under the
-/// tail; a writer claims slot 2 — bumping `pending`, *then* linking segment
+/// Segment 0 is full, its last slot published but not yet under the
+/// tail; a writer claims slot 3 — bumping `pending`, *then* linking segment
 /// 1, then publishing into it — while a second extender and a reader each
 /// resolve their cursor somewhere in between. A cursor filled before the
-/// link covers two slots; when the reader's own tail CAS then loses to an
+/// link covers three slots; when the reader's own tail CAS then loses to an
 /// extender that advanced into segment 1, the length it adopts lies beyond
 /// that cursor. On every interleaving the reader must re-resolve before
 /// indexing (`Cursor::entry` panics on an unresolved level), and what it
@@ -126,24 +130,25 @@ fn reader_cursor_never_indexes_a_segment_linked_after_its_fill() {
         let storage = Arc::new(EHistory::new());
         let h = History::new(&*storage);
         h.append(1, 10);
-        assert_eq!(h.extend_tail(1), 1);
         h.append(2, 20);
+        assert_eq!(h.extend_tail(2), 2);
+        h.append(3, 30);
         let s2 = storage.clone();
-        let writer = thread::spawn(move || History::new(&*s2).append(3, 30));
+        let writer = thread::spawn(move || History::new(&*s2).append(4, 40));
         let s3 = storage.clone();
-        let extender = thread::spawn(move || History::new(&*s3).extend_tail(3));
+        let extender = thread::spawn(move || History::new(&*s3).extend_tail(4));
 
-        match h.find_raw(3, 3) {
-            Some(20) | Some(30) => {}
-            other => panic!("find must see version 2 or 3, got {other:?}"),
+        match h.find_raw(4, 4) {
+            Some(30) | Some(40) => {}
+            other => panic!("find must see version 3 or 4, got {other:?}"),
         }
-        let records = h.records(3);
-        assert!(records.len() == 2 || records.len() == 3, "a published prefix: {records:?}");
+        let records = h.records(4);
+        assert!(records.len() == 3 || records.len() == 4, "a published prefix: {records:?}");
 
         writer.join().unwrap();
-        assert!(extender.join().unwrap() <= 3);
-        assert_eq!(h.find_raw(3, 3), Some(30));
-        assert_eq!(h.tail(), 3);
+        assert!(extender.join().unwrap() <= 4);
+        assert_eq!(h.find_raw(4, 4), Some(40));
+        assert_eq!(h.tail(), 4);
     });
 }
 

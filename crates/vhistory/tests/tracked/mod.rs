@@ -50,8 +50,9 @@ impl<'e> TrackedSlots<'e> {
         self.slots[idx as usize].state.load(Ordering::SeqCst)
     }
 
-    /// Chain links followed since the last call: every level a `fill`
-    /// resolved, plus one walk to the claimed slot's segment per `claim`.
+    /// Chain links followed since the last call: one per level a `fill`
+    /// resolved or a `claim` walked past — segment 0 is the history itself
+    /// and costs none.
     pub fn take_links(&self) -> u64 {
         self.links.swap(0, Ordering::SeqCst)
     }
@@ -72,7 +73,7 @@ impl<'e> Slots for TrackedSlots<'e> {
         let (idx, slot) = self.inner.claim();
         assert!((idx as usize) < self.slots.len(), "wrapper tracks {} slots", self.slots.len());
         self.slots[idx as usize].entry.store(slot as *const Entry as usize, Ordering::SeqCst);
-        self.links.fetch_add(locate(idx).0 as u64 + 1, Ordering::SeqCst);
+        self.links.fetch_add(locate(idx).0 as u64, Ordering::SeqCst);
         (idx, slot)
     }
 
@@ -81,9 +82,9 @@ impl<'e> Slots for TrackedSlots<'e> {
     }
 
     fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
-        let before = cur.levels();
+        let before = cur.levels().max(1);
         let resolved = self.inner.fill(cur, n);
-        self.links.fetch_add((cur.levels() - before) as u64, Ordering::SeqCst);
+        self.links.fetch_add((cur.levels().max(1) - before) as u64, Ordering::SeqCst);
         resolved
     }
 

@@ -249,3 +249,92 @@ fn lazy_tail_monotone_under_concurrent_queries() {
     });
     assert_eq!(hist.extend_tail(10_000), 10_000);
 }
+
+/// The engine's steps for a fresh key, by hand on the PM layers so that the
+/// interleaving is exact: the creator has put the history into the index —
+/// other threads reach it — but has neither linked the key into the chain
+/// nor published its own entry when a second writer appends to the same
+/// history. The inline slots make that append allocation-free: it takes
+/// slot 0 of the creator's block, the creator's own entry slot 1, and the
+/// key stays one block with no segment linked.
+#[test]
+fn second_writer_publishes_into_a_fresh_keys_inline_slots_before_its_creator() {
+    use mvkv::keychain::KeyChain;
+    use mvkv::pmem::{CrashOptions, PPtr, PmemPool};
+    use mvkv::vhistory::recovery::{scan_published_prefix, ScanStop};
+    use mvkv::vhistory::{History, PHistory, VersionClock};
+
+    const KEY: u64 = 77;
+    let pool = PmemPool::create_crash_sim(4 << 20, CrashOptions::default()).unwrap();
+    let chain = KeyChain::create(&pool, 512).unwrap();
+    let clock = VersionClock::new();
+    // The index entry: the history's offset once the creator has inserted it.
+    let indexed = AtomicU64::new(0);
+    let second_done = Barrier::new(2);
+
+    let in_window = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let h = PHistory::create(&pool).unwrap(); // zeroed and flushed, not fenced
+            let blocks = pool.alloc_stats().live_blocks;
+            indexed.store(h.pptr().off(), Ordering::Release);
+            second_done.wait(); // ...and the creator is held right here
+            chain.append(KEY, h.pptr().off()).unwrap();
+            let version = clock.issue();
+            History::new(h).append(version, 20);
+            clock.complete(version);
+            // One chain block (the chain's first) and nothing else since.
+            assert_eq!(pool.alloc_stats().live_blocks, blocks + 1);
+        });
+        let second = scope.spawn(|| {
+            let mut off = 0;
+            while off == 0 {
+                off = indexed.load(Ordering::Acquire);
+                std::hint::spin_loop();
+            }
+            let h = History::new(PHistory::open(&pool, PPtr::from_off(off)));
+            let fences = pool.fence_count().unwrap();
+            let version = clock.issue();
+            h.append(version, 10);
+            clock.complete(version);
+            assert_eq!(pool.fence_count().unwrap() - fences, 1, "no allocation, no link fence");
+            assert_eq!(h.find(version, clock.watermark()), Some(10));
+            let image = pool.crash_image().unwrap();
+            second_done.wait();
+            image
+        });
+        second.join().unwrap()
+    });
+
+    let chained = |pool: &PmemPool| -> Vec<(u64, u64)> {
+        KeyChain::open(pool, chain.pptr()).iter().collect()
+    };
+    let off = indexed.load(Ordering::Acquire);
+    let h = History::new(PHistory::open(&pool, PPtr::from_off(off)));
+    assert_eq!((h.find(1, 2), h.find(2, 2)), (Some(10), Some(20)), "slot order is version order");
+    assert_eq!(h.slots().raw_header(), (2, 2, 0), "both entries inline, no segment linked");
+    assert_eq!(chained(&pool), [(KEY, off)]);
+
+    // Cut the power now: the key is chained and both entries are there.
+    let after = PmemPool::open_image(&pool.crash_image().unwrap()).unwrap();
+    assert_eq!(chained(&after), [(KEY, off)]);
+    let mut versions = Vec::new();
+    let scan = scan_published_prefix(
+        &PHistory::open_checked(&after, PPtr::from_off(off)).unwrap(),
+        &mut versions,
+    );
+    assert_eq!((versions, scan.stop), (vec![1, 2], ScanStop::Exhausted));
+
+    // Cut it inside the window instead — the second writer has returned, the
+    // creator's chain pair is not durable yet — and recovery sees no key at
+    // all, or the key with exactly the second writer's entry: never a torn
+    // one. That the acknowledged version 1 can be lost here is not new with
+    // the inline slots and is an open item (ROADMAP 2, DESIGN.md §13.3).
+    let during = PmemPool::open_image(&in_window).unwrap();
+    for (key, hist) in chained(&during) {
+        assert_eq!((key, hist), (KEY, off));
+        let mut versions = Vec::new();
+        let h = PHistory::open_checked(&during, PPtr::from_off(hist)).unwrap();
+        scan_published_prefix(&h, &mut versions);
+        assert_eq!(versions, [1]);
+    }
+}

@@ -19,8 +19,11 @@
 //! The seed matrix is env-parameterized for CI: set `MVKV_CORRUPT_SEED`
 //! to sweep a single seed per job.
 
-use mvkv::core::{PSkipList, RecoveryStatus, SalvageOpen, StoreSession, VersionedStore};
-use mvkv::pmem::{CorruptOptions, CrashOptions};
+use mvkv::core::{
+    CorruptionClass, PSkipList, RecoveryStatus, SalvageOpen, StoreSession, VersionedStore,
+};
+use mvkv::keychain::KeyChain;
+use mvkv::pmem::{CorruptOptions, CrashOptions, PPtr};
 
 /// Seeds under test: `MVKV_CORRUPT_SEED` pins one (CI matrix), otherwise a
 /// fixed three-seed sweep runs locally.
@@ -181,6 +184,43 @@ fn clean_image_salvages_clean() {
     assert_eq!(out.stats.rebuilt_keys, KEYS);
 }
 
+/// A chain pair whose history offset leaves room for the 32-byte header at
+/// the end of the pool but not for the 128-byte block behind it — what a bit
+/// flip in a pair's offset word that happened to re-validate would look
+/// like. The inline entries of such a history lie out of bounds: the key must
+/// be quarantined as unreachable before anything reads them.
+#[test]
+fn history_block_straddling_the_pool_end_is_unreachable() {
+    let store = PSkipList::create_crash_sim(POOL, CrashOptions::default()).unwrap();
+    let s = store.session();
+    for k in 1..=KEYS {
+        s.insert(k, value_of(k));
+    }
+    store.wait_writes_complete();
+    let pool = store.pool();
+    // The root's first word is the key chain.
+    let chain = KeyChain::open(pool, PPtr::from_off(pool.read_u64(pool.root())));
+    let len = POOL as u64;
+    let short = [(9001, len - 64), (9002, len - 32), (9003, len - 128 + 8)];
+    for (key, hist) in short {
+        chain.append(key, hist).unwrap();
+    }
+    pool.sync_all();
+    let image = store.crash_image().unwrap();
+
+    let out = salvage_and_check(&image, "short-history-block").expect("salvageable");
+    assert_eq!(out.stats.rebuilt_keys, KEYS, "no unreachable history may enter the index");
+    let mut quarantined: Vec<(u64, CorruptionClass)> =
+        out.report.keys.iter().map(|q| (q.key, q.class)).collect();
+    quarantined.sort_unstable_by_key(|&(key, _)| key);
+    assert_eq!(quarantined, short.map(|(key, _)| (key, CorruptionClass::UnreachableHistory)));
+    assert_eq!(out.status, RecoveryStatus::Degraded { recovered: KEYS, quarantined: 3 });
+    let rs = out.store.session();
+    for (key, _) in short {
+        assert_eq!(rs.find(key, u64::MAX), None);
+    }
+}
+
 /// Guards the tentpole's fence budget end-to-end: folding CRCs into the
 /// prepare/publish split must not add a fence to the steady-state path.
 #[test]
@@ -188,8 +228,10 @@ fn publish_fence_budget_stays_one_per_batch() {
     let store = PSkipList::create_crash_sim(POOL, CrashOptions::default()).unwrap();
     let s = store.session();
     let pairs: Vec<(u64, u64)> = (1..=16u64).map(|k| (k, value_of(k))).collect();
-    for _ in 0..3 {
-        s.insert_batch(&pairs); // warm up: allocations fence on their own
+    for _ in 0..4 {
+        // Warm up past the three inline slots and segment 1's adoption:
+        // allocations fence on their own.
+        s.insert_batch(&pairs);
     }
     let before = store.pool().fence_count().unwrap();
     s.insert_batch(&pairs);

@@ -132,7 +132,9 @@ fn sweep_every_boundary(budget_id: &str, run: impl Fn(&PSkipList) -> (Oracle, Ve
     // Exact pin against the static fence-budget lock: the MOD fence audit
     // (DESIGN.md §13) removed the per-pair key-chain fence, the
     // history-create fence, and the allocator state-flip fences, taking the
-    // original scripted workload from 583 to 251 boundaries. The analyzer's
+    // original scripted workload from 583 to 251 boundaries; with segment 0
+    // in the history block a fresh key adopts no segment, and it is 58 (the
+    // mixed workload: 84 to 54). The analyzer's
     // fence-budget pass derives per-entry-point budgets statically; this
     // runtime count is the workload-level cross-check recorded in the same
     // lock file, so a reintroduced (or dropped) fence fails here *and* in
