@@ -46,8 +46,12 @@ pub trait VersionedStore: Send + Sync {
 /// Per-thread operations of a [`VersionedStore`] (paper Table 1).
 pub trait StoreSession {
     /// Inserts (or updates) `key → value`, tagging a new snapshot; returns
-    /// the assigned version. `value` must be below 2^63 (the top of the
-    /// range is reserved for removal markers).
+    /// the assigned version. Every `value` is storable but one:
+    /// [`TOMBSTONE`](crate::TOMBSTONE) (`u64::MAX`) is the removal marker.
+    ///
+    /// # Panics
+    /// If `value` is `TOMBSTONE`, in every build, before a version is
+    /// issued: stored, it would read back as a remove.
     fn insert(&self, key: u64, value: u64) -> u64;
 
     /// Removes `key`, tagging a new snapshot; returns the assigned version.
@@ -58,6 +62,11 @@ pub trait StoreSession {
     /// calling [`StoreSession::insert`] per pair — stores with a batched
     /// write path override this to amortize persist-ordering and watermark
     /// work across the batch (see `PSkipList`).
+    ///
+    /// # Panics
+    /// If a value is `TOMBSTONE`, as `insert` does. No version is left
+    /// incomplete; how many of the pairs before it were inserted is up to
+    /// the store (the skip-list stores refuse the batch whole).
     fn insert_batch(&self, pairs: &[Pair]) -> Vec<u64> {
         pairs.iter().map(|&(k, v)| self.insert(k, v)).collect()
     }

@@ -97,7 +97,7 @@ pub struct DbSession<'a> {
 
 impl StoreSession for DbSession<'_> {
     fn insert(&self, key: u64, value: u64) -> u64 {
-        debug_assert_ne!(value, TOMBSTONE);
+        assert_ne!(value, TOMBSTONE, "value reserved for removal marker");
         let version = self.store.clock.issue();
         self.conn.insert_row(version, key, value).expect("insert transaction failed");
         self.store.clock.complete(version);

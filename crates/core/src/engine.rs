@@ -10,8 +10,13 @@
 //! [`crate::VersionedMap`] wraps `Engine<K, HeapHome>`. Whatever the two
 //! stores' figures differ by is the cost of the home, not of drifted copies.
 //!
+//! A write reaches the index once: `SkipList::insert_with` is the lookup
+//! (paper Algorithm 2 — one `FindSkip`, then append to the history it met or
+//! link a new node where it stopped). A present key costs the descent a
+//! `find` pays; only an absent one runs the home's `create`.
+//!
 //! Crash-consistency ordering on the first mutation of a key (PM home): the
-//! history header is allocated and persisted, the key is linked into the
+//! history block is allocated and flushed, the key is linked into the
 //! chain, and only then is the operation's version appended and completed.
 //! A crash between any two steps leaks at most an unreferenced allocation
 //! (auditable via [`mvkv_pmem::recovery::audit`]) and never produces a
@@ -87,10 +92,9 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
         Engine { index, clock, home, counters: OpCounters::new() }
     }
 
+    /// The one index call of a write: a single descent that returns the
+    /// history the key already has, or links the one created here.
     pub(crate) fn get_or_create_history(&self, key: K) -> u64 {
-        if let Some(payload) = self.index.get(&key) {
-            return payload;
-        }
         let logged = H::logged(&key);
         match self.index.insert_with(key, || self.home.create()) {
             InsertOutcome::Inserted(payload) => {
@@ -113,7 +117,7 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
     /// inherent method would shadow the trait's on `&Engine`.)
     pub(crate) fn put(&self, key: K, value: u64) -> u64 {
         mvkv_obs::span!("mvkv_core_insert_ns");
-        debug_assert_ne!(value, TOMBSTONE, "value reserved for removal marker");
+        assert_ne!(value, TOMBSTONE, "value reserved for removal marker");
         self.counters.insert();
         self.mutate(key, value)
     }
@@ -152,12 +156,14 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
     {
         mvkv_obs::span!("mvkv_core_insert_batch_ns");
         mvkv_obs::counter_add!("mvkv_core_insert_batch_pairs_total", pairs.len() as u64);
+        // Up front: past this point every issued version must complete.
+        let storable = pairs.iter().all(|&(_, value)| value != TOMBSTONE);
+        assert!(storable, "value reserved for removal marker");
         let mut versions = Vec::with_capacity(pairs.len());
         let mut staged = Vec::with_capacity(pairs.len().min(BATCH_CHUNK));
         for chunk in pairs.chunks(BATCH_CHUNK) {
             staged.clear();
             for &(key, value) in chunk {
-                debug_assert_ne!(value, TOMBSTONE, "value reserved for removal marker");
                 self.counters.insert();
                 let hist = self.get_or_create_history(key);
                 let version = self.clock.issue();
@@ -337,6 +343,59 @@ mod tests {
     fn insert_batch_matches_per_pair_inserts_on_both_stores() {
         insert_batch_matches_per_pair_inserts(PSkipList::create_volatile(1 << 24).unwrap());
         insert_batch_matches_per_pair_inserts(ESkipList::new());
+    }
+
+    thread_local! {
+        /// `Ord::cmp` calls on [`Probe`] keys made by this test's thread.
+        static COMPARISONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A key that counts how often the index compares it.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    struct Probe(u64);
+
+    impl PartialOrd for Probe {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Probe {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            COMPARISONS.with(|c| c.set(c.get() + 1));
+            self.0.cmp(&other.0)
+        }
+    }
+
+    /// Every write is one index descent. Counted in key comparisons, the
+    /// index's only per-level work: a write makes exactly as many as an
+    /// `index.get` of its key, taken on the same index just before it.
+    #[test]
+    fn every_write_reaches_the_index_once() {
+        let store: Engine<Probe, crate::HeapHome> = Engine::new();
+        // Keys 10, 20, .. 3000 in scattered order.
+        for i in 0..300u64 {
+            store.put(Probe((i * 211 % 300 + 1) * 10), i);
+        }
+        fn count<R>(f: impl FnOnce() -> R) -> usize {
+            let before = COMPARISONS.with(|c| c.get());
+            f();
+            COMPARISONS.with(|c| c.get()) - before
+        }
+        let descent = |key| count(|| store.index.get(&Probe(key)));
+
+        let one = descent(1505);
+        assert_eq!(count(|| store.put(Probe(1505), 1)), one, "fresh insert");
+        let one = descent(700);
+        assert_eq!(count(|| store.put(Probe(700), 2)), one, "update");
+        assert_eq!(count(|| store.delete(Probe(700))), one, "remove");
+        // A remove of a key that was never inserted creates it — in one too.
+        let one = descent(2995);
+        assert_eq!(count(|| store.delete(Probe(2995))), one, "fresh remove");
+        // The update first: it leaves the index as the second count found it.
+        let two = descent(700) + descent(15);
+        let pair = [(Probe(700), 3), (Probe(15), 4)];
+        assert_eq!(count(|| store.put_batch(&pair)), two, "put_batch pair");
+        assert_eq!(store.index.len(), 303);
     }
 
     fn snapshot_extraction_is_sorted_and_complete<S: VersionedStore>(store: S) {

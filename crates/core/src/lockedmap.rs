@@ -91,7 +91,7 @@ impl VersionedStore for LockedMap {
 
 impl StoreSession for &LockedMap {
     fn insert(&self, key: u64, value: u64) -> u64 {
-        debug_assert_ne!(value, TOMBSTONE);
+        assert_ne!(value, TOMBSTONE, "value reserved for removal marker");
         let hist = self.get_or_create_history(key);
         let version = self.clock.issue();
         History::new(&*hist).append(version, value);

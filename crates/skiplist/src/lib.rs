@@ -16,16 +16,23 @@
 //! * A node is one allocation: a header (`key`, payload, height) with its
 //!   tower of link cells inline behind it, immutable after publication
 //!   except for the links.
-//! * The internal `find` routine implements Algorithm 2: a top-down scan collecting
-//!   the predecessor cell and successor node per level. Only inserts use it;
-//!   reads (`get`, `range_from`) run a descent with no bookkeeping that
-//!   returns at the first level where it meets the key — sound because
-//!   towers are linked bottom-up, so a node visible at any level is already
-//!   in the level-0 list.
+//! * One internal descent implements Algorithm 2's `FindSkip` for reads and
+//!   writes alike: top-down, one key comparison per node visited, returning
+//!   at the first level where it meets the key — sound because towers are
+//!   linked bottom-up, so a node visible at any level is already in the
+//!   level-0 list, and nodes are never unlinked. Reads (`get`,
+//!   `range_from`) keep nothing of the path; `insert_with` has the same
+//!   descent record the predecessor cell and successor node of every level
+//!   it leaves, so it *is* the lookup: a present key costs a `get` and
+//!   returns its payload, an absent one is linked against what the descent
+//!   recorded, with no second walk.
 //! * Insertion CASes the level-0 predecessor cell (the linearization
-//!   point), then links upper levels with per-level retries.
+//!   point), then links upper levels with per-level retries. A lost CAS
+//!   re-runs the descent: before publication it may meet a duplicate-key
+//!   winner (at any level of the winner's tower), after publication it stops
+//!   at its own node, one level below the one it is linking.
 //! * If two threads race to insert the same key, the loser detects the
-//!   winner at the level-0 CAS, frees its own node and *"reuses the pointer
+//!   winner after its failed level-0 CAS, frees its own node and *"reuses the pointer
 //!   of the faster thread"* — surfaced to callers as
 //!   [`InsertOutcome::Lost`] so they can reclaim the payload they created.
 //! * A list whose keys are all known up front (a restart) is not inserted

@@ -166,6 +166,42 @@ fn backoff(attempt: usize) {
 #[inline]
 fn backoff(_attempt: usize) {}
 
+/// What a descent keeps of the levels it leaves (see [`SkipList::descend`]).
+trait Path<K> {
+    /// The descent found no match at `level`: `pred` is the last node there
+    /// with a smaller key (or the head), `succ` the link out of it.
+    fn leave(&mut self, level: usize, pred: *mut Node<K>, succ: *mut Node<K>);
+}
+
+/// A read keeps nothing.
+impl<K> Path<K> for () {
+    #[inline(always)]
+    fn leave(&mut self, _: usize, _: *mut Node<K>, _: *mut Node<K>) {}
+}
+
+/// Where a new node goes: per level, the cell to CAS (`preds[level]`'s link)
+/// and the value the descent read from it. Starts out as "head, then end of
+/// list" at every level, which is what a level no descent has reached yet
+/// holds.
+struct Splice<K> {
+    preds: [*mut Node<K>; MAX_HEIGHT],
+    succs: [*mut Node<K>; MAX_HEIGHT],
+}
+
+impl<K> Splice<K> {
+    fn new(head: *mut Node<K>) -> Self {
+        Splice { preds: [head; MAX_HEIGHT], succs: [ptr::null_mut(); MAX_HEIGHT] }
+    }
+}
+
+impl<K> Path<K> for Splice<K> {
+    #[inline(always)]
+    fn leave(&mut self, level: usize, pred: *mut Node<K>, succ: *mut Node<K>) {
+        self.preds[level] = pred;
+        self.succs[level] = succ;
+    }
+}
+
 /// Result of [`SkipList::insert_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertOutcome {
@@ -291,9 +327,14 @@ impl<K: Ord> SkipList<K> {
         ((z.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
     }
 
-    /// The read-only descent: the first node with key ≥ `key` (null = none)
-    /// and whether its key equals `key`. No per-level bookkeeping, one
-    /// `Ord::cmp` per distinct node visited.
+    /// The descent — Algorithm 2's `FindSkip`, and the only place the list
+    /// compares keys: the first node with key ≥ `key` (null = none) and
+    /// whether its key equals `key`. At every level it leaves without a
+    /// match it hands `path` the predecessor and the successor (first node
+    /// with a larger key, null = end) there; levels at or above the list's
+    /// current height are not reported. Reads pass `()` and the bookkeeping
+    /// compiles away; writes pass a [`Splice`]. One `Ord::cmp` per distinct
+    /// node visited.
     ///
     /// **Early exit.** The descent returns at the first level where it
     /// meets an equal key instead of walking down to level 0. This is
@@ -307,11 +348,21 @@ impl<K: Ord> SkipList<K> {
     /// link and the level-0 CAS, so the header and the level-0 successor
     /// read through the node are the published ones.
     ///
+    /// The argument does not ask who is descending. A writer that meets its
+    /// key at an upper level has met a published node whose payload never
+    /// changes — the key exists, whether it was there all along or won a
+    /// race a moment ago — and reports it without having seen level 0. A
+    /// writer re-scanning for its *own* published node (after losing an
+    /// upper-level CAS at level L) meets it at level L − 1, where it is
+    /// already linked, having reported every level from L up: exactly the
+    /// ones it still has to link.
+    ///
     /// Keys are unique, so on a match the equal node is also the lower
     /// bound; on a miss the descent ends at level 0 with `curr` the first
     /// node with a larger key. When a level's successor is the node the
     /// level above just found larger, its key is not compared again.
-    fn lower_bound(&self, key: &K) -> (*mut Node<K>, bool) {
+    #[inline]
+    fn descend<P: Path<K>>(&self, key: &K, path: &mut P) -> (*mut Node<K>, bool) {
         let mut level = self.max_level.load(Ordering::Acquire) - 1;
         let mut pred = self.head;
         let mut larger: *mut Node<K> = ptr::null_mut();
@@ -347,6 +398,7 @@ impl<K: Ord> SkipList<K> {
                     KeyOrder::Greater => larger = curr,
                 }
             }
+            path.leave(level, pred, curr);
             if level == 0 {
                 return (curr, false);
             }
@@ -356,52 +408,20 @@ impl<K: Ord> SkipList<K> {
 
     /// Looks up the payload for `key`.
     pub fn get(&self, key: &K) -> Option<u64> {
-        let (node, found) = self.lower_bound(key);
-        // SAFETY: a found node is non-null and published (see `lower_bound`).
+        let (node, found) = self.descend(key, &mut ());
+        // SAFETY: a found node is non-null and published (see `descend`).
         found.then(|| unsafe { (*node).value })
     }
 
     /// In-order iterator starting at the first key ≥ `key`.
     pub fn range_from(&self, key: &K) -> Iter<'_, K> {
-        Iter { curr: self.lower_bound(key).0, _list: PhantomData }
-    }
-
-    /// Algorithm 2 (`FindSkip`), the write descent: per level, the
-    /// predecessor node and the successor (first node with key ≥ `key`,
-    /// null = end). Returns the level-0 match if the key is present.
-    /// Levels at or above the list's current height are left untouched:
-    /// callers initialize `preds` to the head and `succs` to null.
-    fn find(
-        &self,
-        key: &K,
-        preds: &mut [*mut Node<K>; MAX_HEIGHT],
-        succs: &mut [*mut Node<K>; MAX_HEIGHT],
-    ) -> *mut Node<K> {
-        let mut level = self.max_level.load(Ordering::Acquire) - 1;
-        let mut pred = self.head;
-        loop {
-            // SAFETY: as in `lower_bound` — `pred` was reached at `level` or
-            // above, and nodes are never freed while the list lives.
-            let mut curr = unsafe { Node::next(pred, level) }.load(Ordering::Acquire);
-            // SAFETY: non-null nodes read from a live link are published.
-            while !curr.is_null() && unsafe { &(*curr).key } < key {
-                pred = curr;
-                // SAFETY: `pred` was just reached at `level`.
-                curr = unsafe { Node::next(pred, level) }.load(Ordering::Acquire);
-            }
-            preds[level] = pred;
-            succs[level] = curr;
-            if level == 0 {
-                // SAFETY: `curr` is non-null and was read from a live link.
-                let found = !curr.is_null() && unsafe { &(*curr).key } == key;
-                return if found { curr } else { ptr::null_mut() };
-            }
-            level -= 1;
-        }
+        Iter { curr: self.descend(key, &mut ()).0, _list: PhantomData }
     }
 
     /// Inserts `key` with a payload produced by `factory` (called at most
-    /// once, only when the key appears absent). On a duplicate-key race the
+    /// once, only when the key appears absent) — or looks it up: if the key
+    /// is present the one descent returns its payload at the level it meets
+    /// it, at the cost of a [`SkipList::get`]. On a duplicate-key race the
     /// loser's node is freed here; any payload the factory produced is
     /// handed back via [`InsertOutcome::Lost::yours`] for caller cleanup.
     pub fn insert_with<F: FnOnce() -> u64>(&self, key: K, factory: F) -> InsertOutcome {
@@ -415,12 +435,11 @@ impl<K: Ord> SkipList<K> {
         H: FnOnce(&Self) -> usize,
         F: FnOnce() -> u64,
     {
-        let mut preds = [self.head; MAX_HEIGHT];
-        let mut succs = [ptr::null_mut(); MAX_HEIGHT];
+        let mut at = Splice::new(self.head);
 
-        let existing = self.find(&key, &mut preds, &mut succs);
-        if !existing.is_null() {
-            // SAFETY: `find` returned a published node; its header is immutable.
+        let (existing, found) = self.descend(&key, &mut at);
+        if found {
+            // SAFETY: `descend` found a published node; its header is immutable.
             let value = unsafe { (*existing).value };
             return InsertOutcome::Lost { existing: value, yours: None };
         }
@@ -446,14 +465,14 @@ impl<K: Ord> SkipList<K> {
         // Level-0 CAS is the linearization point; retry on any interference.
         let mut attempt = 0usize;
         loop {
-            for (level, succ) in succs.iter().enumerate().take(height) {
+            for (level, succ) in at.succs.iter().enumerate().take(height) {
                 // SAFETY: node is still private to this thread.
                 // ordering: the level-0 AcqRel CAS below publishes these.
                 unsafe { Node::next(node, level) }.store(*succ, Ordering::Relaxed);
             }
             // SAFETY: every node (and the head) has a level-0 link.
-            let cell0 = unsafe { Node::next(preds[0], 0) };
-            match cell0.compare_exchange(succs[0], node, Ordering::AcqRel, Ordering::Acquire) {
+            let cell0 = unsafe { Node::next(at.preds[0], 0) };
+            match cell0.compare_exchange(at.succs[0], node, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => break,
                 Err(_) => {
                     // Something changed next to us: back off, then re-scan.
@@ -463,10 +482,12 @@ impl<K: Ord> SkipList<K> {
                     attempt += 1;
                     backoff(attempt);
                     // SAFETY: node is still exclusively ours (CAS failed).
-                    let winner = self.find(unsafe { &(*node).key }, &mut preds, &mut succs);
-                    if !winner.is_null() {
-                        // Duplicate-key race lost: free our unpublished node,
-                        // surface our payload for cleanup, adopt the winner's.
+                    let (winner, lost) = self.descend(unsafe { &(*node).key }, &mut at);
+                    if lost {
+                        // Duplicate-key race lost — the winner may have been
+                        // met at any level of its tower: free our unpublished
+                        // node, surface our payload for cleanup, adopt the
+                        // winner's.
                         // SAFETY: winner is a published, never-freed node.
                         let existing = unsafe { (*winner).value };
                         // SAFETY: node came from `Node::new` and never
@@ -489,17 +510,16 @@ impl<K: Ord> SkipList<K> {
         'tower: for level in 1..height {
             let mut tries = 0usize;
             loop {
-                let succ = succs[level];
-                if succ == node {
-                    break; // already linked here by a previous iteration's re-scan
-                }
+                // Never `node` itself: a descent reports only levels it
+                // leaves without a match.
+                let succ = at.succs[level];
                 // SAFETY: node is published; next updates are atomic.
                 // ordering: made visible by the AcqRel CAS on the pred cell
                 // right below; on CAS failure the store is redone.
                 unsafe { Node::next(node, level) }.store(succ, Ordering::Relaxed);
-                // SAFETY: `find` recorded `preds[level]` at `level` (or it is
-                // the head), so its tower is taller than `level`.
-                let cell = unsafe { Node::next(preds[level], level) };
+                // SAFETY: a descent reported `preds[level]` at `level` (or it
+                // is the head), so its tower is taller than `level`.
+                let cell = unsafe { Node::next(at.preds[level], level) };
                 if cell
                     .compare_exchange(succ, node, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
@@ -511,8 +531,12 @@ impl<K: Ord> SkipList<K> {
                     break 'tower; // leave the tower short; level 0 is truth
                 }
                 backoff(tries);
+                // The re-scan meets `node` at `level - 1`, its highest link
+                // so far, and stops there: `level` and everything above —
+                // all this loop has left to read — are reported afresh.
                 // SAFETY: node is published and its key is immutable.
-                let _ = self.find(unsafe { &(*node).key }, &mut preds, &mut succs);
+                let (met, _) = self.descend(unsafe { &(*node).key }, &mut at);
+                debug_assert_eq!(met, node, "keys are unique and nodes are never unlinked");
             }
         }
 
@@ -896,6 +920,72 @@ mod tests {
         }
     }
 
+    thread_local! {
+        /// `Ord::cmp` calls on [`Tallied`] keys made by this test's thread.
+        static COMPARISONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A key that counts how often it is compared.
+    #[derive(Clone, PartialEq, Eq)]
+    struct Tallied(u64);
+
+    impl PartialOrd for Tallied {
+        fn partial_cmp(&self, other: &Self) -> Option<KeyOrder> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Tallied {
+        fn cmp(&self, other: &Self) -> KeyOrder {
+            COMPARISONS.with(|c| c.set(c.get() + 1));
+            self.0.cmp(&other.0)
+        }
+    }
+
+    /// `f`'s result and the number of key comparisons it made.
+    fn comparisons<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        let before = COMPARISONS.with(|c| c.get());
+        let result = f();
+        (result, COMPARISONS.with(|c| c.get()) - before)
+    }
+
+    /// One descent per write, as a count: `insert_with` compares keys exactly
+    /// as often as a `get` of the same key on the same list — whether it
+    /// finds the key (at whatever level; the factory never runs) or links a
+    /// new node (the splice compares nothing). Towers are forced, as in
+    /// `reads_agree_with_btreemap_at_every_level`, so present keys are met at
+    /// every level and absent ones fall below, between and above all keys.
+    #[test]
+    fn a_write_compares_keys_as_often_as_a_read() {
+        let n = 3 * MAX_HEIGHT as u64;
+        let mut entries: Vec<(Tallied, u64, usize)> = (0..n)
+            .map(|i| (Tallied(10 * (i + 1)), 1000 + i, (i as usize * 7) % MAX_HEIGHT + 1))
+            .collect();
+        let bulk = SkipList::bulk_with_towers(entries.clone(), 5);
+        entries.sort_by_key(|(k, ..)| k.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        for l in [SkipList::with_towers(entries), bulk] {
+            for i in 0..n {
+                let key = Tallied(10 * (i + 1));
+                let (got, read) = comparisons(|| l.get(&key));
+                let (outcome, write) = comparisons(|| {
+                    l.insert_tower(key.clone(), |_| panic!("no height"), || panic!("no payload"))
+                });
+                assert_eq!(outcome, InsertOutcome::Lost { existing: 1000 + i, yours: None });
+                assert_eq!((got, write), (Some(1000 + i), read), "present key {}", key.0);
+            }
+            // Absent keys, each measured against the list as it is by then.
+            for i in 0..=n {
+                let key = Tallied(10 * i + 5);
+                let (got, read) = comparisons(|| l.get(&key));
+                let height = (i as usize * 5) % MAX_HEIGHT + 1;
+                let (outcome, write) =
+                    comparisons(|| l.insert_tower(key.clone(), |_| height, || i));
+                assert_eq!((got, outcome), (None, InsertOutcome::Inserted(i)));
+                assert_eq!(write, read, "absent key {}, tower {height}", key.0);
+            }
+            assert_eq!(l.len(), 2 * n + 1);
+        }
+    }
+
     #[test]
     #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
     fn agrees_with_btreemap_model() {
@@ -959,12 +1049,13 @@ mod tests {
         // Abandoned tower: a height-5 node linked at level 0 only, with a
         // stale successor left in a level it never reached — the state
         // `insert_with` leaves behind after UPPER_LINK_RETRIES lost races.
-        let (mut preds, mut succs) = ([l.head; MAX_HEIGHT], [ptr::null_mut(); MAX_HEIGHT]);
+        let mut at = Splice::new(l.head);
         let short = key(57);
-        assert!(l.find(&short, &mut preds, &mut succs).is_null());
+        assert!(!l.descend(&short, &mut at).1);
+        let Splice { preds, succs } = at;
         let node = Node::new(short, 9, 5);
         // SAFETY: `node` is private until the CAS; `preds`/`succs` come from
-        // `find` on this list, which no other thread is using.
+        // `descend` on this list, which no other thread is using.
         unsafe {
             Node::next(node, 0).store(succs[0], Ordering::Relaxed);
             Node::next(node, 3).store(succs[0], Ordering::Relaxed);

@@ -180,3 +180,122 @@ fn inserter_and_reader_on_a_bulk_built_list() {
         assert_eq!(pairs, [(10, 100), (20, 200), (30, 300), (40, 400), (45, 450), (50, 500)]);
     });
 }
+
+/// A key that counts its drops (on a plain counter: the model checker need
+/// not schedule around it); ordered by `id` alone.
+struct Counted {
+    id: u64,
+    drops: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.drops.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+impl PartialEq for Counted {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+    }
+}
+impl Eq for Counted {}
+impl PartialOrd for Counted {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Counted {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.id.cmp(&other.id)
+    }
+}
+
+/// The writer's early exit, duplicate-key side: two inserters of one key
+/// whose towers are both at least two high (the three keys inserted up front
+/// use up the model build's short draws; the racers get 2 and 5).
+///
+/// The write descent returns at the first level where it meets the key, so
+/// the loser of the level-0 CAS may meet the winner through a level-1+ link
+/// the winner has just made, never having seen it at level 0. Wherever it
+/// meets it: exactly one `Inserted`; the loser reports the winner's payload
+/// and hands its own back if its factory ran; the loser's key — pre-check, or
+/// inside its unpublished node — is dropped exactly once and the winner's
+/// only with the list.
+#[test]
+fn duplicate_race_loser_may_meet_a_tall_winner_above_level_zero() {
+    use mvkv_skiplist::InsertOutcome::{Inserted, Lost};
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    // Across all schedules: how often the loser got as far as building a node.
+    static NODES_FREED: AtomicUsize = AtomicUsize::new(0);
+    model(|| {
+        let drops = std::sync::Arc::new(AtomicUsize::new(0));
+        let key = |id| Counted { id, drops: drops.clone() };
+        let list = Arc::new(SkipList::new());
+        for id in [101u64, 102, 103] {
+            list.insert_with(key(id), || id * 10);
+        }
+        let (l2, k2) = (list.clone(), key(7));
+        let t = thread::spawn(move || l2.insert_with(k2, || 70));
+        let mine = list.insert_with(key(7), || 71);
+        let theirs = t.join().unwrap();
+
+        let (won, lost, losers) =
+            if mine.inserted() { (mine, theirs, 70) } else { (theirs, mine, 71) };
+        match (won, lost) {
+            (Inserted(installed), Lost { existing, yours }) => {
+                assert_eq!(existing, installed, "the loser adopts the winner's payload");
+                assert!(yours.is_none() || yours == Some(losers), "{lost:?}");
+                NODES_FREED.fetch_add(usize::from(yours.is_some()), SeqCst);
+            }
+            other => panic!("exactly one inserter may win: {other:?}"),
+        }
+        assert_eq!(drops.load(SeqCst), 1, "the loser's key is dropped once, the winner's not");
+        assert_eq!(list.len(), 4);
+        let probe = Counted { id: 7, drops: Default::default() }; // counts apart
+        assert_eq!(list.get(&probe), Some(mine.payload()));
+        let ids: Vec<u64> = list.iter().map(|(k, _)| k.id).collect();
+        assert_eq!(ids, [7, 101, 102, 103], "the loser's node must never be reachable");
+        drop(Arc::into_inner(list).expect("the inserter was joined"));
+        assert_eq!(drops.load(SeqCst), 5);
+    });
+    assert!(NODES_FREED.load(SeqCst) > 0, "no schedule raced past the pre-check");
+}
+
+/// The writer's early exit, tower side: two inserters of adjacent keys whose
+/// towers are both at least two high and share the head as predecessor at
+/// every upper level, so whichever links level 1 second fails its CAS there
+/// and re-scans for a key that is already published — its own. The re-scan
+/// stops where it meets its own node (level 0, the only level it is linked
+/// at), with every level above reported afresh; the tower is then linked
+/// against those. While that goes on a key whose insert has returned, and
+/// every key inserted up front, is found by `get`; afterwards every key is,
+/// every gap is a miss, and every seek lands in order.
+#[test]
+fn tower_rescan_stops_at_its_own_node() {
+    model(|| {
+        let list = Arc::new(SkipList::new());
+        for k in [101u64, 102, 103] {
+            list.insert_with(k, || k * 10);
+        }
+        let insert_and_look = |list: &SkipList<u64>, k: u64| {
+            assert!(list.insert_with(k, || k * 10).inserted());
+            for seen in [k, 101, 102, 103] {
+                assert_eq!(list.get(&seen), Some(seen * 10), "after inserting {k}");
+            }
+        };
+        let l2 = list.clone();
+        let t = thread::spawn(move || insert_and_look(&l2, 1));
+        insert_and_look(&list, 2);
+        t.join().unwrap();
+
+        let keys = [1u64, 2, 101, 102, 103];
+        assert_eq!(list.len(), 5);
+        assert!(list.iter().map(|(&k, v)| (k, v)).eq(keys.map(|k| (k, k * 10))));
+        for probe in [0u64, 1, 2, 3, 100, 101, 102, 103, 104] {
+            let at = keys.partition_point(|&k| k < probe);
+            assert_eq!(list.get(&probe), keys.contains(&probe).then_some(probe * 10));
+            assert!(list.range_from(&probe).map(|(&k, _)| k).eq(keys[at..].iter().copied()));
+        }
+    });
+}

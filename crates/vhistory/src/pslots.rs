@@ -283,6 +283,29 @@ impl<'p> PHistory<'p> {
         self.fill_from::<true>(cur, n)
     }
 
+    /// Recovery-only: `cur` is where a checked fill of the whole chain
+    /// (`n = u64::MAX`) stopped, so the link behind its last segment is zero
+    /// or failed validation. Returns the pool offset of a failed one: the
+    /// claim that next reaches the slot behind the backing would follow it
+    /// unchecked.
+    pub(crate) fn failed_link(&self, cur: &Cursor<'_>) -> Option<u64> {
+        if cur.levels() == 0 || cur.is_full() {
+            return None; // not a history block / no link left to fail
+        }
+        let link_off = cur.resume() as u64;
+        (self.pool.atomic_u64(link_off).load(Ordering::Acquire) != 0).then_some(link_off)
+    }
+
+    /// Recovery-only: zeroes the link [`PHistory::failed_link`] finds —
+    /// flushed, the caller fences — so that claim allocates a fresh segment.
+    /// Whatever the word pointed at is leaked. Returns whether it wrote.
+    pub(crate) fn cut_failed_link(&self, cur: &Cursor<'_>) -> bool {
+        let Some(link_off) = self.failed_link(cur) else { return false };
+        self.pool.atomic_u64(link_off).store(0, Ordering::Release);
+        self.pool.persist(link_off, 8);
+        true
+    }
+
     /// Recovery-only: force `pending` and `tail` to recovered values
     /// (persisted).
     pub fn force_counters(&self, pending: u64, tail: u64) {

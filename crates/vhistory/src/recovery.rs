@@ -29,9 +29,10 @@ pub struct PrefixScan {
     pub last: u64,
     /// Why the prefix ended where it did.
     pub stop: ScanStop,
-    /// Every claimed slot is published and valid and the header counters
-    /// already equal the prefix length: [`prune_to_watermark`] at any
-    /// watermark ≥ `last` keeps everything and writes nothing.
+    /// Every claimed slot is published and valid, the header counters
+    /// already equal the prefix length and the chain ends in a zero link:
+    /// [`prune_to_watermark`] at any watermark ≥ `last` keeps everything and
+    /// writes nothing.
     pub settled: bool,
 }
 
@@ -100,7 +101,11 @@ pub fn scan_published_prefix(h: &PHistory<'_>, versions: &mut Vec<u64>) -> Prefi
         last = version;
         len += 1;
     }
-    let settled = stop == ScanStop::Exhausted && (pending, tail) == (len, len);
+    // A failed link behind slots nobody claimed yet loses nothing, but the
+    // prune has to cut it before an append gets there.
+    let settled = stop == ScanStop::Exhausted
+        && (pending, tail) == (len, len)
+        && h.failed_link(&cur).is_none();
     PrefixScan { len, last, stop, settled }
 }
 
@@ -114,8 +119,10 @@ pub struct PruneOutcome {
 }
 
 /// Truncates the history to the prefix whose versions are ≤ `watermark`,
-/// resetting `pending`/`tail` and clearing any `done` stamps beyond the keep
-/// point (so future appends can't mistake stale slots for published ones).
+/// resetting `pending`/`tail`, clearing any `done` stamps beyond the keep
+/// point (so future appends can't mistake stale slots for published ones)
+/// and cutting the chain at a segment link that failed validation (so they
+/// can't walk into whatever it points at).
 pub fn prune_to_watermark(h: &PHistory<'_>, watermark: u64) -> PruneOutcome {
     let (old_pending, old_tail, _) = h.raw_header();
     // Every slot with valid backing, as in the scan: segments are reached by
@@ -142,12 +149,13 @@ pub fn prune_to_watermark(h: &PHistory<'_>, watermark: u64) -> PruneOutcome {
         }
         keep += 1;
     }
-    // Clear orphaned done stamps on slots that still have backing storage.
-    // persist_done is flush-only under the coalesced schedule, so close the
-    // batch with one explicit fence before the slots can be reused.
+    // Clear orphaned done stamps on slots that still have backing storage,
+    // and the link the backing ended at if it is a failed one — an append
+    // would follow it unchecked. Both are flush-only, so close the batch with
+    // one explicit fence before the slots can be reused.
     // `end` runs behind the last discarded slot: claimed, or stamped.
     let mut end = old_pending.min(backed).max(keep);
-    let mut cleared = false;
+    let mut cleared = h.cut_failed_link(&cur);
     for idx in keep..backed {
         let e = cur.entry(idx);
         if e.done.load(Ordering::Acquire) != 0 {
@@ -379,6 +387,12 @@ mod tests {
         assert_eq!(h.find(3, wm), Some(22), "the torn version-3 write is gone");
     }
 
+    /// Pool offset of the word linking segment `j ≥ 1`: the history's third
+    /// for `j = 1`, the first word of segment `j − 1` after that.
+    fn link_word(p: &PmemPool, h: &PHistory<'_>, j: u32) -> u64 {
+        (1..j).fold(h.pptr().off() + 16, |prev, _| p.read_u64(prev))
+    }
+
     #[test]
     fn damaged_segment_classifies_unlinked_at_its_first_slot() {
         use crate::slots::seg_base;
@@ -386,34 +400,79 @@ mod tests {
         // of the three ways a link can go bad; the prefix must end at
         // exactly seg_base(j) — slot 3 when the link in the history block
         // itself goes — classified Unlinked, and prune must keep the same
-        // prefix without touching anything beyond it.
+        // prefix and cut the chain there: the appends that follow get a fresh
+        // segment j, and a power cut later everything kept and everything new
+        // reads back.
         for j in 1..=4u32 {
             for damage in 0..3 {
-                let p = pool();
+                let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default())
+                    .unwrap();
                 let h = History::new(PHistory::create(&p).unwrap());
                 for v in 1..=60u64 {
                     h.append(v, v * 10);
                 }
-                // The word linking segment j: the history's third for j = 1,
-                // the first word of segment j − 1 after that.
-                let mut prev = h.slots().pptr().off() + 16;
-                for _ in 1..j {
-                    prev = p.read_u64(prev);
-                }
+                let prev = link_word(&p, h.slots(), j);
                 let seg = p.read_u64(prev);
                 match damage {
                     0 => p.write_u64(seg + 24, p.read_u64(seg + 24) ^ 0x5A5A), // header crc
                     1 => p.write_u64(prev, p.len() as u64 + 64),               // link out of bounds
                     _ => p.write_u64(prev, 0),                                 // link torn away
                 }
+                p.sync_all(); // the damage is on the media
                 let (found, _) = scan(h.slots());
                 assert_eq!(found.stop, ScanStop::Unlinked, "segment {j}, damage {damage}");
                 assert_eq!(found.len, seg_base(j), "segment {j}, damage {damage}");
                 let out = prune_to_watermark(h.slots(), 60);
                 assert_eq!(out, PruneOutcome { kept: seg_base(j), pruned: 0 });
                 assert_eq!(h.pending(), seg_base(j));
+                assert_eq!(p.read_u64(prev), 0, "segment {j}, damage {damage}: bad link stays");
+
+                // Enough appends to fill the new segment j and start j + 1.
+                let kept: Vec<u64> = (1..=seg_base(j)).collect();
+                let new: Vec<u64> = (61..=61 + seg_base(j + 1) - seg_base(j)).collect();
+                for &v in &new {
+                    h.append(v, v * 10);
+                }
+                assert_ne!(p.read_u64(prev), seg, "the damaged segment is not linked again");
+                let reopened = PmemPool::open_image(&p.crash_image().unwrap()).unwrap();
+                let h = History::new(PHistory::open(&reopened, h.slots().pptr()));
+                let (found, versions) = scan(h.slots());
+                assert_eq!(found.stop, ScanStop::Exhausted, "segment {j}, damage {damage}");
+                assert_eq!(versions, [kept, new].concat(), "segment {j}, damage {damage}");
+                let newest = *versions.last().unwrap();
+                for v in versions {
+                    assert_eq!(h.find(v, newest), Some(v * 10), "segment {j}, damage {damage}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn failed_link_behind_unclaimed_slots_is_cut_too() {
+        use crate::slots::seg_base;
+        // The history ends exactly where segment 2 would begin, every counter
+        // in place — and the link word behind it is garbage. No slot is lost,
+        // so the prefix is Exhausted; but the next append would follow the
+        // word, so the history is not settled and the prune cuts it.
+        let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
+        let h = History::new(PHistory::create(&p).unwrap());
+        let full = seg_base(2);
+        for v in 1..=full {
+            h.append(v, v * 10);
+        }
+        h.extend_tail(full);
+        assert!(scan(h.slots()).0.settled);
+        let link = link_word(&p, h.slots(), 2);
+        p.write_u64(link, p.len() as u64 + 64);
+        p.sync_all();
+        let (found, _) = scan(h.slots());
+        assert_eq!((found.len, found.stop, found.settled), (full, ScanStop::Exhausted, false));
+        assert_eq!(prune_to_watermark(h.slots(), full), PruneOutcome { kept: full, pruned: 0 });
+        assert!(scan(h.slots()).0.settled);
+        h.append(full + 1, 1);
+        let reopened = PmemPool::open_image(&p.crash_image().unwrap()).unwrap();
+        let h = History::new(PHistory::open(&reopened, h.slots().pptr()));
+        assert_eq!(scan(h.slots()).1, (1..=full + 1).collect::<Vec<_>>());
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! stack of live guards (`locks::walk_held`) and to attribute accesses. The
 //! dataflow is parameterized over a [`CallOracle`] so the interprocedural
 //! summary layer (`summary.rs`) can plug per-function transfer functions into
-//! the same evaluator; [`NoOracle`] keeps the original intraprocedural
-//! semantics where calls are effect-free.
+//! the same evaluator; an oracle that answers [`Transfer::IDENTITY`] for every
+//! call (the tests' `NoOracle`) keeps the original intraprocedural semantics
+//! where calls are effect-free.
 //!
 //! Deliberate parity with the old lint where address tracking would be
 //! needed: *any* flush call clears the dirty state (the pass does not prove
@@ -898,21 +899,10 @@ impl Transfer {
 }
 
 /// Supplies a [`Transfer`] per call site. The summary layer implements this
-/// over the workspace function index; [`NoOracle`] is the intraprocedural
-/// degenerate.
+/// over the workspace function index; answering [`Transfer::IDENTITY`] every
+/// time is the intraprocedural degenerate.
 pub trait CallOracle {
     fn transfer(&self, call: &Call) -> Transfer;
-}
-
-/// Treats every call as effect-free.
-#[cfg(test)]
-pub struct NoOracle;
-
-#[cfg(test)]
-impl CallOracle for NoOracle {
-    fn transfer(&self, _call: &Call) -> Transfer {
-        Transfer::IDENTITY
-    }
 }
 
 #[derive(Default)]
@@ -1045,13 +1035,6 @@ impl DirtyExit {
     }
 }
 
-/// Runs the dataflow over one function body with the intraprocedural
-/// semantics (calls are effect-free).
-#[cfg(test)]
-pub fn dirty_exits(body: &Node, end_line: u32) -> Vec<DirtyExit> {
-    dirty_exits_with(body, end_line, &NoOracle)
-}
-
 /// Runs the dataflow over one function body, resolving call effects through
 /// `oracle`. `end_line` is used as the line of the implicit fall-through
 /// exit.
@@ -1125,6 +1108,21 @@ fn body_end_line(trees: &[Tree]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Treats every call as effect-free.
+    struct NoOracle;
+
+    impl CallOracle for NoOracle {
+        fn transfer(&self, _call: &Call) -> Transfer {
+            Transfer::IDENTITY
+        }
+    }
+
+    /// Runs the dataflow over one function body with the intraprocedural
+    /// semantics (calls are effect-free).
+    fn dirty_exits(body: &Node, end_line: u32) -> Vec<DirtyExit> {
+        dirty_exits_with(body, end_line, &NoOracle)
+    }
 
     fn parse(src: &str) -> SrcFile {
         SrcFile::parse("crates/demo/src/lib.rs".into(), src.into())

@@ -99,6 +99,35 @@ fn edge_key_values() {
     check_store(&DbStore::mem(), &script);
 }
 
+/// `insert(k, TOMBSTONE)` would read back as a remove. Every store refuses
+/// it — in release builds too — before it issues a version: nothing is
+/// stored, and the watermark is not left waiting for a version that never
+/// completes.
+#[test]
+fn the_reserved_value_is_refused_by_every_store() {
+    use mvkv::core::TOMBSTONE;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    fn check<S: VersionedStore>(store: S) {
+        let s = store.session();
+        s.insert(1, 10);
+        assert!(catch_unwind(AssertUnwindSafe(|| s.insert(1, TOMBSTONE))).is_err());
+        let batch = [(2, 20), (3, TOMBSTONE)];
+        assert!(catch_unwind(AssertUnwindSafe(|| s.insert_batch(&batch))).is_err());
+        store.wait_writes_complete();
+        assert_eq!(store.tag(), store.latest_version(), "{}", store.name());
+        assert_eq!(s.find(1, store.tag()), Some(10), "{}", store.name());
+        assert_eq!(s.extract_history(1).len(), 1, "{}", store.name());
+        assert!(s.extract_history(3).is_empty(), "{}", store.name());
+        // The largest storable value is one below it.
+        let v = s.insert(4, TOMBSTONE - 1);
+        assert_eq!(s.find(4, v), Some(TOMBSTONE - 1), "{}", store.name());
+    }
+    check(PSkipList::create_volatile(16 << 20).unwrap());
+    check(ESkipList::new());
+    check(LockedMap::new());
+    check(DbStore::mem());
+}
+
 // ---------------------------------------------------------------------------
 // The hand-written semantics checks every engine instantiation used to carry
 // a copy of, written once and run over each.
