@@ -92,6 +92,12 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
         Engine { index, clock, home, counters: OpCounters::new() }
     }
 
+    /// DRAM of the index: bytes it holds from the allocator, and how many of
+    /// them are handed out to nodes ([`SkipList::memory`]).
+    pub fn index_memory(&self) -> (usize, usize) {
+        self.index.memory()
+    }
+
     /// The one index call of a write: a single descent that returns the
     /// history the key already has, or links the one created here.
     pub(crate) fn get_or_create_history(&self, key: K) -> u64 {

@@ -10,12 +10,23 @@
 //! exploits exactly this: *"Since there is no need to support removal from
 //! the skip list itself, the implementation can be simplified to use raw
 //! pointers in compare-and-exchange operations"* — no deletion marks, no
-//! hazard pointers, no epochs. Nodes live until the list is dropped.
+//! hazard pointers, no epochs. Nodes live until the list is dropped — the
+//! lifetime a bump arena serves, so the list owns one: no allocator call per
+//! key, and a link is a 32-bit offset, not a pointer.
 //!
 //! Concurrency protocol (paper §IV-B):
-//! * A node is one allocation: a header (`key`, payload, height) with its
-//!   tower of link cells inline behind it, immutable after publication
-//!   except for the links.
+//! * A node is one block of the list's arena: a header (`key`, payload) with
+//!   its tower of 4-byte link cells inline behind it — as many as it is
+//!   tall, the height is not stored — immutable after publication except for
+//!   the links. Blocks are bump-allocated back to back from zeroed chunks
+//!   obtained through `std::alloc` — the inserting threads share one bump
+//!   cursor, whose chunks double from 4 KiB to 256 KiB — and no node is
+//!   freed before the list is. A link counts 8-byte units from the start of
+//!   the arena's address space (0 = none; 2^32 units, 32 GiB) and resolves
+//!   through a flat chunk
+//!   directory in one load that depends on it; the chunk's base is in the
+//!   directory before any link into the chunk exists, so the Acquire load
+//!   that returns a link also orders the directory read.
 //! * One internal descent implements Algorithm 2's `FindSkip` for reads and
 //!   writes alike: top-down, one key comparison per node visited, returning
 //!   at the first level where it meets the key — sound because towers are
@@ -32,14 +43,21 @@
 //!   winner (at any level of the winner's tower), after publication it stops
 //!   at its own node, one level below the one it is linking.
 //! * If two threads race to insert the same key, the loser detects the
-//!   winner after its failed level-0 CAS, frees its own node and *"reuses the pointer
-//!   of the faster thread"* — surfaced to callers as
+//!   winner after its failed level-0 CAS, drops its own key (the block it
+//!   built stays unused in its chunk until the list drops) and *"reuses the
+//!   pointer of the faster thread"* — surfaced to callers as
 //!   [`InsertOutcome::Lost`] so they can reclaim the payload they created.
 //! * A list whose keys are all known up front (a restart) is not inserted
 //!   into at all: [`SkipList::fragment`] turns a sorted run of pairs into a
-//!   private chain of nodes with plain stores — any number of threads, one
-//!   key range each — and [`SkipList::adopt`] stitches the chains into an
-//!   empty list through `&mut self`, one link per fragment and level.
+//!   private chain of nodes with plain stores, filling chunks of its own
+//!   (through a cursor of its own, sized the same way, the last chunk cut to
+//!   what was filled) in key order — any number of threads, one key range
+//!   each — and
+//!   [`SkipList::adopt`] stitches the chains into the empty list that built
+//!   them through `&mut self`, one link per fragment and level. A fragment
+//!   dropped instead drops its keys; its chunks go with the list.
+//! * Dropping the list walks level 0 only if keys need dropping, then frees
+//!   chunks and directories; [`SkipList::memory`] reports what it holds.
 
 mod list;
 

@@ -299,3 +299,65 @@ fn tower_rescan_stops_at_its_own_node() {
         }
     });
 }
+
+/// Two inserters cross a chunk boundary together.
+///
+/// Nodes are bump-allocated from chunks of the list's arena (256 bytes each
+/// in the model build), and all inserting threads share one cursor, hence
+/// one chunk and its bump word. The keys are 64 bytes wide, so a node is at
+/// least 80 and a chunk holds three: the list is filled up front until the
+/// chunk being filled has no room for another, and both inserters find it
+/// full. One takes the next chunk under the arena's lock, the other finds
+/// the cursor moved on and bumps the new chunk — or takes it first, on
+/// another schedule. Either way each thread then looks up its own key, the
+/// other thread's and the last one inserted up front, following links into
+/// the chunk installed last, possibly by the other thread a moment ago: what
+/// it finds carries its payload. Afterwards the list has grown by exactly
+/// one chunk — none taken and lost — holding its header and the two nodes,
+/// and dropping the list (at the end of every schedule) returns each chunk
+/// once.
+#[test]
+fn two_inserters_cross_a_chunk_boundary_together() {
+    type Wide = [u64; 8];
+    const SMALLEST_NODE: usize = 64 + 8 + 8;
+    let wide = |k: u64| -> Wide { [k, 0, 0, 0, 0, 0, 0, 0] };
+    model(move || {
+        let list = Arc::new(SkipList::new());
+        // `room`: bytes left in the chunk being filled, known from the first
+        // time a new one is taken — `reserved` steps by its size, `used` by
+        // its header and the node that needed it. `chunk`: that step.
+        let (mut room, mut chunk, mut last) = (usize::MAX, 0, 100);
+        while room >= SMALLEST_NODE {
+            let before = list.memory();
+            last += 1;
+            assert!(list.insert_with(wide(last), || last * 10).inserted());
+            let (reserved, used) = list.memory();
+            if reserved > before.0 {
+                chunk = reserved - before.0;
+                room = chunk - (used - before.1);
+            } else if room != usize::MAX {
+                room -= used - before.1;
+            }
+        }
+        let before = list.memory();
+
+        let insert_and_look = move |list: &SkipList<Wide>, k: u64, other: u64| {
+            assert!(list.insert_with(wide(k), || k * 10).inserted());
+            assert_eq!(list.get(&wide(k)), Some(k * 10));
+            assert!(list.get(&wide(other)).is_none_or(|v| v == other * 10));
+            assert_eq!(list.get(&wide(last)), Some(last * 10), "after inserting {k}");
+        };
+        let l2 = list.clone();
+        let t = thread::spawn(move || insert_and_look(&l2, 1, 2));
+        insert_and_look(&list, 2, 1);
+        t.join().unwrap();
+
+        let (reserved, used) = list.memory();
+        assert_eq!(reserved, before.0 + chunk, "exactly one chunk was taken");
+        let grown = used - before.1;
+        assert!((8 + 2 * SMALLEST_NODE..=chunk).contains(&grown), "a header and two nodes");
+        let keys: Vec<u64> = list.iter().map(|(k, _)| k[0]).collect();
+        assert_eq!(keys, [1, 2].into_iter().chain(101..=last).collect::<Vec<_>>());
+        assert_eq!(list.len(), keys.len() as u64);
+    });
+}

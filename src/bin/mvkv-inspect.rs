@@ -50,6 +50,11 @@ fn run() -> Result<ExitCode, String> {
             println!("live blocks:     {}", alloc.live_blocks);
             println!("clean shutdown:  {}", store.pool().was_clean_shutdown());
             println!("keys:            {}", store.key_count());
+            let (reserved, used) = store.index_memory();
+            println!(
+                "index:           {} keys, {reserved} bytes reserved, {used} used",
+                store.key_count()
+            );
             println!("watermark:       v{}", stats.watermark);
             println!("pruned entries:  {}", stats.pruned_entries);
             println!(

@@ -25,6 +25,7 @@ fn inspect_cli_reads_a_real_pool() {
     let stats = run(&["stats", p]);
     assert!(stats.contains("keys:            2"), "stats output:\n{stats}");
     assert!(stats.contains("watermark:       v3"));
+    assert!(stats.contains("index:           2 keys, "), "stats output:\n{stats}");
 
     let snap = run(&["snapshot", p]);
     assert!(snap.contains("# snapshot v3: 1 pairs"), "snapshot output:\n{snap}");
