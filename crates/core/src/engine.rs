@@ -60,7 +60,7 @@ pub trait Home<K> {
     /// watermark.
     fn mutated(&self, key: Self::Logged, version: u64);
     /// The one ordering fence between a batch chunk's entry persists and its
-    /// `done` publishes.
+    /// stamp publishes.
     fn batch_fence(&self);
     /// The store is being dropped; `payloads` are those of every indexed key.
     fn close(&mut self, payloads: impl Iterator<Item = u64>);
@@ -148,7 +148,7 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
     /// Batched insert with the coalesced persist schedule: every pair of a
     /// chunk is *prepared* (slot claimed, entry written and flushed — no
     /// fence), then a single ordering fence covers the whole chunk, then
-    /// every `done` stamp is published and reported to the clock. One fence
+    /// every stamp is published and reported to the clock. One fence
     /// per chunk instead of one per operation, and one segment-chain walk
     /// per pair: the slot the prepare resolved is what the publish stamps.
     ///

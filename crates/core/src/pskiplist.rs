@@ -17,7 +17,7 @@
 //! On restart, [`PSkipList::open_file`] walks the block chain once, in
 //! parallel (paper Fig 5a): every worker validates and scans the histories
 //! of the blocks it claims and keeps their `(key, history)` pairs as a run.
-//! The completion watermark comes from the scanned `done` stamps, the index
+//! The completion watermark comes from the scanned entry stamps, the index
 //! is bulk-built from the sorted runs, and only the histories the scan
 //! flagged are pruned — the paper's §IV-B recovery rule, one visit per key.
 
@@ -53,9 +53,10 @@ pub struct RestartStats {
     pub watermark: u64,
     /// History entries pruned beyond the watermark.
     pub pruned_entries: u64,
-    /// Histories the prune visited: the ones the scan found torn, damaged
-    /// or with a lagging lazy tail, and the ones ending above the
-    /// watermark. 0 for a store that was read and then closed cleanly.
+    /// Histories the prune visited: the ones the scan found torn or damaged
+    /// and the ones ending above the watermark. 0 for a store that was
+    /// closed cleanly, read or not (a lagging lazy tail is the first
+    /// reader's to move, not the restart's).
     pub pruned_histories: u64,
     /// Index construction: sorting the workers' runs, bulk-building the
     /// skip list from them and stitching it (the Fig 5a metric).
@@ -65,6 +66,10 @@ pub struct RestartStats {
     pub scan_time: Duration,
     /// Pruning the flagged histories (see `pruned_histories`).
     pub prune_time: Duration,
+    /// Chained histories by published length as the scan found it, in log2
+    /// buckets: `[0]` the empty ones, `[k]` lengths in `[2^(k−1), 2^k)`, the
+    /// last bucket everything longer.
+    pub history_lengths: [u64; 32],
 }
 
 /// `(key, chain position, history)`: a key-chain pair as the restart sorts
@@ -83,6 +88,8 @@ struct Claimed {
     /// did not find settled: the prune has work exactly where the second
     /// word exceeds the watermark.
     prune_above: Vec<(u64, u64)>,
+    /// [`RestartStats::history_lengths`] of this worker's histories.
+    lengths: [u64; 32],
     quarantined: Vec<KeyQuarantine>,
 }
 
@@ -457,11 +464,15 @@ impl PSkipList {
                     acc.quarantined.push(KeyQuarantine { key, class, dropped_records });
                 }
                 acc.pairs.push((key, seq, hist));
+                acc.lengths[(u64::BITS - scan.len.leading_zeros()).min(31) as usize] += 1;
                 acc.prune_above.push((hist, if scan.settled { scan.last } else { u64::MAX }));
             };
             let (walked, mut claimed) =
                 try_fold_claimed(&chain, threads, visit).map_err(panicked("scan"))?;
             stats.rebuild_threads = walked.threads;
+            for (bucket, total) in stats.history_lengths.iter_mut().enumerate() {
+                *total = claimed.iter().map(|c| c.lengths[bucket]).sum();
+            }
             stats.watermark = compute_watermark(claimed.iter().map(|c| &c.versions[..]), wm_base);
             stats.scan_time = t0.elapsed();
 
@@ -546,7 +557,7 @@ impl PSkipList {
             let mut key_corrupt = backed < claimed;
             for idx in 0..backed {
                 let e = cur.entry(idx);
-                if e.done.load(mvkv_sync::sync::atomic::Ordering::Acquire) == 0 {
+                if e.crc_done.load(mvkv_sync::sync::atomic::Ordering::Acquire) == 0 {
                     continue; // unpublished claim: nothing to verify
                 }
                 if e.crc_valid() {
@@ -895,7 +906,7 @@ mod tests {
         e.version.store(21, std::sync::atomic::Ordering::Relaxed);
         e.value.store(2100, std::sync::atomic::Ordering::Relaxed);
         h.persist_entry(e);
-        // done stamp never persisted → must not survive.
+        // No stamp was ever stored → must not survive.
 
         let image = store.crash_image().unwrap();
         let (recovered, stats) = PSkipList::open_image(&image, 4).unwrap();
@@ -922,11 +933,35 @@ mod tests {
         // Zeroed, the block reads as a key nobody wrote — but for its check
         // word, which the scrub asks for even where nothing is claimed.
         let hist = store.get_or_create_history(4);
-        for word in 0..16 {
+        for word in 0..std::mem::size_of::<mvkv_vhistory::pslots::HistoryHdr>() as u64 / 8 {
             store.pool().write_u64(hist + word * 8, 0);
         }
         let report = store.scrub();
         assert_eq!((report.keys, report.corrupt_keys, report.corrupt_records), (10, 1, 0));
+    }
+
+    #[test]
+    fn scrub_counts_a_stamp_that_is_not_its_payloads() {
+        use mvkv_vhistory::Entry;
+        let store = PSkipList::create_volatile(POOL).unwrap();
+        let s = store.session();
+        for key in 1..=4u64 {
+            s.insert(key, key * 10);
+        }
+        store.wait_writes_complete();
+        let good = Entry::stamp(3, 30);
+        let forgeries =
+            [Entry::DONE | ((good ^ 1) & 0xFFFF_FFFF), good & !Entry::DONE, good | 1 << 40];
+        for forged in forgeries {
+            let h = PHistory::open(store.pool(), PPtr::from_off(store.get_or_create_history(3)));
+            let mut cur = Cursor::new();
+            h.fill(&mut cur, 1);
+            cur.entry(0).crc_done.store(forged, std::sync::atomic::Ordering::Release);
+            let report = store.scrub();
+            let counted = (report.valid_records, report.corrupt_records, report.corrupt_keys);
+            assert_eq!(counted, (3, 1, 1), "stamp {forged:#x}");
+            assert_eq!(s.find(3, 4), None, "stamp {forged:#x}: never read as a version");
+        }
     }
 
     /// The key ranges the build workers take, merged and laid end to end,
@@ -965,7 +1000,7 @@ mod tests {
     }
 
     #[test]
-    fn store_closed_unread_has_every_lazy_tail_repaired_once() {
+    fn store_closed_unread_reopens_without_touching_a_history() {
         let path = std::env::temp_dir().join(format!("pskip-unread-{}.pool", std::process::id()));
         {
             let store = PSkipList::create_file(&path, POOL).unwrap();
@@ -978,17 +1013,15 @@ mod tests {
             store.wait_writes_complete();
             assert!(counters(&store).iter().all(|&(pending, tail)| (pending, tail) == (3, 0)));
         } // closed without a single read: every lazy tail lags
-        {
-            let (store, stats) = PSkipList::open_file(&path, 3).unwrap();
-            assert_eq!((stats.rebuilt_keys, stats.watermark), (300, 900));
-            assert_eq!(stats.pruned_histories, 300, "every history needed its counters repaired");
-            assert_eq!(stats.pruned_entries, 0, "and none lost an entry");
-            assert!(counters(&store).iter().all(|&(pending, tail)| (pending, tail) == (3, 3)));
-            assert_eq!(store.session().find(7, 900), Some(9));
-        }
-        // The repair was durable: the next open finds nothing to do.
-        let (_, stats) = PSkipList::open_file(&path, 3).unwrap();
+        let (store, stats) = PSkipList::open_file(&path, 3).unwrap();
+        assert_eq!((stats.rebuilt_keys, stats.watermark), (300, 900));
+        // A lagging tail is no damage: nothing is visited, nothing written,
+        // and the first read of a key moves its tail as it would have before.
         assert_eq!((stats.pruned_histories, stats.pruned_entries), (0, 0));
+        assert!(counters(&store).iter().all(|&(pending, tail)| (pending, tail) == (3, 0)));
+        assert_eq!(store.session().find(7, 900), Some(9));
+        assert_eq!(counters(&store).iter().filter(|&&counters| counters == (3, 3)).count(), 1);
+        drop(store);
         std::fs::remove_file(&path).unwrap();
     }
 

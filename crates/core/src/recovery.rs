@@ -89,7 +89,7 @@ impl From<RecoveryError> for std::io::Error {
 pub enum CorruptionClass {
     /// A published record's payload failed its CRC32C.
     ChecksumInvalid,
-    /// A `done` stamp disagreed with its version, or versions broke
+    /// An entry's stamp word was malformed, or versions broke
     /// monotonicity — torn metadata.
     TornStamp,
     /// A segment link was missing, out of bounds, or its header failed

@@ -29,7 +29,8 @@
 //! before the payload offset is returned, so any payload the caller
 //! persists is covered by a durable header. A crash between cursor advance
 //! and header persist leaks at most the in-flight batch; the open-time scan
-//! stops at the first invalid header and re-bases the cursor there. Batch
+//! re-bases the cursor at an invalid header with no decodable block behind
+//! it ([`walk_heap`]). Batch
 //! refill pre-carves the extra blocks with durable free-state headers and
 //! **fences** before parking them: the extras are handed to other threads
 //! through the steal path, so their durability cannot ride a later fence of
@@ -275,6 +276,77 @@ impl Shard {
     }
 }
 
+/// What a heap walk finds between `HEAP_START` and the bump cursor.
+pub(crate) enum HeapItem {
+    /// A block with a valid size word; `state` is `None` when its state word
+    /// decodes as neither free nor allocated.
+    Block { header: u64, size: u64, state: Option<BlockState> },
+    /// A damaged header and whatever lies between it and the next header the
+    /// walk could resume at: blocks it can no longer tell apart.
+    Gap,
+}
+
+/// The size word at `at < bump`, if it can be a block's: a multiple of the
+/// alignment that holds a header and stays below the cursor.
+fn block_size(pool: &PmemPool, at: u64, bump: u64) -> Option<u64> {
+    let size = pool.read_u64(at);
+    let valid =
+        size >= BLOCK_HEADER + BLOCK_ALIGN && size.is_multiple_of(BLOCK_ALIGN) && size <= bump - at;
+    valid.then_some(size)
+}
+
+/// Walks the block stream from `HEAP_START` to `bump` — the walk behind the
+/// open-time rebuild and the audit — and returns where it ended: `bump`, or
+/// the first byte of a torn tail.
+///
+/// An invalid size word is either: the tail of a crash between a cursor
+/// advance and its header persists (nothing behind it was ever handed out),
+/// or a media fault on a header in mid-heap, with live blocks behind it that
+/// a re-based cursor would hand out a second time. The walk tells them apart
+/// by looking for a block to resume at ([`resume_behind`]).
+pub(crate) fn walk_heap(pool: &PmemPool, bump: u64, mut visit: impl FnMut(HeapItem)) -> u64 {
+    let mut at = HEAP_START;
+    while at < bump {
+        if let Some(size) = block_size(pool, at, bump) {
+            let state = decode_state(size, pool.read_u64(at + 8));
+            visit(HeapItem::Block { header: at, size, state });
+            at += size;
+        } else if let Some(resume) = resume_behind(pool, at, bump) {
+            visit(HeapItem::Gap);
+            at = resume;
+        } else {
+            break;
+        }
+    }
+    at
+}
+
+/// The first header behind the damaged one at `from` whose `(size, state)`
+/// pair decodes — the state's CRC is bound to the size, so a false hit needs
+/// a 32-bit collision — and from which the size words lead exactly to `bump`.
+fn resume_behind(pool: &PmemPool, from: u64, bump: u64) -> Option<u64> {
+    let mut candidate = from + BLOCK_ALIGN;
+    while candidate + BLOCK_HEADER <= bump {
+        let decodes = block_size(pool, candidate, bump)
+            .is_some_and(|size| decode_state(size, pool.read_u64(candidate + 8)).is_some());
+        if decodes {
+            let mut at = candidate;
+            while at < bump {
+                let Some(size) = block_size(pool, at, bump) else { break };
+                at += size;
+            }
+            if at == bump {
+                return Some(candidate);
+            }
+            // A second damaged header: the blocks up to it are on the chain
+            // that just failed, the search goes on behind it.
+            candidate = at;
+        }
+        candidate += BLOCK_ALIGN;
+    }
+    None
+}
+
 /// Volatile allocator state attached to a pool.
 ///
 /// There is deliberately **no** independent `total_allocs` counter:
@@ -293,8 +365,9 @@ pub struct Allocator {
     /// Allocations served by the large path (best-fit reuse or exact bump).
     large_allocs: AtomicU64,
     total_frees: AtomicU64,
-    /// Blocks whose state word decoded as neither free nor allocated when
-    /// [`Allocator::rebuild_from_heap`] walked the heap (0 for a new pool).
+    /// Blocks whose state word decoded as neither free nor allocated, and
+    /// gaps behind damaged headers, when [`Allocator::rebuild_from_heap`]
+    /// walked the heap (0 for a new pool).
     indeterminate_at_open: AtomicU64,
 }
 
@@ -601,8 +674,7 @@ impl Allocator {
         pool.write_u64(header + 8, encode_state(size, BlockState::Free));
         pool.persist(header + 8, 8);
 
-        let payload = size - BLOCK_HEADER;
-        match SIZE_CLASSES.iter().position(|&c| c as u64 == payload) {
+        match class_of(size - BLOCK_HEADER) {
             Some(class) => self.shards[shard_id()].push(class, [off]),
             None => self.large_free.lock().entry(size).or_default().push(off),
         }
@@ -615,47 +687,42 @@ impl Allocator {
     /// torn bump cursor (crash between reserve and header persist). Freed
     /// class blocks are redistributed round-robin across shards so every
     /// arena restarts warm. The walk decodes every block's state word, so it
-    /// also counts the ones that decode as nothing
-    /// ([`Allocator::indeterminate_at_open`]) — what
+    /// also counts the ones that decode as nothing and the gaps behind
+    /// damaged headers ([`Allocator::indeterminate_at_open`]) — what
     /// [`crate::recovery::audit`] would report for the pool as opened,
     /// without a second walk.
     pub fn rebuild_from_heap(&self, pool: &PmemPool) {
         let bump = pool.read_u64(OFF_BUMP).clamp(HEAP_START, pool.len() as u64);
-        let mut cursor = HEAP_START;
         let mut live = 0u64;
         let mut indeterminate = 0u64;
         let mut next_shard = 0usize;
-        while cursor < bump {
-            let size = pool.read_u64(cursor);
-            let valid = size >= BLOCK_HEADER + BLOCK_ALIGN
-                && size.is_multiple_of(BLOCK_ALIGN)
-                && cursor + size <= bump;
-            if !valid {
-                break; // torn tail: re-base the cursor here
-            }
-            let state = decode_state(size, pool.read_u64(cursor + 8));
-            let payload_off = cursor + BLOCK_HEADER;
-            let payload = size - BLOCK_HEADER;
-            if state == Some(BlockState::Free) {
-                match SIZE_CLASSES.iter().position(|&c| c as u64 == payload) {
+        let end = walk_heap(pool, bump, |item| match item {
+            HeapItem::Block { header, size, state: Some(BlockState::Free) } => {
+                let payload_off = header + BLOCK_HEADER;
+                match class_of(size - BLOCK_HEADER) {
                     Some(class) => {
                         self.shards[next_shard].push(class, [payload_off]);
                         next_shard = (next_shard + 1) % self.shards.len();
                     }
                     None => self.large_free.lock().entry(size).or_default().push(payload_off),
                 }
-            } else {
-                // Allocated, or a header whose state never persisted or
-                // failed its CRC: conservatively treat as live
-                // (leak-at-most semantics) — a corrupt block must never
-                // reach a free list.
+            }
+            // Allocated, a header whose state never persisted or failed its
+            // CRC, or the blocks behind a damaged header: conservatively
+            // treat as live (leak-at-most semantics) — a corrupt block must
+            // never reach a free list.
+            HeapItem::Block { state, .. } => {
                 live += 1;
                 indeterminate += u64::from(state.is_none());
             }
-            cursor += size;
-        }
-        if cursor != bump {
-            pool.write_u64(OFF_BUMP, cursor);
+            HeapItem::Gap => {
+                live += 1;
+                indeterminate += 1;
+            }
+        });
+        if end != bump {
+            // Torn tail: re-base the cursor at it.
+            pool.write_u64(OFF_BUMP, end);
             pool.persist(OFF_BUMP, 8);
             pool.fence();
         }
@@ -1155,6 +1222,61 @@ mod tests {
         assert_eq!(reopened.read_u64(OFF_BUMP), bump, "cursor re-based at torn tail");
         // And allocation continues to work.
         assert!(reopened.alloc(64).is_ok());
+    }
+
+    /// ROADMAP 2(e), "the heap walk": a media fault on one header in
+    /// mid-heap used to read as a torn tail, and the re-based cursor handed
+    /// out every live block behind it a second time.
+    #[test]
+    fn damaged_mid_heap_header_does_not_rebase_the_cursor() {
+        let p = PmemPool::create_volatile(1 << 22).unwrap();
+        let sizes = [24usize, 64, 96, 200, 5000, 1024];
+        let fill = |pool: &PmemPool, off: u64, byte: u8| {
+            for word in (0..pool.block_capacity(off) as u64).step_by(8) {
+                pool.write_u64(off + word, u64::from_ne_bytes([byte; 8]));
+            }
+        };
+        let mut live = Vec::new();
+        for i in 0..300usize {
+            let off = p.alloc(sizes[i % sizes.len()]).unwrap();
+            fill(&p, off, i as u8);
+            if i % 7 == 3 {
+                p.dealloc(off);
+            } else {
+                live.push((off, i as u8));
+            }
+        }
+        let bump = p.read_u64(OFF_BUMP);
+        // SAFETY: [0, len) is in bounds; no writer races the snapshot here.
+        let clean = unsafe { p.bytes(0, p.len()).to_vec() };
+        for seed in 0..12usize {
+            let (victim, _) = live[live.len() / 4 + seed * 11];
+            let header = (victim - BLOCK_HEADER) as usize;
+            let mut image = clean.clone();
+            match seed % 4 {
+                0 => image[header..header + 16].fill(0), // a zeroed line
+                1 => image[header] ^= 1 << 2,            // no longer a multiple of the alignment
+                2 => image[header..header + 8].copy_from_slice(&(u64::MAX - 15).to_le_bytes()),
+                _ => image[header] ^= 1 << 4, // a plausible size: the walk lands in a payload
+            }
+            let reopened = PmemPool::open_image(&image).unwrap();
+            assert_eq!(reopened.read_u64(OFF_BUMP), bump, "seed {seed}: the cursor is kept");
+            let found = reopened.indeterminate_blocks_at_open();
+            assert!((1..=2).contains(&found), "seed {seed}: {found} indeterminate");
+            let audit = crate::recovery::audit(&reopened);
+            let walked = (audit.torn_tail_bytes, audit.indeterminate_blocks);
+            assert_eq!(walked, (0, found), "seed {seed}: the audit walks as the open did");
+            for i in 0..10_000usize {
+                let off = reopened.alloc([16, 64, 96][i % 3]).unwrap();
+                fill(&reopened, off, 0xFF);
+            }
+            for &(off, byte) in &live {
+                let len = p.block_capacity(off);
+                // SAFETY: a block of the clean image, in bounds in its copy.
+                let payload = unsafe { reopened.bytes(off, len) };
+                assert!(payload.iter().all(|&b| b == byte), "seed {seed}: block {off} overwritten");
+            }
+        }
     }
 
     #[test]

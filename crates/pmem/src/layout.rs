@@ -21,9 +21,10 @@ pub const MAGIC: u64 = 0x4D45_4D50_564B_564D;
 
 /// Bumped whenever the on-media layout changes incompatibly.
 /// v2: block state words and history entries carry CRC32C integrity codes.
-/// v3: a history is one 128-byte block holding its first three entries;
-/// segment `k` is `128 << k` bytes.
-pub const LAYOUT_VERSION: u64 = 3;
+/// v3: a history is one block holding its first three entries.
+/// v4: a history entry is 24 bytes (`crc` and `done` are one stamp word), the
+/// history block 96, segment `k` `96 << k`.
+pub const LAYOUT_VERSION: u64 = 4;
 
 /// Superblock field offsets.
 pub const OFF_MAGIC: u64 = 0;
@@ -93,8 +94,11 @@ pub fn decode_state(size: u64, word: u64) -> Option<BlockState> {
     (encode_state(size, state) == word).then_some(state)
 }
 
-/// Size classes for small allocations (payload capacities, bytes).
-pub const SIZE_CLASSES: [usize; 9] = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
+/// Size classes for small allocations (payload capacities, bytes): the powers
+/// of two and, from 96 up, the `96 << k` between them — what a history segment
+/// fills exactly (asserted in `mvkv_vhistory::pslots`).
+pub const SIZE_CLASSES: [usize; 15] =
+    [16, 32, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096];
 
 /// Number of small size classes.
 pub const NUM_CLASSES: usize = SIZE_CLASSES.len();
@@ -105,8 +109,22 @@ pub const CACHE_LINE: usize = 64;
 /// Returns the index of the smallest size class that fits `len` payload
 /// bytes, or `None` if `len` needs the large-allocation path.
 #[inline]
-pub fn class_for(len: usize) -> Option<usize> {
-    SIZE_CLASSES.iter().position(|&c| len <= c)
+pub const fn class_for(len: usize) -> Option<usize> {
+    let mut class = 0;
+    while class < NUM_CLASSES {
+        if len <= SIZE_CLASSES[class] {
+            return Some(class);
+        }
+        class += 1;
+    }
+    None
+}
+
+/// The size class a block of exactly `payload` bytes belongs to; `None` for
+/// a large block.
+#[inline]
+pub fn class_of(payload: u64) -> Option<usize> {
+    class_for(payload as usize).filter(|&class| SIZE_CLASSES[class] as u64 == payload)
 }
 
 /// Rounds `len` up to the block alignment.
@@ -123,10 +141,11 @@ mod tests {
     #[test]
     fn class_for_picks_tightest_fit() {
         assert_eq!(class_for(1), Some(0));
-        assert_eq!(class_for(16), Some(0));
-        assert_eq!(class_for(17), Some(1));
-        assert_eq!(class_for(4096), Some(8));
-        assert_eq!(class_for(4097), None);
+        for (class, &size) in SIZE_CLASSES.iter().enumerate() {
+            assert_eq!(class_for(size), Some(class), "a class holds its own size");
+            let next = (class + 1 < NUM_CLASSES).then_some(class + 1);
+            assert_eq!(class_for(size + 1), next, "one byte more than class {size}");
+        }
     }
 
     #[test]

@@ -452,16 +452,19 @@ mod tests {
     }
 
     #[test]
-    fn v2_superblock_is_refused() {
-        // A v2 pool's histories are 32-byte headers with segment 0 in a
-        // block of its own: read as v3 they would run off their end.
+    fn previous_layout_version_is_refused() {
+        // The previous layout's histories have entries, headers and blocks
+        // of other sizes: read as the current one they would be garbage.
+        // There is no migration and no second read path.
+        let previous = LAYOUT_VERSION - 1;
         let pool = PmemPool::create_volatile(MIN_POOL_LEN).unwrap();
-        pool.write_u64(OFF_VERSION, 2);
+        pool.write_u64(OFF_VERSION, previous);
         // SAFETY: [0, len) is in bounds; no writer races the snapshot.
         let bytes = unsafe { pool.bytes(0, pool.len()).to_vec() };
         match PmemPool::open_image(&bytes) {
-            Err(PmemError::BadLayoutVersion { found: 2, expected: 3 }) => {}
-            other => panic!("expected BadLayoutVersion {{ found: 2, expected: 3 }}, got {other:?}"),
+            Err(PmemError::BadLayoutVersion { found, expected })
+                if (found, expected) == (previous, LAYOUT_VERSION) => {}
+            other => panic!("expected BadLayoutVersion for v{previous}, got {other:?}"),
         }
     }
 

@@ -5,6 +5,7 @@
 //! audit so applications and tests can assert on post-crash pool health
 //! (block counts, leaked bytes, torn tails).
 
+use crate::alloc::{walk_heap, HeapItem};
 use crate::layout::*;
 use crate::pool::PmemPool;
 
@@ -16,8 +17,9 @@ pub struct HeapAudit {
     /// Blocks whose state word decodes to `Free`.
     pub free_blocks: u64,
     /// Blocks whose state word fails to decode (unknown tag or CRC
-    /// mismatch — header persisted, state torn or media-corrupted). These
-    /// are the "leak at most the in-flight block" cases.
+    /// mismatch — header persisted, state torn or media-corrupted), and
+    /// gaps behind a header whose size word is damaged (one each). These
+    /// are the "leak at most" cases.
     pub indeterminate_blocks: u64,
     /// Payload bytes held by allocated blocks.
     pub allocated_bytes: u64,
@@ -26,35 +28,32 @@ pub struct HeapAudit {
     /// Bytes between the last valid block and the recorded bump cursor
     /// (non-zero only after a torn allocation).
     pub torn_tail_bytes: u64,
+    /// Allocated `(blocks, payload bytes)` per size class, in
+    /// [`SIZE_CLASSES`] order; the last pair is every larger block.
+    pub allocated_by_class: [(u64, u64); NUM_CLASSES + 1],
 }
 
 /// Walks the heap of `pool` and classifies every block.
 pub fn audit(pool: &PmemPool) -> HeapAudit {
     let bump = pool.read_u64(OFF_BUMP).clamp(HEAP_START, pool.len() as u64);
     let mut out = HeapAudit::default();
-    let mut cursor = HEAP_START;
-    while cursor < bump {
-        let size = pool.read_u64(cursor);
-        let valid =
-            size >= BLOCK_HEADER + BLOCK_ALIGN && size.is_multiple_of(BLOCK_ALIGN) && cursor + size <= bump;
-        if !valid {
-            out.torn_tail_bytes = bump - cursor;
-            break;
+    let end = walk_heap(pool, bump, |item| match item {
+        HeapItem::Block { size, state: Some(BlockState::Allocated), .. } => {
+            let payload = size - BLOCK_HEADER;
+            out.allocated_blocks += 1;
+            out.allocated_bytes += payload;
+            let (blocks, bytes) =
+                &mut out.allocated_by_class[class_of(payload).unwrap_or(NUM_CLASSES)];
+            *blocks += 1;
+            *bytes += payload;
         }
-        let payload = size - BLOCK_HEADER;
-        match decode_state(size, pool.read_u64(cursor + 8)) {
-            Some(BlockState::Allocated) => {
-                out.allocated_blocks += 1;
-                out.allocated_bytes += payload;
-            }
-            Some(BlockState::Free) => {
-                out.free_blocks += 1;
-                out.free_bytes += payload;
-            }
-            None => out.indeterminate_blocks += 1,
+        HeapItem::Block { size, state: Some(BlockState::Free), .. } => {
+            out.free_blocks += 1;
+            out.free_bytes += size - BLOCK_HEADER;
         }
-        cursor += size;
-    }
+        HeapItem::Block { state: None, .. } | HeapItem::Gap => out.indeterminate_blocks += 1,
+    });
+    out.torn_tail_bytes = bump - end;
     out
 }
 

@@ -1,8 +1,8 @@
 //! Heap-backed history storage for the ephemeral store variants
 //! (ESkipList, LockedMap).
 
-use crate::slots::{locate, seg_capacity, Cursor, Entry, Slots};
-use mvkv_sync::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use crate::slots::{claim_index, locate, seg_capacity, Cursor, Entry, Slots};
+use mvkv_sync::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
 struct ESeg {
     entries: Box<[Entry]>,
@@ -24,8 +24,8 @@ impl ESeg {
 /// This is the storage; `&EHistory` is the [`Slots`] handle onto it, the way
 /// [`crate::PHistory`] is a handle onto a pool.
 pub struct EHistory {
-    pending: AtomicU64,
-    tail: AtomicU64,
+    pending: AtomicU32,
+    tail: AtomicU32,
     /// Segment 1.
     next: AtomicPtr<ESeg>,
     inline: [Entry; seg_capacity(0) as usize],
@@ -34,8 +34,8 @@ pub struct EHistory {
 impl EHistory {
     pub fn new() -> Self {
         EHistory {
-            pending: AtomicU64::new(0),
-            tail: AtomicU64::new(0),
+            pending: AtomicU32::new(0),
+            tail: AtomicU32::new(0),
             next: AtomicPtr::new(std::ptr::null_mut()),
             inline: std::array::from_fn(|_| Entry::zeroed()),
         }
@@ -107,14 +107,14 @@ impl<'e> Slots for &'e EHistory {
 
     fn claim(&self) -> (u64, &'e Entry) {
         let this: &'e EHistory = self;
-        let idx = this.pending.fetch_add(1, Ordering::AcqRel);
+        let idx = claim_index(&this.pending);
         let (k, pos) = locate(idx);
         let entries = if k == 0 { &this.inline[..] } else { &this.segment(k).entries };
         (idx, &entries[pos as usize])
     }
 
     fn pending(&self) -> u64 {
-        self.pending.load(Ordering::Acquire)
+        self.pending.load(Ordering::Acquire) as u64
     }
 
     fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
@@ -149,7 +149,7 @@ impl<'e> Slots for &'e EHistory {
         n.min(cur.covered())
     }
 
-    fn tail_ref(&self) -> &AtomicU64 {
+    fn tail_ref(&self) -> &AtomicU32 {
         &self.tail
     }
 }
@@ -177,7 +177,7 @@ mod tests {
             let (_, e) = h.claim();
             e.version.store(i, Ordering::Relaxed);
             e.value.store(i * 10, Ordering::Relaxed);
-            e.done.store(i + 1, Ordering::Release);
+            e.crc_done.store(Entry::stamp(i, i * 10), Ordering::Release);
         }
         let mut cur = Cursor::new();
         h.fill(&mut cur, 50);
@@ -218,7 +218,7 @@ mod tests {
                     for i in 0..500u64 {
                         let (idx, e) = (&*h).claim();
                         e.value.store(t * 1_000_000 + i, Ordering::Relaxed);
-                        e.done.store(idx + 1, Ordering::Release);
+                        e.crc_done.store(Entry::DONE, Ordering::Release);
                         mine.push(idx);
                     }
                     mine

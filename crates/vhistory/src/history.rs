@@ -43,12 +43,12 @@ impl<S: Slots> History<S> {
 
     /// Appends `(version, value)` — the paper's `insert` (Algorithm 1,
     /// lines 1–6). Claims a slot, writes the pair, persists it, then
-    /// publishes the non-zero `done` stamp.
+    /// publishes the non-zero stamp.
     ///
     /// The persist schedule is **coalesced**: the pending-counter and entry
     /// flushes are issued unordered, a single fence separates them from the
-    /// `done` publish, and the `done` flush itself is left to ride the next
-    /// fence (an unfenced `done` at crash time just shrinks the recovered
+    /// stamp publish, and the stamp flush itself is left to ride the next
+    /// fence (an unfenced stamp at crash time just shrinks the recovered
     /// prefix — exactly the torn-append case recovery already prunes). One
     /// fence per append, versus the three of the naive schedule.
     ///
@@ -60,7 +60,7 @@ impl<S: Slots> History<S> {
         self.append_publish(slot, version);
     }
 
-    /// First half of the coalesced append: claims a slot, writes the entry,
+    /// First half of the coalesced append: claims a slot, writes the payload,
     /// and issues the pending/entry flushes with **no** ordering fence.
     /// Returns the resolved slot — the one address every later step of this
     /// append uses, so the chain is walked once per append (by the claim).
@@ -76,21 +76,18 @@ impl<S: Slots> History<S> {
         let (_, slot) = self.slots.claim();
         self.slots.persist_pending();
         let e: &Entry = &slot;
-        debug_assert_eq!(e.done.load(Ordering::Acquire), 0, "slot reuse without recovery");
+        debug_assert_eq!(e.crc_done.load(Ordering::Acquire), 0, "slot reuse without recovery");
         // ordering: the payload is published by the
-        // Release store of `done` in append_publish; readers only touch
-        // these words after an Acquire load of `done` (or of `tail`, which
-        // an extender CAS-released after Acquire-loading `done`).
+        // Release store of the stamp in append_publish; readers only touch
+        // these words after an Acquire load of the stamp (or of `tail`, which
+        // an extender CAS-released after Acquire-loading the stamp).
         e.version.store(version, Ordering::Relaxed);
         e.value.store(value, Ordering::Relaxed);
-        // The integrity code rides the same persist_entry flush as the
-        // payload, so checksumming adds no fence to the append schedule.
-        e.crc.store(Entry::expected_crc(version, value), Ordering::Relaxed);
         self.slots.persist_entry(e);
         slot
     }
 
-    /// The single ordering fence between prepared entries and their `done`
+    /// The single ordering fence between prepared entries and their stamp
     /// publishes. Covers every [`History::append_prepare`] issued (by this
     /// thread) since the previous fence.
     pub fn publish_fence(&self) {
@@ -98,12 +95,17 @@ impl<S: Slots> History<S> {
         self.slots.publish_fence();
     }
 
-    /// Second half of the coalesced append: publishes the `done` stamp of
-    /// the slot [`History::append_prepare`] returned. Must be ordered after
-    /// the entry persists by a [`History::publish_fence`] in between.
+    /// Second half of the coalesced append: publishes the slot
+    /// [`History::append_prepare`] returned by storing its stamp — the
+    /// finished bit and the payload's integrity code in one word, so the
+    /// checksum adds no store, flush or fence to the schedule. Must be
+    /// ordered after the entry persists by a [`History::publish_fence`] in
+    /// between.
     pub fn append_publish(&self, slot: S::Slot, version: u64) {
-        slot.done.store(version + 1, Ordering::Release);
-        self.slots.persist_done(&slot);
+        // ordering: this thread's own store in append_prepare.
+        let value = slot.value.load(Ordering::Relaxed);
+        slot.crc_done.store(Entry::stamp(version, value), Ordering::Release);
+        self.slots.persist_stamp(&slot);
     }
 
     /// Appends a tombstone — the paper's `remove` (Algorithm 1, line 7).
@@ -124,16 +126,17 @@ impl<S: Slots> History<S> {
     /// visible slots.
     pub fn extend_tail_in<'a>(&'a self, cur: &mut Cursor<'a>, fc: u64) -> u64 {
         let tail = self.slots.tail_ref();
-        let start = tail.load(Ordering::Acquire);
+        let start = tail.load(Ordering::Acquire) as u64;
         // A claim bumps `pending` before it links the slot's segment, so the
         // walk stops at the resolved backing: a slot without a linked
         // segment cannot have been published.
         let limit = self.slots.fill(cur, self.slots.pending());
         let mut next = start;
         while next < limit {
-            let done = cur.entry(next).done.load(Ordering::Acquire);
-            // done stores version + 1; 0 means the write is not published.
-            if done == 0 || done - 1 > fc {
+            let e = cur.entry(next);
+            // A zero stamp means the write is not published.
+            // ordering: the version word is covered by the Acquire stamp load.
+            if e.crc_done.load(Ordering::Acquire) == 0 || e.version.load(Ordering::Relaxed) > fc {
                 break;
             }
             next += 1;
@@ -141,31 +144,31 @@ impl<S: Slots> History<S> {
         if next == start {
             return start;
         }
-        let mut observed = start;
+        // Both are at most `pending`, a 32-bit counter.
+        let (mut observed, goal) = (start as u32, next as u32);
         loop {
-            match tail.compare_exchange_weak(observed, next, Ordering::AcqRel, Ordering::Acquire) {
+            match tail.compare_exchange_weak(observed, goal, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
-                    mvkv_obs::counter_add_hot!("mvkv_vhistory_tail_advances_total", next - observed);
+                    let advanced = (goal - observed) as u64;
+                    mvkv_obs::counter_add_hot!("mvkv_vhistory_tail_advances_total", advanced);
                     self.slots.persist_tail();
                     return next;
                 }
-                Err(current) => {
-                    if current >= next {
-                        // Someone advanced at least as far — possibly into
-                        // a segment linked after our fill; every slot below
-                        // the tail is published, so its segment resolves.
-                        self.slots.fill(cur, current);
-                        return current;
-                    }
-                    observed = current;
+                // Someone advanced at least as far — possibly into a segment
+                // linked after our fill; every slot below the tail is
+                // published, so its segment resolves.
+                Err(current) if current >= goal => {
+                    self.slots.fill(cur, current as u64);
+                    return current as u64;
                 }
+                Err(current) => observed = current,
             }
         }
     }
 
     /// Number of slots currently visible without extension.
     pub fn tail(&self) -> u64 {
-        self.slots.tail_ref().load(Ordering::Acquire)
+        self.slots.tail_ref().load(Ordering::Acquire) as u64
     }
 
     /// Number of claimed slots (including unpublished ones).
@@ -202,7 +205,7 @@ impl<S: Slots> History<S> {
         // ordering: Relaxed entry loads are sound for every slot < t: the
         // Acquire load of `tail` synchronizes with the extender's AcqRel
         // CAS, which itself Acquire-loaded each slot's Release-stored
-        // `done` — a transitive happens-before edge to the payload stores.
+        // stamp — a transitive happens-before edge to the payload stores.
         let (mut left, mut right) = (0, t);
         // The segment first: the walk just read every linked segment's header
         // and a segment's first entry sits right behind it, so comparing
@@ -288,7 +291,7 @@ impl<S: Slots> History<S> {
                 return None;
             }
             // ordering: i < t, covered by the Acquire tail load in
-            // extend_tail (transitive happens-before via `done`).
+            // extend_tail (transitive happens-before via the stamp).
             Some(HistoryRecord::from_raw(
                 e.version.load(Ordering::Relaxed),
                 e.value.load(Ordering::Relaxed),

@@ -9,7 +9,8 @@
 //! Concurrent appends use the paper's **lazy tail** (Algorithm 1):
 //!
 //! * an append claims a slot by atomically incrementing a per-key `pending`
-//!   counter, writes its pair, then publishes a per-slot `done` stamp;
+//!   counter, writes its pair, then publishes a per-slot stamp (the
+//!   finished bit and the pair's CRC32C in one word);
 //! * appends may complete out of order, so finished slots need not be
 //!   contiguous; the per-key `tail` is only advanced — lazily, by *queries*,
 //!   never by appends — over the prefix of slots that are both locally done

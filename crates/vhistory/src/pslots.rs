@@ -1,50 +1,53 @@
 //! Persistent-memory history storage for PSkipList.
 //!
-//! On-media layout (all fields 8-byte words, offsets pool-relative). Every
-//! block is `128 << k` bytes — exactly an allocator size class up to 4 KiB,
-//! an exact large block beyond — of which the first 32 are a header:
+//! On-media layout (offsets pool-relative). Every block is `96 << k` bytes —
+//! exactly an allocator size class up to 3 KiB, an exact large block beyond —
+//! of which the first 24 are a header:
 //!
 //! ```text
-//! History = segment 0 (128 B):   Segment k ≥ 1 (128 << k B):
-//!   +0  pending                    +0  next segment offset (0 = none)
-//!   +8  tail                       +8  capacity (entries)
-//!   +16 segment 1 offset (0=none)  +16 base slot index
-//!   +24 CRC32C of (3, 0)           +24 CRC32C of (capacity, base)
-//!   +32 entries × 3                +32 entries × ((4 << k) − 1)
+//! History = segment 0 (96 B):    Segment k ≥ 1 (96 << k B):
+//!   +0  pending (u32)              +0  next segment offset (0 = none)
+//!   +4  tail (u32)                 +8  base slot index
+//!   +8  segment 1 offset (0=none)  +16 CRC32C of (capacity, base)
+//!   +16 CRC32C of (3, 0)           +24 entries × ((4 << k) − 1)
+//!   +24 entries × 3
 //! ```
 //!
-//! An entry is `[version, value, crc, done]`. A key's first three versions
-//! live in the history block itself: creating a key is one allocation and one
-//! flush, and reading it follows no link.
+//! An entry is `[version, value, crc_done]`, 24 bytes. A key's first three
+//! versions live in the history block itself: creating a key is one
+//! allocation and one flush, and reading it follows no link.
 //!
-//! Segment geometry is deterministic (see [`crate::slots`]), so `capacity`
-//! and `base` are redundant — they are stored anyway, checksummed in the
-//! header word at +24, and verified by recovery walks ([`PHistory::
-//! fill_checked`]): a segment whose recorded geometry disagrees with the
-//! deterministic expectation or whose header CRC fails is treated as
-//! unlinked, so a scrambled `next` pointer can never send recovery through
-//! out-of-bounds memory. The history block has no room for the two geometry
-//! words but carries the same check word over segment 0's `(3, 0)`: it is
-//! bounds-checked as a whole ([`PHistory::open_checked`]), and a block that
-//! was zeroed or overwritten on the media fails the word and backs no slot,
-//! instead of reading as a key that was never written.
+//! Segment geometry is deterministic (see [`crate::slots`]), so `base` is
+//! redundant and the capacity is not stored at all — it follows from the
+//! level, which a walk always knows. `base` is stored anyway, checksummed
+//! together with the capacity in the header word behind it, and verified by
+//! recovery walks ([`PHistory::fill_checked`]): a segment whose recorded base
+//! disagrees with the deterministic expectation or whose header CRC fails is
+//! treated as unlinked, so a scrambled `next` pointer can never send recovery
+//! through out-of-bounds memory. The history block carries the same check
+//! word over segment 0's `(3, 0)`: it is bounds-checked as a whole
+//! ([`PHistory::open_checked`]), and a block that was zeroed or overwritten on
+//! the media fails the word and backs no slot, instead of reading as a key
+//! that was never written.
 
 use crate::slots::{
-    locate, seg_base, seg_capacity, Cursor, Entry, Slots, ENTRY_SIZE, SEG_HDR_SIZE,
+    claim_index, locate, seg_base, seg_capacity, Cursor, Entry, Slots, ENTRY_SIZE, SEG_HDR_SIZE,
 };
+use mvkv_pmem::layout::{class_for, SIZE_CLASSES};
 use mvkv_pmem::{PPtr, PmemPool, Result};
-use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
+use mvkv_sync::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::mem::{offset_of, size_of};
 
 /// The persistent history block: the counters, the link to segment 1 and
-/// segment 0's entries.
+/// segment 0's entries. The counters are 32 bits each and share a word: a
+/// history holds at most 2^32 − 1 slots ([`claim_index`]).
 ///
 /// pm-resident: typed target of `PPtr<HistoryHdr>`; audited by
 /// `xtask analyze` against `pm_layout.lock`.
 #[repr(C)]
 pub struct HistoryHdr {
-    pending: AtomicU64,
-    tail: AtomicU64,
+    pending: AtomicU32,
+    tail: AtomicU32,
     /// Offset of segment 1 (0 = none).
     next: AtomicU64,
     /// [`geometry_crc`] of segment 0, the word every segment has here.
@@ -52,13 +55,28 @@ pub struct HistoryHdr {
     inline: [Entry; 3],
 }
 
+/// Byte offsets in a linked segment's header, whose first word is the link:
+/// the base slot index, and the check word where the history block has its.
+const SEG_BASE: u64 = 8;
+pub(crate) const SEG_CHECK: u64 = offset_of!(HistoryHdr, check) as u64;
+
 const _: () = assert!(offset_of!(HistoryHdr, inline) == SEG_HDR_SIZE);
+const _: () = assert!(SEG_CHECK as usize + 8 == SEG_HDR_SIZE);
 const _: () = assert!(size_of::<HistoryHdr>() as u64 == seg_bytes(0));
 
-/// Bytes of segment `k`'s block, header included: `128 << k`.
+/// Bytes of segment `k`'s block, header included: `96 << k`.
 const fn seg_bytes(k: u32) -> u64 {
     SEG_HDR_SIZE as u64 + seg_capacity(k) * ENTRY_SIZE as u64
 }
+
+// Every segment small enough for an allocator size class fills one exactly.
+const _: () = {
+    let mut k = 0;
+    while let Some(class) = class_for(seg_bytes(k) as usize) {
+        assert!(SIZE_CLASSES[class] as u64 == seg_bytes(k));
+        k += 1;
+    }
+};
 
 /// The check word of segment `k`'s header: CRC32C of `(capacity, base)`,
 /// never zero.
@@ -93,7 +111,7 @@ impl<'p> PHistory<'p> {
     }
 
     /// Makes the block an empty history: flushed, not fenced. Freed blocks
-    /// are recycled, so the counters, the link and — so that no stale `done`
+    /// are recycled, so the counters, the link and — so that no stale stamp
     /// reads published — the inline entries are all cleared.
     fn format(&self) {
         // SAFETY: the block is `size_of::<HistoryHdr>()` bytes (`block`),
@@ -157,7 +175,7 @@ impl<'p> PHistory<'p> {
 
     /// Pool offset of the word linking segment 1.
     #[inline]
-    fn next_off(&self) -> u64 {
+    pub(crate) fn next_off(&self) -> u64 {
         self.hdr + offset_of!(HistoryHdr, next) as u64
     }
 
@@ -179,16 +197,14 @@ impl<'p> PHistory<'p> {
     }
 
     fn alloc_segment(&self, k: u32, link_off: u64) -> Result<u64> {
-        let cap = seg_capacity(k);
         let bytes = seg_bytes(k) as usize;
         let off = self.pool.alloc(bytes)?;
-        // Recycled blocks may hold stale data; `done` words MUST read 0
+        // Recycled blocks may hold stale data; stamp words MUST read 0
         // before the segment is linked, so clear everything.
         // SAFETY: `off` is a fresh allocation of exactly `bytes` bytes.
         unsafe { self.pool.zero_bytes(off, bytes) };
-        self.pool.write_u64(off + 8, cap);
-        self.pool.write_u64(off + 16, seg_base(k));
-        self.pool.write_u64(off + 24, geometry_crc(k));
+        self.pool.write_u64(off + SEG_BASE, seg_base(k));
+        self.pool.write_u64(off + SEG_CHECK, geometry_crc(k));
         self.pool.persist(off, bytes);
         // Unlike the history block, a segment is linked into a history other
         // threads already reach: both fences stay.
@@ -212,22 +228,21 @@ impl<'p> PHistory<'p> {
 
     /// Pool offset of a resolved slot.
     #[inline]
-    fn off_of(&self, slot: &Entry) -> u64 {
+    pub(crate) fn off_of(&self, slot: &Entry) -> u64 {
         (slot as *const Entry as usize).wrapping_sub(self.pool.base_ptr(0) as usize) as u64
     }
 
     /// True if `seg` is a plausible, uncorrupted segment for `level ≥ 1`:
-    /// in bounds for the level's full entry array, 8-aligned, recorded
-    /// geometry matching the deterministic expectation, and header CRC
-    /// valid. Recovery relies on this to survive scrambled link words —
-    /// every check runs *before* any dereference of the candidate offset.
+    /// in bounds for the level's full entry array, 8-aligned, recorded base
+    /// matching the deterministic expectation, and header CRC (which covers
+    /// the level's capacity) valid. Recovery relies on this to survive
+    /// scrambled link words — every check runs *before* any dereference of
+    /// the candidate offset.
     fn segment_header_ok(&self, level: u32, seg: u64) -> bool {
-        let cap = seg_capacity(level);
         seg.is_multiple_of(8)
             && seg.checked_add(seg_bytes(level)).is_some_and(|end| end <= self.pool.len() as u64)
-            && self.pool.read_u64(seg + 8) == cap
-            && self.pool.read_u64(seg + 16) == seg_base(level)
-            && self.pool.read_u64(seg + 24) == geometry_crc(level)
+            && self.pool.read_u64(seg + SEG_BASE) == seg_base(level)
+            && self.pool.read_u64(seg + SEG_CHECK) == geometry_crc(level)
     }
 
     /// The one chain walk behind both fills: segment 0 is this block, then
@@ -253,9 +268,9 @@ impl<'p> PHistory<'p> {
                 break;
             }
             // SAFETY: segment `levels()` holds `seg_capacity(levels())`
-            // zero-initialized, all-atomic entries after its 32-byte header
+            // zero-initialized, all-atomic entries after its 24-byte header
             // for as long as the pool is mapped. CHECKED: segment_header_ok
-            // just proved `[seg, seg + (128 << levels))` in-pool and
+            // just proved `[seg, seg + (96 << levels))` in-pool and
             // 8-aligned, before any dereference. Unchecked: `seg` is a link
             // word that `alloc_segment` CAS-published after sizing and
             // zeroing exactly that block (live stores trust their own links;
@@ -308,11 +323,11 @@ impl<'p> PHistory<'p> {
 
     /// Recovery-only: force `pending` and `tail` to recovered values
     /// (persisted).
-    pub fn force_counters(&self, pending: u64, tail: u64) {
+    pub fn force_counters(&self, pending: u32, tail: u32) {
         let block = self.block();
         block.pending.store(pending, Ordering::Release);
         block.tail.store(tail, Ordering::Release);
-        self.pool.persist(self.hdr, 16);
+        self.pool.persist(self.hdr, offset_of!(HistoryHdr, next));
         self.pool.fence();
     }
 
@@ -320,8 +335,8 @@ impl<'p> PHistory<'p> {
     pub fn raw_header(&self) -> (u64, u64, u64) {
         let block = self.block();
         (
-            block.pending.load(Ordering::Acquire),
-            block.tail.load(Ordering::Acquire),
+            block.pending.load(Ordering::Acquire) as u64,
+            block.tail.load(Ordering::Acquire) as u64,
             block.next.load(Ordering::Acquire),
         )
     }
@@ -332,7 +347,7 @@ impl<'p> Slots for PHistory<'p> {
 
     fn claim(&self) -> (u64, &'p Entry) {
         let block = self.block();
-        let idx = block.pending.fetch_add(1, Ordering::AcqRel);
+        let idx = claim_index(&block.pending);
         let (k, pos) = locate(idx);
         if k == 0 {
             // The first three slots are this block: no allocation, no link.
@@ -346,14 +361,14 @@ impl<'p> Slots for PHistory<'p> {
     }
 
     fn pending(&self) -> u64 {
-        self.block().pending.load(Ordering::Acquire)
+        self.block().pending.load(Ordering::Acquire) as u64
     }
 
     fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
         self.fill_from::<false>(cur, n)
     }
 
-    fn tail_ref(&self) -> &AtomicU64 {
+    fn tail_ref(&self) -> &AtomicU32 {
         &self.block().tail
     }
 
@@ -362,19 +377,19 @@ impl<'p> Slots for PHistory<'p> {
     // append / append_prepare + append_publish).
 
     fn persist_entry(&self, slot: &Entry) {
-        self.pool.persist(self.off_of(slot), 24);
+        self.pool.persist(self.off_of(slot), offset_of!(Entry, crc_done));
     }
 
-    fn persist_done(&self, slot: &Entry) {
-        self.pool.persist(self.off_of(slot) + 24, 8);
+    fn persist_stamp(&self, slot: &Entry) {
+        self.pool.persist(self.off_of(slot) + offset_of!(Entry, crc_done) as u64, 8);
     }
 
     fn persist_tail(&self) {
-        self.pool.persist(self.hdr + offset_of!(HistoryHdr, tail) as u64, 8);
+        self.pool.persist(self.hdr + offset_of!(HistoryHdr, tail) as u64, 4);
     }
 
     fn persist_pending(&self) {
-        self.pool.persist(self.hdr, 8);
+        self.pool.persist(self.hdr, 4);
     }
 
     fn publish_fence(&self) {
@@ -405,16 +420,16 @@ mod tests {
     fn create_is_zeroed_even_after_recycling() {
         let p = pool();
         // A recycled history block must come back all-zero — counters, link
-        // and the three inline entries — or a stale `done` would read
+        // and the three inline entries — or a stale stamp would read
         // published and a stale link would be followed.
         let dirty = dirty_block(&p, seg_bytes(0));
         let h = PHistory::create(&p).unwrap();
         assert_eq!(h.pptr().off(), dirty, "block should be recycled");
         assert_eq!(h.raw_header(), (0, 0, 0));
-        for word in (0..seg_bytes(0) / 8).filter(|&word| word != 3) {
-            assert_eq!(p.read_u64(dirty + word * 8), 0, "word {word}");
+        for off in (0..seg_bytes(0)).step_by(8).filter(|&off| off != SEG_CHECK) {
+            assert_eq!(p.read_u64(dirty + off), 0, "word at +{off}");
         }
-        assert_eq!(p.read_u64(dirty + 24), geometry_crc(0), "check word");
+        assert_eq!(p.read_u64(dirty + SEG_CHECK), geometry_crc(0), "check word");
         for want in 0..seg_capacity(0) {
             let (idx, e) = h.claim();
             assert_eq!((idx, e.load_if_done()), (want, None));
@@ -423,22 +438,77 @@ mod tests {
     }
 
     #[test]
-    fn a_history_block_is_one_class_128_allocation() {
+    fn a_history_block_fills_one_size_class_allocation() {
         let p = pool();
         let before = p.alloc_stats();
         let h = PHistory::create(&p).unwrap();
-        assert_eq!(p.block_capacity(h.pptr().off()), 128, "no padding behind the entries");
+        let block = size_of::<HistoryHdr>();
+        assert_eq!(p.block_capacity(h.pptr().off()), block, "no padding behind the entries");
+        assert_eq!(block, SEG_HDR_SIZE + 3 * ENTRY_SIZE);
         for _ in 0..seg_capacity(0) {
             h.claim();
         }
         let after = p.alloc_stats();
         assert_eq!(after.live_blocks - before.live_blocks, 1);
-        // The fourth claim is the first to allocate: segment 1, a class-256
-        // block filled exactly.
+        // The fourth claim is the first to allocate: segment 1, a block of
+        // twice the size, filled exactly.
         h.claim();
         let (_, _, seg1) = h.raw_header();
         assert_eq!(p.block_capacity(seg1) as u64, seg_bytes(1));
         assert_eq!(p.alloc_stats().live_blocks - before.live_blocks, 2);
+    }
+
+    /// The claim as a ledger (DESIGN.md §13.3): what one key's history holds
+    /// in PM, allocator headers included, and what it paid in fences — the
+    /// geometry of the 32-byte-entry layout (144, 144, 416, 416, 944, 944,
+    /// 1984 bytes) scaled by 24/32, its allocations and fence schedule kept.
+    #[test]
+    fn a_history_holds_96_shl_k_byte_blocks_for_the_same_allocations_and_fences() {
+        use crate::history::History;
+        use mvkv_pmem::layout::BLOCK_HEADER;
+        let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
+        // Fences that are the history's: a refill fences once, whatever the
+        // block is for, and is not counted.
+        let spent = || {
+            let stats = p.alloc_stats();
+            let refills: u64 = stats.shard_refills.iter().sum();
+            (stats.total_allocs, p.fence_count().unwrap() - refills)
+        };
+        let (allocs0, fences0) = spent();
+        let h = History::new(PHistory::create(&p).unwrap());
+        let mut ledger = Vec::new();
+        for n in 1..=26u64 {
+            h.append(n, n);
+            // The chain: the history block, then every linked segment.
+            let (mut blocks, mut bytes) = (0u64, 0u64);
+            let mut block = h.slots().pptr().off();
+            let mut link = h.slots().next_off();
+            loop {
+                blocks += 1;
+                bytes += p.block_capacity(block) as u64 + BLOCK_HEADER;
+                block = p.read_u64(link);
+                link = block;
+                if block == 0 {
+                    break;
+                }
+            }
+            if [1, 3, 4, 10, 11, 25, 26].contains(&n) {
+                let (allocs, fences) = spent();
+                ledger.push((n, blocks, allocs - allocs0, bytes, fences - fences0));
+            }
+        }
+        // (versions, blocks, allocations, bytes, publish + adoption fences):
+        // one fence per append, two more per linked segment.
+        let table = [
+            (1, 1, 1, 112, 1),
+            (3, 1, 1, 112, 3),
+            (4, 2, 2, 320, 4 + 2),
+            (10, 2, 2, 320, 10 + 2),
+            (11, 3, 3, 720, 11 + 4),
+            (25, 3, 3, 720, 25 + 4),
+            (26, 4, 4, 1504, 26 + 6),
+        ];
+        assert_eq!(ledger, table);
     }
 
     #[test]
@@ -450,7 +520,7 @@ mod tests {
             assert_eq!(idx, i);
             e.version.store(i + 1, Ordering::Relaxed);
             e.value.store(i * 7, Ordering::Relaxed);
-            e.done.store(i + 2, Ordering::Release);
+            e.crc_done.store(Entry::stamp(i + 1, i * 7), Ordering::Release);
         }
         let mut cur = Cursor::new();
         h.fill(&mut cur, 100);
@@ -464,7 +534,7 @@ mod tests {
         let p = pool();
         // Dirty a block of segment 1's size, free it, then claim into it:
         // the recycled block must come back all-zero apart from the geometry
-        // words, or a stale `done` would read published.
+        // words, or a stale stamp would read published.
         let bytes = seg_bytes(1);
         let dirty = dirty_block(&p, bytes);
         let h = PHistory::create(&p).unwrap();
@@ -476,8 +546,8 @@ mod tests {
         assert_eq!(seg1, dirty, "block should be recycled");
         assert_eq!(p.read_u64(seg1), 0, "next link");
         assert_eq!(e.load_if_done(), None);
-        for word in 4..bytes / 8 {
-            assert_eq!(p.read_u64(seg1 + word * 8), 0, "entry word {word}");
+        for off in (SEG_HDR_SIZE as u64..bytes).step_by(8) {
+            assert_eq!(p.read_u64(seg1 + off), 0, "entry word at +{off}");
         }
     }
 
@@ -494,8 +564,8 @@ mod tests {
                 e.version.store(i + 1, Ordering::Relaxed);
                 e.value.store(i, Ordering::Relaxed);
                 h.persist_entry(e);
-                e.done.store(i + 2, Ordering::Release);
-                h.persist_done(e);
+                e.crc_done.store(Entry::stamp(i + 1, i), Ordering::Release);
+                h.persist_stamp(e);
             }
         }
         // SAFETY: [0, len) is in bounds; no writer races the snapshot.
@@ -549,13 +619,13 @@ mod tests {
         for _ in 0..30 {
             h.claim();
         }
-        // Walk the chain manually and verify the recorded cap/base.
+        // Walk the chain manually and verify the recorded base and the
+        // check word that covers it and the capacity.
         let (_, _, mut seg) = h.raw_header();
         let mut k = 1u32;
         while seg != 0 {
-            assert_eq!(p.read_u64(seg + 8), seg_capacity(k));
-            assert_eq!(p.read_u64(seg + 16), seg_base(k));
-            assert_eq!(p.read_u64(seg + 24), geometry_crc(k), "segment {k} header crc");
+            assert_eq!(p.read_u64(seg + SEG_BASE), seg_base(k));
+            assert_eq!(p.read_u64(seg + SEG_CHECK), geometry_crc(k), "segment {k} header crc");
             assert_eq!(p.block_capacity(seg) as u64, seg_bytes(k), "segment {k} fills its block");
             seg = p.read_u64(seg);
             k += 1;
@@ -575,7 +645,7 @@ mod tests {
         for i in 0..12u64 {
             let (_, e) = h.claim();
             e.version.store(i + 1, Ordering::Relaxed);
-            e.done.store(i + 2, Ordering::Release);
+            e.crc_done.store(Entry::stamp(i + 1, 0), Ordering::Release);
         }
         assert_eq!(backed(&h, 12), 12);
         // Scramble segment 2's header crc: its slots become unreachable to
@@ -583,11 +653,20 @@ mod tests {
         // ends exactly at segment 2's first slot.
         let (_, _, seg1) = h.raw_header();
         let seg2 = p.read_u64(seg1);
-        let good_crc = p.read_u64(seg2 + 24);
-        p.write_u64(seg2 + 24, good_crc ^ 0xFF);
+        let good_crc = p.read_u64(seg2 + SEG_CHECK);
+        p.write_u64(seg2 + SEG_CHECK, good_crc ^ 0xFF);
         assert_eq!(backed(&h, 10), 10, "segments 0 and 1 unaffected");
         assert_eq!(backed(&h, 12), seg_base(2), "corrupt header must fence off the segment");
-        p.write_u64(seg2 + 24, good_crc);
+        p.write_u64(seg2 + SEG_CHECK, good_crc);
+        // The capacity is not stored, but the check word covers it: the
+        // header of a segment of another level does not pass for this one.
+        p.write_u64(seg2 + SEG_CHECK, geometry_crc(3));
+        assert_eq!(backed(&h, 12), seg_base(2), "another level's check word");
+        p.write_u64(seg2 + SEG_CHECK, good_crc);
+        p.write_u64(seg2 + SEG_BASE, seg_base(2) + 1);
+        assert_eq!(backed(&h, 12), seg_base(2), "wrong base");
+        p.write_u64(seg2 + SEG_BASE, seg_base(2));
+        assert_eq!(backed(&h, 12), 12);
         // An out-of-bounds next pointer must be rejected before any deref.
         p.write_u64(seg1, p.len() as u64 + 8);
         assert_eq!(backed(&h, 12), seg_base(2), "out-of-bounds link must be rejected");
@@ -603,6 +682,23 @@ mod tests {
             p.write_u64(next, bad);
             assert_eq!(backed(&h, 12), seg_base(1), "link {bad:#x}");
         }
+    }
+
+    #[test]
+    fn a_full_history_refuses_the_claim_and_stays_readable() {
+        use crate::history::History;
+        let p = pool();
+        let h = History::new(PHistory::create(&p).unwrap());
+        h.append(1, 10);
+        h.append(2, 20);
+        assert_eq!(h.extend_tail(2), 2);
+        // As if 2^32 − 1 slots had been claimed: the next claim would wrap
+        // `pending` to 0 and hand out slot 0 a second time.
+        h.slots().force_counters(u32::MAX, 2);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.append(3, 30)));
+        assert!(refused.is_err(), "the claim that would wrap is refused");
+        assert_eq!(h.slots().raw_header(), (u32::MAX as u64, 2, 0), "nothing moved");
+        assert_eq!((h.find(1, 2), h.find(2, 2), h.find(3, 3)), (Some(10), Some(20), Some(20)));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! histories, the deterministic segment geometry, and the [`Cursor`] that
 //! turns the geometry into addresses.
 //!
-//! A history's slots live in a chain of segments: segment `k` is a 32-byte
-//! header and `(4 << k) − 1` entries — 3, 7, 15, … — so that a segment is
-//! exactly `128 << k` bytes, a power of two an allocator size class holds
+//! A history's slots live in a chain of segments: segment `k` is a 24-byte
+//! header and `(4 << k) − 1` entries of 24 bytes — 3, 7, 15, … — so that a
+//! segment is exactly `96 << k` bytes, which an allocator size class holds
 //! with nothing to spare. Segment 0 is the history itself: its three entries
 //! sit behind the history's own header, so a key that is inserted, removed
 //! and inserted again is one block and follows no link. Because the geometry
@@ -16,22 +16,23 @@
 //! an on-stack [`Cursor`] — and indexes the cursor for every slot it touches
 //! afterwards.
 
-use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
+use mvkv_sync::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::ops::Deref;
 
-/// Size of one slot entry in bytes (four u64 words).
-pub const ENTRY_SIZE: usize = 32;
+/// Size of one slot entry in bytes (three u64 words).
+pub const ENTRY_SIZE: usize = 24;
 
-/// One history slot. `version`/`value`/`crc` are published before `done`
-/// (Release), so observing `done != 0` (Acquire) guarantees all three are
-/// valid. `done` stores `version + 1` — the paper's non-zero "finished"
-/// stamp, which recovery uses to find the durable contiguous prefix. `crc`
-/// is the CRC32C of `(version, value)`, written during the prepare half of
-/// the append so it rides the existing entry persist — no extra fence.
-/// Recovery and verify-on-read reject entries whose stored `crc` does not
-/// match the payload (media corruption).
+/// One history slot: the payload and one stamp word, `crc_done`, that is both
+/// the paper's non-zero "finished" mark and the payload's integrity code —
+/// `DONE | crc32c(version, value)`. `version`/`value` are written, flushed and
+/// fenced first; the stamp is the one word the publish stores (Release), so
+/// observing it non-zero (Acquire) guarantees the payload is valid, and a slot
+/// is published exactly when it is intact: a zero stamp is an unpublished
+/// slot, and a torn, forged or damaged stamp fails its own CRC. Recovery
+/// takes the durable contiguous prefix from the stamps; recovery and
+/// verify-on-read reject entries whose stamp does not match the payload.
 ///
 /// pm-resident: cast onto pool bytes by `PHistory` segments; audited by
 /// `xtask analyze` against `pm_layout.lock`. expects-crc: payload integrity
@@ -40,53 +41,75 @@ pub const ENTRY_SIZE: usize = 32;
 pub struct Entry {
     pub version: AtomicU64,
     pub value: AtomicU64,
-    pub crc: AtomicU64,
-    pub done: AtomicU64,
+    pub crc_done: AtomicU64,
 }
 
 const _: () = assert!(std::mem::size_of::<Entry>() == ENTRY_SIZE);
 
 impl Entry {
-    /// An unclaimed slot: all four words zero, as freshly zeroed PM reads.
+    /// The "finished" bit of the stamp word. Bits 32–62 are always zero.
+    pub const DONE: u64 = 1 << 63;
+
+    /// An unclaimed slot: all three words zero, as freshly zeroed PM reads.
     pub const fn zeroed() -> Self {
-        Entry {
-            version: AtomicU64::new(0),
-            value: AtomicU64::new(0),
-            crc: AtomicU64::new(0),
-            done: AtomicU64::new(0),
-        }
+        Entry { version: AtomicU64::new(0), value: AtomicU64::new(0), crc_done: AtomicU64::new(0) }
     }
 
     /// The integrity code for a `(version, value)` payload: CRC32C,
-    /// widened to the slot's u64 word (high half zero).
+    /// widened to a u64 word (high half zero).
     #[inline]
     pub fn expected_crc(version: u64, value: u64) -> u64 {
         mvkv_pmem::crc32c_u64s(&[version, value]) as u64
     }
 
-    /// True if the stored `crc` matches the stored payload.
+    /// The stamp word that publishes a `(version, value)` payload.
+    #[inline]
+    pub fn stamp(version: u64, value: u64) -> u64 {
+        Self::DONE | Self::expected_crc(version, value)
+    }
+
+    /// True if the stored stamp is the one the stored payload publishes
+    /// with: `DONE` set, bits 32–62 clear, CRC matching.
     ///
     /// Sound for any published slot (or any slot whose publication
     /// happened-before this load): the payload words are immutable after
-    /// the Release `done` store.
+    /// the Release stamp store.
     #[inline]
     pub fn crc_valid(&self) -> bool {
         // ordering: callers only verify slots already covered by an Acquire
-        // edge (done/tail), so Relaxed payload loads observe final values.
+        // edge (stamp/tail), so Relaxed payload loads observe final values.
         let version = self.version.load(Ordering::Relaxed);
         let value = self.value.load(Ordering::Relaxed);
-        self.crc.load(Ordering::Relaxed) == Self::expected_crc(version, value)
+        self.crc_done.load(Ordering::Relaxed) == Self::stamp(version, value)
     }
 
     /// Loads the entry if its write has been published.
     #[inline]
     pub fn load_if_done(&self) -> Option<(u64, u64)> {
-        if self.done.load(Ordering::Acquire) == 0 {
+        if self.crc_done.load(Ordering::Acquire) == 0 {
             return None;
         }
-        // ordering: the Acquire load of `done` above synchronizes with
+        // ordering: the Acquire load of the stamp above synchronizes with
         // the Release publish, so the payload words are stable.
         Some((self.version.load(Ordering::Relaxed), self.value.load(Ordering::Relaxed)))
+    }
+}
+
+/// Slots a history can hold: its `pending` and `tail` counters are 32 bits.
+pub const MAX_SLOTS: u64 = u32::MAX as u64;
+
+/// Claims the next slot index from a history's `pending` counter. The claim
+/// that would wrap the counter is refused (a panic, like a full pool) and
+/// leaves it where it was.
+#[inline]
+pub fn claim_index(pending: &AtomicU32) -> u64 {
+    let mut idx = pending.load(Ordering::Acquire);
+    loop {
+        assert!((idx as u64) < MAX_SLOTS, "history is full: 2^32 − 1 slots");
+        match pending.compare_exchange_weak(idx, idx + 1, Ordering::AcqRel, Ordering::Acquire) {
+            Ok(_) => return idx as u64,
+            Err(now) => idx = now,
+        }
     }
 }
 
@@ -112,23 +135,23 @@ pub trait Slots {
     /// slots are resolved (`n` unless the chain ended first).
     fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64;
     /// The lazily advanced tail counter (first not-yet-visible slot index).
-    fn tail_ref(&self) -> &AtomicU64;
-    /// Flushes a resolved slot's `(version, value, crc)` words.
+    fn tail_ref(&self) -> &AtomicU32;
+    /// Flushes a resolved slot's `(version, value)` words.
     fn persist_entry(&self, _slot: &Entry) {}
-    /// Flushes a resolved slot's `done` stamp.
-    fn persist_done(&self, _slot: &Entry) {}
+    /// Flushes a resolved slot's stamp.
+    fn persist_stamp(&self, _slot: &Entry) {}
     /// Flushes the tail counter.
     fn persist_tail(&self) {}
     /// Flushes the pending counter.
     fn persist_pending(&self) {}
-    /// Ordering fence separating entry persists from the `done` publish —
+    /// Ordering fence separating entry persists from the stamp publish —
     /// the *single* fence of the coalesced append schedule. One call may
     /// cover any number of prepared appends. No-op for ephemeral storage.
     fn publish_fence(&self) {}
 }
 
 /// Segments a [`Cursor`] can resolve: 40 doubling segments hold 2^42 − 44
-/// slots (128 TiB of entries), more than any pool or heap.
+/// slots, more than the 2^32 − 1 a history's counters can claim.
 pub const MAX_SEGMENTS: usize = 40;
 
 /// The addresses of a history's leading segments, resolved by one walk of
@@ -216,11 +239,11 @@ impl Default for Cursor<'_> {
     }
 }
 
-/// Bytes of a segment header: the history's own counters and link for
-/// segment 0, `next / capacity / base / CRC` for every later one.
-pub const SEG_HDR_SIZE: usize = 32;
+/// Bytes of a segment header: the history's own counters, link and check
+/// word for segment 0, `next / base / CRC` for every later one.
+pub const SEG_HDR_SIZE: usize = 24;
 
-/// Capacity of segment `k`: 3, 7, 15, … — what is left of `128 << k` bytes
+/// Capacity of segment `k`: 3, 7, 15, … — what is left of `96 << k` bytes
 /// behind the header.
 #[inline]
 pub const fn seg_capacity(k: u32) -> u64 {
@@ -233,12 +256,12 @@ pub const fn seg_base(k: u32) -> u64 {
     (4u64 << k) - 4 - k as u64
 }
 
-// A segment fills a power-of-two block exactly, and the bases are the running
+// A segment fills a `96 << k` block exactly, and the bases are the running
 // sum of the capacities.
 const _: () = {
     let mut k = 0;
     while k < MAX_SEGMENTS as u32 {
-        assert!(SEG_HDR_SIZE as u64 + seg_capacity(k) * ENTRY_SIZE as u64 == 128 << k);
+        assert!(SEG_HDR_SIZE as u64 + seg_capacity(k) * ENTRY_SIZE as u64 == 96 << k);
         assert!(seg_base(k) + seg_capacity(k) == seg_base(k + 1));
         k += 1;
     }
@@ -312,9 +335,9 @@ mod tests {
         assert_eq!(e.load_if_done(), None);
         e.version.store(7, Ordering::Relaxed);
         e.value.store(99, Ordering::Relaxed);
-        e.crc.store(Entry::expected_crc(7, 99), Ordering::Relaxed);
-        assert_eq!(e.load_if_done(), None, "not visible before done stamp");
-        e.done.store(8, Ordering::Release);
+        assert_eq!(e.load_if_done(), None, "payload alone is not visible: the stamp is 0");
+        assert!(!e.crc_valid());
+        e.crc_done.store(Entry::stamp(7, 99), Ordering::Release);
         assert_eq!(e.load_if_done(), Some((7, 99)));
         assert!(e.crc_valid());
     }
@@ -324,8 +347,7 @@ mod tests {
         let e = Entry {
             version: AtomicU64::new(7),
             value: AtomicU64::new(99),
-            crc: AtomicU64::new(Entry::expected_crc(7, 99)),
-            done: AtomicU64::new(8),
+            crc_done: AtomicU64::new(Entry::stamp(7, 99)),
         };
         assert!(e.crc_valid());
         // Any single damaged word invalidates the record.
@@ -335,10 +357,39 @@ mod tests {
         e.version.store(6, Ordering::Relaxed);
         assert!(!e.crc_valid());
         e.version.store(7, Ordering::Relaxed);
-        e.crc.store(0, Ordering::Relaxed);
+        e.crc_done.store(0, Ordering::Relaxed);
         assert!(!e.crc_valid());
-        // A fully zeroed record (zeroed-block fault) never validates:
-        // crc32c(0, 0) != 0.
+        // A fully zeroed record (zeroed-block fault) never validates: a
+        // stamp has its DONE bit.
         assert!(!Entry::zeroed().crc_valid());
+    }
+
+    #[test]
+    fn only_the_exact_stamp_is_a_stamp() {
+        let good = Entry::stamp(7, 99);
+        assert_eq!(good, Entry::DONE | Entry::expected_crc(7, 99));
+        assert_eq!(good >> 32, Entry::DONE >> 32, "bits 32-62 of a stamp are zero");
+        let e = Entry {
+            version: AtomicU64::new(7),
+            value: AtomicU64::new(99),
+            crc_done: AtomicU64::new(good),
+        };
+        // DONE with a wrong CRC, the right CRC without DONE, and every
+        // single flipped bit — the never-set bits 32-62 included.
+        let forged = [Entry::DONE | (Entry::expected_crc(7, 99) ^ 1), good & !Entry::DONE];
+        for bad in forged.into_iter().chain((0..64).map(|bit| good ^ (1 << bit))) {
+            e.crc_done.store(bad, Ordering::Relaxed);
+            assert!(!e.crc_valid(), "stamp {bad:#x}");
+        }
+    }
+
+    #[test]
+    fn claim_refuses_the_slot_that_would_wrap_the_counter() {
+        let pending = AtomicU32::new(u32::MAX - 1);
+        assert_eq!(claim_index(&pending), MAX_SLOTS - 1, "the last slot a history holds");
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| claim_index(&pending)));
+        assert!(refused.is_err());
+        assert_eq!(pending.load(Ordering::Acquire), u32::MAX, "refused, not wrapped");
     }
 }

@@ -12,7 +12,7 @@
 //!    and a reader's cursor racing the link of the next segment.
 //! 3. Persist-schedule regression (PR-2's one-fence-per-append coalescing):
 //!    the `TrackedSlots` wrapper checks, on the reader side, that no
-//!    published (`done != 0`) entry is ever observed whose payload flush was
+//!    published (non-zero stamp) entry is ever observed whose payload flush was
 //!    skipped or not fence-ordered before the publish.
 
 #![cfg(loom)]
@@ -21,7 +21,7 @@ mod tracked;
 
 use mvkv_sync::sync::Arc;
 use mvkv_sync::{model, thread};
-use mvkv_vhistory::{Cursor, EHistory, History, Slots};
+use mvkv_vhistory::{Cursor, EHistory, Entry, History, Slots};
 use tracked::{TrackedSlots, FENCED};
 
 // ---------------------------------------------------------------------------
@@ -30,7 +30,7 @@ use tracked::{TrackedSlots, FENCED};
 
 /// Writer appends versions 1 and 2; a concurrent reader bound to watermark
 /// fc=1 must never observe version 2, on any interleaving of the entry
-/// stores, done publishes, and tail CASes.
+/// stores, stamp publishes, and tail CASes.
 #[test]
 fn lazy_tail_respects_the_watermark() {
     model(|| {
@@ -92,13 +92,13 @@ fn concurrent_claims_race_segment_allocation_safely() {
         let t = thread::spawn(move || {
             let (idx, e) = (&*s2).claim();
             e.value.store(100 + idx, Ordering::Relaxed);
-            e.done.store(idx + 1, Ordering::Release);
+            e.crc_done.store(Entry::stamp(0, 100 + idx), Ordering::Release);
             idx
         });
         let h = &*storage;
         let (mine, e) = h.claim();
         e.value.store(100 + mine, Ordering::Relaxed);
-        e.done.store(mine + 1, Ordering::Release);
+        e.crc_done.store(Entry::stamp(0, 100 + mine), Ordering::Release);
         let theirs = t.join().unwrap();
 
         assert_ne!(mine, theirs, "slot claims must be unique");
@@ -185,7 +185,7 @@ fn one_fence_batch_never_publishes_unflushed_payload() {
         h.slots().fill(&mut cur, t);
         for idx in 0..t {
             let e = cur.entry(idx);
-            assert_ne!(e.done.load(Ordering::Acquire), 0, "tail covers published slots only");
+            assert_ne!(e.crc_done.load(Ordering::Acquire), 0, "tail covers published slots only");
             assert_eq!(
                 h.slots().slot_state(idx),
                 FENCED,

@@ -28,7 +28,7 @@ struct Tracked {
 }
 
 /// Wraps [`EHistory`], tracks the persist schedule per slot — asserting the
-/// PR-2 coalescing invariant: a `done` publish may only happen once the
+/// PR-2 coalescing invariant: a stamp publish may only happen once the
 /// slot's payload flush has been ordered by the single publish fence — and
 /// counts chain links followed.
 pub struct TrackedSlots<'e> {
@@ -88,7 +88,7 @@ impl<'e> Slots for TrackedSlots<'e> {
         resolved
     }
 
-    fn tail_ref(&self) -> &mvkv_sync::sync::atomic::AtomicU64 {
+    fn tail_ref(&self) -> &mvkv_sync::sync::atomic::AtomicU32 {
         self.inner.tail_ref()
     }
 
@@ -104,11 +104,11 @@ impl<'e> Slots for TrackedSlots<'e> {
         }
     }
 
-    fn persist_done(&self, slot: &Entry) {
+    fn persist_stamp(&self, slot: &Entry) {
         assert_eq!(
             self.tracked(slot).state.load(Ordering::SeqCst),
             FENCED,
-            "done stamp persisted before its payload flush was fence-ordered"
+            "stamp persisted before its payload flush was fence-ordered"
         );
     }
 }

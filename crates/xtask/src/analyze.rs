@@ -390,8 +390,8 @@ mod tests {
         Seed {
             check: "pm-layout",
             file: "crates/vhistory/src/slots.rs",
-            find: "    pub crc: AtomicU64,\n    pub done: AtomicU64,\n",
-            replace: "    pub done: AtomicU64,\n    pub crc: AtomicU64,\n",
+            find: "    pub value: AtomicU64,\n    pub crc_done: AtomicU64,\n",
+            replace: "    pub crc_done: AtomicU64,\n    pub value: AtomicU64,\n",
             at: "pub struct Entry {",
         },
         Seed {

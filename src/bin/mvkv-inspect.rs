@@ -61,6 +61,30 @@ fn run() -> Result<ExitCode, String> {
                 "rebuild:         {} keys / {:?} on {} threads",
                 stats.rebuilt_keys, stats.rebuild_time, stats.rebuild_threads
             );
+            // Where the PM goes: how long the histories are, and what the
+            // allocator holds per size class.
+            println!("history lengths (published versions: histories):");
+            for (bucket, &histories) in stats.history_lengths.iter().enumerate() {
+                let low = (1u64 << bucket) >> 1;
+                let lengths = match bucket {
+                    0 | 1 => low.to_string(),
+                    31 => format!("{low}+"),
+                    _ => format!("{low}-{}", 2 * low - 1),
+                };
+                if histories > 0 {
+                    println!("  {lengths:>10}: {histories}");
+                }
+            }
+            let audit = mvkv::pmem::recovery::audit(store.pool());
+            let classes = mvkv::pmem::layout::SIZE_CLASSES.iter().map(|c| c.to_string());
+            println!("allocated by size class (payload bytes: blocks, bytes):");
+            for (class, (blocks, bytes)) in
+                classes.chain(["larger".to_string()]).zip(audit.allocated_by_class)
+            {
+                if blocks > 0 {
+                    println!("  {class:>10}: {blocks} blocks, {bytes} bytes");
+                }
+            }
         }
         "audit" => {
             let (store, _) = open(path)?;

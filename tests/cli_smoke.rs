@@ -26,6 +26,13 @@ fn inspect_cli_reads_a_real_pool() {
     assert!(stats.contains("keys:            2"), "stats output:\n{stats}");
     assert!(stats.contains("watermark:       v3"));
     assert!(stats.contains("index:           2 keys, "), "stats output:\n{stats}");
+    // Where the PM goes: key 10 has two versions, key 20 one; each history
+    // is one block of the 96-byte class.
+    assert!(stats.contains("history lengths (published versions: histories):"));
+    assert!(stats.contains("           1: 1\n"), "stats output:\n{stats}");
+    assert!(stats.contains("         2-3: 1\n"), "stats output:\n{stats}");
+    assert!(stats.contains("allocated by size class (payload bytes: blocks, bytes):"));
+    assert!(stats.contains("          96: 2 blocks, 192 bytes"), "stats output:\n{stats}");
 
     let snap = run(&["snapshot", p]);
     assert!(snap.contains("# snapshot v3: 1 pairs"), "snapshot output:\n{snap}");

@@ -95,10 +95,13 @@ fn op_stats_under_load<S: VersionedStore + Sync>(
     let preloaded_at = store.tag();
 
     let running = AtomicU64::new(workers);
+    // No worker leaves before the observer has taken a snapshot: on a busy
+    // two-core host it could otherwise be scheduled only after they all had.
+    let observed = AtomicBool::new(false);
     let start = Barrier::new(workers as usize + 1);
     let snapshots = std::thread::scope(|scope| {
         for t in 0..workers {
-            let (running, start) = (&running, &start);
+            let (running, observed, start) = (&running, &observed, &start);
             scope.spawn(move || {
                 let s = store.session();
                 start.wait();
@@ -111,6 +114,9 @@ fn op_stats_under_load<S: VersionedStore + Sync>(
                         s.find((t + i) % PRELOADED, preloaded_at),
                         Some((t + i) % PRELOADED)
                     );
+                }
+                while !observed.load(Ordering::Acquire) {
+                    std::thread::yield_now();
                 }
                 running.fetch_sub(1, Ordering::Release);
             });
@@ -125,6 +131,7 @@ fn op_stats_under_load<S: VersionedStore + Sync>(
                 "key outcomes without their mutations: {st:?}"
             );
             snapshots += 1;
+            observed.store(true, Ordering::Release);
         }
         snapshots
     });

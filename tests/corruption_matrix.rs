@@ -24,6 +24,8 @@ use mvkv::core::{
 };
 use mvkv::keychain::KeyChain;
 use mvkv::pmem::{CorruptOptions, CrashOptions, PPtr};
+use mvkv::vhistory::pslots::HistoryHdr;
+use mvkv::vhistory::slots::SEG_HDR_SIZE;
 
 /// Seeds under test: `MVKV_CORRUPT_SEED` pins one (CI matrix), otherwise a
 /// fixed three-seed sweep runs locally.
@@ -184,11 +186,11 @@ fn clean_image_salvages_clean() {
     assert_eq!(out.stats.rebuilt_keys, KEYS);
 }
 
-/// A chain pair whose history offset leaves room for the 32-byte header at
-/// the end of the pool but not for the 128-byte block behind it — what a bit
-/// flip in a pair's offset word that happened to re-validate would look
-/// like. The inline entries of such a history lie out of bounds: the key must
-/// be quarantined as unreachable before anything reads them.
+/// A chain pair whose history offset leaves room for the header at the end of
+/// the pool but not for the whole block behind it — what a bit flip in a
+/// pair's offset word that happened to re-validate would look like. The
+/// inline entries of such a history lie out of bounds: the key must be
+/// quarantined as unreachable before anything reads them.
 #[test]
 fn history_block_straddling_the_pool_end_is_unreachable() {
     let store = PSkipList::create_crash_sim(POOL, CrashOptions::default()).unwrap();
@@ -201,7 +203,10 @@ fn history_block_straddling_the_pool_end_is_unreachable() {
     // The root's first word is the key chain.
     let chain = KeyChain::open(pool, PPtr::from_off(pool.read_u64(pool.root())));
     let len = POOL as u64;
-    let short = [(9001, len - 64), (9002, len - 32), (9003, len - 128 + 8)];
+    let block = std::mem::size_of::<HistoryHdr>() as u64;
+    // Header only, half a block, one word short of a whole one.
+    let short =
+        [(9001, len - SEG_HDR_SIZE as u64), (9002, len - block / 2), (9003, len - block + 8)];
     for (key, hist) in short {
         chain.append(key, hist).unwrap();
     }

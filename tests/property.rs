@@ -288,7 +288,7 @@ proptest! {
             h.append(v, value_of(v));
         }
         // Make every slot visible *before* damaging anything: tail
-        // extension walks `done` stamps, which is recovery's job to
+        // extension walks the stamps, which is recovery's job to
         // repair, not verify-on-read's.
         prop_assert_eq!(h.records(n).len() as u64, n);
 
@@ -298,7 +298,7 @@ proptest! {
         for &(slot, field, mask) in &corruptions {
             let idx = slot % n;
             let e = cur.entry(idx);
-            let word = [&e.version, &e.value, &e.crc][field];
+            let word = [&e.version, &e.value, &e.crc_done][field];
             word.store(word.load(Ordering::Relaxed) ^ mask, Ordering::Relaxed);
             corrupted.insert(idx);
         }
