@@ -39,9 +39,8 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Timings and counters of one restart (paper Fig 5). The three times are
-/// consecutive and cover everything after the chain repair; opening the
-/// pool (with its heap walk) and repairing the chains come before them.
+/// Timings and counters of one restart (paper Fig 5). The five times are
+/// the reopen's consecutive phases: open, repair, scan, rebuild, prune.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RestartStats {
     /// Keys in the rebuilt index (distinct keys with a reachable history).
@@ -58,6 +57,10 @@ pub struct RestartStats {
     /// closed cleanly, read or not (a lagging lazy tail is the first
     /// reader's to move, not the restart's).
     pub pruned_histories: u64,
+    /// Opening the pool: mapping it, the heap walk and the free-list rebuild.
+    pub open_time: Duration,
+    /// Repairing the key, tag and changelog chains.
+    pub repair_time: Duration,
     /// Index construction: sorting the workers' runs, bulk-building the
     /// skip list from them and stitching it (the Fig 5a metric).
     pub rebuild_time: Duration,
@@ -335,13 +338,15 @@ impl PSkipList {
         path: P,
         threads: usize,
     ) -> std::io::Result<(Self, RestartStats)> {
-        let (store, stats, _) = Self::try_attach(PmemPool::open_file(path)?, threads)?;
+        let opened = Instant::now();
+        let (store, stats, _) = Self::try_attach(PmemPool::open_file(path)?, threads, opened)?;
         Ok((store, stats))
     }
 
     /// Reopens from a crash image (or any serialized pool bytes).
     pub fn open_image(bytes: &[u8], threads: usize) -> std::io::Result<(Self, RestartStats)> {
-        let (store, stats, _) = Self::try_attach(PmemPool::open_image(bytes)?, threads)?;
+        let opened = Instant::now();
+        let (store, stats, _) = Self::try_attach(PmemPool::open_image(bytes)?, threads, opened)?;
         Ok((store, stats))
     }
 
@@ -353,8 +358,9 @@ impl PSkipList {
         path: P,
         threads: usize,
     ) -> Result<SalvageOpen, RecoveryError> {
+        let opened = Instant::now();
         let pool = PmemPool::open_file(path)?;
-        Self::salvage(pool, threads, 0)
+        Self::salvage(pool, threads, 0, opened)
     }
 
     /// Salvage open from an image. An image shorter than its recorded
@@ -362,13 +368,14 @@ impl PSkipList {
     /// never verifies as data — records it swallowed fail their CRCs and
     /// are quarantined rather than surfaced.
     pub fn open_image_salvage(bytes: &[u8], threads: usize) -> Result<SalvageOpen, RecoveryError> {
+        let opened = Instant::now();
         match PmemPool::open_image(bytes) {
-            Ok(pool) => Self::salvage(pool, threads, 0),
+            Ok(pool) => Self::salvage(pool, threads, 0, opened),
             Err(PmemError::LengthMismatch { .. }) => {
                 let mut image = bytes.to_vec();
                 let padded = mvkv_pmem::corrupt::pad_to_recorded_len(&mut image) as u64;
                 let pool = PmemPool::open_image(&image)?;
-                Self::salvage(pool, threads, padded)
+                Self::salvage(pool, threads, padded, opened)
             }
             Err(e) => Err(e.into()),
         }
@@ -378,8 +385,9 @@ impl PSkipList {
         pool: PmemPool,
         threads: usize,
         padded_bytes: u64,
+        opened: Instant,
     ) -> Result<SalvageOpen, RecoveryError> {
-        let (store, stats, mut report) = Self::try_attach(pool, threads)?;
+        let (store, stats, mut report) = Self::try_attach(pool, threads, opened)?;
         report.padded_bytes = padded_bytes;
         let status = if report.is_empty() {
             RecoveryStatus::Clean
@@ -392,10 +400,14 @@ impl PSkipList {
         Ok(SalvageOpen { store, stats, status, report })
     }
 
+    /// Attaches the store to `pool`, whose opening started at `opened`.
     fn try_attach(
         pool: PmemPool,
         threads: usize,
+        opened: Instant,
     ) -> Result<(Self, RestartStats, QuarantineReport), RecoveryError> {
+        let mut stats = RestartStats { open_time: opened.elapsed(), ..RestartStats::default() };
+        let repair = Instant::now();
         let mut report = QuarantineReport::default();
         let root = pool.root();
         if root == 0 {
@@ -416,7 +428,6 @@ impl PSkipList {
             return Err(RecoveryError::NoKeyChain);
         }
         let mut index = SkipList::new();
-        let mut stats = RestartStats::default();
         let panicked = |phase| move |_| RecoveryError::WorkerPanicked { phase };
         {
             // Chain capacity words are self-checksummed; a failure here is
@@ -437,6 +448,7 @@ impl PSkipList {
                     .ok_or(RecoveryError::CorruptChainHeader { chain: "changelog" })?;
                 absorb(&mut report, cl.repair());
             }
+            stats.repair_time = repair.elapsed();
 
             // The one walk over the chain (paper Fig 5a's claiming walk):
             // each worker visits the histories of its blocks once. A pair
@@ -865,6 +877,21 @@ mod tests {
             let (store, stats) = PSkipList::open_file(&path, 0).unwrap();
             assert_eq!(stats.rebuild_threads, 1);
             assert_eq!(store.key_count(), 501);
+        }
+        {
+            // The five phases are disjoint parts of the reopen.
+            let wall = Instant::now();
+            let (_store, stats) = PSkipList::open_file(&path, 2).unwrap();
+            let wall = wall.elapsed();
+            let phases = [
+                stats.open_time,
+                stats.repair_time,
+                stats.scan_time,
+                stats.rebuild_time,
+                stats.prune_time,
+            ];
+            assert!(stats.open_time > Duration::ZERO, "{stats:?}");
+            assert!(phases.iter().sum::<Duration>() <= wall, "{phases:?} in {wall:?}");
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -88,7 +88,10 @@ pub struct RepairStats {
     /// their pairs were quarantined (hist words zeroed) and the header
     /// rewritten so the chain stays walkable.
     pub quarantined_blocks: u64,
-    /// Pairs dropped from quarantined blocks (hist word was non-zero).
+    /// Pairs dropped: those of quarantined blocks (hist word was non-zero),
+    /// those failing their CRC, and zero slots below a consumed one (claimed,
+    /// never durable or zeroed since). Nothing marks a zero slot, so a later
+    /// repair counts it again.
     pub quarantined_pairs: u64,
     /// Chain links cut because they pointed outside the pool, were
     /// misaligned, or formed a cycle. The unreachable tail is leaked to the
@@ -337,7 +340,8 @@ impl<'p> KeyChain<'p> {
     /// expected index, and `used` is set to `cap` so no future append lands
     /// in the damaged region. A link that points outside the pool is cut,
     /// truncating the chain there. Repair is idempotent: a second run over
-    /// the normalized chain reports no quarantines.
+    /// the normalized chain quarantines no block and drops no pair, though
+    /// it still counts the zero slots below consumed ones.
     pub fn repair(&self) -> RepairStats {
         let mut stats = RepairStats::default();
         let mut total = 0u64;
@@ -367,14 +371,19 @@ impl<'p> KeyChain<'p> {
                 let used_cell = self.pool.atomic_u64(block + 8);
                 let persisted = used_cell.load(Ordering::Acquire).min(self.cap);
                 let mut highest_valid = 0u64; // slots above this are torn
+                let mut zeros = 0u64; // zero slots since the last consumed one
                 for slot in 0..self.cap {
                     let pair = block + BLOCK_HDR + slot * PAIR_SIZE;
                     let word = self.pool.atomic_u64(pair + 8).load(Ordering::Acquire);
                     if word == 0 {
+                        zeros += 1;
                         continue;
                     }
                     // Any non-zero word means the slot was consumed, so the
-                    // claim counter must cover it either way.
+                    // claim counter must cover it either way — and every
+                    // slot below it was claimed too: a zero there is a pair
+                    // lost (an append a crash cut short, or zeroed media).
+                    stats.quarantined_pairs += std::mem::take(&mut zeros);
                     highest_valid = slot + 1;
                     if decode_pair(self.pool.read_u64(pair), word).is_some() {
                         stats.valid_pairs += 1;
@@ -542,6 +551,28 @@ mod tests {
         // Appends continue in fresh slots.
         c.append(99, 99).unwrap();
         assert_eq!(c.iter().count(), 6);
+    }
+
+    /// A zeroed line in mid-block loses pairs, and the loss must be
+    /// reported: unreported, the salvage open says `Clean` while the lost
+    /// keys' versions stop the watermark and the prune takes every later one.
+    #[test]
+    fn repair_counts_zeroed_pairs_below_a_consumed_slot() {
+        let p = pool();
+        let c = KeyChain::create(&p, 8).unwrap();
+        for i in 1..=6u64 {
+            c.append(i, i).unwrap();
+        }
+        let (block, _) = c.blocks().next().unwrap();
+        // Slots 1, 2 and 5 zeroed: slot 3 proves 1 and 2 were claimed; slot
+        // 5 reads as a claim a crash cut short, which it may well be.
+        for slot in [1, 2, 5] {
+            p.write_u64(block + BLOCK_HDR + slot * PAIR_SIZE, 0);
+            p.write_u64(block + BLOCK_HDR + slot * PAIR_SIZE + 8, 0);
+        }
+        let stats = c.repair();
+        assert_eq!((stats.valid_pairs, stats.quarantined_pairs), (3, 2));
+        assert_eq!(c.iter().map(|(k, _)| k).collect::<Vec<_>>(), vec![1, 4, 5]);
     }
 
     #[test]

@@ -2,10 +2,17 @@
 //!
 //! Design (see crate docs for the crash story):
 //!
-//! * The heap is a contiguous stream of blocks `[size u64 | state u64 | payload]`,
+//! * The heap is a contiguous stream of blocks `[size u64 | state u64 | …]`,
 //!   16-aligned, never split or coalesced — so it is always walkable.
-//! * Small requests are rounded to a size class; freed class blocks go to
-//!   volatile per-class free lists (rebuilt by scanning on every open).
+//! * Small requests are rounded to a size class and served from **runs**:
+//!   one refill carves one heap block holding `n` headerless blocks of
+//!   exactly `SIZE_CLASSES[class]` bytes behind a 32-byte [`RunHeader`] —
+//!   the block header, whose state word names the class and `n`, and the
+//!   occupancy words, whose bit `i` says block `i` is allocated. A free-list
+//!   entry names its run and bit, so allocating never searches; freeing and
+//!   sizing find a block's run in a DRAM directory of run offsets (one
+//!   sorted `u32` per run, in 16-byte units, filled by the open walk and by
+//!   every refill). Free lists are volatile, rebuilt by the walk on open.
 //! * The free lists are **sharded**: each thread is pinned to one of
 //!   [`num_shards`] arenas sized from the machine's core count and
 //!   allocates from its own shard's lists without contending with other
@@ -13,43 +20,48 @@
 //!   randomized probe, then a sweep guided by per-shard emptiness hints —
 //!   moving **half the victim's list** per steal so one lock acquisition
 //!   amortizes over many future allocations. Only then does it fall back
-//!   to the global bump cursor, grabbing a whole **batch** of same-class
-//!   blocks per cursor CAS ([`REFILL_BATCH`], growing adaptively while a
-//!   shard refills back-to-back), parking the extras in its own shard.
-//!   This amortizes both the cursor contention and the header persists
-//!   across the batch (cf. per-thread PM arenas in Marathe et al.,
-//!   *Persistent Memory Transactions*).
-//! * Large requests (> 4 KiB payload) bump-allocate exactly; freed large
-//!   blocks go to a volatile best-fit map (global — large allocations are
-//!   rare and not on the hot path).
+//!   to the global bump cursor, carving one run of `n` blocks per cursor
+//!   CAS ([`REFILL_BATCH`], growing adaptively while a shard refills
+//!   back-to-back, at most [`MAX_RUN_BLOCKS`]), parking the extras in its
+//!   own shard. This amortizes the cursor contention, the header persist
+//!   and the fence across the run (cf. per-thread PM arenas in Marathe et
+//!   al., *Persistent Memory Transactions*).
+//! * Large requests (> 4 KiB payload) bump-allocate one headed block
+//!   exactly; freed large blocks go to a volatile best-fit map (global —
+//!   large allocations are rare and not on the hot path).
 //! * The bump cursor lives in the superblock and is advanced with a word
 //!   atomic CAS, making the fast path lock-free.
 //!
-//! Persist ordering on allocation: headers (size, state) are persisted
-//! before the payload offset is returned, so any payload the caller
-//! persists is covered by a durable header. A crash between cursor advance
-//! and header persist leaks at most the in-flight batch; the open-time scan
-//! re-bases the cursor at an invalid header with no decodable block behind
-//! it ([`walk_heap`]). Batch
-//! refill pre-carves the extra blocks with durable free-state headers and
-//! **fences** before parking them: the extras are handed to other threads
-//! through the steal path, so their durability cannot ride a later fence of
-//! the allocating thread alone.
+//! Persist ordering on allocation: a run's header — size, state, occupancy
+//! words with the first block's bit set — is persisted before any of its
+//! blocks is handed out, so any payload the caller persists lies in a
+//! durable run. A crash between cursor advance and header persist leaks at
+//! most the in-flight run; the open-time walk re-bases the cursor at an
+//! invalid header with no decodable block behind it ([`walk_heap`]). The
+//! refill **fences** before parking the run's other blocks: they are handed
+//! to other threads through the steal path, so their clear bits cannot ride
+//! a later fence of the allocating thread alone.
 //!
-//! Free↔allocated state *flips*, by contrast, are flushed but **not**
-//! fenced (the MOD minimal-ordering argument, Friedman et al.): a block's
-//! state only matters once some durable structure references it, every
+//! Allocation bit flips, by contrast, are flushed but **not** fenced (the
+//! MOD minimal-ordering argument, Friedman et al.): a block's bit only
+//! matters once some durable structure references the block, every
 //! reference is created by the thread that obtained the block, and that
-//! thread's own publish fence orders the earlier state flush. Until then a
-//! stale state word merely leaks the block (`Allocated` with no referent)
-//! or re-frees it (`Free` with no referent) — both recovered by the
-//! leak-at-most heap scan. See DESIGN.md §13 for the full audit.
+//! thread's own publish fence orders the earlier flush of the word. Until
+//! then a stale bit merely leaks the block (set with no referent) or
+//! re-frees it (clear with no referent) — both recovered by the
+//! leak-at-most walk. A flip is one CAS on a word whose other bits other
+//! threads flip too; every CAS builds its word from the current one, so
+//! whatever value of the word reaches the media holds every flip flushed
+//! before it. See DESIGN.md §13 for the full audit.
 //!
-//! State words are CRC-folded ([`encode_state`] /
-//! [`decode_state`]): the tag rides the high half, a CRC32C over
-//! `(size, tag)` the low half. Torn or flipped metadata fails the decode and
-//! the rebuild scan conservatively treats the block as live (leak-at-most),
-//! instead of resurrecting a corrupt block onto a free list.
+//! Metadata words are CRC-folded: a state word is `tag << 32 |
+//! crc32c(size, tag)` ([`encode_state`]), an occupancy word `mask << 32 |
+//! crc32c(run, index, mask)` ([`encode_occupancy`]). Torn or flipped
+//! metadata fails the decode and the walk keeps what it covers live — a
+//! damaged run header is one gap, a damaged occupancy word keeps its ≤ 32
+//! blocks — instead of resurrecting a corrupt block onto a free list. A free
+//! that the words refuse — a block already free, an offset in no run and on
+//! no large block — panics in every build profile.
 
 use crate::layout::*;
 use crate::pool::PmemPool;
@@ -58,14 +70,78 @@ use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
 use mvkv_sync::sync::Mutex;
 use std::collections::BTreeMap;
 
-/// Class blocks carved from the bump cursor per refill CAS, before adaptive
-/// growth. The batch shrinks (8 → 4 → 2 → 1) when the heap tail is too
-/// small for a full one, and doubles (up to [`MAX_REFILL_BATCH`]) while a
-/// shard keeps refilling with no free-list hit in between.
+/// Class blocks in the run one refill carves, before adaptive growth. The
+/// batch shrinks (8 → 4 → 2 → 1) when the heap tail is too small for a full
+/// run, and doubles (up to [`MAX_RUN_BLOCKS`]) while a shard keeps
+/// refilling with no free-list hit in between.
 pub const REFILL_BATCH: u64 = 8;
 
-/// Upper bound for the adaptively grown refill batch.
-pub const MAX_REFILL_BATCH: u64 = 64;
+/// Runs start below 64 GiB: the directory records them as `u32` counts of
+/// 16-byte units. Above it, class requests report `OutOfMemory`.
+const RUN_LIMIT: u64 = BLOCK_ALIGN << 32;
+
+/// A free class block as a free list holds it: `run << 8 | bit`.
+fn free_entry(run: u64, bit: u64) -> u64 {
+    run << 8 | bit
+}
+
+/// Where a block's allocation state lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Located {
+    /// Block `bit` of the run whose header is at `run`.
+    Run { run: u64, bit: u64, class: usize },
+    /// A large block whose `[size | state]` header is at `header`.
+    Large { header: u64, size: u64 },
+}
+
+impl Located {
+    /// The word that says whether the block is allocated.
+    fn state_word(self) -> u64 {
+        match self {
+            Located::Run { run, bit, .. } => run + OCCUPANCY + 8 * (bit / 32),
+            Located::Large { header, .. } => header + 8,
+        }
+    }
+
+    /// Sets (`allocated`) or clears the block's state with one CAS on its
+    /// word and flushes the word — deliberately **not** fenced (MOD audit,
+    /// module docs + DESIGN.md §13): only the thread that holds the block
+    /// references it, and that thread's later publish fence orders this
+    /// flush before any durable reference (a free comes after every durable
+    /// reference is gone). False, with nothing written, when the state
+    /// already was that or the word fails its CRC.
+    fn flip(self, pool: &PmemPool, allocated: bool) -> bool {
+        let word = pool.atomic_u64(self.state_word());
+        let mut current = word.load(Ordering::Acquire);
+        loop {
+            let next = match self {
+                Located::Run { run, bit, .. } => {
+                    let (index, flag) = (bit / 32, 1u32 << (bit % 32));
+                    let mask = decode_occupancy(run, index, current);
+                    let Some(mask) = mask.filter(|m| (m & flag == 0) == allocated) else {
+                        return false;
+                    };
+                    encode_occupancy(run, index, mask ^ flag)
+                }
+                Located::Large { size, .. } => {
+                    let state = |on| if on { BlockState::Allocated } else { BlockState::Free };
+                    if decode_state(size, current) != Some(state(!allocated)) {
+                        return false;
+                    }
+                    encode_state(size, state(allocated))
+                }
+            };
+            // ordering: other threads CAS other bits of the same word; each
+            // CAS must build on the value the last one left.
+            match word.compare_exchange(current, next, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => break,
+                Err(seen) => current = seen,
+            }
+        }
+        pool.persist(self.state_word(), 8);
+        true
+    }
+}
 
 /// Consecutive refills (per shard, no intervening hit) before the batch
 /// doubles once more.
@@ -191,6 +267,7 @@ fn probe_rand() -> u64 {
 /// shards' counters on a handful of lines.
 #[repr(align(128))]
 struct Shard {
+    /// Free-list entries ([`free_entry`]) per class.
     class_free: [Mutex<Vec<u64>>; NUM_CLASSES],
     /// Bit `c` set ⇔ `class_free[c]` may be non-empty. Maintained under the
     /// class lock; read lock-free by the steal path so empty siblings cost
@@ -278,9 +355,13 @@ impl Shard {
 
 /// What a heap walk finds between `HEAP_START` and the bump cursor.
 pub(crate) enum HeapItem {
-    /// A block with a valid size word; `state` is `None` when its state word
-    /// decodes as neither free nor allocated.
+    /// A large block with a valid size word; `state` is `None` when its
+    /// state word decodes as nothing — a run's damaged state word among them.
+    /// Never `Some(BlockState::Run { .. })`.
     Block { header: u64, size: u64, state: Option<BlockState> },
+    /// A run of `blocks` blocks of size class `class` ([`occupancy`] reads
+    /// its words).
+    Run { run: u64, class: usize, blocks: u64 },
     /// A damaged header and whatever lies between it and the next header the
     /// walk could resume at: blocks it can no longer tell apart.
     Gap,
@@ -308,8 +389,10 @@ pub(crate) fn walk_heap(pool: &PmemPool, bump: u64, mut visit: impl FnMut(HeapIt
     let mut at = HEAP_START;
     while at < bump {
         if let Some(size) = block_size(pool, at, bump) {
-            let state = decode_state(size, pool.read_u64(at + 8));
-            visit(HeapItem::Block { header: at, size, state });
+            visit(match decode_state(size, pool.read_u64(at + 8)) {
+                Some(BlockState::Run { class, blocks }) => HeapItem::Run { run: at, class, blocks },
+                state => HeapItem::Block { header: at, size, state },
+            });
             at += size;
         } else if let Some(resume) = resume_behind(pool, at, bump) {
             visit(HeapItem::Gap);
@@ -347,6 +430,19 @@ fn resume_behind(pool: &PmemPool, from: u64, bump: u64) -> Option<u64> {
     None
 }
 
+/// The occupancy words of the run at `run` with `blocks` blocks: per word,
+/// the bits it covers and its mask (`None`: the word fails its CRC).
+pub(crate) fn occupancy(
+    pool: &PmemPool,
+    run: u64,
+    blocks: u64,
+) -> impl Iterator<Item = (std::ops::Range<u64>, Option<u32>)> + '_ {
+    (0..blocks.div_ceil(32)).map(move |index| {
+        let word = pool.read_u64(run + OCCUPANCY + 8 * index);
+        (32 * index..blocks.min(32 * index + 32), decode_occupancy(run, index, word))
+    })
+}
+
 /// Volatile allocator state attached to a pool.
 ///
 /// There is deliberately **no** independent `total_allocs` counter:
@@ -359,6 +455,9 @@ pub struct Allocator {
     /// so per-shard counter reads in [`Allocator::stats`] are plain atomic
     /// loads with no bounds hazard when the count differs across builds.
     shards: Box<[Shard]>,
+    /// Every run's header offset in 16-byte units, sorted: how a free finds
+    /// its block's run.
+    runs: Mutex<Vec<u32>>,
     /// Freed large blocks: total block size → payload offsets.
     large_free: Mutex<BTreeMap<u64, Vec<u64>>>,
     live_blocks: AtomicU64,
@@ -413,6 +512,7 @@ impl Allocator {
     pub fn new() -> Self {
         Allocator {
             shards: (0..num_shards()).map(|_| Shard::new()).collect(),
+            runs: Mutex::new(Vec::new()),
             large_free: Mutex::new(BTreeMap::new()),
             live_blocks: AtomicU64::new(0),
             large_allocs: AtomicU64::new(0),
@@ -431,11 +531,10 @@ impl Allocator {
             // exactly one classifying counter.
             let me = shard_id();
             // 1. Own arena — the contention-free fast path.
-            if let Some(off) = self.shards[me].pop(class) {
+            if let Some(entry) = self.shards[me].pop(class) {
                 self.shards[me].hits.fetch_add(1, Ordering::Relaxed); // ordering: stat
                 mvkv_obs::counter_inc_hot!("mvkv_pmem_alloc_hits_total");
-                self.mark_allocated(pool, off);
-                return Ok(off);
+                return Ok(self.take_entry(pool, class, entry));
             }
             // 2. Steal from siblings before burning fresh heap, so blocks
             //    freed by other threads (or redistributed by a reopen scan)
@@ -470,11 +569,73 @@ impl Allocator {
                 drop(large);
                 self.large_allocs.fetch_add(1, Ordering::Relaxed); // ordering: stat
                 mvkv_obs::counter_inc!("mvkv_pmem_alloc_large_total");
-                self.mark_allocated(pool, off);
+                self.take(pool, Located::Large { header: off - BLOCK_HEADER, size });
                 return Ok(off);
             }
         }
         self.bump_new_block(pool, payload, len)
+    }
+
+    /// Marks a free-list block allocated ([`Located::flip`]); a block whose
+    /// word says it is not free is never handed out.
+    fn take(&self, pool: &PmemPool, block: Located) {
+        assert!(block.flip(pool, true), "free-list block {block:?} is not free");
+        self.live_blocks.fetch_add(1, Ordering::Relaxed); // ordering: gauge, not a publication
+    }
+
+    /// [`Allocator::take`] for the class block a free-list entry names.
+    fn take_entry(&self, pool: &PmemPool, class: usize, entry: u64) -> u64 {
+        let (run, bit) = (entry >> 8, entry & 0xFF);
+        self.take(pool, Located::Run { run, bit, class });
+        run_block(run, class, bit)
+    }
+
+    /// Where the block at payload offset `off` keeps its state: in a run of
+    /// the directory, or behind a large block's header; `None` when `off`
+    /// starts no block of this pool.
+    fn locate(&self, pool: &PmemPool, off: u64) -> Option<Located> {
+        let bump = pool.read_u64(OFF_BUMP).min(pool.len() as u64);
+        if !off.is_multiple_of(BLOCK_ALIGN) || off < HEAP_START + BLOCK_HEADER || off >= bump {
+            return None;
+        }
+        let run = {
+            let runs = self.runs.lock();
+            let below = runs.partition_point(|&unit| u64::from(unit) * BLOCK_ALIGN < off);
+            below.checked_sub(1).map(|i| u64::from(runs[i]) * BLOCK_ALIGN)
+        };
+        if let Some(run) = run {
+            let size = pool.read_u64(run);
+            if off < run + size {
+                let state = decode_state(size, pool.read_u64(run + 8));
+                let Some(BlockState::Run { class, blocks }) = state else { return None };
+                let (at, stride) = (off.checked_sub(run + RUN_HEADER)?, SIZE_CLASSES[class] as u64);
+                let block = Located::Run { run, bit: at / stride, class };
+                return (at % stride == 0 && at / stride < blocks).then_some(block);
+            }
+        }
+        let header = off - BLOCK_HEADER;
+        let size = block_size(pool, header, bump)?;
+        let state = decode_state(size, pool.read_u64(header + 8))?;
+        matches!(state, BlockState::Free | BlockState::Allocated)
+            .then_some(Located::Large { header, size })
+    }
+
+    /// [`Allocator::locate`] for an offset the caller vouches for.
+    fn block_at(&self, pool: &PmemPool, off: u64) -> Located {
+        self.locate(pool, off).unwrap_or_else(|| panic!("no block of this pool starts at {off}"))
+    }
+
+    /// Payload bytes of the block at `off`.
+    pub fn block_capacity(&self, pool: &PmemPool, off: u64) -> usize {
+        match self.block_at(pool, off) {
+            Located::Run { class, .. } => SIZE_CLASSES[class],
+            Located::Large { size, .. } => (size - BLOCK_HEADER) as usize,
+        }
+    }
+
+    /// Offset of the word that says whether the block at `off` is allocated.
+    pub fn state_word(&self, pool: &PmemPool, off: u64) -> u64 {
+        self.block_at(pool, off).state_word()
     }
 
     /// The steal path: bounded randomized probes, then an emptiness-hint
@@ -486,7 +647,7 @@ impl Allocator {
             return None;
         }
         let grab = |victim: usize| -> Option<u64> {
-            let (off, extras) = self.shards[victim].steal_half(class)?;
+            let (entry, extras) = self.shards[victim].steal_half(class)?;
             let moved = extras.len() as u64;
             if !extras.is_empty() {
                 self.shards[me].push(class, extras);
@@ -494,8 +655,7 @@ impl Allocator {
             self.shards[me].steals.fetch_add(1, Ordering::Relaxed); // ordering: stat
             mvkv_obs::counter_inc!("mvkv_pmem_alloc_steals_total");
             mvkv_obs::counter_add!("mvkv_pmem_alloc_steal_blocks_total", moved + 1);
-            self.mark_allocated(pool, off);
-            Some(off)
+            Some(self.take_entry(pool, class, entry))
         };
         // Randomized probes (skipped under loom: schedules must not depend
         // on a thread-local RNG).
@@ -517,14 +677,13 @@ impl Allocator {
         None
     }
 
-    /// Carves a batch of same-class blocks with one cursor CAS: the first
-    /// is returned allocated, the rest are parked in shard `me` with
-    /// durable free-state headers. All header persists plus the cursor
-    /// persist share a single fence. The batch starts at [`REFILL_BATCH`]
-    /// and doubles (to at most [`MAX_REFILL_BATCH`]) while the shard
-    /// refills back-to-back with no free-list hit — sustained fresh-key
-    /// insert storms amortize the cursor CAS and the fence over more
-    /// blocks exactly when they need to.
+    /// Carves one run of same-class blocks with one cursor CAS: block 0 is
+    /// returned allocated, the rest are parked in shard `me` with durable
+    /// clear bits. The header persist plus the cursor persist share a single
+    /// fence. The batch starts at [`REFILL_BATCH`] and doubles (to at most
+    /// [`MAX_RUN_BLOCKS`]) while the shard refills back-to-back with no
+    /// free-list hit — sustained fresh-key insert storms amortize the cursor
+    /// CAS and the fence over more blocks exactly when they need to.
     fn refill_and_alloc(
         &self,
         pool: &PmemPool,
@@ -532,7 +691,6 @@ impl Allocator {
         class: usize,
         requested: usize,
     ) -> Result<u64> {
-        let block = BLOCK_HEADER + SIZE_CLASSES[class] as u64;
         let shard = &self.shards[me];
         // Adaptive batch: a refill is "tight" when at most one batch worth
         // of list serves separated it from the previous one — nothing but
@@ -552,59 +710,60 @@ impl Allocator {
             0
         };
         let boost = (streak / REFILL_STREAK_WINDOW).min(3); // 8 → 16 → 32 → 64
-        let full_batch = (REFILL_BATCH << boost).min(MAX_REFILL_BATCH);
+        let full_batch = (REFILL_BATCH << boost).min(MAX_RUN_BLOCKS);
         let cursor = pool.atomic_u64(OFF_BUMP);
         loop {
             let current = cursor.load(Ordering::Acquire);
             let limit = pool.len() as u64;
             // Largest batch (halving from full_batch) that still fits.
             let mut batch = full_batch;
-            while batch > 1 && current.checked_add(batch * block).is_none_or(|e| e > limit) {
+            while batch > 1 && current.checked_add(run_size(class, batch)).is_none_or(|e| e > limit)
+            {
                 batch /= 2;
             }
-            let end = current
-                .checked_add(batch * block)
-                .ok_or(PmemError::OutOfMemory { requested })?;
-            if end > limit {
+            let size = run_size(class, batch);
+            if current >= RUN_LIMIT || current.checked_add(size).is_none_or(|end| end > limit) {
                 return Err(PmemError::OutOfMemory { requested });
             }
-            if cursor
-                .compare_exchange_weak(current, end, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
+            let (run, end) = (current, current + size);
+            if cursor.compare_exchange_weak(run, end, Ordering::AcqRel, Ordering::Acquire).is_err()
             {
                 continue;
             }
-            // Headers first, then persist headers + cursor before handing
-            // out the payload (see module docs for the crash argument).
-            pool.write_u64(current, block);
-            pool.write_u64(current + 8, encode_state(block, BlockState::Allocated));
-            pool.persist(current, BLOCK_HEADER as usize);
-            let mut extras = Vec::with_capacity(batch as usize - 1);
-            for i in 1..batch {
-                let hdr = current + i * block;
-                pool.write_u64(hdr, block);
-                pool.write_u64(hdr + 8, encode_state(block, BlockState::Free));
-                pool.persist(hdr, BLOCK_HEADER as usize);
-                extras.push(hdr + BLOCK_HEADER);
+            // The run header — size, state (class and batch under the CRC),
+            // occupancy words with block 0's bit set — then persist it and
+            // the cursor before handing out a block (see module docs for the
+            // crash argument).
+            pool.write_u64(run, size);
+            pool.write_u64(run + 8, encode_state(size, BlockState::Run { class, blocks: batch }));
+            for index in 0..batch.div_ceil(32) {
+                let word = encode_occupancy(run, index, (index == 0).into());
+                pool.write_u64(run + OCCUPANCY + 8 * index, word);
             }
+            pool.persist(run, RUN_HEADER as usize);
             pool.persist(OFF_BUMP, 8);
-            // This fence is load-bearing and stays (unlike the state-flip
-            // fences, see module docs): the extras parked below are handed
-            // to *other* threads through the steal path, so their Free
-            // headers must be durable before any thief can link one into a
-            // durable structure — the thief's own fence does not order this
-            // thread's flushes.
+            // This fence is load-bearing and stays (unlike the bit-flip
+            // fences, see module docs): the blocks parked below are handed
+            // to *other* threads through the steal path, so their clear bits
+            // must be durable before any thief can link one into a durable
+            // structure — the thief's own fence does not order this thread's
+            // flushes.
             // fence: amortized(shard refill: once per `batch` allocations)
             pool.fence();
-            if !extras.is_empty() {
-                // LIFO order: the next same-thread alloc reuses the newest.
-                shard.push(class, extras);
-            }
+            // Before any block of the run is handed out, a free of which
+            // looks the run up here. `run < RUN_LIMIT`: the unit fits.
+            let unit = (run / BLOCK_ALIGN) as u32;
+            let mut runs = self.runs.lock();
+            let at = runs.partition_point(|&r| r < unit);
+            runs.insert(at, unit);
+            drop(runs);
+            // Highest bit first: the next same-thread allocs go up the run.
+            shard.push(class, (1..batch).rev().map(|bit| free_entry(run, bit)));
             shard.last_batch.store(batch, Ordering::Relaxed); // ordering: adaptive input
             shard.refills.fetch_add(1, Ordering::Relaxed); // ordering: stat
             mvkv_obs::counter_inc!("mvkv_pmem_alloc_refills_total");
             self.live_blocks.fetch_add(1, Ordering::Relaxed); // ordering: gauge, not a publication
-            return Ok(current + BLOCK_HEADER);
+            return Ok(run_block(run, class, 0));
         }
     }
 
@@ -637,58 +796,44 @@ impl Allocator {
         }
     }
 
-    /// Flips a free-list block's durable state to `Allocated`. Flushed but
-    /// deliberately **not** fenced (MOD audit, module docs + DESIGN.md §13):
-    /// the caller is the only thread that will reference the block, and its
-    /// later publish fence orders this flush before any durable reference.
-    /// A crash before that fence can leave the state `Free` — and then
-    /// nothing durable references the block, so re-freeing it on reopen is
-    /// sound.
-    fn mark_allocated(&self, pool: &PmemPool, payload_off: u64) {
-        let header = payload_off - BLOCK_HEADER;
-        let size = pool.read_u64(header);
-        pool.write_u64(header + 8, encode_state(size, BlockState::Allocated));
-        pool.persist(header + 8, 8);
-        self.live_blocks.fetch_add(1, Ordering::Relaxed); // ordering: gauge, not a publication
-    }
-
     /// Frees the block whose payload starts at `off`. Class blocks return
     /// to the freeing thread's own shard (good locality for free-then-alloc
     /// patterns); siblings can still reach them through the steal path.
     ///
-    /// The `Free` state flip is flushed but not fenced (MOD audit): the
-    /// caller has already unlinked every durable reference, so the worst a
-    /// crash can preserve is a stale `Allocated` word — a leak-at-most
-    /// outcome the reopen scan already tolerates. The next thread to reuse
-    /// the block orders both flips behind its own publish fence (cache
-    /// coherence puts the line's final value at `Allocated` again).
+    /// The clearing flip is flushed but not fenced (MOD audit): the caller
+    /// has already unlinked every durable reference, so the worst a crash
+    /// can preserve is a stale set bit — a leak-at-most outcome the reopen
+    /// walk already tolerates. The next thread to reuse the block orders
+    /// both flips behind its own publish fence.
+    ///
+    /// # Panics
+    /// In every build profile, when `off` starts no block of this pool or
+    /// its word refuses the flip — the block is already free (a double
+    /// free), or the word fails its CRC: none of these reaches a free list,
+    /// so no block is ever handed out twice.
     pub fn dealloc(&self, pool: &PmemPool, off: u64) {
-        let header = off - BLOCK_HEADER;
-        let size = pool.read_u64(header);
-        debug_assert!(size >= BLOCK_HEADER + BLOCK_ALIGN, "freeing a non-block at {off}");
-        debug_assert_eq!(
-            decode_state(size, pool.read_u64(header + 8)),
-            Some(BlockState::Allocated),
-            "double free or corruption at {off}"
-        );
-        pool.write_u64(header + 8, encode_state(size, BlockState::Free));
-        pool.persist(header + 8, 8);
-
-        match class_of(size - BLOCK_HEADER) {
-            Some(class) => self.shards[shard_id()].push(class, [off]),
-            None => self.large_free.lock().entry(size).or_default().push(off),
+        let block = self.block_at(pool, off);
+        assert!(block.flip(pool, false), "double free of the block at {off}");
+        match block {
+            Located::Run { run, bit, class } => {
+                self.shards[shard_id()].push(class, [free_entry(run, bit)])
+            }
+            Located::Large { size, .. } => {
+                self.large_free.lock().entry(size).or_default().push(off)
+            }
         }
         self.live_blocks.fetch_sub(1, Ordering::Relaxed); // ordering: gauge, not a publication
         self.total_frees.fetch_add(1, Ordering::Relaxed); // ordering: stat
         mvkv_obs::counter_inc!("mvkv_pmem_deallocs_total");
     }
 
-    /// Walks the heap after reopen, repopulating free lists and fixing a
-    /// torn bump cursor (crash between reserve and header persist). Freed
-    /// class blocks are redistributed round-robin across shards so every
-    /// arena restarts warm. The walk decodes every block's state word, so it
-    /// also counts the ones that decode as nothing and the gaps behind
-    /// damaged headers ([`Allocator::indeterminate_at_open`]) — what
+    /// Walks the heap after reopen, rebuilding the run directory,
+    /// repopulating free lists and fixing a torn bump cursor (crash between
+    /// reserve and header persist). The free blocks of a run go to one
+    /// shard, runs round-robin across shards, so every arena restarts warm.
+    /// The walk decodes every state and occupancy word, so it also counts
+    /// the ones that decode as nothing and the gaps behind damaged headers
+    /// ([`Allocator::indeterminate_at_open`]) — what
     /// [`crate::recovery::audit`] would report for the pool as opened,
     /// without a second walk.
     pub fn rebuild_from_heap(&self, pool: &PmemPool) {
@@ -696,30 +841,42 @@ impl Allocator {
         let mut live = 0u64;
         let mut indeterminate = 0u64;
         let mut next_shard = 0usize;
+        let (mut runs, mut free) = (Vec::new(), Vec::new());
         let end = walk_heap(pool, bump, |item| match item {
-            HeapItem::Block { header, size, state: Some(BlockState::Free) } => {
-                let payload_off = header + BLOCK_HEADER;
-                match class_of(size - BLOCK_HEADER) {
-                    Some(class) => {
-                        self.shards[next_shard].push(class, [payload_off]);
-                        next_shard = (next_shard + 1) % self.shards.len();
+            HeapItem::Run { run, class, blocks } => {
+                runs.push(u32::try_from(run / BLOCK_ALIGN).expect("runs start below RUN_LIMIT"));
+                for (bits, mask) in occupancy(pool, run, blocks) {
+                    match mask {
+                        Some(mask) => free.extend(
+                            bits.filter(|bit| mask >> (bit % 32) & 1 == 0)
+                                .map(|bit| free_entry(run, bit)),
+                        ),
+                        // A damaged word: its blocks stay live.
+                        None => indeterminate += 1,
                     }
-                    None => self.large_free.lock().entry(size).or_default().push(payload_off),
                 }
+                live += blocks - free.len() as u64;
+                if !free.is_empty() {
+                    // Highest bit first, as a refill parks them.
+                    self.shards[next_shard].push(class, free.drain(..).rev());
+                    next_shard = (next_shard + 1) % self.shards.len();
+                }
+            }
+            HeapItem::Block { header, size, state: Some(BlockState::Free) } => {
+                self.large_free.lock().entry(size).or_default().push(header + BLOCK_HEADER);
             }
             // Allocated, a header whose state never persisted or failed its
             // CRC, or the blocks behind a damaged header: conservatively
             // treat as live (leak-at-most semantics) — a corrupt block must
             // never reach a free list.
-            HeapItem::Block { state, .. } => {
-                live += 1;
-                indeterminate += u64::from(state.is_none());
-            }
-            HeapItem::Gap => {
+            HeapItem::Block { state: Some(BlockState::Allocated), .. } => live += 1,
+            HeapItem::Block { .. } | HeapItem::Gap => {
                 live += 1;
                 indeterminate += 1;
             }
         });
+        runs.shrink_to_fit();
+        *self.runs.lock() = runs;
         if end != bump {
             // Torn tail: re-base the cursor at it.
             pool.write_u64(OFF_BUMP, end);
@@ -917,7 +1074,8 @@ mod tests {
 
     #[test]
     fn free_lists_survive_reopen_via_heap_scan() {
-        let path = std::env::temp_dir().join(format!("mvkv-alloc-scan-{}.pool", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("mvkv-alloc-scan-{}.pool", std::process::id()));
         let (freed, kept);
         {
             let p = PmemPool::create_file(&path, 1 << 20).unwrap();
@@ -1224,9 +1382,51 @@ mod tests {
         assert!(reopened.alloc(64).is_ok());
     }
 
+    #[test]
+    fn the_blocks_of_a_run_are_spaced_exactly_their_class_apart() {
+        for (class, &bytes) in SIZE_CLASSES.iter().enumerate() {
+            let p = pool();
+            let offs: Vec<u64> = (0..REFILL_BATCH).map(|_| p.alloc(bytes).unwrap()).collect();
+            assert_eq!(offs[0], HEAP_START + RUN_HEADER, "class {bytes}: behind one run header");
+            for (bit, &off) in offs.iter().enumerate() {
+                assert_eq!(off, run_block(HEAP_START, class, bit as u64));
+                assert_eq!(p.block_capacity(off), bytes, "no header, no padding");
+                assert_eq!(p.state_word(off), HEAP_START + OCCUPANCY);
+            }
+            let run = run_size(class, REFILL_BATCH);
+            assert_eq!(p.alloc_stats().heap_used, run, "one run, one refill");
+            assert_eq!(p.alloc_stats().shard_refills.iter().sum::<u64>(), 1);
+        }
+    }
+
+    /// A free the occupancy words refuse panics in every build profile and
+    /// reaches no free list — in a release build too, where a
+    /// `debug_assert` would let one block be freed twice and handed to two
+    /// later allocations.
+    #[test]
+    fn a_double_free_never_hands_a_block_out_twice() {
+        let p = pool();
+        let a = p.alloc(64).unwrap();
+        let big = p.alloc(10_000).unwrap();
+        p.dealloc(a);
+        p.dealloc(big);
+        let len = p.len() as u64;
+        for off in [a, big, a + 16, big + 16, HEAP_START, HEAP_START + BLOCK_HEADER, len - 16, 8] {
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.dealloc(off)));
+            let message = refused.expect_err("the free was accepted");
+            let message = message.downcast_ref::<String>().expect("a formatted message");
+            assert!(message.contains(&off.to_string()), "{off}: {message}");
+        }
+        let blocks = [p.alloc(64).unwrap(), p.alloc(64).unwrap(), p.alloc(10_000).unwrap()];
+        assert_ne!(blocks[0], blocks[1], "the block freed twice was handed out twice");
+        assert_eq!(p.alloc_stats().total_frees, 2);
+        assert_eq!(crate::recovery::audit(&p).allocated_blocks, 3);
+    }
+
     /// ROADMAP 2(e), "the heap walk": a media fault on one header in
     /// mid-heap used to read as a torn tail, and the re-based cursor handed
-    /// out every live block behind it a second time.
+    /// out every live block behind it a second time. A damaged run header is
+    /// one gap, a damaged state or occupancy word keeps what it covers live.
     #[test]
     fn damaged_mid_heap_header_does_not_rebase_the_cursor() {
         let p = PmemPool::create_volatile(1 << 22).unwrap();
@@ -1249,15 +1449,21 @@ mod tests {
         let bump = p.read_u64(OFF_BUMP);
         // SAFETY: [0, len) is in bounds; no writer races the snapshot here.
         let clean = unsafe { p.bytes(0, p.len()).to_vec() };
-        for seed in 0..12usize {
-            let (victim, _) = live[live.len() / 4 + seed * 11];
-            let header = (victim - BLOCK_HEADER) as usize;
+        for seed in 0..18usize {
+            let (victim, _) = live[live.len() / 4 + seed * 7];
+            // The heap block the victim lies in: its run, or its own header.
+            let header = match p.allocator.locate(&p, victim) {
+                Some(Located::Run { run, .. }) => run,
+                _ => victim - BLOCK_HEADER,
+            } as usize;
             let mut image = clean.clone();
-            match seed % 4 {
-                0 => image[header..header + 16].fill(0), // a zeroed line
+            match seed % 6 {
+                0 => image[header..header + 16].fill(0), // a zeroed size and state
                 1 => image[header] ^= 1 << 2,            // no longer a multiple of the alignment
                 2 => image[header..header + 8].copy_from_slice(&(u64::MAX - 15).to_le_bytes()),
-                _ => image[header] ^= 1 << 4, // a plausible size: the walk lands in a payload
+                3 => image[header] ^= 1 << 4, // a plausible size: the walk lands in a payload
+                4 => image[header + 8] ^= 1 << 3, // the state word: tag, class and count
+                _ => image[p.state_word(victim) as usize + 4] ^= 1 << 1, // the occupancy word
             }
             let reopened = PmemPool::open_image(&image).unwrap();
             assert_eq!(reopened.read_u64(OFF_BUMP), bump, "seed {seed}: the cursor is kept");

@@ -27,10 +27,11 @@
 //!
 //! ## Allocator crash invariants
 //!
-//! Block headers are written and persisted *before* user data; the heap is a
-//! contiguous walkable stream of `[size, state]`-headed blocks, so
+//! Headers are written and persisted *before* user data; the heap is a
+//! contiguous walkable stream of `[size, state]`-headed blocks — runs of
+//! headerless class blocks with their occupancy words, and large blocks — so
 //! [`PmemPool::open_file`] re-derives free lists by scanning. A crash in the
-//! middle of an allocation leaks at most the in-flight block (audited by
+//! middle of an allocation leaks at most the in-flight run (audited by
 //! [`recovery::HeapAudit`]).
 //!
 //! ## PM-resident types (the `pm-resident` convention)

@@ -29,7 +29,7 @@ use std::path::Path;
 /// ```
 pub struct PmemPool {
     backend: Box<dyn Backend>,
-    allocator: Allocator,
+    pub(crate) allocator: Allocator,
     /// Serializes undo-log transactions (see [`crate::txn`]).
     txn_lock: Mutex<()>,
 }
@@ -141,21 +141,34 @@ impl PmemPool {
     // -- allocation ----------------------------------------------------------
 
     /// Allocates `len` bytes of 16-aligned persistent memory; returns the
-    /// payload offset. The block header is persisted before return.
+    /// payload offset. The block's run header (or large-block header) is
+    /// persisted before return.
     pub fn alloc(&self, len: usize) -> Result<u64> {
         self.allocator.alloc(self, len)
     }
 
     /// Returns a previously allocated block to the pool. `off` must be a
-    /// payload offset obtained from [`PmemPool::alloc`].
+    /// payload offset obtained from [`PmemPool::alloc`]; freeing any other
+    /// offset, or a block twice, panics (see [`Allocator::dealloc`]).
+    ///
+    /// [`Allocator::dealloc`]: crate::alloc::Allocator::dealloc
     pub fn dealloc(&self, off: u64) {
         self.allocator.dealloc(self, off);
     }
 
-    /// Usable payload capacity of the block at payload offset `off`.
+    /// Usable payload capacity of the block at payload offset `off`: its
+    /// size class, or a large block's payload. Panics if `off` starts no
+    /// block.
     pub fn block_capacity(&self, off: u64) -> usize {
-        let size = self.read_u64(off - BLOCK_HEADER);
-        (size - BLOCK_HEADER) as usize
+        self.allocator.block_capacity(self, off)
+    }
+
+    /// Offset of the durable word that says whether the block at `off` is
+    /// allocated: its run's occupancy word (shared with up to 31 other
+    /// blocks) for a class block, its header's state word for a large one.
+    /// For tools and fault-injection tests. Panics if `off` starts no block.
+    pub fn state_word(&self, off: u64) -> u64 {
+        self.allocator.state_word(self, off)
     }
 
     /// Allocator counters (bump position, live blocks, …).

@@ -5,21 +5,23 @@
 //! audit so applications and tests can assert on post-crash pool health
 //! (block counts, leaked bytes, torn tails).
 
-use crate::alloc::{walk_heap, HeapItem};
+use crate::alloc::{occupancy, walk_heap, HeapItem};
 use crate::layout::*;
 use crate::pool::PmemPool;
 
 /// Summary of a full heap walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HeapAudit {
-    /// Blocks whose state word decodes to `Allocated`.
+    /// Blocks marked allocated: set occupancy bits and large blocks whose
+    /// state word decodes to `Allocated`.
     pub allocated_blocks: u64,
-    /// Blocks whose state word decodes to `Free`.
+    /// Blocks marked free: clear occupancy bits and free large blocks.
     pub free_blocks: u64,
-    /// Blocks whose state word fails to decode (unknown tag or CRC
-    /// mismatch — header persisted, state torn or media-corrupted), and
-    /// gaps behind a header whose size word is damaged (one each). These
-    /// are the "leak at most" cases.
+    /// Damaged metadata, one each: a state word that fails to decode (unknown
+    /// tag or CRC mismatch — header persisted, state torn or media-corrupted;
+    /// a run's among them), an occupancy word that fails its CRC (its ≤ 32
+    /// blocks), a gap behind a header whose size word is damaged. These are
+    /// the "leak at most" cases.
     pub indeterminate_blocks: u64,
     /// Payload bytes held by allocated blocks.
     pub allocated_bytes: u64,
@@ -31,6 +33,21 @@ pub struct HeapAudit {
     /// Allocated `(blocks, payload bytes)` per size class, in
     /// [`SIZE_CLASSES`] order; the last pair is every larger block.
     pub allocated_by_class: [(u64, u64); NUM_CLASSES + 1],
+    /// Free `(blocks, payload bytes)` per size class, likewise.
+    pub free_by_class: [(u64, u64); NUM_CLASSES + 1],
+    /// Runs per size class (one per refill).
+    pub runs_by_class: [u64; NUM_CLASSES],
+}
+
+impl HeapAudit {
+    /// Counts `blocks` blocks of `payload` bytes each in `class` (the
+    /// class count for large blocks).
+    fn tally(&mut self, allocated: bool, class: usize, blocks: u64, payload: u64) {
+        let by_class =
+            if allocated { &mut self.allocated_by_class } else { &mut self.free_by_class };
+        by_class[class].0 += blocks;
+        by_class[class].1 += blocks * payload;
+    }
 }
 
 /// Walks the heap of `pool` and classifies every block.
@@ -38,22 +55,30 @@ pub fn audit(pool: &PmemPool) -> HeapAudit {
     let bump = pool.read_u64(OFF_BUMP).clamp(HEAP_START, pool.len() as u64);
     let mut out = HeapAudit::default();
     let end = walk_heap(pool, bump, |item| match item {
-        HeapItem::Block { size, state: Some(BlockState::Allocated), .. } => {
-            let payload = size - BLOCK_HEADER;
-            out.allocated_blocks += 1;
-            out.allocated_bytes += payload;
-            let (blocks, bytes) =
-                &mut out.allocated_by_class[class_of(payload).unwrap_or(NUM_CLASSES)];
-            *blocks += 1;
-            *bytes += payload;
+        HeapItem::Run { run, class, blocks } => {
+            out.runs_by_class[class] += 1;
+            let payload = SIZE_CLASSES[class] as u64;
+            for (bits, mask) in occupancy(pool, run, blocks) {
+                // A valid word never has a bit set beyond its run's blocks.
+                let Some(used) = mask.map(|mask| u64::from(mask.count_ones())) else {
+                    out.indeterminate_blocks += 1;
+                    continue;
+                };
+                out.tally(true, class, used, payload);
+                out.tally(false, class, bits.end - bits.start - used, payload);
+            }
         }
-        HeapItem::Block { size, state: Some(BlockState::Free), .. } => {
-            out.free_blocks += 1;
-            out.free_bytes += size - BLOCK_HEADER;
-        }
-        HeapItem::Block { state: None, .. } | HeapItem::Gap => out.indeterminate_blocks += 1,
+        HeapItem::Block {
+            size,
+            state: Some(state @ (BlockState::Allocated | BlockState::Free)),
+            ..
+        } => out.tally(state == BlockState::Allocated, NUM_CLASSES, 1, size - BLOCK_HEADER),
+        HeapItem::Block { .. } | HeapItem::Gap => out.indeterminate_blocks += 1,
     });
     out.torn_tail_bytes = bump - end;
+    let sum = |by_class: &[(u64, u64)]| by_class.iter().fold((0, 0), |t, c| (t.0 + c.0, t.1 + c.1));
+    (out.allocated_blocks, out.allocated_bytes) = sum(&out.allocated_by_class);
+    (out.free_blocks, out.free_bytes) = sum(&out.free_by_class);
     out
 }
 
@@ -70,15 +95,20 @@ mod tests {
         pool.dealloc(a);
         pool.dealloc(c);
         let audit = audit(&pool);
-        // One 64 B refill batch was carved for a/b: `b` stays allocated,
-        // `a` plus the BATCH-2 unused extras plus the large block are free.
+        // One 64 B run was carved for a/b: `b` stays allocated, `a` plus
+        // the BATCH-2 unused blocks of the run plus the large block are free.
         let batch = crate::alloc::REFILL_BATCH;
+        let class = class_for(64).unwrap();
         assert_eq!(audit.allocated_blocks, 1);
         assert_eq!(audit.free_blocks, batch);
         assert_eq!(audit.indeterminate_blocks, 0);
         assert_eq!(audit.torn_tail_bytes, 0);
         assert_eq!(audit.allocated_bytes, 64);
         assert!(audit.free_bytes >= 64 + 5000);
+        assert_eq!(audit.free_by_class[class], (batch - 1, (batch - 1) * 64));
+        assert_eq!(audit.free_by_class[NUM_CLASSES].0, 1, "the large block");
+        assert_eq!(audit.runs_by_class.iter().sum::<u64>(), 1);
+        assert_eq!(audit.runs_by_class[class], 1);
     }
 
     #[test]
@@ -102,8 +132,8 @@ mod tests {
     fn audit_detects_indeterminate_state() {
         let pool = PmemPool::create_volatile(1 << 20).unwrap();
         let a = pool.alloc(64).unwrap();
-        // Corrupt the state word: header persisted but state torn.
-        pool.write_u64(a - BLOCK_HEADER + 8, 0x1234);
+        // Corrupt the occupancy word: header persisted but the word torn.
+        pool.write_u64(pool.state_word(a), 0x1234);
         let audit = audit(&pool);
         assert_eq!(audit.indeterminate_blocks, 1);
         assert_eq!(audit.allocated_blocks, 0);
@@ -131,12 +161,17 @@ mod tests {
         assert_eq!(check(&clean, "clean"), Some(0));
         assert_eq!(pool.indeterminate_blocks_at_open(), 0, "a new pool opened nothing");
 
+        // The distinct state and occupancy words of the blocks (the three
+        // 64-byte blocks share one word).
+        let mut words: Vec<u64> = blocks.iter().map(|&block| pool.state_word(block)).collect();
+        words.sort_unstable();
+        words.dedup();
+        assert_eq!(words.len(), 6);
         let mut flipped = clean.clone();
-        for (n, &block) in blocks.iter().enumerate() {
-            // One more state word damaged per round: bit 3 is in the
-            // integrity code, bit 43 in the tag.
-            let state = (block - BLOCK_HEADER + 8) as usize;
-            flipped[state + (n % 2) * 5] ^= 1 << 3;
+        for (n, &word) in words.iter().enumerate() {
+            // One more word damaged per round: bit 3 is in the integrity
+            // code, bit 43 in the tag or mask.
+            flipped[word as usize + (n % 2) * 5] ^= 1 << 3;
             assert_eq!(check(&flipped, "state flip"), Some(n as u64 + 1), "{n} flips");
         }
         let mut damaged = 0;
@@ -162,22 +197,23 @@ mod tests {
             let _b = pool.alloc(128).unwrap();
             pool.dealloc(a);
             let c = pool.alloc(256).unwrap();
-            // Crash mid-allocation of c: the state word never fully
-            // persisted.
-            pool.write_u64(c - BLOCK_HEADER + 8, 0xDEAD_0001);
-            pool.persist(c - BLOCK_HEADER + 8, 8);
+            // Crash mid-allocation of c: its run's occupancy word never
+            // fully persisted.
+            pool.write_u64(pool.state_word(c), 0xDEAD_0001);
+            pool.persist(pool.state_word(c), 8);
             pool.sync_all();
         } // unclean close: nothing repairs the state word on the way out
           // The classification must survive a genuine re-mmap, where the
           // reopen's heap scan conservatively keeps the block live.
         let pool = PmemPool::open_file(&path).unwrap();
         let after = audit(&pool);
-        // Three refill batches were carved (64/128/256 classes): each left
-        // BATCH-1 free extras, plus the explicitly freed `a`.
+        // Three runs were carved (64/128/256 classes): the two intact ones
+        // hold BATCH-1 free blocks each, plus the explicitly freed `a`; the
+        // torn word keeps all of the third live.
         let batch = crate::alloc::REFILL_BATCH;
         assert_eq!(after.indeterminate_blocks, 1, "torn state survives re-mmap");
         assert_eq!(after.allocated_blocks, 1);
-        assert_eq!(after.free_blocks, 3 * (batch - 1) + 1);
+        assert_eq!(after.free_blocks, 2 * (batch - 1) + 1);
         assert_eq!(after.torn_tail_bytes, 0);
         // And the pool stays usable: new allocations land beyond the wreck.
         let d = pool.alloc(64).unwrap();

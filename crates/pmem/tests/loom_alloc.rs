@@ -86,3 +86,30 @@ fn more_threads_than_shards_stay_disjoint() {
         assert_eq!(offs.len(), 3, "allocator handed out the same block twice: {offs:?}");
     });
 }
+
+/// A bit set beside a bit cleared in one occupancy word: the main thread
+/// (shard 0) allocates block 2 of the run from its own list while the
+/// spawned thread (shard 1) frees block 1 of the same run. Both flips are
+/// CASes on one word; on every interleaving the final word must decode (its
+/// CRC matches its mask) and its mask must be exactly the live blocks.
+#[test]
+fn alloc_and_free_in_one_occupancy_word_keep_it_exact() {
+    use mvkv_pmem::layout::{class_for, decode_occupancy, run_block, HEAP_START};
+    model(|| {
+        let pool = Arc::new(PmemPool::create_volatile(1 << 16).unwrap());
+        let first = pool.alloc(64).unwrap();
+        let freed = pool.alloc(64).unwrap();
+        let word = pool.state_word(first);
+        assert_eq!(pool.state_word(freed), word, "one run, one occupancy word");
+        let p2 = pool.clone();
+        let t = thread::spawn(move || p2.dealloc(freed));
+        let third = pool.alloc(64).unwrap();
+        t.join().unwrap();
+
+        let block0 = run_block(HEAP_START, class_for(64).unwrap(), 0);
+        let bit = |off: u64| 1u32 << ((off - block0) / 64);
+        let mask = decode_occupancy(HEAP_START, 0, pool.read_u64(word));
+        assert_eq!(mask, Some(bit(first) | bit(third)), "word {:#x}", pool.read_u64(word));
+        assert_ne!(third, freed, "the block being freed was handed out");
+    });
+}

@@ -459,13 +459,13 @@ mod tests {
     }
 
     /// The claim as a ledger (DESIGN.md §13.3): what one key's history holds
-    /// in PM, allocator headers included, and what it paid in fences — the
-    /// geometry of the 32-byte-entry layout (144, 144, 416, 416, 944, 944,
-    /// 1984 bytes) scaled by 24/32, its allocations and fence schedule kept.
+    /// in PM and what it paid in fences — the geometry of the 32-byte-entry
+    /// layout scaled by 24/32, with no per-block allocator header since
+    /// layout v5 (a run header is 32 bytes per refill of up to 64 blocks,
+    /// not the history's), its allocations and fence schedule kept.
     #[test]
     fn a_history_holds_96_shl_k_byte_blocks_for_the_same_allocations_and_fences() {
         use crate::history::History;
-        use mvkv_pmem::layout::BLOCK_HEADER;
         let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
         // Fences that are the history's: a refill fences once, whatever the
         // block is for, and is not counted.
@@ -485,7 +485,7 @@ mod tests {
             let mut link = h.slots().next_off();
             loop {
                 blocks += 1;
-                bytes += p.block_capacity(block) as u64 + BLOCK_HEADER;
+                bytes += p.block_capacity(block) as u64;
                 block = p.read_u64(link);
                 link = block;
                 if block == 0 {
@@ -500,13 +500,13 @@ mod tests {
         // (versions, blocks, allocations, bytes, publish + adoption fences):
         // one fence per append, two more per linked segment.
         let table = [
-            (1, 1, 1, 112, 1),
-            (3, 1, 1, 112, 3),
-            (4, 2, 2, 320, 4 + 2),
-            (10, 2, 2, 320, 10 + 2),
-            (11, 3, 3, 720, 11 + 4),
-            (25, 3, 3, 720, 25 + 4),
-            (26, 4, 4, 1504, 26 + 6),
+            (1, 1, 1, 96, 1),
+            (3, 1, 1, 96, 3),
+            (4, 2, 2, 288, 4 + 2),
+            (10, 2, 2, 288, 10 + 2),
+            (11, 3, 3, 672, 11 + 4),
+            (25, 3, 3, 672, 25 + 4),
+            (26, 4, 4, 1440, 26 + 6),
         ];
         assert_eq!(ledger, table);
     }

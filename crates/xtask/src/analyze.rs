@@ -418,9 +418,9 @@ mod tests {
         Seed {
             check: "race-audit",
             file: "crates/pmem/src/alloc.rs",
-            find: "fn mark_allocated(&self, pool: &PmemPool, payload_off: u64) {",
-            replace: "fn mark_allocated(&self, pool: &PmemPool, payload_off: u64) { self.shards = Box::new([]);",
-            at: "fn mark_allocated(",
+            find: "fn state_word(&self, pool: &PmemPool, off: u64) -> u64 {",
+            replace: "fn state_word(&self, pool: &PmemPool, off: u64) -> u64 { self.shards = Box::new([]);",
+            at: "fn state_word(&self",
         },
         // An `RwLock` guard is a guard: one lock-site rule for every pass.
         Seed {
@@ -436,9 +436,9 @@ mod tests {
         Seed {
             check: "race-audit",
             file: "crates/pmem/src/alloc.rs",
-            find: "fn mark_allocated(&self, pool: &PmemPool, payload_off: u64) {",
-            replace: "fn mark_allocated(&self, pool: &PmemPool, payload_off: u64) { match payload_off { 0 => self.large_free.lock().clear(), _ => self.shards = Box::new([]) }",
-            at: "fn mark_allocated(",
+            find: "fn state_word(&self, pool: &PmemPool, off: u64) -> u64 {",
+            replace: "fn state_word(&self, pool: &PmemPool, off: u64) -> u64 { match off { 0 => self.large_free.lock().clear(), _ => self.shards = Box::new([]) }",
+            at: "fn state_word(&self",
         },
     ];
 

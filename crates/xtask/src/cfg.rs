@@ -1350,13 +1350,13 @@ mod tests {
     /// dirty writes are *flushed* on every exit path — it deliberately does
     /// NOT demand a trailing `fence()`, because ordering a flush against
     /// durable publication is the caller's publish-fence's job. These
-    /// fixtures pin the exact shapes `mark_allocated` / `dealloc` /
+    /// fixtures pin the exact shapes the allocator's bit flip (`Located::flip`) /
     /// `KeyChain::append` / `PHistory::create` took after the audit, so a
     /// future "tighten the pass to require fences" change has to consciously
     /// re-argue them.
     #[test]
     fn flush_without_trailing_fence_is_a_legal_shape() {
-        // mark_allocated / dealloc: state flip, flush, return — no fence.
+        // The allocator's flip on alloc and dealloc: store, flush, return — no fence.
         let state_flip = "fn mark(p: &Pool, off: u64) {
             p.write_u64(off + 8, 1);
             p.persist(off + 8, 8);

@@ -61,6 +61,14 @@ fn run() -> Result<ExitCode, String> {
                 "rebuild:         {} keys / {:?} on {} threads",
                 stats.rebuilt_keys, stats.rebuild_time, stats.rebuild_threads
             );
+            println!(
+                "reopen phases:   open {:?}, repair {:?}, scan {:?}, rebuild {:?}, prune {:?}",
+                stats.open_time,
+                stats.repair_time,
+                stats.scan_time,
+                stats.rebuild_time,
+                stats.prune_time
+            );
             // Where the PM goes: how long the histories are, and what the
             // allocator holds per size class.
             println!("history lengths (published versions: histories):");
@@ -76,13 +84,21 @@ fn run() -> Result<ExitCode, String> {
                 }
             }
             let audit = mvkv::pmem::recovery::audit(store.pool());
-            let classes = mvkv::pmem::layout::SIZE_CLASSES.iter().map(|c| c.to_string());
+            let classes = || {
+                let sizes = mvkv::pmem::layout::SIZE_CLASSES.iter().map(|c| c.to_string());
+                sizes.chain(["larger".to_string()])
+            };
             println!("allocated by size class (payload bytes: blocks, bytes):");
-            for (class, (blocks, bytes)) in
-                classes.chain(["larger".to_string()]).zip(audit.allocated_by_class)
-            {
+            for (class, (blocks, bytes)) in classes().zip(audit.allocated_by_class) {
                 if blocks > 0 {
                     println!("  {class:>10}: {blocks} blocks, {bytes} bytes");
+                }
+            }
+            println!("free by size class (payload bytes: blocks, bytes, runs of the class):");
+            let runs = audit.runs_by_class.into_iter().chain([0]);
+            for ((class, (blocks, bytes)), runs) in classes().zip(audit.free_by_class).zip(runs) {
+                if blocks > 0 || runs > 0 {
+                    println!("  {class:>10}: {blocks} blocks, {bytes} bytes, {runs} runs");
                 }
             }
         }

@@ -32,7 +32,15 @@ fn inspect_cli_reads_a_real_pool() {
     assert!(stats.contains("           1: 1\n"), "stats output:\n{stats}");
     assert!(stats.contains("         2-3: 1\n"), "stats output:\n{stats}");
     assert!(stats.contains("allocated by size class (payload bytes: blocks, bytes):"));
-    assert!(stats.contains("          96: 2 blocks, 192 bytes"), "stats output:\n{stats}");
+    assert!(stats.contains("          96: 2 blocks, 192 bytes\n"), "stats output:\n{stats}");
+    // Both came from one run of eight: six blocks of it are free.
+    assert!(stats.contains("free by size class (payload bytes: blocks, bytes, runs of the class):"));
+    assert!(stats.contains("          96: 6 blocks, 576 bytes, 1 runs"), "stats output:\n{stats}");
+    // The reopen `stats` ran, phase by phase.
+    assert!(stats.contains("reopen phases:   open "), "stats output:\n{stats}");
+    for phase in [", repair ", ", scan ", ", rebuild ", ", prune "] {
+        assert!(stats.contains(phase), "stats output:\n{stats}");
+    }
 
     let snap = run(&["snapshot", p]);
     assert!(snap.contains("# snapshot v3: 1 pairs"), "snapshot output:\n{snap}");

@@ -153,17 +153,18 @@ fn dbreg_round_trips_and_checkpoints() {
 
 #[test]
 fn file_backed_audit_classification_survives_crash_and_remap() {
-    use mvkv::pmem::{layout, recovery, PmemPool};
+    use mvkv::pmem::{recovery, PmemPool};
     let path = temp("audit-crash.pool");
     {
         let pool = PmemPool::create_file(&path, 4 << 20).unwrap();
         let keep = pool.alloc(64).unwrap();
         let gone = pool.alloc(64).unwrap();
         pool.dealloc(gone);
-        // Simulated crash mid-allocation: header written, state word torn.
+        // Simulated crash mid-allocation: run header written, occupancy
+        // word torn.
         let torn = pool.alloc(256).unwrap();
-        pool.write_u64(torn - layout::BLOCK_HEADER + 8, 0xBAD_C0DE);
-        pool.persist(torn - layout::BLOCK_HEADER + 8, 8);
+        pool.write_u64(pool.state_word(torn), 0xBAD_C0DE);
+        pool.persist(pool.state_word(torn), 8);
         pool.write_u64(keep, 42);
         pool.persist(keep, 8);
         pool.set_root(keep);
@@ -175,9 +176,11 @@ fn file_backed_audit_classification_survives_crash_and_remap() {
     assert_eq!(audit.indeterminate_blocks, 1, "torn block classified after re-mmap");
     assert_eq!(audit.allocated_blocks, 1);
     // Each size class seen so far (64 B and 256 B) was refilled once with a
-    // batch of REFILL_BATCH blocks; the batch extras are durably FREE, plus
-    // the explicitly freed `gone`, minus the two blocks handed out per class.
-    assert_eq!(audit.free_blocks, 2 * (mvkv::pmem::alloc::REFILL_BATCH - 1));
+    // run of REFILL_BATCH blocks. The 64 B run holds `keep` and REFILL_BATCH
+    // - 1 free blocks (`gone` among them); the torn word keeps all of the
+    // 256 B run live.
+    assert_eq!(audit.free_blocks, mvkv::pmem::alloc::REFILL_BATCH - 1);
+    assert_eq!(audit.runs_by_class.iter().sum::<u64>(), 2);
     assert_eq!(audit.torn_tail_bytes, 0);
     assert_eq!(pool.read_u64(pool.root()), 42, "live data intact next to the wreck");
     std::fs::remove_file(&path).unwrap();
