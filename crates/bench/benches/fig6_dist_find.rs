@@ -22,7 +22,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1000);
     let mut rows = Vec::new();
-    run_service_observability(&cfg, queries);
     for &k in &cfg.nodes {
         let mut arts = TempArtifacts::new();
         // PSkipList ranks.
@@ -53,76 +52,6 @@ fn main() {
         ),
         &rows,
     );
-}
-
-/// Real-comm companion run: a small cluster of threads executes the
-/// resilient service protocol and prints its fault/retry counters, so the
-/// degradation machinery is observable from the figure harness. Set
-/// `MVKV_FAULT_SEED` to run it under an injected-fault plan; without the
-/// env var the plan is zero-fault and every counter should read 0.
-fn run_service_observability(cfg: &BenchConfig, queries: usize) {
-    use mvkv_cluster::service::{ServiceConfig, ServiceEndpoint};
-    use mvkv_cluster::{run_cluster_with_faults, FaultPlan};
-    use mvkv_core::{ESkipList, StoreSession, VersionedStore};
-
-    let k = cfg.nodes.iter().copied().min().unwrap_or(2).clamp(2, 4);
-    let n = (cfg.dist_n as u64).min(2000);
-    let q = queries.min(200) as u64;
-    let plan = match std::env::var("MVKV_FAULT_SEED").ok().and_then(|v| v.parse().ok()) {
-        Some(seed) => FaultPlan::seeded(seed).drop(0.1).corrupt(0.05).duplicate(0.05),
-        None => FaultPlan::none(),
-    };
-    let seed = cfg.seed;
-    let results = run_cluster_with_faults(k, &plan, |comm| {
-        let rank = comm.rank();
-        let store = ESkipList::new();
-        {
-            let s = store.session();
-            for i in 0..n {
-                let key = i * k as u64 + rank as u64;
-                s.insert(key, key + 1);
-            }
-        }
-        store.wait_writes_complete();
-        let config = ServiceConfig {
-            base_timeout: Duration::from_millis(40),
-            max_retries: 3,
-            idle_shutdown: Duration::from_secs(10),
-        };
-        let ep = ServiceEndpoint::with_config(comm, config);
-        if rank == 0 {
-            let mut ep = ep;
-            let mut rng = Mt19937_64::new(seed ^ 0xFA);
-            let mut hits = 0u64;
-            for _ in 0..q {
-                let key = rng.next_below(n * k as u64);
-                if ep.find(&store, key, u64::MAX).is_some() {
-                    hits += 1;
-                }
-            }
-            let stats = ep.stats();
-            let dead = ep.dead_ranks();
-            ep.shutdown(&store);
-            Some((stats, hits, dead))
-        } else {
-            ep.serve(&store);
-            None
-        }
-    });
-    match &results[0] {
-        Ok(Some((stats, hits, dead))) => {
-            eprintln!(
-                "[fig6] service K={k} plan={} queries={q} hits={hits} dead_ranks={dead:?} | {stats}",
-                if plan.is_none() { "zero-fault" } else { "injected" },
-            );
-        }
-        other => eprintln!("[fig6] service coordinator did not finish: {other:?}"),
-    }
-    for (rank, r) in results.iter().enumerate().skip(1) {
-        if r.is_err() {
-            eprintln!("[fig6] service rank {rank} failed: {r:?}");
-        }
-    }
 }
 
 fn run_queries<S: mvkv_core::VersionedStore>(

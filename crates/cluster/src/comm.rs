@@ -1,36 +1,14 @@
-//! A minimal MPI-like message-passing runtime over threads + channels,
-//! hardened for a faulty world.
+//! A minimal MPI-like message-passing runtime over threads + channels.
 //!
 //! Used to validate the distributed protocols (broadcast + reduce find,
-//! gather, hierarchic merge) under real concurrency. Messages are matched
-//! on `(source, tag)` with out-of-order buffering, like MPI's
-//! `MPI_Recv(source, tag)`.
-//!
-//! Robustness properties (see DESIGN.md §4.7 "Fault model"):
-//!
-//! * every message travels in a length-prefixed, checksummed
-//!   [`crate::wire`] frame; a frame that fails validation is counted and
-//!   discarded — corruption is indistinguishable from a drop, exactly the
-//!   contract the retry layer in [`crate::service`] is built on;
-//! * [`Comm::send`] returns `Result<(), SendError>` instead of panicking
-//!   when the peer is gone (its thread exited or crashed);
-//! * [`Comm::recv_timeout`] bounds every wait, so no protocol built on it
-//!   can deadlock on a lost message;
-//! * a seeded [`FaultPlan`] can be threaded through every link
-//!   ([`run_cluster_with_faults`]) to inject drops, duplicates, byte
-//!   corruption, re-ordering delays, and scheduled rank crashes —
-//!   deterministically, for reproducible failure sweeps;
-//! * [`run_cluster`] catches per-rank panics (injected or organic) and
-//!   returns `Vec<Result<R, RankFailure>>`, so one bad rank no longer
-//!   poisons the whole harness.
+//! gather, hierarchic merge) under real concurrency, in the fail-free
+//! world the paper's §V-H runs in. Messages are matched on `(source, tag)`
+//! with out-of-order buffering, like MPI's `MPI_Recv(source, tag)`.
 
-use crate::fault::{FaultPlan, FaultStats, InjectedCrash, LinkFaults, RankFailure};
-use crate::wire;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
-use std::time::{Duration, Instant};
 
-type Packet = (usize, u64, Vec<u8>); // (from, tag, framed bytes)
+type Packet = (usize, u64, Vec<u8>); // (from, tag, payload)
 
 /// A send failed because the destination rank no longer exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,58 +26,17 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// A bounded receive ended without a matching message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvError {
-    /// No matching message within the deadline.
-    Timeout,
-    /// Every peer is gone; no message can ever arrive.
-    Disconnected,
-}
-
-impl std::fmt::Display for RecvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecvError::Timeout => write!(f, "receive timed out"),
-            RecvError::Disconnected => write!(f, "all peers disconnected"),
-        }
-    }
-}
-
-impl std::error::Error for RecvError {}
-
 /// A rank's communicator endpoint.
 pub struct Comm {
     rank: usize,
     size: usize,
     senders: Vec<Sender<Packet>>,
     receiver: Receiver<Packet>,
-    /// Out-of-order packets (already deframed) parked until a matching recv.
+    /// Out-of-order packets parked until a matching recv.
     parked: HashMap<(usize, u64), VecDeque<Vec<u8>>>,
-    /// Fault injector for this rank's outgoing links.
-    faults: LinkFaults,
-    /// Frames held back by delay injection, flushed behind the next frame
-    /// on the same link (a deterministic one-slot re-ordering).
-    delayed: HashMap<usize, Vec<(u64, Vec<u8>)>>,
-    /// Set when the injected crash fires, so teardown does not leak the
-    /// delayed frames of a "dead" node.
-    crashed: bool,
 }
 
 impl Comm {
-    fn new(rank: usize, size: usize, senders: Vec<Sender<Packet>>, receiver: Receiver<Packet>, faults: LinkFaults) -> Self {
-        Comm {
-            rank,
-            size,
-            senders,
-            receiver,
-            parked: HashMap::new(),
-            faults,
-            delayed: HashMap::new(),
-            crashed: false,
-        }
-    }
-
     pub fn rank(&self) -> usize {
         self.rank
     }
@@ -108,88 +45,21 @@ impl Comm {
         self.size
     }
 
-    /// What the fault plane did on this rank so far (plus the corrupt
-    /// frames this rank's receiver discarded).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults.stats()
-    }
-
-    /// Counts a communication op and simulates the scheduled death when
-    /// the rank's crash budget is exhausted.
-    fn crash_check(&mut self) {
-        if self.faults.note_op() {
-            self.crashed = true;
-            std::panic::panic_any(InjectedCrash { rank: self.rank, op: self.faults.ops() });
-        }
-    }
-
-    fn raw_send(&self, to: usize, tag: u64, frame: Vec<u8>) -> Result<(), SendError> {
+    /// Sends `payload` to `to` with a message `tag`. `Err` means the peer
+    /// is gone (its thread exited).
+    pub fn send(&self, to: usize, tag: u64, payload: Vec<u8>) -> Result<(), SendError> {
         self.senders[to]
-            .send((self.rank, tag, frame))
+            .send((self.rank, tag, payload))
             .map_err(|_| SendError::PeerDisconnected { to })
     }
 
-    /// Sends `payload` to `to` with a message `tag`, subject to the
-    /// rank's fault plan. An injected drop/delay still returns `Ok` (the
-    /// network accepted the frame); `Err` means the peer is gone.
-    pub fn send(&mut self, to: usize, tag: u64, payload: Vec<u8>) -> Result<(), SendError> {
-        self.crash_check();
-        let mut frame = wire::frame(&payload);
-        let decision = self.faults.decide(frame.len());
-        if let Some(pos) = decision.corrupt_at {
-            frame[pos] ^= 0x55;
-        }
-        let mut result = Ok(());
-        if decision.deliver {
-            if decision.duplicate {
-                let _ = self.raw_send(to, tag, frame.clone());
-            }
-            if !decision.delay {
-                result = self.raw_send(to, tag, frame.clone());
-            }
-        }
-        // Older delayed frames go out now — *behind* the frame above, which
-        // is the re-ordering the delay models.
-        if let Some(q) = self.delayed.remove(&to) {
-            for (t, f) in q {
-                let _ = self.raw_send(to, t, f);
-            }
-        }
-        if decision.deliver && decision.delay {
-            self.delayed.entry(to).or_default().push((tag, frame));
-        }
-        result
-    }
-
-    fn take_parked(&mut self, from: usize, tag: u64) -> Option<Vec<u8>> {
-        self.parked.get_mut(&(from, tag)).and_then(VecDeque::pop_front)
-    }
-
-    /// Deframes an arriving packet; corrupt frames are counted and
-    /// dropped (never parked, never panicking).
-    fn accept(&mut self, frame: Vec<u8>) -> Option<Vec<u8>> {
-        match wire::unframe(frame) {
-            Ok(payload) => Some(payload),
-            Err(_) => {
-                self.faults.note_checksum_drop();
-                None
-            }
-        }
-    }
-
     /// Receives the next message from `from` with `tag`, blocking.
-    ///
-    /// This is the fail-free primitive the collectives are built on; in a
-    /// faulty world use [`Comm::recv_timeout`], which can never block
-    /// forever.
     pub fn recv(&mut self, from: usize, tag: u64) -> Vec<u8> {
-        self.crash_check();
-        if let Some(payload) = self.take_parked(from, tag) {
+        if let Some(payload) = self.parked.get_mut(&(from, tag)).and_then(VecDeque::pop_front) {
             return payload;
         }
         loop {
-            let (src, t, frame) = self.receiver.recv().expect("cluster tore down mid-recv");
-            let Some(payload) = self.accept(frame) else { continue };
+            let (src, t, payload) = self.receiver.recv().expect("cluster tore down mid-recv");
             if src == from && t == tag {
                 return payload;
             }
@@ -197,42 +67,8 @@ impl Comm {
         }
     }
 
-    /// Receives the next message from `from` with `tag`, giving up after
-    /// `timeout`. Corrupt frames do not extend the deadline.
-    pub fn recv_timeout(
-        &mut self,
-        from: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<u8>, RecvError> {
-        self.crash_check();
-        if let Some(payload) = self.take_parked(from, tag) {
-            return Ok(payload);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-            else {
-                return Err(RecvError::Timeout);
-            };
-            match self.receiver.recv_timeout(remaining) {
-                Ok((src, t, frame)) => {
-                    let Some(payload) = self.accept(frame) else { continue };
-                    if src == from && t == tag {
-                        return Ok(payload);
-                    }
-                    self.parked.entry((src, t)).or_default().push_back(payload);
-                }
-                Err(RecvTimeoutError::Timeout) => return Err(RecvError::Timeout),
-                Err(RecvTimeoutError::Disconnected) => return Err(RecvError::Disconnected),
-            }
-        }
-    }
-
     /// Binomial-tree broadcast from `root` (the MPICH minimum-spanning-tree
-    /// algorithm); returns the payload on every rank. Fail-free collective:
-    /// assumes healthy links (run it under `FaultPlan::none()`).
+    /// algorithm); returns the payload on every rank.
     pub fn bcast(&mut self, root: usize, payload: Option<Vec<u8>>, tag: u64) -> Vec<u8> {
         let k = self.size;
         let me = (self.rank + k - root) % k; // root-relative id
@@ -260,7 +96,7 @@ impl Comm {
     }
 
     fn bcast_forward(
-        &mut self,
+        &self,
         rel: impl Fn(usize) -> usize,
         me: usize,
         mut mask: usize,
@@ -280,7 +116,7 @@ impl Comm {
     }
 
     /// Gathers every rank's payload on `root`; returns `Some(vec indexed by
-    /// rank)` at the root, `None` elsewhere. Fail-free collective.
+    /// rank)` at the root, `None` elsewhere.
     pub fn gather(&mut self, root: usize, payload: Vec<u8>, tag: u64) -> Option<Vec<Vec<u8>>> {
         if self.rank == root {
             let mut out: Vec<Vec<u8>> = vec![Vec::new(); self.size];
@@ -311,126 +147,41 @@ impl Comm {
     }
 }
 
-impl Drop for Comm {
-    fn drop(&mut self) {
-        // A cleanly exiting rank flushes the frames delay injection was
-        // still holding; a crashed rank takes them to the grave.
-        if !self.crashed {
-            for (to, q) in std::mem::take(&mut self.delayed) {
-                for (tag, frame) in q {
-                    let _ = self.raw_send(to, tag, frame);
-                }
-            }
-        }
-    }
-}
-
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// Installs (once, process-wide) a panic-hook filter that silences the
-/// backtrace noise of *injected* crashes — they are expected events that
-/// `run_cluster` converts into `RankFailure::InjectedCrash`. Organic
-/// panics still reach the previous hook untouched.
-fn silence_injected_crashes() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<InjectedCrash>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Spawns `size` ranks, each running `body(comm)`, in a fail-free world
-/// (no fault injection); returns per-rank results in rank order (the
-/// `mpirun` of this substrate). A panicking rank yields
-/// `Err(RankFailure)` instead of poisoning the whole scope — every
-/// healthy rank's result is still returned.
-pub fn run_cluster<F, R>(size: usize, body: F) -> Vec<Result<R, RankFailure>>
-where
-    F: Fn(Comm) -> R + Sync,
-    R: Send,
-{
-    run_cluster_with_faults(size, &FaultPlan::none(), body)
-}
-
-/// [`run_cluster`] with a deterministic [`FaultPlan`] threaded through
-/// every rank's communicator.
-pub fn run_cluster_with_faults<F, R>(
-    size: usize,
-    plan: &FaultPlan,
-    body: F,
-) -> Vec<Result<R, RankFailure>>
+/// Spawns `size` ranks, each running `body(comm)`, and returns their
+/// results in rank order (the `mpirun` of this substrate). Every rank is
+/// joined before the first panicking rank's panic is re-raised on the
+/// caller.
+pub fn run_cluster<F, R>(size: usize, body: F) -> Vec<R>
 where
     F: Fn(Comm) -> R + Sync,
     R: Send,
 {
     assert!(size >= 1);
-    silence_injected_crashes();
-    let mut senders = Vec::with_capacity(size);
-    let mut receivers = Vec::with_capacity(size);
-    for _ in 0..size {
-        let (tx, rx) = unbounded::<Packet>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..size).map(|_| unbounded::<Packet>()).unzip();
     let body = &body;
-    std::thread::scope(|scope| {
+    let joined: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = receivers
             .into_iter()
             .enumerate()
             .map(|(rank, receiver)| {
                 let senders = senders.clone();
-                let faults = LinkFaults::new(plan, rank);
-                scope.spawn(move || body(Comm::new(rank, size, senders, receiver, faults)))
+                let parked = HashMap::new();
+                scope.spawn(move || body(Comm { rank, size, senders, receiver, parked }))
             })
             .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| match h.join() {
-                Ok(result) => Ok(result),
-                Err(payload) => Err(match payload.downcast_ref::<InjectedCrash>() {
-                    Some(crash) => RankFailure::InjectedCrash { rank, op: crash.op },
-                    None => RankFailure::Panic { rank, message: panic_message(payload.as_ref()) },
-                }),
-            })
-            .collect()
-    })
-}
-
-/// Unwraps a fail-free cluster run, panicking (with the failure) if any
-/// rank died — the convenience for tests and harnesses that assume a
-/// healthy world.
-pub fn expect_ranks<R>(results: Vec<Result<R, RankFailure>>) -> Vec<R> {
-    results
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(failure) => panic!("{failure}"),
-        })
-        .collect()
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    joined.into_iter().map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn point_to_point_roundtrip() {
-        let results = expect_ranks(run_cluster(2, |mut comm| {
+        let results = run_cluster(2, |mut comm| {
             if comm.rank() == 0 {
                 comm.send(1, 7, vec![1, 2, 3]).unwrap();
                 comm.recv(1, 8)
@@ -439,14 +190,14 @@ mod tests {
                 comm.send(0, 8, vec![9]).unwrap();
                 got
             }
-        }));
+        });
         assert_eq!(results[0], vec![9]);
         assert_eq!(results[1], vec![1, 2, 3]);
     }
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        let results = expect_ranks(run_cluster(2, |mut comm| {
+        let results = run_cluster(2, |mut comm| {
             if comm.rank() == 0 {
                 comm.send(1, 1, vec![1]).unwrap();
                 comm.send(1, 2, vec![2]).unwrap();
@@ -457,7 +208,7 @@ mod tests {
                 let a = comm.recv(0, 1);
                 vec![a[0], b[0]]
             }
-        }));
+        });
         assert_eq!(results[1], vec![1, 2]);
     }
 
@@ -465,10 +216,10 @@ mod tests {
     fn bcast_delivers_to_all_ranks_and_roots() {
         for size in [1usize, 2, 3, 5, 8, 16] {
             for root in [0, size - 1, size / 2] {
-                let results = expect_ranks(run_cluster(size, |mut comm| {
+                let results = run_cluster(size, |mut comm| {
                     let payload = (comm.rank() == root).then(|| vec![0xAB, root as u8]);
                     comm.bcast(root, payload, 42)
-                }));
+                });
                 for (r, got) in results.iter().enumerate() {
                     assert_eq!(got, &vec![0xAB, root as u8], "size={size} root={root} rank={r}");
                 }
@@ -478,10 +229,10 @@ mod tests {
 
     #[test]
     fn gather_collects_in_rank_order() {
-        let results = expect_ranks(run_cluster(5, |mut comm| {
+        let results = run_cluster(5, |mut comm| {
             let mine = vec![comm.rank() as u8];
             comm.gather(0, mine, 9)
-        }));
+        });
         let at_root = results[0].as_ref().unwrap();
         for (r, payload) in at_root.iter().enumerate() {
             assert_eq!(payload, &vec![r as u8]);
@@ -491,48 +242,17 @@ mod tests {
 
     #[test]
     fn barrier_completes() {
-        let results = expect_ranks(run_cluster(6, |mut comm| {
+        let results = run_cluster(6, |mut comm| {
             comm.barrier(100);
             comm.barrier(200);
             comm.rank()
-        }));
+        });
         assert_eq!(results, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
-    fn recv_timeout_returns_instead_of_blocking() {
-        let results = expect_ranks(run_cluster(2, |mut comm| {
-            if comm.rank() == 0 {
-                // Nothing was ever sent: must time out, not hang.
-                comm.recv_timeout(1, 5, Duration::from_millis(30))
-            } else {
-                Err(RecvError::Timeout)
-            }
-        }));
-        assert_eq!(results[0], Err(RecvError::Timeout));
-    }
-
-    #[test]
-    fn recv_timeout_sees_parked_and_fresh_messages() {
-        let results = expect_ranks(run_cluster(2, |mut comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 2, vec![2]).unwrap();
-                comm.send(1, 1, vec![1]).unwrap();
-                vec![]
-            } else {
-                // Tag 1 arrives second: the tag-2 frame gets parked while
-                // waiting, then the parked frame satisfies the second call.
-                let a = comm.recv_timeout(0, 1, Duration::from_secs(5)).unwrap();
-                let b = comm.recv_timeout(0, 2, Duration::from_secs(5)).unwrap();
-                vec![a[0], b[0]]
-            }
-        }));
-        assert_eq!(results[1], vec![1, 2]);
-    }
-
-    #[test]
     fn send_to_exited_rank_reports_disconnect() {
-        let results = run_cluster(2, |mut comm| {
+        let results = run_cluster(2, |comm| {
             if comm.rank() == 0 {
                 // Wait for rank 1 to be provably gone, then send.
                 let mut outcome = Ok(());
@@ -549,123 +269,20 @@ mod tests {
             }
         });
         assert_eq!(
-            results[0].as_ref().unwrap(),
-            &Err(SendError::PeerDisconnected { to: 1 }),
+            results[0],
+            Err(SendError::PeerDisconnected { to: 1 }),
             "send to an exited rank must surface an error, not panic"
         );
     }
 
     #[test]
-    fn panicking_rank_is_reported_not_fatal() {
-        let results = run_cluster(3, |comm| {
-            if comm.rank() == 1 {
-                panic!("organic failure");
+    #[should_panic(expected = "rank 2 failed")]
+    fn a_panicking_rank_fails_the_caller() {
+        run_cluster(3, |comm| {
+            if comm.rank() == 2 {
+                panic!("rank 2 failed");
             }
             comm.rank()
         });
-        assert_eq!(results[0], Ok(0));
-        assert_eq!(results[2], Ok(2));
-        match &results[1] {
-            Err(RankFailure::Panic { rank: 1, message }) => {
-                assert!(message.contains("organic failure"))
-            }
-            other => panic!("expected a reported panic, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn injected_crash_is_reported_with_its_op() {
-        let plan = FaultPlan::seeded(7).crash(1, 2);
-        let results = run_cluster_with_faults(2, &plan, |mut comm| {
-            if comm.rank() == 0 {
-                let mut delivered = 0u64;
-                while comm.recv_timeout(1, 1, Duration::from_millis(100)).is_ok() {
-                    delivered += 1;
-                }
-                delivered
-            } else {
-                for i in 0..10u64 {
-                    let _ = comm.send(0, 1, vec![i as u8]);
-                }
-                unreachable!("rank 1 must crash on its third send")
-            }
-        });
-        assert_eq!(results[0], Ok(2), "exactly the pre-crash sends arrive");
-        assert_eq!(results[1], Err(RankFailure::InjectedCrash { rank: 1, op: 3 }));
-    }
-
-    #[test]
-    fn corrupted_frames_are_dropped_and_counted() {
-        let plan = FaultPlan::seeded(11).corrupt(1.0); // every frame mangled
-        let results = run_cluster_with_faults(2, &plan, |mut comm| {
-            if comm.rank() == 0 {
-                for i in 0..5u8 {
-                    comm.send(1, 1, vec![i]).unwrap();
-                }
-                0
-            } else {
-                let mut got = 0u64;
-                while comm.recv_timeout(0, 1, Duration::from_millis(80)).is_ok() {
-                    got += 1;
-                }
-                assert_eq!(comm.fault_stats().checksum_drops, 5, "all frames discarded");
-                got
-            }
-        });
-        assert_eq!(results[1], Ok(0), "corruption must surface as loss, not bad data");
-    }
-
-    #[test]
-    fn duplicates_and_delays_preserve_payload_integrity() {
-        let plan = FaultPlan::seeded(3).duplicate(0.5).delay(0.5);
-        let n = 50u64;
-        let results = run_cluster_with_faults(2, &plan, |mut comm| {
-            if comm.rank() == 0 {
-                for i in 0..n {
-                    comm.send(1, i, i.to_le_bytes().to_vec()).unwrap();
-                }
-                Vec::new()
-            } else {
-                // Tag-matched receive is immune to both re-ordering and
-                // duplication (extra copies just sit in the parked queue).
-                (0..n)
-                    .map(|i| comm.recv_timeout(0, i, Duration::from_secs(5)).unwrap())
-                    .collect()
-            }
-        });
-        let got = results[1].as_ref().unwrap();
-        for (i, payload) in got.iter().enumerate() {
-            assert_eq!(payload, &(i as u64).to_le_bytes().to_vec(), "tag {i}");
-        }
-    }
-
-    #[test]
-    fn fault_decisions_replay_across_runs() {
-        let plan = FaultPlan::seeded(0xDE7E).drop(0.2).corrupt(0.1).duplicate(0.1).delay(0.1);
-        let run = || {
-            run_cluster_with_faults(2, &plan, |mut comm| {
-                if comm.rank() == 0 {
-                    for i in 0..120u64 {
-                        comm.send(1, i, vec![i as u8]).unwrap();
-                    }
-                    (comm.fault_stats(), Vec::new())
-                } else {
-                    let got: Vec<bool> = (0..120u64)
-                        .map(|i| comm.recv_timeout(0, i, Duration::from_millis(40)).is_ok())
-                        .collect();
-                    (comm.fault_stats(), got)
-                }
-            })
-        };
-        let a = run();
-        let b = run();
-        let (sender_a, _) = a[0].as_ref().unwrap();
-        let (sender_b, _) = b[0].as_ref().unwrap();
-        assert_eq!(sender_a, sender_b, "sender-side decisions must replay");
-        let (_, recv_a) = a[1].as_ref().unwrap();
-        let (_, recv_b) = b[1].as_ref().unwrap();
-        assert_eq!(recv_a, recv_b, "per-tag delivery outcome must replay");
-        assert!(recv_a.iter().any(|d| !d), "a 20% drop plan must lose something in 120 sends");
-        assert!(recv_a.iter().any(|d| *d), "and deliver something");
     }
 }

@@ -21,9 +21,8 @@
 //! clock; communication advances the per-rank virtual clocks of
 //! [`VirtualNet`]. Reported times are virtual-cluster times at rank 0.
 
-use crate::fault::{FaultPlan, SplitMix64};
 use crate::merge::{kway_merge, merge_two_parallel, Pair};
-use crate::net::{backoff, NetModel, VirtualNet};
+use crate::net::{NetModel, VirtualNet};
 use mvkv_core::{StoreSession, VersionedStore};
 use std::time::{Duration, Instant};
 
@@ -112,66 +111,6 @@ impl<S: VersionedStore> DistStore<S> {
         }
         self.net.reduce(0, REPLY_BYTES, Duration::ZERO);
         (answer, self.net.time(0) - start)
-    }
-
-    /// Distributed find over *lossy* links, on virtual time: the what-if
-    /// companion to the real retry protocol in [`crate::service`]. Rank 0
-    /// queries each partition point to point; each query or reply is lost
-    /// with the plan's drop/corrupt probability (decided by the same
-    /// seeded [`SplitMix64`] streams, so runs replay exactly), and every
-    /// loss charges rank 0 a full [`backoff`]-scheduled timeout window
-    /// before the retransmission. A rank that stays dark through
-    /// `max_retries` is excluded from the answer — the virtual-time
-    /// analogue of the failure detector.
-    ///
-    /// Returns `(answer over responding ranks, virtual time at rank 0,
-    /// total retransmissions)`.
-    pub fn find_retrying(
-        &mut self,
-        key: u64,
-        version: u64,
-        plan: &FaultPlan,
-        base_timeout: Duration,
-        max_retries: u32,
-    ) -> (Option<u64>, Duration, u32) {
-        const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-        let start = self.net.time(0);
-        let mut retries = 0u32;
-        let t = Instant::now();
-        let mut answer = self.ranks[0].session().find(key, version);
-        self.net.charge(0, t.elapsed());
-        for r in 1..self.ranks.len() {
-            let mut rng = SplitMix64::new(plan.seed ^ (r as u64).wrapping_mul(GOLDEN));
-            let mut attempt = 0u32;
-            loop {
-                // Corruption is detected at the wire layer and surfaces as
-                // a drop, so both knobs translate to loss here.
-                let query_lost = rng.chance(plan.drop_p) || rng.chance(plan.corrupt_p);
-                let mut reply_arrived = false;
-                if self.net.send_lossy(0, r, QUERY_BYTES, !query_lost) {
-                    let t = Instant::now();
-                    let local = self.ranks[r].session().find(key, version);
-                    self.net.charge(r, t.elapsed());
-                    let reply_lost = rng.chance(plan.drop_p) || rng.chance(plan.corrupt_p);
-                    if self.net.send_lossy(r, 0, REPLY_BYTES, !reply_lost) {
-                        reply_arrived = true;
-                        if local.is_some() {
-                            answer = local;
-                        }
-                    }
-                }
-                if reply_arrived {
-                    break;
-                }
-                self.net.charge_timeout(0, backoff(base_timeout, attempt));
-                attempt += 1;
-                if attempt > max_retries {
-                    break; // declared dead: excluded from the answer
-                }
-                retries += 1;
-            }
-        }
-        (answer, self.net.time(0) - start, retries)
     }
 
     /// Routed distributed insert: rank 0 ships `(key, value)` point to
@@ -386,72 +325,23 @@ mod tests {
 
     #[test]
     fn virtual_time_grows_with_cluster_size() {
-        let mut small = cluster(2, 100);
-        let mut large = cluster(16, 100);
-        let (_, t_small) = small.find(0, u64::MAX);
-        let (_, t_large) = large.find(0, u64::MAX);
+        // Virtual time includes measured compute, and one preempted lookup
+        // outweighs the extra rounds: compare the best of a few queries.
+        let best = |c: &mut DistStore<ESkipList>| {
+            (0..5)
+                .map(|_| {
+                    c.reset_clocks();
+                    c.find(0, u64::MAX).1
+                })
+                .min()
+                .expect("at least one query")
+        };
+        let t_small = best(&mut cluster(2, 100));
+        let t_large = best(&mut cluster(16, 100));
         assert!(
             t_large > t_small,
             "more ranks → more collective rounds: {t_small:?} vs {t_large:?}"
         );
-    }
-
-    #[test]
-    fn retrying_find_with_zero_plan_matches_plain_find() {
-        let mut c = cluster(4, 100);
-        for key in [0u64, 1, 77, 399, 100_000] {
-            let plain = c.find(key, u64::MAX).0;
-            let (lossy, _, retries) =
-                c.find_retrying(key, u64::MAX, &FaultPlan::none(), ms(10), 3);
-            assert_eq!(lossy, plain, "key {key}");
-            assert_eq!(retries, 0, "a zero-fault plan never retries");
-        }
-    }
-
-    #[test]
-    fn retrying_find_survives_lossy_links_and_replays() {
-        let plan = FaultPlan::seeded(0xBEEF).drop(0.3).corrupt(0.1);
-        let run = |key: u64| {
-            let mut c = cluster(4, 100);
-            c.find_retrying(key, u64::MAX, &plan, ms(10), 5)
-        };
-        let (hit, took, retries) = run(77);
-        assert!(took > Duration::ZERO);
-        // Loss decisions and retry counts replay exactly; the duration
-        // also carries *measured* local compute, so it only replays
-        // approximately.
-        let (hit2, _, retries2) = run(77);
-        assert_eq!((hit2, retries2), (hit, retries), "seeded runs replay exactly");
-        // A clean run of the same query costs less virtual time than a
-        // lossy run that had to retry (if any retry happened).
-        if retries > 0 {
-            let (_, clean, _) =
-                cluster(4, 100).find_retrying(77, u64::MAX, &FaultPlan::none(), ms(10), 5);
-            assert!(took > clean, "retries must cost virtual time: {took:?} vs {clean:?}");
-        }
-    }
-
-    #[test]
-    fn retrying_find_terminates_under_total_loss() {
-        let plan = FaultPlan::seeded(1).drop(1.0);
-        let k = 4usize;
-        let max_retries = 3u32;
-        let mut c = cluster(k, 100);
-        // Key 1 lives on rank 1, which can never answer.
-        let (hit, took, retries) = c.find_retrying(1, u64::MAX, &plan, ms(10), max_retries);
-        assert_eq!(hit, None, "owner partition unreachable → degraded miss");
-        assert_eq!(retries, (k as u32 - 1) * max_retries, "bounded retransmissions");
-        // Every attempt burned a backoff window at rank 0.
-        let floor: Duration = (0..=max_retries).map(|a| backoff(ms(10), a)).sum::<Duration>()
-            * (k as u32 - 1);
-        assert!(took >= floor, "timeout windows must be charged: {took:?} < {floor:?}");
-        // But rank 0's own partition still answers.
-        let (own, _, _) = c.find_retrying(0, u64::MAX, &plan, ms(10), max_retries);
-        assert_eq!(own, Some(1));
-    }
-
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //!
 //! The paper's horizontal experiments (§V-H) run one MPI rank per node on
 //! up to 512 Cray XC40 nodes, each rank owning a partition of the key
-//! space. This crate reproduces that setup on one machine (DESIGN.md
-//! substitution S2) with two complementary layers:
+//! space, in a fail-free MPI world. This crate reproduces that setup on one
+//! machine (DESIGN.md substitution S2): a real runtime and a virtual-time
+//! model, plus the kernels and the key routing both share.
 //!
 //! * [`comm`] — a real message-passing runtime: ranks are threads connected
 //!   by channels, with MPI-style point-to-point `send`/`recv` (matched on
 //!   source + tag) and collectives (binomial-tree broadcast, gather,
 //!   barrier). Used to validate the distributed protocols under genuine
-//!   concurrency. Every message travels in a checksummed [`wire`] frame,
-//!   and a seeded [`fault`] plan can inject drops, duplicates, corruption,
-//!   delays, and rank crashes deterministically.
+//!   concurrency.
 //! * [`net`] + [`dist`] — a deterministic *virtual-time* performance model:
 //!   per-rank compute is measured on real stores while every message is
 //!   charged `α + bytes/β` on per-rank virtual clocks. The figures of §V-H
@@ -21,27 +20,17 @@
 //! * [`merge`] — the paper's §IV-A merge kernels: the multi-threaded
 //!   two-way merge with binary-search partitioning, and the naive K-way
 //!   merge baseline (NaiveMerge vs OptMerge).
-//! * [`service`] — a fault-tolerant request protocol over [`comm`]:
-//!   sequence-numbered rounds, bounded retry with exponential backoff, a
-//!   coordinator-side failure detector, and [`service::Degraded`] partial
-//!   results over the surviving partitions (DESIGN.md §4.7 "Fault model").
+//! * [`partition`] — key-to-rank ownership (modulo and range) for routed
+//!   writes.
 
 pub mod comm;
 pub mod dist;
-pub mod fault;
 pub mod merge;
 pub mod net;
 pub mod partition;
-pub mod service;
-pub mod wire;
 
-pub use comm::{expect_ranks, run_cluster, run_cluster_with_faults, Comm, RecvError, SendError};
+pub use comm::{run_cluster, Comm, SendError};
 pub use dist::{DistStore, MergeStrategy};
-pub use fault::{CrashPoint, FaultPlan, FaultStats, RankFailure, SplitMix64};
 pub use merge::{kway_merge, merge_two, merge_two_parallel};
-pub use net::{backoff, NetModel, VirtualNet};
+pub use net::{NetModel, VirtualNet};
 pub use partition::{ModuloPartitioner, Partitioner, RangePartitioner};
-pub use service::{
-    Degraded, ProtocolError, Request, ServiceConfig, ServiceEndpoint, ServiceStats,
-};
-pub use wire::WireError;

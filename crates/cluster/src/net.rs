@@ -10,13 +10,6 @@
 
 use std::time::Duration;
 
-/// Exponential backoff schedule shared by the real service layer and the
-/// virtual-time retry model: attempt `n` waits `base * 2^n` (shift capped
-/// so the arithmetic saturates instead of overflowing).
-pub fn backoff(base: Duration, attempt: u32) -> Duration {
-    base.saturating_mul(1u32 << attempt.min(16))
-}
-
 /// Latency/bandwidth (α/β) network cost model.
 #[derive(Debug, Clone, Copy)]
 pub struct NetModel {
@@ -91,26 +84,6 @@ impl VirtualNet {
         let done = self.times[from].max(self.times[to]) + self.model.transfer(bytes);
         self.times[from] = done;
         self.times[to] = done;
-    }
-
-    /// A reply wait that expired: the waiting rank burns the full timeout
-    /// window on its local clock (nobody else advances — that is what
-    /// makes lost messages expensive in the model, as in life).
-    pub fn charge_timeout(&mut self, rank: usize, timeout: Duration) {
-        self.times[rank] += timeout;
-    }
-
-    /// Message `from → to` over a lossy link. When `delivered`, behaves
-    /// exactly like [`VirtualNet::send`] and returns `true`; when lost,
-    /// only the sender pays the transfer cost (the bytes left the NIC; the
-    /// receiver never synchronizes) and the call returns `false`.
-    pub fn send_lossy(&mut self, from: usize, to: usize, bytes: u64, delivered: bool) -> bool {
-        if delivered {
-            self.send(from, to, bytes);
-        } else {
-            self.times[from] += self.model.transfer(bytes);
-        }
-        delivered
     }
 
     /// Binomial-tree broadcast of a `bytes` message from `root`.
@@ -248,35 +221,6 @@ mod tests {
         for r in 0..4 {
             assert_eq!(net.time(r), ms(50) + ms(2));
         }
-    }
-
-    #[test]
-    fn backoff_doubles_and_saturates() {
-        assert_eq!(backoff(ms(10), 0), ms(10));
-        assert_eq!(backoff(ms(10), 1), ms(20));
-        assert_eq!(backoff(ms(10), 3), ms(80));
-        // Huge attempt counts must saturate, not overflow.
-        assert_eq!(backoff(Duration::MAX, 60), Duration::MAX);
-        assert_eq!(backoff(ms(1), 16), backoff(ms(1), 40));
-    }
-
-    #[test]
-    fn timeout_charges_only_the_waiter() {
-        let mut net = VirtualNet::new(2, NetModel::default());
-        net.charge_timeout(0, ms(250));
-        assert_eq!(net.time(0), ms(250));
-        assert_eq!(net.time(1), Duration::ZERO);
-    }
-
-    #[test]
-    fn lossy_send_charges_sender_on_loss() {
-        let m = NetModel { latency: ms(1), bandwidth: 1000.0 };
-        let mut net = VirtualNet::new(2, m);
-        assert!(!net.send_lossy(0, 1, 500, false));
-        assert_eq!(net.time(0), m.transfer(500), "sender pays for the lost bytes");
-        assert_eq!(net.time(1), Duration::ZERO, "receiver never sees them");
-        assert!(net.send_lossy(0, 1, 500, true));
-        assert_eq!(net.time(0), net.time(1), "delivery synchronizes, like send()");
     }
 
     #[test]

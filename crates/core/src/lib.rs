@@ -29,7 +29,6 @@
 //! benchmarks partition keys among threads); queries are always safe.
 
 pub mod api;
-pub mod blob;
 pub mod dbstore;
 pub mod engine;
 pub mod eskiplist;
@@ -42,7 +41,6 @@ pub mod stats;
 pub mod vmap;
 
 pub use api::{delta_by_snapshots, DeltaExtract, LabeledTags, StoreSession, VersionedStore};
-pub use blob::{BlobRecord, BlobStore};
 pub use dbstore::{DbSession, DbStore};
 pub use engine::{Engine, Home};
 pub use eskiplist::{ESkipList, HeapHome};

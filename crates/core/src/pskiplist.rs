@@ -607,17 +607,11 @@ impl PSkipList {
     /// the compacted store; queries below the horizon answer as of the
     /// horizon. This addresses the growth limitation the paper notes in
     /// §IV-B ("we can imagine garbage collection and/or aging mechanisms").
-    ///
-    /// `map_value(old_value, new_pool)` is called for every surviving
-    /// non-tombstone entry and its return value is stored instead: pass
-    /// `|value, _| value` for plain words; layers that store pool offsets as
-    /// values (e.g. [`crate::BlobStore`]) deep-copy their referents into the
-    /// new pool here.
+    /// Surviving values are copied verbatim.
     pub fn compact_into(
         &self,
         pool: PmemPool,
         horizon: u64,
-        mut map_value: impl FnMut(u64, &PmemPool) -> u64,
     ) -> std::io::Result<(PSkipList, CompactStats)> {
         let fc = self.tag();
         let horizon = horizon.min(fc);
@@ -678,7 +672,6 @@ impl PSkipList {
             new_chain.append(key, off)?;
             let nh = History::new(ph);
             for (v, value) in kept {
-                let value = if value == TOMBSTONE { value } else { map_value(value, new_pool) };
                 nh.append(v, value);
             }
         }

@@ -1,8 +1,8 @@
 //! # mvkv-obs — unified observability layer
 //!
 //! One metrics mechanism for the whole workspace, replacing the bespoke
-//! counter blocks that grew ad hoc in `core::stats`, `pmem::alloc` and
-//! `cluster::ServiceStats`. Three instrument kinds:
+//! counter blocks that grew ad hoc in `core::stats` and `pmem::alloc`.
+//! Three instrument kinds:
 //!
 //! * **Counters** — monotonic, relaxed-ordering, sharded per thread (one
 //!   cache-padded word per shard, merged only at scrape time) so the hot

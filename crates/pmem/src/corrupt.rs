@@ -10,8 +10,8 @@
 //! pool image, deterministically from a seed, and reports every fault it
 //! planted so recovery tests can assert *exact* quarantine accounting.
 //!
-//! Design mirrors `cluster::fault::FaultPlan` (PR 1's network fault plane):
-//! a fluent, seeded builder with an inert [`CorruptOptions::none`] default.
+//! The plan is a fluent, seeded builder with an inert
+//! [`CorruptOptions::none`] default.
 //! Faults are counts rather than probabilities — a test that asks for 3 bit
 //! flips gets exactly 3, at seed-determined positions.
 //!

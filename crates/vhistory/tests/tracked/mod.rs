@@ -32,18 +32,20 @@ struct Tracked {
 /// slot's payload flush has been ordered by the single publish fence — and
 /// counts chain links followed.
 pub struct TrackedSlots<'e> {
-    inner: &'e EHistory,
+    /// Named after its type, so `xtask analyze` resolves the delegating
+    /// calls below to `EHistory`'s methods (DESIGN.md §11.2).
+    ehistory: &'e EHistory,
     slots: Vec<Tracked>,
     links: AtomicU64,
 }
 
 impl<'e> TrackedSlots<'e> {
-    /// Tracks up to `capacity` claims of `inner`.
-    pub fn new(inner: &'e EHistory, capacity: usize) -> Self {
+    /// Tracks up to `capacity` claims of `ehistory`.
+    pub fn new(ehistory: &'e EHistory, capacity: usize) -> Self {
         let slots = (0..capacity)
             .map(|_| Tracked { entry: AtomicUsize::new(0), state: AtomicU8::new(DIRTY) })
             .collect();
-        TrackedSlots { inner, slots, links: AtomicU64::new(0) }
+        TrackedSlots { ehistory, slots, links: AtomicU64::new(0) }
     }
 
     pub fn slot_state(&self, idx: u64) -> u8 {
@@ -70,7 +72,7 @@ impl<'e> Slots for TrackedSlots<'e> {
     type Slot = &'e Entry;
 
     fn claim(&self) -> (u64, &'e Entry) {
-        let (idx, slot) = self.inner.claim();
+        let (idx, slot) = self.ehistory.claim();
         assert!((idx as usize) < self.slots.len(), "wrapper tracks {} slots", self.slots.len());
         self.slots[idx as usize].entry.store(slot as *const Entry as usize, Ordering::SeqCst);
         self.links.fetch_add(locate(idx).0 as u64, Ordering::SeqCst);
@@ -78,18 +80,18 @@ impl<'e> Slots for TrackedSlots<'e> {
     }
 
     fn pending(&self) -> u64 {
-        self.inner.pending()
+        self.ehistory.pending()
     }
 
     fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
         let before = cur.levels().max(1);
-        let resolved = self.inner.fill(cur, n);
+        let resolved = self.ehistory.fill(cur, n);
         self.links.fetch_add((cur.levels().max(1) - before) as u64, Ordering::SeqCst);
         resolved
     }
 
     fn tail_ref(&self) -> &mvkv_sync::sync::atomic::AtomicU32 {
-        self.inner.tail_ref()
+        self.ehistory.tail_ref()
     }
 
     fn persist_entry(&self, slot: &Entry) {

@@ -57,7 +57,7 @@ fn main() -> std::io::Result<()> {
     // Retention: collapse everything before hour 4, dropping dead sensors.
     let horizon = store.resolve_label(4).expect("hour 4 tagged");
     let fresh = PmemPool::create_volatile(256 << 20)?;
-    let (compacted, stats) = store.compact_into(fresh, horizon, |value, _| value)?;
+    let (compacted, stats) = store.compact_into(fresh, horizon)?;
     println!(
         "compaction @v{horizon}: kept {} keys (+{} GC'd), {} → {} history entries",
         stats.keys_kept, stats.keys_dropped, stats.entries_before, stats.entries_after

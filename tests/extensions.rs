@@ -16,7 +16,7 @@ fn volatile_pool(size: usize) -> PmemPool {
 
 /// Plain-word compaction into a fresh heap pool.
 fn compact(store: &PSkipList, size: usize, horizon: u64) -> (PSkipList, mvkv::core::CompactStats) {
-    store.compact_into(volatile_pool(size), horizon, |value, _| value).unwrap()
+    store.compact_into(volatile_pool(size), horizon).unwrap()
 }
 
 fn volatile_with_changelog() -> PSkipList {
@@ -260,7 +260,7 @@ fn compacted_store_reopens_and_continues() {
         horizon = store.tag() - 100;
         max = store.tag();
         let dst = PmemPool::create_file(&dst_path, 32 << 20).unwrap();
-        let (compacted, _) = store.compact_into(dst, horizon, |value, _| value).unwrap();
+        let (compacted, _) = store.compact_into(dst, horizon).unwrap();
         assert_eq!(compacted.tag(), max);
     }
     {
