@@ -8,7 +8,9 @@
 //! `Engine<u64, PmHome>` (pool + key chain),
 //! [`crate::ESkipList`] is `Engine<u64, HeapHome>`, and
 //! [`crate::VersionedMap`] wraps `Engine<K, HeapHome>`. Whatever the two
-//! stores' figures differ by is the cost of the home, not of drifted copies.
+//! stores' figures differ by is the cost of the home, not of drifted copies:
+//! where the histories live, what is fenced, and how wide the index payload
+//! that names a history is (a 32-bit pool offset, a 64-bit heap pointer).
 //!
 //! A write reaches the index once: `SkipList::insert_with` is the lookup
 //! (paper Algorithm 2 — one `FindSkip`, then append to the history it met or
@@ -30,14 +32,17 @@ use crate::Pair;
 use mvkv_skiplist::{InsertOutcome, Iter, SkipList};
 use mvkv_vhistory::{History, HistoryRecord, Slots, VersionClock, TOMBSTONE};
 
-/// Where a key's history lives. The index maps a key to a `u64` payload; the
-/// home turns payloads into histories and is told about the events a durable
-/// home must record.
+/// Where a key's history lives. The index maps a key to a payload; the home
+/// turns payloads into histories and is told about the events a durable home
+/// must record.
 pub trait Home<K> {
     /// History storage, borrowed from the home.
     type Slots<'a>: Slots
     where
         Self: 'a;
+    /// What the index stores per key to name its history. Every node holds
+    /// one, so its width is part of the index's size per key.
+    type Payload: Copy + Send + Sync;
     /// What the home records about a key, captured before the index takes
     /// ownership of it (PM: the key word; heap: nothing).
     type Logged: Copy;
@@ -46,26 +51,26 @@ pub trait Home<K> {
 
     fn logged(key: &K) -> Self::Logged;
     /// Allocates an empty history; returns its payload.
-    fn create(&self) -> u64;
+    fn create(&self) -> Self::Payload;
     /// The history behind `payload`.
-    fn history(&self, payload: u64) -> History<Self::Slots<'_>>;
+    fn history(&self, payload: Self::Payload) -> History<Self::Slots<'_>>;
     /// Reclaims a history created by a writer that then lost the
     /// duplicate-key race (paper §IV-B); it never became reachable.
-    fn discard(&self, payload: u64);
+    fn discard(&self, payload: Self::Payload);
     /// The index now maps the key to `payload`. Runs before any of the key's
     /// operations can complete.
-    fn key_linked(&self, key: Self::Logged, payload: u64);
+    fn key_linked(&self, key: Self::Logged, payload: Self::Payload);
     /// The one ordering fence between a batch chunk's entry persists and its
     /// stamp publishes.
     fn batch_fence(&self);
     /// The store is being dropped; `payloads` are those of every indexed key.
-    fn close(&mut self, payloads: impl Iterator<Item = u64>);
+    fn close(&mut self, payloads: impl Iterator<Item = Self::Payload>);
 }
 
 /// A multi-version ordered store over any `K: Ord`: values are words, the
 /// top one reserved for [`TOMBSTONE`].
 pub struct Engine<K, H: Home<K>> {
-    pub(crate) index: SkipList<K>,
+    pub(crate) index: SkipList<K, H::Payload>,
     pub(crate) clock: VersionClock,
     pub(crate) home: H,
     counters: OpCounters,
@@ -84,7 +89,7 @@ pub(crate) fn live_at<S: Slots>(hist: History<S>, version: u64, fc: u64) -> Opti
 const BATCH_CHUNK: usize = 1024;
 
 impl<K: Ord, H: Home<K>> Engine<K, H> {
-    pub(crate) fn assemble(index: SkipList<K>, clock: VersionClock, home: H) -> Self {
+    pub(crate) fn assemble(index: SkipList<K, H::Payload>, clock: VersionClock, home: H) -> Self {
         Engine { index, clock, home, counters: OpCounters::new() }
     }
 
@@ -94,9 +99,15 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
         self.index.memory()
     }
 
+    /// Nodes the index links at each level, from level 0 (every key) up
+    /// ([`SkipList::levels`]: a walk of every level).
+    pub fn index_levels(&self) -> Vec<u64> {
+        self.index.levels()
+    }
+
     /// The one index call of a write: a single descent that returns the
     /// history the key already has, or links the one created here.
-    pub(crate) fn get_or_create_history(&self, key: K) -> u64 {
+    pub(crate) fn get_or_create_history(&self, key: K) -> H::Payload {
         let logged = H::logged(&key);
         match self.index.insert_with(key, || self.home.create()) {
             InsertOutcome::Inserted(payload) => {
@@ -208,7 +219,7 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
     /// key-ordered: once a step returns `None`, every later one does.
     pub(crate) fn next_live<'a>(
         &'a self,
-        cursor: &mut Iter<'a, K>,
+        cursor: &mut Iter<'a, K, H::Payload>,
         hi: Option<&K>,
         version: u64,
         fc: u64,

@@ -13,8 +13,9 @@ use mvkv_vhistory::{EHistory, History, VersionClock};
 /// Ephemeral lock-free multi-version store.
 pub type ESkipList = Engine<u64, HeapHome>;
 
-/// The heap home: a key's payload is a leaked `Box<EHistory>`, freed when
-/// the store drops. Nothing is logged and nothing is fenced.
+/// The heap home: a key's payload is a leaked `Box<EHistory>` — a pointer,
+/// so a 64-bit word — freed when the store drops. Nothing is logged and
+/// nothing is fenced.
 #[derive(Default)]
 pub struct HeapHome {
     /// `(label, version)` bindings for [`crate::LabeledTags`] on
@@ -24,6 +25,7 @@ pub struct HeapHome {
 
 impl<K> Home<K> for HeapHome {
     type Slots<'a> = &'a EHistory;
+    type Payload = u64;
     type Logged = ();
     const NAME: &'static str = "ESkipList";
 

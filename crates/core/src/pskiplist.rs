@@ -6,8 +6,9 @@
 //!   histories with lazy tails ([`mvkv_vhistory`]) and the key block chain
 //!   ([`mvkv_keychain`]) mapping each key to its history.
 //! * **Ephemeral state**: the lock-free skip-list index
-//!   ([`mvkv_skiplist`]) over the same keys, holding history offsets as
-//!   payloads, plus the version clock.
+//!   ([`mvkv_skiplist`]) over the same keys, holding 32-bit history offsets
+//!   as payloads, plus the version clock. A pool is therefore at most 4 GiB:
+//!   creating or opening a store on a larger one is an error.
 //!
 //! The operations are the one store [`Engine`]'s; this module is what is
 //! genuinely PM: the [`PmHome`] that puts histories and key links in a
@@ -76,8 +77,10 @@ pub struct RestartStats {
 }
 
 /// `(key, chain position, history)`: a key-chain pair as the restart sorts
-/// it. Of two pairs with one key the position puts the earliest first.
-type ChainPair = (u64, u64, u64);
+/// it. Of two pairs with one key the position puts the earliest first. Both
+/// fit 32 bits: a history offset is below [`MAX_POOL_LEN`], and a pool that
+/// size holds fewer than 2^28 pairs of 16 bytes.
+type ChainPair = (u64, u32, u32);
 
 /// What one worker of the restart walk keeps from the blocks it claimed.
 #[derive(Default)]
@@ -90,7 +93,7 @@ struct Claimed {
     /// `(history, largest version)` with `u64::MAX` for a history the scan
     /// did not find settled: the prune has work exactly where the second
     /// word exceeds the watermark.
-    prune_above: Vec<(u64, u64)>,
+    prune_above: Vec<(u32, u64)>,
     /// [`RestartStats::history_lengths`] of this worker's histories.
     lengths: [u64; 32],
     quarantined: Vec<KeyQuarantine>,
@@ -123,9 +126,9 @@ fn key_range(run: &[ChainPair], from: Option<u64>, to: Option<u64>) -> &[ChainPa
 struct Merged<'a>(Vec<&'a [ChainPair]>);
 
 impl Iterator for Merged<'_> {
-    type Item = (u64, u64);
+    type Item = (u64, u32);
 
-    fn next(&mut self) -> Option<(u64, u64)> {
+    fn next(&mut self) -> Option<(u64, u32)> {
         let run = self.0.iter_mut().filter(|run| !run.is_empty()).min_by_key(|run| run[0])?;
         let (&(key, _, hist), rest) = run.split_first()?;
         *run = rest;
@@ -152,6 +155,10 @@ const ROOT_TAGCHAIN: u64 = 8;
 /// Versions ≤ this are complete a priori (0 normally; the horizon for a
 /// compacted store, whose collapsed entries keep gappy old versions).
 const ROOT_WMBASE: u64 = 32;
+
+/// The largest pool a store uses: a history is named by its 32-bit offset,
+/// in the index and in its key-chain pair.
+const MAX_POOL_LEN: u64 = 1 << 32;
 
 /// Outcome of a [`PSkipList::compact_into`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -188,9 +195,9 @@ pub struct CompactStats {
 /// ```
 pub type PSkipList = Engine<u64, PmHome>;
 
-/// The PM home: a key's payload is the pool offset of its [`PHistory`]; new
-/// keys are linked into the key chain before any of their operations
-/// completes.
+/// The PM home: a key's payload is the pool offset of its [`PHistory`], 32
+/// bits wide like the offset in the key's chain pair; new keys are linked
+/// into the key chain before any of their operations completes.
 pub struct PmHome {
     pool: Arc<PmemPool>,
     chain: PPtr<ChainHdr>,
@@ -213,6 +220,7 @@ impl PmHome {
 
 impl Home<u64> for PmHome {
     type Slots<'a> = PHistory<'a>;
+    type Payload = u32;
     type Logged = u64;
     const NAME: &'static str = "PSkipList";
 
@@ -222,23 +230,28 @@ impl Home<u64> for PmHome {
     }
 
     #[inline]
-    fn create(&self) -> u64 {
-        PHistory::create(&self.pool).expect("pmem pool exhausted").pptr().off()
+    fn create(&self) -> u32 {
+        let off = PHistory::create(&self.pool).expect("pmem pool exhausted").pptr().off();
+        // Lossless: the pool is at most `MAX_POOL_LEN` bytes (`create` and
+        // `try_attach` refuse a longer one).
+        off as u32
     }
 
     #[inline]
-    fn history(&self, off: u64) -> History<PHistory<'_>> {
-        History::new(PHistory::open(&self.pool, PPtr::from_off(off)))
+    fn history(&self, off: u32) -> History<PHistory<'_>> {
+        History::new(PHistory::open(&self.pool, PPtr::from_off(off.into())))
     }
 
     #[inline]
-    fn discard(&self, off: u64) {
-        self.pool.dealloc(off);
+    fn discard(&self, off: u32) {
+        self.pool.dealloc(off.into());
     }
 
     #[inline]
-    fn key_linked(&self, key: u64, off: u64) {
-        KeyChain::open(&self.pool, self.chain).append(key, off).expect("pmem pool exhausted");
+    fn key_linked(&self, key: u64, off: u32) {
+        KeyChain::open(&self.pool, self.chain)
+            .append(key, off.into())
+            .expect("pmem pool exhausted");
     }
 
     #[inline]
@@ -246,7 +259,7 @@ impl Home<u64> for PmHome {
         self.pool.fence();
     }
 
-    fn close(&mut self, _: impl Iterator<Item = u64>) {
+    fn close(&mut self, _: impl Iterator<Item = u32>) {
         self.pool.mark_clean_shutdown();
     }
 }
@@ -254,8 +267,13 @@ impl Home<u64> for PmHome {
 impl PSkipList {
     // -- construction --------------------------------------------------------
 
-    /// Creates a fresh store in `pool` (any backend).
+    /// Creates a fresh store in `pool` (any backend) of at most 4 GiB; a
+    /// longer pool is an `InvalidInput` error.
     pub fn create(pool: PmemPool) -> std::io::Result<Self> {
+        if pool.len() as u64 > MAX_POOL_LEN {
+            let too_large = RecoveryError::PoolTooLarge { len: pool.len() as u64 };
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, too_large));
+        }
         let chain = KeyChain::create(&pool, DEFAULT_BLOCK_CAP)?.pptr();
         let tagchain = KeyChain::create(&pool, 64)?.pptr();
         let root = pool.alloc(ROOT_SIZE)?;
@@ -367,6 +385,9 @@ impl PSkipList {
         opened: Instant,
     ) -> Result<(Self, RestartStats, QuarantineReport), RecoveryError> {
         let mut stats = RestartStats { open_time: opened.elapsed(), ..RestartStats::default() };
+        if pool.len() as u64 > MAX_POOL_LEN {
+            return Err(RecoveryError::PoolTooLarge { len: pool.len() as u64 });
+        }
         let repair = Instant::now();
         let mut report = QuarantineReport::default();
         let root = pool.root();
@@ -427,6 +448,8 @@ impl PSkipList {
                     let dropped_records = h.pending().saturating_sub(scan.len);
                     acc.quarantined.push(KeyQuarantine { key, class, dropped_records });
                 }
+                // Lossless (see `ChainPair`): the pool passed the size check.
+                let (seq, hist) = (seq as u32, hist as u32);
                 acc.pairs.push((key, seq, hist));
                 acc.lengths[(u64::BITS - scan.len.leading_zeros()).min(31) as usize] += 1;
                 acc.prune_above.push((hist, if scan.settled { scan.last } else { u64::MAX }));
@@ -450,7 +473,7 @@ impl PSkipList {
             let runs: Vec<&[ChainPair]> = claimed.iter().map(|c| &c.pairs[..]).collect();
             let cuts = splitters(&runs);
             let (runs, cuts, list) = (&runs, &cuts, &index);
-            let fragments: Vec<Fragment<u64>> = try_workers((0..=cuts.len()).map(|part| {
+            let fragments: Vec<Fragment<u64, u32>> = try_workers((0..=cuts.len()).map(|part| {
                 let (from, to) = (part.checked_sub(1).map(|p| cuts[p]), cuts.get(part).copied());
                 move || {
                     list.fragment(Merged(runs.iter().map(|run| key_range(run, from, to)).collect()))
@@ -469,7 +492,7 @@ impl PSkipList {
             // counters already right: it is not visited.
             let t2 = Instant::now();
             let watermark = stats.watermark;
-            let flagged: Vec<u64> = claimed
+            let flagged: Vec<u32> = claimed
                 .iter()
                 .flat_map(|c| &c.prune_above)
                 .filter(|&&(_, above)| above > watermark)
@@ -477,8 +500,9 @@ impl PSkipList {
                 .collect();
             let pool = &pool;
             let share = flagged.len().div_ceil(walked.threads).max(1);
-            let prune = |&hist: &u64| {
-                prune_to_watermark(&PHistory::open(pool, PPtr::from_off(hist)), watermark).pruned
+            let prune = |&hist: &u32| {
+                let hist = PHistory::open(pool, PPtr::from_off(hist.into()));
+                prune_to_watermark(&hist, watermark).pruned
             };
             let jobs = flagged.chunks(share).map(|part| move || part.iter().map(prune).sum());
             let pruned: Vec<u64> = try_workers(jobs).map_err(panicked("prune"))?;
@@ -510,7 +534,7 @@ impl PSkipList {
         let mut report = ScrubReport::default();
         for (&_key, hist) in self.index.iter() {
             report.keys += 1;
-            let h = PHistory::open(&self.home.pool, PPtr::from_off(hist));
+            let h = PHistory::open(&self.home.pool, PPtr::from_off(hist.into()));
             // At least slot 0, which every history has: a block wiped on the
             // media reads `pending == 0` and fails its check word.
             let claimed = h.pending().max(1);
@@ -545,6 +569,15 @@ impl PSkipList {
     /// The underlying pool (for audits and tests).
     pub fn pool(&self) -> &PmemPool {
         &self.home.pool
+    }
+
+    /// How full the key chain is: `(pairs, blocks, capacity)` — the pairs
+    /// appended (exact when no writer runs), the blocks linked, and the pairs
+    /// those blocks hold when full.
+    pub fn key_chain_fill(&self) -> (u64, u64, u64) {
+        let chain = KeyChain::open(&self.home.pool, self.home.chain);
+        let blocks = chain.blocks().count() as u64;
+        (chain.len(), blocks, blocks * chain.block_cap())
     }
 
     // -- compaction -----------------------------------------------------------
@@ -613,12 +646,12 @@ impl PSkipList {
             }
             stats.keys_kept += 1;
             stats.entries_after += kept.len() as u64;
-            let ph = PHistory::create(new_pool)?;
-            let off = ph.pptr().off();
+            // Lossless: the new pool passed `create`'s size check.
+            let off = PHistory::create(new_pool)?.pptr().off() as u32;
             let outcome = new.index.insert_with(key, || off);
             debug_assert!(outcome.inserted(), "source index keys are unique");
-            new_chain.append(key, off)?;
-            let nh = History::new(ph);
+            new_chain.append(key, off.into())?;
+            let nh = new.home.history(off);
             for (v, value) in kept {
                 nh.append(v, value);
             }
@@ -829,7 +862,7 @@ mod tests {
         store.wait_writes_complete();
         // Torn op on key 21: manually create the key but skip publication.
         let hist_off = store.get_or_create_history(21);
-        let h = PHistory::open(store.pool(), PPtr::from_off(hist_off));
+        let h = PHistory::open(store.pool(), PPtr::from_off(hist_off.into()));
         let (_, e) = h.claim();
         h.persist_pending();
         e.version.store(21, std::sync::atomic::Ordering::Relaxed);
@@ -861,7 +894,7 @@ mod tests {
         assert!(store.scrub().is_clean());
         // Zeroed, the block reads as a key nobody wrote — but for its check
         // word, which the scrub asks for even where nothing is claimed.
-        let hist = store.get_or_create_history(4);
+        let hist = u64::from(store.get_or_create_history(4));
         for word in 0..std::mem::size_of::<mvkv_vhistory::pslots::HistoryHdr>() as u64 / 8 {
             store.pool().write_u64(hist + word * 8, 0);
         }
@@ -882,7 +915,8 @@ mod tests {
         let forgeries =
             [Entry::DONE | ((good ^ 1) & 0xFFFF_FFFF), good & !Entry::DONE, good | 1 << 40];
         for forged in forgeries {
-            let h = PHistory::open(store.pool(), PPtr::from_off(store.get_or_create_history(3)));
+            let hist = store.get_or_create_history(3).into();
+            let h = PHistory::open(store.pool(), PPtr::from_off(hist));
             let mut cur = Cursor::new();
             h.fill(&mut cur, 1);
             cur.entry(0).crc_done.store(forged, std::sync::atomic::Ordering::Release);
@@ -899,10 +933,10 @@ mod tests {
     #[test]
     fn key_ranges_of_the_runs_merge_into_one_sorted_stream() {
         let spread = |pair: &ChainPair| pair.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 3;
-        let by_worker = |pair: &ChainPair| pair.1 % 3;
+        let by_worker = |pair: &ChainPair| u64::from(pair.1 % 3);
         let all_in_one = |_: &ChainPair| 0;
         let pairs: Vec<ChainPair> =
-            (0..600u64).map(|seq| (seq * 7 % 150, seq, 1000 + seq)).collect(); // 4 pairs per key
+            (0..600u32).map(|seq| ((seq * 7 % 150).into(), seq, 1000 + seq)).collect(); // 4 a key
         for place in [spread, by_worker, all_in_one] {
             let mut runs = vec![Vec::new(); 3];
             pairs.iter().for_each(|pair| runs[place(pair) as usize].push(*pair));
@@ -924,7 +958,9 @@ mod tests {
 
     /// `(pending, tail)` of every indexed history.
     fn counters(store: &PSkipList) -> Vec<(u64, u64)> {
-        let header = |(_, hist)| PHistory::open(store.pool(), PPtr::from_off(hist)).raw_header();
+        let header = |(_, hist): (_, u32)| {
+            PHistory::open(store.pool(), PPtr::from_off(hist.into())).raw_header()
+        };
         store.index.iter().map(header).map(|(pending, tail, _)| (pending, tail)).collect()
     }
 
@@ -1007,7 +1043,8 @@ mod tests {
         assert_eq!(h.extend_tail(22), 2);
         store.pool().sync_all();
         let image = store.crash_image().unwrap();
-        let hist = PHistory::open(store.pool(), PPtr::from_off(store.get_or_create_history(5)));
+        let hist = store.get_or_create_history(5).into();
+        let hist = PHistory::open(store.pool(), PPtr::from_off(hist));
         assert!(scan_published_prefix(&hist, &mut Vec::new()).settled);
 
         let (recovered, stats) = PSkipList::open_image(&image, 2).unwrap();
@@ -1070,6 +1107,53 @@ mod tests {
         }
         assert_eq!(snapshots[0], snapshots[1]);
         assert_eq!(snapshots[1], snapshots[2]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A history is named by a 32-bit offset, so a pool past 4 GiB is
+    /// refused where a store is made and where one is opened — not accepted
+    /// until the first history allocated above 4 GiB. The file is sparse: no
+    /// test touches more than its first pages.
+    #[test]
+    fn a_pool_longer_than_4_gib_is_an_error() {
+        let path = std::env::temp_dir().join(format!("pskip-4gib-{}.pool", std::process::id()));
+        let at_limit = PSkipList::create_file(&path, MAX_POOL_LEN as usize).unwrap();
+        assert_eq!(at_limit.pool().len() as u64, MAX_POOL_LEN, "exactly 4 GiB is fine");
+        drop(at_limit);
+
+        let len = MAX_POOL_LEN + 4096;
+        let refused = PSkipList::create_file(&path, len as usize).err().expect("refused");
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(refused.to_string().contains("2^32 bytes (4 GiB)"), "{refused}");
+        // The pool itself was made before the store refused it: every open
+        // path refuses it too, before it reads the root.
+        match PSkipList::open_file_salvage(&path, 1) {
+            Err(RecoveryError::PoolTooLarge { len: found }) => assert_eq!(found, len),
+            other => panic!("expected PoolTooLarge, got {:?}", other.err()),
+        }
+        let refused = PSkipList::open_file(&path, 1).err().expect("refused");
+        assert!(refused.to_string().contains(&format!("a pool of {len} bytes")), "{refused}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The size of a reopened index, as a count. With 32-bit payloads a node
+    /// of height h is `ceil8(12 + 4h)` bytes: 16 at height 1, 24 at heights 2
+    /// and 3, 32 at 4 and 5, … — 21.3 bytes expected, against 26.7 for the
+    /// 64-bit payloads of the heap stores. A reopen bulk-builds the index, so
+    /// it holds little beyond its nodes.
+    #[test]
+    fn a_reopened_index_holds_under_22_5_bytes_a_key() {
+        let path = std::env::temp_dir().join(format!("pskip-index-{}.pool", std::process::id()));
+        {
+            let store = PSkipList::create_file(&path, 32 << 20).unwrap();
+            let pairs: Vec<Pair> = (0..1u64 << 16).map(|k| (k * 7919, k)).collect();
+            store.session().insert_batch(&pairs);
+        }
+        let (store, _) = PSkipList::open_file(&path, 2).unwrap();
+        assert_eq!(store.key_count(), 1 << 16);
+        let per_key = store.index_memory().1 as f64 / store.key_count() as f64;
+        assert!(per_key <= 22.5, "{per_key:.2} bytes a key");
+        drop(store);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -27,6 +27,13 @@ pub enum RecoveryError {
     /// The pool itself failed to open or map (bad magic, wrong layout
     /// version, unrecoverable length mismatch, I/O error).
     Pool(PmemError),
+    /// The pool is longer than the 2^32 bytes a store can use: its history
+    /// offsets are 32 bits wide. (Creating a store on such a pool fails with
+    /// this too, as an `InvalidInput` I/O error.)
+    PoolTooLarge {
+        /// The pool's length in bytes.
+        len: u64,
+    },
     /// The pool has no root object — nothing was ever committed.
     NoRoot,
     /// The root offset points outside the pool or is misaligned.
@@ -50,6 +57,11 @@ impl std::fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoveryError::Pool(e) => write!(f, "pool open failed: {e}"),
+            RecoveryError::PoolTooLarge { len } => write!(
+                f,
+                "a pool of {len} bytes is longer than the 2^32 bytes (4 GiB) a store can use: \
+                 history offsets are 32 bits"
+            ),
             RecoveryError::NoRoot => write!(f, "pool has no root object"),
             RecoveryError::CorruptRoot => write!(f, "root offset is corrupt (out of bounds)"),
             RecoveryError::NoKeyChain => write!(f, "root has no key-chain pointer"),

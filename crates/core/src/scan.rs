@@ -27,7 +27,7 @@ use crate::Pair;
 /// [`Engine::scan`] / [`Engine::scan_range`] of any word-keyed store.
 pub struct SnapshotScan<'a, H: Home<u64>> {
     store: &'a Engine<u64, H>,
-    iter: mvkv_skiplist::Iter<'a, u64>,
+    iter: mvkv_skiplist::Iter<'a, u64, H::Payload>,
     version: u64,
     /// Watermark frozen at construction: the consistency frontier every
     /// history lookup of this scan resolves against.

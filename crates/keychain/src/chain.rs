@@ -27,7 +27,10 @@
 //! mapping. Zero remains the torn-pair sentinel — an encoded word is never
 //! zero because its low half is the non-zero payload. The cost is that pair
 //! payloads are limited to 32 bits: pool offsets below 4 GiB and biased
-//! versions below 2³² (asserted in [`KeyChain::append`]).
+//! versions below 2³² (asserted in [`KeyChain::append`]). The store's index
+//! shares the limit — its payload is the same 32-bit history offset — so
+//! `mvkv-core` refuses a pool longer than 4 GiB when a store is created or
+//! opened, and no append can meet the assertion with a history offset.
 
 use mvkv_pmem::{crc32c_u64s, PPtr, PmemPool, Result};
 use std::sync::atomic::Ordering;

@@ -1,9 +1,11 @@
 //! # mvkv-skiplist — lock-free, insert-only concurrent skip list
 //!
 //! The ephemeral index of the paper's hybrid design (§IV-A/§IV-B): keys are
-//! indexed by a lock-free skip list whose nodes carry a single 64-bit
-//! payload (for PSkipList, the persistent offset of the key's version
-//! history; for ESkipList, a heap pointer).
+//! indexed by a lock-free skip list whose nodes carry a single payload of
+//! the list's type `P` (for PSkipList, the 32-bit persistent offset of the
+//! key's version history; for ESkipList, a 64-bit heap pointer). The
+//! payload is part of every node, so its width is part of the index's size
+//! per key.
 //!
 //! Because removals in the multi-version store are *logical* (a tombstone is
 //! appended to the key's history), the index never unlinks nodes. The paper
@@ -57,7 +59,8 @@
 //!   them through `&mut self`, one link per fragment and level. A fragment
 //!   dropped instead drops its keys; its chunks go with the list.
 //! * Dropping the list walks level 0 only if keys need dropping, then frees
-//!   chunks and directories; [`SkipList::memory`] reports what it holds.
+//!   chunks and directories; [`SkipList::memory`] reports what it holds, and
+//!   [`SkipList::levels`] how many nodes each level links.
 
 mod list;
 

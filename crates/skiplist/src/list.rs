@@ -280,7 +280,9 @@ impl Drop for Arena {
 /// (0 = end of list). A block is bump-allocated from a chunk of the list's
 /// [`Arena`], zeroed, and as long as the node is tall and no longer: the
 /// height is not stored, because nothing is freed node by node. A hop touches
-/// one block, and the key and the low levels share a cache line.
+/// one block, and the key and the low levels share a cache line. The tower
+/// starts right behind the payload, so a 4-byte payload behind an 8-byte key
+/// makes a one-level node 16 bytes.
 ///
 /// `key` and `value` are written while the node is private to the inserting
 /// thread and never again; after publication only the tower cells change.
@@ -290,19 +292,21 @@ impl Drop for Arena {
 /// borrow models. The list head is a `MAX_HEIGHT` node whose `key` and
 /// `value` stay uninitialized and are never read.
 #[repr(C)]
-struct Node<K> {
+struct Node<K, P> {
     key: K,
-    value: u64,
+    value: P,
     /// Where the tower starts; the cells themselves lie past the header.
     tower: [AtomicU32; 0],
 }
 
-impl<K> Node<K> {
+impl<K, P> Node<K, P> {
     /// Checked where a list is made: blocks are 8-byte aligned, and the
     /// tallest node has to fit the smallest chunk.
     const FITS: () = assert!(
-        std::mem::align_of::<K>() <= UNIT && Self::units(MAX_HEIGHT) < 1 << FIRST_BITS,
-        "SkipList keys are at most 8-byte aligned and small enough for a 4 KiB chunk"
+        std::mem::align_of::<K>() <= UNIT
+            && std::mem::align_of::<P>() <= UNIT
+            && Self::units(MAX_HEIGHT) < 1 << FIRST_BITS,
+        "SkipList keys and payloads are at most 8-byte aligned and small enough for a 4 KiB chunk"
     );
 
     /// Units in the block of a node `height` levels tall.
@@ -318,7 +322,7 @@ impl<K> Node<K> {
     /// `node` must be a block of a live arena, outliving `'a`, made for a
     /// tower taller than `level`.
     #[inline(always)]
-    unsafe fn next<'a>(node: *mut Node<K>, level: usize) -> &'a AtomicU32 {
+    unsafe fn next<'a>(node: *mut Node<K, P>, level: usize) -> &'a AtomicU32 {
         // SAFETY: per the contract the cell is inside the block, which came
         // zeroed — a valid cell holding "none" — and is only ever accessed
         // atomically; the projection keeps `node`'s provenance over the
@@ -332,11 +336,11 @@ impl<K> Node<K> {
 /// # Safety
 /// Every node of the chain must be a block of `arena` with its key
 /// initialized, unreachable by any other thread, and not be used again.
-unsafe fn drop_keys<K>(arena: &Arena, mut link: u32) {
+unsafe fn drop_keys<K, P>(arena: &Arena, mut link: u32) {
     while std::mem::needs_drop::<K>() && link != 0 {
         // SAFETY: per the contract `link` names a live node the caller owns.
         unsafe {
-            let node = arena.at(link).cast::<Node<K>>();
+            let node = arena.at(link).cast::<Node<K, P>>();
             link = Node::next(node, 0).load(Ordering::Acquire);
             ptr::drop_in_place(&raw mut (*node).key);
         }
@@ -383,36 +387,36 @@ fn backoff(attempt: usize) {
 fn backoff(_attempt: usize) {}
 
 /// What a descent keeps of the levels it leaves (see [`SkipList::descend`]).
-trait Path<K> {
+trait Path<K, P> {
     /// The descent found no match at `level`: `pred` is the last node there
     /// with a smaller key (or the head), `succ` the link out of it.
-    fn leave(&mut self, level: usize, pred: *mut Node<K>, succ: u32);
+    fn leave(&mut self, level: usize, pred: *mut Node<K, P>, succ: u32);
 }
 
 /// A read keeps nothing.
-impl<K> Path<K> for () {
+impl<K, P> Path<K, P> for () {
     #[inline(always)]
-    fn leave(&mut self, _: usize, _: *mut Node<K>, _: u32) {}
+    fn leave(&mut self, _: usize, _: *mut Node<K, P>, _: u32) {}
 }
 
 /// Where a new node goes: per level, the cell to CAS (`preds[level]`'s link)
 /// and the value the descent read from it. Starts out as "head, then end of
 /// list" at every level, which is what a level no descent has reached yet
 /// holds.
-struct Splice<K> {
-    preds: [*mut Node<K>; MAX_HEIGHT],
+struct Splice<K, P> {
+    preds: [*mut Node<K, P>; MAX_HEIGHT],
     succs: [u32; MAX_HEIGHT],
 }
 
-impl<K> Splice<K> {
-    fn new(head: *mut Node<K>) -> Self {
+impl<K, P> Splice<K, P> {
+    fn new(head: *mut Node<K, P>) -> Self {
         Splice { preds: [head; MAX_HEIGHT], succs: [0; MAX_HEIGHT] }
     }
 }
 
-impl<K> Path<K> for Splice<K> {
+impl<K, P> Path<K, P> for Splice<K, P> {
     #[inline(always)]
-    fn leave(&mut self, level: usize, pred: *mut Node<K>, succ: u32) {
+    fn leave(&mut self, level: usize, pred: *mut Node<K, P>, succ: u32) {
         self.preds[level] = pred;
         self.succs[level] = succ;
     }
@@ -420,18 +424,18 @@ impl<K> Path<K> for Splice<K> {
 
 /// Result of [`SkipList::insert_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertOutcome {
+pub enum InsertOutcome<P = u64> {
     /// The key was absent; this thread's payload is now installed.
-    Inserted(u64),
+    Inserted(P),
     /// Another thread installed the key first (or it already existed).
     /// `existing` is the installed payload; `yours` is the payload this
     /// thread created (if the factory ran) and must now reclaim.
-    Lost { existing: u64, yours: Option<u64> },
+    Lost { existing: P, yours: Option<P> },
 }
 
-impl InsertOutcome {
+impl<P: Copy> InsertOutcome<P> {
     /// The payload now associated with the key, whoever installed it.
-    pub fn payload(&self) -> u64 {
+    pub fn payload(&self) -> P {
         match *self {
             InsertOutcome::Inserted(v) => v,
             InsertOutcome::Lost { existing, .. } => existing,
@@ -444,16 +448,18 @@ impl InsertOutcome {
     }
 }
 
-/// A lock-free, insert-only ordered map from `K` to a 64-bit payload.
+/// A lock-free, insert-only ordered map from `K` to a payload `P`: a word the
+/// caller gives meaning to, such as an offset or a pointer. The payload is
+/// stored in every node, so its width is part of the index's size per key.
 ///
 /// # Examples
 ///
 /// ```
 /// use mvkv_skiplist::SkipList;
 ///
-/// let list = SkipList::new();
-/// list.insert_with(5u64, || 50);
-/// list.insert_with(1u64, || 10);
+/// let list: SkipList<u64, u32> = SkipList::new();
+/// list.insert_with(5, || 50);
+/// list.insert_with(1, || 10);
 /// assert_eq!(list.get(&5), Some(50));
 /// let keys: Vec<u64> = list.iter().map(|(&k, _)| k).collect();
 /// assert_eq!(keys, vec![1, 5]); // always in key order
@@ -468,35 +474,36 @@ impl InsertOutcome {
 /// struct Wide(u64);
 /// let list = mvkv_skiplist::SkipList::<Wide>::new();
 /// ```
-pub struct SkipList<K> {
+pub struct SkipList<K, P: Copy = u64> {
     arena: Arc<Arena>,
     /// The head tower: a keyless `MAX_HEIGHT` node, the first block of chunk
     /// 0, so a predecessor is always a node and every link is reached
     /// through [`Node::next`].
-    head: *mut Node<K>,
+    head: *mut Node<K, P>,
     max_level: AtomicUsize,
     len: AtomicU64,
     height_seed: AtomicU64,
 }
 
-// SAFETY: the list owns its nodes (and their keys) through `head`, and their
-// memory through the arena; moving it to another thread moves the keys, hence
-// `K: Send`. The arena and the counters synchronize themselves.
-unsafe impl<K: Send> Send for SkipList<K> {}
-// SAFETY: a shared list hands out `&K` and accepts `K` from any thread, and
-// drops on one thread keys inserted by another; node headers are immutable
-// after publication, all links are atomic, and the arena hands every block
-// to one thread.
-unsafe impl<K: Send + Sync> Sync for SkipList<K> {}
+// SAFETY: the list owns its nodes (their keys and payloads) through `head`,
+// and their memory through the arena; moving it to another thread moves the
+// keys and payloads, hence `K: Send` and `P: Send`. The arena and the
+// counters synchronize themselves.
+unsafe impl<K: Send, P: Copy + Send> Send for SkipList<K, P> {}
+// SAFETY: a shared list hands out `&K` and copies of `P`, accepts `K` and `P`
+// from any thread, and drops on one thread keys inserted by another; node
+// headers are immutable after publication, all links are atomic, and the
+// arena hands every block to one thread.
+unsafe impl<K: Send + Sync, P: Copy + Send + Sync> Sync for SkipList<K, P> {}
 
-impl<K> SkipList<K> {
+impl<K, P: Copy> SkipList<K, P> {
     /// The node `link` names.
     ///
     /// # Safety
     /// `link` must be 0 or have been read from a tower cell of this list (or
     /// of a fragment built for it and not dropped).
     #[inline(always)]
-    unsafe fn node(&self, link: u32) -> *mut Node<K> {
+    unsafe fn node(&self, link: u32) -> *mut Node<K, P> {
         // SAFETY: tower cells hold links to blocks of this list's arena.
         unsafe { self.arena.at(link) }.cast()
     }
@@ -506,7 +513,7 @@ impl<K> SkipList<K> {
     ///
     /// # Safety
     /// `link` must name a block of this list's arena private to the caller.
-    unsafe fn fill(&self, link: u32, key: K, value: u64) -> *mut Node<K> {
+    unsafe fn fill(&self, link: u32, key: K, value: P) -> *mut Node<K, P> {
         // SAFETY: the block is private and holds the header; `write` does
         // not read the old bytes.
         unsafe {
@@ -526,17 +533,41 @@ impl<K> SkipList<K> {
 
     /// In-order iterator over `(key, payload)` from the smallest key.
     /// (No `Ord` bound: iteration just walks level 0.)
-    pub fn iter(&self) -> Iter<'_, K> {
+    pub fn iter(&self) -> Iter<'_, K, P> {
         // SAFETY: the head lives as long as the list and has every level.
         Iter { list: self, curr: unsafe { Node::next(self.head, 0) }.load(Ordering::Acquire) }
     }
+
+    /// Nodes linked at each level, from level 0 up to the list's height: a
+    /// walk of every level, about two hops per key. Level 0 holds every key;
+    /// a tower a concurrent insert or a lost race left short counts only at
+    /// the levels it reached.
+    pub fn levels(&self) -> Vec<u64> {
+        // ordering: the height only bounds the walk; each link is Acquire.
+        let height = self.max_level.load(Ordering::Acquire);
+        (0..height)
+            .map(|level| {
+                let mut nodes = 0;
+                // SAFETY: the head has every level.
+                let mut link = unsafe { Node::next(self.head, level) }.load(Ordering::Acquire);
+                while link != 0 {
+                    nodes += 1;
+                    // SAFETY: `link` was read at `level` from a tower of this
+                    // list, so it names a node whose tower is taller than
+                    // `level`; nodes live as long as the list.
+                    link = unsafe { Node::next(self.node(link), level) }.load(Ordering::Acquire);
+                }
+                nodes
+            })
+            .collect()
+    }
 }
 
-impl<K: Ord> SkipList<K> {
+impl<K: Ord, P: Copy> SkipList<K, P> {
     pub fn new() -> Self {
-        let () = Node::<K>::FITS;
+        let () = Node::<K, P>::FITS;
         let arena = Arc::new(Arena::new());
-        let head = arena.alloc_shared(Node::<K>::units(MAX_HEIGHT));
+        let head = arena.alloc_shared(Node::<K, P>::units(MAX_HEIGHT));
         SkipList {
             // SAFETY: the link is fresh — the first block of chunk 0 — and
             // zeroed the block is a head already.
@@ -642,41 +673,33 @@ impl<K: Ord> SkipList<K> {
     /// which reads the directory after the link, finds it (the chain of
     /// happens-before edges is spelled out on [`Arena`]). Resolving costs
     /// one load that depends on the link — the directory entry; the
-    /// directory pointer itself does not, and stays in cache.
+    /// directory pointer itself does not, and stays in cache. A link names
+    /// one node for as long as the list lives, so the link the prefetch
+    /// resolved (see [`SkipList::prefetch`]) is not resolved again when the
+    /// level below starts with it, as it does whenever `curr` is larger.
     ///
     /// Keys are unique, so on a match the equal node is also the lower
     /// bound; on a miss the descent ends at level 0 with the link of the
     /// first node with a larger key. When a level's successor is the node
     /// the level above just found larger, its key is not compared again.
     #[inline]
-    fn descend<P: Path<K>>(&self, key: &K, path: &mut P) -> (u32, Option<*mut Node<K>>) {
+    fn descend<T: Path<K, P>>(&self, key: &K, path: &mut T) -> (u32, Option<*mut Node<K, P>>) {
         let mut level = self.max_level.load(Ordering::Acquire) - 1;
         let mut pred = self.head;
         let mut larger = 0;
+        let mut fetched = (0, ptr::null_mut());
         loop {
             // SAFETY: `pred` is the head or a node reached through a link at
             // `level` or above, so its tower is taller than `level`; nodes
             // are never freed while the list lives (insert-only).
             let succ = unsafe { Node::next(pred, level) }.load(Ordering::Acquire);
             if succ != 0 && succ != larger {
-                // SAFETY: `succ` was read from a tower cell of this list.
-                let curr = unsafe { self.node(succ) };
-                #[cfg(all(target_arch = "x86_64", not(any(loom, miri))))]
+                // SAFETY: `succ` was read from a tower cell of this list, and
+                // `fetched` holds a link read from one and the node it names.
+                let curr = if succ == fetched.0 { fetched.1 } else { unsafe { self.node(succ) } };
                 if level > 0 {
-                    // While `curr`'s key is on its way from memory, start
-                    // fetching the node the descent visits if `curr` turns
-                    // out larger: its link sits in `pred`'s tower, which is
-                    // already in cache.
-                    // SAFETY: `level - 1` is inside `pred`'s tower and holds
-                    // a link of this list (0 resolves to chunk 0's header),
-                    // loaded with Acquire like any link that is resolved —
-                    // the node is not read, the directory is; a prefetch is
-                    // a hint and never faults.
-                    unsafe {
-                        let below = Node::next(pred, level - 1).load(Ordering::Acquire);
-                        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                        _mm_prefetch::<_MM_HINT_T0>(self.node(below).cast());
-                    }
+                    // SAFETY: `pred`'s tower is taller than `level`.
+                    fetched = unsafe { self.prefetch(pred, level - 1) };
                 }
                 // SAFETY: `succ` was read from a live link with Acquire, so
                 // the node's header is published and immutable.
@@ -697,14 +720,49 @@ impl<K: Ord> SkipList<K> {
         }
     }
 
+    /// Starts fetching the node `pred` links at `level` — while the key of
+    /// the node the descent compares next is on its way from memory, so that
+    /// the node it visits if that one turns out larger is too; `pred`'s tower
+    /// is already in cache. Returns the link and the node it names, or
+    /// `(0, null)` where there is no prefetch.
+    ///
+    /// # Safety
+    /// `pred` must be the head or a node of this list taller than `level`.
+    #[cfg(all(target_arch = "x86_64", not(any(loom, miri))))]
+    #[inline(always)]
+    unsafe fn prefetch(&self, pred: *mut Node<K, P>, level: usize) -> (u32, *mut Node<K, P>) {
+        // SAFETY: per the contract the cell is inside `pred`'s tower; it
+        // holds a link of this list (0 resolves to chunk 0's header), loaded
+        // with Acquire like any link that is resolved — the node is not read,
+        // the directory is; a prefetch is a hint and never faults.
+        unsafe {
+            let below = Node::next(pred, level).load(Ordering::Acquire);
+            let node = self.node(below);
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(node.cast());
+            (below, node)
+        }
+    }
+
+    /// No prefetch: nothing is loaded and no link is resolved ahead.
+    ///
+    /// # Safety
+    /// As in the prefetching build: `pred` must be the head or a node of
+    /// this list taller than `level`.
+    #[cfg(not(all(target_arch = "x86_64", not(any(loom, miri)))))]
+    #[inline(always)]
+    unsafe fn prefetch(&self, _: *mut Node<K, P>, _: usize) -> (u32, *mut Node<K, P>) {
+        (0, ptr::null_mut())
+    }
+
     /// Looks up the payload for `key`.
-    pub fn get(&self, key: &K) -> Option<u64> {
+    pub fn get(&self, key: &K) -> Option<P> {
         // SAFETY: a found node is published (see `descend`).
         self.descend(key, &mut ()).1.map(|node| unsafe { (*node).value })
     }
 
     /// In-order iterator starting at the first key ≥ `key`.
-    pub fn range_from(&self, key: &K) -> Iter<'_, K> {
+    pub fn range_from(&self, key: &K) -> Iter<'_, K, P> {
         Iter { list: self, curr: self.descend(key, &mut ()).0 }
     }
 
@@ -715,16 +773,16 @@ impl<K: Ord> SkipList<K> {
     /// loser's key is dropped here (its block stays where it is, unused,
     /// until the list drops); any payload the factory produced is handed
     /// back via [`InsertOutcome::Lost::yours`] for caller cleanup.
-    pub fn insert_with<F: FnOnce() -> u64>(&self, key: K, factory: F) -> InsertOutcome {
+    pub fn insert_with<F: FnOnce() -> P>(&self, key: K, factory: F) -> InsertOutcome<P> {
         self.insert_tower(key, Self::random_height, factory)
     }
 
     /// [`SkipList::insert_with`] with the tower height drawn by `height`
     /// (only when the key appears absent).
-    fn insert_tower<H, F>(&self, key: K, height: H, factory: F) -> InsertOutcome
+    fn insert_tower<H, F>(&self, key: K, height: H, factory: F) -> InsertOutcome<P>
     where
         H: FnOnce(&Self) -> usize,
-        F: FnOnce() -> u64,
+        F: FnOnce() -> P,
     {
         let mut at = Splice::new(self.head);
 
@@ -737,7 +795,7 @@ impl<K: Ord> SkipList<K> {
         let height = height(self);
         debug_assert!((1..=MAX_HEIGHT).contains(&height));
         let value = factory();
-        let link = self.arena.alloc_shared(Node::<K>::units(height));
+        let link = self.arena.alloc_shared(Node::<K, P>::units(height));
         // SAFETY: the arena just handed this thread the block.
         let node = unsafe { self.fill(link, key, value) };
 
@@ -843,7 +901,7 @@ impl<K: Ord> SkipList<K> {
 /// the arena of the list that built it — the only list that can adopt it. Dropping a fragment that was never
 /// adopted drops its keys; its chunks stay with the arena, like a block that
 /// lost a duplicate-key race.
-pub struct Fragment<K> {
+pub struct Fragment<K, P = u64> {
     arena: Arc<Arena>,
     /// First and last node per level; 0 at the levels no tower reaches, and
     /// `first[0]` is 0 again once the fragment is adopted.
@@ -851,11 +909,11 @@ pub struct Fragment<K> {
     last: [u32; MAX_HEIGHT],
     len: u64,
     dropped: u64,
-    /// It owns its keys: `Send` when they are.
-    _keys: PhantomData<K>,
+    /// It owns its keys and payloads: `Send` when they are.
+    _nodes: PhantomData<(K, P)>,
 }
 
-impl<K> Fragment<K> {
+impl<K, P> Fragment<K, P> {
     /// Number of nodes.
     pub fn len(&self) -> u64 {
         self.len
@@ -872,16 +930,16 @@ impl<K> Fragment<K> {
     }
 }
 
-impl<K> Drop for Fragment<K> {
+impl<K, P> Drop for Fragment<K, P> {
     fn drop(&mut self) {
         // SAFETY: an unadopted fragment is the only owner of its nodes, each
         // filled and reachable at level 0 exactly once; an adopted one starts
         // at 0, nothing.
-        unsafe { drop_keys::<K>(&self.arena, self.first[0]) }
+        unsafe { drop_keys::<K, P>(&self.arena, self.first[0]) }
     }
 }
 
-impl<K: Ord> SkipList<K> {
+impl<K: Ord, P: Copy> SkipList<K, P> {
     /// Bulk construction, step one: builds a [`Fragment`] from `pairs`,
     /// which must come in strictly increasing key order — a pair whose key
     /// is not greater than the last key kept is dropped (and counted, see
@@ -890,25 +948,25 @@ impl<K: Ord> SkipList<K> {
     /// heights drawn as [`SkipList::insert_with`] draws them, every link
     /// written through a per-level tail: no descent and no CAS. Safe to
     /// call from several threads at once, one key range each.
-    pub fn fragment(&self, pairs: impl IntoIterator<Item = (K, u64)>) -> Fragment<K> {
+    pub fn fragment(&self, pairs: impl IntoIterator<Item = (K, P)>) -> Fragment<K, P> {
         self.fragment_towers(pairs, Self::random_height)
     }
 
     /// [`SkipList::fragment`] with every tower height drawn by `height`.
     fn fragment_towers(
         &self,
-        pairs: impl IntoIterator<Item = (K, u64)>,
+        pairs: impl IntoIterator<Item = (K, P)>,
         mut height: impl FnMut(&Self) -> usize,
-    ) -> Fragment<K> {
+    ) -> Fragment<K, P> {
         let mut frag = Fragment {
             arena: self.arena.clone(),
             first: [0; MAX_HEIGHT],
             last: [0; MAX_HEIGHT],
             len: 0,
             dropped: 0,
-            _keys: PhantomData,
+            _nodes: PhantomData,
         };
-        let mut tails = [ptr::null_mut::<Node<K>>(); MAX_HEIGHT];
+        let mut tails = [ptr::null_mut::<Node<K, P>>(); MAX_HEIGHT];
         let filling = AtomicU32::new(NO_CHUNK);
         for (key, value) in pairs {
             let tail = tails[0];
@@ -919,7 +977,7 @@ impl<K: Ord> SkipList<K> {
             }
             let height = height(self);
             // SAFETY: `filling` is this call's own cursor.
-            let link = unsafe { self.arena.alloc(&filling, Node::<K>::units(height)) };
+            let link = unsafe { self.arena.alloc(&filling, Node::<K, P>::units(height)) };
             // SAFETY: the block was just cut from this call's own chunk.
             let node = unsafe { self.fill(link, key, value) };
             for (level, tail) in tails.iter_mut().enumerate().take(height) {
@@ -955,7 +1013,7 @@ impl<K: Ord> SkipList<K> {
     /// # Panics
     /// If the list is not empty, a fragment was built by another list, or
     /// two fragments are out of order.
-    pub fn adopt(&mut self, fragments: impl IntoIterator<Item = Fragment<K>>) {
+    pub fn adopt(&mut self, fragments: impl IntoIterator<Item = Fragment<K, P>>) {
         assert!(self.is_empty(), "adopt needs an empty list");
         let mut tails = [self.head; MAX_HEIGHT];
         let (mut len, mut top) = (0u64, 1usize);
@@ -992,13 +1050,13 @@ impl<K: Ord> SkipList<K> {
     }
 }
 
-impl<K: Ord> Default for SkipList<K> {
+impl<K: Ord, P: Copy> Default for SkipList<K, P> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K> Drop for SkipList<K> {
+impl<K, P: Copy> Drop for SkipList<K, P> {
     fn drop(&mut self) {
         // SAFETY: exclusive access in drop. Every published node is
         // reachable at level 0 exactly once — whatever became of its upper
@@ -1006,18 +1064,18 @@ impl<K> Drop for SkipList<K> {
         // race is not, and its key went then. The head's key was never
         // initialized. The chunks go with the arena, once no fragment holds
         // it either.
-        unsafe { drop_keys::<K>(&self.arena, Node::next(self.head, 0).load(Ordering::Acquire)) }
+        unsafe { drop_keys::<K, P>(&self.arena, Node::next(self.head, 0).load(Ordering::Acquire)) }
     }
 }
 
 /// Iterator over skip-list entries in key order.
-pub struct Iter<'a, K> {
-    list: &'a SkipList<K>,
+pub struct Iter<'a, K, P: Copy = u64> {
+    list: &'a SkipList<K, P>,
     curr: u32,
 }
 
-impl<'a, K> Iterator for Iter<'a, K> {
-    type Item = (&'a K, u64);
+impl<'a, K, P: Copy> Iterator for Iter<'a, K, P> {
+    type Item = (&'a K, P);
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.curr == 0 {
@@ -1035,10 +1093,10 @@ impl<'a, K> Iterator for Iter<'a, K> {
 }
 
 #[cfg(test)]
-impl<K: Ord> SkipList<K> {
+impl<K: Ord, P: Copy> SkipList<K, P> {
     /// A list holding `entries` — `(key, payload, tower height)` — inserted
     /// in the given order with exactly the given heights.
-    fn with_towers(entries: impl IntoIterator<Item = (K, u64, usize)>) -> Self {
+    fn with_towers(entries: impl IntoIterator<Item = (K, P, usize)>) -> Self {
         let list = Self::new();
         for (key, value, height) in entries {
             assert!(list.insert_tower(key, |_| height, || value).inserted());
@@ -1049,11 +1107,11 @@ impl<K: Ord> SkipList<K> {
     /// The same list bulk-built: `entries` in strictly increasing key order,
     /// cut into `parts` fragments (the last ones empty if there are fewer
     /// entries) that are stitched together.
-    fn bulk_with_towers(entries: Vec<(K, u64, usize)>, parts: usize) -> Self {
+    fn bulk_with_towers(entries: Vec<(K, P, usize)>, parts: usize) -> Self {
         let mut list = Self::new();
         let per = entries.len().div_ceil(parts).max(1);
         let mut entries = entries.into_iter();
-        let fragments: Vec<Fragment<K>> = (0..parts)
+        let fragments: Vec<Fragment<K, P>> = (0..parts)
             .map(|_| {
                 let (mut pairs, mut heights) = (Vec::new(), Vec::new());
                 for (key, value, height) in entries.by_ref().take(per) {
@@ -1136,9 +1194,9 @@ mod tests {
 
     #[test]
     fn duplicate_insert_reports_lost() {
-        let l = SkipList::new();
-        assert!(l.insert_with(42u64, || 1).inserted());
-        match l.insert_with(42u64, || 2) {
+        let l: SkipList<u64> = SkipList::new();
+        assert!(l.insert_with(42, || 1).inserted());
+        match l.insert_with(42, || 2) {
             InsertOutcome::Lost { existing: 1, yours: None } => {}
             other => panic!("expected pre-check Lost, got {other:?}"),
         }
@@ -1195,6 +1253,8 @@ mod tests {
         for l in [SkipList::with_towers(entries), bulk] {
             assert_eq!(l.len() as usize, model.len());
             assert!(l.iter().map(|(&k, v)| (k, v)).eq(model.iter().map(|(&k, &v)| (k, v))));
+            let levels: Vec<u64> = (0..MAX_HEIGHT).map(|at| 3 * (MAX_HEIGHT - at) as u64).collect();
+            assert_eq!(l.levels(), levels, "three towers of each height");
             for probe in 0..=10 * n + 15 {
                 assert_eq!(l.get(&probe), model.get(&probe).copied(), "get({probe})");
                 assert_eq!(
@@ -1345,7 +1405,7 @@ mod tests {
         let short = key(57);
         assert!(l.descend(&short, &mut at).1.is_none());
         let Splice { preds, succs } = at;
-        let link = l.arena.alloc_shared(Node::<Counted>::units(5));
+        let link = l.arena.alloc_shared(Node::<Counted, u64>::units(5));
         // SAFETY: the block is private until the CAS; `preds`/`succs` come
         // from `descend` on this list, which no other thread is using.
         unsafe {
@@ -1400,7 +1460,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fragments must be in key order")]
     fn adopt_refuses_overlapping_fragments() {
-        let mut l = SkipList::new();
+        let mut l: SkipList<u64> = SkipList::new();
         let (a, b) = (l.fragment([(1u64, 1), (5, 5)]), l.fragment([(5u64, 50), (9, 9)]));
         l.adopt([a, b]);
     }
@@ -1411,8 +1471,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "fragment built by another list")]
     fn adopt_refuses_a_fragment_built_by_another_list() {
-        let foreign = std::thread::spawn(|| SkipList::new().fragment([(1u64, 1), (2, 2)]));
+        let foreign = std::thread::spawn(|| SkipList::<u64>::new().fragment([(1, 1), (2, 2)]));
         SkipList::new().adopt([foreign.join().unwrap()]);
+    }
+
+    /// The payload's width is part of every node: behind a `u64` key a `u32`
+    /// payload makes a one-level node 16 bytes where a `u64` one makes it 24,
+    /// and every second height a block size smaller.
+    #[test]
+    fn the_payload_width_sets_the_block_of_a_short_node() {
+        let bytes = |units: fn(usize) -> u32| [1, 2, 3, 4].map(|h| units(h) as usize * UNIT);
+        assert_eq!(bytes(Node::<u64, u32>::units), [16, 24, 24, 32]);
+        assert_eq!(bytes(Node::<u64, u64>::units), [24, 24, 32, 32]);
     }
 
     /// The size of the index as a count. A node of height `h` is its key, its
@@ -1428,9 +1498,9 @@ mod tests {
         let bytes = |key: usize, h: usize| (key + 8 + 4 * h).next_multiple_of(8);
         let node = |h: usize| bytes(std::mem::size_of::<u64>(), h);
         for h in 1..=MAX_HEIGHT {
-            assert_eq!(Node::<u64>::units(h) as usize * UNIT, node(h));
+            assert_eq!(Node::<u64, u64>::units(h) as usize * UNIT, node(h));
             let string = bytes(std::mem::size_of::<String>(), h);
-            assert_eq!(Node::<String>::units(h) as usize * UNIT, string);
+            assert_eq!(Node::<String, u64>::units(h) as usize * UNIT, string);
         }
 
         let l: SkipList<u64> = SkipList::new();

@@ -19,7 +19,7 @@ use mvkv_sync::{model, thread};
 #[test]
 fn concurrent_distinct_inserts_both_linked_in_order() {
     model(|| {
-        let list = Arc::new(SkipList::new());
+        let list = Arc::new(SkipList::<u64>::new());
         let l2 = list.clone();
         let t = thread::spawn(move || {
             l2.insert_with(2u64, || 20);
@@ -41,7 +41,7 @@ fn concurrent_distinct_inserts_both_linked_in_order() {
 #[test]
 fn duplicate_insert_race_has_exactly_one_winner() {
     model(|| {
-        let list = Arc::new(SkipList::new());
+        let list = Arc::new(SkipList::<u64>::new());
         let l2 = list.clone();
         let t = thread::spawn(move || l2.insert_with(7u64, || 70));
         let mine = list.insert_with(7u64, || 71);
@@ -73,7 +73,7 @@ fn duplicate_insert_race_has_exactly_one_winner() {
 #[test]
 fn reader_never_sees_partially_initialized_node() {
     model(|| {
-        let list = Arc::new(SkipList::new());
+        let list = Arc::new(SkipList::<u64>::new());
         let l2 = list.clone();
         let t = thread::spawn(move || {
             l2.insert_with(5u64, || 50);
@@ -153,20 +153,21 @@ fn reader_never_finds_a_node_at_an_upper_level_before_level_zero() {
 /// finds every one of them at whatever level the descent meets it, and the
 /// inserter's CASes land between them. The five draws of the model build's
 /// height counter (1, 1, 1, 2, 5) give the last two bulk-built keys towers,
-/// and the racing insert goes between those two.
+/// and the racing insert goes between those two. The payloads are 32 bits
+/// wide, as in the store's index, so a one-level node is 16 bytes.
 #[test]
 fn inserter_and_reader_on_a_bulk_built_list() {
     model(|| {
-        let mut list = SkipList::new();
-        let low = list.fragment([(10u64, 100), (20, 200)]);
-        let high = list.fragment([(30u64, 300), (40, 400), (50, 500)]);
+        let mut list: SkipList<u64, u32> = SkipList::new();
+        let low = list.fragment([(10, 100), (20, 200)]);
+        let high = list.fragment([(30, 300), (40, 400), (50, 500)]);
         list.adopt([low, high]);
         let list = Arc::new(list);
         let l2 = list.clone();
-        let inserter = thread::spawn(move || l2.insert_with(45u64, || 450));
+        let inserter = thread::spawn(move || l2.insert_with(45, || 450));
 
-        for k in [50u64, 40, 10] {
-            assert_eq!(list.get(&k), Some(k * 10), "bulk-built key {k} must be visible");
+        for k in [50u32, 40, 10] {
+            assert_eq!(list.get(&k.into()), Some(k * 10), "bulk-built key {k} must be visible");
         }
         if let Some(v) = list.get(&45) {
             assert_eq!(v, 450, "published node must carry its payload");
@@ -176,7 +177,7 @@ fn inserter_and_reader_on_a_bulk_built_list() {
 
         assert!(inserter.join().unwrap().inserted());
         assert_eq!(list.len(), 6);
-        let pairs: Vec<(u64, u64)> = list.iter().map(|(&k, v)| (k, v)).collect();
+        let pairs: Vec<(u64, u32)> = list.iter().map(|(&k, v)| (k, v)).collect();
         assert_eq!(pairs, [(10, 100), (20, 200), (30, 300), (40, 400), (45, 450), (50, 500)]);
     });
 }

@@ -50,11 +50,21 @@ fn run() -> Result<ExitCode, String> {
             println!("live blocks:     {}", alloc.live_blocks);
             println!("clean shutdown:  {}", store.pool().was_clean_shutdown());
             println!("keys:            {}", store.key_count());
+            // The DRAM index: what it holds, per key, and how tall it is.
             let (reserved, used) = store.index_memory();
+            let keys = store.key_count();
+            println!("index:           {keys} keys, {reserved} bytes reserved, {used} used");
+            let per_key = |bytes: usize| bytes as f64 / keys.max(1) as f64;
             println!(
-                "index:           {} keys, {reserved} bytes reserved, {used} used",
-                store.key_count()
+                "index per key:   {:.2} bytes reserved, {:.2} used",
+                per_key(reserved),
+                per_key(used)
             );
+            let levels: Vec<String> = store.index_levels().iter().map(u64::to_string).collect();
+            println!("index levels:    {} (nodes linked, from level 0 up)", levels.join(" "));
+            let (pairs, blocks, capacity) = store.key_chain_fill();
+            println!("key chain:       {pairs} pairs in {blocks} blocks of {capacity} slots");
+            println!("tag chain:       {} tags", store.labels().len());
             println!("watermark:       v{}", stats.watermark);
             println!("pruned entries:  {}", stats.pruned_entries);
             println!(

@@ -26,6 +26,19 @@ fn inspect_cli_reads_a_real_pool() {
     assert!(stats.contains("keys:            2"), "stats output:\n{stats}");
     assert!(stats.contains("watermark:       v3"));
     assert!(stats.contains("index:           2 keys, "), "stats output:\n{stats}");
+    assert!(stats.contains("index per key:   "), "stats output:\n{stats}");
+    // Every key is linked at level 0, and no level links more than the one
+    // below it.
+    let levels: Vec<u64> = stats
+        .lines()
+        .find_map(|line| line.strip_prefix("index levels:    "))
+        .and_then(|line| line.split(" (").next())
+        .map(|counts| counts.split(' ').map(|n| n.parse().unwrap()).collect())
+        .expect("an index levels line");
+    assert_eq!(levels[0], 2, "stats output:\n{stats}");
+    assert!(levels.windows(2).all(|w| w[0] >= w[1]), "stats output:\n{stats}");
+    assert!(stats.contains("key chain:       2 pairs in 1 blocks of 512 slots\n"));
+    assert!(stats.contains("tag chain:       1 tags\n"), "stats output:\n{stats}");
     // Where the PM goes: key 10 has two versions, key 20 one; each history
     // is one block of the 96-byte class.
     assert!(stats.contains("history lengths (published versions: histories):"));
