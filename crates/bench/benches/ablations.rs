@@ -9,7 +9,7 @@
 //! * **A4 — block-chain capacity**: append + rebuild cost across block
 //!   sizes (the array-vs-linked-list trade-off the chain resolves).
 
-use mvkv_bench::{report, secs, BenchConfig, Row};
+use mvkv_bench::{report, secs, BenchConfig, Row, UndoLog};
 use mvkv_cluster::{merge_two, merge_two_parallel};
 use mvkv_keychain::{rebuild_into, try_fold_claimed, try_workers, KeyChain};
 use mvkv_pmem::PmemPool;
@@ -29,8 +29,8 @@ fn main() {
 }
 
 /// A7 — the paper's §IV-A argument in numbers: appending history entries
-/// through PMDK-style undo-log transactions (globally serialized) vs the
-/// lock-free lazy-tail protocol.
+/// through PMDK-style undo-log transactions ([`UndoLog`], globally
+/// serialized) vs the lock-free lazy-tail protocol.
 fn ablate_txn_vs_lazy(cfg: &BenchConfig, rows: &mut Vec<Row>) {
     use mvkv_pmem::PmemPool;
     use mvkv_vhistory::{PHistory, Slots};
@@ -63,6 +63,7 @@ fn ablate_txn_vs_lazy(cfg: &BenchConfig, rows: &mut Vec<Row>) {
         let run_txn = || {
             let pool = PmemPool::create_volatile(per_thread * t * 256 + (32 << 20)).expect("pool");
             let p = &pool;
+            let undo = &UndoLog::new(p, 3).expect("undo log");
             let mut elapsed = std::time::Duration::ZERO;
             for round in 0..2 {
                 let histories: Vec<History<PHistory>> =
@@ -73,13 +74,9 @@ fn ablate_txn_vs_lazy(cfg: &BenchConfig, rows: &mut Vec<Row>) {
                         scope.spawn(move || {
                             for v in 1..=per_thread as u64 {
                                 let (_, e) = h.slots().claim();
-                                let mut txn = p.begin_txn().expect("txn");
                                 // Entry offset via the atomic cell address.
-                                let base = e as *const _ as usize - p.base_ptr(0) as usize;
-                                txn.set_u64(base as u64, v).expect("txn write");
-                                txn.set_u64(base as u64 + 8, v).expect("txn write");
-                                txn.set_u64(base as u64 + 16, v + 1).expect("txn write");
-                                txn.commit();
+                                let base = (e as *const _ as usize - p.base_ptr(0) as usize) as u64;
+                                undo.append(&[(base, v), (base + 8, v), (base + 16, v + 1)]);
                             }
                         });
                     }
@@ -93,22 +90,8 @@ fn ablate_txn_vs_lazy(cfg: &BenchConfig, rows: &mut Vec<Row>) {
         let lazy = run_lazy();
         let txn_time = run_txn();
 
-        rows.push(Row {
-            figure: "ablation-a7",
-            approach: "lazy-tail".into(),
-            x: t as u64,
-            metric: "append_total_time",
-            value: secs(lazy),
-            unit: "s",
-        });
-        rows.push(Row {
-            figure: "ablation-a7",
-            approach: "txn-append".into(),
-            x: t as u64,
-            metric: "append_total_time",
-            value: secs(txn_time),
-            unit: "s",
-        });
+        rows.push(Row::secs("ablation-a7", "lazy-tail", t as u64, "append_total_time", lazy));
+        rows.push(Row::secs("ablation-a7", "txn-append", t as u64, "append_total_time", txn_time));
         eprintln!(
             "[a7] T={t}: lazy {:.4}s vs transactional {:.4}s ({:.1}x)",
             secs(lazy),
@@ -164,22 +147,20 @@ fn ablate_lazy_tail(cfg: &BenchConfig, rows: &mut Vec<Row>) {
         }
         std::hint::black_box(acc);
         let find_time = t1.elapsed();
-        rows.push(Row {
-            figure: "ablation-a1",
-            approach: label.into(),
-            x: appends_per_key,
-            metric: "append_phase_time",
-            value: secs(append_time),
-            unit: "s",
-        });
-        rows.push(Row {
-            figure: "ablation-a1",
-            approach: label.into(),
-            x: appends_per_key,
-            metric: "old_version_find_time",
-            value: secs(find_time),
-            unit: "s",
-        });
+        rows.push(Row::secs(
+            "ablation-a1",
+            label,
+            appends_per_key,
+            "append_phase_time",
+            append_time,
+        ));
+        rows.push(Row::secs(
+            "ablation-a1",
+            label,
+            appends_per_key,
+            "old_version_find_time",
+            find_time,
+        ));
         eprintln!("[a1] {label}: appends {:.4}s finds {:.4}s", secs(append_time), secs(find_time));
     }
 }
@@ -226,14 +207,7 @@ fn ablate_rebuild(cfg: &BenchConfig, rows: &mut Vec<Row>) {
         assert_eq!(bulk.len(), keys);
 
         for (approach, took) in [("modulo-claiming", inserted), ("bulk-build", built)] {
-            rows.push(Row {
-                figure: "ablation-a2",
-                approach: approach.into(),
-                x: t as u64,
-                metric: "rebuild_time",
-                value: secs(took),
-                unit: "s",
-            });
+            rows.push(Row::secs("ablation-a2", approach, t as u64, "rebuild_time", took));
         }
         eprintln!(
             "[a2] rebuild T={t}: {t} concurrent insert_with {:.4}s, bulk build {:.4}s",
@@ -253,28 +227,14 @@ fn ablate_merge(cfg: &BenchConfig, rows: &mut Vec<Row>) {
     merge_two(&a, &b, &mut out);
     let seq = t0.elapsed();
     assert_eq!(out.len(), 2 * n);
-    rows.push(Row {
-        figure: "ablation-a3",
-        approach: "merge-sequential".into(),
-        x: 1,
-        metric: "merge_time",
-        value: secs(seq),
-        unit: "s",
-    });
+    rows.push(Row::secs("ablation-a3", "merge-sequential", 1, "merge_time", seq));
     eprintln!("[a3] merge seq: {:.4}s", secs(seq));
     for &t in &cfg.threads {
         let t0 = Instant::now();
         let merged = merge_two_parallel(&a, &b, t);
         let took = t0.elapsed();
         assert_eq!(merged.len(), 2 * n);
-        rows.push(Row {
-            figure: "ablation-a3",
-            approach: "merge-parallel".into(),
-            x: t as u64,
-            metric: "merge_time",
-            value: secs(took),
-            unit: "s",
-        });
+        rows.push(Row::secs("ablation-a3", "merge-parallel", t as u64, "merge_time", took));
         eprintln!("[a3] merge T={t}: {:.4}s", secs(took));
     }
 }
@@ -296,22 +256,14 @@ fn ablate_block_cap(cfg: &BenchConfig, rows: &mut Vec<Row>) {
             index.insert_with(key, || hist);
         });
         let rebuild = t1.elapsed();
-        rows.push(Row {
-            figure: "ablation-a4",
-            approach: format!("block-cap-{cap}"),
-            x: cap,
-            metric: "append_time",
-            value: secs(append),
-            unit: "s",
-        });
-        rows.push(Row {
-            figure: "ablation-a4",
-            approach: format!("block-cap-{cap}"),
-            x: cap,
-            metric: "rebuild_time_t4",
-            value: secs(rebuild),
-            unit: "s",
-        });
+        rows.push(Row::secs("ablation-a4", format!("block-cap-{cap}"), cap, "append_time", append));
+        rows.push(Row::secs(
+            "ablation-a4",
+            format!("block-cap-{cap}"),
+            cap,
+            "rebuild_time_t4",
+            rebuild,
+        ));
         eprintln!("[a4] cap={cap}: append {:.4}s rebuild {:.4}s", secs(append), secs(rebuild));
     }
 }

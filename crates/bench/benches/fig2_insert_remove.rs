@@ -33,22 +33,8 @@ fn main() {
                 assert_eq!(store.latest_version(), 2 * cfg.n as u64);
                 (t_insert, t_remove)
             });
-            rows.push(Row {
-                figure: "fig2a",
-                approach: kind.name().into(),
-                x: t as u64,
-                metric: "insert_total_time",
-                value: secs(t_insert),
-                unit: "s",
-            });
-            rows.push(Row {
-                figure: "fig2b",
-                approach: kind.name().into(),
-                x: t as u64,
-                metric: "remove_total_time",
-                value: secs(t_remove),
-                unit: "s",
-            });
+            rows.push(Row::secs("fig2a", kind.name(), t as u64, "insert_total_time", t_insert));
+            rows.push(Row::secs("fig2b", kind.name(), t as u64, "remove_total_time", t_remove));
             eprintln!(
                 "[fig2] {} T={t}: insert {:.3}s remove {:.3}s",
                 kind.name(),

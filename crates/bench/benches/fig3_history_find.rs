@@ -37,22 +37,8 @@ fn main() {
                 let t_find = timed_phase(store, &queries, |s, &(key, version)| {
                     std::hint::black_box(s.find(key, version));
                 });
-                rows.push(Row {
-                    figure: "fig3a",
-                    approach: kind.name().into(),
-                    x: t as u64,
-                    metric: "history_total_time",
-                    value: secs(t_hist),
-                    unit: "s",
-                });
-                rows.push(Row {
-                    figure: "fig3b",
-                    approach: kind.name().into(),
-                    x: t as u64,
-                    metric: "find_total_time",
-                    value: secs(t_find),
-                    unit: "s",
-                });
+                rows.push(Row::secs("fig3a", kind.name(), t as u64, "history_total_time", t_hist));
+                rows.push(Row::secs("fig3b", kind.name(), t as u64, "find_total_time", t_find));
                 eprintln!(
                     "[fig3] {} T={t}: history {:.3}s find {:.3}s",
                     kind.name(),

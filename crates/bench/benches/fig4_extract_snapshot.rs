@@ -33,14 +33,7 @@ fn main() {
                 let took = timed_phase(store, &versions, |s, &version| {
                     std::hint::black_box(s.extract_snapshot(version));
                 });
-                rows.push(Row {
-                    figure: "fig4",
-                    approach: kind.name().into(),
-                    x: t as u64,
-                    metric: "snapshot_total_time",
-                    value: secs(took),
-                    unit: "s",
-                });
+                rows.push(Row::secs("fig4", kind.name(), t as u64, "snapshot_total_time", took));
                 eprintln!("[fig4] {} T={t}: {:.3}s", kind.name(), secs(took));
             }
         });

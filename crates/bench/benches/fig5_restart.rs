@@ -68,26 +68,12 @@ fn main() {
         let t_cold = timed_phase(&store, &queries, |s, &(key, version)| {
             std::hint::black_box(s.find(key, version));
         });
-        rows.push(Row {
-            figure: "fig5b",
-            approach: "PSkipList-cold".into(),
-            x: t as u64,
-            metric: "find_total_time",
-            value: secs(t_cold),
-            unit: "s",
-        });
+        rows.push(Row::secs("fig5b", "PSkipList-cold", t as u64, "find_total_time", t_cold));
         // Warm re-run on the same store for the <9%-penalty comparison.
         let t_warm = timed_phase(&store, &queries, |s, &(key, version)| {
             std::hint::black_box(s.find(key, version));
         });
-        rows.push(Row {
-            figure: "fig5b",
-            approach: "PSkipList-warm".into(),
-            x: t as u64,
-            metric: "find_total_time",
-            value: secs(t_warm),
-            unit: "s",
-        });
+        rows.push(Row::secs("fig5b", "PSkipList-warm", t as u64, "find_total_time", t_warm));
         drop(store);
 
         // DbReg after restart (its index persists, no rebuild needed).
@@ -96,14 +82,7 @@ fn main() {
         let t_db = timed_phase(&db, &queries, |s, &(key, version)| {
             std::hint::black_box(s.find(key, version));
         });
-        rows.push(Row {
-            figure: "fig5b",
-            approach: "DbReg".into(),
-            x: t as u64,
-            metric: "find_total_time",
-            value: secs(t_db),
-            unit: "s",
-        });
+        rows.push(Row::secs("fig5b", "DbReg", t as u64, "find_total_time", t_db));
         eprintln!(
             "[fig5] T={t} ({} workers): scan {:.3}s rebuild {:.3}s prune {:.3}s ({} histories), \
              find cold {:.3}s warm {:.3}s dbreg {:.3}s",

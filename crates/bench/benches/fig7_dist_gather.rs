@@ -30,7 +30,7 @@ fn main() {
                 })
                 .min()
                 .expect("reps >= 1");
-            rows.push(row("PSkipList", k, secs(best)));
+            rows.push(Row::secs("fig7", "PSkipList", k as u64, "gather_time", best));
             eprintln!("[fig7] PSkipList K={k}: {:.4}s (virtual)", secs(best));
         }
         {
@@ -44,7 +44,7 @@ fn main() {
                 })
                 .min()
                 .expect("reps >= 1");
-            rows.push(row("DbReg", k, secs(best)));
+            rows.push(Row::secs("fig7", "DbReg", k as u64, "gather_time", best));
             eprintln!("[fig7] DbReg K={k}: {:.4}s (virtual)", secs(best));
         }
     }
@@ -53,15 +53,4 @@ fn main() {
         &format!("distributed snapshot gather, N={} pairs/node", cfg.dist_n),
         &rows,
     );
-}
-
-fn row(approach: &str, k: usize, s: f64) -> Row {
-    Row {
-        figure: "fig7",
-        approach: approach.into(),
-        x: k as u64,
-        metric: "gather_time",
-        value: s,
-        unit: "s",
-    }
 }

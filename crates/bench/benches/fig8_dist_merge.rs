@@ -14,12 +14,11 @@ use mvkv_bench::{
 };
 use mvkv_cluster::MergeStrategy;
 
+/// Threads of OptMerge's two-way merge on each surviving rank.
+const MERGE_THREADS: usize = 4;
+
 fn main() {
     let cfg = BenchConfig::from_env();
-    let merge_threads: usize = std::env::var("MVKV_BENCH_MERGE_T")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
     let mut rows = Vec::new();
     for &k in &cfg.nodes {
         let mut arts = TempArtifacts::new();
@@ -28,13 +27,13 @@ fn main() {
             let mut cluster = make_dist_pskiplist(k, cfg.dist_n, &mut arts, &format!("fig8p-{k}"));
             for (label, strategy) in [
                 ("PSkipList-Naive", MergeStrategy::Naive),
-                ("PSkipList-Opt", MergeStrategy::Opt { threads: merge_threads }),
+                ("PSkipList-Opt", MergeStrategy::Opt { threads: MERGE_THREADS }),
             ] {
                 cluster.reset_clocks();
                 let (merged, took) = cluster.extract_snapshot(u64::MAX, strategy);
                 assert_eq!(merged.len(), total);
                 assert!(merged.windows(2).all(|w| w[0].0 < w[1].0));
-                rows.push(row(label, k, secs(took)));
+                rows.push(Row::secs("fig8", label, k as u64, "merged_snapshot_time", took));
                 eprintln!("[fig8] {label} K={k}: {:.4}s (virtual)", secs(took));
             }
         }
@@ -42,12 +41,12 @@ fn main() {
             let mut cluster = make_dist_dbreg(k, cfg.dist_n, &mut arts, &format!("fig8d-{k}"));
             for (label, strategy) in [
                 ("DbReg-Naive", MergeStrategy::Naive),
-                ("DbReg-Opt", MergeStrategy::Opt { threads: merge_threads }),
+                ("DbReg-Opt", MergeStrategy::Opt { threads: MERGE_THREADS }),
             ] {
                 cluster.reset_clocks();
                 let (merged, took) = cluster.extract_snapshot(u64::MAX, strategy);
                 assert_eq!(merged.len(), total);
-                rows.push(row(label, k, secs(took)));
+                rows.push(Row::secs("fig8", label, k as u64, "merged_snapshot_time", took));
                 eprintln!("[fig8] {label} K={k}: {:.4}s (virtual)", secs(took));
             }
         }
@@ -60,15 +59,4 @@ fn main() {
         ),
         &rows,
     );
-}
-
-fn row(approach: &str, k: usize, s: f64) -> Row {
-    Row {
-        figure: "fig8",
-        approach: approach.into(),
-        x: k as u64,
-        metric: "merged_snapshot_time",
-        value: s,
-        unit: "s",
-    }
 }

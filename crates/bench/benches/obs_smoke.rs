@@ -12,26 +12,24 @@
 //! * feature **on** — the registry contains the fence, allocator, append
 //!   and span metrics the workload must have produced.
 //!
-//! Knobs: `MVKV_BENCH_N` (inserts per repetition, default 20 000),
-//! `MVKV_OBS_SMOKE_REPS` (repetitions, default 15). The *fastest* rep is
-//! reported: both modes reach their clean-machine peak eventually, so
-//! max-of-reps is far less sensitive to scheduler/frequency noise than a
-//! median when the two builds run as separate processes.
+//! One knob: `MVKV_BENCH_N` (inserts per repetition, default 20 000). Of
+//! the [`REPS`] repetitions the *fastest* is reported: both modes reach
+//! their clean-machine peak eventually, so max-of-reps is far less
+//! sensitive to scheduler/frequency noise than a median when the two builds
+//! run as separate processes.
 
-use mvkv_bench::pool_bytes_for;
+use mvkv_bench::{pool_bytes_for, BenchConfig};
 use mvkv_core::{PSkipList, StoreSession, VersionedStore};
 use std::time::Instant;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+/// Repetitions per run.
+const REPS: usize = 15;
 
 fn main() {
-    let n = env_usize("MVKV_BENCH_N", 20_000);
-    let reps = env_usize("MVKV_OBS_SMOKE_REPS", 15).max(1);
+    let n = BenchConfig::from_env().n;
 
     let mut best = 0.0f64;
-    for _ in 0..reps {
+    for _ in 0..REPS {
         let store = PSkipList::create_volatile(pool_bytes_for(n)).expect("pool");
         let session = store.session();
         let start = Instant::now();

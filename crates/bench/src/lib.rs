@@ -19,9 +19,11 @@
 //!   appended to fails the run)
 
 use mvkv_core::{DbStore, PSkipList, StoreSession, VersionedStore};
+use mvkv_pmem::PmemPool;
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Benchmark parameters (see crate docs for the env knobs).
@@ -66,6 +68,20 @@ pub struct Row {
     pub metric: &'static str,
     pub value: f64,
     pub unit: &'static str,
+}
+
+impl Row {
+    /// A wall-time row, in seconds.
+    pub fn secs(
+        figure: &'static str,
+        approach: impl Into<String>,
+        x: u64,
+        metric: &'static str,
+        elapsed: Duration,
+    ) -> Row {
+        let (approach, value) = (approach.into(), elapsed.as_secs_f64());
+        Row { figure, approach, x, metric, value, unit: "s" }
+    }
 }
 
 /// The row's `MVKV_OUT` line: one flat JSON object. No field value needs
@@ -334,6 +350,61 @@ pub fn secs(d: Duration) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
+// Ablation A7: undo-log transactions
+// ---------------------------------------------------------------------------
+
+/// The PMDK-style undo log that ablation A7 prices against the lazy tail
+/// ("Persistent Memory Transactions", PAPERS.md; the alternative the paper's
+/// §IV-A rejects because "the transactions will be serialized"). One lock
+/// serializes every append. Per word: the old value is logged durably, the
+/// record count is bumped durably, then the word is written in place and
+/// flushed; a commit fences and truncates the log. The log is
+/// `[count][target, old]…` in one pool block. There is no rollback and no
+/// recovery: A7 never aborts and never crashes.
+pub struct UndoLog<'p> {
+    pool: &'p PmemPool,
+    /// Offset of the log block.
+    log: u64,
+    words: usize,
+    serial: Mutex<()>,
+}
+
+impl<'p> UndoLog<'p> {
+    /// Allocates a log for transactions of up to `words` words.
+    pub fn new(pool: &'p PmemPool, words: usize) -> mvkv_pmem::Result<Self> {
+        let log = pool.alloc(8 + 16 * words)?;
+        pool.write_u64(log, 0);
+        pool.persist(log, 8);
+        pool.fence();
+        Ok(UndoLog { pool, log, words, serial: Mutex::new(()) })
+    }
+
+    /// Sets every `(offset, value)` word in one transaction and commits it:
+    /// `2 * writes.len() + 2` fences.
+    pub fn append(&self, writes: &[(u64, u64)]) {
+        assert!(writes.len() <= self.words, "{} words in a log of {}", writes.len(), self.words);
+        let _serialized = self.serial.lock().expect("an append panicked");
+        let (pool, log) = (self.pool, self.log);
+        for (count, &(target, value)) in (1..).zip(writes) {
+            let record = log + 8 + 16 * (count - 1);
+            pool.write_u64(record, target);
+            pool.write_u64(record + 8, pool.read_u64(target));
+            pool.persist(record, 16);
+            pool.fence();
+            pool.write_u64(log, count);
+            pool.persist(log, 8);
+            pool.fence();
+            pool.write_u64(target, value);
+            pool.persist(target, 8);
+        }
+        pool.fence();
+        pool.write_u64(log, 0);
+        pool.persist(log, 8);
+        pool.fence();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Distributed setup (paper §V-H)
 // ---------------------------------------------------------------------------
 
@@ -400,6 +471,23 @@ mod tests {
             r#"{"figure":"figX","approach":"A","x":1,"metric":"time","value":0.5,"unit":"s"}"#
         );
         assert!(row(f64::NAN).to_string().contains(r#""value":null,"#));
+    }
+
+    /// The price A7 charges a transactional append of one history entry:
+    /// two fences per word, two per commit.
+    #[test]
+    fn a_three_word_undo_log_append_costs_eight_fences() {
+        let pool = PmemPool::create_crash_sim(1 << 20, mvkv_pmem::CrashOptions::default()).unwrap();
+        let undo = UndoLog::new(&pool, 3).unwrap();
+        let entry = pool.alloc(24).unwrap();
+        pool.write_u64(entry + 8, 7);
+        let before = pool.fence_count().unwrap();
+        undo.append(&[(entry, 1), (entry + 8, 2), (entry + 16, 3)]);
+        assert_eq!(pool.fence_count().unwrap() - before, 3 * 2 + 2);
+        assert_eq!([0, 8, 16].map(|word| pool.read_u64(entry + word)), [1, 2, 3]);
+        assert_eq!(pool.read_u64(undo.log), 0, "the commit truncates the log");
+        let second = undo.log + 8 + 16;
+        assert_eq!([0, 8].map(|word| pool.read_u64(second + word)), [entry + 8, 7]);
     }
 
     #[test]

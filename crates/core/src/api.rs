@@ -109,6 +109,42 @@ pub trait LabeledTags {
     fn labels(&self) -> Vec<(u64, u64)>;
 }
 
+/// The `(label, version)` bindings behind a native store's
+/// [`LabeledTags`], in tag order. PSkipList's is the DRAM copy of its
+/// persistent tag chain, extended from the chain rather than bound to.
+#[derive(Default)]
+pub(crate) struct Labels(parking_lot::Mutex<Vec<(u64, u64)>>);
+
+impl Labels {
+    pub(crate) fn bind(&self, label: u64, version: u64) {
+        self.0.lock().push((label, version));
+    }
+
+    /// The newest binding of `label`.
+    pub(crate) fn resolve(&self, label: u64) -> Option<u64> {
+        self.0.lock().iter().rev().find(|&&(l, _)| l == label).map(|&(_, v)| v)
+    }
+
+    pub(crate) fn copy(&self) -> Vec<(u64, u64)> {
+        self.0.lock().clone()
+    }
+
+    /// Brings the list up to an append-only record of `len` bindings: if it
+    /// holds fewer (`held`), appends `newer(held)`, the record's bindings
+    /// past those. Under the lock, so two extenders never append one twice.
+    pub(crate) fn extend_to<I: Iterator<Item = (u64, u64)>>(
+        &self,
+        len: u64,
+        newer: impl FnOnce(usize) -> I,
+    ) {
+        let mut list = self.0.lock();
+        if (list.len() as u64) < len {
+            let held = list.len();
+            list.extend(newer(held));
+        }
+    }
+}
+
 /// Snapshot differencing: the keys whose visible state differs between
 /// snapshots `v1` and `v2`, each with its state at `v2` (`None` =
 /// absent/removed), sorted by key. A sorted merge-walk of the two full

@@ -26,7 +26,7 @@
 //! cover the version, and the watermark only advances over fully persisted
 //! operations.
 
-use crate::api::{StoreSession, VersionedStore};
+use crate::api::{Labels, StoreSession, VersionedStore};
 use crate::stats::{OpCounters, OpStats};
 use crate::Pair;
 use mvkv_skiplist::{InsertOutcome, Iter, SkipList};
@@ -72,6 +72,8 @@ pub trait Home<K> {
 pub struct Engine<K, H: Home<K>> {
     pub(crate) index: SkipList<K, H::Payload>,
     pub(crate) clock: VersionClock,
+    /// The bindings of [`crate::LabeledTags`].
+    pub(crate) tags: Labels,
     pub(crate) home: H,
     counters: OpCounters,
 }
@@ -90,7 +92,7 @@ const BATCH_CHUNK: usize = 1024;
 
 impl<K: Ord, H: Home<K>> Engine<K, H> {
     pub(crate) fn assemble(index: SkipList<K, H::Payload>, clock: VersionClock, home: H) -> Self {
-        Engine { index, clock, home, counters: OpCounters::new() }
+        Engine { index, clock, tags: Labels::default(), home, counters: OpCounters::new() }
     }
 
     /// DRAM of the index: bytes it holds from the allocator, and how many of

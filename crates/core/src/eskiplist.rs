@@ -17,11 +17,7 @@ pub type ESkipList = Engine<u64, HeapHome>;
 /// so a 64-bit word — freed when the store drops. Nothing is logged and
 /// nothing is fenced.
 #[derive(Default)]
-pub struct HeapHome {
-    /// `(label, version)` bindings for [`crate::LabeledTags`] on
-    /// [`ESkipList`].
-    tags: parking_lot::Mutex<Vec<(u64, u64)>>,
-}
+pub struct HeapHome;
 
 impl<K> Home<K> for HeapHome {
     type Slots<'a> = &'a EHistory;
@@ -67,7 +63,7 @@ impl<K> Home<K> for HeapHome {
 
 impl<K: Ord> Engine<K, HeapHome> {
     pub fn new() -> Self {
-        Engine::assemble(SkipList::new(), VersionClock::new(), HeapHome::default())
+        Engine::assemble(SkipList::new(), VersionClock::new(), HeapHome)
     }
 }
 
@@ -80,16 +76,16 @@ impl<K: Ord> Default for Engine<K, HeapHome> {
 impl crate::api::LabeledTags for ESkipList {
     fn tag_labeled(&self, label: u64) -> u64 {
         let version = self.tag();
-        self.home.tags.lock().push((label, version));
+        self.tags.bind(label, version);
         version
     }
 
     fn resolve_label(&self, label: u64) -> Option<u64> {
-        self.home.tags.lock().iter().rev().find(|&&(l, _)| l == label).map(|&(_, v)| v)
+        self.tags.resolve(label)
     }
 
     fn labels(&self) -> Vec<(u64, u64)> {
-        self.home.tags.lock().clone()
+        self.tags.copy()
     }
 }
 

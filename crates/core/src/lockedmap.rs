@@ -7,7 +7,7 @@
 //! the rest of the design: single-threaded it is the fastest store, under
 //! concurrency the lock serializes everything.
 
-use crate::api::{StoreSession, VersionedStore};
+use crate::api::{Labels, StoreSession, VersionedStore};
 use crate::engine::live_at;
 use crate::Pair;
 use mvkv_vhistory::{EHistory, History, HistoryRecord, VersionClock, TOMBSTONE};
@@ -20,7 +20,7 @@ use std::sync::Arc;
 pub struct LockedMap {
     map: Mutex<BTreeMap<u64, Arc<EHistory>>>,
     clock: VersionClock,
-    tags: Mutex<Vec<(u64, u64)>>,
+    tags: Labels,
 }
 
 impl LockedMap {
@@ -28,7 +28,7 @@ impl LockedMap {
         LockedMap {
             map: Mutex::new(BTreeMap::new()),
             clock: VersionClock::new(),
-            tags: Mutex::new(Vec::new()),
+            tags: Labels::default(),
         }
     }
 
@@ -131,16 +131,16 @@ impl StoreSession for &LockedMap {
 impl crate::api::LabeledTags for LockedMap {
     fn tag_labeled(&self, label: u64) -> u64 {
         let version = self.clock.watermark();
-        self.tags.lock().push((label, version));
+        self.tags.bind(label, version);
         version
     }
 
     fn resolve_label(&self, label: u64) -> Option<u64> {
-        self.tags.lock().iter().rev().find(|&&(l, _)| l == label).map(|&(_, v)| v)
+        self.tags.resolve(label)
     }
 
     fn labels(&self) -> Vec<(u64, u64)> {
-        self.tags.lock().clone()
+        self.tags.copy()
     }
 }
 

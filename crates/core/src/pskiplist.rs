@@ -22,7 +22,7 @@
 //! is bulk-built from the sorted runs, and only the histories the scan
 //! flagged are pruned — the paper's §IV-B recovery rule, one visit per key.
 
-use crate::api::VersionedStore;
+use crate::api::{Labels, VersionedStore};
 use crate::engine::{Engine, Home};
 use crate::recovery::{
     CorruptionClass, KeyQuarantine, QuarantineReport, RecoveryError, RecoveryStatus, ScrubReport,
@@ -201,20 +201,14 @@ pub type PSkipList = Engine<u64, PmHome>;
 pub struct PmHome {
     pool: Arc<PmemPool>,
     chain: PPtr<ChainHdr>,
-    /// Labeled tags: `(label, version)` pairs (paper Table 1's
+    /// Labeled tags: `(label, version + 1)` pairs (paper Table 1's
     /// `tag(version)` argument).
     tagchain: PPtr<ChainHdr>,
-    /// Memoized decode of the tag chain, already un-biased. The chain is
-    /// append-only, so the cached list stays a valid prefix forever; label
-    /// lookups extend it with only the pairs appended since the last scan
-    /// instead of re-reading the whole chain every call.
-    tag_cache: parking_lot::Mutex<Vec<(u64, u64)>>,
 }
 
 impl PmHome {
     fn new(pool: PmemPool, chain: PPtr<ChainHdr>, tagchain: PPtr<ChainHdr>) -> Self {
-        let tag_cache = parking_lot::Mutex::new(Vec::new());
-        PmHome { pool: Arc::new(pool), chain, tagchain, tag_cache }
+        PmHome { pool: Arc::new(pool), chain, tagchain }
     }
 }
 
@@ -260,7 +254,7 @@ impl Home<u64> for PmHome {
     }
 
     fn close(&mut self, _: impl Iterator<Item = u32>) {
-        self.pool.mark_clean_shutdown();
+        self.pool.sync_all();
     }
 }
 
@@ -677,18 +671,18 @@ impl PSkipList {
         self.home.pool.crash_image()
     }
 
-    /// Runs `f` over the up-to-date tag bindings. The cache is extended
-    /// (never rescanned from the start) while the lock is held, so a lookup
-    /// after `n` unchanged calls costs one chain-length read, not a full
-    /// chain walk per call.
-    fn with_tag_cache<R>(&self, f: impl FnOnce(&[(u64, u64)]) -> R) -> R {
+    /// The engine's label list, extended with the tag-chain pairs it does
+    /// not hold yet: a tag goes to the chain alone, and its first reader
+    /// brings the list up to date. The chain is append-only, so the list
+    /// stays a prefix of it in chain order, across restarts too; with nothing
+    /// new a lookup costs one chain-length read, and a tag no list lock and
+    /// no chain walk.
+    fn labels_from_chain(&self) -> &Labels {
         let chain = KeyChain::open(&self.home.pool, self.home.tagchain);
-        let mut cache = self.home.tag_cache.lock();
-        if (cache.len() as u64) < chain.len() {
-            let skip = cache.len();
-            cache.extend(chain.iter().skip(skip).map(|(label, biased)| (label, biased - 1)));
-        }
-        f(&cache)
+        self.tags.extend_to(chain.len(), |held| {
+            chain.iter().skip(held).map(|(label, biased)| (label, biased - 1))
+        });
+        &self.tags
     }
 }
 
@@ -705,13 +699,11 @@ impl crate::api::LabeledTags for PSkipList {
     }
 
     fn resolve_label(&self, label: u64) -> Option<u64> {
-        self.with_tag_cache(|tags| {
-            tags.iter().rev().find(|&&(l, _)| l == label).map(|&(_, v)| v)
-        })
+        self.labels_from_chain().resolve(label)
     }
 
     fn labels(&self) -> Vec<(u64, u64)> {
-        self.with_tag_cache(<[(u64, u64)]>::to_vec)
+        self.labels_from_chain().copy()
     }
 }
 

@@ -1,6 +1,6 @@
-//! Bounded model checking of the PR-2 tag-chain cache protocol
-//! (`PSkipList::with_tag_cache`): lock-check-extend over an append-only
-//! chain.
+//! Bounded model checking of the tag-chain cache protocol
+//! (`PSkipList::labels_from_chain` over `Labels::extend_to`):
+//! lock-check-extend over an append-only chain.
 //!
 //! Run with: `RUSTFLAGS="--cfg loom" cargo test -p mvkv-core --release`
 //!
@@ -10,7 +10,7 @@
 //! the length, exactly like `KeyChain::push` publishes links before
 //! bumping `len`), and the cache is a `Mutex<Vec<_>>` extended under the
 //! lock with `chain[cache.len()..len]` — the same read-mostly fast path as
-//! `with_tag_cache`. The model checks the invariant the resolver relies
+//! `Labels::extend_to`. The model checks the invariant the resolver relies
 //! on: the cache is always a prefix of the chain, never torn, duplicated,
 //! or reordered, no matter how appenders and cache refreshers interleave.
 
@@ -42,7 +42,7 @@ impl TagChain {
     }
 }
 
-/// The lock-check-extend fast path of `with_tag_cache`: under the lock,
+/// The lock-check-extend fast path of `Labels::extend_to`: under the lock,
 /// copy only the chain suffix the cache has not seen yet.
 fn with_cache<R>(chain: &TagChain, cache: &Mutex<Vec<u64>>, f: impl FnOnce(&[u64]) -> R) -> R {
     let mut cache = cache.lock();

@@ -8,7 +8,7 @@
 //!             │  16  pool length (bytes)                             │
 //!             │  24  root offset (user-defined entry point)          │
 //!             │  32  bump cursor (atomic)                            │
-//!             │  40  clean-shutdown flag                             │
+//!             │  40, 48  zero at format, never read                  │
 //!             ├──────────────────────────────────────────────────────┤
 //! HEAP_START  │ heap: contiguous stream of 16-aligned blocks, never  │
 //!             │ split, each `[size u64 | state u64 | …]`:            │
@@ -39,15 +39,14 @@ pub const MAGIC: u64 = 0x4D45_4D50_564B_564D;
 /// v5: class blocks have no header; a refill carves one run.
 pub const LAYOUT_VERSION: u64 = 5;
 
-/// Superblock field offsets.
+/// Superblock field offsets. Words 40 and 48 are zero at format (a fresh
+/// backend is zero-filled and format persists the superblock whole) and are
+/// never read, like the store root's words 16 and 24.
 pub const OFF_MAGIC: u64 = 0;
 pub const OFF_VERSION: u64 = 8;
 pub const OFF_POOL_LEN: u64 = 16;
 pub const OFF_ROOT: u64 = 24;
 pub const OFF_BUMP: u64 = 32;
-pub const OFF_CLEAN_SHUTDOWN: u64 = 40;
-/// Offset of the transaction undo log (0 = never allocated).
-pub const OFF_TXN_LOG: u64 = 48;
 
 /// First heap byte; also the superblock size. One page keeps the hot bump
 /// cursor away from user cache lines.
@@ -245,7 +244,7 @@ mod tests {
 
     #[test]
     fn superblock_fields_fit_before_heap() {
-        const { assert!(OFF_TXN_LOG + 8 <= HEAP_START) };
+        const { assert!(OFF_BUMP + 8 <= HEAP_START) };
     }
 
     #[test]

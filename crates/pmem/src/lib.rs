@@ -66,7 +66,6 @@ pub mod layout;
 pub mod pool;
 pub mod pptr;
 pub mod recovery;
-pub mod txn;
 
 pub use backend::{Backend, CrashOptions, CrashSim, FileBacked, Volatile};
 pub use corrupt::{CorruptOptions, FaultKind, InjectedFault};

@@ -4,7 +4,6 @@ use crate::backend::{Backend, CrashOptions, CrashSim, FileBacked, Volatile};
 use crate::layout::*;
 use crate::{alloc::Allocator, PmemError, Result};
 use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
-use mvkv_sync::sync::Mutex;
 use std::path::Path;
 
 /// A fixed-size pool of (emulated) persistent memory.
@@ -30,8 +29,6 @@ use std::path::Path;
 pub struct PmemPool {
     backend: Box<dyn Backend>,
     pub(crate) allocator: Allocator,
-    /// Serializes undo-log transactions (see [`crate::txn`]).
-    txn_lock: Mutex<()>,
 }
 
 impl PmemPool {
@@ -74,16 +71,10 @@ impl PmemPool {
         if len < MIN_POOL_LEN {
             return Err(PmemError::PoolTooSmall { requested: len, minimum: MIN_POOL_LEN });
         }
-        let pool = PmemPool {
-            backend,
-            allocator: Allocator::new(),
-            txn_lock: Mutex::new(()),
-        };
+        let pool = PmemPool { backend, allocator: Allocator::new() };
         pool.write_u64(OFF_POOL_LEN, len as u64);
         pool.write_u64(OFF_ROOT, 0);
         pool.write_u64(OFF_BUMP, HEAP_START);
-        pool.write_u64(OFF_CLEAN_SHUTDOWN, 0);
-        pool.write_u64(OFF_TXN_LOG, 0);
         pool.write_u64(OFF_VERSION, LAYOUT_VERSION);
         pool.persist(OFF_VERSION, (HEAP_START - OFF_VERSION) as usize);
         pool.fence();
@@ -100,11 +91,7 @@ impl PmemPool {
         if len < MIN_POOL_LEN {
             return Err(PmemError::BadMagic);
         }
-        let pool = PmemPool {
-            backend,
-            allocator: Allocator::new(),
-            txn_lock: Mutex::new(()),
-        };
+        let pool = PmemPool { backend, allocator: Allocator::new() };
         if pool.read_u64(OFF_MAGIC) != MAGIC {
             return Err(PmemError::BadMagic);
         }
@@ -116,9 +103,6 @@ impl PmemPool {
         if recorded != len as u64 {
             return Err(PmemError::LengthMismatch { recorded, mapped: len as u64 });
         }
-        // Roll back any transaction that was open at crash time *before*
-        // the heap scan (the log block itself is a normal allocation).
-        crate::txn::recover(&pool);
         pool.allocator.rebuild_from_heap(&pool);
         Ok(pool)
     }
@@ -324,16 +308,6 @@ impl PmemPool {
         unsafe { self.backend.base().add(off as usize) }
     }
 
-    /// The transaction serialization lock (used by [`crate::txn`]).
-    pub(crate) fn txn_lock(&self) -> &Mutex<()> {
-        &self.txn_lock
-    }
-
-    /// Begins an undo-log transaction (see [`crate::txn`]).
-    pub fn begin_txn(&self) -> crate::Result<crate::txn::Txn<'_>> {
-        crate::txn::begin(self)
-    }
-
     // -- crash simulation ----------------------------------------------------
 
     /// On a crash-sim pool, returns the power-failure image; `None` otherwise.
@@ -363,18 +337,6 @@ impl PmemPool {
     /// The image captured by an armed fence trap, if it has fired.
     pub fn captured_image(&self) -> Option<Vec<u8>> {
         self.backend.as_crash_sim().and_then(CrashSim::captured_image)
-    }
-
-    /// Marks an orderly shutdown (informational; recovery never requires it).
-    pub fn mark_clean_shutdown(&self) {
-        self.write_u64(OFF_CLEAN_SHUTDOWN, 1);
-        self.persist(OFF_CLEAN_SHUTDOWN, 8);
-        self.sync_all();
-    }
-
-    /// True if the previous session called [`PmemPool::mark_clean_shutdown`].
-    pub fn was_clean_shutdown(&self) -> bool {
-        self.read_u64(OFF_CLEAN_SHUTDOWN) == 1
     }
 }
 
@@ -511,21 +473,6 @@ mod tests {
         let image = pool.crash_image().unwrap();
         let recovered = PmemPool::open_image(&image).unwrap();
         assert_eq!(recovered.read_u64(off), 0, "unpersisted payload must be lost");
-    }
-
-    #[test]
-    fn clean_shutdown_flag_roundtrip() {
-        let path = temp_path("clean");
-        {
-            let pool = PmemPool::create_file(&path, 1 << 20).unwrap();
-            assert!(!pool.was_clean_shutdown());
-            pool.mark_clean_shutdown();
-        }
-        {
-            let pool = PmemPool::open_file(&path).unwrap();
-            assert!(pool.was_clean_shutdown());
-        }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

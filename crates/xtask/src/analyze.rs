@@ -197,15 +197,12 @@ pub struct Finding {
     pub check: &'static str,
     pub file: String,
     pub line: u32,
-    /// Symbol the finding is about (e.g. `type:Entry`), empty when the
-    /// check is positional rather than symbol-scoped.
-    pub symbol: String,
     pub msg: String,
 }
 
 impl Finding {
     pub fn new(check: &'static str, file: &str, line: u32, msg: String) -> Finding {
-        Finding { check, file: file.to_string(), line, symbol: String::new(), msg }
+        Finding { check, file: file.to_string(), line, msg }
     }
 }
 
@@ -306,12 +303,12 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Machine-readable report for the CI artifact. Hand-rolled: the workspace
-/// builds offline and xtask deliberately has no dependencies. Version 3: the
+/// builds offline and xtask deliberately has no dependencies. Version 4: the
 /// eight passes of the table and the front end's time beside them; every
-/// finding listed failed the run.
+/// finding listed failed the run, and names what it is about in its message.
 pub fn render_json(r: &Report) -> String {
     let mut out = format!(
-        "{{\n  \"version\": 3,\n  \"files\": {},\n  \"front_end_millis\": {},\n  \"passes\": [\n",
+        "{{\n  \"version\": 4,\n  \"files\": {},\n  \"front_end_millis\": {},\n  \"passes\": [\n",
         r.files, r.front_end_millis
     );
     for (i, p) in r.passes.iter().enumerate() {
@@ -328,12 +325,10 @@ pub fn render_json(r: &Report) -> String {
     for (i, f) in r.findings.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    {{\"check\": \"{}\", \"file\": \"{}\", \"line\": {}, \"symbol\": \"{}\", \
-             \"msg\": \"{}\"}}{}",
+            "    {{\"check\": \"{}\", \"file\": \"{}\", \"line\": {}, \"msg\": \"{}\"}}{}",
             json_escape(f.check),
             json_escape(&f.file),
             f.line,
-            json_escape(&f.symbol),
             json_escape(&f.msg),
             if i + 1 < r.findings.len() { "," } else { "" }
         );
@@ -368,24 +363,25 @@ mod tests {
     const SEEDS: &[Seed] = &[
         Seed {
             check: "safety-comment",
-            file: "crates/pmem/src/txn.rs",
-            find: "// SAFETY: targets were valid when logged",
-            replace: "// targets were valid when logged",
-            at: "unsafe {\n            let old = pool.bytes(rec + 16, len).to_vec();",
+            file: "crates/pmem/src/pool.rs",
+            find: "// SAFETY: in-bounds, aligned; AtomicU64",
+            replace: "// in-bounds, aligned; AtomicU64",
+            at: "unsafe { &*(self.backend.base().add(off as usize) as *const AtomicU64) }",
         },
         Seed {
             check: "facade",
-            file: "crates/pmem/src/txn.rs",
-            find: "fn rollback(&mut self) {",
-            replace: "fn rollback(&mut self) { let _ = std::thread::current();",
+            file: "crates/pmem/src/pool.rs",
+            find: "pub fn sync_all(&self) {",
+            replace: "pub fn sync_all(&self) { let _ = std::thread::current();",
             at: "std::thread::current()",
         },
+        // A scrub that wipes a corrupt key's block and never flushes it.
         Seed {
             check: "persist-ordering",
-            file: "crates/pmem/src/txn.rs",
-            find: "self.pool.write_u64(off, val);\n        self.pool.persist(off, 8);",
-            replace: "self.pool.write_u64(off, val);\n",
-            at: "self.pool.write_u64(off, val);",
+            file: "crates/core/src/pskiplist.rs",
+            find: "report.corrupt_keys += 1;",
+            replace: "report.corrupt_keys += 1; self.home.pool.write_u64(hist.into(), 0);",
+            at: "report.corrupt_keys += 1; self.home",
         },
         Seed {
             check: "pm-layout",
@@ -396,17 +392,17 @@ mod tests {
         },
         Seed {
             check: "atomic-ordering",
-            file: "crates/pmem/src/txn.rs",
-            find: "fn rollback(&mut self) {",
-            replace: "fn rollback(&mut self) { let _ = Ordering::Relaxed;",
-            at: "fn rollback(&mut self) {",
+            file: "crates/pmem/src/pool.rs",
+            find: "pub fn root(&self) -> u64 {",
+            replace: "pub fn root(&self) -> u64 { let _ = Ordering::Relaxed;",
+            at: "pub fn root(&self) -> u64 {",
         },
         Seed {
             check: "fence-budget",
-            file: "crates/pmem/src/txn.rs",
-            find: "self.committed = true;",
-            replace: "self.pool.fence(); self.committed = true;",
-            at: "pub fn commit(mut self) {",
+            file: "crates/core/src/engine.rs",
+            find: "self.home.batch_fence();",
+            replace: "self.home.batch_fence(); self.home.batch_fence();",
+            at: "fn insert_batch(&self",
         },
         Seed {
             check: "lock-order",

@@ -113,20 +113,6 @@ pub const ENTRIES: &[EntrySpec] = &[
         func: "repair",
         note: "crash repair on open",
     },
-    EntrySpec {
-        id: "pmem::txn_commit",
-        file: "crates/pmem/src/txn.rs",
-        owner: Some("Txn"),
-        func: "commit",
-        note: "undo-log commit protocol",
-    },
-    EntrySpec {
-        id: "pmem::txn_recover",
-        file: "crates/pmem/src/txn.rs",
-        owner: None,
-        func: "recover",
-        note: "undo-log rollback on open",
-    },
 ];
 
 /// A computed budget for one entry.

@@ -107,17 +107,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 // PM-set closure + rule checks
 // ---------------------------------------------------------------------------
 
-/// A finding about PM type `d`, at its definition.
+/// A finding about PM type `d`, at its definition; `msg` names the type.
 fn finding(d: &StructItem, msg: String) -> Finding {
-    Finding {
-        symbol: format!("type:{}", d.name),
-        ..Finding::new("pm-layout", &d.file, d.line, msg)
-    }
+    Finding::new("pm-layout", &d.file, d.line, msg)
 }
 
 /// A finding about the lock file itself.
-fn lock_finding(symbol: String, msg: String) -> Finding {
-    Finding { symbol, ..Finding::new("pm-layout", "pm_layout.lock", 0, msg) }
+fn lock_finding(msg: String) -> Finding {
+    Finding::new("pm-layout", "pm_layout.lock", 0, msg)
 }
 
 /// The pass: the layout rules, then the fingerprints against the golden
@@ -320,14 +317,11 @@ pub fn diff_lock(pm: &[&StructItem], lock: Option<&str>) -> Vec<Finding> {
     let mut findings = Vec::new();
     let Some(lock) = lock else {
         if !pm.is_empty() {
-            findings.push(lock_finding(
-                "lock:missing".into(),
-                format!(
-                    "pm_layout.lock is missing but {} PM-resident type(s) were discovered — \
-                     run `cargo run -p xtask -- analyze --bless` and commit the file",
-                    pm.len()
-                ),
-            ));
+            findings.push(lock_finding(format!(
+                "pm_layout.lock is missing but {} PM-resident type(s) were discovered — run \
+                 `cargo run -p xtask -- analyze --bless` and commit the file",
+                pm.len()
+            )));
         }
         return findings;
     };
@@ -360,13 +354,10 @@ pub fn diff_lock(pm: &[&StructItem], lock: Option<&str>) -> Vec<Finding> {
     }
     for name in locked.keys() {
         if !current.contains(name.as_str()) {
-            findings.push(lock_finding(
-                format!("type:{name}"),
-                format!(
-                    "locked type `{name}` is no longer discovered as PM-resident — if it was \
-                     removed deliberately, re-bless; if not, its marker was lost"
-                ),
-            ));
+            findings.push(lock_finding(format!(
+                "locked type `{name}` is no longer discovered as PM-resident — if it was \
+                 removed deliberately, re-bless; if not, its marker was lost"
+            )));
         }
     }
     findings

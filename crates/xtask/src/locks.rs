@@ -11,9 +11,9 @@
 //!   callee with a non-zero budget) executes while a guard is live. Fences
 //!   are the longest fixed-latency operation in the store, so holding a
 //!   shard or chain lock across one serializes unrelated writers.
-//!   Deliberate cases (the txn log's one-time setup fences run under
-//!   `txn_lock` by design) carry a `// lock-order:` justification at the
-//!   acquisition site, mirroring the `// ordering:` convention.
+//!   A deliberate case (a one-time setup fence that must run under its
+//!   lock) carries a `// lock-order:` justification at the acquisition
+//!   site, mirroring the `// ordering:` convention; the workspace has none.
 //! * **lock-order cycle** — the acquisition graph (held lock → lock
 //!   acquired next, including locks acquired transitively by resolved
 //!   callees) contains a cycle, i.e. a potential deadlock. A self-edge is

@@ -340,7 +340,7 @@ impl<'a> Workspace<'a> {
             .filter(|&c| self.fns[c].info.item.owner.is_some() == call.dotted)
             .collect();
         // Same-crate candidates win over cross-crate name collisions
-        // (`wal.commit` in minidb must not join pmem's `Txn::commit`).
+        // (`wal.commit` in minidb must not join a `commit` of another crate).
         let ck = self.fn_crate(caller);
         if v.iter().any(|&c| self.fn_crate(c) == ck) {
             v.retain(|&c| self.fn_crate(c) == ck);

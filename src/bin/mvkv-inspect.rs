@@ -48,7 +48,6 @@ fn run() -> Result<ExitCode, String> {
             println!("heap used:       {} bytes", alloc.heap_used);
             println!("heap remaining:  {} bytes", alloc.heap_remaining);
             println!("live blocks:     {}", alloc.live_blocks);
-            println!("clean shutdown:  {}", store.pool().was_clean_shutdown());
             println!("keys:            {}", store.key_count());
             // The DRAM index: what it holds, per key, and how tall it is.
             let (reserved, used) = store.index_memory();

@@ -120,6 +120,31 @@ fn torn_final_op_is_pruned_and_store_reusable() {
     assert_eq!(s.find(3, 3), Some(31));
 }
 
+/// Superblock words 40 and 48 are zero at format and never read: an open
+/// trusts neither, so an image with garbage in one and an offset past the
+/// pool's end in the other recovers every key.
+#[test]
+fn reserved_superblock_words_are_never_read() {
+    let store = PSkipList::create_crash_sim(16 << 20, CrashOptions::default()).unwrap();
+    let s = store.session();
+    for key in 0..300u64 {
+        s.insert(key, key * 7 + 1);
+    }
+    store.wait_writes_complete();
+    let tag = store.tag();
+    let mut image = store.crash_image().unwrap();
+    let past_the_end = image.len() as u64 + 4096;
+    image[40..48].copy_from_slice(&0x5EED_DEAD_BEEF_F00Du64.to_le_bytes());
+    image[48..56].copy_from_slice(&past_the_end.to_le_bytes());
+
+    let (recovered, stats) = PSkipList::open_image(&image, 2).unwrap();
+    assert_eq!((stats.watermark, stats.rebuilt_keys), (tag, 300));
+    let s = recovered.session();
+    for key in 0..300u64 {
+        assert_eq!(s.find(key, tag), Some(key * 7 + 1), "key {key}");
+    }
+}
+
 #[test]
 fn dbreg_round_trips_and_checkpoints() {
     let path = temp("dbreg.db");
