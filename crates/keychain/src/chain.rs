@@ -188,7 +188,9 @@ impl<'p> KeyChain<'p> {
 
     /// Allocates a zeroed block with sequence number `index` and CASes it
     /// into `link_off`. Returns the winning block offset (ours or the
-    /// racing winner's).
+    /// racing winner's). One fence: the block is durable before the CAS
+    /// makes it reachable; the link's flush rides the caller's publish fence
+    /// (the append that adopted the block puts its pair there).
     fn extend(&self, link_off: u64, index: u64) -> Result<u64> {
         let existing = self.pool.atomic_u64(link_off).load(Ordering::Acquire);
         if existing != 0 {
@@ -213,9 +215,10 @@ impl<'p> KeyChain<'p> {
             Ordering::Acquire,
         ) {
             Ok(_) => {
+                // Deliberately NO fence (DESIGN.md §13.3), as for the pair
+                // `append` writes into the block: the caller's publish fence
+                // orders this flush.
                 self.pool.persist(link_off, 8);
-                // fence: amortized(chain block link publish: once per new block)
-                self.pool.fence();
                 Ok(off)
             }
             Err(winner) => {
@@ -534,6 +537,62 @@ mod tests {
             assert_eq!(h, k + 1);
         }
         assert_eq!(c.len(), 4000);
+    }
+
+    /// The one-fence block adoption at its two boundaries (DESIGN.md §13.3;
+    /// `mvkv_vhistory::pslots` has the twin for history segments): the
+    /// append that spills into block 1 crosses one fence of its own, before
+    /// the link CAS, and the caller's publish fence behind it orders the link
+    /// and the pair. Power cut at the first, block 1 is durable, zeroed and
+    /// headered, and nothing links it; at the second, the link and the pair
+    /// are durable. Each image recovers to exactly its prefix.
+    #[test]
+    fn adopting_a_block_costs_one_fence_and_both_boundaries_recover() {
+        // The image at the `nth` fence of the third append and the caller's
+        // fence behind it, the chain, and blocks 0 and 1.
+        let third_append = |nth: u64| {
+            let p =
+                PmemPool::create_crash_sim(1 << 20, mvkv_pmem::CrashOptions::default()).unwrap();
+            let c = KeyChain::create(&p, 2).unwrap();
+            c.append(1, 10).unwrap();
+            c.append(2, 20).unwrap();
+            // A dirty block of the chain's block size, durable and free: the
+            // append below refills nothing and has to zero it.
+            let bytes = c.block_bytes();
+            let warm = p.alloc(bytes as usize).unwrap();
+            for word in (0..bytes).step_by(8) {
+                p.write_u64(warm + word, u64::MAX);
+            }
+            p.persist(warm, bytes as usize);
+            p.dealloc(warm);
+            let fences = p.fence_count().unwrap();
+            p.capture_at_fence(fences + nth);
+            c.append(3, 30).unwrap();
+            p.fence(); // the caller's publish fence
+            assert_eq!(p.fence_count().unwrap() - fences, 2, "adoption + publish");
+            let (block0, _) = c.blocks().next().unwrap();
+            assert_eq!(p.read_u64(block0), warm);
+            let image = p.captured_image().unwrap();
+            (PmemPool::open_image(&image).unwrap(), c.pptr(), block0, warm)
+        };
+        let recovered = |p: &PmemPool, hdr| {
+            let c = KeyChain::open(p, hdr);
+            c.repair();
+            c.iter().collect::<Vec<_>>()
+        };
+
+        let (p, hdr, block0, block1) = third_append(1);
+        assert_eq!(p.read_u64(block0), 0, "no link yet");
+        assert_eq!(p.read_u64(block1 + 16), 1, "headered");
+        assert_eq!(p.read_u64(block1 + 24), crc32c_u64s(&[1]) as u64);
+        for off in [0, 8].into_iter().chain((BLOCK_HDR..BLOCK_HDR + 2 * PAIR_SIZE).step_by(8)) {
+            assert_eq!(p.read_u64(block1 + off), 0, "zeroed at +{off}");
+        }
+        assert_eq!(recovered(&p, hdr), [(1, 10), (2, 20)]);
+
+        let (p, hdr, block0, block1) = third_append(2);
+        assert_eq!(p.read_u64(block0), block1, "linked");
+        assert_eq!(recovered(&p, hdr), [(1, 10), (2, 20), (3, 30)]);
     }
 
     #[test]

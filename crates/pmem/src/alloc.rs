@@ -8,7 +8,10 @@
 //!   one refill carves one heap block holding `n` headerless blocks of
 //!   exactly `SIZE_CLASSES[class]` bytes behind a 32-byte [`RunHeader`] —
 //!   the block header, whose state word names the class and `n`, and the
-//!   occupancy words, whose bit `i` says block `i` is allocated. A free-list
+//!   occupancy words, whose bit `i` says block `i` is allocated. A class
+//!   that is a multiple of the cache line starts its first block on a line
+//!   ([`run_pad`], at most 48 bytes a run), so none of its blocks shares a
+//!   line with another. A free-list
 //!   entry names its run and bit, so allocating never searches; freeing and
 //!   sizing find a block's run in a DRAM directory of run offsets (one
 //!   sorted `u32` per run, in 16-byte units, filled by the open walk and by
@@ -123,9 +126,9 @@ impl Located {
                     };
                     encode_occupancy(run, index, mask ^ flag)
                 }
-                Located::Large { size, .. } => {
+                Located::Large { header, size } => {
                     let state = |on| if on { BlockState::Allocated } else { BlockState::Free };
-                    if decode_state(size, current) != Some(state(!allocated)) {
+                    if decode_state(header, size, current) != Some(state(!allocated)) {
                         return false;
                     }
                     encode_state(size, state(allocated))
@@ -389,7 +392,7 @@ pub(crate) fn walk_heap(pool: &PmemPool, bump: u64, mut visit: impl FnMut(HeapIt
     let mut at = HEAP_START;
     while at < bump {
         if let Some(size) = block_size(pool, at, bump) {
-            visit(match decode_state(size, pool.read_u64(at + 8)) {
+            visit(match decode_state(at, size, pool.read_u64(at + 8)) {
                 Some(BlockState::Run { class, blocks }) => HeapItem::Run { run: at, class, blocks },
                 state => HeapItem::Block { header: at, size, state },
             });
@@ -410,8 +413,9 @@ pub(crate) fn walk_heap(pool: &PmemPool, bump: u64, mut visit: impl FnMut(HeapIt
 fn resume_behind(pool: &PmemPool, from: u64, bump: u64) -> Option<u64> {
     let mut candidate = from + BLOCK_ALIGN;
     while candidate + BLOCK_HEADER <= bump {
-        let decodes = block_size(pool, candidate, bump)
-            .is_some_and(|size| decode_state(size, pool.read_u64(candidate + 8)).is_some());
+        let decodes = block_size(pool, candidate, bump).is_some_and(|size| {
+            decode_state(candidate, size, pool.read_u64(candidate + 8)).is_some()
+        });
         if decodes {
             let mut at = candidate;
             while at < bump {
@@ -606,16 +610,17 @@ impl Allocator {
         if let Some(run) = run {
             let size = pool.read_u64(run);
             if off < run + size {
-                let state = decode_state(size, pool.read_u64(run + 8));
+                let state = decode_state(run, size, pool.read_u64(run + 8));
                 let Some(BlockState::Run { class, blocks }) = state else { return None };
-                let (at, stride) = (off.checked_sub(run + RUN_HEADER)?, SIZE_CLASSES[class] as u64);
+                let at = off.checked_sub(run_block(run, class, 0))?;
+                let stride = SIZE_CLASSES[class] as u64;
                 let block = Located::Run { run, bit: at / stride, class };
                 return (at % stride == 0 && at / stride < blocks).then_some(block);
             }
         }
         let header = off - BLOCK_HEADER;
         let size = block_size(pool, header, bump)?;
-        let state = decode_state(size, pool.read_u64(header + 8))?;
+        let state = decode_state(header, size, pool.read_u64(header + 8))?;
         matches!(state, BlockState::Free | BlockState::Allocated)
             .then_some(Located::Large { header, size })
     }
@@ -717,11 +722,12 @@ impl Allocator {
             let limit = pool.len() as u64;
             // Largest batch (halving from full_batch) that still fits.
             let mut batch = full_batch;
-            while batch > 1 && current.checked_add(run_size(class, batch)).is_none_or(|e| e > limit)
+            while batch > 1
+                && current.checked_add(run_size(current, class, batch)).is_none_or(|e| e > limit)
             {
                 batch /= 2;
             }
-            let size = run_size(class, batch);
+            let size = run_size(current, class, batch);
             if current >= RUN_LIMIT || current.checked_add(size).is_none_or(|end| end > limit) {
                 return Err(PmemError::OutOfMemory { requested });
             }
@@ -894,6 +900,16 @@ impl Allocator {
     pub fn indeterminate_at_open(&self) -> u64 {
         // ordering: written once before the pool is shared; a plain count.
         self.indeterminate_at_open.load(Ordering::Relaxed)
+    }
+
+    /// Payload bytes of the class blocks on each shard's free lists, in shard
+    /// order. Free large blocks are on one global list, in no shard's.
+    pub fn shard_free_bytes(&self) -> Vec<u64> {
+        let held = |shard: &Shard| -> u64 {
+            let lists = shard.class_free.iter().zip(SIZE_CLASSES);
+            lists.map(|(list, bytes)| list.lock().len() as u64 * bytes as u64).sum()
+        };
+        self.shards.iter().map(held).collect()
     }
 
     pub fn stats(&self, pool: &PmemPool) -> AllocStats {
@@ -1387,15 +1403,75 @@ mod tests {
         for (class, &bytes) in SIZE_CLASSES.iter().enumerate() {
             let p = pool();
             let offs: Vec<u64> = (0..REFILL_BATCH).map(|_| p.alloc(bytes).unwrap()).collect();
-            assert_eq!(offs[0], HEAP_START + RUN_HEADER, "class {bytes}: behind one run header");
+            let first = HEAP_START + RUN_HEADER + run_pad(HEAP_START, class);
+            assert_eq!(offs[0], first, "class {bytes}: behind one run header and its padding");
             for (bit, &off) in offs.iter().enumerate() {
                 assert_eq!(off, run_block(HEAP_START, class, bit as u64));
                 assert_eq!(p.block_capacity(off), bytes, "no header, no padding");
                 assert_eq!(p.state_word(off), HEAP_START + OCCUPANCY);
             }
-            let run = run_size(class, REFILL_BATCH);
+            let run = run_size(HEAP_START, class, REFILL_BATCH);
             assert_eq!(p.alloc_stats().heap_used, run, "one run, one refill");
             assert_eq!(p.alloc_stats().shard_refills.iter().sum::<u64>(), 1);
+        }
+    }
+
+    /// Every class that is a multiple of the cache line hands out blocks that
+    /// start on a line: from runs of every batch the adaptive refill carves
+    /// (8 … 64), at every offset from a line a run can start at, and from a
+    /// sibling's list after a steal. The padding is the run's: a reopen's
+    /// walk finds nothing damaged and the audit counts what the pool holds.
+    #[test]
+    #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
+    fn line_sized_classes_hand_out_blocks_on_a_line() {
+        let on_a_line = |off: u64| off.is_multiple_of(CACHE_LINE as u64);
+        let line_sized = SIZE_CLASSES.iter().enumerate().filter(|&(_, &b)| b % CACHE_LINE == 0);
+        for (class, &bytes) in line_sized {
+            let p = PmemPool::create_volatile(1 << 24).unwrap();
+            let mut held = Vec::new();
+            for i in 0..300u64 {
+                // A large block of 4128 + 16 (i % 3) bytes between class
+                // blocks moves each refill's run to another offset mod 64.
+                p.alloc(4097 + 16 * (i % 3) as usize).unwrap();
+                let off = p.alloc(bytes).unwrap();
+                assert!(on_a_line(off), "class {bytes}: block {i} at {off}");
+                held.push(off);
+            }
+            let (mut batches, mut pads, mut runs) = (Vec::new(), Vec::new(), 0);
+            walk_heap(&p, p.read_u64(OFF_BUMP), |item| {
+                if let HeapItem::Run { run, class: c, blocks } = item {
+                    assert_eq!(c, class);
+                    batches.push(blocks);
+                    pads.push(run_pad(run, class));
+                    runs += 1;
+                }
+            });
+            for set in [&mut batches, &mut pads] {
+                set.sort_unstable();
+                set.dedup();
+            }
+            assert_eq!(batches, [8, 16, 32, 64], "class {bytes}");
+            assert_eq!(pads, [0, 16, 32, 48], "class {bytes}");
+            // Freed into this thread's shard, taken by another shard's steals.
+            for off in held.drain(..) {
+                p.dealloc(off);
+            }
+            let thief = (shard_id() + 1) % num_shards();
+            while let Some(off) = p.allocator.steal(&p, thief, class) {
+                assert!(on_a_line(off), "class {bytes}: stolen block at {off}");
+                held.push(off);
+            }
+            assert_eq!(p.alloc_stats().shard_steals[thief], held.len() as u64);
+            // SAFETY: [0, len) is in bounds; no writer races the snapshot here.
+            let reopened = PmemPool::open_image(unsafe { p.bytes(0, p.len()) }).unwrap();
+            assert_eq!(reopened.indeterminate_blocks_at_open(), 0, "class {bytes}");
+            let audit = crate::recovery::audit(&reopened);
+            assert_eq!(audit, crate::recovery::audit(&p), "class {bytes}: the same walk");
+            assert_eq!((audit.indeterminate_blocks, audit.torn_tail_bytes), (0, 0));
+            assert_eq!(audit.allocated_by_class[class].0, held.len() as u64, "class {bytes}");
+            assert_eq!(audit.allocated_by_class[NUM_CLASSES].0, 300, "the large blocks");
+            assert_eq!(audit.runs_by_class[class], runs, "class {bytes}");
+            assert!(audit.padding_by_class[class] <= 48 * runs, "class {bytes}");
         }
     }
 

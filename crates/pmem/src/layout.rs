@@ -16,6 +16,8 @@
 //!             │ a run — one refill of a size class, n = 1…64 blocks: │
 //!             │   [size | state = RUN(class, n)]                     │
 //!             │   [occupancy word 0 | occupancy word 1]              │
+//!             │   padding: 0…48 B up to a line, for a class that is  │
+//!             │   a multiple of 64 B (none for the others)           │
 //!             │   block 0 | block 1 | … | block n−1                  │
 //!             │   headerless, each exactly SIZE_CLASSES[class] bytes;│
 //!             │   bit i of the words: block i is allocated           │
@@ -37,7 +39,10 @@ pub const MAGIC: u64 = 0x4D45_4D50_564B_564D;
 /// v4: a history entry is 24 bytes (`crc` and `done` are one stamp word), the
 /// history block 96, segment `k` `96 << k`.
 /// v5: class blocks have no header; a refill carves one run.
-pub const LAYOUT_VERSION: u64 = 5;
+/// v6: a history block is 64 bytes — 32-bit counters, link and check word,
+/// two entries — and a run of a class that is a multiple of 64 bytes starts
+/// its first block on a cache line.
+pub const LAYOUT_VERSION: u64 = 6;
 
 /// Superblock field offsets. Words 40 and 48 are zero at format (a fresh
 /// backend is zero-filled and format persists the superblock whole) and are
@@ -76,7 +81,7 @@ pub struct RunHeader {
     pub occupancy: [u64; 2],
 }
 
-/// Bytes in front of a run's first block.
+/// Bytes of a run's header, in front of its padding ([`run_pad`]) and blocks.
 pub const RUN_HEADER: u64 = std::mem::size_of::<RunHeader>() as u64;
 
 /// Offset of a run's first occupancy word.
@@ -127,19 +132,20 @@ pub fn encode_state(size: u64, state: BlockState) -> u64 {
     ((tag as u64) << 32) | crate::crc::crc32c_u64s(&[size, tag as u64]) as u64
 }
 
-/// Decodes a block state word against the block's `size`; `None` means the
-/// metadata is torn or corrupt (recovery treats the block as indeterminate).
-/// A run's tag must also name a class, 1 to [`MAX_RUN_BLOCKS`] blocks and
-/// exactly `size` bytes of run.
+/// Decodes the state word of the block whose header is at `at` against its
+/// `size`; `None` means the metadata is torn or corrupt (recovery treats the
+/// block as indeterminate). A run's tag must also name a class, 1 to
+/// [`MAX_RUN_BLOCKS`] blocks and exactly `size` bytes of run at `at`.
 #[inline]
-pub fn decode_state(size: u64, word: u64) -> Option<BlockState> {
+pub fn decode_state(at: u64, size: u64, word: u64) -> Option<BlockState> {
     let state = match (word >> 32) as u32 {
         TAG_FREE => BlockState::Free,
         TAG_ALLOCATED => BlockState::Allocated,
         tag if tag & 0xFFFF_0000 == TAG_RUN => {
             let (class, blocks) = ((tag >> 8 & 0xFF) as usize, u64::from(tag & 0xFF));
             let ok = class < NUM_CLASSES && (1..=MAX_RUN_BLOCKS).contains(&blocks);
-            (ok && size == run_size(class, blocks)).then_some(BlockState::Run { class, blocks })?
+            let fits = ok && size == run_size(at, class, blocks);
+            fits.then_some(BlockState::Run { class, blocks })?
         }
         _ => return None,
     };
@@ -163,23 +169,39 @@ pub fn decode_occupancy(run: u64, index: u64, word: u64) -> Option<u32> {
     (encode_occupancy(run, index, mask) == word).then_some(mask)
 }
 
-/// Bytes of a run of `blocks` blocks of `class`: its header, then the
-/// blocks back to back.
+/// Bytes between the header of the run at `run` and its first block: up to
+/// the next cache line for a class whose size is a multiple of one, so that
+/// each of its blocks has lines of its own (at most 48, runs being
+/// 16-aligned); none for the other classes. Derived from the run's offset,
+/// so no word records it — the run's size covers it.
 #[inline]
-pub const fn run_size(class: usize, blocks: u64) -> u64 {
-    RUN_HEADER + blocks * SIZE_CLASSES[class] as u64
+pub const fn run_pad(run: u64, class: usize) -> u64 {
+    let line = CACHE_LINE as u64;
+    if (SIZE_CLASSES[class] as u64).is_multiple_of(line) {
+        (line - (run + RUN_HEADER) % line) % line
+    } else {
+        0
+    }
+}
+
+/// Bytes of a run of `blocks` blocks of `class` at `run`: its header, its
+/// padding, then the blocks back to back.
+#[inline]
+pub const fn run_size(run: u64, class: usize, blocks: u64) -> u64 {
+    RUN_HEADER + run_pad(run, class) + blocks * SIZE_CLASSES[class] as u64
 }
 
 /// Payload offset of block `bit` of the run at `run`: the blocks of a run
 /// are spaced exactly `SIZE_CLASSES[class]` apart.
 #[inline]
 pub const fn run_block(run: u64, class: usize, bit: u64) -> u64 {
-    run + RUN_HEADER + bit * SIZE_CLASSES[class] as u64
+    run + RUN_HEADER + run_pad(run, class) + bit * SIZE_CLASSES[class] as u64
 }
 
 /// Size classes for small allocations (payload capacities, bytes): the powers
-/// of two and, from 96 up, the `96 << k` between them — what a history segment
-/// fills exactly (asserted in `mvkv_vhistory::pslots`).
+/// of two and, from 96 up, the `96 << k` between them — a history block fills
+/// the 64-byte class and its segment `k ≥ 1` the `96 << k` one exactly
+/// (asserted in `mvkv_vhistory::pslots`).
 pub const SIZE_CLASSES: [usize; 15] =
     [16, 32, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096];
 
@@ -243,6 +265,22 @@ mod tests {
     }
 
     #[test]
+    fn line_sized_classes_start_their_runs_on_a_line() {
+        for at in (HEAP_START..HEAP_START + 4 * CACHE_LINE as u64).step_by(BLOCK_ALIGN as usize) {
+            for (class, &bytes) in SIZE_CLASSES.iter().enumerate() {
+                let pad = run_pad(at, class);
+                if bytes % CACHE_LINE == 0 {
+                    assert!(pad <= 48, "run at {at}, class {bytes}: {pad}");
+                    assert_eq!(run_block(at, class, 0) % CACHE_LINE as u64, 0);
+                } else {
+                    assert_eq!(pad, 0, "run at {at}, class {bytes}");
+                }
+                assert_eq!(run_size(at, class, 3), run_block(at, class, 3) - at);
+            }
+        }
+    }
+
+    #[test]
     fn superblock_fields_fit_before_heap() {
         const { assert!(OFF_BUMP + 8 <= HEAP_START) };
     }
@@ -260,34 +298,42 @@ mod tests {
 
     #[test]
     fn state_words_roundtrip_and_reject_corruption() {
-        let size = 80u64;
+        let (at, size) = (HEAP_START, 80u64);
         let word = encode_state(size, BlockState::Allocated);
-        assert_eq!(decode_state(size, word), Some(BlockState::Allocated));
+        assert_eq!(decode_state(at, size, word), Some(BlockState::Allocated));
         // A flipped bit anywhere in the word fails the decode.
         for bit in 0..64 {
-            assert_eq!(decode_state(size, word ^ (1 << bit)), None, "bit {bit}");
+            assert_eq!(decode_state(at, size, word ^ (1 << bit)), None, "bit {bit}");
         }
         // A state word bound to a different size fails too (misdirected
         // write detection), as do zeroed and garbage words.
-        assert_eq!(decode_state(96, word), None);
-        assert_eq!(decode_state(size, 0), None);
-        assert_eq!(decode_state(size, 0x1234), None);
+        assert_eq!(decode_state(at, 96, word), None);
+        assert_eq!(decode_state(at, size, 0), None);
+        assert_eq!(decode_state(at, size, 0x1234), None);
     }
 
     #[test]
     fn run_tags_and_occupancy_words_roundtrip_and_reject_corruption() {
-        for (class, blocks) in [(0, 1), (3, 8), (NUM_CLASSES - 1, MAX_RUN_BLOCKS)] {
-            let (size, run) = (run_size(class, blocks), BlockState::Run { class, blocks });
+        let at = HEAP_START + BLOCK_ALIGN;
+        for (class, blocks) in [(0, 1), (3, 8), (4, 8), (NUM_CLASSES - 1, MAX_RUN_BLOCKS)] {
+            let (size, run) = (run_size(at, class, blocks), BlockState::Run { class, blocks });
             let word = encode_state(size, run);
-            assert_eq!(decode_state(size, word), Some(run));
-            assert_eq!(decode_state(size + BLOCK_ALIGN, word), None, "bound to the size");
+            assert_eq!(decode_state(at, size, word), Some(run));
+            assert_eq!(decode_state(at, size + BLOCK_ALIGN, word), None, "bound to the size");
             for bit in 0..64 {
-                assert_eq!(decode_state(size, word ^ 1 << bit), None, "bit {bit}");
+                assert_eq!(decode_state(at, size, word ^ 1 << bit), None, "bit {bit}");
             }
         }
-        // A tag whose geometry is not its size fails, whatever its CRC says.
+        // A tag whose geometry is not its size fails, whatever its CRC says —
+        // the padding included: a line-aligned class's run moved to another
+        // offset no longer adds up.
         let forged = encode_state(48, BlockState::Run { class: 1, blocks: 1 });
-        assert_eq!(decode_state(48, forged), None);
+        assert_eq!(decode_state(at, 48, forged), None);
+        let (class, blocks) = (class_for(128).unwrap(), 8);
+        let run = BlockState::Run { class, blocks };
+        let size = run_size(at, class, blocks);
+        assert_eq!(decode_state(at, size, encode_state(size, run)), Some(run));
+        assert_eq!(decode_state(at + BLOCK_ALIGN, size, encode_state(size, run)), None);
         let run = HEAP_START;
         let word = encode_occupancy(run, 1, 0b101);
         assert_eq!(decode_occupancy(run, 1, word), Some(0b101));

@@ -3,7 +3,7 @@
 use crate::backend::{Backend, CrashOptions, CrashSim, FileBacked, Volatile};
 use crate::layout::*;
 use crate::{alloc::Allocator, PmemError, Result};
-use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
+use mvkv_sync::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::path::Path;
 
 /// A fixed-size pool of (emulated) persistent memory.
@@ -160,6 +160,13 @@ impl PmemPool {
         self.allocator.stats(self)
     }
 
+    /// Payload bytes of the free class blocks each allocator shard holds
+    /// ([`crate::alloc::num_shards`] entries; free large blocks are on one
+    /// global list and counted in none).
+    pub fn shard_free_bytes(&self) -> Vec<u64> {
+        self.allocator.shard_free_bytes()
+    }
+
     /// Heap blocks whose state word was torn or corrupt when this pool was
     /// opened — [`crate::recovery::audit`]'s `indeterminate_blocks` for the
     /// pool as opened, counted by the heap walk every open does anyway.
@@ -219,6 +226,16 @@ impl PmemPool {
         // SAFETY: in-bounds, aligned; AtomicU64 has no invalid bit patterns;
         // the backing region lives as long as `self`.
         unsafe { &*(self.backend.base().add(off as usize) as *const AtomicU64) }
+    }
+
+    /// A word-atomic view of the 4 bytes at `off` (must be 4-aligned).
+    #[inline]
+    pub fn atomic_u32(&self, off: u64) -> &AtomicU32 {
+        debug_assert_eq!(off % 4, 0, "atomic access must be 4-aligned");
+        debug_assert!(off as usize + 4 <= self.backend.len());
+        // SAFETY: in-bounds, aligned; AtomicU32 has no invalid bit patterns;
+        // the backing region lives as long as `self`.
+        unsafe { &*(self.backend.base().add(off as usize) as *const AtomicU32) }
     }
 
     /// Reads the plain (non-atomic) u64 at `off`.

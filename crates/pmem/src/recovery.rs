@@ -37,6 +37,9 @@ pub struct HeapAudit {
     pub free_by_class: [(u64, u64); NUM_CLASSES + 1],
     /// Runs per size class (one per refill).
     pub runs_by_class: [u64; NUM_CLASSES],
+    /// Bytes of run padding per size class ([`run_pad`]: at most 48 a run,
+    /// only in classes that are a multiple of the cache line).
+    pub padding_by_class: [u64; NUM_CLASSES],
 }
 
 impl HeapAudit {
@@ -57,6 +60,7 @@ pub fn audit(pool: &PmemPool) -> HeapAudit {
     let end = walk_heap(pool, bump, |item| match item {
         HeapItem::Run { run, class, blocks } => {
             out.runs_by_class[class] += 1;
+            out.padding_by_class[class] += run_pad(run, class);
             let payload = SIZE_CLASSES[class] as u64;
             for (bits, mask) in occupancy(pool, run, blocks) {
                 // A valid word never has a bit set beyond its run's blocks.

@@ -1,5 +1,6 @@
 //! Heap-backed history storage for the ephemeral store variants
-//! (ESkipList, LockedMap).
+//! (ESkipList, LockedMap): the persistent layout's geometry — two entries in
+//! the history itself, then segments of 7, 15, 31, … — on the heap.
 
 use crate::slots::{claim_index, locate, seg_capacity, Cursor, Entry, Slots};
 use mvkv_sync::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
@@ -18,8 +19,8 @@ impl ESeg {
 
 /// An ephemeral per-key version history: lock-free appends via slot claims,
 /// segment chain of doubling capacity (see [`crate::slots`] geometry). Like
-/// the persistent history it is its own segment 0: a key's first three
-/// versions cost the one allocation that holds the history.
+/// the persistent history it is its own segment 0: a key's first
+/// `seg_capacity(0)` versions cost the one allocation that holds the history.
 ///
 /// This is the storage; `&EHistory` is the [`Slots`] handle onto it, the way
 /// [`crate::PHistory`] is a handle onto a pool.
@@ -194,16 +195,16 @@ mod tests {
         h.fill(&mut cur, 0);
         assert_eq!((cur.levels(), cur.covered()), (0, 0), "nothing asked, nothing resolved");
         h.fill(&mut cur, 10);
-        assert_eq!((cur.levels(), cur.covered()), (1, 3), "empty chain: the inline slots only");
+        assert_eq!((cur.levels(), cur.covered()), (1, 2), "empty chain: the inline slots only");
         for _ in 0..30 {
-            h.claim(); // segments 0..=3 (3 + 7 + 15 + 31 slots)
+            h.claim(); // segments 0..=3 (2 + 7 + 15 + 31 slots)
         }
         h.fill(&mut cur, 1);
         assert_eq!(cur.levels(), 1, "one slot is the history itself");
-        h.fill(&mut cur, 11);
-        assert_eq!((cur.levels(), cur.covered()), (3, 25), "resumes, stops once covered");
+        h.fill(&mut cur, 10);
+        assert_eq!((cur.levels(), cur.covered()), (3, 24), "resumes, stops once covered");
         h.fill(&mut cur, u64::MAX);
-        assert_eq!((cur.levels(), cur.covered()), (4, 56), "stops at the end of the chain");
+        assert_eq!((cur.levels(), cur.covered()), (4, 55), "stops at the end of the chain");
     }
 
     #[test]

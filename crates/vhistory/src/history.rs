@@ -474,31 +474,31 @@ mod tests {
         let p = mvkv_pmem::PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default())
             .unwrap();
         let h = History::new(PHistory::create(&p).unwrap());
-        // The inline slots 0-2 need no warm-up: a fresh history's first
+        // The inline slots 0-1 need no warm-up: a fresh history's first
         // appends are already the steady-state path, one fence each.
         let before = p.fence_count().expect("crash-sim backend");
-        for v in 1..=3u64 {
+        for v in 1..=2u64 {
             h.append(v, v);
         }
-        assert_eq!(p.fence_count().unwrap() - before, 3, "inline append must cost one fence");
-        // Slot 3 allocates and links segment 1 (slots 3-9); past it the
+        assert_eq!(p.fence_count().unwrap() - before, 2, "inline append must cost one fence");
+        // Slot 2 allocates and links segment 1 (slots 2-8); past it the
         // appends are steady again.
-        h.append(4, 40);
+        h.append(3, 30);
         let before = p.fence_count().unwrap();
-        for v in 5..=7u64 {
+        for v in 4..=6u64 {
             h.append(v, v * 10);
         }
         let after = p.fence_count().unwrap();
         assert_eq!(after - before, 3, "steady-state append must cost exactly one fence");
         // Batched form: N prepares share a single fence.
+        let slot7 = h.append_prepare(7, 70);
         let slot8 = h.append_prepare(8, 80);
-        let slot9 = h.append_prepare(9, 90);
         let before = p.fence_count().unwrap();
         h.publish_fence();
+        h.append_publish(slot7, 7);
         h.append_publish(slot8, 8);
-        h.append_publish(slot9, 9);
         assert_eq!(p.fence_count().unwrap() - before, 1, "batch publish shares one fence");
-        assert_eq!(h.find(9, 9), Some(90));
+        assert_eq!(h.find(8, 8), Some(80));
     }
 
     #[test]

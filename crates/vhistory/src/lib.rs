@@ -24,8 +24,8 @@
 //! storage provider; [`eslots::EHistory`] stores slots on the heap (used by
 //! the ephemeral stores, through `&EHistory`) and [`pslots::PHistory`]
 //! stores them in a [`mvkv_pmem::PmemPool`] (used by PSkipList). Both keep
-//! the slots in a chain of doubling segments whose first — three entries —
-//! is the history object itself; an operation resolves that chain once into
+//! the slots in a chain of doubling segments whose first — two entries — is
+//! the history object itself; an operation resolves that chain once into
 //! an on-stack [`Cursor`] and indexes it per slot.
 //!
 //! ## Ordering contract

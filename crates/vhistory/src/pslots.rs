@@ -1,21 +1,25 @@
 //! Persistent-memory history storage for PSkipList.
 //!
-//! On-media layout (offsets pool-relative). Every block is `96 << k` bytes —
-//! exactly an allocator size class up to 3 KiB, an exact large block beyond —
-//! of which the first 24 are a header:
+//! On-media layout (offsets pool-relative). The history block is 64 bytes,
+//! one cache line; segment `k ≥ 1` is `96 << k` bytes, exactly an allocator
+//! size class up to 3 KiB and an exact large block beyond. A class that is a
+//! multiple of 64 bytes starts its blocks on a line, so the history block is
+//! exactly one line and a segment's header shares its line with no other
+//! block:
 //!
 //! ```text
-//! History = segment 0 (96 B):    Segment k ≥ 1 (96 << k B):
-//!   +0  pending (u32)              +0  next segment offset (0 = none)
+//! History = segment 0 (64 B):    Segment k ≥ 1 (96 << k B):
+//!   +0  pending (u32)              +0  next segment offset (u32, 0 = none)
 //!   +4  tail (u32)                 +8  base slot index
-//!   +8  segment 1 offset (0=none)  +16 CRC32C of (capacity, base)
-//!   +16 CRC32C of (3, 0)           +24 entries × ((4 << k) − 1)
-//!   +24 entries × 3
+//!   +8  segment 1 offset (u32)     +16 CRC32C of (capacity, base)
+//!   +12 CRC32C of (2, 0) (u32)     +24 entries × ((4 << k) − 1)
+//!   +16 entries × 2
 //! ```
 //!
-//! An entry is `[version, value, crc_done]`, 24 bytes. A key's first three
+//! An entry is `[version, value, crc_done]`, 24 bytes. A key's first two
 //! versions live in the history block itself: creating a key is one
-//! allocation and one flush, and reading it follows no link.
+//! allocation and one flush of one line, and reading it follows no link.
+//! Every link is a 32-bit pool offset: a PSkipList pool is at most 4 GiB.
 //!
 //! Segment geometry is deterministic (see [`crate::slots`]), so `base` is
 //! redundant and the capacity is not stored at all — it follows from the
@@ -25,22 +29,28 @@
 //! disagrees with the deterministic expectation or whose header CRC fails is
 //! treated as unlinked, so a scrambled `next` pointer can never send recovery
 //! through out-of-bounds memory. The history block carries the same check
-//! word over segment 0's `(3, 0)`: it is bounds-checked as a whole
+//! word over segment 0's `(2, 0)`: it is bounds-checked as a whole
 //! ([`PHistory::open_checked`]), and a block that was zeroed or overwritten on
 //! the media fails the word and backs no slot, instead of reading as a key
 //! that was never written.
+//!
+//! Adopting a segment costs one fence: the one that orders its zeroing and
+//! header before the link CAS. The link's own flush rides the adopting
+//! thread's publish fence — its claim publishes into the segment it adopted
+//! (DESIGN.md §13.3).
 
 use crate::slots::{
-    claim_index, locate, seg_base, seg_capacity, Cursor, Entry, Slots, ENTRY_SIZE, SEG_HDR_SIZE,
+    claim_index, locate, seg_base, seg_capacity, Cursor, Entry, Slots, ENTRY_SIZE, HIST_HDR_SIZE,
+    SEG_HDR_SIZE,
 };
 use mvkv_pmem::layout::{class_for, SIZE_CLASSES};
 use mvkv_pmem::{PPtr, PmemPool, Result};
-use mvkv_sync::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use mvkv_sync::sync::atomic::{AtomicU32, Ordering};
 use std::mem::{offset_of, size_of};
 
-/// The persistent history block: the counters, the link to segment 1 and
-/// segment 0's entries. The counters are 32 bits each and share a word: a
-/// history holds at most 2^32 − 1 slots ([`claim_index`]).
+/// The persistent history block: the counters, the link to segment 1, the
+/// check word and segment 0's entries. The counters are 32 bits: a history
+/// holds at most 2^32 − 1 slots ([`claim_index`]).
 ///
 /// pm-resident: typed target of `PPtr<HistoryHdr>`; audited by
 /// `xtask analyze` against `pm_layout.lock`.
@@ -49,24 +59,25 @@ pub struct HistoryHdr {
     pending: AtomicU32,
     tail: AtomicU32,
     /// Offset of segment 1 (0 = none).
-    next: AtomicU64,
-    /// [`geometry_crc`] of segment 0, the word every segment has here.
-    check: AtomicU64,
-    inline: [Entry; 3],
+    next: AtomicU32,
+    /// [`geometry_crc`] of segment 0.
+    check: AtomicU32,
+    inline: [Entry; 2],
 }
 
-/// Byte offsets in a linked segment's header, whose first word is the link:
-/// the base slot index, and the check word where the history block has its.
+/// Byte offsets in a linked segment's header, whose first word holds the
+/// link: the base slot index, and the check word.
 const SEG_BASE: u64 = 8;
-pub(crate) const SEG_CHECK: u64 = offset_of!(HistoryHdr, check) as u64;
+pub(crate) const SEG_CHECK: u64 = 16;
 
-const _: () = assert!(offset_of!(HistoryHdr, inline) == SEG_HDR_SIZE);
+const _: () = assert!(offset_of!(HistoryHdr, inline) == HIST_HDR_SIZE);
 const _: () = assert!(SEG_CHECK as usize + 8 == SEG_HDR_SIZE);
 const _: () = assert!(size_of::<HistoryHdr>() as u64 == seg_bytes(0));
 
-/// Bytes of segment `k`'s block, header included: `96 << k`.
+/// Bytes of segment `k`'s block, header included: 64, then `96 << k`.
 const fn seg_bytes(k: u32) -> u64 {
-    SEG_HDR_SIZE as u64 + seg_capacity(k) * ENTRY_SIZE as u64
+    let hdr = if k == 0 { HIST_HDR_SIZE } else { SEG_HDR_SIZE };
+    hdr as u64 + seg_capacity(k) * ENTRY_SIZE as u64
 }
 
 // Every segment small enough for an allocator size class fills one exactly.
@@ -79,9 +90,15 @@ const _: () = {
 };
 
 /// The check word of segment `k`'s header: CRC32C of `(capacity, base)`,
-/// never zero.
-fn geometry_crc(k: u32) -> u64 {
-    mvkv_pmem::crc32c_u64s(&[seg_capacity(k), seg_base(k)]) as u64
+/// never zero (asserted for every level by the tests).
+fn geometry_crc(k: u32) -> u32 {
+    mvkv_pmem::crc32c_u64s(&[seg_capacity(k), seg_base(k)])
+}
+
+/// A segment's pool offset as a link word. Histories live in PSkipList pools
+/// of at most 4 GiB, which `mvkv-core` checks at create and open.
+fn link_word(off: u64) -> u32 {
+    u32::try_from(off).expect("history segments lie below 4 GiB")
 }
 
 /// A handle to one key's persistent history. Cheap to construct (two words);
@@ -118,7 +135,7 @@ impl<'p> PHistory<'p> {
         // and nobody else reaches it: fresh from the allocator, or under
         // recovery's exclusive access.
         unsafe { self.pool.zero_bytes(self.hdr, size_of::<HistoryHdr>()) };
-        self.pool.write_u64(self.hdr + offset_of!(HistoryHdr, check) as u64, geometry_crc(0));
+        self.block().check.store(geometry_crc(0), Ordering::Release);
         self.pool.persist(self.hdr, size_of::<HistoryHdr>());
     }
 
@@ -179,12 +196,19 @@ impl<'p> PHistory<'p> {
         self.hdr + offset_of!(HistoryHdr, next) as u64
     }
 
+    /// The link word at `link_off`: the history's `next`, or a segment's
+    /// first word.
+    #[inline]
+    fn link(&self, link_off: u64) -> &'p AtomicU32 {
+        self.pool.atomic_u32(link_off)
+    }
+
     /// Walks to segment `k ≥ 1`, allocating missing links (CAS; losers
     /// dealloc) — the allocate-and-link path of `claim`.
     fn segment_off(&self, k: u32) -> u64 {
         let mut link_off = self.next_off();
         for level in 1..=k {
-            let mut seg = self.pool.atomic_u64(link_off).load(Ordering::Acquire);
+            let mut seg = u64::from(self.link(link_off).load(Ordering::Acquire));
             if seg == 0 {
                 seg = match self.alloc_segment(level, link_off) {
                     Ok(off) => off,
@@ -204,24 +228,33 @@ impl<'p> PHistory<'p> {
         // SAFETY: `off` is a fresh allocation of exactly `bytes` bytes.
         unsafe { self.pool.zero_bytes(off, bytes) };
         self.pool.write_u64(off + SEG_BASE, seg_base(k));
-        self.pool.write_u64(off + SEG_CHECK, geometry_crc(k));
+        self.pool.write_u64(off + SEG_CHECK, geometry_crc(k).into());
         self.pool.persist(off, bytes);
         // Unlike the history block, a segment is linked into a history other
-        // threads already reach: both fences stay.
+        // threads already reach: its zeroing and header are durable before
+        // any of them can follow the link.
         // fence: amortized(new slot segment: once per segment capacity)
         self.pool.fence();
-        let link = self.pool.atomic_u64(link_off);
-        match link.compare_exchange(0, off, Ordering::AcqRel, Ordering::Acquire) {
+        match self.link(link_off).compare_exchange(
+            0,
+            link_word(off),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
             Ok(_) => {
-                self.pool.persist(link_off, 8);
-                // fence: amortized(segment link publish: once per new segment)
-                self.pool.fence();
+                // Deliberately NO fence (DESIGN.md §13.3): this thread claimed
+                // a slot in the segment, and the fence that publishes it
+                // orders this flush first. A crash before that fence loses the
+                // link and the slots behind it — loss only, and of another
+                // writer's acknowledged slot only in §13.3's cross-thread
+                // window.
+                self.pool.persist(link_off, 4);
                 Ok(off)
             }
             Err(winner) => {
                 // Lost the race: free ours, adopt the winner's (paper §IV-B).
                 self.pool.dealloc(off);
-                Ok(winner)
+                Ok(winner.into())
             }
         }
     }
@@ -242,7 +275,7 @@ impl<'p> PHistory<'p> {
         seg.is_multiple_of(8)
             && seg.checked_add(seg_bytes(level)).is_some_and(|end| end <= self.pool.len() as u64)
             && self.pool.read_u64(seg + SEG_BASE) == seg_base(level)
-            && self.pool.read_u64(seg + SEG_CHECK) == geometry_crc(level)
+            && self.pool.read_u64(seg + SEG_CHECK) == geometry_crc(level).into()
     }
 
     /// The one chain walk behind both fills: segment 0 is this block, then
@@ -263,7 +296,7 @@ impl<'p> PHistory<'p> {
         let mut link_off = cur.resume() as u64;
         let base = self.pool.base_ptr(0);
         while cur.covered() < n && !cur.is_full() {
-            let seg = self.pool.atomic_u64(link_off).load(Ordering::Acquire);
+            let seg = u64::from(self.link(link_off).load(Ordering::Acquire));
             if seg == 0 || (CHECKED && !self.segment_header_ok(cur.levels(), seg)) {
                 break;
             }
@@ -308,7 +341,7 @@ impl<'p> PHistory<'p> {
             return None; // not a history block / no link left to fail
         }
         let link_off = cur.resume() as u64;
-        (self.pool.atomic_u64(link_off).load(Ordering::Acquire) != 0).then_some(link_off)
+        (self.link(link_off).load(Ordering::Acquire) != 0).then_some(link_off)
     }
 
     /// Recovery-only: zeroes the link [`PHistory::failed_link`] finds —
@@ -316,8 +349,8 @@ impl<'p> PHistory<'p> {
     /// Whatever the word pointed at is leaked. Returns whether it wrote.
     pub(crate) fn cut_failed_link(&self, cur: &Cursor<'_>) -> bool {
         let Some(link_off) = self.failed_link(cur) else { return false };
-        self.pool.atomic_u64(link_off).store(0, Ordering::Release);
-        self.pool.persist(link_off, 8);
+        self.link(link_off).store(0, Ordering::Release);
+        self.pool.persist(link_off, 4);
         true
     }
 
@@ -337,7 +370,7 @@ impl<'p> PHistory<'p> {
         (
             block.pending.load(Ordering::Acquire) as u64,
             block.tail.load(Ordering::Acquire) as u64,
-            block.next.load(Ordering::Acquire),
+            block.next.load(Ordering::Acquire) as u64,
         )
     }
 }
@@ -350,7 +383,7 @@ impl<'p> Slots for PHistory<'p> {
         let idx = claim_index(&block.pending);
         let (k, pos) = locate(idx);
         if k == 0 {
-            // The first three slots are this block: no allocation, no link.
+            // The first two slots are this block: no allocation, no link.
             return (idx, &block.inline[pos as usize]);
         }
         let off = self.segment_off(k) + (SEG_HDR_SIZE as u64 + pos * ENTRY_SIZE as u64);
@@ -400,6 +433,8 @@ impl<'p> Slots for PHistory<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slots::MAX_SEGMENTS;
+    use mvkv_pmem::layout::CACHE_LINE;
 
     fn pool() -> PmemPool {
         PmemPool::create_volatile(1 << 22).unwrap()
@@ -416,55 +451,64 @@ mod tests {
         dirty
     }
 
+    const HIST_CHECK: u64 = offset_of!(HistoryHdr, check) as u64;
+
+    /// The 32-bit word at `off`: a link, a counter or the check word.
+    fn u32_at(p: &PmemPool, off: u64) -> u64 {
+        p.atomic_u32(off).load(Ordering::Acquire).into()
+    }
+
     #[test]
     fn create_is_zeroed_even_after_recycling() {
         let p = pool();
         // A recycled history block must come back all-zero — counters, link
-        // and the three inline entries — or a stale stamp would read
-        // published and a stale link would be followed.
+        // and the two inline entries — or a stale stamp would read published
+        // and a stale link would be followed.
         let dirty = dirty_block(&p, seg_bytes(0));
         let h = PHistory::create(&p).unwrap();
         assert_eq!(h.pptr().off(), dirty, "block should be recycled");
         assert_eq!(h.raw_header(), (0, 0, 0));
-        for off in (0..seg_bytes(0)).step_by(8).filter(|&off| off != SEG_CHECK) {
-            assert_eq!(p.read_u64(dirty + off), 0, "word at +{off}");
+        for off in (0..seg_bytes(0)).step_by(4).filter(|&off| off != HIST_CHECK) {
+            assert_eq!(u32_at(&p, dirty + off), 0, "word at +{off}");
         }
-        assert_eq!(p.read_u64(dirty + SEG_CHECK), geometry_crc(0), "check word");
+        assert_eq!(u32_at(&p, dirty + HIST_CHECK), geometry_crc(0).into(), "check word");
         for want in 0..seg_capacity(0) {
             let (idx, e) = h.claim();
             assert_eq!((idx, e.load_if_done()), (want, None));
         }
-        assert_eq!(h.raw_header(), (3, 0, 0), "three claims allocate and link nothing");
+        assert_eq!(h.raw_header(), (2, 0, 0), "two claims allocate and link nothing");
     }
 
     #[test]
-    fn a_history_block_fills_one_size_class_allocation() {
+    fn a_history_block_is_one_cache_line() {
         let p = pool();
         let before = p.alloc_stats();
         let h = PHistory::create(&p).unwrap();
         let block = size_of::<HistoryHdr>();
         assert_eq!(p.block_capacity(h.pptr().off()), block, "no padding behind the entries");
-        assert_eq!(block, SEG_HDR_SIZE + 3 * ENTRY_SIZE);
+        assert_eq!((block, HIST_HDR_SIZE + 2 * ENTRY_SIZE), (CACHE_LINE, CACHE_LINE));
+        assert!(h.pptr().off().is_multiple_of(CACHE_LINE as u64), "on a line of its own");
         for _ in 0..seg_capacity(0) {
             h.claim();
         }
         let after = p.alloc_stats();
         assert_eq!(after.live_blocks - before.live_blocks, 1);
-        // The fourth claim is the first to allocate: segment 1, a block of
-        // twice the size, filled exactly.
+        // The third claim is the first to allocate: segment 1, a 192-byte
+        // block filled exactly, on three lines of its own.
         h.claim();
         let (_, _, seg1) = h.raw_header();
         assert_eq!(p.block_capacity(seg1) as u64, seg_bytes(1));
+        assert!(seg1.is_multiple_of(CACHE_LINE as u64));
         assert_eq!(p.alloc_stats().live_blocks - before.live_blocks, 2);
     }
 
     /// The claim as a ledger (DESIGN.md §13.3): what one key's history holds
-    /// in PM and what it paid in fences — the geometry of the 32-byte-entry
-    /// layout scaled by 24/32, with no per-block allocator header since
-    /// layout v5 (a run header is 32 bytes per refill of up to 64 blocks,
-    /// not the history's), its allocations and fence schedule kept.
+    /// in PM and what it paid in fences — a 64-byte block for its first two
+    /// versions, then segments of `96 << k` bytes, one allocation and one
+    /// adoption fence each. A run header is 32 bytes (and at most 48 of
+    /// padding) per refill of up to 64 blocks, not the history's.
     #[test]
-    fn a_history_holds_96_shl_k_byte_blocks_for_the_same_allocations_and_fences() {
+    fn a_history_is_one_line_then_96_shl_k_byte_segments_for_one_fence_each() {
         use crate::history::History;
         let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
         // Fences that are the history's: a refill fences once, whatever the
@@ -472,12 +516,12 @@ mod tests {
         let spent = || {
             let stats = p.alloc_stats();
             let refills: u64 = stats.shard_refills.iter().sum();
-            (stats.total_allocs, p.fence_count().unwrap() - refills)
+            p.fence_count().unwrap() - refills
         };
-        let (allocs0, fences0) = spent();
+        let fences0 = spent();
         let h = History::new(PHistory::create(&p).unwrap());
         let mut ledger = Vec::new();
-        for n in 1..=26u64 {
+        for n in 1..=25u64 {
             h.append(n, n);
             // The chain: the history block, then every linked segment.
             let (mut blocks, mut bytes) = (0u64, 0u64);
@@ -486,29 +530,90 @@ mod tests {
             loop {
                 blocks += 1;
                 bytes += p.block_capacity(block) as u64;
-                block = p.read_u64(link);
+                block = u32_at(&p, link);
                 link = block;
                 if block == 0 {
                     break;
                 }
             }
-            if [1, 3, 4, 10, 11, 25, 26].contains(&n) {
-                let (allocs, fences) = spent();
-                ledger.push((n, blocks, allocs - allocs0, bytes, fences - fences0));
+            if [1, 2, 3, 9, 10, 24, 25].contains(&n) {
+                ledger.push((n, blocks, bytes, spent() - fences0));
             }
         }
-        // (versions, blocks, allocations, bytes, publish + adoption fences):
-        // one fence per append, two more per linked segment.
+        // (versions, blocks = allocations, bytes, publish + adoption fences):
+        // one fence per append, one more per linked segment.
         let table = [
-            (1, 1, 1, 96, 1),
-            (3, 1, 1, 96, 3),
-            (4, 2, 2, 288, 4 + 2),
-            (10, 2, 2, 288, 10 + 2),
-            (11, 3, 3, 672, 11 + 4),
-            (25, 3, 3, 672, 25 + 4),
-            (26, 4, 4, 1440, 26 + 6),
+            (1, 1, 64, 1),
+            (2, 1, 64, 2),
+            (3, 2, 256, 3 + 1),
+            (9, 2, 256, 9 + 1),
+            (10, 3, 640, 10 + 2),
+            (24, 3, 640, 24 + 2),
+            (25, 4, 1408, 25 + 3),
         ];
         assert_eq!(ledger, table);
+        assert_eq!(p.alloc_stats().total_allocs, 4, "one allocation a block");
+    }
+
+    /// The one-fence adoption schedule at its two boundaries (DESIGN.md
+    /// §13.3): the third append links segment 1 and crosses exactly two
+    /// fences — the one before the link CAS, and its own publish fence,
+    /// which orders the link's flush. Power cut at the first, the segment is
+    /// durable, zeroed and headered, and nothing links it; at the second, the
+    /// link and the entry are durable and the stamp is not yet written; after
+    /// the append, the stamp is. Each image recovers to exactly its prefix.
+    #[test]
+    fn adopting_a_segment_costs_one_fence_and_both_boundaries_recover() {
+        use crate::history::History;
+        use crate::recovery::scan_published_prefix;
+        // The image at the `nth` fence of the third append (0: after it), the
+        // history's offset and segment 1's.
+        let third_append = |nth: u64| {
+            let p =
+                PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
+            // A dirty block of segment 1's class, durable and free: the
+            // append below refills nothing and has to zero it.
+            let warm = dirty_block(&p, seg_bytes(1));
+            p.persist(warm, seg_bytes(1) as usize);
+            let h = History::new(PHistory::create(&p).unwrap());
+            h.append(1, 10);
+            h.append(2, 20);
+            let fences = p.fence_count().unwrap();
+            p.capture_at_fence(fences + nth);
+            h.append(3, 30);
+            assert_eq!(p.fence_count().unwrap() - fences, 2, "adoption + publish");
+            let (_, _, seg1) = h.slots().raw_header();
+            assert_eq!(seg1, warm);
+            let image = if nth == 0 { p.crash_image() } else { p.captured_image() };
+            (PmemPool::open_image(&image.unwrap()).unwrap(), h.slots().hdr, seg1)
+        };
+        let recovered = |p: &PmemPool, hdr: u64| {
+            let mut versions = Vec::new();
+            scan_published_prefix(&PHistory::open(p, PPtr::from_off(hdr)), &mut versions);
+            versions
+        };
+        let entry = |p: &PmemPool, seg1: u64| {
+            let words = [0, 8, 16].map(|w| p.read_u64(seg1 + SEG_HDR_SIZE as u64 + w));
+            (words[0], words[1], words[2] != 0)
+        };
+
+        let (p, hdr, seg1) = third_append(1);
+        assert_eq!(u32_at(&p, hdr + offset_of!(HistoryHdr, next) as u64), 0, "no link yet");
+        assert_eq!(p.read_u64(seg1 + SEG_BASE), seg_base(1), "headered");
+        assert_eq!(p.read_u64(seg1 + SEG_CHECK), u64::from(geometry_crc(1)));
+        for off in (SEG_HDR_SIZE as u64..seg_bytes(1)).step_by(8) {
+            assert_eq!(p.read_u64(seg1 + off), 0, "zeroed at +{off}");
+        }
+        assert_eq!(recovered(&p, hdr), [1, 2]);
+
+        let (p, hdr, seg1) = third_append(2);
+        assert_eq!(u32_at(&p, hdr + offset_of!(HistoryHdr, next) as u64), seg1, "linked");
+        assert_eq!(entry(&p, seg1), (3, 30, false), "the entry, not its stamp");
+        assert_eq!(recovered(&p, hdr), [1, 2]);
+
+        let (p, hdr, seg1) = third_append(0);
+        assert_eq!(entry(&p, seg1), (3, 30, true));
+        assert_eq!(recovered(&p, hdr), [1, 2, 3]);
     }
 
     #[test]
@@ -608,7 +713,7 @@ mod tests {
         assert!(open(len - seg_bytes(0)), "the last block that fits");
         // Room for the counters and the link but not for the inline entries.
         assert!(!open(len - seg_bytes(0) + 8));
-        assert!(!open(len - SEG_HDR_SIZE as u64));
+        assert!(!open(len - HIST_HDR_SIZE as u64));
         assert!(!open(0) && !open(len) && !open(u64::MAX - 7) && !open(4097));
     }
 
@@ -625,12 +730,13 @@ mod tests {
         let mut k = 1u32;
         while seg != 0 {
             assert_eq!(p.read_u64(seg + SEG_BASE), seg_base(k));
-            assert_eq!(p.read_u64(seg + SEG_CHECK), geometry_crc(k), "segment {k} header crc");
+            let check = u64::from(geometry_crc(k));
+            assert_eq!(p.read_u64(seg + SEG_CHECK), check, "segment {k} header crc");
             assert_eq!(p.block_capacity(seg) as u64, seg_bytes(k), "segment {k} fills its block");
-            seg = p.read_u64(seg);
+            seg = u32_at(&p, seg);
             k += 1;
         }
-        assert_eq!(k, 4, "30 slots are 3 inline + segments of 7 + 15 + 31");
+        assert_eq!(k, 4, "30 slots are 2 inline + segments of 7 + 15 + 31");
     }
 
     /// How many of `n` slots a checked fill finds valid backing for.
@@ -652,36 +758,35 @@ mod tests {
         // recovery, the inline slots and segment 1's stay fine — the backing
         // ends exactly at segment 2's first slot.
         let (_, _, seg1) = h.raw_header();
-        let seg2 = p.read_u64(seg1);
+        let seg2 = u32_at(&p, seg1);
         let good_crc = p.read_u64(seg2 + SEG_CHECK);
         p.write_u64(seg2 + SEG_CHECK, good_crc ^ 0xFF);
-        assert_eq!(backed(&h, 10), 10, "segments 0 and 1 unaffected");
+        assert_eq!(backed(&h, 9), 9, "segments 0 and 1 unaffected");
         assert_eq!(backed(&h, 12), seg_base(2), "corrupt header must fence off the segment");
         p.write_u64(seg2 + SEG_CHECK, good_crc);
         // The capacity is not stored, but the check word covers it: the
         // header of a segment of another level does not pass for this one.
-        p.write_u64(seg2 + SEG_CHECK, geometry_crc(3));
+        p.write_u64(seg2 + SEG_CHECK, geometry_crc(3).into());
         assert_eq!(backed(&h, 12), seg_base(2), "another level's check word");
         p.write_u64(seg2 + SEG_CHECK, good_crc);
         p.write_u64(seg2 + SEG_BASE, seg_base(2) + 1);
         assert_eq!(backed(&h, 12), seg_base(2), "wrong base");
         p.write_u64(seg2 + SEG_BASE, seg_base(2));
         assert_eq!(backed(&h, 12), 12);
-        // An out-of-bounds next pointer must be rejected before any deref.
-        p.write_u64(seg1, p.len() as u64 + 8);
-        assert_eq!(backed(&h, 12), seg_base(2), "out-of-bounds link must be rejected");
-        p.write_u64(seg1, 0xDEAD_BEEF_0000); // garbage beyond the pool
-        assert_eq!(backed(&h, 12), seg_base(2));
-        // A link whose entry array would straddle the end of the pool.
-        p.write_u64(seg1, p.len() as u64 - 64);
-        assert_eq!(backed(&h, 12), seg_base(2));
-        // The same three on the history's own link: the inline slots are
-        // all that is left, and they need no link at all.
-        let next = h.hdr + offset_of!(HistoryHdr, next) as u64;
-        for bad in [p.len() as u64 + 8, 0xDEAD_BEEF_0000, p.len() as u64 - 64, 0] {
-            p.write_u64(next, bad);
-            assert_eq!(backed(&h, 12), seg_base(1), "link {bad:#x}");
+        // Out of bounds, garbage beyond the pool, and an entry array that
+        // would straddle its end: each link is rejected before any deref —
+        // segment 1's, then the history's own, behind which the inline
+        // slots are all that is left.
+        let len = p.len() as u32;
+        let next = h.next_off();
+        for (link, backing) in [(seg1, seg_base(2)), (next, seg_base(1))] {
+            for bad in [len + 8, 0xDEAD_BEEF, len - 64] {
+                p.atomic_u32(link).store(bad, Ordering::Release);
+                assert_eq!(backed(&h, 12), backing, "link at {link}: {bad:#x}");
+            }
         }
+        p.atomic_u32(next).store(0, Ordering::Release);
+        assert_eq!(backed(&h, 12), seg_base(1), "no link at all");
     }
 
     #[test]
@@ -706,11 +811,11 @@ mod tests {
         let p = pool();
         let h = PHistory::create(&p).unwrap();
         for _ in 0..30 {
-            h.claim(); // segments 0..=3: 56 slots of backing
+            h.claim(); // segments 0..=3: 55 slots of backing
         }
         // A torn or scrambled `pending` word claims slots that never
         // existed; the fill stops where the links do.
-        for garbage in [57, 1 << 40, u64::MAX - 1, u64::MAX] {
+        for garbage in [56, 1 << 40, u64::MAX - 1, u64::MAX] {
             assert_eq!(backed(&h, garbage), seg_base(4), "pending = {garbage}");
         }
         // A chain bent into a cycle cannot be walked forever either: the
@@ -718,9 +823,9 @@ mod tests {
         // geometry check.
         let (_, _, mut seg) = h.raw_header();
         for _ in 0..2 {
-            seg = p.read_u64(seg);
+            seg = u32_at(&p, seg);
         }
-        p.write_u64(seg, seg);
+        p.atomic_u32(seg).store(seg as u32, Ordering::Release);
         assert_eq!(backed(&h, u64::MAX), seg_base(4));
         // An empty history has no backing to offer a garbage counter either.
         let empty = PHistory::create(&p).unwrap();
@@ -735,11 +840,13 @@ mod tests {
             h.claim();
         }
         assert_eq!(backed(&h, 5), 5);
-        let check = h.hdr + offset_of!(HistoryHdr, check) as u64;
         // A zeroed block reads as "no key was ever written here" word for
         // word — but for the check word, which is never zero.
-        for wiped in [0, geometry_crc(0) ^ 1, geometry_crc(1), u64::MAX] {
-            p.write_u64(check, wiped);
+        for k in 0..MAX_SEGMENTS as u32 {
+            assert_ne!(geometry_crc(k), 0, "level {k}");
+        }
+        for wiped in [0, geometry_crc(0) ^ 1, geometry_crc(1), u32::MAX] {
+            p.atomic_u32(h.hdr + HIST_CHECK).store(wiped, Ordering::Release);
             assert_eq!(backed(&h, 5), 0, "check word {wiped:#x}");
             assert_eq!(h.fill(&mut Cursor::new(), 5), 5, "a live store trusts its own blocks");
         }

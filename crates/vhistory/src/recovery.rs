@@ -438,10 +438,11 @@ mod tests {
     #[test]
     fn half_persisted_line_straddling_entry_recovers_to_the_prefix_before_it() {
         use mvkv_pmem::layout::CACHE_LINE;
-        // 24-byte entries are not line-aligned: among the first ten at least
-        // one past slot 0 lies across a cache-line boundary (where a history
-        // block starts depends on its run). Its publish, cut by the power
-        // failure after either of its two lines reached the media.
+        // 24-byte entries are not line-aligned: the history block is one line,
+        // but segment 1 starts its entries 24 bytes into its first line, and
+        // its second entry (slot 3) lies across the line boundary. Its
+        // publish, cut by the power failure after either of its two lines
+        // reached the media.
         for first_line_only in [true, false] {
             let p =
                 PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
@@ -491,7 +492,16 @@ mod tests {
     /// Pool offset of the word linking segment `j ≥ 1`: the history's `next`
     /// for `j = 1`, the first word of segment `j − 1` after that.
     fn link_word(p: &PmemPool, h: &PHistory<'_>, j: u32) -> u64 {
-        (1..j).fold(h.next_off(), |prev, _| p.read_u64(prev))
+        (1..j).fold(h.next_off(), |prev, _| link(p, prev))
+    }
+
+    /// The segment offset in the link word at `off`.
+    fn link(p: &PmemPool, off: u64) -> u64 {
+        p.atomic_u32(off).load(Ordering::Acquire).into()
+    }
+
+    fn set_link(p: &PmemPool, off: u64, to: u64) {
+        p.atomic_u32(off).store(to as u32, Ordering::Release);
     }
 
     #[test]
@@ -499,7 +509,7 @@ mod tests {
         use crate::slots::seg_base;
         // 60 published slots span segments 0..=4. Damage segment j in each
         // of the three ways a link can go bad; the prefix must end at
-        // exactly seg_base(j) — slot 3 when the link in the history block
+        // exactly seg_base(j) — slot 2 when the link in the history block
         // itself goes — classified Unlinked, and prune must keep the same
         // prefix and cut the chain there: the appends that follow get a fresh
         // segment j, and a power cut later everything kept and everything new
@@ -513,11 +523,11 @@ mod tests {
                     h.append(v, v * 10);
                 }
                 let prev = link_word(&p, h.slots(), j);
-                let seg = p.read_u64(prev);
+                let seg = link(&p, prev);
                 match damage {
                     0 => p.write_u64(seg + SEG_CHECK, p.read_u64(seg + SEG_CHECK) ^ 0x5A5A), // crc
-                    1 => p.write_u64(prev, p.len() as u64 + 64), // link out of bounds
-                    _ => p.write_u64(prev, 0),                   // link torn away
+                    1 => set_link(&p, prev, p.len() as u64 + 64), // link out of bounds
+                    _ => set_link(&p, prev, 0),                   // link torn away
                 }
                 p.sync_all(); // the damage is on the media
                 let (found, _) = scan(h.slots());
@@ -526,7 +536,7 @@ mod tests {
                 let out = prune_to_watermark(h.slots(), 60);
                 assert_eq!(out, PruneOutcome { kept: seg_base(j), pruned: 0 });
                 assert_eq!(h.pending(), seg_base(j));
-                assert_eq!(p.read_u64(prev), 0, "segment {j}, damage {damage}: bad link stays");
+                assert_eq!(link(&p, prev), 0, "segment {j}, damage {damage}: bad link stays");
 
                 // Enough appends to fill the new segment j and start j + 1.
                 let kept: Vec<u64> = (1..=seg_base(j)).collect();
@@ -534,7 +544,7 @@ mod tests {
                 for &v in &new {
                     h.append(v, v * 10);
                 }
-                assert_ne!(p.read_u64(prev), seg, "the damaged segment is not linked again");
+                assert_ne!(link(&p, prev), seg, "the damaged segment is not linked again");
                 let reopened = PmemPool::open_image(&p.crash_image().unwrap()).unwrap();
                 let h = History::new(PHistory::open(&reopened, h.slots().pptr()));
                 let (found, versions) = scan(h.slots());
@@ -563,8 +573,7 @@ mod tests {
         }
         h.extend_tail(full);
         assert!(scan(h.slots()).0.settled);
-        let link = link_word(&p, h.slots(), 2);
-        p.write_u64(link, p.len() as u64 + 64);
+        set_link(&p, link_word(&p, h.slots(), 2), p.len() as u64 + 64);
         p.sync_all();
         let (found, _) = scan(h.slots());
         assert_eq!((found.len, found.stop, found.settled), (full, ScanStop::Exhausted, false));
@@ -580,17 +589,17 @@ mod tests {
     fn garbage_pending_is_bounded_by_the_backing() {
         let p = pool();
         let h = History::new(PHistory::create(&p).unwrap());
-        for v in 1..=9u64 {
+        for v in 1..=8u64 {
             h.append(v, v);
         }
-        // Slot 9 is the last of segment 1 and was never claimed: a `pending`
+        // Slot 8 is the last of segment 1 and was never claimed: a `pending`
         // word of all ones claims it and 2^32 more.
         h.slots().force_counters(u32::MAX, 0);
         let (found, versions) = scan(h.slots());
-        assert_eq!((versions, found.stop), ((1..=9).collect(), ScanStop::Unpublished));
-        let out = prune_to_watermark(h.slots(), 9);
-        assert_eq!(out, PruneOutcome { kept: 9, pruned: 1 }, "only backed slots are counted");
-        assert_eq!((h.pending(), h.tail()), (9, 9));
+        assert_eq!((versions, found.stop), ((1..=8).collect(), ScanStop::Unpublished));
+        let out = prune_to_watermark(h.slots(), 8);
+        assert_eq!(out, PruneOutcome { kept: 8, pruned: 1 }, "only backed slots are counted");
+        assert_eq!((h.pending(), h.tail()), (8, 8));
         // On a history that never left its block the same word stops at the
         // inline slots: nothing was linked, so nothing more is backed.
         let small = History::new(PHistory::create(&p).unwrap());
@@ -599,7 +608,7 @@ mod tests {
         let (found, versions) = scan(small.slots());
         assert_eq!((versions, found.stop), (vec![10], ScanStop::Unpublished));
         let out = prune_to_watermark(small.slots(), 10);
-        assert_eq!(out, PruneOutcome { kept: 1, pruned: 2 });
+        assert_eq!(out, PruneOutcome { kept: 1, pruned: 1 });
     }
 
     #[test]

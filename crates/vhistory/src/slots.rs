@@ -2,12 +2,12 @@
 //! histories, the deterministic segment geometry, and the [`Cursor`] that
 //! turns the geometry into addresses.
 //!
-//! A history's slots live in a chain of segments: segment `k` is a 24-byte
-//! header and `(4 << k) − 1` entries of 24 bytes — 3, 7, 15, … — so that a
-//! segment is exactly `96 << k` bytes, which an allocator size class holds
-//! with nothing to spare. Segment 0 is the history itself: its three entries
-//! sit behind the history's own header, so a key that is inserted, removed
-//! and inserted again is one block and follows no link. Because the geometry
+//! A history's slots live in a chain of segments. Segment 0 is the history
+//! itself: two entries behind the history's own 16-byte header, one 64-byte
+//! cache line, so a key that is inserted and removed is one line and follows
+//! no link. Segment `k ≥ 1` is a 24-byte header and `(4 << k) − 1` entries of
+//! 24 bytes — 7, 15, 31, … — so that it is exactly `96 << k` bytes; an
+//! allocator size class holds either with nothing to spare. Because the geometry
 //! is deterministic, the segment index and in-segment position of any slot
 //! follow from the slot index alone. The segment's *address* does not:
 //! segment `k ≥ 1` is only reachable through the `k` links before it, so
@@ -150,7 +150,7 @@ pub trait Slots {
     fn publish_fence(&self) {}
 }
 
-/// Segments a [`Cursor`] can resolve: 40 doubling segments hold 2^42 − 44
+/// Segments a [`Cursor`] can resolve: 40 doubling segments hold 2^42 − 45
 /// slots, more than the 2^32 − 1 a history's counters can claim.
 pub const MAX_SEGMENTS: usize = 40;
 
@@ -160,11 +160,14 @@ pub const MAX_SEGMENTS: usize = 40;
 /// chain) stays the only copy of the links.
 ///
 /// Only the levels a fill reaches are written; a cursor over a history of
-/// up to three entries is one store and no link load.
+/// up to two entries is one store and no link load.
 pub struct Cursor<'a> {
     levels: u32,
     /// Where the provider's walk continues (meaningful once `levels > 0`).
     resume: usize,
+    /// Per resolved level `k`, its entry array's address biased by
+    /// `−seg_base(k)` entries: slot `idx` of the level is `segs[k] + idx`,
+    /// with no position to compute.
     segs: [MaybeUninit<*const Entry>; MAX_SEGMENTS],
     _storage: PhantomData<&'a Entry>,
 }
@@ -214,7 +217,8 @@ impl<'a> Cursor<'a> {
     /// the cursor must not be full.
     #[inline]
     pub unsafe fn push(&mut self, entries: *const Entry, resume: usize) {
-        self.segs[self.levels as usize] = MaybeUninit::new(entries);
+        let biased = entries.wrapping_sub(seg_base(self.levels) as usize);
+        self.segs[self.levels as usize] = MaybeUninit::new(biased);
         self.levels += 1;
         self.resume = resume;
     }
@@ -222,14 +226,16 @@ impl<'a> Cursor<'a> {
     /// The entry at `idx`; panics unless `idx < covered()`.
     #[inline]
     pub fn entry(&self, idx: u64) -> &'a Entry {
-        let (k, pos) = locate(idx);
+        let k = segment_of(idx);
         assert!(k < self.levels, "slot {idx} is beyond the {} resolved segments", self.levels);
         // SAFETY: `k < levels`, so `segs[k]` was written by `push`, whose
         // contract is a live array of `seg_capacity(k)` entries for `'a`;
-        // `locate` yields `pos < seg_capacity(k)`. Persistent providers
+        // adding `idx` undoes the bias `push` applied and lands on entry
+        // `idx − seg_base(k) < seg_capacity(k)` of that array (wrapping
+        // arithmetic keeps the array's provenance). Persistent providers
         // establish the array's bounds before pushing (`PHistory::
         // fill_checked` proves the whole array in-pool on untrusted media).
-        unsafe { &*self.segs[k as usize].assume_init().add(pos as usize) }
+        unsafe { &*self.segs[k as usize].assume_init().wrapping_add(idx as usize) }
     }
 }
 
@@ -239,41 +245,53 @@ impl Default for Cursor<'_> {
     }
 }
 
-/// Bytes of a segment header: the history's own counters, link and check
-/// word for segment 0, `next / base / CRC` for every later one.
+/// Bytes of the history's own header in front of segment 0's entries: the
+/// counters, the link to segment 1 and the check word, 32 bits each.
+pub const HIST_HDR_SIZE: usize = 16;
+
+/// Bytes of the header of segment `k ≥ 1`: `next / base / CRC`.
 pub const SEG_HDR_SIZE: usize = 24;
 
-/// Capacity of segment `k`: 3, 7, 15, … — what is left of `96 << k` bytes
-/// behind the header.
+/// Capacity of segment `k`: 2, then 7, 15, 31, … — what is left of 64 bytes
+/// behind the history's header, and of `96 << k` behind a segment's.
 #[inline]
 pub const fn seg_capacity(k: u32) -> u64 {
-    (4u64 << k) - 1
+    (4u64 << k) - 1 - (k == 0) as u64
 }
 
-/// Global slot index of segment `k`'s first entry: 0, 3, 10, 25, 56, … .
+/// Global slot index of segment `k`'s first entry: 0, 2, 9, 24, 55, … .
 #[inline]
 pub const fn seg_base(k: u32) -> u64 {
-    (4u64 << k) - 4 - k as u64
+    (4u64 << k) - 4 - k as u64 - (k > 0) as u64
 }
 
-// A segment fills a `96 << k` block exactly, and the bases are the running
-// sum of the capacities.
+// The history fills one cache line and segment `k ≥ 1` a `96 << k` block
+// exactly, and the bases are the running sum of the capacities.
 const _: () = {
     let mut k = 0;
     while k < MAX_SEGMENTS as u32 {
-        assert!(SEG_HDR_SIZE as u64 + seg_capacity(k) * ENTRY_SIZE as u64 == 96 << k);
+        let (hdr, bytes) = if k == 0 { (HIST_HDR_SIZE, 64) } else { (SEG_HDR_SIZE, 96 << k) };
+        assert!(hdr as u64 + seg_capacity(k) * ENTRY_SIZE as u64 == bytes);
         assert!(seg_base(k) + seg_capacity(k) == seg_base(k + 1));
         k += 1;
     }
 };
 
+/// The segment holding slot `idx`.
+#[inline]
+fn segment_of(idx: u64) -> u32 {
+    // 4·2^k − 5 − k ≤ idx (k ≥ 1) puts k at ⌊log2(idx + 5)⌋ − 2 or, for the
+    // last few slots below the next power of two, one segment further;
+    // segment 0's two slots fall out of the same compare. The compare is
+    // against `seg_base(low + 1)`, spelled out for a level known to be ≥ 1.
+    let low = 61 - (idx + 5).leading_zeros();
+    low + (idx >= (8u64 << low) - 6 - low as u64) as u32
+}
+
 /// Maps a slot index to `(segment, position within segment)`.
 #[inline]
 pub fn locate(idx: u64) -> (u32, u64) {
-    // 4·2^k − 4 − k ≤ idx puts k at ⌊log2(idx + 4)⌋ − 2 or, for the last
-    // few slots below the next power of two, one segment further.
-    let low = 61 - (idx + 4).leading_zeros();
-    let k = low + (idx >= seg_base(low + 1)) as u32;
+    let k = segment_of(idx);
     (k, idx - seg_base(k))
 }
 
@@ -301,14 +319,16 @@ mod tests {
     #[test]
     fn first_slots_land_in_segment_zero() {
         assert_eq!(locate(0), (0, 0));
-        assert_eq!(locate(2), (0, 2));
-        assert_eq!(locate(3), (1, 0));
-        assert_eq!(locate(9), (1, 6));
-        assert_eq!(locate(10), (2, 0));
-        assert_eq!(locate(24), (2, 14));
-        assert_eq!(locate(25), (3, 0));
+        assert_eq!(locate(1), (0, 1));
+        assert_eq!(locate(2), (1, 0));
+        assert_eq!(locate(8), (1, 6));
+        assert_eq!(locate(9), (2, 0));
+        assert_eq!(locate(23), (2, 14));
+        assert_eq!(locate(24), (3, 0));
+        let capacities: Vec<u64> = (0..=4).map(seg_capacity).collect();
+        assert_eq!(capacities, [2, 7, 15, 31, 63]);
         let boundaries: Vec<u64> = (1..=6).map(seg_base).collect();
-        assert_eq!(boundaries, [3, 10, 25, 56, 119, 246]);
+        assert_eq!(boundaries, [2, 9, 24, 55, 118, 245]);
     }
 
     #[test]
@@ -321,9 +341,9 @@ mod tests {
             assert_eq!(locate(base), (k, 0), "first slot of segment {k}");
             // The slots between the boundary and the power of two behind it
             // are the ones the log alone puts a segment too low.
-            let pow = (4u64 << k) - 4;
+            let pow = (4u64 << k) - 5;
             assert_eq!(locate(pow), (k, k as u64));
-            assert_eq!(63 - (base + 4).leading_zeros() - 2, k - 1);
+            assert_eq!(63 - (base + 5).leading_zeros() - 2, k - 1);
         }
         let last = seg_base(MAX_SEGMENTS as u32) - 1;
         assert_eq!(locate(last).0, MAX_SEGMENTS as u32 - 1);

@@ -42,21 +42,21 @@ fn each_operation_follows_the_chain_at_most_once() {
     assert_eq!(h.latest(DEPTH).map(|r| r.version), Some(DEPTH));
     assert_eq!(h.slots().take_links(), budget, "latest");
 
-    // Slot 256 is segment 6's eleventh: claim → write → persist → publish →
+    // Slot 256 is segment 6's twelfth: claim → write → persist → publish →
     // persist all use the address the claim's single walk resolved.
     h.append(DEPTH + 1, 0);
     assert_eq!(h.slots().take_links(), locate(DEPTH).0 as u64, "append");
 
-    // A history of up to three entries — the paper's insert / remove /
-    // insert — pays no link load at all: not to append, not to find.
+    // A history of up to two entries — a key inserted and removed — pays
+    // no link load at all: not to append, not to find.
     let small = EHistory::new();
-    let three = History::new(TrackedSlots::new(&small, 3));
-    for v in 1..=3 {
-        three.append(v, v * 10);
-        assert_eq!(three.find(v, v), Some(v * 10));
+    let two = History::new(TrackedSlots::new(&small, 2));
+    for v in 1..=2 {
+        two.append(v, v * 10);
+        assert_eq!(two.find(v, v), Some(v * 10));
     }
-    assert_eq!(three.records(3).len(), 3);
-    assert_eq!(three.slots().take_links(), 0, "the inline slots are the history block");
+    assert_eq!(two.records(2).len(), 2);
+    assert_eq!(two.slots().take_links(), 0, "the inline slots are the history block");
 }
 
 /// Claims `n` slots, then checks that a cursor — filled in one go, and
@@ -130,11 +130,11 @@ fn cursor_addressing_agrees_with_locate_in_a_pool() {
 fn indexing_past_the_resolved_segments_panics() {
     let storage = EHistory::new();
     let h = &storage;
-    for _ in 0..10 {
+    for _ in 0..9 {
         h.claim();
     }
     let mut cur = Cursor::new();
-    h.fill(&mut cur, 10);
-    let _ = cur.entry(9);
-    let _ = cur.entry(10); // segment 2 was never linked, let alone resolved
+    h.fill(&mut cur, 9);
+    let _ = cur.entry(8);
+    let _ = cur.entry(9); // segment 2 was never linked, let alone resolved
 }

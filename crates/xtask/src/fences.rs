@@ -3,7 +3,8 @@
 //!
 //! The MOD fence audit (DESIGN.md §13) cut the fixed crash-matrix workload
 //! from 583 to 251 fence boundaries, the one-block history (segment 0 inline,
-//! no adoption fences for a fresh key) to 58, and established per-op budgets
+//! no adoption fences for a fresh key) to 58, one fence per adopted block to
+//! 56, and established per-op budgets
 //! (one publish fence per append, one fence per `insert_batch` chunk). Those
 //! invariants were enforced only by runtime counters; this pass derives the
 //! same numbers from the interprocedural summaries and locks them in a
@@ -23,12 +24,12 @@ pub const FENCE_BUDGET_PATH: &str = "crates/xtask/fence_budget.lock";
 /// (`tests/crash_matrix.rs`, seed 0xC4A5, eviction_rate 0). Measured, not
 /// derived — recorded here so budget drift and workload drift are caught by
 /// the same lock.
-pub const CRASH_MATRIX_FENCES: u64 = 58;
+pub const CRASH_MATRIX_FENCES: u64 = 56;
 
 /// Fence boundaries crossed by the mixed (YCSB-A analogue) crash-matrix
 /// workload: 12 preloaded keys, 48 scenario-generator ops (zipfian updates
 /// + reads), a labeled tag every 16 ops. Same seed and eviction settings.
-pub const CRASH_MATRIX_MIXED_FENCES: u64 = 54;
+pub const CRASH_MATRIX_MIXED_FENCES: u64 = 48;
 
 /// One pinned dynamic workload: the runtime fence-count cross-check of a
 /// crash-matrix sweep, recorded in the lock next to the static budgets so a

@@ -103,13 +103,26 @@ fn run() -> Result<ExitCode, String> {
                     println!("  {class:>10}: {blocks} blocks, {bytes} bytes");
                 }
             }
-            println!("free by size class (payload bytes: blocks, bytes, runs of the class):");
-            let runs = audit.runs_by_class.into_iter().chain([0]);
-            for ((class, (blocks, bytes)), runs) in classes().zip(audit.free_by_class).zip(runs) {
+            println!(
+                "free by size class (payload bytes: blocks, bytes, runs of the class, \
+                 their padding):"
+            );
+            let runs = audit.runs_by_class.into_iter().zip(audit.padding_by_class);
+            let runs = runs.chain([(0, 0)]);
+            for ((class, (blocks, bytes)), (runs, pad)) in
+                classes().zip(audit.free_by_class).zip(runs)
+            {
                 if blocks > 0 || runs > 0 {
-                    println!("  {class:>10}: {blocks} blocks, {bytes} bytes, {runs} runs");
+                    println!(
+                        "  {class:>10}: {blocks} blocks, {bytes} bytes, {runs} runs, {pad} padding"
+                    );
                 }
             }
+            // The same free class blocks, by the allocator shard whose lists
+            // hold them (free larger blocks are on one global list).
+            let shards: Vec<String> =
+                store.pool().shard_free_bytes().iter().map(u64::to_string).collect();
+            println!("free per shard:  {} bytes", shards.join(" "));
         }
         "audit" => {
             let (store, _) = open(path)?;

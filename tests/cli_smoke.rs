@@ -40,15 +40,41 @@ fn inspect_cli_reads_a_real_pool() {
     assert!(stats.contains("key chain:       2 pairs in 1 blocks of 512 slots\n"));
     assert!(stats.contains("tag chain:       1 tags\n"), "stats output:\n{stats}");
     // Where the PM goes: key 10 has two versions, key 20 one; each history
-    // is one block of the 96-byte class.
+    // is one block of the 64-byte class, beside the store's 48-byte root.
     assert!(stats.contains("history lengths (published versions: histories):"));
     assert!(stats.contains("           1: 1\n"), "stats output:\n{stats}");
     assert!(stats.contains("         2-3: 1\n"), "stats output:\n{stats}");
     assert!(stats.contains("allocated by size class (payload bytes: blocks, bytes):"));
-    assert!(stats.contains("          96: 2 blocks, 192 bytes\n"), "stats output:\n{stats}");
-    // Both came from one run of eight: six blocks of it are free.
-    assert!(stats.contains("free by size class (payload bytes: blocks, bytes, runs of the class):"));
-    assert!(stats.contains("          96: 6 blocks, 576 bytes, 1 runs"), "stats output:\n{stats}");
+    assert!(stats.contains("          64: 3 blocks, 192 bytes\n"), "stats output:\n{stats}");
+    // All three came from one run of eight: five blocks of it are free,
+    // behind at most 48 bytes of padding that put every block on a line.
+    assert!(stats.contains(
+        "free by size class (payload bytes: blocks, bytes, runs of the class, their padding):"
+    ));
+    assert!(
+        stats.contains("          64: 5 blocks, 320 bytes, 1 runs, "),
+        "stats output:\n{stats}"
+    );
+    let mut free_bytes = 0;
+    let free_rows = stats.lines().skip_while(|line| !line.starts_with("free by size class"));
+    for row in free_rows.skip(1).take_while(|line| line.starts_with("  ")) {
+        let (_, counts) = row.split_once(": ").unwrap();
+        let numbers: Vec<u64> =
+            counts.split(", ").map(|n| n.split(' ').next().unwrap().parse().unwrap()).collect();
+        let [_, bytes, runs, padding] = numbers[..] else { panic!("row {row}") };
+        assert!(padding <= 48 * runs, "row {row}");
+        free_bytes += bytes;
+    }
+    // The allocator's shards hold exactly those free bytes (no block larger
+    // than a class was freed).
+    let shards: u64 = stats
+        .lines()
+        .find_map(|line| line.strip_prefix("free per shard:  "))
+        .and_then(|line| line.strip_suffix(" bytes"))
+        .map(|counts| counts.split(' ').map(|n| n.parse::<u64>().unwrap()).sum())
+        .expect("a free per shard line");
+    assert!(free_bytes > 0);
+    assert_eq!(shards, free_bytes, "stats output:\n{stats}");
     // The reopen `stats` ran, phase by phase.
     assert!(stats.contains("reopen phases:   open "), "stats output:\n{stats}");
     for phase in [", repair ", ", scan ", ", rebuild ", ", prune "] {

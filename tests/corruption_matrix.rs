@@ -234,7 +234,7 @@ fn publish_fence_budget_stays_one_per_batch() {
     let s = store.session();
     let pairs: Vec<(u64, u64)> = (1..=16u64).map(|k| (k, value_of(k))).collect();
     for _ in 0..4 {
-        // Warm up past the three inline slots and segment 1's adoption:
+        // Warm up past the two inline slots and segment 1's adoption:
         // allocations fence on their own.
         s.insert_batch(&pairs);
     }

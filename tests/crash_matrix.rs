@@ -133,8 +133,9 @@ fn sweep_every_boundary(budget_id: &str, run: impl Fn(&PSkipList) -> (Oracle, Ve
     // (DESIGN.md §13) removed the per-pair key-chain fence, the
     // history-create fence, and the allocator state-flip fences, taking the
     // original scripted workload from 583 to 251 boundaries; with segment 0
-    // in the history block a fresh key adopts no segment, and it is 58 (the
-    // mixed workload: 84 to 54). The analyzer's
+    // in the history block a fresh key adopts no segment, and it was 58 (the
+    // mixed workload: 84 to 54); adopting a segment or chain block costs one
+    // fence since layout v6, and it is 56 (mixed: 48). The analyzer's
     // fence-budget pass derives per-entry-point budgets statically; this
     // runtime count is the workload-level cross-check recorded in the same
     // lock file, so a reintroduced (or dropped) fence fails here *and* in
