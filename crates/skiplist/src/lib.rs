@@ -54,7 +54,12 @@
 //!   private chain of nodes with plain stores, filling chunks of its own
 //!   (through a cursor of its own, sized the same way, the last chunk cut to
 //!   what was filled) in key order — any number of threads, one key range
-//!   each — and
+//!   each. It knows every node's rank, so heights follow it instead of a
+//!   coin: the i-th key of a fragment gets `1 + tz(i) / 2` levels, a perfect
+//!   4-ary list (18 comparisons a `get` at 2^16 keys, against 21 – 23 for
+//!   inserted p = 1/2 towers). An insert keeps drawing p = 1/2: it cannot
+//!   see its rank, and its nodes sit in insertion order, where the longer
+//!   hops of p = 1/4 each cost a miss. Then
 //!   [`SkipList::adopt`] stitches the chains into the empty list that built
 //!   them through `&mut self`, one link per fragment and level. A fragment
 //!   dropped instead drops its keys; its chunks go with the list.

@@ -7,9 +7,10 @@ use std::cmp::Ordering as KeyOrder;
 use std::marker::PhantomData;
 use std::ptr;
 
-/// Maximum tower height. With p = 1/2 this comfortably indexes 2^20+ keys
-/// at the paper's scale (10^6–2·10^6 keys per node). A level costs a node
-/// four bytes, and only the list head has all of them.
+/// Maximum tower height. Inserted towers reach it at p = 1/2 only past 2^23
+/// keys, bulk-built ones (p = 1/4) past 2^46: both comfortably index the
+/// paper's scale (10^6–2·10^6 keys per node). A level costs a node four
+/// bytes, and only the list head has all of them.
 pub const MAX_HEIGHT: usize = 24;
 
 /// What a link counts: a link is the number of `UNIT`-byte units between the
@@ -588,7 +589,8 @@ impl<K: Ord, P: Copy> SkipList<K, P> {
         self.len() == 0
     }
 
-    /// Geometric tower height (p = 1/2).
+    /// Geometric tower height (p = 1/2), for an insert: it cannot know its
+    /// node's rank, as [`SkipList::fragment`] does.
     ///
     /// The RNG state is **contention-sharded**: each thread advances a
     /// private xorshift stream, and the shared `height_seed` counter is
@@ -945,18 +947,22 @@ impl<K: Ord, P: Copy> SkipList<K, P> {
     /// is not greater than the last key kept is dropped (and counted, see
     /// [`Fragment::dropped`]), so of equal keys the first wins. One node per
     /// key, bump-allocated in key order from chunks only this call fills,
-    /// heights drawn as [`SkipList::insert_with`] draws them, every link
-    /// written through a per-level tail: no descent and no CAS. Safe to
-    /// call from several threads at once, one key range each.
+    /// every link written through a per-level tail: no descent and no CAS.
+    /// Heights follow rank, not a coin: the i-th key kept (from 1) gets
+    /// `1 + i.trailing_zeros() / 2` levels, so every 4th node reaches level
+    /// 1, every 16th level 2, … — a perfect 4-ary skip list per fragment,
+    /// the same one for the same pairs. Safe to call from several threads at
+    /// once, one key range each.
     pub fn fragment(&self, pairs: impl IntoIterator<Item = (K, P)>) -> Fragment<K, P> {
-        self.fragment_towers(pairs, Self::random_height)
+        self.fragment_towers(pairs, |rank| (1 + rank.trailing_zeros() as usize / 2).min(MAX_HEIGHT))
     }
 
-    /// [`SkipList::fragment`] with every tower height drawn by `height`.
+    /// [`SkipList::fragment`] with the height of the `rank`-th node kept
+    /// (from 1) given by `height(rank)`.
     fn fragment_towers(
         &self,
         pairs: impl IntoIterator<Item = (K, P)>,
-        mut height: impl FnMut(&Self) -> usize,
+        mut height: impl FnMut(u64) -> usize,
     ) -> Fragment<K, P> {
         let mut frag = Fragment {
             arena: self.arena.clone(),
@@ -975,7 +981,7 @@ impl<K: Ord, P: Copy> SkipList<K, P> {
                 frag.dropped += 1;
                 continue;
             }
-            let height = height(self);
+            let height = height(frag.len + 1);
             // SAFETY: `filling` is this call's own cursor.
             let link = unsafe { self.arena.alloc(&filling, Node::<K, P>::units(height)) };
             // SAFETY: the block was just cut from this call's own chunk.
@@ -1334,6 +1340,47 @@ mod tests {
         }
     }
 
+    /// Nodes per level of fragments of `lens` keys stitched together: level
+    /// `L` links every fragment's ranks that are multiples of `4^L`, up to
+    /// the highest level any node reaches (level 0 at least).
+    fn positional_levels(lens: &[u64]) -> Vec<u64> {
+        let mut levels: Vec<u64> =
+            (0..MAX_HEIGHT).map(|at| lens.iter().map(|len| len >> (2 * at)).sum()).collect();
+        while levels.len() > 1 && levels.last() == Some(&0) {
+            levels.pop();
+        }
+        levels
+    }
+
+    /// The shape of a rebuilt index, as counts. 2^16 keys bulk-built as 1, 2
+    /// and 4 fragments are a perfect 4-ary skip list per fragment, and a
+    /// `get` of a present key compares keys 18.00 times on average and 25 at
+    /// worst (one fragment: 18 · 2^16 + 1 in all; two and four: 17.25 / 25).
+    /// The same keys inserted one by one, at random p = 1/2 heights, took
+    /// 20.9 / 46, 21.2 / 46 and 23.0 / 51 in three draws of the heights.
+    #[test]
+    #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
+    fn a_bulk_built_list_is_a_perfect_4_ary_list_per_fragment() {
+        let n = 1u64 << 16;
+        for parts in [1u64, 2, 4] {
+            let mut l: SkipList<Tallied, u32> = SkipList::new();
+            let per = n / parts;
+            let fragments: Vec<_> = (0..parts)
+                .map(|f| l.fragment((f * per..(f + 1) * per).map(|k| (Tallied(k), k as u32))))
+                .collect();
+            l.adopt(fragments);
+            assert_eq!(l.levels(), positional_levels(&vec![per; parts as usize]), "{parts}");
+            let (mut total, mut worst) = (0, 0);
+            for k in 0..n {
+                let (got, made) = comparisons(|| l.get(&Tallied(k)));
+                assert_eq!(got, Some(k as u32));
+                (total, worst) = (total + made, worst.max(made));
+            }
+            let mean = total as f64 / n as f64;
+            assert!(mean < 18.01 && worst <= 25, "{parts} fragment(s): {mean:.4} / {worst}");
+        }
+    }
+
     #[test]
     #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
     fn agrees_with_btreemap_model() {
@@ -1452,6 +1499,7 @@ mod tests {
         let pairs: Vec<(u64, u64)> = l.iter().map(|(k, v)| (k.id, v)).collect();
         assert_eq!(pairs, vec![(10, 0), (20, 1), (30, 3), (40, 6), (50, 5), (60, 6), (70, 7)]);
         assert_eq!(l.len(), 7);
+        assert_eq!(l.levels(), [7, 1], "40 is the 4th key kept: a refused key takes no rank");
         assert_eq!(drops.load(Ordering::SeqCst), 13);
         drop(l);
         assert_eq!(drops.load(Ordering::SeqCst), 20);

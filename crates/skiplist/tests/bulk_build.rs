@@ -1,22 +1,43 @@
 //! A bulk-built list is the list the same pairs make inserted one by one:
-//! for one fragment and for 2 / 3 / 8 stitched ones, some of them empty.
+//! for one fragment and for 2 / 3 / 8 stitched ones, some of them empty. Its
+//! shape is set by rank alone: a perfect 4-ary skip list per fragment.
 
-use mvkv_skiplist::{InsertOutcome, SkipList};
+use mvkv_skiplist::{InsertOutcome, SkipList, MAX_HEIGHT};
 use proptest::prelude::*;
 
 /// `pairs` bulk-built as `cuts.len() + 1` fragments: fragment `i` holds the
-/// pairs from index `cuts[i - 1]` up to `cuts[i]` (equal cuts = empty).
-fn bulk(pairs: &[(u64, u64)], cuts: &[usize]) -> SkipList<u64> {
+/// pairs from index `cuts[i - 1]` up to `cuts[i]` (equal cuts = empty). Each
+/// pair with an odd payload is followed by a key not greater than its own,
+/// which the fragment refuses. Also returns every fragment's length.
+fn bulk(pairs: &[(u64, u64)], cuts: &[usize]) -> (SkipList<u64>, Vec<u64>) {
     let mut list = SkipList::new();
     let mut bounds = vec![0];
     bounds.extend(cuts.iter().map(|&c| c.min(pairs.len())));
     bounds.push(pairs.len());
     bounds.sort_unstable();
-    let fragments: Vec<_> =
-        bounds.windows(2).map(|w| list.fragment(pairs[w[0]..w[1]].iter().copied())).collect();
-    assert_eq!(fragments.iter().map(|f| f.dropped()).sum::<u64>(), 0);
+    let with_refused =
+        |&(k, v): &(u64, u64)| std::iter::once((k, v)).chain((v % 2 == 1).then_some((k / 2, !v)));
+    let fragments: Vec<_> = bounds
+        .windows(2)
+        .map(|w| list.fragment(pairs[w[0]..w[1]].iter().flat_map(with_refused)))
+        .collect();
+    let refused = pairs.iter().filter(|&&(_, v)| v % 2 == 1).count() as u64;
+    assert_eq!(fragments.iter().map(|f| f.dropped()).sum::<u64>(), refused);
+    let lens = fragments.iter().map(|f| f.len()).collect();
     list.adopt(fragments);
-    list
+    (list, lens)
+}
+
+/// Nodes per level of fragments of `lens` keys stitched together: level `L`
+/// links every fragment's ranks that are multiples of `4^L`, up to the
+/// highest level any node reaches (level 0 at least).
+fn positional_levels(lens: &[u64]) -> Vec<u64> {
+    let mut levels: Vec<u64> =
+        (0..MAX_HEIGHT).map(|at| lens.iter().map(|len| len >> (2 * at)).sum()).collect();
+    while levels.len() > 1 && levels.last() == Some(&0) {
+        levels.pop();
+    }
+    levels
 }
 
 proptest! {
@@ -46,7 +67,8 @@ proptest! {
             for &(k, v) in &raw {
                 inserted.insert_with(k, || v);
             }
-            let built = bulk(&pairs, &cuts[..fragments - 1]);
+            let (built, lens) = bulk(&pairs, &cuts[..fragments - 1]);
+            prop_assert_eq!(built.levels(), positional_levels(&lens));
             prop_assert_eq!(built.len(), inserted.len());
             prop_assert_eq!(built.len() as usize, pairs.len());
             prop_assert_eq!(built.is_empty(), pairs.is_empty());

@@ -151,17 +151,19 @@ fn reader_never_finds_a_node_at_an_upper_level_before_level_zero() {
 /// returned and the list has been handed over (here: `Arc` + `spawn`). From
 /// then on the bulk-built nodes must behave like inserted ones: the reader
 /// finds every one of them at whatever level the descent meets it, and the
-/// inserter's CASes land between them. The five draws of the model build's
-/// height counter (1, 1, 1, 2, 5) give the last two bulk-built keys towers,
-/// and the racing insert goes between those two. The payloads are 32 bits
+/// inserter's CASes land between them. A fragment's towers follow rank, so
+/// the 4th key of the low fragment, 40, is the one that reaches level 1; the
+/// racing insert goes between it and 50, the high fragment's one node, and
+/// `get(50)` steps down from level 1 at that tower. The payloads are 32 bits
 /// wide, as in the store's index, so a one-level node is 16 bytes.
 #[test]
 fn inserter_and_reader_on_a_bulk_built_list() {
     model(|| {
         let mut list: SkipList<u64, u32> = SkipList::new();
-        let low = list.fragment([(10, 100), (20, 200)]);
-        let high = list.fragment([(30, 300), (40, 400), (50, 500)]);
+        let low = list.fragment([(10, 100), (20, 200), (30, 300), (40, 400)]);
+        let high = list.fragment([(50, 500)]);
         list.adopt([low, high]);
+        assert_eq!(list.levels(), [5, 1], "40 is a tower");
         let list = Arc::new(list);
         let l2 = list.clone();
         let inserter = thread::spawn(move || l2.insert_with(45, || 450));
