@@ -10,10 +10,10 @@
 //!
 //! A finding fails the run. There is no waiver outside the source: the ways
 //! to silence one are to fix it, to argue it in a comment next to it
-//! (`// SAFETY:`, `// ordering:`, `// lock-order:`, `// race:`,
-//! `// fence: amortized(…)`, `pm-layout-exempt(…)` — each checked for
-//! staleness by its pass), or, for the two golden files, to re-bless after a
-//! deliberate change (`--bless`, [`Ctx::golden`]).
+//! (`// SAFETY:`, `// ordering:`, `// lock-order:`, `// fence: amortized(…)`,
+//! `pm-layout-exempt(…)` — each checked for staleness by its pass), or, for
+//! the two golden files, to re-bless after a deliberate change (`--bless`,
+//! [`Ctx::golden`]).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use crate::source::Source;
 use crate::summary::Workspace;
-use crate::{cfg, fences, layout, locks, races, sites};
+use crate::{cfg, fences, layout, locks, sites};
 
 /// Crates whose `src/` must go through the `mvkv-sync` facade (loom-swapped
 /// atomics).
@@ -118,35 +118,17 @@ pub const PASSES: &[Pass] = &[
         rule: "the lock-acquisition graph must be acyclic, and no guard may be held across an \
                sfence. A guard is a zero-argument `.lock()` / `.try_lock()`, or `.read()` / \
                `.write()` on an RwLock-typed field or static — one lock-site rule, shared \
-               with the summaries and the race audit. A guard is bound when its call ends a \
-               `let` initializer (through `?` / `.unwrap()` / `.expect(…)`) and is then live \
-               to the end of its block or its `drop(g)`; any other guard is a temporary, \
-               live to the end of its statement (through the body of `match` / `for` / \
-               `if let` / `while let` when taken in the header).",
+               with the summaries. A guard is bound when its call ends a `let` initializer \
+               (through `?` / `.unwrap()` / `.expect(…)`) and is then live to the end of its \
+               block or its `drop(g)`; any other guard is a temporary, live to the end of its \
+               statement (through the body of `match` / `for` / `if let` / `while let` when \
+               taken in the header).",
         rationale: "cycles are deadlocks waiting for the right interleaving; a fence under a \
                     shard or chain lock serializes unrelated writers on the slowest PM \
                     operation.",
         escape: "`// lock-order: <reason>` on the acquisition line or immediately above it \
                  (mirrors the `// ordering:` convention).",
         run: |cx| locks::check(cx.ws),
-    },
-    Pass {
-        id: "race-audit",
-        rule: "every shared mutable field (atomic, lock-guarded, interior-mutable, raw-pointer \
-               or pm-resident state reachable from a Sync context) must have a consistent \
-               protection domain: facade-atomic, guarded-by a named lock at every access, or \
-               thread-confined (TLS / &mut self). Unguarded writes, accesses outside a field's \
-               inferred guard and `static mut` are findings. The guards held at an access are \
-               the ones the lock-order pass sees there (same lowered body, same tracker, \
-               Mutex and RwLock guards alike).",
-        rationale: "loom covers four hand-modeled interleavings; this RacerD-style lockset \
-                    inference audits every shared access in the 8 concurrency-critical crates \
-                    compositionally, so a helper is checked under the locks its callers \
-                    actually hold.",
-        escape: "`// race: <why>` on the access line or the comment block above it (mirrors \
-                 `// ordering:`); a justification that no longer silences anything is \
-                 itself a finding.",
-        run: |cx| races::check(cx.ws),
     },
 ];
 
@@ -304,7 +286,7 @@ fn json_escape(s: &str) -> String {
 
 /// Machine-readable report for the CI artifact. Hand-rolled: the workspace
 /// builds offline and xtask deliberately has no dependencies. Version 4: the
-/// eight passes of the table and the front end's time beside them; every
+/// seven passes of the table and the front end's time beside them; every
 /// finding listed failed the run, and names what it is about in its message.
 pub fn render_json(r: &Report) -> String {
     let mut out = format!(
@@ -411,13 +393,6 @@ mod tests {
             replace: "let gauges = self.gauges.lock(); fence();",
             at: "let gauges = self.gauges.lock();",
         },
-        Seed {
-            check: "race-audit",
-            file: "crates/pmem/src/alloc.rs",
-            find: "fn state_word(&self, pool: &PmemPool, off: u64) -> u64 {",
-            replace: "fn state_word(&self, pool: &PmemPool, off: u64) -> u64 { self.shards = Box::new([]);",
-            at: "fn state_word(&self",
-        },
         // An `RwLock` guard is a guard: one lock-site rule for every pass.
         Seed {
             check: "lock-order",
@@ -425,16 +400,6 @@ mod tests {
             find: "let mut index = self.index.write();\n        let mut hdr",
             replace: "let mut index = self.index.write(); fence();\n        let mut hdr",
             at: "let mut index = self.index.write(); fence();",
-        },
-        // `Branch` scoping: the guard taken in the first arm is gone in the
-        // second, so its write is unguarded (and the only finding — were the
-        // guard still held, every unguarded read of `shards` would be one).
-        Seed {
-            check: "race-audit",
-            file: "crates/pmem/src/alloc.rs",
-            find: "fn state_word(&self, pool: &PmemPool, off: u64) -> u64 {",
-            replace: "fn state_word(&self, pool: &PmemPool, off: u64) -> u64 { match off { 0 => self.large_free.lock().clear(), _ => self.shards = Box::new([]) }",
-            at: "fn state_word(&self",
         },
     ];
 

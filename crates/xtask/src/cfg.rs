@@ -25,10 +25,10 @@
 //! function index), **lock sites** (zero-argument `.lock()` / `.try_lock()`,
 //! and `.read()` / `.write()` as candidates the consumer confirms against
 //! the `RwLock` inventory, each with its dotted chain and the `let` binding
-//! the guard lands in), explicit **`drop(guard)`** releases, **field
-//! accesses** (head, path, operation), **`let` bindings** and **statement
-//! ends** — what the lock-order pass and the race audit need to keep a
-//! stack of live guards (`locks::walk_held`) and to attribute accesses. The
+//! the guard lands in), explicit **`drop(guard)`** releases and **statement
+//! ends** — what the lock-order pass needs to keep a stack of live guards.
+//! Events are in evaluation order where it differs from source order: the
+//! right side of a plain `place = value;` is lowered before the place. The
 //! dataflow is parameterized over a [`CallOracle`] so the interprocedural
 //! summary layer (`summary.rs`) can plug per-function transfer functions into
 //! the same evaluator; an oracle that answers [`Transfer::IDENTITY`] for every
@@ -67,8 +67,6 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
 
 /// Names treated as dirtying persistent memory when called.
 const DIRTY_CALLS: &[&str] = &["write_u64", "write_bytes", "zero_bytes"];
-
-const ASSIGN_OPS: &[&str] = &["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="];
 
 /// Macros whose invocation ends the path with no persist obligation.
 const ABORT_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -173,31 +171,6 @@ pub struct LockSite {
     pub rw: bool,
 }
 
-/// What an access does to the field it ends at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Op {
-    Read,
-    /// Left side of `=` / `+=` / ….
-    Assign,
-    /// `&mut head.….field`.
-    MutRef,
-    /// `head.….field.method(…)`.
-    Method(String),
-}
-
-/// One field segment of a dotted chain. `self.a.b.push(x)` is two accesses:
-/// `[self, a]` read, `[self, a, b]` `Method("push")`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Access {
-    pub line: u32,
-    /// Head ident (`self`, a local, a parameter, a static — the consumer
-    /// classifies it; `*` for a `(*ptr).field` deref), the segments between,
-    /// and the field last. Chains that start anywhere else — a path, a call
-    /// result, a literal — are not emitted.
-    pub chain: Vec<String>,
-    pub op: Op,
-}
-
 #[derive(Debug)]
 pub enum Node {
     Seq(Vec<Node>),
@@ -212,11 +185,6 @@ pub enum Node {
     Lock(LockSite),
     /// An explicit `drop(binding)`.
     Unlock { binding: String },
-    /// A field access.
-    Access(Access),
-    /// `let binding = …` / `if let Some(binding) = …`, emitted after the
-    /// initializer: from here on the name is a local.
-    Let { binding: String },
     /// A `;` directly in a block: temporaries of the statement die here.
     StmtEnd,
     /// Mutually exclusive alternatives (if/else, match arms). An absent
@@ -307,49 +275,45 @@ fn ret_idents(sig: &[Tree], owner: Option<&str>) -> Vec<String> {
 const ITEM_KEYWORDS: &[&str] =
     &["fn", "struct", "enum", "impl", "trait", "mod", "union", "macro_rules", "use", "type"];
 
+/// Lowers a block. Rust evaluates the right side of a plain `place = value`
+/// first, so its events move in front of the place's when the statement
+/// ends (`*m.lock() = f()` runs `f` with no guard held). A compound `op=`
+/// keeps source order: on a non-primitive type the place comes first.
 fn parse_seq(trees: &[Tree]) -> Node {
     let mut nodes = Vec::new();
+    // Events before each token, and a pending (place, value) event split.
+    let mut before = vec![0; trees.len()];
+    let mut assign: Option<(usize, usize)> = None;
     let mut i = 0;
     while i < trees.len() {
-        i = parse_one(trees, i, &mut nodes);
+        let n = nodes.len();
+        before[i] = n;
+        match trees[i].punct() {
+            Some("=") => assign = Some((before[chain_back(trees, i).1], n)),
+            Some(";") => rotate(&mut nodes, assign.take()),
+            _ => {}
+        }
+        let next = parse_one(trees, i, &mut nodes);
+        before[i..next].fill(n);
+        i = next;
     }
+    rotate(&mut nodes, assign);
     Node::Seq(nodes)
+}
+
+/// Moves a pending assignment's value events in front of its place's.
+fn rotate(nodes: &mut [Node], assign: Option<(usize, usize)>) {
+    if let Some((place, value)) = assign {
+        nodes[place..].rotate_left(value - place);
+    }
 }
 
 /// Parses one construct starting at `i`, pushing nodes; returns the next
 /// index.
 fn parse_one(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
     let t = &trees[i];
-    if let Some(a) = field_access(trees, i) {
-        nodes.push(Node::Access(a));
-        return i + 1;
-    }
     if let Some(kw) = t.ident() {
         match kw {
-            "let" => {
-                // The initializer runs before the name exists (`let n = n.next;`
-                // reads the parameter); `if let` / `while let` end at the body.
-                let cond = i > 0 && matches!(trees[i - 1].ident(), Some("if" | "while"));
-                let mut j = i + 1;
-                let mut pat_end = None;
-                while j < trees.len() {
-                    let end = match &trees[j] {
-                        Tree::Group(g) => cond && g.delim == '{',
-                        t => !cond && t.punct() == Some(";"),
-                    };
-                    if end {
-                        break;
-                    }
-                    if pat_end.is_none() && matches!(trees[j].punct(), Some("=" | ":")) {
-                        pat_end = Some(j);
-                    }
-                    j = parse_one(trees, j, nodes);
-                }
-                if let Some(binding) = pat_end.and_then(|e| pattern_binding(trees, e)) {
-                    nodes.push(Node::Let { binding });
-                }
-                return j;
-            }
             "if" => return parse_if(trees, i, nodes),
             "match" => return parse_match(trees, i, nodes),
             "while" | "for" => {
@@ -636,49 +600,6 @@ fn args_at(trees: &[Tree], k: usize) -> bool {
     }
 }
 
-/// The access made by the leaf at `i` when it is a field segment: `.name`
-/// or `.0` with no argument list (that is a method: [`Node::Call`]).
-fn field_access(trees: &[Tree], i: usize) -> Option<Access> {
-    let Tree::Leaf(t) = &trees[i] else { return None };
-    if i == 0
-        || trees[i - 1].punct() != Some(".")
-        || !matches!(t.kind, TokKind::Ident | TokKind::Num)
-        || t.text == "await"
-        || args_at(trees, i + 1)
-    {
-        return None;
-    }
-    let (mut chain, start, _) = chain_back(trees, i - 1);
-    match &trees[start] {
-        Tree::Group(g) if g.trees.first().and_then(Tree::punct) == Some("*") => {
-            chain.insert(0, "*".to_string());
-        }
-        // A plain name: not a call result, not a path.
-        Tree::Leaf(h) if h.kind == TokKind::Ident && !args_at(trees, start + 1) => {}
-        _ => return None,
-    }
-    chain.push(t.text.clone());
-    // What happens to the field is what follows it, past `?` and `[…]`.
-    let postfix = |t: &Tree| t.punct() == Some("?") || t.group().is_some_and(|g| g.delim == '[');
-    let mut j = i + 1;
-    while trees.get(j).is_some_and(postfix) {
-        j += 1;
-    }
-    let op = match (trees.get(j).and_then(Tree::punct), trees.get(j + 1)) {
-        (Some("."), Some(Tree::Leaf(m))) if args_at(trees, j + 2) => Op::Method(m.text.clone()),
-        (Some(p), _) if ASSIGN_OPS.contains(&p) => Op::Assign,
-        (Some("."), _) => Op::Read,
-        _ if start >= 2
-            && trees[start - 2].punct() == Some("&")
-            && trees[start - 1].ident() == Some("mut") =>
-        {
-            Op::MutRef
-        }
-        _ => Op::Read,
-    };
-    Some(Access { line: t.line, chain, op })
-}
-
 /// Heuristic: a `|` token opens a closure when it starts an expression —
 /// beginning of a group / statement, or right after a token that cannot end
 /// an operand.
@@ -943,12 +864,10 @@ fn eval(n: &Node, st: St, oracle: &dyn CallOracle) -> Flow {
             };
             Flow { out: Some(out), ..Default::default() }
         }
-        // Events of the guard tracker and the race audit: no effect on dirtiness.
-        Node::Lock(_)
-        | Node::Unlock { .. }
-        | Node::Access(_)
-        | Node::Let { .. }
-        | Node::StmtEnd => Flow { out: Some(st), ..Default::default() },
+        // Events of the guard tracker: no effect on dirtiness.
+        Node::Lock(_) | Node::Unlock { .. } | Node::StmtEnd => {
+            Flow { out: Some(st), ..Default::default() }
+        }
         Node::Branch(alts) => {
             let mut flow = Flow::default();
             let mut out: Option<St> = None;
@@ -1304,6 +1223,11 @@ mod tests {
             p.fence();
         }";
         assert_eq!(violations(ok), 0);
+        // `|g: fn(&S) -> u64|` is a closure, not a nested `fn` item.
+        let fn_param = "fn f(p: &Pool) {
+            let col = |g: fn(&S) -> u64| { p.write_u64(0, 1); };
+        }";
+        assert_eq!(violations(fn_param), 1);
     }
 
     #[test]
@@ -1516,14 +1440,12 @@ mod tests {
         let mut out = Vec::new();
         functions(&file)[0].body.each(&mut |n| {
             out.push(match n {
-                Node::Access(a) => format!("{} {:?}", a.chain.join("."), a.op),
                 Node::Lock(s) => format!(
                     "{} {}{}",
                     if s.rw { "rw?" } else { "lock" },
                     s.chain.join("."),
                     s.binding.as_ref().map(|b| format!(" -> {b}")).unwrap_or_default()
                 ),
-                Node::Let { binding } => format!("let {binding}"),
                 Node::Call(c) | Node::Flush(c) => format!("call {}", c.name),
                 Node::Unlock { binding } => format!("drop {binding}"),
                 Node::StmtEnd => ";".to_string(),
@@ -1533,65 +1455,35 @@ mod tests {
         out
     }
 
+    /// The right side of a plain `=` runs before the place; `op=` and
+    /// method calls keep source order.
     #[test]
-    fn field_accesses_carry_head_path_and_operation() {
-        assert_eq!(events("self.a.b.push(self.c);"), [
-            "self.a Read",
-            "self.a.b Method(\"push\")",
-            "self.c Read",
+    fn a_plain_assignment_lowers_its_value_first() {
+        assert_eq!(events("*self.x.lock() = self.y(); self.a.lock().push(self.b());"), [
+            "call y",
+            "lock self.x",
+            ";",
+            "lock self.a",
+            "call b",
             "call push",
             ";"
         ]);
-        assert_eq!(events("self.len += 1; self.slots[i] = 0; let r = &mut self.map;"), [
-            "self.len Assign",
+        assert_eq!(events("*self.c.lock() += self.d(); if e() { f() } g().h = i()"), [
+            "lock self.c",
+            "call d",
             ";",
-            "self.slots Assign",
-            ";",
-            "self.map MutRef",
-            "let r",
-            ";"
-        ]);
-        assert_eq!(events("unsafe { (*p).key = 5; } let k = (*p).next.0;"), [
-            "*.key Assign",
-            ";",
-            "*.next Read",
-            "*.next.0 Read",
-            "let k",
-            ";"
-        ]);
-        // A method call is a call, not a field; the chain runs through it.
-        assert_eq!(events("self.list().head.store(1, SeqCst);"), [
-            "call list",
-            "self.list.head Method(\"store\")",
-            "call store",
-            ";"
-        ]);
-        // Paths, call results and literals are not heads.
-        assert_eq!(events("Self::DEFAULT.x; mk().x; a::B.x; \"s\".len; x.get::<u8>().y;"), [
-            ";", "call mk", ";", ";", ";", ";"
-        ]);
-    }
-
-    #[test]
-    fn let_events_follow_their_initializer() {
-        // `n.next` is read before `n` is rebound.
-        assert_eq!(events("let n = n.next;"), ["n.next Read", "let n", ";"]);
-        assert_eq!(events("let mut x: u64 = 0; let (a, b) = t;"), ["let x", ";", ";"]);
-        assert_eq!(events("if let Some(e) = self.head { e.go(); }"), [
-            "self.head Read",
-            "let e",
-            "call go",
-            ";"
+            "call e",
+            "call f",
+            "call i",
+            "call g"
         ]);
     }
 
     #[test]
     fn read_and_write_are_lock_candidates_after_their_call() {
         assert_eq!(events("let g = self.idx.write(); sock.read(); file.write(buf);"), [
-            "self.idx Method(\"write\")",
             "call write",
             "rw? self.idx -> g",
-            "let g",
             ";",
             "call read",
             "rw? sock",
@@ -1600,9 +1492,7 @@ mod tests {
             ";"
         ]);
         assert_eq!(events("let g = self.m.lock(); drop(g);"), [
-            "self.m Method(\"lock\")",
             "lock self.m -> g",
-            "let g",
             ";",
             "drop g",
             ";"
@@ -1625,16 +1515,17 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        assert_eq!(shape("if self.c { a(); }"), ["Seq1", "Branch"]);
-        assert_eq!(shape("while self.c { a(); }"), ["Seq1", "Loop"]);
-        assert_eq!(shape("match self.c { _ => a() }"), ["Seq2"]);
-        assert_eq!(shape("for x in self.c { a(); }"), ["Seq2"]);
-        assert_eq!(shape("if let x = self.c { a(); }"), ["Seq3"], "access, let, branch");
-        assert_eq!(shape("while let x = self.c { a(); }"), ["Seq3"]);
+        // A call is two nodes: its arguments' `Seq`, then the call.
+        assert_eq!(shape("if c() { a(); }"), ["Seq2", "Branch"]);
+        assert_eq!(shape("while c() { a(); }"), ["Seq2", "Loop"]);
+        assert_eq!(shape("match c() { _ => a() }"), ["Seq3"]);
+        assert_eq!(shape("for x in c() { a(); }"), ["Seq3"]);
+        assert_eq!(shape("if let x = c() { a(); }"), ["Seq3"], "call, branch");
+        assert_eq!(shape("while let x = c() { a(); }"), ["Seq3"]);
         // A block in the scrutinee is not the match body, and is not lost.
         assert_eq!(
-            events("match unsafe { &(*p).key }.cmp(k) { _ => a() }"),
-            ["*.key Read", "call cmp", "call a"]
+            events("match unsafe { key(p) }.cmp(k) { _ => a() }"),
+            ["call key", "call cmp", "call a"]
         );
     }
 

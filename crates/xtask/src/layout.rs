@@ -31,7 +31,7 @@ use std::fmt::Write as _;
 pub const LOCK_PATH: &str = "crates/xtask/pm_layout.lock";
 
 /// Marker in a struct's docs that seeds the PM set.
-pub const RESIDENT_MARKER: &str = "pm-resident";
+const RESIDENT_MARKER: &str = "pm-resident";
 /// Marker that exempts a PM struct from the repr/field rules (fingerprint
 /// still enforced). Must carry a parenthesized rationale.
 pub const EXEMPT_MARKER: &str = "pm-layout-exempt(";

@@ -1,11 +1,10 @@
 //! Lock-order audit (ISSUE 8 tentpole, pass 2).
 //!
 //! Walks every runtime function's lowered body with the stack of live
-//! guards — [`walk_held`], the one tracker, which the race audit shares —
-//! and reports two classes of findings on top of the [`crate::summary`]
-//! effect summaries. A guard is a zero-argument `.lock()` / `.try_lock()`,
-//! or `.read()` / `.write()` on an `RwLock`-typed field or static (one lock-site
-//! rule: [`Workspace::lock_id`]):
+//! guards ([`walk_held`]) and reports two classes of findings on top of the
+//! [`crate::summary`] effect summaries. A guard is a zero-argument
+//! `.lock()` / `.try_lock()`, or `.read()` / `.write()` on an `RwLock`-typed
+//! field or static (one lock-site rule: [`Workspace::lock_id`]):
 //!
 //! * **lock-held-across-fence** — an sfence (direct, or inside a resolved
 //!   callee with a non-zero budget) executes while a guard is live. Fences
@@ -19,12 +18,10 @@
 //!   callees) contains a cycle, i.e. a potential deadlock. A self-edge is
 //!   the degenerate case: re-acquiring a lock already held.
 //!
-//! Known blind spots, kept deliberately (documented in DESIGN.md §11.7):
+//! Known blind spots, kept deliberately (documented in DESIGN.md §11.6):
 //! guards stored into struct fields outlive the acquiring function and are
 //! only tracked inside it; locks taken by denylisted std methods or
-//! unresolvable trait/closure calls are invisible; events are in source
-//! order, so the temporary in `*m.lock() = f()` counts as held while `f`
-//! runs (Rust evaluates the right side first).
+//! unresolvable trait/closure calls are invisible.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,7 +33,7 @@ use crate::summary::Workspace;
 /// Directories audited for lock discipline. `crates/sync` is excluded: it
 /// *implements* the mutex (lock-order is meaningless inside it) and its
 /// deadlock-detection tests deliberately construct cycles.
-pub const LOCK_DIRS: &[&str] = &[
+const LOCK_DIRS: &[&str] = &[
     "crates/pmem/src",
     "crates/core/src",
     "crates/keychain/src",
@@ -48,24 +45,23 @@ pub const LOCK_DIRS: &[&str] = &[
 ];
 
 /// One live guard on the stack [`walk_held`] keeps.
-pub struct Held {
-    pub id: String,
+struct Held {
+    id: String,
     line: u32,
-    pub binding: Option<String>,
+    binding: Option<String>,
     /// One finding per acquisition, however many fences run under it.
     flagged: bool,
 }
 
-/// The held-guard tracker, shared with the race audit. Walks `node` in
-/// source order and hands every leaf event to `visit` with the guards live
-/// at it. A `Lock` the workspace confirms is pushed first (the new guard is
-/// `held.last()`); `drop(binding)` pops it; a guard bound by `let` lives to
-/// the end of its block, a temporary to the end of its statement, and
-/// nothing outlives the `Seq` it was acquired in: a block, an argument list,
-/// the condition of a plain `if` / `while`, a branch arm, a loop or closure
-/// body (`cfg::push_headed` decides which headers share a `Seq` with their
-/// body).
-pub fn walk_held<'n>(
+/// The held-guard tracker. Walks `node` in evaluation order and hands every
+/// leaf event to `visit` with the guards live at it. A `Lock` the workspace
+/// confirms is pushed first (the new guard is `held.last()`);
+/// `drop(binding)` pops it; a guard bound by `let` lives to the end of its
+/// block, a temporary to the end of its statement, and nothing outlives the
+/// `Seq` it was acquired in: a block, an argument list, the condition of a
+/// plain `if` / `while`, a branch arm, a loop or closure body
+/// (`cfg::push_headed` decides which headers share a `Seq` with their body).
+fn walk_held<'n>(
     ws: &Workspace,
     f: usize,
     node: &'n Node,
@@ -281,7 +277,8 @@ mod tests {
     }
 
     /// A guard is bound only when its call ends the initializer: `n` holds a
-    /// length, not the guard, which died at the `;`.
+    /// length, not the guard, which died at the `;`. A `let` after a
+    /// `}`-terminated `if` is a statement of its own and binds too.
     #[test]
     fn a_guard_consumed_by_its_let_initializer_is_a_temporary() {
         let w = ws(&[(
@@ -297,11 +294,16 @@ mod tests {
              \x20       let h = self.n.try_lock().expect(\"uncontended\");\n\
              \x20       pool.fence();\n\
              \x20   }\n\
+             \x20   fn pop(&self, pool: &Pool, skip: bool) {\n\
+             \x20       if skip { return; }\n\
+             \x20       let g = self.k.lock();\n\
+             \x20       pool.fence();\n\
+             \x20   }\n\
              }\n",
         )]);
         let f = check(&w);
         let at: Vec<u32> = f.iter().map(|x| x.line).collect();
-        assert_eq!(at, [7, 9], "{f:?}");
+        assert_eq!(at, [7, 9, 14], "{f:?}");
     }
 
     /// The lock inventory is the front end's struct fields *and* statics.
@@ -403,7 +405,7 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 4);
         assert!(f[0].msg.contains("minidb:idx"), "{}", f[0].msg);
-        let peek = (0..w.fn_count()).find(|&i| w.fn_info(i).item.name == "peek").unwrap();
+        let peek = w.find_fn("a.rs", Some("Wal"), "peek").unwrap();
         assert!(w.summary(peek).locks.contains("minidb:idx"), "{:?}", w.summary(peek).locks);
     }
 
@@ -429,14 +431,15 @@ mod tests {
              }\n",
         )]);
         assert!(check(&w).is_empty(), "{:?}", check(&w));
-        let pump = (0..w.fn_count()).find(|&i| w.fn_info(i).item.name == "pump").unwrap();
+        let pump = w.find_fn("a.rs", Some("Net"), "pump").unwrap();
         assert_eq!(w.summary(pump).locks.iter().collect::<Vec<_>>(), ["minidb:m"]);
         assert!(w.summary(pump).steady.is_zero());
     }
 
     /// What the shared tracker adds to this pass: a temporary guard is held
-    /// to the end of its statement, a guard in a `match` scrutinee through
-    /// the arms, and neither any longer.
+    /// to the end of its statement, a guard in a `match` scrutinee or a
+    /// `for` header through the arms or the body, and none any longer: not
+    /// after a plain `if` condition, not from one match arm into the next.
     #[test]
     fn temporaries_live_for_their_statement_and_match_scrutinees_through_the_arms() {
         let w = ws(&[(
@@ -457,12 +460,21 @@ mod tests {
              \x20   fn poll(&self) {\n\
              \x20       if self.queue.lock().is_empty() { fence(); }\n\
              \x20   }\n\
+             \x20   fn step(&self, k: u64) {\n\
+             \x20       match k {\n\
+             \x20           0 => self.queue.lock().clear(),\n\
+             \x20           _ => fence(),\n\
+             \x20       }\n\
+             \x20   }\n\
+             \x20   fn sweep(&self) {\n\
+             \x20       for x in self.log.lock().iter() { fence(); }\n\
+             \x20   }\n\
              }\n",
         )]);
         let f = check(&w);
         let at: Vec<(u32, bool)> =
             f.iter().map(|x| (x.line, x.msg.contains("held across"))).collect();
-        assert_eq!(at, [(3, true), (8, true)], "{f:?}");
+        assert_eq!(at, [(3, true), (8, true), (24, true)], "{f:?}");
     }
 
     #[test]
@@ -477,11 +489,16 @@ mod tests {
              \x20   fn sync_meta(&self) {\n\
              \x20       fence();\n\
              \x20   }\n\
-             }\n",
+             }\n\
+             pub fn locked(s: &S) {\n\
+             \x20   let g = s.m.lock();\n\
+             \x20   bump(s);\n\
+             }\n\
+             fn bump(s: &S) { fence(); }\n",
         )]);
         let f = check(&w);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 3);
+        let at: Vec<u32> = f.iter().map(|x| x.line).collect();
+        assert_eq!(at, [3, 11], "a method and a free fn alike: {f:?}");
     }
 
     #[test]
@@ -556,5 +573,23 @@ mod tests {
              }\n",
         )]);
         assert!(check(&w).is_empty());
+    }
+
+    /// Rust evaluates the right side of a plain `=` first: `y_val` runs
+    /// before `x` is locked, so `a` adds no `x -> y` edge to `b`'s `y -> x`.
+    /// A compound `op=` keeps source order, and `c`'s edge closes the cycle.
+    #[test]
+    fn a_plain_assignment_runs_its_right_side_before_taking_the_places_guard() {
+        let src = "impl S {\n\
+             \x20   fn a(&self) { *self.x.lock() = self.y_val(); }\n\
+             \x20   fn b(&self) { let _g = self.y.lock(); *self.x.lock() = 1; }\n\
+             \x20   fn y_val(&self) -> u64 { *self.y.lock() }\n\
+             \x20   fn c(&self) { *self.x.lock() += self.y_val(); }\n\
+             }\n";
+        let lines = |src: &str| -> Vec<u32> {
+            check(&ws(&[("crates/core/src/a.rs", src)])).iter().map(|f| f.line).collect()
+        };
+        assert!(lines(&src.replace("+=", "=")).is_empty());
+        assert_eq!(lines(src), [5]);
     }
 }

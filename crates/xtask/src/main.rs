@@ -19,7 +19,6 @@ mod fences;
 mod layout;
 mod lexer;
 mod locks;
-mod races;
 mod sites;
 mod source;
 mod summary;

@@ -8,15 +8,14 @@
 //! * the **token trees** ([`SrcFile::trees`], [`SrcFile::each_pos`]);
 //! * a **line table**: the code and the `//` comment of each line, and the
 //!   one justification walk ([`SrcFile::justification`]) behind `// SAFETY:`,
-//!   `// ordering:`, `// lock-order:` and `// race:`;
+//!   `// ordering:` and `// lock-order:`;
 //! * the **test-only spans**, decided by the `#[cfg(..)]` predicate's tokens:
 //!   an item is test-only when its predicate names `test` outside every
 //!   `not(..)`, so `#[cfg(not(any(test, miri)))]` is production code;
 //! * the **item index**: every struct with its attributes, doc text and
 //!   fields ([`SrcFile::structs`]), every non-test `static`
-//!   ([`SrcFile::statics`]) and `unsafe impl Send/Sync` target
-//!   ([`SrcFile::unsafe_sync`]), and every non-test fn with its owner,
-//!   visibility, signature and body trees ([`SrcFile::fns`]).
+//!   ([`SrcFile::statics`]), and every non-test fn with its owner,
+//!   signature and body trees ([`SrcFile::fns`]).
 
 use std::path::{Path, PathBuf};
 
@@ -45,21 +44,9 @@ pub struct SrcFile {
     /// Byte spans of test-only items, attribute through closing brace.
     test_spans: Vec<(usize, usize)>,
     pub structs: Vec<StructItem>,
-    /// Non-test `static` items, `thread_local!` ones included.
-    pub statics: Vec<StaticItem>,
-    /// Target types of non-test `unsafe impl Send/Sync for X`.
-    pub unsafe_sync: Vec<String>,
-}
-
-/// One `static [mut] NAME: Type`.
-pub struct StaticItem {
-    pub name: String,
-    pub line: u32,
-    /// Canonical type string, like a struct field's.
-    pub ty: String,
-    pub is_mut: bool,
-    /// Declared inside `thread_local! { … }`.
-    pub tls: bool,
+    /// `(name, canonical type string)` of each non-test `static [mut] NAME:
+    /// Type`, like a struct's fields: the lock inventory's globals.
+    pub statics: Vec<(String, String)>,
 }
 
 /// One struct definition.
@@ -90,7 +77,6 @@ pub struct FnItem<'a> {
     pub name: &'a str,
     /// The `impl`/`trait` type this fn is defined on, when any.
     pub owner: Option<&'a str>,
-    pub is_pub: bool,
     /// Source line of the `fn` keyword.
     pub line: u32,
     /// The trees between the name and the body: generics, parameters,
@@ -193,9 +179,8 @@ impl SrcFile {
             test_spans: Vec::new(),
             structs: Vec::new(),
             statics: Vec::new(),
-            unsafe_sync: Vec::new(),
         };
-        f.index(&trees, false);
+        f.index(&trees);
         f.trees = trees;
         f
     }
@@ -295,11 +280,6 @@ impl SrcFile {
         self.test_spans.iter().any(|&(s, e)| s <= off && off <= e)
     }
 
-    /// [`SrcFile::in_test`] for the start of 1-based `line`.
-    pub fn line_in_test(&self, line: u32) -> bool {
-        self.in_test(self.line_starts[line as usize - 1])
-    }
-
     /// Calls `f(siblings, i)` for every tree position, in source order, so a
     /// check can match a short token pattern starting at `siblings[i]`.
     pub fn each_pos<'a>(&'a self, f: &mut impl FnMut(&'a [Tree], usize)) {
@@ -315,15 +295,14 @@ impl SrcFile {
     }
 
     // -----------------------------------------------------------------------
-    // Item index: test-only spans, structs, statics and `unsafe impl` targets
-    // (one walk), fns (on demand, because they borrow their body trees)
+    // Item index: test-only spans, structs and statics (one walk), fns (on
+    // demand, because they borrow their body trees)
     // -----------------------------------------------------------------------
 
-    /// Finds every `#[cfg(<test-only>)]` item span, every struct definition,
-    /// every non-test static (`tls`: we are inside `thread_local! { … }`) and
-    /// every non-test `unsafe impl Send/Sync`, at any nesting depth of `{}`
-    /// (mods, fn bodies).
-    fn index(&mut self, trees: &[Tree], tls: bool) {
+    /// Finds every `#[cfg(<test-only>)]` item span, every struct definition
+    /// and every non-test static, at any nesting depth of `{}` (mods, fn
+    /// bodies, `thread_local! { … }`).
+    fn index(&mut self, trees: &[Tree]) {
         let mut docs: Vec<&str> = Vec::new();
         let mut attrs: Vec<String> = Vec::new();
         let mut i = 0;
@@ -369,16 +348,14 @@ impl SrcFile {
                 Tree::Group(g) => {
                     docs.clear();
                     attrs.clear();
-                    let bang = i >= 2 && trees[i - 1].punct() == Some("!");
-                    let tls = bang && trees[i - 2].ident() == Some("thread_local");
-                    if g.delim == '{' || tls {
-                        self.index(&g.trees, tls);
+                    if g.delim == '{' {
+                        self.index(&g.trees);
                     }
                     i += 1;
                 }
                 t => {
-                    if matches!(t.ident(), Some("static" | "unsafe")) && !self.in_test(t.off()) {
-                        self.index_static_or_unsafe_impl(trees, i, tls);
+                    if t.ident() == Some("static") && !self.in_test(t.off()) {
+                        self.index_static(trees, i);
                     }
                     docs.clear();
                     attrs.clear();
@@ -392,37 +369,18 @@ impl SrcFile {
     /// fields and statics of the file.
     pub fn places(&self) -> impl Iterator<Item = (&str, &str)> {
         let fields = self.structs.iter().filter(|d| !d.test_only).flat_map(|d| &d.fields);
-        let statics = self.statics.iter().map(|s| (s.name.as_str(), s.ty.as_str()));
-        fields.map(|(n, ty)| (n.as_str(), ty.as_str())).chain(statics)
+        fields.chain(&self.statics).map(|(n, ty)| (n.as_str(), ty.as_str()))
     }
 
-    /// `static [mut] NAME: Type …` or `unsafe impl … Send/Sync for X` at `i`.
-    fn index_static_or_unsafe_impl(&mut self, trees: &[Tree], i: usize, tls: bool) {
-        let ident = |k: usize| trees.get(k).and_then(Tree::ident);
-        match (ident(i), ident(i + 1)) {
-            (Some("static"), next) => {
-                let is_mut = next == Some("mut");
-                let at = i + 1 + is_mut as usize;
-                let colon = trees.get(at + 1).and_then(Tree::punct) == Some(":");
-                if let Some(name) = ident(at).filter(|_| colon) {
-                    let ty = &trees[at + 2..];
-                    let end = ty.iter().position(|t| matches!(t.punct(), Some("=" | ";")));
-                    self.statics.push(StaticItem {
-                        name: name.to_string(),
-                        line: trees[i].line(),
-                        ty: render_type(&ty[..end.unwrap_or(ty.len())]),
-                        is_mut,
-                        tls,
-                    });
-                }
-            }
-            (Some("unsafe"), Some("impl")) => {
-                let header = &trees[i + 2..until_brace(trees, i + 2).0];
-                if let (Some("Send" | "Sync"), Some(ty)) = impl_header(header) {
-                    self.unsafe_sync.push(ty.to_string());
-                }
-            }
-            _ => {}
+    /// `static [mut] NAME: Type …` at `i`.
+    fn index_static(&mut self, trees: &[Tree], i: usize) {
+        let at = i + 1 + (trees.get(i + 1).and_then(Tree::ident) == Some("mut")) as usize;
+        let colon = trees.get(at + 1).and_then(Tree::punct) == Some(":");
+        if let Some(name) = trees.get(at).and_then(Tree::ident).filter(|_| colon) {
+            let ty = &trees[at + 2..];
+            let end = ty.iter().position(|t| matches!(t.punct(), Some("=" | ";")));
+            let ty = render_type(&ty[..end.unwrap_or(ty.len())]);
+            self.statics.push((name.to_string(), ty));
         }
     }
 
@@ -530,7 +488,7 @@ impl SrcFile {
                         let ty = if kw == "trait" {
                             trees.get(i + 1).and_then(Tree::ident)
                         } else {
-                            impl_header(&trees[i + 1..body_at]).1
+                            impl_type(&trees[i + 1..body_at])
                         };
                         self.collect_fns(&g.trees, ty, out);
                     }
@@ -560,7 +518,6 @@ impl SrcFile {
                                 out.push(FnItem {
                                     name,
                                     owner,
-                                    is_pub: is_pub(trees, i),
                                     line: trees[i].line(),
                                     sig: &trees[i + 2..j],
                                     body: g,
@@ -712,12 +669,11 @@ fn collect_refs(trees: &[Tree], out: &mut Vec<String>) {
 }
 
 /// Reads an `impl` header (the tokens between `impl` and the body brace):
-/// the implemented trait, when it is a trait impl, and the implemented type —
-/// each the first uppercase ident at angle-bracket depth 0 on its side of
-/// `for`.
-fn impl_header(trees: &[Tree]) -> (Option<&str>, Option<&str>) {
+/// the implemented type is its first uppercase ident at angle-bracket depth
+/// 0, counted after `for` in a trait impl.
+fn impl_type(trees: &[Tree]) -> Option<&str> {
     let mut depth = 0i32;
-    let (mut tr, mut ty) = (None, None);
+    let mut ty = None;
     for t in trees {
         if let Some(p) = t.punct() {
             match p {
@@ -732,34 +688,16 @@ fn impl_header(trees: &[Tree]) -> (Option<&str>, Option<&str>) {
         if depth != 0 {
             continue;
         }
-        if let Some(id) = t.ident() {
-            if id == "for" {
-                tr = ty.take(); // trait impl: the implemented type follows
-            } else if id == "where" {
-                break;
-            } else if ty.is_none() && id.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                ty = Some(id);
+        match t.ident() {
+            Some("for") => ty = None, // trait impl: the implemented type follows
+            Some("where") => break,
+            Some(id) if ty.is_none() && id.starts_with(|c: char| c.is_ascii_uppercase()) => {
+                ty = Some(id)
             }
+            _ => {}
         }
     }
-    (tr, ty)
-}
-
-/// Walks back from the `fn` keyword over qualifiers, attributes and docs
-/// looking for `pub`.
-fn is_pub(trees: &[Tree], fn_at: usize) -> bool {
-    for t in trees[..fn_at].iter().rev() {
-        match t {
-            Tree::Leaf(t) if t.text == "pub" => return true,
-            Tree::Leaf(t) if matches!(t.text.as_str(), "const" | "unsafe" | "async" | "extern") => {
-            }
-            Tree::Leaf(t) if t.kind == TokKind::Str || t.kind == TokKind::Doc => {}
-            Tree::Leaf(t) if t.text == "#" => {}
-            Tree::Group(g) if g.delim == '[' || g.delim == '(' => {}
-            _ => return false,
-        }
-    }
-    false
+    ty
 }
 
 #[cfg(test)]
@@ -836,12 +774,18 @@ mod tests {
         file(src).fns().iter().map(|f| f.name.to_string()).collect()
     }
 
+    /// [`SrcFile::in_test`] for the start of 1-based `line`.
+    fn line_in_test(f: &SrcFile, line: u32) -> bool {
+        f.in_test(f.line_starts[line as usize - 1])
+    }
+
     #[test]
     fn cfg_test_items_are_test_only_through_their_closing_brace() {
         let src = "fn a() {}\n#[cfg(test)]\n#[allow(dead_code)]\nmod tests {\n    fn t() {}\n}\nfn b() {}\n";
         assert_eq!(fn_names(src), ["a", "b"]);
         let f = file(src);
-        assert!(!f.line_in_test(1) && f.line_in_test(2) && f.line_in_test(6) && !f.line_in_test(7));
+        let in_test = |l| line_in_test(&f, l);
+        assert!(!in_test(1) && in_test(2) && in_test(6) && !in_test(7));
     }
 
     #[test]
@@ -863,7 +807,7 @@ mod tests {
     fn bodiless_test_items_end_at_their_semicolon() {
         let src = "#[cfg(test)]\nuse std::thread;\nfn a(x: [u8; 2]) {}\n";
         let f = file(src);
-        assert!(f.line_in_test(2) && !f.line_in_test(3));
+        assert!(line_in_test(&f, 2) && !line_in_test(&f, 3));
         // A `;` inside the signature's groups does not end a test fn early.
         assert!(fn_names("#[cfg(test)] fn t(x: [u8; 2]) { fn inner() {} }").is_empty());
     }
@@ -872,9 +816,9 @@ mod tests {
 
     #[test]
     fn comment_markers_are_anchored_and_string_contents_are_not_comments() {
-        let f = file("let u = \"http://race: no\";\n// race: yes\n//! ordering: inner doc\n// lost the race: prose\n");
+        let f = file("let u = \"x lock-order: no\";\n// lock-order: yes\n//! ordering: inner doc\n// a lock-order: prose\n");
         assert_eq!(f.comment(1), None);
-        assert_eq!(f.marked("race:").collect::<Vec<_>>(), [2]);
+        assert_eq!(f.marked("lock-order:").collect::<Vec<_>>(), [2]);
         assert_eq!(f.marked("ordering:").collect::<Vec<_>>(), [3]);
         assert_eq!(f.next_code_line(1), None);
     }
@@ -882,7 +826,7 @@ mod tests {
     // -- item index ------------------------------------------------------------
 
     #[test]
-    fn fns_carry_owner_visibility_signature_and_body() {
+    fn fns_carry_owner_signature_and_body() {
         let f = file(
             "impl<'a, T: Clone> PSkipList<T> {
                 /// doc
@@ -897,7 +841,6 @@ mod tests {
         let fns = f.fns();
         let by = |n: &str| fns.iter().find(|f| f.name == n).unwrap();
         assert_eq!(by("history").owner, Some("PSkipList"));
-        assert!(by("history").is_pub && !by("plain").is_pub && by("free").is_pub);
         assert!(by("history").sig.iter().any(|t| t.punct() == Some("->")));
         assert_eq!(by("fmt").owner, Some("Pool"), "trait impl owner is after `for`");
         assert_eq!(by("ping").owner, Some("Service"));
@@ -907,31 +850,25 @@ mod tests {
     }
 
     #[test]
-    fn statics_and_unsafe_send_sync_impls_are_indexed_outside_tests() {
+    fn statics_are_indexed_outside_tests() {
         let f = file(
             "pub static INDEX: RwLock<BTreeMap<u64, u64>> = RwLock::new(BTreeMap::new());
              static mut COUNTER: u64 = 0;
              thread_local! { static JITTER: Cell<u64> = const { Cell::new(0) }; }
              fn f(x: &'static str) { static LOCAL: AtomicU64 = AtomicU64::new(0); }
-             unsafe impl<T: Send> Sync for Shard<T> {}
-             unsafe impl Send for Pool {}
-             unsafe impl GlobalAlloc for Counting {}
              #[cfg(test)]
-             mod t { static mut T: u8 = 0; unsafe impl Send for Fake {} }",
+             mod t { static T: Mutex<u8> = Mutex::new(0); }",
         );
-        let got: Vec<_> =
-            f.statics.iter().map(|s| (s.name.as_str(), s.ty.as_str(), s.is_mut, s.tls)).collect();
+        let got: Vec<_> = f.statics.iter().map(|(n, ty)| (n.as_str(), ty.as_str())).collect();
         assert_eq!(
             got,
             [
-                ("INDEX", "RwLock<BTreeMap<u64,u64>>", false, false),
-                ("COUNTER", "u64", true, false),
-                ("JITTER", "Cell<u64>", false, true),
-                ("LOCAL", "AtomicU64", false, false),
+                ("INDEX", "RwLock<BTreeMap<u64,u64>>"),
+                ("COUNTER", "u64"),
+                ("JITTER", "Cell<u64>"),
+                ("LOCAL", "AtomicU64"),
             ]
         );
-        assert_eq!(f.statics[1].line, 2);
-        assert_eq!(f.unsafe_sync, ["Shard", "Pool"]);
     }
 
     #[test]

@@ -219,10 +219,6 @@ impl<'a> Workspace<'a> {
         self.src
     }
 
-    pub fn fn_count(&self) -> usize {
-        self.fns.len()
-    }
-
     pub fn fn_info(&self, i: usize) -> &FnInfo<'a> {
         &self.fns[i].info
     }
@@ -587,7 +583,7 @@ mod tests {
     }
 
     fn idx(ws: &Workspace, name: &str) -> usize {
-        (0..ws.fn_count()).find(|&i| ws.fn_info(i).item.name == name).unwrap()
+        ws.fns_in(&[""]).into_iter().find(|&i| ws.fn_info(i).item.name == name).unwrap()
     }
 
     fn violations_of(ws: &Workspace, name: &str) -> usize {
