@@ -3,14 +3,16 @@
 //!
 //! The paper's ESkipList is "identical algorithms, all state on the heap"
 //! (§V-B); it exists to price persistence. So the algorithms live here, and
-//! a store is an instantiation: [`Engine`] is generic over the key type and
-//! over a [`Home`] — *where a key's history lives*. [`crate::PSkipList`] is
-//! `Engine<u64, PmHome>` (pool + key chain),
-//! [`crate::ESkipList`] is `Engine<u64, HeapHome>`, and
-//! [`crate::VersionedMap`] wraps `Engine<K, HeapHome>`. Whatever the two
-//! stores' figures differ by is the cost of the home, not of drifted copies:
-//! where the histories live, what is fenced, and how wide the index payload
-//! that names a history is (a 32-bit pool offset, a 64-bit heap pointer).
+//! a store is an instantiation: [`Engine`] is generic over a [`Home`] —
+//! *where a key's history lives*. [`crate::PSkipList`] is `Engine<u64,
+//! PmHome>` (pool + key chain) and [`crate::ESkipList`] is `Engine<u64,
+//! HeapHome>`. Whatever the two stores' figures differ by is the cost of the
+//! home, not of drifted copies: where the histories live, what is fenced, and
+//! how wide the index payload that names a history is (a 32-bit pool offset,
+//! a 64-bit heap pointer). Both stores are word-keyed; the key type stays a
+//! parameter only so that a test can count a write's index descents in key
+//! comparisons (`tests::every_write_reaches_the_index_once`), which a `u64`
+//! key cannot.
 //!
 //! A write reaches the index once: `SkipList::insert_with` is the lookup
 //! (paper Algorithm 2 — one `FindSkip`, then append to the history it met or
@@ -43,13 +45,9 @@ pub trait Home<K> {
     /// What the index stores per key to name its history. Every node holds
     /// one, so its width is part of the index's size per key.
     type Payload: Copy + Send + Sync;
-    /// What the home records about a key, captured before the index takes
-    /// ownership of it (PM: the key word; heap: nothing).
-    type Logged: Copy;
     /// Benchmark-table name of the word-keyed store over this home.
     const NAME: &'static str;
 
-    fn logged(key: &K) -> Self::Logged;
     /// Allocates an empty history; returns its payload.
     fn create(&self) -> Self::Payload;
     /// The history behind `payload`.
@@ -57,9 +55,9 @@ pub trait Home<K> {
     /// Reclaims a history created by a writer that then lost the
     /// duplicate-key race (paper §IV-B); it never became reachable.
     fn discard(&self, payload: Self::Payload);
-    /// The index now maps the key to `payload`. Runs before any of the key's
+    /// The index now maps `key` to `payload`. Runs before any of the key's
     /// operations can complete.
-    fn key_linked(&self, key: Self::Logged, payload: Self::Payload);
+    fn key_linked(&self, key: K, payload: Self::Payload);
     /// The one ordering fence between a batch chunk's entry persists and its
     /// stamp publishes.
     fn batch_fence(&self);
@@ -67,8 +65,8 @@ pub trait Home<K> {
     fn close(&mut self, payloads: impl Iterator<Item = Self::Payload>);
 }
 
-/// A multi-version ordered store over any `K: Ord`: values are words, the
-/// top one reserved for [`TOMBSTONE`].
+/// A multi-version ordered store: values are words, the top one reserved for
+/// [`TOMBSTONE`].
 pub struct Engine<K, H: Home<K>> {
     pub(crate) index: SkipList<K, H::Payload>,
     pub(crate) clock: VersionClock,
@@ -90,7 +88,7 @@ pub(crate) fn live_at<S: Slots>(hist: History<S>, version: u64, fc: u64) -> Opti
 /// incomplete.
 const BATCH_CHUNK: usize = 1024;
 
-impl<K: Ord, H: Home<K>> Engine<K, H> {
+impl<K: Ord + Copy, H: Home<K>> Engine<K, H> {
     pub(crate) fn assemble(index: SkipList<K, H::Payload>, clock: VersionClock, home: H) -> Self {
         Engine { index, clock, tags: Labels::default(), home, counters: OpCounters::new() }
     }
@@ -110,11 +108,10 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
     /// The one index call of a write: a single descent that returns the
     /// history the key already has, or links the one created here.
     pub(crate) fn get_or_create_history(&self, key: K) -> H::Payload {
-        let logged = H::logged(&key);
         match self.index.insert_with(key, || self.home.create()) {
             InsertOutcome::Inserted(payload) => {
                 self.counters.new_key();
-                self.home.key_linked(logged, payload);
+                self.home.key_linked(key, payload);
                 payload
             }
             InsertOutcome::Lost { existing, yours } => {
@@ -163,10 +160,7 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
     /// prepared-only slots; recovery's watermark rule (§IV-B) prunes every
     /// version at or beyond the first unpublished one, so the recovered
     /// state is always a consistent prefix of the batch.
-    pub(crate) fn put_batch(&self, pairs: &[(K, u64)]) -> Vec<u64>
-    where
-        K: Copy,
-    {
+    pub(crate) fn put_batch(&self, pairs: &[(K, u64)]) -> Vec<u64> {
         mvkv_obs::span!("mvkv_core_insert_batch_ns");
         mvkv_obs::counter_add!("mvkv_core_insert_batch_pairs_total", pairs.len() as u64);
         // Up front: past this point every issued version must complete.
@@ -233,23 +227,17 @@ impl<K: Ord, H: Home<K>> Engine<K, H> {
 
     /// The paper's `extract_snapshot`, on the caller's thread: freezes the
     /// watermark, seeks `lo` (`None` = the first key), walks level 0 with
-    /// [`next_live`](Self::next_live) and pushes `pair(key, value)` of every
-    /// live key below `hi` (`None` = unbounded) into one vector, in key
-    /// order. Only the unbounded snapshot is pre-sized (to the key count): a
-    /// window's size is unknown until it has been walked.
-    pub(crate) fn extract<'a, T>(
-        &'a self,
-        version: u64,
-        lo: Option<&K>,
-        hi: Option<&K>,
-        pair: impl Fn(&'a K, u64) -> T,
-    ) -> Vec<T> {
+    /// [`next_live`](Self::next_live) and pushes every live pair below `hi`
+    /// (`None` = unbounded) into one vector, in key order. Only the unbounded
+    /// snapshot is pre-sized (to the key count): a window's size is unknown
+    /// until it has been walked.
+    pub(crate) fn extract(&self, version: u64, lo: Option<&K>, hi: Option<&K>) -> Vec<(K, u64)> {
         mvkv_obs::span!("mvkv_core_extract_ns");
         let fc = self.clock.watermark();
         let mut cursor = lo.map_or_else(|| self.index.iter(), |lo| self.index.range_from(lo));
         let mut out = Vec::with_capacity(if hi.is_none() { self.index.len() as usize } else { 0 });
         while let Some((key, value)) = self.next_live(&mut cursor, hi, version, fc) {
-            out.push(pair(key, value));
+            out.push((*key, value));
         }
         out
     }
@@ -319,11 +307,11 @@ impl<H: Home<u64>> StoreSession for &Engine<u64, H> {
 
     fn extract_snapshot(&self, version: u64) -> Vec<Pair> {
         self.counters.snapshot_extraction();
-        self.extract(version, None, None, |&key, value| (key, value))
+        self.extract(version, None, None)
     }
 
     fn extract_range(&self, version: u64, lo: u64, hi: u64) -> Vec<Pair> {
-        self.extract(version, Some(&lo), Some(&hi), |&key, value| (key, value))
+        self.extract(version, Some(&lo), Some(&hi))
     }
 }
 
@@ -332,8 +320,8 @@ mod tests {
     use super::*;
     use crate::{ESkipList, PSkipList};
 
-    // The engine paths both word-keyed instantiations run. The semantics
-    // shared with `VersionedMap` too are in `tests/equivalence.rs`.
+    // The engine paths both instantiations run. The semantics shared with
+    // the other stores are in `tests/equivalence.rs`.
 
     fn insert_batch_matches_per_pair_inserts<S: VersionedStore>(store: S) {
         let s = store.session();

@@ -22,11 +22,7 @@ pub struct HeapHome;
 impl<K> Home<K> for HeapHome {
     type Slots<'a> = &'a EHistory;
     type Payload = u64;
-    type Logged = ();
     const NAME: &'static str = "ESkipList";
-
-    #[inline]
-    fn logged(_: &K) {}
 
     #[inline]
     fn create(&self) -> u64 {
@@ -49,7 +45,7 @@ impl<K> Home<K> for HeapHome {
     }
 
     #[inline]
-    fn key_linked(&self, (): (), _: u64) {}
+    fn key_linked(&self, _: K, _: u64) {}
 
     #[inline]
     fn batch_fence(&self) {}
@@ -61,13 +57,13 @@ impl<K> Home<K> for HeapHome {
     }
 }
 
-impl<K: Ord> Engine<K, HeapHome> {
+impl<K: Ord + Copy> Engine<K, HeapHome> {
     pub fn new() -> Self {
         Engine::assemble(SkipList::new(), VersionClock::new(), HeapHome)
     }
 }
 
-impl<K: Ord> Default for Engine<K, HeapHome> {
+impl<K: Ord + Copy> Default for Engine<K, HeapHome> {
     fn default() -> Self {
         Self::new()
     }

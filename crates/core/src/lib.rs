@@ -38,7 +38,6 @@ pub mod pskiplist;
 pub mod recovery;
 pub mod scan;
 pub mod stats;
-pub mod vmap;
 
 pub use api::{delta_by_snapshots, LabeledTags, StoreSession, VersionedStore};
 pub use dbstore::{DbSession, DbStore};
@@ -52,7 +51,6 @@ pub use recovery::{
 };
 pub use scan::SnapshotScan;
 pub use stats::OpStats;
-pub use vmap::VersionedMap;
 
 pub use mvkv_vhistory::{HistoryRecord, TOMBSTONE};
 

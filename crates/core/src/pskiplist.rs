@@ -215,13 +215,7 @@ impl PmHome {
 impl Home<u64> for PmHome {
     type Slots<'a> = PHistory<'a>;
     type Payload = u32;
-    type Logged = u64;
     const NAME: &'static str = "PSkipList";
-
-    #[inline]
-    fn logged(key: &u64) -> u64 {
-        *key
-    }
 
     #[inline]
     fn create(&self) -> u32 {

@@ -28,7 +28,8 @@
 //! the guard lands in), explicit **`drop(guard)`** releases and **statement
 //! ends** — what the lock-order pass needs to keep a stack of live guards.
 //! Events are in evaluation order where it differs from source order: the
-//! right side of a plain `place = value;` is lowered before the place. The
+//! right side of a plain `place = value` is lowered before the place, in a
+//! statement and in an expression-bodied match arm or closure. The
 //! dataflow is parameterized over a [`CallOracle`] so the interprocedural
 //! summary layer (`summary.rs`) can plug per-function transfer functions into
 //! the same evaluator; an oracle that answers [`Transfer::IDENTITY`] for every
@@ -646,23 +647,24 @@ fn parse_closure(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
             }
         }
     }
-    let mut body = Vec::new();
-    if let Some(Tree::Group(g)) = trees.get(j) {
-        if g.delim == '{' {
-            body.push(parse_seq(&g.trees));
-            nodes.push(Node::Loop(Box::new(Node::Seq(body))));
-            return j + 1;
+    let end = expr_end(trees, j, &[",", ";"]);
+    nodes.push(Node::Loop(Box::new(parse_seq(&trees[j..end]))));
+    end
+}
+
+/// The end of the expression starting at `i`: the first top-level token in
+/// `stops` outside a closure's parameter list, or the end of the slice.
+fn expr_end(trees: &[Tree], mut i: usize, stops: &[&str]) -> usize {
+    let mut params = false;
+    while i < trees.len() {
+        match trees[i].punct() {
+            Some("|") if params || closure_position(trees, i) => params = !params,
+            Some(p) if !params && stops.contains(&p) => break,
+            _ => {}
         }
+        i += 1;
     }
-    // Expression body: up to a top-level `,` or `;` or end of slice.
-    while j < trees.len() {
-        if matches!(trees[j].punct(), Some(",") | Some(";")) {
-            break;
-        }
-        j = parse_one(trees, j, &mut body);
-    }
-    nodes.push(Node::Loop(Box::new(Node::Seq(body))));
-    j
+    i
 }
 
 /// `if let` / `while let` at `i`?
@@ -744,42 +746,26 @@ fn parse_match_arms(trees: &[Tree]) -> Vec<Node> {
     while i < trees.len() {
         // Pattern (and optional guard) up to `=>`. Guard effects are folded
         // into the arm — pessimistic but sound for a may-be-dirty analysis.
-        let mut pre = Vec::new();
+        let mut arm = Vec::new();
         while i < trees.len() && trees[i].punct() != Some("=>") {
-            i = parse_one(trees, i, &mut pre);
+            i = parse_one(trees, i, &mut arm);
         }
         if i >= trees.len() {
             // No `=>` at all: the brace was a block in the scrutinee (`match
             // unsafe { … }.cmp(k) { … }`), whose events still happen.
             if arms.is_empty() {
-                arms.push(Node::Seq(pre));
+                arms.push(Node::Seq(arm));
             }
             break;
         }
-        i += 1; // past =>
-        let mut body = Vec::new();
-        if let Some(Tree::Group(g)) = trees.get(i) {
-            if g.delim == '{' {
-                body.push(parse_seq(&g.trees));
-                i += 1;
-                if trees.get(i).and_then(Tree::punct) == Some(",") {
-                    i += 1;
-                }
-                let mut arm = pre;
-                arm.append(&mut body);
-                arms.push(Node::Seq(arm));
-                continue;
-            }
-        }
-        while i < trees.len() && trees[i].punct() != Some(",") {
-            i = parse_one(trees, i, &mut body);
-        }
-        if trees.get(i).and_then(Tree::punct) == Some(",") {
-            i += 1;
-        }
-        let mut arm = pre;
-        arm.append(&mut body);
+        // The body: a block, whose `,` is optional, or an expression up to `,`.
+        let end = match trees.get(i + 1) {
+            Some(Tree::Group(g)) if g.delim == '{' => i + 2,
+            _ => expr_end(trees, i + 1, &[","]),
+        };
+        arm.push(parse_seq(&trees[i + 1..end]));
         arms.push(Node::Seq(arm));
+        i = end + (trees.get(end).and_then(Tree::punct) == Some(",")) as usize;
     }
     arms
 }
@@ -1477,6 +1463,15 @@ mod tests {
             "call i",
             "call g"
         ]);
+        // An expression-bodied match arm or closure is lowered the same way.
+        assert_eq!(events("match k { _ => *self.x.lock() = self.y(), }"), ["call y", "lock self.x"]);
+        assert_eq!(events("|| *self.x.lock() = self.y()"), ["call y", "lock self.x"]);
+        // A closure's parameter list does not end the body it starts.
+        assert_eq!(events("match k { _ => |a, b| *self.x.lock() = b(a), _ => c() }"), [
+            "call b",
+            "lock self.x",
+            "call c"
+        ]);
     }
 
     #[test]
@@ -1527,6 +1522,8 @@ mod tests {
             events("match unsafe { key(p) }.cmp(k) { _ => a() }"),
             ["call key", "call cmp", "call a"]
         );
+        // An expression-bodied arm ends at its comma, also when it exits.
+        assert_eq!(events("match k { 0 => break, _ => c() }"), ["Break", "call c"]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 mod common;
 
-use mvkv::core::{ESkipList, PSkipList, StoreSession, VersionedMap, VersionedStore};
+use mvkv::core::{ESkipList, PSkipList, StoreSession, VersionedStore};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -71,57 +71,6 @@ fn eskiplist_snapshot_immutability_under_writers() {
 #[test]
 fn pskiplist_snapshot_immutability_under_writers() {
     writers_vs_snapshot_readers(Arc::new(PSkipList::create_volatile(512 << 20).unwrap()));
-}
-
-/// `VersionedMap` hands out `&V` into boxes that other threads published:
-/// writers insert boxed values on their own keys while readers dereference
-/// every value of the snapshots they tag, and a tagged snapshot answers
-/// with the same box on a second look.
-#[test]
-fn versioned_map_readers_dereference_boxes_published_by_writers() {
-    const WRITERS: u64 = 2;
-    const KEYS: u64 = 64;
-    const ROUNDS: usize = 200;
-    let map: VersionedMap<u64, Vec<u64>> = VersionedMap::new();
-    let writing = AtomicU64::new(WRITERS);
-    let checked = std::thread::scope(|scope| {
-        for w in 0..WRITERS {
-            let (map, writing) = (&map, &writing);
-            scope.spawn(move || {
-                for round in 1..=ROUNDS {
-                    for key in (w..KEYS).step_by(WRITERS as usize) {
-                        map.insert(key, vec![key; 1 + round % 3]);
-                    }
-                }
-                writing.fetch_sub(1, Ordering::Release);
-            });
-        }
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut checked = 0;
-                    loop {
-                        let last = writing.load(Ordering::Acquire) == 0;
-                        let tag = map.tag();
-                        let snap = map.extract_snapshot(tag);
-                        for &(key, value) in &snap {
-                            assert!(!value.is_empty() && value.iter().all(|x| x == key));
-                            let again = map.find(key, tag).expect("a tagged key stays");
-                            assert!(std::ptr::eq(again, value), "snapshot {tag} moved {key}");
-                        }
-                        checked += snap.len();
-                        if last {
-                            assert_eq!(snap.len() as u64, KEYS);
-                            assert!(snap.iter().all(|(_, v)| v.len() == 1 + ROUNDS % 3));
-                            return checked;
-                        }
-                    }
-                })
-            })
-            .collect();
-        readers.into_iter().map(|r| r.join().unwrap()).sum::<usize>()
-    });
-    assert!(checked >= 2 * KEYS as usize);
 }
 
 /// `workers` threads hammer `insert`/`find` while one more thread asserts

@@ -1,11 +1,9 @@
 //! Five-approach equivalence: the same operation script must produce
-//! identical versioned behaviour on every store and match the oracle.
-//! `VersionedMap<u64, u64>`, the third instantiation of the skip-list store
-//! engine, runs behind an adapter as a sixth.
+//! identical versioned behaviour on all five stores and match the oracle.
 
 mod common;
 
-use common::{apply_script, assert_agrees, random_script, MapStore, Oracle, Op};
+use common::{apply_script, assert_agrees, random_script, Oracle, Op};
 use mvkv::core::{DbStore, ESkipList, LockedMap, PSkipList, StoreSession, VersionedStore};
 
 fn probe_versions(max: u64) -> Vec<u64> {
@@ -41,7 +39,6 @@ fn all_five_stores_agree_with_oracle() {
     let script = random_script(1500, 120, 0xE9);
     check_store(&PSkipList::create_volatile(64 << 20).unwrap(), &script);
     check_store(&ESkipList::new(), &script);
-    check_store(&MapStore::default(), &script);
     check_store(&LockedMap::new(), &script);
     check_store(&DbStore::mem(), &script);
     let path = std::env::temp_dir().join(format!("mvkv-equiv-{}.db", std::process::id()));
@@ -68,7 +65,6 @@ fn remove_heavy_scripts_agree() {
         .collect();
     check_store(&PSkipList::create_volatile(64 << 20).unwrap(), &script);
     check_store(&ESkipList::new(), &script);
-    check_store(&MapStore::default(), &script);
     check_store(&LockedMap::new(), &script);
     check_store(&DbStore::mem(), &script);
 }
@@ -78,7 +74,6 @@ fn insert_only_monotone_keys() {
     let script: Vec<Op> = (0..1000).map(|i| Op::Insert(i, i * 7)).collect();
     check_store(&PSkipList::create_volatile(64 << 20).unwrap(), &script);
     check_store(&ESkipList::new(), &script);
-    check_store(&MapStore::default(), &script);
 }
 
 #[test]
@@ -94,7 +89,6 @@ fn edge_key_values() {
     ];
     check_store(&PSkipList::create_volatile(16 << 20).unwrap(), &script);
     check_store(&ESkipList::new(), &script);
-    check_store(&MapStore::default(), &script);
     check_store(&LockedMap::new(), &script);
     check_store(&DbStore::mem(), &script);
 }
@@ -126,6 +120,12 @@ fn the_reserved_value_is_refused_by_every_store() {
     check(ESkipList::new());
     check(LockedMap::new());
     check(DbStore::mem());
+    let path = std::env::temp_dir().join(format!("mvkv-reserved-{}.db", std::process::id()));
+    check(DbStore::reg(&path).unwrap());
+    let _ = std::fs::remove_file(&path);
+    let mut wal = path.into_os_string();
+    wal.push(".wal");
+    let _ = std::fs::remove_file(std::path::PathBuf::from(wal));
 }
 
 // ---------------------------------------------------------------------------
@@ -138,7 +138,6 @@ macro_rules! on_each_instantiation {
     ($check:ident) => {{
         $check(PSkipList::create_volatile(64 << 20).unwrap());
         $check(ESkipList::new());
-        $check(MapStore::default());
     }};
 }
 
