@@ -206,7 +206,7 @@ impl<'p> KeyChain<'p> {
         // the block instead of trusting its pairs.
         self.pool.write_u64(off + 24, crc32c_u64s(&[index]) as u64);
         self.pool.persist(off, bytes as usize);
-        // fence: amortized(new chain block: once per block_cap appends)
+        // Amortized: one new chain block, and this fence, per block_cap appends.
         self.pool.fence();
         match self.pool.atomic_u64(link_off).compare_exchange(
             0,

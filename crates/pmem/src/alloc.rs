@@ -754,7 +754,7 @@ impl Allocator {
             // must be durable before any thief can link one into a durable
             // structure — the thief's own fence does not order this thread's
             // flushes.
-            // fence: amortized(shard refill: once per `batch` allocations)
+            // Amortized: one refill, and this fence, per `batch` allocations.
             pool.fence();
             // Before any block of the run is handed out, a free of which
             // looks the run up here. `run < RUN_LIMIT`: the unit fits.

@@ -4,8 +4,11 @@
 //! (`persist` = flush-to-media, `fence` = ordering). Three implementations:
 //!
 //! * [`FileBacked`] — `mmap` of a regular file. Pointing the file at
-//!   `/dev/shm` reproduces the paper's PM emulation exactly (§V-A); pointing
-//!   it at a DAX-mounted PM namespace would use real persistent memory.
+//!   `/dev/shm` reproduces the paper's PM emulation exactly (§V-A). On a
+//!   DAX-mounted PM namespace it is durable only on an eADR platform, whose
+//!   caches are in the persistence domain: on ADR hardware a store reaches
+//!   the media only through `clwb` / `clflushopt` + `sfence`, which this
+//!   backend does not issue yet (ROADMAP.md, "Persist for real").
 //! * [`Volatile`] — anonymous heap memory for unit tests and for the
 //!   ephemeral store variants.
 //! * [`CrashSim`] — volatile front region plus a durable shadow. Only
@@ -93,11 +96,14 @@ impl Drop for AlignedRegion {
 
 /// Memory-mapped file backend — the production persistence path.
 ///
-/// File pools assume tmpfs (`/dev/shm`, the paper's emulation) or a DAX
-/// mount: `persist` is a no-op beyond a release fence, because there a store
-/// is durable once it leaves the store buffer, exactly like the paper's
-/// setup. On a regular file system only `sync_all` (an `msync` of the whole
-/// map) reaches the disk.
+/// File pools assume tmpfs (`/dev/shm`, the paper's emulation): `persist`
+/// is a no-op beyond a release fence, because there is no media behind the
+/// caches, exactly like the paper's setup. A DAX mount gets the same
+/// guarantee only on an eADR platform, where a store is durable once it
+/// leaves the store buffer; on ADR hardware it needs a `clwb` /
+/// `clflushopt` per line and an `sfence`, which `persist` and `fence` do
+/// not issue yet (ROADMAP.md, "Persist for real"). On a regular file
+/// system only `sync_all` (an `msync` of the whole map) reaches the disk.
 pub struct FileBacked {
     map: memmap2::MmapMut,
 }
@@ -140,7 +146,8 @@ impl Backend for FileBacked {
     }
 
     fn persist(&self, _offset: usize, _len: usize) {
-        // tmpfs / DAX: stores are durable once globally visible.
+        // tmpfs, or DAX on eADR: stores are durable once globally visible.
+        // DAX on ADR needs a clwb per line here (ROADMAP.md, "Persist for real").
         fence(Ordering::Release);
     }
 
@@ -161,12 +168,6 @@ pub struct Volatile {
 impl Volatile {
     pub fn new(len: usize) -> Self {
         Volatile { region: AlignedRegion::zeroed(len) }
-    }
-
-    /// Builds a volatile region pre-loaded with a crash image, so recovery
-    /// paths can be exercised without touching the file system.
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        Volatile { region: AlignedRegion::from_bytes(bytes) }
     }
 }
 
@@ -213,9 +214,12 @@ pub struct CrashSim {
     rng_state: AtomicU64,
     /// Serializes shadow writes (the copy loop itself is atomic-per-word).
     shadow_lock: Mutex<()>,
-    /// Lifetime count of `fence` calls — lets tests assert on the ordering
-    /// cost of an algorithm (e.g. fences per append).
+    /// Lifetime counts of `fence` calls, of non-empty `persist` calls and of
+    /// the 64-byte lines those persists covered (one `clwb` each on real
+    /// PM) — what `tests/cost_ledger.rs` charges each operation.
     fences: AtomicU64,
+    persists: AtomicU64,
+    lines: AtomicU64,
     /// When non-zero, the N-th fence (1-based) snapshots the shadow into
     /// `captured` — "crash exactly at this fence boundary" for the
     /// exhaustive crash-matrix tests.
@@ -233,9 +237,21 @@ impl CrashSim {
             rng_state: AtomicU64::new(options.seed | 1),
             shadow_lock: Mutex::new(()),
             fences: AtomicU64::new(0),
+            persists: AtomicU64::new(0),
+            lines: AtomicU64::new(0),
             capture_at: AtomicU64::new(0),
             captured: Mutex::new(None),
         }
+    }
+
+    /// A simulator whose caches and media both hold `bytes`: a crash image
+    /// re-attached ([`crate::PmemPool::open_image`]), so that recovery's
+    /// persists and fences are counted like any other operation's.
+    pub fn from_bytes(bytes: &[u8]) -> Self {
+        let mut sim = CrashSim::new(CACHE_LINE, CrashOptions::default());
+        let region = || AlignedRegion::from_bytes(bytes);
+        (sim.front, sim.shadow) = (region(), region());
+        sim
     }
 
     /// Arms the fence trap: the `n`-th fence call (1-based, counted from
@@ -258,6 +274,17 @@ impl CrashSim {
     /// (Relaxed: a monitoring counter, never synchronized against.)
     pub fn fence_count(&self) -> u64 {
         self.fences.load(Ordering::Relaxed) // ordering: stat read
+    }
+
+    /// Number of non-empty `persist` calls so far (Relaxed, as above).
+    pub fn persist_count(&self) -> u64 {
+        self.persists.load(Ordering::Relaxed) // ordering: stat read
+    }
+
+    /// 64-byte lines covered by those `persist` calls, summed over the calls
+    /// (a line flushed twice counts twice). Relaxed, as above.
+    pub fn lines_flushed(&self) -> u64 {
+        self.lines.load(Ordering::Relaxed) // ordering: stat read
     }
 
     fn next_rand(&self) -> u64 {
@@ -320,12 +347,13 @@ impl Backend for CrashSim {
         if len == 0 {
             return;
         }
-        // Exact persist counts live here rather than in the pool wrapper:
-        // the simulator already pays per-line propagation costs, while the
-        // production backends keep persist() a two-instruction inline.
-        mvkv_obs::counter_inc_hot!("mvkv_pmem_crash_sim_persists_total");
         let start = offset & !(CACHE_LINE - 1);
         let end = ((offset + len + CACHE_LINE - 1) & !(CACHE_LINE - 1)).min(self.front.len);
+        // ordering: test counters, as `fences` below; exact counts live here
+        // rather than in the pool wrapper, which production keeps a
+        // two-instruction inline.
+        self.persists.fetch_add(1, Ordering::Relaxed);
+        self.lines.fetch_add(((end - start) / CACHE_LINE) as u64, Ordering::Relaxed);
         self.propagate(start, end);
 
         if self.options.eviction_rate > 0.0 {
@@ -377,12 +405,12 @@ mod tests {
     }
 
     #[test]
-    fn volatile_from_bytes_roundtrip() {
-        let data: Vec<u8> = (0..255u8).collect();
-        let v = Volatile::from_bytes(&data);
+    fn crash_sim_from_bytes_holds_them_in_caches_and_media() {
+        let data: Vec<u8> = (0..=255u8).collect();
+        let sim = CrashSim::from_bytes(&data);
         // SAFETY: base()..base()+len() is the region's own mapping.
-        let view = unsafe { std::slice::from_raw_parts(v.base(), v.len()) };
-        assert_eq!(view, &data[..]);
+        let view = unsafe { std::slice::from_raw_parts(sim.base(), sim.len()) };
+        assert_eq!((view, &sim.crash_image()[..]), (&data[..], &data[..]));
     }
 
     #[test]
@@ -458,6 +486,16 @@ mod tests {
         sim.fence();
         sim.fence();
         assert_eq!(sim.fence_count(), 2);
+    }
+
+    #[test]
+    fn crash_sim_counts_persists_and_the_lines_they_cover() {
+        let sim = CrashSim::new(4096, CrashOptions::default());
+        sim.persist(60, 8); // straddles lines 0 and 1
+        sim.persist(64, 64);
+        sim.persist(100, 0); // flushes nothing
+        sim.persist(4000, 500); // clipped at the region's end
+        assert_eq!((sim.persist_count(), sim.lines_flushed()), (3, 2 + 1 + 2));
     }
 
     #[test]

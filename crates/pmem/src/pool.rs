@@ -61,9 +61,11 @@ impl PmemPool {
     }
 
     /// Re-attaches to a crash image (or any serialized pool bytes), running
-    /// the same validation + heap scan as a file reopen.
+    /// the same validation + heap scan as a file reopen. The pool is a
+    /// crash-simulation pool holding `bytes` as its durable state, so a
+    /// recovery's fences can be counted and its result crashed again.
     pub fn open_image(bytes: &[u8]) -> Result<Self> {
-        Self::attach(Box::new(Volatile::from_bytes(bytes)))
+        Self::attach(Box::new(CrashSim::from_bytes(bytes)))
     }
 
     fn format(backend: Box<dyn Backend>) -> Result<Self> {
@@ -182,9 +184,9 @@ impl PmemPool {
     /// ~13x per insert from the innermost write loops, and even a buffered
     /// per-call bump here measured ~5% of single-thread insert throughput
     /// (it defeats inlining of this two-instruction wrapper). Fences carry
-    /// the architectural signal and are counted; exact persist counts are
-    /// available from the crash-sim backend, which pays per-line costs
-    /// anyway (`mvkv_pmem_crash_sim_persists_total`).
+    /// the architectural signal and are counted; exact persist and flushed
+    /// line counts are kept by the crash-sim backend, which pays per-line
+    /// costs anyway ([`PmemPool::persist_count`], [`PmemPool::lines_flushed`]).
     pub fn persist(&self, off: u64, len: usize) {
         debug_assert!(off as usize + len <= self.backend.len());
         self.backend.persist(off as usize, len);
@@ -336,6 +338,16 @@ impl PmemPool {
     /// `None` otherwise. Used by tests asserting per-operation fence cost.
     pub fn fence_count(&self) -> Option<u64> {
         self.backend.as_crash_sim().map(CrashSim::fence_count)
+    }
+
+    /// On a crash-sim pool, the lifetime count of non-empty persists.
+    pub fn persist_count(&self) -> Option<u64> {
+        self.backend.as_crash_sim().map(CrashSim::persist_count)
+    }
+
+    /// On a crash-sim pool, the 64-byte lines those persists covered.
+    pub fn lines_flushed(&self) -> Option<u64> {
+        self.backend.as_crash_sim().map(CrashSim::lines_flushed)
     }
 
     /// On a crash-sim pool, arms the fence trap: the `n`-th fence (1-based)

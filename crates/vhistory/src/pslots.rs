@@ -233,7 +233,7 @@ impl<'p> PHistory<'p> {
         // Unlike the history block, a segment is linked into a history other
         // threads already reach: its zeroing and header are durable before
         // any of them can follow the link.
-        // fence: amortized(new slot segment: once per segment capacity)
+        // Amortized: one new segment, and this fence, per segment capacity.
         self.pool.fence();
         match self.link(link_off).compare_exchange(
             0,

@@ -318,15 +318,19 @@ mod tests {
         assert_eq!(scan(h.slots()).1, vec![1], "prefix must stop at the gap");
     }
 
+    /// Both of a prune's fences: the one ordering the cleared stamps, the
+    /// one rewriting the counters (DESIGN.md §13.3: at most two).
     #[test]
     fn prune_drops_entries_beyond_watermark() {
-        let p = pool();
+        let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
         let h = History::new(PHistory::create(&p).unwrap());
         h.append(1, 10);
         h.append(4, 40);
         h.append(9, 90);
+        let fences = p.fence_count().unwrap();
         let out = prune_to_watermark(h.slots(), 4);
         assert_eq!(out, PruneOutcome { kept: 2, pruned: 1 });
+        assert_eq!(p.fence_count().unwrap() - fences, 2, "a stamp cleared, counters rewritten");
         assert_eq!(h.pending(), 2);
         assert_eq!(h.tail(), 2);
         // The pruned slot is reusable: a fresh append must succeed.
@@ -640,7 +644,7 @@ mod tests {
     fn wiped_history_block_is_unlinked_at_slot_zero() {
         // A block zeroed on the media reads, word for word, as a key that
         // was chained and never written — but for the check word.
-        let p = pool();
+        let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
         let h = History::new(PHistory::create(&p).unwrap());
         h.append(1, 10);
         let off = h.slots().pptr().off();
@@ -650,9 +654,12 @@ mod tests {
         let (found, versions) = scan(h.slots());
         assert_eq!((versions, found.len, found.stop), (vec![], 0, ScanStop::Unlinked));
         assert!(!found.settled, "nothing claimed, nothing found — and nothing trusted");
-        // The prune makes it an empty history again: the key is writable,
-        // and what is written survives the next scan.
+        // The prune makes it an empty history again, with the one fence of
+        // `reformat` and nothing after it: the key is writable, and what is
+        // written survives the next scan.
+        let fences = p.fence_count().unwrap();
         assert_eq!(prune_to_watermark(h.slots(), 1), PruneOutcome { kept: 0, pruned: 0 });
+        assert_eq!(p.fence_count().unwrap() - fences, 1);
         assert!(scan(h.slots()).0.settled);
         h.append(2, 20);
         assert_eq!(scan(h.slots()).1, [2]);

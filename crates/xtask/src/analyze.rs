@@ -10,10 +10,9 @@
 //!
 //! A finding fails the run. There is no waiver outside the source: the ways
 //! to silence one are to fix it, to argue it in a comment next to it
-//! (`// SAFETY:`, `// ordering:`, `// lock-order:`, `// fence: amortized(…)`,
-//! `pm-layout-exempt(…)` — each checked for staleness by its pass), or, for
-//! the two golden files, to re-bless after a deliberate change (`--bless`,
-//! [`Ctx::golden`]).
+//! (`// SAFETY:`, `// ordering:`, `// lock-order:`, `pm-layout-exempt(…)` —
+//! each checked for staleness by its pass), or, for `pm_layout.lock`, to
+//! re-bless after a deliberate layout change (`--bless`).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -21,7 +20,7 @@ use std::time::Instant;
 
 use crate::source::Source;
 use crate::summary::Workspace;
-use crate::{cfg, fences, layout, locks, sites};
+use crate::{cfg, layout, locks, sites};
 
 /// Crates whose `src/` must go through the `mvkv-sync` facade (loom-swapped
 /// atomics).
@@ -40,7 +39,7 @@ const ORDERING_DIRS: &[&str] = &["crates/skiplist/src", "crates/vhistory/src", "
 pub struct Ctx<'a> {
     pub root: &'a Path,
     pub ws: &'a Workspace<'a>,
-    /// `--bless`: rewrite the golden files instead of diffing against them.
+    /// `--bless`: rewrite `pm_layout.lock` instead of diffing against it.
     pub bless: bool,
 }
 
@@ -103,17 +102,6 @@ pub const PASSES: &[Pass] = &[
         run: |cx| cx.ws.source().in_dirs(ORDERING_DIRS).flat_map(sites::check_relaxed).collect(),
     },
     Pass {
-        id: "fence-budget",
-        rule: "the worst-case sfence count of each durable entry point must match \
-               fence_budget.lock (insert_batch: zero flat fences, one per chunk).",
-        rationale: "PR 7 cut 583 fences to 251 by making fence minimality structural; this \
-                    pass turns that invariant into a build-time check instead of hoping the \
-                    crash matrix notices a regression.",
-        escape: "`cargo run -p xtask -- analyze --bless` after updating DESIGN.md §13's \
-                 audit tables; `// fence: amortized(reason)` reclassifies a one-time fence.",
-        run: fences::check,
-    },
-    Pass {
         id: "lock-order",
         rule: "the lock-acquisition graph must be acyclic, and no guard may be held across an \
                sfence. A guard is a zero-argument `.lock()` / `.try_lock()`, or `.read()` / \
@@ -143,31 +131,6 @@ pub fn explain(id: &str) -> Option<String> {
 
 pub fn check_ids() -> Vec<&'static str> {
     PASSES.iter().map(|p| p.id).collect()
-}
-
-impl Ctx<'_> {
-    /// The one golden-file protocol (`pm_layout.lock`, `fence_budget.lock`):
-    /// `--bless` writes `rendered` to `path`; any other run hands the file's
-    /// text (`None`: there is no file) to `diff`.
-    pub fn golden(
-        &self,
-        check: &'static str,
-        path: &str,
-        rendered: String,
-        diff: impl FnOnce(Option<&str>) -> Vec<Finding>,
-    ) -> Vec<Finding> {
-        let file = self.root.join(path);
-        if !self.bless {
-            return diff(std::fs::read_to_string(file).ok().as_deref());
-        }
-        match std::fs::write(file, rendered) {
-            Ok(()) => {
-                eprintln!("xtask analyze: wrote {path}");
-                Vec::new()
-            }
-            Err(e) => vec![Finding::new(check, path, 0, format!("cannot write {path}: {e}"))],
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -286,7 +249,7 @@ fn json_escape(s: &str) -> String {
 
 /// Machine-readable report for the CI artifact. Hand-rolled: the workspace
 /// builds offline and xtask deliberately has no dependencies. Version 4: the
-/// seven passes of the table and the front end's time beside them; every
+/// passes of the table and the front end's time beside them; every
 /// finding listed failed the run, and names what it is about in its message.
 pub fn render_json(r: &Report) -> String {
     let mut out = format!(
@@ -378,13 +341,6 @@ mod tests {
             find: "pub fn root(&self) -> u64 {",
             replace: "pub fn root(&self) -> u64 { let _ = Ordering::Relaxed;",
             at: "pub fn root(&self) -> u64 {",
-        },
-        Seed {
-            check: "fence-budget",
-            file: "crates/core/src/engine.rs",
-            find: "self.home.batch_fence();",
-            replace: "self.home.batch_fence(); self.home.batch_fence();",
-            at: "fn insert_batch(&self",
         },
         Seed {
             check: "lock-order",

@@ -151,7 +151,7 @@ pub struct Call {
     pub hint: Hint,
     /// True only for a literal zero-argument `fence()` — the store fence
     /// primitive. `fence(Ordering::…)` (the atomic fence) and named fences
-    /// that *contain* an sfence are counted through resolution instead.
+    /// that *contain* an sfence are seen through resolution instead.
     pub sfence: bool,
 }
 
@@ -178,7 +178,7 @@ pub enum Node {
     /// A dirty PM write; carries line for reporting.
     Write { line: u32 },
     /// A persist/flush/fence call. Always clears dirtiness; the carried
-    /// [`Call`] lets the summary layer count sfences through it.
+    /// [`Call`] lets the summary layer see sfences through it.
     Flush(Call),
     /// Any other call with an argument list. Effect depends on the oracle.
     Call(Call),

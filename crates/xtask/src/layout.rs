@@ -121,8 +121,14 @@ fn lock_finding(msg: String) -> Finding {
 /// file, or into it under `--bless`.
 pub fn check(cx: &Ctx) -> Vec<Finding> {
     let (pm, mut findings) = audit(cx.ws.source());
-    let rendered = render_lock(&pm);
-    findings.extend(cx.golden("pm-layout", LOCK_PATH, rendered, |lock| diff_lock(&pm, lock)));
+    let file = cx.root.join(LOCK_PATH);
+    if !cx.bless {
+        findings.extend(diff_lock(&pm, std::fs::read_to_string(file).ok().as_deref()));
+    } else if let Err(e) = std::fs::write(file, render_lock(&pm)) {
+        findings.push(lock_finding(format!("cannot write {LOCK_PATH}: {e}")));
+    } else {
+        eprintln!("xtask analyze: wrote {LOCK_PATH}");
+    }
     findings
 }
 

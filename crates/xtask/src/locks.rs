@@ -7,7 +7,7 @@
 //! field or static (one lock-site rule: [`Workspace::lock_id`]):
 //!
 //! * **lock-held-across-fence** — an sfence (direct, or inside a resolved
-//!   callee with a non-zero budget) executes while a guard is live. Fences
+//!   callee that may fence) executes while a guard is live. Fences
 //!   are the longest fixed-latency operation in the store, so holding a
 //!   shard or chain lock across one serializes unrelated writers.
 //!   A deliberate case (a one-time setup fence that must run under its
@@ -157,20 +157,11 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
     findings
 }
 
-/// Does this call execute at least one sfence — directly, or through any
-/// resolved candidate with a non-zero budget (steady *or* amortized: a
-/// one-time fence under a lock still stalls that acquisition)?
+/// May this call execute an sfence — directly, or through any resolved
+/// candidate that may (a one-time fence under a lock still stalls that
+/// acquisition)? `fence(Ordering)` resolves to nothing: CPU order, no sfence.
 fn call_fences(ws: &Workspace, f: usize, call: &Call) -> bool {
-    if call.sfence {
-        return true;
-    }
-    if call.name == "fence" {
-        return false; // atomic fence(Ordering) — CPU order, no sfence
-    }
-    ws.resolve(f, call).iter().any(|&c| {
-        let s = ws.summary(c);
-        !s.steady.is_zero() || !s.amortized.is_zero()
-    })
+    call.sfence || ws.resolve(f, call).iter().any(|&c| ws.summary(c).fences)
 }
 
 // ---------------------------------------------------------------------------
@@ -257,6 +248,11 @@ mod tests {
 
     fn ws(files: &[(&str, &str)]) -> Workspace<'static> {
         Workspace::build(Source::fixture(files))
+    }
+
+    fn summary<'w>(w: &'w Workspace, name: &str) -> &'w crate::summary::Summary {
+        let i = w.fns_in(&[""]).into_iter().find(|&i| w.fn_info(i).item.name == name).unwrap();
+        w.summary(i)
     }
 
     #[test]
@@ -405,8 +401,8 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 4);
         assert!(f[0].msg.contains("minidb:idx"), "{}", f[0].msg);
-        let peek = w.find_fn("a.rs", Some("Wal"), "peek").unwrap();
-        assert!(w.summary(peek).locks.contains("minidb:idx"), "{:?}", w.summary(peek).locks);
+        let peek = summary(&w, "peek");
+        assert!(peek.locks.contains("minidb:idx"), "{:?}", peek.locks);
     }
 
     #[test]
@@ -431,9 +427,9 @@ mod tests {
              }\n",
         )]);
         assert!(check(&w).is_empty(), "{:?}", check(&w));
-        let pump = w.find_fn("a.rs", Some("Net"), "pump").unwrap();
-        assert_eq!(w.summary(pump).locks.iter().collect::<Vec<_>>(), ["minidb:m"]);
-        assert!(w.summary(pump).steady.is_zero());
+        let pump = summary(&w, "pump");
+        assert_eq!(pump.locks.iter().collect::<Vec<_>>(), ["minidb:m"]);
+        assert!(!pump.fences);
     }
 
     /// What the shared tracker adds to this pass: a temporary guard is held

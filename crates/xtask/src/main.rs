@@ -8,14 +8,13 @@
 //!
 //!   cargo run -p xtask -- analyze              # human-readable report
 //!   cargo run -p xtask -- analyze --json       # machine-readable (CI artifact)
-//!   cargo run -p xtask -- analyze --bless      # regenerate the two lock files
+//!   cargo run -p xtask -- analyze --bless      # regenerate pm_layout.lock
 //!   cargo run -p xtask -- explain <check-id>   # rule, rationale, escape hatch
 //!
 //! Any finding is exit 1. Anything else on the command line is a usage error.
 
 mod analyze;
 mod cfg;
-mod fences;
 mod layout;
 mod lexer;
 mod locks;

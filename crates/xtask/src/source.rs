@@ -77,8 +77,6 @@ pub struct FnItem<'a> {
     pub name: &'a str,
     /// The `impl`/`trait` type this fn is defined on, when any.
     pub owner: Option<&'a str>,
-    /// Source line of the `fn` keyword.
-    pub line: u32,
     /// The trees between the name and the body: generics, parameters,
     /// return type, `where` clause.
     pub sig: &'a [Tree],
@@ -212,21 +210,6 @@ impl SrcFile {
     pub fn comment(&self, line: u32) -> Option<&str> {
         let text = self.line_parts(line).1?;
         Some(text.trim_start_matches('/').trim_start_matches('!').trim_start())
-    }
-
-    /// Lines whose comment starts with `marker`. Anchored at the start of
-    /// the comment so prose that merely mentions the word ("lost the race:
-    /// reclaim ours") is not mistaken for a justification.
-    pub fn marked<'a>(&'a self, marker: &'a str) -> impl Iterator<Item = u32> + 'a {
-        self.comments
-            .iter()
-            .map(|c| c.0)
-            .filter(move |&l| self.comment(l).is_some_and(|c| c.starts_with(marker)))
-    }
-
-    /// The first line after `line` that has code on it.
-    pub fn next_code_line(&self, line: u32) -> Option<u32> {
-        (line + 1..=self.line_starts.len() as u32).find(|&l| !self.code(l).is_empty())
     }
 
     /// The line of the `// <marker> <why>` comment that covers `line`: on the
@@ -515,13 +498,7 @@ impl SrcFile {
                             // universe: they may fence freely and would
                             // pollute name resolution.
                             if !self.in_test(trees[i].off()) {
-                                out.push(FnItem {
-                                    name,
-                                    owner,
-                                    line: trees[i].line(),
-                                    sig: &trees[i + 2..j],
-                                    body: g,
-                                });
+                                out.push(FnItem { name, owner, sig: &trees[i + 2..j], body: g });
                             }
                             // Nested fns inside the body carry no owner.
                             self.collect_fns(&g.trees, None, out);
@@ -818,9 +795,10 @@ mod tests {
     fn comment_markers_are_anchored_and_string_contents_are_not_comments() {
         let f = file("let u = \"x lock-order: no\";\n// lock-order: yes\n//! ordering: inner doc\n// a lock-order: prose\n");
         assert_eq!(f.comment(1), None);
-        assert_eq!(f.marked("lock-order:").collect::<Vec<_>>(), [2]);
-        assert_eq!(f.marked("ordering:").collect::<Vec<_>>(), [3]);
-        assert_eq!(f.next_code_line(1), None);
+        let marked = |marker: &str| -> Vec<u32> {
+            (1..=4).filter(|&l| f.justification(l, marker, 0) == Some(l)).collect()
+        };
+        assert_eq!((marked("lock-order:"), marked("ordering:")), (vec![2], vec![3]));
     }
 
     // -- item index ------------------------------------------------------------

@@ -21,22 +21,26 @@ fn xtask(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_xtask")).args(args).output().unwrap()
 }
 
-/// The analyzer runs seven passes; `race-audit` is not one of them.
+/// The analyzer runs six passes; `race-audit` and `fence-budget` are not
+/// among them (how many fences an operation costs is measured by
+/// `tests/cost_ledger.rs`).
 #[test]
-fn seven_passes_and_no_race_audit() {
-    let out = xtask(&["explain", "race-audit"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown check"));
+fn six_passes_and_no_race_audit_or_fence_budget() {
+    for gone in ["race-audit", "fence-budget"] {
+        let out = xtask(&["explain", gone]);
+        assert_eq!(out.status.code(), Some(1), "{gone}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown check"), "{gone}");
+    }
 
     let out = xtask(&["explain"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let ids = stdout.lines().next().and_then(|l| l.strip_prefix("checks: ")).unwrap();
-    assert_eq!(ids.split(", ").count(), 7, "{ids}");
+    assert_eq!(ids.split(", ").count(), 6, "{ids}");
 
     let out = xtask(&["analyze", "--json"]);
     let json = String::from_utf8_lossy(&out.stdout);
     assert!(json.contains("\"version\": 4"), "{json}");
-    assert_eq!(json.matches("{\"name\": ").count(), 7, "{json}");
-    assert!(!json.contains("race-audit"), "{json}");
+    assert_eq!(json.matches("{\"name\": ").count(), 6, "{json}");
+    assert!(!json.contains("race-audit") && !json.contains("fence-budget"), "{json}");
 }

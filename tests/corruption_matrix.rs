@@ -225,21 +225,3 @@ fn history_block_straddling_the_pool_end_is_unreachable() {
         assert_eq!(rs.find(key, u64::MAX), None);
     }
 }
-
-/// Guards the tentpole's fence budget end-to-end: folding CRCs into the
-/// prepare/publish split must not add a fence to the steady-state path.
-#[test]
-fn publish_fence_budget_stays_one_per_batch() {
-    let store = PSkipList::create_crash_sim(POOL, CrashOptions::default()).unwrap();
-    let s = store.session();
-    let pairs: Vec<(u64, u64)> = (1..=16u64).map(|k| (k, value_of(k))).collect();
-    for _ in 0..4 {
-        // Warm up past the two inline slots and segment 1's adoption:
-        // allocations fence on their own.
-        s.insert_batch(&pairs);
-    }
-    let before = store.pool().fence_count().unwrap();
-    s.insert_batch(&pairs);
-    let after = store.pool().fence_count().unwrap();
-    assert_eq!(after - before, 1, "CRC folding must not add publish fences");
-}

@@ -10,8 +10,11 @@
 //! are monotone across consecutive boundaries, and any durable tag label
 //! resolves to the version it named.
 //!
-//! Two workloads are swept, each pinned to its own `workload <id> <n>` line
-//! of `crates/xtask/fence_budget.lock`:
+//! Each swept image is recovered on a crash-simulation pool, which counts
+//! the fences recovery issues: one per chain `repair` (keys, tags), then at
+//! most two per pruned history (DESIGN.md §13.3).
+//!
+//! Two workloads are swept, each with its fence count pinned below:
 //!
 //! * the original scripted insert / remove / `insert_batch` / tag mix, and
 //! * a YCSB-A analogue from the scenario generator (`mvkv-workload::mix`):
@@ -28,6 +31,28 @@ use mvkv::pmem::CrashOptions;
 use mvkv::workload::{MixConfig, MixKind, MixOp};
 
 const POOL: usize = 4 << 20;
+
+/// What a workload's sweep is pinned to: the fence boundaries the workload
+/// crosses, and the fences recovery spends over all of their images.
+struct Pin {
+    boundaries: u64,
+    recovery_fences: u64,
+}
+
+/// The scripted workload's pin; DESIGN.md §13.3 argues every fence it
+/// crosses, and `tests/cost_ledger.rs` prices them per operation.
+const SCRIPTED: Pin = Pin { boundaries: 56, recovery_fences: 275 };
+
+/// The mixed workload's pin.
+const MIXED: Pin = Pin { boundaries: 48, recovery_fences: 133 };
+
+/// Fences every recovery issues: one `KeyChain::repair` per chain.
+const REPAIR_FENCES: u64 = 2;
+
+/// Fences a pruned history costs recovery at most: clearing its orphaned
+/// stamps, then rewriting its counters. Each pruned history of these
+/// sweeps pays one, the counters'.
+const PRUNE_FENCES: u64 = 2;
 
 /// Deterministic fence budget with no random evictions: every run produces
 /// the identical fence schedule, so boundary `i` lands at the same point of
@@ -120,33 +145,26 @@ fn run_mixed_workload(store: &PSkipList) -> (Oracle, Vec<(u64, u64)>) {
 }
 
 /// Sweeps every fence boundary of `run`, asserting each captured image
-/// recovers to a legal prefix. `budget_id` names the workload's pinned
-/// fence count in `crates/xtask/fence_budget.lock`.
-fn sweep_every_boundary(budget_id: &str, run: impl Fn(&PSkipList) -> (Oracle, Vec<(u64, u64)>)) {
+/// recovers to a legal prefix within the fences recovery may spend, and
+/// that the sweep costs what `pin` says.
+fn sweep_every_boundary(
+    name: &str,
+    pin: Pin,
+    run: impl Fn(&PSkipList) -> (Oracle, Vec<(u64, u64)>),
+) {
     // Pass 1: learn the fence schedule.
     let probe = PSkipList::create_crash_sim(POOL, crash_opts()).unwrap();
     let fences_at_start = probe.pool().fence_count().unwrap();
     let (oracle, labels) = run(&probe);
     let total_fences = probe.pool().fence_count().unwrap();
     let boundaries = total_fences - fences_at_start;
-    // Exact pin against the static fence-budget lock: the MOD fence audit
-    // (DESIGN.md §13) removed the per-pair key-chain fence, the
-    // history-create fence, and the allocator state-flip fences, taking the
-    // original scripted workload from 583 to 251 boundaries; with segment 0
-    // in the history block a fresh key adopts no segment, and it was 58 (the
-    // mixed workload: 84 to 54); adopting a segment or chain block costs one
-    // fence since layout v6, and it is 56 (mixed: 48). The analyzer's
-    // fence-budget pass derives per-entry-point budgets statically; this
-    // runtime count is the workload-level cross-check recorded in the same
-    // lock file, so a reintroduced (or dropped) fence fails here *and* in
-    // `cargo run -p xtask -- analyze`, each message pointing at the other.
-    let budgeted = budgeted_workload_fences(budget_id);
     assert_eq!(
-        boundaries, budgeted,
-        "fence count drifted from crates/xtask/fence_budget.lock ({budget_id} {budgeted}): \
-         re-argue DESIGN.md §13 and bless with `cargo run -p xtask -- analyze --bless`"
+        boundaries, pin.boundaries,
+        "the {name} workload's fence count moved: re-argue DESIGN.md §13.3, then re-pin it \
+         here and the rows that moved in tests/cost_ledger.rs"
     );
-    eprintln!("crash matrix [{budget_id}]: sweeping {boundaries} fence boundaries");
+    eprintln!("crash matrix [{name}]: sweeping {boundaries} fence boundaries");
+    let mut recovery_fences = 0;
 
     // Pass 2: one replay per fence boundary. Arming happens after store
     // creation, so the swept indices start past the format-time fences.
@@ -162,6 +180,13 @@ fn sweep_every_boundary(budget_id: &str, run: impl Fn(&PSkipList) -> (Oracle, Ve
 
         let (recovered, stats) = PSkipList::open_image(&image, 2)
             .unwrap_or_else(|e| panic!("boundary {i}: recovery failed: {e}"));
+        let fences = recovered.pool().fence_count().unwrap();
+        let pruned = stats.pruned_histories;
+        assert!(
+            (REPAIR_FENCES..=REPAIR_FENCES + PRUNE_FENCES * pruned).contains(&fences),
+            "boundary {i}: recovery fenced {fences} times for {pruned} pruned histories"
+        );
+        recovery_fences += fences;
         let w = stats.watermark;
         assert!(
             w <= oracle.version(),
@@ -197,6 +222,11 @@ fn sweep_every_boundary(budget_id: &str, run: impl Fn(&PSkipList) -> (Oracle, Ve
         assert_eq!(session.insert(999_999, 1), w + 1, "boundary {i}: post-recovery insert");
     }
 
+    assert_eq!(
+        recovery_fences, pin.recovery_fences,
+        "recovering the {name} workload's images fenced a different number of times"
+    );
+
     // The final boundary is the last operation's publish *fence*; its
     // publish store lands after that fence, so the image taken there may
     // legally exclude exactly the final version — but nothing more.
@@ -209,20 +239,10 @@ fn sweep_every_boundary(budget_id: &str, run: impl Fn(&PSkipList) -> (Oracle, Ve
 
 #[test]
 fn every_fence_boundary_recovers_to_a_legal_prefix() {
-    sweep_every_boundary("crash_matrix_fences", run_workload);
+    sweep_every_boundary("scripted", SCRIPTED, run_workload);
 }
 
 #[test]
 fn every_fence_boundary_of_the_mixed_workload_recovers() {
-    sweep_every_boundary("crash_matrix_mixed_fences", run_mixed_workload);
-}
-
-/// The `workload <id> <n>` line of the committed fence lock.
-fn budgeted_workload_fences(id: &str) -> u64 {
-    let lock = include_str!("../crates/xtask/fence_budget.lock");
-    let prefix = format!("workload {id} ");
-    lock.lines()
-        .find_map(|l| l.strip_prefix(&prefix))
-        .and_then(|n| n.trim().parse().ok())
-        .unwrap_or_else(|| panic!("fence_budget.lock has a `workload {id}` line"))
+    sweep_every_boundary("mixed", MIXED, run_mixed_workload);
 }
