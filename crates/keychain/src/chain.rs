@@ -453,6 +453,11 @@ mod tests {
         PmemPool::create_volatile(1 << 24).unwrap()
     }
 
+    /// A pool that tells which lines a repair left unflushed.
+    fn crash_sim_pool() -> PmemPool {
+        PmemPool::create_crash_sim(1 << 20, mvkv_pmem::CrashOptions::default()).unwrap()
+    }
+
     #[test]
     fn empty_chain() {
         let p = pool();
@@ -680,17 +685,19 @@ mod tests {
 
     #[test]
     fn repair_quarantines_torn_header_block() {
-        let p = pool();
+        let p = crash_sim_pool();
         let c = KeyChain::create(&p, 4).unwrap();
         for i in 1..=10u64 {
             c.append(i, i + 1000).unwrap();
         }
         let blocks: Vec<u64> = c.blocks().map(|(off, _)| off).collect();
         assert_eq!(blocks.len(), 3);
-        // Adversary: scramble the middle block's header — index garbage,
-        // CRC stale. Its pairs must not be trusted afterwards.
+        // Adversary: scramble the middle block's header on the media — index
+        // garbage, CRC stale. Its pairs must not be trusted afterwards.
         p.write_u64(blocks[1] + 16, 0xDEAD_BEEF_0BAD_F00D);
+        p.persist(blocks[1] + 16, 8);
         let stats = c.repair();
+        assert_eq!(p.unflushed_lines().unwrap(), [], "the repair flushes what it rewrites");
         assert_eq!(stats.quarantined_blocks, 1);
         assert_eq!(stats.quarantined_pairs, 4, "all four pairs of the torn block dropped");
         assert_eq!(stats.truncated_links, 0);
@@ -730,18 +737,21 @@ mod tests {
 
     #[test]
     fn repair_truncates_scrambled_link() {
-        let p = pool();
+        let p = crash_sim_pool();
         let c = KeyChain::create(&p, 2).unwrap();
         for i in 1..=6u64 {
             c.append(i, i).unwrap();
         }
         let blocks: Vec<u64> = c.blocks().map(|(off, _)| off).collect();
         assert_eq!(blocks.len(), 3);
-        // Scramble block 0's next link to point far outside the pool.
+        // Scramble block 0's next link, on the media, to point far outside
+        // the pool.
         p.write_u64(blocks[0], p.len() as u64 + 4096);
+        p.persist(blocks[0], 8);
         // The walk must stop rather than fault, before any repair.
         assert_eq!(c.blocks().count(), 1);
         let stats = c.repair();
+        assert_eq!(p.unflushed_lines().unwrap(), [], "the cut link is flushed");
         assert_eq!(stats.truncated_links, 1);
         assert_eq!(stats.blocks, 1);
         assert_eq!(c.len(), 2, "only block 0's pairs survive");

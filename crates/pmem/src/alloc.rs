@@ -1394,6 +1394,7 @@ mod tests {
         let image = unsafe { p.bytes(0, p.len()).to_vec() };
         let reopened = PmemPool::open_image(&image).unwrap();
         assert_eq!(reopened.read_u64(OFF_BUMP), bump, "cursor re-based at torn tail");
+        assert_eq!(reopened.unflushed_lines().unwrap(), [], "and the new cursor flushed");
         // And allocation continues to work.
         assert!(reopened.alloc(64).is_ok());
     }

@@ -287,6 +287,23 @@ impl CrashSim {
         self.lines.load(Ordering::Relaxed) // ordering: stat read
     }
 
+    /// Offsets of the 64-byte lines whose cached bytes differ from the
+    /// media: stores that no persist (nor an eviction) has carried there
+    /// yet, which a power failure now would drop.
+    pub fn unflushed_lines(&self) -> Vec<u64> {
+        let _guard = self.shadow_lock.lock();
+        let word = |region: &AlignedRegion, off: usize| {
+            // SAFETY: in-bounds and 8-aligned; both regions have one length.
+            unsafe { (*(region.ptr.add(off) as *const AtomicU64)).load(Ordering::Acquire) }
+        };
+        let differs = |line: usize| {
+            (line..line + CACHE_LINE)
+                .step_by(8)
+                .any(|o| word(&self.front, o) != word(&self.shadow, o))
+        };
+        (0..self.front.len).step_by(CACHE_LINE).filter(|&l| differs(l)).map(|l| l as u64).collect()
+    }
+
     fn next_rand(&self) -> u64 {
         // splitmix64 over an atomic counter: deterministic given a seed and
         // the sequence of persist calls.
@@ -496,6 +513,27 @@ mod tests {
         sim.persist(100, 0); // flushes nothing
         sim.persist(4000, 500); // clipped at the region's end
         assert_eq!((sim.persist_count(), sim.lines_flushed()), (3, 2 + 1 + 2));
+    }
+
+    #[test]
+    fn crash_sim_reports_the_lines_a_persist_has_not_covered() {
+        let sim = CrashSim::new(4096, CrashOptions::default());
+        assert!(sim.unflushed_lines().is_empty());
+        // SAFETY: all offsets are < 4096, inside the simulated region.
+        unsafe {
+            *sim.base().add(70) = 1;
+            *sim.base().add(200) = 2;
+            *sim.base().add(4095) = 3;
+        }
+        assert_eq!(sim.unflushed_lines(), [64, 192, 4032]);
+        sim.persist(64, 1);
+        assert_eq!(sim.unflushed_lines(), [192, 4032]);
+        // A store of the value the media already holds leaves nothing behind.
+        // SAFETY: as above.
+        unsafe { *sim.base().add(200) = 0 };
+        assert_eq!(sim.unflushed_lines(), [4032]);
+        sim.sync_all();
+        assert!(sim.unflushed_lines().is_empty());
     }
 
     #[test]

@@ -350,6 +350,12 @@ impl PmemPool {
         self.backend.as_crash_sim().map(CrashSim::lines_flushed)
     }
 
+    /// On a crash-sim pool, the lines written but not yet persisted
+    /// ([`CrashSim::unflushed_lines`]).
+    pub fn unflushed_lines(&self) -> Option<Vec<u64>> {
+        self.backend.as_crash_sim().map(CrashSim::unflushed_lines)
+    }
+
     /// On a crash-sim pool, arms the fence trap: the `n`-th fence (1-based)
     /// snapshots the durable state as if power failed at that boundary.
     /// Returns false on non-crash-sim pools. See [`CrashSim::capture_at_fence`].

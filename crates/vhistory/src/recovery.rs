@@ -319,7 +319,8 @@ mod tests {
     }
 
     /// Both of a prune's fences: the one ordering the cleared stamps, the
-    /// one rewriting the counters (DESIGN.md §13.3: at most two).
+    /// one rewriting the counters (DESIGN.md §13.3: at most two) — and
+    /// every line the prune wrote flushed behind them.
     #[test]
     fn prune_drops_entries_beyond_watermark() {
         let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
@@ -331,6 +332,7 @@ mod tests {
         let out = prune_to_watermark(h.slots(), 4);
         assert_eq!(out, PruneOutcome { kept: 2, pruned: 1 });
         assert_eq!(p.fence_count().unwrap() - fences, 2, "a stamp cleared, counters rewritten");
+        assert_eq!(p.unflushed_lines().unwrap(), [], "both flushed");
         assert_eq!(h.pending(), 2);
         assert_eq!(h.tail(), 2);
         // The pruned slot is reusable: a fresh append must succeed.
@@ -582,6 +584,7 @@ mod tests {
         let (found, _) = scan(h.slots());
         assert_eq!((found.len, found.stop, found.settled), (full, ScanStop::Exhausted, false));
         assert_eq!(prune_to_watermark(h.slots(), full), PruneOutcome { kept: full, pruned: 0 });
+        assert_eq!(p.unflushed_lines().unwrap(), [], "the cut link is flushed");
         assert!(scan(h.slots()).0.settled);
         h.append(full + 1, 1);
         let reopened = PmemPool::open_image(&p.crash_image().unwrap()).unwrap();

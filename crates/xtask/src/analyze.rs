@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use crate::source::Source;
 use crate::summary::Workspace;
-use crate::{cfg, layout, locks, sites};
+use crate::{layout, locks, sites};
 
 /// Crates whose `src/` must go through the `mvkv-sync` facade (loom-swapped
 /// atomics).
@@ -69,17 +69,6 @@ pub const PASSES: &[Pass] = &[
                     check, and gives reviewers something to falsify.",
         escape: "none — write the SAFETY comment.",
         run: |cx| cx.ws.source().files.iter().flat_map(sites::check_safety_comments).collect(),
-    },
-    Pass {
-        id: "persist-ordering",
-        rule: "a dirty PM write must be flushed (clwb/persist + fence discipline) on every \
-               control-flow path to every function exit, counting flushes performed by \
-               resolved callees.",
-        rationale: "a path that returns with unflushed PM data is a crash-consistency bug: \
-                    the write may or may not survive, and recovery sees a torn store.",
-        escape: "none — flush on the missing path (a flush alone clears the state: the fence \
-                 may be the caller's, batched).",
-        run: |cx| cfg::check(cx.ws),
     },
     Pass {
         id: "pm-layout",
@@ -319,14 +308,6 @@ mod tests {
             find: "pub fn sync_all(&self) {",
             replace: "pub fn sync_all(&self) { let _ = std::thread::current();",
             at: "std::thread::current()",
-        },
-        // A scrub that wipes a corrupt key's block and never flushes it.
-        Seed {
-            check: "persist-ordering",
-            file: "crates/core/src/pskiplist.rs",
-            find: "report.corrupt_keys += 1;",
-            replace: "report.corrupt_keys += 1; self.home.pool.write_u64(hist.into(), 0);",
-            at: "report.corrupt_keys += 1; self.home",
         },
         Seed {
             check: "pm-layout",

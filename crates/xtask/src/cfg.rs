@@ -1,26 +1,8 @@
-//! Statement-level control-flow graphs and the persist-ordering dataflow
-//! pass.
+//! The one lowering of a function body, read by every flow-sensitive pass.
 //!
-//! The invariant being checked (paper §IV-A / Algorithm 1): a function that
-//! dirties persistent memory through [`write_u64`]/[`write_bytes`]/
-//! [`zero_bytes`] must reach a `persist`/`flush`/`fence` call after its last
-//! dirty write **on every control-flow path** before returning. The retired
-//! line-scanning lint compared the positions of the *textually last* write
-//! and flush tokens, so
-//!
-//! ```text
-//! pool.write_u64(off, v);
-//! if cfg.eager { pool.persist(off, 8); }   // flush on ONE path only
-//! ```
-//!
-//! passed even though the `!eager` path publishes dirty data. This pass
-//! parses each function body into a small branch/loop/exit AST and runs a
-//! two-point dataflow (clean ⊑ dirty) over it, so the snippet above is a
-//! violation while per-arm flushes, early returns before the first write and
-//! loops that persist each iteration all check precisely.
-//!
-//! The AST is the one lowering of a function body, read by every
-//! flow-sensitive pass. Besides writes and flushes it records **calls**
+//! Each non-test fn is lowered to a small effect AST — sequences, if/else,
+//! match arms, loops and closures (zero or more executions) — whose leaves
+//! are the events the summaries and the lock-order pass read: **calls**
 //! (with enough receiver context to resolve them against the workspace
 //! function index), **lock sites** (zero-argument `.lock()` / `.try_lock()`,
 //! and `.read()` / `.write()` as candidates the consumer confirms against
@@ -29,65 +11,15 @@
 //! ends** — what the lock-order pass needs to keep a stack of live guards.
 //! Events are in evaluation order where it differs from source order: the
 //! right side of a plain `place = value` is lowered before the place, in a
-//! statement and in an expression-bodied match arm or closure. The
-//! dataflow is parameterized over a [`CallOracle`] so the interprocedural
-//! summary layer (`summary.rs`) can plug per-function transfer functions into
-//! the same evaluator; an oracle that answers [`Transfer::IDENTITY`] for every
-//! call (the tests' `NoOracle`) keeps the original intraprocedural semantics
-//! where calls are effect-free.
+//! statement and in an expression-bodied match arm or closure.
 //!
-//! Deliberate parity with the old lint where address tracking would be
-//! needed: *any* flush call clears the dirty state (the pass does not prove
-//! the flushed range covers the written range), and panicking paths carry no
-//! obligation — a panic is equivalent to a crash, which recovery already
-//! handles.
+//! Whether an operation flushes every line it wrote before it returns is
+//! not read off this lowering: the crash simulator measures it
+//! (`PmemPool::unflushed_lines`, a column of `tests/cost_ledger.rs` and a
+//! check of the crash and corruption matrices).
 
-use crate::analyze::Finding;
 use crate::lexer::{until_brace, Group, TokKind, Tree};
 use crate::source::{FnItem, SrcFile};
-use crate::summary::Workspace;
-
-/// Crates whose functions the persist-ordering dataflow analyzes: everything
-/// that issues dirty PM writes directly or through a pool handle.
-const PERSIST_DIRS: &[&str] =
-    &["crates/pmem/src", "crates/vhistory/src", "crates/keychain/src", "crates/core/src"];
-
-/// The persist-ordering pass: the dataflow over every audited fn, with call
-/// effects resolved through the workspace summaries.
-pub fn check(ws: &Workspace) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for i in ws.fns_in(PERSIST_DIRS) {
-        let (info, file) = (ws.fn_info(i), ws.fn_rel(i));
-        for exit in dirty_exits_with(&info.body, info.end_line, &ws.oracle(i)) {
-            let msg = exit.describe(info.item.name);
-            out.push(Finding::new("persist-ordering", file, exit.write_line, msg));
-        }
-    }
-    out
-}
-
-/// Names treated as dirtying persistent memory when called.
-const DIRTY_CALLS: &[&str] = &["write_u64", "write_bytes", "zero_bytes"];
-
-/// Macros whose invocation ends the path with no persist obligation.
-const ABORT_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// True for callee names that flush or order persistent stores. Matched
-/// structurally (prefix/suffix), not by substring, so `fence_count()` — a
-/// getter — is *not* a flush.
-pub(crate) fn is_flush_name(name: &str) -> bool {
-    name == "persist"
-        || name.starts_with("persist_")
-        || name == "flush"
-        || name.ends_with("_flush")
-        || name == "fence"
-        || name.ends_with("_fence")
-        || name == "sync_all"
-}
-
-fn is_dirty_name(name: &str) -> bool {
-    DIRTY_CALLS.contains(&name)
-}
 
 /// Reserved words that are never an operand: not a callee when a `(` group
 /// follows (`in (0..n)`, `let (a, b) = …`) and not a segment of a receiver
@@ -104,26 +36,6 @@ fn is_keyword(name: &str) -> bool {
 // ---------------------------------------------------------------------------
 // AST
 // ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExitKind {
-    /// Explicit `return`.
-    Return,
-    /// `?` early exit.
-    Try,
-    /// Fall-through at the end of the body.
-    Implicit,
-}
-
-impl ExitKind {
-    fn describe(self) -> &'static str {
-        match self {
-            ExitKind::Return => "`return`",
-            ExitKind::Try => "`?` early exit",
-            ExitKind::Implicit => "fall-through return",
-        }
-    }
-}
 
 /// Receiver context captured at a call site, used by the summary layer to
 /// narrow which workspace functions the call can resolve to.
@@ -175,12 +87,7 @@ pub struct LockSite {
 #[derive(Debug)]
 pub enum Node {
     Seq(Vec<Node>),
-    /// A dirty PM write; carries line for reporting.
-    Write { line: u32 },
-    /// A persist/flush/fence call. Always clears dirtiness; the carried
-    /// [`Call`] lets the summary layer see sfences through it.
-    Flush(Call),
-    /// Any other call with an argument list. Effect depends on the oracle.
+    /// A call with an argument list.
     Call(Call),
     /// A lock acquisition (for `rw` sites, a candidate).
     Lock(LockSite),
@@ -188,16 +95,10 @@ pub enum Node {
     Unlock { binding: String },
     /// A `;` directly in a block: temporaries of the statement die here.
     StmtEnd,
-    /// Mutually exclusive alternatives (if/else, match arms). An absent
-    /// `else` contributes an empty alternative.
+    /// Mutually exclusive alternatives (if/else, match arms).
     Branch(Vec<Node>),
     /// Body executed zero or more times (loops, closures).
     Loop(Box<Node>),
-    Exit { kind: ExitKind, line: u32 },
-    /// panic!-like: the path ends with no obligation.
-    Abort,
-    Break,
-    Continue,
 }
 
 impl Node {
@@ -218,8 +119,6 @@ pub struct FnInfo<'a> {
     /// Uppercase type idents appearing in the return type (`Self` mapped to
     /// the owner). Used to resolve `recv.method(…)` through getter returns.
     pub ret_idents: Vec<String>,
-    /// Last source line of the body (for implicit-exit reporting).
-    pub end_line: u32,
     pub body: Node,
 }
 
@@ -229,7 +128,6 @@ pub fn functions(file: &SrcFile) -> Vec<FnInfo<'_>> {
         .into_iter()
         .map(|item| FnInfo {
             ret_idents: ret_idents(item.sig, item.owner),
-            end_line: body_end_line(&item.body.trees).max(item.body.line),
             body: parse_seq(&item.body.trees),
             item,
         })
@@ -334,27 +232,6 @@ fn parse_one(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
                 }
                 return i + 1;
             }
-            "return" => {
-                // Effects in the returned expression happen before the exit.
-                let mut j = i + 1;
-                let mut expr = Vec::new();
-                while j < trees.len() && trees[j].punct() != Some(";") {
-                    j = parse_one(trees, j, &mut expr);
-                }
-                nodes.push(Node::Seq(expr));
-                nodes.push(Node::Exit { kind: ExitKind::Return, line: t.line() });
-                return j;
-            }
-            "break" | "continue" => {
-                let mut j = i + 1;
-                let mut expr = Vec::new();
-                while j < trees.len() && trees[j].punct() != Some(";") {
-                    j = parse_one(trees, j, &mut expr);
-                }
-                nodes.push(Node::Seq(expr));
-                nodes.push(if kw == "break" { Node::Break } else { Node::Continue });
-                return j;
-            }
             "unsafe" => return i + 1, // transparent; the block follows
             "move" => {
                 // `move |…| …` — let the closure arm below see the pipe.
@@ -378,39 +255,10 @@ fn parse_one(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
                 }
                 return j;
             }
-            name if ABORT_MACROS.contains(&name)
-                && trees.get(i + 1).and_then(Tree::punct) == Some("!") =>
-            {
-                // panic!(…): scan args (format side effects are irrelevant),
-                // then the path ends.
-                let mut j = i + 2;
-                if trees.get(j).and_then(Tree::group).is_some() {
-                    j += 1;
-                }
-                nodes.push(Node::Abort);
-                return j;
-            }
             name => {
                 let Some(Tree::Group(g)) = trees.get(i + 1) else { return i + 1 };
                 if g.delim != '(' || is_keyword(name) {
                     return i + 1;
-                }
-                if is_dirty_name(name) {
-                    nodes.push(parse_seq(&g.trees)); // args evaluate first
-                    nodes.push(Node::Write { line: t.line() });
-                    return i + 2;
-                }
-                if is_flush_name(name) {
-                    nodes.push(parse_seq(&g.trees));
-                    let (dotted, hint) = call_hint(trees, i);
-                    nodes.push(Node::Flush(Call {
-                        name: name.to_string(),
-                        line: t.line(),
-                        dotted,
-                        hint,
-                        sfence: name == "fence" && g.trees.is_empty(),
-                    }));
-                    return i + 2;
                 }
                 if name == "drop" {
                     if let [Tree::Leaf(tok)] = g.trees.as_slice() {
@@ -439,7 +287,7 @@ fn parse_one(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
                     line: t.line(),
                     dotted,
                     hint,
-                    sfence: false,
+                    sfence: name == "fence" && g.trees.is_empty(),
                 }));
                 if bare_method && matches!(name, "read" | "write") {
                     nodes.push(Node::Lock(lock_site(trees, i, true)));
@@ -450,17 +298,11 @@ fn parse_one(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
     }
     if let Some(p) = t.punct() {
         match p {
-            ";" => {
-                nodes.push(Node::StmtEnd);
-                return i + 1;
-            }
-            "?" => {
-                nodes.push(Node::Exit { kind: ExitKind::Try, line: t.line() });
-                return i + 1;
-            }
+            ";" => nodes.push(Node::StmtEnd),
             "|" | "||" if closure_position(trees, i) => return parse_closure(trees, i, nodes),
-            _ => return i + 1,
+            _ => {}
         }
+        return i + 1;
     }
     if let Some(g) = t.group() {
         nodes.push(parse_seq(&g.trees));
@@ -705,28 +547,18 @@ fn parse_if(trees: &[Tree], i: usize, nodes: &mut Vec<Node>) -> usize {
         nodes.push(Node::Seq(cond));
         return body_at;
     };
-    let then_node = parse_seq(&g.trees);
+    let mut alts = vec![parse_seq(&g.trees)];
     let mut j = body_at + 1;
-    let mut alts = vec![then_node];
     if trees.get(j).and_then(Tree::ident) == Some("else") {
-        if trees.get(j + 1).and_then(Tree::ident) == Some("if") {
+        j += 1;
+        if trees.get(j).and_then(Tree::ident) == Some("if") {
             let mut chained = Vec::new();
-            j = parse_if(trees, j + 1, &mut chained);
+            j = parse_if(trees, j, &mut chained);
             alts.push(Node::Seq(chained));
-        } else if let Some(Tree::Group(g2)) = trees.get(j + 1) {
-            if g2.delim == '{' {
-                alts.push(parse_seq(&g2.trees));
-                j += 2;
-            } else {
-                alts.push(Node::Seq(Vec::new()));
-                j += 1;
-            }
-        } else {
-            alts.push(Node::Seq(Vec::new()));
+        } else if let Some(g) = trees.get(j).and_then(Tree::group).filter(|g| g.delim == '{') {
+            alts.push(parse_seq(&g.trees));
             j += 1;
         }
-    } else {
-        alts.push(Node::Seq(Vec::new())); // if without else: fall-through arm
     }
     push_headed(nodes, cond, Some(Node::Branch(alts)), is_let(trees, i));
     j
@@ -744,8 +576,8 @@ fn parse_match_arms(trees: &[Tree]) -> Vec<Node> {
     let mut arms = Vec::new();
     let mut i = 0;
     while i < trees.len() {
-        // Pattern (and optional guard) up to `=>`. Guard effects are folded
-        // into the arm — pessimistic but sound for a may-be-dirty analysis.
+        // Pattern (and optional guard) up to `=>`; the guard's events are
+        // folded into the arm.
         let mut arm = Vec::new();
         while i < trees.len() && trees[i].punct() != Some("=>") {
             i = parse_one(trees, i, &mut arm);
@@ -770,542 +602,59 @@ fn parse_match_arms(trees: &[Tree]) -> Vec<Node> {
     arms
 }
 
-// ---------------------------------------------------------------------------
-// Dataflow
-// ---------------------------------------------------------------------------
-
-/// Provenance of a dirty state: the line that dirtied it, and whether it was
-/// a direct `write_*` or a call whose summary says it may leave PM dirty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Dirt {
-    pub line: u32,
-    pub via_call: bool,
-}
-
-/// Path state: `None` = clean, `Some(d)` = dirty since `d`.
-type St = Option<Dirt>;
-
-fn merge(a: St, b: St) -> St {
-    a.or(b)
-}
-
-/// How a call transforms the dirty state — the interprocedural transfer
-/// function of the callee, joined over every candidate it may resolve to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transfer {
-    /// Entering clean, the callee may exit with PM dirty.
-    pub dirty_when_clean: bool,
-    /// Entering dirty, the callee flushes on *every* path before exiting.
-    pub clean_when_dirty: bool,
-}
-
-impl Transfer {
-    /// Unresolved calls: no effect on the state (the original
-    /// intraprocedural semantics).
-    pub const IDENTITY: Transfer = Transfer { dirty_when_clean: false, clean_when_dirty: false };
-}
-
-/// Supplies a [`Transfer`] per call site. The summary layer implements this
-/// over the workspace function index; answering [`Transfer::IDENTITY`] every
-/// time is the intraprocedural degenerate.
-pub trait CallOracle {
-    fn transfer(&self, call: &Call) -> Transfer;
-}
-
-#[derive(Default)]
-struct Flow {
-    /// State at normal fall-through (None if the path diverges).
-    out: Option<St>,
-    /// (kind, exit line, state at exit).
-    exits: Vec<(ExitKind, u32, St)>,
-    breaks: Vec<St>,
-    continues: Vec<St>,
-}
-
-fn eval(n: &Node, st: St, oracle: &dyn CallOracle) -> Flow {
-    match n {
-        Node::Seq(children) => {
-            let mut flow = Flow { out: Some(st), ..Default::default() };
-            for c in children {
-                let Some(cur) = flow.out else { break };
-                let f = eval(c, cur, oracle);
-                flow.exits.extend(f.exits);
-                flow.breaks.extend(f.breaks);
-                flow.continues.extend(f.continues);
-                flow.out = f.out;
-            }
-            flow
-        }
-        Node::Write { line } => Flow {
-            out: Some(Some(Dirt { line: *line, via_call: false })),
-            ..Default::default()
-        },
-        Node::Flush(_) => Flow { out: Some(None), ..Default::default() },
-        Node::Call(call) => {
-            let t = oracle.transfer(call);
-            let out = match st {
-                None if t.dirty_when_clean => Some(Dirt { line: call.line, via_call: true }),
-                Some(_) if t.clean_when_dirty => None,
-                s => s,
-            };
-            Flow { out: Some(out), ..Default::default() }
-        }
-        // Events of the guard tracker: no effect on dirtiness.
-        Node::Lock(_) | Node::Unlock { .. } | Node::StmtEnd => {
-            Flow { out: Some(st), ..Default::default() }
-        }
-        Node::Branch(alts) => {
-            let mut flow = Flow::default();
-            let mut out: Option<St> = None;
-            for a in alts {
-                let f = eval(a, st, oracle);
-                flow.exits.extend(f.exits);
-                flow.breaks.extend(f.breaks);
-                flow.continues.extend(f.continues);
-                out = match (out, f.out) {
-                    (None, o) => o,
-                    (o, None) => o,
-                    (Some(x), Some(y)) => Some(merge(x, y)),
-                };
-            }
-            flow.out = out;
-            flow
-        }
-        Node::Loop(body) => {
-            // Two-pass fixpoint: the lattice has height 2, so evaluating the
-            // body once more from the widened entry state reaches it.
-            let first = eval(body, st, oracle);
-            let mut widened = st;
-            if let Some(o) = first.out {
-                widened = merge(widened, o);
-            }
-            for c in &first.continues {
-                widened = merge(widened, *c);
-            }
-            let second = eval(body, widened, oracle);
-            let mut flow = Flow::default();
-            flow.exits.extend(second.exits);
-            // Loop exit: zero iterations, normal body fall-through, or break.
-            let mut out = st;
-            if let Some(o) = second.out {
-                out = merge(out, o);
-            }
-            for b in &second.breaks {
-                out = merge(out, *b);
-            }
-            flow.out = Some(out);
-            flow
-        }
-        Node::Exit { kind, line } => match kind {
-            // `?` continues on the success path.
-            ExitKind::Try => Flow {
-                out: Some(st),
-                exits: vec![(*kind, *line, st)],
-                ..Default::default()
-            },
-            _ => Flow { out: None, exits: vec![(*kind, *line, st)], ..Default::default() },
-        },
-        Node::Abort => Flow { out: None, ..Default::default() },
-        Node::Break => Flow { out: None, breaks: vec![st], ..Default::default() },
-        Node::Continue => Flow { out: None, continues: vec![st], ..Default::default() },
-    }
-}
-
-/// One dirty-exit violation within a function.
-#[derive(Debug)]
-pub struct DirtyExit {
-    /// Line of the unflushed dirty write (or dirtying call).
-    pub write_line: u32,
-    /// Line where the dirty path leaves the function.
-    pub exit_line: u32,
-    pub kind: ExitKind,
-    /// True when the dirtiness came from a call rather than a direct write.
-    pub via_call: bool,
-}
-
-impl DirtyExit {
-    pub fn describe(&self, fn_name: &str) -> String {
-        let source = if self.via_call {
-            format!("the call at line {} may leave PM dirty and", self.write_line)
-        } else {
-            format!("the dirty PM write at line {}", self.write_line)
-        };
-        format!(
-            "fn `{fn_name}`: {source} can reach the {} at line {} \
-             without a persist/flush/fence on that path; flush on every path before \
-             publication",
-            self.kind.describe(),
-            self.exit_line
-        )
-    }
-}
-
-/// Runs the dataflow over one function body, resolving call effects through
-/// `oracle`. `end_line` is used as the line of the implicit fall-through
-/// exit.
-pub fn dirty_exits_with(body: &Node, end_line: u32, oracle: &dyn CallOracle) -> Vec<DirtyExit> {
-    let flow = eval(body, None, oracle);
-    let mut out = Vec::new();
-    for (kind, line, st) in flow.exits {
-        if let Some(d) = st {
-            out.push(DirtyExit {
-                write_line: d.line,
-                exit_line: line,
-                kind,
-                via_call: d.via_call,
-            });
-        }
-    }
-    if let Some(Some(d)) = flow.out {
-        out.push(DirtyExit {
-            write_line: d.line,
-            exit_line: end_line,
-            kind: ExitKind::Implicit,
-            via_call: d.via_call,
-        });
-    }
-    // One report per write site is enough signal.
-    out.sort_by_key(|d| (d.write_line, d.exit_line));
-    out.dedup_by_key(|d| d.write_line);
-    out
-}
-
-/// Computes a function's interprocedural [`Transfer`] by evaluating its body
-/// from both entry states and folding fall-through with every early exit
-/// (`return`, `?`). Abort paths carry no obligation on either run.
-pub fn transfer_of(body: &Node, oracle: &dyn CallOracle) -> Transfer {
-    let from_clean = exit_state(body, None, oracle);
-    let from_dirty = exit_state(body, Some(Dirt { line: 0, via_call: false }), oracle);
-    Transfer {
-        dirty_when_clean: from_clean.is_some(),
-        clean_when_dirty: from_dirty.is_none(),
-    }
-}
-
-fn exit_state(body: &Node, entry: St, oracle: &dyn CallOracle) -> St {
-    let flow = eval(body, entry, oracle);
-    let mut acc: St = flow.out.flatten();
-    for (_, _, s) in &flow.exits {
-        acc = merge(acc, *s);
-    }
-    acc
-}
-
-/// Last line of a function body (for implicit-exit reporting): the max line
-/// of any token in it.
-fn body_end_line(trees: &[Tree]) -> u32 {
-    fn walk(trees: &[Tree], max: &mut u32) {
-        for t in trees {
-            match t {
-                Tree::Leaf(tok) => *max = (*max).max(tok.line),
-                Tree::Group(g) => {
-                    *max = (*max).max(g.line);
-                    walk(&g.trees, max);
-                }
-            }
-        }
-    }
-    let mut max = 0;
-    walk(trees, &mut max);
-    max
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Treats every call as effect-free.
-    struct NoOracle;
-
-    impl CallOracle for NoOracle {
-        fn transfer(&self, _call: &Call) -> Transfer {
-            Transfer::IDENTITY
-        }
-    }
-
-    /// Runs the dataflow over one function body with the intraprocedural
-    /// semantics (calls are effect-free).
-    fn dirty_exits(body: &Node, end_line: u32) -> Vec<DirtyExit> {
-        dirty_exits_with(body, end_line, &NoOracle)
-    }
 
     fn parse(src: &str) -> SrcFile {
         SrcFile::parse("crates/demo/src/lib.rs".into(), src.into())
     }
 
-    fn analyze(src: &str) -> Vec<(String, Vec<DirtyExit>)> {
-        let trees = parse(src);
-        functions(&trees)
-            .into_iter()
-            .map(|f| {
-                let exits = dirty_exits(&f.body, 9999);
-                (f.item.name.to_string(), exits)
-            })
-            .collect()
-    }
-
-    fn violations(src: &str) -> usize {
-        analyze(src).iter().map(|(_, v)| v.len()).sum()
-    }
-
+    /// Comments and string literals are not tokens, so they lower to nothing.
     #[test]
-    fn straight_line_good_and_bad() {
-        assert_eq!(violations("fn good(p: &Pool) { p.write_u64(0, 1); p.persist(0, 8); }"), 0);
-        assert_eq!(violations("fn bad(p: &Pool) { p.write_u64(0, 1); }"), 1);
-        // Flush *before* the write does not cover it.
-        assert_eq!(violations("fn sneaky(p: &Pool) { p.persist(0, 8); p.write_u64(0, 1); }"), 1);
-    }
-
-    #[test]
-    fn branch_dependent_missing_fence_is_caught() {
-        // The seeded-bad fixture the old line scanner passed: a flush on one
-        // branch only, textually after the write.
-        let src = "fn bad(p: &Pool, eager: bool) {
-            p.write_u64(0, 1);
-            if eager { p.persist(0, 8); }
-        }";
-        assert_eq!(violations(src), 1, "only one branch flushes");
-        let src_ok = "fn good(p: &Pool, eager: bool) {
-            p.write_u64(0, 1);
-            if eager { p.persist(0, 8); } else { p.flush(0, 8); }
-        }";
-        assert_eq!(violations(src_ok), 0);
-    }
-
-    #[test]
-    fn match_arms_must_all_flush() {
-        let bad = "fn f(p: &Pool, m: Mode) {
-            p.write_u64(0, 1);
-            match m {
-                Mode::A => p.persist(0, 8),
-                Mode::B => { p.persist(0, 8); }
-                Mode::C => {}
-            }
-        }";
-        assert_eq!(violations(bad), 1, "arm C leaks dirty state");
-        let good = "fn f(p: &Pool, m: Mode) {
-            p.write_u64(0, 1);
-            match m {
-                Mode::A => p.persist(0, 8),
-                _ => { p.fence(); }
-            }
-        }";
-        assert_eq!(violations(good), 0);
-    }
-
-    #[test]
-    fn early_return_paths() {
-        // Return before any write: clean.
-        let ok = "fn f(p: &Pool, skip: bool) {
-            if skip { return; }
-            p.write_u64(0, 1);
-            p.persist(0, 8);
-        }";
-        assert_eq!(violations(ok), 0);
-        // Return after a write, before the flush: dirty exit.
-        let bad = "fn f(p: &Pool, early: bool) {
-            p.write_u64(0, 1);
-            if early { return; }
-            p.persist(0, 8);
-        }";
-        assert_eq!(violations(bad), 1);
-        // A flush inside the early-return branch fixes it.
-        let fixed = "fn f(p: &Pool, early: bool) {
-            p.write_u64(0, 1);
-            if early { p.fence(); return; }
-            p.persist(0, 8);
-        }";
-        assert_eq!(violations(fixed), 0);
-    }
-
-    #[test]
-    fn try_operator_is_an_exit() {
-        let bad = "fn f(p: &Pool) -> Result<()> {
-            p.write_u64(0, 1);
-            let x = p.alloc(8)?;
-            p.persist(0, 8);
-            Ok(())
-        }";
-        assert_eq!(violations(bad), 1, "`?` can leave with the write unflushed");
-        let ok = "fn f(p: &Pool) -> Result<()> {
-            let x = p.alloc(8)?;
-            p.write_u64(x, 1);
-            p.persist(x, 8);
-            Ok(())
-        }";
-        assert_eq!(violations(ok), 0);
-    }
-
-    #[test]
-    fn loops_and_breaks() {
-        // Flush each iteration right after the write: the loop body never
-        // ends dirty, so the fall-through is clean.
-        let ok = "fn f(p: &Pool) {
-            for i in 0..4 { p.write_u64(i, 1); p.persist(i, 8); }
-        }";
-        assert_eq!(violations(ok), 0);
-        // Write in the loop, flush only after it: body fall-through is
-        // dirty but the post-loop flush covers every path.
-        let ok2 = "fn f(p: &Pool) {
-            for i in 0..4 { p.write_u64(i, 1); }
-            p.fence();
-        }";
-        assert_eq!(violations(ok2), 0);
-        // Break carries the dirty state past the post-body flush.
-        let bad = "fn f(p: &Pool, n: u64) {
-            loop {
-                p.write_u64(0, 1);
-                if n > 0 { break; }
-                p.persist(0, 8);
-            }
-        }";
-        assert_eq!(violations(bad), 1);
-    }
-
-    #[test]
-    fn panic_paths_carry_no_obligation() {
-        let ok = "fn f(p: &Pool, bad: bool) {
-            p.write_u64(0, 1);
-            if bad { panic!(\"corrupt\"); }
-            p.persist(0, 8);
-        }";
-        assert_eq!(violations(ok), 0);
-    }
-
-    #[test]
-    fn flush_name_matching_is_structural() {
-        // fence_count() is a getter, not a fence.
-        assert_eq!(violations("fn f(p: &Pool) { p.write_u64(0, 1); let _ = p.fence_count(); }"), 1);
-        // publish_fence / persist_entry / sync_all all count.
-        assert_eq!(violations("fn f(s: &S) { s.pool.write_u64(0, 1); s.publish_fence(); }"), 0);
-        assert_eq!(violations("fn f(s: &S) { s.pool.write_u64(0, 1); s.persist_entry(3); }"), 0);
-        assert_eq!(violations("fn f(p: &Pool) { p.write_u64(0, 1); p.sync_all(); }"), 0);
-    }
-
-    #[test]
-    fn strings_and_comments_do_not_confuse_the_pass() {
-        let ok = "fn f(p: &Pool) {
-            // p.write_u64(0, 1);
-            let s = \"write_u64(\";
-        }";
-        assert_eq!(violations(ok), 0);
-        let bad = "fn f(p: &Pool) {
-            p.write_u64(0, 1); // persist(0, 8) — only a comment!
+    fn strings_and_comments_are_not_events() {
+        let src = "fn f(p: &Pool) {
+            p.write_u64(0, 1); // p.persist(0, 8) — only a comment!
             let claim = \"persist(\";
         }";
-        assert_eq!(violations(bad), 1);
+        assert_eq!(events_of(src), ["call write_u64", ";", ";"]);
     }
 
+    /// A closure body is a `Loop` (zero or more runs), also when a parameter
+    /// is typed `fn(…) -> …`: that is no nested `fn` item.
     #[test]
     fn closure_bodies_are_zero_or_more() {
-        // A write inside a closure with no flush anywhere: dirty.
-        let bad = "fn f(p: &Pool, v: &[u64]) {
-            v.iter().for_each(|&x| { p.write_u64(x, 1); });
-        }";
-        assert_eq!(violations(bad), 1);
-        // Post-hoc fence covers whatever the closure dirtied.
-        let ok = "fn f(p: &Pool, v: &[u64]) {
-            v.iter().for_each(|&x| { p.write_u64(x, 1); });
-            p.fence();
-        }";
-        assert_eq!(violations(ok), 0);
-        // `|g: fn(&S) -> u64|` is a closure, not a nested `fn` item.
-        let fn_param = "fn f(p: &Pool) {
-            let col = |g: fn(&S) -> u64| { p.write_u64(0, 1); };
-        }";
-        assert_eq!(violations(fn_param), 1);
+        let shape = |src: &str| format!("{:?}", functions(&parse(src))[0].body);
+        let each = shape("fn f(v: &[u64]) { v.iter().for_each(|&x| { put(x); }); }");
+        assert!(each.contains("Loop(Seq([Seq([Seq([]), Call(Call { name: \"put\""), "{each}");
+        let fn_param = "fn f(p: &Pool) { let col = |g: fn(&S) -> u64| { p.write_u64(0, 1); }; }";
+        assert_eq!(events_of(fn_param), ["call write_u64", ";", ";"]);
     }
 
     #[test]
-    fn nested_fns_are_analyzed_separately() {
+    fn nested_fns_are_lowered_separately() {
         let src = "fn outer(p: &Pool) {
             fn inner(p: &Pool) { p.write_u64(0, 1); }
-            p.write_u64(0, 2);
             p.persist(0, 8);
         }";
-        let per_fn = analyze(src);
-        assert_eq!(per_fn.len(), 2);
-        let outer = per_fn.iter().find(|(n, _)| n == "outer").unwrap();
-        let inner = per_fn.iter().find(|(n, _)| n == "inner").unwrap();
-        assert_eq!(outer.1.len(), 0, "outer flushes its own write");
-        assert_eq!(inner.1.len(), 1, "inner never flushes");
+        let file = parse(src);
+        let names: Vec<&str> = functions(&file).iter().map(|f| f.item.name).collect();
+        assert_eq!(names, ["outer", "inner"]);
+        assert_eq!(events_of(src), ["call persist", ";"], "inner's body is not outer's");
     }
 
+    /// `return`, `break`, `?` and `panic!` are no events of their own; what
+    /// they evaluate is.
     #[test]
-    fn else_if_chains() {
-        let bad = "fn f(p: &Pool, k: u32) {
-            p.write_u64(0, 1);
-            if k == 0 { p.persist(0, 8); }
-            else if k == 1 { p.persist(0, 8); }
-        }";
-        assert_eq!(violations(bad), 1, "the final implicit else leaks");
-        let ok = "fn f(p: &Pool, k: u32) {
-            p.write_u64(0, 1);
-            if k == 0 { p.persist(0, 8); }
-            else if k == 1 { p.persist(0, 8); }
-            else { p.fence(); }
-        }";
-        assert_eq!(violations(ok), 0);
-    }
-
-    #[test]
-    fn write_inside_condition_is_seen() {
-        let bad = "fn f(p: &Pool) {
-            if p.write_u64(0, 1) == () { }
-        }";
-        assert_eq!(violations(bad), 1);
-    }
-
-    /// The MOD fence-audit shapes (DESIGN.md §13): the pass demands that
-    /// dirty writes are *flushed* on every exit path — it deliberately does
-    /// NOT demand a trailing `fence()`, because ordering a flush against
-    /// durable publication is the caller's publish-fence's job. These
-    /// fixtures pin the exact shapes the allocator's bit flip (`Located::flip`) /
-    /// `KeyChain::append` / `PHistory::create` took after the audit, so a
-    /// future "tighten the pass to require fences" change has to consciously
-    /// re-argue them.
-    #[test]
-    fn flush_without_trailing_fence_is_a_legal_shape() {
-        // The allocator's flip on alloc and dealloc: store, flush, return — no fence.
-        let state_flip = "fn mark(p: &Pool, off: u64) {
-            p.write_u64(off + 8, 1);
-            p.persist(off + 8, 8);
-        }";
-        assert_eq!(violations(state_flip), 0, "unfenced state flip must stay legal");
-        // Coalesced append: pair write + flush, counter bump + flush, no
-        // per-pair fence — the publish fence lives in the *caller*.
-        let coalesced = "fn append(p: &Pool, pair: u64) {
-            p.write_u64(pair, 7);
-            p.persist(pair, 16);
-            p.write_u64(pair + 99, 1);
-            p.persist(pair + 99, 8);
-        }";
-        assert_eq!(violations(coalesced), 0, "coalesced append schedule must stay legal");
-        // But removing the *flush* along with the fence is still caught.
-        let over_removed = "fn append(p: &Pool, pair: u64) {
-            p.write_u64(pair, 7);
-        }";
-        assert_eq!(violations(over_removed), 1, "flush removal must still be flagged");
-    }
-
-    /// The batched-refill shape: a loop carving several headers, each
-    /// flushed, one fence after the loop. The fence is load-bearing there
-    /// (cross-thread handoff of parked extras) but the pass only needs the
-    /// flush coverage to hold through the loop body and the tail.
-    #[test]
-    fn batched_refill_single_fence_shape() {
-        let refill = "fn refill(p: &Pool, base: u64, n: u64) {
-            let mut i = 0;
-            while i < n {
-                p.write_u64(base + i * 16, 16);
-                p.persist(base + i * 16, 16);
-                i += 1;
-            }
-            p.write_u64(8, base + n * 16);
-            p.persist(8, 8);
-            p.fence();
-        }";
-        assert_eq!(violations(refill), 0);
+    fn exits_lower_the_expressions_they_evaluate() {
+        assert_eq!(events("return self.a(); x()?; if c() { break } panic!(\"{}\", self.b())"), [
+            "call a",
+            ";",
+            "call x",
+            ";",
+            "call c",
+            "call b"
+        ]);
     }
 
     // -- ISSUE 8: interprocedural plumbing ---------------------------------
@@ -1316,7 +665,7 @@ mod tests {
         let mut out = Vec::new();
         for f in &fns {
             f.body.each(&mut |n| {
-                if let Node::Call(c) | Node::Flush(c) = n {
+                if let Node::Call(c) = n {
                     out.push(c.clone());
                 }
             });
@@ -1422,7 +771,12 @@ mod tests {
 
     /// Every leaf event of `fn f`'s body, rendered one per entry.
     fn events(body: &str) -> Vec<String> {
-        let file = parse(&format!("fn f(&self, p: *mut N) {{ {body} }}"));
+        events_of(&format!("fn f(&self, p: *mut N) {{ {body} }}"))
+    }
+
+    /// Every leaf event of the first fn in `src`.
+    fn events_of(src: &str) -> Vec<String> {
+        let file = parse(src);
         let mut out = Vec::new();
         functions(&file)[0].body.each(&mut |n| {
             out.push(match n {
@@ -1432,7 +786,7 @@ mod tests {
                     s.chain.join("."),
                     s.binding.as_ref().map(|b| format!(" -> {b}")).unwrap_or_default()
                 ),
-                Node::Call(c) | Node::Flush(c) => format!("call {}", c.name),
+                Node::Call(c) => format!("call {}", c.name),
                 Node::Unlock { binding } => format!("drop {binding}"),
                 Node::StmtEnd => ";".to_string(),
                 other => format!("{other:?}"),
@@ -1523,7 +877,13 @@ mod tests {
             ["call key", "call cmp", "call a"]
         );
         // An expression-bodied arm ends at its comma, also when it exits.
-        assert_eq!(events("match k { 0 => break, _ => c() }"), ["Break", "call c"]);
+        assert_eq!(events("match k { 0 => return a(), _ => c() }"), ["call a", "call c"]);
+        // Each `else` is one more alternative of the same branch.
+        let chain = "if c() { a(); } else if d() { b(); } else { e(); }";
+        assert_eq!(shape(chain), ["Seq2", "Branch"]);
+        assert_eq!(events("if c() { a() } else if d() { b() } else { e() }"), [
+            "call c", "call a", "call d", "call b", "call e"
+        ]);
     }
 
     #[test]
@@ -1551,68 +911,5 @@ mod tests {
         assert_eq!(f("ping").ret_idents, vec!["Service"], "Self maps to the owner");
         assert_eq!(f("free").item.owner, None);
         assert_eq!(f("free").ret_idents, vec!["Result", "Vec", "Entry"]);
-    }
-
-    /// A toy oracle standing in for the summary layer: `dirty_helper` may
-    /// leave PM dirty, `flush_helper` always flushes.
-    struct ToyOracle;
-    impl CallOracle for ToyOracle {
-        fn transfer(&self, call: &Call) -> Transfer {
-            match call.name.as_str() {
-                "dirty_helper" => Transfer { dirty_when_clean: true, clean_when_dirty: false },
-                "flush_helper" => Transfer { dirty_when_clean: false, clean_when_dirty: true },
-                _ => Transfer::IDENTITY,
-            }
-        }
-    }
-
-    fn oracle_violations(src: &str) -> usize {
-        let trees = parse(src);
-        functions(&trees)
-            .iter()
-            .map(|f| dirty_exits_with(&f.body, 9999, &ToyOracle).len())
-            .sum()
-    }
-
-    #[test]
-    fn oracle_drives_interprocedural_effects() {
-        // Dirtiness escaping through a call is now caught…
-        assert_eq!(oracle_violations("fn f() { dirty_helper(); }"), 1);
-        // …and a callee that flushes clears the obligation.
-        assert_eq!(
-            oracle_violations("fn f(p: &Pool) { p.write_u64(0, 1); flush_helper(); }"),
-            0
-        );
-        // Dirty-through-call then flushed locally: clean.
-        assert_eq!(oracle_violations("fn f(p: &Pool) { dirty_helper(); p.fence(); }"), 0);
-        // The intraprocedural entry point still ignores calls.
-        assert_eq!(violations("fn f() { dirty_helper(); }"), 0);
-        // via_call is reported on the exit.
-        let trees = parse("fn f() { dirty_helper(); }");
-        let fns = functions(&trees);
-        let exits = dirty_exits_with(&fns[0].body, 9999, &ToyOracle);
-        assert!(exits[0].via_call);
-        assert!(exits[0].describe("f").contains("may leave PM dirty"));
-    }
-
-    #[test]
-    fn transfer_of_matches_body_shape() {
-        let src = "fn writes(p: &Pool) { p.write_u64(0, 1); }
-            fn flushes(p: &Pool) { p.fence(); }
-            fn covered(p: &Pool) { p.write_u64(0, 1); p.persist(0, 8); }
-            fn conditional(p: &Pool, e: bool) { if e { p.fence(); } }";
-        let trees = parse(src);
-        let fns = functions(&trees);
-        let t = |n: &str| {
-            transfer_of(&fns.iter().find(|f| f.item.name == n).unwrap().body, &NoOracle)
-        };
-        assert_eq!(t("writes"), Transfer { dirty_when_clean: true, clean_when_dirty: false });
-        assert_eq!(t("flushes"), Transfer { dirty_when_clean: false, clean_when_dirty: true });
-        assert_eq!(t("covered"), Transfer { dirty_when_clean: false, clean_when_dirty: true });
-        assert_eq!(
-            t("conditional"),
-            Transfer::IDENTITY,
-            "a branch-only flush neither dirties nor guarantees cleaning"
-        );
     }
 }

@@ -122,7 +122,7 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
                 let (new, outer) = held.split_last().expect("pushed by the tracker");
                 edge(outer, &new.id, site.line);
             }
-            Node::Flush(call) | Node::Call(call) => {
+            Node::Call(call) => {
                 if call_fences(ws, f, call) {
                     for h in held.iter_mut().filter(|h| !h.flagged) {
                         h.flagged = true;

@@ -4,9 +4,6 @@
 //! graph from the receiver hints [`crate::cfg`] records at each call site,
 //! and a per-function [`Summary`]:
 //!
-//! * the persist-ordering **transfer function** (may the callee leave PM
-//!   dirty / does it flush on every path), plugged back into the dataflow so
-//!   `write(); helper_that_persists();` is recognized across calls;
 //! * whether the function **may fence**: issue an sfence itself or through a
 //!   resolved callee, on some path — what the lock-order pass's "no sfence
 //!   under a guard" rule reads (how *many* fences an operation costs is
@@ -16,22 +13,19 @@
 //!
 //! Recursion is handled with Tarjan SCCs evaluated callees-first and a
 //! least-fixpoint iteration inside each component, seeded from the lattice
-//! bottom (`clean_when_dirty = true`, no fence, no lock). Calls that cannot be
-//! resolved — trait objects, closures invoked through std combinators,
-//! std/collection methods — conservatively keep the *intraprocedural*
-//! semantics (identity transfer, no fences, no locks), which is exactly what
-//! the PR 5 analyzer assumed for every call, so the interprocedural pass is
-//! never weaker than its predecessor.
+//! bottom (no fence, no lock). Calls that cannot be resolved — trait
+//! objects, closures invoked through std combinators, std/collection
+//! methods — fence nothing and lock nothing.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::cfg::{self, Call, CallOracle, FnInfo, Hint, Node, Transfer};
+use crate::cfg::{self, Call, FnInfo, Hint, Node};
 use crate::source::{Source, SrcFile};
 
 /// Method names never resolved against the workspace index: std library and
 /// collection methods that would otherwise collide with store functions of
-/// the same name (`insert`, `append`, `extend`, …). An unresolved call is
-/// the identity transfer with no fences and no locks.
+/// the same name (`insert`, `append`, `extend`, …). An unresolved call
+/// fences nothing and locks nothing.
 const STD_METHODS: &[&str] = &[
     "push", "pop", "insert", "remove", "get", "get_mut", "extend", "len", "is_empty", "iter",
     "iter_mut", "into_iter", "next", "clear", "take", "replace", "append", "find", "position",
@@ -58,28 +52,15 @@ const WRAPPER_IDENTS: &[&str] = &[
     "HashMap", "HashSet", "String", "Iterator", "Ordering", "PathBuf", "Cow",
 ];
 
-/// The per-function effect summary.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The per-function effect summary. The default is the least-fixpoint seed
+/// for recursive components: fences nothing, locks nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Summary {
-    pub transfer: Transfer,
     /// Some path issues an sfence, here or in a resolved callee.
     pub fences: bool,
     /// Lock ids acquired by this function or any resolved callee,
     /// `crate:mutex_field` form.
     pub locks: BTreeSet<String>,
-}
-
-impl Summary {
-    /// Least-fixpoint seed for recursive components: "flushes everything,
-    /// fences nothing". Sound because the LFP only keeps what *every*
-    /// terminating path justifies.
-    fn bottom() -> Summary {
-        Summary {
-            transfer: Transfer { dirty_when_clean: false, clean_when_dirty: true },
-            fences: false,
-            locks: BTreeSet::new(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -155,13 +136,8 @@ impl<'a> Workspace<'a> {
             .collect()
     }
 
-    /// The call oracle for running [`cfg::dirty_exits_with`] over `caller`.
-    pub fn oracle(&self, caller: usize) -> TableOracle<'_, 'a> {
-        TableOracle { ws: self, caller, summaries: &self.summaries }
-    }
-
     /// Resolves a call site to its candidate workspace functions. Empty
-    /// means unresolved: identity transfer, zero fences, no locks.
+    /// means unresolved: zero fences, no locks.
     pub fn resolve(&self, caller: usize, call: &Call) -> Vec<usize> {
         // The zero-arg `fence()` primitive and the atomic `fence(Ordering)`
         // are terminal — resolving `Pool::fence` → `backend.fence()` would
@@ -254,28 +230,6 @@ impl<'a> Workspace<'a> {
     }
 }
 
-/// [`CallOracle`] over the computed summaries, fixed to one caller (the
-/// caller's impl owner and crate drive resolution).
-pub struct TableOracle<'w, 'a> {
-    ws: &'w Workspace<'a>,
-    caller: usize,
-    summaries: &'w [Summary],
-}
-
-impl CallOracle for TableOracle<'_, '_> {
-    fn transfer(&self, call: &Call) -> Transfer {
-        let cands = self.ws.resolve(self.caller, call);
-        if cands.is_empty() {
-            return Transfer::IDENTITY;
-        }
-        Transfer {
-            // May dirty if *any* candidate may; cleans only if *all* do.
-            dirty_when_clean: cands.iter().any(|&c| self.summaries[c].transfer.dirty_when_clean),
-            clean_when_dirty: cands.iter().all(|&c| self.summaries[c].transfer.clean_when_dirty),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Summary computation (SCC fixpoint)
 // ---------------------------------------------------------------------------
@@ -286,13 +240,13 @@ fn summarize(ws: &Workspace) -> Vec<Summary> {
     for (i, slot) in edges.iter_mut().enumerate() {
         let mut targets = BTreeSet::new();
         ws.fns[i].info.body.each(&mut |n| {
-            if let Node::Call(c) | Node::Flush(c) = n {
+            if let Node::Call(c) = n {
                 targets.extend(ws.resolve(i, c));
             }
         });
         *slot = targets.into_iter().collect();
     }
-    let mut summaries = vec![Summary::bottom(); n];
+    let mut summaries = vec![Summary::default(); n];
     // Tarjan emits components callees-first, so every cross-component call
     // sees a final summary; within a component we iterate to the least
     // fixpoint from the bottom seed. Every part of a summary is monotone
@@ -314,25 +268,21 @@ fn summarize(ws: &Workspace) -> Vec<Summary> {
 }
 
 fn compute_summary(ws: &Workspace, f: usize, summaries: &[Summary]) -> Summary {
-    let oracle = TableOracle { ws, caller: f, summaries };
-    let body = &ws.fns[f].info.body;
-    let transfer = cfg::transfer_of(body, &oracle);
-    let (mut fences, mut locks) = (false, BTreeSet::new());
-    body.each(&mut |n| match n {
-        Node::Flush(call) if call.sfence => fences = true,
-        // persist / flush are CLWB-class (no fence), and `fence(Ordering)`
-        // resolves to nothing; named fences like `publish_fence` fence
-        // through their resolved bodies.
-        Node::Flush(call) | Node::Call(call) => {
+    let mut s = Summary::default();
+    ws.fns[f].info.body.each(&mut |n| match n {
+        // `fence(Ordering)` resolves to nothing; named fences like
+        // `publish_fence` fence through their resolved bodies.
+        Node::Call(call) => {
+            s.fences |= call.sfence;
             for c in ws.resolve(f, call) {
-                fences |= summaries[c].fences;
-                locks.extend(summaries[c].locks.iter().cloned());
+                s.fences |= summaries[c].fences;
+                s.locks.extend(summaries[c].locks.iter().cloned());
             }
         }
-        Node::Lock(site) => locks.extend(ws.lock_id(f, site)),
+        Node::Lock(site) => s.locks.extend(ws.lock_id(f, site)),
         _ => {}
     });
-    Summary { transfer, fences, locks }
+    s
 }
 
 /// Iterative Tarjan SCC; components are emitted callees-first (reverse
@@ -397,7 +347,6 @@ fn tarjan(edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::dirty_exits_with;
 
     fn ws(src: &str) -> Workspace<'static> {
         Workspace::build(Source::fixture(&[("crates/core/src/lib.rs", src)]))
@@ -407,77 +356,42 @@ mod tests {
         ws.fns_in(&[""]).into_iter().find(|&i| ws.fn_info(i).item.name == name).unwrap()
     }
 
-    fn violations_of(ws: &Workspace, name: &str) -> usize {
-        let i = idx(ws, name);
-        dirty_exits_with(&ws.fn_info(i).body, ws.fn_info(i).end_line, &ws.oracle(i)).len()
-    }
-
     // -- interprocedural fixtures (ISSUE 8 satellite) ----------------------
 
     #[test]
-    fn helper_persists_callers_dirty_write() {
+    fn fences_reach_the_caller_through_two_hops() {
         let w = ws("impl Store {
-            fn op(&self, p: &Pool) { p.write_u64(0, 1); self.seal(p); }
-            fn seal(&self, p: &Pool) { p.persist(0, 8); p.fence(); }
-        }");
-        assert_eq!(violations_of(&w, "op"), 0, "callee flush covers the caller's write");
-        assert!(w.summary(idx(&w, "seal")).transfer.clean_when_dirty);
-        // And the caller may fence through the callee.
-        assert!(w.summary(idx(&w, "op")).fences);
-    }
-
-    #[test]
-    fn transitively_dirty_through_two_hops() {
-        let w = ws("impl Store {
-            fn entry(&self, p: &Pool) { self.mid(p); }
+            fn entry(&self, p: &Pool) { p.write_u64(0, 1); self.mid(p); }
             fn mid(&self, p: &Pool) { self.leaf(p); }
-            fn leaf(&self, p: &Pool) { p.write_u64(0, 1); }
+            fn leaf(&self, p: &Pool) { p.persist(0, 8); p.fence(); }
+            fn flush_only(&self, p: &Pool) { p.persist(0, 8); }
         }");
-        // Dirtiness propagates leaf → mid → entry.
-        assert!(w.summary(idx(&w, "leaf")).transfer.dirty_when_clean);
-        assert!(w.summary(idx(&w, "mid")).transfer.dirty_when_clean);
-        assert_eq!(violations_of(&w, "entry"), 1, "two-hop dirty call escapes");
-        // A fence at the top clears all of it.
-        let w2 = ws("impl Store {
-            fn entry(&self, p: &Pool) { self.mid(p); p.fence(); }
-            fn mid(&self, p: &Pool) { self.leaf(p); }
-            fn leaf(&self, p: &Pool) { p.write_u64(0, 1); }
-        }");
-        assert_eq!(violations_of(&w2, "entry"), 0);
+        assert!(["leaf", "mid", "entry"].iter().all(|f| w.summary(idx(&w, f)).fences));
+        assert!(!w.summary(idx(&w, "flush_only")).fences, "a persist is no sfence");
     }
 
     #[test]
     fn mutual_recursion_fixpoint_terminates() {
         let w = ws("impl Store {
             fn even(&self, p: &Pool, n: u64) { if n > 0 { self.odd(p, n - 1); } }
-            fn odd(&self, p: &Pool, n: u64) { p.write_u64(n, 1); if n > 0 { self.even(p, n - 1); } }
+            fn odd(&self, p: &Pool, n: u64) { p.fence(); if n > 0 { self.even(p, n - 1); } }
         }");
-        // Terminates, and the write in `odd` is visible through both.
-        assert!(w.summary(idx(&w, "odd")).transfer.dirty_when_clean);
-        assert!(w.summary(idx(&w, "even")).transfer.dirty_when_clean);
-        assert_eq!(violations_of(&w, "even"), 1);
+        // Terminates, and the fence in `odd` is visible through both.
+        assert!(w.summary(idx(&w, "odd")).fences && w.summary(idx(&w, "even")).fences);
     }
 
     #[test]
     fn closure_passed_to_for_each_is_inlined() {
         // `for_each` itself is a std method (never resolved), but the
-        // closure body is part of the caller's CFG, so a dirtying call
+        // closure body is part of the caller's lowering, so a fencing call
         // inside it is still seen.
         let w = ws("impl Store {
             fn bulk(&self, p: &Pool, v: &[u64]) {
                 v.iter().for_each(|&x| { self.put(p, x); });
             }
-            fn put(&self, p: &Pool, x: u64) { p.write_u64(x, 1); }
+            fn put(&self, p: &Pool, x: u64) { p.write_u64(x, 1); p.fence(); }
         }");
-        assert_eq!(violations_of(&w, "bulk"), 1, "dirty call inside the closure escapes");
-        let w2 = ws("impl Store {
-            fn bulk(&self, p: &Pool, v: &[u64]) {
-                v.iter().for_each(|&x| { self.put(p, x); });
-                p.fence();
-            }
-            fn put(&self, p: &Pool, x: u64) { p.write_u64(x, 1); }
-        }");
-        assert_eq!(violations_of(&w2, "bulk"), 0);
+        assert!(w.summary(idx(&w, "bulk")).fences, "the fencing call inside the closure");
     }
 
     #[test]
@@ -510,19 +424,16 @@ mod tests {
             w.summary(idx(&w, "op")).fences,
             "append resolved through the getter's return type"
         );
-        assert_eq!(violations_of(&w, "op"), 0);
     }
 
     #[test]
     fn std_methods_are_never_resolved() {
         let w = ws("impl Cache {
-            fn extend(&self, p: &Pool) { p.write_u64(0, 1); }
+            fn extend(&self, p: &Pool) { p.fence(); }
             fn use_cache(&self, cache: &mut Vec<u64>) { cache.extend([1]); }
         }");
         // `cache.extend` must NOT resolve to Cache::extend (std denylist).
-        assert_eq!(violations_of(&w, "use_cache"), 0);
-        assert!(w.summary(idx(&w, "use_cache")).transfer == Transfer::IDENTITY
-            || !w.summary(idx(&w, "use_cache")).transfer.dirty_when_clean);
+        assert!(!w.summary(idx(&w, "use_cache")).fences);
     }
 
     #[test]

@@ -21,12 +21,14 @@ fn xtask(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_xtask")).args(args).output().unwrap()
 }
 
-/// The analyzer runs six passes; `race-audit` and `fence-budget` are not
-/// among them (how many fences an operation costs is measured by
+/// The analyzer runs five passes; `race-audit`, `fence-budget` and
+/// `persist-ordering` are not among them (how many fences an operation
+/// costs, and whether it leaves a line unflushed, is measured by
 /// `tests/cost_ledger.rs`).
 #[test]
-fn six_passes_and_no_race_audit_or_fence_budget() {
-    for gone in ["race-audit", "fence-budget"] {
+fn five_passes_and_no_race_audit_fence_budget_or_persist_ordering() {
+    const GONE: [&str; 3] = ["race-audit", "fence-budget", "persist-ordering"];
+    for gone in GONE {
         let out = xtask(&["explain", gone]);
         assert_eq!(out.status.code(), Some(1), "{gone}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("unknown check"), "{gone}");
@@ -36,11 +38,11 @@ fn six_passes_and_no_race_audit_or_fence_budget() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let ids = stdout.lines().next().and_then(|l| l.strip_prefix("checks: ")).unwrap();
-    assert_eq!(ids.split(", ").count(), 6, "{ids}");
+    assert_eq!(ids.split(", ").count(), 5, "{ids}");
 
     let out = xtask(&["analyze", "--json"]);
     let json = String::from_utf8_lossy(&out.stdout);
     assert!(json.contains("\"version\": 4"), "{json}");
-    assert_eq!(json.matches("{\"name\": ").count(), 6, "{json}");
-    assert!(!json.contains("race-audit") && !json.contains("fence-budget"), "{json}");
+    assert_eq!(json.matches("{\"name\": ").count(), 5, "{json}");
+    assert!(GONE.iter().all(|gone| !json.contains(gone)), "{json}");
 }

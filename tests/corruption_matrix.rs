@@ -13,6 +13,8 @@
 //! * account for loss — if any oracle key is missing from the recovered
 //!   state, the open reports `Degraded` with a non-empty quarantine
 //!   report, never `Clean`;
+//! * flush what it repairs — no line salvage wrote is left unflushed when
+//!   the open returns;
 //! * converge — a post-salvage [`mvkv::core::PSkipList::scrub`] finds zero
 //!   corrupt records, and the store accepts new writes.
 //!
@@ -71,6 +73,8 @@ fn salvage_and_check(image: &[u8], label: &str) -> Option<SalvageOpen> {
             return None;
         }
     };
+    let unflushed = out.store.pool().unflushed_lines().unwrap();
+    assert_eq!(unflushed, [], "{label}: salvage left lines unflushed");
     let s = out.store.session();
     let snap = s.extract_snapshot(out.store.tag());
     // Never silently wrong data: every surfaced pair matches the oracle.

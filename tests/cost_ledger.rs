@@ -7,17 +7,19 @@
 //! * `lines` — 64-byte lines those calls covered (one `clwb` each on real
 //!   PM), summed over the calls;
 //! * `blocks` / `bytes` — allocated blocks and their payload bytes, as the
-//!   heap audit counts them.
+//!   heap audit counts them;
+//! * `unflushed` — lines whose cached bytes differ from the media when the
+//!   step returns: stores a power failure right then would drop.
 //!
-//! Every row is the change of those counters across one step of a single
-//! store's life, so a row whose step allocates shows its amortized costs
-//! (DESIGN.md §13.3): an allocator refill (one fence for a run of up to 64
-//! blocks), an adopted history segment (one), an adopted key-chain block
-//! (two: the large block's header, then the adoption).
+//! Every column but `unflushed` is the change of its counter across one step
+//! of a single store's life, so a row whose step allocates shows its
+//! amortized costs (DESIGN.md §13.3): an allocator refill (one fence for a
+//! run of up to 64 blocks), an adopted history segment (one), an adopted
+//! key-chain block (two: the large block's header, then the adoption).
 //! The whole table is pinned as one string: a fence, flush or allocation
-//! added to or dropped from any operation's path fails here, and the
-//! message names the rows that moved. A deliberate change re-pins the rows
-//! it moves and says so.
+//! added to or dropped from any operation's path fails here, as does a line
+//! an operation leaves unflushed, and the message names the rows that moved.
+//! A deliberate change re-pins the rows it moves and says so.
 
 use mvkv::core::api::LabeledTags;
 use mvkv::core::{PSkipList, StoreSession, VersionedStore};
@@ -30,8 +32,8 @@ const POOL: usize = 16 << 20;
 /// store's root and keys 0 to 6 fill the 64-byte class's first run.
 const REFILL_KEY: u64 = 7;
 
-/// The counters a row is the difference of, in column order.
-fn counters(pool: &PmemPool) -> [i64; 5] {
+/// The counters of a row, in column order.
+fn counters(pool: &PmemPool) -> [i64; 6] {
     let heap = audit(pool);
     [
         pool.fence_count().expect("a crash-sim pool") as i64,
@@ -39,15 +41,20 @@ fn counters(pool: &PmemPool) -> [i64; 5] {
         pool.lines_flushed().unwrap() as i64,
         heap.allocated_blocks as i64,
         heap.allocated_bytes as i64,
+        pool.unflushed_lines().unwrap().len() as i64,
     ]
 }
 
+/// The column a row reads as it stands after the step, not as a difference.
+const UNFLUSHED: usize = 5;
+
 #[derive(Default)]
-struct Ledger(Vec<(String, [i64; 5])>);
+struct Ledger(Vec<(String, [i64; 6])>);
 
 impl Ledger {
-    fn row(&mut self, op: &str, before: [i64; 5], after: [i64; 5]) {
-        self.0.push((op.to_string(), std::array::from_fn(|i| after[i] - before[i])));
+    fn row(&mut self, op: &str, before: [i64; 6], after: [i64; 6]) {
+        let cost = |i: usize| if i == UNFLUSHED { after[i] } else { after[i] - before[i] };
+        self.0.push((op.to_string(), std::array::from_fn(cost)));
     }
 
     /// Runs `step` on `pool`'s store and records what it cost.
@@ -59,46 +66,46 @@ impl Ledger {
 
     fn render(&self) -> String {
         let mut out = format!(
-            "{:<52}{:>7}{:>9}{:>7}{:>7}{:>8}\n",
-            "operation", "fences", "persists", "lines", "blocks", "bytes"
+            "{:<52}{:>7}{:>9}{:>7}{:>7}{:>8}{:>10}\n",
+            "operation", "fences", "persists", "lines", "blocks", "bytes", "unflushed"
         );
-        for (op, [f, p, l, b, by]) in &self.0 {
-            out += &format!("{op:<52}{f:>7}{p:>9}{l:>7}{b:>7}{by:>8}\n");
+        for (op, [f, p, l, b, by, u]) in &self.0 {
+            out += &format!("{op:<52}{f:>7}{p:>9}{l:>7}{b:>7}{by:>8}{u:>10}\n");
         }
         out
     }
 }
 
 const EXPECTED: &str = "\
-operation                                            fences persists  lines blocks   bytes
-create (an empty store)                                   6        9      9      3     128
-insert, the first key (adopts a key-chain block)          3       12    140      2    8288
-insert, a fresh key                                       1        8      8      1      64
-insert, its 2nd version (inline slot)                     1        3      3      0       0
-insert, its 3rd version (adopts segment 1, refills)       3        7     10      1     192
-insert, its 4th version                                   1        3      3      0       0
-insert, another key's 3rd version (adopts)                2        6      8      1     192
-remove (a tombstone append)                               1        3      3      0       0
-find                                                      0        1      1      0       0
-insert, fresh key 7 (refills the class)                   2        9      9      1      64
-insert, 16 fresh keys                                    17      129    129     16    1024
-insert, 488 fresh keys (fill the block)                 499     3915   3915    488   31232
-insert, a fresh key (adopts a key-chain block)            3       12    140      2    8288
-insert_batch, 16 fresh keys                               2      129    130     16    1024
-insert_batch, 16 existing keys (2nd versions)             1       48     48      0       0
-insert_batch, 16 existing keys (adopt segment 1)         18       97    129     16    3072
-insert_batch, 16 existing keys (4th versions)             1       48     48      0       0
-insert_batch, 16 existing keys (5th versions)             1       48     48      0       0
-insert_batch, 1024 fresh keys (one chunk)                21     8216   8474   1026   81984
-insert_batch, the same 1024 keys (2nd versions)           1     3072   3072      0       0
-insert_batch, 1025 fresh keys (two chunks)               22     8224   8482   1027   82048
-insert_batch, the same 1025 keys (2nd versions)           2     3075   3075      0       0
-tag                                                       0        0      0      0       0
-tag_labeled, the first (adopts a tag-chain block)         2        7     23      1    1536
-tag_labeled, the second                                   0        3      3      0       0
-extract_snapshot                                          0     2577   2577      0       0
-compact_into, 2577 surviving keys                      2645    20707  21497   2587  215936
-reopen, 2577 keys, closed cleanly                         2        9      9      0       0
+operation                                            fences persists  lines blocks   bytes unflushed
+create (an empty store)                                   6        9      9      3     128         0
+insert, the first key (adopts a key-chain block)          3       12    140      2    8288         0
+insert, a fresh key                                       1        8      8      1      64         0
+insert, its 2nd version (inline slot)                     1        3      3      0       0         0
+insert, its 3rd version (adopts segment 1, refills)       3        7     10      1     192         0
+insert, its 4th version                                   1        3      3      0       0         0
+insert, another key's 3rd version (adopts)                2        6      8      1     192         0
+remove (a tombstone append)                               1        3      3      0       0         0
+find                                                      0        1      1      0       0         0
+insert, fresh key 7 (refills the class)                   2        9      9      1      64         0
+insert, 16 fresh keys                                    17      129    129     16    1024         0
+insert, 488 fresh keys (fill the block)                 499     3915   3915    488   31232         0
+insert, a fresh key (adopts a key-chain block)            3       12    140      2    8288         0
+insert_batch, 16 fresh keys                               2      129    130     16    1024         0
+insert_batch, 16 existing keys (2nd versions)             1       48     48      0       0         0
+insert_batch, 16 existing keys (adopt segment 1)         18       97    129     16    3072         0
+insert_batch, 16 existing keys (4th versions)             1       48     48      0       0         0
+insert_batch, 16 existing keys (5th versions)             1       48     48      0       0         0
+insert_batch, 1024 fresh keys (one chunk)                21     8216   8474   1026   81984         0
+insert_batch, the same 1024 keys (2nd versions)           1     3072   3072      0       0         0
+insert_batch, 1025 fresh keys (two chunks)               22     8224   8482   1027   82048         0
+insert_batch, the same 1025 keys (2nd versions)           2     3075   3075      0       0         0
+tag                                                       0        0      0      0       0         0
+tag_labeled, the first (adopts a tag-chain block)         2        7     23      1    1536         0
+tag_labeled, the second                                   0        3      3      0       0         0
+extract_snapshot                                          0     2577   2577      0       0         0
+compact_into, 2577 surviving keys                      2645    20707  21497   2587  215936         0
+reopen, 2577 keys, closed cleanly                         2        9      9      0       0         0
 ";
 
 #[test]

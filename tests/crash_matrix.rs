@@ -12,7 +12,8 @@
 //!
 //! Each swept image is recovered on a crash-simulation pool, which counts
 //! the fences recovery issues: one per chain `repair` (keys, tags), then at
-//! most two per pruned history (DESIGN.md §13.3).
+//! most two per pruned history (DESIGN.md §13.3). Neither the workload nor
+//! any recovery may return with a line it wrote still unflushed.
 //!
 //! Two workloads are swept, each with its fence count pinned below:
 //!
@@ -156,6 +157,8 @@ fn sweep_every_boundary(
     let probe = PSkipList::create_crash_sim(POOL, crash_opts()).unwrap();
     let fences_at_start = probe.pool().fence_count().unwrap();
     let (oracle, labels) = run(&probe);
+    let unflushed = probe.pool().unflushed_lines().unwrap();
+    assert_eq!(unflushed, [], "the {name} workload left lines unflushed");
     let total_fences = probe.pool().fence_count().unwrap();
     let boundaries = total_fences - fences_at_start;
     assert_eq!(
@@ -180,6 +183,8 @@ fn sweep_every_boundary(
 
         let (recovered, stats) = PSkipList::open_image(&image, 2)
             .unwrap_or_else(|e| panic!("boundary {i}: recovery failed: {e}"));
+        let unflushed = recovered.pool().unflushed_lines().unwrap();
+        assert_eq!(unflushed, [], "boundary {i}: recovery left lines unflushed");
         let fences = recovered.pool().fence_count().unwrap();
         let pruned = stats.pruned_histories;
         assert!(
