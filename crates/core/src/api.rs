@@ -113,7 +113,7 @@ pub trait LabeledTags {
 /// [`LabeledTags`], in tag order. PSkipList's is the DRAM copy of its
 /// persistent tag chain, extended from the chain rather than bound to.
 #[derive(Default)]
-pub(crate) struct Labels(parking_lot::Mutex<Vec<(u64, u64)>>);
+pub(crate) struct Labels(mvkv_sync::sync::Mutex<Vec<(u64, u64)>>);
 
 impl Labels {
     pub(crate) fn bind(&self, label: u64, version: u64) {

@@ -198,7 +198,13 @@ impl PmemPool {
     /// the crash simulator additionally keeps its own per-pool count
     /// ([`PmemPool::fence_count`]) for tests that assert exact per-operation
     /// fence budgets.
+    ///
+    /// # Panics
+    /// In a debug build, when the calling thread holds an `mvkv_sync` mutex
+    /// guard: a fence under a lock serializes unrelated writers on it.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn fence(&self) {
+        mvkv_sync::sync::assert_unlocked("PmemPool::fence");
         mvkv_obs::counter_inc_hot!("mvkv_pmem_fences_total");
         self.backend.fence();
     }
@@ -387,6 +393,17 @@ impl std::fmt::Debug for PmemPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "PmemPool::fence under a live mvkv_sync Mutex guard")]
+    fn a_fence_under_a_facade_guard_panics() {
+        let pool = PmemPool::create_volatile(1 << 20).unwrap();
+        pool.fence();
+        let lock = mvkv_sync::sync::Mutex::new(());
+        let _guard = lock.lock();
+        pool.fence();
+    }
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(

@@ -7,7 +7,9 @@
 //!
 //! * **Normal builds** re-export `std::sync::atomic`, `std::sync::Arc` and
 //!   `std::thread` wholesale (zero-cost: the types *are* the std types), plus
-//!   a non-poisoning [`sync::Mutex`].
+//!   a non-poisoning [`sync::Mutex`]. In a debug build that mutex also checks
+//!   the store's lock discipline: facade locks never nest, and no sfence
+//!   runs under one ([`sync::assert_unlocked`]).
 //! * **`--cfg loom` builds** swap every primitive for a wrapper that routes
 //!   through a built-in cooperative model-checking scheduler ([`model`]),
 //!   loom-API-compatible so the real `loom` crate can be dropped in when a
@@ -52,17 +54,18 @@ mod loom_thread;
 #[cfg(not(loom))]
 mod std_sync;
 
-/// Synchronization primitives: `sync::atomic::*`, `sync::Arc`, `sync::Mutex`.
+/// Synchronization primitives: `sync::atomic::*`, `sync::Arc`, `sync::Mutex`,
+/// `sync::assert_unlocked`.
 pub mod sync {
     #[cfg(not(loom))]
     pub use std::sync::Arc;
     #[cfg(not(loom))]
-    pub use crate::std_sync::{Mutex, MutexGuard};
+    pub use crate::std_sync::{assert_unlocked, Mutex, MutexGuard};
 
     #[cfg(loom)]
     pub use std::sync::Arc;
     #[cfg(loom)]
-    pub use crate::loom_sync::{Mutex, MutexGuard};
+    pub use crate::loom_sync::{assert_unlocked, Mutex, MutexGuard};
 
     /// Atomic types; scheduler-instrumented under `--cfg loom`.
     pub mod atomic {

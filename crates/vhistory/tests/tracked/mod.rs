@@ -32,8 +32,7 @@ struct Tracked {
 /// slot's payload flush has been ordered by the single publish fence — and
 /// counts chain links followed.
 pub struct TrackedSlots<'e> {
-    /// Named after its type, so `xtask analyze` resolves the delegating
-    /// calls below to `EHistory`'s methods (DESIGN.md §11.2).
+    /// The history the delegating calls below go to.
     ehistory: &'e EHistory,
     slots: Vec<Tracked>,
     links: AtomicU64,

@@ -4,23 +4,25 @@
 //! prints about it (rule, rationale, escape hatch) and the function that runs
 //! it. Every pass reads the same [`Ctx`] — one parsed workspace
 //! ([`crate::source::Source`]: each file is read once and lexed once per run,
-//! however many passes look at it; a unit test counts the `lex` calls) under
-//! one interprocedural function index ([`crate::summary::Workspace`]) — and
+//! however many passes look at it; a unit test counts the `lex` calls) — and
 //! returns [`Finding`]s built where the defect is found.
 //!
 //! A finding fails the run. There is no waiver outside the source: the ways
 //! to silence one are to fix it, to argue it in a comment next to it
-//! (`// SAFETY:`, `// ordering:`, `// lock-order:`, `pm-layout-exempt(…)` —
-//! each checked for staleness by its pass), or, for `pm_layout.lock`, to
-//! re-bless after a deliberate layout change (`--bless`).
+//! (`// SAFETY:`, `// ordering:`, `pm-layout-exempt(…)`), or, for
+//! `pm_layout.lock`, to re-bless after a deliberate layout change
+//! (`--bless`).
+//!
+//! Lock discipline is not a pass: a debug build's `mvkv_sync` mutex counts
+//! the guards each thread holds and panics on a nested `lock()` or on
+//! `PmemPool::fence` under a guard, on every path the tests run.
 
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
 use crate::source::Source;
-use crate::summary::Workspace;
-use crate::{layout, locks, sites};
+use crate::{layout, sites};
 
 /// Crates whose `src/` must go through the `mvkv-sync` facade (loom-swapped
 /// atomics).
@@ -38,7 +40,7 @@ const ORDERING_DIRS: &[&str] = &["crates/skiplist/src", "crates/vhistory/src", "
 /// What every pass reads.
 pub struct Ctx<'a> {
     pub root: &'a Path,
-    pub ws: &'a Workspace<'a>,
+    pub src: &'a Source,
     /// `--bless`: rewrite `pm_layout.lock` instead of diffing against it.
     pub bless: bool,
 }
@@ -59,7 +61,7 @@ pub const PASSES: &[Pass] = &[
         rationale: "loom interleaving tests swap the facade's types for models; code that \
                     bypasses the facade silently escapes every concurrency test.",
         escape: "none — import through mvkv_sync; #[cfg(test)] items are exempt automatically.",
-        run: |cx| cx.ws.source().in_dirs(FACADE_DIRS).flat_map(sites::check_facade).collect(),
+        run: |cx| cx.src.in_dirs(FACADE_DIRS).flat_map(sites::check_facade).collect(),
     },
     Pass {
         id: "safety-comment",
@@ -68,7 +70,7 @@ pub const PASSES: &[Pass] = &[
         rationale: "the comment forces the author to state the invariant the compiler can't \
                     check, and gives reviewers something to falsify.",
         escape: "none — write the SAFETY comment.",
-        run: |cx| cx.ws.source().files.iter().flat_map(sites::check_safety_comments).collect(),
+        run: |cx| cx.src.files.iter().flat_map(sites::check_safety_comments).collect(),
     },
     Pass {
         id: "pm-layout",
@@ -88,24 +90,7 @@ pub const PASSES: &[Pass] = &[
         rationale: "Relaxed is correct surprisingly rarely; the comment records the argument \
                     (monotonic counter, published-by-fence, etc.) for the next reader.",
         escape: "add the `// ordering:` comment; use Acquire/Release when in doubt.",
-        run: |cx| cx.ws.source().in_dirs(ORDERING_DIRS).flat_map(sites::check_relaxed).collect(),
-    },
-    Pass {
-        id: "lock-order",
-        rule: "the lock-acquisition graph must be acyclic, and no guard may be held across an \
-               sfence. A guard is a zero-argument `.lock()` / `.try_lock()`, or `.read()` / \
-               `.write()` on an RwLock-typed field or static — one lock-site rule, shared \
-               with the summaries. A guard is bound when its call ends a `let` initializer \
-               (through `?` / `.unwrap()` / `.expect(…)`) and is then live to the end of its \
-               block or its `drop(g)`; any other guard is a temporary, live to the end of its \
-               statement (through the body of `match` / `for` / `if let` / `while let` when \
-               taken in the header).",
-        rationale: "cycles are deadlocks waiting for the right interleaving; a fence under a \
-                    shard or chain lock serializes unrelated writers on the slowest PM \
-                    operation.",
-        escape: "`// lock-order: <reason>` on the acquisition line or immediately above it \
-                 (mirrors the `// ordering:` convention).",
-        run: |cx| locks::check(cx.ws),
+        run: |cx| cx.src.in_dirs(ORDERING_DIRS).flat_map(sites::check_relaxed).collect(),
     },
 ];
 
@@ -158,8 +143,7 @@ pub struct Report {
     pub passes: Vec<PassStat>,
     /// Number of files loaded.
     pub files: usize,
-    /// Wall time of what every pass shares: parsing the files, lowering the
-    /// function bodies, the call graph and the effect summaries.
+    /// Wall time of what every pass shares: reading and parsing the files.
     pub front_end_millis: u128,
 }
 
@@ -173,10 +157,7 @@ pub fn run(root: &Path, bless: bool) -> Report {
 
 /// Runs every pass over an already parsed workspace.
 pub fn run_on(root: &Path, src: &Source, bless: bool) -> Report {
-    let t0 = Instant::now();
-    let ws = Workspace::build(src);
-    let front_end_millis = (src.parse_time + t0.elapsed()).as_millis();
-    let cx = Ctx { root, ws: &ws, bless };
+    let cx = Ctx { root, src, bless };
     let mut findings = Vec::new();
     let mut passes = Vec::new();
     for p in PASSES {
@@ -190,6 +171,7 @@ pub fn run_on(root: &Path, src: &Source, bless: bool) -> Report {
         findings.extend(found);
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.check).cmp(&(&b.file, b.line, b.check)));
+    let front_end_millis = src.parse_time.as_millis();
     Report { findings, passes, files: src.files.len(), front_end_millis }
 }
 
@@ -322,21 +304,6 @@ mod tests {
             find: "pub fn root(&self) -> u64 {",
             replace: "pub fn root(&self) -> u64 { let _ = Ordering::Relaxed;",
             at: "pub fn root(&self) -> u64 {",
-        },
-        Seed {
-            check: "lock-order",
-            file: "crates/obs/src/imp.rs",
-            find: "let gauges = self.gauges.lock();",
-            replace: "let gauges = self.gauges.lock(); fence();",
-            at: "let gauges = self.gauges.lock();",
-        },
-        // An `RwLock` guard is a guard: one lock-site rule for every pass.
-        Seed {
-            check: "lock-order",
-            file: "crates/minidb/src/wal.rs",
-            find: "let mut index = self.index.write();\n        let mut hdr",
-            replace: "let mut index = self.index.write(); fence();\n        let mut hdr",
-            at: "let mut index = self.index.write(); fence();",
         },
     ];
 

@@ -120,7 +120,7 @@ fn lock_finding(msg: String) -> Finding {
 /// The pass: the layout rules, then the fingerprints against the golden
 /// file, or into it under `--bless`.
 pub fn check(cx: &Ctx) -> Vec<Finding> {
-    let (pm, mut findings) = audit(cx.ws.source());
+    let (pm, mut findings) = audit(cx.src);
     let file = cx.root.join(LOCK_PATH);
     if !cx.bless {
         findings.extend(diff_lock(&pm, std::fs::read_to_string(file).ok().as_deref()));
@@ -373,8 +373,10 @@ pub fn diff_lock(pm: &[&StructItem], lock: Option<&str>) -> Vec<Finding> {
 mod tests {
     use super::*;
 
+    /// A one-file workspace that lives as long as the test run.
     fn defs(src: &str) -> &'static Source {
-        Source::fixture(&[("crates/demo/src/lib.rs", src)])
+        let files = vec![("crates/demo/src/lib.rs".to_string(), src.to_string())];
+        Box::leak(Box::new(Source::parse(files)))
     }
 
     fn structs(src: &str) -> &'static [StructItem] {

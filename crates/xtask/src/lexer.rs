@@ -11,8 +11,8 @@
 //! * raw strings `r"…"` / `r#"…"#` (arbitrarily many hashes, no escapes)
 //!   and their `b`/`c` prefixed cousins,
 //! * nested block comments,
-//! * multi-char operators (`=>` must not lex as `=` `>`, or match-arm
-//!   detection in the CFG pass breaks).
+//! * multi-char operators (`::` must not lex as `:` `:`, or the facade
+//!   pass's path match breaks).
 //!
 //! Doc comments (`///`) are kept as [`TokKind::Doc`] tokens because the
 //! layout pass discovers PM-resident types through doc markers; all other
@@ -431,21 +431,6 @@ pub fn build_trees(toks: Vec<Tok>) -> Vec<Tree> {
         close(&mut stack, &mut cur, usize::MAX);
     }
     cur
-}
-
-/// Returns (index of the body group, the group) scanning from `from`: the
-/// first `{` group at this level. Everything before it is the header.
-pub fn until_brace(trees: &[Tree], from: usize) -> (usize, Option<&Group>) {
-    let mut j = from;
-    while j < trees.len() {
-        if let Tree::Group(g) = &trees[j] {
-            if g.delim == '{' {
-                return (j, Some(g));
-            }
-        }
-        j += 1;
-    }
-    (j, None)
 }
 
 /// Renders a type-position token sequence to a canonical string: no spaces

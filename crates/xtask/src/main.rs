@@ -1,10 +1,11 @@
 //! Repo automation tasks, invoked as `cargo run -p xtask -- <task>`.
 //!
-//! The main task is `analyze`: a multi-pass static analyzer built on a small
-//! hand-rolled Rust lexer and token-tree parser (no rustc plumbing, no
-//! dependencies — the workspace builds offline). See DESIGN.md §11 for the
-//! front end and the pass descriptions, and `crates/xtask/src/analyze.rs`
-//! for the driver.
+//! The main task is `analyze`: four token-level passes (the `mvkv-sync`
+//! facade, `// SAFETY:` comments, the PM layout lock, `// ordering:`
+//! comments) over a small hand-rolled Rust lexer and token-tree parser (no
+//! rustc plumbing, no dependencies — the workspace builds offline). See
+//! DESIGN.md §11 for the front end and the pass descriptions, and
+//! `crates/xtask/src/analyze.rs` for the driver.
 //!
 //!   cargo run -p xtask -- analyze              # human-readable report
 //!   cargo run -p xtask -- analyze --json       # machine-readable (CI artifact)
@@ -14,13 +15,10 @@
 //! Any finding is exit 1. Anything else on the command line is a usage error.
 
 mod analyze;
-mod cfg;
 mod layout;
 mod lexer;
-mod locks;
 mod sites;
 mod source;
-mod summary;
 
 use std::path::PathBuf;
 use std::process::ExitCode;

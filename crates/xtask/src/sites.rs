@@ -31,8 +31,7 @@ const FORBIDDEN: &[&[&str]] =
 /// How many code lines an `// ordering:` comment may sit above — covers the
 /// idiomatic `version`/`value` store pair plus one line of slack without
 /// letting a stale comment at the top of a function cover everything below.
-/// The lock-order pass uses the same reach for its marker.
-pub const CLUSTER_LINES: usize = 3;
+const CLUSTER_LINES: usize = 3;
 
 /// True when the `::`-separated path `segs` starts at `sibs[i]`.
 fn path_at(sibs: &[Tree], i: usize, segs: &[&str]) -> bool {

@@ -7,19 +7,17 @@
 //!
 //! * the **token trees** ([`SrcFile::trees`], [`SrcFile::each_pos`]);
 //! * a **line table**: the code and the `//` comment of each line, and the
-//!   one justification walk ([`SrcFile::justification`]) behind `// SAFETY:`,
-//!   `// ordering:` and `// lock-order:`;
+//!   one justification walk ([`SrcFile::justification`]) behind `// SAFETY:`
+//!   and `// ordering:`;
 //! * the **test-only spans**, decided by the `#[cfg(..)]` predicate's tokens:
 //!   an item is test-only when its predicate names `test` outside every
 //!   `not(..)`, so `#[cfg(not(any(test, miri)))]` is production code;
-//! * the **item index**: every struct with its attributes, doc text and
-//!   fields ([`SrcFile::structs`]), every non-test `static`
-//!   ([`SrcFile::statics`]), and every non-test fn with its owner,
-//!   signature and body trees ([`SrcFile::fns`]).
+//! * the **struct index**: every struct with its attributes, doc text and
+//!   fields ([`SrcFile::structs`]).
 
 use std::path::{Path, PathBuf};
 
-use crate::lexer::{self, render_type, until_brace, Group, Tok, TokKind, Tree};
+use crate::lexer::{self, render_type, Tok, TokKind, Tree};
 
 /// Every analyzable file of the workspace, parsed.
 pub struct Source {
@@ -44,9 +42,6 @@ pub struct SrcFile {
     /// Byte spans of test-only items, attribute through closing brace.
     test_spans: Vec<(usize, usize)>,
     pub structs: Vec<StructItem>,
-    /// `(name, canonical type string)` of each non-test `static [mut] NAME:
-    /// Type`, like a struct's fields: the lock inventory's globals.
-    pub statics: Vec<(String, String)>,
 }
 
 /// One struct definition.
@@ -69,18 +64,6 @@ pub struct StructItem {
     /// The struct's doc comment, where passes look for their markers
     /// (`pm-resident`, `expects-crc`, `pm-layout-exempt(…)`).
     pub docs: String,
-    pub test_only: bool,
-}
-
-/// One non-test `fn` with a body.
-pub struct FnItem<'a> {
-    pub name: &'a str,
-    /// The `impl`/`trait` type this fn is defined on, when any.
-    pub owner: Option<&'a str>,
-    /// The trees between the name and the body: generics, parameters,
-    /// return type, `where` clause.
-    pub sig: &'a [Tree],
-    pub body: &'a Group,
 }
 
 // ---------------------------------------------------------------------------
@@ -144,14 +127,6 @@ impl Source {
         Source { files, parse_time: t0.elapsed() }
     }
 
-    /// A workspace of string literals that lives as long as the test run,
-    /// so fixtures can hand out `Workspace<'static>`.
-    #[cfg(test)]
-    pub fn fixture(files: &[(&str, &str)]) -> &'static Source {
-        let files = files.iter().map(|(rel, src)| (rel.to_string(), src.to_string())).collect();
-        Box::leak(Box::new(Source::parse(files)))
-    }
-
     /// The files whose path starts with any of `dirs`.
     pub fn in_dirs<'a>(&'a self, dirs: &'a [&str]) -> impl Iterator<Item = &'a SrcFile> {
         self.files.iter().filter(move |f| dirs.iter().any(|d| f.rel.starts_with(d)))
@@ -160,9 +135,7 @@ impl Source {
 
 impl SrcFile {
     pub fn parse(rel: String, src: String) -> SrcFile {
-        #[cfg(test)]
-        tests::LEX_CALLS.with(|c| c.set(c.get() + 1));
-        let lexed = lexer::lex(&src);
+        let lexed = lex(&src);
         let trees = lexer::build_trees(lexed.toks);
         let mut line_starts = vec![0];
         line_starts.extend(src.match_indices('\n').map(|(i, _)| i + 1));
@@ -176,7 +149,6 @@ impl SrcFile {
             comments: lexed.comments,
             test_spans: Vec::new(),
             structs: Vec::new(),
-            statics: Vec::new(),
         };
         f.index(&trees);
         f.trees = trees;
@@ -278,13 +250,12 @@ impl SrcFile {
     }
 
     // -----------------------------------------------------------------------
-    // Item index: test-only spans, structs and statics (one walk), fns (on
-    // demand, because they borrow their body trees)
+    // Item index: test-only spans and structs, in one walk
     // -----------------------------------------------------------------------
 
-    /// Finds every `#[cfg(<test-only>)]` item span, every struct definition
-    /// and every non-test static, at any nesting depth of `{}` (mods, fn
-    /// bodies, `thread_local! { … }`).
+    /// Finds every `#[cfg(<test-only>)]` item span and every struct
+    /// definition, at any nesting depth of `{}` (mods, fn bodies, macro
+    /// bodies).
     fn index(&mut self, trees: &[Tree]) {
         let mut docs: Vec<&str> = Vec::new();
         let mut attrs: Vec<String> = Vec::new();
@@ -336,34 +307,12 @@ impl SrcFile {
                     }
                     i += 1;
                 }
-                t => {
-                    if t.ident() == Some("static") && !self.in_test(t.off()) {
-                        self.index_static(trees, i);
-                    }
+                _ => {
                     docs.clear();
                     attrs.clear();
                     i += 1;
                 }
             }
-        }
-    }
-
-    /// `(name, type)` of every place a lock can live: the non-test struct
-    /// fields and statics of the file.
-    pub fn places(&self) -> impl Iterator<Item = (&str, &str)> {
-        let fields = self.structs.iter().filter(|d| !d.test_only).flat_map(|d| &d.fields);
-        fields.chain(&self.statics).map(|(n, ty)| (n.as_str(), ty.as_str()))
-    }
-
-    /// `static [mut] NAME: Type …` at `i`.
-    fn index_static(&mut self, trees: &[Tree], i: usize) {
-        let at = i + 1 + (trees.get(i + 1).and_then(Tree::ident) == Some("mut")) as usize;
-        let colon = trees.get(at + 1).and_then(Tree::punct) == Some(":");
-        if let Some(name) = trees.get(at).and_then(Tree::ident).filter(|_| colon) {
-            let ty = &trees[at + 2..];
-            let end = ty.iter().position(|t| matches!(t.punct(), Some("=" | ";")));
-            let ty = render_type(&ty[..end.unwrap_or(ty.len())]);
-            self.statics.push((name.to_string(), ty));
         }
     }
 
@@ -442,80 +391,8 @@ impl SrcFile {
             fields,
             referenced,
             docs: docs.join("\n"),
-            test_only: self.in_test(name_tok.off),
         };
         (Some(def), j)
-    }
-
-    /// Every non-test `fn` with a body, at any nesting depth (impls, mods,
-    /// nested fns), with the `impl`/`trait` owner type threaded down.
-    pub fn fns(&self) -> Vec<FnItem<'_>> {
-        let mut out = Vec::new();
-        self.collect_fns(&self.trees, None, &mut out);
-        out
-    }
-
-    fn collect_fns<'a>(
-        &self,
-        trees: &'a [Tree],
-        owner: Option<&'a str>,
-        out: &mut Vec<FnItem<'a>>,
-    ) {
-        let mut i = 0;
-        while i < trees.len() {
-            match trees[i].ident() {
-                Some(kw @ ("impl" | "trait")) => {
-                    let (body_at, body) = until_brace(trees, i + 1);
-                    if let Some(g) = body {
-                        // Default method bodies resolve `Self` to the trait name.
-                        let ty = if kw == "trait" {
-                            trees.get(i + 1).and_then(Tree::ident)
-                        } else {
-                            impl_type(&trees[i + 1..body_at])
-                        };
-                        self.collect_fns(&g.trees, ty, out);
-                    }
-                    i = body_at + 1;
-                    continue;
-                }
-                Some("fn") => {
-                    if let Some(name) = trees.get(i + 1).and_then(Tree::ident) {
-                        // Body: first `{` group before a `;` at this level.
-                        let mut j = i + 2;
-                        let mut body = None;
-                        while j < trees.len() {
-                            match &trees[j] {
-                                Tree::Group(g) if g.delim == '{' => {
-                                    body = Some(g);
-                                    break;
-                                }
-                                Tree::Leaf(t) if t.kind == TokKind::Punct && t.text == ";" => break,
-                                _ => j += 1,
-                            }
-                        }
-                        if let Some(g) = body {
-                            // Test-only functions are not part of the effect
-                            // universe: they may fence freely and would
-                            // pollute name resolution.
-                            if !self.in_test(trees[i].off()) {
-                                out.push(FnItem { name, owner, sig: &trees[i + 2..j], body: g });
-                            }
-                            // Nested fns inside the body carry no owner.
-                            self.collect_fns(&g.trees, None, out);
-                            i = j + 1;
-                            continue;
-                        }
-                        i = j;
-                        continue;
-                    }
-                }
-                _ => {}
-            }
-            if let Tree::Group(g) = &trees[i] {
-                self.collect_fns(&g.trees, None, out);
-            }
-            i += 1;
-        }
     }
 }
 
@@ -645,37 +522,11 @@ fn collect_refs(trees: &[Tree], out: &mut Vec<String>) {
     }
 }
 
-/// Reads an `impl` header (the tokens between `impl` and the body brace):
-/// the implemented type is its first uppercase ident at angle-bracket depth
-/// 0, counted after `for` in a trait impl.
-fn impl_type(trees: &[Tree]) -> Option<&str> {
-    let mut depth = 0i32;
-    let mut ty = None;
-    for t in trees {
-        if let Some(p) = t.punct() {
-            match p {
-                "<" => depth += 1,
-                "<<" => depth += 2,
-                ">" => depth -= 1,
-                ">>" => depth -= 2,
-                _ => {}
-            }
-            continue;
-        }
-        if depth != 0 {
-            continue;
-        }
-        match t.ident() {
-            Some("for") => ty = None, // trait impl: the implemented type follows
-            Some("where") => break,
-            Some(id) if ty.is_none() && id.starts_with(|c: char| c.is_ascii_uppercase()) => {
-                ty = Some(id)
-            }
-            _ => {}
-        }
-    }
-    ty
-}
+// The one `lexer::lex` call of a run; a unit test counts the calls.
+#[cfg(not(test))]
+use lexer::lex;
+#[cfg(test)]
+use tests::counted_lex as lex;
 
 #[cfg(test)]
 mod tests {
@@ -683,7 +534,13 @@ mod tests {
 
     thread_local! {
         /// Files lexed by this thread.
-        pub(super) static LEX_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        static LEX_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// [`lexer::lex`], counted: what [`SrcFile::parse`] calls in a test build.
+    pub(super) fn counted_lex(src: &str) -> lexer::Lexed {
+        LEX_CALLS.with(|c| c.set(c.get() + 1));
+        lexer::lex(src)
     }
 
     /// The `analyze.rs` module doc's claim: one `lexer::lex` call per file
@@ -747,8 +604,16 @@ mod tests {
 
     // -- test-only spans -----------------------------------------------------
 
+    /// The names of the fns outside every test-only span.
     fn fn_names(src: &str) -> Vec<String> {
-        file(src).fns().iter().map(|f| f.name.to_string()).collect()
+        let f = file(src);
+        let mut out = Vec::new();
+        f.each_pos(&mut |sibs, i| {
+            if sibs[i].ident() == Some("fn") && !f.in_test(sibs[i].off()) {
+                out.extend(sibs.get(i + 1).and_then(Tree::ident).map(str::to_string));
+            }
+        });
+        out
     }
 
     /// [`SrcFile::in_test`] for the start of 1-based `line`.
@@ -793,67 +658,20 @@ mod tests {
 
     #[test]
     fn comment_markers_are_anchored_and_string_contents_are_not_comments() {
-        let f = file("let u = \"x lock-order: no\";\n// lock-order: yes\n//! ordering: inner doc\n// a lock-order: prose\n");
+        let f = file("let u = \"x SAFETY: no\";\n// SAFETY: yes\n//! ordering: inner doc\n// a SAFETY: prose\n");
         assert_eq!(f.comment(1), None);
         let marked = |marker: &str| -> Vec<u32> {
             (1..=4).filter(|&l| f.justification(l, marker, 0) == Some(l)).collect()
         };
-        assert_eq!((marked("lock-order:"), marked("ordering:")), (vec![2], vec![3]));
+        assert_eq!((marked("SAFETY:"), marked("ordering:")), (vec![2], vec![3]));
     }
 
-    // -- item index ------------------------------------------------------------
+    // -- struct index ----------------------------------------------------------
 
     #[test]
-    fn fns_carry_owner_signature_and_body() {
-        let f = file(
-            "impl<'a, T: Clone> PSkipList<T> {
-                /// doc
-                #[inline]
-                pub(crate) unsafe fn history(&self, h: u64) -> History<'a> { make() }
-                fn plain(&mut self) {}
-            }
-            impl fmt::Debug for Pool { fn fmt(&self) {} }
-            trait Service { fn ping(&self) -> Self { self.clone() } fn decl(&self); }
-            pub fn free() { fn nested() {} }",
-        );
-        let fns = f.fns();
-        let by = |n: &str| fns.iter().find(|f| f.name == n).unwrap();
-        assert_eq!(by("history").owner, Some("PSkipList"));
-        assert!(by("history").sig.iter().any(|t| t.punct() == Some("->")));
-        assert_eq!(by("fmt").owner, Some("Pool"), "trait impl owner is after `for`");
-        assert_eq!(by("ping").owner, Some("Service"));
-        assert_eq!(by("nested").owner, None);
-        assert!(!fns.iter().any(|f| f.name == "decl"), "no body, no item");
-        assert_eq!(by("free").body.trees.len(), 4);
-    }
-
-    #[test]
-    fn statics_are_indexed_outside_tests() {
-        let f = file(
-            "pub static INDEX: RwLock<BTreeMap<u64, u64>> = RwLock::new(BTreeMap::new());
-             static mut COUNTER: u64 = 0;
-             thread_local! { static JITTER: Cell<u64> = const { Cell::new(0) }; }
-             fn f(x: &'static str) { static LOCAL: AtomicU64 = AtomicU64::new(0); }
-             #[cfg(test)]
-             mod t { static T: Mutex<u8> = Mutex::new(0); }",
-        );
-        let got: Vec<_> = f.statics.iter().map(|(n, ty)| (n.as_str(), ty.as_str())).collect();
-        assert_eq!(
-            got,
-            [
-                ("INDEX", "RwLock<BTreeMap<u64,u64>>"),
-                ("COUNTER", "u64"),
-                ("JITTER", "Cell<u64>"),
-                ("LOCAL", "AtomicU64"),
-            ]
-        );
-    }
-
-    #[test]
-    fn structs_record_whether_they_are_test_only() {
+    fn struct_fields_render_their_types_canonically() {
         let f = file("struct A { x: HashMap<u64, Mutex<u8>> }\n#[cfg(test)]\nmod t { struct B; }");
         assert_eq!(f.structs.len(), 2);
-        assert!(!f.structs[0].test_only && f.structs[1].test_only);
         assert_eq!(f.structs[0].fields, [("x".to_string(), "HashMap<u64,Mutex<u8>>".to_string())]);
     }
 }
