@@ -46,10 +46,12 @@ const PAIR_SIZE: u64 = 16;
 /// Opaque marker for chain header offsets. Zero-sized: the actual header
 /// words are accessed via explicit offsets, never through fields.
 ///
-/// pm-resident: typed target of `PPtr<ChainHdr>`; audited by
-/// `xtask analyze` against `pm_layout.lock`.
+/// pm-resident: typed target of `PPtr<ChainHdr>`.
 #[repr(C)]
 pub struct ChainHdr(());
+
+const _: () = assert!(size_of::<ChainHdr>() == 0 && align_of::<ChainHdr>() == 1);
+const _: () = assert!(std::mem::offset_of!(ChainHdr, 0) == 0);
 
 /// Handle to a persistent key block chain.
 ///

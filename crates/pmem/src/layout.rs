@@ -73,7 +73,7 @@ pub const BLOCK_HEADER: u64 = 16;
 /// block `32 w + i` is allocated. Only the first `⌈n / 32⌉` words are used.
 ///
 /// pm-resident: the words of every run's header, read and CAS-ed through
-/// `PmemPool::atomic_u64`; audited by `cargo run -p xtask -- analyze`.
+/// `PmemPool::atomic_u64`.
 #[repr(C)]
 pub struct RunHeader {
     pub size: u64,
@@ -90,7 +90,10 @@ pub const OCCUPANCY: u64 = std::mem::offset_of!(RunHeader, occupancy) as u64;
 /// Blocks a run holds at most: the bits of its occupancy words.
 pub const MAX_RUN_BLOCKS: u64 = 32 * 2;
 
-const _: () = assert!(RUN_HEADER.is_multiple_of(BLOCK_ALIGN) && OCCUPANCY == BLOCK_HEADER);
+const _: () = assert!(RUN_HEADER == 32 && std::mem::align_of::<RunHeader>() == 8);
+const _: () = assert!(std::mem::offset_of!(RunHeader, size) == 0);
+const _: () = assert!(std::mem::offset_of!(RunHeader, state) == 8 && OCCUPANCY == BLOCK_HEADER);
+const _: () = assert!(RUN_HEADER.is_multiple_of(BLOCK_ALIGN));
 
 /// Tags distinguishing block states; stored in the high half of the state
 /// word, self-checksummed against the block size (see [`encode_state`]).

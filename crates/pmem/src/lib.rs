@@ -34,29 +34,22 @@
 //! middle of an allocation leaks at most the in-flight run (audited by
 //! [`recovery::HeapAudit`]).
 //!
-//! ## PM-resident types (the `pm-resident` convention)
+//! ## PM-resident types
 //!
-//! Any struct whose bytes live *inside* a pool — cast onto pool memory or
-//! addressed through a [`PPtr`] — must carry a doc comment containing the
-//! marker `pm-resident`. The marker seeds `cargo run -p xtask -- analyze`,
-//! which then:
+//! A struct whose bytes live *inside* a pool — cast onto pool memory or
+//! addressed through a [`PPtr`] — says `pm-resident` in its doc comment, and:
 //!
-//! * walks field types transitively, so everything reachable from a marked
-//!   root is audited too;
-//! * requires `#[repr(C)]` or `#[repr(transparent)]` (default repr has no
-//!   layout guarantee across compiler versions — fatal for bytes that
-//!   outlive the process);
-//! * rejects ephemeral or platform-dependent field types (`Vec`, `String`,
-//!   `Box`, references, bare `usize`, …) — persistent state links blocks by
-//!   [`PPtr`]/offset and uses fixed-width integers or atomics;
-//! * fingerprints the declaration shape into `crates/xtask/pm_layout.lock`.
-//!   A fingerprint diff means a reopened pool image would be misread:
-//!   either revert the layout change, or bump [`layout::LAYOUT_VERSION`]
-//!   with a migration story and re-bless via `analyze --bless`.
-//!
-//! A type that intentionally breaks the rules (e.g. a volatile shadow of a
-//! persistent header) can opt out with `pm-layout-exempt(<why>)` in its doc
-//! comment; the reason is mandatory and the type is still fingerprinted.
+//! * is `#[repr(C)]` or `#[repr(transparent)]`: the default repr has no
+//!   layout guarantee across compiler versions, which is fatal for bytes
+//!   that outlive the process;
+//! * has fixed-width fields only — integers, atomics, [`PPtr`]s and arrays
+//!   of them, never `Vec`, `Box`, references or `usize`: persistent state
+//!   links blocks by offset;
+//! * sits beside `const` asserts on its `size_of`, `align_of` and the
+//!   `offset_of!` of every field, so every build checks the real layout. A
+//!   layout change fails to compile (E0080); the author edits the asserts
+//!   and bumps [`layout::LAYOUT_VERSION`], so an older pool is refused
+//!   rather than misread.
 
 pub mod alloc;
 pub mod backend;

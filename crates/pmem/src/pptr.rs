@@ -2,6 +2,7 @@
 
 use crate::pool::PmemPool;
 use std::marker::PhantomData;
+use std::mem::{align_of, offset_of, size_of};
 
 /// An 8-byte persistent pointer: a pool-relative offset tagged with the
 /// pointee type. Unlike a raw pointer it remains valid when the pool is
@@ -11,8 +12,7 @@ use std::marker::PhantomData;
 /// `PPtr` is `Copy` and has the same representation as `u64`, so it can be
 /// stored *inside* persistent memory.
 ///
-/// pm-resident: the root of every persistent link; audited by
-/// `xtask analyze` against `pm_layout.lock`.
+/// pm-resident: the root of every persistent link.
 #[repr(transparent)]
 pub struct PPtr<T> {
     off: u64,
@@ -97,7 +97,9 @@ impl<T> Default for PPtr<T> {
     }
 }
 
-const _: () = assert!(std::mem::size_of::<PPtr<u64>>() == 8);
+const _: () = assert!(size_of::<PPtr<u64>>() == 8 && align_of::<PPtr<u64>>() == 8);
+// `_marker` is zero-sized: rustc places it at the end, and it holds no byte.
+const _: () = assert!(offset_of!(PPtr<u64>, off) == 0);
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,9 @@
 //! # mvkv-sync — the workspace synchronization facade
 //!
 //! Every concurrency-critical crate (`mvkv-skiplist`, `mvkv-vhistory`,
-//! `mvkv-pmem`) imports its atomics, mutexes and thread primitives from this
-//! crate instead of `std::sync` — a rule enforced by `cargo run -p xtask --
-//! analyze`. The facade has two personalities:
+//! `mvkv-pmem`, `mvkv-core`) imports its atomics, mutexes and thread
+//! primitives from this crate instead of `std::sync` — a rule the root
+//! package's `tests/source_rules.rs` checks. The facade has two personalities:
 //!
 //! * **Normal builds** re-export `std::sync::atomic`, `std::sync::Arc` and
 //!   `std::thread` wholesale (zero-cost: the types *are* the std types), plus

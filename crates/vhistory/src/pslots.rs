@@ -46,14 +46,13 @@ use crate::slots::{
 use mvkv_pmem::layout::{class_for, SIZE_CLASSES};
 use mvkv_pmem::{PPtr, PmemPool, Result};
 use mvkv_sync::sync::atomic::{AtomicU32, Ordering};
-use std::mem::{offset_of, size_of};
+use std::mem::{align_of, offset_of, size_of};
 
 /// The persistent history block: the counters, the link to segment 1, the
 /// check word and segment 0's entries. The counters are 32 bits: a history
 /// holds at most 2^32 − 1 slots ([`claim_index`]).
 ///
-/// pm-resident: typed target of `PPtr<HistoryHdr>`; audited by
-/// `xtask analyze` against `pm_layout.lock`.
+/// pm-resident: typed target of `PPtr<HistoryHdr>`.
 #[repr(C)]
 pub struct HistoryHdr {
     pending: AtomicU32,
@@ -70,9 +69,12 @@ pub struct HistoryHdr {
 const SEG_BASE: u64 = 8;
 pub(crate) const SEG_CHECK: u64 = 16;
 
+const _: () = assert!(offset_of!(HistoryHdr, pending) == 0 && offset_of!(HistoryHdr, tail) == 4);
+const _: () = assert!(offset_of!(HistoryHdr, next) == 8 && offset_of!(HistoryHdr, check) == 12);
 const _: () = assert!(offset_of!(HistoryHdr, inline) == HIST_HDR_SIZE);
 const _: () = assert!(SEG_CHECK as usize + 8 == SEG_HDR_SIZE);
 const _: () = assert!(size_of::<HistoryHdr>() as u64 == seg_bytes(0));
+const _: () = assert!(align_of::<HistoryHdr>() == 8);
 
 /// Bytes of segment `k`'s block, header included: 64, then `96 << k`.
 const fn seg_bytes(k: u32) -> u64 {

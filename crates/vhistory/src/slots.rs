@@ -18,7 +18,7 @@
 
 use mvkv_sync::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::marker::PhantomData;
-use std::mem::MaybeUninit;
+use std::mem::{align_of, offset_of, size_of, MaybeUninit};
 use std::ops::Deref;
 
 /// Size of one slot entry in bytes (three u64 words).
@@ -34,9 +34,7 @@ pub const ENTRY_SIZE: usize = 24;
 /// takes the durable contiguous prefix from the stamps; recovery and
 /// verify-on-read reject entries whose stamp does not match the payload.
 ///
-/// pm-resident: cast onto pool bytes by `PHistory` segments; audited by
-/// `xtask analyze` against `pm_layout.lock`. expects-crc: payload integrity
-/// code required on this record type.
+/// pm-resident: cast onto pool bytes by `PHistory` segments.
 #[repr(C)]
 pub struct Entry {
     pub version: AtomicU64,
@@ -44,7 +42,9 @@ pub struct Entry {
     pub crc_done: AtomicU64,
 }
 
-const _: () = assert!(std::mem::size_of::<Entry>() == ENTRY_SIZE);
+const _: () = assert!(size_of::<Entry>() == ENTRY_SIZE && align_of::<Entry>() == 8);
+const _: () = assert!(offset_of!(Entry, version) == 0 && offset_of!(Entry, value) == 8);
+const _: () = assert!(offset_of!(Entry, crc_done) == 16);
 
 impl Entry {
     /// The "finished" bit of the stamp word. Bits 32–62 are always zero.

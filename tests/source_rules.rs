@@ -1,0 +1,148 @@
+//! Two source rules that no compiler check keeps, scanned line by line:
+//!
+//! * **facade**: the concurrency-critical crates take atomics and threads from
+//!   `mvkv_sync`, never from `std::sync::atomic`, `core::sync::atomic` or
+//!   `std::thread`, so the loom models run the code that readers run;
+//! * **ordering**: every `Ordering::Relaxed` in the skip list, the version
+//!   history and the allocator carries an `// ordering:` comment saying why it
+//!   cannot race with publication, on its line or at the head of its cluster.
+//!
+//! A file is read up to its first `#[cfg(test)]` line, each line split at its
+//! first `//`. String literals are not parsed: a path inside one is a finding.
+//! (SAFETY comments are clippy's; `const` asserts pin the PM layout.)
+
+use std::path::Path;
+
+const FACADE_DIRS: &[&str] =
+    &["crates/skiplist/src", "crates/vhistory/src", "crates/pmem/src", "crates/core/src"];
+const ORDERING_DIRS: &[&str] = &["crates/skiplist/src", "crates/vhistory/src", "crates/pmem/src"];
+const FORBIDDEN: &[&str] = &["std::sync::atomic", "core::sync::atomic", "std::thread"];
+/// How many code lines may sit between a site and its `// ordering:` comment:
+/// a `version` / `value` store pair and one line of slack, not a function.
+const CLUSTER_LINES: usize = 3;
+const CFG_TEST: &str = "#[cfg(test)]";
+/// A rule's name and the 1-based line it fails on.
+type Finding = (&'static str, usize);
+
+/// A line's code, trimmed, and its `//` comment without slashes, a doc `!`
+/// and leading blanks: where a marker must start.
+fn split(line: &str) -> (&str, Option<&str>) {
+    match line.find("//") {
+        Some(at) => {
+            let comment = line[at..].trim_start_matches('/').trim_start_matches('!');
+            (line[..at].trim(), Some(comment.trim_start()))
+        }
+        None => (line.trim(), None),
+    }
+}
+
+/// Whether an `// ordering:` comment covers `lines[i]`: on the line, or in
+/// the comment block at the head of its cluster, attributes skipped. A blank
+/// line, a line ending in `{`, a `}` line or a `fn ` line ends the walk up.
+fn justified(lines: &[&str], i: usize) -> bool {
+    let marked = |l: usize| split(lines[l]).1.is_some_and(|c| c.starts_with("ordering:"));
+    if marked(i) {
+        return true;
+    }
+    let mut budget = CLUSTER_LINES;
+    for l in (0..i).rev() {
+        let (code, comment) = split(lines[l]);
+        if code.is_empty() && comment.is_none() {
+            return false;
+        } else if code.is_empty() && marked(l) {
+            return true;
+        } else if code.is_empty() || code.starts_with("#[") || code.starts_with("#!") {
+            continue;
+        } else if budget == 0 || code.ends_with('{') || code.starts_with('}') {
+            return false;
+        } else if code.starts_with("fn ") || marked(l) {
+            return marked(l);
+        }
+        budget -= 1;
+    }
+    false
+}
+
+/// Every finding in a file's text, one per rule and line.
+fn scan(text: &str, ordering: bool) -> Vec<Finding> {
+    let lines: Vec<&str> = text.lines().take_while(|l| l.trim_end() != CFG_TEST).collect();
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let code = split(line).0;
+        if FORBIDDEN.iter().any(|path| code.contains(path)) {
+            out.push(("facade", i + 1));
+        }
+        if ordering && code.contains("Ordering::Relaxed") && !justified(&lines, i) {
+            out.push(("ordering", i + 1));
+        }
+    }
+    out
+}
+
+/// The scan's premise: lines of the top-level items after a file's first
+/// `#[cfg(test)]` line that do not carry one.
+fn untested_items(text: &str) -> Vec<usize> {
+    let lines: Vec<&str> = text.lines().collect();
+    let cut = lines.iter().position(|l| l.trim_end() == CFG_TEST).unwrap_or(lines.len());
+    let head = |l: &&&str| l.starts_with("#[") || l.starts_with("//");
+    let tagged = |i| lines[..i].iter().rev().take_while(head).any(|l| l.trim_end() == CFG_TEST);
+    let item = |l: &str| l.starts_with(char::is_alphabetic) && !l.starts_with("where");
+    (cut..lines.len()).filter(|&i| item(lines[i]) && !tagged(i)).map(|i| i + 1).collect()
+}
+
+#[test]
+fn the_tree_keeps_the_facade_and_ordering_rules() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut files, mut found) = (0, Vec::new());
+    for dir in FACADE_DIRS {
+        for path in std::fs::read_dir(root.join(dir)).unwrap().map(|e| e.unwrap().path()) {
+            // A directory or any other file would go unread.
+            assert!(path.extension().is_some_and(|e| e == "rs"), "{}", path.display());
+            let text = std::fs::read_to_string(&path).unwrap();
+            let rel = path.strip_prefix(root).unwrap().display();
+            let findings = scan(&text, ORDERING_DIRS.contains(dir));
+            found.extend(findings.iter().map(|(rule, line)| format!("{rel}:{line}: [{rule}]")));
+            let untested = untested_items(&text).into_iter();
+            found.extend(untested.map(|line| format!("{rel}:{line}: an item without {CFG_TEST}")));
+            files += 1;
+        }
+    }
+    assert!(files > 20, "the crates were not found: {files} file(s)");
+    assert!(found.is_empty(), "{}", found.join("\n"));
+}
+
+#[test]
+fn each_row_reports_its_findings() {
+    let cluster = format!("// ordering:\n#[cfg(loom)]\n{}", "a(Ordering::Relaxed)\n".repeat(5));
+    let rows: &[(&str, &str, &[Finding])] = &[
+        ("bare", "{\n    a.load(Ordering::Relaxed);\n}", &[("ordering", 2)]),
+        ("same line", "a.load(Ordering::Relaxed); // ordering: a counter", &[]),
+        ("above", "// ordering: a counter\n/// A doc.\na.load(Ordering::Relaxed);", &[]),
+        ("anchored", "// prose, not ordering: x\na.load(Ordering::Relaxed);", &[("ordering", 2)]),
+        ("a cluster, not a function", &cluster, &[("ordering", 7)]),
+        ("fn", "// ordering: far\nfn f() {\n    a(Ordering::Relaxed);", &[("ordering", 3)]),
+        ("gap", "// ordering:\na(Ordering::Relaxed)\n\na(Ordering::Relaxed)", &[("ordering", 4)]),
+        ("one per line", "g(a(Ordering::Relaxed), b(Ordering::Relaxed));", &[("ordering", 1)]),
+        ("not(test)", "#[cfg(not(any(test, miri)))]\nstd::thread::yield_now()", &[("facade", 2)]),
+        ("comments", "f(); // std::thread, std::sync::atomic, Ordering::Relaxed", &[]),
+        ("test code", "#[cfg(test)]\nmod tests {\n    use std::thread;\n}", &[]),
+    ];
+    for (what, text, want) in rows {
+        assert_eq!(scan(text, true), *want, "{what}");
+    }
+    assert_eq!(untested_items("#[cfg(test)]\nmod tests {}\n\n/// A doc.\nfn f() {}"), [5]);
+}
+
+/// The two seeded defects, as edits of the real `pool.rs`.
+#[test]
+fn a_seeded_defect_in_pool_rs_is_found_at_its_line() {
+    let clean = include_str!("../crates/pmem/src/pool.rs");
+    for (rule, find, add) in [
+        ("facade", "pub fn sync_all(&self) {", " let _ = std::thread::current();"),
+        ("ordering", "pub fn root(&self) -> u64 {", " let _ = Ordering::Relaxed;"),
+    ] {
+        assert_eq!(clean.matches(find).count(), 1, "{find}");
+        let line = 1 + clean[..clean.find(find).unwrap()].matches('\n').count();
+        assert_eq!(scan(&clean.replace(find, &format!("{find}{add}")), true), [(rule, line)]);
+    }
+}
