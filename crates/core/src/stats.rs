@@ -64,10 +64,13 @@ impl OpCounters {
         let id = shard_id();
         let cell = &self.shards[id].counters[counter];
         if id < OVERFLOW_SHARD {
-            // ordering: this thread is the shard's only writer (shard ids
-            // are never reused), so the Relaxed load reads its own last
-            // store and the increment cannot lose an update. The Release
-            // store pairs with the Acquire loads in `snapshot`.
+            // ordering: this thread is the shard's only writer (an owned
+            // shard passes to a new thread only after its owner exits,
+            // through an Acquire/Release hand-off; under loom shards are
+            // unique within one model execution, and a store's counters
+            // live in one), so the Relaxed load reads its own last store
+            // and the increment cannot lose an update. The Release store
+            // pairs with the Acquire loads in `snapshot`.
             cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Release);
         } else {
             cell.fetch_add(1, Ordering::Release);

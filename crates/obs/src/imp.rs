@@ -77,8 +77,11 @@ impl Counter {
         let id = shard_id();
         let cell = &self.shards[id].0;
         if id < OVERFLOW_SHARD {
-            // Sole writer of this shard (ids are never reused), so a plain
-            // relaxed read-modify-write cannot lose a concurrent update.
+            // Sole writer of this shard (`mvkv_sync::shard` hands an owned
+            // shard to a new thread only after its owner exits, through an
+            // Acquire/Release hand-off that makes the owner's stores
+            // visible), so a plain relaxed read-modify-write cannot lose a
+            // concurrent update.
             cell.store(cell.load(Ordering::Relaxed).wrapping_add(delta), Ordering::Relaxed);
         } else {
             cell.fetch_add(delta, Ordering::Relaxed);

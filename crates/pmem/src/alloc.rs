@@ -16,11 +16,12 @@
 //!   sizing find a block's run in a DRAM directory of run offsets (one
 //!   sorted `u32` per run, in 16-byte units, filled by the open walk and by
 //!   every refill). Free lists are volatile, rebuilt by the walk on open.
-//! * The free lists are **sharded**: each thread is pinned to one of
-//!   [`num_shards`] arenas sized from the machine's core count and
-//!   allocates from its own shard's lists without contending with other
-//!   shards. A miss first tries to *steal* from sibling shards — a bounded
-//!   randomized probe, then a sweep guided by per-shard emptiness hints —
+//! * The free lists are **sharded**: each thread allocates from one of
+//!   [`num_shards`] arenas sized from the machine's core count — its
+//!   `mvkv_sync::shard::slot()`, the workspace's one thread-to-shard
+//!   mapping, folded onto the arenas — without contending with threads on
+//!   other arenas. A miss first tries to *steal* from sibling shards, in a
+//!   sweep from the next shard on guided by per-shard emptiness hints,
 //!   moving **half the victim's list** per steal so one lock acquisition
 //!   amortizes over many future allocations. Only then does it fall back
 //!   to the global bump cursor, carving one run of `n` blocks per cursor
@@ -150,9 +151,6 @@ impl Located {
 /// doubles once more.
 const REFILL_STREAK_WINDOW: u64 = 4;
 
-/// Sibling shards probed at random before the guided full sweep.
-const STEAL_PROBES: usize = 2;
-
 /// Number of allocation arenas: the machine's available parallelism,
 /// rounded up to a power of two and clamped to `[4, 64]` (a floor of four
 /// keeps free-then-steal locality even on tiny CI boxes; 64 matches the
@@ -176,90 +174,13 @@ pub fn num_shards() -> usize {
     2
 }
 
-#[cfg(not(loom))]
-mod shard_slot {
-    //! Thread → shard-slot assignment with id recycling.
-    //!
-    //! Ids come from a free-list replenished by a per-thread drop guard, so
-    //! the live id range stays as dense as the *concurrent* thread count:
-    //! a process that churns short-lived workers (tests, thread-per-request
-    //! servers) no longer marches a monotone counter around the ring and
-    //! piles late threads onto the same few shards.
-
-    use mvkv_sync::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    static FREE_IDS: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
-
-    struct SlotGuard(usize);
-
-    impl Drop for SlotGuard {
-        fn drop(&mut self) {
-            if let Ok(mut free) = FREE_IDS.lock() {
-                free.push(self.0);
-            }
-        }
-    }
-
-    fn acquire() -> usize {
-        if let Ok(mut free) = FREE_IDS.lock() {
-            if let Some(id) = free.pop() {
-                return id;
-            }
-        }
-        // ordering: id handout only needs uniqueness, nothing is published.
-        NEXT_ID.fetch_add(1, Ordering::Relaxed)
-    }
-
-    thread_local! {
-        static SLOT: SlotGuard = SlotGuard(acquire());
-    }
-
-    /// This thread's raw slot id (dense across concurrently live threads).
-    /// Falls back to 0 during thread teardown, when the slot's TLS entry
-    /// may already be destroyed.
-    pub fn id() -> usize {
-        SLOT.try_with(|s| s.0).unwrap_or(0)
-    }
-}
-
-/// Returns this thread's shard index.
-#[cfg(not(loom))]
+/// This thread's arena: its `mvkv_sync::shard` slot folded onto
+/// [`num_shards`] arenas (a power of two, so the modulo is a mask). Slots
+/// are dense across live threads and handed on when a thread exits, so the
+/// workers of each phase spread over the arenas however many phases came
+/// before.
 fn shard_id() -> usize {
-    // num_shards() is a power of two, so the modulo folds to a mask.
-    shard_slot::id() % num_shards()
-}
-
-/// Under the model checker the shard must be a pure function of the model
-/// thread, not of a process-global counter: DFS replays re-run the model
-/// body on fresh OS threads, and a drifting counter would make schedules
-/// non-reproducible.
-#[cfg(loom)]
-fn shard_id() -> usize {
-    mvkv_sync::model_thread_index().unwrap_or(0) % num_shards()
-}
-
-/// Cheap per-thread RNG for steal-victim selection and backoff jitter.
-/// Seeded from the thread's slot id so streams differ across threads while
-/// staying deterministic per thread.
-#[cfg(not(loom))]
-fn probe_rand() -> u64 {
-    use std::cell::Cell;
-    thread_local! {
-        static STATE: Cell<u64> = const { Cell::new(0) };
-    }
-    STATE.with(|s| {
-        let mut x = s.get();
-        if x == 0 {
-            x = (shard_slot::id() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        }
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        s.set(x);
-        x
-    })
+    mvkv_sync::shard::slot() % num_shards()
 }
 
 /// One allocation arena: per-class free lists plus traffic counters.
@@ -542,11 +463,9 @@ impl Allocator {
             }
             // 2. Steal from siblings before burning fresh heap, so blocks
             //    freed by other threads (or redistributed by a reopen scan)
-            //    are found before the bump cursor moves. A couple of
-            //    randomized probes handle the common crowded case without a
-            //    ring scan; the deterministic sweep after them is the
-            //    correctness backstop (never bump while a sibling holds
-            //    blocks) and costs one relaxed load per empty sibling.
+            //    are found before the bump cursor moves: never bump while a
+            //    sibling holds blocks. An empty sibling costs one relaxed
+            //    load.
             if let Some(off) = self.steal(pool, me, class) {
                 return Ok(off);
             }
@@ -643,43 +562,22 @@ impl Allocator {
         self.block_at(pool, off).state_word()
     }
 
-    /// The steal path: bounded randomized probes, then an emptiness-hint
-    /// guided sweep. A successful steal moves half the victim's list into
-    /// shard `me` and returns one block marked allocated.
+    /// The steal path: a sweep over the siblings from `me + 1` on, one
+    /// relaxed load per sibling and a lock only where the emptiness hint
+    /// says blocks may exist. A successful steal moves half the victim's
+    /// list into shard `me` and returns one block marked allocated.
     fn steal(&self, pool: &PmemPool, me: usize, class: usize) -> Option<u64> {
         let n = self.shards.len();
-        if n <= 1 {
-            return None;
+        let (entry, extras) =
+            (1..n).find_map(|delta| self.shards[(me + delta) % n].steal_half(class))?;
+        let moved = extras.len() as u64;
+        if !extras.is_empty() {
+            self.shards[me].push(class, extras);
         }
-        let grab = |victim: usize| -> Option<u64> {
-            let (entry, extras) = self.shards[victim].steal_half(class)?;
-            let moved = extras.len() as u64;
-            if !extras.is_empty() {
-                self.shards[me].push(class, extras);
-            }
-            self.shards[me].steals.fetch_add(1, Ordering::Relaxed); // ordering: stat
-            mvkv_obs::counter_inc!("mvkv_pmem_alloc_steals_total");
-            mvkv_obs::counter_add!("mvkv_pmem_alloc_steal_blocks_total", moved + 1);
-            Some(self.take_entry(pool, class, entry))
-        };
-        // Randomized probes (skipped under loom: schedules must not depend
-        // on a thread-local RNG).
-        #[cfg(not(loom))]
-        for _ in 0..STEAL_PROBES.min(n - 1) {
-            let victim = (me + 1 + probe_rand() as usize % (n - 1)) % n;
-            if let Some(off) = grab(victim) {
-                return Some(off);
-            }
-        }
-        // Guided sweep: one relaxed load per sibling, a lock only where the
-        // hint says blocks may exist.
-        for delta in 1..n {
-            let victim = (me + delta) % n;
-            if let Some(off) = grab(victim) {
-                return Some(off);
-            }
-        }
-        None
+        self.shards[me].steals.fetch_add(1, Ordering::Relaxed); // ordering: stat
+        mvkv_obs::counter_inc!("mvkv_pmem_alloc_steals_total");
+        mvkv_obs::counter_add!("mvkv_pmem_alloc_steal_blocks_total", moved + 1);
+        Some(self.take_entry(pool, class, entry))
     }
 
     /// Carves one run of same-class blocks with one cursor CAS: block 0 is
@@ -1152,8 +1050,8 @@ mod tests {
     /// `extract_edge`-style sweep around the historical shard-count cliff:
     /// thread counts straddling the old fixed arena count (8) — and the
     /// current dynamic count — must all produce disjoint live blocks and
-    /// balanced stats, including when threads outnumber shards and the id
-    /// recycler reuses slots mid-test.
+    /// balanced stats, including when threads outnumber shards and
+    /// `mvkv_sync::shard` hands slots on mid-test.
     #[test]
     #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
     fn edge_thread_counts_stay_disjoint_and_balanced() {
@@ -1197,47 +1095,6 @@ mod tests {
                 + stats.shard_refills.iter().sum::<u64>();
             assert_eq!(served, stats.total_allocs, "unbalanced stats at {threads} threads");
         }
-    }
-
-    /// Satellite regression: shard ids must be recycled through the
-    /// free-list, so a process churning short-lived threads keeps its id
-    /// range (and thus its shard skew) bounded by the *concurrent* thread
-    /// count, not the lifetime spawn count.
-    #[test]
-    #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
-    fn shard_ids_recycle_across_100_thread_lifetimes() {
-        let p = std::sync::Arc::new(pool());
-        let mut ids = std::collections::BTreeSet::new();
-        for i in 0..100u64 {
-            let p = p.clone();
-            let id = std::thread::spawn(move || {
-                // Touch the allocator so the slot is actually claimed.
-                let off = p.alloc(64).unwrap();
-                p.dealloc(off);
-                super::shard_slot::id()
-            })
-            .join()
-            .unwrap();
-            ids.insert(id);
-            // Sequential spawn/join: at most a handful of ids may ever be
-            // live at once (this thread + the worker + runtime helpers).
-            assert!(
-                ids.len() <= 4,
-                "iteration {i}: ids not recycled, saw {ids:?} — skew unbounded"
-            );
-        }
-        // And the skew itself: 100 workers over ≤4 distinct ids means no
-        // shard absorbed more than 4 ids' worth of traffic.
-        let max_shard_ids = ids
-            .iter()
-            .fold(std::collections::BTreeMap::<usize, usize>::new(), |mut m, &id| {
-                *m.entry(id % num_shards()).or_default() += 1;
-                m
-            })
-            .into_values()
-            .max()
-            .unwrap_or(0);
-        assert!(max_shard_ids <= 4, "shard skew unbounded: {max_shard_ids}");
     }
 
     #[test]
@@ -1294,9 +1151,11 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
     fn exhausted_shard_steals_from_siblings() {
-        // One thread frees into its shard, another (pinned to a different
-        // shard by the slot assignment) must find those blocks via the
-        // steal path rather than bumping fresh heap.
+        // One thread frees into its shard; fresh threads must find those
+        // blocks, as hits or steals, rather than bumping fresh heap. Which
+        // shard a fresh thread lands on depends on how many threads the test
+        // binary has started, so steals are pinned by
+        // `rebuild_redistributes_free_blocks_across_shards`, not here.
         let p = std::sync::Arc::new(pool());
         let freed: Vec<u64> = {
             let p = p.clone();
@@ -1311,7 +1170,7 @@ mod tests {
             .unwrap()
         };
         let heap_before = p.alloc_stats().heap_used;
-        // Drain every freed block from fresh threads (distinct shards).
+        // Drain every freed block from fresh threads.
         let mut recovered = Vec::new();
         for _ in 0..freed.len() {
             let p = p.clone();
@@ -1562,24 +1421,38 @@ mod tests {
         }
     }
 
+    /// The reopen parks each run's free blocks on the next shard in turn,
+    /// so with at least `num_shards()` runs freed every shard holds some,
+    /// and one thread drains them all with a steal from each sibling and no
+    /// fresh heap — whichever shard the thread itself is on.
     #[test]
     fn rebuild_redistributes_free_blocks_across_shards() {
         let p = pool();
-        let offs: Vec<u64> = (0..16).map(|_| p.alloc(64).unwrap()).collect();
+        // Whole runs, so the blocks freed below are every free block.
+        let mut offs = Vec::new();
+        while p.alloc_stats().shard_refills.iter().sum::<u64>() < num_shards() as u64
+            || p.allocator.shard_free_bytes().iter().any(|&bytes| bytes > 0)
+        {
+            offs.push(p.alloc(64).unwrap());
+        }
         for &o in &offs {
             p.dealloc(o);
         }
         // SAFETY: [0, len) is in bounds; no writer races the snapshot here.
         let image = unsafe { p.bytes(0, p.len()).to_vec() };
         let reopened = PmemPool::open_image(&image).unwrap();
-        // All 16 blocks were freed before the snapshot; after the rebuild
-        // every one must be reachable again without consuming fresh heap.
+        let shard_free = reopened.allocator.shard_free_bytes();
+        assert!(shard_free.iter().all(|&bytes| bytes > 0), "a shard got no run: {shard_free:?}");
+        // Every block freed before the snapshot is reachable again without
+        // consuming fresh heap.
         let heap_before = reopened.alloc_stats().heap_used;
-        let mut recovered: Vec<u64> = (0..16).map(|_| reopened.alloc(64).unwrap()).collect();
+        let mut recovered: Vec<u64> = offs.iter().map(|_| reopened.alloc(64).unwrap()).collect();
         recovered.sort_unstable();
-        let mut expected = offs.clone();
-        expected.sort_unstable();
-        assert_eq!(recovered, expected);
-        assert_eq!(reopened.alloc_stats().heap_used, heap_before);
+        offs.sort_unstable();
+        assert_eq!(recovered, offs);
+        let stats = reopened.alloc_stats();
+        assert_eq!(stats.heap_used, heap_before, "no fresh heap should be consumed");
+        let steals = stats.shard_steals.iter().sum::<u64>();
+        assert!(steals >= num_shards() as u64 - 1, "{steals} steals: {stats:?}");
     }
 }

@@ -3,10 +3,12 @@
 //!
 //! Run with: `RUSTFLAGS="--cfg loom" cargo test -p mvkv-pmem --release`
 //!
-//! Under the model, `shard_id()` pins the main thread to shard 0 and the
-//! spawned thread to shard 1 (deterministic per `model_thread_index`), so
-//! both threads start with empty free lists and race the heap-cursor CAS in
-//! `refill_and_alloc` while the steal scan probes each other's shards.
+//! Under the model, `mvkv_sync::shard::slot()` is a thread's index in
+//! the model execution (main 0, then spawn order), the same on every
+//! schedule replay, and the allocator folds it onto its two arenas: the main
+//! thread on shard 0 and the spawned thread on shard 1, so both threads
+//! start with empty free lists and race the heap-cursor CAS in
+//! `refill_and_alloc` while the steal sweep visits each other's shards.
 
 #![cfg(loom)]
 

@@ -11,12 +11,19 @@
 //!   the store's lock discipline: facade locks never nest, and no sfence
 //!   runs under one ([`sync::assert_unlocked`]).
 //! * **`--cfg loom` builds** swap every primitive for a wrapper that routes
-//!   through a built-in cooperative model-checking scheduler ([`model`]),
+//!   through a built-in cooperative model-checking scheduler (`model`),
 //!   loom-API-compatible so the real `loom` crate can be dropped in when a
 //!   registry is available. The scheduler runs the model function under
 //!   exhaustively enumerated thread interleavings (depth-first over the
 //!   schedule tree, preemption-bounded), with deadlock detection and
-//!   deterministic replay.
+//!   deterministic replay. The wrappers carry only the operations some
+//!   crate or model calls: a call to any other std method compiles in a
+//!   normal build and fails to compile under `--cfg loom`, so a new one
+//!   arrives together with its wrapper.
+//!
+//! [`shard`] is the workspace's one thread-to-shard mapping: `mvkv-obs`
+//! instruments, the stores' operation counters and the PM allocator's arenas
+//! all take a thread's shard from it, and it has a loom form.
 //!
 //! ## Model-checking semantics (and their limits)
 //!
@@ -71,33 +78,26 @@ pub mod sync {
     pub mod atomic {
         #[cfg(not(loom))]
         pub use std::sync::atomic::{
-            fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
+            fence, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
         };
 
         #[cfg(loom)]
-        pub use crate::loom_atomic::{
-            fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize,
-        };
+        pub use crate::loom_atomic::{fence, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
         #[cfg(loom)]
         pub use std::sync::atomic::Ordering;
     }
 }
 
-/// Thread primitives: `spawn`, `yield_now`, `JoinHandle`.
+/// Thread primitives: `spawn`, `yield_now`, `JoinHandle`, and — in normal
+/// builds only — `available_parallelism`: under the model checker the
+/// machine's core count must not leak into schedules, so a model build has
+/// no such function and code sized by it has a fixed loom form instead.
 pub mod thread {
     #[cfg(not(loom))]
     pub use std::thread::{available_parallelism, spawn, yield_now, JoinHandle};
 
     #[cfg(loom)]
     pub use crate::loom_thread::{spawn, yield_now, JoinHandle};
-
-    /// Under the model checker the machine's core count must not leak into
-    /// schedules: models are replayed on arbitrary hosts, so anything
-    /// sizing itself from parallelism sees a fixed small value.
-    #[cfg(loom)]
-    pub fn available_parallelism() -> std::io::Result<std::num::NonZeroUsize> {
-        Ok(std::num::NonZeroUsize::new(2).expect("non-zero"))
-    }
 }
 
 /// Spin-loop hint; a scheduling point under `--cfg loom` so that spin-wait
@@ -112,98 +112,195 @@ pub mod hint {
     }
 }
 
-/// Per-thread writer shards for statistics: the one thread-to-shard mapping
-/// behind both `mvkv-obs` instruments and the stores' operation counters.
+/// Per-thread slots and writer shards: the one thread-to-shard mapping behind
+/// the `mvkv-obs` instruments, the stores' operation counters and the PM
+/// allocator's arenas.
 ///
-/// A sharded counter keeps one cell per shard and sums them when read. The
-/// first `SHARDS - 1` threads of the process each **own** a shard for life —
-/// ids are never reused — so the owner is the cell's only writer and can
-/// update it with a plain load and store instead of a `lock`-prefixed
-/// read-modify-write (~10x cheaper on x86). Every later thread shares
-/// [`shard::OVERFLOW_SHARD`] and must use an atomic RMW there.
+/// A thread **owns** a slot ([`shard::slot`]) from its first call until it
+/// exits. Slots stay dense across the threads alive at once: an exiting
+/// thread hands its slot back (a `Release` RMW on the free mask, from a TLS
+/// destructor) and the next thread claims the lowest free one (an `Acquire`
+/// CAS), which orders the dead owner's last store before the new owner's
+/// first load. A process that spawns fresh workers for every phase thus
+/// keeps each phase's workers on distinct slots. The PM allocator folds the
+/// slot onto its `num_shards()` arenas (at most 64, the number of slots).
+///
+/// A sharded counter keeps one cell per shard and sums them when read; a
+/// thread's shard is its slot capped at [`shard::OVERFLOW_SHARD`]
+/// ([`shard::shard_id`]). The owner of a slot below the cap is the cell's
+/// only writer and can update it with a plain load and store instead of a
+/// `lock`-prefixed read-modify-write (~10x cheaper on x86). The threads on
+/// higher slots share the overflow shard and must use an atomic RMW there;
+/// so does a thread's code in TLS destructors that run after the hand-back,
+/// which sees the shared slot 64.
+///
+/// Under `--cfg loom` a model thread's slot is its index in the model
+/// execution (the main thread 0, then spawn order), so it is the same on
+/// every schedule replay and slots are unique within one execution — the
+/// executions themselves run one after another. The owner path is then
+/// under the model checker like any other.
 pub mod shard {
     /// Writer shards per sharded statistic.
     pub const SHARDS: usize = 16;
 
-    /// The shard shared by every thread beyond the first `SHARDS - 1`; only
-    /// it needs read-modify-write atomics.
+    /// The shard shared by every thread whose slot is `OVERFLOW_SHARD` or
+    /// higher; only it needs read-modify-write atomics.
     pub const OVERFLOW_SHARD: usize = SHARDS - 1;
 
-    /// This thread's shard index; the thread is the shard's sole writer
-    /// unless the index is [`OVERFLOW_SHARD`].
-    #[cfg(not(loom))]
+    /// Slots owned at once; a thread that finds them all taken gets slot
+    /// `SLOTS`, shared with its likes for life. 64 is the paper's maximum
+    /// thread count and the allocator's maximum arena count.
+    pub(crate) const SLOTS: usize = 64;
+
+    /// This thread's shard index: its [`slot`] capped at
+    /// [`OVERFLOW_SHARD`]. The thread is the shard's sole writer unless the
+    /// index is `OVERFLOW_SHARD`.
     #[inline]
     pub fn shard_id() -> usize {
-        use std::cell::Cell;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        thread_local! {
-            static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
+        slot().min(OVERFLOW_SHARD)
+    }
+
+    /// This thread's slot, in `0..=64`; no two live threads share one
+    /// below 64.
+    #[cfg(not(loom))]
+    #[inline]
+    pub fn slot() -> usize {
+        let v = owned::SLOT.with(std::cell::Cell::get);
+        if v != usize::MAX {
+            v
+        } else {
+            owned::claim()
         }
-        SHARD.with(|s| {
-            let v = s.get();
-            if v != usize::MAX {
-                v
-            } else {
-                static NEXT: AtomicUsize = AtomicUsize::new(0);
-                // ordering: id handout only needs uniqueness, nothing is
-                // published through it.
-                let v = NEXT.fetch_add(1, Ordering::Relaxed).min(OVERFLOW_SHARD);
-                s.set(v);
-                v
+    }
+
+    #[cfg(not(loom))]
+    mod owned {
+        use super::SLOTS;
+        use std::cell::Cell;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// Bit `i` is set while slot `i` has no live owner.
+        static FREE: AtomicU64 = AtomicU64::new(u64::MAX);
+
+        /// Hands the owned slot back when its thread exits.
+        struct Owner(Cell<usize>);
+
+        impl Drop for Owner {
+            fn drop(&mut self) {
+                let slot = self.0.get();
+                if slot < SLOTS {
+                    // A later call from another TLS destructor of this
+                    // thread gets the shared slot; `SLOT` has no destructor,
+                    // so it is still there.
+                    SLOT.with(|s| s.set(SLOTS));
+                    // ordering: Release so that the next claimer's Acquire
+                    // CAS sees every store this owner made to its cells.
+                    FREE.fetch_or(1 << slot, Ordering::Release);
+                }
             }
-        })
+        }
+
+        thread_local! {
+            /// The cached slot; `usize::MAX` until the thread's first call.
+            pub(super) static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+            static OWNER: Owner = const { Owner(Cell::new(SLOTS)) };
+        }
+
+        /// Claims the lowest free slot, or the shared slot `SLOTS` when none
+        /// is free or the thread is already tearing down its TLS (no
+        /// destructor could hand a slot back).
+        #[cold]
+        pub(super) fn claim() -> usize {
+            let slot = OWNER
+                .try_with(|owner| {
+                    let mut free = FREE.load(Ordering::Acquire);
+                    while free != 0 {
+                        let slot = free.trailing_zeros() as usize;
+                        let rest = free & !(1 << slot);
+                        match FREE.compare_exchange_weak(
+                            free,
+                            rest,
+                            Ordering::Acquire,
+                            Ordering::Acquire,
+                        ) {
+                            Ok(_) => {
+                                owner.0.set(slot);
+                                return slot;
+                            }
+                            Err(now) => free = now,
+                        }
+                    }
+                    SLOTS
+                })
+                .unwrap_or(SLOTS);
+            SLOT.with(|s| s.set(slot));
+            slot
+        }
     }
 
-    /// Under the model checker every thread reports the shared shard: a
-    /// process-global handout would drift across schedule replays, and the
-    /// RMW path is correct for any number of writers.
+    /// The model thread's index (capped at 64). A thread outside any
+    /// model (a fixture, a plain unit test) is not serialized with its
+    /// peers, so it gets the shared slot.
     #[cfg(loom)]
-    pub fn shard_id() -> usize {
-        OVERFLOW_SHARD
+    pub fn slot() -> usize {
+        crate::scheduler::current_tid().map_or(SLOTS, |i| i.min(SLOTS))
     }
-}
-
-/// Runs `f` under the model checker (`--cfg loom`) or exactly once
-/// (normal builds — so model tests are also cheap smoke tests when the
-/// loom cfg is off).
-#[cfg(not(loom))]
-pub fn model<F: Fn() + Send + Sync + 'static>(f: F) {
-    f();
 }
 
 #[cfg(loom)]
-pub use scheduler::{model, model_thread_index};
+pub use scheduler::model;
 
 #[cfg(all(test, not(loom)))]
 mod tests {
+    /// The slot tests claim slots from one process-wide mask: run them one
+    /// at a time.
+    static SLOTS_IN_USE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Sequential spawn/join hands the same few slots around (this thread's,
+    /// the worker's, and those of whatever the test harness runs beside
+    /// it), however many threads come and go.
     #[test]
-    fn model_runs_once_without_loom() {
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let c = counter.clone();
-        crate::model(move || {
-            c.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        });
-        assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), 1);
+    fn slots_are_reused_across_100_thread_lifetimes() {
+        use crate::shard::{shard_id, slot, OVERFLOW_SHARD, SLOTS};
+        let _serial = SLOTS_IN_USE.lock();
+        let mine = slot();
+        assert_eq!(mine, slot(), "a thread keeps its slot");
+        assert!(mine < SLOTS && shard_id() == mine.min(OVERFLOW_SHARD));
+        let mut seen = std::collections::BTreeSet::new();
+        for i in 0..100 {
+            // `join` returns after the thread's TLS destructors ran.
+            seen.insert(std::thread::spawn(slot).join().expect("thread panicked"));
+            assert!(seen.len() <= 4, "iteration {i}: slots not reused, saw {seen:?}");
+        }
+        assert!(seen.iter().all(|&s| s < SLOTS && s != mine));
     }
 
+    /// Threads alive at once never share a slot below `SLOTS`, and once
+    /// every slot is taken a newcomer gets the shared slot.
     #[test]
-    fn shard_ids_are_stable_owned_once_then_shared() {
-        use crate::shard::{shard_id, OVERFLOW_SHARD, SHARDS};
-        let mine = shard_id();
-        assert_eq!(mine, shard_id(), "a thread keeps its shard");
-        let mut ids = vec![mine];
-        for _ in 0..2 * SHARDS {
-            ids.push(std::thread::spawn(shard_id).join().expect("thread panicked"));
-        }
-        // Ids are never reused: once more threads than shards have come and
-        // gone, newcomers share the overflow shard.
-        assert!(ids.iter().all(|&id| id <= OVERFLOW_SHARD));
-        assert_eq!(ids.last(), Some(&OVERFLOW_SHARD));
-        let mut owned: Vec<usize> = ids.into_iter().filter(|&id| id < OVERFLOW_SHARD).collect();
-        let handed_out = owned.len();
-        owned.sort_unstable();
-        owned.dedup();
-        assert_eq!(owned.len(), handed_out, "an owned shard was handed out twice");
+    fn live_threads_hold_distinct_slots_until_they_run_out() {
+        use crate::shard::{slot, SLOTS};
+        let _serial = SLOTS_IN_USE.lock();
+        let n = SLOTS + 4;
+        let gate = std::sync::Barrier::new(n);
+        let mut slots: Vec<usize> = std::thread::scope(|s| {
+            let h: Vec<_> = (0..n)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mine = slot();
+                        gate.wait(); // every slot stays taken until all have one
+                        mine
+                    })
+                })
+                .collect();
+            h.into_iter().map(|h| h.join().expect("thread panicked")).collect()
+        });
+        assert!(slots.contains(&SLOTS), "{n} live threads, {SLOTS} slots: {slots:?}");
+        slots.retain(|&s| s < SLOTS);
+        let owned = slots.len();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), owned, "a slot was held by two live threads");
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //! explores sequentially consistent interleavings only (see the crate docs
 //! for what that does and does not catch). The caller's ordering argument is
 //! still part of the audited API surface.
+//!
+//! Each wrapper has only the operations some crate or model calls; the std
+//! types the normal build re-exports have the rest.
 
 use crate::scheduler::yield_point;
 use std::sync::atomic::Ordering;
@@ -88,29 +91,6 @@ macro_rules! int_atomic {
                 yield_point();
                 self.inner.fetch_or(v, Ordering::SeqCst)
             }
-
-            pub fn fetch_xor(&self, v: $t, _order: Ordering) -> $t {
-                yield_point();
-                self.inner.fetch_xor(v, Ordering::SeqCst)
-            }
-
-            pub fn fetch_max(&self, v: $t, _order: Ordering) -> $t {
-                yield_point();
-                self.inner.fetch_max(v, Ordering::SeqCst)
-            }
-
-            pub fn fetch_min(&self, v: $t, _order: Ordering) -> $t {
-                yield_point();
-                self.inner.fetch_min(v, Ordering::SeqCst)
-            }
-
-            pub fn get_mut(&mut self) -> &mut $t {
-                self.inner.get_mut()
-            }
-
-            pub fn into_inner(self) -> $t {
-                self.inner.into_inner()
-            }
         }
 
         impl std::fmt::Debug for $name {
@@ -124,69 +104,6 @@ macro_rules! int_atomic {
 int_atomic!(AtomicU32, u32);
 int_atomic!(AtomicU64, u64);
 int_atomic!(AtomicUsize, usize);
-
-#[repr(transparent)]
-#[derive(Default)]
-pub struct AtomicBool {
-    inner: std::sync::atomic::AtomicBool,
-}
-
-impl AtomicBool {
-    pub const fn new(v: bool) -> Self {
-        Self { inner: std::sync::atomic::AtomicBool::new(v) }
-    }
-
-    pub fn load(&self, _order: Ordering) -> bool {
-        yield_point();
-        self.inner.load(Ordering::SeqCst)
-    }
-
-    pub fn store(&self, v: bool, _order: Ordering) {
-        yield_point();
-        self.inner.store(v, Ordering::SeqCst)
-    }
-
-    pub fn swap(&self, v: bool, _order: Ordering) -> bool {
-        yield_point();
-        self.inner.swap(v, Ordering::SeqCst)
-    }
-
-    pub fn compare_exchange(
-        &self,
-        current: bool,
-        new: bool,
-        _success: Ordering,
-        _failure: Ordering,
-    ) -> Result<bool, bool> {
-        yield_point();
-        self.inner
-            .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-    }
-
-    pub fn fetch_or(&self, v: bool, _order: Ordering) -> bool {
-        yield_point();
-        self.inner.fetch_or(v, Ordering::SeqCst)
-    }
-
-    pub fn fetch_and(&self, v: bool, _order: Ordering) -> bool {
-        yield_point();
-        self.inner.fetch_and(v, Ordering::SeqCst)
-    }
-
-    pub fn get_mut(&mut self) -> &mut bool {
-        self.inner.get_mut()
-    }
-
-    pub fn into_inner(self) -> bool {
-        self.inner.into_inner()
-    }
-}
-
-impl std::fmt::Debug for AtomicBool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.inner.fmt(f)
-    }
-}
 
 #[repr(transparent)]
 pub struct AtomicPtr<T> {
@@ -208,11 +125,6 @@ impl<T> AtomicPtr<T> {
         self.inner.store(p, Ordering::SeqCst)
     }
 
-    pub fn swap(&self, p: *mut T, _order: Ordering) -> *mut T {
-        yield_point();
-        self.inner.swap(p, Ordering::SeqCst)
-    }
-
     pub fn compare_exchange(
         &self,
         current: *mut T,
@@ -223,36 +135,6 @@ impl<T> AtomicPtr<T> {
         yield_point();
         self.inner
             .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-    }
-
-    pub fn compare_exchange_weak(
-        &self,
-        current: *mut T,
-        new: *mut T,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        self.compare_exchange(current, new, success, failure)
-    }
-
-    pub fn get_mut(&mut self) -> &mut *mut T {
-        self.inner.get_mut()
-    }
-
-    pub fn into_inner(self) -> *mut T {
-        self.inner.into_inner()
-    }
-}
-
-impl<T> Default for AtomicPtr<T> {
-    fn default() -> Self {
-        Self::new(std::ptr::null_mut())
-    }
-}
-
-impl<T> std::fmt::Debug for AtomicPtr<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.inner.fmt(f)
     }
 }
 

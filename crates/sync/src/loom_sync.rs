@@ -46,32 +46,14 @@ impl<T> Mutex<T> {
         MutexGuard { lock: self }
     }
 
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        if scheduler::mutex_try_acquire(&self.held) {
-            Some(MutexGuard { lock: self })
-        } else {
-            None
-        }
-    }
-
     pub fn get_mut(&mut self) -> &mut T {
         self.data.get_mut()
-    }
-
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
     }
 }
 
 impl<T: Default> Default for Mutex<T> {
     fn default() -> Self {
         Self::new(T::default())
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mutex").finish_non_exhaustive()
     }
 }
 

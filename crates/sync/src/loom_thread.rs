@@ -2,37 +2,23 @@
 //!
 //! Model threads are real OS threads, but they execute only when the
 //! scheduler hands them the single run token, so every cross-thread
-//! interaction funnels through recorded scheduling decisions. Spawning
-//! outside a model execution falls back to plain `std::thread` so that
-//! ordinary unit tests keep working in `--cfg loom` builds.
+//! interaction funnels through recorded scheduling decisions. Only a model
+//! thread may spawn: every loom model spawns inside `model`, and ordinary
+//! tests spawn with `std::thread`.
 
 use crate::scheduler;
 use std::sync::{Arc, Mutex, PoisonError};
 
-enum Inner<T> {
-    Model {
-        id: usize,
-        slot: Arc<Mutex<Option<std::thread::Result<T>>>>,
-    },
-    Os(std::thread::JoinHandle<T>),
-}
-
 pub struct JoinHandle<T> {
-    inner: Inner<T>,
+    id: usize,
+    slot: Arc<Mutex<Option<std::thread::Result<T>>>>,
 }
 
 impl<T> JoinHandle<T> {
     pub fn join(self) -> std::thread::Result<T> {
-        match self.inner {
-            Inner::Model { id, slot } => {
-                scheduler::join_wait(id);
-                slot.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take()
-                    .expect("joined model thread left no result")
-            }
-            Inner::Os(h) => h.join(),
-        }
+        scheduler::join_wait(self.id);
+        let result = self.slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+        result.expect("joined model thread left no result")
     }
 }
 
@@ -41,9 +27,7 @@ where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
-    if scheduler::current_tid().is_none() {
-        return JoinHandle { inner: Inner::Os(std::thread::spawn(f)) };
-    }
+    assert!(scheduler::current_tid().is_some(), "mvkv_sync::thread::spawn outside a model");
     let id = scheduler::register_thread();
     let slot: Arc<Mutex<Option<std::thread::Result<T>>>> = Arc::new(Mutex::new(None));
     let slot2 = slot.clone();
@@ -52,7 +36,7 @@ where
     // A scheduling point right after registration lets the DFS explore
     // child-runs-first orders.
     yield_now();
-    JoinHandle { inner: Inner::Model { id, slot } }
+    JoinHandle { id, slot }
 }
 
 /// A scheduling point; the model equivalent of `std::thread::yield_now`.

@@ -117,16 +117,11 @@ fn lock_state() -> MutexGuard<'static, State> {
     sched().mx.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The calling thread's index in the running model execution: 0 for the
+/// thread that called [`model`], then spawn order. `None` outside a model.
+/// The same on every schedule replay, so `shard::shard_id` can use it.
 pub(crate) fn current_tid() -> Option<usize> {
     TID.with(|t| t.get())
-}
-
-/// The model-thread index of the calling thread, if any. Used by code that
-/// needs a deterministic per-thread identity under the model checker (e.g.
-/// allocator shard pinning), where a thread-local counter would vary across
-/// schedule replays.
-pub fn model_thread_index() -> Option<usize> {
-    current_tid()
 }
 
 fn record_failure(st: &mut State, msg: String) {
@@ -137,7 +132,7 @@ fn record_failure(st: &mut State, msg: String) {
 }
 
 fn has_runnable(st: &State) -> bool {
-    st.threads.iter().any(|t| *t == Status::Runnable)
+    st.threads.contains(&Status::Runnable)
 }
 
 fn all_finished(st: &State) -> bool {
@@ -288,19 +283,6 @@ pub(crate) fn mutex_acquire(held: &std::sync::atomic::AtomicBool, key: usize) {
         st = schedule_away(st, me);
         // Rescheduled after an unlock; retry (another waiter may have won).
     }
-}
-
-/// Non-blocking acquire attempt; returns whether the lock was taken.
-pub(crate) fn mutex_try_acquire(held: &std::sync::atomic::AtomicBool) -> bool {
-    use std::sync::atomic::Ordering;
-    if current_tid().is_none() || std::thread::panicking() {
-        return !held.swap(true, Ordering::SeqCst);
-    }
-    yield_point();
-    let st = lock_state();
-    let got = !held.swap(true, Ordering::SeqCst);
-    drop(st);
-    got
 }
 
 /// Releases a model mutex and wakes its waiters; yields so a waiter can be
@@ -557,6 +539,39 @@ mod tests {
                 t.join().unwrap();
             }
             assert_eq!(*c.lock(), 2);
+        });
+    }
+
+    /// The owner path of a sharded counter (`mvkv-obs`, `OpCounters`): a
+    /// thread bumps its own shard's cell with a plain load and store, which
+    /// loses no update only if no other thread writes that cell. Two model
+    /// threads get distinct owned shards, so on every schedule the reader
+    /// sees a partial sum and the joined total is exact.
+    #[test]
+    fn owned_shards_never_lose_a_load_store_bump() {
+        use crate::shard::{shard_id, OVERFLOW_SHARD, SHARDS};
+        super::model(|| {
+            assert_eq!(shard_id(), 0, "the model's own thread");
+            let cells: Arc<[AtomicU64; SHARDS]> = Arc::default();
+            let h: Vec<_> = (0..2)
+                .map(|_| {
+                    let cells = cells.clone();
+                    crate::thread::spawn(move || {
+                        let id = shard_id();
+                        assert!(id < OVERFLOW_SHARD, "an owned shard, got {id}");
+                        for _ in 0..2 {
+                            let cell = &cells[id];
+                            cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Release);
+                        }
+                        id
+                    })
+                })
+                .collect();
+            let sum = || cells.iter().map(|c| c.load(Ordering::Acquire)).sum::<u64>();
+            assert!(sum() <= 4);
+            let ids: Vec<usize> = h.into_iter().map(|t| t.join().unwrap()).collect();
+            assert_ne!(ids[0], ids[1], "two model threads share a shard");
+            assert_eq!(sum(), 4, "a bump was lost");
         });
     }
 

@@ -13,8 +13,7 @@
 //! them can deadlock, and [`assert_unlocked`] — which `PmemPool::fence`
 //! calls — panics on any live guard, so no sfence runs under a lock (it
 //! would serialize unrelated writers on the slowest PM operation).
-//! `try_lock` cannot block, so it may run under a guard; its guard is
-//! counted too. A release build keeps no count: the guard is the std guard.
+//! A release build keeps no count: the guard is the std guard.
 
 use std::sync::PoisonError;
 
@@ -54,32 +53,14 @@ impl<T> Mutex<T> {
         MutexGuard::new(self.inner.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard::new(g)),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard::new(p.into_inner())),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl<T: Default> Default for Mutex<T> {
     fn default() -> Self {
         Self::new(T::default())
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mutex").finish_non_exhaustive()
     }
 }
 
@@ -129,19 +110,15 @@ mod tests {
     }
 
     #[test]
-    fn a_try_lock_under_a_guard_is_allowed_and_counted() {
-        let (a, b) = (Mutex::new(0), Mutex::new(0));
-        let outer = a.lock();
+    fn dropped_guards_are_uncounted_and_the_lock_is_free_again() {
+        let m = Mutex::new(0);
+        let guard = m.lock();
         assert_eq!(held(), 1);
-        let inner = b.try_lock().expect("uncontended");
-        assert_eq!(held(), 2);
-        assert!(a.try_lock().is_none(), "a is held");
-        assert_eq!(held(), 2);
-        drop(inner);
-        drop(outer);
+        drop(guard);
         assert_eq!(held(), 0);
-        assert_unlocked("after the guards drop");
-        *b.lock() += 1;
+        assert_unlocked("after the guard drops");
+        *m.lock() += 1;
         assert_eq!(held(), 0);
+        assert_eq!(*m.lock(), 1);
     }
 }

@@ -1,8 +1,10 @@
 //! Two source rules that no compiler check keeps, scanned line by line:
 //!
-//! * **facade**: the concurrency-critical crates take atomics and threads from
-//!   `mvkv_sync`, never from `std::sync::atomic`, `core::sync::atomic` or
-//!   `std::thread`, so the loom models run the code that readers run;
+//! * **facade**: the concurrency-critical crates take atomics, locks and
+//!   threads from `mvkv_sync`, never from `std::sync::atomic`,
+//!   `core::sync::atomic`, `std::sync::Mutex` or `std::thread`, so the loom
+//!   models run the code that readers run, and no lock escapes the debug
+//!   guard count;
 //! * **ordering**: every `Ordering::Relaxed` in the skip list, the version
 //!   history and the allocator carries an `// ordering:` comment saying why it
 //!   cannot race with publication, on its line or at the head of its cluster.
@@ -16,7 +18,8 @@ use std::path::Path;
 const FACADE_DIRS: &[&str] =
     &["crates/skiplist/src", "crates/vhistory/src", "crates/pmem/src", "crates/core/src"];
 const ORDERING_DIRS: &[&str] = &["crates/skiplist/src", "crates/vhistory/src", "crates/pmem/src"];
-const FORBIDDEN: &[&str] = &["std::sync::atomic", "core::sync::atomic", "std::thread"];
+const FORBIDDEN: &[&str] =
+    &["std::sync::atomic", "core::sync::atomic", "std::sync::Mutex", "std::thread"];
 /// How many code lines may sit between a site and its `// ordering:` comment:
 /// a `version` / `value` store pair and one line of slack, not a function.
 const CLUSTER_LINES: usize = 3;
@@ -124,6 +127,7 @@ fn each_row_reports_its_findings() {
         ("gap", "// ordering:\na(Ordering::Relaxed)\n\na(Ordering::Relaxed)", &[("ordering", 4)]),
         ("one per line", "g(a(Ordering::Relaxed), b(Ordering::Relaxed));", &[("ordering", 1)]),
         ("not(test)", "#[cfg(not(any(test, miri)))]\nstd::thread::yield_now()", &[("facade", 2)]),
+        ("a std lock", "static IDS: std::sync::Mutex<Vec<u8>> = f();", &[("facade", 1)]),
         ("comments", "f(); // std::thread, std::sync::atomic, Ordering::Relaxed", &[]),
         ("test code", "#[cfg(test)]\nmod tests {\n    use std::thread;\n}", &[]),
     ];
