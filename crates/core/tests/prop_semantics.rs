@@ -1,25 +1,24 @@
 //! Property-based semantics test: random interleavings of
-//! insert / remove / tag / find / extract_snapshot against a
-//! BTreeMap-per-version reference model.
+//! insert / remove / tag / find / extract_snapshot against the reference
+//! model (`mvkv_workload::Model`).
 //!
-//! The model keeps the *complete* map state at every version, so any query
-//! at any historical version has an exact expected answer. Queries are
-//! interleaved with mutations (not just run at the end), which exercises
-//! reads against a store whose histories are still growing.
+//! The model keeps every key's whole history, so any query at any historical
+//! version has an exact expected answer. Queries are interleaved with
+//! mutations (not just run at the end), which exercises reads against a
+//! store whose histories are still growing.
 //!
 //! Case count: 256 by default (`PROPTEST_CASES` raises it).
 
 use mvkv_core::api::LabeledTags;
 use mvkv_core::{PSkipList, StoreSession, VersionedStore};
+use mvkv_workload::{MixOp, Model};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert(u64, u64),
-    Remove(u64),
-    /// `tag_labeled(label)` — names the current watermark.
-    Tag(u64),
+    /// An insert, a remove or a `tag_labeled(label)` (which names the
+    /// current watermark): the store must return the model's version.
+    Mix(MixOp),
     /// Point query at one of the versions seen so far (selector is reduced
     /// modulo the number of versions at execution time).
     Find(u64, u64),
@@ -29,43 +28,16 @@ enum Op {
 
 fn op_strategy(key_space: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (0..key_space, 0u64..(1 << 40)).prop_map(|(k, v)| Op::Insert(k, v)),
-        1 => (0..key_space).prop_map(Op::Remove),
-        1 => (0u64..8).prop_map(Op::Tag),
+        4 => (0..key_space, 0u64..(1 << 40))
+            .prop_map(|(key, value)| Op::Mix(MixOp::Insert { key, value })),
+        1 => (0..key_space).prop_map(|key| Op::Mix(MixOp::Remove { key })),
+        1 => (0u64..8).prop_map(|label| Op::Mix(MixOp::Tag { label })),
         3 => (0..key_space, 0u64..u64::MAX).prop_map(|(k, s)| Op::Find(k, s)),
         1 => (0u64..u64::MAX).prop_map(Op::Snapshot),
     ]
 }
 
-/// Reference model: the full map state at every version ever tagged.
-struct Model {
-    /// `states[v]` is the live map as of version `v`; index 0 is the empty
-    /// pre-insert store.
-    states: Vec<BTreeMap<u64, u64>>,
-    /// label → version, last write wins (mirrors `resolve_label`).
-    labels: BTreeMap<u64, u64>,
-}
-
-impl Model {
-    fn new() -> Model {
-        Model { states: vec![BTreeMap::new()], labels: BTreeMap::new() }
-    }
-
-    fn latest(&self) -> u64 {
-        (self.states.len() - 1) as u64
-    }
-
-    fn mutate(&mut self, f: impl FnOnce(&mut BTreeMap<u64, u64>)) -> u64 {
-        let mut next = self.states.last().unwrap().clone();
-        f(&mut next);
-        self.states.push(next);
-        self.latest()
-    }
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
     #[test]
     fn interleaved_ops_match_versioned_model(
         script in proptest::collection::vec(op_strategy(24), 1..120)
@@ -76,52 +48,44 @@ proptest! {
 
         for op in &script {
             match *op {
-                Op::Insert(k, v) => {
-                    let got = session.insert(k, v);
-                    let want = model.mutate(|m| { m.insert(k, v); });
-                    prop_assert_eq!(got, want, "insert version");
-                }
-                Op::Remove(k) => {
-                    let got = session.remove(k);
-                    let want = model.mutate(|m| { m.remove(&k); });
-                    prop_assert_eq!(got, want, "remove version");
-                }
-                Op::Tag(label) => {
-                    let got = store.tag_labeled(label);
-                    prop_assert_eq!(got, model.latest(), "tagged watermark");
-                    model.labels.insert(label, model.latest());
+                Op::Mix(mix) => {
+                    let got = match mix {
+                        MixOp::Insert { key, value } => session.insert(key, value),
+                        MixOp::Remove { key } => session.remove(key),
+                        MixOp::Tag { label } => store.tag_labeled(label),
+                        _ => unreachable!("op_strategy draws no {:?}", mix),
+                    };
+                    prop_assert_eq!(Some(got), model.apply(&mix), "version of {:?}", mix);
                 }
                 Op::Find(k, sel) => {
-                    let v = sel % (model.latest() + 1);
-                    let want = model.states[v as usize].get(&k).copied();
-                    prop_assert_eq!(session.find(k, v), want, "find at v={}", v);
+                    let v = sel % (model.version() + 1);
+                    prop_assert_eq!(session.find(k, v), model.find(k, v), "find at v={}", v);
                 }
                 Op::Snapshot(sel) => {
-                    let v = sel % (model.latest() + 1);
-                    let want: Vec<(u64, u64)> =
-                        model.states[v as usize].iter().map(|(&k, &val)| (k, val)).collect();
+                    let v = sel % (model.version() + 1);
+                    let want = model.snapshot(v);
                     prop_assert_eq!(session.extract_snapshot(v), want, "snapshot at v={}", v);
                 }
             }
             // The watermark tracks the model's version count at every step
             // (single-threaded, so no in-flight mutations).
-            prop_assert_eq!(store.tag(), model.latest());
+            prop_assert_eq!(store.tag(), model.version());
         }
 
         // Labels resolve to the version they named, regardless of what was
         // tagged afterwards.
-        for (&label, &version) in &model.labels {
+        for (&label, &version) in model.labels() {
             prop_assert_eq!(store.resolve_label(label), Some(version));
         }
 
         // Final full-state agreement at every version (cheap: scripts are
         // short), including the empty pre-insert version 0 — of the eager
         // extraction and of the lazy scan over the same walk.
-        for (v, state) in model.states.iter().enumerate() {
-            let want: Vec<(u64, u64)> = state.iter().map(|(&k, &val)| (k, val)).collect();
-            let scanned: Vec<(u64, u64)> = store.scan(v as u64, 0).collect();
+        for v in 0..=model.version() {
+            let want = model.snapshot(v);
+            let scanned: Vec<(u64, u64)> = store.scan(v, 0).collect();
             prop_assert_eq!(&scanned, &want, "final sweep scan v={}", v);
-            prop_assert_eq!(session.extract_snapshot(v as u64), want, "final sweep v={}", v);
+            prop_assert_eq!(session.extract_snapshot(v), want, "final sweep v={}", v);
         }
     }
 }

@@ -75,8 +75,9 @@ impl MixOp {
         }
     }
 
-    /// The key whose lane serializes this op.
-    fn anchor(&self) -> u64 {
+    /// The op's key: the one whose lane serializes it (a scan's `lo`, a
+    /// tag's label).
+    pub fn anchor(&self) -> u64 {
         match *self {
             MixOp::Read { key }
             | MixOp::Insert { key, .. }

@@ -6,9 +6,9 @@
 //! replays it once per fence index with the crash simulator armed to capture
 //! the media image *at* that exact ordering point. Every captured image must
 //! recover to a legal prefix of the workload: the watermark stops at some
-//! fully published version, snapshots below it match the oracle, watermarks
-//! are monotone across consecutive boundaries, and any durable tag label
-//! resolves to the version it named.
+//! fully published version, snapshots below it match the reference model,
+//! watermarks are monotone across consecutive boundaries, and any durable
+//! tag label resolves to the version it named.
 //!
 //! Each swept image is recovered on a crash-simulation pool, which counts
 //! the fences recovery issues: one per chain `repair` (keys, tags), then at
@@ -25,11 +25,11 @@
 
 mod common;
 
-use common::Oracle;
+use common::apply_script;
 use mvkv::core::api::LabeledTags;
 use mvkv::core::{PSkipList, StoreSession, VersionedStore};
 use mvkv::pmem::CrashOptions;
-use mvkv::workload::{MixConfig, MixKind, MixOp};
+use mvkv::workload::{MixConfig, MixKind, MixOp, Model};
 
 const POOL: usize = 4 << 20;
 
@@ -63,39 +63,28 @@ fn crash_opts() -> CrashOptions {
 }
 
 /// The scripted workload: single inserts, a removal wave, two labeled tags
-/// and an `insert_batch` (the coalesced-fence path). Returns the oracle and
-/// the labels with the version each one named.
-fn run_workload(store: &PSkipList) -> (Oracle, Vec<(u64, u64)>) {
-    let session = store.session();
-    let mut oracle = Oracle::new();
-    let mut labels = Vec::new();
+/// and an `insert_batch` (the coalesced-fence path). Returns the model, with
+/// the labels and the version each one named.
+fn run_workload(store: &PSkipList) -> Model {
+    let mut model = Model::new();
+    let inserts = |keys: std::ops::Range<u64>, value: fn(u64) -> u64| -> Vec<MixOp> {
+        keys.map(|key| MixOp::Insert { key, value: value(key) }).collect()
+    };
+    apply_script(store, &mut model, &inserts(0..24, |k| k * 5 + 1));
+    assert_eq!(store.tag_labeled(7), model.tag(7));
 
-    for k in 0..24u64 {
-        session.insert(k, k * 5 + 1);
-        oracle.insert(k, k * 5 + 1);
-    }
-    store.tag_labeled(7);
-    labels.push((7, oracle.version()));
-
-    for k in (0..24u64).step_by(4) {
-        session.remove(k);
-        oracle.remove(k);
-    }
+    let removes: Vec<MixOp> = (0..24u64).step_by(4).map(|key| MixOp::Remove { key }).collect();
+    apply_script(store, &mut model, &removes);
 
     let pairs: Vec<(u64, u64)> = (100..148u64).map(|k| (k, k * 3)).collect();
-    session.insert_batch(&pairs);
+    store.session().insert_batch(&pairs);
     for &(k, v) in &pairs {
-        oracle.insert(k, v);
+        model.insert(k, v);
     }
-    store.tag_labeled(8);
-    labels.push((8, oracle.version()));
+    assert_eq!(store.tag_labeled(8), model.tag(8));
 
-    for k in 24..40u64 {
-        session.insert(k, k);
-        oracle.insert(k, k);
-    }
-    store.wait_writes_complete();
-    (oracle, labels)
+    apply_script(store, &mut model, &inserts(24..40, |k| k));
+    model
 }
 
 /// The mixed workload: a pinned YCSB-A analogue stream from the scenario
@@ -103,11 +92,7 @@ fn run_workload(store: &PSkipList) -> (Oracle, Vec<(u64, u64)>) {
 /// reads (no fences, but they order against the watermark) and a labeled tag
 /// every 16 ops. The plan is a pure function of its config, so every replay
 /// issues the identical op sequence.
-fn run_mixed_workload(store: &PSkipList) -> (Oracle, Vec<(u64, u64)>) {
-    let session = store.session();
-    let mut oracle = Oracle::new();
-    let mut labels = Vec::new();
-
+fn run_mixed_workload(store: &PSkipList) -> Model {
     let plan = MixConfig {
         kind: MixKind::YcsbA,
         ops: 48,
@@ -116,47 +101,28 @@ fn run_mixed_workload(store: &PSkipList) -> (Oracle, Vec<(u64, u64)>) {
         seed: 0xA11CE,
     }
     .generate();
-
-    for &(k, v) in &plan.load {
-        session.insert(k, v);
-        oracle.insert(k, v);
+    let mut model = Model::new();
+    let load: Vec<MixOp> =
+        plan.load.iter().map(|&(key, value)| MixOp::Insert { key, value }).collect();
+    apply_script(store, &mut model, &load);
+    // Reads cross no fences; they run so the swept schedule is the real
+    // mixed stream, not a write-only reduction of it.
+    for (i, ops) in plan.ops_for_thread(0, 1).chunks_exact(16).enumerate() {
+        apply_script(store, &mut model, ops);
+        let label = 1015 + 16 * i as u64;
+        assert_eq!(store.tag_labeled(label), model.tag(label));
     }
-
-    for (i, op) in plan.ops_for_thread(0, 1).into_iter().enumerate() {
-        match op {
-            MixOp::Update { key, value } | MixOp::Insert { key, value } => {
-                session.insert(key, value);
-                oracle.insert(key, value);
-            }
-            MixOp::Read { key } => {
-                // Reads cross no fences; executed so the swept schedule is
-                // the real mixed stream, not a write-only reduction of it.
-                let _ = session.find(key, store.tag());
-            }
-            other => unreachable!("YCSB-A emits only reads and updates: {other:?}"),
-        }
-        if (i + 1) % 16 == 0 {
-            let label = 1000 + i as u64;
-            store.tag_labeled(label);
-            labels.push((label, oracle.version()));
-        }
-    }
-    store.wait_writes_complete();
-    (oracle, labels)
+    model
 }
 
 /// Sweeps every fence boundary of `run`, asserting each captured image
 /// recovers to a legal prefix within the fences recovery may spend, and
 /// that the sweep costs what `pin` says.
-fn sweep_every_boundary(
-    name: &str,
-    pin: Pin,
-    run: impl Fn(&PSkipList) -> (Oracle, Vec<(u64, u64)>),
-) {
+fn sweep_every_boundary(name: &str, pin: Pin, run: impl Fn(&PSkipList) -> Model) {
     // Pass 1: learn the fence schedule.
     let probe = PSkipList::create_crash_sim(POOL, crash_opts()).unwrap();
     let fences_at_start = probe.pool().fence_count().unwrap();
-    let (oracle, labels) = run(&probe);
+    let model = run(&probe);
     let unflushed = probe.pool().unflushed_lines().unwrap();
     assert_eq!(unflushed, [], "the {name} workload left lines unflushed");
     let total_fences = probe.pool().fence_count().unwrap();
@@ -194,9 +160,9 @@ fn sweep_every_boundary(
         recovery_fences += fences;
         let w = stats.watermark;
         assert!(
-            w <= oracle.version(),
+            w <= model.version(),
             "boundary {i}: watermark {w} beyond the workload's {}",
-            oracle.version()
+            model.version()
         );
         assert!(
             w >= last_watermark,
@@ -204,19 +170,19 @@ fn sweep_every_boundary(
         );
         last_watermark = w;
 
-        // The recovered store is exactly the oracle's prefix ..=w.
+        // The recovered store is exactly the model's prefix ..=w.
         let session = recovered.session();
         for v in [w / 2, w] {
             assert_eq!(
                 session.extract_snapshot(v),
-                oracle.snapshot(v),
+                model.snapshot(v),
                 "boundary {i}: snapshot at version {v} of watermark {w}"
             );
         }
 
         // A durable label names the version it tagged, and everything up to
         // that version was published before the tag — so w covers it.
-        for &(label, version) in &labels {
+        for (&label, &version) in model.labels() {
             if let Some(resolved) = recovered.resolve_label(label) {
                 assert_eq!(resolved, version, "boundary {i}: label {label}");
                 assert!(w >= version, "boundary {i}: label {label} outlived its data");
@@ -236,9 +202,9 @@ fn sweep_every_boundary(
     // publish store lands after that fence, so the image taken there may
     // legally exclude exactly the final version — but nothing more.
     assert!(
-        last_watermark >= oracle.version() - 1,
+        last_watermark >= model.version() - 1,
         "last boundary lost more than the in-flight op: {last_watermark} vs {}",
-        oracle.version()
+        model.version()
     );
 }
 

@@ -1,36 +1,23 @@
 //! Crash-point sweep: take a power-failure image after every few
 //! operations of a scripted workload and verify that each image recovers
-//! to exactly the oracle's prefix — the strongest end-to-end statement of
-//! the store's crash consistency.
+//! to exactly the reference model's prefix — the strongest end-to-end
+//! statement of the store's crash consistency.
 
 mod common;
 
-use common::{random_script, Oracle, Op};
+use common::{apply_script, random_script};
 use mvkv::core::{PSkipList, StoreSession, VersionedStore};
 use mvkv::pmem::CrashOptions;
+use mvkv::workload::{MixOp, Model};
 
 fn run_sweep(crash: CrashOptions, ops: usize, every: usize, seed: u64) {
     let script = random_script(ops, 40, seed);
     let store = PSkipList::create_crash_sim(64 << 20, crash).unwrap();
-    let session = store.session();
-    let mut oracle = Oracle::new();
+    let mut model = Model::new();
     let mut images: Vec<(u64, Vec<u8>)> = Vec::new();
-
-    for (i, &op) in script.iter().enumerate() {
-        match op {
-            Op::Insert(k, v) => {
-                session.insert(k, v);
-                oracle.insert(k, v);
-            }
-            Op::Remove(k) => {
-                session.remove(k);
-                oracle.remove(k);
-            }
-        }
-        if (i + 1) % every == 0 {
-            store.wait_writes_complete();
-            images.push((oracle.version(), store.crash_image().unwrap()));
-        }
+    for chunk in script.chunks_exact(every) {
+        apply_script(&store, &mut model, chunk);
+        images.push((model.version(), store.crash_image().unwrap()));
     }
 
     for (expected_watermark, image) in images {
@@ -40,12 +27,12 @@ fn run_sweep(crash: CrashOptions, ops: usize, every: usize, seed: u64) {
             "seed {seed}: watermark after crash at op {expected_watermark}"
         );
         let rs = recovered.session();
-        // The recovered store must match the oracle at every probe version
+        // The recovered store must match the model at every probe version
         // up to the crash point.
         for probe in [1, expected_watermark / 2, expected_watermark] {
             assert_eq!(
                 rs.extract_snapshot(probe),
-                oracle.snapshot(probe),
+                model.snapshot(probe),
                 "seed {seed}: snapshot {probe} after crash at {expected_watermark}"
             );
         }
@@ -74,11 +61,9 @@ fn images_taken_mid_insert_batch_exclude_the_torn_suffix() {
     // media. Recovery must stop the watermark at the published prefix and
     // prune everything after it — the batch is visible only as a prefix.
     let store = PSkipList::create_crash_sim(16 << 20, CrashOptions::default()).unwrap();
-    let session = store.session();
-    for k in 1..=50u64 {
-        session.insert(k, k * 10);
-    }
-    store.wait_writes_complete();
+    let mut model = Model::new();
+    let load: Vec<MixOp> = (1..=50u64).map(|key| MixOp::Insert { key, value: key * 10 }).collect();
+    apply_script(&store, &mut model, &load);
     let base = store.tag();
 
     // The batch runs on another thread while crash images are captured, so
@@ -95,6 +80,9 @@ fn images_taken_mid_insert_batch_exclude_the_torn_suffix() {
         writer.join().unwrap();
         images
     });
+    for &(k, v) in &pairs {
+        model.insert(k, v);
+    }
 
     for image in images {
         let (recovered, stats) = PSkipList::open_image(&image, 2).unwrap();
@@ -105,17 +93,12 @@ fn images_taken_mid_insert_batch_exclude_the_torn_suffix() {
             base + pairs.len() as u64
         );
         // Versions are handed out in batch order by the single writer, so
-        // the oracle at the watermark is the base state plus the first
+        // the model at the watermark is the base state plus the first
         // (watermark - base) pairs of the batch, later pairs winning.
-        let mut expect: std::collections::BTreeMap<u64, u64> =
-            (1..=50u64).map(|k| (k, k * 10)).collect();
-        for &(k, v) in &pairs[..(stats.watermark - base) as usize] {
-            expect.insert(k, v);
-        }
         let rs = recovered.session();
         assert_eq!(
             rs.extract_snapshot(stats.watermark),
-            expect.into_iter().collect::<Vec<_>>(),
+            model.snapshot(stats.watermark),
             "snapshot at watermark {} must be the published batch prefix",
             stats.watermark
         );
@@ -129,28 +112,16 @@ fn images_taken_mid_insert_batch_exclude_the_torn_suffix() {
 fn mid_operation_images_recover_to_a_consistent_prefix() {
     // Images taken *without* waiting for writes to complete: the exact
     // watermark depends on what had persisted, but whatever it is, the
-    // recovered store must be a consistent oracle prefix.
+    // recovered store must be a consistent model prefix.
     let script = random_script(400, 30, 0x54);
-    let store = PSkipList::create_volatile(64 << 20).unwrap(); // driver store
-    let crash_store =
-        PSkipList::create_crash_sim(64 << 20, CrashOptions::default()).unwrap();
-    let _ = store;
-    let session = crash_store.session();
-    let mut oracle = Oracle::new();
+    let store = PSkipList::create_crash_sim(64 << 20, CrashOptions::default()).unwrap();
+    let session = store.session();
+    let mut model = Model::new();
     let mut images = Vec::new();
-    for (i, &op) in script.iter().enumerate() {
-        match op {
-            Op::Insert(k, v) => {
-                session.insert(k, v);
-                oracle.insert(k, v);
-            }
-            Op::Remove(k) => {
-                session.remove(k);
-                oracle.remove(k);
-            }
-        }
+    for (i, op) in script.iter().enumerate() {
+        assert_eq!(common::run(&store, &session, op), model.apply(op));
         if i % 37 == 0 {
-            images.push(crash_store.crash_image().unwrap());
+            images.push(store.crash_image().unwrap());
         }
     }
     for image in images {
@@ -159,7 +130,7 @@ fn mid_operation_images_recover_to_a_consistent_prefix() {
         // starts, so the watermark equals some op-count prefix.
         let rs = recovered.session();
         for probe in [stats.watermark / 2, stats.watermark] {
-            assert_eq!(rs.extract_snapshot(probe), oracle.snapshot(probe));
+            assert_eq!(rs.extract_snapshot(probe), model.snapshot(probe));
         }
     }
 }

@@ -1,53 +1,39 @@
 //! Distributed-layer integration: the virtual-time cluster and the real
-//! message-passing runtime must both agree with a single-node oracle.
+//! message-passing runtime must both agree with a single-node reference
+//! model.
 
 mod common;
 
-use common::{random_script, Oracle, Op};
+use common::random_script;
 use mvkv::cluster::{run_cluster, DistStore, MergeStrategy, NetModel};
 use mvkv::core::{ESkipList, PSkipList, StoreSession, VersionedStore};
+use mvkv::workload::{MixOp, Model};
 
 /// Splits a script across K ranks by key ownership (`key % K`), applying
-/// each rank's ops locally, and mirrors everything into one oracle.
-fn build_partitioned(
-    k: usize,
-    script: &[Op],
-) -> (DistStore<ESkipList>, Oracle) {
-    let mut oracle = Oracle::new();
+/// each rank's ops locally, and applies everything to one model.
+fn build_partitioned(k: usize, script: &[MixOp]) -> (DistStore<ESkipList>, Model) {
+    let mut model = Model::new();
     let ranks: Vec<ESkipList> = (0..k).map(|_| ESkipList::new()).collect();
-    for &op in script {
-        let (key, _) = match op {
-            Op::Insert(k, v) => (k, Some(v)),
-            Op::Remove(k) => (k, None),
-        };
-        let owner = (key % k as u64) as usize;
-        let session = ranks[owner].session();
-        match op {
-            Op::Insert(k, v) => {
-                session.insert(k, v);
-                oracle.insert(k, v);
-            }
-            Op::Remove(k) => {
-                session.remove(k);
-                oracle.remove(k);
-            }
-        }
+    for op in script {
+        let owner = &ranks[(op.anchor() % k as u64) as usize];
+        common::run(owner, &owner.session(), op);
+        model.apply(op);
     }
     for r in &ranks {
         r.wait_writes_complete();
     }
-    (DistStore::new(ranks, NetModel::theta_like()), oracle)
+    (DistStore::new(ranks, NetModel::theta_like()), model)
 }
 
 #[test]
 fn distributed_find_agrees_with_oracle_at_latest() {
     let script = random_script(1200, 97, 0xD1);
-    let (mut cluster, oracle) = build_partitioned(5, &script);
-    // Per-rank version counters differ from the oracle's global one, so
+    let (mut cluster, model) = build_partitioned(5, &script);
+    // Per-rank version counters differ from the model's global one, so
     // compare at "latest" where they coincide.
     for key in 0..97u64 {
         let (got, _) = cluster.find(key, u64::MAX);
-        assert_eq!(got, oracle.find(key, u64::MAX), "key {key}");
+        assert_eq!(got, model.find(key, u64::MAX), "key {key}");
     }
 }
 
@@ -55,8 +41,8 @@ fn distributed_find_agrees_with_oracle_at_latest() {
 fn distributed_merged_snapshot_equals_oracle() {
     let script = random_script(900, 150, 0xD2);
     for k in [1usize, 3, 8] {
-        let (mut cluster, oracle) = build_partitioned(k, &script);
-        let want = oracle.snapshot(u64::MAX);
+        let (mut cluster, model) = build_partitioned(k, &script);
+        let want = model.snapshot(u64::MAX);
         let (naive, _) = cluster.extract_snapshot(u64::MAX, MergeStrategy::Naive);
         assert_eq!(naive, want, "naive K={k}");
         let (opt, _) = cluster.extract_snapshot(u64::MAX, MergeStrategy::Opt { threads: 3 });
@@ -179,7 +165,7 @@ fn best_merge_time(
 fn virtual_time_merge_shape_naive_vs_opt() {
     // The performance *shape* the paper reports: at larger K the optimized
     // merge must beat the naive gather-then-kway by a growing factor.
-    let script: Vec<Op> = (0..4000u64).map(|i| Op::Insert(i, i)).collect();
+    let script: Vec<MixOp> = (0..4000u64).map(|key| MixOp::Insert { key, value: key }).collect();
     let mut last = (0.0f64, 0.0f64);
     for _attempt in 0..3 {
         let (mut c_small, _) = build_partitioned(2, &script);

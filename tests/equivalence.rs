@@ -1,10 +1,12 @@
 //! Five-approach equivalence: the same operation script must produce
-//! identical versioned behaviour on all five stores and match the oracle.
+//! identical versioned behaviour on all five stores and match the reference
+//! model.
 
 mod common;
 
-use common::{apply_script, assert_agrees, random_script, Oracle, Op};
+use common::{apply_script, assert_agrees, keys_of, on_both_stores, random_script};
 use mvkv::core::{DbStore, ESkipList, LockedMap, PSkipList, StoreSession, VersionedStore};
+use mvkv::workload::{MixOp, Model};
 
 fn probe_versions(max: u64) -> Vec<u64> {
     let mut v: Vec<u64> = vec![0, 1, max / 3, max / 2, max, max + 10];
@@ -12,26 +14,22 @@ fn probe_versions(max: u64) -> Vec<u64> {
     v
 }
 
-fn keys_of(script: &[Op]) -> Vec<u64> {
-    let mut keys: Vec<u64> = script
-        .iter()
-        .map(|op| match *op {
-            Op::Insert(k, _) => k,
-            Op::Remove(k) => k,
-        })
-        .collect();
-    keys.sort_unstable();
-    keys.dedup();
-    // Plus a few never-touched keys.
-    keys.push(u64::MAX / 2);
-    keys.push(123_456_789_000);
-    keys
+fn check_store<S: mvkv::core::VersionedStore>(store: &S, script: &[MixOp]) {
+    let mut model = Model::new();
+    apply_script(store, &mut model, script);
+    // Every key the script writes, plus two it never touches.
+    let mut keys = keys_of(script.iter().map(MixOp::anchor));
+    keys.extend([u64::MAX / 2, 123_456_789_000]);
+    assert_agrees(store, &model, &keys, &probe_versions(model.version()));
 }
 
-fn check_store<S: mvkv::core::VersionedStore>(store: &S, script: &[Op]) {
-    let mut oracle = Oracle::new();
-    apply_script(store, &mut oracle, script);
-    assert_agrees(store, &oracle, &keys_of(script), &probe_versions(oracle.version()));
+/// Runs `check` on a `DbStore::reg` over a fresh temporary file, then
+/// deletes the file and its write-ahead log.
+fn on_db_reg(name: &str, check: impl FnOnce(DbStore)) {
+    let path = std::env::temp_dir().join(format!("mvkv-{name}-{}.db", std::process::id()));
+    check(DbStore::reg(&path).unwrap());
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path.with_extension("db.wal"));
 }
 
 #[test]
@@ -41,25 +39,20 @@ fn all_five_stores_agree_with_oracle() {
     check_store(&ESkipList::new(), &script);
     check_store(&LockedMap::new(), &script);
     check_store(&DbStore::mem(), &script);
-    let path = std::env::temp_dir().join(format!("mvkv-equiv-{}.db", std::process::id()));
-    check_store(&DbStore::reg(&path).unwrap(), &script);
-    let _ = std::fs::remove_file(&path);
-    let mut wal = path.into_os_string();
-    wal.push(".wal");
-    let _ = std::fs::remove_file(std::path::PathBuf::from(wal));
+    on_db_reg("equiv", |store| check_store(&store, &script));
 }
 
 #[test]
 fn remove_heavy_scripts_agree() {
     // 50% removals, tiny key space → deep histories with many tombstones.
     let mut rng = mvkv::workload::Mt19937_64::new(0xDEAD);
-    let script: Vec<Op> = (0..800)
+    let script: Vec<MixOp> = (0..800)
         .map(|_| {
             let key = rng.next_below(10);
             if rng.next_below(2) == 0 {
-                Op::Remove(key)
+                MixOp::Remove { key }
             } else {
-                Op::Insert(key, rng.next_below(1000))
+                MixOp::Insert { key, value: rng.next_below(1000) }
             }
         })
         .collect();
@@ -71,7 +64,7 @@ fn remove_heavy_scripts_agree() {
 
 #[test]
 fn insert_only_monotone_keys() {
-    let script: Vec<Op> = (0..1000).map(|i| Op::Insert(i, i * 7)).collect();
+    let script: Vec<MixOp> = (0..1000).map(|key| MixOp::Insert { key, value: key * 7 }).collect();
     check_store(&PSkipList::create_volatile(64 << 20).unwrap(), &script);
     check_store(&ESkipList::new(), &script);
 }
@@ -80,12 +73,12 @@ fn insert_only_monotone_keys() {
 fn edge_key_values() {
     // Extreme keys and values near the marker boundary.
     let script = vec![
-        Op::Insert(0, 0),
-        Op::Insert(u64::MAX, (1 << 62) - 1),
-        Op::Insert(u64::MAX - 1, 1),
-        Op::Remove(0),
-        Op::Insert(0, 42),
-        Op::Remove(u64::MAX),
+        MixOp::Insert { key: 0, value: 0 },
+        MixOp::Insert { key: u64::MAX, value: (1 << 62) - 1 },
+        MixOp::Insert { key: u64::MAX - 1, value: 1 },
+        MixOp::Remove { key: 0 },
+        MixOp::Insert { key: 0, value: 42 },
+        MixOp::Remove { key: u64::MAX },
     ];
     check_store(&PSkipList::create_volatile(16 << 20).unwrap(), &script);
     check_store(&ESkipList::new(), &script);
@@ -120,26 +113,13 @@ fn the_reserved_value_is_refused_by_every_store() {
     check(ESkipList::new());
     check(LockedMap::new());
     check(DbStore::mem());
-    let path = std::env::temp_dir().join(format!("mvkv-reserved-{}.db", std::process::id()));
-    check(DbStore::reg(&path).unwrap());
-    let _ = std::fs::remove_file(&path);
-    let mut wal = path.into_os_string();
-    wal.push(".wal");
-    let _ = std::fs::remove_file(std::path::PathBuf::from(wal));
+    on_db_reg("reserved", check);
 }
 
 // ---------------------------------------------------------------------------
 // The hand-written semantics checks every engine instantiation used to carry
 // a copy of, written once and run over each.
 // ---------------------------------------------------------------------------
-
-/// Runs `check` on a fresh store of each skip-list engine instantiation.
-macro_rules! on_each_instantiation {
-    ($check:ident) => {{
-        $check(PSkipList::create_volatile(64 << 20).unwrap());
-        $check(ESkipList::new());
-    }};
-}
 
 #[test]
 fn versioned_semantics() {
@@ -159,7 +139,7 @@ fn versioned_semantics() {
         assert_eq!(s.find(20, 1), None, "not born yet");
         assert_eq!(store.key_count(), 2);
     }
-    on_each_instantiation!(check);
+    on_both_stores!(check);
 }
 
 #[test]
@@ -174,7 +154,7 @@ fn snapshots_are_sorted_and_tombstone_free() {
         assert_eq!(s.extract_snapshot(store.tag()), vec![(20, 2), (30, 3)]);
         assert_eq!(s.extract_snapshot(0), vec![]);
     }
-    on_each_instantiation!(check);
+    on_both_stores!(check);
 }
 
 #[test]
@@ -199,7 +179,7 @@ fn concurrent_writers_distinct_keys() {
         assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "snapshot must be key-sorted");
         assert!(snap.iter().all(|&(k, v)| v == k % 100_000 + 1), "every pair is one writer's");
     }
-    on_each_instantiation!(check);
+    on_both_stores!(check);
 }
 
 #[test]

@@ -3,11 +3,12 @@
 
 mod common;
 
-use common::{apply_script, random_script, Oracle, Op};
+use common::{apply_script, random_script};
 use mvkv::core::{
     delta_by_snapshots, ESkipList, LabeledTags, LockedMap, PSkipList, StoreSession, VersionedStore,
 };
 use mvkv::pmem::{CrashOptions, PmemPool};
+use mvkv::workload::{MixOp, Model};
 
 /// Plain-word compaction into a fresh heap pool.
 fn compact(store: &PSkipList, size: usize, horizon: u64) -> (PSkipList, mvkv::core::CompactStats) {
@@ -75,11 +76,11 @@ fn labels_survive_restart() {
 #[test]
 fn extract_range_equals_filtered_snapshot_on_all_stores() {
     let script = random_script(1200, 200, 0x4A);
-    fn check<S: VersionedStore>(store: &S, script: &[Op]) {
-        let mut oracle = Oracle::new();
-        apply_script(store, &mut oracle, script);
+    fn check<S: VersionedStore>(store: &S, script: &[MixOp]) {
+        let mut model = Model::new();
+        apply_script(store, &mut model, script);
         let s = store.session();
-        let max = oracle.version();
+        let max = model.version();
         for v in [max / 2, max] {
             let snap = s.extract_snapshot(v);
             for (lo, hi) in [(0u64, 50u64), (50, 150), (100, 100), (180, u64::MAX)] {
@@ -99,7 +100,7 @@ fn extract_range_equals_filtered_snapshot_on_all_stores() {
 // Delta extraction
 // ---------------------------------------------------------------------------
 
-/// `delta_by_snapshots` against the oracle, key by key: a key is in the
+/// `delta_by_snapshots` against the model, key by key: a key is in the
 /// delta exactly when its states at `v1` and `v2` differ, and it carries its
 /// state at `v2`. Every store answers, and so does a PSkipList reopened from
 /// a crash image.
@@ -107,40 +108,34 @@ fn extract_range_equals_filtered_snapshot_on_all_stores() {
 fn delta_matches_the_oracle_on_every_store() {
     const KEYS: u64 = 80;
     let script = random_script(1500, KEYS, 0xDE);
-    let mut oracle = Oracle::new();
-    for &op in &script {
-        match op {
-            Op::Insert(k, v) => oracle.insert(k, v),
-            Op::Remove(k) => oracle.remove(k),
-        };
-    }
-    fn check<S: VersionedStore>(store: &S, oracle: &Oracle) {
-        let max = oracle.version();
+    fn check<S: VersionedStore>(store: &S, model: &Model) {
+        let max = model.version();
         let ranges =
             [(0, max), (max / 3, 2 * max / 3), (max / 2, max / 2), (0, 1), (max / 2, max + 10)];
         for (v1, v2) in ranges {
             let expected: Vec<(u64, Option<u64>)> = (0..KEYS)
-                .filter(|&k| oracle.find(k, v1) != oracle.find(k, v2))
-                .map(|k| (k, oracle.find(k, v2)))
+                .filter(|&k| model.find(k, v1) != model.find(k, v2))
+                .map(|k| (k, model.find(k, v2)))
                 .collect();
             let delta = delta_by_snapshots(&store.session(), v1, v2);
             assert_eq!(delta, expected, "{}: delta({v1}, {v2})", store.name());
         }
     }
-    fn run<S: VersionedStore>(store: S, script: &[Op], oracle: &Oracle) -> S {
-        apply_script(&store, &mut Oracle::new(), script);
-        check(&store, oracle);
-        store
+    fn run<S: VersionedStore>(store: S, script: &[MixOp]) -> (S, Model) {
+        let mut model = Model::new();
+        apply_script(&store, &mut model, script);
+        check(&store, &model);
+        (store, model)
     }
-    run(PSkipList::create_volatile(16 << 20).unwrap(), &script, &oracle);
-    run(ESkipList::new(), &script, &oracle);
-    run(LockedMap::new(), &script, &oracle);
-    run(mvkv::core::DbStore::mem(), &script, &oracle);
+    run(PSkipList::create_volatile(16 << 20).unwrap(), &script);
+    run(ESkipList::new(), &script);
+    run(LockedMap::new(), &script);
+    run(mvkv::core::DbStore::mem(), &script);
     let crashed = PSkipList::create_crash_sim(16 << 20, CrashOptions::default()).unwrap();
-    let image = run(crashed, &script, &oracle).crash_image().unwrap();
-    let (reopened, stats) = PSkipList::open_image(&image, 2).unwrap();
-    assert_eq!(stats.watermark, oracle.version());
-    check(&reopened, &oracle);
+    let (crashed, model) = run(crashed, &script);
+    let (reopened, stats) = PSkipList::open_image(&crashed.crash_image().unwrap(), 2).unwrap();
+    assert_eq!(stats.watermark, model.version());
+    check(&reopened, &model);
 }
 
 /// ESkipList and DbStore have no delta of their own: both answer through
@@ -150,11 +145,10 @@ fn eskiplist_and_dbstore_delta_fallbacks() {
     let script = random_script(600, 50, 0xDF);
     let e = ESkipList::new();
     let d = mvkv::core::DbStore::mem();
-    let mut o1 = Oracle::new();
-    let mut o2 = Oracle::new();
-    apply_script(&e, &mut o1, &script);
-    apply_script(&d, &mut o2, &script);
-    let max = o1.version();
+    let mut model = Model::new();
+    apply_script(&e, &mut model, &script);
+    apply_script(&d, &mut Model::new(), &script);
+    let max = model.version();
     for (v1, v2) in [(max / 2, max), (0, max)] {
         let delta = delta_by_snapshots(&e.session(), v1, v2);
         assert!(!delta.is_empty(), "delta({v1}, {v2})");
@@ -196,9 +190,9 @@ fn delta_refuses_a_reversed_range() {
 fn compaction_preserves_post_horizon_snapshots() {
     let script = random_script(2000, 150, 0xC0);
     let store = PSkipList::create_volatile(64 << 20).unwrap();
-    let mut oracle = Oracle::new();
-    apply_script(&store, &mut oracle, &script);
-    let max = oracle.version();
+    let mut model = Model::new();
+    apply_script(&store, &mut model, &script);
+    let max = model.version();
     let horizon = max / 2;
 
     let (compacted, stats) = compact(&store, 64 << 20, horizon);
@@ -208,14 +202,14 @@ fn compaction_preserves_post_horizon_snapshots() {
 
     let cs = compacted.session();
     for v in [horizon, horizon + max / 10, max] {
-        assert_eq!(cs.extract_snapshot(v), oracle.snapshot(v), "snapshot at v={v}");
+        assert_eq!(cs.extract_snapshot(v), model.snapshot(v), "snapshot at v={v}");
         for k in 0..150u64 {
-            assert_eq!(cs.find(k, v), oracle.find(k, v), "find({k},{v})");
+            assert_eq!(cs.find(k, v), model.find(k, v), "find({k},{v})");
         }
     }
     // Below the horizon, queries answer as of the horizon.
     for k in 0..150u64 {
-        assert_eq!(cs.find(k, horizon / 2), oracle.find(k, horizon), "pre-horizon find({k})");
+        assert_eq!(cs.find(k, horizon / 2), model.find(k, horizon), "pre-horizon find({k})");
     }
     // Deltas above the horizon agree with the source's.
     assert_eq!(

@@ -3,9 +3,10 @@
 
 mod common;
 
-use common::{apply_script, random_script, Oracle, Op};
+use common::{apply_script, random_script};
 use mvkv::core::{DbStore, PSkipList, StoreSession, VersionedStore};
 use mvkv::pmem::CrashOptions;
+use mvkv::workload::{MixOp, Model};
 
 fn temp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("mvkv-persist-{}-{}", std::process::id(), name))
@@ -15,22 +16,17 @@ fn temp(name: &str) -> std::path::PathBuf {
 fn pskiplist_full_state_round_trips_through_file() {
     let path = temp("roundtrip.pool");
     let script = random_script(2000, 300, 0x11);
-    let mut oracle = Oracle::new();
+    let mut model = Model::new();
     {
         let store = PSkipList::create_file(&path, 64 << 20).unwrap();
-        apply_script(&store, &mut oracle, &script);
+        apply_script(&store, &mut model, &script);
     }
     for threads in [1usize, 3, 8] {
         let (store, stats) = PSkipList::open_file(&path, threads).unwrap();
-        assert_eq!(stats.watermark, oracle.version());
+        assert_eq!(stats.watermark, model.version());
         assert_eq!(stats.pruned_entries, 0);
-        let probes: Vec<u64> = vec![1, oracle.version() / 2, oracle.version()];
-        common::assert_agrees(
-            &store,
-            &oracle,
-            &(0..300).collect::<Vec<u64>>(),
-            &probes,
-        );
+        let probes: Vec<u64> = vec![1, model.version() / 2, model.version()];
+        common::assert_agrees(&store, &model, &(0..300).collect::<Vec<u64>>(), &probes);
     }
     std::fs::remove_file(&path).unwrap();
 }
@@ -38,22 +34,22 @@ fn pskiplist_full_state_round_trips_through_file() {
 #[test]
 fn pskiplist_repeated_open_write_cycles() {
     let path = temp("cycles.pool");
-    let mut oracle = Oracle::new();
+    let mut model = Model::new();
     {
         let store = PSkipList::create_file(&path, 64 << 20).unwrap();
-        apply_script(&store, &mut oracle, &random_script(300, 50, 1));
+        apply_script(&store, &mut model, &random_script(300, 50, 1));
     }
     for round in 2..=4u64 {
         let (store, stats) = PSkipList::open_file(&path, 2).unwrap();
-        assert_eq!(stats.watermark, oracle.version(), "round {round}");
-        apply_script(&store, &mut oracle, &random_script(300, 50, round));
+        assert_eq!(stats.watermark, model.version(), "round {round}");
+        apply_script(&store, &mut model, &random_script(300, 50, round));
     }
     let (store, _) = PSkipList::open_file(&path, 4).unwrap();
     common::assert_agrees(
         &store,
-        &oracle,
+        &model,
         &(0..50).collect::<Vec<u64>>(),
-        &[1, oracle.version() / 2, oracle.version()],
+        &[1, model.version() / 2, model.version()],
     );
     std::fs::remove_file(&path).unwrap();
 }
@@ -61,17 +57,17 @@ fn pskiplist_repeated_open_write_cycles() {
 #[test]
 fn crash_image_exposes_exactly_the_watermark_prefix() {
     let store = PSkipList::create_crash_sim(64 << 20, CrashOptions::default()).unwrap();
-    let mut oracle = Oracle::new();
-    apply_script(&store, &mut oracle, &random_script(1000, 100, 0xC4));
+    let mut model = Model::new();
+    apply_script(&store, &mut model, &random_script(1000, 100, 0xC4));
     let image = store.crash_image().unwrap();
 
     let (recovered, stats) = PSkipList::open_image(&image, 4).unwrap();
-    assert_eq!(stats.watermark, oracle.version(), "all ops completed pre-crash");
+    assert_eq!(stats.watermark, model.version(), "all ops completed pre-crash");
     common::assert_agrees(
         &recovered,
-        &oracle,
+        &model,
         &(0..100).collect::<Vec<u64>>(),
-        &[oracle.version() / 2, oracle.version()],
+        &[model.version() / 2, model.version()],
     );
 }
 
@@ -85,16 +81,16 @@ fn crash_with_random_evictions_still_recovers_consistently() {
             CrashOptions { eviction_rate: 0.5, seed },
         )
         .unwrap();
-        let mut oracle = Oracle::new();
-        apply_script(&store, &mut oracle, &random_script(500, 60, seed));
+        let mut model = Model::new();
+        apply_script(&store, &mut model, &random_script(500, 60, seed));
         let image = store.crash_image().unwrap();
         let (recovered, stats) = PSkipList::open_image(&image, 2).unwrap();
-        assert_eq!(stats.watermark, oracle.version(), "seed {seed}");
+        assert_eq!(stats.watermark, model.version(), "seed {seed}");
         let session = recovered.session();
         for k in 0..60u64 {
             assert_eq!(
-                session.find(k, oracle.version()),
-                oracle.find(k, oracle.version()),
+                session.find(k, model.version()),
+                model.find(k, model.version()),
                 "seed {seed} key {k}"
             );
         }
@@ -104,8 +100,9 @@ fn crash_with_random_evictions_still_recovers_consistently() {
 #[test]
 fn torn_final_op_is_pruned_and_store_reusable() {
     let store = PSkipList::create_crash_sim(64 << 20, CrashOptions::default()).unwrap();
-    let mut oracle = Oracle::new();
-    apply_script(&store, &mut oracle, &[Op::Insert(1, 10), Op::Insert(2, 20)]);
+    let mut model = Model::new();
+    let script = [MixOp::Insert { key: 1, value: 10 }, MixOp::Insert { key: 2, value: 20 }];
+    apply_script(&store, &mut model, &script);
     // The crash happens before the next op's done stamp persists: emulate
     // by snapshotting the image now and treating a later op as torn.
     let image = store.crash_image().unwrap();
@@ -149,26 +146,26 @@ fn reserved_superblock_words_are_never_read() {
 fn dbreg_round_trips_and_checkpoints() {
     let path = temp("dbreg.db");
     let script = random_script(1000, 100, 0xDB);
-    let mut oracle = Oracle::new();
+    let mut model = Model::new();
     {
         let store = DbStore::reg(&path).unwrap();
-        apply_script(&store, &mut oracle, &script);
+        apply_script(&store, &mut model, &script);
     }
     {
         let store = DbStore::reopen(&path).unwrap();
-        assert_eq!(store.tag(), oracle.version());
+        assert_eq!(store.tag(), model.version());
         common::assert_agrees(
             &store,
-            &oracle,
+            &model,
             &(0..100).collect::<Vec<u64>>(),
-            &[1, oracle.version() / 2, oracle.version()],
+            &[1, model.version() / 2, model.version()],
         );
         // Write more after the reopen, reopen again.
-        apply_script(&store, &mut oracle, &random_script(200, 100, 0xDC));
+        apply_script(&store, &mut model, &random_script(200, 100, 0xDC));
     }
     {
         let store = DbStore::reopen(&path).unwrap();
-        assert_eq!(store.tag(), oracle.version());
+        assert_eq!(store.tag(), model.version());
     }
     let _ = std::fs::remove_file(&path);
     let mut wal = path.into_os_string();
@@ -214,8 +211,8 @@ fn file_backed_audit_classification_survives_crash_and_remap() {
 #[test]
 fn pool_audit_is_clean_after_heavy_churn() {
     let store = PSkipList::create_volatile(128 << 20).unwrap();
-    let mut oracle = Oracle::new();
-    apply_script(&store, &mut oracle, &random_script(5000, 500, 0xAA));
+    let mut model = Model::new();
+    apply_script(&store, &mut model, &random_script(5000, 500, 0xAA));
     let audit = mvkv::pmem::recovery::audit(store.pool());
     assert_eq!(audit.indeterminate_blocks, 0);
     assert_eq!(audit.torn_tail_bytes, 0);

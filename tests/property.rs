@@ -2,54 +2,48 @@
 
 mod common;
 
-use common::{Op, Oracle};
+use common::{apply_script, random_script};
 use mvkv::cluster::{kway_merge, merge_two, merge_two_parallel};
 use mvkv::core::{ESkipList, PSkipList, StoreSession, VersionedStore};
 use mvkv::skiplist::SkipList;
+use mvkv::workload::Model;
 use proptest::prelude::*;
-
-fn op_strategy(key_space: u64) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (0..key_space, 0u64..(1 << 40)).prop_map(|(k, v)| Op::Insert(k, v)),
-        1 => (0..key_space).prop_map(Op::Remove),
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
+    // The two store properties draw a script's seed and length: the shim
+    // does not shrink, so a `random_script` is as good a case as any.
     #[test]
-    fn eskiplist_matches_oracle(script in proptest::collection::vec(op_strategy(40), 1..200)) {
+    fn eskiplist_matches_oracle(seed in 0u64..u64::MAX, len in 1usize..200) {
         let store = ESkipList::new();
-        let mut oracle = Oracle::new();
-        common::apply_script(&store, &mut oracle, &script);
-        let max = oracle.version();
+        let mut model = Model::new();
+        apply_script(&store, &mut model, &random_script(len, 40, seed));
+        let max = model.version();
         let session = store.session();
         for v in [0, 1, max / 2, max, max + 3] {
-            prop_assert_eq!(session.extract_snapshot(v), oracle.snapshot(v));
+            prop_assert_eq!(session.extract_snapshot(v), model.snapshot(v));
             for k in 0..40u64 {
-                prop_assert_eq!(session.find(k, v), oracle.find(k, v));
+                prop_assert_eq!(session.find(k, v), model.find(k, v));
             }
         }
     }
 
     #[test]
-    fn pskiplist_matches_oracle_after_crash(
-        script in proptest::collection::vec(op_strategy(30), 1..150)
-    ) {
+    fn pskiplist_matches_oracle_after_crash(seed in 0u64..u64::MAX, len in 1usize..150) {
         let store = PSkipList::create_crash_sim(
             32 << 20,
             mvkv::pmem::CrashOptions::default(),
         ).unwrap();
-        let mut oracle = Oracle::new();
-        common::apply_script(&store, &mut oracle, &script);
+        let mut model = Model::new();
+        apply_script(&store, &mut model, &random_script(len, 30, seed));
         let image = store.crash_image().unwrap();
         let (recovered, stats) = PSkipList::open_image(&image, 2).unwrap();
-        prop_assert_eq!(stats.watermark, oracle.version());
+        prop_assert_eq!(stats.watermark, model.version());
         let session = recovered.session();
-        let max = oracle.version();
+        let max = model.version();
         for v in [1, max / 2, max] {
-            prop_assert_eq!(session.extract_snapshot(v), oracle.snapshot(v));
+            prop_assert_eq!(session.extract_snapshot(v), model.snapshot(v));
         }
         for k in 0..30u64 {
             let got: Vec<(u64, Option<u64>)> = session
@@ -57,7 +51,7 @@ proptest! {
                 .into_iter()
                 .map(|r| (r.version, r.value))
                 .collect();
-            prop_assert_eq!(got, oracle.history(k));
+            prop_assert_eq!(got, model.history(k));
         }
     }
 
