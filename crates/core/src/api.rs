@@ -61,7 +61,9 @@ pub trait StoreSession {
     /// returns the assigned versions in order. Semantically identical to
     /// calling [`StoreSession::insert`] per pair — stores with a batched
     /// write path override this to amortize persist-ordering and watermark
-    /// work across the batch (see `PSkipList`).
+    /// work across the batch (see `PSkipList`). The skip-list stores write
+    /// a batch in chunks of 1024 pairs, and a chunk's versions are
+    /// contiguous: pair `i` of a chunk gets the chunk's first version + `i`.
     ///
     /// # Panics
     /// If a value is `TOMBSTONE`, as `insert` does. No version is left

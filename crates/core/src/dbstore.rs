@@ -42,7 +42,7 @@ impl DbStore {
         // The engine's WAL guarantees the row log is a committed prefix, so
         // the watermark is simply the highest stored version.
         let max_version = db.connect().max_version();
-        Ok(DbStore { db, clock: VersionClock::resume(max_version, 1 << 16), name: "DbReg" })
+        Ok(DbStore { db, clock: VersionClock::resume(max_version), name: "DbReg" })
     }
 
     /// In-memory variant (paper's SQLiteMem): shared page cache, no

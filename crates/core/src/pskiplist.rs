@@ -511,7 +511,7 @@ impl PSkipList {
             report.chain_quarantined_blocks
         );
         let home = PmHome::new(pool, chain_ptr, tagchain_ptr);
-        let store = Engine::assemble(index, VersionClock::resume(stats.watermark, 1 << 16), home);
+        let store = Engine::assemble(index, VersionClock::resume(stats.watermark), home);
         Ok((store, stats, report))
     }
 
@@ -655,7 +655,7 @@ impl PSkipList {
             }
         }
 
-        new.clock = VersionClock::resume(fc, 1 << 16);
+        new.clock = VersionClock::resume(fc);
         new_pool.sync_all();
         Ok((new, stats))
     }

@@ -380,6 +380,7 @@ impl<'p> KeyChain<'p> {
                 let persisted = used_cell.load(Ordering::Acquire).min(self.cap);
                 let mut highest_valid = 0u64; // slots above this are torn
                 let mut zeros = 0u64; // zero slots since the last consumed one
+                let mut valid = 0u64; // every one lies below `highest_valid`
                 for slot in 0..self.cap {
                     let pair = block + BLOCK_HDR + slot * PAIR_SIZE;
                     let word = self.pool.atomic_u64(pair + 8).load(Ordering::Acquire);
@@ -394,7 +395,7 @@ impl<'p> KeyChain<'p> {
                     stats.quarantined_pairs += std::mem::take(&mut zeros);
                     highest_valid = slot + 1;
                     if decode_pair(self.pool.read_u64(pair), word).is_some() {
-                        stats.valid_pairs += 1;
+                        valid += 1;
                     } else {
                         // Corrupt pair: zero it (torn-pair sentinel) so
                         // every later walk agrees it does not exist.
@@ -409,7 +410,11 @@ impl<'p> KeyChain<'p> {
                     self.pool.persist(block + 8, 8);
                     stats.repaired_counters += 1;
                 }
-                total += self.block_pairs(block).count() as u64;
+                // `used` now covers every valid pair: the block's pairs are
+                // the ones just decoded.
+                debug_assert_eq!(valid, self.block_pairs(block).count() as u64);
+                stats.valid_pairs += valid;
+                total += valid;
             } else {
                 // Quarantine: the header can't be trusted, so neither can
                 // the pairs it frames. Zero every hist word (pairs become

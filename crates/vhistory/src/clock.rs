@@ -3,22 +3,29 @@
 //! The paper's Algorithm 1 keeps two global counters: `pc`, a completion
 //! stamp dispenser, and `fc`, the watermark of contiguously finished
 //! operations. We implement the same idea keyed directly by version number:
-//! [`VersionClock::issue`] hands out versions `1, 2, 3, …` and
-//! [`VersionClock::complete`] marks a version finished, advancing the
-//! watermark `fc` over every contiguously completed prefix. Queries answer
-//! as of `min(requested, fc)`, which is exactly the paper's consistency
-//! rule: an operation becomes visible only once all lower-version
-//! operations have finished.
+//! [`VersionClock::issue_range`] hands out `n` consecutive versions of
+//! `1, 2, 3, …` and [`VersionClock::complete_range`] marks them finished,
+//! advancing the watermark `fc` over every contiguously completed prefix
+//! with one CAS. Queries answer as of `min(requested, fc)`, which is exactly
+//! the paper's consistency rule: an operation becomes visible only once all
+//! lower-version operations have finished. [`VersionClock::issue`] and
+//! [`VersionClock::complete`] are the `n = 1` cases.
 //!
-//! Completion is tracked in a fixed ring of atomic version cells. A slot is
-//! reused only after the watermark passes it; `issue` applies back-pressure
-//! (spins) when more than `window` operations are in flight, bounding the
-//! ring.
+//! Completion is tracked in a fixed ring of `window` atomic version cells. A
+//! cell is reused only after the watermark passes it, so at most `window`
+//! versions are in flight: a reservation that would exceed that waits (spins)
+//! in `issue_range`. The window rule that keeps this wait finite: **no caller
+//! waits while it holds an incomplete version.** A writer takes one
+//! reservation per operation (a batch: per chunk, before its first version
+//! is used) and completes it before it reserves again, so every version in
+//! flight belongs to a caller that completes it without waiting, and any
+//! number of writers is safe once the window fits one reservation —
+//! [`DEFAULT_WINDOW`] is four batch chunks.
 
 use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
 
-/// Default in-flight window (power of two).
-pub const DEFAULT_WINDOW: usize = 1 << 16;
+/// Default in-flight window (power of two): 32 KiB of cells.
+pub const DEFAULT_WINDOW: usize = 1 << 12;
 
 /// Issues version numbers and tracks the contiguous completion watermark.
 ///
@@ -40,18 +47,22 @@ pub struct VersionClock {
 impl VersionClock {
     /// A fresh clock starting at version 1 with the default window.
     pub fn new() -> Self {
-        Self::with_window(DEFAULT_WINDOW)
+        Self::resume(0)
     }
 
     /// A fresh clock with a custom in-flight window (rounded up to a power
     /// of two, minimum 2).
     pub fn with_window(window: usize) -> Self {
-        Self::resume(0, window)
+        Self::build(0, window)
     }
 
     /// Resumes a clock after recovery: versions `1..=watermark` are deemed
     /// complete and the next issued version is `watermark + 1`.
-    pub fn resume(watermark: u64, window: usize) -> Self {
+    pub fn resume(watermark: u64) -> Self {
+        Self::build(watermark, DEFAULT_WINDOW)
+    }
+
+    fn build(watermark: u64, window: usize) -> Self {
         let window = window.next_power_of_two().max(2);
         let ring: Box<[AtomicU64]> = (0..window).map(|_| AtomicU64::new(0)).collect();
         VersionClock {
@@ -62,14 +73,27 @@ impl VersionClock {
         }
     }
 
-    /// Claims the next version number. Spins (with yields) if the in-flight
-    /// window is exhausted, providing back-pressure against stalled writers.
+    /// Claims the next version number: `issue_range(1)`.
     pub fn issue(&self) -> u64 {
+        self.issue_range(1)
+    }
+
+    /// Claims `n` consecutive versions and returns the first. Spins (with
+    /// yields) until they fit the in-flight window, which is back-pressure
+    /// against stalled writers; the caller must hold no incomplete version
+    /// while it calls this (module doc).
+    ///
+    /// # Panics
+    /// If `n` is 0 or larger than the window: such a reservation never fits.
+    pub fn issue_range(&self, n: u64) -> u64 {
+        assert!(n >= 1 && n <= self.mask + 1, "reservation of {n} versions must fit the window");
         loop {
             // ordering: this read is a hint only; the AcqRel CAS below
             // validates it before anything depends on the value.
             let issued = self.issued.load(Ordering::Relaxed);
-            if issued.wrapping_sub(self.fc.load(Ordering::Acquire)) >= self.mask {
+            // Version `issued + n` reuses the cell of `issued + n - window`,
+            // which the watermark must have passed.
+            if (issued + n).saturating_sub(self.fc.load(Ordering::Acquire)) > self.mask + 1 {
                 mvkv_sync::hint::spin_loop();
                 mvkv_sync::thread::yield_now();
                 continue;
@@ -77,7 +101,7 @@ impl VersionClock {
             if self
                 .issued
                 // ordering: failure arm only retries with a fresh read.
-                .compare_exchange_weak(issued, issued + 1, Ordering::AcqRel, Ordering::Relaxed)
+                .compare_exchange_weak(issued, issued + n, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
             {
                 return issued + 1;
@@ -85,25 +109,41 @@ impl VersionClock {
         }
     }
 
-    /// Marks version `v` complete and advances the watermark over any
-    /// contiguously completed prefix.
+    /// Marks version `v` complete: `complete_range(v, 1)`.
     pub fn complete(&self, v: u64) {
+        self.complete_range(v, 1);
+    }
+
+    /// Marks versions `first..first + n` complete and advances the watermark
+    /// over any contiguously completed prefix.
+    pub fn complete_range(&self, first: u64, n: u64) {
         // ordering: debug sanity check; any stale read only weakens it.
-        debug_assert!(v > self.fc.load(Ordering::Relaxed), "completing an already-passed version");
-        self.ring[(v & self.mask) as usize].store(v, Ordering::Release);
+        debug_assert!(first > self.fc.load(Ordering::Relaxed), "completing a passed version");
+        for v in first..first + n {
+            self.ring[(v & self.mask) as usize].store(v, Ordering::Release);
+        }
         self.advance();
     }
 
+    /// Moves `fc` over every contiguous completed cell it finds, one CAS per
+    /// run. A cell holding `v` past the window was completed only after the
+    /// watermark moved on, so the CAS from the stale `f` fails and rescans.
     fn advance(&self) {
+        let mut f = self.fc.load(Ordering::Acquire);
         loop {
-            let f = self.fc.load(Ordering::Acquire);
-            let next = f + 1;
-            if self.ring[(next & self.mask) as usize].load(Ordering::Acquire) != next {
+            let mut to = f;
+            while self.ring[((to + 1) & self.mask) as usize].load(Ordering::Acquire) == to + 1 {
+                to += 1;
+            }
+            if to == f {
                 return;
             }
             // Another thread may advance concurrently; both outcomes make
-            // progress, so a failed CAS just retries the loop.
-            let _ = self.fc.compare_exchange(f, next, Ordering::AcqRel, Ordering::Acquire);
+            // progress, so either way the scan restarts from the new `fc`.
+            f = match self.fc.compare_exchange(f, to, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => to,
+                Err(now) => now,
+            };
         }
     }
 
@@ -180,11 +220,31 @@ mod tests {
 
     #[test]
     fn resume_continues_numbering() {
-        let clock = VersionClock::resume(500, 64);
+        let clock = VersionClock::resume(500);
         assert_eq!(clock.watermark(), 500);
         assert_eq!(clock.issue(), 501);
         clock.complete(501);
         assert_eq!(clock.watermark(), 501);
+    }
+
+    #[test]
+    fn ranges_are_consecutive_and_complete_out_of_order() {
+        let clock = VersionClock::with_window(8);
+        assert_eq!(clock.issue_range(3), 1);
+        assert_eq!(clock.issue_range(2), 4);
+        assert_eq!(clock.issue(), 6);
+        clock.complete_range(4, 2);
+        clock.complete(6);
+        assert_eq!(clock.watermark(), 0, "versions 1..=3 still outstanding");
+        clock.complete_range(1, 3);
+        assert_eq!(clock.watermark(), 6);
+        assert_eq!(clock.issue_range(8), 7, "a drained clock fits a whole-window reservation");
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit the window")]
+    fn a_reservation_larger_than_the_window_panics() {
+        VersionClock::with_window(4).issue_range(5);
     }
 
     #[test]

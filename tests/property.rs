@@ -232,24 +232,26 @@ proptest! {
         let _ = std::fs::remove_file(&wal);
     }
 
+    /// Reservations of 1–8 versions, completed range by range in shuffled
+    /// order: the watermark is always the longest completed prefix.
     #[test]
     fn clock_watermark_is_max_contiguous(
-        complete_order in Just((1..=50u64).collect::<Vec<u64>>()).prop_shuffle()
+        sizes in proptest::collection::vec(1u64..=8, 1..20),
+        order in Just((0..20usize).collect::<Vec<usize>>()).prop_shuffle()
     ) {
-        let clock = mvkv::vhistory::VersionClock::with_window(128);
-        for _ in 0..complete_order.len() {
-            clock.issue();
-        }
+        let clock = mvkv::vhistory::VersionClock::with_window(256);
+        let ranges: Vec<(u64, u64)> = sizes.iter().map(|&n| (clock.issue_range(n), n)).collect();
         let mut done = std::collections::BTreeSet::new();
-        for &v in &complete_order {
-            clock.complete(v);
-            done.insert(v);
+        for &(first, n) in order.iter().filter_map(|&i| ranges.get(i)) {
+            clock.complete_range(first, n);
+            done.extend(first..first + n);
             let mut expected = 0u64;
             while done.contains(&(expected + 1)) {
                 expected += 1;
             }
             prop_assert_eq!(clock.watermark(), expected);
         }
+        prop_assert_eq!(clock.watermark(), sizes.iter().sum::<u64>());
     }
 
     /// Verify-on-read: with an arbitrary mix of valid and media-corrupted
