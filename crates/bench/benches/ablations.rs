@@ -75,7 +75,8 @@ fn ablate_txn_vs_lazy(cfg: &BenchConfig, rows: &mut Vec<Row>) {
                             for v in 1..=per_thread as u64 {
                                 let (_, e) = h.slots().claim();
                                 // Entry offset via the atomic cell address.
-                                let base = (e as *const _ as usize - p.base_ptr(0) as usize) as u64;
+                                let base =
+                                    (&*e as *const _ as usize - p.base_ptr(0) as usize) as u64;
                                 undo.append(&[(base, v), (base + 8, v), (base + 16, v + 1)]);
                             }
                         });

@@ -852,7 +852,7 @@ mod tests {
         h.persist_pending();
         e.version.store(21, std::sync::atomic::Ordering::Relaxed);
         e.value.store(2100, std::sync::atomic::Ordering::Relaxed);
-        h.persist_entry(e);
+        h.persist_entry(&e);
         // No stamp was ever stored → must not survive.
 
         let image = store.crash_image().unwrap();

@@ -442,9 +442,8 @@ impl<'p> KeyChain<'p> {
         // unreachable block, and appends must never land outside the
         // walkable chain.
         self.pool.write_u64(self.hdr + 8, last_block);
-        self.pool.persist(self.hdr + 8, 8);
         self.pool.write_u64(self.hdr + 16, total);
-        self.pool.persist(self.hdr + 16, 8);
+        self.pool.persist(self.hdr + 8, 16);
         self.pool.fence();
         stats
     }

@@ -60,10 +60,11 @@ impl<S: Slots> History<S> {
         self.append_publish(slot, version);
     }
 
-    /// First half of the coalesced append: claims a slot, writes the payload,
-    /// and issues the pending/entry flushes with **no** ordering fence.
-    /// Returns the resolved slot — the one address every later step of this
-    /// append uses, so the chain is walked once per append (by the claim).
+    /// First half of the coalesced append: claims a slot (a segment it opens
+    /// may stay unlinked, [`Slots::claim_unlinked`]), writes the payload, and
+    /// issues the pending/entry flushes with **no** ordering fence. Returns
+    /// the resolved slot — what every later step of this append uses, so the
+    /// chain is walked once per append (by the claim).
     ///
     /// Callers batching several appends invoke this per pair, then one
     /// [`History::publish_fence`], then [`History::append_publish`] per
@@ -73,7 +74,7 @@ impl<S: Slots> History<S> {
     /// the tail, never consistency.
     pub fn append_prepare(&self, version: u64, value: u64) -> S::Slot {
         mvkv_obs::counter_inc_hot!("mvkv_vhistory_appends_total");
-        let (_, slot) = self.slots.claim();
+        let (_, slot) = self.slots.claim_unlinked();
         self.slots.persist_pending();
         let e: &Entry = &slot;
         debug_assert_eq!(e.crc_done.load(Ordering::Acquire), 0, "slot reuse without recovery");
@@ -100,9 +101,12 @@ impl<S: Slots> History<S> {
     /// finished bit and the payload's integrity code in one word, so the
     /// checksum adds no store, flush or fence to the schedule. Must be
     /// ordered after the entry persists by a [`History::publish_fence`] in
-    /// between.
+    /// between. A segment the claim left unlinked is linked here, first
+    /// ([`Slots::link`]): behind that same fence.
     pub fn append_publish(&self, slot: S::Slot, version: u64) {
-        // ordering: this thread's own store in append_prepare.
+        let slot = self.slots.link(slot);
+        // ordering: this thread's own store in append_prepare (or in the
+        // link that moved the entry).
         let value = slot.value.load(Ordering::Relaxed);
         slot.crc_done.store(Entry::stamp(version, value), Ordering::Release);
         self.slots.persist_stamp(&slot);

@@ -34,10 +34,17 @@
 //! the media fails the word and backs no slot, instead of reading as a key
 //! that was never written.
 //!
-//! Adopting a segment costs one fence: the one that orders its zeroing and
-//! header before the link CAS. The link's own flush rides the adopting
-//! thread's publish fence — its claim publishes into the segment it adopted
-//! (DESIGN.md §13.3).
+//! Adopting a segment costs no fence of its own. The append that claims a
+//! segment's first slot allocates it, zeroes it, writes its header and
+//! flushes it, links nothing, and hands it out in its [`PSlot`]; the
+//! append's own publish fence orders all of that with the entry, and its
+//! publish links the segment before it stamps (DESIGN.md §13.3). Nobody
+//! reaches a segment before the CAS that links it. A claim that finds the
+//! segment of a later slot missing — a writer beside that append, or a later
+//! pair of its batch chunk — cannot wait for that publish: it links a
+//! segment of its own behind one fence, as every claim outside an append
+//! does, and the first slot's publish then loses its CAS and moves its entry
+//! into that segment, for one fence more.
 
 use crate::slots::{
     claim_index, locate, seg_base, seg_capacity, Cursor, Entry, Slots, ENTRY_SIZE, HIST_HDR_SIZE,
@@ -47,6 +54,7 @@ use mvkv_pmem::layout::{class_for, SIZE_CLASSES};
 use mvkv_pmem::{PPtr, PmemPool, Result};
 use mvkv_sync::sync::atomic::{AtomicU32, Ordering};
 use std::mem::{align_of, offset_of, size_of};
+use std::ops::Deref;
 
 /// The persistent history block: the counters, the link to segment 1, the
 /// check word and segment 0's entries. The counters are 32 bits: a history
@@ -201,30 +209,18 @@ impl<'p> PHistory<'p> {
     /// The link word at `link_off`: the history's `next`, or a segment's
     /// first word.
     #[inline]
-    fn link(&self, link_off: u64) -> &'p AtomicU32 {
+    fn link_at(&self, link_off: u64) -> &'p AtomicU32 {
         self.pool.atomic_u32(link_off)
     }
 
-    /// Walks to segment `k ≥ 1`, allocating missing links (CAS; losers
-    /// dealloc) — the allocate-and-link path of `claim`.
-    fn segment_off(&self, k: u32) -> u64 {
-        let mut link_off = self.next_off();
-        for level in 1..=k {
-            let mut seg = u64::from(self.link(link_off).load(Ordering::Acquire));
-            if seg == 0 {
-                seg = match self.alloc_segment(level, link_off) {
-                    Ok(off) => off,
-                    Err(e) => panic!("pmem exhausted while extending history: {e}"),
-                };
-            }
-            link_off = seg; // next pointer is the segment's first word
-        }
-        link_off
-    }
-
-    fn alloc_segment(&self, k: u32, link_off: u64) -> Result<u64> {
+    /// Allocates segment `k`, zeroed and with its header, and flushes it:
+    /// not fenced, not linked.
+    fn new_segment(&self, k: u32) -> u64 {
         let bytes = seg_bytes(k) as usize;
-        let off = self.pool.alloc(bytes)?;
+        let off = match self.pool.alloc(bytes) {
+            Ok(off) => off,
+            Err(e) => panic!("pmem exhausted while extending history: {e}"),
+        };
         // Recycled blocks may hold stale data; stamp words MUST read 0
         // before the segment is linked, so clear everything.
         // SAFETY: `off` is a fresh allocation of exactly `bytes` bytes.
@@ -232,12 +228,19 @@ impl<'p> PHistory<'p> {
         self.pool.write_u64(off + SEG_BASE, seg_base(k));
         self.pool.write_u64(off + SEG_CHECK, geometry_crc(k).into());
         self.pool.persist(off, bytes);
-        // Unlike the history block, a segment is linked into a history other
-        // threads already reach: its zeroing and header are durable before
-        // any of them can follow the link.
-        // Amortized: one new segment, and this fence, per segment capacity.
+        off
+    }
+
+    /// Links a new segment `k` at `link_off` (CAS; a loser frees its own)
+    /// and returns the linked one: the claim of a slot that finds its own
+    /// segment, or one before it, missing and cannot wait for a publish.
+    fn extend(&self, k: u32, link_off: u64) -> u64 {
+        let off = self.new_segment(k);
+        // Unlike the segment a slot's own publish links, this one is linked
+        // ahead of any fence of this thread: its zeroing and header are
+        // durable before any thread can follow the link.
         self.pool.fence();
-        match self.link(link_off).compare_exchange(
+        match self.link_at(link_off).compare_exchange(
             0,
             link_word(off),
             Ordering::AcqRel,
@@ -251,14 +254,88 @@ impl<'p> PHistory<'p> {
                 // writer's acknowledged slot only in §13.3's cross-thread
                 // window.
                 self.pool.persist(link_off, 4);
-                Ok(off)
+                off
             }
             Err(winner) => {
                 // Lost the race: free ours, adopt the winner's (paper §IV-B).
                 self.pool.dealloc(off);
-                Ok(winner.into())
+                winner.into()
             }
         }
+    }
+
+    /// Entry `pos` of the segment at `seg`.
+    fn entry_at(&self, seg: u64, pos: u64) -> &'p Entry {
+        // SAFETY: the segment's level holds more than `pos` entries (the
+        // callers take `pos` from `locate`), sized by `new_segment`, so the
+        // offset is in-bounds and 8-aligned; Entry is all-atomic words with
+        // no invalid bit patterns.
+        unsafe { self.pool.typed::<Entry>(seg + (SEG_HDR_SIZE as u64 + pos * ENTRY_SIZE as u64)) }
+    }
+
+    /// [`Slots::link`] for the first slot of a segment its claim left
+    /// unlinked at `link_off`. The link is flushed, not fenced: like the
+    /// stamp stored right behind it, it becomes durable at this thread's
+    /// next fence, and every later slot of the segment is recovered only
+    /// behind this slot's stamp. The CAS loses only to the claim of a later
+    /// slot of the segment, which linked one of its own ([`PHistory::
+    /// extend`]): this slot then frees its segment, rewrites its entry into
+    /// the winner's and fences once more, so that its stamp cannot be
+    /// durable before its entry.
+    fn adopt(&self, slot: &'p Entry, link_off: u64) -> PSlot<'p> {
+        let mine = self.off_of(slot) - SEG_HDR_SIZE as u64;
+        match self.link_at(link_off).compare_exchange(
+            0,
+            link_word(mine),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => {
+                self.pool.persist(link_off, 4);
+                PSlot { entry: slot, unlinked: None }
+            }
+            Err(winner) => {
+                let entry = self.entry_at(winner.into(), 0);
+                // ordering: this thread's own stores in the prepare; the
+                // stamp's Release store publishes the copies.
+                entry.version.store(slot.version.load(Ordering::Relaxed), Ordering::Relaxed);
+                entry.value.store(slot.value.load(Ordering::Relaxed), Ordering::Relaxed);
+                self.pool.dealloc(mine);
+                self.persist_entry(entry);
+                self.pool.fence();
+                PSlot { entry, unlinked: None }
+            }
+        }
+    }
+
+    /// The one chain walk of a claim. A missing segment is linked on the
+    /// way ([`PHistory::extend`]) — but for the one the slot itself opens
+    /// (`unlinked`): that one is allocated, and left for the append's
+    /// publish to link ([`PHistory::adopt`]) behind its publish fence. Only
+    /// the claim of a segment's first slot leaves it unlinked, so a batch
+    /// that claims many slots of one key allocates at most two segments a
+    /// level, whatever it holds.
+    fn claim_at(&self, unlinked: bool) -> (u64, PSlot<'p>) {
+        let block = self.block();
+        let idx = claim_index(&block.pending);
+        let (k, pos) = locate(idx);
+        if k == 0 {
+            // The first two slots are this block: no allocation, no link.
+            return (idx, PSlot { entry: &block.inline[pos as usize], unlinked: None });
+        }
+        let mut link_off = self.next_off();
+        for level in 1..=k {
+            let mut seg = u64::from(self.link_at(link_off).load(Ordering::Acquire));
+            if seg == 0 {
+                if unlinked && level == k && pos == 0 {
+                    let entry = self.entry_at(self.new_segment(k), 0);
+                    return (idx, PSlot { entry, unlinked: Some(link_off) });
+                }
+                seg = self.extend(level, link_off);
+            }
+            link_off = seg; // the next link is the segment's first word
+        }
+        (idx, PSlot { entry: self.entry_at(link_off, pos), unlinked: None })
     }
 
     /// Pool offset of a resolved slot.
@@ -298,7 +375,7 @@ impl<'p> PHistory<'p> {
         let mut link_off = cur.resume() as u64;
         let base = self.pool.base_ptr(0);
         while cur.covered() < n && !cur.is_full() {
-            let seg = u64::from(self.link(link_off).load(Ordering::Acquire));
+            let seg = u64::from(self.link_at(link_off).load(Ordering::Acquire));
             if seg == 0 || (CHECKED && !self.segment_header_ok(cur.levels(), seg)) {
                 break;
             }
@@ -307,8 +384,8 @@ impl<'p> PHistory<'p> {
             // for as long as the pool is mapped. CHECKED: segment_header_ok
             // just proved `[seg, seg + (96 << levels))` in-pool and
             // 8-aligned, before any dereference. Unchecked: `seg` is a link
-            // word that `alloc_segment` CAS-published after sizing and
-            // zeroing exactly that block (live stores trust their own links;
+            // word that `extend` or `adopt` CAS-published after `new_segment`
+            // sized and zeroed exactly that block (live stores trust their own links;
             // anything read from media after a crash goes through the
             // checked fill first).
             unsafe {
@@ -343,7 +420,7 @@ impl<'p> PHistory<'p> {
             return None; // not a history block / no link left to fail
         }
         let link_off = cur.resume() as u64;
-        (self.link(link_off).load(Ordering::Acquire) != 0).then_some(link_off)
+        (self.link_at(link_off).load(Ordering::Acquire) != 0).then_some(link_off)
     }
 
     /// Recovery-only: zeroes the link [`PHistory::failed_link`] finds —
@@ -351,7 +428,7 @@ impl<'p> PHistory<'p> {
     /// Whatever the word pointed at is leaked. Returns whether it wrote.
     pub(crate) fn cut_failed_link(&self, cur: &Cursor<'_>) -> bool {
         let Some(link_off) = self.failed_link(cur) else { return false };
-        self.link(link_off).store(0, Ordering::Release);
+        self.link_at(link_off).store(0, Ordering::Release);
         self.pool.persist(link_off, 4);
         true
     }
@@ -377,22 +454,41 @@ impl<'p> PHistory<'p> {
     }
 }
 
-impl<'p> Slots for PHistory<'p> {
-    type Slot = &'p Entry;
+/// A claimed slot of a [`PHistory`]: its entry, and — for the first slot of
+/// a segment [`Slots::claim_unlinked`] allocated — the offset of the link
+/// word that is to link that segment.
+#[derive(Clone, Copy)]
+pub struct PSlot<'p> {
+    entry: &'p Entry,
+    unlinked: Option<u64>,
+}
 
-    fn claim(&self) -> (u64, &'p Entry) {
-        let block = self.block();
-        let idx = claim_index(&block.pending);
-        let (k, pos) = locate(idx);
-        if k == 0 {
-            // The first two slots are this block: no allocation, no link.
-            return (idx, &block.inline[pos as usize]);
+impl Deref for PSlot<'_> {
+    type Target = Entry;
+
+    #[inline]
+    fn deref(&self) -> &Entry {
+        self.entry
+    }
+}
+
+impl<'p> Slots for PHistory<'p> {
+    type Slot = PSlot<'p>;
+
+    fn claim(&self) -> (u64, PSlot<'p>) {
+        self.claim_at(false)
+    }
+
+    fn claim_unlinked(&self) -> (u64, PSlot<'p>) {
+        self.claim_at(true)
+    }
+
+    #[inline]
+    fn link(&self, slot: PSlot<'p>) -> PSlot<'p> {
+        match slot.unlinked {
+            None => slot,
+            Some(link_off) => self.adopt(slot.entry, link_off),
         }
-        let off = self.segment_off(k) + (SEG_HDR_SIZE as u64 + pos * ENTRY_SIZE as u64);
-        // SAFETY: segment `k` was sized for `seg_capacity(k) > pos` entries
-        // by `alloc_segment`, so `off` is in-bounds and 8-aligned; Entry is
-        // all-atomic words with no invalid bit patterns.
-        (idx, unsafe { self.pool.typed::<Entry>(off) })
     }
 
     fn pending(&self) -> u64 {
@@ -496,7 +592,8 @@ mod tests {
         let after = p.alloc_stats();
         assert_eq!(after.live_blocks - before.live_blocks, 1);
         // The third claim is the first to allocate: segment 1, a 192-byte
-        // block filled exactly, on three lines of its own.
+        // block filled exactly, on three lines of its own, which its link
+        // makes the history's.
         h.claim();
         let (_, _, seg1) = h.raw_header();
         assert_eq!(p.block_capacity(seg1) as u64, seg_bytes(1));
@@ -506,11 +603,12 @@ mod tests {
 
     /// The claim as a ledger (DESIGN.md §13.3): what one key's history holds
     /// in PM and what it paid in fences — a 64-byte block for its first two
-    /// versions, then segments of `96 << k` bytes, one allocation and one
-    /// adoption fence each. A run header is 32 bytes (and at most 48 of
-    /// padding) per refill of up to 64 blocks, not the history's.
+    /// versions, then segments of `96 << k` bytes, one allocation each and
+    /// no fence of their own: the appends' publish fences order them. A run
+    /// header is 32 bytes (and at most 48 of padding) per refill of up to 64
+    /// blocks, not the history's.
     #[test]
-    fn a_history_is_one_line_then_96_shl_k_byte_segments_for_one_fence_each() {
+    fn a_history_is_one_line_then_96_shl_k_byte_segments_at_no_fence_of_their_own() {
         use crate::history::History;
         let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
         // Fences that are the history's: a refill fences once, whatever the
@@ -542,30 +640,31 @@ mod tests {
                 ledger.push((n, blocks, bytes, spent() - fences0));
             }
         }
-        // (versions, blocks = allocations, bytes, publish + adoption fences):
-        // one fence per append, one more per linked segment.
+        // (versions, blocks = allocations, bytes, fences): one publish fence
+        // per append, whether it adopts a segment or not.
         let table = [
             (1, 1, 64, 1),
             (2, 1, 64, 2),
-            (3, 2, 256, 3 + 1),
-            (9, 2, 256, 9 + 1),
-            (10, 3, 640, 10 + 2),
-            (24, 3, 640, 24 + 2),
-            (25, 4, 1408, 25 + 3),
+            (3, 2, 256, 3),
+            (9, 2, 256, 9),
+            (10, 3, 640, 10),
+            (24, 3, 640, 24),
+            (25, 4, 1408, 25),
         ];
         assert_eq!(ledger, table);
         assert_eq!(p.alloc_stats().total_allocs, 4, "one allocation a block");
     }
 
-    /// The one-fence adoption schedule at its two boundaries (DESIGN.md
-    /// §13.3): the third append links segment 1 and crosses exactly two
-    /// fences — the one before the link CAS, and its own publish fence,
-    /// which orders the link's flush. Power cut at the first, the segment is
-    /// durable, zeroed and headered, and nothing links it; at the second, the
-    /// link and the entry are durable and the stamp is not yet written; after
-    /// the append, the stamp is. Each image recovers to exactly its prefix.
+    /// The adoption schedule at its one boundary (DESIGN.md §13.3): the
+    /// third append allocates segment 1 and crosses one fence, its own
+    /// publish fence, which orders the segment's zeroing, header and
+    /// occupancy bit with the entry; the link and the stamp come behind it.
+    /// Power cut at the fence, the segment is durable, zeroed, headered and
+    /// allocated with the entry in it, and nothing links it: it is leaked,
+    /// and the two acknowledged versions recover. After the append, the link
+    /// and the stamp are flushed. Each image recovers to exactly its prefix.
     #[test]
-    fn adopting_a_segment_costs_one_fence_and_both_boundaries_recover() {
+    fn adopting_a_segment_costs_no_fence_and_its_publish_fence_boundary_recovers() {
         use crate::history::History;
         use crate::recovery::scan_published_prefix;
         // The image at the `nth` fence of the third append (0: after it), the
@@ -583,7 +682,7 @@ mod tests {
             let fences = p.fence_count().unwrap();
             p.capture_at_fence(fences + nth);
             h.append(3, 30);
-            assert_eq!(p.fence_count().unwrap() - fences, 2, "adoption + publish");
+            assert_eq!(p.fence_count().unwrap() - fences, 1, "the publish fence alone");
             let (_, _, seg1) = h.slots().raw_header();
             assert_eq!(seg1, warm);
             let image = if nth == 0 { p.crash_image() } else { p.captured_image() };
@@ -598,24 +697,107 @@ mod tests {
             let words = [0, 8, 16].map(|w| p.read_u64(seg1 + SEG_HDR_SIZE as u64 + w));
             (words[0], words[1], words[2] != 0)
         };
+        let next = |p: &PmemPool, hdr: u64| u32_at(p, hdr + offset_of!(HistoryHdr, next) as u64);
 
         let (p, hdr, seg1) = third_append(1);
-        assert_eq!(u32_at(&p, hdr + offset_of!(HistoryHdr, next) as u64), 0, "no link yet");
+        assert_eq!(next(&p, hdr), 0, "no link yet");
         assert_eq!(p.read_u64(seg1 + SEG_BASE), seg_base(1), "headered");
         assert_eq!(p.read_u64(seg1 + SEG_CHECK), u64::from(geometry_crc(1)));
-        for off in (SEG_HDR_SIZE as u64..seg_bytes(1)).step_by(8) {
+        assert_eq!(entry(&p, seg1), (3, 30, false), "the entry, not its stamp");
+        let entries = SEG_HDR_SIZE as u64 + ENTRY_SIZE as u64;
+        for off in (entries..seg_bytes(1)).step_by(8) {
             assert_eq!(p.read_u64(seg1 + off), 0, "zeroed at +{off}");
         }
-        assert_eq!(recovered(&p, hdr), [1, 2]);
-
-        let (p, hdr, seg1) = third_append(2);
-        assert_eq!(u32_at(&p, hdr + offset_of!(HistoryHdr, next) as u64), seg1, "linked");
-        assert_eq!(entry(&p, seg1), (3, 30, false), "the entry, not its stamp");
+        let heap = mvkv_pmem::recovery::audit(&p);
+        assert_eq!(heap.allocated_blocks, 2, "the history, and the segment it leaks");
         assert_eq!(recovered(&p, hdr), [1, 2]);
 
         let (p, hdr, seg1) = third_append(0);
+        assert_eq!(next(&p, hdr), seg1, "linked");
         assert_eq!(entry(&p, seg1), (3, 30, true));
         assert_eq!(recovered(&p, hdr), [1, 2, 3]);
+    }
+
+    /// Two blocks of segment 1's class, free on this thread's shard: the
+    /// appends that follow refill nothing, and fence only for themselves.
+    fn two_free_segment_blocks(p: &PmemPool) {
+        let blocks = [0; 2].map(|_| p.alloc(seg_bytes(1) as usize).unwrap());
+        blocks.into_iter().for_each(|block| p.dealloc(block));
+    }
+
+    /// Segment 1's first two slots prepared before either publishes (a batch
+    /// chunk holding one key twice, or two writers of one key): the first
+    /// slot's claim allocates segment 1 and leaves it unlinked for its
+    /// publish; the second's finds it missing and links one of its own
+    /// behind a fence. The first slot's link then loses: it frees its segment
+    /// and moves its entry into the winner's, behind one fence more.
+    /// Whichever publishes first, both entries end up in the one segment that
+    /// stays allocated.
+    #[test]
+    fn a_lost_link_moves_the_entry_into_the_winners_segment_for_one_fence() {
+        use crate::history::History;
+        for first_slot_last in [false, true] {
+            let p =
+                PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
+            let h = History::new(PHistory::create(&p).unwrap());
+            h.append(1, 10);
+            h.append(2, 20);
+            two_free_segment_blocks(&p);
+            let (live, fences) = (p.alloc_stats().live_blocks, p.fence_count().unwrap());
+            let spent = || p.fence_count().unwrap() - fences;
+            let a = h.append_prepare(3, 30);
+            assert_eq!(spent(), 0, "the first slot's segment waits for its publish");
+            let b = h.append_prepare(4, 40);
+            assert_eq!(spent(), 1, "the second slot links one of its own");
+            assert_eq!(p.alloc_stats().live_blocks - live, 2, "a segment 1 each");
+            h.publish_fence();
+            let order = if first_slot_last { [(b, 4), (a, 3)] } else { [(a, 3), (b, 4)] };
+            for (slot, version) in order {
+                h.append_publish(slot, version);
+            }
+            assert_eq!(spent(), 3, "and the first slot's move fence");
+            assert_eq!(p.alloc_stats().live_blocks - live, 1, "the loser's segment is freed");
+            assert_eq!(p.unflushed_lines().unwrap(), [], "link, moved entry and stamps flushed");
+            assert_eq!(h.records(4).len(), 4);
+            assert_eq!((h.find(3, 4), h.find(4, 4)), (Some(30), Some(40)));
+        }
+    }
+
+    /// The lost link's schedule above, cut at each of its fences — the
+    /// second slot's link fence, the publish fence, the first slot's move
+    /// fence — and after both publishes: every image recovers the two
+    /// versions acknowledged before it and nothing the publishes had not
+    /// stamped, and the move leaves no stale copy behind the winner's link.
+    #[test]
+    fn every_boundary_of_a_lost_link_recovers_a_prefix() {
+        use crate::history::History;
+        use crate::recovery::scan_published_prefix;
+        for (nth, want) in [(1, &[1, 2][..]), (2, &[1, 2]), (3, &[1, 2]), (0, &[1, 2, 3, 4])] {
+            let p =
+                PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default()).unwrap();
+            let h = History::new(PHistory::create(&p).unwrap());
+            h.append(1, 10);
+            h.append(2, 20);
+            two_free_segment_blocks(&p);
+            p.capture_at_fence(p.fence_count().unwrap() + nth);
+            let a = h.append_prepare(3, 30);
+            let b = h.append_prepare(4, 40);
+            h.publish_fence();
+            h.append_publish(a, 3);
+            h.append_publish(b, 4);
+            let image = if nth == 0 { p.crash_image() } else { p.captured_image() };
+            let reopened = PmemPool::open_image(&image.unwrap()).unwrap();
+            let history = PHistory::open(&reopened, h.slots().pptr());
+            let mut versions = Vec::new();
+            scan_published_prefix(&history, &mut versions);
+            assert_eq!(versions, want, "cut at fence {nth} (0: after the publishes)");
+            let linked = history.raw_header().2;
+            assert!(nth < 2 || linked != 0, "the winner's link is durable from the publish fence");
+            if linked != 0 {
+                let moved = reopened.read_u64(linked + SEG_HDR_SIZE as u64);
+                assert_eq!(moved, if nth >= 3 || nth == 0 { 3 } else { 0 }, "fence {nth}");
+            }
+        }
     }
 
     #[test]
@@ -670,9 +852,9 @@ mod tests {
                 h.persist_pending();
                 e.version.store(i + 1, Ordering::Relaxed);
                 e.value.store(i, Ordering::Relaxed);
-                h.persist_entry(e);
+                h.persist_entry(&e);
                 e.crc_done.store(Entry::stamp(i + 1, i), Ordering::Release);
-                h.persist_stamp(e);
+                h.persist_stamp(&e);
             }
         }
         // SAFETY: [0, len) is in bounds; no writer races the snapshot.

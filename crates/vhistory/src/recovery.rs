@@ -394,7 +394,7 @@ mod tests {
             h.slots().persist_pending();
             e.version.store(3, std::sync::atomic::Ordering::Relaxed);
             e.value.store(33, std::sync::atomic::Ordering::Relaxed);
-            h.slots().persist_entry(e);
+            h.slots().persist_entry(&e);
             // no stamp → the durable payload is an unpublished slot
         }
         let image = p.crash_image().unwrap();
@@ -458,26 +458,26 @@ mod tests {
             let (idx, e) = loop {
                 let (idx, e) = h.slots().claim();
                 h.slots().persist_pending();
-                let off = h.slots().off_of(e);
+                let off = h.slots().off_of(&e);
                 if idx > 0 && line(off) != line(off + ENTRY_SIZE as u64 - 1) {
                     break (idx, e);
                 }
                 version += 1;
                 e.version.store(version, Ordering::Relaxed);
                 e.value.store(version * 10, Ordering::Relaxed);
-                h.slots().persist_entry(e);
+                h.slots().persist_entry(&e);
                 h.publish_fence();
                 h.append_publish(e, version);
             };
             assert!(idx > 0, "the test needs a prefix");
             p.sync_all();
-            let stamp_off = h.slots().off_of(e) + std::mem::offset_of!(Entry, crc_done) as u64;
+            let stamp_off = h.slots().off_of(&e) + std::mem::offset_of!(Entry, crc_done) as u64;
             e.version.store(version + 1, Ordering::Relaxed);
             e.value.store(77, Ordering::Relaxed);
             e.crc_done.store(Entry::stamp(version + 1, 77), Ordering::Release);
             // One line of the two: the one with the version word, or the one
             // with the stamp.
-            p.persist(if first_line_only { h.slots().off_of(e) } else { stamp_off }, 8);
+            p.persist(if first_line_only { h.slots().off_of(&e) } else { stamp_off }, 8);
             p.fence();
 
             let reopened = PmemPool::open_image(&p.crash_image().unwrap()).unwrap();

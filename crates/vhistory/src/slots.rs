@@ -118,15 +118,32 @@ pub fn claim_index(pending: &AtomicU32) -> u64 {
 ///
 /// `claim` performs any segment extension its slot needs, so every slot a
 /// writer publishes has backing storage a later [`Slots::fill`] resolves.
-/// The `persist_*` hooks are no-ops for ephemeral storage.
+/// The append's own claim, [`Slots::claim_unlinked`], may instead leave the
+/// segment its slot opens for [`Slots::link`] to link behind the append's
+/// publish fence. The `persist_*` hooks are no-ops for ephemeral storage.
 pub trait Slots {
     /// A resolved slot: a reference to its entry that lives as long as the
     /// storage, not the handle, so one address serves every step of an
-    /// append — including a publish issued from a later handle.
+    /// append — including a publish issued from a later handle. A slot from
+    /// [`Slots::claim_unlinked`] may also carry a segment to be linked.
     type Slot: Copy + Deref<Target = Entry>;
     /// Atomically claims the next slot index, growing storage as needed,
     /// and resolves it (the one chain walk of an append).
     fn claim(&self) -> (u64, Self::Slot);
+    /// The claim of [`crate::History::append_prepare`]: a provider that has
+    /// to order a new segment before it links it may allocate the segment
+    /// this slot opens and leave it unlinked, for the append's publish fence
+    /// to order. Nothing reaches the slot until [`Slots::link`] links it.
+    fn claim_unlinked(&self) -> (u64, Self::Slot) {
+        self.claim()
+    }
+    /// Links the segment [`Slots::claim_unlinked`] left unlinked for `slot`,
+    /// if any, and returns the slot as it now lies: the publish half of an
+    /// append calls it after the fence that ordered its prepare, before the
+    /// stamp.
+    fn link(&self, slot: Self::Slot) -> Self::Slot {
+        slot
+    }
     /// Number of claimed slots.
     fn pending(&self) -> u64;
     /// Extends `cur` along the segment chain until it covers `n` slots or

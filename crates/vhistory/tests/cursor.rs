@@ -62,12 +62,12 @@ fn each_operation_follows_the_chain_at_most_once() {
 /// Claims `n` slots, then checks that a cursor — filled in one go, and
 /// resumed in uneven steps — addresses slot `idx` exactly where the claim
 /// of `idx` (which walks to `locate(idx)`) put it.
-fn cursor_agrees_with_claims<'s, S: Slots<Slot = &'s Entry>>(slots: &S, n: u64) {
-    let claimed: Vec<&Entry> = (0..n)
+fn cursor_agrees_with_claims<S: Slots>(slots: &S, n: u64) {
+    let claimed: Vec<*const Entry> = (0..n)
         .map(|want| {
             let (idx, slot) = slots.claim();
             assert_eq!(idx, want);
-            slot
+            &*slot as *const Entry
         })
         .collect();
 

@@ -14,14 +14,19 @@
 //!    the `TrackedSlots` wrapper checks, on the reader side, that no
 //!    published (non-zero stamp) entry is ever observed whose payload flush was
 //!    skipped or not fence-ordered before the publish.
+//! 4. Segment adoption at publish: the REAL `PHistory` on a volatile pool,
+//!    two appenders that both need segment 1 and race its link, and a reader
+//!    beside them.
 
 #![cfg(loom)]
 
 mod tracked;
 
+use mvkv_pmem::PmemPool;
 use mvkv_sync::sync::Arc;
 use mvkv_sync::{model, thread};
-use mvkv_vhistory::{Cursor, EHistory, Entry, History, Slots};
+use mvkv_vhistory::slots::{seg_capacity, SEG_HDR_SIZE};
+use mvkv_vhistory::{Cursor, EHistory, Entry, History, PHistory, Slots, ENTRY_SIZE};
 use tracked::{TrackedSlots, FENCED};
 
 // ---------------------------------------------------------------------------
@@ -208,5 +213,70 @@ fn skipping_the_publish_fence_is_detected() {
         let slot = h.append_prepare(1, 10);
         // BUG under test: no publish_fence() between prepare and publish.
         h.append_publish(slot, 1);
+    });
+}
+
+// ---------------------------------------------------------------------------
+// 4. Segment adoption at publish, on a pool
+// ---------------------------------------------------------------------------
+
+/// A history with its two inline slots published; two appenders claim slots
+/// 2 and 3. Slot 2's claim allocates segment 1 and leaves it for its
+/// publish to link; slot 3's finds it missing and links one of its own
+/// behind a fence — or adopts slot 2's, if that publish linked it first. A
+/// lost CAS frees its segment: slot 2's publish then moves its entry into
+/// the winner's. A reader extends the tail beside them. On every
+/// interleaving: whatever the reader sees stamped lies in a linked segment
+/// and holds its own entry, both entries end up readable at their slots, and
+/// exactly one segment stays allocated.
+#[test]
+fn two_appenders_adopting_one_segment_link_it_once() {
+    use mvkv_sync::sync::atomic::Ordering;
+    model(|| {
+        let pool = Arc::new(PmemPool::create_volatile(1 << 16).unwrap());
+        let h = History::new(PHistory::create(&pool).unwrap());
+        h.append(1, 10);
+        h.append(2, 20);
+        let hdr = h.slots().pptr();
+        // Two free blocks of segment 1's class on the main thread's shard:
+        // the appenders pop or steal them instead of racing a refill.
+        let seg1 = SEG_HDR_SIZE + seg_capacity(1) as usize * ENTRY_SIZE;
+        let warm = [0; 2].map(|_| pool.alloc(seg1).unwrap());
+        warm.into_iter().for_each(|block| pool.dealloc(block));
+        let live = pool.alloc_stats().live_blocks;
+        let appenders: Vec<_> = [3, 4]
+            .map(|version| {
+                let p = pool.clone();
+                thread::spawn(move || {
+                    History::new(PHistory::open(&p, hdr)).append(version, version * 10)
+                })
+            })
+            .into_iter()
+            .collect();
+
+        // The reader: the tail covers stamped slots only, and a cursor
+        // reaches them only through links.
+        let t = h.extend_tail(u64::MAX);
+        let mut cur = Cursor::new();
+        assert_eq!(h.slots().fill(&mut cur, t), t, "every slot under the tail is linked");
+        for idx in 0..t {
+            let e = cur.entry(idx);
+            assert!(e.crc_valid(), "slot {idx} is stamped over its own entry");
+            assert_eq!(e.value.load(Ordering::Relaxed), e.version.load(Ordering::Relaxed) * 10);
+        }
+
+        for a in appenders {
+            a.join().unwrap();
+        }
+        assert_eq!(pool.alloc_stats().live_blocks - live, 1, "one segment 1 stays allocated");
+        let mut cur = Cursor::new();
+        assert_eq!(h.slots().fill(&mut cur, 4), 4);
+        let mut versions: Vec<u64> =
+            (2..4).map(|idx| cur.entry(idx).load_if_done().expect("published").0).collect();
+        versions.sort_unstable();
+        assert_eq!(versions, [3, 4], "both entries are readable at their slots");
+        for idx in 2..4 {
+            assert!(cur.entry(idx).crc_valid());
+        }
     });
 }

@@ -14,8 +14,12 @@
 //! Every column but `unflushed` is the change of its counter across one step
 //! of a single store's life, so a row whose step allocates shows its
 //! amortized costs (DESIGN.md §13.3): an allocator refill (one fence for a
-//! run of up to 64 blocks), an adopted history segment (one), an adopted
-//! key-chain block (two: the large block's header, then the adoption).
+//! run of up to 64 blocks), an adopted key-chain block (two: the large
+//! block's header, then the adoption). An adopted history segment costs no
+//! fence: the append's own publish fence orders it before its link. A batch
+//! chunk that holds a key twice across a segment boundary pays two: the
+//! later pair links a segment of its own ahead of the chunk fence, and the
+//! pair that opened the segment moves its entry into it.
 //! The whole table is pinned as one string: a fence, flush or allocation
 //! added to or dropped from any operation's path fails here, as does a line
 //! an operation leaves unflushed, and the message names the rows that moved.
@@ -82,9 +86,9 @@ create (an empty store)                                   6        9      9     
 insert, the first key (adopts a key-chain block)          3       12    140      2    8288         0
 insert, a fresh key                                       1        8      8      1      64         0
 insert, its 2nd version (inline slot)                     1        3      3      0       0         0
-insert, its 3rd version (adopts segment 1, refills)       3        7     10      1     192         0
+insert, its 3rd version (adopts segment 1, refills)       2        7     10      1     192         0
 insert, its 4th version                                   1        3      3      0       0         0
-insert, another key's 3rd version (adopts)                2        6      8      1     192         0
+insert, another key's 3rd version (adopts)                1        6      8      1     192         0
 remove (a tombstone append)                               1        3      3      0       0         0
 find                                                      0        1      1      0       0         0
 insert, fresh key 7 (refills the class)                   2        9      9      1      64         0
@@ -93,19 +97,20 @@ insert, 488 fresh keys (fill the block)                 499     3915   3915    4
 insert, a fresh key (adopts a key-chain block)            3       12    140      2    8288         0
 insert_batch, 16 fresh keys                               2      129    130     16    1024         0
 insert_batch, 16 existing keys (2nd versions)             1       48     48      0       0         0
-insert_batch, 16 existing keys (adopt segment 1)         18       97    129     16    3072         0
+insert_batch, 16 existing keys (adopt segment 1)          2       97    129     16    3072         0
 insert_batch, 16 existing keys (4th versions)             1       48     48      0       0         0
 insert_batch, 16 existing keys (5th versions)             1       48     48      0       0         0
 insert_batch, 1024 fresh keys (one chunk)                21     8216   8474   1026   81984         0
 insert_batch, the same 1024 keys (2nd versions)           1     3072   3072      0       0         0
 insert_batch, 1025 fresh keys (two chunks)               22     8224   8482   1027   82048         0
 insert_batch, the same 1025 keys (2nd versions)           2     3075   3075      0       0         0
+insert_batch, one key twice (segment 1, a lost link)      3       13     17      1     192         0
 tag                                                       0        0      0      0       0         0
 tag_labeled, the first (adopts a tag-chain block)         2        7     23      1    1536         0
 tag_labeled, the second                                   0        3      3      0       0         0
 extract_snapshot                                          0     2577   2577      0       0         0
 compact_into, 2577 surviving keys                      2645    20707  21497   2587  215936         0
-reopen, 2577 keys, closed cleanly                         2        9      9      0       0         0
+reopen, 2577 keys, closed cleanly                         2        7      7      0       0         0
 ";
 
 #[test]
@@ -175,6 +180,12 @@ fn every_public_operation_costs_what_the_ledger_says() {
     ledger.step("insert_batch, the same 1025 keys (2nd versions)", pool, || {
         s.insert_batch(&chunk(1025, 20_000, 2))
     });
+    // Its 3rd and 4th versions in one chunk: the first pair leaves segment
+    // 1 for its publish to link, the second links one of its own behind a
+    // fence, and the first pair's link loses: it moves its entry, and fences.
+    ledger.step("insert_batch, one key twice (segment 1, a lost link)", pool, || {
+        s.insert_batch(&[(20_000, 3), (20_000, 4)])
+    });
 
     ledger.step("tag", pool, || store.tag());
     ledger.step("tag_labeled, the first (adopts a tag-chain block)", pool, || store.tag_labeled(1));
@@ -213,4 +224,51 @@ fn every_public_operation_costs_what_the_ledger_says() {
         .map(|(got, pinned)| format!("\n  pinned {pinned}\n  now    {got}"))
         .collect();
     assert_eq!(table, EXPECTED, "rows that moved:{}\n\nthe table now:\n{table}", moved.concat());
+}
+
+/// A chunk of 1024 pairs of one key, on a 4 MiB pool: its slots open eight
+/// segments, and each costs two allocations and two fences — the segment a
+/// later pair links ahead of the chunk fence, and the one the segment's
+/// first pair allocated, moves its entry out of and frees — plus the chunk
+/// fence, the refills and one fence a large block (segments 6 to 8) for its
+/// header. It keeps what pair-by-pair inserts keep.
+#[test]
+fn a_chunk_of_one_key_pays_two_allocations_and_two_fences_a_segment() {
+    let run = |batch: bool| {
+        let store = PSkipList::create(
+            PmemPool::create_crash_sim(4 << 20, CrashOptions::default()).unwrap(),
+        )
+        .unwrap();
+        let s = store.session();
+        s.insert(1, 1);
+        s.insert(1, 2);
+        let pool = store.pool();
+        let heap = || {
+            let stats = pool.alloc_stats();
+            [stats.total_allocs, stats.large_allocs, stats.shard_refills.iter().sum()]
+        };
+        let (before, heap_before) = (counters(pool), heap());
+        let pairs: Vec<(u64, u64)> = (3..3 + 1024).map(|v| (1, v)).collect();
+        if batch {
+            s.insert_batch(&pairs);
+        } else {
+            for &(k, v) in &pairs {
+                s.insert(k, v);
+            }
+        }
+        assert_eq!(s.find(1, store.tag()), Some(1026));
+        let mut ledger = Ledger::default();
+        ledger.row("a chunk", before, counters(pool));
+        let heap_after = heap();
+        (
+            ledger.0[0].1,
+            std::array::from_fn::<i64, 3, _>(|i| (heap_after[i] - heap_before[i]) as i64),
+        )
+    };
+    let ([fences, _, _, blocks, bytes, unflushed], [allocs, large, refills]) = run(true);
+    let ([_, _, _, kept, kept_bytes, _], _) = run(false);
+    assert_eq!((blocks, bytes), (8, 96 * (2 + 4 + 8 + 16 + 32 + 64 + 128 + 256)));
+    assert_eq!((blocks, bytes), (kept, kept_bytes), "what pair-by-pair inserts keep");
+    assert_eq!((allocs, large, unflushed), (16, 6, 0));
+    assert_eq!(fences, 1 + 2 * 8 + refills + large);
 }

@@ -45,7 +45,7 @@ struct Pin {
 const SCRIPTED: Pin = Pin { boundaries: 56, recovery_fences: 275 };
 
 /// The mixed workload's pin.
-const MIXED: Pin = Pin { boundaries: 48, recovery_fences: 133 };
+const MIXED: Pin = Pin { boundaries: 43, recovery_fences: 123 };
 
 /// Fences every recovery issues: one `KeyChain::repair` per chain.
 const REPAIR_FENCES: u64 = 2;
