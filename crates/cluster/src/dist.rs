@@ -72,16 +72,11 @@ pub struct DistStore<S: VersionedStore> {
 }
 
 impl<S: VersionedStore> DistStore<S> {
-    /// Builds a cluster from per-rank stores (already populated or to be
-    /// populated via [`DistStore::rank`]).
+    /// Builds a cluster from already populated per-rank stores.
     pub fn new(ranks: Vec<S>, model: NetModel) -> Self {
         let k = ranks.len();
         assert!(k >= 1);
         DistStore { ranks, net: VirtualNet::new(k, model) }
-    }
-
-    pub fn rank(&self, i: usize) -> &S {
-        &self.ranks[i]
     }
 
     /// Resets the virtual clocks (between experiments).
@@ -89,17 +84,12 @@ impl<S: VersionedStore> DistStore<S> {
         self.net.reset();
     }
 
-    /// Virtual time currently observed at rank 0.
-    pub fn time_at_root(&self) -> Duration {
-        self.net.time(0)
-    }
-
     /// Distributed find (paper Fig 6): bcast the query, local lookups in
     /// parallel, reduce replies to rank 0. Returns the answer and the
     /// virtual completion time at rank 0 for this query.
     pub fn find(&mut self, key: u64, version: u64) -> (Option<u64>, Duration) {
         let start = self.net.time(0);
-        self.net.bcast(0, QUERY_BYTES);
+        self.net.bcast(QUERY_BYTES);
         let mut answer = None;
         for r in 0..self.ranks.len() {
             let t = Instant::now();
@@ -109,33 +99,8 @@ impl<S: VersionedStore> DistStore<S> {
                 answer = local;
             }
         }
-        self.net.reduce(0, REPLY_BYTES, Duration::ZERO);
+        self.net.reduce(REPLY_BYTES);
         (answer, self.net.time(0) - start)
-    }
-
-    /// Routed distributed insert: rank 0 ships `(key, value)` point to
-    /// point to the partition owner chosen by `part`, which applies it
-    /// locally and acknowledges. Returns the assigned (owner-local) version
-    /// and the virtual round-trip time at rank 0.
-    pub fn insert_routed(
-        &mut self,
-        part: &dyn crate::partition::Partitioner,
-        key: u64,
-        value: u64,
-    ) -> (u64, Duration) {
-        assert_eq!(part.ranks(), self.ranks.len(), "partitioner/cluster size mismatch");
-        let start = self.net.time(0);
-        let owner = part.owner(key);
-        if owner != 0 {
-            self.net.send(0, owner, PAIR_BYTES);
-        }
-        let t = Instant::now();
-        let version = self.ranks[owner].session().insert(key, value);
-        self.net.charge(owner, t.elapsed());
-        if owner != 0 {
-            self.net.send(owner, 0, 8); // ack
-        }
-        (version, self.net.time(0) - start)
     }
 
     /// Bulk-mode distributed find (paper §V-H: "queries can also run in
@@ -147,7 +112,7 @@ impl<S: VersionedStore> DistStore<S> {
     pub fn find_bulk(&mut self, queries: &[(u64, u64)]) -> (Vec<Option<u64>>, Duration) {
         let start = self.net.time(0);
         let batch_bytes = queries.len() as u64 * QUERY_BYTES;
-        self.net.bcast(0, batch_bytes);
+        self.net.bcast(batch_bytes);
         let mut answers: Vec<Option<u64>> = vec![None; queries.len()];
         for r in 0..self.ranks.len() {
             let t = Instant::now();
@@ -159,7 +124,7 @@ impl<S: VersionedStore> DistStore<S> {
             }
             self.net.charge(r, t.elapsed());
         }
-        self.net.gather(0, |_| queries.len() as u64 * REPLY_BYTES);
+        self.net.gather(|_| queries.len() as u64 * REPLY_BYTES);
         (answers, self.net.time(0) - start)
     }
 
@@ -181,9 +146,9 @@ impl<S: VersionedStore> DistStore<S> {
     /// at rank 0.
     pub fn gather_snapshot(&mut self, version: u64) -> (Vec<Vec<Pair>>, Duration) {
         let start = self.net.time(0);
-        self.net.bcast(0, QUERY_BYTES);
+        self.net.bcast(QUERY_BYTES);
         let parts = self.local_snapshots(version);
-        self.net.gather(0, |r| parts[r].len() as u64 * PAIR_BYTES);
+        self.net.gather(|r| parts[r].len() as u64 * PAIR_BYTES);
         (parts, self.net.time(0) - start)
     }
 
@@ -196,11 +161,11 @@ impl<S: VersionedStore> DistStore<S> {
         strategy: MergeStrategy,
     ) -> (Vec<Pair>, Duration) {
         let start = self.net.time(0);
-        self.net.bcast(0, QUERY_BYTES);
+        self.net.bcast(QUERY_BYTES);
         let mut parts = self.local_snapshots(version);
         match strategy {
             MergeStrategy::Naive => {
-                self.net.gather(0, |r| parts[r].len() as u64 * PAIR_BYTES);
+                self.net.gather(|r| parts[r].len() as u64 * PAIR_BYTES);
                 let t = Instant::now();
                 let merged = kway_merge(&parts);
                 self.net.charge(0, t.elapsed());
@@ -348,47 +313,8 @@ mod tests {
     fn clock_reset() {
         let mut c = cluster(2, 10);
         let _ = c.find(1, u64::MAX);
-        assert!(c.time_at_root() > Duration::ZERO);
+        assert!(c.net.time(0) > Duration::ZERO);
         c.reset_clocks();
-        assert_eq!(c.time_at_root(), Duration::ZERO);
-    }
-}
-
-#[cfg(test)]
-mod routed_tests {
-    use super::*;
-    use crate::partition::{Partitioner, RangePartitioner};
-    use mvkv_core::{ESkipList, StoreSession, VersionedStore};
-
-    #[test]
-    fn routed_inserts_land_on_their_owners_and_are_findable() {
-        let k = 4usize;
-        let ranks: Vec<ESkipList> = (0..k).map(|_| ESkipList::new()).collect();
-        let mut cluster = DistStore::new(ranks, NetModel::theta_like());
-        let part = RangePartitioner::even(k, 1000);
-        for key in (0..1000u64).step_by(7) {
-            let (_, took) = cluster.insert_routed(&part, key, key * 2);
-            assert!(took > Duration::ZERO || part.owner(key) == 0);
-        }
-        // Keys live exactly on their owner rank.
-        for key in (0..1000u64).step_by(7) {
-            let owner = part.owner(key);
-            for r in 0..k {
-                let local = cluster.rank(r).session().find(key, u64::MAX);
-                if r == owner {
-                    assert_eq!(local, Some(key * 2), "key {key} on rank {r}");
-                } else {
-                    assert_eq!(local, None, "key {key} leaked to rank {r}");
-                }
-            }
-        }
-        // And the collective find sees everything.
-        let (hit, _) = cluster.find(7, u64::MAX);
-        assert_eq!(hit, Some(14));
-        // Range partitioning keeps global snapshots merge-friendly: each
-        // rank's partition is a contiguous sorted run.
-        let (snap, _) = cluster.extract_snapshot(u64::MAX, MergeStrategy::Opt { threads: 2 });
-        assert_eq!(snap.len(), (0..1000u64).step_by(7).count());
-        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(c.net.time(0), Duration::ZERO);
     }
 }

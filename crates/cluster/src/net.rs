@@ -54,18 +54,9 @@ impl VirtualNet {
         self.times.len()
     }
 
-    pub fn model(&self) -> NetModel {
-        self.model
-    }
-
     /// Current virtual time of `rank`.
     pub fn time(&self, rank: usize) -> Duration {
         self.times[rank]
-    }
-
-    /// Latest clock across all ranks.
-    pub fn max_time(&self) -> Duration {
-        self.times.iter().copied().max().unwrap_or(Duration::ZERO)
     }
 
     /// Resets all clocks to zero.
@@ -86,21 +77,16 @@ impl VirtualNet {
         self.times[to] = done;
     }
 
-    /// Binomial-tree broadcast of a `bytes` message from `root`.
+    /// Binomial-tree broadcast of a `bytes` message from rank 0.
     /// Runs in ⌈log2(K)⌉ rounds.
-    pub fn bcast(&mut self, root: usize, bytes: u64) {
+    pub fn bcast(&mut self, bytes: u64) {
         let k = self.ranks();
-        if k <= 1 {
-            return;
-        }
-        // Work in a root-rotated space so the tree math assumes root 0.
-        let rel = |r: usize| (r + root) % k;
         let mut step = 1usize;
         while step < k {
             for src in 0..step {
                 let dst = src + step;
                 if dst < k {
-                    self.send(rel(src), rel(dst), bytes);
+                    self.send(src, dst, bytes);
                 }
             }
             step <<= 1;
@@ -108,21 +94,15 @@ impl VirtualNet {
     }
 
     /// Binomial-tree reduction of fixed-size `bytes` contributions onto
-    /// `root` (⌈log2(K)⌉ rounds); `combine` is the per-merge compute cost.
-    pub fn reduce(&mut self, root: usize, bytes: u64, combine: Duration) {
+    /// rank 0 (⌈log2(K)⌉ rounds).
+    pub fn reduce(&mut self, bytes: u64) {
         let k = self.ranks();
-        if k <= 1 {
-            return;
-        }
-        let rel = |r: usize| (r + root) % k;
         let mut step = 1usize;
         while step < k {
             let mut src = step;
             while src < k {
-                let dst = src - step;
                 if src % (step * 2) == step {
-                    self.send(rel(src), rel(dst), bytes);
-                    self.times[rel(dst)] += combine;
+                    self.send(src, src - step, bytes);
                 }
                 src += step;
             }
@@ -130,24 +110,13 @@ impl VirtualNet {
         }
     }
 
-    /// Linear gather of per-rank payloads onto `root` (large-message
+    /// Linear gather of per-rank payloads onto rank 0 (large-message
     /// gathers serialize at the root's links, as MPI_Gatherv effectively
     /// does for data this size). `bytes_of(rank)` sizes each contribution.
-    pub fn gather(&mut self, root: usize, bytes_of: impl Fn(usize) -> u64) {
-        let k = self.ranks();
-        for rank in 0..k {
-            if rank != root {
-                self.send(rank, root, bytes_of(rank));
-            }
+    pub fn gather(&mut self, bytes_of: impl Fn(usize) -> u64) {
+        for rank in 1..self.ranks() {
+            self.send(rank, 0, bytes_of(rank));
         }
-    }
-
-    /// Barrier: all clocks jump to the global maximum (plus one latency per
-    /// tree round, the usual dissemination-barrier cost).
-    pub fn barrier(&mut self) {
-        let rounds = (self.ranks() as f64).log2().ceil() as u32;
-        let t = self.max_time() + self.model.latency * rounds;
-        self.times.fill(t);
     }
 }
 
@@ -181,16 +150,16 @@ mod tests {
         // With zero-size messages the bcast cost is latency * ceil(log2 K).
         for k in [2usize, 4, 8, 16, 64, 512] {
             let mut net = VirtualNet::new(k, NetModel { latency: ms(1), bandwidth: 1e12 });
-            net.bcast(0, 0);
+            net.bcast(0);
             let rounds = (k as f64).log2().ceil() as u32;
-            assert_eq!(net.max_time(), ms(1) * rounds, "K={k}");
+            assert_eq!(net.times.iter().max(), Some(&(ms(1) * rounds)), "K={k}");
         }
     }
 
     #[test]
     fn bcast_reaches_every_rank() {
         let mut net = VirtualNet::new(7, NetModel { latency: ms(1), bandwidth: 1e12 });
-        net.bcast(3, 100);
+        net.bcast(100);
         for r in 0..7 {
             assert!(net.time(r) > Duration::ZERO, "rank {r} never received");
         }
@@ -200,7 +169,7 @@ mod tests {
     fn reduce_rounds_are_logarithmic() {
         for k in [2usize, 8, 32] {
             let mut net = VirtualNet::new(k, NetModel { latency: ms(1), bandwidth: 1e12 });
-            net.reduce(0, 8, Duration::ZERO);
+            net.reduce(8);
             let rounds = (k as f64).log2().ceil() as u32;
             assert_eq!(net.time(0), ms(1) * rounds, "K={k}");
         }
@@ -209,18 +178,8 @@ mod tests {
     #[test]
     fn gather_serializes_at_root() {
         let mut net = VirtualNet::new(4, NetModel { latency: ms(1), bandwidth: 1e12 });
-        net.gather(0, |_| 0);
+        net.gather(|_| 0);
         assert_eq!(net.time(0), ms(3), "three incoming messages serialize");
-    }
-
-    #[test]
-    fn barrier_aligns_clocks() {
-        let mut net = VirtualNet::new(4, NetModel { latency: ms(1), bandwidth: 1e12 });
-        net.charge(2, ms(50));
-        net.barrier();
-        for r in 0..4 {
-            assert_eq!(net.time(r), ms(50) + ms(2));
-        }
     }
 
     #[test]
@@ -228,6 +187,6 @@ mod tests {
         let mut net = VirtualNet::new(3, NetModel::default());
         net.charge(1, ms(5));
         net.reset();
-        assert_eq!(net.max_time(), Duration::ZERO);
+        assert!(net.times.iter().all(Duration::is_zero));
     }
 }

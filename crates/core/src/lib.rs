@@ -32,7 +32,6 @@ pub mod api;
 pub mod dbstore;
 pub mod engine;
 pub mod eskiplist;
-pub mod export;
 pub mod lockedmap;
 pub mod pskiplist;
 pub mod recovery;
@@ -43,7 +42,6 @@ pub use api::{delta_by_snapshots, LabeledTags, StoreSession, VersionedStore};
 pub use dbstore::{DbSession, DbStore};
 pub use engine::{Engine, Home};
 pub use eskiplist::{ESkipList, HeapHome};
-pub use export::{export_snapshot, read_snapshot, write_snapshot, ExportError};
 pub use lockedmap::LockedMap;
 pub use pskiplist::{CompactStats, PSkipList, PmHome, RestartStats, SalvageOpen};
 pub use recovery::{

@@ -23,8 +23,7 @@ fn usage() -> ExitCode {
          audit    <pool>             allocator heap audit\n\
          snapshot <pool> [version]   dump a snapshot (default: newest)\n\
          history  <pool> <key>       dump one key's change history\n\
-         labels   <pool>             dump labeled tags\n\
-         export   <pool> <out> [v]   serialize a snapshot to a file"
+         labels   <pool>             dump labeled tags"
     );
     ExitCode::from(2)
 }
@@ -169,19 +168,6 @@ fn run() -> Result<ExitCode, String> {
             for (label, version) in labels {
                 println!("{label:#x}\tv{version}");
             }
-        }
-        "export" => {
-            let out_path = args.get(2).ok_or("export needs an output file")?;
-            let (store, _) = open(path)?;
-            let version = match args.get(3) {
-                Some(v) => v.parse::<u64>().map_err(|_| format!("bad version: {v}"))?,
-                None => store.tag(),
-            };
-            let mut file = std::fs::File::create(out_path)
-                .map_err(|e| format!("cannot create {out_path}: {e}"))?;
-            let count = mvkv::core::export_snapshot(&store.session(), version, &mut file)
-                .map_err(|e| e.to_string())?;
-            eprintln!("exported {count} pairs of snapshot v{version} to {out_path}");
         }
         _ => return Ok(usage()),
     }

@@ -4,7 +4,7 @@
 //! real workload populates the registry with metrics from several crates;
 //! without it, that the whole layer is zero-sized stubs rendering nothing.
 
-use mvkv::core::{PSkipList, StoreSession, VersionedStore};
+use mvkv::core::{DbStore, PSkipList, StoreSession, VersionedStore};
 
 /// Enough inserts that every `counter_inc_hot!` call site flushes its
 /// per-thread buffer at least once (flush threshold 1024; fences alone run
@@ -22,6 +22,10 @@ fn run_workload() {
     }
     session.extract_snapshot(store.tag());
     store.wait_writes_complete();
+    // One write and one read on the minidb baseline, through its page cache.
+    let db = DbStore::mem();
+    let version = db.session().insert(1, 2);
+    assert_eq!(db.session().find(1, version), Some(2));
 }
 
 // Both tests gate at runtime on `is_enabled()` rather than on the umbrella
@@ -37,14 +41,16 @@ fn enabled_registry_collects_across_crates() {
     }
     run_workload();
     let text = mvkv::obs::Registry::global().render_text();
-    // Metrics from three different crates on the single-store path; the
-    // cluster/minidb families are covered by their own crates' tests.
+    // Metrics from every crate that emits any (`mvkv-cluster` emits none):
+    // pmem, vhistory and core on the PSkipList path, minidb on the DbStore
+    // one.
     for metric in [
         "mvkv_pmem_fences_total",          // pmem
         "mvkv_pmem_alloc_hits_total",      // pmem allocator
         "mvkv_vhistory_appends_total",     // vhistory
         "mvkv_vhistory_publish_fences_total",
         "mvkv_core_insert_ns",             // core span histogram
+        "mvkv_minidb_page_cache_",         // minidb pager
     ] {
         assert!(text.contains(metric), "missing {metric} in:\n{text}");
     }
