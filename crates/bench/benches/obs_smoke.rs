@@ -3,7 +3,7 @@
 //! Runs a tight single-threaded insert micro (the hottest instrumented
 //! path: one span, two counters, several fence/persist counters per op) and
 //! prints a machine-parseable ops/s line. The `obs-smoke` CI job runs this
-//! twice — with and without `--features obs` — and fails if the
+//! twice — with and without `--features mvkv-obs/enabled` — and fails if the
 //! instrumented build regresses more than 5%.
 //!
 //! In the same run it asserts the mode's contract:

@@ -109,8 +109,12 @@ pub fn report(figure: &'static str, title: &str, rows: &[Row]) {
     println!("{:<12} {:>8} {:<22} {:>14} {:<10}", "approach", "x", "metric", "value", "unit");
     for r in rows {
         println!(
-            "{:<12} {:>8} {:<22} {:>14.4} {:<10}",
-            r.approach, r.x, r.metric, r.value, r.unit
+            "{:<12} {:>8} {:<22} {:>14} {:<10}",
+            r.approach,
+            r.x,
+            r.metric,
+            significant(r.value),
+            r.unit
         );
     }
     if let Some(path) = std::env::var_os("MVKV_OUT") {
@@ -122,6 +126,13 @@ pub fn report(figure: &'static str, title: &str, rows: &[Row]) {
     maybe_emit_metrics(figure);
 }
 
+/// `v` to four significant digits, so a smoke-sized time of 12 µs prints as
+/// `0.00001200` rather than `0.0000`.
+fn significant(v: f64) -> String {
+    let whole = if v == 0.0 || !v.is_finite() { 1 } else { v.abs().log10().floor() as i32 + 1 };
+    format!("{v:.*}", (4 - whole).max(0) as usize)
+}
+
 /// True when the run asked for a metrics snapshot — `--metrics` anywhere on
 /// the command line (cargo bench forwards unrecognized flags to the harness)
 /// or `MVKV_METRICS=1` in the environment.
@@ -131,8 +142,8 @@ pub fn metrics_requested() -> bool {
 }
 
 /// Prints the obs registry's text exposition after a figure's table when
-/// requested. With the `obs` feature off this explains how to turn it on
-/// instead of dumping an empty page.
+/// requested. With the metrics layer compiled out this explains how to turn
+/// it on instead of dumping an empty page.
 fn maybe_emit_metrics(figure: &'static str) {
     if !metrics_requested() {
         return;
@@ -141,7 +152,9 @@ fn maybe_emit_metrics(figure: &'static str) {
     if mvkv_obs::is_enabled() {
         print!("{}", mvkv_obs::Registry::global().render_text());
     } else {
-        println!("# obs layer compiled out; re-run with --features obs to collect metrics");
+        println!(
+            "# obs layer compiled out; re-run with --features mvkv-obs/enabled to collect metrics"
+        );
     }
     println!("--- end metrics snapshot ---");
 }
@@ -471,6 +484,15 @@ mod tests {
             r#"{"figure":"figX","approach":"A","x":1,"metric":"time","value":0.5,"unit":"s"}"#
         );
         assert!(row(f64::NAN).to_string().contains(r#""value":null,"#));
+    }
+
+    #[test]
+    fn table_values_keep_four_significant_digits() {
+        assert_eq!(significant(12.345e-6), "0.00001234");
+        assert_eq!(significant(1.5), "1.500");
+        assert_eq!(significant(3_456_789.4), "3456789");
+        assert_eq!(significant(0.0), "0.000");
+        assert_eq!(significant(f64::NAN), "NaN");
     }
 
     /// The price A7 charges a transactional append of one history entry:

@@ -11,7 +11,7 @@
 
 use crate::api::{StoreSession, VersionedStore};
 use crate::Pair;
-use mvkv_minidb::{CacheMode, Connection, Database, DbOptions};
+use mvkv_minidb::{Connection, Database};
 use mvkv_vhistory::{HistoryRecord, VersionClock, TOMBSTONE};
 use std::path::Path;
 
@@ -26,9 +26,7 @@ impl DbStore {
     /// Persistent variant (paper's SQLiteReg): database + WAL on `path`.
     /// Put `path` under `/dev/shm` to match the paper's setup.
     pub fn reg<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        let opts = DbOptions { cache_mode: CacheMode::PerConnection, ..Default::default() };
-        let db = Database::create_file(path, opts)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        let db = Database::create_file(path).map_err(|e| std::io::Error::other(e.to_string()))?;
         Ok(DbStore { db, clock: VersionClock::new(), name: "DbReg" })
     }
 
@@ -36,9 +34,7 @@ impl DbStore {
     /// the highest committed row version (used by the restart experiment,
     /// Fig 5b).
     pub fn reopen<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        let opts = DbOptions { cache_mode: CacheMode::PerConnection, ..Default::default() };
-        let db = Database::open_file(path, opts)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        let db = Database::open_file(path).map_err(|e| std::io::Error::other(e.to_string()))?;
         // The engine's WAL guarantees the row log is a committed prefix, so
         // the watermark is simply the highest stored version.
         let max_version = db.connect().max_version();
@@ -48,12 +44,7 @@ impl DbStore {
     /// In-memory variant (paper's SQLiteMem): shared page cache, no
     /// persistence.
     pub fn mem() -> Self {
-        let opts = DbOptions {
-            cache_mode: CacheMode::Shared,
-            durable: false,
-            ..Default::default()
-        };
-        DbStore { db: Database::memory(opts), clock: VersionClock::new(), name: "DbMem" }
+        DbStore { db: Database::memory(), clock: VersionClock::new(), name: "DbMem" }
     }
 }
 

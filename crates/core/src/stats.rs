@@ -1,24 +1,20 @@
 //! Operation counters for observability and benchmark sanity checks.
 //!
 //! Every native store carries an [`OpCounters`] block that its operations
-//! bump on the hot path — `find` twice per hit. The block is **sharded per
-//! thread** with the workspace's one thread-to-shard mapping
-//! ([`mvkv_sync::shard`]): a shard is one 64-byte cache line holding all
-//! eight counters, written only by the thread that owns it, so a bump is a
-//! plain load and a `Release` store on a line no other thread writes — no
-//! `lock` prefix, no line bouncing between cores. Threads beyond the owned
-//! shards share the overflow shard and pay for an atomic add there.
-//! [`crate::VersionedStore::op_stats`] sums the shards into a snapshot that
-//! is consistent enough for dashboards, tests and the benchmark harnesses'
-//! sanity assertions: the cross-counter invariants hold in every snapshot
-//! (see [`OpCounters::snapshot`]).
+//! bump on the hot path — `find` twice per hit. The block is the workspace's
+//! one sharded counter, [`mvkv_sync::shard::Counters`]: each thread's eight
+//! counters share one 64-byte line that only it writes, so a bump is a plain
+//! load and a `Release` store, with no `lock` prefix and no line bouncing
+//! between cores. [`crate::VersionedStore::op_stats`] sums the shards into a
+//! snapshot that is consistent enough for dashboards, tests and the
+//! benchmark harnesses' sanity assertions: the cross-counter invariants hold
+//! in every snapshot (see [`OpCounters::snapshot`]).
 
-use mvkv_sync::shard::{shard_id, OVERFLOW_SHARD, SHARDS};
-use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
+use mvkv_sync::shard::Counters;
 use serde::Serialize;
 
-/// Counter indices within a shard: base counters first, then the counters
-/// derived from them (bumped after their base by the same operation).
+/// Counter indices: base counters first, then the counters derived from them
+/// (bumped after their base by the same operation).
 const INSERTS: usize = 0;
 const REMOVES: usize = 1;
 const FINDS: usize = 2;
@@ -27,28 +23,17 @@ const SNAPSHOT_EXTRACTIONS: usize = 4;
 const FIND_HITS: usize = 5;
 const NEW_KEYS: usize = 6;
 const LOST_KEY_RACES: usize = 7;
-const COUNTERS: usize = 8;
 
-/// One thread's counters: exactly one cache line, so writers on different
-/// shards never share a line.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct Shard {
-    counters: [AtomicU64; COUNTERS],
-}
-
-/// Internal counter block (one per store).
-#[derive(Debug, Default)]
-pub struct OpCounters {
-    shards: [Shard; SHARDS],
-}
+/// Internal counter block (one per store, inline: one line per shard).
+#[derive(Default)]
+pub struct OpCounters(Counters<8>);
 
 macro_rules! bump {
     ($($name:ident => $counter:ident),* $(,)?) => {
         $(
             #[inline]
             pub(crate) fn $name(&self) {
-                self.bump($counter);
+                self.0.add($counter, 1);
             }
         )*
     };
@@ -57,24 +42,6 @@ macro_rules! bump {
 impl OpCounters {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    #[inline]
-    fn bump(&self, counter: usize) {
-        let id = shard_id();
-        let cell = &self.shards[id].counters[counter];
-        if id < OVERFLOW_SHARD {
-            // ordering: this thread is the shard's only writer (an owned
-            // shard passes to a new thread only after its owner exits,
-            // through an Acquire/Release hand-off; under loom shards are
-            // unique within one model execution, and a store's counters
-            // live in one), so the Relaxed load reads its own last store
-            // and the increment cannot lose an update. The Release store
-            // pairs with the Acquire loads in `snapshot`.
-            cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Release);
-        } else {
-            cell.fetch_add(1, Ordering::Release);
-        }
     }
 
     bump! {
@@ -94,19 +61,17 @@ impl OpCounters {
     /// counter.** An operation bumps its base counter before the derived one
     /// (`find` bumps `finds` before `find_hits`; an insert/remove bumps its
     /// mutation counter before `new_keys`/`lost_key_races`), and both bumps
-    /// land in the bumping thread's shard. Each bump is a `Release` write, so
-    /// an `Acquire` load that observes `n` derived bumps in a shard also
-    /// makes the `n` base bumps that preceded them visible, and the base
-    /// load — sequenced after it — returns at least `n`. That holds shard by
-    /// shard, hence for the sums: `find_hits <= finds` and
-    /// `new_keys + lost_key_races <= mutations()` in every snapshot, even
-    /// mid-update. (Reading shard by shard, base and derived together, would
+    /// land in the bumping thread's shard. Each bump is a `Release` write and
+    /// [`Counters::sum`] loads with `Acquire`, so a load that observes `n`
+    /// derived bumps in a shard also makes the `n` base bumps that preceded
+    /// them visible, and the base load — sequenced after it — returns at
+    /// least `n`. That holds shard by shard, hence for the sums: `find_hits
+    /// <= finds` and `new_keys + lost_key_races <= mutations()` in every
+    /// snapshot, even mid-update. (Reading shard by shard, base and derived together, would
     /// not do: nothing orders one shard's counters against another's, but the
     /// argument never needs that.)
     pub fn snapshot(&self) -> OpStats {
-        let sum = |counter: usize| -> u64 {
-            self.shards.iter().map(|s| s.counters[counter].load(Ordering::Acquire)).sum()
-        };
+        let sum = |counter: usize| self.0.sum(counter);
         let lost_key_races = sum(LOST_KEY_RACES);
         let new_keys = sum(NEW_KEYS);
         let find_hits = sum(FIND_HITS);
@@ -150,6 +115,7 @@ impl OpStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn counters_accumulate() {
@@ -203,23 +169,5 @@ mod tests {
             violation
         });
         assert_eq!(violation, None, "snapshot saw a derived counter ahead of its base");
-    }
-
-    /// More threads than shards: the late ones share the overflow shard and
-    /// must not lose each other's bumps.
-    #[test]
-    fn concurrent_bumps_do_not_lose_counts() {
-        let c = std::sync::Arc::new(OpCounters::new());
-        std::thread::scope(|scope| {
-            for _ in 0..SHARDS + 8 {
-                let c = c.clone();
-                scope.spawn(move || {
-                    for _ in 0..10_000 {
-                        c.insert();
-                    }
-                });
-            }
-        });
-        assert_eq!(c.snapshot().inserts, (SHARDS as u64 + 8) * 10_000);
     }
 }

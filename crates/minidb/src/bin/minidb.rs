@@ -2,7 +2,8 @@
 //!
 //! Runs a versioned insert/find/snapshot workload and prints a summary;
 //! with `--metrics` it also dumps the process-wide obs registry in
-//! Prometheus text form (build with `--features obs` to collect anything).
+//! Prometheus text form (build with `--features mvkv-obs/enabled` to collect
+//! anything).
 //!
 //! ```text
 //! minidb [--db PATH] [--n COUNT] [--metrics] [--json]
@@ -13,7 +14,7 @@
 //! * `--metrics` — print the metrics snapshot after the workload
 //! * `--json`    — metrics in JSON instead of Prometheus text
 
-use mvkv_minidb::{CacheMode, Database, DbOptions};
+use mvkv_minidb::Database;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -57,20 +58,15 @@ fn main() -> ExitCode {
         }
     };
 
-    let opts = DbOptions { cache_mode: CacheMode::PerConnection, ..Default::default() };
     let db = match &args.db {
-        Some(path) => match Database::create_file(path, opts) {
+        Some(path) => match Database::create_file(path) {
             Ok(db) => db,
             Err(e) => {
                 eprintln!("minidb: cannot create {path}: {e}");
                 return ExitCode::FAILURE;
             }
         },
-        None => Database::memory(DbOptions {
-            cache_mode: CacheMode::Shared,
-            durable: false,
-            ..Default::default()
-        }),
+        None => Database::memory(),
     };
     let conn = db.connect();
 
@@ -121,7 +117,7 @@ fn main() -> ExitCode {
                 print!("{}", reg.render_text());
             }
         } else {
-            eprintln!("minidb: obs layer compiled out; rebuild with --features obs");
+            eprintln!("minidb: obs layer compiled out; rebuild with --features mvkv-obs/enabled");
         }
     }
     ExitCode::SUCCESS

@@ -17,37 +17,11 @@ use std::sync::Arc;
 const META_MAGIC: u64 = 0x4D49_4E49_4442_0002; // "MINIDB" v2 (adds the version index)
 const META_PAGE: u64 = 0;
 
-/// Where page caches live (see [`crate::pager`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMode {
-    /// One private cache per connection — the `SQLiteReg` model.
-    PerConnection,
-    /// One shared cache behind a lock — the `SQLiteMem` shared-cache model.
-    Shared,
-}
+/// Page-cache capacity in pages (per cache).
+const CACHE_PAGES: usize = 2048;
 
-/// Engine tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct DbOptions {
-    /// Page-cache capacity in pages (per cache).
-    pub cache_pages: usize,
-    pub cache_mode: CacheMode,
-    /// Checkpoint the WAL after this many committed page frames.
-    pub checkpoint_frames: u64,
-    /// Sync the WAL on every commit (files only).
-    pub durable: bool,
-}
-
-impl Default for DbOptions {
-    fn default() -> Self {
-        DbOptions {
-            cache_pages: 2048,
-            cache_mode: CacheMode::PerConnection,
-            checkpoint_frames: 1 << 14,
-            durable: true,
-        }
-    }
-}
+/// Checkpoint the WAL after this many committed page frames.
+const CHECKPOINT_FRAMES: u64 = 1 << 14;
 
 #[derive(Debug, Clone, Copy)]
 struct Meta {
@@ -94,8 +68,9 @@ struct Shared {
     committed_meta: RwLock<Meta>,
     /// Bumped once per commit; caches tag-check against it.
     commit_counter: AtomicU64,
+    /// The memory database's one cache; a file database's connections each
+    /// keep their own.
     shared_cache: Option<Mutex<PageCache>>,
-    opts: DbOptions,
 }
 
 impl Shared {
@@ -120,12 +95,16 @@ impl Shared {
 
 /// A minidb database. Cheap to clone handles via [`Database::connect`].
 ///
+/// A file database syncs its WAL at every commit and gives each connection
+/// a private page cache (the `SQLiteReg` model); a memory database shares
+/// one cache behind a lock (the `SQLiteMem` shared-cache model).
+///
 /// # Examples
 ///
 /// ```
-/// use mvkv_minidb::{Database, DbOptions};
+/// use mvkv_minidb::Database;
 ///
-/// let db = Database::memory(DbOptions { durable: false, ..Default::default() });
+/// let db = Database::memory();
 /// let conn = db.connect();
 /// conn.insert_row(1, 10, 100)?; // (version, key, value)
 /// conn.remove_row(2, 10)?;
@@ -139,7 +118,11 @@ pub struct Database {
 }
 
 impl Database {
-    fn bootstrap(storage: Box<dyn Storage>, wal: Wal, opts: DbOptions) -> Result<Database> {
+    fn bootstrap(
+        storage: Box<dyn Storage>,
+        wal: Wal,
+        shared_cache: Option<Mutex<PageCache>>,
+    ) -> Result<Database> {
         // Materialize the meta page and an empty B+tree root directly in
         // storage (creation is single-threaded).
         struct Boot<'a> {
@@ -174,37 +157,29 @@ impl Database {
                 writer: Mutex::new(meta),
                 committed_meta: RwLock::new(meta),
                 commit_counter: AtomicU64::new(1),
-                shared_cache: match opts.cache_mode {
-                    CacheMode::Shared => Some(Mutex::new(PageCache::new(opts.cache_pages))),
-                    CacheMode::PerConnection => None,
-                },
-                opts,
+                shared_cache,
             }),
         })
     }
 
     /// Creates a new file-backed database (`path` plus a `path.wal` log).
-    pub fn create_file<P: AsRef<Path>>(path: P, opts: DbOptions) -> Result<Database> {
+    pub fn create_file<P: AsRef<Path>>(path: P) -> Result<Database> {
         let storage = Box::new(FileStorage::create(&path)?);
-        let wal = Wal::create_file(wal_path(path.as_ref()), opts.durable)?;
-        Self::bootstrap(storage, wal, opts)
+        let wal = Wal::create_file(wal_path(path.as_ref()))?;
+        Self::bootstrap(storage, wal, None)
     }
 
     /// Opens an existing file-backed database, replaying its WAL.
-    pub fn open_file<P: AsRef<Path>>(path: P, opts: DbOptions) -> Result<Database> {
+    pub fn open_file<P: AsRef<Path>>(path: P) -> Result<Database> {
         let storage: Box<dyn Storage> = Box::new(FileStorage::open(&path)?);
-        let wal = Wal::open_file(wal_path(path.as_ref()), opts.durable)?;
+        let wal = Wal::open_file(wal_path(path.as_ref()))?;
         let shared = Shared {
             storage,
             wal,
             writer: Mutex::new(Meta { root: 0, vroot: 0, next_page: 0, rows: 0 }),
             committed_meta: RwLock::new(Meta { root: 0, vroot: 0, next_page: 0, rows: 0 }),
             commit_counter: AtomicU64::new(1),
-            shared_cache: match opts.cache_mode {
-                CacheMode::Shared => Some(Mutex::new(PageCache::new(opts.cache_pages))),
-                CacheMode::PerConnection => None,
-            },
-            opts,
+            shared_cache: None,
         };
         let meta = Meta::from_page(&shared.try_fetch_committed(META_PAGE)?)?;
         *shared.writer.lock() = meta;
@@ -213,18 +188,18 @@ impl Database {
     }
 
     /// Creates an in-memory database (the `DbMem` mode — no durability).
-    pub fn memory(opts: DbOptions) -> Database {
+    pub fn memory() -> Database {
         let storage = Box::new(MemStorage::new());
         let wal = Wal::memory();
-        Self::bootstrap(storage, wal, opts).expect("memory bootstrap cannot fail")
+        let cache = Mutex::new(PageCache::new(CACHE_PAGES));
+        Self::bootstrap(storage, wal, Some(cache)).expect("memory bootstrap cannot fail")
     }
 
     /// Opens a connection (one per thread; connections are `Send`, not `Sync`).
     pub fn connect(&self) -> Connection {
-        Connection {
-            shared: self.shared.clone(),
-            cache: RefCell::new(PageCache::new(self.shared.opts.cache_pages)),
-        }
+        // A connection of a shared-cache database never fills its own.
+        let pages = if self.shared.shared_cache.is_some() { 0 } else { CACHE_PAGES };
+        Connection { shared: self.shared.clone(), cache: RefCell::new(PageCache::new(pages)) }
     }
 
     /// Forces a WAL checkpoint into main storage.
@@ -275,7 +250,7 @@ impl PageSource for TxnPager<'_> {
 }
 
 /// A per-thread connection: prepared-query entry points plus a private page
-/// cache (in `PerConnection` mode).
+/// cache (file databases).
 pub struct Connection {
     shared: Arc<Shared>,
     cache: RefCell<PageCache>,
@@ -347,7 +322,7 @@ impl Connection {
         shared.wal.commit(txn.writes.iter().map(|(&id, buf)| (id, buf)))?;
         *shared.committed_meta.write() = *meta;
         shared.commit_counter.fetch_add(1, Ordering::AcqRel);
-        if shared.wal.frames_since_checkpoint() >= shared.opts.checkpoint_frames {
+        if shared.wal.frames_since_checkpoint() >= CHECKPOINT_FRAMES {
             shared.wal.checkpoint(|id, buf| shared.storage.write_page(id, buf))?;
             shared.storage.sync()?;
         }
@@ -438,7 +413,7 @@ mod tests {
     use super::*;
 
     fn mem_db() -> Database {
-        Database::memory(DbOptions { durable: false, ..Default::default() })
+        Database::memory()
     }
 
     #[test]
@@ -519,14 +494,14 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("minidb-engine-{}.db", std::process::id()));
         {
-            let db = Database::create_file(&path, DbOptions::default()).unwrap();
+            let db = Database::create_file(&path).unwrap();
             let conn = db.connect();
             for i in 1..=500u64 {
                 conn.insert_row(i, i % 50, i).unwrap();
             }
         }
         {
-            let db = Database::open_file(&path, DbOptions::default()).unwrap();
+            let db = Database::open_file(&path).unwrap();
             let conn = db.connect();
             assert_eq!(db.row_count(), 500);
             assert_eq!(conn.find(7, u64::MAX), Some(457), "last write of key 7 is v457");
@@ -534,7 +509,7 @@ mod tests {
         }
         {
             // Checkpoint then reopen again.
-            let db = Database::open_file(&path, DbOptions::default()).unwrap();
+            let db = Database::open_file(&path).unwrap();
             db.checkpoint().unwrap();
             let conn = db.connect();
             assert_eq!(conn.find(7, u64::MAX), Some(457));
@@ -583,11 +558,7 @@ mod tests {
 
     #[test]
     fn shared_cache_mode_is_correct_under_concurrency() {
-        let db = Arc::new(Database::memory(DbOptions {
-            cache_mode: CacheMode::Shared,
-            durable: false,
-            ..Default::default()
-        }));
+        let db = Arc::new(mem_db());
         {
             let conn = db.connect();
             let rows: Vec<(u64, u64, u64)> = (1..=2000u64).map(|i| (i, i, i + 5)).collect();
@@ -625,14 +596,14 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("minidb-vidx-{}.db", std::process::id()));
         {
-            let db = Database::create_file(&path, DbOptions::default()).unwrap();
+            let db = Database::create_file(&path).unwrap();
             let conn = db.connect();
             for i in 1..=50u64 {
                 conn.insert_row(i, i, i * 2).unwrap();
             }
         }
         {
-            let db = Database::open_file(&path, DbOptions::default()).unwrap();
+            let db = Database::open_file(&path).unwrap();
             let conn = db.connect();
             assert_eq!(conn.max_version(), 50);
         }
@@ -642,20 +613,58 @@ mod tests {
 
     #[test]
     fn checkpoint_threshold_triggers_automatically() {
-        let db = Database::memory(DbOptions {
-            checkpoint_frames: 8,
-            durable: false,
-            ..Default::default()
-        });
+        // A single-row commit writes at least three frames (meta page and a
+        // leaf of each tree), so `n` commits cross the threshold.
+        let n = CHECKPOINT_FRAMES / 3 + 1;
+        let db = mem_db();
         let conn = db.connect();
-        for i in 1..=100u64 {
+        for i in 1..=n {
             conn.insert_row(i, i, i).unwrap();
         }
-        // After many single-row commits the WAL must have checkpointed at
-        // least once, and all data must remain visible.
-        assert!(db.shared.wal.frames_since_checkpoint() < 100);
-        for i in 1..=100u64 {
+        // The WAL must have checkpointed at least once, and all data must
+        // remain visible.
+        assert!(db.shared.wal.frames_since_checkpoint() < 3 * n);
+        for i in 1..=n {
             assert_eq!(conn.find(i, u64::MAX), Some(i));
         }
+    }
+
+    /// `Database::checkpoint` beside `Connection::insert_rows` on a file
+    /// database: both take the writer lock before the WAL's, so neither can
+    /// wait on the other while holding a lock it needs, and no committed row
+    /// is lost to a checkpoint that drains the WAL under a commit.
+    #[test]
+    fn checkpoints_run_beside_a_writer() {
+        let path = std::env::temp_dir().join(format!("minidb-ckpt-{}.db", std::process::id()));
+        const BATCHES: u64 = 200;
+        {
+            let db = Database::create_file(&path).unwrap();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let conn = db.connect();
+                    for b in 0..BATCHES {
+                        let rows: Vec<_> = (0..4).map(|i| (b + 1, 4 * b + i, b)).collect();
+                        conn.insert_rows(&rows).unwrap();
+                    }
+                });
+                s.spawn(|| {
+                    for _ in 0..BATCHES / 4 {
+                        db.checkpoint().unwrap();
+                        std::thread::yield_now();
+                    }
+                });
+            });
+            let conn = db.connect();
+            assert_eq!(db.row_count(), 4 * BATCHES);
+            assert_eq!(conn.find(4 * BATCHES - 1, u64::MAX), Some(BATCHES - 1));
+        }
+        let db = Database::open_file(&path).unwrap();
+        let conn = db.connect();
+        assert_eq!(db.row_count(), 4 * BATCHES);
+        for k in 0..4 * BATCHES {
+            assert_eq!(conn.find(k, u64::MAX), Some(k / 4), "key {k}");
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(wal_path(&path));
     }
 }

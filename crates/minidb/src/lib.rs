@@ -32,7 +32,7 @@ pub mod pager;
 pub mod storage;
 pub mod wal;
 
-pub use engine::{CacheMode, Connection, Database, DbOptions};
+pub use engine::{Connection, Database};
 
 /// Removal marker value (outside the valid value range < 2^62).
 pub const REMOVE_MARKER: u64 = u64::MAX;

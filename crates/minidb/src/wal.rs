@@ -104,12 +104,11 @@ pub struct Wal {
     index: RwLock<HashMap<u64, u64>>,
     /// Committed page frames since the last checkpoint.
     frames_since_checkpoint: AtomicU64,
-    durable: bool,
 }
 
 impl Wal {
     /// Creates a fresh file-backed WAL (truncates any existing log).
-    pub fn create_file<P: AsRef<Path>>(path: P, durable: bool) -> Result<Self> {
+    pub fn create_file<P: AsRef<Path>>(path: P) -> Result<Self> {
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
         Ok(Wal {
@@ -117,13 +116,12 @@ impl Wal {
             len: AtomicU64::new(0),
             index: RwLock::new(HashMap::new()),
             frames_since_checkpoint: AtomicU64::new(0),
-            durable,
         })
     }
 
     /// Opens an existing WAL, replaying committed frames into the index and
     /// truncating any torn tail.
-    pub fn open_file<P: AsRef<Path>>(path: P, durable: bool) -> Result<Self> {
+    pub fn open_file<P: AsRef<Path>>(path: P) -> Result<Self> {
         // Open-or-create without truncation: existing frames are replayed.
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
@@ -133,7 +131,6 @@ impl Wal {
             len: AtomicU64::new(0),
             index: RwLock::new(HashMap::new()),
             frames_since_checkpoint: AtomicU64::new(0),
-            durable,
         };
         wal.replay(file_len)?;
         Ok(wal)
@@ -146,7 +143,6 @@ impl Wal {
             len: AtomicU64::new(0),
             index: RwLock::new(HashMap::new()),
             frames_since_checkpoint: AtomicU64::new(0),
-            durable: false,
         }
     }
 
@@ -207,9 +203,8 @@ impl Wal {
         hdr[8..16].copy_from_slice(&KIND_COMMIT.to_le_bytes());
         self.backend.write_at(off, &hdr)?;
         off += FRAME_HDR;
-        if self.durable {
-            self.backend.sync()?;
-        }
+        // A file is synced at every commit; memory has nothing to sync.
+        self.backend.sync()?;
         // Only after durability do the frames become visible to readers.
         let mut index = self.index.write();
         self.frames_since_checkpoint.fetch_add(staged.len() as u64, Ordering::AcqRel);
@@ -311,7 +306,7 @@ mod tests {
     fn replay_recovers_committed_and_drops_torn_tail() {
         let path = std::env::temp_dir().join(format!("minidb-wal-{}.wal", std::process::id()));
         {
-            let wal = Wal::create_file(&path, true).unwrap();
+            let wal = Wal::create_file(&path).unwrap();
             wal.commit([(1u64, &page_with(11))].into_iter()).unwrap();
             wal.commit([(2u64, &page_with(22))].into_iter()).unwrap();
             // Torn tail: a page frame with no commit record.
@@ -324,7 +319,7 @@ mod tests {
             wal.backend.sync().unwrap();
         }
         {
-            let wal = Wal::open_file(&path, true).unwrap();
+            let wal = Wal::open_file(&path).unwrap();
             let mut r = PageBuf::zeroed();
             assert!(wal.read_page(1, &mut r).unwrap());
             assert_eq!(r.get_u64(0), 11);

@@ -1,11 +1,12 @@
 //! The real metrics implementation (`feature = "enabled"`, non-loom).
 //!
-//! Writers touch only their own shard with relaxed atomics; readers merge
-//! all shards at scrape time. Metric objects are registered once and leaked
+//! Counters and histograms are [`Counters`], the workspace's one sharded
+//! counter: writers touch only their own shard's line; readers merge all
+//! shards at scrape time. Metric objects are registered once and leaked
 //! (`&'static`), so hot-path handles are plain references with no
 //! refcounting.
 
-use mvkv_sync::shard::{shard_id, OVERFLOW_SHARD, SHARDS};
+use mvkv_sync::shard::Counters;
 use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
 use mvkv_sync::sync::Mutex;
 use std::cell::Cell;
@@ -48,57 +49,12 @@ fn span_sampled() -> bool {
     })
 }
 
-/// One cache line per shard so concurrent writers never false-share.
-#[repr(align(64))]
-struct PadWord(AtomicU64);
-
-impl PadWord {
-    const fn zero() -> Self {
-        PadWord(AtomicU64::new(0))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Instruments
 // ---------------------------------------------------------------------------
 
-/// Monotonic counter, sharded per thread.
-pub struct Counter {
-    shards: [PadWord; SHARDS],
-}
-
-impl Counter {
-    fn new() -> Self {
-        Counter { shards: std::array::from_fn(|_| PadWord::zero()) }
-    }
-
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        let id = shard_id();
-        let cell = &self.shards[id].0;
-        if id < OVERFLOW_SHARD {
-            // Sole writer of this shard (`mvkv_sync::shard` hands an owned
-            // shard to a new thread only after its owner exits, through an
-            // Acquire/Release hand-off that makes the owner's stores
-            // visible), so a plain relaxed read-modify-write cannot lose a
-            // concurrent update.
-            cell.store(cell.load(Ordering::Relaxed).wrapping_add(delta), Ordering::Relaxed);
-        } else {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Merged value across all shards. Monotone: a concurrent `add` may or
-    /// may not be included, but the value never goes backwards.
-    pub fn value(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-}
+/// Monotonic counter, sharded per thread: `add(0, delta)`, `sum(0)`.
+pub type Counter = Counters<1>;
 
 /// Last-writer-wins gauge (a single relaxed word).
 pub struct Gauge {
@@ -120,15 +76,13 @@ impl Gauge {
     }
 }
 
-/// One histogram shard: 64 log2 buckets plus a running sum.
-struct HistShard {
-    buckets: [AtomicU64; BUCKETS],
-    sum: AtomicU64,
-}
+/// Index of a histogram's running sum, after its 64 buckets.
+const SUM: usize = BUCKETS;
 
-/// Log2-bucketed histogram, sharded per thread like [`Counter`].
+/// Log2-bucketed histogram, sharded per thread: 64 bucket counts and the
+/// running sum of the recorded values.
 pub struct Histogram {
-    shards: Box<[HistShard; SHARDS]>,
+    counters: Box<Counters<{ BUCKETS + 1 }>>,
 }
 
 /// Merged point-in-time view of a [`Histogram`].
@@ -150,12 +104,7 @@ impl HistogramSnapshot {
 
 impl Histogram {
     fn new() -> Self {
-        Histogram {
-            shards: Box::new(std::array::from_fn(|_| HistShard {
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                sum: AtomicU64::new(0),
-            })),
-        }
+        Histogram { counters: Box::default() }
     }
 
     #[inline]
@@ -166,33 +115,18 @@ impl Histogram {
 
     #[inline]
     pub fn record(&self, value: u64) {
-        let id = shard_id();
-        let shard = &self.shards[id];
-        let bucket = &shard.buckets[Self::bucket_index(value)];
-        if id < OVERFLOW_SHARD {
-            // Sole writer of this shard — see `Counter::add`.
-            bucket.store(bucket.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-            let sum = &shard.sum;
-            sum.store(sum.load(Ordering::Relaxed).wrapping_add(value), Ordering::Relaxed);
-        } else {
-            bucket.fetch_add(1, Ordering::Relaxed);
-            shard.sum.fetch_add(value, Ordering::Relaxed);
-        }
+        self.counters.add(Self::bucket_index(value), 1);
+        self.counters.add(SUM, value);
     }
 
-    /// Merged snapshot. Buckets and sum are read with relaxed loads, so a
-    /// racing `record` may be half-included — each individual cell is still
-    /// monotone, which is all scraping needs.
+    /// Merged snapshot. A racing `record` may be half-included — each
+    /// individual cell is still monotone, which is all scraping needs. Sums
+    /// wrap (monitoring data).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot { buckets: [0; BUCKETS], sum: 0 };
-        for shard in self.shards.iter() {
-            for (acc, cell) in out.buckets.iter_mut().zip(shard.buckets.iter()) {
-                *acc += cell.load(Ordering::Relaxed);
-            }
-            // Sums wrap like their underlying fetch_adds (monitoring data).
-            out.sum = out.sum.wrapping_add(shard.sum.load(Ordering::Relaxed));
+        HistogramSnapshot {
+            buckets: std::array::from_fn(|i| self.counters.sum(i)),
+            sum: self.counters.sum(SUM),
         }
-        out
     }
 }
 
@@ -244,7 +178,7 @@ lazy_handle!(
 impl LazyCounter {
     #[inline]
     pub fn add(&self, delta: u64) {
-        self.get().add(delta);
+        self.get().add(0, delta);
     }
 
     #[inline]
@@ -253,7 +187,7 @@ impl LazyCounter {
     }
 
     pub fn value(&self) -> u64 {
-        self.get().value()
+        self.get().sum(0)
     }
 }
 
@@ -336,7 +270,7 @@ impl Registry {
     }
 
     pub fn counter(&self, name: &'static str) -> &'static Counter {
-        self.counters.lock().entry(name).or_insert_with(|| Box::leak(Box::new(Counter::new())))
+        self.counters.lock().entry(name).or_insert_with(|| Box::leak(Box::default()))
     }
 
     pub fn gauge(&self, name: &'static str) -> &'static Gauge {
@@ -357,7 +291,7 @@ impl Registry {
         let mut out = String::new();
         for (name, c) in self.counters.lock().iter() {
             let name = sanitize(name);
-            out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.value()));
+            out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.sum(0)));
         }
         for (name, g) in self.gauges.lock().iter() {
             let name = sanitize(name);
@@ -391,7 +325,7 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{}", json_str(name), c.value()));
+            out.push_str(&format!("{}:{}", json_str(name), c.sum(0)));
         }
         drop(counters);
         out.push_str("},\"gauges\":{");
@@ -467,21 +401,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_merges_across_threads() {
-        let c = Counter::new();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for _ in 0..10_000 {
-                        c.inc();
-                    }
-                });
-            }
-        });
-        assert_eq!(c.value(), 80_000);
-    }
-
-    #[test]
     fn histogram_buckets_by_log2() {
         let h = Histogram::new();
         h.record(0); // bucket 0
@@ -530,28 +449,11 @@ mod tests {
     }
 
     #[test]
-    fn counter_stays_exact_past_the_owned_shards() {
-        // More threads than shards: late threads share the overflow shard
-        // (fetch_add) while early ones own theirs (plain store) — the merged
-        // total must still be exact once all writers have joined.
-        let c = Counter::new();
-        std::thread::scope(|scope| {
-            for _ in 0..3 * SHARDS {
-                scope.spawn(|| {
-                    for _ in 0..10_000 {
-                        c.inc();
-                    }
-                });
-            }
-        });
-        assert_eq!(c.value(), 3 * SHARDS as u64 * 10_000);
-    }
-
-    #[test]
     fn render_text_is_prometheus_shaped() {
         crate::counter_add!("mvkv_test_render_total", 7);
         crate::gauge_set!("mvkv_test_render_gauge", 42);
-        crate::observe_ns!("mvkv_test_render_ns", 1000);
+        static H: LazyHistogram = LazyHistogram::new("mvkv_test_render_ns");
+        H.record(1000);
         let text = Registry::global().render_text();
         assert!(text.contains("# TYPE mvkv_test_render_total counter\nmvkv_test_render_total 7\n"));
         assert!(text.contains("# TYPE mvkv_test_render_gauge gauge\nmvkv_test_render_gauge 42\n"));

@@ -19,12 +19,6 @@ fn probe_bump_costs() {
 
     let start = Instant::now();
     for _ in 0..N {
-        mvkv_obs::counter_inc_hot!("mvkv_probe_hot_total");
-    }
-    println!("counter_inc_hot!: {:.2} ns", start.elapsed().as_nanos() as f64 / N as f64);
-
-    let start = Instant::now();
-    for _ in 0..N {
         mvkv_obs::span!("mvkv_probe_span_ns");
     }
     println!("span! (sampled): {:.2} ns", start.elapsed().as_nanos() as f64 / N as f64);

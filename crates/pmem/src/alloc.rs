@@ -458,7 +458,7 @@ impl Allocator {
             // 1. Own arena — the contention-free fast path.
             if let Some(entry) = self.shards[me].pop(class) {
                 self.shards[me].hits.fetch_add(1, Ordering::Relaxed); // ordering: stat
-                mvkv_obs::counter_inc_hot!("mvkv_pmem_alloc_hits_total");
+                mvkv_obs::counter_inc!("mvkv_pmem_alloc_hits_total");
                 return Ok(self.take_entry(pool, class, entry));
             }
             // 2. Steal from siblings before burning fresh heap, so blocks

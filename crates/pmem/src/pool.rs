@@ -205,7 +205,7 @@ impl PmemPool {
     #[cfg_attr(debug_assertions, track_caller)]
     pub fn fence(&self) {
         mvkv_sync::sync::assert_unlocked("PmemPool::fence");
-        mvkv_obs::counter_inc_hot!("mvkv_pmem_fences_total");
+        mvkv_obs::counter_inc!("mvkv_pmem_fences_total");
         self.backend.fence();
     }
 

@@ -21,9 +21,10 @@
 //!   normal build and fails to compile under `--cfg loom`, so a new one
 //!   arrives together with its wrapper.
 //!
-//! [`shard`] is the workspace's one thread-to-shard mapping: `mvkv-obs`
-//! instruments, the stores' operation counters and the PM allocator's arenas
-//! all take a thread's shard from it, and it has a loom form.
+//! [`shard`] is the workspace's one thread-to-shard mapping and its one
+//! sharded counter, [`shard::Counters`]: the `mvkv-obs` instruments and the
+//! stores' operation counters are `Counters`, the PM allocator's arenas take
+//! a thread's slot from it, and both have a loom form.
 //!
 //! ## Model-checking semantics (and their limits)
 //!
@@ -112,9 +113,9 @@ pub mod hint {
     }
 }
 
-/// Per-thread slots and writer shards: the one thread-to-shard mapping behind
-/// the `mvkv-obs` instruments, the stores' operation counters and the PM
-/// allocator's arenas.
+/// Per-thread slots and the one sharded counter: the thread-to-shard mapping
+/// behind [`shard::Counters`] (the `mvkv-obs` instruments and the stores'
+/// operation counters) and the PM allocator's arenas.
 ///
 /// A thread **owns** a slot ([`shard::slot`]) from its first call until it
 /// exits. Slots stay dense across the threads alive at once: an exiting
@@ -125,14 +126,15 @@ pub mod hint {
 /// keeps each phase's workers on distinct slots. The PM allocator folds the
 /// slot onto its `num_shards()` arenas (at most 64, the number of slots).
 ///
-/// A sharded counter keeps one cell per shard and sums them when read; a
-/// thread's shard is its slot capped at [`shard::OVERFLOW_SHARD`]
-/// ([`shard::shard_id`]). The owner of a slot below the cap is the cell's
-/// only writer and can update it with a plain load and store instead of a
+/// [`shard::Counters`] keeps one cache line of cells per shard and sums them
+/// when read; a thread's shard is its slot capped at the overflow shard
+/// `SHARDS - 1`. The owner of a slot below the cap is its line's only writer
+/// and updates a cell with a plain load and store instead of a
 /// `lock`-prefixed read-modify-write (~10x cheaper on x86). The threads on
-/// higher slots share the overflow shard and must use an atomic RMW there;
-/// so does a thread's code in TLS destructors that run after the hand-back,
-/// which sees the shared slot 64.
+/// higher slots share the overflow shard and use an atomic RMW there; so
+/// does a thread's code in TLS destructors that run after the hand-back,
+/// which sees the shared slot 64. No code outside this module writes a
+/// shard by hand.
 ///
 /// Under `--cfg loom` a model thread's slot is its index in the model
 /// execution (the main thread 0, then spawn order), so it is the same on
@@ -140,12 +142,14 @@ pub mod hint {
 /// executions themselves run one after another. The owner path is then
 /// under the model checker like any other.
 pub mod shard {
-    /// Writer shards per sharded statistic.
+    use crate::sync::atomic::{AtomicU64, Ordering};
+
+    /// Writer shards per [`Counters`].
     pub const SHARDS: usize = 16;
 
     /// The shard shared by every thread whose slot is `OVERFLOW_SHARD` or
     /// higher; only it needs read-modify-write atomics.
-    pub const OVERFLOW_SHARD: usize = SHARDS - 1;
+    pub(crate) const OVERFLOW_SHARD: usize = SHARDS - 1;
 
     /// Slots owned at once; a thread that finds them all taken gets slot
     /// `SLOTS`, shared with its likes for life. 64 is the paper's maximum
@@ -156,8 +160,59 @@ pub mod shard {
     /// [`OVERFLOW_SHARD`]. The thread is the shard's sole writer unless the
     /// index is `OVERFLOW_SHARD`.
     #[inline]
-    pub fn shard_id() -> usize {
+    pub(crate) fn shard_id() -> usize {
         slot().min(OVERFLOW_SHARD)
+    }
+
+    /// `N` monotonic counters, sharded per thread: each shard is one
+    /// 64-byte-aligned line of `N` words (several lines when `N > 8`), so
+    /// writers on different shards never share a line. Values wrap.
+    pub struct Counters<const N: usize> {
+        shards: [Line<N>; SHARDS],
+    }
+
+    #[repr(align(64))]
+    struct Line<const N: usize>([AtomicU64; N]);
+
+    impl<const N: usize> Counters<N> {
+        pub fn new() -> Self {
+            Counters {
+                shards: std::array::from_fn(|_| Line(std::array::from_fn(|_| AtomicU64::new(0)))),
+            }
+        }
+
+        /// Adds `delta` to counter `i` in this thread's shard.
+        #[inline]
+        pub fn add(&self, i: usize, delta: u64) {
+            let id = shard_id();
+            let cell = &self.shards[id].0[i];
+            if id < OVERFLOW_SHARD {
+                // ordering: this thread is the shard's only writer (an owned
+                // shard passes to a new thread only after its owner exits,
+                // through the slot hand-off's Acquire/Release; under loom
+                // shards are unique within one model execution), so the
+                // Relaxed load reads its own last store and the add cannot
+                // lose an update. The Release store pairs with `sum`'s
+                // Acquire loads.
+                cell.store(cell.load(Ordering::Relaxed).wrapping_add(delta), Ordering::Release);
+            } else {
+                cell.fetch_add(delta, Ordering::Release);
+            }
+        }
+
+        /// Counter `i` summed over the shards. An `Acquire` load of a shard
+        /// that observes an `add` also observes every earlier `add` of that
+        /// thread to the same shard, so a reader that sums a counter bumped
+        /// later before one bumped earlier never sees the later one ahead.
+        pub fn sum(&self, i: usize) -> u64 {
+            self.shards.iter().fold(0, |acc, s| acc.wrapping_add(s.0[i].load(Ordering::Acquire)))
+        }
+    }
+
+    impl<const N: usize> Default for Counters<N> {
+        fn default() -> Self {
+            Self::new()
+        }
     }
 
     /// This thread's slot, in `0..=64`; no two live threads share one
@@ -301,6 +356,37 @@ mod tests {
         slots.sort_unstable();
         slots.dedup();
         assert_eq!(slots.len(), owned, "a slot was held by two live threads");
+    }
+
+    /// More threads than shards: the late ones share the overflow shard,
+    /// whose adds are read-modify-writes, while the early ones own theirs;
+    /// once all have joined the sums are exact, counter by counter.
+    #[test]
+    fn counters_stay_exact_past_the_owned_shards() {
+        use crate::shard::{Counters, SHARDS};
+        let _serial = SLOTS_IN_USE.lock();
+        let c = Counters::<2>::new();
+        std::thread::scope(|scope| {
+            for _ in 0..3 * SHARDS {
+                scope.spawn(|| {
+                    for _ in 0..10_000 {
+                        c.add(0, 1);
+                        c.add(1, 3);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.sum(0), 3 * SHARDS as u64 * 10_000);
+        assert_eq!(c.sum(1), 9 * SHARDS as u64 * 10_000);
+    }
+
+    #[test]
+    fn counters_are_a_line_per_shard() {
+        use crate::shard::{Counters, SHARDS};
+        assert_eq!(std::mem::size_of::<Counters<1>>(), 64 * SHARDS);
+        assert_eq!(std::mem::size_of::<Counters<8>>(), 64 * SHARDS);
+        assert_eq!(std::mem::size_of::<Counters<9>>(), 128 * SHARDS);
+        assert_eq!(std::mem::align_of::<Counters<1>>(), 64);
     }
 
     #[test]

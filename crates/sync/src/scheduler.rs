@@ -542,36 +542,34 @@ mod tests {
         });
     }
 
-    /// The owner path of a sharded counter (`mvkv-obs`, `OpCounters`): a
-    /// thread bumps its own shard's cell with a plain load and store, which
-    /// loses no update only if no other thread writes that cell. Two model
-    /// threads get distinct owned shards, so on every schedule the reader
-    /// sees a partial sum and the joined total is exact.
+    /// The owner path of `shard::Counters` (the `mvkv-obs` instruments,
+    /// `OpCounters`): a thread adds to its own shard's cell with a plain load
+    /// and store, which loses no update only if no other thread writes that
+    /// cell. Two model threads get distinct owned shards, so on every
+    /// schedule the reader sees a partial sum and the joined total is exact.
     #[test]
     fn owned_shards_never_lose_a_load_store_bump() {
-        use crate::shard::{shard_id, OVERFLOW_SHARD, SHARDS};
+        use crate::shard::{shard_id, Counters, OVERFLOW_SHARD};
         super::model(|| {
             assert_eq!(shard_id(), 0, "the model's own thread");
-            let cells: Arc<[AtomicU64; SHARDS]> = Arc::default();
+            let counters: Arc<Counters<1>> = Arc::default();
             let h: Vec<_> = (0..2)
                 .map(|_| {
-                    let cells = cells.clone();
+                    let counters = counters.clone();
                     crate::thread::spawn(move || {
                         let id = shard_id();
                         assert!(id < OVERFLOW_SHARD, "an owned shard, got {id}");
                         for _ in 0..2 {
-                            let cell = &cells[id];
-                            cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Release);
+                            counters.add(0, 1);
                         }
                         id
                     })
                 })
                 .collect();
-            let sum = || cells.iter().map(|c| c.load(Ordering::Acquire)).sum::<u64>();
-            assert!(sum() <= 4);
+            assert!(counters.sum(0) <= 4);
             let ids: Vec<usize> = h.into_iter().map(|t| t.join().unwrap()).collect();
             assert_ne!(ids[0], ids[1], "two model threads share a shard");
-            assert_eq!(sum(), 4, "a bump was lost");
+            assert_eq!(counters.sum(0), 4, "a bump was lost");
         });
     }
 

@@ -73,7 +73,7 @@ impl<S: Slots> History<S> {
     /// both stop at it, so a crash between prepare and publish loses only
     /// the tail, never consistency.
     pub fn append_prepare(&self, version: u64, value: u64) -> S::Slot {
-        mvkv_obs::counter_inc_hot!("mvkv_vhistory_appends_total");
+        mvkv_obs::counter_inc!("mvkv_vhistory_appends_total");
         let (_, slot) = self.slots.claim_unlinked();
         self.slots.persist_pending();
         let e: &Entry = &slot;
@@ -92,7 +92,7 @@ impl<S: Slots> History<S> {
     /// publishes. Covers every [`History::append_prepare`] issued (by this
     /// thread) since the previous fence.
     pub fn publish_fence(&self) {
-        mvkv_obs::counter_inc_hot!("mvkv_vhistory_publish_fences_total");
+        mvkv_obs::counter_inc!("mvkv_vhistory_publish_fences_total");
         self.slots.publish_fence();
     }
 
@@ -154,7 +154,7 @@ impl<S: Slots> History<S> {
             match tail.compare_exchange_weak(observed, goal, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => {
                     let advanced = (goal - observed) as u64;
-                    mvkv_obs::counter_add_hot!("mvkv_vhistory_tail_advances_total", advanced);
+                    mvkv_obs::counter_add!("mvkv_vhistory_tail_advances_total", advanced);
                     self.slots.persist_tail();
                     return next;
                 }

@@ -1,15 +1,15 @@
 //! End-to-end check of the observability layer through the umbrella crate.
 //!
-//! Runs the same test in both builds: with `--features obs` it asserts a
-//! real workload populates the registry with metrics from several crates;
-//! without it, that the whole layer is zero-sized stubs rendering nothing.
+//! Runs the same test in both builds: with `--features mvkv-obs/enabled` it
+//! asserts a real workload populates the registry with exact metrics from
+//! several crates; without it, that the whole layer is zero-sized stubs
+//! rendering nothing.
 
 use mvkv::core::{DbStore, PSkipList, StoreSession, VersionedStore};
 
-/// Enough inserts that every `counter_inc_hot!` call site flushes its
-/// per-thread buffer at least once (flush threshold 1024; fences alone run
-/// ~7 per insert).
-const N: u64 = 4096;
+/// Fresh-key inserts; every counter reads exactly, so the registry's counts
+/// follow from it.
+const N: u64 = 1000;
 
 fn run_workload() {
     let store = PSkipList::create_volatile(32 << 20).expect("pool");
@@ -28,10 +28,10 @@ fn run_workload() {
     assert_eq!(db.session().find(1, version), Some(2));
 }
 
-// Both tests gate at runtime on `is_enabled()` rather than on the umbrella
-// crate's `obs` cfg: feature unification means `mvkv-obs/enabled` can be
-// flipped from any crate in the graph (CI does exactly that), and
-// `is_enabled()` is the one signal that tracks the layer's actual state.
+// Both tests gate at runtime on `is_enabled()` rather than on a cfg of this
+// crate: feature unification means `mvkv-obs/enabled` can be flipped from
+// any crate in the graph, and `is_enabled()` is the one signal that tracks
+// the layer's actual state.
 
 #[test]
 fn enabled_registry_collects_across_crates() {
@@ -53,6 +53,15 @@ fn enabled_registry_collects_across_crates() {
         "mvkv_minidb_page_cache_",         // minidb pager
     ] {
         assert!(text.contains(metric), "missing {metric} in:\n{text}");
+    }
+    // Counters are exact, not buffered: one append and one publish fence per
+    // insert, one WAL commit for the one minidb row.
+    for line in [
+        format!("mvkv_vhistory_appends_total {N}\n"),
+        format!("mvkv_vhistory_publish_fences_total {N}\n"),
+        "mvkv_minidb_wal_commits_total 1\n".to_string(),
+    ] {
+        assert!(text.contains(&line), "missing {line:?} in:\n{text}");
     }
     // Prometheus text shape: TYPE lines and histogram suffixes.
     assert!(text.contains("# TYPE mvkv_pmem_fences_total counter"));

@@ -204,13 +204,12 @@ proptest! {
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&wal);
 
-        let opts = mvkv::minidb::DbOptions { durable: true, ..Default::default() };
-        let mut db = mvkv::minidb::Database::create_file(&path, opts).unwrap();
+        let mut db = mvkv::minidb::Database::create_file(&path).unwrap();
         let mut model: std::collections::BTreeMap<(u64, u64), u64> = Default::default();
         for (i, &(key, value)) in rows.iter().enumerate() {
             if reopen_at.contains(&i) {
                 drop(db);
-                db = mvkv::minidb::Database::open_file(&path, opts).unwrap();
+                db = mvkv::minidb::Database::open_file(&path).unwrap();
             }
             let version = i as u64 + 1;
             db.connect().insert_row(version, key, value).unwrap();

@@ -2,7 +2,7 @@
 //! boundary near frame edges and verify that replay always recovers a
 //! committed prefix of the row log — never a torn row, never a crash.
 
-use mvkv::minidb::{Database, DbOptions};
+use mvkv::minidb::Database;
 
 fn wal_path(db: &std::path::Path) -> std::path::PathBuf {
     let mut p = db.as_os_str().to_owned();
@@ -17,7 +17,7 @@ fn truncated_wal_always_recovers_a_committed_prefix() {
     let wal = wal_path(&db_path);
     let rows = 12u64;
     {
-        let db = Database::create_file(&db_path, DbOptions::default()).unwrap();
+        let db = Database::create_file(&db_path).unwrap();
         let conn = db.connect();
         for v in 1..=rows {
             conn.insert_row(v, v * 10, v * 100).unwrap();
@@ -33,7 +33,7 @@ fn truncated_wal_always_recovers_a_committed_prefix() {
     let mut recovered_counts = std::collections::BTreeSet::new();
     for cut in cuts {
         std::fs::write(&wal, &full_wal[..cut]).unwrap();
-        let db = Database::open_file(&db_path, DbOptions::default()).unwrap();
+        let db = Database::open_file(&db_path).unwrap();
         let conn = db.connect();
         // Whatever survives must be a version-contiguous prefix.
         let recovered = conn.max_version();
@@ -58,7 +58,7 @@ fn truncated_wal_always_recovers_a_committed_prefix() {
 
     // Restore the intact WAL: the database is fully usable afterwards.
     std::fs::write(&wal, &full_wal).unwrap();
-    let db = Database::open_file(&db_path, DbOptions::default()).unwrap();
+    let db = Database::open_file(&db_path).unwrap();
     assert_eq!(db.connect().max_version(), rows);
     let _ = std::fs::remove_file(&db_path);
     let _ = std::fs::remove_file(&wal);
@@ -70,7 +70,7 @@ fn corrupted_wal_frame_kind_stops_replay_cleanly() {
     let db_path = dir.join(format!("mvkv-walcorrupt-{}.db", std::process::id()));
     let wal = wal_path(&db_path);
     {
-        let db = Database::create_file(&db_path, DbOptions::default()).unwrap();
+        let db = Database::create_file(&db_path).unwrap();
         let conn = db.connect();
         for v in 1..=5u64 {
             conn.insert_row(v, v, v).unwrap();
@@ -85,7 +85,7 @@ fn corrupted_wal_frame_kind_stops_replay_cleanly() {
         *b = 0xEE;
     }
     std::fs::write(&wal, &bytes).unwrap();
-    let db = Database::open_file(&db_path, DbOptions::default()).unwrap();
+    let db = Database::open_file(&db_path).unwrap();
     let conn = db.connect();
     let recovered = conn.max_version();
     assert!(recovered < 5, "corruption must drop the tail");
