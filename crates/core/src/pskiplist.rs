@@ -1074,6 +1074,11 @@ mod tests {
     }
 
     #[test]
+    fn salvaging_an_empty_image_is_an_error() {
+        assert!(PSkipList::open_image_salvage(&[], 1).is_err());
+    }
+
+    #[test]
     fn rebuild_thread_counts_agree() {
         let path = std::env::temp_dir().join(format!("pskip-threads-{}.pool", std::process::id()));
         {

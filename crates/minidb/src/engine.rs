@@ -2,14 +2,15 @@
 //! queries over the `(version, key, value)` row log.
 
 use crate::btree::{self, PageSource};
-use crate::page::PageBuf;
+use crate::page::{PageBuf, PAGE_SIZE};
 use crate::pager::PageCache;
-use crate::storage::{FileStorage, MemStorage, Storage};
+use crate::storage::Media;
 use crate::wal::Wal;
 use crate::{DbError, Result, REMOVE_MARKER};
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fs::OpenOptions;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -59,7 +60,8 @@ impl Meta {
 }
 
 struct Shared {
-    storage: Box<dyn Storage>,
+    /// The main page store: page `i` at byte `i * PAGE_SIZE`.
+    storage: Media,
     wal: Wal,
     /// The single-writer lock, owning the authoritative meta (SQLite
     /// serializes all writers).
@@ -87,9 +89,21 @@ impl Shared {
     fn try_fetch_committed(&self, id: u64) -> Result<PageBuf> {
         let mut buf = PageBuf::zeroed();
         if !self.wal.read_page(id, &mut buf)? {
-            self.storage.read_page(id, &mut buf)?;
+            self.storage.read_at(id * PAGE_SIZE as u64, buf.as_bytes_mut())?;
         }
         Ok(buf)
+    }
+
+    /// Writes a page image straight to main storage (not synced).
+    fn write_page(&self, id: u64, buf: &PageBuf) -> Result<()> {
+        self.storage.write_at(id * PAGE_SIZE as u64, buf.as_bytes())
+    }
+
+    /// Folds the WAL's committed frames into main storage and syncs it.
+    /// Callers hold the writer lock.
+    fn checkpoint(&self) -> Result<()> {
+        self.wal.checkpoint(|id, buf| self.write_page(id, buf))?;
+        self.storage.sync()
     }
 }
 
@@ -118,39 +132,9 @@ pub struct Database {
 }
 
 impl Database {
-    fn bootstrap(
-        storage: Box<dyn Storage>,
-        wal: Wal,
-        shared_cache: Option<Mutex<PageCache>>,
-    ) -> Result<Database> {
-        // Materialize the meta page and an empty B+tree root directly in
-        // storage (creation is single-threaded).
-        struct Boot<'a> {
-            storage: &'a dyn Storage,
-            next: u64,
-        }
-        impl PageSource for Boot<'_> {
-            fn read(&mut self, id: u64) -> PageBuf {
-                let mut b = PageBuf::zeroed();
-                self.storage.read_page(id, &mut b).expect("boot read");
-                b
-            }
-            fn write(&mut self, id: u64, buf: PageBuf) {
-                self.storage.write_page(id, &buf).expect("boot write");
-            }
-            fn allocate(&mut self) -> u64 {
-                let id = self.next;
-                self.next += 1;
-                id
-            }
-        }
-        let mut boot = Boot { storage: storage.as_ref(), next: 1 };
-        let root = btree::create_empty(&mut boot);
-        let vroot = btree::create_empty(&mut boot);
-        let meta = Meta { root, vroot, next_page: boot.next, rows: 0 };
-        storage.write_page(META_PAGE, &meta.to_page())?;
-        storage.sync()?;
-        Ok(Database {
+    fn new(storage: Media, wal: Wal, shared_cache: Option<Mutex<PageCache>>) -> Database {
+        let meta = Meta { root: 0, vroot: 0, next_page: 0, rows: 0 };
+        Database {
             shared: Arc::new(Shared {
                 storage,
                 wal,
@@ -159,40 +143,54 @@ impl Database {
                 commit_counter: AtomicU64::new(1),
                 shared_cache,
             }),
-        })
+        }
+    }
+
+    /// Installs `meta` as the committed state (single-threaded: at create
+    /// or open).
+    fn with_meta(self, meta: Meta) -> Database {
+        *self.shared.writer.lock() = meta;
+        *self.shared.committed_meta.write() = meta;
+        self
+    }
+
+    /// Writes the meta page and two empty B+trees directly to storage
+    /// (creation is single-threaded).
+    fn bootstrap(self) -> Result<Database> {
+        let shared = &*self.shared;
+        let mut boot = TxnPager { shared, writes: HashMap::new(), next_page: 1 };
+        let root = btree::create_empty(&mut boot);
+        let vroot = btree::create_empty(&mut boot);
+        let meta = Meta { root, vroot, next_page: boot.next_page, rows: 0 };
+        boot.writes.insert(META_PAGE, meta.to_page());
+        for (&id, buf) in &boot.writes {
+            shared.write_page(id, buf)?;
+        }
+        shared.storage.sync()?;
+        Ok(self.with_meta(meta))
     }
 
     /// Creates a new file-backed database (`path` plus a `path.wal` log).
     pub fn create_file<P: AsRef<Path>>(path: P) -> Result<Database> {
-        let storage = Box::new(FileStorage::create(&path)?);
+        let storage = Media::create(path.as_ref())?;
         let wal = Wal::create_file(wal_path(path.as_ref()))?;
-        Self::bootstrap(storage, wal, None)
+        Self::new(storage, wal, None).bootstrap()
     }
 
     /// Opens an existing file-backed database, replaying its WAL.
     pub fn open_file<P: AsRef<Path>>(path: P) -> Result<Database> {
-        let storage: Box<dyn Storage> = Box::new(FileStorage::open(&path)?);
+        let file = OpenOptions::new().read(true).write(true).open(&path)?;
         let wal = Wal::open_file(wal_path(path.as_ref()))?;
-        let shared = Shared {
-            storage,
-            wal,
-            writer: Mutex::new(Meta { root: 0, vroot: 0, next_page: 0, rows: 0 }),
-            committed_meta: RwLock::new(Meta { root: 0, vroot: 0, next_page: 0, rows: 0 }),
-            commit_counter: AtomicU64::new(1),
-            shared_cache: None,
-        };
-        let meta = Meta::from_page(&shared.try_fetch_committed(META_PAGE)?)?;
-        *shared.writer.lock() = meta;
-        *shared.committed_meta.write() = meta;
-        Ok(Database { shared: Arc::new(shared) })
+        let db = Self::new(Media::File(file), wal, None);
+        let meta = Meta::from_page(&db.shared.try_fetch_committed(META_PAGE)?)?;
+        Ok(db.with_meta(meta))
     }
 
     /// Creates an in-memory database (the `DbMem` mode — no durability).
     pub fn memory() -> Database {
-        let storage = Box::new(MemStorage::new());
-        let wal = Wal::memory();
         let cache = Mutex::new(PageCache::new(CACHE_PAGES));
-        Self::bootstrap(storage, wal, Some(cache)).expect("memory bootstrap cannot fail")
+        let db = Self::new(Media::memory(), Wal::memory(), Some(cache));
+        db.bootstrap().expect("memory bootstrap cannot fail")
     }
 
     /// Opens a connection (one per thread; connections are `Send`, not `Sync`).
@@ -205,10 +203,7 @@ impl Database {
     /// Forces a WAL checkpoint into main storage.
     pub fn checkpoint(&self) -> Result<()> {
         let _writer = self.shared.writer.lock();
-        let shared = &self.shared;
-        shared.wal.checkpoint(|id, buf| shared.storage.write_page(id, buf))?;
-        shared.storage.sync()?;
-        Ok(())
+        self.shared.checkpoint()
     }
 
     /// Total committed rows.
@@ -260,30 +255,26 @@ impl Connection {
     /// Committed page read through the connection's cache discipline.
     fn read_page(&self, id: u64) -> PageBuf {
         let counter = self.shared.commit_counter.load(Ordering::Acquire);
-        match &self.shared.shared_cache {
-            Some(shared_cache) => {
-                // SQLiteMem model: every page access serializes on the
-                // shared cache lock — including the miss fill.
-                let mut cache = shared_cache.lock();
-                cache.validate(counter);
-                if let Some(buf) = cache.get(id) {
-                    return buf;
-                }
-                let buf = self.shared.fetch_committed(id);
-                cache.insert(id, buf.clone());
-                buf
+        let (mut shared, mut own);
+        let cache: &mut PageCache = match &self.shared.shared_cache {
+            // SQLiteMem model: every page access serializes on the shared
+            // cache lock — including the miss fill below.
+            Some(cache) => {
+                shared = cache.lock();
+                &mut shared
             }
             None => {
-                let mut cache = self.cache.borrow_mut();
-                cache.validate(counter);
-                if let Some(buf) = cache.get(id) {
-                    return buf;
-                }
-                let buf = self.shared.fetch_committed(id);
-                cache.insert(id, buf.clone());
-                buf
+                own = self.cache.borrow_mut();
+                &mut own
             }
+        };
+        cache.validate(counter);
+        if let Some(buf) = cache.get(id) {
+            return buf;
         }
+        let buf = self.shared.fetch_committed(id);
+        cache.insert(id, buf.clone());
+        buf
     }
 
     fn committed_root(&self) -> u64 {
@@ -323,8 +314,7 @@ impl Connection {
         *shared.committed_meta.write() = *meta;
         shared.commit_counter.fetch_add(1, Ordering::AcqRel);
         if shared.wal.frames_since_checkpoint() >= CHECKPOINT_FRAMES {
-            shared.wal.checkpoint(|id, buf| shared.storage.write_page(id, buf))?;
-            shared.storage.sync()?;
+            shared.checkpoint()?;
         }
         Ok(())
     }

@@ -6,10 +6,11 @@
 //! SQLite is out of scope for this from-scratch reproduction, so `minidb`
 //! implements the same architectural ingredients natively:
 //!
-//! * [`pager`] — 4 KiB pages over a file or memory [`storage::Storage`],
-//!   with per-connection page caches (the `SQLiteReg` model) or a single
-//!   shared, lock-guarded cache (the `SQLiteMem` shared-cache model whose
-//!   contention the paper measures).
+//! * [`pager`] — 4 KiB pages over a file or a memory vector (one media
+//!   type, `storage.rs`, that the WAL uses too), with per-connection page
+//!   caches (the `SQLiteReg` model) or a single shared, lock-guarded cache
+//!   (the `SQLiteMem` shared-cache model whose contention the paper
+//!   measures).
 //! * [`wal`] — a write-ahead log: committed transactions append page frames
 //!   plus a commit record, are made durable with one sync, and checkpoint
 //!   back into the main storage when the log grows.
@@ -29,7 +30,7 @@ pub mod btree;
 pub mod engine;
 pub mod page;
 pub mod pager;
-pub mod storage;
+mod storage;
 pub mod wal;
 
 pub use engine::{Connection, Database};

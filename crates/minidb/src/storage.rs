@@ -1,113 +1,73 @@
-//! Durable page storage: a file (the `DbReg` persistent mode) or a plain
-//! memory vector (the `DbMem` in-memory mode).
+//! The bytes behind a database: a file (the `DbReg` persistent mode) or a
+//! plain memory vector (the `DbMem` in-memory mode). One type serves both
+//! the page store (page `i` at byte `i * PAGE_SIZE`) and the write-ahead log.
 
-use crate::page::{PageBuf, PAGE_SIZE};
-use crate::Result;
+use crate::{DbError, Result};
 use parking_lot::RwLock;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Random-access page storage. All methods are callable concurrently.
-pub trait Storage: Send + Sync {
-    fn read_page(&self, id: u64, buf: &mut PageBuf) -> Result<()>;
-    fn write_page(&self, id: u64, buf: &PageBuf) -> Result<()>;
-    /// Number of pages the storage currently holds.
-    fn page_count(&self) -> u64;
-    /// Durability barrier (fsync for files, no-op for memory).
-    fn sync(&self) -> Result<()>;
+/// Positional byte storage. All methods are callable concurrently.
+pub(crate) enum Media {
+    File(File),
+    Mem(RwLock<Vec<u8>>),
 }
 
-/// File-backed storage using positional reads/writes.
-pub struct FileStorage {
-    file: File,
-    pages: AtomicU64,
-}
-
-impl FileStorage {
-    pub fn create<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(FileStorage { file, pages: AtomicU64::new(0) })
+impl Media {
+    /// Creates (truncating) the file at `path`.
+    pub(crate) fn create(path: &Path) -> Result<Self> {
+        let file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
+        Ok(Media::File(file))
     }
 
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.metadata()?.len();
-        Ok(FileStorage { file, pages: AtomicU64::new(len / PAGE_SIZE as u64) })
-    }
-}
-
-impl Storage for FileStorage {
-    fn read_page(&self, id: u64, buf: &mut PageBuf) -> Result<()> {
-        self.file.read_exact_at(buf.as_bytes_mut().as_mut_slice(), id * PAGE_SIZE as u64)?;
-        Ok(())
+    pub(crate) fn memory() -> Self {
+        Media::Mem(RwLock::new(Vec::new()))
     }
 
-    fn write_page(&self, id: u64, buf: &PageBuf) -> Result<()> {
-        self.file.write_all_at(buf.as_bytes().as_slice(), id * PAGE_SIZE as u64)?;
-        self.pages.fetch_max(id + 1, Ordering::AcqRel);
-        Ok(())
-    }
-
-    fn page_count(&self) -> u64 {
-        self.pages.load(Ordering::Acquire)
-    }
-
-    fn sync(&self) -> Result<()> {
-        self.file.sync_data()?;
-        Ok(())
-    }
-}
-
-/// In-memory storage (no durability): a growable vector of pages.
-pub struct MemStorage {
-    pages: RwLock<Vec<PageBuf>>,
-}
-
-impl MemStorage {
-    pub fn new() -> Self {
-        MemStorage { pages: RwLock::new(Vec::new()) }
-    }
-}
-
-impl Default for MemStorage {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Storage for MemStorage {
-    fn read_page(&self, id: u64, buf: &mut PageBuf) -> Result<()> {
-        let pages = self.pages.read();
-        match pages.get(id as usize) {
-            Some(p) => {
-                buf.as_bytes_mut().copy_from_slice(p.as_bytes().as_slice());
-                Ok(())
+    /// Fills `buf` from byte `off`; reading past the end is an error.
+    pub(crate) fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<()> {
+        match self {
+            Media::File(f) => f.read_exact_at(buf, off)?,
+            Media::Mem(m) => {
+                let v = m.read();
+                let bytes = v.get(off as usize..off as usize + buf.len());
+                buf.copy_from_slice(bytes.ok_or(DbError::Corrupt("read past end of memory"))?);
             }
-            None => Err(crate::DbError::Corrupt("read past end of memory storage")),
         }
-    }
-
-    fn write_page(&self, id: u64, buf: &PageBuf) -> Result<()> {
-        let mut pages = self.pages.write();
-        while pages.len() <= id as usize {
-            pages.push(PageBuf::zeroed());
-        }
-        pages[id as usize] = buf.clone();
         Ok(())
     }
 
-    fn page_count(&self) -> u64 {
-        self.pages.read().len() as u64
+    /// Writes `data` at byte `off`, growing the media (zero-filled) to reach it.
+    pub(crate) fn write_at(&self, off: u64, data: &[u8]) -> Result<()> {
+        match self {
+            Media::File(f) => f.write_all_at(data, off)?,
+            Media::Mem(m) => {
+                let mut v = m.write();
+                let end = off as usize + data.len();
+                if v.len() < end {
+                    v.resize(end, 0);
+                }
+                v[off as usize..end].copy_from_slice(data);
+            }
+        }
+        Ok(())
     }
 
-    fn sync(&self) -> Result<()> {
+    pub(crate) fn truncate(&self, len: u64) -> Result<()> {
+        match self {
+            Media::File(f) => f.set_len(len)?,
+            Media::Mem(m) => m.write().truncate(len as usize),
+        }
+        Ok(())
+    }
+
+    /// Durability barrier (`fdatasync` for a file, nothing for memory).
+    pub(crate) fn sync(&self) -> Result<()> {
+        if let Media::File(f) = self {
+            f.sync_data()?;
+        }
         Ok(())
     }
 }
@@ -115,49 +75,34 @@ impl Storage for MemStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::{PageBuf, PAGE_SIZE};
 
-    fn check_roundtrip(s: &dyn Storage) {
-        let mut w = PageBuf::zeroed();
-        w.put_u64(0, 111);
-        s.write_page(0, &w).unwrap();
-        w.put_u64(0, 333);
-        s.write_page(2, &w).unwrap();
-        assert!(s.page_count() >= 3);
+    fn page_with(v: u64) -> PageBuf {
+        let mut p = PageBuf::zeroed();
+        p.put_u64(0, v);
+        p
+    }
 
+    fn page_at(media: &Media, id: u64) -> Result<u64> {
         let mut r = PageBuf::zeroed();
-        s.read_page(0, &mut r).unwrap();
-        assert_eq!(r.get_u64(0), 111);
-        s.read_page(2, &mut r).unwrap();
-        assert_eq!(r.get_u64(0), 333);
-        s.sync().unwrap();
+        media.read_at(id * PAGE_SIZE as u64, r.as_bytes_mut())?;
+        Ok(r.get_u64(0))
     }
 
     #[test]
-    fn mem_storage_roundtrip() {
-        check_roundtrip(&MemStorage::new());
-    }
-
-    #[test]
-    fn file_storage_roundtrip_and_reopen() {
-        let path = std::env::temp_dir().join(format!("minidb-storage-{}.db", std::process::id()));
-        {
-            let s = FileStorage::create(&path).unwrap();
-            check_roundtrip(&s);
+    fn both_media_round_trip_pages_and_refuse_a_read_past_the_end() {
+        let path = std::env::temp_dir().join(format!("minidb-media-{}.db", std::process::id()));
+        for media in [Media::memory(), Media::create(&path).unwrap()] {
+            media.write_at(0, page_with(111).as_bytes()).unwrap();
+            media.write_at(2 * PAGE_SIZE as u64, page_with(333).as_bytes()).unwrap();
+            media.sync().unwrap();
+            assert_eq!((page_at(&media, 0).unwrap(), page_at(&media, 1).unwrap()), (111, 0));
+            assert_eq!(page_at(&media, 2).unwrap(), 333);
+            assert!(page_at(&media, 3).is_err(), "a read past the end");
         }
-        {
-            let s = FileStorage::open(&path).unwrap();
-            assert_eq!(s.page_count(), 3);
-            let mut r = PageBuf::zeroed();
-            s.read_page(2, &mut r).unwrap();
-            assert_eq!(r.get_u64(0), 333);
-        }
+        // The file reopens with its pages.
+        let file = Media::File(OpenOptions::new().read(true).write(true).open(&path).unwrap());
+        assert_eq!((page_at(&file, 0).unwrap(), page_at(&file, 2).unwrap()), (111, 333));
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn mem_read_past_end_errors() {
-        let s = MemStorage::new();
-        let mut b = PageBuf::zeroed();
-        assert!(s.read_page(5, &mut b).is_err());
     }
 }

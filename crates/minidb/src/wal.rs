@@ -18,11 +18,11 @@
 //! is for the memory-backed media this engine targets (`/dev/shm`).
 
 use crate::page::{PageBuf, PAGE_SIZE};
+use crate::storage::Media;
 use crate::Result;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::os::unix::fs::FileExt;
+use std::fs::OpenOptions;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -30,72 +30,9 @@ const KIND_PAGE: u64 = 1;
 const KIND_COMMIT: u64 = 2;
 const FRAME_HDR: u64 = 16;
 
-enum WalBackend {
-    File(File),
-    Mem(RwLock<Vec<u8>>),
-}
-
-impl WalBackend {
-    fn write_at(&self, off: u64, data: &[u8]) -> Result<()> {
-        match self {
-            WalBackend::File(f) => {
-                f.write_all_at(data, off)?;
-                Ok(())
-            }
-            WalBackend::Mem(m) => {
-                let mut v = m.write();
-                let end = off as usize + data.len();
-                if v.len() < end {
-                    v.resize(end, 0);
-                }
-                v[off as usize..end].copy_from_slice(data);
-                Ok(())
-            }
-        }
-    }
-
-    fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<()> {
-        match self {
-            WalBackend::File(f) => {
-                f.read_exact_at(buf, off)?;
-                Ok(())
-            }
-            WalBackend::Mem(m) => {
-                let v = m.read();
-                let end = off as usize + buf.len();
-                if end > v.len() {
-                    return Err(crate::DbError::Corrupt("WAL read past end"));
-                }
-                buf.copy_from_slice(&v[off as usize..end]);
-                Ok(())
-            }
-        }
-    }
-
-    fn truncate(&self, len: u64) -> Result<()> {
-        match self {
-            WalBackend::File(f) => {
-                f.set_len(len)?;
-                Ok(())
-            }
-            WalBackend::Mem(m) => {
-                m.write().truncate(len as usize);
-                Ok(())
-            }
-        }
-    }
-
-    fn sync(&self) -> Result<()> {
-        if let WalBackend::File(f) = self {
-            f.sync_data()?;
-        }
-        Ok(())
-    }
-}
-
 /// The write-ahead log plus its in-memory index of committed frames.
 pub struct Wal {
-    backend: WalBackend,
+    media: Media,
     /// Append position (writers are externally serialized).
     len: AtomicU64,
     /// page id → byte offset of the newest committed page image.
@@ -107,16 +44,18 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Creates a fresh file-backed WAL (truncates any existing log).
-    pub fn create_file<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(Wal {
-            backend: WalBackend::File(file),
+    fn new(media: Media) -> Self {
+        Wal {
+            media,
             len: AtomicU64::new(0),
             index: RwLock::new(HashMap::new()),
             frames_since_checkpoint: AtomicU64::new(0),
-        })
+        }
+    }
+
+    /// Creates a fresh file-backed WAL (truncates any existing log).
+    pub fn create_file<P: AsRef<Path>>(path: P) -> Result<Self> {
+        Ok(Wal::new(Media::create(path.as_ref())?))
     }
 
     /// Opens an existing WAL, replaying committed frames into the index and
@@ -126,24 +65,14 @@ impl Wal {
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
         let file_len = file.metadata()?.len();
-        let wal = Wal {
-            backend: WalBackend::File(file),
-            len: AtomicU64::new(0),
-            index: RwLock::new(HashMap::new()),
-            frames_since_checkpoint: AtomicU64::new(0),
-        };
+        let wal = Wal::new(Media::File(file));
         wal.replay(file_len)?;
         Ok(wal)
     }
 
     /// Creates an in-memory WAL (the `DbMem` mode).
     pub fn memory() -> Self {
-        Wal {
-            backend: WalBackend::Mem(RwLock::new(Vec::new())),
-            len: AtomicU64::new(0),
-            index: RwLock::new(HashMap::new()),
-            frames_since_checkpoint: AtomicU64::new(0),
-        }
+        Wal::new(Media::memory())
     }
 
     fn replay(&self, file_len: u64) -> Result<()> {
@@ -154,7 +83,7 @@ impl Wal {
         let mut hdr = [0u8; 16];
         let mut frames = 0u64;
         while off + FRAME_HDR <= file_len {
-            self.backend.read_at(off, &mut hdr)?;
+            self.media.read_at(off, &mut hdr)?;
             let page_id = u64::from_le_bytes(hdr[0..8].try_into().expect("sized"));
             let kind = u64::from_le_bytes(hdr[8..16].try_into().expect("sized"));
             match kind {
@@ -174,7 +103,7 @@ impl Wal {
             }
         }
         drop(index);
-        self.backend.truncate(committed_end)?;
+        self.media.truncate(committed_end)?;
         self.len.store(committed_end, Ordering::Release);
         self.frames_since_checkpoint.store(frames, Ordering::Release);
         Ok(())
@@ -191,8 +120,8 @@ impl Wal {
             let mut hdr = [0u8; 16];
             hdr[0..8].copy_from_slice(&page_id.to_le_bytes());
             hdr[8..16].copy_from_slice(&KIND_PAGE.to_le_bytes());
-            self.backend.write_at(off, &hdr)?;
-            self.backend.write_at(off + FRAME_HDR, buf.as_bytes().as_slice())?;
+            self.media.write_at(off, &hdr)?;
+            self.media.write_at(off + FRAME_HDR, buf.as_bytes().as_slice())?;
             staged.push((page_id, off + FRAME_HDR));
             off += FRAME_HDR + PAGE_SIZE as u64;
         }
@@ -201,10 +130,10 @@ impl Wal {
         }
         let mut hdr = [0u8; 16];
         hdr[8..16].copy_from_slice(&KIND_COMMIT.to_le_bytes());
-        self.backend.write_at(off, &hdr)?;
+        self.media.write_at(off, &hdr)?;
         off += FRAME_HDR;
         // A file is synced at every commit; memory has nothing to sync.
-        self.backend.sync()?;
+        self.media.sync()?;
         // Only after durability do the frames become visible to readers.
         let mut index = self.index.write();
         self.frames_since_checkpoint.fetch_add(staged.len() as u64, Ordering::AcqRel);
@@ -221,7 +150,7 @@ impl Wal {
         let index = self.index.read();
         match index.get(&page_id) {
             Some(&frame_off) => {
-                self.backend.read_at(frame_off, buf.as_bytes_mut().as_mut_slice())?;
+                self.media.read_at(frame_off, buf.as_bytes_mut().as_mut_slice())?;
                 Ok(true)
             }
             None => Ok(false),
@@ -240,11 +169,11 @@ impl Wal {
         let mut index = self.index.write();
         let mut buf = PageBuf::zeroed();
         for (&page, &frame_off) in index.iter() {
-            self.backend.read_at(frame_off, buf.as_bytes_mut().as_mut_slice())?;
+            self.media.read_at(frame_off, buf.as_bytes_mut().as_mut_slice())?;
             apply(page, &buf)?;
         }
         index.clear();
-        self.backend.truncate(0)?;
+        self.media.truncate(0)?;
         self.len.store(0, Ordering::Release);
         self.frames_since_checkpoint.store(0, Ordering::Release);
         Ok(())
@@ -314,9 +243,9 @@ mod tests {
             let mut hdr = [0u8; 16];
             hdr[0..8].copy_from_slice(&9u64.to_le_bytes());
             hdr[8..16].copy_from_slice(&KIND_PAGE.to_le_bytes());
-            wal.backend.write_at(off, &hdr).unwrap();
-            wal.backend.write_at(off + 16, page_with(99).as_bytes().as_slice()).unwrap();
-            wal.backend.sync().unwrap();
+            wal.media.write_at(off, &hdr).unwrap();
+            wal.media.write_at(off + 16, page_with(99).as_bytes().as_slice()).unwrap();
+            wal.media.sync().unwrap();
         }
         {
             let wal = Wal::open_file(&path).unwrap();

@@ -368,13 +368,16 @@ pub(crate) fn occupancy(
     })
 }
 
-/// Volatile allocator state attached to a pool.
+/// DRAM allocator state attached to a pool.
 ///
 /// There is deliberately **no** independent `total_allocs` counter:
 /// [`Allocator::stats`] derives it as `hits + steals + refills +
 /// large_allocs`, so a snapshot can never observe "more allocations served
 /// than performed" no matter how it interleaves with concurrent updates
-/// (the read-during-update race the old two-counter scheme had).
+/// (the read-during-update race the old two-counter scheme had). Nor is
+/// there a live-block counter: `live_blocks` is the live count at open plus
+/// `total_allocs` minus `total_frees`, so an allocation from a shard's own
+/// list writes no allocator-wide line.
 pub struct Allocator {
     /// One arena per `num_shards()` — sized at construction, never resized,
     /// so per-shard counter reads in [`Allocator::stats`] are plain atomic
@@ -385,7 +388,8 @@ pub struct Allocator {
     runs: Mutex<Vec<u32>>,
     /// Freed large blocks: total block size → payload offsets.
     large_free: Mutex<BTreeMap<u64, Vec<u64>>>,
-    live_blocks: AtomicU64,
+    /// Blocks the open-time heap walk found allocated (0 for a new pool).
+    live_at_open: AtomicU64,
     /// Allocations served by the large path (best-fit reuse or exact bump).
     large_allocs: AtomicU64,
     total_frees: AtomicU64,
@@ -409,7 +413,8 @@ pub struct AllocStats {
     pub heap_used: u64,
     /// Bytes still available for bump allocation.
     pub heap_remaining: u64,
-    /// Blocks currently allocated.
+    /// Blocks currently allocated: those live at open, plus `total_allocs`,
+    /// minus `total_frees`.
     pub live_blocks: u64,
     /// Lifetime allocation count (this process). Derived at snapshot time
     /// from the per-path counters, so it always equals `shard_hits +
@@ -439,7 +444,7 @@ impl Allocator {
             shards: (0..num_shards()).map(|_| Shard::new()).collect(),
             runs: Mutex::new(Vec::new()),
             large_free: Mutex::new(BTreeMap::new()),
-            live_blocks: AtomicU64::new(0),
+            live_at_open: AtomicU64::new(0),
             large_allocs: AtomicU64::new(0),
             total_frees: AtomicU64::new(0),
             indeterminate_at_open: AtomicU64::new(0),
@@ -450,14 +455,13 @@ impl Allocator {
     pub fn alloc(&self, pool: &PmemPool, len: usize) -> Result<u64> {
         let len = len.max(1);
         if let Some(class) = class_for(len) {
-            // Ordering note: hits/steals/refills below are monitoring stats
-            // only — Relaxed by design; nothing is ordered against them.
-            // `stats()` derives total_allocs from them, so each alloc bumps
-            // exactly one classifying counter.
+            // Ordering note: hits/steals/refills below are monitoring stats;
+            // each alloc bumps exactly one of them, with `Release`, and
+            // `stats()` derives total_allocs from them (see there).
             let me = shard_id();
             // 1. Own arena — the contention-free fast path.
             if let Some(entry) = self.shards[me].pop(class) {
-                self.shards[me].hits.fetch_add(1, Ordering::Relaxed); // ordering: stat
+                self.shards[me].hits.fetch_add(1, Ordering::Release);
                 mvkv_obs::counter_inc!("mvkv_pmem_alloc_hits_total");
                 return Ok(self.take_entry(pool, class, entry));
             }
@@ -490,7 +494,7 @@ impl Allocator {
                     large.remove(&size);
                 }
                 drop(large);
-                self.large_allocs.fetch_add(1, Ordering::Relaxed); // ordering: stat
+                self.large_allocs.fetch_add(1, Ordering::Release);
                 mvkv_obs::counter_inc!("mvkv_pmem_alloc_large_total");
                 self.take(pool, Located::Large { header: off - BLOCK_HEADER, size });
                 return Ok(off);
@@ -503,7 +507,6 @@ impl Allocator {
     /// word says it is not free is never handed out.
     fn take(&self, pool: &PmemPool, block: Located) {
         assert!(block.flip(pool, true), "free-list block {block:?} is not free");
-        self.live_blocks.fetch_add(1, Ordering::Relaxed); // ordering: gauge, not a publication
     }
 
     /// [`Allocator::take`] for the class block a free-list entry names.
@@ -574,7 +577,7 @@ impl Allocator {
         if !extras.is_empty() {
             self.shards[me].push(class, extras);
         }
-        self.shards[me].steals.fetch_add(1, Ordering::Relaxed); // ordering: stat
+        self.shards[me].steals.fetch_add(1, Ordering::Release);
         mvkv_obs::counter_inc!("mvkv_pmem_alloc_steals_total");
         mvkv_obs::counter_add!("mvkv_pmem_alloc_steal_blocks_total", moved + 1);
         Some(self.take_entry(pool, class, entry))
@@ -664,9 +667,8 @@ impl Allocator {
             // Highest bit first: the next same-thread allocs go up the run.
             shard.push(class, (1..batch).rev().map(|bit| free_entry(run, bit)));
             shard.last_batch.store(batch, Ordering::Relaxed); // ordering: adaptive input
-            shard.refills.fetch_add(1, Ordering::Relaxed); // ordering: stat
+            shard.refills.fetch_add(1, Ordering::Release);
             mvkv_obs::counter_inc!("mvkv_pmem_alloc_refills_total");
-            self.live_blocks.fetch_add(1, Ordering::Relaxed); // ordering: gauge, not a publication
             return Ok(run_block(run, class, 0));
         }
     }
@@ -693,9 +695,8 @@ impl Allocator {
             pool.persist(current, BLOCK_HEADER as usize);
             pool.persist(OFF_BUMP, 8);
             pool.fence();
-            self.large_allocs.fetch_add(1, Ordering::Relaxed); // ordering: stat
+            self.large_allocs.fetch_add(1, Ordering::Release);
             mvkv_obs::counter_inc!("mvkv_pmem_alloc_large_total");
-            self.live_blocks.fetch_add(1, Ordering::Relaxed); // ordering: gauge, not a publication
             return Ok(current + BLOCK_HEADER);
         }
     }
@@ -726,8 +727,7 @@ impl Allocator {
                 self.large_free.lock().entry(size).or_default().push(off)
             }
         }
-        self.live_blocks.fetch_sub(1, Ordering::Relaxed); // ordering: gauge, not a publication
-        self.total_frees.fetch_add(1, Ordering::Relaxed); // ordering: stat
+        self.total_frees.fetch_add(1, Ordering::Release);
         mvkv_obs::counter_inc!("mvkv_pmem_deallocs_total");
     }
 
@@ -788,7 +788,7 @@ impl Allocator {
             pool.fence();
         }
         // ordering: open-time rebuild; the pool is not shared yet.
-        self.live_blocks.store(live, Ordering::Relaxed);
+        self.live_at_open.store(live, Ordering::Relaxed);
         // ordering: as above.
         self.indeterminate_at_open.store(indeterminate, Ordering::Relaxed);
     }
@@ -812,29 +812,34 @@ impl Allocator {
 
     pub fn stats(&self, pool: &PmemPool) -> AllocStats {
         let bump = pool.read_u64(OFF_BUMP);
-        let n = self.shards.len();
+        // Frees first, with `Acquire`: every free counted here synchronizes
+        // with its `Release` bump, which follows its block's allocation, so
+        // the allocation counters loaded below count that allocation too
+        // and `live_blocks` never wraps.
+        let total_frees = self.total_frees.load(Ordering::Acquire);
         let load = |f: fn(&Shard) -> &AtomicU64| -> Vec<u64> {
-            // ordering: stat reads; each element is one atomic load and the
-            // totals below are derived from exactly these loads.
-            (0..n).map(|i| f(&self.shards[i]).load(Ordering::Relaxed)).collect()
+            self.shards.iter().map(|shard| f(shard).load(Ordering::Acquire)).collect()
         };
         let shard_hits = load(|s| &s.hits);
         let shard_refills = load(|s| &s.refills);
         let shard_steals = load(|s| &s.steals);
-        let large_allocs = self.large_allocs.load(Ordering::Relaxed); // ordering: stat read
+        let large_allocs = self.large_allocs.load(Ordering::Acquire);
+        // Derived from the loads above, never from a separate counter: the
+        // snapshot is internally consistent by construction (see the struct
+        // docs and the stats_snapshot_is_consistent test).
+        let total_allocs = shard_hits.iter().sum::<u64>()
+            + shard_refills.iter().sum::<u64>()
+            + shard_steals.iter().sum::<u64>()
+            + large_allocs;
+        // ordering: written once at open, before the pool is shared.
+        let live_at_open = self.live_at_open.load(Ordering::Relaxed);
         AllocStats {
             heap_used: bump - HEAP_START,
             heap_remaining: pool.len() as u64 - bump,
-            live_blocks: self.live_blocks.load(Ordering::Relaxed), // ordering: stat read
-            // Derived from the loads above, never from a separate counter:
-            // the snapshot is internally consistent by construction (see
-            // the struct docs and the stats_snapshot_is_consistent test).
-            total_allocs: shard_hits.iter().sum::<u64>()
-                + shard_refills.iter().sum::<u64>()
-                + shard_steals.iter().sum::<u64>()
-                + large_allocs,
+            live_blocks: live_at_open + total_allocs - total_frees,
+            total_allocs,
             large_allocs,
-            total_frees: self.total_frees.load(Ordering::Relaxed), // ordering: stat read
+            total_frees,
             shard_hits,
             shard_refills,
             shard_steals,
@@ -1239,6 +1244,40 @@ mod tests {
             }
             stop.store(1, Ordering::Relaxed);
         });
+    }
+
+    /// `live_blocks` is derived (live at open + allocations − frees): a
+    /// snapshot taken while other threads allocate and free must never count
+    /// a free whose allocation it missed, which would wrap the difference.
+    #[test]
+    #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
+    fn derived_live_blocks_never_exceed_allocations_during_churn() {
+        let p = PmemPool::create_volatile(1 << 24).unwrap();
+        let running = AtomicU64::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let (p, running) = (&p, &running);
+                scope.spawn(move || {
+                    let mut held = std::collections::VecDeque::new();
+                    for _ in 0..50_000 {
+                        held.push_back(p.alloc(16 << (t % 3)).unwrap());
+                        if held.len() > 4 {
+                            p.dealloc(held.pop_front().unwrap());
+                        }
+                    }
+                    held.into_iter().for_each(|off| p.dealloc(off));
+                    running.fetch_sub(1, Ordering::Release);
+                });
+            }
+            let mut snapshots = 0;
+            while snapshots < 1_000 || running.load(Ordering::Acquire) > 0 {
+                let s = p.alloc_stats();
+                assert!(s.live_blocks <= s.total_allocs, "snapshot wrapped: {s:?}");
+                snapshots += 1;
+            }
+        });
+        let s = p.alloc_stats();
+        assert_eq!((s.live_blocks, s.total_frees), (0, s.total_allocs));
     }
 
     #[test]

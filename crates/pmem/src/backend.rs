@@ -1,60 +1,107 @@
-//! Storage backends for [`crate::PmemPool`].
+//! The media a [`crate::PmemPool`] lives on.
 //!
-//! A backend supplies the mapped byte region plus the persistence primitives
-//! (`persist` = flush-to-media, `fence` = ordering). Three implementations:
+//! The set is closed, so it is one private enum, [`Media`], that the pool
+//! matches on in `persist`, `fence` and `sync_all`; the pool keeps the
+//! region's base and length itself, so a word access makes no call. Three
+//! variants:
 //!
-//! * [`FileBacked`] — `mmap` of a regular file. Pointing the file at
-//!   `/dev/shm` reproduces the paper's PM emulation exactly (§V-A). On a
-//!   DAX-mounted PM namespace it is durable only on an eADR platform, whose
-//!   caches are in the persistence domain: on ADR hardware a store reaches
-//!   the media only through `clwb` / `clflushopt` + `sfence`, which this
-//!   backend does not issue yet (ROADMAP.md, "Persist for real").
-//! * [`Volatile`] — anonymous heap memory for unit tests and for the
-//!   ephemeral store variants.
-//! * [`CrashSim`] — volatile front region plus a durable shadow. Only
-//!   explicitly persisted cache lines (and, optionally, randomly "evicted"
-//!   ones) reach the shadow; [`CrashSim::crash_image`] returns what would
-//!   survive a power failure.
+//! * `File` — `mmap` of a regular file. Pointing the file at `/dev/shm`
+//!   reproduces the paper's PM emulation exactly (§V-A). On a DAX-mounted
+//!   PM namespace it is durable only on an eADR platform, whose caches are
+//!   in the persistence domain: on ADR hardware a store reaches the media
+//!   only through `clwb` / `clflushopt` + `sfence`, which this variant does
+//!   not issue yet. A persist mode chosen at create or open (ROADMAP.md,
+//!   "Persist for real") is a field of this variant, decided once.
+//! * `Heap` — a zeroed heap region for unit tests and for the ephemeral
+//!   store variants: no durability.
+//! * `CrashSim` — [`CrashSim`]: a volatile front region plus a durable
+//!   shadow. Only explicitly persisted cache lines (and, optionally,
+//!   randomly "evicted" ones) reach the shadow; [`CrashSim::crash_image`]
+//!   returns what would survive a power failure.
 
-use crate::layout::CACHE_LINE;
+use crate::layout::{CACHE_LINE, MIN_POOL_LEN};
 use crate::{PmemError, Result};
 use mvkv_sync::sync::atomic::{fence, AtomicU64, Ordering};
 use mvkv_sync::sync::Mutex;
 use std::fs::OpenOptions;
 use std::path::Path;
 
-/// A byte region with persistence primitives. All methods must be safe to
-/// call concurrently from many threads.
-pub trait Backend: Send + Sync {
-    /// Base address of the mapped region.
-    fn base(&self) -> *mut u8;
-    /// Region length in bytes.
-    fn len(&self) -> usize;
-    /// True if the region is empty (present for clippy's sake; pools never are).
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+/// The region a pool lives on, and how its persistence primitives reach
+/// the media.
+pub(crate) enum Media {
+    /// A mapped file. Its `persist` is a release fence and nothing more
+    /// (module docs); on a regular file system only `sync_all`, an `msync`
+    /// of the whole map, reaches the disk.
+    File(memmap2::MmapMut),
+    /// Heap memory: no durability.
+    Heap(AlignedRegion),
+    /// The crash simulator.
+    CrashSim(CrashSim),
+}
+
+impl Media {
+    /// Creates (truncating) a file of `len` bytes and maps it.
+    pub(crate) fn create_file(path: &Path, len: usize) -> Result<Self> {
+        let file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
+        file.set_len(len as u64)?;
+        // SAFETY: we own the file; len matches set_len.
+        Ok(Media::File(unsafe { memmap2::MmapMut::map_mut(&file)? }))
     }
+
+    /// Maps an existing pool file read-write; one too short to hold a
+    /// superblock is refused before it is mapped.
+    pub(crate) fn open_file(path: &Path) -> Result<Self> {
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        if file.metadata()?.len() < MIN_POOL_LEN as u64 {
+            return Err(PmemError::BadMagic);
+        }
+        // SAFETY: mapping length tracks the file length.
+        Ok(Media::File(unsafe { memmap2::MmapMut::map_mut(&file)? }))
+    }
+
+    /// Base address and length of the region.
+    pub(crate) fn region(&self) -> (*mut u8, usize) {
+        match self {
+            Media::File(map) => (map.as_ptr() as *mut u8, map.len()),
+            Media::Heap(region) => (region.ptr, region.len),
+            Media::CrashSim(sim) => (sim.front.ptr, sim.front.len),
+        }
+    }
+
     /// Flushes `[offset, offset+len)` to the durable media (cache-line
     /// granularity; may flush more than requested, never less).
-    fn persist(&self, offset: usize, len: usize);
-    /// Store-ordering fence between persists (sfence analogue).
-    fn fence(&self) {
-        fence(Ordering::SeqCst);
+    #[inline]
+    pub(crate) fn persist(&self, offset: usize, len: usize) {
+        match self {
+            // tmpfs, or DAX on eADR: stores are durable once globally visible.
+            Media::File(_) => fence(Ordering::Release),
+            Media::Heap(_) => {}
+            Media::CrashSim(sim) => sim.persist(offset, len),
+        }
     }
+
+    /// Store-ordering fence between persists (sfence analogue).
+    #[inline]
+    pub(crate) fn fence(&self) {
+        match self {
+            Media::CrashSim(sim) => sim.fence(),
+            Media::File(_) | Media::Heap(_) => fence(Ordering::SeqCst),
+        }
+    }
+
     /// Flushes everything and synchronizes with the media (close path).
-    fn sync_all(&self) {}
-    /// Downcast hook for crash-simulation-specific APIs.
-    fn as_crash_sim(&self) -> Option<&CrashSim> {
-        None
+    pub(crate) fn sync_all(&self) {
+        match self {
+            Media::File(map) => _ = map.flush(),
+            Media::Heap(_) => {}
+            Media::CrashSim(sim) => sim.propagate(0, sim.front.len),
+        }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Aligned heap region shared by Volatile and CrashSim.
-// ---------------------------------------------------------------------------
-
 /// Page-aligned, zero-initialized heap region with manual lifetime.
-struct AlignedRegion {
+pub(crate) struct AlignedRegion {
     ptr: *mut u8,
     len: usize,
 }
@@ -66,9 +113,12 @@ unsafe impl Send for AlignedRegion {}
 unsafe impl Sync for AlignedRegion {}
 
 impl AlignedRegion {
-    fn zeroed(len: usize) -> Self {
+    /// # Panics
+    /// When `len` is 0: the pool constructors refuse that length first.
+    pub(crate) fn zeroed(len: usize) -> Self {
+        assert!(len > 0, "a zero-length region");
         let layout = std::alloc::Layout::from_size_align(len, 4096).expect("valid layout");
-        // SAFETY: layout has non-zero size (callers validate len > 0).
+        // SAFETY: layout has non-zero size, asserted above.
         let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
         assert!(!ptr.is_null(), "allocation of {len} bytes failed");
         AlignedRegion { ptr, len }
@@ -90,103 +140,6 @@ impl Drop for AlignedRegion {
     }
 }
 
-// ---------------------------------------------------------------------------
-// FileBacked
-// ---------------------------------------------------------------------------
-
-/// Memory-mapped file backend — the production persistence path.
-///
-/// File pools assume tmpfs (`/dev/shm`, the paper's emulation): `persist`
-/// is a no-op beyond a release fence, because there is no media behind the
-/// caches, exactly like the paper's setup. A DAX mount gets the same
-/// guarantee only on an eADR platform, where a store is durable once it
-/// leaves the store buffer; on ADR hardware it needs a `clwb` /
-/// `clflushopt` per line and an `sfence`, which `persist` and `fence` do
-/// not issue yet (ROADMAP.md, "Persist for real"). On a regular file
-/// system only `sync_all` (an `msync` of the whole map) reaches the disk.
-pub struct FileBacked {
-    map: memmap2::MmapMut,
-}
-
-impl FileBacked {
-    /// Creates (truncating) a file of `len` bytes and maps it.
-    pub fn create<P: AsRef<Path>>(path: P, len: usize) -> Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        file.set_len(len as u64)?;
-        // SAFETY: we own the file; len matches set_len.
-        let map = unsafe { memmap2::MmapMut::map_mut(&file)? };
-        Ok(FileBacked { map })
-    }
-
-    /// Maps an existing pool file read-write.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let meta = file.metadata()?;
-        if meta.len() == 0 {
-            return Err(PmemError::BadMagic);
-        }
-        // SAFETY: mapping length tracks the file length.
-        let map = unsafe { memmap2::MmapMut::map_mut(&file)? };
-        Ok(FileBacked { map })
-    }
-}
-
-impl Backend for FileBacked {
-    fn base(&self) -> *mut u8 {
-        self.map.as_ptr() as *mut u8
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn persist(&self, _offset: usize, _len: usize) {
-        // tmpfs, or DAX on eADR: stores are durable once globally visible.
-        // DAX on ADR needs a clwb per line here (ROADMAP.md, "Persist for real").
-        fence(Ordering::Release);
-    }
-
-    fn sync_all(&self) {
-        let _ = self.map.flush();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Volatile
-// ---------------------------------------------------------------------------
-
-/// Plain heap backend: no durability, used by tests and ephemeral variants.
-pub struct Volatile {
-    region: AlignedRegion,
-}
-
-impl Volatile {
-    pub fn new(len: usize) -> Self {
-        Volatile { region: AlignedRegion::zeroed(len) }
-    }
-}
-
-impl Backend for Volatile {
-    fn base(&self) -> *mut u8 {
-        self.region.ptr
-    }
-
-    fn len(&self) -> usize {
-        self.region.len
-    }
-
-    fn persist(&self, _offset: usize, _len: usize) {}
-}
-
-// ---------------------------------------------------------------------------
-// CrashSim
-// ---------------------------------------------------------------------------
-
 /// Options controlling the crash simulator.
 #[derive(Debug, Clone, Copy)]
 pub struct CrashOptions {
@@ -204,7 +157,7 @@ impl Default for CrashOptions {
     }
 }
 
-/// Volatile front region + durable shadow. Only persisted (or randomly
+/// A cached front region + durable shadow. Only persisted (or randomly
 /// evicted) cache lines propagate to the shadow; `crash_image` returns the
 /// shadow contents, i.e. the post-power-failure state of the media.
 pub struct CrashSim {
@@ -270,7 +223,7 @@ impl CrashSim {
         self.captured.lock().clone()
     }
 
-    /// Number of `fence` calls issued against this backend so far.
+    /// Number of `fence` calls issued against this simulator so far.
     /// (Relaxed: a monitoring counter, never synchronized against.)
     pub fn fence_count(&self) -> u64 {
         self.fences.load(Ordering::Relaxed) // ordering: stat read
@@ -349,16 +302,6 @@ impl CrashSim {
         }
         out
     }
-}
-
-impl Backend for CrashSim {
-    fn base(&self) -> *mut u8 {
-        self.front.ptr
-    }
-
-    fn len(&self) -> usize {
-        self.front.len
-    }
 
     fn persist(&self, offset: usize, len: usize) {
         if len == 0 {
@@ -395,91 +338,102 @@ impl Backend for CrashSim {
             *self.captured.lock() = Some(self.crash_image());
         }
     }
-
-    fn sync_all(&self) {
-        self.propagate(0, self.front.len);
-    }
-
-    fn as_crash_sim(&self) -> Option<&CrashSim> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn volatile_is_zeroed_and_writable() {
-        let v = Volatile::new(8192);
-        assert_eq!(v.len(), 8192);
-        // SAFETY: exclusive access in test.
-        unsafe {
-            assert_eq!(*v.base(), 0);
-            *v.base().add(100) = 42;
-            assert_eq!(*v.base().add(100), 42);
+    fn store(media: &Media, off: usize, byte: u8) {
+        let (base, len) = media.region();
+        assert!(off < len);
+        // SAFETY: in bounds, asserted above; tests access the region from
+        // one thread.
+        unsafe { *base.add(off) = byte };
+    }
+
+    fn load(media: &Media, off: usize) -> u8 {
+        let (base, len) = media.region();
+        assert!(off < len);
+        // SAFETY: as in `store`.
+        unsafe { *base.add(off) }
+    }
+
+    fn crash_sim(len: usize, options: CrashOptions) -> Media {
+        Media::CrashSim(CrashSim::new(len, options))
+    }
+
+    fn sim(media: &Media) -> &CrashSim {
+        match media {
+            Media::CrashSim(sim) => sim,
+            _ => panic!("not a crash simulator"),
         }
+    }
+
+    #[test]
+    fn heap_is_zeroed_and_writable() {
+        let heap = Media::Heap(AlignedRegion::zeroed(8192));
+        assert_eq!(heap.region().1, 8192);
+        assert_eq!(load(&heap, 0), 0);
+        store(&heap, 100, 42);
+        heap.persist(100, 1);
+        heap.fence();
+        heap.sync_all();
+        assert_eq!(load(&heap, 100), 42);
     }
 
     #[test]
     fn crash_sim_from_bytes_holds_them_in_caches_and_media() {
         let data: Vec<u8> = (0..=255u8).collect();
-        let sim = CrashSim::from_bytes(&data);
-        // SAFETY: base()..base()+len() is the region's own mapping.
-        let view = unsafe { std::slice::from_raw_parts(sim.base(), sim.len()) };
-        assert_eq!((view, &sim.crash_image()[..]), (&data[..], &data[..]));
+        let media = Media::CrashSim(CrashSim::from_bytes(&data));
+        let (base, len) = media.region();
+        // SAFETY: base..base+len is the region's own allocation.
+        let view = unsafe { std::slice::from_raw_parts(base, len) };
+        assert_eq!((view, &sim(&media).crash_image()[..]), (&data[..], &data[..]));
     }
 
     #[test]
-    fn file_backed_persists_across_reopen() {
+    fn a_mapped_file_persists_across_reopen() {
         let path = std::env::temp_dir().join(format!("mvkv-backend-{}.pool", std::process::id()));
         {
-            let f = FileBacked::create(&path, 16384).unwrap();
-            // SAFETY: 5000 < 16384, inside the freshly created mapping.
-            unsafe { *f.base().add(5000) = 0xAB };
-            f.persist(5000, 1);
-            f.sync_all();
+            let file = Media::create_file(&path, 16384).unwrap();
+            store(&file, 5000, 0xAB);
+            file.persist(5000, 1);
+            file.fence();
+            file.sync_all();
         }
         {
-            let f = FileBacked::open(&path).unwrap();
-            assert_eq!(f.len(), 16384);
-            // SAFETY: 5000 < 16384, inside the reopened mapping.
-            unsafe { assert_eq!(*f.base().add(5000), 0xAB) };
+            let file = Media::open_file(&path).unwrap();
+            assert_eq!(file.region().1, 16384);
+            assert_eq!(load(&file, 5000), 0xAB);
         }
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn open_missing_file_errors() {
-        let r = FileBacked::open("/definitely/not/a/real/path.pool");
-        assert!(r.is_err());
+        assert!(Media::open_file(Path::new("/definitely/not/a/real/path.pool")).is_err());
     }
 
     #[test]
     fn crash_sim_drops_unpersisted_writes() {
-        let sim = CrashSim::new(4096, CrashOptions::default());
-        // SAFETY: both offsets are < 4096, inside the simulated region.
-        unsafe {
-            *sim.base().add(0) = 1; // persisted below
-            *sim.base().add(256) = 2; // never persisted
-        }
-        sim.persist(0, 1);
-        let image = sim.crash_image();
+        let media = crash_sim(4096, CrashOptions::default());
+        store(&media, 0, 1); // persisted below
+        store(&media, 256, 2); // never persisted
+        media.persist(0, 1);
+        let image = sim(&media).crash_image();
         assert_eq!(image[0], 1);
         assert_eq!(image[256], 0, "unpersisted write must not survive the crash");
     }
 
     #[test]
     fn crash_sim_persist_is_cache_line_granular() {
-        let sim = CrashSim::new(4096, CrashOptions::default());
-        // SAFETY: all offsets are < 4096, inside the simulated region.
-        unsafe {
-            *sim.base().add(64) = 7;
-            *sim.base().add(127) = 9; // same cache line as 64..128
-            *sim.base().add(128) = 5; // next line
-        }
-        sim.persist(64, 1);
-        let image = sim.crash_image();
+        let media = crash_sim(4096, CrashOptions::default());
+        store(&media, 64, 7);
+        store(&media, 127, 9); // same cache line as 64..128
+        store(&media, 128, 5); // next line
+        media.persist(64, 1);
+        let image = sim(&media).crash_image();
         assert_eq!(image[64], 7);
         assert_eq!(image[127], 9, "whole cache line flushes together");
         assert_eq!(image[128], 0);
@@ -487,75 +441,69 @@ mod tests {
 
     #[test]
     fn crash_sim_sync_all_flushes_everything() {
-        let sim = CrashSim::new(4096, CrashOptions::default());
-        // SAFETY: 1000 < 4096, inside the simulated region.
-        unsafe { *sim.base().add(1000) = 3 };
-        sim.sync_all();
-        assert_eq!(sim.crash_image()[1000], 3);
+        let media = crash_sim(4096, CrashOptions::default());
+        store(&media, 1000, 3);
+        media.sync_all();
+        assert_eq!(sim(&media).crash_image()[1000], 3);
     }
 
     #[test]
     fn crash_sim_counts_fences() {
-        let sim = CrashSim::new(4096, CrashOptions::default());
-        assert_eq!(sim.fence_count(), 0);
-        sim.persist(0, 8); // persists alone don't count
-        assert_eq!(sim.fence_count(), 0);
-        sim.fence();
-        sim.fence();
-        assert_eq!(sim.fence_count(), 2);
+        let media = crash_sim(4096, CrashOptions::default());
+        assert_eq!(sim(&media).fence_count(), 0);
+        media.persist(0, 8); // persists alone don't count
+        assert_eq!(sim(&media).fence_count(), 0);
+        media.fence();
+        media.fence();
+        assert_eq!(sim(&media).fence_count(), 2);
     }
 
     #[test]
     fn crash_sim_counts_persists_and_the_lines_they_cover() {
-        let sim = CrashSim::new(4096, CrashOptions::default());
-        sim.persist(60, 8); // straddles lines 0 and 1
-        sim.persist(64, 64);
-        sim.persist(100, 0); // flushes nothing
-        sim.persist(4000, 500); // clipped at the region's end
+        let media = crash_sim(4096, CrashOptions::default());
+        media.persist(60, 8); // straddles lines 0 and 1
+        media.persist(64, 64);
+        media.persist(100, 0); // flushes nothing
+        media.persist(4000, 500); // clipped at the region's end
+        let sim = sim(&media);
         assert_eq!((sim.persist_count(), sim.lines_flushed()), (3, 2 + 1 + 2));
     }
 
     #[test]
     fn crash_sim_reports_the_lines_a_persist_has_not_covered() {
-        let sim = CrashSim::new(4096, CrashOptions::default());
-        assert!(sim.unflushed_lines().is_empty());
-        // SAFETY: all offsets are < 4096, inside the simulated region.
-        unsafe {
-            *sim.base().add(70) = 1;
-            *sim.base().add(200) = 2;
-            *sim.base().add(4095) = 3;
-        }
-        assert_eq!(sim.unflushed_lines(), [64, 192, 4032]);
-        sim.persist(64, 1);
-        assert_eq!(sim.unflushed_lines(), [192, 4032]);
+        let media = crash_sim(4096, CrashOptions::default());
+        assert!(sim(&media).unflushed_lines().is_empty());
+        store(&media, 70, 1);
+        store(&media, 200, 2);
+        store(&media, 4095, 3);
+        assert_eq!(sim(&media).unflushed_lines(), [64, 192, 4032]);
+        media.persist(64, 1);
+        assert_eq!(sim(&media).unflushed_lines(), [192, 4032]);
         // A store of the value the media already holds leaves nothing behind.
-        // SAFETY: as above.
-        unsafe { *sim.base().add(200) = 0 };
-        assert_eq!(sim.unflushed_lines(), [4032]);
-        sim.sync_all();
-        assert!(sim.unflushed_lines().is_empty());
+        store(&media, 200, 0);
+        assert_eq!(sim(&media).unflushed_lines(), [4032]);
+        media.sync_all();
+        assert!(sim(&media).unflushed_lines().is_empty());
     }
 
     #[test]
     fn fence_trap_captures_the_exact_boundary() {
-        let sim = CrashSim::new(4096, CrashOptions::default());
+        let media = crash_sim(4096, CrashOptions::default());
+        let sim = sim(&media);
         sim.capture_at_fence(2);
-        // SAFETY: offset 0 is inside the simulated region.
-        unsafe { *sim.base().add(0) = 1 };
-        sim.persist(0, 1);
-        sim.fence(); // boundary 1 — trap not yet sprung
+        store(&media, 0, 1);
+        media.persist(0, 1);
+        media.fence(); // boundary 1 — trap not yet sprung
         assert!(sim.captured_image().is_none());
-        // SAFETY: offset 64 is inside the simulated region.
-        unsafe { *sim.base().add(64) = 2 };
-        sim.persist(64, 1);
-        sim.fence(); // boundary 2 — captured here
+        store(&media, 64, 2);
+        media.persist(64, 1);
+        media.fence(); // boundary 2 — captured here
         let at_two = sim.captured_image().expect("trap fired");
         assert_eq!((at_two[0], at_two[64]), (1, 2));
         // Later writes must not leak into the captured image.
-        // SAFETY: offset 128 is inside the simulated region.
-        unsafe { *sim.base().add(128) = 3 };
-        sim.persist(128, 1);
-        sim.fence();
+        store(&media, 128, 3);
+        media.persist(128, 1);
+        media.fence();
         assert_eq!(sim.captured_image().expect("still armed")[128], 0);
         // Re-arming clears the previous capture.
         sim.capture_at_fence(1000);
@@ -565,16 +513,15 @@ mod tests {
     #[test]
     fn crash_sim_eviction_is_deterministic() {
         let run = |seed| {
-            let sim = CrashSim::new(8192, CrashOptions { eviction_rate: 0.9, seed });
+            let media = crash_sim(8192, CrashOptions { eviction_rate: 0.9, seed });
             for i in 0..16usize {
-                // SAFETY: 15 * 320 < 8192, inside the simulated region.
-                unsafe { *sim.base().add(i * 320) = i as u8 + 1 };
+                store(&media, i * 320, i as u8 + 1);
             }
             // Persist only line 0; evictions may pull others in.
             for _ in 0..32 {
-                sim.persist(0, 8);
+                media.persist(0, 8);
             }
-            sim.crash_image()
+            sim(&media).crash_image()
         };
         assert_eq!(run(7), run(7));
     }

@@ -10,18 +10,21 @@
 //!   thread-safe persistent allocator.
 //! * [`PPtr`] — an 8-byte, pool-relative persistent pointer that stays valid
 //!   when the pool is re-mapped at a different base address.
-//! * Backends: [`backend::FileBacked`] (mmap over `/dev/shm` or any file
-//!   system — the same PM emulation the paper uses), [`backend::Volatile`]
-//!   (heap, for tests), and [`backend::CrashSim`] (volatile front + durable
-//!   shadow that only receives explicitly persisted cache lines — used to
-//!   test crash-consistency invariants).
+//! * One closed set of media, a private enum the pool matches on
+//!   (`backend.rs`): a mapped file (over `/dev/shm` or any file system —
+//!   the same PM emulation the paper uses), a heap region (for tests and
+//!   ephemeral stores), and [`CrashSim`] (volatile front + durable shadow
+//!   that only receives explicitly persisted cache lines — used to test
+//!   crash-consistency invariants). The pool keeps the region's base and
+//!   length itself, so a word access makes no call; a persist mode chosen
+//!   at create or open belongs in that enum's file variant.
 //!
 //! ## Persistence model
 //!
 //! The pool exposes the PM programming primitives the paper's algorithms
 //! rely on: 8-byte atomic stores ([`PmemPool::atomic_u64`]), explicit
 //! flushes ([`PmemPool::persist`], the `clwb` analogue) and ordering fences
-//! ([`PmemPool::fence`]). On the crash-simulation backend only data that was
+//! ([`PmemPool::fence`]). On the crash simulator only data that was
 //! explicitly persisted (plus, optionally, randomly "evicted" cache lines —
 //! real PM may persist more than requested, never less) survives a crash.
 //!
@@ -60,7 +63,7 @@ pub mod pool;
 pub mod pptr;
 pub mod recovery;
 
-pub use backend::{Backend, CrashOptions, CrashSim, FileBacked, Volatile};
+pub use backend::{CrashOptions, CrashSim};
 pub use corrupt::{CorruptOptions, FaultKind, InjectedFault};
 pub use crc::{crc32c, crc32c_u64s};
 pub use pool::PmemPool;

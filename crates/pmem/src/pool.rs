@@ -1,6 +1,6 @@
 //! [`PmemPool`] — the central pool abstraction.
 
-use crate::backend::{Backend, CrashOptions, CrashSim, FileBacked, Volatile};
+use crate::backend::{AlignedRegion, CrashOptions, CrashSim, Media};
 use crate::layout::*;
 use crate::{alloc::Allocator, PmemError, Result};
 use mvkv_sync::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -8,10 +8,11 @@ use std::path::Path;
 
 /// A fixed-size pool of (emulated) persistent memory.
 ///
-/// A pool owns one [`Backend`] region laid out per [`crate::layout`]: a
-/// validated superblock followed by a walkable heap managed by a thread-safe
-/// allocator. All addressing is pool-relative (`u64` offsets / [`crate::PPtr`]),
-/// so a pool re-opened at a different base address stays valid.
+/// A pool owns one region — a mapped file, a heap region or a
+/// [`CrashSim`] — laid out per [`crate::layout`]: a validated superblock
+/// followed by a walkable heap managed by a thread-safe allocator. All
+/// addressing is pool-relative (`u64` offsets / [`crate::PPtr`]), so a pool
+/// re-opened at a different base address stays valid.
 ///
 /// # Examples
 ///
@@ -27,9 +28,21 @@ use std::path::Path;
 /// # Ok::<(), mvkv_pmem::PmemError>(())
 /// ```
 pub struct PmemPool {
-    backend: Box<dyn Backend>,
+    /// The region's base address and length, read by every access without
+    /// a call or a match.
+    base: *mut u8,
+    len: usize,
+    /// What the region is, and how `persist` and `fence` reach its media.
+    media: Media,
     pub(crate) allocator: Allocator,
 }
+
+// SAFETY: `base` points into `media`'s region, which the pool owns and which
+// never moves (a mapping or a heap allocation held by address); its bytes
+// are shared through atomics or under the contracts of the `unsafe` methods.
+unsafe impl Send for PmemPool {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for PmemPool {}
 
 impl PmemPool {
     // -- constructors -------------------------------------------------------
@@ -38,26 +51,24 @@ impl PmemPool {
     /// content). Place the file under `/dev/shm` to reproduce the paper's
     /// persistent-memory emulation.
     pub fn create_file<P: AsRef<Path>>(path: P, len: usize) -> Result<Self> {
-        let backend = Box::new(FileBacked::create(path, len)?);
-        Self::format(backend)
+        Self::format(len, || Media::create_file(path.as_ref(), len))
     }
 
     /// Opens an existing pool file, validating its superblock and re-deriving
     /// the allocator's free lists by scanning the heap.
     pub fn open_file<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let backend = Box::new(FileBacked::open(path)?);
-        Self::attach(backend)
+        Self::attach(Media::open_file(path.as_ref())?)
     }
 
     /// Creates a heap-backed pool (no durability) — tests, ephemeral stores.
     pub fn create_volatile(len: usize) -> Result<Self> {
-        Self::format(Box::new(Volatile::new(len)))
+        Self::format(len, || Ok(Media::Heap(AlignedRegion::zeroed(len))))
     }
 
     /// Creates a crash-simulation pool; pair with [`PmemPool::crash_image`]
     /// and [`PmemPool::open_image`].
     pub fn create_crash_sim(len: usize, options: CrashOptions) -> Result<Self> {
-        Self::format(Box::new(CrashSim::new(len, options)))
+        Self::format(len, || Ok(Media::CrashSim(CrashSim::new(len, options))))
     }
 
     /// Re-attaches to a crash image (or any serialized pool bytes), running
@@ -65,15 +76,25 @@ impl PmemPool {
     /// crash-simulation pool holding `bytes` as its durable state, so a
     /// recovery's fences can be counted and its result crashed again.
     pub fn open_image(bytes: &[u8]) -> Result<Self> {
-        Self::attach(Box::new(CrashSim::from_bytes(bytes)))
+        if bytes.len() < MIN_POOL_LEN {
+            return Err(PmemError::BadMagic);
+        }
+        Self::attach(Media::CrashSim(CrashSim::from_bytes(bytes)))
     }
 
-    fn format(backend: Box<dyn Backend>) -> Result<Self> {
-        let len = backend.len();
+    fn new(media: Media) -> Self {
+        let (base, len) = media.region();
+        PmemPool { base, len, media, allocator: Allocator::new() }
+    }
+
+    /// Formats a new region of `len` bytes, which `media` makes only once
+    /// `len` is known to hold a superblock.
+    fn format(len: usize, media: impl FnOnce() -> Result<Media>) -> Result<Self> {
         if len < MIN_POOL_LEN {
             return Err(PmemError::PoolTooSmall { requested: len, minimum: MIN_POOL_LEN });
         }
-        let pool = PmemPool { backend, allocator: Allocator::new() };
+        let pool = Self::new(media()?);
+        let len = pool.len;
         pool.write_u64(OFF_POOL_LEN, len as u64);
         pool.write_u64(OFF_ROOT, 0);
         pool.write_u64(OFF_BUMP, HEAP_START);
@@ -88,12 +109,11 @@ impl PmemPool {
         Ok(pool)
     }
 
-    fn attach(backend: Box<dyn Backend>) -> Result<Self> {
-        let len = backend.len();
-        if len < MIN_POOL_LEN {
-            return Err(PmemError::BadMagic);
-        }
-        let pool = PmemPool { backend, allocator: Allocator::new() };
+    /// Validates the superblock of a region its caller has checked holds
+    /// one, and rebuilds the allocator's free lists.
+    fn attach(media: Media) -> Result<Self> {
+        let pool = Self::new(media);
+        let len = pool.len;
         if pool.read_u64(OFF_MAGIC) != MAGIC {
             return Err(PmemError::BadMagic);
         }
@@ -185,11 +205,12 @@ impl PmemPool {
     /// per-call bump here measured ~5% of single-thread insert throughput
     /// (it defeats inlining of this two-instruction wrapper). Fences carry
     /// the architectural signal and are counted; exact persist and flushed
-    /// line counts are kept by the crash-sim backend, which pays per-line
+    /// line counts are kept by the crash simulator, which pays per-line
     /// costs anyway ([`PmemPool::persist_count`], [`PmemPool::lines_flushed`]).
+    #[inline]
     pub fn persist(&self, off: u64, len: usize) {
-        debug_assert!(off as usize + len <= self.backend.len());
-        self.backend.persist(off as usize, len);
+        debug_assert!(off as usize + len <= self.len);
+        self.media.persist(off as usize, len);
     }
 
     /// Store-ordering fence between dependent persists.
@@ -206,19 +227,19 @@ impl PmemPool {
     pub fn fence(&self) {
         mvkv_sync::sync::assert_unlocked("PmemPool::fence");
         mvkv_obs::counter_inc!("mvkv_pmem_fences_total");
-        self.backend.fence();
+        self.media.fence();
     }
 
     /// Full flush + media synchronization (close path).
     pub fn sync_all(&self) {
-        self.backend.sync_all();
+        self.media.sync_all();
     }
 
     // -- raw access ----------------------------------------------------------
 
     /// Total mapped length of the pool in bytes.
     pub fn len(&self) -> usize {
-        self.backend.len()
+        self.len
     }
 
     /// Pools are never zero-length.
@@ -230,20 +251,20 @@ impl PmemPool {
     #[inline]
     pub fn atomic_u64(&self, off: u64) -> &AtomicU64 {
         debug_assert_eq!(off % 8, 0, "atomic access must be 8-aligned");
-        debug_assert!(off as usize + 8 <= self.backend.len());
+        debug_assert!(off as usize + 8 <= self.len);
         // SAFETY: in-bounds, aligned; AtomicU64 has no invalid bit patterns;
         // the backing region lives as long as `self`.
-        unsafe { &*(self.backend.base().add(off as usize) as *const AtomicU64) }
+        unsafe { &*(self.base.add(off as usize) as *const AtomicU64) }
     }
 
     /// A word-atomic view of the 4 bytes at `off` (must be 4-aligned).
     #[inline]
     pub fn atomic_u32(&self, off: u64) -> &AtomicU32 {
         debug_assert_eq!(off % 4, 0, "atomic access must be 4-aligned");
-        debug_assert!(off as usize + 4 <= self.backend.len());
+        debug_assert!(off as usize + 4 <= self.len);
         // SAFETY: in-bounds, aligned; AtomicU32 has no invalid bit patterns;
         // the backing region lives as long as `self`.
-        unsafe { &*(self.backend.base().add(off as usize) as *const AtomicU32) }
+        unsafe { &*(self.base.add(off as usize) as *const AtomicU32) }
     }
 
     /// Reads the plain (non-atomic) u64 at `off`.
@@ -265,12 +286,12 @@ impl PmemPool {
     /// returned slice.
     pub unsafe fn bytes(&self, off: u64, len: usize) -> &[u8] {
         assert!(
-            (off as usize).checked_add(len).is_some_and(|end| end <= self.backend.len()),
+            (off as usize).checked_add(len).is_some_and(|end| end <= self.len),
             "bytes({off}, {len}) out of bounds"
         );
         // SAFETY: range bounds-checked above; immutability is the
         // caller's contract (see # Safety).
-        unsafe { std::slice::from_raw_parts(self.backend.base().add(off as usize), len) }
+        unsafe { std::slice::from_raw_parts(self.base.add(off as usize), len) }
     }
 
     /// Copies `data` into the pool at `off` (not persisted).
@@ -279,18 +300,14 @@ impl PmemPool {
     /// Caller must ensure exclusive access to the destination range.
     pub unsafe fn write_bytes(&self, off: u64, data: &[u8]) {
         assert!(
-            (off as usize).checked_add(data.len()).is_some_and(|end| end <= self.backend.len()),
+            (off as usize).checked_add(data.len()).is_some_and(|end| end <= self.len),
             "write_bytes({off}, {}) out of bounds",
             data.len()
         );
         // SAFETY: range bounds-checked above; exclusive access is the
         // caller's contract (see # Safety).
         unsafe {
-            std::ptr::copy_nonoverlapping(
-                data.as_ptr(),
-                self.backend.base().add(off as usize),
-                data.len(),
-            )
+            std::ptr::copy_nonoverlapping(data.as_ptr(), self.base.add(off as usize), data.len())
         };
     }
 
@@ -300,13 +317,12 @@ impl PmemPool {
     /// Caller must ensure exclusive access to the range.
     pub unsafe fn zero_bytes(&self, off: u64, len: usize) {
         assert!(
-            (off as usize).checked_add(len).is_some_and(|end| end <= self.backend.len()),
+            (off as usize).checked_add(len).is_some_and(|end| end <= self.len),
             "zero_bytes({off}, {len}) out of bounds"
         );
         // SAFETY: range bounds-checked above; exclusive access is the
         // caller's contract (see # Safety).
-        unsafe { std::slice::from_raw_parts_mut(self.backend.base().add(off as usize), len) }
-            .fill(0);
+        unsafe { std::slice::from_raw_parts_mut(self.base.add(off as usize), len) }.fill(0);
     }
 
     /// Typed reference to a `T` at `off`.
@@ -319,65 +335,66 @@ impl PmemPool {
     #[inline]
     pub unsafe fn typed<T>(&self, off: u64) -> &T {
         debug_assert_eq!(off as usize % std::mem::align_of::<T>(), 0);
-        debug_assert!(off as usize + std::mem::size_of::<T>() <= self.backend.len());
+        debug_assert!(off as usize + std::mem::size_of::<T>() <= self.len);
         // SAFETY: alignment/bounds debug-checked above; initialization
         // and aliasing are the caller's contract (see # Safety).
-        unsafe { &*(self.backend.base().add(off as usize) as *const T) }
+        unsafe { &*(self.base.add(off as usize) as *const T) }
     }
 
     /// Raw pointer to `off` — escape hatch for interior-atomic structs.
     #[inline]
     pub fn base_ptr(&self, off: u64) -> *mut u8 {
-        debug_assert!((off as usize) < self.backend.len());
+        debug_assert!((off as usize) < self.len);
         // SAFETY: the add stays in bounds, asserted above.
-        unsafe { self.backend.base().add(off as usize) }
+        unsafe { self.base.add(off as usize) }
     }
 
     // -- crash simulation ----------------------------------------------------
 
+    fn crash_sim(&self) -> Option<&CrashSim> {
+        match &self.media {
+            Media::CrashSim(sim) => Some(sim),
+            Media::File(_) | Media::Heap(_) => None,
+        }
+    }
+
     /// On a crash-sim pool, returns the power-failure image; `None` otherwise.
     pub fn crash_image(&self) -> Option<Vec<u8>> {
-        self.backend.as_crash_sim().map(CrashSim::crash_image)
+        self.crash_sim().map(CrashSim::crash_image)
     }
 
     /// On a crash-sim pool, the lifetime count of ordering fences issued;
     /// `None` otherwise. Used by tests asserting per-operation fence cost.
     pub fn fence_count(&self) -> Option<u64> {
-        self.backend.as_crash_sim().map(CrashSim::fence_count)
+        self.crash_sim().map(CrashSim::fence_count)
     }
 
     /// On a crash-sim pool, the lifetime count of non-empty persists.
     pub fn persist_count(&self) -> Option<u64> {
-        self.backend.as_crash_sim().map(CrashSim::persist_count)
+        self.crash_sim().map(CrashSim::persist_count)
     }
 
     /// On a crash-sim pool, the 64-byte lines those persists covered.
     pub fn lines_flushed(&self) -> Option<u64> {
-        self.backend.as_crash_sim().map(CrashSim::lines_flushed)
+        self.crash_sim().map(CrashSim::lines_flushed)
     }
 
     /// On a crash-sim pool, the lines written but not yet persisted
     /// ([`CrashSim::unflushed_lines`]).
     pub fn unflushed_lines(&self) -> Option<Vec<u64>> {
-        self.backend.as_crash_sim().map(CrashSim::unflushed_lines)
+        self.crash_sim().map(CrashSim::unflushed_lines)
     }
 
     /// On a crash-sim pool, arms the fence trap: the `n`-th fence (1-based)
     /// snapshots the durable state as if power failed at that boundary.
     /// Returns false on non-crash-sim pools. See [`CrashSim::capture_at_fence`].
     pub fn capture_at_fence(&self, n: u64) -> bool {
-        match self.backend.as_crash_sim() {
-            Some(sim) => {
-                sim.capture_at_fence(n);
-                true
-            }
-            None => false,
-        }
+        self.crash_sim().map(|sim| sim.capture_at_fence(n)).is_some()
     }
 
     /// The image captured by an armed fence trap, if it has fired.
     pub fn captured_image(&self) -> Option<Vec<u8>> {
-        self.backend.as_crash_sim().and_then(CrashSim::captured_image)
+        self.crash_sim().and_then(CrashSim::captured_image)
     }
 }
 
@@ -455,6 +472,31 @@ mod tests {
             Err(PmemError::PoolTooSmall { .. }) => {}
             other => panic!("expected PoolTooSmall, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_zero_length_region_is_refused_before_it_is_allocated() {
+        let too_small = |r: Result<PmemPool>| matches!(r, Err(PmemError::PoolTooSmall { .. }));
+        assert!(too_small(PmemPool::create_volatile(0)));
+        assert!(too_small(PmemPool::create_crash_sim(0, CrashOptions::default())));
+        assert!(matches!(PmemPool::open_image(&[]), Err(PmemError::BadMagic)));
+    }
+
+    #[test]
+    fn crash_sim_accessors_are_none_on_file_and_volatile_pools() {
+        let path = temp_path("accessors");
+        let pools = [PmemPool::create_file(&path, 1 << 20), PmemPool::create_volatile(1 << 20)];
+        for pool in pools.map(Result::unwrap) {
+            pool.fence();
+            assert!(pool.crash_image().is_none());
+            assert!(pool.fence_count().is_none());
+            assert!(pool.persist_count().is_none());
+            assert!(pool.lines_flushed().is_none());
+            assert!(pool.unflushed_lines().is_none());
+            assert!(!pool.capture_at_fence(1));
+            assert!(pool.captured_image().is_none());
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
