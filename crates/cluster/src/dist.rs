@@ -207,6 +207,10 @@ mod tests {
 
     /// K ESkipList ranks, rank r owning keys ≡ r (mod K), n keys per rank.
     fn cluster(k: usize, n: u64) -> DistStore<ESkipList> {
+        cluster_on(k, n, NetModel::theta_like())
+    }
+
+    fn cluster_on(k: usize, n: u64, model: NetModel) -> DistStore<ESkipList> {
         let ranks: Vec<ESkipList> = (0..k)
             .map(|r| {
                 let store = ESkipList::new();
@@ -220,7 +224,7 @@ mod tests {
                 store
             })
             .collect();
-        DistStore::new(ranks, NetModel::theta_like())
+        DistStore::new(ranks, model)
     }
 
     #[test]
@@ -237,7 +241,11 @@ mod tests {
 
     #[test]
     fn bulk_find_matches_single_finds_and_is_faster() {
-        let mut c = cluster(4, 100);
+        // Every charge includes measured compute, so a 1 ms latency keeps a
+        // preempted lookup from deciding the comparison: 51 single finds
+        // wait 4 latencies each (2 bcast + 2 reduce rounds), the bulk 5.
+        let slow = NetModel { latency: Duration::from_millis(1), bandwidth: 8.0e9 };
+        let mut c = cluster_on(4, 100, slow);
         let queries: Vec<(u64, u64)> =
             (0..50u64).map(|i| (i * 7 % 400, u64::MAX)).chain([(99_999, u64::MAX)]).collect();
         let (bulk, t_bulk) = c.find_bulk(&queries);

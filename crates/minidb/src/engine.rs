@@ -99,11 +99,10 @@ impl Shared {
         self.storage.write_at(id * PAGE_SIZE as u64, buf.as_bytes())
     }
 
-    /// Folds the WAL's committed frames into main storage and syncs it.
-    /// Callers hold the writer lock.
+    /// Folds the WAL's committed frames into main storage and syncs it
+    /// before the WAL is truncated. Callers hold the writer lock.
     fn checkpoint(&self) -> Result<()> {
-        self.wal.checkpoint(|id, buf| self.write_page(id, buf))?;
-        self.storage.sync()
+        self.wal.checkpoint(|id, buf| self.write_page(id, buf), || self.storage.sync())
     }
 }
 

@@ -4,8 +4,8 @@
 //! a commit frame, then issue a single durability sync — the same structure
 //! that lets SQLite's WAL mode batch writer I/O. Readers consult the WAL
 //! index (page → newest committed frame) before falling back to the main
-//! storage. A checkpoint folds all committed frames back into storage and
-//! truncates the log.
+//! storage. A checkpoint folds all committed frames back into storage, syncs
+//! it, and only then truncates the log.
 //!
 //! Frame layout: a 16-byte header `[page_id u64][kind u64]`; `kind == 1`
 //! (page) is followed by a full page image, `kind == 2` (commit) ends a
@@ -162,16 +162,23 @@ impl Wal {
         self.frames_since_checkpoint.load(Ordering::Acquire)
     }
 
-    /// Folds every committed frame into `apply` (storage write), then
-    /// truncates the log. Callers hold the writer lock; the index write
-    /// lock excludes concurrent readers for the duration.
-    pub fn checkpoint(&self, mut apply: impl FnMut(u64, &PageBuf) -> Result<()>) -> Result<()> {
+    /// Folds every committed frame into `apply` (storage write), makes the
+    /// storage durable with `sync`, and only then truncates the log: a
+    /// power failure at any point leaves every committed page in one of the
+    /// two. Callers hold the writer lock; the index write lock excludes
+    /// concurrent readers for the duration.
+    pub fn checkpoint(
+        &self,
+        mut apply: impl FnMut(u64, &PageBuf) -> Result<()>,
+        sync: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
         let mut index = self.index.write();
         let mut buf = PageBuf::zeroed();
         for (&page, &frame_off) in index.iter() {
             self.media.read_at(frame_off, buf.as_bytes_mut().as_mut_slice())?;
             apply(page, &buf)?;
         }
+        sync()?;
         index.clear();
         self.media.truncate(0)?;
         self.len.store(0, Ordering::Release);
@@ -220,15 +227,39 @@ mod tests {
         let wal = Wal::memory();
         wal.commit([(1u64, &page_with(5)), (2u64, &page_with(6))].into_iter()).unwrap();
         let mut applied = std::collections::HashMap::new();
-        wal.checkpoint(|page, buf| {
-            applied.insert(page, buf.get_u64(0));
-            Ok(())
-        })
+        wal.checkpoint(
+            |page, buf| {
+                applied.insert(page, buf.get_u64(0));
+                Ok(())
+            },
+            || Ok(()),
+        )
         .unwrap();
         assert_eq!(applied, [(1, 5), (2, 6)].into_iter().collect());
         let mut r = PageBuf::zeroed();
         assert!(!wal.read_page(1, &mut r).unwrap(), "index cleared");
         assert_eq!(wal.frames_since_checkpoint(), 0);
+    }
+
+    /// The storage is synced while the log still holds every frame: a
+    /// power failure before the truncation replays them.
+    #[test]
+    fn checkpoint_syncs_the_storage_before_it_truncates_the_log() {
+        let path = std::env::temp_dir().join(format!("minidb-ckpt-{}.wal", std::process::id()));
+        let wal = Wal::create_file(&path).unwrap();
+        wal.commit([(1u64, &page_with(5)), (2u64, &page_with(6))].into_iter()).unwrap();
+        let logged = 2 * (FRAME_HDR + PAGE_SIZE as u64) + FRAME_HDR;
+        let on_disk = || std::fs::metadata(&path).unwrap().len();
+        assert_eq!(on_disk(), logged);
+        let mut synced_over = None;
+        let sync = || {
+            synced_over = Some(on_disk());
+            Ok(())
+        };
+        wal.checkpoint(|_, _| Ok(()), sync).unwrap();
+        assert_eq!(synced_over, Some(logged), "the log was cut before the storage sync");
+        assert_eq!(on_disk(), 0);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

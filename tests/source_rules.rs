@@ -1,4 +1,4 @@
-//! Two source rules that no compiler check keeps, scanned line by line:
+//! Three source rules that no compiler check keeps, scanned as text:
 //!
 //! * **facade**: the concurrency-critical crates take atomics, locks and
 //!   threads from `mvkv_sync`, never from `std::sync::atomic`,
@@ -7,10 +7,14 @@
 //!   guard count;
 //! * **ordering**: every `Ordering::Relaxed` in the skip list, the version
 //!   history and the allocator carries an `// ordering:` comment saying why it
-//!   cannot race with publication, on its line or at the head of its cluster.
+//!   cannot race with publication, on its line or at the head of its cluster;
+//! * **citations**: every section a comment, test or CI step cites as
+//!   `DESIGN.md §<number>` is a numbered heading of DESIGN.md, so a
+//!   renumbered design leaves no pointer to nothing.
 //!
-//! A file is read up to its first `#[cfg(test)]` line, each line split at its
-//! first `//`. String literals are not parsed: a path inside one is a finding.
+//! The first two read a file up to its first `#[cfg(test)]` line, each line
+//! split at its first `//`; the third reads whole files, tests and all. String
+//! literals are not parsed: a path or a citation inside one is a finding.
 //! (SAFETY comments are clippy's; `const` asserts pin the PM layout.)
 
 use std::path::Path;
@@ -26,6 +30,11 @@ const CLUSTER_LINES: usize = 3;
 const CFG_TEST: &str = "#[cfg(test)]";
 /// A rule's name and the 1-based line it fails on.
 type Finding = (&'static str, usize);
+/// Where the design is cited: every file below these, `target/` skipped.
+const CITING_DIRS: &[&str] = &["crates", "src", "tests", ".github"];
+const DESIGN: &str = "DESIGN.md";
+/// A cited section that names no heading, and the 1-based line it is on.
+type Citation<'a> = (&'a str, usize);
 
 /// A line's code, trimmed, and its `//` comment without slashes, a doc `!`
 /// and leading blanks: where a marker must start.
@@ -93,6 +102,44 @@ fn untested_items(text: &str) -> Vec<usize> {
     (cut..lines.len()).filter(|&i| item(lines[i]) && !tagged(i)).map(|i| i + 1).collect()
 }
 
+/// DESIGN.md's section numbers: `## 4. …` is "4", `### 4.9 …` is "4.9".
+fn headings(design: &str) -> Vec<&str> {
+    let heads = design.lines().filter(|l| l.starts_with('#'));
+    let numbers = heads.filter_map(|l| l.split_whitespace().nth(1));
+    numbers
+        .filter(|n| n.starts_with(|c: char| c.is_ascii_digit()))
+        .map(|n| n.trim_end_matches('.'))
+        .collect()
+}
+
+/// Every `DESIGN.md §N[.M]` in a text that names none of `headings`, with its
+/// line. A citation may break between the two at a comment's line start.
+fn unresolved<'a>(text: &'a str, headings: &[&str]) -> Vec<Citation<'a>> {
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices(DESIGN) {
+        let rest = text[at + DESIGN.len()..]
+            .trim_start_matches(|c: char| c.is_whitespace() || c == '/' || c == '!' || c == '#');
+        let Some(cited) = rest.strip_prefix('§') else { continue };
+        let end = cited.find(|c: char| !c.is_ascii_digit() && c != '.').unwrap_or(cited.len());
+        let section = cited[..end].trim_end_matches('.');
+        if !section.is_empty() && !headings.contains(&section) {
+            out.push((section, 1 + text[..at].matches('\n').count()));
+        }
+    }
+    out
+}
+
+/// Every file below `dir` but `target/` directories.
+fn files_below(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for path in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+        if path.is_dir() && !path.ends_with("target") {
+            files_below(&path, out);
+        } else if path.is_file() {
+            out.push(path);
+        }
+    }
+}
+
 #[test]
 fn the_tree_keeps_the_facade_and_ordering_rules() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -135,6 +182,62 @@ fn each_row_reports_its_findings() {
         assert_eq!(scan(text, true), *want, "{what}");
     }
     assert_eq!(untested_items("#[cfg(test)]\nmod tests {}\n\n/// A doc.\nfn f() {}"), [5]);
+}
+
+#[test]
+fn every_design_citation_names_a_heading() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join(DESIGN)).unwrap();
+    let headings = headings(&design);
+    let (mut citing, mut found) = (0, Vec::new());
+    let mut files = Vec::new();
+    for dir in CITING_DIRS {
+        files_below(&root.join(dir), &mut files);
+    }
+    for path in files {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let rel = path.strip_prefix(root).unwrap().display();
+        citing += usize::from(text.contains(DESIGN));
+        let missing = unresolved(&text, &headings).into_iter();
+        found.extend(missing.map(|(s, line)| format!("{rel}:{line}: {DESIGN} §{s} is no heading")));
+    }
+    assert!(citing > 5, "the citing files were not found: {citing}");
+    assert!(found.is_empty(), "{}", found.join("\n"));
+}
+
+#[test]
+fn each_citation_row_reports_its_findings() {
+    let known = ["4", "4.9", "13", "13.3"];
+    // Built, so that this file cites no missing section itself.
+    let (unknown, after_a_break) =
+        (format!("\n//! {DESIGN} §4.10 and §9"), format!("/// {DESIGN}\n/// §14: x"));
+    let rows: &[(&str, &str, &[Citation])] = &[
+        ("a section", "f(); // DESIGN.md §4 says why", &[]),
+        ("a possessive", "// DESIGN.md §13.3's cross-thread case", &[]),
+        ("a sentence's end", "// (DESIGN.md §4.9).", &[]),
+        ("a word", "// see DESIGN.md substitution S1", &[]),
+        ("no number", "every `DESIGN.md §N` citation", &[]),
+        ("broken at a line", "f();\n// audit, DESIGN.md\n// §4.9): x", &[]),
+        ("unknown", &unknown, &[("4.10", 2)]),
+        ("unknown after a break", &after_a_break, &[("14", 1)]),
+    ];
+    for (what, text, want) in rows {
+        assert_eq!(unresolved(text, &known), *want, "{what}");
+    }
+    assert_eq!(headings("# Title\n## 4. A\n### 4.9 B\n## Notes\n#[test]"), ["4", "4.9"]);
+}
+
+/// A renamed heading of the real DESIGN.md, found at the real citation of it.
+#[test]
+fn a_renamed_design_heading_is_found_at_its_citation() {
+    let design = include_str!("../DESIGN.md");
+    let api = include_str!("../crates/core/src/api.rs");
+    let (heading, renamed) = ("\n### 4.9 ", "\n### 4.10 ");
+    assert_eq!(design.matches(heading).count(), 1, "{heading}");
+    assert_eq!(unresolved(api, &headings(design)), []);
+    let line = 1 + api[..api.find(DESIGN).unwrap()].matches('\n').count();
+    let design = design.replace(heading, renamed);
+    assert_eq!(unresolved(api, &headings(&design)), [("4.9", line)]);
 }
 
 /// The two seeded defects, as edits of the real `pool.rs`.
