@@ -16,20 +16,21 @@
 //!   sizing find a block's run in a DRAM directory of run offsets (one
 //!   sorted `u32` per run, in 16-byte units, filled by the open walk and by
 //!   every refill). Free lists are volatile, rebuilt by the walk on open.
-//! * The free lists are **sharded**: each thread allocates from one of
-//!   [`num_shards`] arenas sized from the machine's core count — its
+//! * A free class block has one of two homes. Each thread allocates from
+//!   one of [`num_shards`] arenas sized from the machine's core count — its
 //!   `mvkv_sync::shard::slot()`, the workspace's one thread-to-shard
-//!   mapping, folded onto the arenas — without contending with threads on
-//!   other arenas. A miss first tries to *steal* from sibling shards, in a
-//!   sweep from the next shard on guided by per-shard emptiness hints,
-//!   moving **half the victim's list** per steal so one lock acquisition
-//!   amortizes over many future allocations. Only then does it fall back
-//!   to the global bump cursor, carving one run of `n` blocks per cursor
-//!   CAS ([`REFILL_BATCH`], growing adaptively while a shard refills
-//!   back-to-back, at most [`MAX_RUN_BLOCKS`]), parking the extras in its
-//!   own shard. This amortizes the cursor contention, the header persist
-//!   and the fence across the run (cf. per-thread PM arenas in Marathe et
-//!   al., *Persistent Memory Transactions*).
+//!   mapping, folded onto the arenas — whose per-class lists hold the
+//!   blocks of runs the arena carved and has not handed out yet. Every other
+//!   free class block — freed by [`Allocator::dealloc`], or found clear by
+//!   the open-time walk — is on one **shared** per-class list. An
+//!   allocation takes from the shared list first (an empty one costs one
+//!   load of its emptiness mask), then from its own arena, and only then
+//!   carves a run from the global bump cursor: `n` blocks per cursor CAS
+//!   ([`REFILL_BATCH`], doubling every fourth refill of the arena up to
+//!   [`MAX_RUN_BLOCKS`]), the extras parked in its own arena. This
+//!   amortizes the cursor contention, the header persist and the fence
+//!   across the run (cf. per-thread PM arenas in Marathe et al.,
+//!   *Persistent Memory Transactions*).
 //! * Large requests (> 4 KiB payload) bump-allocate one headed block
 //!   exactly; freed large blocks go to a volatile best-fit map (global —
 //!   large allocations are rare and not on the hot path).
@@ -42,9 +43,9 @@
 //! durable run. A crash between cursor advance and header persist leaks at
 //! most the in-flight run; the open-time walk re-bases the cursor at an
 //! invalid header with no decodable block behind it ([`walk_heap`]). The
-//! refill **fences** before parking the run's other blocks: they are handed
-//! to other threads through the steal path, so their clear bits cannot ride
-//! a later fence of the allocating thread alone.
+//! refill **fences** before parking the run's other blocks: they reach the
+//! other threads that share the arena or inherit its slot, so their clear
+//! bits cannot ride a later fence of the allocating thread alone.
 //!
 //! Allocation bit flips, by contrast, are flushed but **not** fenced (the
 //! MOD minimal-ordering argument, Friedman et al.): a block's bit only
@@ -74,10 +75,9 @@ use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
 use mvkv_sync::sync::Mutex;
 use std::collections::BTreeMap;
 
-/// Class blocks in the run one refill carves, before adaptive growth. The
-/// batch shrinks (8 → 4 → 2 → 1) when the heap tail is too small for a full
-/// run, and doubles (up to [`MAX_RUN_BLOCKS`]) while a shard keeps
-/// refilling with no free-list hit in between.
+/// Class blocks in each of an arena's first three runs. The batch shrinks
+/// (8 → 4 → 2 → 1) when the heap tail is too small for a full run, and
+/// doubles every fourth refill of the arena, up to [`MAX_RUN_BLOCKS`].
 pub const REFILL_BATCH: u64 = 8;
 
 /// Runs start below 64 GiB: the directory records them as `u32` counts of
@@ -147,13 +147,8 @@ impl Located {
     }
 }
 
-/// Consecutive refills (per shard, no intervening hit) before the batch
-/// doubles once more.
-const REFILL_STREAK_WINDOW: u64 = 4;
-
 /// Number of allocation arenas: the machine's available parallelism,
-/// rounded up to a power of two and clamped to `[4, 64]` (a floor of four
-/// keeps free-then-steal locality even on tiny CI boxes; 64 matches the
+/// rounded up to a power of two and clamped to `[4, 64]` (64 matches the
 /// paper's maximum thread count). Computed once per process.
 #[cfg(not(loom))]
 pub fn num_shards() -> usize {
@@ -167,8 +162,8 @@ pub fn num_shards() -> usize {
 }
 
 /// Under the model checker the shard count must be small and constant so
-/// the interesting races (more threads than shards, refill-vs-steal) stay
-/// inside loom's schedule budget.
+/// the interesting races (more threads than shards, a refill beside a
+/// shared-list pop) stay inside loom's schedule budget.
 #[cfg(loom)]
 pub fn num_shards() -> usize {
     2
@@ -183,97 +178,67 @@ fn shard_id() -> usize {
     mvkv_sync::shard::slot() % num_shards()
 }
 
-/// One allocation arena: per-class free lists plus traffic counters.
+/// Free-list entries ([`free_entry`]) per class.
+type Lists = [Mutex<Vec<u64>>; NUM_CLASSES];
+
+/// Payload bytes of the blocks on `lists`.
+fn held_bytes(lists: &Lists) -> u64 {
+    let held = lists.iter().zip(SIZE_CLASSES);
+    held.map(|(list, bytes)| list.lock().len() as u64 * bytes as u64).sum()
+}
+
+/// One allocation arena: the blocks of its runs not handed out yet, plus
+/// traffic counters.
 ///
 /// Aligned to two cache lines so one shard's counters never false-share
 /// with a neighbor's — the hit counter is bumped on every fast-path alloc,
 /// and with the shards packed in one array an unpadded layout puts eight
 /// shards' counters on a handful of lines.
 #[repr(align(128))]
+#[derive(Default)]
 struct Shard {
-    /// Free-list entries ([`free_entry`]) per class.
-    class_free: [Mutex<Vec<u64>>; NUM_CLASSES],
-    /// Bit `c` set ⇔ `class_free[c]` may be non-empty. Maintained under the
-    /// class lock; read lock-free by the steal path so empty siblings cost
-    /// one atomic load instead of a lock acquisition.
-    nonempty: AtomicU64,
+    /// Per class, the blocks of runs this arena carved that were never
+    /// handed out.
+    carved: Lists,
     hits: AtomicU64,
     refills: AtomicU64,
+    /// Allocations this arena's threads took from the shared list.
     steals: AtomicU64,
-    /// Consecutive "tight" refills (at most one batch worth of list serves
-    /// between them — i.e. nothing but the previous batch's own extras fed
-    /// the list, no frees or steals arrived); drives adaptive batch growth.
-    refill_streak: AtomicU64,
-    /// `hits + steals` observed at the previous refill.
-    serves_at_last_refill: AtomicU64,
-    /// Size of the previous refill batch.
-    last_batch: AtomicU64,
 }
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            class_free: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            nonempty: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            refills: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            refill_streak: AtomicU64::new(0),
-            serves_at_last_refill: AtomicU64::new(0),
-            last_batch: AtomicU64::new(REFILL_BATCH),
-        }
-    }
+/// The shared home of every other free class block. On lines of its own:
+/// every class allocation reads `stocked`, and no refill writes here.
+#[repr(align(128))]
+#[derive(Default)]
+struct Shared {
+    /// Bit `c` set ⇔ `lists[c]` may be non-empty; written under that lock.
+    stocked: AtomicU64,
+    lists: Lists,
+}
 
-    /// Pops one block of `class`, maintaining the emptiness hint.
+impl Shared {
     fn pop(&self, class: usize) -> Option<u64> {
         // ordering: advisory emptiness hint; the lock orders list contents.
-        if self.nonempty.load(Ordering::Relaxed) & (1 << class) == 0 {
+        if self.stocked.load(Ordering::Relaxed) & (1 << class) == 0 {
             return None;
         }
-        let mut list = self.class_free[class].lock();
-        let off = list.pop();
+        let mut list = self.lists[class].lock();
+        let entry = list.pop();
         if list.is_empty() {
-            // ordering: hint cleared under the same lock that emptied the
-            // list, so a clear bit can never hide a present block.
-            self.nonempty.fetch_and(!(1 << class), Ordering::Relaxed);
+            // ordering: cleared under the lock that emptied the list, so a
+            // clear bit never hides a block pushed before it.
+            self.stocked.fetch_and(!(1 << class), Ordering::Relaxed);
         }
-        off
+        entry
     }
 
-    /// Pushes blocks of `class`, maintaining the emptiness hint.
-    fn push(&self, class: usize, offs: impl IntoIterator<Item = u64>) {
-        let mut list = self.class_free[class].lock();
-        list.extend(offs);
+    fn push(&self, class: usize, entries: impl IntoIterator<Item = u64>) {
+        let mut list = self.lists[class].lock();
+        list.extend(entries);
         if !list.is_empty() {
             // ordering: advisory hint; set under the list lock.
-            self.nonempty.fetch_or(1 << class, Ordering::Relaxed);
+            self.stocked.fetch_or(1 << class, Ordering::Relaxed);
         }
-    }
-
-    /// Steals the newer half of this shard's `class` list (at least one
-    /// block): one returned for immediate use, the rest for the thief's own
-    /// shard. Bulk movement is the point — a single victim-lock acquisition
-    /// funds many future fast-path hits instead of one.
-    fn steal_half(&self, class: usize) -> Option<(u64, Vec<u64>)> {
-        // ordering: advisory emptiness hint; the lock orders list contents.
-        if self.nonempty.load(Ordering::Relaxed) & (1 << class) == 0 {
-            return None;
-        }
-        let mut list = self.class_free[class].lock();
-        if list.is_empty() {
-            // ordering: hint cleared under the list lock (see pop).
-            self.nonempty.fetch_and(!(1 << class), Ordering::Relaxed);
-            return None;
-        }
-        let keep = list.len() / 2;
-        let mut taken = list.split_off(keep);
-        if list.is_empty() {
-            // ordering: hint cleared under the list lock (see pop).
-            self.nonempty.fetch_and(!(1 << class), Ordering::Relaxed);
-        }
-        drop(list);
-        let first = taken.pop().expect("split keeps at least one block");
-        Some((first, taken))
     }
 }
 
@@ -383,6 +348,8 @@ pub struct Allocator {
     /// so per-shard counter reads in [`Allocator::stats`] are plain atomic
     /// loads with no bounds hazard when the count differs across builds.
     shards: Box<[Shard]>,
+    /// Freed class blocks and the ones the open walk found clear.
+    shared: Shared,
     /// Every run's header offset in 16-byte units, sorted: how a free finds
     /// its block's run.
     runs: Mutex<Vec<u32>>,
@@ -424,11 +391,11 @@ pub struct AllocStats {
     pub large_allocs: u64,
     /// Lifetime free count (this process).
     pub total_frees: u64,
-    /// Per-shard allocations served from the shard's own free lists.
+    /// Per-shard allocations served from runs the shard carved.
     pub shard_hits: Vec<u64>,
     /// Per-shard batched refills from the bump cursor.
     pub shard_refills: Vec<u64>,
-    /// Per-shard allocations served by stealing from a sibling shard.
+    /// Per-shard allocations served from the shared list of freed blocks.
     pub shard_steals: Vec<u64>,
 }
 
@@ -441,7 +408,8 @@ impl Default for Allocator {
 impl Allocator {
     pub fn new() -> Self {
         Allocator {
-            shards: (0..num_shards()).map(|_| Shard::new()).collect(),
+            shards: (0..num_shards()).map(|_| Shard::default()).collect(),
+            shared: Shared::default(),
             runs: Mutex::new(Vec::new()),
             large_free: Mutex::new(BTreeMap::new()),
             live_at_open: AtomicU64::new(0),
@@ -458,23 +426,24 @@ impl Allocator {
             // Ordering note: hits/steals/refills below are monitoring stats;
             // each alloc bumps exactly one of them, with `Release`, and
             // `stats()` derives total_allocs from them (see there).
-            let me = shard_id();
-            // 1. Own arena — the contention-free fast path.
-            if let Some(entry) = self.shards[me].pop(class) {
-                self.shards[me].hits.fetch_add(1, Ordering::Release);
+            let shard = &self.shards[shard_id()];
+            // 1. A free block, whichever thread freed it: never carve while
+            //    one is free.
+            if let Some(entry) = self.shared.pop(class) {
+                shard.steals.fetch_add(1, Ordering::Release);
+                mvkv_obs::counter_inc!("mvkv_pmem_alloc_steals_total");
+                return Ok(self.take_entry(pool, class, entry));
+            }
+            // 2. The arena's own runs — the contention-free fast path. The
+            //    guard drops here: `take_entry` persists.
+            let carved = shard.carved[class].lock().pop();
+            if let Some(entry) = carved {
+                shard.hits.fetch_add(1, Ordering::Release);
                 mvkv_obs::counter_inc!("mvkv_pmem_alloc_hits_total");
                 return Ok(self.take_entry(pool, class, entry));
             }
-            // 2. Steal from siblings before burning fresh heap, so blocks
-            //    freed by other threads (or redistributed by a reopen scan)
-            //    are found before the bump cursor moves: never bump while a
-            //    sibling holds blocks. An empty sibling costs one relaxed
-            //    load.
-            if let Some(off) = self.steal(pool, me, class) {
-                return Ok(off);
-            }
             // 3. Batched refill from the global cursor.
-            return self.refill_and_alloc(pool, me, class, len);
+            return self.refill_and_alloc(pool, shard, class, len);
         }
         // Large path: best-fit from the volatile free map, else bump.
         let payload = round_up(len as u64, BLOCK_ALIGN);
@@ -565,57 +534,25 @@ impl Allocator {
         self.block_at(pool, off).state_word()
     }
 
-    /// The steal path: a sweep over the siblings from `me + 1` on, one
-    /// relaxed load per sibling and a lock only where the emptiness hint
-    /// says blocks may exist. A successful steal moves half the victim's
-    /// list into shard `me` and returns one block marked allocated.
-    fn steal(&self, pool: &PmemPool, me: usize, class: usize) -> Option<u64> {
-        let n = self.shards.len();
-        let (entry, extras) =
-            (1..n).find_map(|delta| self.shards[(me + delta) % n].steal_half(class))?;
-        let moved = extras.len() as u64;
-        if !extras.is_empty() {
-            self.shards[me].push(class, extras);
-        }
-        self.shards[me].steals.fetch_add(1, Ordering::Release);
-        mvkv_obs::counter_inc!("mvkv_pmem_alloc_steals_total");
-        mvkv_obs::counter_add!("mvkv_pmem_alloc_steal_blocks_total", moved + 1);
-        Some(self.take_entry(pool, class, entry))
-    }
-
     /// Carves one run of same-class blocks with one cursor CAS: block 0 is
-    /// returned allocated, the rest are parked in shard `me` with durable
-    /// clear bits. The header persist plus the cursor persist share a single
-    /// fence. The batch starts at [`REFILL_BATCH`] and doubles (to at most
-    /// [`MAX_RUN_BLOCKS`]) while the shard refills back-to-back with no
-    /// free-list hit — sustained fresh-key insert storms amortize the cursor
-    /// CAS and the fence over more blocks exactly when they need to.
+    /// returned allocated, the rest are parked in `shard` with durable clear
+    /// bits. The header persist plus the cursor persist share a single
+    /// fence. The batch is [`REFILL_BATCH`] for the shard's first three
+    /// refills and doubles every fourth one after (8, 8, 8, 16 ×4, 32 ×4,
+    /// then [`MAX_RUN_BLOCKS`]): a refill happens only when neither the
+    /// shared list nor the shard holds a block of the class, so a shard
+    /// that keeps refilling is in a fresh-allocation storm, and its cursor
+    /// CAS and fence amortize over more blocks.
     fn refill_and_alloc(
         &self,
         pool: &PmemPool,
-        me: usize,
+        shard: &Shard,
         class: usize,
         requested: usize,
     ) -> Result<u64> {
-        let shard = &self.shards[me];
-        // Adaptive batch: a refill is "tight" when at most one batch worth
-        // of list serves separated it from the previous one — nothing but
-        // the previous batch's own extras fed the list, so demand is a
-        // sustained fresh-allocation storm and the batch should grow.
-        // Recycle-heavy phases (frees/steals padding the gap) reset to the
-        // base batch. All counters advisory/Relaxed: a mis-sized batch is a
-        // performance wobble, never a correctness issue.
-        // ordering: stat-derived adaptive input, see above.
-        let serves = shard.hits.load(Ordering::Relaxed) + shard.steals.load(Ordering::Relaxed);
-        let last_serves = shard.serves_at_last_refill.swap(serves, Ordering::Relaxed); // ordering: advisory adaptive input
-        let last_batch = shard.last_batch.load(Ordering::Relaxed); // ordering: advisory adaptive input
-        let streak = if serves.wrapping_sub(last_serves) <= last_batch {
-            shard.refill_streak.fetch_add(1, Ordering::Relaxed) + 1 // ordering: advisory adaptive input
-        } else {
-            shard.refill_streak.store(0, Ordering::Relaxed); // ordering: advisory adaptive input
-            0
-        };
-        let boost = (streak / REFILL_STREAK_WINDOW).min(3); // 8 → 16 → 32 → 64
+        // ordering: a size hint; two threads sharing the arena may size two
+        // runs alike, and a mis-sized run costs a fence, never correctness.
+        let boost = ((shard.refills.load(Ordering::Relaxed) + 1) / 4).min(3);
         let full_batch = (REFILL_BATCH << boost).min(MAX_RUN_BLOCKS);
         let cursor = pool.atomic_u64(OFF_BUMP);
         loop {
@@ -650,11 +587,11 @@ impl Allocator {
             pool.persist(run, RUN_HEADER as usize);
             pool.persist(OFF_BUMP, 8);
             // This fence is load-bearing and stays (unlike the bit-flip
-            // fences, see module docs): the blocks parked below are handed
-            // to *other* threads through the steal path, so their clear bits
-            // must be durable before any thief can link one into a durable
-            // structure — the thief's own fence does not order this thread's
-            // flushes.
+            // fences, see module docs): the blocks parked below reach
+            // *other* threads — any that share this arena or inherit its
+            // slot — so their clear bits must be durable before such a
+            // thread links one into a durable structure; its own fence does
+            // not order this thread's flushes.
             // Amortized: one refill, and this fence, per `batch` allocations.
             pool.fence();
             // Before any block of the run is handed out, a free of which
@@ -665,8 +602,7 @@ impl Allocator {
             runs.insert(at, unit);
             drop(runs);
             // Highest bit first: the next same-thread allocs go up the run.
-            shard.push(class, (1..batch).rev().map(|bit| free_entry(run, bit)));
-            shard.last_batch.store(batch, Ordering::Relaxed); // ordering: adaptive input
+            shard.carved[class].lock().extend((1..batch).rev().map(|bit| free_entry(run, bit)));
             shard.refills.fetch_add(1, Ordering::Release);
             mvkv_obs::counter_inc!("mvkv_pmem_alloc_refills_total");
             return Ok(run_block(run, class, 0));
@@ -701,9 +637,9 @@ impl Allocator {
         }
     }
 
-    /// Frees the block whose payload starts at `off`. Class blocks return
-    /// to the freeing thread's own shard (good locality for free-then-alloc
-    /// patterns); siblings can still reach them through the steal path.
+    /// Frees the block whose payload starts at `off`. A class block goes to
+    /// the shared list, where the next allocation of its class takes it,
+    /// on whichever thread.
     ///
     /// The clearing flip is flushed but not fenced (MOD audit): the caller
     /// has already unlinked every durable reference, so the worst a crash
@@ -720,9 +656,7 @@ impl Allocator {
         let block = self.block_at(pool, off);
         assert!(block.flip(pool, false), "double free of the block at {off}");
         match block {
-            Located::Run { run, bit, class } => {
-                self.shards[shard_id()].push(class, [free_entry(run, bit)])
-            }
+            Located::Run { run, bit, class } => self.shared.push(class, [free_entry(run, bit)]),
             Located::Large { size, .. } => {
                 self.large_free.lock().entry(size).or_default().push(off)
             }
@@ -731,39 +665,36 @@ impl Allocator {
         mvkv_obs::counter_inc!("mvkv_pmem_deallocs_total");
     }
 
-    /// Walks the heap after reopen, rebuilding the run directory,
-    /// repopulating free lists and fixing a torn bump cursor (crash between
-    /// reserve and header persist). The free blocks of a run go to one
-    /// shard, runs round-robin across shards, so every arena restarts warm.
+    /// Walks the heap after reopen, rebuilding the run directory, putting
+    /// every free class block on the shared list and fixing a torn bump
+    /// cursor (crash between reserve and header persist). A cursor word
+    /// outside the heap is unknown: the walk goes to the pool's end and the
+    /// cursor is re-based where it stops.
     /// The walk decodes every state and occupancy word, so it also counts
     /// the ones that decode as nothing and the gaps behind damaged headers
     /// ([`Allocator::indeterminate_at_open`]) — what
     /// [`crate::recovery::audit`] would report for the pool as opened,
     /// without a second walk.
     pub fn rebuild_from_heap(&self, pool: &PmemPool) {
-        let bump = pool.read_u64(OFF_BUMP).clamp(HEAP_START, pool.len() as u64);
-        let mut live = 0u64;
-        let mut indeterminate = 0u64;
-        let mut next_shard = 0usize;
-        let (mut runs, mut free) = (Vec::new(), Vec::new());
+        let (stored, len) = (pool.read_u64(OFF_BUMP), pool.len() as u64);
+        let bump = if (HEAP_START..=len).contains(&stored) { stored } else { len };
+        let (mut live, mut indeterminate) = (0u64, 0u64);
+        let mut runs = Vec::new();
+        let mut free: [Vec<u64>; NUM_CLASSES] = Default::default();
         let end = walk_heap(pool, bump, |item| match item {
             HeapItem::Run { run, class, blocks } => {
                 runs.push(u32::try_from(run / BLOCK_ALIGN).expect("runs start below RUN_LIMIT"));
+                live += blocks;
                 for (bits, mask) in occupancy(pool, run, blocks) {
-                    match mask {
-                        Some(mask) => free.extend(
-                            bits.filter(|bit| mask >> (bit % 32) & 1 == 0)
-                                .map(|bit| free_entry(run, bit)),
-                        ),
+                    let Some(mask) = mask else {
                         // A damaged word: its blocks stay live.
-                        None => indeterminate += 1,
+                        indeterminate += 1;
+                        continue;
+                    };
+                    for bit in bits.filter(|bit| mask >> (bit % 32) & 1 == 0) {
+                        free[class].push(free_entry(run, bit));
+                        live -= 1;
                     }
-                }
-                live += blocks - free.len() as u64;
-                if !free.is_empty() {
-                    // Highest bit first, as a refill parks them.
-                    self.shards[next_shard].push(class, free.drain(..).rev());
-                    next_shard = (next_shard + 1) % self.shards.len();
                 }
             }
             HeapItem::Block { header, size, state: Some(BlockState::Free) } => {
@@ -781,8 +712,12 @@ impl Allocator {
         });
         runs.shrink_to_fit();
         *self.runs.lock() = runs;
-        if end != bump {
-            // Torn tail: re-base the cursor at it.
+        for (class, entries) in free.into_iter().enumerate() {
+            // Highest offset first: the next allocations go up the heap.
+            self.shared.push(class, entries.into_iter().rev());
+        }
+        if end != stored {
+            // Torn tail, or a word outside the heap: re-base the cursor.
             pool.write_u64(OFF_BUMP, end);
             pool.persist(OFF_BUMP, 8);
             pool.fence();
@@ -800,14 +735,11 @@ impl Allocator {
         self.indeterminate_at_open.load(Ordering::Relaxed)
     }
 
-    /// Payload bytes of the class blocks on each shard's free lists, in shard
-    /// order. Free large blocks are on one global list, in no shard's.
-    pub fn shard_free_bytes(&self) -> Vec<u64> {
-        let held = |shard: &Shard| -> u64 {
-            let lists = shard.class_free.iter().zip(SIZE_CLASSES);
-            lists.map(|(list, bytes)| list.lock().len() as u64 * bytes as u64).sum()
-        };
-        self.shards.iter().map(held).collect()
+    /// Payload bytes of the free class blocks on the shared list, and on
+    /// each shard's lists in shard order. Free large blocks are on neither.
+    pub fn free_list_bytes(&self) -> (u64, Vec<u64>) {
+        let arenas = self.shards.iter().map(|shard| held_bytes(&shard.carved)).collect();
+        (held_bytes(&self.shared.lists), arenas)
     }
 
     pub fn stats(&self, pool: &PmemPool) -> AllocStats {
@@ -877,7 +809,7 @@ mod tests {
         let a = p.alloc(64).unwrap();
         p.dealloc(a);
         let b = p.alloc(60).unwrap(); // same class (64)
-        assert_eq!(a, b, "freed class block should be reused (LIFO within the shard)");
+        assert_eq!(a, b, "freed class block should be reused (LIFO on the shared list)");
     }
 
     #[test]
@@ -928,40 +860,32 @@ mod tests {
         }
     }
 
+    /// A shard's n-th refill carves `REFILL_BATCH << min(3, n / 4)` blocks:
+    /// 8, 8, 8, 16 ×4, 32 ×4, then 64 — and frees do not shrink the next
+    /// run, they are served before it.
     #[test]
-    fn refill_batch_grows_under_sustained_refills() {
-        // A sustained fresh-allocation storm (no frees, so each refill is
-        // "tight": only its own batch extras fed the list) must engage the
-        // adaptive batch growth, amortizing the cursor CAS and the refill
-        // fence over more blocks.
+    fn a_shards_nth_refill_carves_8_shl_min_3_n_over_4_blocks() {
         let p = PmemPool::create_volatile(1 << 24).unwrap();
+        let refills = |p: &PmemPool| p.alloc_stats().shard_refills.iter().sum::<u64>();
         let mut held = Vec::new();
-        for _ in 0..2_000 {
+        while refills(&p) < 14 {
             held.push(p.alloc(64).unwrap());
         }
-        let grown = p.alloc_stats();
-        let served = grown.total_allocs;
-        let refills = grown.shard_refills.iter().sum::<u64>();
-        // With a fixed batch of 8, `served / refills` can never exceed 8.
-        assert!(
-            served > refills * REFILL_BATCH,
-            "adaptive batch never engaged: {served} allocs over {refills} refills"
-        );
-        // Recycle-heavy phase: frees pad the gap between refills, so the
-        // streak resets and the batch returns to base. Observable as the
-        // refill rate climbing back toward 1-per-REFILL_BATCH once the
-        // recycled blocks run out.
         for off in held.drain(..) {
             p.dealloc(off);
         }
-        for _ in 0..2_000 {
+        while refills(&p) < 16 {
             held.push(p.alloc(64).unwrap());
         }
-        let s = p.alloc_stats();
-        assert!(
-            s.shard_hits.iter().sum::<u64>() >= 2_000,
-            "recycled blocks must be served from the free lists: {s:?}"
-        );
+        let mut batches = Vec::new();
+        walk_heap(&p, p.read_u64(OFF_BUMP), |item| {
+            if let HeapItem::Run { blocks, .. } = item {
+                batches.push(blocks);
+            }
+        });
+        let expected: Vec<u64> = (1..=16).map(|n| REFILL_BATCH << (n / 4).min(3)).collect();
+        assert_eq!(batches, expected);
+        assert_eq!(*batches.last().unwrap(), MAX_RUN_BLOCKS);
     }
 
     #[test]
@@ -986,9 +910,10 @@ mod tests {
         assert_eq!(s.shard_hits.len(), num_shards(), "one slot per runtime shard");
         p.dealloc(a);
         let _ = p.alloc(64).unwrap();
+        let _ = p.alloc(64).unwrap();
         let s = p.alloc_stats();
-        assert_eq!(s.shard_hits.iter().sum::<u64>(), 1, "reuse hits the own shard");
-        assert_eq!(s.shard_steals.iter().sum::<u64>(), 0);
+        assert_eq!(s.shard_steals.iter().sum::<u64>(), 1, "the freed block, from the shared list");
+        assert_eq!(s.shard_hits.iter().sum::<u64>(), 1, "then the run's next block");
     }
 
     #[test]
@@ -1007,8 +932,7 @@ mod tests {
             let p = PmemPool::open_file(&path).unwrap();
             // Every free block (the explicitly freed one plus the batch
             // extras) must be findable again; the kept one must not. The
-            // scan redistributes across shards, and the steal path makes
-            // all of them reachable from this thread.
+            // scan puts all of them on the shared list.
             let mut seen = Vec::new();
             loop {
                 match p.alloc(64) {
@@ -1106,7 +1030,7 @@ mod tests {
     #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
     fn alloc_free_churn_across_threads_stays_disjoint() {
         // Threads continuously allocate and free, forcing shard refills,
-        // hits and cross-shard steals to interleave. At any moment the
+        // hits and shared-list pops to interleave. At any moment the
         // *live* set must be disjoint; at the end stats must balance.
         let p = std::sync::Arc::new(PmemPool::create_volatile(1 << 24).unwrap());
         let mut handles = Vec::new();
@@ -1150,48 +1074,51 @@ mod tests {
         let served = stats.shard_hits.iter().sum::<u64>()
             + stats.shard_steals.iter().sum::<u64>()
             + stats.shard_refills.iter().sum::<u64>();
-        assert_eq!(served, stats.total_allocs, "every class alloc is a hit, steal or refill");
+        assert_eq!(served, stats.total_allocs, "every class alloc is a hit, pop or refill");
     }
 
+    /// A block freed on a thread of another arena is this thread's next
+    /// allocation of its class, though this thread's arena holds the rest of
+    /// its own run: no block is carved, and none is taken from the arena,
+    /// while a freed one waits.
     #[test]
-    #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
-    fn exhausted_shard_steals_from_siblings() {
-        // One thread frees into its shard; fresh threads must find those
-        // blocks, as hits or steals, rather than bumping fresh heap. Which
-        // shard a fresh thread lands on depends on how many threads the test
-        // binary has started, so steals are pinned by
-        // `rebuild_redistributes_free_blocks_across_shards`, not here.
-        let p = std::sync::Arc::new(pool());
-        let freed: Vec<u64> = {
-            let p = p.clone();
-            std::thread::spawn(move || {
-                let offs: Vec<u64> = (0..REFILL_BATCH).map(|_| p.alloc(64).unwrap()).collect();
-                for &o in &offs {
-                    p.dealloc(o);
+    fn a_freed_block_is_the_next_allocation_of_its_class_on_any_thread() {
+        let p = pool();
+        p.alloc(64).unwrap();
+        let me = shard_id();
+        let arena_bytes = |p: &PmemPool| p.free_list_bytes().1[me];
+        assert_eq!(arena_bytes(&p), (REFILL_BATCH - 1) * 64, "the rest of this thread's run");
+        // Live threads hold distinct slots: spawn, each kept alive, until
+        // one lands on another arena, and free a block there.
+        let gate = std::sync::RwLock::new(());
+        let closed = gate.write().unwrap();
+        let freed = std::thread::scope(|scope| {
+            let freed = loop {
+                let (tx, rx) = std::sync::mpsc::channel();
+                let (p, gate) = (&p, &gate);
+                scope.spawn(move || {
+                    if shard_id() == me {
+                        tx.send(None).unwrap();
+                        drop(gate.read());
+                    } else {
+                        let off = p.alloc(64).unwrap();
+                        p.dealloc(off);
+                        tx.send(Some(off)).unwrap();
+                    }
+                });
+                if let Some(off) = rx.recv().unwrap() {
+                    break off;
                 }
-                offs
-            })
-            .join()
-            .unwrap()
-        };
-        let heap_before = p.alloc_stats().heap_used;
-        // Drain every freed block from fresh threads.
-        let mut recovered = Vec::new();
-        for _ in 0..freed.len() {
-            let p = p.clone();
-            recovered.push(std::thread::spawn(move || p.alloc(64).unwrap()).join().unwrap());
-        }
-        recovered.sort_unstable();
-        let mut expected = freed.clone();
-        expected.sort_unstable();
-        assert_eq!(recovered, expected, "steal path must drain sibling shards before bumping");
-        assert_eq!(p.alloc_stats().heap_used, heap_before, "no fresh heap should be consumed");
-        let s = p.alloc_stats();
-        assert!(
-            s.shard_steals.iter().sum::<u64>() + s.shard_hits.iter().sum::<u64>()
-                >= freed.len() as u64,
-            "recoveries must be hits or steals: {s:?}"
-        );
+            };
+            drop(closed);
+            freed
+        });
+        let heap = p.alloc_stats().heap_used;
+        assert_eq!(p.alloc(64).unwrap(), freed, "the freed block comes first");
+        assert_eq!(arena_bytes(&p), (REFILL_BATCH - 1) * 64, "the arena is untouched");
+        assert_eq!(p.alloc_stats().heap_used, heap, "nothing carved");
+        p.alloc(64).unwrap();
+        assert_eq!(arena_bytes(&p), (REFILL_BATCH - 2) * 64, "then the arena's next block");
     }
 
     /// Regression test for the read-during-update stats race (and, since
@@ -1280,21 +1207,34 @@ mod tests {
         assert_eq!((s.live_blocks, s.total_frees), (0, s.total_allocs));
     }
 
+    /// A cursor word past the blocks (a crash that persisted a cursor
+    /// advance but no header), zeroed, or past the pool's end: the open
+    /// walks to the last block and re-bases the cursor there, so the next
+    /// allocation neither lands in the superblock nor on a live block.
     #[test]
     fn torn_bump_cursor_is_repaired_on_open() {
         let p = pool();
-        let _ = p.alloc(64).unwrap();
-        // Simulate a crash that persisted a cursor advance but no header:
-        // bump points past valid blocks into zeroed space.
+        let live = p.alloc(64).unwrap();
+        p.write_u64(live, 0x11FE);
         let bump = p.read_u64(OFF_BUMP);
-        p.write_u64(OFF_BUMP, bump + 4096);
-        // SAFETY: [0, len) is in bounds; no writer races the snapshot here.
-        let image = unsafe { p.bytes(0, p.len()).to_vec() };
-        let reopened = PmemPool::open_image(&image).unwrap();
-        assert_eq!(reopened.read_u64(OFF_BUMP), bump, "cursor re-based at torn tail");
-        assert_eq!(reopened.unflushed_lines().unwrap(), [], "and the new cursor flushed");
-        // And allocation continues to work.
-        assert!(reopened.alloc(64).is_ok());
+        let audit = crate::recovery::audit(&p);
+        for stored in [bump + 4096, 0, p.len() as u64 + 4096] {
+            p.write_u64(OFF_BUMP, stored);
+            // SAFETY: [0, len) is in bounds; no writer races the snapshot here.
+            let image = unsafe { p.bytes(0, p.len()).to_vec() };
+            let reopened = PmemPool::open_image(&image).unwrap();
+            assert_eq!(reopened.read_u64(OFF_BUMP), bump, "{stored}: cursor re-based at the end");
+            assert_eq!(reopened.unflushed_lines().unwrap(), [], "and the new cursor flushed");
+            assert_eq!(crate::recovery::audit(&reopened), audit, "{stored}");
+            let stats = reopened.alloc_stats();
+            assert_eq!((stats.heap_used, stats.live_blocks), (bump - HEAP_START, 1), "{stored}");
+            // And allocation continues above the live block.
+            for _ in 0..2 * REFILL_BATCH {
+                assert!(reopened.alloc(64).unwrap() > live, "{stored}");
+            }
+            assert_eq!(reopened.read_u64(OFF_MAGIC), MAGIC, "{stored}: the superblock");
+            assert_eq!(reopened.read_u64(live), 0x11FE, "{stored}: the live block");
+        }
     }
 
     #[test]
@@ -1317,8 +1257,8 @@ mod tests {
 
     /// Every class that is a multiple of the cache line hands out blocks that
     /// start on a line: from runs of every batch the adaptive refill carves
-    /// (8 … 64), at every offset from a line a run can start at, and from a
-    /// sibling's list after a steal. The padding is the run's: a reopen's
+    /// (8 … 64), at every offset from a line a run can start at, and from the
+    /// shared list after a free. The padding is the run's: a reopen's
     /// walk finds nothing damaged and the audit counts what the pool holds.
     #[test]
     #[cfg_attr(miri, ignore = "slow under Miri; covered natively in CI")]
@@ -1351,16 +1291,14 @@ mod tests {
             }
             assert_eq!(batches, [8, 16, 32, 64], "class {bytes}");
             assert_eq!(pads, [0, 16, 32, 48], "class {bytes}");
-            // Freed into this thread's shard, taken by another shard's steals.
+            // Freed to the shared list, and taken from it on another thread.
             for off in held.drain(..) {
                 p.dealloc(off);
             }
-            let thief = (shard_id() + 1) % num_shards();
-            while let Some(off) = p.allocator.steal(&p, thief, class) {
-                assert!(on_a_line(off), "class {bytes}: stolen block at {off}");
-                held.push(off);
-            }
-            assert_eq!(p.alloc_stats().shard_steals[thief], held.len() as u64);
+            let take = || (0..300).map(|_| p.alloc(bytes).unwrap()).collect::<Vec<_>>();
+            held = std::thread::scope(|scope| scope.spawn(take).join().unwrap());
+            assert!(held.iter().all(|&off| on_a_line(off)), "class {bytes}: {held:?}");
+            assert_eq!(p.alloc_stats().shard_steals.iter().sum::<u64>(), 300, "class {bytes}");
             // SAFETY: [0, len) is in bounds; no writer races the snapshot here.
             let reopened = PmemPool::open_image(unsafe { p.bytes(0, p.len()) }).unwrap();
             assert_eq!(reopened.indeterminate_blocks_at_open(), 0, "class {bytes}");
@@ -1460,38 +1398,29 @@ mod tests {
         }
     }
 
-    /// The reopen parks each run's free blocks on the next shard in turn,
-    /// so with at least `num_shards()` runs freed every shard holds some,
-    /// and one thread drains them all with a steal from each sibling and no
-    /// fresh heap — whichever shard the thread itself is on.
+    /// A reopen puts every free class block on the shared list, lowest
+    /// offset on top: one thread takes them all, in heap order, before the
+    /// bump cursor moves — whichever arena it is on.
     #[test]
-    fn rebuild_redistributes_free_blocks_across_shards() {
+    fn after_a_reopen_one_thread_takes_every_free_block_before_the_heap_grows() {
         let p = pool();
-        // Whole runs, so the blocks freed below are every free block.
-        let mut offs = Vec::new();
-        while p.alloc_stats().shard_refills.iter().sum::<u64>() < num_shards() as u64
-            || p.allocator.shard_free_bytes().iter().any(|&bytes| bytes > 0)
-        {
-            offs.push(p.alloc(64).unwrap());
-        }
-        for &o in &offs {
-            p.dealloc(o);
+        let offs: Vec<u64> = (0..100).map(|_| p.alloc(64).unwrap()).collect();
+        for &off in offs.iter().step_by(3) {
+            p.dealloc(off);
         }
         // SAFETY: [0, len) is in bounds; no writer races the snapshot here.
-        let image = unsafe { p.bytes(0, p.len()).to_vec() };
-        let reopened = PmemPool::open_image(&image).unwrap();
-        let shard_free = reopened.allocator.shard_free_bytes();
-        assert!(shard_free.iter().all(|&bytes| bytes > 0), "a shard got no run: {shard_free:?}");
-        // Every block freed before the snapshot is reachable again without
-        // consuming fresh heap.
-        let heap_before = reopened.alloc_stats().heap_used;
-        let mut recovered: Vec<u64> = offs.iter().map(|_| reopened.alloc(64).unwrap()).collect();
-        recovered.sort_unstable();
-        offs.sort_unstable();
-        assert_eq!(recovered, offs);
-        let stats = reopened.alloc_stats();
-        assert_eq!(stats.heap_used, heap_before, "no fresh heap should be consumed");
-        let steals = stats.shard_steals.iter().sum::<u64>();
-        assert!(steals >= num_shards() as u64 - 1, "{steals} steals: {stats:?}");
+        let reopened = PmemPool::open_image(unsafe { p.bytes(0, p.len()) }).unwrap();
+        let free = crate::recovery::audit(&reopened).free_blocks;
+        let (shared, arenas) = reopened.free_list_bytes();
+        assert_eq!((shared, arenas.iter().sum::<u64>()), (free * 64, 0));
+        let heap = reopened.alloc_stats().heap_used;
+        let taken: Vec<u64> = (0..free).map(|_| reopened.alloc(64).unwrap()).collect();
+        assert_eq!(reopened.alloc_stats().heap_used, heap, "no fresh heap consumed");
+        assert!(taken.windows(2).all(|w| w[0] < w[1]), "in heap order: {taken:?}");
+        assert!(offs.iter().step_by(3).all(|off| taken.contains(off)), "every freed block");
+        assert_eq!(reopened.alloc_stats().shard_steals.iter().sum::<u64>(), free);
+        assert_eq!(crate::recovery::audit(&reopened).free_blocks, 0);
+        reopened.alloc(64).unwrap();
+        assert!(reopened.alloc_stats().heap_used > heap, "then a refill");
     }
 }

@@ -182,11 +182,11 @@ impl PmemPool {
         self.allocator.stats(self)
     }
 
-    /// Payload bytes of the free class blocks each allocator shard holds
-    /// ([`crate::alloc::num_shards`] entries; free large blocks are on one
-    /// global list and counted in none).
-    pub fn shard_free_bytes(&self) -> Vec<u64> {
-        self.allocator.shard_free_bytes()
+    /// Payload bytes of the free class blocks on the allocator's shared
+    /// list, and on each shard's lists ([`crate::alloc::num_shards`]
+    /// entries); free large blocks are on one global list, counted in none.
+    pub fn free_list_bytes(&self) -> (u64, Vec<u64>) {
+        self.allocator.free_list_bytes()
     }
 
     /// Heap blocks whose state word was torn or corrupt when this pool was

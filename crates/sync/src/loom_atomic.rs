@@ -42,11 +42,6 @@ macro_rules! int_atomic {
                 self.inner.store(v, Ordering::SeqCst)
             }
 
-            pub fn swap(&self, v: $t, _order: Ordering) -> $t {
-                yield_point();
-                self.inner.swap(v, Ordering::SeqCst)
-            }
-
             pub fn compare_exchange(
                 &self,
                 current: $t,

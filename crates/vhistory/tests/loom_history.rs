@@ -238,8 +238,8 @@ fn two_appenders_adopting_one_segment_link_it_once() {
         h.append(1, 10);
         h.append(2, 20);
         let hdr = h.slots().pptr();
-        // Two free blocks of segment 1's class on the main thread's shard:
-        // the appenders pop or steal them instead of racing a refill.
+        // Two free blocks of segment 1's class on the shared list: the
+        // appenders pop them instead of racing a refill.
         let seg1 = SEG_HDR_SIZE + seg_capacity(1) as usize * ENTRY_SIZE;
         let warm = [0; 2].map(|_| pool.alloc(seg1).unwrap());
         warm.into_iter().for_each(|block| pool.dealloc(block));

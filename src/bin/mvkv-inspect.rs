@@ -117,11 +117,12 @@ fn run() -> Result<ExitCode, String> {
                     );
                 }
             }
-            // The same free class blocks, by the allocator shard whose lists
-            // hold them (free larger blocks are on one global list).
-            let shards: Vec<String> =
-                store.pool().shard_free_bytes().iter().map(u64::to_string).collect();
-            println!("free per shard:  {} bytes", shards.join(" "));
+            // The same free class blocks, by the allocator list that holds
+            // them: the shared one, then each shard's (free larger blocks
+            // are on one global list).
+            let (shared, shards) = store.pool().free_list_bytes();
+            let shards: Vec<String> = shards.iter().map(u64::to_string).collect();
+            println!("free lists:      shared {shared}, per shard {} bytes", shards.join(" "));
         }
         "audit" => {
             let (store, _) = open(path)?;

@@ -65,16 +65,17 @@ fn inspect_cli_reads_a_real_pool() {
         assert!(padding <= 48 * runs, "row {row}");
         free_bytes += bytes;
     }
-    // The allocator's shards hold exactly those free bytes (no block larger
-    // than a class was freed).
-    let shards: u64 = stats
+    // The allocator's shared list and shards hold exactly those free bytes
+    // (no block larger than a class was freed).
+    let listed: u64 = stats
         .lines()
-        .find_map(|line| line.strip_prefix("free per shard:  "))
+        .find_map(|line| line.strip_prefix("free lists:      shared "))
         .and_then(|line| line.strip_suffix(" bytes"))
+        .map(|line| line.replace(", per shard", ""))
         .map(|counts| counts.split(' ').map(|n| n.parse::<u64>().unwrap()).sum())
-        .expect("a free per shard line");
+        .expect("a free lists line");
     assert!(free_bytes > 0);
-    assert_eq!(shards, free_bytes, "stats output:\n{stats}");
+    assert_eq!(listed, free_bytes, "stats output:\n{stats}");
     // The reopen `stats` ran, phase by phase.
     assert!(stats.contains("reopen phases:   open "), "stats output:\n{stats}");
     for phase in [", repair ", ", scan ", ", rebuild ", ", prune "] {

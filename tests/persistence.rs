@@ -218,3 +218,11 @@ fn pool_audit_is_clean_after_heavy_churn() {
     assert_eq!(audit.torn_tail_bytes, 0);
     assert!(audit.allocated_blocks >= 500, "at least one block per key");
 }
+
+/// An empty store's first refills carve `REFILL_BATCH` blocks each (a fixed
+/// 64-block refill made this 6208 bytes).
+#[test]
+fn an_empty_store_holds_832_heap_bytes() {
+    let store = PSkipList::create_volatile(1 << 20).unwrap();
+    assert_eq!(store.pool().alloc_stats().heap_used, 832);
+}
