@@ -191,7 +191,7 @@ fn ablate_rebuild(cfg: &BenchConfig, rows: &mut Vec<Row>) {
         let mut bulk: SkipList<u64> = SkipList::new();
         let t1 = Instant::now();
         let collect = |run: &mut Vec<(u64, u64)>, _, key, hist| run.push((key, hist));
-        let (_, runs) = try_fold_claimed(&chain, t, collect).expect("walk");
+        let (_, runs) = try_fold_claimed(&chain, t, Vec::with_capacity, collect).expect("walk");
         let (runs, list, parts) = (&runs, &bulk, runs.len() as u64);
         let fragments = try_workers((0..parts).map(|part| {
             move || {

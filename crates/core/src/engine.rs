@@ -33,6 +33,7 @@ use crate::stats::{OpCounters, OpStats};
 use crate::Pair;
 use mvkv_skiplist::{InsertOutcome, Iter, SkipList};
 use mvkv_vhistory::{History, HistoryRecord, Slots, VersionClock, TOMBSTONE};
+use std::collections::VecDeque;
 
 /// Where a key's history lives. The index maps a key to a payload; the home
 /// turns payloads into histories and is told about the events a durable home
@@ -52,6 +53,9 @@ pub trait Home<K> {
     fn create(&self) -> Self::Payload;
     /// The history behind `payload`.
     fn history(&self, payload: Self::Payload) -> History<Self::Slots<'_>>;
+    /// Starts fetching the line [`history`](Self::history) reads first, for
+    /// a walk that resolves it a few keys later.
+    fn prefetch(&self, payload: Self::Payload);
     /// Reclaims a history created by a writer that then lost the
     /// duplicate-key race (paper §IV-B); it never became reachable.
     fn discard(&self, payload: Self::Payload);
@@ -82,6 +86,27 @@ pub struct Engine<K, H: Home<K>> {
 pub(crate) fn live_at<S: Slots>(hist: History<S>, version: u64, fc: u64) -> Option<u64> {
     hist.find_raw(version, fc).filter(|&value| value != TOMBSTONE)
 }
+
+/// Starts fetching the cache line at `addr` into every cache level. A hint:
+/// it reads nothing the program sees and never faults, whatever `addr` is.
+#[cfg(all(target_arch = "x86_64", not(any(loom, miri))))]
+#[inline(always)]
+pub(crate) fn prefetch_line(addr: *const u8) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: a prefetch dereferences nothing; any address is allowed.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>(addr.cast()) }
+}
+
+/// No prefetch where there is no intrinsic, or a model checker runs.
+#[cfg(not(all(target_arch = "x86_64", not(any(loom, miri)))))]
+#[inline(always)]
+pub(crate) fn prefetch_line(_: *const u8) {}
+
+/// Pairs the snapshot walk holds between fetching a history's line and
+/// resolving the history: the walk is in key order, the histories are where
+/// their keys' first writes put them, so each resolution is a miss that the
+/// ring overlaps with the next ones (EXPERIMENTS.md "Extraction").
+const LOOKAHEAD: usize = 16;
 
 /// Pairs per [`Engine::put_batch`] chunk: one clock reservation, one fence.
 /// A chunk's versions are in flight together, so the clock's window must fit
@@ -230,18 +255,27 @@ impl<K: Ord + Copy, H: Home<K>> Engine<K, H> {
     }
 
     /// The paper's `extract_snapshot`, on the caller's thread: freezes the
-    /// watermark, seeks `lo` (`None` = the first key), walks level 0 with
-    /// [`next_live`](Self::next_live) and pushes every live pair below `hi`
-    /// (`None` = unbounded) into one vector, in key order. Only the unbounded
-    /// snapshot is pre-sized (to the key count): a window's size is unknown
-    /// until it has been walked.
+    /// watermark, seeks `lo` (`None` = the first key), walks level 0 and
+    /// pushes every pair below `hi` (`None` = unbounded) that is live at the
+    /// frozen watermark ([`live_at`]) into one vector, in key order. The walk
+    /// runs [`LOOKAHEAD`] pairs ahead of the resolution and prefetches each
+    /// history as its pair enters the ring. Only the unbounded snapshot is
+    /// pre-sized (to the key count): a window's size is unknown until it has
+    /// been walked.
     pub(crate) fn extract(&self, version: u64, lo: Option<&K>, hi: Option<&K>) -> Vec<(K, u64)> {
         mvkv_obs::span!("mvkv_core_extract_ns");
         let fc = self.clock.watermark();
-        let mut cursor = lo.map_or_else(|| self.index.iter(), |lo| self.index.range_from(lo));
+        let cursor = lo.map_or_else(|| self.index.iter(), |lo| self.index.range_from(lo));
+        let mut pairs = cursor
+            .take_while(|&(key, _)| hi.is_none_or(|hi| key < hi))
+            .inspect(|&(_, hist)| self.home.prefetch(hist));
+        let mut ring: VecDeque<_> = pairs.by_ref().take(LOOKAHEAD).collect();
         let mut out = Vec::with_capacity(if hi.is_none() { self.index.len() as usize } else { 0 });
-        while let Some((key, value)) = self.next_live(&mut cursor, hi, version, fc) {
-            out.push((*key, value));
+        while let Some((key, hist)) = ring.pop_front() {
+            ring.extend(pairs.next());
+            if let Some(value) = live_at(self.home.history(hist), version, fc) {
+                out.push((*key, value));
+            }
         }
         out
     }

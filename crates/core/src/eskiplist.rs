@@ -38,6 +38,11 @@ impl<K> Home<K> for HeapHome {
     }
 
     #[inline]
+    fn prefetch(&self, payload: u64) {
+        crate::engine::prefetch_line(payload as *const u8);
+    }
+
+    #[inline]
     fn discard(&self, payload: u64) {
         // SAFETY: `payload` came from `create` and no reader can reach it
         // (never indexed, or the store is being dropped): sole owner.

@@ -32,9 +32,7 @@ use mvkv_keychain::{
 };
 use mvkv_pmem::{CrashOptions, PPtr, PmemError, PmemPool};
 use mvkv_skiplist::{Fragment, SkipList};
-use mvkv_vhistory::recovery::{
-    compute_watermark, prune_to_watermark, scan_published_prefix, ScanStop,
-};
+use mvkv_vhistory::recovery::{prune_to_watermark, scan_published_prefix, ScanStop, VersionBits};
 use mvkv_vhistory::{Cursor, History, PHistory, Slots, VersionClock, TOMBSTONE};
 use std::path::Path;
 use std::sync::Arc;
@@ -83,13 +81,12 @@ pub struct RestartStats {
 type ChainPair = (u64, u32, u32);
 
 /// What one worker of the restart walk keeps from the blocks it claimed.
-#[derive(Default)]
 struct Claimed {
     /// Every reachable history: in chain order while the walk runs, sorted
     /// for the index build.
     pairs: Vec<ChainPair>,
-    /// The versions of every published prefix, as one flat run.
-    versions: Vec<u64>,
+    /// The versions of every published prefix.
+    versions: VersionBits,
     /// `(history, largest version)` with `u64::MAX` for a history the scan
     /// did not find settled: the prune has work exactly where the second
     /// word exceeds the watermark.
@@ -97,6 +94,19 @@ struct Claimed {
     /// [`RestartStats::history_lengths`] of this worker's histories.
     lengths: [u64; 32],
     quarantined: Vec<KeyQuarantine>,
+}
+
+impl Claimed {
+    /// Room for the `pairs` the claimed blocks can hold.
+    fn new(pairs: usize, versions: VersionBits) -> Self {
+        Claimed {
+            pairs: Vec::with_capacity(pairs),
+            versions,
+            prune_above: Vec::with_capacity(pairs),
+            lengths: [0; 32],
+            quarantined: Vec::new(),
+        }
+    }
 }
 
 /// The keys that cut the sorted `runs` into `runs.len()` key ranges of
@@ -228,6 +238,11 @@ impl Home<u64> for PmHome {
     #[inline]
     fn history(&self, off: u32) -> History<PHistory<'_>> {
         History::new(PHistory::open(&self.pool, PPtr::from_off(off.into())))
+    }
+
+    #[inline]
+    fn prefetch(&self, off: u32) {
+        crate::engine::prefetch_line(self.pool.base_ptr(off.into()));
     }
 
     #[inline]
@@ -442,13 +457,14 @@ impl PSkipList {
                 acc.lengths[(u64::BITS - scan.len.leading_zeros()).min(31) as usize] += 1;
                 acc.prune_above.push((hist, if scan.settled { scan.last } else { u64::MAX }));
             };
+            let init = |pairs| Claimed::new(pairs, VersionBits::new(wm_base, pool.len()));
             let (walked, mut claimed) =
-                try_fold_claimed(&chain, threads, visit).map_err(panicked("scan"))?;
+                try_fold_claimed(&chain, threads, init, visit).map_err(panicked("scan"))?;
             stats.rebuild_threads = walked.threads;
             for (bucket, total) in stats.history_lengths.iter_mut().enumerate() {
                 *total = claimed.iter().map(|c| c.lengths[bucket]).sum();
             }
-            stats.watermark = compute_watermark(claimed.iter().map(|c| &c.versions[..]), wm_base);
+            stats.watermark = VersionBits::watermark(wm_base, claimed.iter().map(|c| &c.versions));
             stats.scan_time = t0.elapsed();
 
             // The index: every worker sorts its own run, then builds the

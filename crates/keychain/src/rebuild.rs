@@ -43,7 +43,8 @@ where
 {
     mvkv_obs::span!("mvkv_keychain_rebuild_ns");
     let fold = |_: &mut (), _, key, hist| sink(key, hist);
-    let (stats, _) = try_fold_claimed(chain, threads, fold).unwrap_or_else(|e| panic!("{e}"));
+    let (stats, _) =
+        try_fold_claimed(chain, threads, |_| (), fold).unwrap_or_else(|e| panic!("{e}"));
     mvkv_obs::counter_add!("mvkv_keychain_rebuild_pairs_total", stats.pairs);
     mvkv_obs::counter_inc!("mvkv_keychain_rebuilds_total");
     stats
@@ -69,38 +70,43 @@ where
 }
 
 /// The claiming walk itself: `threads` workers (at least one) each walk the
-/// chain, claim the blocks with `index % threads == tid`, and fold every
-/// valid pair of a claimed block into their own accumulator, as
-/// `fold(acc, seq, key, history)`. `seq` is the pair's position in the
-/// chain — it grows along the chain, within a worker and across workers —
-/// so `(key, seq)` orders two pairs that carry the same key. Returns the
-/// accumulators in worker order.
-pub fn try_fold_claimed<A, F>(
+/// chain's block headers, claim the blocks with `index % threads == tid`,
+/// start an accumulator with `init(pairs)` — `pairs` is how many pairs the
+/// claimed blocks hold at most, so a run can be sized once — and fold every
+/// valid pair of a claimed block into it, as `fold(acc, seq, key,
+/// history)`. `seq` is the pair's position in the chain — it grows along the
+/// chain, within a worker and across workers — so `(key, seq)` orders two
+/// pairs that carry the same key. Returns the accumulators in worker order.
+pub fn try_fold_claimed<A, I, F>(
     chain: &KeyChain<'_>,
     threads: usize,
+    init: I,
     fold: F,
 ) -> Result<(RebuildStats, Vec<A>), RebuildPanicked>
 where
-    A: Default + Send,
+    A: Send,
+    I: Fn(usize) -> A + Sync,
     F: Fn(&mut A, u64, u64, u64) + Sync,
 {
     let threads = threads.max(1);
-    let (fold, cap) = (&fold, chain.block_cap());
+    let (init, fold, cap) = (&init, &fold, chain.block_cap());
     let results = try_workers((0..threads).map(|tid| {
         move || {
-            let (mut blocks, mut pairs, mut acc) = (0u64, 0u64, A::default());
-            for (position, (off, index)) in chain.blocks().enumerate() {
-                if index as usize % threads != tid {
-                    continue; // claimed by another thread
-                }
-                blocks += 1;
-                let base = position as u64 * cap;
+            // `(first seq, block)` of every claimed block.
+            let claimed: Vec<(u64, u64)> = chain
+                .blocks()
+                .enumerate()
+                .filter(|&(_, (_, index))| index as usize % threads == tid)
+                .map(|(position, (off, _))| (position as u64 * cap, off))
+                .collect();
+            let (mut pairs, mut acc) = (0u64, init(claimed.len() * cap as usize));
+            for &(base, off) in &claimed {
                 for (slot, (key, hist)) in chain.block_pairs(off).enumerate() {
                     fold(&mut acc, base + slot as u64, key, hist);
                     pairs += 1;
                 }
             }
-            (blocks, pairs, acc)
+            (claimed.len() as u64, pairs, acc)
         }
     }))?;
     let mut stats = RebuildStats { blocks: 0, pairs: 0, threads };
@@ -180,14 +186,18 @@ mod tests {
         let p = PmemPool::create_volatile(1 << 24).unwrap();
         let c = chain_with(&p, 100, 4); // 25 blocks
         let (stats, sums) =
-            try_fold_claimed(&c, 4, |sum: &mut u64, _, _, hist| *sum += hist).unwrap();
+            try_fold_claimed(&c, 4, |_| 0, |sum: &mut u64, _, _, hist| *sum += hist).unwrap();
         assert_eq!(stats, RebuildStats { blocks: 25, pairs: 100, threads: 4 });
         assert_eq!(sums.len(), 4, "one accumulator per worker, in worker order");
         assert_eq!(sums.iter().sum::<u64>(), (1..=100).sum::<u64>(), "every pair folded once");
+        // `init` is told what the claimed blocks hold: 7 of them for worker 0.
+        let (_, sizes) = try_fold_claimed(&c, 4, |pairs| pairs, |_, _, _, _| {}).unwrap();
+        assert_eq!(sizes, [7 * 4, 6 * 4, 6 * 4, 6 * 4]);
         // Zero workers are clamped to one; a panicking fold is an error.
-        let (stats, counts) = try_fold_claimed(&c, 0, |n: &mut u64, _, _, _| *n += 1).unwrap();
+        let (stats, counts) =
+            try_fold_claimed(&c, 0, |_| 0, |n: &mut u64, _, _, _| *n += 1).unwrap();
         assert_eq!((stats.threads, counts), (1, vec![100]));
-        let panicked = try_fold_claimed(&c, 2, |_: &mut (), _, key, _| assert_ne!(key, 7));
+        let panicked = try_fold_claimed(&c, 2, |_| (), |_, _, key, _| assert_ne!(key, 7));
         assert_eq!(panicked.unwrap_err(), RebuildPanicked);
     }
 
@@ -198,7 +208,7 @@ mod tests {
         for threads in [1usize, 3, 4] {
             type Seen = Vec<(u64, (u64, u64))>;
             let fold = |seen: &mut Seen, seq, key, hist| seen.push((seq, (key, hist)));
-            let (_, per_worker) = try_fold_claimed(&c, threads, fold).unwrap();
+            let (_, per_worker) = try_fold_claimed(&c, threads, Vec::with_capacity, fold).unwrap();
             assert!(per_worker.iter().all(|seen| seen.windows(2).all(|w| w[0].0 < w[1].0)));
             let mut all: Seen = per_worker.into_iter().flatten().collect();
             all.sort_unstable();

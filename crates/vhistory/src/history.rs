@@ -508,7 +508,7 @@ mod tests {
     #[test]
     fn crash_between_prepare_and_publish_loses_only_the_tail() {
         use crate::pslots::PHistory;
-        use crate::recovery::{compute_watermark, prune_to_watermark, scan_published_prefix};
+        use crate::recovery::{prune_to_watermark, scan_published_prefix, VersionBits};
         let p = mvkv_pmem::PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default())
             .unwrap();
         let hdr;
@@ -527,7 +527,10 @@ mod tests {
         let scan = scan_published_prefix(h.slots(), &mut versions);
         assert_eq!(versions, vec![1, 2], "prepared-only slot must not be recovered");
         assert!(!scan.settled, "a claimed, unpublished slot needs the prune");
-        let wm = compute_watermark([&versions[..]].into_iter(), 0);
+        let mut bits = VersionBits::new(0, rp.len());
+        scan_published_prefix(h.slots(), &mut bits);
+        let wm = VersionBits::watermark(0, std::iter::once(&bits));
+        assert_eq!(wm, 2);
         let out = prune_to_watermark(h.slots(), wm);
         assert_eq!(out.kept, 2);
         assert_eq!(h.find(3, wm), Some(22), "torn version 3 is invisible");

@@ -7,16 +7,18 @@
 //!
 //! Recovery therefore has two steps, driven by the owning store:
 //!
-//! 1. [`scan_published_prefix`] on every history collects the versions in
-//!    its durable contiguous prefix; [`compute_watermark`] combines them
-//!    into the global watermark (largest `v` with all of `1..=v` present).
+//! 1. [`scan_published_prefix`] on every history reports the versions in
+//!    its durable contiguous prefix to a [`VersionSink`]; each restart
+//!    worker's sink is a [`VersionBits`], and [`VersionBits::watermark`]
+//!    combines them into the global watermark (largest `v` with all of
+//!    `1..=v` present).
 //! 2. [`prune_to_watermark`] truncates a history to the prefix covered by
 //!    that watermark, clearing orphaned stamps so the slots can be
 //!    reused safely. The scan says which histories need it
 //!    ([`PrefixScan::settled`]): for a cleanly closed store, none.
 
 use crate::pslots::PHistory;
-use crate::slots::{Cursor, Entry, Slots, MAX_SLOTS};
+use crate::slots::{Cursor, Entry, Slots, ENTRY_SIZE, MAX_SLOTS};
 use mvkv_sync::sync::atomic::Ordering;
 
 /// Result of scanning one history's durable prefix.
@@ -62,13 +64,108 @@ pub enum ScanStop {
     ChecksumInvalid,
 }
 
-/// Walks slots from 0 and appends the versions of the contiguous published
+/// Where [`scan_published_prefix`] reports the versions it verified, in slot
+/// order.
+pub trait VersionSink {
+    fn record(&mut self, version: u64);
+}
+
+/// The versions as a list, appended to.
+impl VersionSink for Vec<u64> {
+    #[inline]
+    fn record(&mut self, version: u64) {
+        self.push(version);
+    }
+}
+
+/// One restart worker's versions as one bit each: bit `i` is version
+/// `base + 1 + i`. Versions at or below `base` are deemed complete a priori
+/// — `base` is 0 for a normal store and the compaction horizon for a
+/// compacted one (whose collapsed entries keep their original, gappy
+/// version numbers). A pool of `len` bytes holds at most `len / ENTRY_SIZE`
+/// entries, so no gap-free run above `base` is longer than that: a version
+/// beyond `base + len / ENTRY_SIZE` can never matter and is not recorded —
+/// a corrupt one that still passes its CRC costs no memory. The words grow
+/// to the largest version recorded.
+#[derive(Debug)]
+pub struct VersionBits {
+    base: u64,
+    bound: u64,
+    words: Vec<u64>,
+}
+
+impl VersionBits {
+    /// An empty set for the versions above `base` in a pool of `pool_len`
+    /// bytes.
+    pub fn new(base: u64, pool_len: usize) -> Self {
+        VersionBits { base, bound: pool_len as u64 / ENTRY_SIZE as u64, words: Vec::new() }
+    }
+
+    /// The global watermark of the workers' `parts`, all made with the same
+    /// `base`: the largest `v` such that every version in `base+1..=v` is in
+    /// some part — the run of leading ones of their OR.
+    pub fn watermark<'a>(base: u64, parts: impl Iterator<Item = &'a Self> + Clone) -> u64 {
+        debug_assert!(parts.clone().all(|part| part.base == base));
+        // Bits at and beyond a part's length are zero, so the run ends.
+        let mut full = 0;
+        loop {
+            let word = parts.clone().fold(0, |acc, part| acc | part.words.get(full).unwrap_or(&0));
+            if word != u64::MAX {
+                return base + full as u64 * 64 + u64::from(word.trailing_ones());
+            }
+            full += 1;
+        }
+    }
+}
+
+impl VersionSink for VersionBits {
+    #[inline]
+    fn record(&mut self, version: u64) {
+        if version <= self.base || version - self.base > self.bound {
+            return;
+        }
+        let bit = version - self.base - 1;
+        let word = (bit / 64) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (bit % 64);
+    }
+}
+
+/// Walks slots from 0 and reports the versions of the contiguous published
 /// prefix to `versions`, in slot order — the paper's rule: the prefix is what
 /// the stamps say, not what a counter says. Stops at the first slot whose
 /// stamp is missing, whose backing segment was never linked, whose stamp is
 /// malformed or whose version breaks monotonicity (torn metadata), or whose
 /// payload fails its CRC (media corruption).
-pub fn scan_published_prefix(h: &PHistory<'_>, versions: &mut Vec<u64>) -> PrefixScan {
+pub fn scan_published_prefix(h: &PHistory<'_>, versions: &mut impl VersionSink) -> PrefixScan {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: the CPU has the one feature the function enables.
+        return unsafe { scan_with_crc_instruction(h, versions) };
+    }
+    scan_prefix(h, versions)
+}
+
+/// [`scan_published_prefix`] compiled with SSE4.2, so that every entry's
+/// CRC check inlines the `crc32` instruction instead of calling the
+/// runtime-dispatched CRC, which is most of the restart scan's compute
+/// (EXPERIMENTS.md "Restart").
+///
+/// # Safety
+/// The CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn scan_with_crc_instruction(
+    h: &PHistory<'_>,
+    versions: &mut impl VersionSink,
+) -> PrefixScan {
+    scan_prefix(h, versions)
+}
+
+#[inline(always)]
+fn scan_prefix(h: &PHistory<'_>, versions: &mut impl VersionSink) -> PrefixScan {
     let (pending, tail, _) = h.raw_header();
     let mut cur = Cursor::new();
     // `pending` is a word read from media: too large it would claim slots
@@ -98,7 +195,7 @@ pub fn scan_published_prefix(h: &PHistory<'_>, versions: &mut Vec<u64>) -> Prefi
             stop = ScanStop::ChecksumInvalid;
             break;
         }
-        versions.push(version);
+        versions.record(version);
         last = version;
         len += 1;
     }
@@ -188,32 +285,6 @@ pub fn prune_to_watermark(h: &PHistory<'_>, watermark: u64) -> PruneOutcome {
     PruneOutcome { kept: keep, pruned: end - keep }
 }
 
-/// Computes the global watermark from the scanned versions, handed over as
-/// any number of runs in any order: the largest `v` such that every version
-/// in `base+1..=v` appears in some run. Versions at or below `base` are
-/// deemed complete a priori — `base` is 0 for a normal store and the
-/// compaction horizon for a compacted one (whose collapsed entries keep
-/// their original, gappy version numbers).
-///
-/// `n` versions cannot make a gap-free range longer than `n`, so one bit
-/// per version of `(base, base + n]` holds every version that can matter;
-/// the watermark is the run of leading ones.
-pub fn compute_watermark<'a>(runs: impl Iterator<Item = &'a [u64]> + Clone, base: u64) -> u64 {
-    let n: u64 = runs.clone().map(|run| run.len() as u64).sum();
-    let mut seen = vec![0u64; n.div_ceil(64) as usize];
-    for &v in runs.flatten() {
-        if v > base && v - base <= n {
-            let bit = v - base - 1;
-            seen[(bit / 64) as usize] |= 1 << (bit % 64);
-        }
-    }
-    // Bits at and beyond `n` are never set, so a word of ones is a whole
-    // word of versions.
-    let full = seen.iter().take_while(|&&word| word == u64::MAX).count();
-    let partial = seen.get(full).map_or(0, |word| word.trailing_ones());
-    base + full as u64 * 64 + u64::from(partial)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,17 +297,34 @@ mod tests {
         PmemPool::create_volatile(1 << 22).unwrap()
     }
 
-    /// One history's scan with the versions it found.
+    /// One history's scan with the versions it found — the same from the
+    /// scan the CPU dispatches to and from the portable build of it.
     fn scan(h: &PHistory<'_>) -> (PrefixScan, Vec<u64>) {
         let mut versions = Vec::new();
         let scan = scan_published_prefix(h, &mut versions);
         assert_eq!(scan.len, versions.len() as u64);
         assert_eq!(scan.last, versions.last().copied().unwrap_or(0));
+        let mut portable = Vec::new();
+        assert_eq!((scan_prefix(h, &mut portable), portable), (scan, versions.clone()));
         (scan, versions)
     }
 
+    /// Pool length of the tests' bitmaps: room for 1024 entries, so a
+    /// version more than 1024 above the base is past the bound.
+    const POOL_LEN: usize = 1024 * ENTRY_SIZE;
+
+    /// Each run recorded by a worker of its own.
+    fn parts(runs: &[&[u64]], base: u64) -> Vec<VersionBits> {
+        let record = |run: &&[u64]| {
+            let mut bits = VersionBits::new(base, POOL_LEN);
+            run.iter().for_each(|&v| bits.record(v));
+            bits
+        };
+        runs.iter().map(record).collect()
+    }
+
     fn watermark(runs: &[&[u64]], base: u64) -> u64 {
-        compute_watermark(runs.iter().copied(), base)
+        VersionBits::watermark(base, parts(runs, base).iter())
     }
 
     /// The sort-based watermark the bitmap replaced, kept as the oracle.
@@ -376,6 +464,22 @@ mod tests {
         assert_eq!(watermark(&[&a, &b, &[15]], 10), 13);
         // No versions above the base at all → watermark is the base.
         assert_eq!(watermark(&[&[4]], 10), 10);
+    }
+
+    #[test]
+    fn a_version_past_the_pool_bound_is_ignored_not_allocated_for() {
+        let base = 10;
+        let mut bits = VersionBits::new(base, POOL_LEN);
+        // A CRC-valid stamp on corrupt media can carry any version.
+        for v in [base + 1025, base + (1 << 40), u64::MAX] {
+            bits.record(v);
+        }
+        assert!(bits.words.is_empty());
+        assert_eq!(VersionBits::watermark(base, std::iter::once(&bits)), base);
+        // Every version up to the bound is one: the whole pool full.
+        (base + 1..=base + 1024).for_each(|v| bits.record(v));
+        assert_eq!(bits.words.len(), 1024 / 64);
+        assert_eq!(VersionBits::watermark(base, std::iter::once(&bits)), base + 1024);
     }
 
     #[test]
@@ -723,9 +827,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-        /// The bitmap watermark is the sorted one: on dense ranges with a
-        /// few versions knocked out, duplicates, a non-zero base, versions
-        /// at and below the base, and versions far beyond `base + n`.
+        /// The bitmap watermark is the sorted one: one to four workers, an
+        /// empty run beside them, dense ranges with a few versions knocked
+        /// out, versions in two workers' runs, a non-zero base, versions at
+        /// and below the base, and versions past the pool's bound, for which
+        /// no worker's bitmap grows.
         #[test]
         fn bitmap_watermark_equals_the_sorted_one(
             base in (0u64..3, 1u64..1000)
@@ -737,7 +843,8 @@ mod tests {
                     .prop_map(|(kind, near, far)| [near, far, u64::MAX - near][kind as usize]),
                 0..40,
             ),
-            cut in 0usize..500,
+            workers in 1usize..=4,
+            empty in 0usize..2,
         ) {
             // `base + 1 ..= base + dense` minus the gaps, plus strays given
             // relative to the base (wrapping: some land at or below it).
@@ -747,11 +854,23 @@ mod tests {
                 .chain(extra.iter().map(|&offset| base.wrapping_add(offset)))
                 .chain((base > 0).then_some(base))
                 .collect();
-            // Scatter (scans arrive in chain order, not version order) and
-            // split into two runs.
+            // Scattered (scans arrive in chain order, not version order) over
+            // the workers; every fifth version goes to a second worker too.
             versions.sort_by_key(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let (a, b) = versions.split_at(cut.min(versions.len()));
-            prop_assert_eq!(watermark(&[a, b], base), sorted_watermark(&[a, b], base));
+            let mut runs = vec![Vec::new(); workers + empty];
+            for &v in &versions {
+                let hash = v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+                let worker = (hash % workers as u64) as usize;
+                runs[worker].push(v);
+                if hash % 5 == 0 {
+                    runs[(worker + 1) % workers].push(v);
+                }
+            }
+            let runs: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
+            let parts = parts(&runs, base);
+            let bitmap = VersionBits::watermark(base, parts.iter());
+            prop_assert_eq!(bitmap, sorted_watermark(&runs, base));
+            prop_assert!(parts.iter().all(|part| part.words.len() <= 1024 / 64));
         }
     }
 }

@@ -11,6 +11,14 @@ use mvkv::workload::{MixOp, Model};
 /// Splits a script across K ranks by key ownership (`key % K`), applying
 /// each rank's ops locally, and applies everything to one model.
 fn build_partitioned(k: usize, script: &[MixOp]) -> (DistStore<ESkipList>, Model) {
+    build_partitioned_on(k, script, NetModel::theta_like())
+}
+
+fn build_partitioned_on(
+    k: usize,
+    script: &[MixOp],
+    net: NetModel,
+) -> (DistStore<ESkipList>, Model) {
     let mut model = Model::new();
     let ranks: Vec<ESkipList> = (0..k).map(|_| ESkipList::new()).collect();
     for op in script {
@@ -21,7 +29,7 @@ fn build_partitioned(k: usize, script: &[MixOp]) -> (DistStore<ESkipList>, Model
     for r in &ranks {
         r.wait_writes_complete();
     }
-    (DistStore::new(ranks, NetModel::theta_like()), model)
+    (DistStore::new(ranks, net), model)
 }
 
 #[test]
@@ -52,12 +60,6 @@ fn distributed_merged_snapshot_equals_oracle() {
 }
 
 /// Minimum virtual time over several repetitions of one merge strategy.
-///
-/// Virtual time mixes a deterministic network model with *measured* local
-/// compute, so a loaded CI box (cargo's parallel test threads on few cores)
-/// injects tens of microseconds of scheduler noise into a µs-scale model.
-/// The network part is identical across reps, so min-of-reps converges on
-/// the true shape while staying an honest end-to-end measurement.
 fn best_merge_time(
     c: &mut DistStore<ESkipList>,
     strategy: MergeStrategy,
@@ -75,25 +77,24 @@ fn best_merge_time(
 fn virtual_time_merge_shape_naive_vs_opt() {
     // The performance *shape* the paper reports: at larger K the optimized
     // merge must beat the naive gather-then-kway by a growing factor.
+    // Virtual time adds measured local compute to the network model, so a
+    // 1 ms latency keeps a preempted merge from deciding the comparison:
+    // the naive merge waits ⌈log2 K⌉ + K − 1 latencies (bcast, then a
+    // linear gather), the optimized one 2⌈log2 K⌉ — 2 : 2 at K = 2,
+    // 19 : 8 at K = 16 — against well under a millisecond of compute.
+    let slow = NetModel { latency: std::time::Duration::from_millis(1), bandwidth: 8.0e9 };
     let script: Vec<MixOp> = (0..4000u64).map(|key| MixOp::Insert { key, value: key }).collect();
-    let mut last = (0.0f64, 0.0f64);
-    for _attempt in 0..3 {
-        let (mut c_small, _) = build_partitioned(2, &script);
-        let (mut c_large, _) = build_partitioned(16, &script);
-        let naive_small = best_merge_time(&mut c_small, MergeStrategy::Naive);
-        let opt_small = best_merge_time(&mut c_small, MergeStrategy::Opt { threads: 2 });
-        let naive_large = best_merge_time(&mut c_large, MergeStrategy::Naive);
-        let opt_large = best_merge_time(&mut c_large, MergeStrategy::Opt { threads: 2 });
-        let ratio_small = naive_small.as_secs_f64() / opt_small.as_secs_f64();
-        let ratio_large = naive_large.as_secs_f64() / opt_large.as_secs_f64();
-        if ratio_large > ratio_small {
-            return;
-        }
-        last = (ratio_small, ratio_large);
-    }
-    panic!(
-        "opt advantage must grow with K: {:.2} vs {:.2} (after retries)",
-        last.0, last.1
+    let (mut c_small, _) = build_partitioned_on(2, &script, slow);
+    let (mut c_large, _) = build_partitioned_on(16, &script, slow);
+    let naive_small = best_merge_time(&mut c_small, MergeStrategy::Naive);
+    let opt_small = best_merge_time(&mut c_small, MergeStrategy::Opt { threads: 2 });
+    let naive_large = best_merge_time(&mut c_large, MergeStrategy::Naive);
+    let opt_large = best_merge_time(&mut c_large, MergeStrategy::Opt { threads: 2 });
+    let ratio_small = naive_small.as_secs_f64() / opt_small.as_secs_f64();
+    let ratio_large = naive_large.as_secs_f64() / opt_large.as_secs_f64();
+    assert!(
+        ratio_large > ratio_small,
+        "opt advantage must grow with K: {ratio_small:.2} vs {ratio_large:.2}"
     );
 }
 

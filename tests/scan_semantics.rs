@@ -9,13 +9,15 @@
 //! `LabeledTags::resolve_label` and must land on the exact version the tag
 //! named. The scan is also held equal to `extract_snapshot` and
 //! `extract_range`, which ties every entry point of the one snapshot walk to
-//! the model.
+//! the model; the extractions, which resolve histories through a look-ahead
+//! ring, are held to the model directly too, on a reopened store as well.
 
 mod common;
 
 use common::{apply_script, on_both_stores};
 use mvkv::core::api::LabeledTags;
-use mvkv::core::{Engine, Home, StoreSession, VersionedStore};
+use mvkv::core::{Engine, Home, PSkipList, StoreSession, VersionedStore};
+use mvkv::pmem::CrashOptions;
 use mvkv::workload::{MixOp, Model, Mt19937_64};
 
 /// Replays a deterministic mixed script in four waves on the store and the
@@ -108,6 +110,48 @@ where
         assert_eq!(scanned, session.extract_snapshot(v), "full scan vs snapshot at {v}");
         let windowed: Vec<_> = store.scan_range(v, 50, 300).collect();
         assert_eq!(windowed, session.extract_range(v, 50, 300), "window vs extract_range at {v}");
+    }
+}
+
+#[test]
+fn extractions_through_the_look_ahead_ring_match_the_model() {
+    on_both_stores!(check_extractions_through_the_look_ahead_ring_match_the_model);
+    // A reopened store walks an index that was bulk-built, not inserted.
+    let (store, model) =
+        build(PSkipList::create_crash_sim(64 << 20, CrashOptions::default()).unwrap());
+    let image = store.crash_image().unwrap();
+    let (reopened, _) = PSkipList::open_image(&image, 2).unwrap();
+    extractions_match(&reopened, &model);
+}
+
+fn check_extractions_through_the_look_ahead_ring_match_the_model<H>(fresh: Engine<u64, H>)
+where
+    H: Home<u64> + Send + Sync,
+    Engine<u64, H>: LabeledTags,
+{
+    let (store, model) = build(fresh);
+    extractions_match(&store, &model);
+}
+
+/// `extract_snapshot` and `extract_range` equal the model at every version
+/// — version 0 is below every entry, later ones hold tombstoned keys — over
+/// windows of `span` index entries around the ring's depth of 16: shorter,
+/// as long, one longer, two rings, and a `hi` that cuts inside the second
+/// ring or runs past the last key. Each `hi` lands on a key (excluded) and
+/// in the gap before it.
+fn extractions_match<S: VersionedStore>(store: &S, model: &Model) {
+    let session = store.session();
+    for v in 0..=model.version() {
+        assert_eq!(session.extract_snapshot(v), model.snapshot(v), "snapshot at {v}");
+        for first in [0u64, 3, 17, 40] {
+            for span in [1u64, 15, 16, 17, 32, 33, 45, 60] {
+                let lo = 10 + 7 * first;
+                for hi in [lo + 7 * span, lo + 7 * span - 3] {
+                    let (got, want) = (session.extract_range(v, lo, hi), model.range(v, lo..hi));
+                    assert_eq!(got, want, "{} at {v}, {lo}..{hi}", store.name());
+                }
+            }
+        }
     }
 }
 
