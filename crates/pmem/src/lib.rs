@@ -65,7 +65,7 @@ pub mod recovery;
 
 pub use backend::{CrashOptions, CrashSim};
 pub use corrupt::{CorruptOptions, FaultKind, InjectedFault};
-pub use crc::{crc32c, crc32c_u64s};
+pub use crc::crc32c_u64s;
 pub use pool::PmemPool;
 pub use pptr::PPtr;
 pub use recovery::HeapAudit;

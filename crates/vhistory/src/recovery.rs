@@ -140,32 +140,6 @@ impl VersionSink for VersionBits {
 /// malformed or whose version breaks monotonicity (torn metadata), or whose
 /// payload fails its CRC (media corruption).
 pub fn scan_published_prefix(h: &PHistory<'_>, versions: &mut impl VersionSink) -> PrefixScan {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sse4.2") {
-        // SAFETY: the CPU has the one feature the function enables.
-        return unsafe { scan_with_crc_instruction(h, versions) };
-    }
-    scan_prefix(h, versions)
-}
-
-/// [`scan_published_prefix`] compiled with SSE4.2, so that every entry's
-/// CRC check inlines the `crc32` instruction instead of calling the
-/// runtime-dispatched CRC, which is most of the restart scan's compute
-/// (EXPERIMENTS.md "Restart").
-///
-/// # Safety
-/// The CPU must support SSE4.2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-unsafe fn scan_with_crc_instruction(
-    h: &PHistory<'_>,
-    versions: &mut impl VersionSink,
-) -> PrefixScan {
-    scan_prefix(h, versions)
-}
-
-#[inline(always)]
-fn scan_prefix(h: &PHistory<'_>, versions: &mut impl VersionSink) -> PrefixScan {
     let (pending, tail, _) = h.raw_header();
     let mut cur = Cursor::new();
     // `pending` is a word read from media: too large it would claim slots
@@ -297,15 +271,12 @@ mod tests {
         PmemPool::create_volatile(1 << 22).unwrap()
     }
 
-    /// One history's scan with the versions it found — the same from the
-    /// scan the CPU dispatches to and from the portable build of it.
+    /// One history's scan with the versions it found.
     fn scan(h: &PHistory<'_>) -> (PrefixScan, Vec<u64>) {
         let mut versions = Vec::new();
         let scan = scan_published_prefix(h, &mut versions);
         assert_eq!(scan.len, versions.len() as u64);
         assert_eq!(scan.last, versions.last().copied().unwrap_or(0));
-        let mut portable = Vec::new();
-        assert_eq!((scan_prefix(h, &mut portable), portable), (scan, versions.clone()));
         (scan, versions)
     }
 

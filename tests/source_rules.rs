@@ -10,12 +10,15 @@
 //!   cannot race with publication, on its line or at the head of its cluster;
 //! * **citations**: every section a comment, test or CI step cites as
 //!   `DESIGN.md §<number>` is a numbered heading of DESIGN.md, so a
-//!   renumbered design leaves no pointer to nothing.
+//!   renumbered design leaves no pointer to nothing;
+//! * **one build**: no crate source dispatches on the CPU at run time — the
+//!   build chooses the CRC32C path (`.cargo/config.toml`), and this test
+//!   binary fails on x86_64 when the build dropped that flag.
 //!
 //! The first two read a file up to its first `#[cfg(test)]` line, each line
-//! split at its first `//`; the third reads whole files, tests and all. String
-//! literals are not parsed: a path or a citation inside one is a finding.
-//! (SAFETY comments are clippy's; `const` asserts pin the PM layout.)
+//! split at its first `//`; the last two read whole files, tests and all.
+//! String literals are not parsed: a path or a citation inside one is a
+//! finding. (SAFETY comments are clippy's; `const` asserts pin the PM layout.)
 
 use std::path::Path;
 
@@ -35,6 +38,10 @@ const CITING_DIRS: &[&str] = &["crates", "src", "tests", ".github"];
 const DESIGN: &str = "DESIGN.md";
 /// A cited section that names no heading, and the 1-based line it is on.
 type Citation<'a> = (&'a str, usize);
+/// How code picks a CPU feature at run time, or compiles one function for a
+/// feature the build does not enable.
+const DISPATCH: &[&str] =
+    &["is_x86_feature_detected!", "is_aarch64_feature_detected!", "target_feature(enable"];
 
 /// A line's code, trimmed, and its `//` comment without slashes, a doc `!`
 /// and leading blanks: where a marker must start.
@@ -127,6 +134,12 @@ fn unresolved<'a>(text: &'a str, headings: &[&str]) -> Vec<Citation<'a>> {
         }
     }
     out
+}
+
+/// The 1-based lines of a text that dispatch on the CPU at run time.
+fn dispatches(text: &str) -> Vec<usize> {
+    let lines = text.lines().enumerate();
+    lines.filter(|(_, l)| DISPATCH.iter().any(|d| l.contains(d))).map(|(i, _)| i + 1).collect()
 }
 
 /// Every file below `dir` but `target/` directories.
@@ -251,5 +264,49 @@ fn a_seeded_defect_in_pool_rs_is_found_at_its_line() {
         assert_eq!(clean.matches(find).count(), 1, "{find}");
         let line = 1 + clean[..clean.find(find).unwrap()].matches('\n').count();
         assert_eq!(scan(&clean.replace(find, &format!("{find}{add}")), true), [(rule, line)]);
+    }
+}
+
+/// `.cargo/config.toml`'s `+sse4.2` reached this build: a renamed config, or
+/// an environment `RUSTFLAGS` (which replaces a config's flags), would leave
+/// every CRC on the portable table — correct, and slower on every record.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[test]
+// A failing test names the dropped flag; a `const` assert would instead stop
+// this binary from compiling, and every other rule in it from running.
+#[allow(clippy::assertions_on_constants)]
+fn the_build_compiles_the_crc_instruction() {
+    assert!(cfg!(target_feature = "sse4.2"), "built without +sse4.2: see .cargo/config.toml");
+}
+
+#[test]
+fn no_crate_dispatches_on_the_cpu_at_run_time() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).unwrap().map(|e| e.unwrap().path()) {
+        if krate.join("src").is_dir() {
+            files_below(&krate.join("src"), &mut files);
+        }
+    }
+    files.retain(|path| path.extension().is_some_and(|e| e == "rs"));
+    assert!(files.len() > 40, "the crates were not found: {} file(s)", files.len());
+    let mut found = Vec::new();
+    for path in files {
+        let rel = path.strip_prefix(root).unwrap().display().to_string();
+        let lines = dispatches(&std::fs::read_to_string(&path).unwrap());
+        found.extend(lines.into_iter().map(|line| format!("{rel}:{line}: [dispatch]")));
+    }
+    assert!(found.is_empty(), "{}", found.join("\n"));
+}
+
+/// Each way of dispatching, seeded into the real `crc.rs`.
+#[test]
+fn a_seeded_runtime_dispatch_in_crc_rs_is_found_at_its_line() {
+    let clean = include_str!("../crates/pmem/src/crc.rs");
+    let find = "use std::arch::x86_64::_mm_crc32_u64 as step;\n";
+    assert_eq!((clean.matches(find).count(), dispatches(clean)), (1, vec![]));
+    let line = 2 + clean[..clean.find(find).unwrap()].matches('\n').count();
+    for seed in DISPATCH {
+        assert_eq!(dispatches(&clean.replace(find, &format!("{find}{seed}\n"))), [line], "{seed}");
     }
 }
