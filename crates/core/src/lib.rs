@@ -43,10 +43,8 @@ pub use dbstore::{DbSession, DbStore};
 pub use engine::{Engine, Home};
 pub use eskiplist::{ESkipList, HeapHome};
 pub use lockedmap::LockedMap;
-pub use pskiplist::{CompactStats, PSkipList, PmHome, RestartStats, SalvageOpen};
-pub use recovery::{
-    CorruptionClass, KeyQuarantine, QuarantineReport, RecoveryError, RecoveryStatus, ScrubReport,
-};
+pub use pskiplist::{CompactStats, PSkipList, PmHome, RestartStats};
+pub use recovery::{CorruptionClass, KeyQuarantine, QuarantineReport, RecoveryError, ScrubReport};
 pub use scan::SnapshotScan;
 pub use stats::OpStats;
 

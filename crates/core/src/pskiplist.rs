@@ -25,12 +25,12 @@
 use crate::api::{Labels, VersionedStore};
 use crate::engine::{Engine, Home};
 use crate::recovery::{
-    CorruptionClass, KeyQuarantine, QuarantineReport, RecoveryError, RecoveryStatus, ScrubReport,
+    CorruptionClass, KeyQuarantine, QuarantineReport, RecoveryError, ScrubReport,
 };
 use mvkv_keychain::{
     try_fold_claimed, try_workers, ChainHdr, KeyChain, RepairStats, DEFAULT_BLOCK_CAP,
 };
-use mvkv_pmem::{CrashOptions, PPtr, PmemError, PmemPool};
+use mvkv_pmem::{CrashOptions, PPtr, PmemPool};
 use mvkv_skiplist::{Fragment, SkipList};
 use mvkv_vhistory::recovery::{prune_to_watermark, scan_published_prefix, ScanStop, VersionBits};
 use mvkv_vhistory::{Cursor, History, PHistory, Slots, VersionClock, TOMBSTONE};
@@ -38,9 +38,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Timings and counters of one restart (paper Fig 5). The five times are
-/// the reopen's consecutive phases: open, repair, scan, rebuild, prune.
-#[derive(Debug, Clone, Copy, Default)]
+/// Timings and counters of one restart (paper Fig 5), and what it
+/// quarantined. The five times are the reopen's consecutive phases: open,
+/// repair, scan, rebuild, prune.
+#[derive(Debug, Clone, Default)]
 pub struct RestartStats {
     /// Keys in the rebuilt index (distinct keys with a reachable history).
     pub rebuilt_keys: u64,
@@ -72,6 +73,9 @@ pub struct RestartStats {
     /// buckets: `[0]` the empty ones, `[k]` lengths in `[2^(k−1), 2^k)`, the
     /// last bucket everything longer.
     pub history_lengths: [u64; 32],
+    /// Everything the open dropped because it failed to verify; empty when
+    /// every record did.
+    pub quarantine: QuarantineReport,
 }
 
 /// `(key, chain position, history)`: a key-chain pair as the restart sorts
@@ -144,15 +148,6 @@ impl Iterator for Merged<'_> {
         *run = rest;
         Some((key, hist))
     }
-}
-
-/// Everything a salvage open produces: the recovered store, restart
-/// timings, the overall verdict, and the itemized quarantine report.
-pub struct SalvageOpen {
-    pub store: PSkipList,
-    pub stats: RestartStats,
-    pub status: RecoveryStatus,
-    pub report: QuarantineReport,
 }
 
 /// Persistent root object: offsets of the store's top-level structures.
@@ -312,73 +307,25 @@ impl PSkipList {
 
     /// Reopens a persisted store: validates the pool, repairs the chain,
     /// reconstructs the index with `threads` workers, recovers the
-    /// watermark and prunes torn suffixes. Any detected corruption is
-    /// quarantined silently; use [`PSkipList::open_file_salvage`] to get
-    /// the itemized report.
+    /// watermark and prunes torn suffixes. Localized media damage is
+    /// quarantined and itemized in the returned stats' `quarantine` (see
+    /// [`crate::recovery`]); only damage to the load-bearing structures
+    /// (superblock, root, chain headers) is an error.
     pub fn open_file<P: AsRef<Path>>(
         path: P,
         threads: usize,
-    ) -> std::io::Result<(Self, RestartStats)> {
+    ) -> Result<(Self, RestartStats), RecoveryError> {
         let opened = Instant::now();
-        let (store, stats, _) = Self::try_attach(PmemPool::open_file(path)?, threads, opened)?;
-        Ok((store, stats))
+        Self::try_attach(PmemPool::open_file(path)?, threads, opened)
     }
 
-    /// Reopens from a crash image (or any serialized pool bytes).
-    pub fn open_image(bytes: &[u8], threads: usize) -> std::io::Result<(Self, RestartStats)> {
+    /// Reopens from a crash image (or any serialized pool bytes), as
+    /// [`PSkipList::open_file`] does. An image shorter than its recorded
+    /// length is refused (`LengthMismatch`);
+    /// [`mvkv_pmem::corrupt::pad_to_recorded_len`] makes it attachable.
+    pub fn open_image(bytes: &[u8], threads: usize) -> Result<(Self, RestartStats), RecoveryError> {
         let opened = Instant::now();
-        let (store, stats, _) = Self::try_attach(PmemPool::open_image(bytes)?, threads, opened)?;
-        Ok((store, stats))
-    }
-
-    /// Salvage open from a pool file: tolerates localized media corruption
-    /// by quarantining damaged records (see [`crate::recovery`]) instead of
-    /// panicking or failing outright. Only damage to the load-bearing
-    /// structures (superblock, root, chain headers) is a hard error.
-    pub fn open_file_salvage<P: AsRef<Path>>(
-        path: P,
-        threads: usize,
-    ) -> Result<SalvageOpen, RecoveryError> {
-        let opened = Instant::now();
-        let pool = PmemPool::open_file(path)?;
-        Self::salvage(pool, threads, 0, opened)
-    }
-
-    /// Salvage open from an image. An image shorter than its recorded
-    /// length (truncated media) is re-padded with zeros first: the padding
-    /// never verifies as data — records it swallowed fail their CRCs and
-    /// are quarantined rather than surfaced.
-    pub fn open_image_salvage(bytes: &[u8], threads: usize) -> Result<SalvageOpen, RecoveryError> {
-        let opened = Instant::now();
-        match PmemPool::open_image(bytes) {
-            Ok(pool) => Self::salvage(pool, threads, 0, opened),
-            Err(PmemError::LengthMismatch { .. }) => {
-                let mut image = bytes.to_vec();
-                let padded = mvkv_pmem::corrupt::pad_to_recorded_len(&mut image) as u64;
-                let pool = PmemPool::open_image(&image)?;
-                Self::salvage(pool, threads, padded, opened)
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn salvage(
-        pool: PmemPool,
-        threads: usize,
-        padded_bytes: u64,
-        opened: Instant,
-    ) -> Result<SalvageOpen, RecoveryError> {
-        let (store, stats, mut report) = Self::try_attach(pool, threads, opened)?;
-        report.padded_bytes = padded_bytes;
-        let status = if report.is_empty() {
-            RecoveryStatus::Clean
-        } else {
-            RecoveryStatus::Degraded {
-                recovered: stats.rebuilt_keys,
-                quarantined: report.total(),
-            }
-        };
-        Ok(SalvageOpen { store, stats, status, report })
+        Self::try_attach(PmemPool::open_image(bytes)?, threads, opened)
     }
 
     /// Attaches the store to `pool`, whose opening started at `opened`.
@@ -386,13 +333,12 @@ impl PSkipList {
         pool: PmemPool,
         threads: usize,
         opened: Instant,
-    ) -> Result<(Self, RestartStats, QuarantineReport), RecoveryError> {
+    ) -> Result<(Self, RestartStats), RecoveryError> {
         let mut stats = RestartStats { open_time: opened.elapsed(), ..RestartStats::default() };
         if pool.len() as u64 > MAX_POOL_LEN {
             return Err(RecoveryError::PoolTooLarge { len: pool.len() as u64 });
         }
         let repair = Instant::now();
-        let mut report = QuarantineReport::default();
         let root = pool.root();
         if root == 0 {
             return Err(RecoveryError::NoRoot);
@@ -422,8 +368,8 @@ impl PSkipList {
                 report.chain_quarantined_pairs += r.quarantined_pairs;
                 report.chain_truncated_links += r.truncated_links;
             };
-            absorb(&mut report, chain.repair());
-            absorb(&mut report, tags.repair());
+            absorb(&mut stats.quarantine, chain.repair());
+            absorb(&mut stats.quarantine, tags.repair());
             stats.repair_time = repair.elapsed();
 
             // The one walk over the chain (paper Fig 5a's claiming walk):
@@ -484,7 +430,7 @@ impl PSkipList {
                 }
             }))
             .map_err(panicked("rebuild"))?;
-            report.chain_duplicate_keys = fragments.iter().map(Fragment::dropped).sum();
+            stats.quarantine.chain_duplicate_keys = fragments.iter().map(Fragment::dropped).sum();
             index.adopt(fragments);
             stats.rebuilt_keys = index.len();
             stats.rebuild_time = t1.elapsed();
@@ -514,26 +460,17 @@ impl PSkipList {
             stats.pruned_entries = pruned.iter().sum();
             stats.prune_time = t2.elapsed();
 
-            report.keys = claimed.into_iter().flat_map(|c| c.quarantined).collect();
-            report.indeterminate_alloc_blocks = pool.indeterminate_blocks_at_open();
+            stats.quarantine.keys = claimed.into_iter().flat_map(|c| c.quarantined).collect();
+            stats.quarantine.indeterminate_alloc_blocks = pool.indeterminate_blocks_at_open();
         }
-        mvkv_obs::counter_add!(
-            "mvkv_recovery_corrupt_records_total",
-            report.keys.len() as u64
-        );
-        mvkv_obs::gauge_set!("mvkv_recovery_quarantined_total", report.total());
-        mvkv_obs::gauge_set!(
-            "mvkv_recovery_chain_quarantined_blocks",
-            report.chain_quarantined_blocks
-        );
         let home = PmHome::new(pool, chain_ptr, tagchain_ptr);
         let store = Engine::assemble(index, VersionClock::resume(stats.watermark), home);
-        Ok((store, stats, report))
+        Ok((store, stats))
     }
 
     /// On-demand read-only integrity scrub: walks every indexed key's
     /// claimed slots and verifies the CRC of each published record.
-    /// Mutates nothing; updates the scrub gauges.
+    /// Mutates nothing.
     pub fn scrub(&self) -> ScrubReport {
         let mut report = ScrubReport::default();
         for (&_key, hist) in self.index.iter() {
@@ -563,8 +500,6 @@ impl PSkipList {
                 report.corrupt_keys += 1;
             }
         }
-        mvkv_obs::gauge_set!("mvkv_scrub_corrupt_records", report.corrupt_records);
-        mvkv_obs::gauge_set!("mvkv_scrub_corrupt_keys", report.corrupt_keys);
         report
     }
 
@@ -1076,22 +1011,60 @@ mod tests {
         store.pool().sync_all();
         let image = store.crash_image().unwrap();
         for threads in [1, 4] {
-            let out = PSkipList::open_image_salvage(&image, threads).unwrap();
-            assert_eq!(out.stats.rebuilt_keys, keys, "threads={threads}");
-            assert_eq!(out.store.key_count(), keys);
-            assert_eq!(out.report.chain_duplicate_keys, 2);
-            assert_eq!(out.report.total(), 2);
-            assert_eq!(out.status, RecoveryStatus::Degraded { recovered: keys, quarantined: 2 });
+            let (store, stats) = PSkipList::open_image(&image, threads).unwrap();
+            assert_eq!(stats.rebuilt_keys, keys, "threads={threads}");
+            assert_eq!(store.key_count(), keys);
+            assert_eq!(stats.quarantine.chain_duplicate_keys, 2);
+            assert_eq!(stats.quarantine.total(), 2);
             // The earliest pair is the key's: its history, not the empty one.
-            let rs = out.store.session();
+            let rs = store.session();
             assert_eq!(rs.find(2, keys), Some(20), "threads={threads}");
             assert_eq!(rs.find(keys, keys), Some(keys * 10), "threads={threads}");
         }
     }
 
+    /// A bit flipped in a pool file is quarantined by the file's own open,
+    /// and the prune's repair reaches the file: the next open finds nothing.
     #[test]
-    fn salvaging_an_empty_image_is_an_error() {
-        assert!(PSkipList::open_image_salvage(&[], 1).is_err());
+    fn a_payload_bit_flipped_in_the_file_is_quarantined_once() {
+        let path = std::env::temp_dir().join(format!("pskip-flip-{}.pool", std::process::id()));
+        let at = {
+            let store = PSkipList::create_file(&path, POOL).unwrap();
+            let s = store.session();
+            for key in 1..=20u64 {
+                s.insert(key, key * 10);
+            }
+            assert_eq!(s.insert(7, 71), 21, "the newest version is key 7's second entry");
+            store.wait_writes_complete();
+            let hist = store.get_or_create_history(7).into();
+            let hist = PHistory::open(store.pool(), PPtr::from_off(hist));
+            let mut cur = Cursor::new();
+            hist.fill(&mut cur, 2);
+            &cur.entry(1).value as *const _ as usize - store.pool().base_ptr(0) as usize
+        };
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[at] ^= 1 << 3;
+        std::fs::write(&path, bytes).unwrap();
+
+        let (store, stats) = PSkipList::open_file(&path, 2).unwrap();
+        let class = CorruptionClass::ChecksumInvalid;
+        assert_eq!(stats.quarantine.keys, [KeyQuarantine { key: 7, class, dropped_records: 1 }]);
+        assert_eq!(stats.quarantine.total(), 1);
+        assert_eq!(stats.watermark, 20, "the watermark stops below the damaged version");
+        let s = store.session();
+        for key in 1..=20u64 {
+            assert_eq!(s.find(key, u64::MAX), Some(key * 10), "key {key}");
+        }
+        drop(store);
+        let (_, stats) = PSkipList::open_file(&path, 2).unwrap();
+        assert!(stats.quarantine.is_empty(), "{:?}", stats.quarantine);
+        assert_eq!(stats.watermark, 20);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn opening_an_empty_image_is_an_error() {
+        assert!(PSkipList::open_image(&[], 1).is_err());
     }
 
     #[test]
@@ -1131,14 +1104,14 @@ mod tests {
         let refused = PSkipList::create_file(&path, len as usize).err().expect("refused");
         assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
         assert!(refused.to_string().contains("2^32 bytes (4 GiB)"), "{refused}");
-        // The pool itself was made before the store refused it: every open
-        // path refuses it too, before it reads the root.
-        match PSkipList::open_file_salvage(&path, 1) {
-            Err(RecoveryError::PoolTooLarge { len: found }) => assert_eq!(found, len),
+        // The pool itself was made before the store refused it: the open
+        // refuses it too, before it reads the root.
+        match PSkipList::open_file(&path, 1) {
+            Err(e @ RecoveryError::PoolTooLarge { .. }) => {
+                assert!(e.to_string().contains(&format!("a pool of {len} bytes")), "{e}")
+            }
             other => panic!("expected PoolTooLarge, got {:?}", other.err()),
         }
-        let refused = PSkipList::open_file(&path, 1).err().expect("refused");
-        assert!(refused.to_string().contains(&format!("a pool of {len} bytes")), "{refused}");
         std::fs::remove_file(&path).unwrap();
     }
 

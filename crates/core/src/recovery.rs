@@ -1,18 +1,18 @@
-//! Salvage-mode recovery: typed error taxonomy and quarantine reporting.
+//! Recovery outcomes: the typed error taxonomy and the quarantine report.
 //!
 //! Opening a store from damaged media must never panic and never silently
-//! surface wrong data. The salvage open path
-//! ([`crate::PSkipList::open_image_salvage`] /
-//! [`crate::PSkipList::open_file_salvage`]) classifies what it finds:
+//! surface wrong data. Every open ([`crate::PSkipList::open_file`] /
+//! [`crate::PSkipList::open_image`]) classifies what it finds:
 //!
 //! * **Hard errors** ([`RecoveryError`]) — damage to the structures that
 //!   everything else hangs off (pool superblock, store root, a chain
 //!   header's self-checksummed capacity word). Nothing can be recovered;
 //!   the open fails with a typed reason instead of unwinding.
-//! * **Degradation** ([`RecoveryStatus::Degraded`]) — localized damage.
-//!   The corrupt records, pairs, or blocks are quarantined (dropped from
-//!   the recovered state, itemized in a [`QuarantineReport`]) and the open
-//!   succeeds with everything that verified.
+//! * **Quarantine** — localized damage. The corrupt records, pairs, or
+//!   blocks are dropped from the recovered state, itemized in the
+//!   [`QuarantineReport`] the open returns in its
+//!   [`crate::RestartStats::quarantine`], and the open succeeds with
+//!   everything that verified.
 //!
 //! The CRC layer underneath (entry payloads, segment headers, chain block
 //! headers, allocator state words) is what makes the classification sound:
@@ -21,7 +21,7 @@
 
 use mvkv_pmem::PmemError;
 
-/// Why a salvage open could not produce a store at all.
+/// Why an open could not produce a store at all.
 #[derive(Debug)]
 pub enum RecoveryError {
     /// The pool itself failed to open or map (bad magic, wrong layout
@@ -122,7 +122,7 @@ pub struct KeyQuarantine {
     pub dropped_records: u64,
 }
 
-/// Itemized account of everything salvage recovery dropped.
+/// Itemized account of everything an open dropped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuarantineReport {
     /// Key-chain blocks whose header was torn or corrupt (pairs dropped).
@@ -137,10 +137,6 @@ pub struct QuarantineReport {
     /// Allocator blocks whose state word decoded as neither free nor
     /// allocated (conservatively treated as live; leak, not data loss).
     pub indeterminate_alloc_blocks: u64,
-    /// Zero bytes appended to reattach a truncated image (`0` when the
-    /// image was whole). The padding never verifies as data — affected
-    /// records fail their CRCs and land in the classes above.
-    pub padded_bytes: u64,
     /// Per-key history damage.
     pub keys: Vec<KeyQuarantine>,
 }
@@ -156,14 +152,13 @@ impl QuarantineReport {
             + self.keys.len() as u64
     }
 
-    /// True when recovery found nothing to quarantine (padding alone does
-    /// not count: zero-extended bytes that damaged no record are benign).
+    /// True when recovery found nothing to quarantine.
     pub fn is_empty(&self) -> bool {
         self.total() == 0 && self.indeterminate_alloc_blocks == 0
     }
 
-    /// Human-readable rendering (uploaded as a CI artifact by the
-    /// corruption-matrix job).
+    /// Human-readable rendering (printed by `mvkv-inspect stats`, uploaded
+    /// as a CI artifact by the corruption-matrix job).
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -173,7 +168,6 @@ impl QuarantineReport {
         let _ = writeln!(out, "  chain links truncated:    {}", self.chain_truncated_links);
         let _ = writeln!(out, "  chain duplicate keys:     {}", self.chain_duplicate_keys);
         let _ = writeln!(out, "  alloc blocks indeterminate: {}", self.indeterminate_alloc_blocks);
-        let _ = writeln!(out, "  image bytes re-padded:    {}", self.padded_bytes);
         for k in &self.keys {
             let _ = writeln!(
                 out,
@@ -183,21 +177,6 @@ impl QuarantineReport {
         }
         out
     }
-}
-
-/// Overall outcome of a salvage open.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryStatus {
-    /// Every record verified; the recovered state is complete.
-    Clean,
-    /// Some records were quarantined; the recovered state is the verified
-    /// subset.
-    Degraded {
-        /// Keys recovered into the index.
-        recovered: u64,
-        /// Quarantined items (see [`QuarantineReport::total`]).
-        quarantined: u64,
-    },
 }
 
 /// Result of an on-demand integrity scrub ([`crate::PSkipList::scrub`]).
@@ -242,12 +221,6 @@ mod tests {
         assert!(text.contains("6 item(s)"));
         assert!(text.contains("key 7"));
         assert!(text.contains("ChecksumInvalid"));
-    }
-
-    #[test]
-    fn padding_alone_is_benign() {
-        let r = QuarantineReport { padded_bytes: 4096, ..Default::default() };
-        assert!(r.is_empty(), "padding that damaged no record is not degradation");
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl<'p> KeyChain<'p> {
     /// Wraps an existing chain, validating the self-checksummed capacity
     /// word before it is used in any bounds computation. Returns `None` if
     /// the header offset is out of bounds or the capacity word is torn or
-    /// corrupt — salvage callers report that as an unrecoverable chain.
+    /// corrupt — the store's open reports that as an unrecoverable chain.
     pub fn open_checked(pool: &'p PmemPool, hdr: PPtr<ChainHdr>) -> Option<Self> {
         let off = hdr.off();
         if off == 0
@@ -627,8 +627,9 @@ mod tests {
     }
 
     /// A zeroed line in mid-block loses pairs, and the loss must be
-    /// reported: unreported, the salvage open says `Clean` while the lost
-    /// keys' versions stop the watermark and the prune takes every later one.
+    /// reported: unreported, the open's quarantine report is empty while the
+    /// lost keys' versions stop the watermark and the prune takes every later
+    /// one.
     #[test]
     fn repair_counts_zeroed_pairs_below_a_consumed_slot() {
         let p = pool();

@@ -18,7 +18,7 @@ pub struct RebuildStats {
 
 /// A rebuild worker thread panicked — the sink raised on some pair it
 /// could not tolerate. The chain itself is untouched (rebuild only reads),
-/// so salvage callers report this instead of unwinding the open path.
+/// so the store's open reports this instead of unwinding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebuildPanicked;
 
@@ -45,8 +45,6 @@ where
     let fold = |_: &mut (), _, key, hist| sink(key, hist);
     let (stats, _) =
         try_fold_claimed(chain, threads, |_| (), fold).unwrap_or_else(|e| panic!("{e}"));
-    mvkv_obs::counter_add!("mvkv_keychain_rebuild_pairs_total", stats.pairs);
-    mvkv_obs::counter_inc!("mvkv_keychain_rebuilds_total");
     stats
 }
 

@@ -17,8 +17,6 @@ pub struct PageCache {
     clock: u64,
     /// Commit-counter value this cache's contents are valid for.
     tag: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl PageCache {
@@ -28,8 +26,6 @@ impl PageCache {
             capacity: capacity.max(8),
             clock: 0,
             tag: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -46,12 +42,10 @@ impl PageCache {
         match self.map.get_mut(&id) {
             Some((buf, used)) => {
                 *used = self.clock;
-                self.hits += 1;
                 mvkv_obs::counter_inc!("mvkv_minidb_page_cache_hits_total");
                 Some(buf.clone())
             }
             None => {
-                self.misses += 1;
                 mvkv_obs::counter_inc!("mvkv_minidb_page_cache_misses_total");
                 None
             }
@@ -78,11 +72,6 @@ impl PageCache {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// `(hits, misses)` counters for diagnostics.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +90,7 @@ mod tests {
         assert!(c.get(1).is_none());
         c.insert(1, page(10));
         assert_eq!(c.get(1).unwrap().get_u64(0), 10);
-        assert_eq!(c.stats(), (1, 1));
+        assert!(c.get(2).is_none());
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! blocks is handed out, so any payload the caller persists lies in a
 //! durable run. A crash between cursor advance and header persist leaks at
 //! most the in-flight run; the open-time walk re-bases the cursor at an
-//! invalid header with no decodable block behind it ([`walk_heap`]). The
+//! invalid header with no decodable block behind it (`walk_heap`). The
 //! refill **fences** before parking the run's other blocks: they reach the
 //! other threads that share the arena or inherit its slot, so their clear
 //! bits cannot ride a later fence of the allocating thread alone.

@@ -1,6 +1,6 @@
 //! The media a [`crate::PmemPool`] lives on.
 //!
-//! The set is closed, so it is one private enum, [`Media`], that the pool
+//! The set is closed, so it is one private enum, `Media`, that the pool
 //! matches on in `persist`, `fence` and `sync_all`; the pool keeps the
 //! region's base and length itself, so a word access makes no call. Three
 //! variants:

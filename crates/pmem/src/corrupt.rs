@@ -19,9 +19,9 @@
 //! damage is a different failure class: magic/version/length corruption is
 //! *detected* at open and reported as a hard [`crate::PmemError`] — there
 //! is nothing to salvage if the pool can't be identified. Truncation is the
-//! exception: the superblock records the pool length, so a salvage open can
-//! re-pad the tail with zeros (which then fail record checksums and are
-//! quarantined) — see [`pad_to_recorded_len`].
+//! exception: the superblock records the pool length, so a caller can re-pad
+//! the tail with zeros (which then fail record checksums and are
+//! quarantined) and open the image — see [`pad_to_recorded_len`].
 
 use crate::layout::{HEAP_START, MIN_POOL_LEN, OFF_BUMP, OFF_POOL_LEN};
 
@@ -226,7 +226,7 @@ pub fn inject(image: &mut Vec<u8>, opts: &CorruptOptions) -> Vec<InjectedFault> 
 /// filling with zeros. Returns the number of bytes restored (0 if the image
 /// already matches or the superblock is unreadable). Zero padding is *not*
 /// data recovery: any record in the restored range fails its checksum and
-/// is quarantined by the salvage walk — but the pool becomes attachable
+/// is quarantined by the store's open — but the pool becomes attachable
 /// again instead of failing with `LengthMismatch`.
 pub fn pad_to_recorded_len(image: &mut Vec<u8>) -> usize {
     if image.len() < HEAP_START as usize {

@@ -40,7 +40,7 @@ pub struct PrefixScan {
     pub settled: bool,
 }
 
-/// Why a prefix scan stopped where it did — used by salvage recovery to
+/// Why a prefix scan stopped where it did — used by the store's open to
 /// distinguish ordinary torn appends (expected after any crash) from media
 /// corruption (quarantined and reported).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -65,6 +65,10 @@ fn run() -> Result<ExitCode, String> {
             println!("tag chain:       {} tags", store.labels().len());
             println!("watermark:       v{}", stats.watermark);
             println!("pruned entries:  {}", stats.pruned_entries);
+            println!("quarantined:     {} item(s)", stats.quarantine.total());
+            if !stats.quarantine.is_empty() {
+                print!("{}", stats.quarantine.render());
+            }
             println!(
                 "rebuild:         {} keys / {:?} on {} threads",
                 stats.rebuilt_keys, stats.rebuild_time, stats.rebuild_threads

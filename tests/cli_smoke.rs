@@ -25,6 +25,7 @@ fn inspect_cli_reads_a_real_pool() {
     let stats = run(&["stats", p]);
     assert!(stats.contains("keys:            2"), "stats output:\n{stats}");
     assert!(stats.contains("watermark:       v3"));
+    assert!(stats.contains("quarantined:     0 item(s)\n"), "stats output:\n{stats}");
     assert!(stats.contains("index:           2 keys, "), "stats output:\n{stats}");
     assert!(stats.contains("index per key:   "), "stats output:\n{stats}");
     // Every key is linked at level 0, and no level links more than the one

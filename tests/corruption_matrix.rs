@@ -1,31 +1,30 @@
 //! Corruption matrix (tentpole acceptance): seeded media-fault patterns ×
-//! salvage recovery.
+//! recovery.
 //!
 //! For every pattern (bit flips, torn cache lines, zeroed blocks,
 //! scrambled blocks, truncation) and every seed, opening the damaged image
-//! in salvage mode must:
+//! must:
 //!
 //! * never panic — damage is a typed [`mvkv::core::RecoveryError`] or a
-//!   quarantined degradation, never an unwind;
+//!   quarantine, never an unwind;
 //! * never surface silently wrong data — every surfaced value verifies
 //!   against the write-time oracle (the CRC layer guarantees a corrupted
 //!   record fails verification rather than reading back changed);
 //! * account for loss — if any oracle key is missing from the recovered
-//!   state, the open reports `Degraded` with a non-empty quarantine
-//!   report, never `Clean`;
-//! * flush what it repairs — no line salvage wrote is left unflushed when
-//!   the open returns;
-//! * converge — a post-salvage [`mvkv::core::PSkipList::scrub`] finds zero
+//!   state, the open's quarantine report is not empty;
+//! * flush what it repairs — no line the open wrote is left unflushed when
+//!   it returns;
+//! * converge — a post-open [`mvkv::core::PSkipList::scrub`] finds zero
 //!   corrupt records, and the store accepts new writes.
 //!
 //! The seed matrix is env-parameterized for CI: set `MVKV_CORRUPT_SEED`
 //! to sweep a single seed per job.
 
 use mvkv::core::{
-    CorruptionClass, PSkipList, RecoveryStatus, SalvageOpen, StoreSession, VersionedStore,
+    CorruptionClass, PSkipList, RecoveryError, RestartStats, StoreSession, VersionedStore,
 };
 use mvkv::keychain::KeyChain;
-use mvkv::pmem::{CorruptOptions, CrashOptions, PPtr};
+use mvkv::pmem::{CorruptOptions, CrashOptions, PPtr, PmemError};
 use mvkv::vhistory::pslots::HistoryHdr;
 use mvkv::vhistory::slots::SEG_HDR_SIZE;
 
@@ -59,11 +58,11 @@ fn build_image() -> Vec<u8> {
     store.crash_image().unwrap()
 }
 
-/// Salvage-opens `image` and runs the full invariant battery. Returns the
-/// outcome for pattern-specific assertions; `None` if the damage was a
-/// typed hard error (load-bearing structure hit — allowed, not a panic).
-fn salvage_and_check(image: &[u8], label: &str) -> Option<SalvageOpen> {
-    let out = match PSkipList::open_image_salvage(image, 4) {
+/// Opens `image` and runs the full invariant battery. Returns the outcome
+/// for pattern-specific assertions; `None` if the damage was a typed hard
+/// error (load-bearing structure hit — allowed, not a panic).
+fn open_and_check(image: &[u8], label: &str) -> Option<(PSkipList, RestartStats)> {
+    let (store, stats) = match PSkipList::open_image(image, 4) {
         Ok(out) => out,
         Err(e) => {
             // Hard errors are typed and only legitimate for load-bearing
@@ -73,52 +72,35 @@ fn salvage_and_check(image: &[u8], label: &str) -> Option<SalvageOpen> {
             return None;
         }
     };
-    let unflushed = out.store.pool().unflushed_lines().unwrap();
-    assert_eq!(unflushed, [], "{label}: salvage left lines unflushed");
-    let s = out.store.session();
-    let snap = s.extract_snapshot(out.store.tag());
+    let unflushed = store.pool().unflushed_lines().unwrap();
+    assert_eq!(unflushed, [], "{label}: the open left lines unflushed");
+    let s = store.session();
+    let snap = s.extract_snapshot(store.tag());
     // Never silently wrong data: every surfaced pair matches the oracle.
     for &(k, v) in &snap {
         assert!((1..=KEYS).contains(&k), "{label}: fabricated key {k}");
         assert_eq!(v, value_of(k), "{label}: key {k} surfaced a wrong value");
     }
-    // Loss must be accounted for: missing keys ⇒ Degraded, never Clean.
+    // Loss must be accounted for: missing keys ⇒ a non-empty report.
     let missing = KEYS as usize - snap.len();
-    match out.status {
-        RecoveryStatus::Clean => {
-            assert!(out.report.is_empty(), "{label}: Clean status with non-empty report");
-            assert_eq!(missing, 0, "{label}: {missing} keys lost but status is Clean");
-        }
-        RecoveryStatus::Degraded { recovered, quarantined } => {
-            assert!(!out.report.is_empty(), "{label}: Degraded status with empty report");
-            assert_eq!(quarantined, out.report.total(), "{label}: quarantine count drifted");
-            assert_eq!(recovered, out.stats.rebuilt_keys, "{label}: recovered count drifted");
-        }
-    }
-    if missing > 0 {
-        assert!(
-            matches!(out.status, RecoveryStatus::Degraded { .. }),
-            "{label}: {missing} keys lost silently"
-        );
-    }
+    let report = &stats.quarantine;
+    assert!(missing == 0 || !report.is_empty(), "{label}: {missing} keys lost silently");
     // CI artifact: drop the rendered quarantine report where the workflow
     // can pick it up (MVKV_CORRUPT_REPORT_DIR, see .github/workflows).
     if let Ok(dir) = std::env::var("MVKV_CORRUPT_REPORT_DIR") {
         let name: String =
             label.chars().map(|c| if c.is_alphanumeric() { c } else { '-' }).collect();
         let _ = std::fs::create_dir_all(&dir);
-        let _ = std::fs::write(
-            std::path::Path::new(&dir).join(format!("{name}.txt")),
-            out.report.render(),
-        );
+        let _ =
+            std::fs::write(std::path::Path::new(&dir).join(format!("{name}.txt")), report.render());
     }
-    // Salvage must converge: everything the recovered store can reach now
+    // Recovery must converge: everything the recovered store can reach now
     // verifies, and fresh writes land.
-    let scrub = out.store.scrub();
-    assert!(scrub.is_clean(), "{label}: post-salvage scrub found damage: {scrub:?}");
+    let scrub = store.scrub();
+    assert!(scrub.is_clean(), "{label}: post-open scrub found damage: {scrub:?}");
     let v = s.insert(KEYS + 1, value_of(KEYS + 1));
     assert_eq!(s.find(KEYS + 1, v), Some(value_of(KEYS + 1)), "{label}: store not writable");
-    Some(out)
+    Some((store, stats))
 }
 
 fn sweep(pattern: &str, opts_for: impl Fn(u64) -> CorruptOptions) {
@@ -128,7 +110,7 @@ fn sweep(pattern: &str, opts_for: impl Fn(u64) -> CorruptOptions) {
         let faults = mvkv::pmem::corrupt::inject(&mut image, &opts_for(seed));
         assert!(!faults.is_empty(), "{pattern}/{seed:#x}: plan injected nothing");
         let label = format!("{pattern}/{seed:#x}");
-        let _ = salvage_and_check(&image, &label);
+        let _ = open_and_check(&image, &label);
     }
 }
 
@@ -171,12 +153,15 @@ fn truncated_image_reattaches_via_padding() {
             );
             assert_eq!(faults.len(), 1, "truncation is a single fault");
             assert!(image.len() < clean.len(), "image must actually shrink");
-            // A plain open refuses the short image; salvage re-pads it.
-            assert!(PSkipList::open_image(&image, 2).is_err());
+            // The open refuses the short image; re-padded, it attaches.
+            let refused = PSkipList::open_image(&image, 2).err();
+            let short =
+                matches!(refused, Some(RecoveryError::Pool(PmemError::LengthMismatch { .. })));
+            assert!(short, "short image not refused: {refused:?}");
+            assert_eq!(mvkv::pmem::corrupt::pad_to_recorded_len(&mut image) as u64, cut);
             let label = format!("truncate-{cut}/{seed:#x}");
-            let out = salvage_and_check(&image, &label)
-                .unwrap_or_else(|| panic!("{label}: truncation must be salvageable"));
-            assert_eq!(out.report.padded_bytes, cut, "{label}: padding not reported");
+            open_and_check(&image, &label)
+                .unwrap_or_else(|| panic!("{label}: a re-padded image must attach"));
         }
     }
 }
@@ -184,10 +169,9 @@ fn truncated_image_reattaches_via_padding() {
 #[test]
 fn clean_image_salvages_clean() {
     let image = build_image();
-    let out = salvage_and_check(&image, "clean").expect("clean image must open");
-    assert_eq!(out.status, RecoveryStatus::Clean);
-    assert_eq!(out.report.total(), 0);
-    assert_eq!(out.stats.rebuilt_keys, KEYS);
+    let (_, stats) = open_and_check(&image, "clean").expect("clean image must open");
+    assert!(stats.quarantine.is_empty(), "{:?}", stats.quarantine);
+    assert_eq!(stats.rebuilt_keys, KEYS);
 }
 
 /// A chain pair whose history offset leaves room for the header at the end of
@@ -217,14 +201,14 @@ fn history_block_straddling_the_pool_end_is_unreachable() {
     pool.sync_all();
     let image = store.crash_image().unwrap();
 
-    let out = salvage_and_check(&image, "short-history-block").expect("salvageable");
-    assert_eq!(out.stats.rebuilt_keys, KEYS, "no unreachable history may enter the index");
+    let (store, stats) = open_and_check(&image, "short-history-block").expect("attachable");
+    assert_eq!(stats.rebuilt_keys, KEYS, "no unreachable history may enter the index");
     let mut quarantined: Vec<(u64, CorruptionClass)> =
-        out.report.keys.iter().map(|q| (q.key, q.class)).collect();
+        stats.quarantine.keys.iter().map(|q| (q.key, q.class)).collect();
     quarantined.sort_unstable_by_key(|&(key, _)| key);
     assert_eq!(quarantined, short.map(|(key, _)| (key, CorruptionClass::UnreachableHistory)));
-    assert_eq!(out.status, RecoveryStatus::Degraded { recovered: KEYS, quarantined: 3 });
-    let rs = out.store.session();
+    assert_eq!(stats.quarantine.total(), 3);
+    let rs = store.session();
     for (key, _) in short {
         assert_eq!(rs.find(key, u64::MAX), None);
     }
