@@ -43,9 +43,5 @@ fn main() {
             );
         }
     }
-    report(
-        "fig2",
-        &format!("concurrent insert/remove, N={} (strong scaling)", cfg.n),
-        &rows,
-    );
+    report("fig2", &format!("concurrent insert/remove, N={} (strong scaling)", cfg.n), &rows);
 }

@@ -48,9 +48,5 @@ fn main() {
             }
         });
     }
-    report(
-        "fig3",
-        &format!("concurrent key history / find over P={} keys", 2 * cfg.n),
-        &rows,
-    );
+    report("fig3", &format!("concurrent key history / find over P={} keys", 2 * cfg.n), &rows);
 }

@@ -27,8 +27,8 @@ fn main() {
     let db_path = arts.path("fig5-dbreg.db");
 
     let workload = {
-        let store = PSkipList::create_file(&pool_path, pool_bytes_for(2 * cfg.n))
-            .expect("pool creation");
+        let store =
+            PSkipList::create_file(&pool_path, pool_bytes_for(2 * cfg.n)).expect("pool creation");
         build_canonical_state(&store, cfg.n, build_threads, cfg.seed)
         // drop = clean shutdown
     };
@@ -60,11 +60,8 @@ fn main() {
         }
 
         // Fig 5b: cold find right after the rebuild.
-        let queries = workload.clone_with_threads(t).query_mix(
-            cfg.n / t,
-            max_version,
-            cfg.seed ^ 0xF5,
-        );
+        let queries =
+            workload.clone_with_threads(t).query_mix(cfg.n / t, max_version, cfg.seed ^ 0xF5);
         let t_cold = timed_phase(&store, &queries, |s, &(key, version)| {
             std::hint::black_box(s.find(key, version));
         });

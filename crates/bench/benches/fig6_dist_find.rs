@@ -9,18 +9,14 @@
 //! grow as log K) then stabilizes; PSkipList sustains ~25% better
 //! throughput than the database engine regardless of K.
 
-use mvkv_bench::{
-    make_dist_dbreg, make_dist_pskiplist, report, BenchConfig, Row, TempArtifacts,
-};
+use mvkv_bench::{make_dist_dbreg, make_dist_pskiplist, report, BenchConfig, Row, TempArtifacts};
 use mvkv_workload::Mt19937_64;
 use std::time::Duration;
 
 fn main() {
     let cfg = BenchConfig::from_env();
-    let queries: usize = std::env::var("MVKV_BENCH_Q")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
+    let queries: usize =
+        std::env::var("MVKV_BENCH_Q").ok().and_then(|v| v.parse().ok()).unwrap_or(1000);
     let mut rows = Vec::new();
     for &k in &cfg.nodes {
         let mut arts = TempArtifacts::new();

@@ -46,9 +46,5 @@ fn main() {
             eprintln!("[fig7] DbReg K={k}: {best:?} (virtual)");
         }
     }
-    report(
-        "fig7",
-        &format!("distributed snapshot gather, N={} pairs/node", cfg.dist_n),
-        &rows,
-    );
+    report("fig7", &format!("distributed snapshot gather, N={} pairs/node", cfg.dist_n), &rows);
 }

@@ -53,10 +53,7 @@ fn main() {
     }
     report(
         "fig8",
-        &format!(
-            "distributed extract snapshot with global merge, N={} pairs/node",
-            cfg.dist_n
-        ),
+        &format!("distributed extract snapshot with global merge, N={} pairs/node", cfg.dist_n),
         &rows,
     );
 }

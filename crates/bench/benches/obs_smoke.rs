@@ -1,7 +1,7 @@
 //! Zero-cost smoke check for the observability layer.
 //!
 //! Runs a tight single-threaded insert micro (the hottest instrumented
-//! path: one span, two counters, several fence/persist counters per op) and
+//! path: one sampled span plus the append and fence counters per op) and
 //! prints a machine-parseable ops/s line. The `obs-smoke` CI job runs this
 //! twice — with and without `--features mvkv-obs/enabled` — and fails if the
 //! instrumented build regresses more than 5%.
@@ -9,8 +9,8 @@
 //! In the same run it asserts the mode's contract:
 //! * feature **off** — every obs handle is a ZST and the registry renders
 //!   empty (the macros really compiled to nothing);
-//! * feature **on** — the registry contains the fence, allocator, append
-//!   and span metrics the workload must have produced.
+//! * feature **on** — the registry contains the fence, append and span
+//!   metrics the workload must have produced.
 //!
 //! One knob: `MVKV_BENCH_N` (inserts per repetition, default 20 000). Of
 //! the [`REPS`] repetitions the *fastest* is reported: both modes reach
@@ -45,8 +45,6 @@ fn main() {
         let text = mvkv_obs::Registry::global().render_text();
         for metric in [
             "mvkv_pmem_fences_total",
-            "mvkv_pmem_alloc_hits_total",
-            "mvkv_pmem_alloc_refills_total",
             "mvkv_vhistory_appends_total",
             "mvkv_vhistory_publish_fences_total",
             "mvkv_core_insert_ns",
@@ -58,7 +56,6 @@ fn main() {
         // The macros must have compiled to nothing: zero-sized handles, an
         // empty registry, no clock reads recorded anywhere.
         assert_eq!(std::mem::size_of::<mvkv_obs::LazyCounter>(), 0);
-        assert_eq!(std::mem::size_of::<mvkv_obs::LazyGauge>(), 0);
         assert_eq!(std::mem::size_of::<mvkv_obs::LazyHistogram>(), 0);
         assert_eq!(std::mem::size_of::<mvkv_obs::SpanGuard>(), 0);
         assert_eq!(mvkv_obs::Registry::global().render_text(), "");

@@ -97,29 +97,26 @@ pub fn merge_two_parallel(a: &[Pair], b: &[Pair], threads: usize) -> Vec<Pair> {
     let tail_start = prev_cut;
     debug_assert_eq!(rest.len(), b.len() - tail_start);
 
-    slices
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(i, dst)| {
-            let (alo, ahi) = a_bounds[i];
-            let blo = if i == 0 { 0 } else { b_cuts[i - 1] };
-            let bhi = b_cuts[i];
-            let (asl, bsl) = (&a[alo..ahi], &b[blo..bhi]);
-            let (mut x, mut y, mut w) = (0, 0, 0);
-            while x < asl.len() && y < bsl.len() {
-                if asl[x].0 <= bsl[y].0 {
-                    dst[w] = asl[x];
-                    x += 1;
-                } else {
-                    dst[w] = bsl[y];
-                    y += 1;
-                }
-                w += 1;
+    slices.into_par_iter().enumerate().for_each(|(i, dst)| {
+        let (alo, ahi) = a_bounds[i];
+        let blo = if i == 0 { 0 } else { b_cuts[i - 1] };
+        let bhi = b_cuts[i];
+        let (asl, bsl) = (&a[alo..ahi], &b[blo..bhi]);
+        let (mut x, mut y, mut w) = (0, 0, 0);
+        while x < asl.len() && y < bsl.len() {
+            if asl[x].0 <= bsl[y].0 {
+                dst[w] = asl[x];
+                x += 1;
+            } else {
+                dst[w] = bsl[y];
+                y += 1;
             }
-            dst[w..w + asl.len() - x].copy_from_slice(&asl[x..]);
-            w += asl.len() - x;
-            dst[w..w + bsl.len() - y].copy_from_slice(&bsl[y..]);
-        });
+            w += 1;
+        }
+        dst[w..w + asl.len() - x].copy_from_slice(&asl[x..]);
+        w += asl.len() - x;
+        dst[w..w + bsl.len() - y].copy_from_slice(&bsl[y..]);
+    });
 
     // Copy the remaining B tail (keys beyond A's maximum).
     let filled = a.len() + tail_start;
@@ -249,9 +246,8 @@ mod tests {
 
     #[test]
     fn kway_merges_many_sources() {
-        let inputs: Vec<Vec<Pair>> = (0..7u64)
-            .map(|s| (0..100u64).map(|i| (i * 7 + s, s)).collect())
-            .collect();
+        let inputs: Vec<Vec<Pair>> =
+            (0..7u64).map(|s| (0..100u64).map(|i| (i * 7 + s, s)).collect()).collect();
         let merged = kway_merge(&inputs);
         assert_eq!(merged.len(), 700);
         assert!(merged.windows(2).all(|w| w[0].0 < w[1].0));
@@ -274,8 +270,7 @@ mod tests {
         };
         let inputs: Vec<Vec<Pair>> = (0..5)
             .map(|src| {
-                let mut v: Vec<Pair> =
-                    (0..500).map(|_| (rand() * 5 + src, src)).collect();
+                let mut v: Vec<Pair> = (0..500).map(|_| (rand() * 5 + src, src)).collect();
                 v.sort_unstable();
                 v.dedup_by_key(|p| p.0);
                 v

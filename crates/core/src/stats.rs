@@ -162,9 +162,9 @@ mod tests {
             }
             // Collected, not asserted in place: the writers only stop once
             // the flag is set, and the scope would wait for them forever.
-            let violation = (0..200_000).map(|_| c.snapshot()).find(|s| {
-                s.find_hits > s.finds || s.new_keys + s.lost_key_races > s.mutations()
-            });
+            let violation = (0..200_000)
+                .map(|_| c.snapshot())
+                .find(|s| s.find_hits > s.finds || s.new_keys + s.lost_key_races > s.mutations());
             stop.store(true, Ordering::Relaxed);
             violation
         });

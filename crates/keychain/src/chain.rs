@@ -164,7 +164,8 @@ impl<'p> KeyChain<'p> {
     /// Wraps an existing chain. Panics on a corrupt header — library
     /// recovery paths use [`KeyChain::open_checked`] instead.
     pub fn open(pool: &'p PmemPool, hdr: PPtr<ChainHdr>) -> Self {
-        Self::open_checked(pool, hdr).expect("corrupt key-chain header (use open_checked to salvage)")
+        Self::open_checked(pool, hdr)
+            .expect("corrupt key-chain header (use open_checked to salvage)")
     }
 
     pub fn pptr(&self) -> PPtr<ChainHdr> {
@@ -282,9 +283,7 @@ impl<'p> KeyChain<'p> {
     fn block_link_ok(&self, off: u64) -> bool {
         off != 0
             && off.is_multiple_of(8)
-            && off
-                .checked_add(self.block_bytes())
-                .is_some_and(|end| end <= self.pool.len() as u64)
+            && off.checked_add(self.block_bytes()).is_some_and(|end| end <= self.pool.len() as u64)
     }
 
     /// Iterates `(block_offset, block_index)` from head to tail. Stops at

@@ -6,13 +6,12 @@
 //! anything).
 //!
 //! ```text
-//! minidb [--db PATH] [--n COUNT] [--metrics] [--json]
+//! minidb [--db PATH] [--n COUNT] [--metrics]
 //! ```
 //!
 //! * `--db PATH` — file-backed database (plus `PATH.wal`); omitted = in-memory
 //! * `--n COUNT` — rows to insert (default 10 000)
 //! * `--metrics` — print the metrics snapshot after the workload
-//! * `--json`    — metrics in JSON instead of Prometheus text
 
 use mvkv_minidb::Database;
 use std::process::ExitCode;
@@ -22,11 +21,10 @@ struct Args {
     db: Option<String>,
     n: u64,
     metrics: bool,
-    json: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args { db: None, n: 10_000, metrics: false, json: false };
+    let mut args = Args { db: None, n: 10_000, metrics: false };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -38,9 +36,8 @@ fn parse_args() -> Result<Args, String> {
                 args.n = v.parse().map_err(|_| format!("bad count: {v}"))?;
             }
             "--metrics" => args.metrics = true,
-            "--json" => args.json = true,
             "--help" | "-h" => {
-                println!("usage: minidb [--db PATH] [--n COUNT] [--metrics] [--json]");
+                println!("usage: minidb [--db PATH] [--n COUNT] [--metrics]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag: {other}")),
@@ -74,16 +71,10 @@ fn main() -> ExitCode {
     // overwriting every 4th key once so histories have depth.
     let start = Instant::now();
     let mut version = 0;
-    for i in 0..args.n {
+    let overwrites = (0..args.n).step_by(4).map(|i| (i, i * 3 + 1));
+    for (key, value) in (0..args.n).map(|i| (i, i * 3)).chain(overwrites) {
         version += 1;
-        if let Err(e) = conn.insert_row(version, i, i * 3) {
-            eprintln!("minidb: insert failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    for i in (0..args.n).step_by(4) {
-        version += 1;
-        if let Err(e) = conn.insert_row(version, i, i * 3 + 1) {
+        if let Err(e) = conn.insert_row(version, key, value) {
             eprintln!("minidb: insert failed: {e}");
             return ExitCode::FAILURE;
         }
@@ -101,7 +92,8 @@ fn main() -> ExitCode {
     let snapshot_len = conn.snapshot(version).len();
 
     println!("minidb: backend={}", if args.db.is_some() { "file" } else { "memory" });
-    println!("minidb: rows={} versions={} find_hits={hits} snapshot_len={snapshot_len}", conn.row_count(), version);
+    let rows = conn.row_count();
+    println!("minidb: rows={rows} versions={version} find_hits={hits} snapshot_len={snapshot_len}");
     println!(
         "minidb: insert {:.0} rows/s, find {:.0} lookups/s",
         (args.n + args.n / 4) as f64 / insert_secs,
@@ -110,12 +102,7 @@ fn main() -> ExitCode {
 
     if args.metrics {
         if mvkv_obs::is_enabled() {
-            let reg = mvkv_obs::Registry::global();
-            if args.json {
-                println!("{}", reg.render_json());
-            } else {
-                print!("{}", reg.render_text());
-            }
+            print!("{}", mvkv_obs::Registry::global().render_text());
         } else {
             eprintln!("minidb: obs layer compiled out; rebuild with --features mvkv-obs/enabled");
         }

@@ -260,7 +260,11 @@ fn insert_rec(
 }
 
 /// Largest entry with composite key ≤ `key` (the engine's point lookup).
-pub fn seek_le(fetch: &mut impl FnMut(u64) -> PageBuf, root: u64, key: Composite) -> Option<(Composite, u64)> {
+pub fn seek_le(
+    fetch: &mut impl FnMut(u64) -> PageBuf,
+    root: u64,
+    key: Composite,
+) -> Option<(Composite, u64)> {
     let mut page = fetch(root);
     while node_type(&page) == INTERNAL {
         page = fetch(descend_child(&page, key));
@@ -277,29 +281,14 @@ pub fn seek_le(fetch: &mut impl FnMut(u64) -> PageBuf, root: u64, key: Composite
 
 /// All `(version, value)` rows of `key`, in version order.
 pub fn scan_key(fetch: &mut impl FnMut(u64) -> PageBuf, root: u64, key: u64) -> Vec<(u64, u64)> {
-    let target = (key, 0u64);
-    let mut page = fetch(root);
-    while node_type(&page) == INTERNAL {
-        page = fetch(descend_child(&page, target));
-    }
     let mut out = Vec::new();
-    let mut pos = leaf_lower_bound(&page, target);
-    loop {
-        while pos < n_entries(&page) {
-            let (k, v) = leaf_key(&page, pos);
-            if k != key {
-                return out;
-            }
-            out.push((v, leaf_value(&page, pos)));
-            pos += 1;
+    scan_from(fetch, root, (key, 0), |(k, version), value| {
+        if k == key {
+            out.push((version, value));
         }
-        let next = right_sibling(&page);
-        if next == 0 {
-            return out;
-        }
-        page = fetch(next);
-        pos = 0;
-    }
+        k == key
+    });
+    out
 }
 
 /// Visits entries in composite order starting at the first entry ≥ `from`,
@@ -353,20 +342,10 @@ pub fn scan_all(
     root: u64,
     mut visit: impl FnMut(Composite, u64),
 ) {
-    let mut page = fetch(root);
-    while node_type(&page) == INTERNAL {
-        page = fetch(child0(&page));
-    }
-    loop {
-        for i in 0..n_entries(&page) {
-            visit(leaf_key(&page, i), leaf_value(&page, i));
-        }
-        let next = right_sibling(&page);
-        if next == 0 {
-            return;
-        }
-        page = fetch(next);
-    }
+    scan_from(fetch, root, (0, 0), |key, value| {
+        visit(key, value);
+        true
+    });
 }
 
 #[cfg(test)]

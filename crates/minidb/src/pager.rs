@@ -56,7 +56,8 @@ impl PageCache {
         if self.map.len() >= self.capacity {
             // Evict the least recently used entry (linear scan: eviction is
             // rare at benchmark working-set sizes; capacity bounds the cost).
-            if let Some(&victim) = self.map.iter().min_by_key(|(_, (_, used))| *used).map(|(k, _)| k)
+            if let Some(&victim) =
+                self.map.iter().min_by_key(|(_, (_, used))| *used).map(|(k, _)| k)
             {
                 self.map.remove(&victim);
             }

@@ -7,7 +7,6 @@
 //! refcounting.
 
 use mvkv_sync::shard::Counters;
-use mvkv_sync::sync::atomic::{AtomicU64, Ordering};
 use mvkv_sync::sync::Mutex;
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -55,26 +54,6 @@ fn span_sampled() -> bool {
 
 /// Monotonic counter, sharded per thread: `add(0, delta)`, `sum(0)`.
 pub type Counter = Counters<1>;
-
-/// Last-writer-wins gauge (a single relaxed word).
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    fn new() -> Self {
-        Gauge { value: AtomicU64::new(0) }
-    }
-
-    #[inline]
-    pub fn set(&self, value: u64) {
-        self.value.store(value, Ordering::Relaxed);
-    }
-
-    pub fn value(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
 
 /// Index of a histogram's running sum, after its 64 buckets.
 const SUM: usize = BUCKETS;
@@ -163,12 +142,6 @@ lazy_handle!(
     counter
 );
 lazy_handle!(
-    /// `static`-friendly gauge handle; registers itself on first use.
-    LazyGauge,
-    Gauge,
-    gauge
-);
-lazy_handle!(
     /// `static`-friendly histogram handle; registers itself on first use.
     LazyHistogram,
     Histogram,
@@ -188,17 +161,6 @@ impl LazyCounter {
 
     pub fn value(&self) -> u64 {
         self.get().sum(0)
-    }
-}
-
-impl LazyGauge {
-    #[inline]
-    pub fn set(&self, value: u64) {
-        self.get().set(value);
-    }
-
-    pub fn value(&self) -> u64 {
-        self.get().value()
     }
 }
 
@@ -255,7 +217,6 @@ impl Drop for SpanGuard {
 /// scrape time, never on the update path.
 pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
-    gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
     histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
 }
 
@@ -264,7 +225,6 @@ impl Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();
         GLOBAL.get_or_init(|| Registry {
             counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
         })
     }
@@ -273,15 +233,8 @@ impl Registry {
         self.counters.lock().entry(name).or_insert_with(|| Box::leak(Box::default()))
     }
 
-    pub fn gauge(&self, name: &'static str) -> &'static Gauge {
-        self.gauges.lock().entry(name).or_insert_with(|| Box::leak(Box::new(Gauge::new())))
-    }
-
     pub fn histogram(&self, name: &'static str) -> &'static Histogram {
-        self.histograms
-            .lock()
-            .entry(name)
-            .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
+        self.histograms.lock().entry(name).or_insert_with(|| Box::leak(Box::new(Histogram::new())))
     }
 
     /// Prometheus text exposition (one `# TYPE` line per metric; histogram
@@ -292,10 +245,6 @@ impl Registry {
         for (name, c) in self.counters.lock().iter() {
             let name = sanitize(name);
             out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.sum(0)));
-        }
-        for (name, g) in self.gauges.lock().iter() {
-            let name = sanitize(name);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.value()));
         }
         for (name, h) in self.histograms.lock().iter() {
             let name = sanitize(name);
@@ -314,58 +263,6 @@ impl Registry {
         }
         out
     }
-
-    /// JSON dump: `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
-    /// Hand-rolled — metric names are static identifiers, so escaping is
-    /// limited to the backslash/quote minimum.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        let counters = self.counters.lock();
-        for (i, (name, c)) in counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_str(name), c.sum(0)));
-        }
-        drop(counters);
-        out.push_str("},\"gauges\":{");
-        let gauges = self.gauges.lock();
-        for (i, (name, g)) in gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_str(name), g.value()));
-        }
-        drop(gauges);
-        out.push_str("},\"histograms\":{");
-        let histograms = self.histograms.lock();
-        for (i, (name, h)) in histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let snap = h.snapshot();
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"buckets\":[",
-                json_str(name),
-                snap.count(),
-                snap.sum
-            ));
-            let mut first = true;
-            for (b, &count) in snap.buckets.iter().enumerate() {
-                if count > 0 {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push_str(&format!("[{b},{count}]"));
-                }
-            }
-            out.push_str("]}");
-        }
-        drop(histograms);
-        out.push_str("}}");
-        out
-    }
 }
 
 /// Maps a metric name onto the Prometheus charset (`[a-zA-Z0-9_:]`, no
@@ -378,21 +275,6 @@ fn sanitize(name: &str) -> String {
     if out.starts_with(|c: char| c.is_ascii_digit()) {
         out.insert(0, '_');
     }
-    out
-}
-
-fn json_str(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 2);
-    out.push('"');
-    for c in name.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -451,31 +333,14 @@ mod tests {
     #[test]
     fn render_text_is_prometheus_shaped() {
         crate::counter_add!("mvkv_test_render_total", 7);
-        crate::gauge_set!("mvkv_test_render_gauge", 42);
         static H: LazyHistogram = LazyHistogram::new("mvkv_test_render_ns");
         H.record(1000);
         let text = Registry::global().render_text();
         assert!(text.contains("# TYPE mvkv_test_render_total counter\nmvkv_test_render_total 7\n"));
-        assert!(text.contains("# TYPE mvkv_test_render_gauge gauge\nmvkv_test_render_gauge 42\n"));
         assert!(text.contains("# TYPE mvkv_test_render_ns histogram\n"));
         assert!(text.contains("mvkv_test_render_ns_bucket{le=\"+Inf\"} 1\n"));
         assert!(text.contains("mvkv_test_render_ns_sum 1000\n"));
         assert!(text.contains("mvkv_test_render_ns_count 1\n"));
-    }
-
-    #[test]
-    fn render_json_is_parseable_shape() {
-        crate::counter_add!("mvkv_test_json_total", 3);
-        let json = Registry::global().render_json();
-        assert!(json.starts_with("{\"counters\":{"));
-        assert!(json.contains("\"mvkv_test_json_total\":3"));
-        assert!(json.ends_with("}}"));
-        // Balanced braces/brackets (cheap structural check, no parser dep).
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            let opens = json.matches(open).count();
-            let closes = json.matches(close).count();
-            assert_eq!(opens, closes, "unbalanced {open}{close}");
-        }
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! # mvkv-obs — unified observability layer
+//! # mvkv-obs — the workspace's metrics layer
 //!
-//! One metrics mechanism for the whole workspace, replacing the bespoke
-//! counter blocks that grew ad hoc in `core::stats` and `pmem::alloc`.
-//! Three instrument kinds:
+//! Counts that no store structure keeps, rendered as Prometheus text. A count
+//! the store already keeps for itself stays there and is not mirrored here:
+//! operations in `mvkv_core::OpStats`, allocator hits, refills, shared-list
+//! pops, large blocks and frees in `mvkv_pmem::alloc::AllocStats`, reopen phases in
+//! `mvkv_core::RestartStats`. Two instrument kinds:
 //!
 //! * **Counters** — monotonic, sharded per thread with
 //!   [`mvkv_sync::shard::Counters`] (one cache line per shard, merged only at
 //!   scrape time), so the hot path never bounces a line between writers and
 //!   a scrape is exact once the writers are quiet.
-//! * **Gauges** — a single relaxed word, last-writer-wins.
 //! * **Histograms** — log2-bucketed (64 buckets cover the full `u64` range),
 //!   sharded like counters; [`span!`] times a scope into one (ns).
 //!
@@ -17,12 +18,10 @@
 //! ```
 //! mvkv_obs::counter_inc!("mvkv_doc_requests_total");
 //! mvkv_obs::counter_add!("mvkv_doc_bytes_total", 128);
-//! mvkv_obs::gauge_set!("mvkv_doc_queue_depth", 3);
 //! {
 //!     mvkv_obs::span!("mvkv_doc_find_ns"); // records on scope exit
 //! }
 //! let text = mvkv_obs::Registry::global().render_text();
-//! let json = mvkv_obs::Registry::global().render_json();
 //! # if mvkv_obs::is_enabled() { assert!(text.contains("mvkv_doc_requests_total")); }
 //! ```
 //!
@@ -47,14 +46,14 @@
 #[cfg(all(feature = "enabled", not(loom)))]
 mod imp;
 #[cfg(all(feature = "enabled", not(loom)))]
-pub use imp::{Gauge, Histogram, HistogramSnapshot, Counter};
+pub use imp::{is_enabled, LazyCounter, LazyHistogram, Registry, SpanGuard};
 #[cfg(all(feature = "enabled", not(loom)))]
-pub use imp::{is_enabled, LazyCounter, LazyGauge, LazyHistogram, Registry, SpanGuard};
+pub use imp::{Counter, Histogram, HistogramSnapshot};
 
 #[cfg(any(not(feature = "enabled"), loom))]
 mod noop;
 #[cfg(any(not(feature = "enabled"), loom))]
-pub use noop::{is_enabled, HistogramSnapshot, LazyCounter, LazyGauge, LazyHistogram, Registry, SpanGuard};
+pub use noop::{is_enabled, HistogramSnapshot, LazyCounter, LazyHistogram, Registry, SpanGuard};
 
 /// Adds `delta` to the named monotonic counter.
 ///
@@ -74,15 +73,6 @@ macro_rules! counter_inc {
     ($name:expr) => {
         $crate::counter_add!($name, 1)
     };
-}
-
-/// Sets the named gauge to `value` (last writer wins).
-#[macro_export]
-macro_rules! gauge_set {
-    ($name:expr, $value:expr) => {{
-        static METRIC: $crate::LazyGauge = $crate::LazyGauge::new($name);
-        METRIC.set($value);
-    }};
 }
 
 /// Times the rest of the enclosing scope into the named histogram (ns).

@@ -32,22 +32,6 @@ impl LazyCounter {
     }
 }
 
-/// Zero-sized stand-in for the enabled build's lazy gauge handle.
-pub struct LazyGauge;
-
-impl LazyGauge {
-    pub const fn new(_name: &'static str) -> Self {
-        LazyGauge
-    }
-
-    #[inline(always)]
-    pub fn set(&self, _value: u64) {}
-
-    pub fn value(&self) -> u64 {
-        0
-    }
-}
-
 /// Zero-sized stand-in for the enabled build's lazy histogram handle.
 pub struct LazyHistogram;
 
@@ -98,10 +82,6 @@ impl Registry {
     pub fn render_text(&self) -> String {
         String::new()
     }
-
-    pub fn render_json(&self) -> String {
-        String::from("{}")
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +91,6 @@ mod tests {
     #[test]
     fn stubs_are_zero_sized() {
         assert_eq!(std::mem::size_of::<LazyCounter>(), 0);
-        assert_eq!(std::mem::size_of::<LazyGauge>(), 0);
         assert_eq!(std::mem::size_of::<LazyHistogram>(), 0);
         assert_eq!(std::mem::size_of::<HistogramSnapshot>(), 0);
         assert_eq!(std::mem::size_of::<SpanGuard>(), 0);
@@ -122,12 +101,10 @@ mod tests {
     fn macros_expand_to_no_ops() {
         crate::counter_inc!("mvkv_test_noop_total");
         crate::counter_add!("mvkv_test_noop_total", 5);
-        crate::gauge_set!("mvkv_test_noop_gauge", 1);
         {
             crate::span!("mvkv_test_noop_span_ns");
         }
         assert!(!is_enabled());
         assert_eq!(Registry::global().render_text(), "");
-        assert_eq!(Registry::global().render_json(), "{}");
     }
 }

@@ -431,7 +431,6 @@ impl Allocator {
             //    one is free.
             if let Some(entry) = self.shared.pop(class) {
                 shard.steals.fetch_add(1, Ordering::Release);
-                mvkv_obs::counter_inc!("mvkv_pmem_alloc_steals_total");
                 return Ok(self.take_entry(pool, class, entry));
             }
             // 2. The arena's own runs — the contention-free fast path. The
@@ -439,7 +438,6 @@ impl Allocator {
             let carved = shard.carved[class].lock().pop();
             if let Some(entry) = carved {
                 shard.hits.fetch_add(1, Ordering::Release);
-                mvkv_obs::counter_inc!("mvkv_pmem_alloc_hits_total");
                 return Ok(self.take_entry(pool, class, entry));
             }
             // 3. Batched refill from the global cursor.
@@ -464,7 +462,6 @@ impl Allocator {
                 }
                 drop(large);
                 self.large_allocs.fetch_add(1, Ordering::Release);
-                mvkv_obs::counter_inc!("mvkv_pmem_alloc_large_total");
                 self.take(pool, Located::Large { header: off - BLOCK_HEADER, size });
                 return Ok(off);
             }
@@ -604,7 +601,6 @@ impl Allocator {
             // Highest bit first: the next same-thread allocs go up the run.
             shard.carved[class].lock().extend((1..batch).rev().map(|bit| free_entry(run, bit)));
             shard.refills.fetch_add(1, Ordering::Release);
-            mvkv_obs::counter_inc!("mvkv_pmem_alloc_refills_total");
             return Ok(run_block(run, class, 0));
         }
     }
@@ -632,7 +628,6 @@ impl Allocator {
             pool.persist(OFF_BUMP, 8);
             pool.fence();
             self.large_allocs.fetch_add(1, Ordering::Release);
-            mvkv_obs::counter_inc!("mvkv_pmem_alloc_large_total");
             return Ok(current + BLOCK_HEADER);
         }
     }
@@ -662,7 +657,6 @@ impl Allocator {
             }
         }
         self.total_frees.fetch_add(1, Ordering::Release);
-        mvkv_obs::counter_inc!("mvkv_pmem_deallocs_total");
     }
 
     /// Walks the heap after reopen, rebuilding the run directory, putting

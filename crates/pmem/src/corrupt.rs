@@ -125,8 +125,8 @@ impl CorruptOptions {
     }
 }
 
-/// SplitMix64 — the same tiny deterministic generator the cluster fault
-/// plane uses; good avalanche, zero dependencies.
+/// SplitMix64 — a tiny deterministic generator, so a seed names one set of
+/// faults; good avalanche, zero dependencies.
 struct SplitMix64(u64);
 
 impl SplitMix64 {
@@ -208,9 +208,8 @@ pub fn inject(image: &mut Vec<u8>, opts: &CorruptOptions) -> Vec<InjectedFault> 
         // Keep at least the superblock so the pool stays identifiable;
         // losing that too is the (hard-error) BadMagic class, not media
         // truncation of the heap.
-        let keep = (image.len() as u64)
-            .saturating_sub(opts.truncate_bytes)
-            .max(HEAP_START) as usize;
+        let keep =
+            (image.len() as u64).saturating_sub(opts.truncate_bytes).max(HEAP_START) as usize;
         let dropped = image.len() - keep;
         image.truncate(keep);
         faults.push(InjectedFault {
@@ -232,8 +231,7 @@ pub fn pad_to_recorded_len(image: &mut Vec<u8>) -> usize {
     if image.len() < HEAP_START as usize {
         return 0;
     }
-    let b: [u8; 8] =
-        image[OFF_POOL_LEN as usize..OFF_POOL_LEN as usize + 8].try_into().unwrap();
+    let b: [u8; 8] = image[OFF_POOL_LEN as usize..OFF_POOL_LEN as usize + 8].try_into().unwrap();
     let recorded = u64::from_le_bytes(b) as usize;
     if recorded > image.len() && recorded <= (1usize << 40) {
         let missing = recorded - image.len();
@@ -280,7 +278,8 @@ mod tests {
         assert_ne!(a, base, "faults must actually damage bytes");
         // A different seed lands elsewhere.
         let mut c = base.clone();
-        let fc = inject(&mut c, &CorruptOptions::seeded(43).bit_flips(5).torn_lines(2).zeroed_blocks(1));
+        let fc =
+            inject(&mut c, &CorruptOptions::seeded(43).bit_flips(5).torn_lines(2).zeroed_blocks(1));
         assert_ne!(fa, fc);
     }
 
@@ -289,7 +288,11 @@ mod tests {
         let mut img = image_with_data();
         let faults = inject(
             &mut img,
-            &CorruptOptions::seeded(7).bit_flips(3).torn_lines(2).zeroed_blocks(1).scrambled_blocks(4),
+            &CorruptOptions::seeded(7)
+                .bit_flips(3)
+                .torn_lines(2)
+                .zeroed_blocks(1)
+                .scrambled_blocks(4),
         );
         let count = |k: FaultKind| faults.iter().filter(|f| f.kind == k).count();
         assert_eq!(count(FaultKind::BitFlip), 3);
@@ -304,7 +307,11 @@ mod tests {
         let mut img = image_with_data();
         let faults = inject(
             &mut img,
-            &CorruptOptions::seeded(99).bit_flips(50).torn_lines(20).zeroed_blocks(10).scrambled_blocks(10),
+            &CorruptOptions::seeded(99)
+                .bit_flips(50)
+                .torn_lines(20)
+                .zeroed_blocks(10)
+                .scrambled_blocks(10),
         );
         for f in &faults {
             assert!(f.offset >= HEAP_START, "{f:?} hit the superblock");
@@ -322,10 +329,7 @@ mod tests {
         assert_eq!(faults[0].kind, FaultKind::Truncation);
         assert_eq!(img.len(), original_len - 4096);
         // A plain open now fails with LengthMismatch…
-        assert!(matches!(
-            PmemPool::open_image(&img),
-            Err(crate::PmemError::LengthMismatch { .. })
-        ));
+        assert!(matches!(PmemPool::open_image(&img), Err(crate::PmemError::LengthMismatch { .. })));
         // …but padding restores attachability.
         assert_eq!(pad_to_recorded_len(&mut img), 4096);
         assert_eq!(img.len(), original_len);

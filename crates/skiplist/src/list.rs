@@ -1436,10 +1436,14 @@ mod tests {
         // Lost duplicate-key race, forced: the factory runs between the
         // loser's descent and its level-0 CAS and inserts the same key.
         let (loser, winner) = (key(55), key(55));
-        let outcome = l.insert_tower(loser, |_| 4, || {
-            assert!(l.insert_tower(winner, |_| 2, || 7).inserted());
-            8
-        });
+        let outcome = l.insert_tower(
+            loser,
+            |_| 4,
+            || {
+                assert!(l.insert_tower(winner, |_| 2, || 7).inserted());
+                8
+            },
+        );
         let used = l.memory().1;
         assert_eq!(outcome, InsertOutcome::Lost { existing: 7, yours: Some(8) });
         assert_eq!(drops.load(Ordering::SeqCst), 2, "the loser's key dies in the call");

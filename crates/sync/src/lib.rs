@@ -66,14 +66,14 @@ mod std_sync;
 /// `sync::assert_unlocked`.
 pub mod sync {
     #[cfg(not(loom))]
-    pub use std::sync::Arc;
-    #[cfg(not(loom))]
     pub use crate::std_sync::{assert_unlocked, Mutex, MutexGuard};
+    #[cfg(not(loom))]
+    pub use std::sync::Arc;
 
     #[cfg(loom)]
-    pub use std::sync::Arc;
-    #[cfg(loom)]
     pub use crate::loom_sync::{assert_unlocked, Mutex, MutexGuard};
+    #[cfg(loom)]
+    pub use std::sync::Arc;
 
     /// Atomic types; scheduler-instrumented under `--cfg loom`.
     pub mod atomic {

@@ -50,8 +50,7 @@ macro_rules! int_atomic {
                 _failure: Ordering,
             ) -> Result<$t, $t> {
                 yield_point();
-                self.inner
-                    .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
+                self.inner.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
             }
 
             /// Modeled as the strong variant: spurious failure is an
@@ -128,8 +127,7 @@ impl<T> AtomicPtr<T> {
         _failure: Ordering,
     ) -> Result<*mut T, *mut T> {
         yield_point();
-        self.inner
-            .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
+        self.inner.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
     }
 }
 

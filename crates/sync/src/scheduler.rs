@@ -191,10 +191,7 @@ fn decide(st: &mut State) -> usize {
 
 /// Blocks until the scheduler hands control to `me`; teardown-unwinds if a
 /// failure is recorded in the meantime.
-fn wait_for_turn<'a>(
-    mut st: MutexGuard<'a, State>,
-    me: usize,
-) -> MutexGuard<'a, State> {
+fn wait_for_turn<'a>(mut st: MutexGuard<'a, State>, me: usize) -> MutexGuard<'a, State> {
     loop {
         if st.failure.is_some() {
             drop(st);
@@ -209,13 +206,9 @@ fn wait_for_turn<'a>(
 
 /// Marks the caller's status already updated by the caller (blocked), picks
 /// another thread, and waits until rescheduled.
-fn schedule_away<'a>(
-    mut st: MutexGuard<'a, State>,
-    me: usize,
-) -> MutexGuard<'a, State> {
+fn schedule_away<'a>(mut st: MutexGuard<'a, State>, me: usize) -> MutexGuard<'a, State> {
     if !has_runnable(&st) {
-        let statuses: Vec<(usize, Status)> =
-            st.threads.iter().copied().enumerate().collect();
+        let statuses: Vec<(usize, Status)> = st.threads.iter().copied().enumerate().collect();
         record_failure(&mut st, format!("deadlock: no runnable thread, statuses {statuses:?}"));
         sched().cv.notify_all();
         drop(st);
@@ -347,8 +340,7 @@ pub(crate) fn finish_thread(me: usize, panic_msg: Option<String>) {
         let next = decide(&mut st);
         st.cur = next;
     } else {
-        let statuses: Vec<(usize, Status)> =
-            st.threads.iter().copied().enumerate().collect();
+        let statuses: Vec<(usize, Status)> = st.threads.iter().copied().enumerate().collect();
         record_failure(&mut st, format!("deadlock: no runnable thread, statuses {statuses:?}"));
     }
     sched().cv.notify_all();
@@ -461,11 +453,7 @@ where
         let (choices, failure, handles) = {
             let mut st = lock_state();
             st.active = false;
-            (
-                std::mem::take(&mut st.choices),
-                st.failure.take(),
-                std::mem::take(&mut st.os_handles),
-            )
+            (std::mem::take(&mut st.choices), st.failure.take(), std::mem::take(&mut st.os_handles))
         };
         for h in handles {
             let _ = h.join();

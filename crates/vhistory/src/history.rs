@@ -453,7 +453,8 @@ mod tests {
         }
         let fc = v;
         for probe in 0..=v + 5 {
-            let expected = versions.iter().rev().find(|&&(ver, _)| ver <= probe).map(|&(_, val)| val);
+            let expected =
+                versions.iter().rev().find(|&&(ver, _)| ver <= probe).map(|&(_, val)| val);
             assert_eq!(h.find_raw(probe, fc), expected, "probe {probe}");
         }
     }

@@ -64,9 +64,6 @@ pub struct HistoryRecord {
 impl HistoryRecord {
     /// Decodes a raw `(version, value)` slot pair.
     pub fn from_raw(version: u64, value: u64) -> Self {
-        HistoryRecord {
-            version,
-            value: if value == TOMBSTONE { None } else { Some(value) },
-        }
+        HistoryRecord { version, value: if value == TOMBSTONE { None } else { Some(value) } }
     }
 }

@@ -353,9 +353,7 @@ impl MixPlan {
         let lanes = self.lanes.iter().enumerate().flat_map(|(l, lane)| {
             // Lane index + length delimit the stream so lane boundaries
             // cannot alias between plans.
-            [l as u64, lane.len() as u64]
-                .into_iter()
-                .chain(lane.iter().flat_map(|op| op.words()))
+            [l as u64, lane.len() as u64].into_iter().chain(lane.iter().flat_map(|op| op.words()))
         });
         stream_fingerprint(load.chain(lanes))
     }
@@ -438,9 +436,8 @@ mod tests {
 
     #[test]
     fn kinds_emit_their_signature_ops() {
-        let has = |kind: MixKind, pred: fn(&MixOp) -> bool| {
-            small(kind).lanes.iter().flatten().any(pred)
-        };
+        let has =
+            |kind: MixKind, pred: fn(&MixOp) -> bool| small(kind).lanes.iter().flatten().any(pred);
         assert!(has(MixKind::YcsbA, |op| matches!(op, MixOp::Update { .. })));
         assert!(has(MixKind::YcsbC, |op| matches!(op, MixOp::Read { .. })));
         assert!(!has(MixKind::YcsbC, |op| !matches!(op, MixOp::Read { .. })));

@@ -76,12 +76,7 @@ impl Scenario {
         let first_inserts = first.to_vec();
         let second_inserts = second.to_vec();
         let removals = shuffled_keys(&mut rng, &first_inserts);
-        GeneratedWorkload {
-            first_inserts,
-            removals,
-            second_inserts,
-            threads: self.threads,
-        }
+        GeneratedWorkload { first_inserts, removals, second_inserts, threads: self.threads }
     }
 }
 
@@ -111,11 +106,7 @@ impl GeneratedWorkload {
 
     /// All `P = 2N` distinct keys present after phase 3.
     pub fn all_keys(&self) -> Vec<u64> {
-        self.first_inserts
-            .iter()
-            .chain(self.second_inserts.iter())
-            .map(|kv| kv.key)
-            .collect()
+        self.first_inserts.iter().chain(self.second_inserts.iter()).map(|kv| kv.key).collect()
     }
 
     /// Query workload of §V-E: for each thread, `per_thread` random

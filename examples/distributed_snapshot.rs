@@ -42,8 +42,7 @@ fn main() {
     cluster.reset_clocks();
     let (naive, t_naive) = cluster.extract_snapshot(u64::MAX, MergeStrategy::Naive);
     cluster.reset_clocks();
-    let (opt, t_opt) =
-        cluster.extract_snapshot(u64::MAX, MergeStrategy::Opt { threads: 4 });
+    let (opt, t_opt) = cluster.extract_snapshot(u64::MAX, MergeStrategy::Opt { threads: 4 });
     assert_eq!(naive, opt);
     assert_eq!(naive.len(), RANKS * PER_RANK);
     assert!(naive.windows(2).all(|w| w[0].0 < w[1].0), "globally sorted");

@@ -18,7 +18,8 @@ use mvkv::core::{PSkipList, StoreSession, VersionedStore};
 
 /// Deterministic stand-in for a tensor checksum after an optimizer step.
 fn tensor_fingerprint(layer: u64, epoch: u64) -> u64 {
-    let mut x = layer.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ epoch.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let mut x =
+        layer.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ epoch.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 31;
     x % (1 << 40)
 }
@@ -58,11 +59,7 @@ fn main() -> std::io::Result<()> {
     // zip. The NAS branch forked off epoch 3, so compare against that.
     let base = session.extract_snapshot(epoch_tags[3]);
     let mutated = session.extract_snapshot(nas_tag);
-    let lcp = base
-        .iter()
-        .zip(mutated.iter())
-        .take_while(|(a, b)| a == b)
-        .count();
+    let lcp = base.iter().zip(mutated.iter()).take_while(|(a, b)| a == b).count();
     println!(
         "model@epoch3 has {} layers, model@NAS has {} layers, common prefix {} layers",
         base.len(),

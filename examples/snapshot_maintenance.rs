@@ -61,18 +61,12 @@ fn main() -> std::io::Result<()> {
 
     // Post-horizon snapshots are bit-identical in the compacted store…
     let latest = store.tag();
-    assert_eq!(
-        compacted.session().extract_snapshot(latest),
-        session.extract_snapshot(latest)
-    );
+    assert_eq!(compacted.session().extract_snapshot(latest), session.extract_snapshot(latest));
     // …labels still resolve…
     assert_eq!(compacted.resolve_label(5), store.resolve_label(5));
     // …pre-horizon queries answer as of the horizon…
     let old = store.resolve_label(0).unwrap();
-    assert_eq!(
-        compacted.session().extract_snapshot(old),
-        session.extract_snapshot(horizon)
-    );
+    assert_eq!(compacted.session().extract_snapshot(old), session.extract_snapshot(horizon));
     // …and post-horizon deltas are the same.
     assert_eq!(
         delta_by_snapshots(&compacted.session(), horizon, latest),

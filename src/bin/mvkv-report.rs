@@ -65,8 +65,7 @@ fn render(rows: &[Row]) {
     for ((figure, metric), by_approach) in &figures {
         let unit = units.get(&(figure.clone(), metric.clone())).map(String::as_str).unwrap_or("");
         println!("\n## {figure} — {metric} [{unit}]");
-        let mut xs: Vec<u64> =
-            by_approach.values().flat_map(|m| m.keys().copied()).collect();
+        let mut xs: Vec<u64> = by_approach.values().flat_map(|m| m.keys().copied()).collect();
         xs.sort_unstable();
         xs.dedup();
         print!("{:<18}", "approach \\ x");

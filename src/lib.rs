@@ -22,12 +22,12 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+pub use mvkv_cluster as cluster;
 pub use mvkv_core as core;
-pub use mvkv_pmem as pmem;
-pub use mvkv_vhistory as vhistory;
-pub use mvkv_skiplist as skiplist;
 pub use mvkv_keychain as keychain;
 pub use mvkv_minidb as minidb;
-pub use mvkv_cluster as cluster;
-pub use mvkv_workload as workload;
 pub use mvkv_obs as obs;
+pub use mvkv_pmem as pmem;
+pub use mvkv_skiplist as skiplist;
+pub use mvkv_vhistory as vhistory;
+pub use mvkv_workload as workload;

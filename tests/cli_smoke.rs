@@ -115,9 +115,12 @@ fn report_cli_renders_tables() {
     std::fs::write(
         &jsonl,
         concat!(
-            r#"{"figure":"figX","approach":"A","x":1,"metric":"time","value":0.5,"unit":"s"}"#, "\n",
-            r#"{"figure":"figX","approach":"A","x":2,"metric":"time","value":0.25,"unit":"s"}"#, "\n",
-            r#"{"figure":"figX","approach":"B","x":1,"metric":"time","value":1.5,"unit":"s"}"#, "\n",
+            r#"{"figure":"figX","approach":"A","x":1,"metric":"time","value":0.5,"unit":"s"}"#,
+            "\n",
+            r#"{"figure":"figX","approach":"A","x":2,"metric":"time","value":0.25,"unit":"s"}"#,
+            "\n",
+            r#"{"figure":"figX","approach":"B","x":1,"metric":"time","value":1.5,"unit":"s"}"#,
+            "\n",
             "not json\n",
         ),
     )

@@ -93,14 +93,9 @@ fn run_workload(store: &PSkipList) -> Model {
 /// every 16 ops. The plan is a pure function of its config, so every replay
 /// issues the identical op sequence.
 fn run_mixed_workload(store: &PSkipList) -> Model {
-    let plan = MixConfig {
-        kind: MixKind::YcsbA,
-        ops: 48,
-        keyspace: 12,
-        theta: 0.99,
-        seed: 0xA11CE,
-    }
-    .generate();
+    let plan =
+        MixConfig { kind: MixKind::YcsbA, ops: 48, keyspace: 12, theta: 0.99, seed: 0xA11CE }
+            .generate();
     let mut model = Model::new();
     let load: Vec<MixOp> =
         plan.load.iter().map(|&(key, value)| MixOp::Insert { key, value }).collect();

@@ -60,10 +60,7 @@ fn distributed_merged_snapshot_equals_oracle() {
 }
 
 /// Minimum virtual time over several repetitions of one merge strategy.
-fn best_merge_time(
-    c: &mut DistStore<ESkipList>,
-    strategy: MergeStrategy,
-) -> std::time::Duration {
+fn best_merge_time(c: &mut DistStore<ESkipList>, strategy: MergeStrategy) -> std::time::Duration {
     (0..7)
         .map(|_| {
             c.reset_clocks();

@@ -76,11 +76,9 @@ fn crash_with_random_evictions_still_recovers_consistently() {
     // Cache-eviction simulation persists *extra* lines at random; recovery
     // must stay correct regardless (PM may persist more, never less).
     for seed in [1u64, 2, 3] {
-        let store = PSkipList::create_crash_sim(
-            64 << 20,
-            CrashOptions { eviction_rate: 0.5, seed },
-        )
-        .unwrap();
+        let store =
+            PSkipList::create_crash_sim(64 << 20, CrashOptions { eviction_rate: 0.5, seed })
+                .unwrap();
         let mut model = Model::new();
         apply_script(&store, &mut model, &random_script(500, 60, seed));
         let image = store.crash_image().unwrap();

@@ -72,14 +72,14 @@ where
     let windows: &[(u64, Option<u64>)] = &[
         (0, None),
         (0, Some(u64::MAX)),
-        (10, Some(10)),         // empty window
-        (0, Some(10)),          // everything below the first key
-        (10, Some(11)),         // exactly the first key
-        (80, Some(200)),        // straddles keys and gaps
-        (31, Some(32)),         // key 31 is removed in wave 2 (10 + 3*7)
-        (150, Some(220)),       // covers the wave-4 removed run
-        (13, Some(400)),        // lo mid-gap
-        (500, None),            // tail
+        (10, Some(10)),   // empty window
+        (0, Some(10)),    // everything below the first key
+        (10, Some(11)),   // exactly the first key
+        (80, Some(200)),  // straddles keys and gaps
+        (31, Some(32)),   // key 31 is removed in wave 2 (10 + 3*7)
+        (150, Some(220)), // covers the wave-4 removed run
+        (13, Some(400)),  // lo mid-gap
+        (500, None),      // tail
     ];
 
     for v in 0..=max {
