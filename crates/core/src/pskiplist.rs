@@ -962,6 +962,91 @@ mod tests {
         }
     }
 
+    /// `key`'s newest-segment word (the segment a claim starts from) and
+    /// its pool offset in segment 1.
+    fn newest_word(store: &PSkipList, key: u64) -> (u64, u64) {
+        let hist = PPtr::from_off(store.get_or_create_history(key).into());
+        let hist = PHistory::open(store.pool(), hist);
+        (hist.raw_newest(), hist.raw_header().2 + mvkv_vhistory::pslots::SEG_NEWEST)
+    }
+
+    /// Every `(key, version, value)` reads back at its version.
+    fn all_readable(store: &PSkipList, written: &[(u64, u64, u64)]) {
+        let s = store.session();
+        for &(key, version, value) in written {
+            assert_eq!(s.find(key, version), Some(value), "key {key} at version {version}");
+        }
+    }
+
+    /// A restart does not trust segment 1's newest-segment word: flipped to
+    /// another key's segment of the same level — a valid header, off the
+    /// chain — it opens with nothing quarantined, every version readable and
+    /// the word at 0, and the next deep append sets it again, without
+    /// writing into the other key's segment.
+    #[test]
+    fn a_newest_word_off_the_chain_is_zeroed_at_open() {
+        let store = PSkipList::create_crash_sim(POOL, CrashOptions::default()).unwrap();
+        let s = store.session();
+        let mut written = Vec::new();
+        for value in 0..300u64 {
+            for key in [1, 2] {
+                written.push((key, s.insert(key, value), value));
+            }
+        }
+        let (own, word) = newest_word(&store, 1);
+        let (other, _) = newest_word(&store, 2);
+        assert!(own != 0 && other != 0 && own != other);
+        store.pool().atomic_u32(word).store(other as u32, std::sync::atomic::Ordering::Release);
+        store.pool().sync_all();
+
+        let (reopened, stats) = PSkipList::open_image(&store.crash_image().unwrap(), 2).unwrap();
+        assert!(stats.quarantine.is_empty(), "{:?}", stats.quarantine);
+        all_readable(&reopened, &written);
+        assert_eq!((newest_word(&reopened, 1).0, newest_word(&reopened, 2).0), (0, other));
+        written.push((1, reopened.session().insert(1, 300), 300));
+        assert_eq!(newest_word(&reopened, 1).0, own, "the next deep append sets it again");
+        all_readable(&reopened, &written);
+    }
+
+    /// The word is flushed and never fenced, so a power cut can leave it on
+    /// the media ahead of the link it follows. A claim outside an append
+    /// finds key 1's segment 3 missing and links one behind a fence of its
+    /// own (`PHistory::extend`); the image is the one at that fence, with
+    /// the word's line evicted to the media after the link's CAS: the word
+    /// names a headered, allocated segment 3 that no link reaches. The
+    /// restart zeroes it, and the next append links a new one.
+    #[test]
+    fn a_newest_word_on_the_media_ahead_of_its_link_is_zeroed_at_open() {
+        use mvkv_vhistory::slots::{seg_base, seg_capacity, SEG_HDR_SIZE};
+        use mvkv_vhistory::ENTRY_SIZE;
+        let store = PSkipList::create_crash_sim(POOL, CrashOptions::default()).unwrap();
+        let s = store.session();
+        let written: Vec<_> =
+            (0..seg_base(3)).map(|value| (1, s.insert(1, value), value)).collect();
+        // A free block of segment 3's class: the claim refills nothing.
+        let pool = store.pool();
+        pool.dealloc(pool.alloc(SEG_HDR_SIZE + seg_capacity(3) as usize * ENTRY_SIZE).unwrap());
+        let fences = pool.fence_count().unwrap();
+        pool.capture_at_fence(fences + 1);
+        store.home.history(store.get_or_create_history(1)).slots().claim();
+        assert_eq!(pool.fence_count().unwrap() - fences, 1, "the link's fence alone");
+        let (seg3, word) = newest_word(&store, 1);
+        assert_ne!(seg3, 0);
+        let mut image = pool.captured_image().unwrap();
+        image[word as usize..][..4].copy_from_slice(&(seg3 as u32).to_le_bytes());
+
+        let (reopened, stats) = PSkipList::open_image(&image, 2).unwrap();
+        assert!(stats.quarantine.is_empty(), "{:?}", stats.quarantine);
+        assert_eq!(stats.watermark, seg_base(3));
+        all_readable(&reopened, &written);
+        assert_eq!(newest_word(&reopened, 1).0, 0);
+        let version = reopened.session().insert(1, 77);
+        let (relinked, _) = newest_word(&reopened, 1);
+        assert!(relinked != 0 && relinked != seg3, "a new segment 3, named");
+        assert_eq!(reopened.session().find(1, version), Some(77));
+        all_readable(&reopened, &written);
+    }
+
     #[test]
     fn settled_history_ending_above_the_watermark_is_still_pruned() {
         let store = PSkipList::create_crash_sim(POOL, CrashOptions::default()).unwrap();

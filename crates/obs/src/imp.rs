@@ -189,13 +189,12 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
+    /// Registers the histogram on every call, sampled or not, so a span that
+    /// ran at least once renders its `# TYPE` line.
     #[inline]
     pub fn enter(metric: &LazyHistogram) -> SpanGuard {
-        if span_sampled() {
-            SpanGuard { timed: Some((metric.get(), Instant::now())) }
-        } else {
-            SpanGuard { timed: None }
-        }
+        let hist = metric.get();
+        SpanGuard { timed: span_sampled().then(|| (hist, Instant::now())) }
     }
 }
 
@@ -328,6 +327,20 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(H.snapshot().count(), (2 * (SPAN_SAMPLE + 1)).div_ceil(SPAN_SAMPLE) as u64);
+    }
+
+    #[test]
+    fn a_span_the_countdown_skips_still_renders() {
+        // The thread's second span is not timed, yet its metric is listed.
+        std::thread::spawn(|| {
+            crate::span!("mvkv_test_timed_span_ns");
+            crate::span!("mvkv_test_skipped_span_ns");
+        })
+        .join()
+        .unwrap();
+        let text = Registry::global().render_text();
+        assert!(text.contains("# TYPE mvkv_test_skipped_span_ns histogram\n"));
+        assert!(text.contains("mvkv_test_skipped_span_ns_count 0\n"));
     }
 
     #[test]

@@ -15,6 +15,11 @@ impl ESeg {
         let entries: Box<[Entry]> = (0..cap).map(|_| Entry::zeroed()).collect();
         Box::into_raw(Box::new(ESeg { entries, next: AtomicPtr::new(std::ptr::null_mut()) }))
     }
+
+    /// The segment's level `k`, from its capacity `(4 << k) − 1`.
+    fn level(&self) -> u32 {
+        (self.entries.len() as u64 + 1).trailing_zeros() - 2
+    }
 }
 
 /// An ephemeral per-key version history: lock-free appends via slot claims,
@@ -29,6 +34,9 @@ pub struct EHistory {
     tail: AtomicU32,
     /// Segment 1.
     next: AtomicPtr<ESeg>,
+    /// The deepest linked segment of level ≥ 2 (null: none), where a claim
+    /// starts its walk: the persistent history's newest-segment word.
+    newest: AtomicPtr<ESeg>,
     inline: [Entry; seg_capacity(0) as usize],
 }
 
@@ -38,42 +46,86 @@ impl EHistory {
             pending: AtomicU32::new(0),
             tail: AtomicU32::new(0),
             next: AtomicPtr::new(std::ptr::null_mut()),
+            newest: AtomicPtr::new(std::ptr::null_mut()),
             inline: std::array::from_fn(|_| Entry::zeroed()),
         }
     }
 
-    /// Walks to segment `k ≥ 1`, allocating any missing links along the way
-    /// — the allocate-and-link path of `claim`. Losing allocators in the CAS
-    /// race free their segment and adopt the winner's — the same resolution
-    /// the paper applies to racing key allocations (§IV-B).
+    /// Walks to segment `k ≥ 1` — from segment 1, or from the segment
+    /// `newest` names when its level is at most `k` — linking any missing
+    /// segment on the way: the claim's walk, as [`crate::PHistory`]'s. A
+    /// walk that follows a link past `newest` raises it to where it lands.
     fn segment(&self, k: u32) -> &ESeg {
-        let mut link: &AtomicPtr<ESeg> = &self.next;
-        for level in 1..=k {
-            let mut ptr = link.load(Ordering::Acquire);
-            if ptr.is_null() {
-                let fresh = ESeg::new(seg_capacity(level));
-                match link.compare_exchange(
-                    std::ptr::null_mut(),
-                    fresh,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => ptr = fresh,
-                    Err(winner) => {
-                        // SAFETY: fresh was never shared.
-                        drop(unsafe { Box::from_raw(fresh) });
-                        ptr = winner;
-                    }
+        // `ptr` is the segment of `level`, linked at `link` (null: not yet).
+        let (mut level, mut link) = (1, &self.next);
+        let mut ptr = link.load(Ordering::Acquire);
+        if !ptr.is_null() && k >= 2 {
+            let newest = self.newest.load(Ordering::Acquire);
+            if !newest.is_null() {
+                // SAFETY: `newest` names linked segments only, and segments
+                // are never freed while the history lives.
+                let at = unsafe { &*newest }.level();
+                if at <= k {
+                    (level, ptr) = (at, newest);
                 }
+            }
+        }
+        let mut walked = false;
+        loop {
+            if ptr.is_null() {
+                ptr = self.extend(level, link);
             }
             // SAFETY: segments are never freed while the history lives.
             let seg = unsafe { &*ptr };
             if level == k {
+                if walked {
+                    self.raise_newest(ptr, k);
+                }
                 return seg;
             }
-            link = &seg.next;
+            (level, link) = (level + 1, &seg.next);
+            ptr = link.load(Ordering::Acquire);
+            walked |= !ptr.is_null();
         }
-        unreachable!("loop returns at level == k >= 1")
+    }
+
+    /// Links a new segment of `level` at `link` and returns the linked one.
+    /// Losing allocators in the CAS race free their segment and adopt the
+    /// winner's — the same resolution the paper applies to racing key
+    /// allocations (§IV-B).
+    fn extend(&self, level: u32, link: &AtomicPtr<ESeg>) -> *mut ESeg {
+        let fresh = ESeg::new(seg_capacity(level));
+        match link.compare_exchange(
+            std::ptr::null_mut(),
+            fresh,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => {
+                if level >= 2 {
+                    self.raise_newest(fresh, level);
+                }
+                fresh
+            }
+            Err(winner) => {
+                // SAFETY: fresh was never shared.
+                drop(unsafe { Box::from_raw(fresh) });
+                winner
+            }
+        }
+    }
+
+    /// Raises `newest` to `seg`, a linked segment of level `k ≥ 2`, unless
+    /// it names one at least as deep: the CAS never lowers it.
+    fn raise_newest(&self, seg: *mut ESeg, k: u32) {
+        let mut seen = self.newest.load(Ordering::Acquire);
+        // SAFETY: as in `segment`: `seen` is null or a linked segment.
+        while seen.is_null() || unsafe { &*seen }.level() < k {
+            match self.newest.compare_exchange(seen, seg, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => return,
+                Err(now) => seen = now,
+            }
+        }
     }
 }
 
@@ -205,6 +257,37 @@ mod tests {
         assert_eq!((cur.levels(), cur.covered()), (3, 24), "resumes, stops once covered");
         h.fill(&mut cur, u64::MAX);
         assert_eq!((cur.levels(), cur.covered()), (4, 55), "stops at the end of the chain");
+    }
+
+    /// The segment of `level` by the links alone.
+    fn linked(h: &EHistory, level: u32) -> *mut ESeg {
+        // SAFETY: segments live as long as the history.
+        (1..level).fold(h.next.load(Ordering::Acquire), |seg, _| unsafe {
+            (*seg).next.load(Ordering::Acquire)
+        })
+    }
+
+    #[test]
+    fn a_claim_starts_at_the_newest_segment() {
+        let storage = EHistory::new();
+        let h = &storage;
+        for _ in 0..300 {
+            h.claim();
+        }
+        // Slot 300 lies in segment 6; `newest` names it. With the link
+        // behind segment 3 cut, a walk from segment 1 would link a new
+        // segment 4 there.
+        let seg6 = linked(h, 6);
+        assert_eq!(storage.newest.load(Ordering::Acquire), seg6);
+        // SAFETY: as in `linked`.
+        let (seg3, seg4) = unsafe { (&*linked(h, 3), linked(h, 4)) };
+        seg3.next.store(std::ptr::null_mut(), Ordering::Release);
+        let (idx, entry) = h.claim();
+        assert!(seg3.next.load(Ordering::Acquire).is_null(), "nothing linked behind segment 3");
+        seg3.next.store(seg4, Ordering::Release);
+        // SAFETY: as in `linked`.
+        let entries = unsafe { &(*seg6).entries };
+        assert!(std::ptr::eq(entry, &entries[locate(idx).1 as usize]), "slot {idx}");
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! ```text
 //! History = segment 0 (64 B):    Segment k ≥ 1 (96 << k B):
 //!   +0  pending (u32)              +0  next segment offset (u32, 0 = none)
-//!   +4  tail (u32)                 +8  base slot index
-//!   +8  segment 1 offset (u32)     +16 CRC32C of (capacity, base)
-//!   +12 CRC32C of (2, 0) (u32)     +24 entries × ((4 << k) − 1)
-//!   +16 entries × 2
+//!   +4  tail (u32)                 +4  segment 1: newest segment (u32, advisory)
+//!   +8  segment 1 offset (u32)     +8  base slot index
+//!   +12 CRC32C of (2, 0) (u32)     +16 CRC32C of (capacity, base)
+//!   +16 entries × 2                +24 entries × ((4 << k) − 1)
 //! ```
 //!
 //! An entry is `[version, value, crc_done]`, 24 bytes. A key's first two
@@ -45,6 +45,15 @@
 //! segment of its own behind one fence, as every claim outside an append
 //! does, and the first slot's publish then loses its CAS and moves its entry
 //! into that segment, for one fence more.
+//!
+//! A claim does not walk the whole chain. Segment 1's newest-segment word
+//! names the history's deepest linked segment of level ≥ 2 (or is 0): whoever
+//! links such a segment, or walks past the one the word names, raises it by
+//! CAS, and nobody lowers it. A claim reads the history block, segment 1 and
+//! the named segment's header line, whose `base` word gives its level, and
+//! walks on from there: three lines at any depth. The word is flushed, never
+//! fenced, and never trusted by recovery (DESIGN.md §13.3): a restart zeroes
+//! it unless it names a segment the checked walk reached.
 
 use crate::slots::{
     claim_index, locate, seg_base, seg_capacity, Cursor, Entry, Slots, ENTRY_SIZE, HIST_HDR_SIZE,
@@ -73,7 +82,9 @@ pub struct HistoryHdr {
 }
 
 /// Byte offsets in a linked segment's header, whose first word holds the
-/// link: the base slot index, and the check word.
+/// link: segment 1's newest-segment word (a u32, 0 in every other segment),
+/// the base slot index, and the check word.
+pub const SEG_NEWEST: u64 = 4;
 const SEG_BASE: u64 = 8;
 pub(crate) const SEG_CHECK: u64 = 16;
 
@@ -253,7 +264,7 @@ impl<'p> PHistory<'p> {
                 // link and the slots behind it — loss only, and of another
                 // writer's acknowledged slot only in §13.3's cross-thread
                 // window.
-                self.pool.persist(link_off, 4);
+                self.linked(k, link_off, off);
                 off
             }
             Err(winner) => {
@@ -273,16 +284,16 @@ impl<'p> PHistory<'p> {
         unsafe { self.pool.typed::<Entry>(seg + (SEG_HDR_SIZE as u64 + pos * ENTRY_SIZE as u64)) }
     }
 
-    /// [`Slots::link`] for the first slot of a segment its claim left
-    /// unlinked at `link_off`. The link is flushed, not fenced: like the
-    /// stamp stored right behind it, it becomes durable at this thread's
-    /// next fence, and every later slot of the segment is recovered only
-    /// behind this slot's stamp. The CAS loses only to the claim of a later
+    /// [`Slots::link`] for the first slot of a segment of level `k` its
+    /// claim left unlinked at `link_off`. The link is flushed, not fenced:
+    /// like the stamp stored right behind it, it becomes durable at this
+    /// thread's next fence, and every later slot of the segment is recovered
+    /// only behind this slot's stamp. The CAS loses only to the claim of a later
     /// slot of the segment, which linked one of its own ([`PHistory::
     /// extend`]): this slot then frees its segment, rewrites its entry into
     /// the winner's and fences once more, so that its stamp cannot be
     /// durable before its entry.
-    fn adopt(&self, slot: &'p Entry, link_off: u64) -> PSlot<'p> {
+    fn adopt(&self, slot: &'p Entry, link_off: u64, k: u32) -> PSlot<'p> {
         let mine = self.off_of(slot) - SEG_HDR_SIZE as u64;
         match self.link_at(link_off).compare_exchange(
             0,
@@ -291,7 +302,7 @@ impl<'p> PHistory<'p> {
             Ordering::Acquire,
         ) {
             Ok(_) => {
-                self.pool.persist(link_off, 4);
+                self.linked(k, link_off, mine);
                 PSlot { entry: slot, unlinked: None }
             }
             Err(winner) => {
@@ -308,13 +319,66 @@ impl<'p> PHistory<'p> {
         }
     }
 
-    /// The one chain walk of a claim. A missing segment is linked on the
-    /// way ([`PHistory::extend`]) — but for the one the slot itself opens
-    /// (`unlinked`): that one is allocated, and left for the append's
-    /// publish to link ([`PHistory::adopt`]) behind its publish fence. Only
-    /// the claim of a segment's first slot leaves it unlinked, so a batch
-    /// that claims many slots of one key allocates at most two segments a
-    /// level, whatever it holds.
+    /// The level of the linked segment at `seg`, from its `base` word: the
+    /// index of its first slot.
+    #[inline]
+    fn level_of(&self, seg: u64) -> u32 {
+        locate(self.pool.read_u64(seg + SEG_BASE)).0
+    }
+
+    /// Segment 1's newest-segment word; segment 1 must be linked.
+    #[inline]
+    fn newest_at(&self, seg1: u64) -> &'p AtomicU32 {
+        self.link_at(seg1 + SEG_NEWEST)
+    }
+
+    /// Raises the newest-segment word to `seg`, a linked segment of level
+    /// `k ≥ 2`, unless it names one at least as deep: the CAS never lowers
+    /// it. Returns whether it wrote; the caller flushes.
+    fn raise_newest(&self, seg1: u64, seg: u64, k: u32) -> bool {
+        let word = self.newest_at(seg1);
+        let mut seen = word.load(Ordering::Acquire);
+        while seen == 0 || self.level_of(seen.into()) < k {
+            match word.compare_exchange(seen, link_word(seg), Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => return true,
+                Err(now) => seen = now,
+            }
+        }
+        false
+    }
+
+    /// After the CAS that linked `seg`, of level `k`, at `link_off`: raises
+    /// the newest-segment word to it from level 2 on, and flushes the link
+    /// and the word — one flush at level 2, whose link is segment 1's first
+    /// word, beside the newest-segment word. Neither is fenced here.
+    fn linked(&self, k: u32, link_off: u64, seg: u64) {
+        if k < 2 {
+            self.pool.persist(link_off, 4);
+            return;
+        }
+        let seg1 = u64::from(self.link_at(self.next_off()).load(Ordering::Acquire));
+        let raised = self.raise_newest(seg1, seg, k);
+        if k == 2 {
+            debug_assert_eq!(link_off, seg1);
+            self.pool.persist(seg1, 8);
+        } else {
+            self.pool.persist(link_off, 4);
+            if raised {
+                self.pool.persist(seg1 + SEG_NEWEST, 4);
+            }
+        }
+    }
+
+    /// The one chain walk of a claim. It starts at segment 1, or at the
+    /// segment the newest-segment word names when that one's level is at
+    /// most the slot's, and lands there or walks on. A missing segment is
+    /// linked on the way ([`PHistory::extend`]) — but for the one the slot
+    /// itself opens (`unlinked`): that one is allocated, and left for the
+    /// append's publish to link ([`PHistory::adopt`]) behind its publish
+    /// fence. Only the claim of a segment's first slot leaves it unlinked, so
+    /// a batch that claims many slots of one key allocates at most two
+    /// segments a level, whatever it holds. A walk that follows a link past
+    /// the word raises the word to where it lands.
     fn claim_at(&self, unlinked: bool) -> (u64, PSlot<'p>) {
         let block = self.block();
         let idx = claim_index(&block.pending);
@@ -323,19 +387,42 @@ impl<'p> PHistory<'p> {
             // The first two slots are this block: no allocation, no link.
             return (idx, PSlot { entry: &block.inline[pos as usize], unlinked: None });
         }
-        let mut link_off = self.next_off();
-        for level in 1..=k {
-            let mut seg = u64::from(self.link_at(link_off).load(Ordering::Acquire));
+        // `seg` is the segment of `level`, linked at `link_off` (0: not yet).
+        let (mut level, mut link_off) = (1, self.next_off());
+        let mut seg = u64::from(self.link_at(link_off).load(Ordering::Acquire));
+        if seg != 0 && k >= 2 {
+            let newest = u64::from(self.newest_at(seg).load(Ordering::Acquire));
+            if newest != 0 {
+                let at = self.level_of(newest);
+                if at <= k {
+                    (level, seg) = (at, newest);
+                }
+            }
+        }
+        let mut walked = false;
+        loop {
             if seg == 0 {
                 if unlinked && level == k && pos == 0 {
                     let entry = self.entry_at(self.new_segment(k), 0);
-                    return (idx, PSlot { entry, unlinked: Some(link_off) });
+                    return (idx, PSlot { entry, unlinked: Some((link_off, k)) });
                 }
                 seg = self.extend(level, link_off);
             }
-            link_off = seg; // the next link is the segment's first word
+            if level == k {
+                break;
+            }
+            // The next link is the segment's first word.
+            (level, link_off) = (level + 1, seg);
+            seg = u64::from(self.link_at(link_off).load(Ordering::Acquire));
+            walked |= seg != 0;
         }
-        (idx, PSlot { entry: self.entry_at(link_off, pos), unlinked: None })
+        if walked {
+            let seg1 = u64::from(self.link_at(self.next_off()).load(Ordering::Acquire));
+            if self.raise_newest(seg1, seg, k) {
+                self.pool.persist(seg1 + SEG_NEWEST, 4);
+            }
+        }
+        (idx, PSlot { entry: self.entry_at(seg, pos), unlinked: None })
     }
 
     /// Pool offset of a resolved slot.
@@ -433,6 +520,37 @@ impl<'p> PHistory<'p> {
         true
     }
 
+    /// Recovery-only: the offset of the newest-segment word when it names a
+    /// segment the checked walk into `cur` did not reach at level ≥ 2 — a
+    /// claim would start there. Without segment 1 on that walk there is no
+    /// word to read: the claim starts at the history block.
+    fn stray_newest(&self, cur: &Cursor<'_>) -> Option<u64> {
+        if cur.levels() < 2 {
+            return None;
+        }
+        let seg = |k| self.off_of(cur.entry(seg_base(k))) - SEG_HDR_SIZE as u64;
+        let word = seg(1) + SEG_NEWEST;
+        let newest = u64::from(self.link_at(word).load(Ordering::Acquire));
+        (newest != 0 && !(2..cur.levels()).any(|k| seg(k) == newest)).then_some(word)
+    }
+
+    /// Recovery-only: whether the newest-segment word is 0 or names a
+    /// segment the checked walk into `cur` reached.
+    pub(crate) fn newest_reached(&self, cur: &Cursor<'_>) -> bool {
+        self.stray_newest(cur).is_none()
+    }
+
+    /// Recovery-only: zeroes a newest-segment word [`PHistory::
+    /// newest_reached`] refuses. Flushed, and fenced by nobody: the word is
+    /// advisory, the live store reads the zero, and every open checks the
+    /// word again.
+    pub(crate) fn cut_stray_newest(&self, cur: &Cursor<'_>) {
+        if let Some(word) = self.stray_newest(cur) {
+            self.link_at(word).store(0, Ordering::Release);
+            self.pool.persist(word, 4);
+        }
+    }
+
     /// Recovery-only: force `pending` and `tail` to recovered values
     /// (persisted).
     pub fn force_counters(&self, pending: u32, tail: u32) {
@@ -452,15 +570,24 @@ impl<'p> PHistory<'p> {
             block.next.load(Ordering::Acquire) as u64,
         )
     }
+
+    /// Segment 1's newest-segment word for audits: the offset of the
+    /// segment a claim starts from, 0 for none (or no segment 1).
+    pub fn raw_newest(&self) -> u64 {
+        match self.block().next.load(Ordering::Acquire) {
+            0 => 0,
+            seg1 => self.newest_at(seg1.into()).load(Ordering::Acquire).into(),
+        }
+    }
 }
 
 /// A claimed slot of a [`PHistory`]: its entry, and — for the first slot of
 /// a segment [`Slots::claim_unlinked`] allocated — the offset of the link
-/// word that is to link that segment.
+/// word that is to link that segment, and the segment's level.
 #[derive(Clone, Copy)]
 pub struct PSlot<'p> {
     entry: &'p Entry,
-    unlinked: Option<u64>,
+    unlinked: Option<(u64, u32)>,
 }
 
 impl Deref for PSlot<'_> {
@@ -487,7 +614,7 @@ impl<'p> Slots for PHistory<'p> {
     fn link(&self, slot: PSlot<'p>) -> PSlot<'p> {
         match slot.unlinked {
             None => slot,
-            Some(link_off) => self.adopt(slot.entry, link_off),
+            Some((link_off, k)) => self.adopt(slot.entry, link_off, k),
         }
     }
 
@@ -921,6 +1048,77 @@ mod tests {
             k += 1;
         }
         assert_eq!(k, 4, "30 slots are 2 inline + segments of 7 + 15 + 31");
+    }
+
+    /// The linked segment of level `k ≥ 1`, by the links alone.
+    fn linked_segment(h: &PHistory<'_>, k: u32) -> u64 {
+        (1..k).fold(h.raw_header().2, |seg, _| u32_at(h.pool, seg))
+    }
+
+    #[test]
+    fn a_claim_follows_no_link_below_the_newest_segment() {
+        use crate::history::History;
+        let p = pool();
+        let h = History::new(PHistory::create(&p).unwrap());
+        for v in 1..=300u64 {
+            h.append(v, v * 10);
+        }
+        // Slot 300 lies in segment 6, at position 55; the word names it.
+        let (k, pos) = locate(300);
+        let newest = linked_segment(h.slots(), k);
+        assert_eq!((k, h.slots().raw_newest()), (6, newest));
+        // Cut the chain behind segment 3: a walk from segment 1 would find
+        // segment 4 missing there and link a fresh one.
+        p.atomic_u32(linked_segment(h.slots(), 3)).store(0, Ordering::Release);
+        let allocs = p.alloc_stats().total_allocs;
+        h.append(301, 3010);
+        assert_eq!(p.alloc_stats().total_allocs, allocs, "nothing allocated, nothing linked");
+        assert_eq!(u32_at(&p, linked_segment(h.slots(), 3)), 0);
+        let entry = h.slots().entry_at(newest, pos);
+        assert_eq!(entry.load_if_done(), Some((301, 3010)), "in the segment the word names");
+    }
+
+    /// After each link of a segment of level 2 … 8, the word names the
+    /// deepest one, whichever way it was linked: by a claim outside an
+    /// append (`extend`), by the append of its first slot (`adopt`), or by a
+    /// later slot's claim that the first slot's `adopt` then loses to.
+    #[test]
+    fn the_newest_word_names_the_deepest_linked_segment() {
+        use crate::history::History;
+        for way in ["extend", "adopt", "lost adopt"] {
+            let p = pool();
+            let h = History::new(PHistory::create(&p).unwrap());
+            // Slot `i` holds version `i + 1`.
+            let next = |h: &History<PHistory<'_>>| h.pending() + 1;
+            for k in 1..=8u32 {
+                while h.pending() < seg_base(k) {
+                    h.append(next(&h), 1);
+                }
+                let deepest = |k| if k >= 2 { linked_segment(h.slots(), k) } else { 0 };
+                assert_eq!(h.slots().raw_newest(), deepest(k - 1), "{way}: before segment {k}");
+                match way {
+                    "extend" => {
+                        let version = next(&h);
+                        let (_, slot) = h.slots().claim();
+                        slot.version.store(version, Ordering::Relaxed);
+                        slot.value.store(1, Ordering::Relaxed);
+                        slot.crc_done.store(Entry::stamp(version, 1), Ordering::Release);
+                    }
+                    "adopt" => h.append(next(&h), 1),
+                    _ => {
+                        let version = next(&h);
+                        let first = h.append_prepare(version, 1);
+                        let second = h.append_prepare(version + 1, 1);
+                        h.publish_fence();
+                        h.append_publish(first, version);
+                        h.append_publish(second, version + 1);
+                    }
+                }
+                assert_ne!(linked_segment(h.slots(), k), 0, "{way}: segment {k} linked");
+                assert_eq!(h.slots().raw_newest(), deepest(k), "{way}: segment {k}");
+            }
+            assert_eq!(h.records(u64::MAX).len() as u64, h.pending(), "{way}");
+        }
     }
 
     /// How many of `n` slots a checked fill finds valid backing for.

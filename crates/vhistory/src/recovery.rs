@@ -32,8 +32,9 @@ pub struct PrefixScan {
     /// Why the prefix ended where it did.
     pub stop: ScanStop,
     /// Every claimed slot is published and valid, `pending` already equals
-    /// the prefix length, the lazy tail is not beyond it and the chain ends
-    /// in a zero link: [`prune_to_watermark`] at any watermark ≥ `last` keeps
+    /// the prefix length, the lazy tail is not beyond it, the chain ends in a
+    /// zero link and segment 1's newest-segment word is 0 or names a segment
+    /// on that chain: [`prune_to_watermark`] at any watermark ≥ `last` keeps
     /// everything and writes nothing. A tail that lags is no defect — it is
     /// where every unread history's stands, and the first reader moves it as
     /// it would have without the restart.
@@ -173,12 +174,14 @@ pub fn scan_published_prefix(h: &PHistory<'_>, versions: &mut impl VersionSink) 
         last = version;
         len += 1;
     }
-    // A failed link behind slots nobody claimed yet loses nothing, but the
-    // prune has to cut it before an append gets there.
+    // A failed link behind slots nobody claimed yet loses nothing, nor does
+    // a newest-segment word off the chain, but the prune has to cut both
+    // before an append follows them.
     let settled = stop == ScanStop::Exhausted
         && pending == len
         && tail <= len
-        && h.failed_link(&cur).is_none();
+        && h.failed_link(&cur).is_none()
+        && h.newest_reached(&cur);
     PrefixScan { len, last, stop, settled }
 }
 
@@ -193,9 +196,10 @@ pub struct PruneOutcome {
 
 /// Truncates the history to the prefix whose versions are ≤ `watermark`,
 /// resetting `pending`/`tail`, clearing any stamps beyond the keep
-/// point (so future appends can't mistake stale slots for published ones)
-/// and cutting the chain at a segment link that failed validation (so they
-/// can't walk into whatever it points at).
+/// point (so future appends can't mistake stale slots for published ones),
+/// and cutting the chain at a segment link that failed validation and
+/// zeroing a newest-segment word that names a segment off the chain (so
+/// they can't walk into whatever either points at).
 pub fn prune_to_watermark(h: &PHistory<'_>, watermark: u64) -> PruneOutcome {
     let (old_pending, old_tail, _) = h.raw_header();
     // Every slot with valid backing, as in the scan: segments are reached by
@@ -232,6 +236,7 @@ pub fn prune_to_watermark(h: &PHistory<'_>, watermark: u64) -> PruneOutcome {
     // one explicit fence before the slots can be reused.
     // `end` runs behind the last discarded slot: claimed, or stamped.
     let mut end = old_pending.min(backed).max(keep);
+    h.cut_stray_newest(&cur);
     let mut cleared = h.cut_failed_link(&cur);
     for idx in keep..backed {
         let e = cur.entry(idx);

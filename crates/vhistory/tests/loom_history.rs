@@ -16,7 +16,8 @@
 //!    skipped or not fence-ordered before the publish.
 //! 4. Segment adoption at publish: the REAL `PHistory` on a volatile pool,
 //!    two appenders that both need segment 1 and race its link, and a reader
-//!    beside them.
+//!    beside them; and two appenders crossing segments 2 → 3 beside a third
+//!    claim, racing the link and the newest-segment word a claim starts from.
 
 #![cfg(loom)]
 
@@ -25,7 +26,7 @@ mod tracked;
 use mvkv_pmem::PmemPool;
 use mvkv_sync::sync::Arc;
 use mvkv_sync::{model, thread};
-use mvkv_vhistory::slots::{seg_capacity, SEG_HDR_SIZE};
+use mvkv_vhistory::slots::{seg_base, seg_capacity, SEG_HDR_SIZE};
 use mvkv_vhistory::{Cursor, EHistory, Entry, History, PHistory, Slots, ENTRY_SIZE};
 use tracked::{TrackedSlots, FENCED};
 
@@ -278,5 +279,86 @@ fn two_appenders_adopting_one_segment_link_it_once() {
         for idx in 2..4 {
             assert!(cur.entry(idx).crc_valid());
         }
+    });
+}
+
+/// The history's linked segments of levels 1 … 3, by the links alone (0
+/// from the first one missing).
+fn linked_segments(pool: &PmemPool, h: &PHistory<'_>) -> [u64; 3] {
+    use mvkv_sync::sync::atomic::Ordering;
+    let mut seg = h.raw_header().2;
+    std::array::from_fn(|_| {
+        let this = seg;
+        if seg != 0 {
+            seg = pool.atomic_u32(seg).load(Ordering::Acquire).into();
+        }
+        this
+    })
+}
+
+/// A history whose last slot is segment 2's last: the word names segment 2.
+/// Two appenders claim slots 24 and 25, segment 3's first two. Slot 24's
+/// claim leaves segment 3 unlinked for its publish to link (`adopt`); slot
+/// 25's links one of its own (`extend`) unless that link came first, and
+/// either raises the word. Beside them a third claim, outside an append,
+/// takes slot 26 and may link segment 3 itself. On every interleaving: the
+/// word names a linked segment whenever it is read, it never names a lower
+/// level than it did, and every claim resolves the slot a full walk of the
+/// links resolves.
+#[test]
+fn appenders_crossing_a_segment_raise_the_newest_word_to_linked_segments_only() {
+    use mvkv_sync::sync::atomic::Ordering;
+    model(|| {
+        let pool = Arc::new(PmemPool::create_volatile(1 << 16).unwrap());
+        let h = History::new(PHistory::create(&pool).unwrap());
+        for version in 1..=seg_base(3) {
+            h.append(version, version * 10);
+        }
+        let hdr = h.slots().pptr();
+        // Three free blocks of segment 3's class on the shared list: the
+        // claims pop them instead of racing a refill.
+        let seg3 = SEG_HDR_SIZE + seg_capacity(3) as usize * ENTRY_SIZE;
+        let warm = [0; 3].map(|_| pool.alloc(seg3).unwrap());
+        warm.into_iter().for_each(|block| pool.dealloc(block));
+        let appenders: Vec<_> = [seg_base(3) + 1, seg_base(3) + 2]
+            .map(|version| {
+                let p = pool.clone();
+                thread::spawn(move || {
+                    History::new(PHistory::open(&p, hdr)).append(version, version * 10)
+                })
+            })
+            .into_iter()
+            .collect();
+
+        // The word's level among the linked segments, checked as it is read.
+        let level = || {
+            let newest = h.slots().raw_newest();
+            let linked = linked_segments(&pool, h.slots());
+            let at = linked.iter().position(|&seg| seg == newest);
+            at.unwrap_or_else(|| panic!("the word {newest} names no linked segment: {linked:?}"))
+        };
+        let before = level();
+        assert!(before >= 1, "segment 2, or 3 once linked");
+        let (idx, slot) = h.slots().claim();
+        let during = level();
+        assert!(during >= before, "the word moved down");
+
+        for a in appenders {
+            a.join().unwrap();
+        }
+        assert_eq!(level(), 2, "segment 3, once linked, is the word's");
+        let mut cur = Cursor::new();
+        assert_eq!(h.slots().fill(&mut cur, seg_base(3) + 3), seg_base(3) + 3);
+        assert!(std::ptr::eq(cur.entry(idx), &*slot), "the claim's slot is the walk's");
+        let mut versions: Vec<u64> = (seg_base(3)..seg_base(3) + 3)
+            .filter(|&i| i != idx)
+            .map(|i| {
+                let e = cur.entry(i);
+                assert!(e.crc_valid(), "slot {i} is stamped over its own entry");
+                e.version.load(Ordering::Relaxed)
+            })
+            .collect();
+        versions.sort_unstable();
+        assert_eq!(versions, [seg_base(3) + 1, seg_base(3) + 2], "both appends at walked slots");
     });
 }
