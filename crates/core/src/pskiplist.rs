@@ -933,6 +933,10 @@ mod tests {
         for i in 0..2000u64 {
             s.insert(i % 700, i);
         }
+        // One deep key: its segments of levels 2 … 6 carry back links.
+        for i in 0..300u64 {
+            s.insert(1, i);
+        }
         for key in (0..700u64).step_by(3) {
             s.remove(key);
         }
@@ -1045,6 +1049,74 @@ mod tests {
         assert!(relinked != 0 && relinked != seg3, "a new segment 3, named");
         assert_eq!(reopened.session().find(1, version), Some(77));
         all_readable(&reopened, &written);
+    }
+
+    /// `key`'s linked segments of levels 1 … by the forward links alone.
+    fn segments(store: &PSkipList, key: u64) -> Vec<u64> {
+        let hist = PPtr::from_off(store.get_or_create_history(key).into());
+        let pool = store.pool();
+        let first = PHistory::open(pool, hist).raw_header().2;
+        let next = |&seg: &u64| {
+            Some(u64::from(pool.atomic_u32(seg).load(std::sync::atomic::Ordering::Acquire)))
+        };
+        std::iter::successors(Some(first), next).take_while(|&seg| seg != 0).collect()
+    }
+
+    /// A find follows back links, and a restart does not trust them: the
+    /// checked walk rewrites one that disagrees with the chain. Segment 4's,
+    /// flipped to another segment, is rewritten to segment 3 at open with
+    /// nothing quarantined and every version readable; so is every back link
+    /// of an image that has them all zeroed, as a pool written before back
+    /// links were reads. (An image whose back links agree is not written:
+    /// `fully_read_clean_store_reopens_without_touching_a_history`.)
+    #[test]
+    fn a_back_link_that_disagrees_with_the_chain_is_rewritten_at_open() {
+        use mvkv_vhistory::pslots::SEG_BACK;
+        let store = PSkipList::create_crash_sim(POOL, CrashOptions::default()).unwrap();
+        let s = store.session();
+        let mut written = Vec::new();
+        for value in 0..300u64 {
+            for key in [1, 2] {
+                written.push((key, s.insert(key, value), value));
+            }
+        }
+        store.wait_writes_complete();
+        store.pool().sync_all();
+        let image = store.crash_image().unwrap();
+        let chains = [segments(&store, 1), segments(&store, 2)];
+        assert_eq!(chains[0].len(), 6, "segments 1 … 6");
+        let back = |image: &[u8], seg: u64| {
+            let at = (seg + SEG_BACK) as usize;
+            u64::from(u32::from_le_bytes(image[at..at + 4].try_into().unwrap()))
+        };
+        let set_back = |image: &mut Vec<u8>, seg: u64, to: u64| {
+            let at = (seg + SEG_BACK) as usize;
+            image[at..at + 4].copy_from_slice(&(to as u32).to_le_bytes());
+        };
+        let flipped = {
+            let mut image = image.clone();
+            set_back(&mut image, chains[0][3], chains[1][2]);
+            image
+        };
+        let zeroed = {
+            let mut image = image.clone();
+            for chain in &chains {
+                chain[1..].iter().for_each(|&seg| set_back(&mut image, seg, 0));
+            }
+            image
+        };
+        for (name, image) in [("flipped", flipped), ("zeroed", zeroed)] {
+            let (reopened, stats) = PSkipList::open_image(&image, 2).unwrap();
+            assert!(stats.quarantine.is_empty(), "{name}: {:?}", stats.quarantine);
+            assert_eq!(reopened.pool().unflushed_lines().unwrap(), [], "{name}: flushed");
+            let mended = reopened.pool().crash_image().unwrap();
+            for chain in &chains {
+                for k in 1..chain.len() {
+                    assert_eq!(back(&mended, chain[k]), chain[k - 1], "{name}: segment {}", k + 1);
+                }
+            }
+            all_readable(&reopened, &written);
+        }
     }
 
     #[test]

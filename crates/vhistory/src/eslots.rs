@@ -2,18 +2,24 @@
 //! (ESkipList, LockedMap): the persistent layout's geometry — two entries in
 //! the history itself, then segments of 7, 15, 31, … — on the heap.
 
-use crate::slots::{claim_index, locate, seg_capacity, Cursor, Entry, Slots};
+use crate::slots::{claim_index, locate, seg_base, seg_capacity, Cursor, Entry, Slots};
 use mvkv_sync::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
+use std::ptr::null_mut;
 
 struct ESeg {
     entries: Box<[Entry]>,
     next: AtomicPtr<ESeg>,
+    /// The segment this one is linked behind (null at level 1, whose
+    /// predecessor is the history itself): set before the link, never
+    /// changed — the persistent history's back link.
+    prev: *const ESeg,
 }
 
 impl ESeg {
-    fn new(cap: u64) -> *mut ESeg {
+    fn new(cap: u64, prev: *const ESeg) -> *mut ESeg {
         let entries: Box<[Entry]> = (0..cap).map(|_| Entry::zeroed()).collect();
-        Box::into_raw(Box::new(ESeg { entries, next: AtomicPtr::new(std::ptr::null_mut()) }))
+        let next = AtomicPtr::new(std::ptr::null_mut());
+        Box::into_raw(Box::new(ESeg { entries, next, prev }))
     }
 
     /// The segment's level `k`, from its capacity `(4 << k) − 1`.
@@ -70,10 +76,12 @@ impl EHistory {
                 }
             }
         }
+        // The segment `link` belongs to (null: the history itself).
+        let mut prev: *const ESeg = std::ptr::null();
         let mut walked = false;
         loop {
             if ptr.is_null() {
-                ptr = self.extend(level, link);
+                ptr = self.extend(level, link, prev);
             }
             // SAFETY: segments are never freed while the history lives.
             let seg = unsafe { &*ptr };
@@ -83,18 +91,18 @@ impl EHistory {
                 }
                 return seg;
             }
-            (level, link) = (level + 1, &seg.next);
+            (level, link, prev) = (level + 1, &seg.next, ptr);
             ptr = link.load(Ordering::Acquire);
             walked |= !ptr.is_null();
         }
     }
 
-    /// Links a new segment of `level` at `link` and returns the linked one.
-    /// Losing allocators in the CAS race free their segment and adopt the
-    /// winner's — the same resolution the paper applies to racing key
-    /// allocations (§IV-B).
-    fn extend(&self, level: u32, link: &AtomicPtr<ESeg>) -> *mut ESeg {
-        let fresh = ESeg::new(seg_capacity(level));
+    /// Links a new segment of `level` at `link`, the `next` of `prev`, and
+    /// returns the linked one. Losing allocators in the CAS race free their
+    /// segment and adopt the winner's — the same resolution the paper
+    /// applies to racing key allocations (§IV-B).
+    fn extend(&self, level: u32, link: &AtomicPtr<ESeg>, prev: *const ESeg) -> *mut ESeg {
+        let fresh = ESeg::new(seg_capacity(level), prev);
         match link.compare_exchange(
             std::ptr::null_mut(),
             fresh,
@@ -200,6 +208,46 @@ impl<'e> Slots for &'e EHistory {
             unsafe { cur.push(seg.entries.as_ptr(), link as *const AtomicPtr<ESeg> as usize) };
         }
         n.min(cur.covered())
+    }
+
+    fn start<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) {
+        let seg1 = if n > seg_base(1) { self.next.load(Ordering::Acquire) } else { null_mut() };
+        if seg1.is_null() {
+            let next = &self.next as *const AtomicPtr<ESeg> as usize;
+            // SAFETY: segment 0 is the history's own array of
+            // `seg_capacity(0)` entries, alive and unmoved while borrowed.
+            unsafe { cur.start_at(0, self.inline.as_ptr(), next, 0) };
+            return;
+        }
+        let newest = if n > seg_base(2) { self.newest.load(Ordering::Acquire) } else { null_mut() };
+        // SAFETY: `seg1` is linked and `newest` names linked segments only;
+        // segments are never freed while the history lives.
+        let seg = unsafe { &*if newest.is_null() { seg1 } else { newest } };
+        let resume = &seg.next as *const AtomicPtr<ESeg> as usize;
+        // SAFETY: a linked segment of level `k` holds exactly
+        // `seg_capacity(k)` entries, boxed for the history's lifetime.
+        unsafe {
+            cur.start_at(seg.level(), seg.entries.as_ptr(), resume, seg as *const ESeg as usize)
+        };
+    }
+
+    fn fill_back<'a>(&'a self, cur: &mut Cursor<'a>, idx: u64) {
+        let target = locate(idx).0;
+        while cur.lowest() > target {
+            // SAFETY: the token of a cursor's lowest level `k ≥ 1` is its
+            // segment, and segments live as long as the history.
+            let prev = unsafe { &*(cur.down() as *const ESeg) }.prev;
+            if prev.is_null() {
+                // SAFETY: as in `start`: segment 0 is the history's own array.
+                unsafe { cur.push_down(self.inline.as_ptr(), 0) };
+                break;
+            }
+            // SAFETY: `prev` is the linked segment of level `k − 1` this one
+            // was linked behind, set before the link and never changed.
+            let entries = unsafe { &(*prev).entries };
+            // SAFETY: `prev` holds `seg_capacity(k − 1)` boxed entries.
+            unsafe { cur.push_down(entries.as_ptr(), prev as usize) };
+        }
     }
 
     fn tail_ref(&self) -> &AtomicU32 {

@@ -127,7 +127,9 @@ impl<S: Slots> History<S> {
 
     /// [`History::extend_tail`] through the caller's cursor, which covers
     /// the returned length afterwards — for callers that go on to read the
-    /// visible slots.
+    /// visible slots. An empty cursor is filled forward from the history
+    /// block; a started one must resolve the tail's segment (or, the tail at
+    /// 0, slot 0's) and is filled forward from where it stops.
     pub fn extend_tail_in<'a>(&'a self, cur: &mut Cursor<'a>, fc: u64) -> u64 {
         let tail = self.slots.tail_ref();
         let start = tail.load(Ordering::Acquire) as u64;
@@ -135,6 +137,7 @@ impl<S: Slots> History<S> {
         // walk stops at the resolved backing: a slot without a linked
         // segment cannot have been published.
         let limit = self.slots.fill(cur, self.slots.pending());
+        debug_assert!(cur.levels() == 0 || cur.lowest() <= locate(start.saturating_sub(1)).0);
         let mut next = start;
         while next < limit {
             let e = cur.entry(next);
@@ -188,73 +191,108 @@ impl<S: Slots> History<S> {
     /// The tail is extended only if the query could be affected by slots
     /// beyond it — i.e. the last visible entry's version is below the
     /// requested version (the paper's lazy rule).
+    ///
+    /// The walk starts at the newest segment ([`Slots::start`]), walks
+    /// forward only when that one lies below the tail's, and follows back
+    /// links down until a segment's first version is at most `version`; the
+    /// search inside that segment is `aimed_search`.
     pub fn find_raw(&self, version: u64, fc: u64) -> Option<u64> {
         let mut cur = Cursor::new();
         let mut t = self.tail();
-        // Every slot below the tail is published, so the fill covers `t`.
-        self.slots.fill(&mut cur, t);
-        // ordering: slot t-1 is covered by the Acquire tail load in
-        // tail(); a stale version only costs a redundant extension.
-        if t == 0 || cur.entry(t - 1).version.load(Ordering::Relaxed) < version {
-            t = self.extend_tail_in(&mut cur, fc);
-            if t == 0 {
-                return None;
-            }
+        // Every slot below the tail is published, so the walk reaches `t − 1`.
+        if t > 0 {
+            self.reach(&mut cur, t, t - 1);
         }
-        // Invariant of the search: slot `left - 1` (if any) was *observed*
-        // at or below `version`, every slot from `right` on above it — so
-        // the slot returned is one whose version word was actually read,
-        // and a checksum-valid one cannot be from the future even when
-        // damaged neighbours misled the search.
         // ordering: Relaxed entry loads are sound for every slot < t: the
         // Acquire load of `tail` synchronizes with the extender's AcqRel
         // CAS, which itself Acquire-loaded each slot's Release-stored
         // stamp — a transitive happens-before edge to the payload stores.
-        let (mut left, mut right) = (0, t);
-        // The segment first: the walk just read every linked segment's header
-        // and a segment's first entry sits right behind it, so comparing
-        // first versions from the newest segment down touches no new cache
-        // line (segment 0 is what is left when none of them qualifies).
-        for k in (1..=locate(t - 1).0).rev() {
-            let base = seg_base(k);
-            // ordering: base <= t - 1, see the block comment above.
-            if cur.entry(base).version.load(Ordering::Relaxed) <= version {
-                left = base + 1;
-                break;
+        let version_at = |cur: &Cursor<'_>, idx| cur.entry(idx).version.load(Ordering::Relaxed);
+        // The tail's segment and its first version, on the header's line the
+        // walk read. Slot `t − 1` matters only when that is at most
+        // `version`: as the answer, or, below `version`, as the lazy rule's
+        // trigger. A stale version only costs a redundant extension.
+        let mut k = locate(t.saturating_sub(1)).0;
+        let mut first = if t > 0 { version_at(&cur, seg_base(k)) } else { 0 };
+        let mut newest = (t > 0 && first <= version).then(|| version_at(&cur, t - 1));
+        if t == 0 || newest.is_some_and(|newest| newest < version) {
+            if t == 0 {
+                self.reach(&mut cur, self.slots.pending(), 0);
             }
-            right = base;
-        }
-        // Then the entries: binary search for the highest version <=
-        // requested within that segment's visible part.
-        while left < right {
-            let mid = left + (right - left) / 2;
-            // ordering: mid < t, see the block comment above.
-            if cur.entry(mid).version.load(Ordering::Relaxed) <= version {
-                left = mid + 1;
-            } else {
-                right = mid;
+            t = self.extend_tail_in(&mut cur, fc);
+            if t == 0 {
+                return None;
             }
+            k = locate(t - 1).0;
+            first = version_at(&cur, seg_base(k));
+            newest = None;
         }
-        if left == 0 {
-            return None; // even slot 0 is newer than `version`
+        // Then down the back links to the first segment whose first version
+        // is at most `version`. Invariant of the search: slot `lo.0` was
+        // *observed* at or below `version`, slot `hi.0` above it — so the
+        // slot returned is one whose version word was actually read, and a
+        // checksum-valid one cannot be from the future even when damaged
+        // neighbours misled the search.
+        let top = t - 1;
+        let mut hi = None;
+        while first > version {
+            if k == 0 {
+                return None; // even slot 0 is newer than `version`
+            }
+            hi = Some((seg_base(k), first));
+            k -= 1;
+            if k < cur.lowest() {
+                self.slots.fill_back(&mut cur, seg_base(k));
+            }
+            first = version_at(&cur, seg_base(k));
         }
-        let e = cur.entry(left - 1);
+        let lo = (seg_base(k), first);
+        // The tail's segment is bracketed by slot `t − 1`, every other one by
+        // the first slot of the segment above it.
+        let search = |hi| aimed_search(lo, hi, version, |idx| version_at(&cur, idx));
+        let found = match hi {
+            Some(hi) => search(hi),
+            None if lo.0 == top => top,
+            None => match newest.unwrap_or_else(|| version_at(&cur, top)) {
+                newest if newest <= version => top,
+                newest => search((top, newest)),
+            },
+        };
+        let e = cur.entry(found);
         // Verify-on-read: never surface a checksum-invalid payload; fall
         // back to a verified linear scan.
         if !e.crc_valid() {
-            return Self::find_raw_verified(&cur, version, t);
+            return self.find_raw_verified(version, t);
         }
-        // ordering: left - 1 < t, same argument as the block comment above.
+        // ordering: found < t, same argument as the version loads above.
         Some(e.value.load(Ordering::Relaxed))
     }
 
-    /// Fallback for [`History::find_raw`] when the binary search lands on a
+    /// Resolves into the empty `cur` the segments from slot `idx`'s up to
+    /// slot `n − 1`'s, or to the end of the chain: from the newest segment,
+    /// forward only when it lies below `n − 1`'s, then back down to `idx`'s.
+    fn reach<'a>(&'a self, cur: &mut Cursor<'a>, n: u64, idx: u64) {
+        if n == 0 {
+            return;
+        }
+        self.slots.start(cur, n);
+        if cur.covered() < n {
+            self.slots.fill(cur, n);
+        }
+        self.slots.fill_back(cur, idx);
+    }
+
+    /// Fallback for [`History::find_raw`] when the search lands on a
     /// checksum-invalid entry (latent media damage): a linear scan of the
-    /// visible prefix that considers only checksum-valid records. Corrupt
-    /// slots may also carry a corrupt *version* word, which breaks the
-    /// sortedness the binary search relies on — the linear scan does not.
+    /// visible prefix, resolved forward from the history block, that
+    /// considers only checksum-valid records. Corrupt slots may also carry a
+    /// corrupt *version* word, which breaks the sortedness the search relies
+    /// on — the linear scan does not.
     #[cold]
-    fn find_raw_verified(cur: &Cursor<'_>, version: u64, t: u64) -> Option<u64> {
+    fn find_raw_verified(&self, version: u64, t: u64) -> Option<u64> {
+        let mut cur = Cursor::new();
+        // Every slot below the tail is published, so the fill covers `t`.
+        self.slots.fill(&mut cur, t);
         let mut best: Option<(u64, u64)> = None;
         for idx in 0..t {
             let e = cur.entry(idx);
@@ -321,6 +359,64 @@ impl<S: Slots> History<S> {
         let newest = Self::valid_records(&cur, (0..t).rev()).next();
         newest
     }
+}
+
+/// The search inside one segment: the highest slot in `[lo.0, hi.0)` whose
+/// version is at most `version`, given the two bracket slots `(index,
+/// version)` the walk has already read — `lo`'s version at most `version`,
+/// `hi`'s above it. `version_at` reads a slot's version (one probe).
+///
+/// The first probe goes where linear interpolation between the brackets
+/// puts `version`, and its neighbour on the far side guards it: versions
+/// evenly spread over the slots (a store's round-robin writers) resolve in
+/// one or two probes of one line. Whatever range is left is binary-searched,
+/// so no history costs more than `⌈log₂ n⌉ + 2` probes for `n = hi.0 −
+/// lo.0`. The slot returned is `lo.0` or one whose version a probe read at
+/// most `version`.
+#[inline]
+pub(crate) fn aimed_search(
+    lo: (u64, u64),
+    hi: (u64, u64),
+    version: u64,
+    mut version_at: impl FnMut(u64) -> u64,
+) -> u64 {
+    let ((mut left, low), (mut right, high)) = (lo, hi);
+    debug_assert!(left < right && low <= version && version < high);
+    if right - left > 1 {
+        // The fraction is below 1, so the aim stays in `[left, right)`; the
+        // clamp only keeps the probe off the slot already read.
+        let share = (version - low) as f64 / (high - low) as f64;
+        let aim = left + (share * (right - left) as f64) as u64;
+        let probe = aim.clamp(left + 1, right - 1);
+        if version_at(probe) <= version {
+            left = probe;
+            if probe + 1 < right {
+                if version_at(probe + 1) > version {
+                    right = probe + 1;
+                } else {
+                    left = probe + 1;
+                }
+            }
+        } else {
+            right = probe;
+            if probe - 1 > left {
+                if version_at(probe - 1) <= version {
+                    left = probe - 1;
+                } else {
+                    right = probe - 1;
+                }
+            }
+        }
+    }
+    while right - left > 1 {
+        let mid = left + (right - left) / 2;
+        if version_at(mid) <= version {
+            left = mid;
+        } else {
+            right = mid;
+        }
+    }
+    left
 }
 
 #[cfg(test)]
@@ -436,26 +532,103 @@ mod tests {
         assert_eq!(h.latest(5), Some(HistoryRecord { version: 5, value: None }));
     }
 
+    /// Appends `versions` (strictly increasing) to `h`, every fifth a
+    /// tombstone, then checks `find_raw` against a linear scan at every
+    /// version, both its neighbours and past the end.
+    fn search_agrees_with_linear_scan<S: Slots>(h: &History<S>, versions: &[u64]) {
+        let written: Vec<(u64, u64)> = versions
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, if i % 5 == 4 { TOMBSTONE } else { i as u64 * 3 }))
+            .collect();
+        for &(v, value) in &written {
+            h.append(v, value);
+        }
+        let fc = *versions.last().unwrap();
+        let probes = versions.iter().flat_map(|&v| [v - 1, v, v + 1]).chain([fc + 5, u64::MAX]);
+        for probe in probes {
+            let expected =
+                written.iter().rev().find(|&&(ver, _)| ver <= probe).map(|&(_, val)| val);
+            assert_eq!(h.find_raw(probe, fc), expected, "probe {probe}");
+        }
+    }
+
+    /// A deterministic pseudo-random stream.
+    fn lcg(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state
+        }
+    }
+
+    /// Strictly increasing versions from 1 on, the gap before each drawn by
+    /// `gap` from its index.
+    fn spaced(n: u64, mut gap: impl FnMut(u64) -> u64) -> Vec<u64> {
+        (0..n).scan(0u64, |v, i| Some(*v + gap(i).max(1)).inspect(|&next| *v = next)).collect()
+    }
+
     #[test]
     fn binary_search_agrees_with_linear_scan() {
-        // Deterministic pseudo-random history, exhaustive probe check.
-        let storage = EHistory::new();
-        let h = History::new(&storage);
-        let mut versions = Vec::new();
-        let mut v = 0u64;
-        let mut state = 0x1234_5678u64;
-        for i in 0..200u64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            v += 1 + (state >> 60); // strictly increasing, gaps of 1..16
-            let value = if state.is_multiple_of(5) { TOMBSTONE } else { i * 3 };
-            h.append(v, value);
-            versions.push((v, value));
-        }
-        let fc = v;
-        for probe in 0..=v + 5 {
-            let expected =
-                versions.iter().rev().find(|&&(ver, _)| ver <= probe).map(|&(_, val)| val);
-            assert_eq!(h.find_raw(probe, fc), expected, "probe {probe}");
+        // Gaps of 1..16 on the heap.
+        let mut next = lcg(0x1234_5678);
+        let versions = spaced(200, |_| 1 + (next() >> 60));
+        search_agrees_with_linear_scan(&History::new(&EHistory::new()), &versions);
+        // 2^12 versions in a pool, levels 0..=10, with skewed gaps: mostly
+        // 1..8, one in sixteen up to 2^20, one in 512 up to 2^40 — the aim
+        // lands far off, and the guarded binary search has to make up.
+        use crate::pslots::PHistory;
+        let pool = mvkv_pmem::PmemPool::create_volatile(1 << 22).unwrap();
+        let mut next = lcg(0x9E37_79B9);
+        let versions = spaced(1 << 12, |_| match next() {
+            r if r % 512 == 0 => r >> 24,
+            r if r % 16 == 0 => r >> 44,
+            r => 1 + (r >> 61),
+        });
+        search_agrees_with_linear_scan(&History::new(PHistory::create(&pool).unwrap()), &versions);
+    }
+
+    /// The in-segment search against a linear scan, on one bracketed range
+    /// of each of four histories: evenly spaced versions, geometric gaps, one
+    /// burst then a long gap, and even gaps but one. Every version, both its
+    /// neighbours and the midpoints between versions are searched, and no
+    /// search costs more than `⌈log₂ n⌉ + 2` probes.
+    #[test]
+    fn the_aimed_probe_is_bounded() {
+        let n = 1000u64;
+        let histories: [(&str, Vec<u64>); 4] = [
+            ("even", spaced(n, |_| 4096)),
+            ("geometric", spaced(n, |i| 1.04f64.powi(i as i32) as u64)),
+            ("burst", spaced(n, |i| if i == n / 10 { 1 << 40 } else { 1 })),
+            ("one odd gap", spaced(n, |i| if i == n / 2 { 1 << 30 } else { 1000 })),
+        ];
+        for (name, versions) in histories {
+            // Whole ranges and windows of it, as the walk brackets them.
+            for (lo, hi) in [(0, n - 1), (0, 7), (n / 10 - 3, n / 10 + 60), (n / 2 - 15, n - 1)] {
+                let (lo, hi) = (lo as usize, hi as usize);
+                let bound = (hi - lo).next_power_of_two().trailing_zeros() + 2;
+                let mut probes =
+                    versions[lo..hi].iter().flat_map(|&v| [v, v + 1]).collect::<Vec<_>>();
+                probes.extend(versions[lo..hi].windows(2).map(|w| w[0] + (w[1] - w[0]) / 2));
+                probes.extend(versions[lo + 1..=hi].iter().map(|&v| v - 1));
+                for version in probes.into_iter().filter(|&v| v < versions[hi]) {
+                    let mut count = 0;
+                    let found = aimed_search(
+                        (lo as u64, versions[lo]),
+                        (hi as u64, versions[hi]),
+                        version,
+                        |idx| {
+                            count += 1;
+                            versions[idx as usize]
+                        },
+                    );
+                    let linear = versions.iter().rposition(|&v| v <= version).unwrap() as u64;
+                    assert_eq!(found, linear, "{name} [{lo}, {hi}): version {version}");
+                    assert!(
+                        count <= bound,
+                        "{name} [{lo}, {hi}): version {version}: {count} probes"
+                    );
+                }
+            }
         }
     }
 

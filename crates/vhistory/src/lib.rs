@@ -4,7 +4,8 @@
 //! key with a *version history*: an append-only list of `(version, value)`
 //! pairs recording every insert/remove of that key (removals store a
 //! tombstone marker). Snapshots are therefore incremental by construction;
-//! `find(key, v)` is a binary search for the highest version ≤ `v`.
+//! `find(key, v)` searches for the highest version ≤ `v`, from the newest
+//! segment down.
 //!
 //! Concurrent appends use the paper's **lazy tail** (Algorithm 1):
 //!

@@ -10,7 +10,7 @@
 //! ```text
 //! History = segment 0 (64 B):    Segment k ≥ 1 (96 << k B):
 //!   +0  pending (u32)              +0  next segment offset (u32, 0 = none)
-//!   +4  tail (u32)                 +4  segment 1: newest segment (u32, advisory)
+//!   +4  tail (u32)                 +4  k = 1: newest segment, else segment k − 1 (u32)
 //!   +8  segment 1 offset (u32)     +8  base slot index
 //!   +12 CRC32C of (2, 0) (u32)     +16 CRC32C of (capacity, base)
 //!   +16 entries × 2                +24 entries × ((4 << k) − 1)
@@ -46,14 +46,18 @@
 //! does, and the first slot's publish then loses its CAS and moves its entry
 //! into that segment, for one fence more.
 //!
-//! A claim does not walk the whole chain. Segment 1's newest-segment word
-//! names the history's deepest linked segment of level ≥ 2 (or is 0): whoever
-//! links such a segment, or walks past the one the word names, raises it by
-//! CAS, and nobody lowers it. A claim reads the history block, segment 1 and
-//! the named segment's header line, whose `base` word gives its level, and
-//! walks on from there: three lines at any depth. The word is flushed, never
-//! fenced, and never trusted by recovery (DESIGN.md §13.3): a restart zeroes
-//! it unless it names a segment the checked walk reached.
+//! Neither a claim nor a find walks the whole chain. Segment 1's
+//! newest-segment word names the history's deepest linked segment of level
+//! ≥ 2 (or is 0): whoever links such a segment, or walks past the one the
+//! word names, raises it by CAS, and nobody lowers it. Both read the history
+//! block, segment 1 and the named segment's header line, whose `base` word
+//! gives its level: three lines at any depth. A claim walks on forward from
+//! there; a find follows back links down — the same header word of every
+//! segment `k ≥ 2` names segment `k − 1`, written before the segment is
+//! linked and never changed. Both words are flushed, never fenced, and never
+//! trusted by recovery (DESIGN.md §13.3): a restart zeroes the newest word
+//! unless it names a segment the checked walk reached, and rewrites a back
+//! link that disagrees with the segment the walk came from.
 
 use crate::slots::{
     claim_index, locate, seg_base, seg_capacity, Cursor, Entry, Slots, ENTRY_SIZE, HIST_HDR_SIZE,
@@ -82,9 +86,11 @@ pub struct HistoryHdr {
 }
 
 /// Byte offsets in a linked segment's header, whose first word holds the
-/// link: segment 1's newest-segment word (a u32, 0 in every other segment),
-/// the base slot index, and the check word.
+/// link: the u32 at +4 — segment 1's newest-segment word, every other
+/// segment's back link — the base slot index, and the check word.
 pub const SEG_NEWEST: u64 = 4;
+/// The back link of segment `k ≥ 2`: the offset of segment `k − 1`.
+pub const SEG_BACK: u64 = SEG_NEWEST;
 const SEG_BASE: u64 = 8;
 pub(crate) const SEG_CHECK: u64 = 16;
 
@@ -224,9 +230,12 @@ impl<'p> PHistory<'p> {
         self.pool.atomic_u32(link_off)
     }
 
-    /// Allocates segment `k`, zeroed and with its header, and flushes it:
-    /// not fenced, not linked.
-    fn new_segment(&self, k: u32) -> u64 {
+    /// Allocates segment `k`, to be linked at `link_off`, zeroed and with its
+    /// header, and flushes it: not fenced, not linked. From level 2 on the
+    /// link word is the first word of segment `k − 1`, so `link_off` is also
+    /// the back link: written before anyone can reach the segment, flushed
+    /// with it, and never changed.
+    fn new_segment(&self, k: u32, link_off: u64) -> u64 {
         let bytes = seg_bytes(k) as usize;
         let off = match self.pool.alloc(bytes) {
             Ok(off) => off,
@@ -236,6 +245,9 @@ impl<'p> PHistory<'p> {
         // before the segment is linked, so clear everything.
         // SAFETY: `off` is a fresh allocation of exactly `bytes` bytes.
         unsafe { self.pool.zero_bytes(off, bytes) };
+        if k >= 2 {
+            self.link_at(off + SEG_BACK).store(link_word(link_off), Ordering::Release);
+        }
         self.pool.write_u64(off + SEG_BASE, seg_base(k));
         self.pool.write_u64(off + SEG_CHECK, geometry_crc(k).into());
         self.pool.persist(off, bytes);
@@ -246,7 +258,7 @@ impl<'p> PHistory<'p> {
     /// and returns the linked one: the claim of a slot that finds its own
     /// segment, or one before it, missing and cannot wait for a publish.
     fn extend(&self, k: u32, link_off: u64) -> u64 {
-        let off = self.new_segment(k);
+        let off = self.new_segment(k, link_off);
         // Unlike the segment a slot's own publish links, this one is linked
         // ahead of any fence of this thread: its zeroing and header are
         // durable before any thread can follow the link.
@@ -403,7 +415,7 @@ impl<'p> PHistory<'p> {
         loop {
             if seg == 0 {
                 if unlinked && level == k && pos == 0 {
-                    let entry = self.entry_at(self.new_segment(k), 0);
+                    let entry = self.entry_at(self.new_segment(k, link_off), 0);
                     return (idx, PSlot { entry, unlinked: Some((link_off, k)) });
                 }
                 seg = self.extend(level, link_off);
@@ -460,7 +472,6 @@ impl<'p> PHistory<'p> {
         // The next link: the history's `next` word behind segment 0, the
         // first word of the last resolved segment after that.
         let mut link_off = cur.resume() as u64;
-        let base = self.pool.base_ptr(0);
         while cur.covered() < n && !cur.is_full() {
             let seg = u64::from(self.link_at(link_off).load(Ordering::Acquire));
             if seg == 0 || (CHECKED && !self.segment_header_ok(cur.levels(), seg)) {
@@ -475,15 +486,16 @@ impl<'p> PHistory<'p> {
             // sized and zeroed exactly that block (live stores trust their own links;
             // anything read from media after a crash goes through the
             // checked fill first).
-            unsafe {
-                cur.push(
-                    base.wrapping_add(seg as usize + SEG_HDR_SIZE) as *const Entry,
-                    seg as usize,
-                )
-            };
+            unsafe { cur.push(self.entries_of(seg), seg as usize) };
             link_off = seg;
         }
         n.min(cur.covered())
+    }
+
+    /// The entry array of the segment at `seg`.
+    #[inline]
+    fn entries_of(&self, seg: u64) -> *const Entry {
+        self.pool.base_ptr(0).wrapping_add(seg as usize + SEG_HDR_SIZE) as *const Entry
     }
 
     /// [`Slots::fill`] for media that may be damaged: validates each header
@@ -520,6 +532,28 @@ impl<'p> PHistory<'p> {
         true
     }
 
+    /// The offset of segment `k ≥ 1` of `cur`, a cursor that resolves it.
+    fn seg_of(&self, cur: &Cursor<'_>, k: u32) -> u64 {
+        self.off_of(cur.entry(seg_base(k))) - SEG_HDR_SIZE as u64
+    }
+
+    /// Recovery-only: rewrites every back link of the segments the checked
+    /// walk into `cur` validated that does not name the segment the walk
+    /// came from — flipped on the media, or zero in a pool written before
+    /// back links were. Flushed, not fenced: the live store reads the
+    /// rewritten word, and an open after a power cut that lost it checks it
+    /// again. A chain that agrees is not written.
+    pub(crate) fn mend_back_links(&self, cur: &Cursor<'_>) {
+        for k in 2..cur.levels() {
+            let (prev, seg) = (self.seg_of(cur, k - 1), self.seg_of(cur, k));
+            let back = self.link_at(seg + SEG_BACK);
+            if u64::from(back.load(Ordering::Acquire)) != prev {
+                back.store(link_word(prev), Ordering::Release);
+                self.pool.persist(seg + SEG_BACK, 4);
+            }
+        }
+    }
+
     /// Recovery-only: the offset of the newest-segment word when it names a
     /// segment the checked walk into `cur` did not reach at level ≥ 2 — a
     /// claim would start there. Without segment 1 on that walk there is no
@@ -528,7 +562,7 @@ impl<'p> PHistory<'p> {
         if cur.levels() < 2 {
             return None;
         }
-        let seg = |k| self.off_of(cur.entry(seg_base(k))) - SEG_HDR_SIZE as u64;
+        let seg = |k| self.seg_of(cur, k);
         let word = seg(1) + SEG_NEWEST;
         let newest = u64::from(self.link_at(word).load(Ordering::Acquire));
         (newest != 0 && !(2..cur.levels()).any(|k| seg(k) == newest)).then_some(word)
@@ -624,6 +658,52 @@ impl<'p> Slots for PHistory<'p> {
 
     fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
         self.fill_from::<false>(cur, n)
+    }
+
+    /// Reads the history block, segment 1's header line and, deep enough,
+    /// the named segment's: three lines at any depth, and no chain link.
+    #[inline]
+    fn start<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) {
+        let block = self.block();
+        let seg1 = if n > seg_base(1) { u64::from(block.next.load(Ordering::Acquire)) } else { 0 };
+        if seg1 == 0 {
+            // SAFETY: the history block holds `seg_capacity(0)` all-atomic
+            // entries for as long as the pool is mapped (see `block`).
+            unsafe { cur.start_at(0, block.inline.as_ptr(), self.next_off() as usize, 0) };
+            return;
+        }
+        let newest = if n > seg_base(2) {
+            u64::from(self.newest_at(seg1).load(Ordering::Acquire))
+        } else {
+            0
+        };
+        let (level, seg) = if newest == 0 { (1, seg1) } else { (self.level_of(newest), newest) };
+        // SAFETY: `seg` is a linked segment of `level` — segment 1 by the
+        // history's link, or the one the newest-segment word names, which
+        // is raised to linked segments only — sized and zeroed by
+        // `new_segment` for `seg_capacity(level)` entries (live stores trust
+        // their own words; a reopened one has them checked at open).
+        unsafe { cur.start_at(level, self.entries_of(seg), seg as usize, seg as usize) };
+    }
+
+    #[inline]
+    fn fill_back<'a>(&'a self, cur: &mut Cursor<'a>, idx: u64) {
+        let target = locate(idx).0;
+        while cur.lowest() > target {
+            if cur.lowest() == 1 {
+                // SAFETY: as in `start`: the history block's own entries.
+                unsafe { cur.push_down(self.block().inline.as_ptr(), 0) };
+                break;
+            }
+            let prev =
+                u64::from(self.link_at(cur.down() as u64 + SEG_BACK).load(Ordering::Acquire));
+            debug_assert_ne!(prev, 0, "segment {} has no back link", cur.lowest());
+            // SAFETY: the back link of a linked segment of level `k ≥ 2` is
+            // the segment `k − 1` it was linked behind, written before the
+            // link (`new_segment`) and rewritten at open if the media
+            // disagreed with the chain (`mend_back_links`).
+            unsafe { cur.push_down(self.entries_of(prev), prev as usize) };
+        }
     }
 
     fn tail_ref(&self) -> &AtomicU32 {
@@ -1076,6 +1156,36 @@ mod tests {
         assert_eq!(u32_at(&p, linked_segment(h.slots(), 3)), 0);
         let entry = h.slots().entry_at(newest, pos);
         assert_eq!(entry.load_if_done(), Some((301, 3010)), "in the segment the word names");
+    }
+
+    /// A find walks from the newest segment down the back links: with the
+    /// forward links of segments 1–5 zeroed on a 256-version history, every
+    /// version still finds its value, at every level, and so do the versions
+    /// between them and beyond the newest. Each segment of level `k ≥ 2`
+    /// names segment `k − 1`.
+    #[test]
+    fn finds_follow_no_forward_link() {
+        use crate::history::History;
+        let p = pool();
+        let h = History::new(PHistory::create(&p).unwrap());
+        for v in 1..=256u64 {
+            h.append(v * 4, v * 10);
+        }
+        assert_eq!(h.extend_tail(u64::MAX), 256);
+        let segs: Vec<u64> = (1..=6).map(|k| linked_segment(h.slots(), k)).collect();
+        for k in 2..=6 {
+            let back = u32_at(&p, segs[k - 1] + SEG_BACK);
+            assert_eq!(back, segs[k - 2], "segment {k}'s back link");
+        }
+        for &seg in &segs[..5] {
+            p.atomic_u32(seg).store(0, Ordering::Release);
+        }
+        for v in 1..=256u64 {
+            for probe in [v * 4, v * 4 + 3] {
+                assert_eq!(h.find(probe, 1024), Some(v * 10), "version {probe}");
+            }
+        }
+        assert_eq!(h.find(3, 1024), None);
     }
 
     /// After each link of a segment of level 2 … 8, the word names the

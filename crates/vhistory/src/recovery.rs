@@ -18,7 +18,7 @@
 //!    ([`PrefixScan::settled`]): for a cleanly closed store, none.
 
 use crate::pslots::PHistory;
-use crate::slots::{Cursor, Entry, Slots, ENTRY_SIZE, MAX_SLOTS};
+use crate::slots::{seg_base, Cursor, Entry, Slots, ENTRY_SIZE, MAX_SLOTS};
 use mvkv_sync::sync::atomic::Ordering;
 
 /// Result of scanning one history's durable prefix.
@@ -48,13 +48,16 @@ pub struct PrefixScan {
 pub enum ScanStop {
     /// Every claimed slot was published and valid.
     Exhausted,
-    /// A slot had no stamp — a torn append, the normal crash case.
+    /// A slot had no stamp, or the claims behind the chain's end are of
+    /// one level and its link is zero — a torn append, the normal crash
+    /// case.
     Unpublished,
-    /// The backing segment was never linked, or its header failed
-    /// validation (out-of-bounds link / torn or corrupt header). The
-    /// prefix then ends exactly at that segment's first slot. Segment 0 is
-    /// the history block and needs no link: the prefix ends at slot 0 only
-    /// when the block's own check word fails (a zeroed or overwritten block).
+    /// A claimed slot's segment is missing beyond a torn append's one level,
+    /// or a header failed validation (out-of-bounds link / torn or corrupt
+    /// header). The prefix then ends exactly at that segment's first slot.
+    /// Segment 0 is the history block and needs no link: the prefix ends at
+    /// slot 0 only when the block's own check word fails (a zeroed or
+    /// overwritten block).
     Unlinked,
     /// A non-zero stamp was not a stamp (no `DONE` bit, or one of the bits
     /// 32–62 that are never set), or versions broke monotonicity — torn
@@ -148,10 +151,15 @@ pub fn scan_published_prefix(h: &PHistory<'_>, versions: &mut impl VersionSink) 
     // published ones. The slots are the ones the checked fill finds valid
     // backing for; `pending` only says which of them were claimed.
     let backed = h.fill_checked(&mut cur, u64::MAX).min(MAX_SLOTS);
+    // A find follows back links: the walk has just validated each one's
+    // target, so whatever the media says is rewritten to it.
+    h.mend_back_links(&cur);
     let (mut len, mut last) = (0u64, 0u64);
-    // No backing at all is a history block that failed its own check word.
-    let unlinked = backed == 0 || backed < pending;
-    let mut stop = if unlinked { ScanStop::Unlinked } else { ScanStop::Exhausted };
+    let mut stop = if backed == 0 || backed < pending {
+        unbacked_stop(h, &cur, pending)
+    } else {
+        ScanStop::Exhausted
+    };
     for idx in 0..backed {
         let e = cur.entry(idx);
         let stamp = e.crc_done.load(Ordering::Acquire);
@@ -183,6 +191,24 @@ pub fn scan_published_prefix(h: &PHistory<'_>, versions: &mut impl VersionSink) 
         && h.failed_link(&cur).is_none()
         && h.newest_reached(&cur);
     PrefixScan { len, last, stop, settled }
+}
+
+/// Why claimed slots lack backing, behind a checked walk into `cur` that
+/// ended short of `pending`. No backing at all is a history block that
+/// failed its own check word. Otherwise the one shape an append leaves is a
+/// torn append: claims of the next level only, its first slot's claim
+/// holding the segment unlinked until its publish, behind a link no fence
+/// ordered yet (DESIGN.md §13.3). Anything more — a failed link, or claims
+/// reaching a level beyond — is damage.
+#[cold]
+fn unbacked_stop(h: &PHistory<'_>, cur: &Cursor<'_>, pending: u64) -> ScanStop {
+    let torn =
+        cur.levels() > 0 && pending <= seg_base(cur.levels() + 1) && h.failed_link(cur).is_none();
+    if torn {
+        ScanStop::Unpublished
+    } else {
+        ScanStop::Unlinked
+    }
 }
 
 /// Outcome of pruning one history.
@@ -599,7 +625,9 @@ mod tests {
         // itself goes — classified Unlinked, and prune must keep the same
         // prefix and cut the chain there: the appends that follow get a fresh
         // segment j, and a power cut later everything kept and everything new
-        // reads back.
+        // reads back. The one exception is the last link torn away (j = 4,
+        // damage 2): what is left — claims of one level behind a zero link —
+        // is exactly a torn append's shape, and reads Unpublished.
         for j in 1..=4u32 {
             for damage in 0..3 {
                 let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default())
@@ -617,7 +645,9 @@ mod tests {
                 }
                 p.sync_all(); // the damage is on the media
                 let (found, _) = scan(h.slots());
-                assert_eq!(found.stop, ScanStop::Unlinked, "segment {j}, damage {damage}");
+                let torn = (j, damage) == (4, 2);
+                let stop = if torn { ScanStop::Unpublished } else { ScanStop::Unlinked };
+                assert_eq!(found.stop, stop, "segment {j}, damage {damage}");
                 assert_eq!(found.len, seg_base(j), "segment {j}, damage {damage}");
                 let out = prune_to_watermark(h.slots(), 60);
                 assert_eq!(out, PruneOutcome { kept: seg_base(j), pruned: 0 });

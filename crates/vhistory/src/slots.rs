@@ -9,12 +9,15 @@
 //! 24 bytes — 7, 15, 31, … — so that it is exactly `96 << k` bytes; an
 //! allocator size class holds either with nothing to spare. Because the geometry
 //! is deterministic, the segment index and in-segment position of any slot
-//! follow from the slot index alone. The segment's *address* does not:
-//! segment `k ≥ 1` is only reachable through the `k` links before it, so
-//! addressing a slot costs a walk of the chain. An operation therefore walks
-//! once — [`Slots::fill`] records the address of every segment it passes in
-//! an on-stack [`Cursor`] — and indexes the cursor for every slot it touches
-//! afterwards.
+//! follow from the slot index alone. The segment's *address* does not: it is
+//! reached through links. Every segment `k ≥ 2` links forward to `k + 1` and
+//! back to `k − 1`, and segment 1 names the history's newest segment, so a
+//! walk can start at either end: a find starts at the newest segment
+//! ([`Slots::start`]) and follows back links down ([`Slots::fill_back`]) to
+//! the segment its version lies in; recovery and whole-history reads walk
+//! forward from the history block ([`Slots::fill`]). Either way an operation
+//! walks once, records the address of every segment it passes in an on-stack
+//! [`Cursor`], and indexes the cursor for every slot it touches afterwards.
 
 use mvkv_sync::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::marker::PhantomData;
@@ -147,10 +150,22 @@ pub trait Slots {
     /// Number of claimed slots.
     fn pending(&self) -> u64;
     /// Extends `cur` along the segment chain until it covers `n` slots or
-    /// the chain ends; never allocates. Resumes where `cur` stopped, so
-    /// growing a cursor follows each link once. Returns how many of the `n`
-    /// slots are resolved (`n` unless the chain ended first).
+    /// the chain ends; never allocates. Resumes where `cur` stopped — the
+    /// history block for an empty cursor — so growing a cursor follows each
+    /// link once. Returns how many of the `n` slots are resolved (`n` unless
+    /// the chain ended first).
     fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64;
+    /// Resolves, into the empty `cur`, the one segment a walk toward slot
+    /// `n − 1` starts from, following no chain link: the history block
+    /// while `n ≤ seg_base(1)` or nothing is linked, segment 1 while `n ≤
+    /// seg_base(2)` or no newest segment is named, else the newest segment.
+    /// [`Slots::fill`] then walks forward when that one lies below slot `n −
+    /// 1`'s, and [`Slots::fill_back`] down from it.
+    fn start<'a>(&'a self, cur: &mut Cursor<'a>, n: u64);
+    /// Extends `cur` down its back links until it resolves slot `idx`'s
+    /// segment; `cur` must not be empty. Segment 1's predecessor is the
+    /// history block, which costs no link.
+    fn fill_back<'a>(&'a self, cur: &mut Cursor<'a>, idx: u64);
     /// The lazily advanced tail counter (first not-yet-visible slot index).
     fn tail_ref(&self) -> &AtomicU32;
     /// Flushes a resolved slot's `(version, value)` words.
@@ -171,17 +186,25 @@ pub trait Slots {
 /// slots, more than the 2^32 − 1 a history's counters can claim.
 pub const MAX_SEGMENTS: usize = 40;
 
-/// The addresses of a history's leading segments, resolved by one walk of
-/// the chain ([`Slots::fill`]) and kept on the stack for the duration of
-/// one operation. Nothing is cached across operations: PM (or the heap
-/// chain) stays the only copy of the links.
+/// The addresses of a run of a history's segments, levels `lowest() ..
+/// levels()`, resolved by one walk of the chain and kept on the stack for
+/// the duration of one operation. A forward walk ([`Slots::fill`]) resolves
+/// the run up from the history block or from where a start left it, a back
+/// walk ([`Slots::fill_back`]) down from the segment [`Slots::start`]
+/// resolved. Nothing is cached across operations: PM (or the heap chain)
+/// stays the only copy of the links.
 ///
-/// Only the levels a fill reaches are written; a cursor over a history of
+/// Only the levels a walk reaches are written; a cursor over a history of
 /// up to two entries is one store and no link load.
 pub struct Cursor<'a> {
+    /// The lowest resolved level.
+    lo: u32,
+    /// One past the highest resolved level (0: empty).
     levels: u32,
-    /// Where the provider's walk continues (meaningful once `levels > 0`).
+    /// Where the provider's forward walk continues (once `levels > 0`).
     resume: usize,
+    /// Where the provider's back walk continues: its token for level `lo`.
+    down: usize,
     /// Per resolved level `k`, its entry array's address biased by
     /// `−seg_base(k)` entries: slot `idx` of the level is `segs[k] + idx`,
     /// with no position to compute.
@@ -194,20 +217,32 @@ impl<'a> Cursor<'a> {
     #[inline]
     pub fn new() -> Self {
         Cursor {
+            lo: 0,
             levels: 0,
             resume: 0,
+            down: 0,
             segs: [MaybeUninit::uninit(); MAX_SEGMENTS],
             _storage: PhantomData,
         }
     }
 
-    /// Number of resolved segments (one more than the chain links followed).
+    /// One past the highest resolved level: the number of resolved segments
+    /// of a cursor filled from the history block (one more than the chain
+    /// links followed).
     #[inline]
     pub fn levels(&self) -> u32 {
         self.levels
     }
 
-    /// Number of slots with resolved backing: `[0, covered())`.
+    /// The lowest resolved level: 0 unless the cursor was started above the
+    /// history block and not walked back to it.
+    #[inline]
+    pub fn lowest(&self) -> u32 {
+        self.lo
+    }
+
+    /// One past the highest slot with resolved backing: the cursor resolves
+    /// `[seg_base(lowest()), covered())`.
     #[inline]
     pub fn covered(&self) -> u64 {
         seg_base(self.levels)
@@ -219,13 +254,21 @@ impl<'a> Cursor<'a> {
         self.levels as usize == MAX_SEGMENTS
     }
 
-    /// The provider's resume token of the last [`Cursor::push`].
+    /// The provider's resume token of the last [`Cursor::push`] or
+    /// [`Cursor::start_at`].
     #[inline]
     pub fn resume(&self) -> usize {
         self.resume
     }
 
-    /// Records the next segment: `entries` is the first entry of segment
+    /// The provider's back-walk token of the lowest resolved level, from
+    /// [`Cursor::start_at`] or [`Cursor::push_down`].
+    #[inline]
+    pub fn down(&self) -> usize {
+        self.down
+    }
+
+    /// Records the next segment up: `entries` is the first entry of segment
     /// `levels()`, `resume` whatever the provider needs to continue.
     ///
     /// # Safety
@@ -234,25 +277,73 @@ impl<'a> Cursor<'a> {
     /// the cursor must not be full.
     #[inline]
     pub unsafe fn push(&mut self, entries: *const Entry, resume: usize) {
-        let biased = entries.wrapping_sub(seg_base(self.levels) as usize);
-        self.segs[self.levels as usize] = MaybeUninit::new(biased);
+        self.segs[self.levels as usize] = MaybeUninit::new(Self::biased(entries, self.levels));
         self.levels += 1;
         self.resume = resume;
     }
 
-    /// The entry at `idx`; panics unless `idx < covered()`.
+    /// Records segment `level` as the first of an empty cursor; `resume`
+    /// continues a forward walk above it, `down` a back walk below it.
+    ///
+    /// # Safety
+    /// The cursor must be empty, `level < MAX_SEGMENTS`, and `entries` as
+    /// for [`Cursor::push`] at `level`.
+    #[inline]
+    pub unsafe fn start_at(
+        &mut self,
+        level: u32,
+        entries: *const Entry,
+        resume: usize,
+        down: usize,
+    ) {
+        debug_assert_eq!(self.levels, 0, "a cursor starts once");
+        self.segs[level as usize] = MaybeUninit::new(Self::biased(entries, level));
+        (self.lo, self.levels, self.resume, self.down) = (level, level + 1, resume, down);
+    }
+
+    /// Records the segment below the lowest resolved one; `down` continues
+    /// the back walk below it.
+    ///
+    /// # Safety
+    /// `lowest() > 0`, and `entries` as for [`Cursor::push`] at level
+    /// `lowest() − 1`.
+    #[inline]
+    pub unsafe fn push_down(&mut self, entries: *const Entry, down: usize) {
+        self.lo -= 1;
+        self.segs[self.lo as usize] = MaybeUninit::new(Self::biased(entries, self.lo));
+        self.down = down;
+    }
+
+    #[inline]
+    fn biased(entries: *const Entry, level: u32) -> *const Entry {
+        entries.wrapping_sub(seg_base(level) as usize)
+    }
+
+    /// The entry at `idx`; panics unless `idx`'s segment is resolved.
     #[inline]
     pub fn entry(&self, idx: u64) -> &'a Entry {
         let k = segment_of(idx);
-        assert!(k < self.levels, "slot {idx} is beyond the {} resolved segments", self.levels);
-        // SAFETY: `k < levels`, so `segs[k]` was written by `push`, whose
-        // contract is a live array of `seg_capacity(k)` entries for `'a`;
-        // adding `idx` undoes the bias `push` applied and lands on entry
-        // `idx − seg_base(k) < seg_capacity(k)` of that array (wrapping
-        // arithmetic keeps the array's provenance). Persistent providers
-        // establish the array's bounds before pushing (`PHistory::
-        // fill_checked` proves the whole array in-pool on untrusted media).
+        if k.wrapping_sub(self.lo) >= self.levels - self.lo {
+            self.unresolved(idx, k);
+        }
+        // SAFETY: `lo <= k < levels`, so `segs[k]` was written by `push`,
+        // `start_at` or `push_down`, whose contract is a live array of
+        // `seg_capacity(k)` entries for `'a`; adding `idx` undoes the bias
+        // they applied and lands on entry `idx − seg_base(k) <
+        // seg_capacity(k)` of that array (wrapping arithmetic keeps the
+        // array's provenance). Persistent providers establish the array's
+        // bounds before recording it (`PHistory::fill_checked` proves the
+        // whole array in-pool on untrusted media).
         unsafe { &*self.segs[k as usize].assume_init().wrapping_add(idx as usize) }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn unresolved(&self, idx: u64, k: u32) -> ! {
+        if k >= self.levels {
+            panic!("slot {idx} is beyond the {} resolved segments", self.levels);
+        }
+        panic!("slot {idx} is below the resolved segments {}..{}", self.lo, self.levels);
     }
 }
 

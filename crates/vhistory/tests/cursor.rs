@@ -18,23 +18,31 @@ fn each_operation_follows_the_chain_at_most_once() {
     for v in 1..=DEPTH {
         h.append(v, v * 2);
     }
-    // Segment k is k links from the history block.
-    let budget = locate(DEPTH - 1).0 as u64;
+    // Segment k is k links from the history block, and the newest segment
+    // is the history's deepest.
+    let newest = locate(DEPTH - 1).0;
+    let budget = newest as u64;
     assert_eq!(budget, 6);
     h.slots().take_links();
 
-    // Nothing is visible yet: this find fills for tail = 0, extends the
-    // tail over all 256 slots, then searches — on one cursor.
+    // Nothing is visible yet: this find starts at the newest segment and
+    // walks back to slot 0 for the tail extension over all 256 slots, then
+    // searches — on one cursor, with no forward link.
     assert_eq!(h.find(DEPTH / 3, DEPTH), Some(DEPTH / 3 * 2));
-    assert_eq!(h.slots().take_links(), budget, "find with tail extension");
+    let taken = (h.slots().take_links(), h.slots().take_back_links());
+    assert_eq!(taken, (0, budget - 1), "find with tail extension");
 
-    // Steady state: the tail check, the segment pick and every probe of the
-    // binary search share the walk.
-    for version in [1, 2, 3, 7, 100, 127, 128, 255, 256, 1000] {
+    // Steady state: the walk starts at the newest segment and follows back
+    // links only down to the segment holding the version (slot `v − 1`) —
+    // segment 1's predecessor, the history block, costs none. A find at or
+    // beyond the newest segment's first version follows no link at all.
+    for version in [1, 2, 3, 7, 9, 10, 24, 25, 100, 127, 128, 245, 246, 255, 256, 1000] {
         assert_eq!(h.find(version, DEPTH), Some(version.min(DEPTH) * 2));
-        let links = h.slots().take_links();
-        assert!(links <= budget, "find({version}) followed {links} links, budget {budget}");
+        let target = locate(version.min(DEPTH) - 1).0;
+        let links = (h.slots().take_links(), h.slots().take_back_links());
+        assert_eq!(links, (0, (newest - target.max(1)) as u64), "find({version})");
     }
+    assert!(locate(245).0 == newest && locate(244).0 == newest - 1);
 
     assert_eq!(h.records(DEPTH).len() as u64, DEPTH);
     assert_eq!(h.slots().take_links(), budget, "records");

@@ -17,7 +17,8 @@
 //! 4. Segment adoption at publish: the REAL `PHistory` on a volatile pool,
 //!    two appenders that both need segment 1 and race its link, and a reader
 //!    beside them; and two appenders crossing segments 2 → 3 beside a third
-//!    claim, racing the link and the newest-segment word a claim starts from.
+//!    claim, racing the link and the newest-segment word a claim starts from,
+//!    or beside a reader's finds, which start at that word and walk back.
 
 #![cfg(loom)]
 
@@ -26,6 +27,7 @@ mod tracked;
 use mvkv_pmem::PmemPool;
 use mvkv_sync::sync::Arc;
 use mvkv_sync::{model, thread};
+use mvkv_vhistory::pslots::SEG_BACK;
 use mvkv_vhistory::slots::{seg_base, seg_capacity, SEG_HDR_SIZE};
 use mvkv_vhistory::{Cursor, EHistory, Entry, History, PHistory, Slots, ENTRY_SIZE};
 use tracked::{TrackedSlots, FENCED};
@@ -360,5 +362,67 @@ fn appenders_crossing_a_segment_raise_the_newest_word_to_linked_segments_only() 
             .collect();
         versions.sort_unstable();
         assert_eq!(versions, [seg_base(3) + 1, seg_base(3) + 2], "both appends at walked slots");
+    });
+}
+
+/// The history of the model above, its tail moved over all 24 slots, and
+/// slots 24 and 25 appended by two threads beside a reader's find instead of
+/// a third claim. The find starts at the segment the newest-segment word
+/// names and follows back links down; once either append has linked segment
+/// 3, the word may name it, and the find of a segment-2 version walks back
+/// through segment 3's back link. On every interleaving the segment the
+/// word names has its back link in place when the reader sees the word (a
+/// zero one would send the walk to offset 0, and only the checksum fallback
+/// would save the answer), the find returns its version's value, and both
+/// appends end up published in segment 3.
+#[test]
+fn a_find_walks_back_from_a_segment_two_appenders_are_linking() {
+    use mvkv_sync::sync::atomic::Ordering;
+    model(|| {
+        let pool = Arc::new(PmemPool::create_volatile(1 << 16).unwrap());
+        let h = History::new(PHistory::create(&pool).unwrap());
+        for version in 1..=seg_base(3) {
+            h.append(version, version * 10);
+        }
+        assert_eq!(h.extend_tail(u64::MAX), seg_base(3), "the finds extend nothing");
+        let hdr = h.slots().pptr();
+        // Three free blocks of segment 3's class on the shared list: the
+        // appends pop them instead of racing a refill.
+        let seg3 = SEG_HDR_SIZE + seg_capacity(3) as usize * ENTRY_SIZE;
+        let warm = [0; 3].map(|_| pool.alloc(seg3).unwrap());
+        warm.into_iter().for_each(|block| pool.dealloc(block));
+        let appenders: Vec<_> = [seg_base(3) + 1, seg_base(3) + 2]
+            .map(|version| {
+                let p = pool.clone();
+                thread::spawn(move || {
+                    History::new(PHistory::open(&p, hdr)).append(version, version * 10)
+                })
+            })
+            .into_iter()
+            .collect();
+
+        // What the find is about to do, checked as it goes: the word, then
+        // the back link of the segment it names. (The find itself would
+        // survive a missing back link, by its checksum fallback.)
+        let newest = h.slots().raw_newest();
+        if newest != 0 && newest == linked_segments(&pool, h.slots())[2] {
+            let back = pool.atomic_u32(newest + SEG_BACK).load(Ordering::Acquire);
+            assert_ne!(back, 0, "the word names segment 3 before its back link is in place");
+        }
+        assert_eq!(h.find_raw(seg_base(2) + 1, u64::MAX), Some((seg_base(2) + 1) * 10));
+
+        for a in appenders {
+            a.join().unwrap();
+        }
+        // The two appends race for their slots, so slot order need not be
+        // version order there (same-key writes are the caller's to order).
+        for version in [1, seg_base(2) + 1, seg_base(3)] {
+            assert_eq!(h.find_raw(version, u64::MAX), Some(version * 10), "version {version}");
+        }
+        let mut cur = Cursor::new();
+        assert_eq!(h.slots().fill(&mut cur, seg_base(3) + 2), seg_base(3) + 2);
+        let mut newest = [seg_base(3), seg_base(3) + 1].map(|i| cur.entry(i).load_if_done());
+        newest.sort_unstable();
+        assert_eq!(newest, [Some((25, 250)), Some((26, 260))]);
     });
 }

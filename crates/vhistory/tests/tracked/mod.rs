@@ -36,6 +36,7 @@ pub struct TrackedSlots<'e> {
     ehistory: &'e EHistory,
     slots: Vec<Tracked>,
     links: AtomicU64,
+    back_links: AtomicU64,
 }
 
 impl<'e> TrackedSlots<'e> {
@@ -44,18 +45,24 @@ impl<'e> TrackedSlots<'e> {
         let slots = (0..capacity)
             .map(|_| Tracked { entry: AtomicUsize::new(0), state: AtomicU8::new(DIRTY) })
             .collect();
-        TrackedSlots { ehistory, slots, links: AtomicU64::new(0) }
+        TrackedSlots { ehistory, slots, links: AtomicU64::new(0), back_links: AtomicU64::new(0) }
     }
 
     pub fn slot_state(&self, idx: u64) -> u8 {
         self.slots[idx as usize].state.load(Ordering::SeqCst)
     }
 
-    /// Chain links followed since the last call: one per level a `fill`
-    /// resolved or a `claim` walked past — segment 0 is the history itself
-    /// and costs none.
+    /// Forward chain links followed since the last call: one per level a
+    /// `fill` resolved or a `claim` walked past — segment 0 is the history
+    /// itself and costs none.
     pub fn take_links(&self) -> u64 {
         self.links.swap(0, Ordering::SeqCst)
+    }
+
+    /// Back links followed since the last call: one per level a `fill_back`
+    /// resolved — but segment 0, which is the history itself.
+    pub fn take_back_links(&self) -> u64 {
+        self.back_links.swap(0, Ordering::SeqCst)
     }
 
     fn tracked(&self, slot: &Entry) -> &Tracked {
@@ -87,6 +94,17 @@ impl<'e> Slots for TrackedSlots<'e> {
         let resolved = self.ehistory.fill(cur, n);
         self.links.fetch_add((cur.levels().max(1) - before) as u64, Ordering::SeqCst);
         resolved
+    }
+
+    fn start<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) {
+        self.ehistory.start(cur, n);
+    }
+
+    fn fill_back<'a>(&'a self, cur: &mut Cursor<'a>, idx: u64) {
+        let before = cur.lowest();
+        self.ehistory.fill_back(cur, idx);
+        let followed = before.saturating_sub(cur.lowest().max(1));
+        self.back_links.fetch_add(followed as u64, Ordering::SeqCst);
     }
 
     fn tail_ref(&self) -> &mvkv_sync::sync::atomic::AtomicU32 {

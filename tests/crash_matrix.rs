@@ -10,7 +10,8 @@
 //! watermarks are monotone across consecutive boundaries, and any durable
 //! tag label resolves to the version it named.
 //!
-//! Each swept image is recovered on a crash-simulation pool, which counts
+//! No image is damaged, so each opens with an empty quarantine report. Each
+//! swept image is recovered on a crash-simulation pool, which counts
 //! the fences recovery issues: one per chain `repair` (keys, tags), then at
 //! most two per pruned history (DESIGN.md §13.3). Neither the workload nor
 //! any recovery may return with a line it wrote still unflushed.
@@ -144,6 +145,8 @@ fn sweep_every_boundary(name: &str, pin: Pin, run: impl Fn(&PSkipList) -> Model)
 
         let (recovered, stats) = PSkipList::open_image(&image, 2)
             .unwrap_or_else(|e| panic!("boundary {i}: recovery failed: {e}"));
+        // A power cut is not damage: a torn append reads as one.
+        assert!(stats.quarantine.is_empty(), "boundary {i}: {:?}", stats.quarantine);
         let unflushed = recovered.pool().unflushed_lines().unwrap();
         assert_eq!(unflushed, [], "boundary {i}: recovery left lines unflushed");
         let fences = recovered.pool().fence_count().unwrap();

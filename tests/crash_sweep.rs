@@ -1,7 +1,7 @@
 //! Crash-point sweep: take a power-failure image after every few
 //! operations of a scripted workload and verify that each image recovers
-//! to exactly the reference model's prefix — the strongest end-to-end
-//! statement of the store's crash consistency.
+//! to exactly the reference model's prefix, with nothing quarantined — the
+//! strongest end-to-end statement of the store's crash consistency.
 
 mod common;
 
@@ -22,6 +22,7 @@ fn run_sweep(crash: CrashOptions, ops: usize, every: usize, seed: u64) {
 
     for (expected_watermark, image) in images {
         let (recovered, stats) = PSkipList::open_image(&image, 2).unwrap();
+        assert!(stats.quarantine.is_empty(), "seed {seed}: {:?}", stats.quarantine);
         assert_eq!(
             stats.watermark, expected_watermark,
             "seed {seed}: watermark after crash at op {expected_watermark}"
@@ -86,6 +87,7 @@ fn images_taken_mid_insert_batch_exclude_the_torn_suffix() {
 
     for image in images {
         let (recovered, stats) = PSkipList::open_image(&image, 2).unwrap();
+        assert!(stats.quarantine.is_empty(), "{:?}", stats.quarantine);
         assert!(
             stats.watermark >= base && stats.watermark <= base + pairs.len() as u64,
             "watermark {} outside [{base}, {}]",
@@ -126,6 +128,7 @@ fn mid_operation_images_recover_to_a_consistent_prefix() {
     }
     for image in images {
         let (recovered, stats) = PSkipList::open_image(&image, 1).unwrap();
+        assert!(stats.quarantine.is_empty(), "{:?}", stats.quarantine);
         // Sequential driver: every completed op is durable before the next
         // starts, so the watermark equals some op-count prefix.
         let rs = recovered.session();

@@ -62,6 +62,7 @@ fn crash_image_exposes_exactly_the_watermark_prefix() {
     let image = store.crash_image().unwrap();
 
     let (recovered, stats) = PSkipList::open_image(&image, 4).unwrap();
+    assert!(stats.quarantine.is_empty(), "{:?}", stats.quarantine);
     assert_eq!(stats.watermark, model.version(), "all ops completed pre-crash");
     common::assert_agrees(
         &recovered,
@@ -83,6 +84,7 @@ fn crash_with_random_evictions_still_recovers_consistently() {
         apply_script(&store, &mut model, &random_script(500, 60, seed));
         let image = store.crash_image().unwrap();
         let (recovered, stats) = PSkipList::open_image(&image, 2).unwrap();
+        assert!(stats.quarantine.is_empty(), "seed {seed}: {:?}", stats.quarantine);
         assert_eq!(stats.watermark, model.version(), "seed {seed}");
         let session = recovered.session();
         for k in 0..60u64 {
@@ -107,6 +109,7 @@ fn torn_final_op_is_pruned_and_store_reusable() {
     store.session().insert(3, 30); // never reaches the image
 
     let (recovered, stats) = PSkipList::open_image(&image, 1).unwrap();
+    assert!(stats.quarantine.is_empty(), "{:?}", stats.quarantine);
     assert_eq!(stats.watermark, 2);
     let s = recovered.session();
     assert_eq!(s.find(3, u64::MAX), None);
@@ -133,6 +136,7 @@ fn reserved_superblock_words_are_never_read() {
     image[48..56].copy_from_slice(&past_the_end.to_le_bytes());
 
     let (recovered, stats) = PSkipList::open_image(&image, 2).unwrap();
+    assert!(stats.quarantine.is_empty(), "{:?}", stats.quarantine);
     assert_eq!((stats.watermark, stats.rebuilt_keys), (tag, 300));
     let s = recovered.session();
     for key in 0..300u64 {

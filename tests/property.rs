@@ -39,6 +39,7 @@ proptest! {
         apply_script(&store, &mut model, &random_script(len, 30, seed));
         let image = store.crash_image().unwrap();
         let (recovered, stats) = PSkipList::open_image(&image, 2).unwrap();
+        prop_assert!(stats.quarantine.is_empty(), "{:?}", stats.quarantine);
         prop_assert_eq!(stats.watermark, model.version());
         let session = recovered.session();
         let max = model.version();
