@@ -534,8 +534,12 @@ mod tests {
 
     /// Appends `versions` (strictly increasing) to `h`, every fifth a
     /// tombstone, then checks `find_raw` against a linear scan at every
-    /// version, both its neighbours and past the end.
-    fn search_agrees_with_linear_scan<S: Slots>(h: &History<S>, versions: &[u64]) {
+    /// version of `probes`.
+    fn search_agrees_with_linear_scan<S: Slots>(
+        h: &History<S>,
+        versions: &[u64],
+        probes: impl IntoIterator<Item = u64>,
+    ) {
         let written: Vec<(u64, u64)> = versions
             .iter()
             .enumerate()
@@ -545,7 +549,6 @@ mod tests {
             h.append(v, value);
         }
         let fc = *versions.last().unwrap();
-        let probes = versions.iter().flat_map(|&v| [v - 1, v, v + 1]).chain([fc + 5, u64::MAX]);
         for probe in probes {
             let expected =
                 written.iter().rev().find(|&&(ver, _)| ver <= probe).map(|&(_, val)| val);
@@ -572,7 +575,8 @@ mod tests {
         // Gaps of 1..16 on the heap.
         let mut next = lcg(0x1234_5678);
         let versions = spaced(200, |_| 1 + (next() >> 60));
-        search_agrees_with_linear_scan(&History::new(&EHistory::new()), &versions);
+        let fc = *versions.last().unwrap();
+        search_agrees_with_linear_scan(&History::new(&EHistory::new()), &versions, 0..=fc + 5);
         // 2^12 versions in a pool, levels 0..=10, with skewed gaps: mostly
         // 1..8, one in sixteen up to 2^20, one in 512 up to 2^40 — the aim
         // lands far off, and the guarded binary search has to make up.
@@ -584,7 +588,19 @@ mod tests {
             r if r % 16 == 0 => r >> 44,
             r => 1 + (r >> 61),
         });
-        search_agrees_with_linear_scan(&History::new(PHistory::create(&pool).unwrap()), &versions);
+        // Gaps too wide to sweep: every version, both its neighbours, the
+        // middle of the gap above it and a random point in that gap.
+        let fc = *versions.last().unwrap();
+        let probes = versions
+            .windows(2)
+            .flat_map(|w| {
+                let gap = w[1] - w[0];
+                [w[0] - 1, w[0], w[0] + 1, w[0] + gap / 2, w[0] + next() % gap]
+            })
+            .chain([fc - 1, fc, fc + 5, u64::MAX])
+            .collect::<Vec<_>>();
+        let h = History::new(PHistory::create(&pool).unwrap());
+        search_agrees_with_linear_scan(&h, &versions, probes);
     }
 
     /// The in-segment search against a linear scan, on one bracketed range

@@ -456,11 +456,17 @@ impl<'p> PHistory<'p> {
             && self.pool.read_u64(seg + SEG_CHECK) == geometry_crc(level).into()
     }
 
-    /// The one chain walk behind both fills: segment 0 is this block, then
+    /// The one chain walk behind every fill: segment 0 is this block, then
     /// follows links from where `cur` stopped until it covers `n` slots, the
-    /// chain ends, or (`CHECKED`) a header fails validation.
+    /// chain ends, or (`CHECKED`) a header fails validation. `MEND`, behind
+    /// a check: rewrites a back link that does not name the segment the walk
+    /// came from.
     #[inline(always)]
-    fn fill_from<'a, const CHECKED: bool>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
+    fn fill_from<'a, const CHECKED: bool, const MEND: bool>(
+        &'a self,
+        cur: &mut Cursor<'a>,
+        n: u64,
+    ) -> u64 {
         if cur.levels() == 0 && n > 0 {
             if CHECKED && self.block().check.load(Ordering::Acquire) != geometry_crc(0) {
                 return 0; // zeroed or overwritten: not a history block any more
@@ -487,6 +493,10 @@ impl<'p> PHistory<'p> {
             // anything read from media after a crash goes through the
             // checked fill first).
             unsafe { cur.push(self.entries_of(seg), seg as usize) };
+            if MEND && cur.levels() > 2 {
+                // A segment of level 2 or more: `link_off` is the one before.
+                self.mend_back_link(seg, link_off);
+            }
             link_off = seg;
         }
         n.min(cur.covered())
@@ -506,7 +516,26 @@ impl<'p> PHistory<'p> {
     /// `pending` word they cannot trust, so no torn claim is materialized
     /// and no scrambled link is dereferenced.
     pub fn fill_checked<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
-        self.fill_from::<true>(cur, n)
+        self.fill_from::<true, false>(cur, n)
+    }
+
+    /// Recovery-only: [`PHistory::fill_checked`] that also rewrites every
+    /// back link disagreeing with the segment the walk came from — flipped
+    /// on the media, or zero in a pool written before back links were.
+    /// Flushed, not fenced: the live store reads the rewritten word, and an
+    /// open after a power cut that lost it checks it again. A chain that
+    /// agrees is not written.
+    pub(crate) fn fill_mended<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
+        self.fill_from::<true, true>(cur, n)
+    }
+
+    /// Points the back link of the validated segment at `seg` to `prev`.
+    fn mend_back_link(&self, seg: u64, prev: u64) {
+        let back = self.link_at(seg + SEG_BACK);
+        if u64::from(back.load(Ordering::Acquire)) != prev {
+            back.store(link_word(prev), Ordering::Release);
+            self.pool.persist(seg + SEG_BACK, 4);
+        }
     }
 
     /// Recovery-only: `cur` is where a checked fill of the whole chain
@@ -532,28 +561,6 @@ impl<'p> PHistory<'p> {
         true
     }
 
-    /// The offset of segment `k ≥ 1` of `cur`, a cursor that resolves it.
-    fn seg_of(&self, cur: &Cursor<'_>, k: u32) -> u64 {
-        self.off_of(cur.entry(seg_base(k))) - SEG_HDR_SIZE as u64
-    }
-
-    /// Recovery-only: rewrites every back link of the segments the checked
-    /// walk into `cur` validated that does not name the segment the walk
-    /// came from — flipped on the media, or zero in a pool written before
-    /// back links were. Flushed, not fenced: the live store reads the
-    /// rewritten word, and an open after a power cut that lost it checks it
-    /// again. A chain that agrees is not written.
-    pub(crate) fn mend_back_links(&self, cur: &Cursor<'_>) {
-        for k in 2..cur.levels() {
-            let (prev, seg) = (self.seg_of(cur, k - 1), self.seg_of(cur, k));
-            let back = self.link_at(seg + SEG_BACK);
-            if u64::from(back.load(Ordering::Acquire)) != prev {
-                back.store(link_word(prev), Ordering::Release);
-                self.pool.persist(seg + SEG_BACK, 4);
-            }
-        }
-    }
-
     /// Recovery-only: the offset of the newest-segment word when it names a
     /// segment the checked walk into `cur` did not reach at level ≥ 2 — a
     /// claim would start there. Without segment 1 on that walk there is no
@@ -562,7 +569,7 @@ impl<'p> PHistory<'p> {
         if cur.levels() < 2 {
             return None;
         }
-        let seg = |k| self.seg_of(cur, k);
+        let seg = |k| self.off_of(cur.entry(seg_base(k))) - SEG_HDR_SIZE as u64;
         let word = seg(1) + SEG_NEWEST;
         let newest = u64::from(self.link_at(word).load(Ordering::Acquire));
         (newest != 0 && !(2..cur.levels()).any(|k| seg(k) == newest)).then_some(word)
@@ -657,7 +664,7 @@ impl<'p> Slots for PHistory<'p> {
     }
 
     fn fill<'a>(&'a self, cur: &mut Cursor<'a>, n: u64) -> u64 {
-        self.fill_from::<false>(cur, n)
+        self.fill_from::<false, false>(cur, n)
     }
 
     /// Reads the history block, segment 1's header line and, deep enough,
@@ -701,7 +708,7 @@ impl<'p> Slots for PHistory<'p> {
             // SAFETY: the back link of a linked segment of level `k ≥ 2` is
             // the segment `k − 1` it was linked behind, written before the
             // link (`new_segment`) and rewritten at open if the media
-            // disagreed with the chain (`mend_back_links`).
+            // disagreed with the chain (`fill_mended`).
             unsafe { cur.push_down(self.entries_of(prev), prev as usize) };
         }
     }

@@ -150,13 +150,12 @@ pub fn scan_published_prefix(h: &PHistory<'_>, versions: &mut impl VersionSink) 
     // that never existed, too small (a zeroed or flipped word) it would hide
     // published ones. The slots are the ones the checked fill finds valid
     // backing for; `pending` only says which of them were claimed.
-    let backed = h.fill_checked(&mut cur, u64::MAX).min(MAX_SLOTS);
-    // A find follows back links: the walk has just validated each one's
-    // target, so whatever the media says is rewritten to it.
-    h.mend_back_links(&cur);
+    // A find follows back links, so the walk rewrites each to the segment
+    // it has just validated.
+    let backed = h.fill_mended(&mut cur, u64::MAX).min(MAX_SLOTS);
     let (mut len, mut last) = (0u64, 0u64);
     let mut stop = if backed == 0 || backed < pending {
-        unbacked_stop(h, &cur, pending)
+        unbacked_stop(h, &cur, pending, tail)
     } else {
         ScanStop::Exhausted
     };
@@ -195,15 +194,23 @@ pub fn scan_published_prefix(h: &PHistory<'_>, versions: &mut impl VersionSink) 
 
 /// Why claimed slots lack backing, behind a checked walk into `cur` that
 /// ended short of `pending`. No backing at all is a history block that
-/// failed its own check word. Otherwise the one shape an append leaves is a
-/// torn append: claims of the next level only, its first slot's claim
-/// holding the segment unlinked until its publish, behind a link no fence
-/// ordered yet (DESIGN.md §13.3). Anything more — a failed link, or claims
-/// reaching a level beyond — is damage.
+/// failed its own check word. Otherwise the one shape appends leave is a
+/// torn append: a zero link that no fence ordered yet (DESIGN.md §13.3),
+/// claims behind it of the next level only — one claim for a lone append,
+/// more for a batch's chunk of one key or writers beside it, whose `pending`
+/// may reach the media before the link — and a tail no further than the
+/// chain's end: a reader moves the tail over a slot only through its link,
+/// which the linking writer flushed before the slot's stamp (one writer's:
+/// across two, §13.3's window loses the slot anyway). Anything more — a
+/// failed link, claims reaching a level beyond, or a tail past the end — is
+/// damage.
 #[cold]
-fn unbacked_stop(h: &PHistory<'_>, cur: &Cursor<'_>, pending: u64) -> ScanStop {
-    let torn =
-        cur.levels() > 0 && pending <= seg_base(cur.levels() + 1) && h.failed_link(cur).is_none();
+fn unbacked_stop(h: &PHistory<'_>, cur: &Cursor<'_>, pending: u64, tail: u64) -> ScanStop {
+    let end = cur.covered();
+    let torn = cur.levels() > 0
+        && pending <= seg_base(cur.levels() + 1)
+        && tail <= end
+        && h.failed_link(cur).is_none();
     if torn {
         ScanStop::Unpublished
     } else {
@@ -626,8 +633,9 @@ mod tests {
         // prefix and cut the chain there: the appends that follow get a fresh
         // segment j, and a power cut later everything kept and everything new
         // reads back. The one exception is the last link torn away (j = 4,
-        // damage 2): what is left — claims of one level behind a zero link —
-        // is exactly a torn append's shape, and reads Unpublished.
+        // damage 2): what is left — claims of one level behind a zero link,
+        // the tail not past it — is exactly a torn append's shape, and reads
+        // Unpublished (`a_torn_last_link_behind_the_tail_is_damage`).
         for j in 1..=4u32 {
             for damage in 0..3 {
                 let p = PmemPool::create_crash_sim(1 << 22, mvkv_pmem::CrashOptions::default())
@@ -726,6 +734,56 @@ mod tests {
         assert_eq!((versions, found.stop), (vec![10], ScanStop::Unpublished));
         let out = prune_to_watermark(small.slots(), 10);
         assert_eq!(out, PruneOutcome { kept: 1, pruned: 1 });
+    }
+
+    /// A flipped `pending` on a history of one level. With one version the
+    /// scan stops at the unclaimed slot 1 whatever the word says. With both
+    /// inline slots published, a word within the next level has a torn
+    /// append's shape and reads Unpublished — no published slot is lost, and
+    /// the prune puts the word back — and one beyond it is damage.
+    #[test]
+    fn a_flipped_pending_on_a_one_level_history() {
+        for (written, bit, stop) in [
+            (1, 1, ScanStop::Unpublished),
+            (1, 2, ScanStop::Unpublished),
+            (1, 3, ScanStop::Unpublished),
+            (2, 0, ScanStop::Unpublished),
+            (2, 2, ScanStop::Unpublished),
+            (2, 3, ScanStop::Unlinked),
+        ] {
+            let p = pool();
+            let h = History::new(PHistory::create(&p).unwrap());
+            for v in 1..=written {
+                h.append(v, v * 10);
+            }
+            let flipped = written ^ (1 << bit);
+            h.slots().force_counters(flipped as u32, 0);
+            let (found, versions) = scan(h.slots());
+            let label = format!("{written} versions, pending {flipped}");
+            assert_eq!((found.stop, versions), (stop, (1..=written).collect()), "{label}");
+            prune_to_watermark(h.slots(), written);
+            assert_eq!(h.pending(), written, "{label}");
+        }
+    }
+
+    /// The last link torn away behind published slots: a torn append's shape
+    /// while the tail is not past the chain's end, damage once a reader has
+    /// moved it there — no torn append leaves such a tail.
+    #[test]
+    fn a_torn_last_link_behind_the_tail_is_damage() {
+        use crate::slots::seg_base;
+        let end = seg_base(4);
+        for (tail, stop) in [(end, ScanStop::Unpublished), (end + 1, ScanStop::Unlinked)] {
+            let p = pool();
+            let h = History::new(PHistory::create(&p).unwrap());
+            for v in 1..=60u64 {
+                h.append(v, v * 10);
+            }
+            h.slots().force_counters(60, tail as u32);
+            set_link(&p, link_word(&p, h.slots(), 4), 0);
+            let (found, _) = scan(h.slots());
+            assert_eq!((found.stop, found.len), (stop, end), "tail {tail}");
+        }
     }
 
     #[test]
